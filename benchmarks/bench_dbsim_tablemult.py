@@ -97,8 +97,8 @@ def test_cost_model_shape(benchmark, workload, capsys):
               f"({workload.nnz} input entries, {c.nnz} result entries):")
         print(f"  server-side iterators : {stats_server}")
         print(f"  client-side roundtrip : {stats_client}")
-    # server-side writes the partial-product stream (combined by the
-    # result table's iterator), which is at least the result size;
+    # server-side writes each block's summed cells (combined across
+    # blocks by the result table's iterator): at least the result size;
     # client-side must ship the whole input out of the DB first.
     assert stats_server.entries_written >= c.nnz
     assert stats_client.entries_written >= c.nnz

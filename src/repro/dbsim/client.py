@@ -12,7 +12,8 @@ buffers mutations and applies them per owning tablet in bulk
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.dbsim.backend import ConnectorBackend
 from repro.dbsim.iterators import Columns, VisibilityFilterIterator
@@ -505,6 +506,48 @@ class BatchWriter:
         if (len(self._buffer) >= self._buffer_size
                 or self._buffer_bytes >= self._max_memory):
             self._flush_pending()
+
+    def put_many(self, rows: Sequence[str], qualifiers: Sequence[str],
+                 values: Sequence, family: Union[str, Sequence[str]] = "",
+                 visibility: Union[str, Sequence[str]] = "",
+                 timestamps: Optional[Sequence[int]] = None) -> None:
+        """Bulk :meth:`put`: queue one mutation per aligned ``(row,
+        qualifier, value)`` with one buffer extend and one visibility
+        check per distinct label.  ``family`` and ``visibility`` are one
+        string for every cell or an aligned sequence; ``values`` are
+        numbers (encoded) or strings; ``timestamps`` default to 0 (the
+        owning tablet stamps).  Mutations enter the buffer in input
+        order — so stamped timestamps are those of the equivalent
+        ``put`` loop — and input that overfills the buffer is queued a
+        buffer at a time, so no flush carries more than
+        ``buffer_size`` mutations."""
+        if self._closed:
+            raise RuntimeError("writer is closed")
+        n = len(rows)
+        for label in {visibility} if isinstance(visibility, str) \
+                else set(visibility):
+            check_expression(label)
+        values = [v if isinstance(v, str) else encode_number(v)
+                  for v in values]
+        families = [family] * n if isinstance(family, str) else family
+        muts = list(zip(
+            rows, families, qualifiers,
+            repeat(visibility) if isinstance(visibility, str) else visibility,
+            repeat(0) if timestamps is None else timestamps,
+            repeat(False), values))
+        if not len(muts) == n == len(qualifiers) == len(values):
+            raise ValueError("put_many columns must align with rows")
+        lo = 0
+        while lo < n:
+            hi = min(n, lo + self._buffer_size - len(self._buffer))
+            self._buffer.extend(muts[lo:hi])
+            self._buffer_bytes += 24 * (hi - lo) + sum(
+                sum(map(len, column[lo:hi]))
+                for column in (rows, families, qualifiers, values))
+            lo = hi
+            if (len(self._buffer) >= self._buffer_size
+                    or self._buffer_bytes >= self._max_memory):
+                self._flush_pending()
 
     def delete(self, row: str, family: str = "", qualifier: str = "",
                visibility: str = "") -> None:

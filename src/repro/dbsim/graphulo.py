@@ -4,11 +4,11 @@ These are the database-resident forms of the GraphBLAS kernels — the
 paper's stated goal ("use Accumulo server components such as iterators
 to perform graph analytics"):
 
-* :func:`table_mult` — SpGEMM as Graphulo's TableMult: stream the rows
-  of stored-transpose ``AT`` and of ``B`` through a two-table iterator,
-  emit partial products to the result table, and let the result table's
-  *summing combiner* perform ⊕ — the multiply never materialises a
-  client-side matrix;
+* :func:`table_mult` — SpGEMM as Graphulo's TableMult: join the rows
+  of stored-transpose ``AT`` and of ``B`` two-table-iterator style,
+  multiply a bounded block of shared rows at a time, and let the result
+  table's *summing combiner* perform ⊕ across blocks — the multiply
+  never materialises a whole table client-side;
 * :func:`degree_table` — maintain the D4M schema's Tdeg (one Reduce);
 * :func:`apply_to_table` / :func:`filter_table` — server-side Apply /
   value filters via the iterator stack;
@@ -21,6 +21,7 @@ created on demand with the right combiner.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -69,171 +70,160 @@ def _spec():
 
 def _default_mul(a: float, b: float) -> float:
     """Default ⊗ for TableMult (arithmetic multiply).  Kept as a named
-    module-level function so the engine path can recognise it and use
-    the vectorised TIMES operator instead of a promoted Python call."""
+    module-level function so TableMult can recognise it and use the
+    vectorised TIMES operator instead of a promoted Python call."""
     return a * b
+
+
+#: TableMult multiplies a block of shared inner rows once the block's
+#: predicted partial products Σₜ nnz(AT[t,:])·nnz(B[t,:]) reach this
+#: many: client memory is O(this bound + one inner row), whatever the
+#: size of the tables.  Bigger blocks pre-sum more before the write
+#: (scale-9 R-MAT AᵀA: 163k cells written at 2**16, 88k at 2**18 and
+#: at no bound at all); 2**18 products are a few tens of MB in flight.
+BLOCK_PARTIAL_PRODUCTS = 1 << 18
 
 
 def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
                mul: Callable[[float, float], float] = _default_mul,
                combiner: str = "sum", authorizations=None,
-               via: str = "stream", strategy: str = "auto",
+               strategy: str = "auto",
                expansion_budget: Optional[int] = None) -> OpStats:
     """Graphulo TableMult: ``C = Aᵀ ⊕.⊗ B`` with ``AT`` stored row-wise
     (Accumulo can only iterate rows, hence the stored transpose — the
     same reason the D4M schema keeps TedgeT).
 
-    ``via="stream"`` (default) streams both tables' rows in sorted
-    order; on a shared inner row ``t`` it emits ``(u, v) → A(t,u) ⊗
-    B(t,v)`` into ``out``, whose combiner applies ⊕ across colliding
-    partial products.  ``via="engine"`` instead scans both tables into
-    key-aligned sparse matrices, runs the adaptive SpGEMM engine
-    (:func:`repro.sparse.spgemm.mxm` — ``strategy`` and
-    ``expansion_budget`` are forwarded), and writes the already-reduced
-    result back — one write per output cell instead of one per partial
-    product, at the cost of holding both operands client-side.  Returns
-    the instance-wide stats delta for the whole operation (the cost
-    model).
+    Both tables' columnar scans are merge-joined on the inner row key.
+    Whole shared rows gather into a block until its predicted partial
+    products reach :data:`BLOCK_PARTIAL_PRODUCTS`; each block runs
+    through the adaptive SpGEMM engine (:func:`repro.sparse.spgemm.mxm`
+    — ``strategy`` and ``expansion_budget`` are forwarded) and its
+    already-summed cells are bulk-written to ``out``, whose combiner
+    applies ⊕ across blocks and across repeated calls.  Block
+    boundaries depend on the cell sequence alone, so every backend
+    writes the same cells in the same order.  Cells of one inner row
+    that share a qualifier (differing in family or visibility) are
+    ⊕-combined before the multiply.  Returns the instance-wide stats
+    delta for the whole operation (the cost model).
     """
-    if via not in ("stream", "engine"):
-        raise ValueError(f"via must be 'stream' or 'engine', got {via!r}")
-    inst = conn.instance
-    if _trace.ENABLED:
-        with _trace.span("graphulo.table_mult", stats=inst.total_stats,
-                         table_at=table_at, table_b=table_b, out=out,
-                         combiner=combiner, via=via):
-            return _table_mult_dispatch(conn, table_at, table_b, out, mul,
-                                        combiner, authorizations, via,
-                                        strategy, expansion_budget)
-    return _table_mult_dispatch(conn, table_at, table_b, out, mul, combiner,
-                                authorizations, via, strategy,
-                                expansion_budget)
-
-
-def _table_mult_dispatch(conn, table_at, table_b, out, mul, combiner,
-                         authorizations, via, strategy,
-                         expansion_budget) -> OpStats:
-    if via == "engine":
-        return _table_mult_engine(conn, table_at, table_b, out, mul,
+    if not _trace.ENABLED:
+        return _table_mult(conn, table_at, table_b, out, mul, combiner,
+                           authorizations, strategy, expansion_budget)[0]
+    with _trace.span("graphulo.table_mult", stats=conn.instance.total_stats,
+                     table_at=table_at, table_b=table_b, out=out,
+                     combiner=combiner) as sp:
+        stats, work = _table_mult(conn, table_at, table_b, out, mul,
                                   combiner, authorizations, strategy,
                                   expansion_budget)
-    return _table_mult(conn, table_at, table_b, out, mul, combiner,
-                       authorizations)
+        sp.set(**work)
+        return stats
+
+
+def _whole_rows(scanner):
+    """``(row, qualifiers, values)`` for every row of a scanner's
+    columnar stream, in key order — a row comes out whole however the
+    batches (tablets, CHUNK frames) split it."""
+    row, quals, vals = None, [], []
+    for batch in scanner.scan_columns():
+        rows = batch.rows
+        lo, n = 0, len(rows)
+        while lo < n:
+            if rows[lo] != row:
+                if row is not None:
+                    yield row, quals, vals
+                row, quals, vals = rows[lo], [], []
+            # rows are sorted: bisect to the end of this row's run
+            hi = n if rows[-1] == row else bisect_right(rows, row, lo, n)
+            quals += batch.qualifiers[lo:hi]
+            vals += batch.values[lo:hi]
+            lo = hi
+    if row is not None:
+        yield row, quals, vals
+
+
+def _block_operand(counts, quals, vals, dup):
+    """One side of a block — cells per inner row, then every cell's
+    qualifier and value — as ``(sorted keys, inner rows × keys CSR)``."""
+    from repro.sparse.construct import from_coo
+
+    keys = sorted(set(quals))
+    index = {key: i for i, key in enumerate(keys)}
+    return keys, from_coo(
+        len(counts), len(keys), np.repeat(np.arange(len(counts)), counts),
+        np.fromiter(map(index.__getitem__, quals), np.intp, len(quals)),
+        np.fromiter(map(decode_number, vals), np.float64, len(vals)),
+        dup=dup)
+
+
+def _multiply_block(at, b, semiring, strategy: str, expansion_budget):
+    """``ATᵀ ⊕.⊗ B`` over one block of shared inner rows: the summed
+    result as ``(row keys, qualifier keys, values)`` in key order — the
+    unit a tablet server would run over its local rows."""
+    from repro.sparse.spgemm import mxm
+
+    u_keys, mat_at = _block_operand(*at, dup=semiring.add)
+    v_keys, mat_b = _block_operand(*b, dup=semiring.add)
+    rows, cols, vals = mxm(mat_at.T, mat_b, semiring=semiring,
+                           strategy=strategy,
+                           expansion_budget=expansion_budget).to_coo()
+    return ([u_keys[i] for i in rows.tolist()],
+            [v_keys[j] for j in cols.tolist()], vals.tolist())
 
 
 def _table_mult(conn: Connector, table_at: str, table_b: str, out: str,
-                mul: Callable[[float, float], float], combiner: str,
-                authorizations) -> OpStats:
-    inst = conn.instance
-    before = inst.total_stats().snapshot()
-    if not conn.table_exists(out):
-        create_combiner_table(conn, out, combiner=combiner)
-
-    # Two sorted row streams, advanced in lockstep (the TwoTableIterator).
-    a_cells = iter(conn.scanner(table_at, authorizations=authorizations))
-    b_cells = iter(conn.scanner(table_b, authorizations=authorizations))
-
-    def next_row(stream) -> Optional[Tuple[str, list]]:
-        """Pull one whole row (sorted cells share contiguous row keys)."""
-        head = stream["head"]
-        if head is None:
-            return None
-        row = head.key.row
-        cells = [head]
-        stream["head"] = None
-        for cell in stream["iter"]:
-            if cell.key.row != row:
-                stream["head"] = cell
-                break
-            cells.append(cell)
-        return row, cells
-
-    sa = {"iter": a_cells, "head": next(a_cells, None)}
-    sb = {"iter": b_cells, "head": next(b_cells, None)}
-    ra = next_row(sa)
-    rb = next_row(sb)
-    with conn.batch_writer(out) as writer:
-        while ra is not None and rb is not None:
-            if ra[0] < rb[0]:
-                ra = next_row(sa)
-            elif rb[0] < ra[0]:
-                rb = next_row(sb)
-            else:
-                for ca in ra[1]:
-                    av = decode_number(ca.value)
-                    for cb in rb[1]:
-                        prod = mul(av, decode_number(cb.value))
-                        writer.put(ca.key.qualifier, "", cb.key.qualifier,
-                                   prod)
-                ra = next_row(sa)
-                rb = next_row(sb)
-    conn.compact(out)  # make the combined result durable/canonical
-    return inst.total_stats().delta(before)
-
-
-def _table_mult_engine(conn: Connector, table_at: str, table_b: str,
-                       out: str, mul, combiner: str, authorizations,
-                       strategy: str, expansion_budget) -> OpStats:
-    """TableMult through the adaptive SpGEMM engine.
-
-    Scans both tables into string-key-aligned CSR matrices (the D4M
-    table ↔ associative-array isomorphism), computes ``ATᵀ ⊕.⊗ B`` with
-    the requested strategy, and writes the reduced result cells.
-    """
-    from repro.assoc.keyset import union_keys
+                mul, combiner: str, authorizations, strategy: str,
+                expansion_budget) -> Tuple[OpStats, Dict[str, int]]:
     from repro.semiring.builtin import MAX_MONOID, MIN_MONOID, PLUS_MONOID, TIMES
     from repro.semiring.ops import BinaryOp, Semiring
-    from repro.sparse.construct import from_coo
-    from repro.sparse.spgemm import mxm
 
     inst = conn.instance
     before = inst.total_stats().snapshot()
     if not conn.table_exists(out):
         create_combiner_table(conn, out, combiner=combiner)
-
-    def scan_keyed(table):
-        """Scan a table into (row keys, col keys, values) triples.
-        Columnar batches feed the key/value lists directly — no Cell
-        objects exist between tablet storage and the engine."""
-        rows, cols, vals = [], [], []
-        scanner = conn.scanner(table, authorizations=authorizations)
-        for batch in scanner.scan_columns():
-            rows.extend(batch.rows)
-            cols.extend(batch.qualifiers)
-            vals.extend(map(decode_number, batch.values))
-        return np.asarray(rows, dtype=str), np.asarray(cols, dtype=str), \
-            np.asarray(vals, dtype=np.float64)
-
-    at_r, at_c, at_v = scan_keyed(table_at)
-    b_r, b_c, b_v = scan_keyed(table_b)
-    if len(at_r) == 0 or len(b_r) == 0:
-        conn.compact(out)
-        return inst.total_stats().delta(before)
-
-    # align the shared inner dimension (the tables' row keys)
-    inner = union_keys(np.unique(at_r), np.unique(b_r))
-    u_keys = np.unique(at_c)
-    v_keys = np.unique(b_c)
-    mat_at = from_coo(len(inner), len(u_keys),
-                      np.searchsorted(inner, at_r),
-                      np.searchsorted(u_keys, at_c), at_v)
-    mat_b = from_coo(len(inner), len(v_keys),
-                     np.searchsorted(inner, b_r),
-                     np.searchsorted(v_keys, b_c), b_v)
-
     add = {"sum": PLUS_MONOID, "min": MIN_MONOID, "max": MAX_MONOID}[combiner]
     mulop = TIMES if mul is _default_mul else \
         BinaryOp.from_python("table_mult_mul", mul)
     semiring = Semiring(f"table_mult_{combiner}", add, mulop)
+    work = {"blocks": 0, "partial_products": 0, "cells_written": 0}
+    # the block: per side, (cells per inner row, qualifiers, values)
+    at, b, predicted = ([], [], []), ([], [], []), 0
 
-    c = mxm(mat_at.T, mat_b, semiring=semiring, strategy=strategy,
-            expansion_budget=expansion_budget)
-    rows, cols, vals = c.to_coo()
+    def write_block() -> None:
+        rows, quals, vals = _multiply_block(at, b, semiring, strategy,
+                                            expansion_budget)
+        writer.put_many(rows, quals, vals)
+        work["blocks"] += 1
+        work["partial_products"] += predicted
+        work["cells_written"] += len(rows)
+        for column in at + b:
+            column.clear()
+
+    # two sorted row streams advanced in lockstep (Graphulo's
+    # TwoTableIterator), joined on the inner row key
+    at_rows = _whole_rows(conn.scanner(table_at,
+                                       authorizations=authorizations))
+    b_rows = _whole_rows(conn.scanner(table_b, authorizations=authorizations))
+    ra, rb = next(at_rows, None), next(b_rows, None)
     with conn.batch_writer(out) as writer:
-        for i, j, v in zip(rows, cols, vals):
-            writer.put(str(u_keys[i]), "", str(v_keys[j]), float(v))
-    conn.compact(out)
-    return inst.total_stats().delta(before)
+        while ra is not None and rb is not None:
+            if ra[0] < rb[0]:
+                ra = next(at_rows, None)
+            elif rb[0] < ra[0]:
+                rb = next(b_rows, None)
+            else:
+                for side, (_, quals, vals) in ((at, ra), (b, rb)):
+                    side[0].append(len(quals))
+                    side[1].extend(quals)
+                    side[2].extend(vals)
+                predicted += len(ra[1]) * len(rb[1])
+                if predicted >= BLOCK_PARTIAL_PRODUCTS:
+                    write_block()
+                    predicted = 0
+                ra, rb = next(at_rows, None), next(b_rows, None)
+        if predicted:
+            write_block()
+    conn.compact(out)  # make the combined result durable/canonical
+    return inst.total_stats().delta(before), work
 
 
 def degree_table(conn: Connector, table: str, out: str,
@@ -263,10 +253,9 @@ def _degree_table(conn: Connector, table: str, out: str,
     scanner = conn.scanner(table, authorizations=authorizations,
                            iterspec=spec)
     with conn.batch_writer(out) as writer:
-        put = writer.put
         for batch in scanner.scan_columns():
-            for row, val in zip(batch.rows, batch.values):
-                put(row, "", "deg", decode_number(val))
+            # the reduce's values are already canonically encoded
+            writer.put_many(batch.rows, ["deg"] * len(batch), batch.values)
     conn.compact(out)
     return inst.total_stats().delta(before)
 

@@ -12,12 +12,16 @@ flagship ops in its follow-up papers.)
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.dbsim.client import Connector
-from repro.dbsim.graphulo import create_combiner_table, table_mult
-from repro.dbsim.key import Cell, decode_number
+from repro.dbsim.graphulo import _spec, create_combiner_table, table_mult
+from repro.dbsim.key import decode_number
 from repro.dbsim.stats import OpStats
+
+
+#: cells a streaming kernel gathers before one ``put_many``
+_WRITE_CELLS = 2048
 
 
 def table_intersect(conn: Connector, left: str, right: str, out: str,
@@ -36,24 +40,36 @@ def table_intersect(conn: Connector, left: str, right: str, out: str,
     if not conn.table_exists(out):
         conn.create_table(out)
 
-    def key3(cell: Cell) -> Tuple[str, str, str]:
-        return (cell.key.row, cell.key.family, cell.key.qualifier)
+    def entries(table: str):
+        """The table's cells in key order, as ``((row, family,
+        qualifier), visibility, timestamp, value)``."""
+        for batch in conn.scanner(table).scan_columns():
+            yield from zip(zip(batch.rows, batch.families, batch.qualifiers),
+                           batch.visibilities, batch.timestamps, batch.values)
 
-    li = iter(conn.scanner(left))
-    ri = iter(conn.scanner(right))
-    lcell = next(li, None)
-    rcell = next(ri, None)
+    lefts, rights = entries(left), entries(right)
+    lcell, rcell = next(lefts, None), next(rights, None)
+    kept: list = []
     with conn.batch_writer(out) as writer:
+        def write_kept() -> None:
+            if kept:
+                keys, viss, stamps, values = zip(*kept)
+                rows, fams, quals = zip(*keys)
+                writer.put_many(rows, quals, values, family=fams,
+                                visibility=viss, timestamps=stamps)
+                kept.clear()
+
         while lcell is not None and rcell is not None:
-            lk, rk = key3(lcell), key3(rcell)
-            if lk < rk:
-                lcell = next(li, None)
-            elif rk < lk:
-                rcell = next(ri, None)
+            if lcell[0] < rcell[0]:
+                lcell = next(lefts, None)
+            elif rcell[0] < lcell[0]:
+                rcell = next(rights, None)
             else:
-                writer.put_cell(lcell if keep == "left" else rcell)
-                lcell = next(li, None)
-                rcell = next(ri, None)
+                kept.append(lcell if keep == "left" else rcell)
+                if len(kept) == _WRITE_CELLS:
+                    write_kept()
+                lcell, rcell = next(lefts, None), next(rights, None)
+        write_kept()
     conn.flush(out)
     return inst.total_stats().delta(before)
 
@@ -82,25 +98,30 @@ def table_jaccard(conn: Connector, edge_table: str, out: str,
     cn_table = _fresh(conn, f"{tmp_prefix}_cn")
     table_mult(conn, edge_table, edge_table, cn_table)
 
+    # weighted degrees, folded per row inside the tablet servers
     degrees: Dict[str, float] = {}
-    for cell in conn.scanner(edge_table):
-        degrees[cell.key.row] = degrees.get(cell.key.row, 0.0) \
-            + decode_number(cell.value)
+    for batch in conn.scanner(
+            edge_table,
+            iterspec=_spec().reduce("sum", qualifier="deg")).scan_columns():
+        degrees.update(zip(batch.rows, map(decode_number, batch.values)))
 
     if not conn.table_exists(out):
         conn.create_table(out)
     with conn.batch_writer(out) as writer:
-        for cell in conn.scanner(cn_table):
-            i, j = cell.key.row, cell.key.qualifier
-            if i >= j:
-                continue  # strictly-upper, then mirror (Algorithm 2)
-            cn = decode_number(cell.value)
-            denom = degrees.get(i, 0.0) + degrees.get(j, 0.0) - cn
-            if denom <= 0:
-                continue
-            jac = cn / denom
-            writer.put(i, "", j, jac)
-            writer.put(j, "", i, jac)
+        for batch in conn.scanner(cn_table).scan_columns():
+            rows, quals, vals = [], [], []
+            for i, j, value in zip(batch.rows, batch.qualifiers,
+                                   batch.values):
+                if i >= j:
+                    continue  # strictly-upper, then mirror (Algorithm 2)
+                cn = decode_number(value)
+                denom = degrees.get(i, 0.0) + degrees.get(j, 0.0) - cn
+                if denom <= 0:
+                    continue
+                rows += (i, j)
+                quals += (j, i)
+                vals += (cn / denom,) * 2
+            writer.put_many(rows, quals, vals)
     conn.flush(out)
     conn.delete_table(cn_table)
     return inst.total_stats().delta(before)
@@ -207,9 +228,9 @@ def table_ktruss(conn: Connector, edge_table: str, out: str, k: int,
     conn.create_table(current)
     count = 0
     with conn.batch_writer(current) as writer:
-        for cell in conn.scanner(edge_table):
-            writer.put(cell.key.row, "", cell.key.qualifier, 1)
-            count += 1
+        for batch in conn.scanner(edge_table).scan_columns():
+            writer.put_many(batch.rows, batch.qualifiers, ["1"] * len(batch))
+            count += len(batch)
 
     for round_no in range(max_rounds):
         cn = _fresh(conn, f"{tmp_prefix}_cn")
@@ -221,10 +242,13 @@ def table_ktruss(conn: Connector, edge_table: str, out: str, k: int,
         conn.create_table(nxt)
         survivors = 0
         with conn.batch_writer(nxt) as writer:
-            for cell in conn.scanner(support):
-                if decode_number(cell.value) >= k - 2:
-                    writer.put(cell.key.row, "", cell.key.qualifier, 1)
-                    survivors += 1
+            for batch in conn.scanner(support).scan_columns():
+                keep = [i for i, value in enumerate(batch.values)
+                        if decode_number(value) >= k - 2]
+                writer.put_many([batch.rows[i] for i in keep],
+                                [batch.qualifiers[i] for i in keep],
+                                ["1"] * len(keep))
+                survivors += len(keep)
         conn.delete_table(cn)
         conn.delete_table(support)
         conn.delete_table(current)
@@ -238,8 +262,11 @@ def table_ktruss(conn: Connector, edge_table: str, out: str, k: int,
     _fresh(conn, out)
     conn.create_table(out)
     with conn.batch_writer(out) as writer:
-        for cell in conn.scanner(current):
-            writer.put_cell(cell)
+        for batch in conn.scanner(current).scan_columns():
+            writer.put_many(batch.rows, batch.qualifiers, batch.values,
+                            family=batch.families,
+                            visibility=batch.visibilities,
+                            timestamps=batch.timestamps)
     conn.flush(out)
     conn.delete_table(current)
     return inst.total_stats().delta(before)

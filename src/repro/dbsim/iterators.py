@@ -294,18 +294,29 @@ class CombinerIterator(_WrappingIterator):
         self._top = Cell(first.key, encode_number(acc))
 
 
+# Each built-in combiner factory carries its ⊕ as ``reduce_fn``: the
+# tablet's fused drain folds a table whose only iterator is one of
+# these with the very function CombinerIterator applies, so ⊕ is
+# defined once.
+
+
 def SummingCombiner(source: SortedKVIterator) -> CombinerIterator:
     """Combiner summing all versions (Graphulo's ⊕ = +)."""
-    return CombinerIterator(source, lambda a, b: a + b)
+    return CombinerIterator(source, SummingCombiner.reduce_fn)
 
 
 def MinCombiner(source: SortedKVIterator) -> CombinerIterator:
     """Combiner keeping the minimum version (tropical ⊕ = min)."""
-    return CombinerIterator(source, min)
+    return CombinerIterator(source, MinCombiner.reduce_fn)
 
 
 def MaxCombiner(source: SortedKVIterator) -> CombinerIterator:
-    return CombinerIterator(source, max)
+    return CombinerIterator(source, MaxCombiner.reduce_fn)
+
+
+SummingCombiner.reduce_fn = lambda a, b: a + b
+MinCombiner.reduce_fn = min
+MaxCombiner.reduce_fn = max
 
 
 class PredicateFilterIterator(_WrappingIterator):

@@ -13,6 +13,8 @@ table's iterator stack, making combiner results durable.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left
 from itertools import chain as _chain
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -27,7 +29,7 @@ from repro.dbsim.iterators import (
     drain,
 )
 from repro.dbsim.errors import ServerCrashedError
-from repro.dbsim.key import Cell, Key, Range
+from repro.dbsim.key import Cell, Key, Range, decode_number, encode_number
 from repro.dbsim.memtable import MemTable
 from repro.dbsim.sstable import SSTable
 from repro.dbsim.stats import MeteredStats, OpStats
@@ -43,6 +45,22 @@ def _cell_row(cell: Cell) -> str:
 
 def _cell_sort_key(cell: Cell):
     return cell.key.sort_tuple()
+
+
+def _fused_reduce(table_iterators: Sequence[IteratorFactory],
+                  scan_iterators: Sequence[IteratorFactory] = ()):
+    """Can the fused pass stand in for this iterator stack, and with
+    which ⊕?  ``(True, None)`` for a plain table, ``(True, reduce_fn)``
+    when the table's only iterator is a built-in combiner (recognised
+    by the ``reduce_fn`` its factory carries), ``(False, None)`` for
+    anything else — scan iterators, foreign or stacked table
+    iterators — which needs the per-cell stack."""
+    if scan_iterators or len(table_iterators) > 1:
+        return False, None
+    if not table_iterators:
+        return True, None
+    reduce_fn = getattr(table_iterators[0], "reduce_fn", None)
+    return reduce_fn is not None, reduce_fn
 
 
 class Tablet:
@@ -63,6 +81,7 @@ class Tablet:
         self.table: Optional[str] = None
         self._sink = self._stats  # counter target: stats, or a metered tee
         self._on_index_seek = None  # registry hook for sstable index seeks
+        self._aux: dict = {}  # cached registry-only counters (_bump_aux)
         self.memtable = MemTable()
         self.sstables: List[SSTable] = []
         self._clock = 0  # per-tablet logical timestamps: last write wins
@@ -94,7 +113,8 @@ class Tablet:
         prefix = f"dbsim.table.{table}"
         for name in ("seeks", "entries_read", "entries_written", "flushes",
                      "compactions", "bloom_hits", "bloom_misses",
-                     "index_seeks", "batched_mutations"):
+                     "index_seeks", "batched_mutations", "scans_fused",
+                     "scans_stack"):
             registry.counter(f"{prefix}.{name}")
         for name in self._gauge_prev:
             registry.gauge(f"{prefix}.{name}")
@@ -114,6 +134,7 @@ class Tablet:
         self._rebuild_sink()
 
     def _rebuild_sink(self) -> None:
+        self._aux = {}  # registry-only counters, by short name
         if self._registry is not None and self.table is not None:
             prefix = f"dbsim.table.{self.table}"
             self._sink = MeteredStats(self._stats, self._registry, prefix)
@@ -138,8 +159,11 @@ class Tablet:
         (bloom/batching counters are not part of the OpStats cost
         model, whose field set is pinned by serialization tests)."""
         if self._registry is not None:
-            self._registry.counter(
-                f"dbsim.table.{self.table}.{name}").inc(amount)
+            counter = self._aux.get(name)
+            if counter is None:  # resolved once per binding, not per scan
+                counter = self._aux[name] = self._registry.counter(
+                    f"dbsim.table.{self.table}.{name}")
+            counter.inc(amount)
 
     def _update_gauges(self, memtable_bytes: Optional[int] = None) -> None:
         # table-level gauges are the sum over the table's tablets, so
@@ -339,6 +363,20 @@ class Tablet:
                                          on_index_seek=self._on_index_seek))
         return MergeIterator(children)
 
+    def _stack(self, clipped: Range,
+               table_iterators: Sequence[IteratorFactory],
+               scan_iterators: Sequence[IteratorFactory],
+               sink) -> SortedKVIterator:
+        """The canonical per-cell stack over ``clipped`` (unseeked)."""
+        stack: SortedKVIterator = self._storage_iterator(clipped, sink)
+        stack = DeleteFilterIterator(stack)
+        stack = VersioningIterator(stack, self.max_versions)
+        for factory in table_iterators:
+            stack = factory(stack)
+        for factory in scan_iterators:
+            stack = factory(stack)
+        return stack
+
     def scan_iterator(self, rng: Range,
                       table_iterators: Sequence[IteratorFactory] = (),
                       scan_iterators: Sequence[IteratorFactory] = (),
@@ -360,14 +398,10 @@ class Tablet:
             from repro.dbsim.iterators import ListIterator
 
             return ListIterator([])
-        stack: SortedKVIterator = self._storage_iterator(clipped, sink)
-        stack = DeleteFilterIterator(stack)
-        stack = VersioningIterator(stack, self.max_versions)
-        for factory in table_iterators:
-            stack = factory(stack)
-        for factory in scan_iterators:
-            stack = factory(stack)
-        out: SortedKVIterator = _ClippedIterator(stack, clipped)
+        self._bump_aux("scans_stack")
+        out: SortedKVIterator = _ClippedIterator(
+            self._stack(clipped, table_iterators, scan_iterators, sink),
+            clipped)
         if self.server is not None:
             # hosted tablet: an open scan dies with its server.  A
             # crash between advances surfaces as ServerCrashedError
@@ -398,25 +432,24 @@ class Tablet:
         which preserves the contract (a crash mid-scan surfaces as
         :class:`ServerCrashedError` on the next batch) without paying
         four wrapper calls per cell.
+
+        Plain tables and tables whose only iterator is a built-in
+        combiner skip the per-cell stack entirely (see
+        :func:`_fused_reduce`); any other layer falls back to it.
         """
         self._check_up()
         clipped = self.extent.clip(rng)
         if clipped is None:
             return iter(())
-        if not table_iterators and not scan_iterators:
-            # no user layers: skip the per-cell stack entirely and
-            # drain the sorted runs columnar (see _fused_runs)
+        fused, reduce_fn = _fused_reduce(table_iterators, scan_iterators)
+        if fused:
+            self._bump_aux("scans_fused")
             runs = self._fused_runs(clipped, sink)
-            return self._drain_columns_fused(runs, columns, batch_cells,
-                                             sink if sink is not None
-                                             else self._sink)
-        stack: SortedKVIterator = self._storage_iterator(clipped, sink)
-        stack = DeleteFilterIterator(stack)
-        stack = VersioningIterator(stack, self.max_versions)
-        for factory in table_iterators:
-            stack = factory(stack)
-        for factory in scan_iterators:
-            stack = factory(stack)
+            return self._drain_columns_fused(
+                runs, columns, reduce_fn, batch_cells,
+                sink if sink is not None else self._sink)
+        self._bump_aux("scans_stack")
+        stack = self._stack(clipped, table_iterators, scan_iterators, sink)
         stack.seek(clipped, columns)
         return self._drain_columns(stack, batch_cells)
 
@@ -464,13 +497,21 @@ class Tablet:
         return runs
 
     def _drain_columns_fused(self, runs: List[List[Cell]],
-                             columns: Columns, batch_cells: int, sink):
+                             columns: Columns, reduce_fn,
+                             batch_cells: int, sink,
+                             stored: Optional[List[Cell]] = None):
         """One fused pass over pre-sliced sorted runs: column filter →
-        tombstone suppression → versioning → column-list append, with
-        no iterator stack and no per-cell wrapper calls.  Output and
-        counters are bit-identical to the stack path."""
-        from array import array
+        tombstone suppression → versioning → combiner fold →
+        column-list append, with no iterator stack and no per-cell
+        wrapper calls.  With ``reduce_fn`` the versions of a cell that
+        survive versioning fold into one entry under the newest key,
+        exactly as :class:`CombinerIterator` above a
+        :class:`VersioningIterator` would.  Output and counters are
+        bit-identical to the stack path.
 
+        ``stored`` is compaction's second sink: it receives, entry for
+        entry, the stored :class:`Cell` each output entry's key came
+        from, so the new run can reuse those objects."""
         from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
 
         if len(runs) == 1:
@@ -495,6 +536,7 @@ class Tablet:
         del_ts = 0
         last_cid = None
         seen = 0
+        acc = 0.0  # running ⊕ of the entry at vals[-1]
         check_up()
         for cell in merged:
             key = cell.key
@@ -512,16 +554,16 @@ class Tablet:
                 seen += 1
                 if seen > mv:
                     continue
+                if reduce_fn is not None:
+                    acc = reduce_fn(acc, decode_number(cell.value))
+                    continue
             else:
                 last_cid = cid
                 seen = 1
-            rows.append(key.row)
-            fams.append(key.family)
-            quals.append(key.qualifier)
-            viss.append(key.visibility)
-            ts.append(key.timestamp)
-            vals.append(cell.value)
-            n += 1
+            if reduce_fn is not None:
+                if n:  # the previous entry has seen its last version
+                    vals[-1] = encode_number(acc)
+                acc = decode_number(cell.value)
             if n == batch_cells:
                 sink.entries_read += entries
                 entries = 0
@@ -530,14 +572,23 @@ class Tablet:
                 check_up()
                 rows, fams, quals, viss, ts, vals = [], [], [], [], [], []
                 n = 0
+            rows.append(key.row)
+            fams.append(key.family)
+            quals.append(key.qualifier)
+            viss.append(key.visibility)
+            ts.append(key.timestamp)
+            vals.append(cell.value)
+            n += 1
+            if stored is not None:
+                stored.append(cell)
         sink.entries_read += entries
         if n:
+            if reduce_fn is not None:
+                vals[-1] = encode_number(acc)
             yield ColumnBatch(rows, fams, quals, viss, array("q", ts),
                               [False] * n, vals)
 
     def _drain_columns(self, stack: SortedKVIterator, batch_cells: int):
-        from array import array
-
         from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
 
         check_up = self._check_up
@@ -587,10 +638,25 @@ class Tablet:
             sp.set(entries_out=self.entry_estimate())
 
     def _compact(self, table_iterators: Sequence[IteratorFactory]) -> None:
-        cells = self.scan(Range(), None, table_iterators)
+        fused, reduce_fn = _fused_reduce(table_iterators)
+        if fused:
+            # the same fused drain a scan takes, run with both sinks;
+            # the new run (sorted by construction) keeps every stored
+            # cell whose value the fold left as it was
+            stored: List[Cell] = []
+            values = [value for batch in self._drain_columns_fused(
+                self._fused_runs(self.extent, None), None, reduce_fn,
+                sys.maxsize, self._sink, stored=stored)
+                for value in batch.values]
+            cells = [cell if cell.value == value else Cell(cell.key, value)
+                     for cell, value in zip(stored, values)]
+            self.sstables = [SSTable(cells, _presorted=True)] if cells else []
+        else:
+            cells = drain(self._stack(self.extent, table_iterators, (), None),
+                          self.extent)
+            self.sstables = [SSTable(cells)] if cells else []
         self.memtable.clear()
         self.wal.clear()
-        self.sstables = [SSTable(cells)] if cells else []
         self._sink.compactions += 1
         self._update_gauges(memtable_bytes=0)
 

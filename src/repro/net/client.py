@@ -347,17 +347,29 @@ class _Segment:
         self.span = None
 
 
+def _is_last_chunk(frame) -> bool:
+    code, payload, _ = frame
+    return code == wire.CHUNK and bool(payload.meta.get("last"))
+
+
 def _seg_run_complete(frames: list) -> bool:
     """Did this frame run *cleanly* finish its segment?  True on a
     trailing DONE or ``last``-marked CHUNK.  An ERROR ends the stream
     but not the segment (it will be resumed), so it is not complete —
     and the round must not splice a later segment's frames after it."""
-    if not frames:
-        return False
-    code, payload, _ = frames[-1]
-    if code == wire.DONE:
-        return True
-    return code == wire.CHUNK and bool(payload.meta.get("last"))
+    return bool(frames) and (frames[-1][0] == wire.DONE
+                             or _is_last_chunk(frames[-1]))
+
+
+def _drop_folded_done(run: list) -> list:
+    """Drop the DONE that trails a ``last``-marked CHUNK in one
+    segment's frame run.  The chunk already completes its segment, so
+    every DONE the consumer is handed completes a segment of its own —
+    an empty tablet's whole run is one bare DONE, and it must not be
+    mistaken for the previous segment's."""
+    if len(run) > 1 and run[-1][0] == wire.DONE and _is_last_chunk(run[-2]):
+        run.pop()
+    return run
 
 
 class _RemoteScanStream:
@@ -493,8 +505,9 @@ class _RemoteScanStream:
         an earlier segment has resumed and finished."""
         core = self._inst.core
         await self._fanout(0, parent_ctx)
-        frames = await self._segments[0].stream._stream.get_many(
-            core.retry.deadline)
+        frames = _drop_folded_done(
+            await self._segments[0].stream._stream.get_many(
+                core.retry.deadline))
         run, k = frames, 1
         while k < len(self._segments) and _seg_run_complete(run):
             await self._fanout(k, parent_ctx)  # slide the open-ahead window
@@ -502,7 +515,8 @@ class _RemoteScanStream:
             if nxt is None:
                 break
             try:
-                run = await nxt._stream.get_many(_SPLICE_WAIT)
+                run = _drop_folded_done(
+                    await nxt._stream.get_many(_SPLICE_WAIT))
             except Exception:  # noqa: BLE001 - requeued; raised once head
                 break
             frames.extend(run)
@@ -552,11 +566,9 @@ class _RemoteScanStream:
                 self._check_budget(counters, attempts, exc)
                 continue
             batch: Optional[_cells.ColumnBatch] = None
-            seg_done = False
             for code, payload, nread in frames:
                 if code == wire.CHUNK:
                     attempts = 0  # progress: reset the retry budget
-                    seg_done = False
                     decoded = _cells.decode_batch(payload.block)
                     counters("net.client.scan_chunks").inc()
                     if len(decoded):
@@ -576,17 +588,13 @@ class _RemoteScanStream:
                     if payload.meta.get("last"):
                         # server marked its final chunk: complete the
                         # segment now instead of paying another wakeup
-                        # for the DONE frame (which the ended stream
-                        # drops on arrival)
+                        # for the DONE frame (which _round dropped, or
+                        # the ended stream drops on arrival)
                         if head.stream is not None:
                             head.stream.mark_ended()
-                        seg_done = True
                         self._complete_segment()
                 elif code == wire.DONE:
-                    if seg_done:
-                        seg_done = False  # already completed via "last"
-                    else:
-                        self._complete_segment()
+                    self._complete_segment()
                     attempts = 0
                 elif code == wire.ERROR:
                     self._close_head()

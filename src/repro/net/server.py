@@ -343,16 +343,28 @@ class _BaseService:
         context: activating it makes the handler span a child of the
         originating client span, even across processes."""
         if not _trace.ENABLED:
-            self._serve_inner(state, code, payload, req, arrived)
-            return
-        ctx = _trace.TraceContext(*tc) if tc else None
-        name = _SERVER_SPAN_NAMES.get(code) or \
-            f"rpc.server.{wire.OP_NAMES.get(code, hex(code))}"
-        with _trace.span(name, parent_ctx=ctx, server=self.name):
-            self._serve_inner(state, code, payload, req, arrived)
+            shutdown = self._serve_inner(state, code, payload, req, arrived)
+        else:
+            ctx = _trace.TraceContext(*tc) if tc else None
+            name = _SERVER_SPAN_NAMES.get(code) or \
+                f"rpc.server.{wire.OP_NAMES.get(code, hex(code))}"
+            with _trace.span(name, parent_ctx=ctx, server=self.name):
+                shutdown = self._serve_inner(state, code, payload, req,
+                                             arrived)
+        if shutdown:
+            # only now, with the handler span recorded: stop() releases
+            # the process main, which closes the trace sink
+            self.stop()
+            state.alive = False
+            try:  # unblock the reader without killing in-flight sends
+                state.sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
 
     def _serve_inner(self, state: _ConnState, code: int, payload,
-                     req: int, arrived: float) -> None:
+                     req: int, arrived: float) -> bool:
+        """Run the handler and reply; True when the acknowledged request
+        was a SHUTDOWN and the service must now stop."""
         meta = payload.meta if isinstance(payload, wire.CellsPayload) \
             else payload
         session = meta.get("session") if isinstance(meta, dict) else None
@@ -370,7 +382,7 @@ class _BaseService:
                     self.metrics.counter("net.server.dedup_hits").inc()
                     self._respond(state, cached[0], cached[1], code, req)
                     self._observe_times(arrived, dispatched)
-                    return
+                    return False
             handler = self._handlers().get(code)
             try:
                 if handler is None:
@@ -392,13 +404,7 @@ class _BaseService:
                     window.popitem(last=False)
         self._respond(state, out_code, out_payload, code, req)
         self._observe_times(arrived, dispatched)
-        if code == wire.SHUTDOWN and out_code == wire.OK:
-            self.stop()
-            state.alive = False
-            try:  # unblock the reader without killing in-flight sends
-                state.sock.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
+        return code == wire.SHUTDOWN and out_code == wire.OK
 
     def _observe_times(self, arrived: float, dispatched: float) -> None:
         """Record queue (arrival → dispatch) and service (dispatch →

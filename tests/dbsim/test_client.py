@@ -14,6 +14,7 @@ import pytest
 from repro.dbsim.client import Connector
 from repro.dbsim.key import Range
 from repro.dbsim.server import Instance
+from repro.dbsim.visibility import Authorizations
 from repro.net.client import RemoteConnector, RemoteInstance
 from repro.net.cluster import LocalCluster
 
@@ -165,6 +166,46 @@ class TestBatchWriter:
     def test_buffer_size_validated(self, conn):
         with pytest.raises(ValueError):
             conn.batch_writer("t", buffer_size=0)
+
+    def test_put_many_equals_put_loop(self, conn):
+        """Same cells, same stamped timestamps — across tablets, across
+        a buffer several times smaller than the input, with per-cell
+        families and explicit timestamps as well as broadcast ones."""
+        rows = [f"{'am'[i % 2]}{i % 5}" for i in range(40)]
+        quals = [f"q{i:02d}" for i in range(40)]
+        vals = [i / 4 if i % 3 else str(i) for i in range(40)]
+        fams = [f"f{i % 2}" for i in range(40)]
+        stamps = [0 if i % 4 else 1000 + i for i in range(40)]
+        for table in ("loop", "bulk"):
+            conn.create_table(table, splits=["m"])
+        with conn.batch_writer("loop", buffer_size=7) as w:
+            for r, q, v in zip(rows, quals, vals):
+                w.put(r, "", q, v, visibility="a|b")
+            for r, f, q, v, t in zip(rows, fams, quals, vals, stamps):
+                w.put(r, f, q, v, timestamp=t)
+        with conn.batch_writer("bulk", buffer_size=7) as w:
+            w.put_many(rows, quals, vals, visibility="a|b")
+            assert len(w._buffer) < 7   # queued a buffer at a time
+            w.put_many(rows, quals, vals, family=fams, timestamps=stamps)
+        auths = Authorizations(["a"])
+        bulk = list(conn.scanner("bulk", authorizations=auths))
+        assert bulk == list(conn.scanner("loop", authorizations=auths))
+        assert len(bulk) == 80
+
+    def test_put_many_validates(self, conn):
+        with conn.batch_writer("t") as w:
+            with pytest.raises(ValueError, match="align"):
+                w.put_many(["a", "b"], ["q"], [1, 2])
+            with pytest.raises(ValueError):
+                w.put_many(["a"], ["q"], [1], visibility="a&|b")
+            with pytest.raises(ValueError):
+                w.put_many(["a", "b"], ["q", "q"], [1, 2],
+                           visibility=["", "(a"])
+            assert w._buffer == []
+        w = conn.batch_writer("t")
+        w.close()
+        with pytest.raises(RuntimeError):
+            w.put_many(["x"], ["c"], [1])
 
 
 class TestTableOps:

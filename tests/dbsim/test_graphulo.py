@@ -1,5 +1,7 @@
 """Graphulo server-side ops: TableMult, degree tables, apply/filter, BFS."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,13 @@ from repro.dbsim import (
     table_mult,
     table_to_assoc,
 )
+from repro.dbsim import graphulo
 from repro.dbsim.graphulo import create_combiner_table
 from repro.dbsim.key import Range, decode_number
 from repro.dbsim.server import Instance
 from repro.generators.classic import fig1_edges
+
+from tests.dbsim.tablemult_oracle import stream_table_mult
 
 
 @pytest.fixture
@@ -90,65 +95,66 @@ class TestTableMult:
 
 
 class TestTableMultEngine:
-    """via="engine": bulk scan → adaptive SpGEMM → bulk write."""
+    """The one multiply path: columnar merge-join → row-blocked SpGEMM
+    engine → bulk write (what ``via="engine"`` used to select)."""
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_engine_equals_assoc_matmul(self, conn, seed):
-        rng = np.random.default_rng(seed)
-        a = random_assoc(rng, 8, 6)
-        b = random_assoc(rng, 8, 5)
-        assoc_to_table(conn, a, "A")
-        assoc_to_table(conn, b, "B")
-        stats = table_mult(conn, "A", "B", "C", via="engine")
-        assert table_to_assoc(conn, "C").equal(a.T @ b)
-        assert stats.entries_read > 0 and stats.entries_written > 0
-
-    def test_engine_matches_stream(self, conn):
+    def test_matches_stream_oracle(self, conn):
         rng = np.random.default_rng(5)
         a = random_assoc(rng, 7, 7)
         assoc_to_table(conn, a, "A")
-        table_mult(conn, "A", "A", "C_stream")
-        table_mult(conn, "A", "A", "C_engine", via="engine")
-        assert table_to_assoc(conn, "C_engine").equal(
+        stream_table_mult(conn, "A", "A", "C_stream")
+        stats = table_mult(conn, "A", "A", "C")
+        assert table_to_assoc(conn, "C").equal(
             table_to_assoc(conn, "C_stream"))
+        assert stats.entries_read > 0 and stats.entries_written > 0
 
-    def test_engine_min_combiner_tropical(self, conn):
-        a = AssocArray.from_triples(["k", "k"], ["u", "v"], [1.0, 5.0])
-        b = AssocArray.from_triples(["k"], ["w"], [2.0])
+    def test_writes_summed_cells_not_partial_products(self, conn):
+        """Pre-summing before the write: one cell per result entry."""
+        rng = np.random.default_rng(2)
+        a = random_assoc(rng, 9, 6, density=0.7)
         assoc_to_table(conn, a, "A")
-        assoc_to_table(conn, b, "B")
-        table_mult(conn, "A", "B", "C", mul=lambda x, y: x + y,
-                   combiner="min", via="engine")
-        out = table_to_assoc(conn, "C")
-        assert out.get("u", "w") == 3.0 and out.get("v", "w") == 7.0
+        inst = conn.instance
+        before = inst.total_stats().snapshot()
+        partial_products = stream_table_mult(conn, "A", "A", "C_stream")
+        stream_written = inst.total_stats().delta(before).entries_written
+        stats = table_mult(conn, "A", "A", "C")
+        result_cells = (a.T @ a).nnz
+        assert stream_written == partial_products > result_cells
+        assert stats.entries_written == result_cells
 
-    def test_engine_accumulates(self, conn):
+    def test_multi_block_accumulates_across_blocks(self, conn, monkeypatch):
+        """A block bound small enough to split the join into several
+        engine calls: the out table's combiner sums across them."""
         rng = np.random.default_rng(6)
-        a = random_assoc(rng, 6, 4)
+        a = random_assoc(rng, 10, 6, density=0.6)
         assoc_to_table(conn, a, "A")
-        table_mult(conn, "A", "A", "C", via="engine")
-        table_mult(conn, "A", "A", "C", via="engine")
-        assert table_to_assoc(conn, "C").equal((a.T @ a).scale(2.0))
+        blocks = []
+        multiply = graphulo._multiply_block
 
-    def test_engine_empty_intersection(self, conn):
-        assoc_to_table(conn, AssocArray.from_triples(["x"], ["u"], [1.0]), "A")
-        assoc_to_table(conn, AssocArray.from_triples(["y"], ["w"], [1.0]), "B")
-        table_mult(conn, "A", "B", "C", via="engine")
-        assert table_to_assoc(conn, "C").nnz == 0
+        def spy(at, b, *args):
+            blocks.append(sum(x * y for x, y in zip(at[0], b[0])))
+            return multiply(at, b, *args)
 
-    def test_engine_strategy_kwargs(self, conn):
+        monkeypatch.setattr(graphulo, "_multiply_block", spy)
+        monkeypatch.setattr(graphulo, "BLOCK_PARTIAL_PRODUCTS", 20)
+        table_mult(conn, "A", "A", "C")
+        assert len(blocks) >= 3
+        assert table_to_assoc(conn, "C").equal(a.T @ a)
+
+    def test_strategy_kwargs(self, conn):
         rng = np.random.default_rng(7)
         a = random_assoc(rng, 8, 8)
         assoc_to_table(conn, a, "A")
-        table_mult(conn, "A", "A", "C", via="engine", strategy="tiled",
-                   expansion_budget=4)
+        table_mult(conn, "A", "A", "C", strategy="tiled", expansion_budget=4)
         assert table_to_assoc(conn, "C").equal(a.T @ a)
 
-    def test_invalid_via(self, conn):
+    def test_via_parameter_removed(self, conn):
+        """There is one implementation and no knob selecting it."""
+        assert "via" not in inspect.signature(table_mult).parameters
         rng = np.random.default_rng(8)
         assoc_to_table(conn, random_assoc(rng, 3, 3), "A")
-        with pytest.raises(ValueError, match="via"):
-            table_mult(conn, "A", "A", "C", via="teleport")
+        with pytest.raises(TypeError, match="via"):
+            table_mult(conn, "A", "A", "C", via="engine")
 
 
 class TestDegreeTable:

@@ -7,10 +7,14 @@ on a faulted remote cluster alike, and the Graphulo kernels must emit
 bit-identical result tables when fed through the columnar path.
 """
 
+import time
+
 import pytest
 
 from repro.dbsim.client import Connector
+from repro.dbsim import graphulo
 from repro.dbsim.graphulo import degree_table, table_bfs, table_mult
+from repro.dbsim.graphulo_algorithms import table_jaccard, table_ktruss
 from repro.dbsim.server import Instance
 from repro.net.cluster import LocalCluster
 from repro.net.server import SCAN_CHUNK_CELLS
@@ -49,14 +53,16 @@ def _ingest_graph(conn):
 
 
 def _run_kernels(conn):
-    """Run the three columnar-consuming kernels; return everything an
+    """Run the columnar-consuming kernels; return everything an
     equality check needs (result cells include timestamps)."""
-    table_mult(conn, "AT", "B", "C", via="engine")
+    table_mult(conn, "AT", "B", "C")
     degree_table(conn, "E", "Edeg")
     bfs = table_bfs(conn, "E", ["v0"], hops=3)
     bfs_deg = table_bfs(conn, "E", ["v0", "v4"], hops=2,
                         min_degree=4.0, degree_table_name="Edeg")
-    return (list(conn.scanner("C")), list(conn.scanner("Edeg")),
+    table_jaccard(conn, "E", "J")
+    table_ktruss(conn, "E", "K", 3)
+    return ([list(conn.scanner(t)) for t in ("C", "Edeg", "J", "K")],
             bfs, bfs_deg)
 
 
@@ -118,8 +124,54 @@ class TestScanColumnsEquivalence:
             assert export["net.client.scan_resumes"] > 0  # faults hit
 
 
+class TestEmptyTabletScan:
+    """A full-range remote scan over a table with an empty non-final
+    tablet used to stall until the RPC deadline: the empty segment's
+    bare DONE was taken for the previous segment's trailing DONE."""
+
+    @staticmethod
+    def _ingest(conn):
+        # 4 tablets; nothing lands in [r3, r6)
+        conn.create_table("t", splits=["r3", "r6", "r8"])
+        with conn.batch_writer("t") as w:
+            for i in (0, 1, 2, 6, 7, 8, 9):
+                for q in range(5):
+                    w.put(f"r{i}", "f", f"q{q}", i * q)
+
+    @pytest.mark.parametrize("processes", [False, True],
+                             ids=["threads", "processes"])
+    def test_scan_finishes_and_matches_in_process(self, processes):
+        local = _local_conn(n_servers=2)
+        self._ingest(local)
+        want = list(local.scanner("t"))
+        with LocalCluster(n_servers=2, processes=processes) as c:
+            conn = c.connect()
+            try:
+                self._ingest(conn)
+                t0 = time.perf_counter()
+                columnar = [cell for b in conn.scanner("t").scan_columns()
+                            for cell in b.cells()]
+                per_cell = list(conn.scanner("t"))
+                took = time.perf_counter() - t0
+            finally:
+                conn.close()
+        assert columnar == want and per_cell == want  # timestamps incl.
+        assert took < 2.0
+
+
+@pytest.fixture(params=[None, 8], ids=["one-block", "multi-block"])
+def block_bound(request, monkeypatch):
+    """Run the kernels with the library's block bound, and with one
+    small enough that every TableMult here splits into several engine
+    calls (AT·B alone predicts 61 partial products)."""
+    if request.param is not None:
+        monkeypatch.setattr(graphulo, "BLOCK_PARTIAL_PRODUCTS",
+                            request.param)
+    return request.param
+
+
 class TestGraphuloColumnarBitIdentity:
-    def test_kernels_thread_cluster_vs_in_process(self):
+    def test_kernels_thread_cluster_vs_in_process(self, block_bound):
         local = _local_conn(n_servers=3)
         _ingest_graph(local)
         want = _run_kernels(local)
@@ -136,7 +188,7 @@ class TestGraphuloColumnarBitIdentity:
         assert got == want  # result cells (ts incl.) + both BFS dicts
         assert registry.export()["net.client.scan_chunks"] > 0
 
-    def test_kernels_process_cluster_vs_in_process(self):
+    def test_kernels_process_cluster_vs_in_process(self, block_bound):
         local = _local_conn(n_servers=2)
         _ingest_graph(local)
         want = _run_kernels(local)
@@ -150,3 +202,17 @@ class TestGraphuloColumnarBitIdentity:
             finally:
                 conn.close()
         assert got == want
+
+    def test_multi_block_bound_really_splits(self, monkeypatch):
+        """Guard for the fixture above: at bound 8 the kernels' first
+        TableMult runs as at least three blocks."""
+        calls = []
+        multiply = graphulo._multiply_block
+        monkeypatch.setattr(
+            graphulo, "_multiply_block",
+            lambda *args: calls.append(1) or multiply(*args))
+        monkeypatch.setattr(graphulo, "BLOCK_PARTIAL_PRODUCTS", 8)
+        conn = _local_conn()
+        _ingest_graph(conn)
+        table_mult(conn, "AT", "B", "C")
+        assert len(calls) >= 3

@@ -266,6 +266,12 @@ class TestInstrumentedCallSites:
         [rec] = sink.spans("graphulo.table_mult")
         assert rec["opstats"]["entries_read"] > 0
         assert rec["opstats"]["entries_written"] > 0
+        # one path: no ``via``; the block engine's work is on the span
+        attrs = rec["attrs"]
+        assert "via" not in attrs
+        assert attrs["blocks"] == 1
+        assert attrs["partial_products"] == 5   # r1: 2·2, r2: 1·1
+        assert attrs["cells_written"] == 4      # x·x, x·y, y·x, y·y
 
     def test_tablet_flush_and_compact_spans(self):
         from repro.dbsim.key import Key, Range
