@@ -642,7 +642,7 @@ class TestManyClient:
                     else:
                         stream = core.open_stream(p.addr, {
                             "table": "M", "tablet_id": p.tablet_id,
-                            "range": [row0, arg], "columns": None,
+                            "ranges": [[row0, arg]], "columns": None,
                             "resume": None})
                         while stream.recv(30.0)[0] == wire.CHUNK:
                             pass
@@ -669,7 +669,7 @@ class TestManyClient:
                                     p.addr, wire.SCAN, {
                                         "table": "M",
                                         "tablet_id": p.tablet_id,
-                                        "range": [row0, arg],
+                                        "ranges": [[row0, arg]],
                                         "columns": None, "resume": None})
                                 try:
                                     while True:

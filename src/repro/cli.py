@@ -448,7 +448,7 @@ def _async_snapshot(conn, table: str):
         out = []
         stream = await core.aio.open_stream(p.addr, wire.SCAN, {
             "table": table, "tablet_id": p.tablet_id,
-            "range": [None, None], "columns": None, "resume": None})
+            "ranges": [[None, None]], "columns": None, "resume": None})
         while True:
             code, pay, _ = await core.aio.stream_get(stream, 30.0)
             if code == wire.DONE:

@@ -53,7 +53,7 @@ from repro.dbsim.iterators import (
     VersioningIterator,
     drain,
 )
-from repro.dbsim.sstable import RowBloomFilter, SSTable, SSTableIterator
+from repro.dbsim.sstable import RowBloomFilter, SSTable
 from repro.dbsim.tablet import Tablet
 from repro.dbsim.server import Instance, TabletServer, TableConfig
 from repro.dbsim.client import BatchScanner, BatchWriter, Connector, Scanner
@@ -108,7 +108,6 @@ __all__ = [
     "drain",
     "RowBloomFilter",
     "SSTable",
-    "SSTableIterator",
     "Tablet",
     "Instance",
     "TabletServer",

@@ -37,7 +37,7 @@ from typing import (
 )
 
 from repro.dbsim.iterators import SortedKVIterator
-from repro.dbsim.key import Range
+from repro.dbsim.key import Range, RangeSet
 from repro.dbsim.stats import OpStats
 
 
@@ -48,10 +48,13 @@ class TabletBackend(Protocol):
     #: the row-range this tablet owns (half-open ``[start, stop)``)
     extent: Range
 
-    def scan_iterator(self, rng: Range,
+    def scan_iterator(self, rng: RangeSet,
                       table_iterators: Sequence = (),
                       scan_iterators: Sequence = ()) -> SortedKVIterator:
-        """Build an *unseeked* iterator stack over ``extent ∩ rng``.
+        """Build an *unseeked* iterator stack over ``extent ∩ rng``,
+        where ``rng`` is one range or a sorted, disjoint range set (the
+        tablet applies it where it slices its storage — nothing outside
+        the set is read).
 
         Local tablets build the storage→versioning→iterator stack in
         process; remote proxies stream cells over RPC and apply the

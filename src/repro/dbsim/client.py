@@ -3,8 +3,9 @@
 Mirrors the Accumulo client library shape the D4M/Graphulo stack
 programs against: a Connector locates tablets through the Instance, a
 Scanner streams one range in key order, a BatchScanner handles many
-ranges (coalescing sorted row-ranges into one tablet-stack seek per
-tablet, the way a real BatchScanner amortises RPCs), and a BatchWriter
+ranges (sorted disjoint row-ranges travel as one set to each tablet,
+which slices just those rows out of its runs — the way a real
+BatchScanner amortises RPCs), and a BatchWriter
 buffers mutations and applies them per owning tablet in bulk
 (``Tablet.write_batch``) on flush.
 """
@@ -17,7 +18,13 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.dbsim.backend import ConnectorBackend
 from repro.dbsim.iterators import Columns, VisibilityFilterIterator
-from repro.dbsim.key import Cell, Key, Range, encode_number
+from repro.dbsim.key import (
+    Cell,
+    Range,
+    covering,
+    encode_number,
+    sorted_disjoint,
+)
 from repro.dbsim.server import TableConfig
 from repro.dbsim.tablet import IteratorFactory, Tablet
 from repro.dbsim.visibility import PUBLIC, Authorizations, check_expression
@@ -129,8 +136,16 @@ def _visible_batch(batch, auths):
     return batch.select(keep)
 
 
-class Scanner:
-    """Single-range scan in key order across all overlapping tablets."""
+class _RangeSetScan:
+    """What :class:`Scanner` and :class:`BatchScanner` share: the scan
+    of one *range set* — a sorted, disjoint list of row ranges — of
+    one table, per cell or in column batches.
+
+    The set travels whole to every overlapping tablet (``Tablet`` or
+    ``TabletProxy``), which clips it to its extent and applies it where
+    the storage runs are sliced; nothing outside the set is read,
+    shipped or filtered here.  A single range is a set of one.
+    """
 
     def __init__(self, conn: Connector, table: str,
                  scan_iterators: Sequence[IteratorFactory] = (),
@@ -138,18 +153,96 @@ class Scanner:
                  iterspec=None):
         self._conn = conn
         self._table = table
-        auths = PUBLIC if authorizations is None else authorizations
-        self._auths = auths
+        self._auths = PUBLIC if authorizations is None else authorizations
         self._user_iterators = tuple(scan_iterators)
-        # visibility filtering runs server-side, before user scan iterators
-        self._vis_factory = (
-            lambda src: VisibilityFilterIterator(src, auths))
-        self._scan_iterators = (self._vis_factory,) + self._user_iterators
-        self._iterspec = iterspec
-        self._spec_factories, self._spec_wire = _bind_iterspec(
+        self._spec_factories, spec_wire = _bind_iterspec(
             conn.instance, iterspec)
-        self.range = Range()
+        #: what a remote tablet needs to run the spec server-side: the
+        #: wire form plus the scan's authorizations (the server must
+        #: visibility-filter *under* the spec)
+        self._pushdown = ({"iterspec": spec_wire,
+                           "auths": sorted(self._auths.tokens)}
+                          if spec_wire else {})
         self.columns: Columns = None
+
+    def _vis_factory(self, source):
+        # visibility filtering runs server-side, before any other
+        # scan-time iterator
+        return VisibilityFilterIterator(source, self._auths)
+
+    def _cells(self, ranges: Sequence[Range]) -> Iterator[Cell]:
+        inst = self._conn.instance
+        if not self._user_iterators and hasattr(inst, "scan_columns"):
+            # remote backend: ride the same fanned-out columnar
+            # transport as scan_columns and materialise Cells on
+            # demand — the per-cell view is a thin layer over batches,
+            # not a second wire path
+            for batch in self._batches(ranges):
+                yield from batch.cells()
+            return
+        config = inst.config(self._table)
+        # a pushed-down spec runs *above* the visibility filter and
+        # below user iterators (its factories locally, the shipped wire
+        # form remotely) — the same position a tablet server installs
+        # it at, so a combiner/reduce never folds unauthorized cells
+        scan_its = ((self._vis_factory,) + self._spec_factories
+                    + self._user_iterators)
+        span = covering(ranges)
+        # tablets are kept in extent order, so concatenation preserves
+        # global key order
+        for tablet in inst.tablets_for_range(self._table, span):
+            it = tablet.scan_iterator(ranges, config.table_iterators,
+                                      scan_its, **self._pushdown)
+            it.seek(span, self.columns)
+            while it.has_top():
+                yield it.top()
+                it.advance()
+
+    def _batches(self, ranges: Sequence[Range]):
+        if self._user_iterators:
+            from repro.net.iterspec import NonSerializableIteratorError
+            raise NonSerializableIteratorError(
+                "scan_columns cannot run per-cell (local-callable) scan "
+                "iterators — they cannot cross the wire; pass iterspec= "
+                "to push the stack server-side, or iterate the scanner "
+                "instead")
+        inst = self._conn.instance
+        native = getattr(inst, "scan_columns", None)
+        if native is not None:
+            # remote backend: one pump spanning every tablet the set
+            # touches, stream opens fanned out so the servers scan in
+            # parallel.  Without a spec, visibility filtering stays
+            # client-side
+            batches = native(self._table, ranges, self.columns,
+                             **self._pushdown)
+        else:
+            config = inst.config(self._table)
+            # with a spec installed the scan runs a per-cell stack
+            # anyway, so visibility filtering joins it *below* the spec
+            scan_its = ((self._vis_factory,) + self._spec_factories
+                        if self._spec_factories else ())
+            batches = (
+                batch
+                for tablet in inst.tablets_for_range(self._table,
+                                                     covering(ranges))
+                for batch in tablet.scan_columns(
+                    ranges, self.columns, config.table_iterators, scan_its))
+        for batch in batches:
+            batch = _visible_batch(batch, self._auths)
+            if len(batch):
+                yield batch
+
+
+class Scanner(_RangeSetScan):
+    """Single-range scan in key order across all overlapping tablets."""
+
+    def __init__(self, conn: Connector, table: str,
+                 scan_iterators: Sequence[IteratorFactory] = (),
+                 authorizations: Authorizations = None,
+                 iterspec=None):
+        super().__init__(conn, table, scan_iterators, authorizations,
+                         iterspec)
+        self.range = Range()
 
     def set_range(self, rng: Range) -> "Scanner":
         self.range = rng
@@ -162,34 +255,7 @@ class Scanner:
         return self
 
     def __iter__(self) -> Iterator[Cell]:
-        inst = self._conn.instance
-        if not self._user_iterators and hasattr(inst, "scan_columns"):
-            # remote backend: ride the same fanned-out columnar
-            # transport as scan_columns and materialise Cells on
-            # demand — the per-cell view is a thin layer over batches,
-            # not a second wire path
-            for batch in self.scan_columns():
-                yield from batch.cells()
-            return
-        config = inst.config(self._table)
-        # a pushed-down spec runs *above* the visibility filter and
-        # below user iterators (its factories locally, the shipped wire
-        # form remotely) — the same position a tablet server installs
-        # it at, so a combiner/reduce never folds unauthorized cells
-        scan_its = ((self._vis_factory,) + self._spec_factories
-                    + self._user_iterators)
-        kw = ({"iterspec": self._spec_wire,
-               "auths": sorted(self._auths.tokens)}
-              if self._spec_wire else {})
-        # tablets are kept in extent order, so concatenation preserves
-        # global key order
-        for tablet in inst.tablets_for_range(self._table, self.range):
-            it = tablet.scan_iterator(self.range, config.table_iterators,
-                                      scan_its, **kw)
-            it.seek(self.range, self.columns)
-            while it.has_top():
-                yield it.top()
-                it.advance()
+        return self._cells((self.range,))
 
     def scan_columns(self):
         """Bulk columnar read: yields
@@ -203,70 +269,23 @@ class Scanner:
         scanners constructed with ``scan_iterators`` must use the
         regular iteration path.
         """
-        if self._user_iterators:
-            raise ValueError(
-                "scan_columns cannot run per-cell scan iterators; "
-                "iterate the scanner instead")
-        inst = self._conn.instance
-        auths = self._auths
-        native = getattr(inst, "scan_columns", None)
-        if native is not None:
-            # remote backend: one pump spanning every tablet, stream
-            # opens fanned out so the servers scan in parallel.  A
-            # push-down spec rides the SCAN payload into each server
-            # together with the scan's authorizations (the server must
-            # visibility-filter *under* the spec); without a spec,
-            # visibility filtering stays client-side
-            if self._spec_wire:
-                batches = native(self._table, self.range, self.columns,
-                                 iterspec=self._spec_wire,
-                                 auths=sorted(auths.tokens))
-            else:
-                batches = native(self._table, self.range, self.columns)
-            for batch in batches:
-                batch = _visible_batch(batch, auths)
-                if len(batch):
-                    yield batch
-            return
-        config = inst.config(self._table)
-        # with a spec installed the scan runs a per-cell stack anyway,
-        # so visibility filtering joins it *below* the spec factories
-        scan_its = ((self._vis_factory,) + self._spec_factories
-                    if self._spec_factories else ())
-        for tablet in inst.tablets_for_range(self._table, self.range):
-            for batch in tablet.scan_columns(self.range, self.columns,
-                                             config.table_iterators,
-                                             scan_its):
-                batch = _visible_batch(batch, auths)
-                if len(batch):
-                    yield batch
+        return self._batches((self.range,))
 
 
-def _sorted_disjoint(ranges: Sequence[Range]) -> bool:
-    """True when every range ends before the next begins — the
-    precondition under which per-range order equals global key order
-    (and therefore coalescing is output-identical)."""
-    for prev, nxt in zip(ranges, ranges[1:]):
-        if prev.stop_row is None or nxt.start_row is None:
-            return False
-        if prev.stop_row > nxt.start_row:
-            return False
-    return True
-
-
-class BatchScanner:
+class BatchScanner(_RangeSetScan):
     """Multi-range scan (results in key order per range, ranges in the
     order given — the simulation is deterministic where Accumulo is not).
 
     When the ranges are sorted and disjoint (``table_bfs`` frontier
-    fetches, degree lookups), the scan *coalesces* them per tablet:
-    one iterator stack is built and seeked per overlapping tablet,
-    covering the tablet's whole span of requested ranges, and cells
-    outside every range are filtered on the fly.  Output is
-    bit-identical to the per-range path; the seek count drops from one
-    stack seek per range to one per tablet.  ``coalesce`` forces the
-    choice: ``None`` auto-detects, ``False`` always scans per range,
-    ``True`` requires sorted disjoint ranges (raises otherwise).
+    fetches, degree lookups) they are one range set and the scan
+    *coalesces*: every overlapping tablet is visited once, with its
+    share of the set, and slices exactly those rows out of its runs —
+    one seek per run per tablet instead of one per range, and no cell
+    outside the ranges is read or shipped.  Output is bit-identical to
+    the per-range path.  ``coalesce`` forces the choice: ``None``
+    auto-detects, ``False`` always scans range by range (the only way
+    to scan unsorted or overlapping ranges), ``True`` requires sorted
+    disjoint ranges (raises otherwise).
     """
 
     def __init__(self, conn: Connector, table: str,
@@ -274,16 +293,10 @@ class BatchScanner:
                  authorizations: Authorizations = None,
                  coalesce: Optional[bool] = None,
                  iterspec=None):
-        self._conn = conn
-        self._table = table
-        self._scan_iterators = tuple(scan_iterators)
-        self._authorizations = authorizations
+        super().__init__(conn, table, scan_iterators, authorizations,
+                         iterspec)
         self._coalesce = coalesce
-        self._iterspec = iterspec
-        self._spec_factories, self._spec_wire = _bind_iterspec(
-            conn.instance, iterspec)
         self.ranges: List[Range] = []
-        self.columns: Columns = None
 
     def set_ranges(self, ranges: Iterable[Range]) -> "BatchScanner":
         self.ranges = list(ranges)
@@ -293,76 +306,35 @@ class BatchScanner:
 
     def _use_coalesced(self) -> bool:
         if self._coalesce is None:
-            return _sorted_disjoint(self.ranges)
-        if self._coalesce and not _sorted_disjoint(self.ranges):
+            return sorted_disjoint(self.ranges)
+        if self._coalesce and not sorted_disjoint(self.ranges):
             raise ValueError(
                 "coalesce=True requires sorted, disjoint ranges")
         return self._coalesce
 
-    def __iter__(self) -> Iterator[Cell]:
+    def _run(self, scan, size):
+        """``scan`` over the whole set when coalesced, else over each
+        range as a set of one, under the ``dbsim.batch_scan`` span
+        (``entries`` counts cells, ``size`` of each item yielded)."""
         coalesced = self._use_coalesced()
+        sets = [self.ranges] if coalesced else [(r,) for r in self.ranges]
         if not _trace.ENABLED:
-            yield from self._iterate(coalesced)
+            for ranges in sets:
+                yield from scan(ranges)
             return
         with _trace.span("dbsim.batch_scan",
                          stats=self._conn.instance.total_stats,
                          table=self._table, ranges=len(self.ranges),
                          coalesced=coalesced) as sp:
             n = 0
-            for cell in self._iterate(coalesced):
-                n += 1
-                yield cell
+            for ranges in sets:
+                for item in scan(ranges):
+                    n += size(item)
+                    yield item
             sp.set(entries=n)
 
-    def _iterate(self, coalesced: bool) -> Iterator[Cell]:
-        if coalesced:
-            yield from self._iter_coalesced()
-            return
-        for rng in self.ranges:
-            scanner = Scanner(self._conn, self._table, self._scan_iterators,
-                              authorizations=self._authorizations,
-                              iterspec=self._iterspec)
-            scanner.range = rng
-            scanner.columns = self.columns
-            yield from scanner
-
-    def _iter_coalesced(self) -> Iterator[Cell]:
-        inst = self._conn.instance
-        config = inst.config(self._table)
-        auths = PUBLIC if self._authorizations is None \
-            else self._authorizations
-        scan_its = ((lambda src: VisibilityFilterIterator(src, auths),)
-                    + self._spec_factories
-                    + self._scan_iterators)
-        kw = ({"iterspec": self._spec_wire,
-               "auths": sorted(auths.tokens)}
-              if self._spec_wire else {})
-        ranges = self.ranges
-        span = Range(ranges[0].start_row, ranges[-1].stop_row)
-        for tablet in inst.tablets_for_range(self._table, span):
-            tranges = [r for r in ranges if tablet.extent.clip(r) is not None]
-            if not tranges:
-                continue
-            # one stack, one seek, covering this tablet's whole span of
-            # requested ranges; the gap cells between ranges are
-            # filtered below (ranges sorted ⇒ a single forward pass)
-            trng = Range(tranges[0].start_row, tranges[-1].stop_row)
-            it = tablet.scan_iterator(trng, config.table_iterators, scan_its,
-                                      **kw)
-            it.seek(trng, self.columns)
-            ri = 0
-            while it.has_top():
-                cell = it.top()
-                row = cell.key.row
-                while ri < len(tranges) and \
-                        tranges[ri].stop_row is not None and \
-                        row >= tranges[ri].stop_row:
-                    ri += 1
-                if ri >= len(tranges):
-                    break
-                if tranges[ri].contains_row(row):
-                    yield cell
-                it.advance()
+    def __iter__(self) -> Iterator[Cell]:
+        return self._run(self._cells, lambda cell: 1)
 
     def scan_columns(self):
         """Bulk columnar read over all ranges: yields
@@ -371,82 +343,7 @@ class BatchScanner:
         batch scanner per cell, with the same coalescing rules; the
         ``dbsim.batch_scan`` span is emitted identically (``entries``
         counts cells, not batches)."""
-        if self._scan_iterators:
-            from repro.net.iterspec import NonSerializableIteratorError
-            raise NonSerializableIteratorError(
-                "scan_columns cannot run per-cell (local-callable) scan "
-                "iterators — they cannot cross the wire; pass iterspec= "
-                "to push the stack server-side, or iterate the batch "
-                "scanner instead")
-        coalesced = self._use_coalesced()
-        if not _trace.ENABLED:
-            yield from self._columns_iterate(coalesced)
-            return
-        with _trace.span("dbsim.batch_scan",
-                         stats=self._conn.instance.total_stats,
-                         table=self._table, ranges=len(self.ranges),
-                         coalesced=coalesced) as sp:
-            n = 0
-            for batch in self._columns_iterate(coalesced):
-                n += len(batch)
-                yield batch
-            sp.set(entries=n)
-
-    def _columns_iterate(self, coalesced: bool):
-        if coalesced:
-            yield from self._columns_coalesced()
-            return
-        for rng in self.ranges:
-            scanner = Scanner(self._conn, self._table,
-                              authorizations=self._authorizations,
-                              iterspec=self._iterspec)
-            scanner.range = rng
-            scanner.columns = self.columns
-            yield from scanner.scan_columns()
-
-    def _columns_coalesced(self):
-        inst = self._conn.instance
-        config = inst.config(self._table)
-        auths = PUBLIC if self._authorizations is None \
-            else self._authorizations
-        scan_its = ((lambda src: VisibilityFilterIterator(src, auths),)
-                    + self._spec_factories
-                    if self._spec_factories else ())
-        kw = ({"iterspec": self._spec_wire,
-               "auths": sorted(auths.tokens)}
-              if self._spec_wire else {})
-        ranges = self.ranges
-        span = Range(ranges[0].start_row, ranges[-1].stop_row)
-        for tablet in inst.tablets_for_range(self._table, span):
-            tranges = [r for r in ranges if tablet.extent.clip(r) is not None]
-            if not tranges:
-                continue
-            trng = Range(tranges[0].start_row, tranges[-1].stop_row)
-            ri = 0
-            ntr = len(tranges)
-            exhausted = False
-            for batch in tablet.scan_columns(trng, self.columns,
-                                             config.table_iterators,
-                                             scan_its, **kw):
-                batch = _visible_batch(batch, auths)
-                rows = batch.rows
-                keep: List[int] = []
-                append = keep.append
-                for i, row in enumerate(rows):
-                    while ri < ntr and \
-                            tranges[ri].stop_row is not None and \
-                            row >= tranges[ri].stop_row:
-                        ri += 1
-                    if ri >= ntr:
-                        exhausted = True
-                        break
-                    if tranges[ri].contains_row(row):
-                        append(i)
-                if keep:
-                    yield batch if len(keep) == len(rows) \
-                        else batch.select(keep)
-                if exhausted:
-                    break
+        return self._run(self._batches, len)
 
 
 class BatchWriter:

@@ -358,8 +358,8 @@ def _table_bfs(conn: Connector, edge_table: str, seeds: Iterable[str],
             frontier = frontier_above(frontier)
         if not frontier:
             break
-        # sorted disjoint exact-row ranges: the BatchScanner coalesces
-        # them into one stack seek per tablet for this hop
+        # sorted disjoint exact-row ranges are one range set: each
+        # tablet is visited once this hop and slices out just these rows
         bs = conn.batch_scanner(edge_table, authorizations=authorizations)
         bs.set_ranges([Range.exact_row(v) for v in sorted(frontier)])
         nxt: Set[str] = set()

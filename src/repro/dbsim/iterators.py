@@ -65,56 +65,67 @@ def drain(it: SortedKVIterator, rng: Optional[Range] = None,
     return out
 
 
+def _cell_row(cell: Cell) -> str:
+    return cell.key.row
+
+
 class ListIterator(SortedKVIterator):
-    """Iterator over an already-sorted list of cells (memtable snapshot
-    or sstable).  Seeks with binary search; counts stats if given."""
+    """Iterator over an already-sorted list of cells (a memtable
+    snapshot, or a tablet's sliced and merged runs).  A seek is two
+    bisects on the row — no per-instance key array is built; counts
+    stats if given."""
 
     def __init__(self, cells: Sequence[Cell], stats: Optional[OpStats] = None):
         self._cells = cells
-        self._keys = [c.key.sort_tuple() for c in cells]
-        self._pos = 0
-        self._stop: str = ""
+        self._pos = self._end = 0
         self._columns: Columns = None
         self._stats = stats
 
     def seek(self, rng: Range, columns: Columns = None) -> None:
-        if self._stats:
+        if self._stats is not None:
             self._stats.seeks += 1
-        start = rng.effective_start()
-        self._stop = rng.effective_stop()
-        # first key with row >= start
-        self._pos = bisect.bisect_left(self._keys, (start, "", "", "", -(2**63)))
+        self._position(rng, columns)
+
+    def _position(self, rng: Range, columns: Columns = None) -> None:
+        cells = self._cells
+        self._pos = bisect.bisect_left(cells, rng.effective_start(),
+                                       key=_cell_row)
+        self._end = bisect.bisect_left(cells, rng.effective_stop(),
+                                       self._pos, key=_cell_row)
         self._columns = columns
         self._skip_filtered()
 
     def _skip_filtered(self) -> None:
-        while self._pos < len(self._cells):
-            cell = self._cells[self._pos]
-            if cell.key.row >= self._stop:
-                self._pos = len(self._cells)
-                return
-            if _column_match(cell.key, self._columns):
-                return
-            self._pos += 1
+        if self._columns is not None:
+            cells, columns = self._cells, self._columns
+            while self._pos < self._end and not _column_match(
+                    cells[self._pos].key, columns):
+                self._pos += 1
 
     def has_top(self) -> bool:
-        return self._pos < len(self._cells)
+        return self._pos < self._end
 
     def top(self) -> Cell:
-        if not self.has_top():
+        if self._pos >= self._end:
             raise StopIteration("iterator exhausted")
         return self._cells[self._pos]
 
     def advance(self) -> None:
-        if self._stats:
-            self._stats.entries_read += 1
-        self._pos += 1
-        self._skip_filtered()
+        if self._pos < self._end:
+            if self._stats is not None:
+                self._stats.entries_read += 1
+            self._pos += 1
+            self._skip_filtered()
 
 
 class MergeIterator(SortedKVIterator):
     """K-way merge of child iterators in key order (ties: earlier child
-    wins, matching Accumulo's memtable-over-sstable precedence)."""
+    wins, matching Accumulo's memtable-over-sstable precedence).
+
+    Tablet scans do not stack this — they sort-merge their sliced runs
+    in one pass (``tablet._merge_runs``).  It stays as the lazy merge
+    for user-composed stacks and as the reference ``_merge_runs`` is
+    tested against."""
 
     def __init__(self, children: Sequence[SortedKVIterator]):
         self._children = list(children)

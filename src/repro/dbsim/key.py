@@ -9,8 +9,9 @@ builds on (numbers are encoded with :func:`encode_number`).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 
 def encode_number(x: float) -> str:
@@ -133,3 +134,58 @@ class Range:
 
     def effective_stop(self) -> str:
         return _MAX if self.stop_row is None else self.stop_row
+
+
+#: What a scan carries: one range, or a *range set* — a list of ranges
+#: that is sorted and disjoint (see :func:`sorted_disjoint`).
+RangeSet = Union[Range, Sequence[Range]]
+
+
+def sorted_disjoint(ranges: Sequence[Range]) -> bool:
+    """True when the bounds never step backwards — ``start <= stop`` in
+    every range and each range ends at or before the next begins, with
+    only the first start and the last stop open.  That is the
+    precondition of a range set: per-range order is then global key
+    order, and one forward pass over a sorted run serves them all.  A
+    single range is always a set."""
+    if len(ranges) < 2:
+        return True
+    bound = _MIN
+    for i, rng in enumerate(ranges):
+        start = rng.effective_start()
+        if start < bound or (i and rng.start_row is None):
+            return False
+        if rng.stop_row is None:
+            return i == len(ranges) - 1
+        if rng.stop_row < start:
+            return False
+        bound = rng.stop_row
+    return True
+
+
+def covering(ranges: Sequence[Range]) -> Range:
+    """The smallest single range containing a (non-empty) range set."""
+    return Range(ranges[0].start_row, ranges[-1].stop_row)
+
+
+def clip_ranges(ranges: RangeSet, extent: Range) -> List[Range]:
+    """The part of a range set inside ``extent``, as a range set.
+
+    Two bisects find the run of ranges that reach into the extent;
+    only the two at its ends can straddle a boundary, so only they are
+    clipped — routing 2 000 frontier rows to four tablets costs eight
+    bisects, not 8 000 ``clip`` calls."""
+    if isinstance(ranges, Range):
+        ranges = (ranges,)
+    lo = 0 if extent.start_row is None else bisect_right(
+        ranges, extent.start_row, key=Range.effective_stop)
+    hi = len(ranges) if extent.stop_row is None else bisect_left(
+        ranges, extent.stop_row, lo, key=Range.effective_start)
+    out = list(ranges[lo:hi])
+    if out:
+        out[0] = extent.clip(out[0])
+        if len(out) > 1:
+            out[-1] = extent.clip(out[-1])
+        if out[0] is None or out[-1] is None:  # an empty range at an end
+            out = [r for r in out if r is not None]
+    return out

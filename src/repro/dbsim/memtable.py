@@ -60,13 +60,19 @@ class MemTable:
                          for c in cells)
         self._bytes += nbytes
 
-    def snapshot(self) -> List[Cell]:
-        """Sorted view of current contents (stable: later duplicates of
-        a timestamp keep insertion order after their key)."""
+    def sorted_cells(self) -> List[Cell]:
+        """The buffer itself, sorted in place (stable: later duplicates
+        of a timestamp keep insertion order after their key).  No copy:
+        the caller must not mutate it and must take what it needs —
+        slices are private copies — before the next write."""
         if not self._sorted:
             self._cells.sort(key=lambda c: c.key.sort_tuple())
             self._sorted = True
-        return list(self._cells)
+        return self._cells
+
+    def snapshot(self) -> List[Cell]:
+        """Sorted private copy of the current contents."""
+        return list(self.sorted_cells())
 
     def iterator(self, stats: Optional[OpStats] = None) -> ListIterator:
         return ListIterator(self.snapshot(), stats=stats)

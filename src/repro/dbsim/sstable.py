@@ -3,11 +3,9 @@
 An SSTable is a frozen sorted cell list with the read-side structures a
 real RFile carries:
 
-* cached **sort-key array** — computed once at construction instead of
-  per iterator (seeks reuse it across every scan of the run);
-* a **sparse block index** (every ``BLOCK_SIZE``-th key) so a seek
-  bisects the small index first and then only one block of the full
-  key array — the RFile index-block two-level lookup;
+* cached **sort-key array** — computed once at construction; every
+  scan of the run bisects it (``Tablet._sliced_runs``) to slice out
+  its row ranges, the stand-in for the RFile index lookup;
 * **min/max row bounds** for `overlaps` range pruning;
 * a **row bloom filter** consulted by point lookups before the run is
   opened at all (no false negatives, so skipping is always safe).
@@ -17,11 +15,9 @@ from __future__ import annotations
 
 import bisect
 import zlib
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.dbsim.iterators import Columns, ListIterator
 from repro.dbsim.key import Cell, Range
-from repro.dbsim.stats import OpStats
 
 #: Seek sentinel: sorts before every real 6-tuple key of the same row.
 _SEEK_MIN = ("", "", "", -(2 ** 63))
@@ -68,10 +64,6 @@ class RowBloomFilter:
 class SSTable:
     """Immutable sorted cell run with index + filter metadata."""
 
-    #: Keys per index block: a seek bisects ``n / BLOCK_SIZE`` index
-    #: entries plus one block, instead of the full key array.
-    BLOCK_SIZE = 64
-
     def __init__(self, cells: Sequence[Cell], _presorted: bool = False):
         cells = list(cells)
         if not _presorted:
@@ -81,7 +73,6 @@ class SSTable:
         self._cells = cells
         # read-side structures, computed once for the run's lifetime
         self._keys: List[Tuple] = [c.key.sort_tuple() for c in cells]
-        self._block_keys = self._keys[::self.BLOCK_SIZE]
         self._first_row: Optional[str] = cells[0].key.row if cells else None
         self._last_row: Optional[str] = cells[-1].key.row if cells else None
         self._bloom = RowBloomFilter(
@@ -116,11 +107,6 @@ class SSTable:
             return False
         return self._bloom.may_contain(row)
 
-    def iterator(self, stats: Optional[OpStats] = None,
-                 on_index_seek: Optional[Callable[[], None]] = None
-                 ) -> "SSTableIterator":
-        return SSTableIterator(self, stats=stats, on_index_seek=on_index_seek)
-
     def cells(self) -> List[Cell]:
         return list(self._cells)
 
@@ -131,44 +117,3 @@ class SSTable:
         cut = bisect.bisect_left(self._keys, (split_row,) + _SEEK_MIN)
         return (SSTable(self._cells[:cut], _presorted=True),
                 SSTable(self._cells[cut:], _presorted=True))
-
-
-class SSTableIterator(ListIterator):
-    """Storage iterator over an SSTable's shared, precomputed key array.
-
-    Unlike a plain :class:`ListIterator` (which rebuilds the sort-key
-    list per instantiation), construction is O(1): the run's cached
-    keys and sparse block index are borrowed, and ``seek`` bisects the
-    index first, then only within the located block.
-    """
-
-    def __init__(self, table: SSTable, stats: Optional[OpStats] = None,
-                 on_index_seek: Optional[Callable[[], None]] = None):
-        # deliberately no super().__init__: reuse the run's key array
-        self._cells = table._cells
-        self._keys = table._keys
-        self._block_keys = table._block_keys
-        self._pos = 0
-        self._stop: str = ""
-        self._columns: Columns = None
-        self._stats = stats
-        self._on_index_seek = on_index_seek
-
-    def seek(self, rng: Range, columns: Columns = None) -> None:
-        if self._stats:
-            self._stats.seeks += 1
-        self._stop = rng.effective_stop()
-        self._columns = columns
-        target = (rng.effective_start(),) + _SEEK_MIN
-        # two-level lookup: sparse index block, then within-block bisect.
-        # block_keys[b] <= target < block_keys[b+1] brackets the
-        # insertion point inside [b*B, (b+1)*B]; equality with the
-        # 4-element-padded target never occurs against real 6-tuples,
-        # so bisect_left within the bracket equals the global bisect.
-        b = bisect.bisect_right(self._block_keys, target) - 1
-        lo = 0 if b < 0 else b * SSTable.BLOCK_SIZE
-        hi = min(lo + SSTable.BLOCK_SIZE, len(self._keys))
-        self._pos = bisect.bisect_left(self._keys, target, lo, hi)
-        if self._on_index_seek is not None:
-            self._on_index_seek()
-        self._skip_filtered()

@@ -3,8 +3,9 @@
 A tablet owns a row-range *extent*, a memtable, and a stack of immutable
 sorted runs.  Scans build the canonical Accumulo stack:
 
-    memtable + sstables → MergeIterator → VersioningIterator →
-    table-configured iterators (combiners/filters) → scan-time iterators
+    memtable + sstables, each sliced to the scan's row ranges and
+    merged → tombstones → VersioningIterator → table-configured
+    iterators (combiners/filters) → scan-time iterators
 
 Minor compactions (flush) move the memtable into a new run when it
 exceeds ``flush_bytes``; full compactions merge all runs through the
@@ -22,14 +23,23 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from repro.dbsim.iterators import (
     Columns,
     DeleteFilterIterator,
-    MergeIterator,
+    ListIterator,
     SortedKVIterator,
     VersioningIterator,
     _column_match,
     drain,
 )
 from repro.dbsim.errors import ServerCrashedError
-from repro.dbsim.key import Cell, Key, Range, decode_number, encode_number
+from repro.dbsim.key import (
+    Cell,
+    Key,
+    Range,
+    RangeSet,
+    clip_ranges,
+    covering,
+    decode_number,
+    encode_number,
+)
 from repro.dbsim.memtable import MemTable
 from repro.dbsim.sstable import SSTable
 from repro.dbsim.stats import MeteredStats, OpStats
@@ -39,12 +49,49 @@ from repro.obs import trace as _trace
 IteratorFactory = Callable[[SortedKVIterator], SortedKVIterator]
 
 
-def _cell_row(cell: Cell) -> str:
-    return cell.key.row
+def _cell_row_probe(cell: Cell) -> Tuple[str]:
+    return (cell.key.row,)
 
 
 def _cell_sort_key(cell: Cell):
     return cell.key.sort_tuple()
+
+
+def _slice_rows(cells: List[Cell], index, probes, key=None) -> List[Cell]:
+    """The cells of one sorted run inside a range set, concatenated.
+
+    ``probes`` holds one ``((start,), (stop,))`` pair per range and
+    ``index`` is what they bisect — the run's cached sort-key array,
+    or the cells themselves under ``key``; a 1-tuple sorts before every
+    longer key with the same row, so each bisect lands on a row
+    boundary.  The set is sorted and disjoint, so the bisects only
+    move forward (each range starts searching where the previous one
+    ended) and a one-range set costs exactly two.  Slices are copies:
+    nothing written to the run afterwards can show up in them."""
+    if len(probes) == 1:
+        start, stop = probes[0]
+        lo = bisect_left(index, start, key=key)
+        return cells[lo:bisect_left(index, stop, lo, key=key)]
+    out: List[Cell] = []
+    hi = 0
+    for start, stop in probes:
+        lo = bisect_left(index, start, hi, key=key)
+        hi = bisect_left(index, stop, lo, key=key)
+        if hi > lo:
+            out += cells[lo:hi]
+    return out
+
+
+def _merge_runs(runs: List[List[Cell]]) -> List[Cell]:
+    """Sliced runs → one sorted list.  Timsort gallops over the
+    presorted runs and, being stable, keeps concatenation order
+    (memtable first, then sstables) on ties — the memtable-over-sstable
+    precedence of :class:`~repro.dbsim.iterators.MergeIterator`."""
+    if len(runs) == 1:
+        return runs[0]
+    merged = list(_chain.from_iterable(runs))
+    merged.sort(key=_cell_sort_key)
+    return merged
 
 
 def _fused_reduce(table_iterators: Sequence[IteratorFactory],
@@ -342,33 +389,20 @@ class Tablet:
 
     # -- reads ---------------------------------------------------------------
 
-    def _storage_iterator(self, rng: Range,
-                          sink=None) -> SortedKVIterator:
-        if sink is None:
-            sink = self._sink
-        children: List[SortedKVIterator] = [self.memtable.iterator(sink)]
-        point_row = rng.single_row()
-        for run in self.sstables:
-            if not run.overlaps(rng):
-                continue
-            if point_row is not None:
-                # point lookup: consult the run's row bloom filter
-                # before opening it.  A "hit" is a run proven absent
-                # and skipped; a "miss" means the run must be read.
-                if not run.may_contain_row(point_row):
-                    self._bump_aux("bloom_hits")
-                    continue
-                self._bump_aux("bloom_misses")
-            children.append(run.iterator(sink,
-                                         on_index_seek=self._on_index_seek))
-        return MergeIterator(children)
-
-    def _stack(self, clipped: Range,
+    def _stack(self, ranges: Sequence[Range],
                table_iterators: Sequence[IteratorFactory],
                scan_iterators: Sequence[IteratorFactory],
                sink) -> SortedKVIterator:
-        """The canonical per-cell stack over ``clipped`` (unseeked)."""
-        stack: SortedKVIterator = self._storage_iterator(clipped, sink)
+        """The canonical per-cell stack over a range set (unseeked).
+
+        Its storage leaf is the same sliced, merged cell list the fused
+        drain walks, so rows outside the set are never read here
+        either — sound because ``Range`` is row-granular and every
+        iterator above the leaf is row-local."""
+        if sink is None:
+            sink = self._sink
+        stack: SortedKVIterator = _SlicedLeaf(
+            _merge_runs(self._sliced_runs(ranges, sink)), sink)
         stack = DeleteFilterIterator(stack)
         stack = VersioningIterator(stack, self.max_versions)
         for factory in table_iterators:
@@ -377,14 +411,25 @@ class Tablet:
             stack = factory(stack)
         return stack
 
-    def scan_iterator(self, rng: Range,
+    def scan_iterator(self, rng: RangeSet,
                       table_iterators: Sequence[IteratorFactory] = (),
                       scan_iterators: Sequence[IteratorFactory] = (),
                       sink=None) -> SortedKVIterator:
-        """Build the full stack, clipped to this tablet's extent.
+        """Build the full stack over ``rng`` — one range, or a sorted,
+        disjoint range set — clipped to this tablet's extent.
 
-        The returned iterator is *unseeked*; callers seek it (the
-        clipped range is pre-applied by construction here).
+        The storage runs are sliced, copied and sort-merged **here**,
+        for the whole clipped set, so the returned iterator sees the
+        data as of this call; it is *unseeked*, and a seek can only
+        narrow it further.  The per-run accounting (``seeks``,
+        index-seek ticks, the point-lookup bloom consult) is therefore
+        charged once per stack, at construction — not per ``seek()``.
+
+        The trade against a lazy k-way merge of per-run iterators: a
+        scan that drains its set (every caller in this package) pays
+        about half as much per cell, but one that stops after a few
+        cells of a large range has already paid O(cells in the set)
+        time and memory.  Ask for the range you will read.
 
         ``sink`` redirects the stack's OpStats counting away from the
         tablet's shared block: the shared sink's ``+=`` updates are not
@@ -392,16 +437,11 @@ class Tablet:
         a private :class:`OpStats` and folds it back with
         :meth:`absorb_scan_stats` under its own serialization.
         """
-        clipped = self.extent.clip(rng)
-        if clipped is None:
-            # empty stream
-            from repro.dbsim.iterators import ListIterator
-
+        ranges = clip_ranges(rng, self.extent)
+        if not ranges:
             return ListIterator([])
         self._bump_aux("scans_stack")
-        out: SortedKVIterator = _ClippedIterator(
-            self._stack(clipped, table_iterators, scan_iterators, sink),
-            clipped)
+        out = self._stack(ranges, table_iterators, scan_iterators, sink)
         if self.server is not None:
             # hosted tablet: an open scan dies with its server.  A
             # crash between advances surfaces as ServerCrashedError
@@ -416,72 +456,76 @@ class Tablet:
         it = self.scan_iterator(rng, table_iterators, scan_iterators)
         return drain(it, rng, columns)
 
-    def scan_columns(self, rng: Range = Range(), columns: Columns = None,
+    def scan_columns(self, rng: RangeSet = Range(), columns: Columns = None,
                      table_iterators: Sequence[IteratorFactory] = (),
                      scan_iterators: Sequence[IteratorFactory] = (),
                      batch_cells: int = 2048, sink=None):
-        """Bulk columnar read: drain the merged stack straight into
+        """Bulk columnar read of one range or a sorted, disjoint range
+        set: drain the merged stack straight into
         :class:`~repro.net.cells.ColumnBatch`\\ es of up to
         ``batch_cells`` entries, never materialising per-cell objects.
 
-        The stack is built and **seeked eagerly** (so a server can do
-        that part under its service lock), then a generator yields the
-        batches.  The per-cell ``_CrashGuardIterator`` /
-        ``_ClippedIterator`` wrappers are bypassed — the range is
-        clipped here and the crash flag is re-checked once per batch,
-        which preserves the contract (a crash mid-scan surfaces as
-        :class:`ServerCrashedError` on the next batch) without paying
-        four wrapper calls per cell.
+        The runs are **sliced eagerly** (so a server can do that part
+        under its service lock), then a generator yields the batches.
+        The per-cell ``_CrashGuardIterator`` wrapper is bypassed — the
+        crash flag is re-checked once per batch, which preserves the
+        contract (a crash mid-scan surfaces as
+        :class:`ServerCrashedError` on the next batch) without paying a
+        wrapper call per cell.
 
         Plain tables and tables whose only iterator is a built-in
         combiner skip the per-cell stack entirely (see
         :func:`_fused_reduce`); any other layer falls back to it.
         """
         self._check_up()
-        clipped = self.extent.clip(rng)
-        if clipped is None:
+        ranges = clip_ranges(rng, self.extent)
+        if not ranges:
             return iter(())
         fused, reduce_fn = _fused_reduce(table_iterators, scan_iterators)
         if fused:
             self._bump_aux("scans_fused")
-            runs = self._fused_runs(clipped, sink)
+            runs = self._sliced_runs(ranges, sink)
             return self._drain_columns_fused(
                 runs, columns, reduce_fn, batch_cells,
                 sink if sink is not None else self._sink)
         self._bump_aux("scans_stack")
-        stack = self._stack(clipped, table_iterators, scan_iterators, sink)
-        stack.seek(clipped, columns)
+        stack = self._stack(ranges, table_iterators, scan_iterators, sink)
+        stack.seek(covering(ranges), columns)
         return self._drain_columns(stack, batch_cells)
 
-    def _fused_runs(self, clipped: Range, sink) -> List[List[Cell]]:
-        """Slice every storage run down to ``clipped`` with two row
-        bisects apiece — the eager half of the fused columnar scan.
+    def _sliced_runs(self, ranges: Sequence[Range],
+                     sink=None) -> List[List[Cell]]:
+        """Slice every storage run down to a (clipped, non-empty)
+        range set — the one place a scan's rows are selected, for the
+        fused drain and the per-cell stack alike.
 
-        Mirrors :meth:`_storage_iterator` + leaf ``seek`` exactly for
-        accounting purposes: one ``seeks`` bump per opened leaf, one
-        index-seek tick per opened sstable, and the same bloom-filter
-        consult (and ``bloom_hits``/``bloom_misses`` bumps) on point
-        lookups.  Run order is memtable first, then sstables in list
-        order, so merge ties resolve with the same precedence as
-        :class:`MergeIterator`.
+        Accounting is per opened run, however many ranges the set
+        holds: one ``seeks`` bump per run that overlaps the set's
+        span (the memtable always counts), one index-seek tick per
+        such sstable, and — when the set is a single exact row — the
+        bloom-filter consult (``bloom_hits`` / ``bloom_misses``) that
+        can skip the run outright.  Run order is memtable first, then
+        sstables in list order, so merge ties resolve with
+        memtable-over-sstable precedence.
         """
         if sink is None:
             sink = self._sink
-        start = clipped.effective_start()
-        stop = clipped.effective_stop()
-        row_of = _cell_row
+        span = covering(ranges)
+        probes = [((r.effective_start(),), (r.effective_stop(),))
+                  for r in ranges]
         runs: List[List[Cell]] = []
-        cells = self.memtable.snapshot()
+        cells = self.memtable.sorted_cells()
         sink.seeks += 1
-        lo = bisect_left(cells, start, key=row_of)
-        hi = bisect_left(cells, stop, lo, key=row_of)
-        if hi > lo:
-            runs.append(cells if hi - lo == len(cells) else cells[lo:hi])
-        point_row = clipped.single_row()
+        sliced = _slice_rows(cells, cells, probes, key=_cell_row_probe)
+        if sliced:
+            runs.append(sliced)
+        point_row = span.single_row() if len(ranges) == 1 else None
         for run in self.sstables:
-            if not run.overlaps(clipped):
+            if not run.overlaps(span):
                 continue
             if point_row is not None:
+                # point lookup: a "hit" is a run proven absent and
+                # skipped; a "miss" means the run must be read
                 if not run.may_contain_row(point_row):
                     self._bump_aux("bloom_hits")
                     continue
@@ -489,11 +533,9 @@ class Tablet:
             sink.seeks += 1
             if self._on_index_seek is not None:
                 self._on_index_seek()
-            cells = run._cells
-            lo = bisect_left(cells, start, key=row_of)
-            hi = bisect_left(cells, stop, lo, key=row_of)
-            if hi > lo:
-                runs.append(cells[lo:hi])
+            sliced = _slice_rows(run._cells, run._keys, probes)
+            if sliced:
+                runs.append(sliced)
         return runs
 
     def _drain_columns_fused(self, runs: List[List[Cell]],
@@ -514,14 +556,7 @@ class Tablet:
         from, so the new run can reuse those objects."""
         from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
 
-        if len(runs) == 1:
-            merged: List[Cell] = runs[0]
-        else:
-            # timsort gallops over the presorted runs and, being
-            # stable, keeps concatenation order (memtable first, then
-            # sstables) on ties — MergeIterator's earlier-child-wins
-            merged = list(_chain.from_iterable(runs))
-            merged.sort(key=_cell_sort_key)
+        merged = _merge_runs(runs)
         mv = self.max_versions
         check_up = self._check_up
         rows: List[str] = []
@@ -645,15 +680,15 @@ class Tablet:
             # cell whose value the fold left as it was
             stored: List[Cell] = []
             values = [value for batch in self._drain_columns_fused(
-                self._fused_runs(self.extent, None), None, reduce_fn,
+                self._sliced_runs((self.extent,)), None, reduce_fn,
                 sys.maxsize, self._sink, stored=stored)
                 for value in batch.values]
             cells = [cell if cell.value == value else Cell(cell.key, value)
                      for cell, value in zip(stored, values)]
             self.sstables = [SSTable(cells, _presorted=True)] if cells else []
         else:
-            cells = drain(self._stack(self.extent, table_iterators, (), None),
-                          self.extent)
+            cells = drain(self._stack((self.extent,), table_iterators, (),
+                                      None), self.extent)
             self.sstables = [SSTable(cells)] if cells else []
         self.memtable.clear()
         self.wal.clear()
@@ -722,34 +757,13 @@ class _CrashGuardIterator(SortedKVIterator):
         self._source.advance()
 
 
-class _ClippedIterator(SortedKVIterator):
-    """Restrict a stack's seeks to a pre-clipped range.
+class _SlicedLeaf(ListIterator):
+    """Storage leaf of the per-cell stack: the tablet's runs, already
+    sliced to the scan's range set and merged into one sorted list.
 
-    A seek whose range is disjoint from the clip short-circuits to an
-    explicit empty state — the underlying stack is never seeked, so no
-    sentinel range (and no reliance on ``row < ""`` being
-    unsatisfiable) is involved.
-    """
+    ``_sliced_runs`` counted the seeks — one per opened run — when it
+    built the list, so a seek here only positions (and can only narrow
+    what construction selected).  ``entries_read`` counts a cell as it
+    is consumed, after the column skip — the fused drain's definition."""
 
-    def __init__(self, source: SortedKVIterator, clip: Range):
-        self._source = source
-        self._clip = clip
-        self._empty = False
-
-    def seek(self, rng: Range, columns: Columns = None) -> None:
-        clipped = self._clip.clip(rng)
-        self._empty = clipped is None
-        if not self._empty:
-            self._source.seek(clipped, columns)
-
-    def has_top(self) -> bool:
-        return not self._empty and self._source.has_top()
-
-    def top(self) -> Cell:
-        if self._empty:
-            raise StopIteration("iterator exhausted")
-        return self._source.top()
-
-    def advance(self) -> None:
-        if not self._empty:
-            self._source.advance()
+    seek = ListIterator._position

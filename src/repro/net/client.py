@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.dbsim.client import Connector
 from repro.dbsim.errors import BusyError, NotHostedError, ServerCrashedError
 from repro.dbsim.iterators import Columns, ListIterator, SortedKVIterator, drain
-from repro.dbsim.key import Cell, Range
+from repro.dbsim.key import Cell, Range, RangeSet, clip_ranges, covering
 from repro.dbsim.server import TableConfig
 from repro.dbsim.stats import OpStats
 from repro.net import cells as _cells
@@ -332,17 +332,20 @@ _SPLICE_WAIT = 0.01
 class _Segment:
     """One (server, tablet) leg of a possibly re-planned scan.
 
-    ``stream``/``span`` are the leg's live transport attachments: the
-    pump fans out opens ahead of consumption, so a segment can hold an
-    open (buffering) stream long before it becomes the head.
+    ``ranges`` is the leg's share of the scan's range set (planned by
+    :meth:`_RemoteScanStream._plan`).  ``stream``/``span`` are the
+    leg's live transport attachments: the pump fans out opens ahead of
+    consumption, so a segment can hold an open (buffering) stream long
+    before it becomes the head.
     """
 
-    __slots__ = ("addr", "tablet_id", "extent", "stream", "span")
+    __slots__ = ("addr", "tablet_id", "extent", "ranges", "stream", "span")
 
     def __init__(self, addr: Addr, tablet_id: str, extent: Range):
         self.addr = addr
         self.tablet_id = tablet_id
         self.extent = extent
+        self.ranges: List[Range] = []
         self.stream: Optional[_SyncStream] = None
         self.span = None
 
@@ -382,12 +385,16 @@ class _RemoteScanStream:
     wakeup, coalescing every CHUNK the connection reader had already
     buffered — and never materialises a ``Cell``.
 
-    A pump may span many segments (one per tablet).  It fans out: the
-    next :data:`_SCAN_FANOUT` segments' streams are opened ahead of
-    consumption so their servers scan in parallel, and one event-loop
-    round delivers as many consecutive completed segments as have
-    arrived.  Delivery order is strictly segment order — fan-out
-    changes when servers *produce*, never when the consumer *sees*.
+    A pump scans one *range set* (sorted, disjoint ranges; a plain
+    range scan is a set of one) and may span many segments, one per
+    tablet the set reaches into; each segment's SCAN carries just that
+    tablet's share of the set, found by bisecting the set against the
+    tablet extents.  It fans out: the next :data:`_SCAN_FANOUT`
+    segments' streams are opened ahead of consumption so their servers
+    scan in parallel, and one event-loop round delivers as many
+    consecutive completed segments as have arrived.  Delivery order is
+    strictly segment order — fan-out changes when servers *produce*,
+    never when the consumer *sees*.
 
     The stream is resumable at batch granularity: the resume key
     advances to the last entry of each CHUNK as it is decoded, and any
@@ -396,17 +403,20 @@ class _RemoteScanStream:
     everything at or before that key.  Batch granularity is exactly as
     correct as the old per-cell resume because a reopen only ever
     happens while pulling the *next* batch — everything in already
-    returned batches has been handed to the caller.  A
+    returned batches has been handed to the caller.  A reopen re-sends
+    only the ranges that end after the resume row.  A
     ``NotHostedError`` instead re-locates through the manager and
-    re-plans the remaining row-range over the new tablet layout — which
+    re-plans those remaining ranges over the new tablet layout — which
     is how a scan survives a split or migration that happens under it.
     """
 
-    def __init__(self, inst: "RemoteInstance", table: str, clip: Range,
-                 segments: Sequence[_Segment], iterspec=None, auths=None):
+    def __init__(self, inst: "RemoteInstance", table: str,
+                 ranges: Sequence[Range], segments: Sequence[_Segment],
+                 iterspec=None, auths=None):
         self._inst = inst
         self._table = table
-        self._clip = clip  # construction range (∩ proxy extent if per-tablet)
+        #: construction range set (∩ proxy extent if per-tablet)
+        self._clip = ranges
         #: wire-form push-down spec attached to every segment open
         #: (validated client-side up front — a bad spec fails here, not
         #: as an ERROR frame N segments into the scan)
@@ -416,7 +426,7 @@ class _RemoteScanStream:
         self._auths = list(auths) if auths is not None else None
         self._home = list(segments)  # the layout the pump was planned on
         self._segments: List[_Segment] = []
-        self._effective: Optional[Range] = None
+        self._ranges: Sequence[Range] = ()  # what the last reset asked for
         self._columns: Columns = None
         self._resume: Optional[list] = None
         self._finished = True
@@ -427,15 +437,30 @@ class _RemoteScanStream:
         self._resume = None
         self._opened = False  # a fresh seek is not a resume
         self._columns = list(columns) if columns else None
-        self._effective = self._clip.clip(rng)
+        self._ranges = clip_ranges(self._clip, rng)
+        self._plan(self._home, self._ranges)
+
+    def _plan(self, segments: Sequence[_Segment],
+              ranges: Sequence[Range]) -> None:
+        """Give each segment its share of ``ranges`` (two bisects of
+        the sorted set per tablet extent) and keep those that get any."""
         self._segments = []
-        if self._effective is not None:
-            for seg in self._home:
-                if seg.extent.clip(self._effective) is not None:
-                    seg.stream = None
-                    seg.span = None
-                    self._segments.append(seg)
+        for seg in segments:
+            seg.ranges = clip_ranges(ranges, seg.extent)
+            if seg.ranges:
+                seg.stream = None
+                seg.span = None
+                self._segments.append(seg)
         self._finished = not self._segments
+
+    def _pending(self, ranges: Sequence[Range]) -> Sequence[Range]:
+        """``ranges`` without those a resume has fully delivered (they
+        end at or before the resume row).  The range holding the
+        resume row stays whole: the server skips to the resume key."""
+        if not self._resume:
+            return ranges
+        return ranges[bisect.bisect_right(
+            ranges, self._resume[0], key=Range.effective_stop):]
 
     # -- streaming --------------------------------------------------------
 
@@ -445,7 +470,8 @@ class _RemoteScanStream:
         payload = {
             "table": self._table,
             "tablet_id": seg.tablet_id,
-            "range": wire.range_to_wire(self._effective),
+            "ranges": [wire.range_to_wire(r)
+                       for r in self._pending(seg.ranges)],
             "columns": ([list(c) for c in self._columns]
                         if self._columns else None),
             "resume": self._resume,
@@ -641,15 +667,14 @@ class _RemoteScanStream:
         segments from a fresh locate index."""
         self._close()  # fanned-out streams were planned on the old layout
         self._inst.invalidate(self._table)
-        remaining = Range(
-            self._resume[0] if self._resume else self._effective.start_row,
-            self._effective.stop_row)
+        remaining = self._pending(self._ranges)
+        if self._resume:
+            # rows before the resume row are delivered: tablets that
+            # hold only those must not be re-planned in
+            remaining = clip_ranges(remaining, Range(self._resume[0], None))
         _, proxies = self._inst.locate_index(self._table)
-        self._segments = [
-            _Segment(p.addr, p.tablet_id, p.extent) for p in proxies
-            if p.extent.clip(remaining) is not None]
-        if not self._segments:
-            self._finished = True
+        self._plan([_Segment(p.addr, p.tablet_id, p.extent)
+                    for p in proxies], remaining)
 
     @staticmethod
     def _close_segment(seg: _Segment) -> None:
@@ -689,9 +714,10 @@ class _RemoteScanIterator(SortedKVIterator):
     here are post-versioning server output.
     """
 
-    def __init__(self, inst: "RemoteInstance", table: str, clip: Range,
-                 segments: Sequence[_Segment], iterspec=None, auths=None):
-        self._pump = _RemoteScanStream(inst, table, clip, segments,
+    def __init__(self, inst: "RemoteInstance", table: str,
+                 ranges: Sequence[Range], segments: Sequence[_Segment],
+                 iterspec=None, auths=None):
+        self._pump = _RemoteScanStream(inst, table, ranges, segments,
                                        iterspec=iterspec, auths=auths)
         self._cells: List[Cell] = []
         self._pos = 0
@@ -745,7 +771,7 @@ class TabletProxy:
 
     # -- reads ------------------------------------------------------------
 
-    def scan_iterator(self, rng: Range,
+    def scan_iterator(self, rng: RangeSet,
                       table_iterators: Sequence = (),
                       scan_iterators: Sequence = (),
                       iterspec=None, auths=None) -> SortedKVIterator:
@@ -754,18 +780,18 @@ class TabletProxy:
         # config); scan-time iterators run client-side over the stream,
         # while ``iterspec`` ships to the server and runs inside the
         # tablet's SortedKVIterator stack (push-down).
-        clip = self.extent.clip(rng)
-        if clip is None:
+        ranges = clip_ranges(rng, self.extent)
+        if not ranges:
             return ListIterator([])
         stack: SortedKVIterator = _RemoteScanIterator(
-            self._inst, self._table, clip,
+            self._inst, self._table, ranges,
             [_Segment(self.addr, self.tablet_id, self.extent)],
             iterspec=iterspec, auths=auths)
         for factory in scan_iterators:
             stack = factory(stack)
         return stack
 
-    def scan_columns(self, rng: Range = Range(), columns: Columns = None,
+    def scan_columns(self, rng: RangeSet = Range(), columns: Columns = None,
                      table_iterators: Sequence = (),
                      scan_iterators: Sequence = (), iterspec=None,
                      auths=None):
@@ -785,23 +811,15 @@ class TabletProxy:
                 "scan_columns cannot run client-side (local-callable) "
                 "scan iterators; pass a wire-serializable iterspec, or "
                 "use scan_iterator() for per-cell stacks")
-        clip = self.extent.clip(rng)
-        if clip is None:
+        ranges = clip_ranges(rng, self.extent)
+        if not ranges:
             return iter(())
         pump = _RemoteScanStream(
-            self._inst, self._table, clip,
+            self._inst, self._table, ranges,
             [_Segment(self.addr, self.tablet_id, self.extent)],
             iterspec=iterspec, auths=auths)
-        pump.reset(rng, columns)
-
-        def batches():
-            while True:
-                batch = pump.next_batch()
-                if batch is None:
-                    return
-                yield batch
-
-        return batches()
+        pump.reset(self.extent, columns)
+        return iter(pump.next_batch, None)
 
     def scan(self, rng: Range = Range(), columns: Columns = None,
              table_iterators: Sequence = (),
@@ -1073,34 +1091,36 @@ class RemoteInstance:
                 out.append(proxy)
         return out
 
-    def scan_columns(self, table: str, rng: Range = Range(),
+    def scan_columns(self, table: str, rng: RangeSet = Range(),
                      columns: Columns = None, iterspec=None, auths=None):
         """Native bulk columnar scan: ONE pump spanning every tablet
-        overlapping ``rng``, yielding
+        that ``rng`` — a range, or a sorted, disjoint range set —
+        reaches into, yielding
         :class:`~repro.net.cells.ColumnBatch`\\ es in global key order.
 
         This is the fabric's preferred bulk read path — the pump fans
         out stream opens across the tablets' servers so they scan in
         parallel, where the per-tablet ``TabletProxy.scan_columns``
         necessarily pays a serial open-and-drain round per tablet.
-        ``Scanner.scan_columns`` dispatches here when the backend
+        ``Scanner.scan_columns`` and a coalesced
+        ``BatchScanner.scan_columns`` dispatch here when the backend
         offers it (client-side visibility filtering stays with the
         caller).  ``iterspec`` pushes a validated iterator stack into
         every tablet server the pump touches — each server filters and
         folds its own merged stream before bytes hit the socket."""
-        proxies = self.tablets_for_range(table, rng)
-        if not proxies:
-            return
+        # no extent to clip to: this just makes a lone Range a set of
+        # one and drops a range that can hold nothing
+        ranges = clip_ranges(rng, Range())
+        if not ranges:
+            return iter(())
+        span = covering(ranges)
         pump = _RemoteScanStream(
-            self, table, rng,
-            [_Segment(p.addr, p.tablet_id, p.extent) for p in proxies],
+            self, table, ranges,
+            [_Segment(p.addr, p.tablet_id, p.extent)
+             for p in self.tablets_for_range(table, span)],
             iterspec=iterspec, auths=auths)
-        pump.reset(rng, columns)
-        while True:
-            batch = pump.next_batch()
-            if batch is None:
-                return
-            yield batch
+        pump.reset(span, columns)
+        return iter(pump.next_batch, None)
 
     # -- maintenance ------------------------------------------------------
 

@@ -22,7 +22,8 @@ Concurrency model (wire v3, multiplexed): each connection gets a
 requests onto a bounded FIFO queue drained by one worker thread
 (arrival order preserved, which is what keeps per-tablet logical-clock
 timestamps deterministic under pipelined writes), streaming scans onto
-short-lived per-stream threads (capped per connection).  Admission
+a per-connection pool of scan workers that grows lazily, one thread
+per concurrently open stream, up to the per-connection scan cap.  Admission
 control is the bound itself: a full unary queue or the scan cap
 rejects the request *before it runs* with a typed ``BusyError`` frame
 the client retries after backoff.  Every response carries the request
@@ -63,7 +64,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dbsim.errors import BusyError, NotHostedError
 from repro.dbsim.iterators import VisibilityFilterIterator
-from repro.dbsim.key import Key, Range
+from repro.dbsim.key import Key, Range, sorted_disjoint
 from repro.dbsim.server import TableConfig, TabletServer
 from repro.dbsim.sstable import SSTable
 from repro.dbsim.stats import OpStats
@@ -146,15 +147,20 @@ class _ConnState:
     worker and scan threads interleave whole frames, never bytes), the
     admission bounds, and the reorder fault's held-frame slot."""
 
-    __slots__ = ("sock", "send_lock", "unary", "scans", "scan_lock",
-                 "cancelled", "held", "alive")
+    __slots__ = ("sock", "send_lock", "unary", "scans", "scan_workers",
+                 "scan_queue", "scan_lock", "cancelled", "held", "alive")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.send_lock = threading.Lock()
         #: bounded FIFO of unary requests → the connection's worker
         self.unary: "queue.Queue" = queue.Queue(maxsize=UNARY_QUEUE_DEPTH)
+        #: admitted scan streams (queued or running) — the admission
+        #: bound — and the worker threads started so far to serve them
         self.scans = 0
+        self.scan_workers = 0
+        #: admitted scans → the connection's scan workers
+        self.scan_queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self.scan_lock = threading.Lock()
         #: request ids whose scans the client cancelled (CANCEL_SCAN)
         self.cancelled: set = set()
@@ -232,8 +238,10 @@ class _BaseService:
         counters = self.metrics.counter
         inflight = self.metrics.gauge("net.server.inflight")
         state = _ConnState(conn)
-        worker = threading.Thread(target=self._unary_loop, args=(state,),
-                                  name=f"{self.name}-unary", daemon=True)
+        worker = threading.Thread(
+            target=self._worker_loop,
+            args=(state, state.unary, self._unary_entry),
+            name=f"{self.name}-unary", daemon=True)
         worker.start()
         reader = wire.FrameReader(conn)
         try:
@@ -262,8 +270,13 @@ class _BaseService:
                 if self._stream_handler(code) is not None:
                     with state.scan_lock:
                         admitted = state.scans < MAX_CONN_SCANS
+                        # every worker already has an admitted scan to
+                        # serve: grow the pool (with the admission
+                        # bound, so never past MAX_CONN_SCANS threads)
+                        grow = admitted and state.scans >= state.scan_workers
                         if admitted:
                             state.scans += 1
+                            state.scan_workers += grow
                     if not admitted:
                         counters("net.server.busy_rejects").inc()
                         self._respond(state, wire.ERROR, wire.error_payload(
@@ -273,10 +286,12 @@ class _BaseService:
                             code, req)
                         continue
                     inflight.add(1)
-                    threading.Thread(
-                        target=self._scan_entry,
-                        args=(state, code, payload, tc, req, arrived),
-                        name=f"{self.name}-scan", daemon=True).start()
+                    state.scan_queue.put((code, payload, tc, req, arrived))
+                    if grow:
+                        threading.Thread(
+                            target=self._worker_loop,
+                            args=(state, state.scan_queue, self._scan_entry),
+                            name=f"{self.name}-scan", daemon=True).start()
                     continue
                 try:
                     state.unary.put_nowait((code, payload, tc, req, arrived))
@@ -296,23 +311,30 @@ class _BaseService:
             except OSError:
                 pass
 
-    def _unary_loop(self, state: _ConnState) -> None:
-        """One worker per connection drains the unary queue in FIFO
-        order — admitted requests execute in exactly the order they
-        arrived, which pipelined writers rely on for deterministic
-        timestamp stamping."""
-        inflight = self.metrics.gauge("net.server.inflight")
+    def _worker_loop(self, state: _ConnState, requests, serve) -> None:
+        """Serve one of the connection's request queues, one request at
+        a time, for as long as the connection lives.
+
+        The unary queue has exactly one such worker, so admitted
+        requests execute in the order they arrived — which pipelined
+        writers rely on for deterministic timestamp stamping.  The scan
+        queue has one per concurrently open stream (grown lazily by
+        the reader, up to the admission bound), so a SCAN costs a
+        queue hand-off, not a thread start."""
         while True:
             try:
-                item = state.unary.get(timeout=0.2)
+                item = requests.get(timeout=0.2)
             except queue.Empty:
                 if not state.alive or self._stopped.is_set():
                     return
                 continue
-            try:
-                self._serve_one(state, *item)
-            finally:
-                inflight.add(-1)
+            serve(state, *item)
+
+    def _unary_entry(self, state: _ConnState, *item) -> None:
+        try:
+            self._serve_one(state, *item)
+        finally:
+            self.metrics.gauge("net.server.inflight").add(-1)
 
     def _scan_entry(self, state: _ConnState, code: int, payload, tc,
                     req: int, arrived: float) -> None:
@@ -674,12 +696,22 @@ class TabletServerService(_BaseService):
                 push = (_counted,
                         (lambda src: VisibilityFilterIterator(src, auths)),
                         ) + spec_factories
+            # the tablet's share of the scan's range set — required (a
+            # missing key is a typed KeyError frame), and a payload
+            # still carrying the single "range" it replaced is refused
+            # rather than answered with the whole tablet.  This is the
+            # wire boundary, so the slicer's precondition is checked here
+            if "range" in p:
+                raise ValueError('SCAN takes "ranges" (a sorted, disjoint '
+                                 'list of [start, stop]), not "range"')
+            ranges = [wire.wire_to_range(r) for r in p["ranges"]]
+            if not sorted_disjoint(ranges):
+                raise ValueError("SCAN ranges must be sorted and disjoint")
+            columns = ([tuple(c) for c in p["columns"]]
+                       if p.get("columns") else None)
             with self._lock:
                 table, tablet = self._get(p)
                 config = self._configs.get(table, TableConfig())
-                rng = wire.wire_to_range(p["range"])
-                columns = ([tuple(c) for c in p["columns"]]
-                           if p.get("columns") else None)
                 # columnar drain: the merged stack's cells go straight
                 # into ColumnBatch columns, and the CHUNK block is
                 # encoded from those columns — no List[Cell] staging,
@@ -687,7 +719,7 @@ class TabletServerService(_BaseService):
                 # the tablet fall back from the fused columnar runs to
                 # the per-cell iterator chain; framing stays columnar.
                 batches = tablet.scan_columns(
-                    rng, columns, config.table_iterators,
+                    ranges, columns, config.table_iterators,
                     scan_iterators=push,
                     batch_cells=SCAN_CHUNK_CELLS, sink=scan_stats)
             if spec_factories:

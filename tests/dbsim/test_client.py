@@ -116,23 +116,53 @@ class TestBatchScannerAcrossSplits:
         rows = [c.key.row for c in head] + [c.key.row for c in it]
         assert rows == [f"r{i:03d}" for i in range(10, 260)]
 
+    def test_split_mid_stream_inside_a_range_of_a_set(self, conn):
+        self._fill(conn)
+        bs = conn.batch_scanner("s").set_ranges(
+            [Range("r010", "r120"), Range.exact_row("r130"),
+             Range("r140", "r200"), Range("r220", "r260")])
+        it = iter(bs)
+        head = [next(it) for _ in range(10)]
+        conn.instance.add_split("s", "r150")  # inside the third range
+        rows = [c.key.row for c in head] + [c.key.row for c in it]
+        assert rows == [f"r{i:03d}" for i in (*range(10, 120), 130,
+                                              *range(140, 200),
+                                              *range(220, 260))]
+
+    @staticmethod
+    def _split_behind(conn, row):
+        """Split through a *different* client, so this one's routing
+        goes stale without it noticing."""
+        inst = conn.instance
+        if isinstance(inst, RemoteInstance):
+            other = RemoteConnector(inst.manager_addr)
+            try:
+                other.instance.add_split("s", row)
+            finally:
+                other.close()
+        else:
+            inst.add_split("s", row)
+
     def test_stale_route_after_split_self_heals(self, conn):
         self._fill(conn)
         # warm this client's routing, then split through a *different*
         # client so the routing goes stale without this one noticing
         assert sum(1 for _ in conn.scanner("s")) == 300
-        inst = conn.instance
-        if isinstance(inst, RemoteInstance):
-            other = RemoteConnector(inst.manager_addr)
-            try:
-                other.instance.add_split("s", "r150")
-            finally:
-                other.close()
-        else:
-            inst.add_split("s", "r150")
+        self._split_behind(conn, "r150")
         bs = conn.batch_scanner("s").set_ranges([Range("r100", "r200")])
         assert [c.key.row for c in bs] == \
             [f"r{i:03d}" for i in range(100, 200)]
+        # a range set over the stale route: the third range straddles
+        # a second split this client has not heard of either
+        self._split_behind(conn, "r250")
+        ranges = [Range("r010", "r120"), Range.exact_row("r130"),
+                  Range("r140", "r260"), Range.prefix("r29")]
+        conn.instance.add_split("s", "r200")
+        self._split_behind(conn, "r230")
+        got = conn.batch_scanner("s").set_ranges(ranges)
+        assert [c.key.row for c in got] == \
+            [f"r{i:03d}" for i in (*range(10, 120), 130, *range(140, 260),
+                                   *range(290, 300))]
 
 
 class TestBatchWriter:

@@ -1,4 +1,4 @@
-"""The indexed/batched/cached I/O path: SSTable block indexes + bloom
+"""The indexed/batched/cached I/O path: SSTable key arrays + bloom
 filters, write_batch / BatchWriter / coalescing BatchScanner, and the
 bisect-based tablet locate cache.
 
@@ -73,27 +73,26 @@ class TestSSTableIndex:
         return SSTable(_cells([(f"r{i:05d}", f"q{i % 3}", 1, str(i))
                                for i in range(n)]))
 
-    def test_indexed_seek_matches_linear_scan(self):
+    @staticmethod
+    def _scan_rows(run, rng):
+        # a run is read the way scans read it: sliced by the tablet
+        tablet = Tablet(Range())
+        tablet.sstables.append(run)
+        return [c.key.row for c in tablet.scan(rng)]
+
+    def test_sliced_seek_matches_linear_scan(self):
         run = self.make_run()
         # every seek target must land exactly where a full scan would
         for start in ["r00000", "r00063", "r00064", "r00065", "r00250",
                       "r0025", "r00499", "zzz", ""]:
-            it = run.iterator()
-            it.seek(Range(start, None))
-            got = it.top().key.row if it.has_top() else None
-            want = next((c.key.row for c in run.cells()
-                         if c.key.row >= start), None)
+            got = self._scan_rows(run, Range(start, None))
+            want = [c.key.row for c in run.cells() if c.key.row >= start]
             assert got == want, f"seek({start!r})"
 
     def test_seek_respects_stop_row(self):
         run = self.make_run(200)
-        it = run.iterator()
-        it.seek(Range("r00100", "r00110"))
-        rows = []
-        while it.has_top():
-            rows.append(it.top().key.row)
-            it.advance()
-        assert rows == [f"r{i:05d}" for i in range(100, 110)]
+        assert self._scan_rows(run, Range("r00100", "r00110")) == \
+            [f"r{i:05d}" for i in range(100, 110)]
 
     def test_bounds_and_overlaps(self):
         run = self.make_run(100)
@@ -405,6 +404,69 @@ class TestBatchScannerCoalescing:
         assert span["attrs"]["ranges"] == 2
         assert span["attrs"]["coalesced"] is True
         assert span["attrs"]["entries"] == 2
+        # plain compacted table: one stored cell per result, and the
+        # scan reads nothing but its two rows
+        assert span["opstats"]["entries_read"] == 2
+
+    def test_range_set_reads_only_its_rows(self):
+        # Until the range set reached the storage slice, a coalesced
+        # scan read each tablet's whole span from its first range to
+        # its last (37 cells here) and dropped the gaps client-side.
+        conn = self.setup_graph()
+        inst = conn.instance
+        ranges = [Range.exact_row(f"v{i:02d}") for i in range(0, 40, 3)]
+        reads = {}
+        for name, scan in [
+                ("coalesced", lambda bs: list(bs)),
+                ("columnar", lambda bs: list(bs.scan_columns())),
+                ("per-range", lambda bs: list(bs))]:
+            before = inst.total_stats().snapshot()
+            scan(conn.batch_scanner(
+                "t", coalesce=name != "per-range").set_ranges(ranges))
+            reads[name] = inst.total_stats().delta(before).entries_read
+        assert reads == {"coalesced": 14, "columnar": 14, "per-range": 14}
+
+    def test_entries_read_counts_after_the_column_skip(self):
+        conn = self.setup_graph()
+        inst = conn.instance
+        ranges = [Range("v00", "v06"), Range("v20", "v26")]
+        for drain in (list, lambda bs: list(bs.scan_columns())):
+            bs = conn.batch_scanner("t").set_ranges(ranges)
+            bs.columns = [("f", "q0")]  # rows 0, 3, 21, 24
+            before = inst.total_stats().snapshot()
+            drain(bs)
+            assert inst.total_stats().delta(before).entries_read == 4
+
+    def test_range_set_accounting_is_per_opened_run(self, registry):
+        # one tablet, two overlapping runs + a memtable: a scan opens
+        # each once, however many ranges it carries
+        conn = fresh_conn(registry, splits=())
+        for lo in (0, 1):
+            with conn.batch_writer("t") as w:
+                for i in range(lo, 40, 2):
+                    w.put(f"v{i:02d}", "f", "q", str(i))
+            conn.flush("t")
+        with conn.batch_writer("t") as w:
+            w.put("v07", "f", "q", "new")
+        inst = conn.instance
+        counter = lambda name: registry.counter(f"dbsim.table.t.{name}")
+        ranges = [Range.exact_row(f"v{i:02d}") for i in range(0, 40, 3)]
+        for drain in (list, lambda bs: list(bs.scan_columns())):
+            before = inst.total_stats().snapshot()
+            index_seeks = counter("index_seeks").value
+            drain(conn.batch_scanner("t").set_ranges(ranges))
+            assert inst.total_stats().delta(before).seeks == 3
+            assert counter("index_seeks").value == index_seeks + 2
+        # a set of several rows never consults the bloom filters ...
+        assert counter("bloom_hits").value == 0
+        assert counter("bloom_misses").value == 0
+        # ... a set that is one exact row does, and skips the run that
+        # cannot hold it (v08 is even: only the first run has it)
+        before = inst.total_stats().snapshot()
+        list(conn.batch_scanner("t").set_ranges([Range.exact_row("v08")]))
+        assert inst.total_stats().delta(before).seeks == 2
+        assert counter("bloom_hits").value == 1
+        assert counter("bloom_misses").value == 1
 
 
 class TestMemTableBulk:
@@ -422,6 +484,63 @@ class TestMemTableBulk:
         m.extend(_cells([("b", "q", 1, "1")]))
         m.extend(_cells([("a", "q", 1, "2")]))  # out of order vs last
         assert [c.key.row for c in m.snapshot()] == ["a", "b"]
+
+
+class TestMemTableScans:
+    def test_point_lookup_allocates_its_result_not_the_memtable(self):
+        import tracemalloc
+
+        tablet = Tablet(Range(), flush_bytes=1 << 30)
+        tablet.write_batch(Cell(Key(f"r{i:05d}", "f", "q"), "1")
+                           for i in range(20_000))
+        lookup = Range.exact_row("r12345")
+        list(tablet.scan_columns(lookup))  # sorts the buffer, once
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            (batch,) = tablet.scan_columns(lookup)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert batch.rows == ["r12345"]
+        # a copy of the 20k-cell list alone is 160 kB of pointers
+        assert peak < 16_000
+
+    @pytest.mark.parametrize("table_iterators", [(), (lambda src: src,)],
+                             ids=["fused", "stack"])
+    def test_scan_opened_before_a_write_does_not_see_it(self,
+                                                        table_iterators):
+        tablet = Tablet(Range())
+        for row in ("a", "c", "e"):
+            tablet.write(Key(row, "f", "q"), "old")
+        batches = tablet.scan_columns(Range(), None, table_iterators)
+        cells = tablet.scan_iterator(Range(), table_iterators)
+        tablet.write(Key("b", "f", "q"), "new")      # a new row
+        tablet.write(Key("c", "f", "q"), "newer")    # a newer version
+        assert [(r, v) for b in batches
+                for r, v in zip(b.rows, b.values)] == \
+            [("a", "old"), ("c", "old"), ("e", "old")]
+        cells.seek(Range())
+        seen = []
+        while cells.has_top():
+            seen.append((cells.top().key.row, cells.top().value))
+            cells.advance()
+        assert seen == [("a", "old"), ("c", "old"), ("e", "old")]
+        assert [c.value for c in tablet.scan()] == \
+            ["old", "new", "newer", "old"]
+
+    def test_iterator_keeps_snapshot_semantics(self):
+        m = MemTable()
+        m.extend(_cells([("a", "q", 1, "1"), ("c", "q", 1, "1")]))
+        it = m.iterator()
+        m.write(_cells([("b", "q", 2, "2")])[0])
+        it.seek(Range())
+        rows = []
+        while it.has_top():
+            rows.append(it.top().key.row)
+            it.advance()
+        assert rows == ["a", "c"]
 
 
 class TestBatchWriterThresholds:

@@ -97,6 +97,28 @@ class TestMergeIterator:
         out = drain(MergeIterator([l1, l2]))
         assert [c.value for c in out] == ["new", "old"]
 
+    def test_is_the_reference_for_the_tablet_sort_merge(self):
+        """``_merge_runs`` (one stable sort over the concatenated runs)
+        must order cells — ties included — as this k-way merge does."""
+        import random
+
+        from repro.dbsim.tablet import _merge_runs
+
+        rnd = random.Random(13)
+        for trial in range(50):
+            runs = []
+            for r in range(rnd.randint(1, 5)):
+                run = [Cell(Key(rnd.choice("abcd"), "", rnd.choice("xy"), "",
+                                rnd.randint(1, 3), rnd.random() < 0.1),
+                            f"run{r}-{i}")
+                       for i in range(rnd.randint(0, 12))]
+                # duplicate keys inside and across runs are the point
+                runs.append(sorted(run, key=lambda c: c.key.sort_tuple()))
+            want = drain(MergeIterator([ListIterator(run) for run in runs]))
+            got = _merge_runs([run for run in runs if run])
+            assert [(c.key, c.value) for c in got] == \
+                [(c.key, c.value) for c in want], trial
+
 
 class TestVersioningIterator:
     def make(self, max_versions=1):

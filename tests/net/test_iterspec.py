@@ -294,7 +294,7 @@ class TestRemoteErrors:
                     stream = await core.aio.open_stream(
                         proxy.addr, wire.SCAN, {
                             "table": "t", "tablet_id": proxy.tablet_id,
-                            "range": [None, None], "columns": None,
+                            "ranges": [[None, None]], "columns": None,
                             "resume": None,
                             "iterspec": [{"op": "__import__"}]})
                     code, pay, _ = await core.aio.stream_get(stream, 30.0)

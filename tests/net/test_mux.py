@@ -155,7 +155,7 @@ class TestAdmissionControl:
             proxy = conn.instance.tablets("t")[0]
             core = conn.instance.core
             payload = {"table": "t", "tablet_id": proxy.tablet_id,
-                       "range": [None, None], "columns": None,
+                       "ranges": [[None, None]], "columns": None,
                        "resume": None}
             flood = MAX_CONN_SCANS + 4
 
@@ -277,14 +277,24 @@ class TestPipelinedWrites:
 
 
 class TestStreamFlowControl:
-    def test_overrun_kills_stream_and_resume_is_exact(self, cluster,
+    @pytest.fixture
+    def paced_cluster(self):
+        # every scan frame delayed, so chunks arrive one at a time: a
+        # fast server can otherwise land the whole stream inside the
+        # consumer's first coalesced read, leaving nothing to overrun
+        with LocalCluster(n_servers=2, processes=False,
+                          fault_specs=["scan:delay:1:0.02"],
+                          fault_seed=1) as c:
+            yield c
+
+    def test_overrun_kills_stream_and_resume_is_exact(self, paced_cluster,
                                                       monkeypatch):
         # a 2-chunk window + a consumer that stalls at the start makes
         # the reader shed the stream; the iterator must resume from its
         # last delivered key with no gaps and no duplicates
         monkeypatch.setattr(aio_mod, "STREAM_WINDOW_CHUNKS", 2)
         registry = MetricsRegistry()
-        conn = _fresh(cluster, metrics=registry)
+        conn = paced_cluster.connect(metrics=registry)
         try:
             conn.create_table("big")
             # enough cells for well over STREAM_WINDOW_CHUNKS chunks,
@@ -357,7 +367,7 @@ class TestNativeAsyncClient:
                     stream = await core.aio.open_stream(
                         p.addr, wire.SCAN,
                         {"table": "t", "tablet_id": p.tablet_id,
-                         "range": [None, None], "columns": None,
+                         "ranges": [[None, None]], "columns": None,
                          "resume": None})
                     while True:
                         code, pay, _ = await core.aio.stream_get(
