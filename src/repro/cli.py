@@ -421,8 +421,7 @@ def cmd_cluster(args) -> int:
     try:
         _cluster_banner(cluster, args)
         if args.smoke:
-            return _net_smoke(cluster, scale=args.scale, hops=args.hops,
-                              client_mode=args.client_mode)
+            return _net_smoke(cluster, scale=args.scale, hops=args.hops)
         print("cluster up until Ctrl-C")
         sys.stdout.flush()
         return _foreground(args.duration)
@@ -430,52 +429,11 @@ def cmd_cluster(args) -> int:
         cluster.stop()
 
 
-def _async_snapshot(conn, table: str):
-    """Scan ``table`` by driving :class:`AsyncRpcCore` natively — no
-    sync facade in the data path: gathered concurrent pings prove the
-    mux interleaves, then one stream per tablet drained with binary
-    cell-block decode."""
-    import asyncio
-
-    from repro.net import cells as _cells
-    from repro.net import wire
-
-    inst = conn.instance
-    proxies = inst.tablets(table)
-    core = inst.core
-
-    async def drain(p):
-        out = []
-        stream = await core.aio.open_stream(p.addr, wire.SCAN, {
-            "table": table, "tablet_id": p.tablet_id,
-            "ranges": [[None, None]], "columns": None, "resume": None})
-        while True:
-            code, pay, _ = await core.aio.stream_get(stream, 30.0)
-            if code == wire.DONE:
-                return out
-            if code == wire.ERROR:
-                wire.raise_error(pay)
-            out.extend(_cells.block_to_cells(pay.block))
-
-    async def work():
-        await asyncio.gather(*[
-            core.aio.call(inst.manager_addr, wire.PING, {})
-            for _ in range(16)])
-        # tablets() is extent-ordered, so concatenation is key-ordered
-        chunks = await asyncio.gather(*[drain(p) for p in proxies])
-        return [c for chunk in chunks for c in chunk]
-
-    return core.run(work())
-
-
-def _net_smoke(cluster, scale: int = 6, hops: int = 3,
-               client_mode: str = "sync") -> int:
+def _net_smoke(cluster, scale: int = 6, hops: int = 3) -> int:
     """Same graph ingested and BFS'd through the RPC fabric and through
     the in-process backend; the two must agree bit for bit — BFS result
     *and* full cell-level table snapshot — even with fault injection in
-    the response path.  ``client_mode="async"`` additionally drains the
-    table through the native async client and requires the same
-    snapshot."""
+    the response path."""
     from repro.dbsim import (Connector, assoc_to_table, decode_number,
                              degree_table, table_bfs)
     from repro.dbsim.server import Instance
@@ -503,12 +461,6 @@ def _net_smoke(cluster, scale: int = 6, hops: int = 3,
         assoc_to_table(conn, a, "A", n_splits=4)
         got_bfs = table_bfs(conn, "A", [source], hops)
         got_cells = list(conn.scanner("A"))
-        # columnar canary: the bulk ColumnBatch path must materialise
-        # to the same cells (timestamps included) as the per-cell scan
-        got_columnar = [c for b in conn.scanner("A").scan_columns()
-                        for c in b.cells()]
-        got_async = (_async_snapshot(conn, "A")
-                     if client_mode == "async" else None)
         # push-down leg: degree maintenance (a server-side Reduce) and
         # a degree-filtered BFS through repro.net.iterspec must stay
         # bit-identical to the in-process backend, and a filtered scan
@@ -574,8 +526,6 @@ def _net_smoke(cluster, scale: int = 6, hops: int = 3,
 
     ok_bfs = got_bfs == want_bfs
     ok_cells = got_cells == want_cells
-    ok_columnar = got_columnar == want_cells
-    ok_async = got_async is None or got_async == want_cells
     ok_bytes = (client_sent > 0 and client_received > 0
                 and servers_sent and all(v > 0
                                          for v in servers_sent.values()))
@@ -583,16 +533,13 @@ def _net_smoke(cluster, scale: int = 6, hops: int = 3,
                    and got_filtered == want_filtered
                    and got_filtered == client_filtered
                    and pushed_rx < full_rx)
-    if (ok_bfs and ok_cells and ok_columnar and ok_async and ok_bytes
-            and ok_pushdown):
-        suffix = ("" if got_async is None else
-                  " (sync facade and native async client agree)")
+    if ok_bfs and ok_cells and ok_bytes and ok_pushdown:
         print(f"smoke OK: remote BFS from {source} "
               f"({hops} hops over {g.nrows} vertices), the "
-              f"{len(want_cells)}-cell table snapshot — per-cell and "
-              f"columnar — and the server-side push-down leg (degree "
+              f"{len(want_cells)}-cell table snapshot and the "
+              f"server-side push-down leg (degree "
               f"Reduce + filtered BFS) are bit-identical to the "
-              f"in-process backend{suffix}")
+              "in-process backend")
         return 0
     problems = []
     if not ok_bfs:
@@ -600,13 +547,6 @@ def _net_smoke(cluster, scale: int = 6, hops: int = 3,
     if not ok_cells:
         problems.append(f"table snapshot mismatch "
                         f"({len(got_cells)} cells vs {len(want_cells)})")
-    if not ok_columnar:
-        problems.append(f"columnar scan snapshot mismatch "
-                        f"({len(got_columnar)} cells vs "
-                        f"{len(want_cells)})")
-    if not ok_async:
-        problems.append(f"native-async snapshot mismatch "
-                        f"({len(got_async)} cells vs {len(want_cells)})")
     if not ok_bytes:
         problems.append("wire byte accounting did not move "
                         f"(client sent={client_sent} "
@@ -1039,11 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="R-MAT scale of the --smoke graph (default 6)")
     s.add_argument("--hops", type=int, default=3,
                    help="--smoke BFS hops (default 3)")
-    s.add_argument("--client-mode", choices=("sync", "async"),
-                   default="sync", dest="client_mode",
-                   help="--smoke drives the blocking facade (sync) or "
-                        "additionally drains the table through the "
-                        "native AsyncRpcCore client (async)")
     s.set_defaults(fn=cmd_cluster)
 
     s = add_parser("analyze",

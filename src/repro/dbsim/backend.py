@@ -12,12 +12,14 @@ whole suite over both implementations.
 Two protocols:
 
 * :class:`TabletBackend` — what a scan or write path needs from one
-  tablet: its row extent, an unseeked iterator stack factory, and a
+  tablet: its row extent, a columnar scan, an unseeked per-cell
+  iterator stack (for scans that carry user callables), and a
   raw-mutation batch write.  Locally this is a real
   :class:`~repro.dbsim.tablet.Tablet`; remotely a ``TabletProxy``
   that turns the same calls into RPCs.
 * :class:`ConnectorBackend` — the instance-wide surface: table
-  lifecycle, the locate index used for client-side routing, and the
+  lifecycle, the locate index used for client-side routing, the
+  columnar scan of a range set across a table's tablets, and the
   merged OpStats cost model.
 
 Both are :func:`typing.runtime_checkable`, so ``isinstance(obj,
@@ -61,6 +63,15 @@ class TabletBackend(Protocol):
         scan-time iterators client-side.  Either way the caller seeks
         the returned stack and drains it.
         """
+        ...
+
+    def scan_columns(self, rng: RangeSet = Range(), columns=None,
+                     table_iterators: Sequence = (),
+                     scan_iterators: Sequence = ()):
+        """``extent ∩ rng`` as an iterator of
+        :class:`~repro.net.cells.ColumnBatch`\\ es in key order, under
+        the table's layers and the scan's.  Whatever the iterator
+        yields is the state as of this call."""
         ...
 
     def write_raw_batch(self, mutations) -> int:
@@ -116,6 +127,18 @@ class ConnectorBackend(Protocol):
 
     def tablets_for_range(self, name: str,
                           rng: Range) -> List[TabletBackend]: ...
+
+    # -- scans ------------------------------------------------------------
+
+    def scan_columns(self, name: str, rng: RangeSet = Range(),
+                     columns=None, scan_iterators: Sequence = ()):
+        """The table's cells inside ``rng`` (one range, or a sorted,
+        disjoint range set) as
+        :class:`~repro.net.cells.ColumnBatch`\\ es in global key order:
+        every overlapping tablet's ``scan_columns``, under the table's
+        configured layers and the given scan layers.  A scan without
+        user callables — per cell or columnar — is this one call."""
+        ...
 
     # -- maintenance ------------------------------------------------------
 

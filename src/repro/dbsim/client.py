@@ -17,7 +17,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.dbsim.backend import ConnectorBackend
-from repro.dbsim.iterators import Columns, VisibilityFilterIterator
+from repro.dbsim.iterators import Columns
 from repro.dbsim.key import (
     Cell,
     Range,
@@ -88,54 +88,6 @@ class Connector:
         return BatchWriter(self, table, buffer_size, max_memory)
 
 
-def _bind_iterspec(inst, iterspec):
-    """Resolve a push-down spec against a backend.
-
-    The local backend gets the spec's factory chain — installed *above*
-    the visibility filter, exactly where a tablet server runs it (the
-    Accumulo ordering: system visibility filter below user iterators) —
-    as ``(factories, None)``; the remote backend gets the validated
-    wire form to ship with every SCAN as ``((), wire_form)``.  Building
-    from the same spec on both sides is what keeps local and remote
-    results bit-identical."""
-    if iterspec is None:
-        return (), None
-    # lazy: dbsim must not import repro.net at module scope (net
-    # imports dbsim); only spec-using scanners pay the import
-    from repro.net import iterspec as _iterspec
-    spec = _iterspec.coerce(iterspec)
-    if not spec:
-        return (), None
-    if hasattr(inst, "scan_columns"):  # remote backend: ship the spec
-        return (), spec.to_wire()
-    return spec.build_factories(), None
-
-
-def _visible_batch(batch, auths):
-    """Columnar twin of :class:`VisibilityFilterIterator`: drop the
-    entries of a ColumnBatch the authorizations cannot see.  Pure
-    filtering, so batch-then-filter is bit-identical to the per-cell
-    stack's filter-then-stream.  Returns the batch unchanged (no copy)
-    when nothing is dropped — the overwhelmingly common case, detected
-    by the all-empty-visibilities fast path."""
-    viss = batch.visibilities
-    if not any(viss):
-        return batch  # "" is visible to every Authorizations
-    can_see = auths.can_see
-    verdicts: dict = {}
-    keep = []
-    append = keep.append
-    for i, v in enumerate(viss):
-        ok = verdicts.get(v)
-        if ok is None:
-            ok = verdicts[v] = can_see(v)
-        if ok:
-            append(i)
-    if len(keep) == len(viss):
-        return batch
-    return batch.select(keep)
-
-
 class _RangeSetScan:
     """What :class:`Scanner` and :class:`BatchScanner` share: the scan
     of one *range set* — a sorted, disjoint list of row ranges — of
@@ -151,48 +103,42 @@ class _RangeSetScan:
                  scan_iterators: Sequence[IteratorFactory] = (),
                  authorizations: Authorizations = None,
                  iterspec=None):
+        # lazy: dbsim must not import repro.net at module scope (net
+        # imports dbsim)
+        from repro.net.iterspec import scan_layers
+
         self._conn = conn
         self._table = table
-        self._auths = PUBLIC if authorizations is None else authorizations
         self._user_iterators = tuple(scan_iterators)
-        self._spec_factories, spec_wire = _bind_iterspec(
-            conn.instance, iterspec)
-        #: what a remote tablet needs to run the spec server-side: the
-        #: wire form plus the scan's authorizations (the server must
-        #: visibility-filter *under* the spec)
-        self._pushdown = ({"iterspec": spec_wire,
-                           "auths": sorted(self._auths.tokens)}
-                          if spec_wire else {})
+        #: the scan's layers, bottom-up and the same for either
+        #: backend: the visibility filter, then the pushed-down spec's
+        #: ops (so a combiner/reduce never folds unauthorized cells),
+        #: then the user's callables.  A tablet runs them; a tablet
+        #: proxy ships the ones that can cross the wire
+        self._layers = scan_layers(
+            PUBLIC if authorizations is None else authorizations,
+            iterspec) + self._user_iterators
         self.columns: Columns = None
 
-    def _vis_factory(self, source):
-        # visibility filtering runs server-side, before any other
-        # scan-time iterator
-        return VisibilityFilterIterator(source, self._auths)
-
     def _cells(self, ranges: Sequence[Range]) -> Iterator[Cell]:
-        inst = self._conn.instance
-        if not self._user_iterators and hasattr(inst, "scan_columns"):
-            # remote backend: ride the same fanned-out columnar
-            # transport as scan_columns and materialise Cells on
-            # demand — the per-cell view is a thin layer over batches,
-            # not a second wire path
+        if not self._user_iterators:
+            # the per-cell view is a thin layer over the batches
             for batch in self._batches(ranges):
-                yield from batch.cells()
+                if batch.alive is None:
+                    yield from batch.cells()
+                    continue
+                for cell in batch.cells():
+                    batch.alive()  # a crashed server ends the scan here
+                    yield cell
             return
+        inst = self._conn.instance
         config = inst.config(self._table)
-        # a pushed-down spec runs *above* the visibility filter and
-        # below user iterators (its factories locally, the shipped wire
-        # form remotely) — the same position a tablet server installs
-        # it at, so a combiner/reduce never folds unauthorized cells
-        scan_its = ((self._vis_factory,) + self._spec_factories
-                    + self._user_iterators)
         span = covering(ranges)
         # tablets are kept in extent order, so concatenation preserves
         # global key order
         for tablet in inst.tablets_for_range(self._table, span):
             it = tablet.scan_iterator(ranges, config.table_iterators,
-                                      scan_its, **self._pushdown)
+                                      self._layers)
             it.seek(span, self.columns)
             while it.has_top():
                 yield it.top()
@@ -206,31 +152,8 @@ class _RangeSetScan:
                 "iterators — they cannot cross the wire; pass iterspec= "
                 "to push the stack server-side, or iterate the scanner "
                 "instead")
-        inst = self._conn.instance
-        native = getattr(inst, "scan_columns", None)
-        if native is not None:
-            # remote backend: one pump spanning every tablet the set
-            # touches, stream opens fanned out so the servers scan in
-            # parallel.  Without a spec, visibility filtering stays
-            # client-side
-            batches = native(self._table, ranges, self.columns,
-                             **self._pushdown)
-        else:
-            config = inst.config(self._table)
-            # with a spec installed the scan runs a per-cell stack
-            # anyway, so visibility filtering joins it *below* the spec
-            scan_its = ((self._vis_factory,) + self._spec_factories
-                        if self._spec_factories else ())
-            batches = (
-                batch
-                for tablet in inst.tablets_for_range(self._table,
-                                                     covering(ranges))
-                for batch in tablet.scan_columns(
-                    ranges, self.columns, config.table_iterators, scan_its))
-        for batch in batches:
-            batch = _visible_batch(batch, self._auths)
-            if len(batch):
-                yield batch
+        yield from self._conn.instance.scan_columns(
+            self._table, ranges, self.columns, self._layers)
 
 
 class Scanner(_RangeSetScan):

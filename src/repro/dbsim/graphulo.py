@@ -28,24 +28,14 @@ import numpy as np
 
 from repro.dbsim.client import Connector
 from repro.dbsim.iterators import (
+    COMBINERS,
     ApplyIterator,
-    MaxCombiner,
-    MinCombiner,
     PredicateFilterIterator,
-    SummingCombiner,
 )
 from repro.dbsim.key import Cell, Range, decode_number
 from repro.dbsim.server import TableConfig
 from repro.dbsim.stats import OpStats
 from repro.obs import trace as _trace
-
-#: name → combiner factory for result tables (the ⊕ of the semiring).
-COMBINERS = {
-    "sum": SummingCombiner,
-    "min": MinCombiner,
-    "max": MaxCombiner,
-}
-
 
 def create_combiner_table(conn: Connector, name: str, combiner: str = "sum",
                           splits: Sequence[str] = ()) -> None:

@@ -1,8 +1,17 @@
-"""The server-side SortedKVIterator framework.
+"""The server-side iterator framework: layers, stages, and the per-cell view.
 
 Accumulo's killer extension point — and the mechanism Graphulo rides —
 is a stack of iterators applied server-side to the sorted merged cell
-stream of each tablet.  Every iterator implements the same contract:
+stream of each tablet.  Here every row-/cell-local layer of that stack
+(visibility, column / regex / age-off filters, versioning, combiners,
+Apply, the row Reduce) is defined **once**, as a *batch stage*: a
+generator function from :class:`~repro.net.cells.ColumnBatch` batches to
+ColumnBatch batches.  A :class:`Layer` carries its stage, and a tablet whose
+table and scan layers all carry one runs the scan as a chain of stages
+over its fused storage pass — no per-cell object is built.
+
+The classic per-cell contract is still here, for user-written
+iterators and as the reference the staged path is tested against:
 
 * ``seek(range, columns)`` — position at the first cell inside the
   row range (and column family/qualifier filter);
@@ -10,15 +19,23 @@ stream of each tablet.  Every iterator implements the same contract:
   it is;
 * ``advance()`` — move to the next cell.
 
-Stacks compose bottom-up: storage iterators (memtable/sstable lists) →
-merge → versioning → table-configured iterators (combiners, filters,
-transforms) → scan-time iterators.
+Each public per-cell class of the vocabulary (``CombinerIterator``,
+``RegexFilterIterator``, ...) is a few lines over :class:`StageIterator`,
+the one adapter that shows a stage through this contract.  Stacks
+compose bottom-up: sliced storage → tombstones → versioning →
+table-configured layers (combiners, filters) → scan-time layers.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+import operator
+import re
+from array import array
+from functools import partial
+from itertools import compress, islice, repeat
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.dbsim.key import Cell, Key, Range, decode_number, encode_number
 from repro.dbsim.stats import OpStats
@@ -224,112 +241,6 @@ class DeleteFilterIterator(_WrappingIterator):
         self._top = None
 
 
-class VisibilityFilterIterator(_WrappingIterator):
-    """Server-side cell-level security: drop cells whose visibility
-    expression the scan's authorizations cannot satisfy."""
-
-    def __init__(self, source: SortedKVIterator, auths):
-        self._auths = auths
-        super().__init__(source)
-
-    def _advance_to_top(self) -> None:
-        src = self._source
-        while src.has_top():
-            cell = src.top()
-            src.advance()
-            if self._auths.can_see(cell.key.visibility):
-                self._top = cell
-                return
-        self._top = None
-
-
-class VersioningIterator(_WrappingIterator):
-    """Keep the ``max_versions`` newest timestamps per logical cell
-    (Accumulo's default table iterator, max_versions=1)."""
-
-    def __init__(self, source: SortedKVIterator, max_versions: int = 1):
-        if max_versions < 1:
-            raise ValueError(f"max_versions must be >= 1, got {max_versions}")
-        self._max_versions = max_versions
-        self._last_cell_id = None
-        self._seen = 0
-        super().__init__(source)
-
-    def seek(self, rng: Range, columns: Columns = None) -> None:
-        self._last_cell_id = None
-        self._seen = 0
-        super().seek(rng, columns)
-
-    def _advance_to_top(self) -> None:
-        src = self._source
-        while src.has_top():
-            cell = src.top()
-            src.advance()
-            cid = cell.key.cell_id()
-            if cid == self._last_cell_id:
-                self._seen += 1
-            else:
-                self._last_cell_id = cid
-                self._seen = 1
-            if self._seen <= self._max_versions:
-                self._top = cell
-                return
-        self._top = None
-
-
-class CombinerIterator(_WrappingIterator):
-    """Fold all versions of a logical cell into one value with a binary
-    reduce on decoded numbers — Accumulo's Combiner family.  With a
-    ``plus`` reduce this is the SummingCombiner that gives Graphulo its
-    ⊕ accumulation on writes (duplicate inserts *combine*, they don't
-    overwrite)."""
-
-    name = "combiner"
-
-    def __init__(self, source: SortedKVIterator,
-                 reduce_fn: Callable[[float, float], float]):
-        self._reduce = reduce_fn
-        super().__init__(source)
-
-    def _advance_to_top(self) -> None:
-        src = self._source
-        if not src.has_top():
-            self._top = None
-            return
-        first = src.top()
-        src.advance()
-        acc = decode_number(first.value)
-        while src.has_top() and src.top().key.same_cell(first.key):
-            acc = self._reduce(acc, decode_number(src.top().value))
-            src.advance()
-        self._top = Cell(first.key, encode_number(acc))
-
-
-# Each built-in combiner factory carries its ⊕ as ``reduce_fn``: the
-# tablet's fused drain folds a table whose only iterator is one of
-# these with the very function CombinerIterator applies, so ⊕ is
-# defined once.
-
-
-def SummingCombiner(source: SortedKVIterator) -> CombinerIterator:
-    """Combiner summing all versions (Graphulo's ⊕ = +)."""
-    return CombinerIterator(source, SummingCombiner.reduce_fn)
-
-
-def MinCombiner(source: SortedKVIterator) -> CombinerIterator:
-    """Combiner keeping the minimum version (tropical ⊕ = min)."""
-    return CombinerIterator(source, MinCombiner.reduce_fn)
-
-
-def MaxCombiner(source: SortedKVIterator) -> CombinerIterator:
-    return CombinerIterator(source, MaxCombiner.reduce_fn)
-
-
-SummingCombiner.reduce_fn = lambda a, b: a + b
-MinCombiner.reduce_fn = min
-MaxCombiner.reduce_fn = max
-
-
 class PredicateFilterIterator(_WrappingIterator):
     """Keep only cells satisfying a predicate (Accumulo Filter)."""
 
@@ -349,114 +260,367 @@ class PredicateFilterIterator(_WrappingIterator):
         self._top = None
 
 
-class ColumnFilterIterator(PredicateFilterIterator):
+# -- batch stages ------------------------------------------------------------
+#
+# Every row-/cell-local layer of the vocabulary is defined once, below,
+# as a *stage*: a generator function ``Iterable[ColumnBatch] →
+# Iterator[ColumnBatch]``.  The contract: batches arrive non-empty and
+# in key order and leave non-empty and in key order; a stage looks at
+# nothing beyond the cell (or row) group it is folding, so the state
+# for a group that straddles a batch boundary lives in the generator's
+# locals and a stage may be reused for any number of scans; a stage
+# owns the batches it is handed (nothing upstream reads them again).
+
+#: ``Iterable[ColumnBatch] → Iterator[ColumnBatch]``
+Stage = Callable[[Iterable], Iterator]
+
+
+def batches(it: SortedKVIterator, batch_cells: int) -> Iterator:
+    """A seeked iterator's remaining cells as ColumnBatches of up to
+    ``batch_cells`` entries — the bridge from the per-cell world into
+    the batch world.  Each cell is taken off ``it`` (``top`` then
+    ``advance``) only when the batch that holds it is being built."""
+    from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
+
+    def cells():
+        while it.has_top():
+            cell = it.top()
+            it.advance()
+            yield cell
+
+    source = cells()
+    while True:
+        batch = ColumnBatch.from_cells(islice(source, batch_cells))
+        if not len(batch):
+            return
+        yield batch
+
+
+def select_stage(mask) -> Stage:
+    """A mask-select stage: ``mask(batch)`` gives one truthy/falsy
+    flag per entry, or ``None`` to keep the whole batch."""
+    def stage(batches):
+        for batch in batches:
+            flags = mask(batch)
+            if flags is not None:
+                keep = list(compress(range(len(batch)), flags))
+                if len(keep) < len(batch):
+                    batch = batch.select(keep)
+            if len(batch):
+                yield batch
+    return stage
+
+
+def visibility_stage(auths) -> Stage:
+    """Cell-level security: drop the entries whose visibility
+    expression the authorizations cannot satisfy (each distinct label
+    is evaluated once per layer)."""
+    can_see = auths.can_see
+    verdicts: dict = {}
+
+    def mask(batch):
+        viss = batch.visibilities
+        if not any(viss):
+            return None  # "" is visible to every Authorizations
+        for label in set(viss) - verdicts.keys():
+            verdicts[label] = can_see(label)
+        return map(verdicts.__getitem__, viss)
+    return select_stage(mask)
+
+
+def column_stage(qualifiers: Iterable[str]) -> Stage:
+    """Keep an explicit qualifier set."""
+    quals = frozenset(qualifiers)
+    return select_stage(lambda batch: map(quals.__contains__,
+                                          batch.qualifiers))
+
+
+def regex_stage(row: str = None, qualifier: str = None,
+                value: str = None) -> Stage:
+    """Keep entries whose row / qualifier / value match the given
+    regexes (``re.search``); ``None`` fields match everything."""
+    searches = [(column, re.compile(pattern).search)
+                for column, pattern in (("rows", row),
+                                        ("qualifiers", qualifier),
+                                        ("values", value)) if pattern]
+
+    def mask(batch):
+        hits = [map(search, getattr(batch, column))
+                for column, search in searches]
+        if len(hits) < 2:
+            return hits[0] if hits else None
+        return map(all, zip(*hits))
+    return select_stage(mask)
+
+
+def age_off_stage(cutoff: int) -> Stage:
+    """Drop entries whose timestamp is ≤ ``cutoff``."""
+    return select_stage(lambda batch: map(partial(operator.lt, cutoff),
+                                          batch.timestamps))
+
+
+def _cell_ids(batch):
+    return zip(batch.rows, batch.families, batch.qualifiers,
+               batch.visibilities)
+
+
+def versions_stage(max_versions: int) -> Stage:
+    """Keep the ``max_versions`` newest entries of each logical cell."""
+    if max_versions < 1:
+        raise ValueError(f"max_versions must be >= 1, got {max_versions}")
+
+    def stage(batches):
+        last, seen = None, 0  # the cell group open at a batch's end
+        for batch in batches:
+            keep = []
+            for i, cid in enumerate(_cell_ids(batch)):
+                if cid == last:
+                    seen += 1
+                else:
+                    last, seen = cid, 1
+                if seen <= max_versions:
+                    keep.append(i)
+            if keep:
+                yield batch if len(keep) == len(batch) else batch.select(keep)
+    return stage
+
+
+def combiner_stage(reduce_fn: Callable[[float, float], float]) -> Stage:
+    """Fold all versions of a logical cell into one entry: the newest
+    version's key, the left fold of the decoded values, re-encoded."""
+    def stage(batches):
+        held = None  # the open group's first entry, as a 1-entry batch
+        last, acc = None, 0.0
+        for batch in batches:
+            firsts: List[int] = []  # where this batch's groups begin
+            closed: List[str] = []  # folded value per group that ended
+            for i, (cid, value) in enumerate(zip(_cell_ids(batch),
+                                                 batch.values)):
+                value = decode_number(value)
+                if cid == last:
+                    acc = reduce_fn(acc, value)
+                    continue
+                if last is not None:
+                    closed.append(encode_number(acc))
+                last, acc = cid, value
+                firsts.append(i)
+            if not firsts:
+                continue  # the whole batch folded into the open group
+            out = batch.select(firsts[:-1])
+            if held is not None:
+                held.extend(out)
+                out = held
+            held = batch.select(firsts[-1:])
+            if closed:
+                out.values = closed
+                yield out
+        if held is not None:
+            held.values = [encode_number(acc)]
+            yield held
+    return stage
+
+
+_MONOIDS = {"sum": operator.add, "min": min, "max": max}
+
+
+def reduce_stage(op: str = "sum", family: str = "", qualifier: str = "deg",
+                 count: bool = False) -> Stage:
+    """Fold every entry of a row into ONE output entry.  ``op`` is a
+    monoid name ("sum" | "min" | "max"); ``count=True`` folds entry
+    *counts* instead of decoded values.  The output key is
+    deterministic: the source row, the configured family/qualifier,
+    empty visibility, and the *maximum* timestamp seen in the row."""
+    if op not in _MONOIDS:
+        raise ValueError(
+            f"unknown reduce op {op!r}; known: {sorted(_MONOIDS)}")
+    fold = _MONOIDS[op]
+
+    def stage(batches):
+        from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
+
+        def folded(rows, stamps, values):
+            n = len(rows)
+            return ColumnBatch(rows, [family] * n, [qualifier] * n, [""] * n,
+                               array("q", stamps), [False] * n, values)
+
+        row, acc, newest = None, 0.0, 0  # the row group still open
+        for batch in batches:
+            rows: List[str] = []
+            stamps: List[int] = []
+            values: List[str] = []
+            for r, ts, value in zip(
+                    batch.rows, batch.timestamps,
+                    repeat(1.0) if count else map(decode_number,
+                                                  batch.values)):
+                if r == row:
+                    acc = fold(acc, value)
+                    if ts > newest:
+                        newest = ts
+                    continue
+                if row is not None:
+                    rows.append(row)
+                    stamps.append(newest)
+                    values.append(encode_number(acc))
+                row, acc, newest = r, value, ts
+            if rows:
+                yield folded(rows, stamps, values)
+        if row is not None:
+            yield folded([row], [newest], [encode_number(acc)])
+    return stage
+
+
+def apply_stage(fn: Callable[[float], float],
+                drop_zero: bool = True) -> Stage:
+    """Map each entry's numeric value through ``fn`` — the GraphBLAS
+    Apply kernel; with ``drop_zero`` results equal to 0 are dropped."""
+    def stage(batches):
+        for batch in batches:
+            outs = [fn(decode_number(value)) for value in batch.values]
+            if drop_zero:
+                keep = [i for i, out in enumerate(outs) if not out == 0]
+                if len(keep) < len(outs):
+                    batch = batch.select(keep)
+                    outs = [outs[i] for i in keep]
+            if outs:
+                batch.values = list(map(encode_number, outs))
+                yield batch
+    return stage
+
+
+# -- layers: what iterator tuples hold ----------------------------------------
+
+
+class Layer:
+    """One iterator layer of the vocabulary, carrying its batch stage.
+
+    A layer is still an ``IteratorFactory``: calling it with a source
+    iterator gives the per-cell form (a :class:`StageIterator`), so it
+    goes wherever a ``lambda src: ...`` goes.  But a scan whose table
+    and scan layers *all* carry a ``stage`` never builds that form —
+    the tablet feeds its fused storage pass through the stages.
+
+    ``op`` is the layer's wire form (an iterspec op dict), what a
+    remote tablet is sent instead of the code; ``None`` for a layer
+    that cannot cross the wire.  ``reduce_fn`` is set on the built-in
+    combiners only: the ⊕ the storage pass can fold by itself when
+    the combiner is the table's first layer.
+    """
+
+    __slots__ = ("stage", "op", "reduce_fn")
+
+    def __init__(self, stage: Stage, op: Optional[dict] = None,
+                 reduce_fn: Optional[Callable] = None):
+        self.stage = stage
+        self.op = op
+        self.reduce_fn = reduce_fn
+
+    def __call__(self, source: SortedKVIterator) -> "StageIterator":
+        return StageIterator(source, self.stage)
+
+
+class StageIterator(_WrappingIterator):
+    """A batch stage seen through the seek/top/advance contract — the
+    one adapter behind every per-cell class below.  The source's cells
+    enter the stage as one-cell batches, each taken only when the
+    stage asks for it, so consumption stays cell-at-a-time."""
+
+    def __init__(self, source: SortedKVIterator, stage: Stage):
+        self._stage = stage
+        self._cells: Iterator[Cell] = iter(())
+        super().__init__(source)
+
+    def seek(self, rng: Range, columns: Columns = None) -> None:
+        self._cells = (cell
+                       for batch in self._stage(batches(self._source, 1))
+                       for cell in batch.cells())
+        super().seek(rng, columns)
+
+    def _advance_to_top(self) -> None:
+        self._top = next(self._cells, None)
+
+
+class VisibilityFilterIterator(StageIterator):
+    """Server-side cell-level security: drop cells whose visibility
+    expression the scan's authorizations cannot satisfy."""
+
+    def __init__(self, source: SortedKVIterator, auths):
+        super().__init__(source, visibility_stage(auths))
+
+
+class VersioningIterator(StageIterator):
+    """Keep the ``max_versions`` newest timestamps per logical cell
+    (Accumulo's default table iterator, max_versions=1)."""
+
+    def __init__(self, source: SortedKVIterator, max_versions: int = 1):
+        super().__init__(source, versions_stage(max_versions))
+
+
+class CombinerIterator(StageIterator):
+    """Fold all versions of a logical cell into one value with a binary
+    reduce on decoded numbers — Accumulo's Combiner family.  With a
+    ``plus`` reduce this is the SummingCombiner that gives Graphulo its
+    ⊕ accumulation on writes (duplicate inserts *combine*, they don't
+    overwrite)."""
+
+    def __init__(self, source: SortedKVIterator,
+                 reduce_fn: Callable[[float, float], float]):
+        super().__init__(source, combiner_stage(reduce_fn))
+
+
+#: the built-in combiners by name (⊕ = + | min | max): the ``combiner``
+#: op's vocabulary, and the only table iterators a remote table's
+#: config may name
+COMBINERS = {name: Layer(combiner_stage(fn), {"op": "combiner", "fn": name},
+                         reduce_fn=fn)
+             for name, fn in (("sum", operator.add), ("min", min),
+                              ("max", max))}
+SummingCombiner = COMBINERS["sum"]
+MinCombiner = COMBINERS["min"]
+MaxCombiner = COMBINERS["max"]
+
+
+class ColumnFilterIterator(StageIterator):
     """Filter to an explicit qualifier set (server-side column
     projection beyond the seek-time filter)."""
 
     def __init__(self, source: SortedKVIterator, qualifiers: Iterable[str]):
-        quals = frozenset(qualifiers)
-        super().__init__(source, lambda c: c.key.qualifier in quals)
+        super().__init__(source, column_stage(qualifiers))
 
 
-class RegexFilterIterator(PredicateFilterIterator):
+class RegexFilterIterator(StageIterator):
     """Keep cells whose row / qualifier / value match the given regexes
     (Accumulo's RegExFilter).  ``None`` fields match everything."""
 
     def __init__(self, source: SortedKVIterator, row: str = None,
                  qualifier: str = None, value: str = None):
-        import re
-
-        row_re = re.compile(row) if row else None
-        qual_re = re.compile(qualifier) if qualifier else None
-        val_re = re.compile(value) if value else None
-
-        def pred(cell: Cell) -> bool:
-            if row_re and not row_re.search(cell.key.row):
-                return False
-            if qual_re and not qual_re.search(cell.key.qualifier):
-                return False
-            if val_re and not val_re.search(cell.value):
-                return False
-            return True
-
-        super().__init__(source, pred)
+        super().__init__(source, regex_stage(row, qualifier, value))
 
 
-class AgeOffIterator(PredicateFilterIterator):
+class AgeOffIterator(StageIterator):
     """Drop cells whose timestamp is ≤ ``cutoff`` (Accumulo's AgeOff
     filter against the tablet's logical clock) — retention policy as an
     iterator, applied at scan *and* made permanent by compaction."""
 
     def __init__(self, source: SortedKVIterator, cutoff: int):
-        super().__init__(source, lambda c: c.key.timestamp > cutoff)
+        super().__init__(source, age_off_stage(cutoff))
 
 
-class RowReduceIterator(_WrappingIterator):
+class RowReduceIterator(StageIterator):
     """Fold every cell of a row into ONE output cell — the Reduce/fold
     terminal of an iterator stack (Graphulo's server-side aggregation,
-    e.g. degree computation: one ``deg`` cell per vertex row).
-
-    ``op`` is a monoid name ("sum" | "min" | "max"); ``count=True``
-    folds cell *counts* instead of decoded values (out-degree vs
-    weighted degree).  The output key is deterministic so local and
-    remote stacks stay bit-identical: the source row, the configured
-    output family/qualifier, empty visibility, and the *maximum*
-    timestamp seen in the row group.
-    """
-
-    _OPS = {"sum": lambda a, b: a + b, "min": min, "max": max}
+    e.g. degree computation: one ``deg`` cell per vertex row).  See
+    :func:`reduce_stage` for the arguments and the output key."""
 
     def __init__(self, source: SortedKVIterator, op: str = "sum",
                  family: str = "", qualifier: str = "deg",
                  count: bool = False):
-        if op not in self._OPS:
-            raise ValueError(
-                f"unknown reduce op {op!r}; known: {sorted(self._OPS)}")
-        self._op = self._OPS[op]
-        self._family = family
-        self._qualifier = qualifier
-        self._count = count
-        super().__init__(source)
-
-    def _advance_to_top(self) -> None:
-        src = self._source
-        if not src.has_top():
-            self._top = None
-            return
-        first = src.top()
-        src.advance()
-        row = first.key.row
-        acc = 1.0 if self._count else decode_number(first.value)
-        max_ts = first.key.timestamp
-        while src.has_top() and src.top().key.row == row:
-            cell = src.top()
-            src.advance()
-            nxt = 1.0 if self._count else decode_number(cell.value)
-            acc = self._op(acc, nxt)
-            if cell.key.timestamp > max_ts:
-                max_ts = cell.key.timestamp
-        self._top = Cell(Key(row, self._family, self._qualifier, "",
-                             max_ts), encode_number(acc))
+        super().__init__(source, reduce_stage(op, family, qualifier, count))
 
 
-class ApplyIterator(_WrappingIterator):
+class ApplyIterator(StageIterator):
     """Transform each cell's numeric value with a unary function — the
     GraphBLAS Apply kernel executed server-side (Graphulo ApplyIterator)."""
 
     def __init__(self, source: SortedKVIterator,
                  fn: Callable[[float], float], drop_zero: bool = True):
-        self._fn = fn
-        self._drop_zero = drop_zero
-        super().__init__(source)
-
-    def _advance_to_top(self) -> None:
-        src = self._source
-        while src.has_top():
-            cell = src.top()
-            src.advance()
-            out = self._fn(decode_number(cell.value))
-            if self._drop_zero and out == 0:
-                continue
-            self._top = Cell(cell.key, encode_number(out))
-            return
-        self._top = None
+        super().__init__(source, apply_stage(fn, drop_zero))

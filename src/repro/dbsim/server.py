@@ -13,7 +13,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dbsim.key import Range
+from repro.dbsim.key import Range, RangeSet, clip_ranges, covering
 from repro.dbsim.stats import OpStats
 from repro.dbsim.tablet import IteratorFactory, Tablet
 from repro.obs.metrics import MetricsRegistry, global_registry
@@ -223,6 +223,21 @@ class Instance:
             if tablet.extent.clip(rng) is not None:
                 out.append(tablet)
         return out
+
+    def scan_columns(self, name: str, rng: RangeSet = Range(),
+                     columns=None, scan_iterators: Sequence = ()):
+        """Bulk columnar scan of ``rng`` — a range, or a sorted,
+        disjoint range set — across the table's tablets, in global key
+        order: each overlapping tablet's ``scan_columns`` under the
+        table's configured layers, chained."""
+        ranges = clip_ranges(rng, Range())  # a lone Range → a set of one
+        if not ranges:
+            return iter(())
+        table_iterators = self.config(name).table_iterators
+        return (batch
+                for tablet in self.tablets_for_range(name, covering(ranges))
+                for batch in tablet.scan_columns(
+                    ranges, columns, table_iterators, scan_iterators))
 
     # -- maintenance ----------------------------------------------------------------
 

@@ -1,11 +1,20 @@
 """Tablets: the unit of storage and of server-side iteration.
 
 A tablet owns a row-range *extent*, a memtable, and a stack of immutable
-sorted runs.  Scans build the canonical Accumulo stack:
+sorted runs.  A scan runs the canonical Accumulo stack:
 
     memtable + sstables, each sliced to the scan's row ranges and
-    merged → tombstones → VersioningIterator → table-configured
-    iterators (combiners/filters) → scan-time iterators
+    merged → tombstones → versioning → table-configured layers
+    (combiners/filters) → scan-time layers
+
+in one of two forms, chosen by what the layers are.  When every table
+and scan layer carries a batch stage (see
+:class:`~repro.dbsim.iterators.Layer`), :meth:`Tablet.scan_columns`
+feeds its fused storage pass through the stages and builds no per-cell
+object.  The first opaque callable — a user's ``lambda src: ...`` —
+sends the whole scan down the per-cell ``SortedKVIterator`` stack
+(:meth:`Tablet.scan_iterator`), which is also the reference the staged
+form is tested against.
 
 Minor compactions (flush) move the memtable into a new run when it
 exceeds ``flush_bytes``; full compactions merge all runs through the
@@ -27,6 +36,7 @@ from repro.dbsim.iterators import (
     SortedKVIterator,
     VersioningIterator,
     _column_match,
+    batches,
     drain,
 )
 from repro.dbsim.errors import ServerCrashedError
@@ -94,20 +104,13 @@ def _merge_runs(runs: List[List[Cell]]) -> List[Cell]:
     return merged
 
 
-def _fused_reduce(table_iterators: Sequence[IteratorFactory],
-                  scan_iterators: Sequence[IteratorFactory] = ()):
-    """Can the fused pass stand in for this iterator stack, and with
-    which ⊕?  ``(True, None)`` for a plain table, ``(True, reduce_fn)``
-    when the table's only iterator is a built-in combiner (recognised
-    by the ``reduce_fn`` its factory carries), ``(False, None)`` for
-    anything else — scan iterators, foreign or stacked table
-    iterators — which needs the per-cell stack."""
-    if scan_iterators or len(table_iterators) > 1:
-        return False, None
+def _fused_reduce(table_iterators: Sequence[IteratorFactory]):
+    """The ⊕ the storage pass folds by itself: the first table layer's,
+    when that layer is a built-in combiner (recognised by the
+    ``reduce_fn`` it carries); else ``None``."""
     if not table_iterators:
-        return True, None
-    reduce_fn = getattr(table_iterators[0], "reduce_fn", None)
-    return reduce_fn is not None, reduce_fn
+        return None
+    return getattr(table_iterators[0], "reduce_fn", None)
 
 
 class Tablet:
@@ -461,37 +464,49 @@ class Tablet:
                      scan_iterators: Sequence[IteratorFactory] = (),
                      batch_cells: int = 2048, sink=None):
         """Bulk columnar read of one range or a sorted, disjoint range
-        set: drain the merged stack straight into
-        :class:`~repro.net.cells.ColumnBatch`\\ es of up to
-        ``batch_cells`` entries, never materialising per-cell objects.
+        set: :class:`~repro.net.cells.ColumnBatch`\\ es in key order.
 
-        The runs are **sliced eagerly** (so a server can do that part
-        under its service lock), then a generator yields the batches.
-        The per-cell ``_CrashGuardIterator`` wrapper is bypassed — the
-        crash flag is re-checked once per batch, which preserves the
-        contract (a crash mid-scan surfaces as
-        :class:`ServerCrashedError` on the next batch) without paying a
-        wrapper call per cell.
+        One rule, read off the layers: when every table and scan layer
+        carries a batch ``stage``, the fused storage pass (column skip
+        → tombstones → versioning → the fold of a leading built-in
+        combiner, see :func:`_fused_reduce`) feeds the remaining
+        layers' stages and no per-cell object is built; the first
+        opaque callable sends the whole scan down the per-cell stack
+        of :meth:`scan_iterator`, re-batched at the top.
 
-        Plain tables and tables whose only iterator is a built-in
-        combiner skip the per-cell stack entirely (see
-        :func:`_fused_reduce`); any other layer falls back to it.
+        The runs are **sliced eagerly**, before this returns (so a
+        caller sees the data as of the call), then a generator yields
+        the batches — of up to ``batch_cells`` entries, fewer where a
+        stage dropped or folded some.  The crash flag is re-checked
+        once per storage batch: a crash mid-scan surfaces as
+        :class:`ServerCrashedError` on the next one.
         """
         self._check_up()
         ranges = clip_ranges(rng, self.extent)
         if not ranges:
             return iter(())
-        fused, reduce_fn = _fused_reduce(table_iterators, scan_iterators)
-        if fused:
-            self._bump_aux("scans_fused")
-            runs = self._sliced_runs(ranges, sink)
-            return self._drain_columns_fused(
-                runs, columns, reduce_fn, batch_cells,
-                sink if sink is not None else self._sink)
-        self._bump_aux("scans_stack")
-        stack = self._stack(ranges, table_iterators, scan_iterators, sink)
-        stack.seek(covering(ranges), columns)
-        return self._drain_columns(stack, batch_cells)
+        stages = [getattr(layer, "stage", None)
+                  for layer in (*table_iterators, *scan_iterators)]
+        if None in stages:
+            stack = self.scan_iterator(ranges, table_iterators,
+                                       scan_iterators, sink)
+            stack.seek(covering(ranges), columns)
+            return batches(stack, batch_cells)
+        self._bump_aux("scans_fused")
+        reduce_fn = _fused_reduce(table_iterators)
+        out = self._drain_columns_fused(
+            self._sliced_runs(ranges, sink), columns, reduce_fn, batch_cells,
+            sink if sink is not None else self._sink)
+        for stage in stages[reduce_fn is not None:]:
+            out = stage(out)
+        return out if self.server is None else self._hosted(out)
+
+    def _hosted(self, batches):
+        """Mark each batch as coming from a hosted tablet: an open
+        scan dies with its server (see ``ColumnBatch.alive``)."""
+        for batch in batches:
+            batch.alive = self._check_up
+            yield batch
 
     def _sliced_runs(self, ranges: Sequence[Range],
                      sink=None) -> List[List[Cell]]:
@@ -623,40 +638,6 @@ class Tablet:
             yield ColumnBatch(rows, fams, quals, viss, array("q", ts),
                               [False] * n, vals)
 
-    def _drain_columns(self, stack: SortedKVIterator, batch_cells: int):
-        from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
-
-        check_up = self._check_up
-        has_top, top, advance = stack.has_top, stack.top, stack.advance
-        while True:
-            check_up()
-            rows: List[str] = []
-            fams: List[str] = []
-            quals: List[str] = []
-            viss: List[str] = []
-            ts: List[int] = []
-            dels: List[bool] = []
-            vals: List[str] = []
-            n = 0
-            while n < batch_cells and has_top():
-                cell = top()
-                key = cell.key
-                rows.append(key.row)
-                fams.append(key.family)
-                quals.append(key.qualifier)
-                viss.append(key.visibility)
-                ts.append(key.timestamp)
-                dels.append(key.delete)
-                vals.append(cell.value)
-                n += 1
-                advance()
-            if not n:
-                return
-            yield ColumnBatch(rows, fams, quals, viss, array("q", ts),
-                              dels, vals)
-            if n < batch_cells:
-                return
-
     # -- maintenance ------------------------------------------------------------
 
     def compact(self, table_iterators: Sequence[IteratorFactory] = ()) -> None:
@@ -673,11 +654,12 @@ class Tablet:
             sp.set(entries_out=self.entry_estimate())
 
     def _compact(self, table_iterators: Sequence[IteratorFactory]) -> None:
-        fused, reduce_fn = _fused_reduce(table_iterators)
-        if fused:
-            # the same fused drain a scan takes, run with both sinks;
-            # the new run (sorted by construction) keeps every stored
-            # cell whose value the fold left as it was
+        reduce_fn = _fused_reduce(table_iterators)
+        if len(table_iterators) == (reduce_fn is not None):
+            # a plain table, or one whose only layer is a built-in
+            # combiner: the same fused drain a scan takes, run with
+            # both sinks; the new run (sorted by construction) keeps
+            # every stored cell whose value the fold left as it was
             stored: List[Cell] = []
             values = [value for batch in self._drain_columns_fused(
                 self._sliced_runs((self.extent,)), None, reduce_fn,

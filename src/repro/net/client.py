@@ -54,11 +54,18 @@ import random
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import takewhile
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.dbsim.client import Connector
 from repro.dbsim.errors import BusyError, NotHostedError, ServerCrashedError
-from repro.dbsim.iterators import Columns, ListIterator, SortedKVIterator, drain
+from repro.dbsim.iterators import (
+    Columns,
+    ListIterator,
+    SortedKVIterator,
+    _WrappingIterator,
+    drain,
+)
 from repro.dbsim.key import Cell, Range, RangeSet, clip_ranges, covering
 from repro.dbsim.server import TableConfig
 from repro.dbsim.stats import OpStats
@@ -329,6 +336,28 @@ _SCAN_FANOUT = 3
 _SPLICE_WAIT = 0.01
 
 
+def _ship(scan_iterators: Sequence) -> Tuple[dict, tuple]:
+    """Split a scan's layers at the wire: ``(SCAN payload fields,
+    layers left to run on this side)``.
+
+    The leading layers that carry a wire form (``op``, see
+    :class:`~repro.dbsim.iterators.Layer`) can run inside the tablet
+    server.  They ship — the spec ops as the payload's ``"iterspec"``,
+    the visibility filter's tokens as its ``"auths"`` — when they hold
+    at least one spec op.  A lone visibility filter ships nothing and
+    runs here: a spec-less SCAN is the plain payload it always was."""
+    ops = [layer.op for layer in takewhile(
+        lambda layer: getattr(layer, "op", None), scan_iterators)]
+    spec = [op for op in ops if op["op"] != "visibility"]
+    if not spec:
+        return {}, tuple(scan_iterators)
+    pushdown = {"iterspec": spec}
+    for op in ops:
+        if op["op"] == "visibility":
+            pushdown["auths"] = op["auths"]
+    return pushdown, tuple(scan_iterators[len(ops):])
+
+
 class _Segment:
     """One (server, tablet) leg of a possibly re-planned scan.
 
@@ -412,18 +441,14 @@ class _RemoteScanStream:
 
     def __init__(self, inst: "RemoteInstance", table: str,
                  ranges: Sequence[Range], segments: Sequence[_Segment],
-                 iterspec=None, auths=None):
+                 pushdown: Optional[dict] = None):
         self._inst = inst
         self._table = table
         #: construction range set (∩ proxy extent if per-tablet)
         self._clip = ranges
-        #: wire-form push-down spec attached to every segment open
-        #: (validated client-side up front — a bad spec fails here, not
-        #: as an ERROR frame N segments into the scan)
-        self._iterspec = _iterspec.as_wire(iterspec)
-        #: scan authorizations shipped with the spec so the server can
-        #: run its visibility filter *under* the pushed-down chain
-        self._auths = list(auths) if auths is not None else None
+        #: SCAN payload fields of the pushed-down layers, attached to
+        #: every segment open (see :func:`_ship`)
+        self._pushdown = pushdown or {}
         self._home = list(segments)  # the layout the pump was planned on
         self._segments: List[_Segment] = []
         self._ranges: Sequence[Range] = ()  # what the last reset asked for
@@ -477,10 +502,7 @@ class _RemoteScanStream:
             "resume": self._resume,
             "compress": self._inst.compress,
         }
-        if self._iterspec is not None:
-            payload["iterspec"] = self._iterspec
-            if self._auths is not None:
-                payload["auths"] = self._auths
+        payload.update(self._pushdown)
         tc = None
         if _trace.ENABLED:
             # detached: a scan stream stays open across iterator pulls,
@@ -700,50 +722,29 @@ class _RemoteScanStream:
             pass
 
 
-class _RemoteScanIterator(SortedKVIterator):
-    """Per-cell seek/has_top/top/advance view over the batch pump.
+class _RemoteScanIterator(_WrappingIterator):
+    """Per-cell seek/has_top/top/advance view over the batch pump: the
+    pump moves ColumnBatches, and cells are built one batch at a time
+    only because this consumer asked for ``Cell`` objects.  Bulk
+    consumers skip this class via :meth:`TabletProxy.scan_columns`.
 
-    This is now a *thin materializing layer*: the pump moves
-    ColumnBatches; cells are built lazily one batch at a time, only
-    because this consumer genuinely wants ``Cell`` objects.  Bulk
-    consumers skip this class entirely via
-    :meth:`TabletProxy.scan_columns`.
-
-    Client-side scan iterators (visibility filter, user iterators) are
-    layered on top by :meth:`TabletProxy.scan_iterator`; the cells seen
-    here are post-versioning server output.
+    The layers left to run client-side (visibility filter, user
+    iterators) are stacked on top by :meth:`TabletProxy.scan_iterator`;
+    the cells seen here are the server's output.
     """
 
-    def __init__(self, inst: "RemoteInstance", table: str,
-                 ranges: Sequence[Range], segments: Sequence[_Segment],
-                 iterspec=None, auths=None):
-        self._pump = _RemoteScanStream(inst, table, ranges, segments,
-                                       iterspec=iterspec, auths=auths)
-        self._cells: List[Cell] = []
-        self._pos = 0
+    def __init__(self, pump: _RemoteScanStream):
+        self._cells: Iterator[Cell] = iter(())
+        super().__init__(pump)
 
     def seek(self, rng: Range, columns: Columns = None) -> None:
-        self._pump.reset(rng, columns)
-        self._cells = []
-        self._pos = 0
+        self._source.reset(rng, columns)
+        self._cells = (cell for batch in iter(self._source.next_batch, None)
+                       for cell in batch.cells())
+        self._advance_to_top()
 
-    def has_top(self) -> bool:
-        while self._pos >= len(self._cells):
-            batch = self._pump.next_batch()
-            if batch is None:
-                return False
-            self._cells = batch.cells()
-            self._pos = 0
-        return True
-
-    def top(self) -> Cell:
-        if not self.has_top():
-            raise StopIteration("iterator exhausted")
-        return self._cells[self._pos]
-
-    def advance(self) -> None:
-        if self.has_top():
-            self._pos += 1
+    def _advance_to_top(self) -> None:
+        self._top = next(self._cells, None)
 
 
 # -- the backend ------------------------------------------------------------
@@ -773,60 +774,43 @@ class TabletProxy:
 
     def scan_iterator(self, rng: RangeSet,
                       table_iterators: Sequence = (),
-                      scan_iterators: Sequence = (),
-                      iterspec=None, auths=None) -> SortedKVIterator:
+                      scan_iterators: Sequence = ()) -> SortedKVIterator:
         # table_iterators are deliberately ignored: the server applies
         # the table's configured stack (it owns the authoritative
-        # config); scan-time iterators run client-side over the stream,
-        # while ``iterspec`` ships to the server and runs inside the
-        # tablet's SortedKVIterator stack (push-down).
+        # config).  Of the scan layers, the leading ones with a wire
+        # form ship to the server (push-down, see _ship); the rest run
+        # client-side, per cell, over the stream.
         ranges = clip_ranges(rng, self.extent)
         if not ranges:
             return ListIterator([])
-        stack: SortedKVIterator = _RemoteScanIterator(
+        pushdown, here = _ship(scan_iterators)
+        stack: SortedKVIterator = _RemoteScanIterator(_RemoteScanStream(
             self._inst, self._table, ranges,
-            [_Segment(self.addr, self.tablet_id, self.extent)],
-            iterspec=iterspec, auths=auths)
-        for factory in scan_iterators:
+            [_Segment(self.addr, self.tablet_id, self.extent)], pushdown))
+        for factory in here:
             stack = factory(stack)
         return stack
 
     def scan_columns(self, rng: RangeSet = Range(), columns: Columns = None,
                      table_iterators: Sequence = (),
-                     scan_iterators: Sequence = (), iterspec=None,
-                     auths=None):
-        """Bulk columnar read: a generator of
+                     scan_iterators: Sequence = ()):
+        """Bulk columnar read: an iterator of
         :class:`~repro.net.cells.ColumnBatch` straight off the CHUNK
         stream — no per-cell objects anywhere on the client.
 
         ``table_iterators`` are ignored for the same reason as in
-        :meth:`scan_iterator` (the server applies the authoritative
-        table stack); scan-time iterators are per-cell by contract and
-        therefore unsupported on the bulk path — push a spec down via
-        ``iterspec`` instead (the server folds its stream before the
-        bytes hit the socket, framing stays columnar).
+        :meth:`scan_iterator`.  Scan layers ship or run here as batch
+        stages; an opaque callable is per-cell by contract and
+        therefore refused on the bulk path.
         """
-        if scan_iterators:
-            raise _iterspec.NonSerializableIteratorError(
-                "scan_columns cannot run client-side (local-callable) "
-                "scan iterators; pass a wire-serializable iterspec, or "
-                "use scan_iterator() for per-cell stacks")
-        ranges = clip_ranges(rng, self.extent)
-        if not ranges:
-            return iter(())
-        pump = _RemoteScanStream(
-            self._inst, self._table, ranges,
-            [_Segment(self.addr, self.tablet_id, self.extent)],
-            iterspec=iterspec, auths=auths)
-        pump.reset(self.extent, columns)
-        return iter(pump.next_batch, None)
+        return self._inst.scan_columns(
+            self._table, clip_ranges(rng, self.extent), columns,
+            scan_iterators)
 
     def scan(self, rng: Range = Range(), columns: Columns = None,
              table_iterators: Sequence = (),
-             scan_iterators: Sequence = (), iterspec=None,
-             auths=None) -> List[Cell]:
-        it = self.scan_iterator(rng, table_iterators, scan_iterators,
-                                iterspec=iterspec, auths=auths)
+             scan_iterators: Sequence = ()) -> List[Cell]:
+        it = self.scan_iterator(rng, table_iterators, scan_iterators)
         return drain(it, rng, columns)
 
     # -- writes -----------------------------------------------------------
@@ -1092,22 +1076,28 @@ class RemoteInstance:
         return out
 
     def scan_columns(self, table: str, rng: RangeSet = Range(),
-                     columns: Columns = None, iterspec=None, auths=None):
-        """Native bulk columnar scan: ONE pump spanning every tablet
-        that ``rng`` — a range, or a sorted, disjoint range set —
-        reaches into, yielding
-        :class:`~repro.net.cells.ColumnBatch`\\ es in global key order.
+                     columns: Columns = None,
+                     scan_iterators: Sequence = ()):
+        """Bulk columnar scan: ONE pump spanning every tablet that
+        ``rng`` — a range, or a sorted, disjoint range set — reaches
+        into, yielding :class:`~repro.net.cells.ColumnBatch`\\ es in
+        global key order.
 
-        This is the fabric's preferred bulk read path — the pump fans
-        out stream opens across the tablets' servers so they scan in
-        parallel, where the per-tablet ``TabletProxy.scan_columns``
-        necessarily pays a serial open-and-drain round per tablet.
-        ``Scanner.scan_columns`` and a coalesced
-        ``BatchScanner.scan_columns`` dispatch here when the backend
-        offers it (client-side visibility filtering stays with the
-        caller).  ``iterspec`` pushes a validated iterator stack into
-        every tablet server the pump touches — each server filters and
-        folds its own merged stream before bytes hit the socket."""
+        The pump fans out stream opens across the tablets' servers so
+        they scan in parallel, where the per-tablet
+        ``TabletProxy.scan_columns`` necessarily pays a serial
+        open-and-drain round per tablet.  The scan layers that can
+        cross the wire (see :func:`_ship`) run inside every tablet
+        server the pump touches — each filters and folds its own merged
+        stream before bytes hit the socket — and the rest run here, as
+        batch stages; an opaque callable is refused."""
+        pushdown, here = _ship(scan_iterators)
+        stages = [getattr(layer, "stage", None) for layer in here]
+        if None in stages:
+            raise _iterspec.NonSerializableIteratorError(
+                "scan_columns cannot run client-side (local-callable) "
+                "scan iterators; pass a wire-serializable iterspec, or "
+                "use scan_iterator() for per-cell stacks")
         # no extent to clip to: this just makes a lone Range a set of
         # one and drops a range that can hold nothing
         ranges = clip_ranges(rng, Range())
@@ -1117,10 +1107,12 @@ class RemoteInstance:
         pump = _RemoteScanStream(
             self, table, ranges,
             [_Segment(p.addr, p.tablet_id, p.extent)
-             for p in self.tablets_for_range(table, span)],
-            iterspec=iterspec, auths=auths)
+             for p in self.tablets_for_range(table, span)], pushdown)
         pump.reset(span, columns)
-        return iter(pump.next_batch, None)
+        out = iter(pump.next_batch, None)
+        for stage in stages:  # what did not ship runs here, on batches
+            out = stage(out)
+        return out
 
     # -- maintenance ------------------------------------------------------
 

@@ -6,17 +6,20 @@ module is the spec language that makes that safe over RPC: a scan
 request may attach a declarative, validated description of an iterator
 chain — column projection, regex / numeric-predicate / age-off
 filters, versioning limits, the Summing/Min/Max combiners, named Apply
-ops, and a Reduce/fold terminal — and the server constructs the
-matching :mod:`repro.dbsim.iterators` chain from a whitelist of op
-names.  **No code ever crosses the wire**: the spec is plain JSON
+ops, and a Reduce/fold terminal — and the server builds the
+matching chain of :mod:`repro.dbsim.iterators` layers from a whitelist
+of op names.  **No code ever crosses the wire**: the spec is plain JSON
 (a list of ``{"op": name, ...}`` dicts), every name and argument is
 validated on both ends, and anything outside the whitelist is rejected
 with a typed :class:`IterSpecError` before a stack is built.
 
-Because both backends build the chain from the *same* factories, a
-spec executed server-side is bit-identical (timestamps included) to
-the client-side execution of the equivalent iterators — the contract
-the test suite enforces under fault injection.
+Each op builds one :class:`~repro.dbsim.iterators.Layer` — the batch
+stage that implements it, plus its wire form — and
+:func:`scan_layers` is the one place a scan's layer tuple is put
+together, for the local client and the tablet server alike.  Both then
+make the same ``Tablet.scan_columns`` call with it, so a spec executed
+server-side is bit-identical (timestamps included) to its in-process
+execution — the contract the test suite enforces under fault injection.
 
 Spec grammar (wire form — ``IterSpec.to_wire()`` / ``from_wire()``)::
 
@@ -40,23 +43,21 @@ from __future__ import annotations
 
 import operator
 import re
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dbsim.iterators import (
-    AgeOffIterator,
-    ApplyIterator,
-    ColumnFilterIterator,
-    MaxCombiner,
-    MinCombiner,
-    PredicateFilterIterator,
-    RegexFilterIterator,
-    RowReduceIterator,
-    SortedKVIterator,
-    VersioningIterator,
-    SummingCombiner,
+    COMBINERS,
+    Layer,
+    age_off_stage,
+    apply_stage,
+    column_stage,
+    reduce_stage,
+    regex_stage,
+    select_stage,
+    versions_stage,
+    visibility_stage,
 )
-
-IteratorFactory = Callable[[SortedKVIterator], SortedKVIterator]
 
 
 class IterSpecError(ValueError):
@@ -89,12 +90,14 @@ APPLY_OPS: Dict[str, Tuple[int, Callable[..., Callable[[float], float]]]] = {
     "clip": (2, lambda lo, hi: lambda v: min(max(v, lo), hi)),
 }
 
-_CMPS = {"gt": operator.gt, "ge": operator.ge, "lt": operator.lt,
-         "le": operator.le, "eq": operator.eq, "ne": operator.ne}
+#: cmp name → the operator with its operands swapped, so that
+#: ``_CMPS[cmp](threshold, value)`` is ``value <cmp> threshold`` and
+#: the threshold can be bound with ``partial``
+_CMPS = {"gt": operator.lt, "ge": operator.le, "lt": operator.gt,
+         "le": operator.ge, "eq": operator.eq, "ne": operator.ne}
 
 _MONOIDS = ("sum", "min", "max")
 
-_COMBINERS = {"sum": SummingCombiner, "min": MinCombiner, "max": MaxCombiner}
 
 
 # -- validation -------------------------------------------------------------
@@ -180,9 +183,9 @@ def _check_versions(op: dict) -> dict:
 
 def _check_combiner(op: dict) -> dict:
     fn = _want(op, "fn", str, "a combiner name")
-    if fn not in _COMBINERS:
+    if fn not in COMBINERS:
         raise IterSpecError(f"unknown combiner fn {fn!r}; "
-                            f"known: {sorted(_COMBINERS)}")
+                            f"known: {sorted(COMBINERS)}")
     return {"op": "combiner", "fn": fn}
 
 
@@ -235,52 +238,51 @@ _CHECKS = {
 }
 
 
-# -- factory builders -------------------------------------------------------
+# -- layer builders ---------------------------------------------------------
 
 
-def _numeric_pred(cmp: str, threshold: float) -> Callable:
-    fn = _CMPS[cmp]
+def _value_mask(cmp: str, threshold: float) -> Callable:
+    """The ``value_filter`` mask: ``float(value) <cmp> threshold``;
+    non-numeric values never satisfy a value cmp."""
+    test = partial(_CMPS[cmp], threshold)
 
-    def pred(cell) -> bool:
+    def one(value: str) -> bool:
         try:
-            val = float(cell.value)
-        except (TypeError, ValueError):
-            return False  # non-numeric cells never satisfy a value cmp
-        return fn(val, threshold)
+            return test(float(value))
+        except ValueError:
+            return False
 
-    return pred
+    def mask(batch):
+        try:  # the whole column at C speed when it is all numbers
+            return map(test, list(map(float, batch.values)))
+        except ValueError:
+            return map(one, batch.values)
+    return mask
 
 
-def _build(op: dict) -> IteratorFactory:
+def _build(op: dict) -> Layer:
     kind = op["op"]
-    if kind == "column":
-        quals = tuple(op["qualifiers"])
-        return lambda src: ColumnFilterIterator(src, quals)
-    if kind == "regex":
-        return lambda src: RegexFilterIterator(
-            src, row=op["row"], qualifier=op["qualifier"],
-            value=op["value"])
-    if kind == "value_filter":
-        pred = _numeric_pred(op["cmp"], op["threshold"])
-        return lambda src: PredicateFilterIterator(src, pred)
-    if kind == "age_off":
-        cutoff = op["cutoff"]
-        return lambda src: AgeOffIterator(src, cutoff)
-    if kind == "versions":
-        mv = op["max_versions"]
-        return lambda src: VersioningIterator(src, mv)
     if kind == "combiner":
-        return _COMBINERS[op["fn"]]
-    if kind == "apply":
-        arity, maker = APPLY_OPS[op["name"]]
-        fn = maker(*op["args"])
-        drop_zero = op["drop_zero"]
-        return lambda src: ApplyIterator(src, fn, drop_zero=drop_zero)
-    if kind == "reduce":
-        return lambda src: RowReduceIterator(
-            src, op=op["fn"], family=op["family"],
-            qualifier=op["qualifier"], count=op["count"])
-    raise IterSpecError(f"unknown op {kind!r}")  # pragma: no cover
+        return COMBINERS[op["fn"]]
+    if kind == "column":
+        stage = column_stage(op["qualifiers"])
+    elif kind == "regex":
+        stage = regex_stage(op["row"], op["qualifier"], op["value"])
+    elif kind == "value_filter":
+        stage = select_stage(_value_mask(op["cmp"], op["threshold"]))
+    elif kind == "age_off":
+        stage = age_off_stage(op["cutoff"])
+    elif kind == "versions":
+        stage = versions_stage(op["max_versions"])
+    elif kind == "apply":
+        _, maker = APPLY_OPS[op["name"]]
+        stage = apply_stage(maker(*op["args"]), op["drop_zero"])
+    elif kind == "reduce":
+        stage = reduce_stage(op["fn"], op["family"], op["qualifier"],
+                             op["count"])
+    else:
+        raise IterSpecError(f"unknown op {kind!r}")  # pragma: no cover
+    return Layer(stage, op)
 
 
 # -- the spec ---------------------------------------------------------------
@@ -298,9 +300,8 @@ class IterSpec:
                 .reduce("sum", qualifier="deg", count=True))
 
     ``to_wire()`` / ``from_wire()`` round-trip the JSON wire form;
-    ``build_factories()`` yields the ``scan_iterators`` factory tuple
-    both backends install — the same chain code either way, which is
-    what makes local and remote execution bit-identical.
+    ``build_factories()`` yields the ``scan_iterators`` tuple both
+    backends run — one stage-carrying layer per op.
     """
 
     __slots__ = ("ops",)
@@ -395,8 +396,9 @@ class IterSpec:
                                 f"op dicts, got {type(obj).__name__}")
         return cls(obj)
 
-    def build_factories(self) -> Tuple[IteratorFactory, ...]:
-        """The ``scan_iterators`` factory tuple this spec describes."""
+    def build_factories(self) -> Tuple[Layer, ...]:
+        """The ``scan_iterators`` tuple this spec describes: one
+        :class:`~repro.dbsim.iterators.Layer` per op."""
         return tuple(_build(op) for op in self.ops)
 
     # -- ergonomics ---------------------------------------------------------
@@ -443,9 +445,23 @@ def coerce(spec: Optional[Any]) -> Optional[IterSpec]:
     return IterSpec.from_wire(spec)
 
 
-def build_scan_iterators(obj: Any) -> Tuple[IteratorFactory, ...]:
-    """Server-side entry point: validate a wire form and return the
-    factory tuple to install as ``scan_iterators`` (empty for None)."""
+def build_scan_iterators(obj: Any) -> Tuple[Layer, ...]:
+    """Validate a wire form and return its layer tuple (empty for
+    None)."""
     if obj is None:
         return ()
     return IterSpec.from_wire(obj).build_factories()
+
+
+def scan_layers(auths, spec: Optional[Any] = None) -> Tuple[Layer, ...]:
+    """The stage-carrying layers of one scan, bottom-up: the visibility
+    filter for ``auths``, then the ops of ``spec`` (an
+    :class:`IterSpec`, a wire form, or ``None``) — visibility *below*
+    the spec, the Accumulo ordering (system filter below user
+    iterators), so a combiner or reduce never folds cells the scan may
+    not see.  The local client and the tablet server both build their
+    ``scan_iterators`` here."""
+    spec = coerce(spec)
+    visibility = Layer(visibility_stage(auths),
+                       {"op": "visibility", "auths": sorted(auths.tokens)})
+    return (visibility,) + (spec.build_factories() if spec else ())

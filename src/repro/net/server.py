@@ -31,10 +31,12 @@ id of the frame that opened it, so unary acks and several scans'
 ``CHUNK`` streams interleave freely on one socket.
 
 Every non-scan handler still runs under one per-service lock (a crash
-can never interleave halfway through a write batch), while scan
-*streaming* happens outside the lock over the stack's immutable
-snapshots — a concurrent crash surfaces mid-stream as a typed error
-frame via the tablet's crash guard.
+can never interleave halfway through a write batch).  A scan takes it
+only to find its tablet and slice the storage runs (private copies);
+merging them, the storage pass, a pushed-down spec's stages and the
+*streaming* all happen outside the lock — a concurrent crash surfaces
+mid-stream as a typed error frame via the tablet's per-batch crash
+check.
 
 Exactly-once writes: mutating requests carry ``(session, seq)``; the
 service keeps a bounded per-session window of sequence number →
@@ -60,10 +62,11 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
+from itertools import chain, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dbsim.errors import BusyError, NotHostedError
-from repro.dbsim.iterators import VisibilityFilterIterator
+from repro.dbsim.iterators import Layer
 from repro.dbsim.key import Key, Range, sorted_disjoint
 from repro.dbsim.server import TableConfig, TabletServer
 from repro.dbsim.sstable import SSTable
@@ -116,30 +119,13 @@ _SERVER_SPAN_NAMES = {code: f"rpc.server.{name}"
                       for code, name in wire.OP_NAMES.items()}
 
 
-class _CellCounter:
-    """Pass-through :class:`~repro.dbsim.iterators.SortedKVIterator`
-    installed *below* a pushed-down stack: counts every cell the chain
-    consumes, so ``cells_folded = consumed - emitted`` prices what the
-    push-down kept off the wire."""
-
-    __slots__ = ("_source", "count")
-
-    def __init__(self, source):
-        self._source = source
-        self.count = 0
-
-    def seek(self, rng, columns=None):
-        self._source.seek(rng, columns)
-
-    def has_top(self):
-        return self._source.has_top()
-
-    def top(self):
-        return self._source.top()
-
-    def advance(self):
-        self.count += 1
-        self._source.advance()
+def _binary(payload, op: str) -> wire.CellsPayload:
+    """``payload`` when it is the packed cell block ``op`` carries; a
+    JSON payload in its place is refused with a typed error."""
+    if not isinstance(payload, wire.CellsPayload):
+        raise ValueError(f"{op} takes a binary cell-block payload "
+                         f"(FLAG_CELLS), not JSON")
+    return payload
 
 
 class _ConnState:
@@ -604,46 +590,42 @@ class TabletServerService(_BaseService):
 
     # -- migration --------------------------------------------------------
 
-    def _migrate_out(self, p: dict) -> dict:
+    def _migrate_out(self, p: dict) -> wire.CellsPayload:
+        """The tablet's whole state as one cell block: memtable, WAL,
+        then each run, their lengths in the meta's ``sections``."""
         _, tablet = self._get(p)
-        state = {
-            "extent": wire.range_to_wire(tablet.extent),
-            "clock": tablet._clock,
-            "memtable": [wire.cell_to_wire(c)
-                         for c in tablet.memtable.snapshot()],
-            "wal": [wire.cell_to_wire(c) for c in tablet.wal],
-            "sstables": [[wire.cell_to_wire(c) for c in run.cells()]
-                         for run in tablet.sstables],
-        }
+        sections = [tablet.memtable.snapshot(), tablet.wal,
+                    *(run.cells() for run in tablet.sstables)]
+        state = wire.CellsPayload(
+            {"extent": wire.range_to_wire(tablet.extent),
+             "clock": tablet._clock,
+             "sections": [len(section) for section in sections]},
+            cells.cells_to_block(chain.from_iterable(sections)))
         self._unhost(p["tablet_id"])
-        return {"state": state}
+        return state
 
-    def _migrate_in(self, p: dict) -> dict:
-        config = wire.wire_to_config(p["config"]) or TableConfig()
-        self._configs[p["table"]] = config
-        state = p["state"]
-        tablet = Tablet(wire.wire_to_range(state["extent"]),
+    def _migrate_in(self, p) -> dict:
+        meta = _binary(p, "MIGRATE_IN").meta
+        config = wire.wire_to_config(meta["config"]) or TableConfig()
+        self._configs[meta["table"]] = config
+        tablet = Tablet(wire.wire_to_range(meta["extent"]),
                         config.max_versions, config.flush_bytes)
-        tablet._clock = state["clock"]
-        for run in state["sstables"]:
-            tablet.sstables.append(
-                SSTable([wire.wire_to_cell(c) for c in run],
-                        _presorted=True))
-        tablet.wal.extend(wire.wire_to_cell(c) for c in state["wal"])
-        tablet.memtable.extend([wire.wire_to_cell(c)
-                                for c in state["memtable"]])
-        self._host(p["table"], p["tablet_id"], tablet)
+        tablet._clock = meta["clock"]
+        state = iter(cells.block_to_cells(p.block))
+        memtable, wal, *runs = (list(islice(state, n))
+                                for n in meta["sections"])
+        for run in runs:
+            tablet.sstables.append(SSTable(run, _presorted=True))
+        tablet.wal.extend(wal)
+        tablet.memtable.extend(memtable)
+        self._host(meta["table"], meta["tablet_id"], tablet)
         return {}
 
     # -- data path --------------------------------------------------------
 
     def _write_batch(self, p) -> dict:
-        if isinstance(p, wire.CellsPayload):
-            meta = p.meta
-            muts = cells.decode_mutations(p.block)
-        else:  # JSON fallback (hand-rolled clients / old tooling)
-            meta = p
-            muts = [tuple(m) for m in p["mutations"]]
+        meta = _binary(p, "WRITE_BATCH").meta
+        muts = cells.decode_mutations(p.block)
         table, tablet = self._get(meta)
         extent = tablet.extent
         for mut in muts:
@@ -670,32 +652,26 @@ class TabletServerService(_BaseService):
         # block folded back under the service lock when it finishes
         scan_stats = OpStats()
         tablet = None
-        cell_counter: Optional[_CellCounter] = None
-        emitted = 0
+        entered = emitted = 0  # cells into / out of the pushed-down layers
+
+        def count_in(batches):
+            nonlocal entered
+            for batch in batches:
+                entered += len(batch)
+                yield batch
+
         try:
             # validate the push-down spec BEFORE touching the tablet: a
-            # bad spec is a typed IterSpecError frame, never a stack
-            spec_factories = _iterspec.build_scan_iterators(
-                p.get("iterspec"))
-            push: Tuple = ()
-            if spec_factories:
-                holder: List[_CellCounter] = []
-
-                def _counted(src, _h=holder):
-                    c = _CellCounter(src)
-                    _h.append(c)
-                    return c
-
-                # the scan's authorizations ride the payload alongside
-                # the spec: visibility filtering moves server-side and
-                # runs *under* the pushed-down chain, the Accumulo
-                # ordering (system visibility filter below user
-                # iterators) — a combiner/reduce must never fold cells
-                # the scan is not authorized to see
-                auths = Authorizations(p.get("auths") or ())
-                push = (_counted,
-                        (lambda src: VisibilityFilterIterator(src, auths)),
-                        ) + spec_factories
+            # bad spec is a typed IterSpecError frame, never a scan
+            spec = _iterspec.coerce(p.get("iterspec"))
+            # the scan's authorizations ride the payload alongside the
+            # spec, and scan_layers puts the visibility filter *under*
+            # the spec's ops — the very tuple the in-process client
+            # hands its tablets, plus a pass-through below it that
+            # prices what the push-down kept off the wire
+            push = ((Layer(count_in),) + _iterspec.scan_layers(
+                Authorizations(p.get("auths") or ()), spec)
+                if spec else ())
             # the tablet's share of the scan's range set — required (a
             # missing key is a typed KeyError frame), and a payload
             # still carrying the single "range" it replaced is refused
@@ -712,22 +688,17 @@ class TabletServerService(_BaseService):
             with self._lock:
                 table, tablet = self._get(p)
                 config = self._configs.get(table, TableConfig())
-                # columnar drain: the merged stack's cells go straight
-                # into ColumnBatch columns, and the CHUNK block is
-                # encoded from those columns — no List[Cell] staging,
-                # no cells_to_block re-walk.  A pushed-down stack makes
-                # the tablet fall back from the fused columnar runs to
-                # the per-cell iterator chain; framing stays columnar.
+                # the same call the in-process client makes: the runs
+                # are sliced here, under the lock; merging them, the
+                # storage pass and the layers' stages run as the
+                # batches are pulled, outside it.  The CHUNK block is
+                # encoded from each batch's columns — no Cell is built
                 batches = tablet.scan_columns(
-                    ranges, columns, config.table_iterators,
-                    scan_iterators=push,
+                    ranges, columns, config.table_iterators, push,
                     batch_cells=SCAN_CHUNK_CELLS, sink=scan_stats)
-            if spec_factories:
+            if spec:
                 counters("net.server.pushdown.stacks").inc()
-                counters("net.server.pushdown.ops").inc(
-                    len(spec_factories))
-                if holder:
-                    cell_counter = holder[0]
+                counters("net.server.pushdown.ops").inc(len(spec))
             resume = p.get("resume")
             skip_past = Key(*resume).sort_tuple() if resume else None
             scan_bytes = counters(f"net.server.table.{table}.scan_bytes")
@@ -795,9 +766,9 @@ class TabletServerService(_BaseService):
             self._respond(state, wire.ERROR, wire.error_payload(exc),
                           wire.SCAN, req)
         finally:
-            if cell_counter is not None:
+            if entered > emitted:
                 counters("net.server.pushdown.cells_folded").inc(
-                    max(0, cell_counter.count - emitted))
+                    entered - emitted)
             if tablet is not None and (scan_stats.seeks
                                        or scan_stats.entries_read):
                 with self._lock:
@@ -1042,10 +1013,10 @@ class ManagerService(_BaseService):
         if dname == entry.server:
             return
         state = self.core.mutate(entry.addr, wire.MIGRATE_OUT, {
-            "table": table, "tablet_id": entry.tablet_id})["state"]
-        self.core.mutate(daddr, wire.MIGRATE_IN, {
-            "table": table, "tablet_id": entry.tablet_id,
-            "config": self._tables[table], "state": state})
+            "table": table, "tablet_id": entry.tablet_id})
+        self.core.mutate(daddr, wire.MIGRATE_IN, wire.CellsPayload(
+            {**state.meta, "table": table, "tablet_id": entry.tablet_id,
+             "config": self._tables[table]}, state.block))
         entry.server, entry.addr = dname, daddr
 
     # -- fan-out ops ------------------------------------------------------

@@ -76,8 +76,8 @@ from repro.dbsim.errors import (
     ServerCrashedError,
     TabletServerError,
 )
-from repro.dbsim.iterators import MaxCombiner, MinCombiner, SummingCombiner
-from repro.dbsim.key import Cell, Key, Range
+from repro.dbsim.iterators import COMBINERS
+from repro.dbsim.key import Range
 from repro.dbsim.server import TableConfig
 from repro.net.iterspec import IterSpecError, NonSerializableIteratorError
 
@@ -428,18 +428,6 @@ def error_from_payload(payload: dict) -> BaseException:
 # -- value codecs -----------------------------------------------------------
 
 
-def cell_to_wire(cell: Cell) -> list:
-    k = cell.key
-    return [k.row, k.family, k.qualifier, k.visibility, k.timestamp,
-            k.delete, cell.value]
-
-
-def wire_to_cell(item: Sequence) -> Cell:
-    row, family, qualifier, visibility, timestamp, delete, value = item
-    return Cell(Key(row, family, qualifier, visibility, timestamp,
-                    delete=bool(delete)), value)
-
-
 def range_to_wire(rng: Range) -> list:
     return [rng.start_row, rng.stop_row]
 
@@ -448,32 +436,21 @@ def wire_to_range(item: Sequence) -> Range:
     return Range(item[0], item[1])
 
 
-#: the named table-iterator registry: the only iterator factories that
-#: may cross the wire.  User *scan* iterators (arbitrary callables)
-#: never need to — they run client-side — but *table* iterators run in
-#: the server's compaction and scan stacks, so a remote table config
-#: must name them.
-COMBINER_REGISTRY = {
-    "sum": SummingCombiner,
-    "min": MinCombiner,
-    "max": MaxCombiner,
-}
-_COMBINER_NAMES = {cls: name for name, cls in COMBINER_REGISTRY.items()}
-
-
 def config_to_wire(config: Optional[TableConfig]) -> Optional[dict]:
     if config is None:
         return None
     iterators: List[str] = []
     for factory in config.table_iterators:
-        name = _COMBINER_NAMES.get(factory)
-        if name is None:
+        # user *scan* iterators never need to cross the wire (they run
+        # client-side), but *table* iterators run in the server's scans
+        # and compactions, so a remote table config must name them
+        if factory not in COMBINERS.values():
             raise ValueError(
                 f"table iterator {factory!r} is not wire-serializable: "
                 f"remote tables support the named combiners "
-                f"{sorted(COMBINER_REGISTRY)} (attach arbitrary iterators "
+                f"{sorted(COMBINERS)} (attach arbitrary iterators "
                 f"at scan time instead — they run client-side)")
-        iterators.append(name)
+        iterators.append(factory.op["fn"])
     return {"max_versions": config.max_versions,
             "table_iterators": iterators,
             "flush_bytes": config.flush_bytes}
@@ -482,12 +459,12 @@ def config_to_wire(config: Optional[TableConfig]) -> Optional[dict]:
 def wire_to_config(item: Optional[dict]) -> Optional[TableConfig]:
     if item is None:
         return None
-    unknown = [n for n in item["table_iterators"] if n not in COMBINER_REGISTRY]
+    unknown = [n for n in item["table_iterators"] if n not in COMBINERS]
     if unknown:
         raise ValueError(f"unknown table iterator name(s) {unknown!r}; "
-                         f"known: {sorted(COMBINER_REGISTRY)}")
+                         f"known: {sorted(COMBINERS)}")
     return TableConfig(
         max_versions=item["max_versions"],
-        table_iterators=tuple(COMBINER_REGISTRY[n]
+        table_iterators=tuple(COMBINERS[n]
                               for n in item["table_iterators"]),
         flush_bytes=item["flush_bytes"])

@@ -8,6 +8,11 @@ timestamps, and the ``OpStats`` cost model (``seeks``,
 drives one through the built-in factory (fused) and one through an
 anonymous wrapper around it (which carries no ``reduce_fn`` and so
 takes the stack).
+
+The same holds one level up: scan layers that carry a batch stage (a
+pushed-down ``IterSpec``) run over the fused drain, and must match —
+cells, timestamps and every counter — the same layers hidden behind
+opaque wrappers, which send the scan down the per-cell stack.
 """
 
 import pytest
@@ -20,6 +25,7 @@ from repro.dbsim.iterators import (
 )
 from repro.dbsim.key import Range
 from repro.dbsim.tablet import Tablet
+from repro.net.iterspec import IterSpec
 from repro.obs.metrics import MetricsRegistry
 
 COMBINERS = [SummingCombiner, MinCombiner, MaxCombiner]
@@ -76,9 +82,11 @@ def _pair(factory, max_versions=2 ** 31):
     return out
 
 
-def _scan(tablet, its, rng=Range(), columns=None, batch_cells=7):
+def _scan(tablet, its, rng=Range(), columns=None, batch_cells=7,
+          scan_its=()):
     before = tablet.stats.snapshot()
     cells = [cell for batch in tablet.scan_columns(rng, columns, its,
+                                                   scan_its,
                                                    batch_cells=batch_cells)
              for cell in batch.cells()]
     delta = tablet.stats.delta(before)
@@ -149,6 +157,48 @@ class TestFusedCombinerScan:
         for row in ("r9", "r2", "r7"):
             assert _scan(fused, f_its, Range.exact_row(row)) == \
                 _scan(stack, s_its, Range.exact_row(row))
+
+
+@pytest.mark.parametrize("spec", [
+    IterSpec().value_ge(3.0),
+    IterSpec().reduce("sum"),
+    IterSpec().versions(1).combiner("sum"),
+], ids=repr)
+@pytest.mark.parametrize("table_its", [(), (SummingCombiner,)],
+                         ids=["plain", "sum-table"])
+class TestStagedSpecScan:
+    """A spec's layers as stages over the fused drain vs the very same
+    layers as per-cell iterators behind opaque wrappers."""
+
+    def _pair(self, table_its):
+        out = []
+        for _ in range(2):
+            tablet = Tablet(Range(), max_versions=2)
+            registry = MetricsRegistry()
+            tablet.bind_metrics(registry, "t")
+            _history(tablet)
+            out.append((tablet, registry))
+        return out
+
+    def test_cells_and_counters_identical_to_the_per_cell_path(
+            self, spec, table_its):
+        (staged, st_reg), (stack, sk_reg) = self._pair(table_its)
+        layers = spec.build_factories()
+        opaque = tuple(_stacked(layer) for layer in layers)
+        for rng, columns in ((Range(), None),
+                             (Range("r1", "r3"), [("f", "q1"), ("g", None)]),
+                             (Range.exact_row("r2"), None),
+                             (Range.exact_row("r9"), None),
+                             (Range.exact_row("r7"), None)):
+            got = _scan(staged, table_its, rng, columns, scan_its=layers)
+            want = _scan(stack, table_its, rng, columns, scan_its=opaque)
+            assert got == want, (rng, columns)  # cells, seeks, entries_read
+        st_aux, sk_aux = _aux(st_reg), _aux(sk_reg)
+        assert (st_aux["scans_fused"], st_aux["scans_stack"]) == (5, 0)
+        assert (sk_aux["scans_fused"], sk_aux["scans_stack"]) == (0, 5)
+        for name in ("bloom_hits", "bloom_misses", "index_seeks"):
+            assert st_aux[name] == sk_aux[name], name
+        assert st_aux["bloom_hits"] > 0 and st_aux["bloom_misses"] > 0
 
 
 class TestFusedFallback:

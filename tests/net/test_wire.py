@@ -287,10 +287,6 @@ class TestErrorFrames:
 
 
 class TestCodecs:
-    def test_cell_roundtrip(self):
-        cell = Cell(Key("r", "f", "q", "vis", 42, delete=True), "v")
-        assert wire.wire_to_cell(wire.cell_to_wire(cell)) == cell
-
     def test_range_roundtrip(self):
         for rng in (Range(), Range("a", "m"), Range(None, "z"),
                     Range("a", None)):
