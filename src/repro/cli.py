@@ -461,6 +461,10 @@ def _net_smoke(cluster, scale: int = 6, hops: int = 3) -> int:
         assoc_to_table(conn, a, "A", n_splits=4)
         got_bfs = table_bfs(conn, "A", [source], hops)
         got_cells = list(conn.scanner("A"))
+        # columnar canary: the bulk ColumnBatch path must materialise
+        # to the same cells (timestamps included) as the per-cell scan
+        got_columnar = [c for b in conn.scanner("A").scan_columns()
+                        for c in b.cells()]
         # push-down leg: degree maintenance (a server-side Reduce) and
         # a degree-filtered BFS through repro.net.iterspec must stay
         # bit-identical to the in-process backend, and a filtered scan
@@ -526,6 +530,7 @@ def _net_smoke(cluster, scale: int = 6, hops: int = 3) -> int:
 
     ok_bfs = got_bfs == want_bfs
     ok_cells = got_cells == want_cells
+    ok_columnar = got_columnar == want_cells
     ok_bytes = (client_sent > 0 and client_received > 0
                 and servers_sent and all(v > 0
                                          for v in servers_sent.values()))
@@ -533,13 +538,13 @@ def _net_smoke(cluster, scale: int = 6, hops: int = 3) -> int:
                    and got_filtered == want_filtered
                    and got_filtered == client_filtered
                    and pushed_rx < full_rx)
-    if ok_bfs and ok_cells and ok_bytes and ok_pushdown:
+    if ok_bfs and ok_cells and ok_columnar and ok_bytes and ok_pushdown:
         print(f"smoke OK: remote BFS from {source} "
               f"({hops} hops over {g.nrows} vertices), the "
-              f"{len(want_cells)}-cell table snapshot and the "
-              f"server-side push-down leg (degree "
+              f"{len(want_cells)}-cell table snapshot — per-cell and "
+              f"columnar — and the server-side push-down leg (degree "
               f"Reduce + filtered BFS) are bit-identical to the "
-              "in-process backend")
+              f"in-process backend")
         return 0
     problems = []
     if not ok_bfs:
@@ -547,6 +552,10 @@ def _net_smoke(cluster, scale: int = 6, hops: int = 3) -> int:
     if not ok_cells:
         problems.append(f"table snapshot mismatch "
                         f"({len(got_cells)} cells vs {len(want_cells)})")
+    if not ok_columnar:
+        problems.append(f"columnar scan snapshot mismatch "
+                        f"({len(got_columnar)} cells vs "
+                        f"{len(want_cells)})")
     if not ok_bytes:
         problems.append("wire byte accounting did not move "
                         f"(client sent={client_sent} "

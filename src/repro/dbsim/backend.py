@@ -19,8 +19,8 @@ Two protocols:
   that turns the same calls into RPCs.
 * :class:`ConnectorBackend` — the instance-wide surface: table
   lifecycle, the locate index used for client-side routing, the
-  columnar scan of a range set across a table's tablets, and the
-  merged OpStats cost model.
+  scan of a range set across a table's tablets (in column batches, or
+  the same batches cell by cell), and the merged OpStats cost model.
 
 Both are :func:`typing.runtime_checkable`, so ``isinstance(obj,
 ConnectorBackend)`` verifies structural conformance (method presence,
@@ -136,8 +136,13 @@ class ConnectorBackend(Protocol):
         disjoint range set) as
         :class:`~repro.net.cells.ColumnBatch`\\ es in global key order:
         every overlapping tablet's ``scan_columns``, under the table's
-        configured layers and the given scan layers.  A scan without
-        user callables — per cell or columnar — is this one call."""
+        configured layers and the given scan layers."""
+        ...
+
+    def scan_cells(self, name: str, rng: RangeSet = Range(),
+                   columns=None, scan_iterators: Sequence = ()):
+        """:meth:`scan_columns`, cell by cell — what ``for cell in
+        scanner`` runs when the scan carries no user callables."""
         ...
 
     # -- maintenance ------------------------------------------------------

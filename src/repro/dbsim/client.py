@@ -123,13 +123,8 @@ class _RangeSetScan:
     def _cells(self, ranges: Sequence[Range]) -> Iterator[Cell]:
         if not self._user_iterators:
             # the per-cell view is a thin layer over the batches
-            for batch in self._batches(ranges):
-                if batch.alive is None:
-                    yield from batch.cells()
-                    continue
-                for cell in batch.cells():
-                    batch.alive()  # a crashed server ends the scan here
-                    yield cell
+            yield from self._conn.instance.scan_cells(
+                self._table, ranges, self.columns, self._layers)
             return
         inst = self._conn.instance
         config = inst.config(self._table)

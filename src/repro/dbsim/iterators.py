@@ -518,25 +518,49 @@ class Layer:
         return StageIterator(source, self.stage)
 
 
-class StageIterator(_WrappingIterator):
-    """A batch stage seen through the seek/top/advance contract — the
-    one adapter behind every per-cell class below.  The source's cells
-    enter the stage as one-cell batches, each taken only when the
-    stage asks for it, so consumption stays cell-at-a-time."""
+class BatchIterator(_WrappingIterator):
+    """The cells of a batch stream, seen through the seek/top/advance
+    contract.  A subclass says where the batches come from."""
 
-    def __init__(self, source: SortedKVIterator, stage: Stage):
-        self._stage = stage
+    def __init__(self, source):
         self._cells: Iterator[Cell] = iter(())
         super().__init__(source)
 
+    def _open(self, rng: Range, columns: Columns) -> Iterator:
+        """Position the source; the ColumnBatches from there on."""
+        raise NotImplementedError
+
     def seek(self, rng: Range, columns: Columns = None) -> None:
-        self._cells = (cell
-                       for batch in self._stage(batches(self._source, 1))
+        self._cells = (cell for batch in self._open(rng, columns)
                        for cell in batch.cells())
-        super().seek(rng, columns)
+        self._advance_to_top()
 
     def _advance_to_top(self) -> None:
         self._top = next(self._cells, None)
+
+
+class StageIterator(BatchIterator):
+    """A batch stage behind the per-cell contract — the one adapter
+    under every per-cell class below.
+
+    The source's cells enter the stage in batches of up to
+    ``_READ_AHEAD``, each batch taken off the source only when the
+    stage asks for it.  Over another :class:`BatchIterator` the stage
+    takes that one's *batches*, so a run of k stage layers costs one
+    cell→batch and one batch→cell conversion, not k."""
+
+    _READ_AHEAD = 256
+
+    def __init__(self, source: SortedKVIterator, stage: Stage):
+        self._stage = stage
+        super().__init__(source)
+
+    def _open(self, rng: Range, columns: Columns) -> Iterator:
+        source = self._source
+        if isinstance(source, BatchIterator):
+            return self._stage(source._open(rng, columns))
+        source.seek(rng, columns)
+        return self._stage(batches(source, self._READ_AHEAD))
 
 
 class VisibilityFilterIterator(StageIterator):

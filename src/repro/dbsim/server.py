@@ -224,20 +224,37 @@ class Instance:
                 out.append(tablet)
         return out
 
-    def scan_columns(self, name: str, rng: RangeSet = Range(),
-                     columns=None, scan_iterators: Sequence = ()):
-        """Bulk columnar scan of ``rng`` — a range, or a sorted,
-        disjoint range set — across the table's tablets, in global key
-        order: each overlapping tablet's ``scan_columns`` under the
-        table's configured layers, chained."""
+    def _tablet_batches(self, name: str, rng: RangeSet, columns,
+                        scan_iterators: Sequence):
+        """``(tablet, batch)`` for each ColumnBatch of a scan of ``rng``
+        — a range, or a sorted, disjoint range set — across the table's
+        tablets, in global key order: each overlapping tablet's
+        ``scan_columns`` under the table's configured layers, chained."""
         ranges = clip_ranges(rng, Range())  # a lone Range → a set of one
         if not ranges:
-            return iter(())
+            return
         table_iterators = self.config(name).table_iterators
-        return (batch
-                for tablet in self.tablets_for_range(name, covering(ranges))
-                for batch in tablet.scan_columns(
-                    ranges, columns, table_iterators, scan_iterators))
+        for tablet in self.tablets_for_range(name, covering(ranges)):
+            for batch in tablet.scan_columns(ranges, columns,
+                                             table_iterators, scan_iterators):
+                yield tablet, batch
+
+    def scan_columns(self, name: str, rng: RangeSet = Range(),
+                     columns=None, scan_iterators: Sequence = ()):
+        """Bulk columnar scan: see :meth:`_tablet_batches`."""
+        return (batch for _, batch in self._tablet_batches(
+            name, rng, columns, scan_iterators))
+
+    def scan_cells(self, name: str, rng: RangeSet = Range(),
+                   columns=None, scan_iterators: Sequence = ()):
+        """:meth:`scan_columns`, cell by cell.  The hosting server's
+        crash flag is re-checked between cells: an open scan dies with
+        its server instead of finishing from a buffered batch."""
+        for tablet, batch in self._tablet_batches(name, rng, columns,
+                                                  scan_iterators):
+            for cell in batch.cells():
+                tablet._check_up()
+                yield cell
 
     # -- maintenance ----------------------------------------------------------------
 

@@ -499,14 +499,7 @@ class Tablet:
             sink if sink is not None else self._sink)
         for stage in stages[reduce_fn is not None:]:
             out = stage(out)
-        return out if self.server is None else self._hosted(out)
-
-    def _hosted(self, batches):
-        """Mark each batch as coming from a hosted tablet: an open
-        scan dies with its server (see ``ColumnBatch.alive``)."""
-        for batch in batches:
-            batch.alive = self._check_up
-            yield batch
+        return out
 
     def _sliced_runs(self, ranges: Sequence[Range],
                      sink=None) -> List[List[Cell]]:

@@ -478,12 +478,6 @@ class AsyncRpcCore:
                          timeout: float) -> Tuple[int, Any, int]:
         return await stream.get(timeout)
 
-    async def stream_get_many(self, stream: _Stream,
-                              timeout: float) -> list:
-        """All frames the stream has buffered (at least one); the bulk
-        twin of :meth:`stream_get` — see :meth:`_Stream.get_many`."""
-        return await stream.get_many(timeout)
-
     async def cancel_stream(self, addr: Addr, stream: _Stream) -> None:
         """Stop caring about a stream: deregister it and tell the
         server (best-effort) to stop producing chunks for it."""

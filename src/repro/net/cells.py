@@ -42,7 +42,6 @@ import struct
 import sys
 from array import array
 from itertools import accumulate
-from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.dbsim.key import Cell, Key
@@ -250,7 +249,7 @@ class ColumnBatch:
     """
 
     __slots__ = ("rows", "families", "qualifiers", "visibilities",
-                 "timestamps", "deletes", "values", "alive")
+                 "timestamps", "deletes", "values")
 
     def __init__(self, rows: List[str], families: List[str],
                  qualifiers: List[str], visibilities: List[str],
@@ -263,12 +262,6 @@ class ColumnBatch:
         self.timestamps = timestamps
         self.deletes = deletes
         self.values = values
-        #: set only on a batch that comes straight out of an in-process
-        #: tablet hosted on a (simulated) tablet server: calling it
-        #: raises ``ServerCrashedError`` once that server is down.  A
-        #: per-cell reader calls it between cells, so an open scan dies
-        #: with its server instead of finishing from a buffer
-        self.alive = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -344,16 +337,16 @@ class ColumnBatch:
 
     def select(self, indices: Sequence[int]) -> "ColumnBatch":
         """A new batch holding only the entries at ``indices``."""
-        if len(indices) > 1:
-            pick = itemgetter(*indices)  # one C call per column
-        else:  # ...but a lone index would come back as a scalar
-            def pick(column):
-                return [column[i] for i in indices]
-        return ColumnBatch(list(pick(self.rows)), list(pick(self.families)),
-                           list(pick(self.qualifiers)),
-                           list(pick(self.visibilities)),
-                           array("q", pick(self.timestamps)),
-                           list(pick(self.deletes)), list(pick(self.values)))
+        rows, fams = self.rows, self.families
+        quals, viss = self.qualifiers, self.visibilities
+        ts, dels, vals = self.timestamps, self.deletes, self.values
+        return ColumnBatch([rows[i] for i in indices],
+                           [fams[i] for i in indices],
+                           [quals[i] for i in indices],
+                           [viss[i] for i in indices],
+                           array("q", (ts[i] for i in indices)),
+                           [dels[i] for i in indices],
+                           [vals[i] for i in indices])
 
     def extend(self, other: "ColumnBatch") -> None:
         """Append ``other``'s entries in place (chunk coalescing)."""

@@ -60,10 +60,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from repro.dbsim.client import Connector
 from repro.dbsim.errors import BusyError, NotHostedError, ServerCrashedError
 from repro.dbsim.iterators import (
+    BatchIterator,
     Columns,
     ListIterator,
     SortedKVIterator,
-    _WrappingIterator,
     drain,
 )
 from repro.dbsim.key import Cell, Range, RangeSet, clip_ranges, covering
@@ -291,14 +291,6 @@ class _SyncStream:
         """Next ``(code, payload, nread)`` frame; raises the stream's
         failure (overrun, corrupt, closed) or ``TimeoutError``."""
         return self._core.run(self._core.aio.stream_get(
-            self._stream, timeout))
-
-    def recv_many(self, timeout: float) -> list:
-        """Every frame the stream has buffered (at least one) in a
-        single loop round-trip — with chunks arriving faster than the
-        consumer drains them, one blocking hop delivers a whole run of
-        CHUNKs instead of paying a loop wakeup per frame."""
-        return self._core.run(self._core.aio.stream_get_many(
             self._stream, timeout))
 
     @property
@@ -722,7 +714,7 @@ class _RemoteScanStream:
             pass
 
 
-class _RemoteScanIterator(_WrappingIterator):
+class _RemoteScanIterator(BatchIterator):
     """Per-cell seek/has_top/top/advance view over the batch pump: the
     pump moves ColumnBatches, and cells are built one batch at a time
     only because this consumer asked for ``Cell`` objects.  Bulk
@@ -730,21 +722,12 @@ class _RemoteScanIterator(_WrappingIterator):
 
     The layers left to run client-side (visibility filter, user
     iterators) are stacked on top by :meth:`TabletProxy.scan_iterator`;
-    the cells seen here are the server's output.
+    the batches seen here are the server's output.
     """
 
-    def __init__(self, pump: _RemoteScanStream):
-        self._cells: Iterator[Cell] = iter(())
-        super().__init__(pump)
-
-    def seek(self, rng: Range, columns: Columns = None) -> None:
+    def _open(self, rng: Range, columns: Columns) -> Iterator:
         self._source.reset(rng, columns)
-        self._cells = (cell for batch in iter(self._source.next_batch, None)
-                       for cell in batch.cells())
-        self._advance_to_top()
-
-    def _advance_to_top(self) -> None:
-        self._top = next(self._cells, None)
+        return iter(self._source.next_batch, None)
 
 
 # -- the backend ------------------------------------------------------------
@@ -1113,6 +1096,13 @@ class RemoteInstance:
         for stage in stages:  # what did not ship runs here, on batches
             out = stage(out)
         return out
+
+    def scan_cells(self, table: str, rng: RangeSet = Range(),
+                   columns: Columns = None,
+                   scan_iterators: Sequence = ()):
+        """:meth:`scan_columns`, cell by cell."""
+        for batch in self.scan_columns(table, rng, columns, scan_iterators):
+            yield from batch.cells()
 
     # -- maintenance ------------------------------------------------------
 

@@ -423,16 +423,6 @@ class IterSpec:
 # -- module helpers ---------------------------------------------------------
 
 
-def as_wire(spec: Optional[Any]) -> Optional[List[dict]]:
-    """Normalize ``spec`` (an :class:`IterSpec`, a wire-form list, or
-    ``None``) to the wire form carried in a SCAN payload."""
-    if spec is None:
-        return None
-    if isinstance(spec, IterSpec):
-        return spec.to_wire()
-    return IterSpec.from_wire(spec).to_wire()
-
-
 def coerce(spec: Optional[Any]) -> Optional[IterSpec]:
     """Normalize ``spec`` to an :class:`IterSpec` (or ``None``)."""
     if spec is None or isinstance(spec, IterSpec):
@@ -443,14 +433,6 @@ def coerce(spec: Optional[Any]) -> Optional[IterSpec]:
             f"remote backend; got a local callable {spec!r} which cannot "
             f"cross the wire")
     return IterSpec.from_wire(spec)
-
-
-def build_scan_iterators(obj: Any) -> Tuple[Layer, ...]:
-    """Validate a wire form and return its layer tuple (empty for
-    None)."""
-    if obj is None:
-        return ()
-    return IterSpec.from_wire(obj).build_factories()
 
 
 def scan_layers(auths, spec: Optional[Any] = None) -> Tuple[Layer, ...]:

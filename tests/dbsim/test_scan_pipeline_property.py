@@ -13,7 +13,8 @@ requires three things to agree in cells **and timestamps**:
   size forced to 1, 2, 3 and 2048 so that every cell group and row
   group straddles a batch boundary somewhere;
 * the per-cell adapter form of the same layers (``StageIterator``
-  stacks, what a scan with user callables runs);
+  stacks, what a scan with user callables runs), reading its source
+  1, 2, 3 and 2048 cells at a time;
 * ``_model`` below — plain Python over sorted tuples (``groupby``,
   ``re``, ``float``), sharing no code with the library.
 
@@ -39,6 +40,14 @@ from repro.dbsim import (
     SummingCombiner,
     TableConfig,
 )
+from repro.dbsim.iterators import (
+    ColumnFilterIterator,
+    ListIterator,
+    StageIterator,
+    VersioningIterator,
+    drain,
+)
+from repro.dbsim.key import Cell, Key
 from repro.dbsim.server import Instance
 from repro.dbsim.tablet import Tablet
 from repro.net import iterspec as iterspec_module
@@ -226,8 +235,10 @@ def backends():
 @contextlib.contextmanager
 def _storage_batches_of(n):
     """Force every scan's storage pass (in this process — the thread
-    cluster's servers included) to emit batches of ``n`` entries."""
+    cluster's servers included) to emit batches of ``n`` entries, and
+    the per-cell adapter to read its source ``n`` cells at a time."""
     real = Tablet._drain_columns_fused
+    read_ahead = StageIterator._READ_AHEAD
 
     def forced(self, runs, columns, reduce_fn, batch_cells, sink,
                stored=None):
@@ -237,10 +248,12 @@ def _storage_batches_of(n):
                     stored)
 
     Tablet._drain_columns_fused = forced
+    StageIterator._READ_AHEAD = n
     try:
         yield
     finally:
         Tablet._drain_columns_fused = real
+        StageIterator._READ_AHEAD = read_ahead
 
 
 _names = (f"s{i}" for i in itertools.count())
@@ -289,10 +302,10 @@ def _check(backends, written, max_versions, combiner, ranges, column, auths,
                         cell for batch in
                         scanner(iterspec=spec).scan_columns()
                         for cell in batch.cells()) == want, where
-            if backend == "in-process":
-                # the same layers as per-cell StageIterator stacks
-                assert _snap(scanner(
-                    scan_iterators=spec.build_factories())) == want
+                    if backend == "in-process":
+                        # the same layers as per-cell StageIterator stacks
+                        assert _snap(scanner(
+                            scan_iterators=spec.build_factories())) == want
         finally:
             conn.delete_table(table)
 
@@ -381,3 +394,39 @@ def test_non_numeric_value_is_the_same_typed_error_everywhere(backends, spec):
                         table, scan_iterators=spec.build_factories()))
         finally:
             conn.delete_table(table)
+
+
+# -- the per-cell adapter ----------------------------------------------------
+
+
+def test_adapter_reads_ahead_in_bounded_batches_and_stacks_share_them():
+    """A StageIterator takes its source's cells one bounded batch at a
+    time, only when asked; adapters stacked on each other hand batches
+    on, so the stack converts cells to columns once, not per layer."""
+    cells = [Cell(Key(f"r{i:04d}", "", "q", "", i + 1), str(i))
+             for i in range(1000)]
+    taken = []
+
+    class Counting(ListIterator):
+        def advance(self):
+            taken.append(self.top().key.row)
+            super().advance()
+
+    sizes = []
+
+    def watching(batches):
+        for batch in batches:
+            sizes.append(len(batch))
+            yield batch
+
+    stack = ColumnFilterIterator(
+        StageIterator(VersioningIterator(Counting(cells), 1), watching),
+        ["q"])
+    stack.seek(Range())
+    assert stack.top() == cells[0]
+    assert len(taken) == StageIterator._READ_AHEAD  # one batch, no more
+    assert drain(stack, seek=False) == cells
+    assert set(sizes) <= {StageIterator._READ_AHEAD,
+                          1000 % StageIterator._READ_AHEAD}
+    # a second seek starts over, narrowed
+    assert drain(stack, Range("r0500", "r0502")) == cells[500:502]

@@ -22,8 +22,6 @@ from repro.net.iterspec import (
     IterSpec,
     IterSpecError,
     NonSerializableIteratorError,
-    as_wire,
-    build_scan_iterators,
     coerce,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -89,8 +87,7 @@ class TestRoundTrip:
         spec = IterSpec()
         assert not spec and len(spec) == 0
         assert IterSpec.from_wire(spec.to_wire()) == spec
-        assert as_wire(None) is None
-        assert build_scan_iterators(None) == ()
+        assert spec.build_factories() == ()
 
     def test_builders_return_new_specs(self):
         base = IterSpec().value_gt(1.0)
@@ -140,8 +137,6 @@ class TestRejection:
     def test_bad_wire_forms_rejected(self, bad):
         with pytest.raises(IterSpecError):
             IterSpec.from_wire(bad)
-        with pytest.raises(IterSpecError):
-            build_scan_iterators(bad)
 
     def test_reduce_must_be_last_in_builder_chain(self):
         with pytest.raises(IterSpecError, match="last"):

@@ -75,7 +75,9 @@ def test_both_backends_conform_to_the_protocols():
                        for t in conn.instance.tablets("t"))
         finally:
             conn.close()
-    # scan_columns is part of both contracts (the client calls it for
-    # every scan without user callables)
+    # scan_columns — and the instance's per-cell view of it — are part
+    # of the contracts (the client calls them for every scan without
+    # user callables)
     assert "scan_columns" in vars(ConnectorBackend)
+    assert "scan_cells" in vars(ConnectorBackend)
     assert "scan_columns" in vars(TabletBackend)
