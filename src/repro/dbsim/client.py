@@ -7,7 +7,7 @@ ranges (sorted disjoint row-ranges travel as one set to each tablet,
 which slices just those rows out of its runs — the way a real
 BatchScanner amortises RPCs), and a BatchWriter
 buffers mutations and applies them per owning tablet in bulk
-(``Tablet.write_batch``) on flush.
+(``Tablet.write_raw_batch``) on flush.
 """
 
 from __future__ import annotations
@@ -269,8 +269,8 @@ class BatchWriter:
 
     Mutations accumulate client-side as raw ``(row, family, qualifier,
     visibility, timestamp, delete, value)`` tuples — no :class:`Cell`
-    is built until the owning tablet stamps the mutation's timestamp,
-    so each cell is materialised exactly once.  When either
+    is built here, and none by the owning tablet, which stores the
+    stamped mutation as a key tuple and a value.  When either
     ``buffer_size`` mutations or ``max_memory`` approximate bytes are
     buffered (or ``flush`` / ``close`` is called), the buffer is binned
     per owning tablet — one bisect of the cached location index per

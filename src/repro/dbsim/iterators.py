@@ -61,13 +61,16 @@ class SortedKVIterator:
         raise NotImplementedError
 
 
-def _column_match(key: Key, columns: Columns) -> bool:
-    if columns is None:
-        return True
+def _in_columns(family: str, qualifier: str, columns) -> bool:
+    """The seek-time column filter (``columns`` not ``None``)."""
     for fam, qual in columns:
-        if key.family == fam and (qual is None or key.qualifier == qual):
+        if family == fam and (qual is None or qualifier == qual):
             return True
     return False
+
+
+def _column_match(key: Key, columns: Columns) -> bool:
+    return columns is None or _in_columns(key.family, key.qualifier, columns)
 
 
 def drain(it: SortedKVIterator, rng: Optional[Range] = None,

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from operator import neg
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 
 def encode_number(x: float) -> str:
@@ -77,6 +79,55 @@ class Cell:
     def triple(self) -> Tuple[str, str, str]:
         """(row, qualifier, value) — the sparse-matrix view of a cell."""
         return (self.key.row, self.key.qualifier, self.value)
+
+
+#: What storage holds for a key — the tuple :meth:`Key.sort_tuple`
+#: defines: ``(row, family, qualifier, visibility, -timestamp, 0 if
+#: delete else 1)``.  Tuples compare in C, so a run of cells is kept as
+#: two aligned lists, ``(keys, values)``, and sorted, bisected and
+#: merged without a per-cell object.
+SortKey = Tuple[str, str, str, str, int, int]
+
+
+def sort_keys(rows: Sequence[str], families: Sequence[str],
+              qualifiers: Sequence[str], visibilities: Sequence[str],
+              timestamps: Sequence[int],
+              deletes: Sequence[bool]) -> List[SortKey]:
+    """Six aligned key columns → their sort-key tuples, by one ``zip``."""
+    puts = ([0 if d else 1 for d in deletes] if any(deletes)
+            else repeat(1))
+    return list(zip(rows, families, qualifiers, visibilities,
+                    map(neg, timestamps), puts))
+
+
+def key_columns(keys: Sequence[SortKey]) -> Tuple[
+        List[str], List[str], List[str], List[str], List[int], List[bool]]:
+    """Inverse of :func:`sort_keys`: ``(rows, families, qualifiers,
+    visibilities, timestamps, deletes)``."""
+    if not keys:
+        return [], [], [], [], [], []
+    rows, fams, quals, viss, neg_ts, puts = map(list, zip(*keys))
+    return (rows, fams, quals, viss, list(map(neg, neg_ts)),
+            [not put for put in puts])
+
+
+def sort_run(keys: List[SortKey],
+             values: List[str]) -> Tuple[List[SortKey], List[str]]:
+    """A run's two lists in key order, as new lists.  The sort is a
+    stable index permutation keyed on the tuples themselves, so equal
+    keys keep their arrival order and no Python function runs per
+    comparison."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return (list(map(keys.__getitem__, order)),
+            list(map(values.__getitem__, order)))
+
+
+def run_cells(keys: Iterable[SortKey], values: Iterable[str]) -> List[Cell]:
+    """A stored ``(keys, values)`` run as :class:`Cell` objects — for
+    the callers that ask for cells; no scan or write path does."""
+    return [Cell(Key(row, fam, qual, vis, -neg_ts, not put), value)
+            for (row, fam, qual, vis, neg_ts, put), value
+            in zip(keys, values)]
 
 
 #: Sentinel strings bounding all real keys (rows are non-empty text).

@@ -1,29 +1,54 @@
 """In-memory write buffer (Accumulo's in-memory map).
 
-Writes append; reads see a sorted snapshot.  Sorting is deferred and
-cached — the common pattern is a burst of BatchWriter mutations followed
-by scans.
+Cells are held the way all storage here holds them — as a ``(keys,
+values)`` run: ``keys`` the sort-key tuples of :mod:`repro.dbsim.key`,
+``values`` the aligned strings.  Writes append; reads see the buffer
+sorted.  Sorting is deferred and cached — the common pattern is a
+burst of BatchWriter mutations followed by scans.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from itertools import islice
+from operator import lt
+from typing import Iterator, List, Optional, Tuple
 
-from repro.dbsim.iterators import ListIterator
-from repro.dbsim.key import Cell
-from repro.dbsim.stats import OpStats
+from repro.dbsim.key import Cell, SortKey, run_cells, sort_run
 
 
-class MemTable:
-    """Append-only buffer with lazily-sorted snapshots."""
+class CellBuffer:
+    """A growable ``(keys, values)`` run in arrival order — by itself,
+    a tablet's write-ahead log.  Iterating it materialises the cells."""
+
+    __slots__ = ("keys", "values")
 
     def __init__(self):
-        self._cells: List[Cell] = []
-        self._sorted = True
-        self._bytes = 0
+        self.keys: List[SortKey] = []
+        self.values: List[str] = []
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[Cell]:
+        return iter(run_cells(self.keys, self.values))
+
+    def extend(self, keys: List[SortKey], values: List[str]) -> None:
+        self.keys.extend(keys)
+        self.values.extend(values)
+
+    def clear(self) -> None:
+        self.keys, self.values = [], []
+
+
+class MemTable(CellBuffer):
+    """Append-only buffer, sorted lazily when read."""
+
+    __slots__ = ("_sorted", "_bytes")
+
+    def __init__(self):
+        super().__init__()
+        self._sorted = True
+        self._bytes = 0
 
     @property
     def approximate_bytes(self) -> int:
@@ -31,53 +56,38 @@ class MemTable:
         incrementally — reading it is O(1), not a rescan)."""
         return self._bytes
 
-    def write(self, cell: Cell) -> None:
-        if self._cells and not (self._cells[-1].key < cell.key):
-            self._sorted = False
-        self._cells.append(cell)
-        self._bytes += (len(cell.key.row) + len(cell.key.family)
-                        + len(cell.key.qualifier) + len(cell.value) + 24)
-
-    def extend(self, cells: List[Cell], nbytes: Optional[int] = None) -> None:
-        """Bulk append: one size update (callers that already walked the
-        cells may pass the precomputed ``nbytes``), and the sortedness
-        check stops at the first out-of-order key instead of comparing
-        every pair (once unsorted, the snapshot sorts anyway)."""
-        if not cells:
+    def extend(self, keys: List[SortKey], values: List[str],
+               nbytes: Optional[int] = None) -> None:
+        """Bulk append: one size update (a caller that holds the batch
+        as columns passes the ``nbytes`` it summed there), and a
+        sortedness check that runs in C and stops at the first
+        out-of-order key (once unsorted, the next read sorts anyway)."""
+        if not keys:
             return
         if self._sorted:
-            prev = self._cells[-1].key.sort_tuple() if self._cells else None
-            for cell in cells:
-                cur = cell.key.sort_tuple()
-                if prev is not None and cur <= prev:
-                    self._sorted = False
-                    break
-                prev = cur
-        self._cells.extend(cells)
+            self._sorted = ((not self.keys or self.keys[-1] < keys[0])
+                            and all(map(lt, keys, islice(keys, 1, None))))
+        super().extend(keys, values)
         if nbytes is None:
-            nbytes = sum(len(c.key.row) + len(c.key.family)
-                         + len(c.key.qualifier) + len(c.value) + 24
-                         for c in cells)
+            nbytes = (sum(len(k[0]) + len(k[1]) + len(k[2]) for k in keys)
+                      + sum(map(len, values)) + 24 * len(keys))
         self._bytes += nbytes
 
-    def sorted_cells(self) -> List[Cell]:
-        """The buffer itself, sorted in place (stable: later duplicates
-        of a timestamp keep insertion order after their key).  No copy:
-        the caller must not mutate it and must take what it needs —
-        slices are private copies — before the next write."""
+    def sorted_run(self) -> Tuple[List[SortKey], List[str]]:
+        """The buffer itself, in key order (stable: cells with equal
+        keys stay in arrival order).  No copy: the caller must not
+        mutate the lists and must take what it needs — slices are
+        private copies — before the next write."""
         if not self._sorted:
-            self._cells.sort(key=lambda c: c.key.sort_tuple())
+            self.keys, self.values = sort_run(self.keys, self.values)
             self._sorted = True
-        return self._cells
+        return self.keys, self.values
 
     def snapshot(self) -> List[Cell]:
-        """Sorted private copy of the current contents."""
-        return list(self.sorted_cells())
-
-    def iterator(self, stats: Optional[OpStats] = None) -> ListIterator:
-        return ListIterator(self.snapshot(), stats=stats)
+        """The current contents as cells, in key order."""
+        return run_cells(*self.sorted_run())
 
     def clear(self) -> None:
-        self._cells.clear()
+        super().clear()
         self._sorted = True
         self._bytes = 0

@@ -1,11 +1,12 @@
 """Immutable sorted runs (the simulation's RFiles).
 
-An SSTable is a frozen sorted cell list with the read-side structures a
-real RFile carries:
+An SSTable is a frozen sorted ``(keys, values)`` run — ``keys`` the
+sort-key tuples of :mod:`repro.dbsim.key`, ``values`` the aligned
+strings — with the read-side structures a real RFile carries:
 
-* cached **sort-key array** — computed once at construction; every
-  scan of the run bisects it (``Tablet._sliced_runs``) to slice out
-  its row ranges, the stand-in for the RFile index lookup;
+* the **key list itself is the index**: every scan of the run bisects
+  it (``Tablet._sliced_runs``) to slice out its row ranges, the
+  stand-in for the RFile index lookup;
 * **min/max row bounds** for `overlaps` range pruning;
 * a **row bloom filter** consulted by point lookups before the run is
   opened at all (no false negatives, so skipping is always safe).
@@ -15,12 +16,11 @@ from __future__ import annotations
 
 import bisect
 import zlib
+from itertools import islice
+from operator import gt, itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.dbsim.key import Cell, Range
-
-#: Seek sentinel: sorts before every real 6-tuple key of the same row.
-_SEEK_MIN = ("", "", "", -(2 ** 63))
+from repro.dbsim.key import Cell, Range, SortKey, run_cells
 
 
 class RowBloomFilter:
@@ -62,40 +62,44 @@ class RowBloomFilter:
 
 
 class SSTable:
-    """Immutable sorted cell run with index + filter metadata."""
+    """Immutable sorted run with index + filter metadata."""
 
-    def __init__(self, cells: Sequence[Cell], _presorted: bool = False):
-        cells = list(cells)
-        if not _presorted:
-            for a, b in zip(cells, cells[1:]):
-                if b.key < a.key:
-                    raise ValueError("SSTable cells must be pre-sorted")
-        self._cells = cells
+    def __init__(self, cells: Sequence[Cell] = ()):
+        """A run out of cells (the per-cell compaction path, tests):
+        their keys are derived here and checked to be in order."""
+        keys = [cell.key.sort_tuple() for cell in cells]
+        if any(map(gt, keys, islice(keys, 1, None))):
+            raise ValueError("SSTable cells must be pre-sorted")
+        self._adopt(keys, [cell.value for cell in cells])
+
+    @classmethod
+    def from_run(cls, keys: List[SortKey], values: List[str]) -> "SSTable":
+        """Adopt an already sorted ``(keys, values)`` run as is: no
+        copy, no check — what flush, compaction, split and migration
+        hand over."""
+        run = cls.__new__(cls)
+        run._adopt(keys, values)
+        return run
+
+    def _adopt(self, keys: List[SortKey], values: List[str]) -> None:
+        self.keys = keys
+        self.values = values
         # read-side structures, computed once for the run's lifetime
-        self._keys: List[Tuple] = [c.key.sort_tuple() for c in cells]
-        self._first_row: Optional[str] = cells[0].key.row if cells else None
-        self._last_row: Optional[str] = cells[-1].key.row if cells else None
+        self.first_row: Optional[str] = keys[0][0] if keys else None
+        self.last_row: Optional[str] = keys[-1][0] if keys else None
         self._bloom = RowBloomFilter(
-            {c.key.row for c in cells}) if cells else None
+            set(map(itemgetter(0), keys))) if keys else None
 
     def __len__(self) -> int:
-        return len(self._cells)
-
-    @property
-    def first_row(self) -> Optional[str]:
-        return self._first_row
-
-    @property
-    def last_row(self) -> Optional[str]:
-        return self._last_row
+        return len(self.keys)
 
     def overlaps(self, rng: Range) -> bool:
         """Can this run contain cells inside ``rng``? (metadata check)"""
-        if not self._cells:
+        if not self.keys:
             return False
-        if rng.stop_row is not None and self._first_row >= rng.stop_row:
+        if rng.stop_row is not None and self.first_row >= rng.stop_row:
             return False
-        if rng.start_row is not None and self._last_row < rng.start_row:
+        if rng.start_row is not None and self.last_row < rng.start_row:
             return False
         return True
 
@@ -103,17 +107,22 @@ class SSTable:
         """Bloom-filter point check; ``False`` is definitive."""
         if self._bloom is None:
             return False
-        if not (self._first_row <= row <= self._last_row):
+        if not (self.first_row <= row <= self.last_row):
             return False
         return self._bloom.may_contain(row)
 
     def cells(self) -> List[Cell]:
-        return list(self._cells)
+        """The run materialised as cells."""
+        return run_cells(self.keys, self.values)
+
+    #: what the pre-(keys, values) tests compare runs by
+    _cells = property(cells)
 
     def split_at(self, split_row: str) -> Tuple["SSTable", "SSTable"]:
         """Partition into runs below / at-or-above ``split_row`` with one
         bisect and two slices (cells with row == split_row go right,
-        matching Accumulo's exclusive-end split semantics)."""
-        cut = bisect.bisect_left(self._keys, (split_row,) + _SEEK_MIN)
-        return (SSTable(self._cells[:cut], _presorted=True),
-                SSTable(self._cells[cut:], _presorted=True))
+        matching Accumulo's exclusive-end split semantics; a 1-tuple
+        probe sorts before every key of its row)."""
+        cut = bisect.bisect_left(self.keys, (split_row,))
+        return (SSTable.from_run(self.keys[:cut], self.values[:cut]),
+                SSTable.from_run(self.keys[cut:], self.values[cut:]))

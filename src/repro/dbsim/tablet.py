@@ -26,16 +26,18 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from itertools import chain as _chain
+from itertools import chain as _chain, compress, count
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dbsim.iterators import (
+    BatchIterator,
     Columns,
     DeleteFilterIterator,
     ListIterator,
     SortedKVIterator,
+    StageIterator,
     VersioningIterator,
-    _column_match,
+    _in_columns,
     batches,
     drain,
 )
@@ -45,12 +47,16 @@ from repro.dbsim.key import (
     Key,
     Range,
     RangeSet,
+    SortKey,
     clip_ranges,
     covering,
     decode_number,
     encode_number,
+    key_columns,
+    sort_keys,
+    sort_run,
 )
-from repro.dbsim.memtable import MemTable
+from repro.dbsim.memtable import CellBuffer, MemTable
 from repro.dbsim.sstable import SSTable
 from repro.dbsim.stats import MeteredStats, OpStats
 from repro.obs import trace as _trace
@@ -58,50 +64,45 @@ from repro.obs import trace as _trace
 #: A table-configured iterator layer: callable wrapping a source iterator.
 IteratorFactory = Callable[[SortedKVIterator], SortedKVIterator]
 
-
-def _cell_row_probe(cell: Cell) -> Tuple[str]:
-    return (cell.key.row,)
-
-
-def _cell_sort_key(cell: Cell):
-    return cell.key.sort_tuple()
+#: One sorted run as storage holds it: sort-key tuples, aligned values.
+KVRun = Tuple[List[SortKey], List[str]]
 
 
-def _slice_rows(cells: List[Cell], index, probes, key=None) -> List[Cell]:
-    """The cells of one sorted run inside a range set, concatenated.
+def _slice_rows(keys: List[SortKey], values: List[str], probes) -> KVRun:
+    """The part of one sorted run inside a range set, concatenated.
 
     ``probes`` holds one ``((start,), (stop,))`` pair per range and
-    ``index`` is what they bisect — the run's cached sort-key array,
-    or the cells themselves under ``key``; a 1-tuple sorts before every
-    longer key with the same row, so each bisect lands on a row
-    boundary.  The set is sorted and disjoint, so the bisects only
-    move forward (each range starts searching where the previous one
-    ended) and a one-range set costs exactly two.  Slices are copies:
-    nothing written to the run afterwards can show up in them."""
+    bisects ``keys``; a 1-tuple sorts before every longer key with the
+    same row, so each bisect lands on a row boundary.  The set is
+    sorted and disjoint, so the bisects only move forward (each range
+    starts searching where the previous one ended) and a one-range set
+    costs exactly two.  Slices are copies: nothing written to the run
+    afterwards can show up in them."""
     if len(probes) == 1:
         start, stop = probes[0]
-        lo = bisect_left(index, start, key=key)
-        return cells[lo:bisect_left(index, stop, lo, key=key)]
-    out: List[Cell] = []
+        lo = bisect_left(keys, start)
+        hi = bisect_left(keys, stop, lo)
+        return keys[lo:hi], values[lo:hi]
+    out_keys: List[SortKey] = []
+    out_values: List[str] = []
     hi = 0
     for start, stop in probes:
-        lo = bisect_left(index, start, hi, key=key)
-        hi = bisect_left(index, stop, lo, key=key)
-        if hi > lo:
-            out += cells[lo:hi]
-    return out
+        lo = bisect_left(keys, start, hi)
+        hi = bisect_left(keys, stop, lo)
+        out_keys += keys[lo:hi]
+        out_values += values[lo:hi]
+    return out_keys, out_values
 
 
-def _merge_runs(runs: List[List[Cell]]) -> List[Cell]:
-    """Sliced runs → one sorted list.  Timsort gallops over the
+def _merge_runs(runs: List[KVRun]) -> KVRun:
+    """Sliced runs → one sorted run.  Timsort gallops over the
     presorted runs and, being stable, keeps concatenation order
     (memtable first, then sstables) on ties — the memtable-over-sstable
     precedence of :class:`~repro.dbsim.iterators.MergeIterator`."""
     if len(runs) == 1:
         return runs[0]
-    merged = list(_chain.from_iterable(runs))
-    merged.sort(key=_cell_sort_key)
-    return merged
+    return sort_run(list(_chain.from_iterable(keys for keys, _ in runs)),
+                    list(_chain.from_iterable(vals for _, vals in runs)))
 
 
 def _fused_reduce(table_iterators: Sequence[IteratorFactory]):
@@ -135,8 +136,10 @@ class Tablet:
         self.memtable = MemTable()
         self.sstables: List[SSTable] = []
         self._clock = 0  # per-tablet logical timestamps: last write wins
-        #: write-ahead log: durable record of unflushed mutations
-        self.wal: List[Cell] = []
+        #: write-ahead log: durable record of unflushed mutations, in
+        #: arrival order.  Invariant: the memtable's cells are a subset
+        #: of the log's until a flush or compaction clears both.
+        self.wal = CellBuffer()
 
     # -- stats / metrics binding --------------------------------------------
 
@@ -244,102 +247,50 @@ class Tablet:
 
     # -- writes -------------------------------------------------------------
 
-    def _apply(self, key: Key, value: str) -> None:
-        """Stamp, WAL-append, and buffer one mutation (no accounting):
-        timestamp 0 is replaced by a fresh logical tick so later writes
-        version-sort first; the WAL append precedes the memtable — the
-        durability contract crash recovery replays."""
-        if not self.extent.contains_row(key.row):
-            raise ValueError(
-                f"row {key.row!r} outside tablet extent "
-                f"[{self.extent.start_row!r}, {self.extent.stop_row!r})")
-        if key.timestamp == 0:
-            self._clock += 1
-            key = Key(key.row, key.family, key.qualifier, key.visibility,
-                      self._clock, key.delete)
-        cell = Cell(key, value)
-        self.wal.append(cell)
-        self.memtable.write(cell)
+    def write_columns(self, rows: Sequence[str], families: Sequence[str],
+                      qualifiers: Sequence[str],
+                      visibilities: Sequence[str],
+                      timestamps: Sequence[int], deletes: Sequence[bool],
+                      values: Sequence[str]) -> int:
+        """Apply one batch of mutations, given as seven aligned
+        columns — the shape it has on the wire — and return how many
+        were applied.  The one write path: every other write method is
+        an adapter over this.
 
-    def write(self, key: Key, value: str) -> None:
-        """Insert one cell."""
+        A row outside the extent rejects the whole batch (``ValueError``)
+        before anything is applied.  A timestamp of 0 is replaced by a
+        fresh tick of the tablet's logical clock, in batch order, so
+        later writes version-sort first and a batch stamps exactly as
+        its cells written one at a time would.  The WAL append precedes
+        the memtable's — the durability contract crash recovery
+        replays.  Counters, gauges and the auto-flush check run once
+        per batch, not per cell."""
         self._check_up()
-        self._apply(key, value)
-        self._sink.entries_written += 1
-        size = self.memtable.approximate_bytes
-        self._update_gauges(memtable_bytes=size)
-        if size >= self.flush_bytes:
-            self.flush()
-
-    def write_batch(self, cells: Iterable[Cell]) -> int:
-        """Apply a batch of mutations with batch-granular accounting:
-        cells are stamped in order (preserving the per-cell timestamp
-        sequence ``write`` would assign, so scans are bit-identical to
-        cell-at-a-time ingest) and appended to the WAL and memtable in
-        bulk; counters, gauges and the auto-flush check run **once per
-        batch** — not per cell.  Returns the number of cells applied."""
-        self._check_up()
+        n = len(rows)
+        if not n:
+            return 0
         extent = self.extent
-        contains = extent.contains_row
-        clock = self._clock
-        nbytes = 0
-        stamped: List[Cell] = []
-        append = stamped.append
-        for cell in cells:
-            key = cell.key
-            if not contains(key.row):
-                raise ValueError(
-                    f"row {key.row!r} outside tablet extent "
-                    f"[{extent.start_row!r}, {extent.stop_row!r})")
-            nbytes += (len(key.row) + len(key.family) + len(key.qualifier)
-                       + len(cell.value) + 24)
-            if key.timestamp == 0:
-                clock += 1
-                cell = Cell(Key(key.row, key.family, key.qualifier,
-                                key.visibility, clock, key.delete),
-                            cell.value)
-            append(cell)
-        return self._commit_batch(stamped, nbytes, clock)
-
-    def write_raw_batch(self, mutations: Iterable[tuple]) -> int:
-        """``write_batch`` over raw ``(row, family, qualifier,
-        visibility, timestamp, delete, value)`` tuples — the
-        BatchWriter wire format.  Each mutation is materialised as a
-        :class:`Cell` exactly once, *after* its timestamp is assigned,
-        instead of being built client-side and rebuilt here to stamp
-        it.  Semantics are identical to ``write_batch``."""
-        self._check_up()
-        extent = self.extent
-        contains = extent.contains_row
-        clock = self._clock
-        nbytes = 0
-        stamped: List[Cell] = []
-        append = stamped.append
-        for row, family, qualifier, visibility, ts, delete, value in mutations:
-            if not contains(row):
+        for row in (min(rows), max(rows)):
+            if not extent.contains_row(row):
                 raise ValueError(
                     f"row {row!r} outside tablet extent "
                     f"[{extent.start_row!r}, {extent.stop_row!r})")
-            nbytes += (len(row) + len(family) + len(qualifier)
-                       + len(value) + 24)
-            if ts == 0:
-                clock += 1
-                ts = clock
-            append(Cell(Key(row, family, qualifier, visibility, ts, delete),
-                        value))
-        return self._commit_batch(stamped, nbytes, clock)
-
-    def _commit_batch(self, stamped: List[Cell], nbytes: int,
-                      clock: int) -> int:
-        """Shared tail of the batch write paths: bulk WAL + memtable
-        append, then once-per-batch accounting and the auto-flush
-        check."""
-        if not stamped:
-            return 0
+        clock = self._clock
+        if not any(timestamps):
+            timestamps = range(clock + 1, clock + n + 1)
+            clock += n
+        elif not all(timestamps):
+            ticks = count(clock + 1)
+            timestamps = [ts or next(ticks) for ts in timestamps]
+            clock = next(ticks) - 1
+        keys = sort_keys(rows, families, qualifiers, visibilities,
+                         timestamps, deletes)
+        # a column's characters, counted by one join instead of n len()s
+        nbytes = 24 * n + sum(len("".join(column)) for column in (
+            rows, families, qualifiers, values))
         self._clock = clock
-        self.wal.extend(stamped)
-        self.memtable.extend(stamped, nbytes)
-        n = len(stamped)
+        self.wal.extend(keys, values)
+        self.memtable.extend(keys, values, nbytes)
         self._sink.entries_written += n
         self._bump_aux("batched_mutations", n)
         size = self.memtable.approximate_bytes
@@ -347,6 +298,25 @@ class Tablet:
         if size >= self.flush_bytes:
             self.flush()
         return n
+
+    def write_raw_batch(self, mutations: Iterable[tuple]) -> int:
+        """:meth:`write_columns` over row-major ``(row, family,
+        qualifier, visibility, timestamp, delete, value)`` tuples —
+        what a BatchWriter buffers."""
+        # the transpose; of no mutations, seven empty columns
+        return self.write_columns(*(tuple(zip(*mutations)) or ((),) * 7))
+
+    def write_batch(self, cells: Iterable[Cell]) -> int:
+        """:meth:`write_columns` over :class:`Cell` objects."""
+        return self.write_raw_batch(
+            (c.key.row, c.key.family, c.key.qualifier, c.key.visibility,
+             c.key.timestamp, c.key.delete, c.value) for c in cells)
+
+    def write(self, key: Key, value: str) -> None:
+        """Insert one cell: a batch of one."""
+        self.write_columns((key.row,), (key.family,), (key.qualifier,),
+                           (key.visibility,), (key.timestamp,),
+                           (key.delete,), (value,))
 
     def delete(self, key: Key) -> None:
         """Write a tombstone hiding all versions of the cell at or
@@ -358,17 +328,18 @@ class Tablet:
         """Minor compaction: memtable → new immutable run; the WAL
         entries it covered are no longer needed."""
         self._check_up()
-        if len(self.memtable) == 0:
+        if len(self.wal) == 0:
             return
         if not _trace.ENABLED:
             self._flush()
             return
         with _trace.span("tablet.flush", stats=self._stats,
-                         table=self.table, entries=len(self.memtable)):
+                         table=self.table, entries=len(self.wal)):
             self._flush()
 
     def _flush(self) -> None:
-        self.sstables.append(SSTable(self.memtable.snapshot()))
+        self._replay_if_behind()
+        self.sstables.append(SSTable.from_run(*self.memtable.sorted_run()))
         self.memtable.clear()
         self.wal.clear()
         self._sink.flushes += 1
@@ -383,12 +354,20 @@ class Tablet:
         self._update_gauges(memtable_bytes=0)
 
     def recover(self) -> None:
-        """Replay the WAL into a fresh memtable (idempotent: replayed
-        cells carry their original timestamps, so re-application cannot
-        reorder versions)."""
-        for cell in self.wal:
-            self.memtable.write(cell)
+        """Log recovery: rebuild the memtable from the WAL.  Rebuilt,
+        not appended to — so recovering twice (a retried ``RECOVER``),
+        or after writes that followed a restart without recovery,
+        holds every logged cell exactly once."""
+        self.memtable.clear()
+        self.memtable.extend(self.wal.keys, self.wal.values)
         self._update_gauges()
+
+    def _replay_if_behind(self) -> None:
+        """Before the WAL is cleared: if a restart skipped log recovery
+        the memtable holds less than the log, and what becomes a run
+        must hold every logged cell — or the rest is lost for good."""
+        if len(self.wal) > len(self.memtable):
+            self.recover()
 
     # -- reads ---------------------------------------------------------------
 
@@ -398,14 +377,14 @@ class Tablet:
                sink) -> SortedKVIterator:
         """The canonical per-cell stack over a range set (unseeked).
 
-        Its storage leaf is the same sliced, merged cell list the fused
+        Its storage leaf is the same sliced, merged run the fused
         drain walks, so rows outside the set are never read here
         either — sound because ``Range`` is row-granular and every
         iterator above the leaf is row-local."""
         if sink is None:
             sink = self._sink
         stack: SortedKVIterator = _SlicedLeaf(
-            _merge_runs(self._sliced_runs(ranges, sink)), sink)
+            *_merge_runs(self._sliced_runs(ranges, sink)), sink)
         stack = DeleteFilterIterator(stack)
         stack = VersioningIterator(stack, self.max_versions)
         for factory in table_iterators:
@@ -502,7 +481,7 @@ class Tablet:
         return out
 
     def _sliced_runs(self, ranges: Sequence[Range],
-                     sink=None) -> List[List[Cell]]:
+                     sink=None) -> List[KVRun]:
         """Slice every storage run down to a (clipped, non-empty)
         range set — the one place a scan's rows are selected, for the
         fused drain and the per-cell stack alike.
@@ -521,11 +500,10 @@ class Tablet:
         span = covering(ranges)
         probes = [((r.effective_start(),), (r.effective_stop(),))
                   for r in ranges]
-        runs: List[List[Cell]] = []
-        cells = self.memtable.sorted_cells()
+        runs: List[KVRun] = []
         sink.seeks += 1
-        sliced = _slice_rows(cells, cells, probes, key=_cell_row_probe)
-        if sliced:
+        sliced = _slice_rows(*self.memtable.sorted_run(), probes)
+        if sliced[0]:
             runs.append(sliced)
         point_row = span.single_row() if len(ranges) == 1 else None
         for run in self.sstables:
@@ -541,30 +519,30 @@ class Tablet:
             sink.seeks += 1
             if self._on_index_seek is not None:
                 self._on_index_seek()
-            sliced = _slice_rows(run._cells, run._keys, probes)
-            if sliced:
+            sliced = _slice_rows(run.keys, run.values, probes)
+            if sliced[0]:
                 runs.append(sliced)
         return runs
 
-    def _drain_columns_fused(self, runs: List[List[Cell]],
+    def _drain_columns_fused(self, runs: List[KVRun],
                              columns: Columns, reduce_fn,
                              batch_cells: int, sink,
-                             stored: Optional[List[Cell]] = None):
+                             stored: Optional[List[SortKey]] = None):
         """One fused pass over pre-sliced sorted runs: column filter →
         tombstone suppression → versioning → combiner fold →
-        column-list append, with no iterator stack and no per-cell
-        wrapper calls.  With ``reduce_fn`` the versions of a cell that
-        survive versioning fold into one entry under the newest key,
-        exactly as :class:`CombinerIterator` above a
+        column-list append, with no iterator stack, no per-cell object
+        and no per-cell wrapper calls.  With ``reduce_fn`` the versions
+        of a cell that survive versioning fold into one entry under the
+        newest key, exactly as :class:`CombinerIterator` above a
         :class:`VersioningIterator` would.  Output and counters are
         bit-identical to the stack path.
 
         ``stored`` is compaction's second sink: it receives, entry for
-        entry, the stored :class:`Cell` each output entry's key came
-        from, so the new run can reuse those objects."""
+        entry, the stored key tuple each output entry came from, so the
+        new run can reuse those objects."""
         from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
 
-        merged = _merge_runs(runs)
+        keys, values = _merge_runs(runs)
         mv = self.max_versions
         check_up = self._check_up
         rows: List[str] = []
@@ -575,38 +553,41 @@ class Tablet:
         vals: List[str] = []
         n = 0
         entries = 0
-        del_cid = None
-        del_ts = 0
-        last_cid = None
+        del_cid = None  # logical cell of the last tombstone seen
+        del_neg_ts = 0
+        last_row = last_fam = last_qual = last_vis = None
         seen = 0
         acc = 0.0  # running ⊕ of the entry at vals[-1]
         check_up()
-        for cell in merged:
-            key = cell.key
-            if columns is not None and not _column_match(key, columns):
+        for key, value in zip(keys, values):
+            row, fam, qual, vis, neg_ts, put = key
+            if columns is not None and not _in_columns(fam, qual, columns):
                 continue  # leaf-level skip: not counted as read
             entries += 1
-            cid = (key.row, key.family, key.qualifier, key.visibility)
-            if key.delete:
-                del_cid = cid
-                del_ts = key.timestamp
+            if not put:
+                del_cid = (row, fam, qual, vis)
+                del_neg_ts = neg_ts
                 continue
-            if cid == del_cid and key.timestamp <= del_ts:
+            # newer sorts first, so "at or before" is -timestamp >=
+            if (del_cid is not None and neg_ts >= del_neg_ts
+                    and (row, fam, qual, vis) == del_cid):
                 continue
-            if cid == last_cid:
+            # qualifier first: within a row it is what usually differs
+            if (qual == last_qual and row == last_row and fam == last_fam
+                    and vis == last_vis):
                 seen += 1
                 if seen > mv:
                     continue
                 if reduce_fn is not None:
-                    acc = reduce_fn(acc, decode_number(cell.value))
+                    acc = reduce_fn(acc, decode_number(value))
                     continue
             else:
-                last_cid = cid
+                last_row, last_fam, last_qual, last_vis = row, fam, qual, vis
                 seen = 1
             if reduce_fn is not None:
                 if n:  # the previous entry has seen its last version
                     vals[-1] = encode_number(acc)
-                acc = decode_number(cell.value)
+                acc = decode_number(value)
             if n == batch_cells:
                 sink.entries_read += entries
                 entries = 0
@@ -615,15 +596,15 @@ class Tablet:
                 check_up()
                 rows, fams, quals, viss, ts, vals = [], [], [], [], [], []
                 n = 0
-            rows.append(key.row)
-            fams.append(key.family)
-            quals.append(key.qualifier)
-            viss.append(key.visibility)
-            ts.append(key.timestamp)
-            vals.append(cell.value)
+            rows.append(row)
+            fams.append(fam)
+            quals.append(qual)
+            viss.append(vis)
+            ts.append(-neg_ts)
+            vals.append(value)
             n += 1
             if stored is not None:
-                stored.append(cell)
+                stored.append(key)
         sink.entries_read += entries
         if n:
             if reduce_fn is not None:
@@ -647,24 +628,23 @@ class Tablet:
             sp.set(entries_out=self.entry_estimate())
 
     def _compact(self, table_iterators: Sequence[IteratorFactory]) -> None:
+        self._replay_if_behind()
         reduce_fn = _fused_reduce(table_iterators)
         if len(table_iterators) == (reduce_fn is not None):
             # a plain table, or one whose only layer is a built-in
             # combiner: the same fused drain a scan takes, run with
-            # both sinks; the new run (sorted by construction) keeps
-            # every stored cell whose value the fold left as it was
-            stored: List[Cell] = []
+            # both sinks; the new run (sorted by construction) is the
+            # stored key tuples that survived, beside the folded values
+            stored: List[SortKey] = []
             values = [value for batch in self._drain_columns_fused(
                 self._sliced_runs((self.extent,)), None, reduce_fn,
                 sys.maxsize, self._sink, stored=stored)
                 for value in batch.values]
-            cells = [cell if cell.value == value else Cell(cell.key, value)
-                     for cell, value in zip(stored, values)]
-            self.sstables = [SSTable(cells, _presorted=True)] if cells else []
+            run = SSTable.from_run(stored, values)
         else:
-            cells = drain(self._stack((self.extent,), table_iterators, (),
-                                      None), self.extent)
-            self.sstables = [SSTable(cells)] if cells else []
+            run = SSTable(drain(self._stack((self.extent,), table_iterators,
+                                            (), None), self.extent))
+        self.sstables = [run] if len(run) else []
         self.memtable.clear()
         self.wal.clear()
         self._sink.compactions += 1
@@ -732,13 +712,39 @@ class _CrashGuardIterator(SortedKVIterator):
         self._source.advance()
 
 
-class _SlicedLeaf(ListIterator):
+class _SlicedLeaf(BatchIterator):
     """Storage leaf of the per-cell stack: the tablet's runs, already
-    sliced to the scan's range set and merged into one sorted list.
+    sliced to the scan's range set and merged into one sorted
+    ``(keys, values)`` run.  This is where a scan's cells come to
+    exist, a read-ahead batch at a time, and only as far as the stack
+    above pulls.
 
     ``_sliced_runs`` counted the seeks — one per opened run — when it
-    built the list, so a seek here only positions (and can only narrow
-    what construction selected).  ``entries_read`` counts a cell as it
-    is consumed, after the column skip — the fused drain's definition."""
+    built the run, so a seek here only positions (and can only narrow
+    what construction selected).  ``entries_read`` counts a cell when
+    the batch holding it is read, after the column skip — the fused
+    drain's definition."""
 
-    seek = ListIterator._position
+    def __init__(self, keys: List[SortKey], values: List[str], sink):
+        self._keys = keys
+        self._values = values
+        self._sink = sink
+        super().__init__(None)  # the leaf: its batches come from storage
+
+    def _open(self, rng: Range, columns: Columns):
+        from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
+
+        keys, values = self._keys, self._values
+        lo = bisect_left(keys, (rng.effective_start(),))
+        hi = bisect_left(keys, (rng.effective_stop(),), lo)
+        step = StageIterator._READ_AHEAD
+        for at in range(lo, hi, step):
+            upto = min(at + step, hi)
+            part, vals = keys[at:upto], values[at:upto]
+            if columns is not None:
+                flags = [_in_columns(key[1], key[2], columns) for key in part]
+                part = list(compress(part, flags))
+                vals = list(compress(vals, flags))
+            if part:
+                self._sink.entries_read += len(part)
+                yield ColumnBatch(*key_columns(part), vals)

@@ -17,8 +17,8 @@ Length-prefixed column arrays decode with two ``struct.unpack_from``
 calls per column plus one ``memoryview`` slice per string — no
 intermediate list-of-lists, no JSON tokenizer — and the decoder returns
 *columns*, which is exactly the shape the engine's bulk paths
-(``AssocArray.from_triples``, ``write_raw_batch``) want.  Encoding a
-10k-cell chunk is one ``b"".join`` of precomputed parts.
+(``AssocArray.from_triples``, ``Tablet.write_columns``) want.  Encoding
+a 10k-cell chunk is one ``b"".join`` of precomputed parts.
 
 The columnar shape now has a first-class carrier: :class:`ColumnBatch`
 holds the seven parallel columns (timestamps as ``array('q')``) and is
@@ -95,47 +95,18 @@ def _pack_i64(values, n: int) -> bytes:
 
 
 def encode_block(muts: Sequence[MutTuple]) -> bytes:
-    """Pack mutation/cell 7-tuples into one binary block.
-
-    One pass over ``muts`` fills the five per-column byte lists, the
-    timestamp list and the delete bitmap together; each column is then
-    one length-array pack plus one ``b"".join``.
-    """
-    n = len(muts)
-    if not n:
+    """Pack mutation/cell 7-tuples into one binary block: the
+    transpose of ``muts``, through :func:`encode_columns`."""
+    if not muts:
         return _HDR.pack(BLOCK_FORMAT, 0)
-    rows: List[bytes] = []
-    fams: List[bytes] = []
-    quals: List[bytes] = []
-    viss: List[bytes] = []
-    vals: List[bytes] = []
-    ts: List[int] = []
-    flags = bytearray(n)
-    i = 0
-    for row, fam, qual, vis, t, d, val in muts:
-        rows.append(row.encode("utf-8"))
-        fams.append(fam.encode("utf-8"))
-        quals.append(qual.encode("utf-8"))
-        viss.append(vis.encode("utf-8"))
-        vals.append(val.encode("utf-8"))
-        ts.append(t)
-        if d:
-            flags[i] = 1
-        i += 1
-    parts: List[bytes] = [_HDR.pack(BLOCK_FORMAT, n)]
-    for col in (rows, fams, quals, viss, vals):
-        parts.append(_pack_u32(map(len, col), n))
-        parts.append(b"".join(col))
-    parts.append(_pack_i64(ts, n))
-    parts.append(bytes(flags))
-    return b"".join(parts)
+    return encode_columns(*zip(*muts))
 
 
 def encode_columns(rows: Sequence[str], families: Sequence[str],
                    qualifiers: Sequence[str], visibilities: Sequence[str],
                    timestamps, deletes, values: Sequence[str]) -> bytes:
-    """Pack seven parallel columns into one binary block — the columnar
-    twin of :func:`encode_block` (no per-cell tuples anywhere).
+    """Pack seven parallel columns into one binary block — the one
+    encoder of the format (no per-cell tuples anywhere).
 
     ``timestamps`` may be any int sequence (``array('q')`` included);
     ``deletes`` may be a bool sequence or a ``bytes``/``bytearray``
@@ -158,10 +129,9 @@ def encode_columns(rows: Sequence[str], families: Sequence[str],
             data = b"".join(enc)
         parts.append(data)
     parts.append(_pack_i64(timestamps, n))
-    if isinstance(deletes, (bytes, bytearray)):
-        parts.append(bytes(deletes))
-    else:
-        parts.append(bytes(1 if d else 0 for d in deletes))
+    # scans carry no deletes and most write batches none: the all-zero
+    # bitmap is one allocation
+    parts.append(bytes(map(bool, deletes)) if any(deletes) else bytes(n))
     return b"".join(parts)
 
 
@@ -381,18 +351,16 @@ def decode_columns(buf) -> Tuple[List[str], List[str], List[str],
 
 
 def decode_mutations(buf) -> List[MutTuple]:
-    """Unpack a block into the row-major 7-tuples the tablet write
-    path applies."""
+    """Unpack a block into row-major 7-tuples, the inverse of
+    :func:`encode_block` (the write path itself stays columnar:
+    :func:`decode_batch`)."""
     rows, fams, quals, vis, ts, dels, vals = _parse(buf)
     return list(zip(rows, fams, quals, vis, ts, dels, vals))
 
 
 def cells_to_block(cells: Iterable[Cell]) -> bytes:
     """Encode finished cells (timestamps already stamped)."""
-    return encode_block([
-        (c.key.row, c.key.family, c.key.qualifier, c.key.visibility,
-         c.key.timestamp, c.key.delete, c.value)
-        for c in cells])
+    return ColumnBatch.from_cells(cells).to_block()
 
 
 def block_to_cells(buf) -> List[Cell]:

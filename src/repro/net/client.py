@@ -801,10 +801,9 @@ class TabletProxy:
     def _batch_payload(self, muts: List[tuple]) -> wire.CellsPayload:
         return wire.CellsPayload(
             {"table": self._table, "tablet_id": self.tablet_id},
-            _cells.encode_block(muts))
+            _cells.encode_columns(*zip(*muts)))
 
-    def write_raw_batch(self, mutations) -> int:
-        muts = [tuple(m) for m in mutations]
+    def write_raw_batch(self, muts: List[tuple]) -> int:
         if not muts:
             return 0
         try:
@@ -815,16 +814,15 @@ class TabletProxy:
         except NotHostedError:
             return self._rebin(muts)
 
-    def submit_raw_batch(self, mutations) -> Tuple[
-            concurrent.futures.Future, List[tuple]]:
+    def submit_raw_batch(self, muts: List[tuple]
+                         ) -> concurrent.futures.Future:
         """Pipelined ``write_raw_batch``: the batch is stamped and sent
         now; the returned future resolves to the ack.  The caller must
-        drain it (``WritePipeline`` owns the ordering discipline)."""
-        muts = [tuple(m) for m in mutations]
-        fut = self._inst.core.submit_mutate(
+        drain it (``WritePipeline`` owns the ordering discipline) and
+        keep ``muts`` unchanged until then — a re-bin resends them."""
+        return self._inst.core.submit_mutate(
             self.addr, wire.WRITE_BATCH, self._batch_payload(muts),
             compress=self._inst.compress)
-        return fut, muts
 
     def _rebin(self, muts: List[tuple]) -> int:
         """This tablet split (or migrated) under the writer: re-route
@@ -888,8 +886,7 @@ class WritePipeline:
         self.drain()
         inflight = self._inflight
         for proxy, muts in groups:
-            fut, kept = proxy.submit_raw_batch(muts)
-            inflight.append((proxy, kept, fut))
+            inflight.append((proxy, muts, proxy.submit_raw_batch(muts)))
 
     def drain(self) -> int:
         """Block until every in-flight batch is acked (re-binning

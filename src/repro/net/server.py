@@ -67,7 +67,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dbsim.errors import BusyError, NotHostedError
 from repro.dbsim.iterators import Layer
-from repro.dbsim.key import Key, Range, sorted_disjoint
+from repro.dbsim.key import (Key, Range, key_columns, sort_keys,
+                             sorted_disjoint)
 from repro.dbsim.server import TableConfig, TabletServer
 from repro.dbsim.sstable import SSTable
 from repro.dbsim.stats import OpStats
@@ -594,13 +595,16 @@ class TabletServerService(_BaseService):
         """The tablet's whole state as one cell block: memtable, WAL,
         then each run, their lengths in the meta's ``sections``."""
         _, tablet = self._get(p)
-        sections = [tablet.memtable.snapshot(), tablet.wal,
-                    *(run.cells() for run in tablet.sstables)]
+        sections = [tablet.memtable.sorted_run(),
+                    (tablet.wal.keys, tablet.wal.values),
+                    *((run.keys, run.values) for run in tablet.sstables)]
+        keys = list(chain.from_iterable(keys for keys, _ in sections))
+        values = list(chain.from_iterable(vals for _, vals in sections))
         state = wire.CellsPayload(
             {"extent": wire.range_to_wire(tablet.extent),
              "clock": tablet._clock,
-             "sections": [len(section) for section in sections]},
-            cells.cells_to_block(chain.from_iterable(sections)))
+             "sections": [len(keys) for keys, _ in sections]},
+            cells.encode_columns(*key_columns(keys), values))
         self._unhost(p["tablet_id"])
         return state
 
@@ -611,13 +615,15 @@ class TabletServerService(_BaseService):
         tablet = Tablet(wire.wire_to_range(meta["extent"]),
                         config.max_versions, config.flush_bytes)
         tablet._clock = meta["clock"]
-        state = iter(cells.block_to_cells(p.block))
-        memtable, wal, *runs = (list(islice(state, n))
+        *key_cols, values = cells.decode_columns(p.block)
+        keys, values = iter(sort_keys(*key_cols)), iter(values)
+        memtable, wal, *runs = ((list(islice(keys, n)),
+                                 list(islice(values, n)))
                                 for n in meta["sections"])
         for run in runs:
-            tablet.sstables.append(SSTable(run, _presorted=True))
-        tablet.wal.extend(wal)
-        tablet.memtable.extend(memtable)
+            tablet.sstables.append(SSTable.from_run(*run))
+        tablet.wal.extend(*wal)
+        tablet.memtable.extend(*memtable)
         self._host(meta["table"], meta["tablet_id"], tablet)
         return {}
 
@@ -625,20 +631,17 @@ class TabletServerService(_BaseService):
 
     def _write_batch(self, p) -> dict:
         meta = _binary(p, "WRITE_BATCH").meta
-        muts = cells.decode_mutations(p.block)
+        columns = cells.decode_columns(p.block)
         table, tablet = self._get(meta)
-        extent = tablet.extent
-        for mut in muts:
-            if not extent.contains_row(mut[0]):
-                # stale client routing (split landed between the
-                # client's bisect and this request): reject the WHOLE
-                # batch before applying anything, so the re-binned
-                # retry is exactly-once
-                raise NotHostedError(
-                    f"row {mut[0]!r} outside tablet "
-                    f"{meta['tablet_id']!r} extent "
-                    f"[{extent.start_row!r}, {extent.stop_row!r})")
-        applied = tablet.write_raw_batch(muts)
+        try:
+            applied = tablet.write_columns(*columns)
+        except ValueError as exc:
+            # stale client routing (split landed between the client's
+            # bisect and this request): the tablet rejected the WHOLE
+            # batch before applying anything, so the re-binned retry is
+            # exactly-once
+            raise NotHostedError(
+                f"tablet {meta['tablet_id']!r}: {exc}") from None
         return {"applied": applied}
 
     def _scan_stream(self, state: _ConnState, p: dict, req: int) -> None:

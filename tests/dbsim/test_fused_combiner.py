@@ -236,12 +236,12 @@ class TestFusedFallback:
 
     def test_plain_table_compaction_keeps_stored_cells(self):
         """Plain tables' compact takes the fused route too, and reuses
-        the stored Cell objects instead of copying them."""
+        the stored key tuples instead of copying them."""
         plain, reference = Tablet(Range()), Tablet(Range())
         for tablet in (plain, reference):
             _history(tablet)
-        stored = {id(cell) for run in plain.sstables for cell in run._cells}
-        stored |= {id(cell) for cell in plain.memtable.snapshot()}
+        stored = {id(key) for run in plain.sstables for key in run.keys}
+        stored |= {id(key) for key in plain.memtable.keys}
         stats = []
         for tablet, its in ((plain, ()), (reference, (lambda s: s,))):
             before = tablet.stats.snapshot()
@@ -250,7 +250,7 @@ class TestFusedFallback:
             stats.append((delta.seeks, delta.entries_read))
         assert stats[0] == stats[1]
         assert plain.sstables[0]._cells == reference.sstables[0]._cells
-        assert all(id(cell) in stored for cell in plain.sstables[0]._cells)
+        assert all(id(key) in stored for key in plain.sstables[0].keys)
 
     def test_scan_path_counters_preregistered(self):
         registry = MetricsRegistry()

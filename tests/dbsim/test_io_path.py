@@ -28,6 +28,12 @@ def _cells(spec):
     return sorted(out, key=lambda c: c.key.sort_tuple())
 
 
+def _run(spec):
+    """``_cells(spec)`` as storage holds it: (sort-key tuples, values)."""
+    cells = _cells(spec)
+    return [c.key.sort_tuple() for c in cells], [c.value for c in cells]
+
+
 def _snap(conn, table, rng=Range()):
     """Full fidelity scan snapshot: includes timestamps."""
     return [(c.key.row, c.key.family, c.key.qualifier, c.key.visibility,
@@ -471,19 +477,32 @@ class TestBatchScannerCoalescing:
 
 class TestMemTableBulk:
     def test_extend_matches_write_accounting(self):
-        cells = _cells([(f"r{i}", "q", i + 1, "val") for i in range(20)])
+        spec = [(f"r{i}", "q", i + 1, "val") for i in range(20)]
+        keys, values = _run(spec)
         a, b = MemTable(), MemTable()
-        for c in cells:
-            a.write(c)
-        b.extend(cells)
+        for key, value in zip(keys, values):  # one cell at a time
+            a.extend([key], [value])
+        b.extend(keys, values)
         assert a.approximate_bytes == b.approximate_bytes
-        assert a.snapshot() == b.snapshot()
+        assert a.snapshot() == b.snapshot() == _cells(spec)
+        # and the byte count a tablet sums from the batch's columns is
+        # the one the memtable would have derived from the keys
+        tablet = Tablet(Range(), flush_bytes=1 << 30)
+        tablet.write_batch(_cells(spec))
+        assert tablet.memtable.approximate_bytes == b.approximate_bytes
 
     def test_extend_detects_out_of_order(self):
         m = MemTable()
-        m.extend(_cells([("b", "q", 1, "1")]))
-        m.extend(_cells([("a", "q", 1, "2")]))  # out of order vs last
+        m.extend(*_run([("b", "q", 1, "1")]))
+        assert m._sorted
+        m.extend(*_run([("a", "q", 1, "2")]))  # out of order vs last
+        assert not m._sorted
         assert [c.key.row for c in m.snapshot()] == ["a", "b"]
+        assert m._sorted and [k[0] for k in m.sorted_run()[0]] == ["a", "b"]
+        m.extend(*_run([("c", "q", 1, "3"), ("d", "q", 1, "4")]))
+        assert m._sorted  # in order, batch after batch: never re-sorted
+        m.extend(*_run([("f", "q", 1, "5"), ("e", "q", 1, "6")][::-1]))
+        assert m._sorted
 
 
 class TestMemTableScans:
@@ -531,16 +550,23 @@ class TestMemTableScans:
             ["old", "new", "newer", "old"]
 
     def test_iterator_keeps_snapshot_semantics(self):
+        """What a scan iterates — a slice of the memtable's run — keeps
+        snapshot semantics: taken before a write, it never
+        sees it — whether the write lands in order (appended to the
+        very lists the slice came from) or forces a re-sort."""
+        from repro.dbsim.tablet import _slice_rows
+
+        everything = [(("",), ("\U0010FFFF",))]
         m = MemTable()
-        m.extend(_cells([("a", "q", 1, "1"), ("c", "q", 1, "1")]))
-        it = m.iterator()
-        m.write(_cells([("b", "q", 2, "2")])[0])
-        it.seek(Range())
-        rows = []
-        while it.has_top():
-            rows.append(it.top().key.row)
-            it.advance()
-        assert rows == ["a", "c"]
+        m.extend(*_run([("a", "q", 1, "1"), ("c", "q", 1, "1")]))
+        first = _slice_rows(*m.sorted_run(), everything)
+        m.extend(*_run([("d", "q", 2, "2")]))      # in order: appended
+        second = _slice_rows(*m.sorted_run(), everything)
+        m.extend(*_run([("b", "q", 3, "3")]))      # out of order: re-sort
+        assert [k[0] for k in first[0]] == ["a", "c"]
+        assert first[1] == ["1", "1"]
+        assert [k[0] for k in second[0]] == ["a", "c", "d"]
+        assert [k[0] for k in m.sorted_run()[0]] == ["a", "b", "c", "d"]
 
 
 class TestBatchWriterThresholds:

@@ -98,10 +98,12 @@ class TestMergeIterator:
         assert [c.value for c in out] == ["new", "old"]
 
     def test_is_the_reference_for_the_tablet_sort_merge(self):
-        """``_merge_runs`` (one stable sort over the concatenated runs)
-        must order cells — ties included — as this k-way merge does."""
+        """``_merge_runs`` (one stable sort over the concatenated
+        ``(keys, values)`` runs) must order cells — ties included, the
+        earlier run first — as this k-way merge does."""
         import random
 
+        from repro.dbsim.key import run_cells
         from repro.dbsim.tablet import _merge_runs
 
         rnd = random.Random(13)
@@ -115,7 +117,9 @@ class TestMergeIterator:
                 # duplicate keys inside and across runs are the point
                 runs.append(sorted(run, key=lambda c: c.key.sort_tuple()))
             want = drain(MergeIterator([ListIterator(run) for run in runs]))
-            got = _merge_runs([run for run in runs if run])
+            got = run_cells(*_merge_runs(
+                [([c.key.sort_tuple() for c in run], [c.value for c in run])
+                 for run in runs if run]))
             assert [(c.key, c.value) for c in got] == \
                 [(c.key, c.value) for c in want], trial
 
