@@ -18,9 +18,13 @@ Two protocols:
   :class:`~repro.dbsim.tablet.Tablet`; remotely a ``TabletProxy``
   that turns the same calls into RPCs.
 * :class:`ConnectorBackend` — the instance-wide surface: table
-  lifecycle, the locate index used for client-side routing, the
-  scan of a range set across a table's tablets (in column batches, or
-  the same batches cell by cell), and the merged OpStats cost model.
+  lifecycle, routing (``locate`` a row, the tablets a range reaches,
+  and ``partition`` — a mutation buffer binned per owning tablet: the
+  writer asks the backend to route exactly as the scanner does; both
+  backends answer from one :class:`~repro.dbsim.server.TabletIndex`
+  per table), the scan of a range set across a table's tablets (in
+  column batches, or the same batches cell by cell), and the merged
+  OpStats cost model.
 
 Both are :func:`typing.runtime_checkable`, so ``isinstance(obj,
 ConnectorBackend)`` verifies structural conformance (method presence,
@@ -119,14 +123,15 @@ class ConnectorBackend(Protocol):
 
     def locate(self, name: str, row: str) -> TabletBackend: ...
 
-    def locate_index(self, name: str
-                     ) -> Tuple[List[str], List[TabletBackend]]:
-        """Parallel (sorted extent-start keys, tablets) lists — the
-        client-side routing index ``BatchWriter`` bisects."""
-        ...
-
     def tablets_for_range(self, name: str,
                           rng: Range) -> List[TabletBackend]: ...
+
+    def partition(self, name: str, mutations
+                  ) -> List[Tuple[TabletBackend, list]]:
+        """Raw mutation tuples binned per owning tablet, each tablet's
+        in input order: ``[(tablet, mutations)]``, what ``BatchWriter``
+        hands to ``write_raw_batch`` one tablet at a time."""
+        ...
 
     # -- scans ------------------------------------------------------------
 

@@ -12,9 +12,8 @@ buffers mutations and applies them per owning tablet in bulk
 
 from __future__ import annotations
 
-import bisect
 from itertools import repeat
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.dbsim.backend import ConnectorBackend
 from repro.dbsim.iterators import Columns
@@ -26,7 +25,7 @@ from repro.dbsim.key import (
     sorted_disjoint,
 )
 from repro.dbsim.server import TableConfig
-from repro.dbsim.tablet import IteratorFactory, Tablet
+from repro.dbsim.tablet import IteratorFactory
 from repro.dbsim.visibility import PUBLIC, Authorizations, check_expression
 from repro.obs import trace as _trace
 
@@ -109,19 +108,22 @@ class _RangeSetScan:
 
         self._conn = conn
         self._table = table
-        self._user_iterators = tuple(scan_iterators)
         #: the scan's layers, bottom-up and the same for either
         #: backend: the visibility filter, then the pushed-down spec's
         #: ops (so a combiner/reduce never folds unauthorized cells),
-        #: then the user's callables.  A tablet runs them; a tablet
-        #: proxy ships the ones that can cross the wire
+        #: then the user's.  A tablet runs them; a tablet proxy ships
+        #: the ones that can cross the wire
         self._layers = scan_layers(
             PUBLIC if authorizations is None else authorizations,
-            iterspec) + self._user_iterators
+            iterspec) + tuple(scan_iterators)
+        #: every layer carries a batch stage (a user's ``Layer`` does,
+        #: wire form or not); one opaque callable and the scan is per cell
+        self._staged = all(getattr(layer, "stage", None)
+                           for layer in self._layers)
         self.columns: Columns = None
 
     def _cells(self, ranges: Sequence[Range]) -> Iterator[Cell]:
-        if not self._user_iterators:
+        if self._staged:
             # the per-cell view is a thin layer over the batches
             yield from self._conn.instance.scan_cells(
                 self._table, ranges, self.columns, self._layers)
@@ -140,7 +142,7 @@ class _RangeSetScan:
                 it.advance()
 
     def _batches(self, ranges: Sequence[Range]):
-        if self._user_iterators:
+        if not self._staged:
             from repro.net.iterspec import NonSerializableIteratorError
             raise NonSerializableIteratorError(
                 "scan_columns cannot run per-cell (local-callable) scan "
@@ -183,9 +185,11 @@ class Scanner(_RangeSetScan):
         sequence — timestamps included — is bit-identical to iterating
         the scanner per cell; no ``Cell`` objects are built.
 
-        Per-cell user scan iterators cannot run over batches, so
-        scanners constructed with ``scan_iterators`` must use the
-        regular iteration path.
+        A user scan iterator that carries a batch stage (a
+        :class:`~repro.dbsim.iterators.Layer`) runs here like any
+        built-in layer; an opaque per-cell callable cannot run over
+        batches, so a scanner constructed with one must use the regular
+        iteration path.
         """
         return self._batches((self.range,))
 
@@ -411,31 +415,11 @@ class BatchWriter:
             self._flush_buffer()
 
     def _flush_buffer(self) -> None:
-        # bin the buffer per owning tablet (stable, so each tablet sees
-        # its mutations in buffer order — per-tablet logical clocks then
-        # assign the same timestamps cell-at-a-time writes would), then
-        # apply one write_raw_batch per tablet.  Routing bisects a local
-        # snapshot of the instance's location index, the client-side
-        # analogue of Accumulo's tablet-location cache.
-        starts, tablets = self._conn.instance.locate_index(self._table)
-        locate = bisect.bisect_right
-        group: Optional[List[tuple]] = None
-        lo = ""  # current group's extent bounds, cached for cheap re-use
-        hi: Optional[str] = ""
-        groups: List[Tuple[Tablet, List[tuple]]] = []
-        by_tablet: dict = {}
-        for mut in self._buffer:
-            row = mut[0]
-            if group is None or row < lo or (hi is not None and row >= hi):
-                idx = locate(starts, row) - 1
-                tablet = tablets[idx if idx > 0 else 0]
-                lo = tablet.extent.start_row or ""
-                hi = tablet.extent.stop_row
-                group = by_tablet.get(id(tablet))
-                if group is None:
-                    group = by_tablet[id(tablet)] = []
-                    groups.append((tablet, group))
-            group.append(mut)
+        # the backend bins the buffer per owning tablet (stable, so each
+        # tablet sees its mutations in buffer order) against its
+        # location index — the client-side analogue of Accumulo's
+        # tablet-location cache; then one write_raw_batch per tablet
+        groups = self._conn.instance.partition(self._table, self._buffer)
         if self._pipeline is not None:
             # drains the previous flush, then sends these batches
             # without waiting for their acks

@@ -11,7 +11,7 @@ to perform graph analytics"):
   never materialises a whole table client-side;
 * :func:`degree_table` — maintain the D4M schema's Tdeg (one Reduce);
 * :func:`apply_to_table` / :func:`filter_table` — server-side Apply /
-  value filters via the iterator stack;
+  value filters as batch stages of the scan;
 * :func:`table_bfs` — k-hop BFS by repeated BatchScanner row fetches of
   the frontier (Graphulo's adjacency-table BFS).
 
@@ -29,8 +29,9 @@ import numpy as np
 from repro.dbsim.client import Connector
 from repro.dbsim.iterators import (
     COMBINERS,
-    ApplyIterator,
-    PredicateFilterIterator,
+    Layer,
+    apply_stage,
+    select_stage,
 )
 from repro.dbsim.key import Cell, Range, decode_number
 from repro.dbsim.server import TableConfig
@@ -250,42 +251,49 @@ def _degree_table(conn: Connector, table: str, out: str,
     return inst.total_stats().delta(before)
 
 
-def apply_to_table(conn: Connector, table: str, out: str,
-                   fn: Callable[[float], float],
-                   drop_zero: bool = True, authorizations=None) -> OpStats:
-    """Server-side Apply: scan ``table`` through an ApplyIterator and
-    write the transformed cells to ``out``."""
+def _write_scan(conn: Connector, scanner, out: str) -> None:
+    """Every cell of ``scanner``'s columnar stream into ``out``, as
+    scanned — family, visibility and timestamp kept — then a flush."""
+    with conn.batch_writer(out) as writer:
+        for batch in scanner.scan_columns():
+            writer.put_many(batch.rows, batch.qualifiers, batch.values,
+                            family=batch.families,
+                            visibility=batch.visibilities,
+                            timestamps=batch.timestamps)
+    conn.flush(out)
+
+
+def _scan_to_table(conn: Connector, table: str, out: str, layer: Layer,
+                   authorizations) -> OpStats:
+    """``table`` scanned through ``layer`` (a batch stage with no wire
+    form: over a cluster it runs client-side) into ``out``."""
     inst = conn.instance
     before = inst.total_stats().snapshot()
     if not conn.table_exists(out):
         conn.create_table(out)
-    scanner = conn.scanner(
-        table, scan_iterators=(lambda src: ApplyIterator(src, fn, drop_zero),),
-        authorizations=authorizations)
-    with conn.batch_writer(out) as writer:
-        for cell in scanner:
-            writer.put_cell(cell)
-    conn.flush(out)
+    _write_scan(conn, conn.scanner(table, scan_iterators=(layer,),
+                                   authorizations=authorizations), out)
     return inst.total_stats().delta(before)
+
+
+def apply_to_table(conn: Connector, table: str, out: str,
+                   fn: Callable[[float], float],
+                   drop_zero: bool = True, authorizations=None) -> OpStats:
+    """Server-side Apply: scan ``table`` through an Apply stage and
+    write the transformed cells to ``out``."""
+    return _scan_to_table(conn, table, out,
+                          Layer(apply_stage(fn, drop_zero)), authorizations)
 
 
 def filter_table(conn: Connector, table: str, out: str,
                  predicate: Callable[[Cell], bool],
                  authorizations=None) -> OpStats:
-    """Server-side value/key filter into a new table."""
-    inst = conn.instance
-    before = inst.total_stats().snapshot()
-    if not conn.table_exists(out):
-        conn.create_table(out)
-    scanner = conn.scanner(
-        table,
-        scan_iterators=(lambda src: PredicateFilterIterator(src, predicate),),
-        authorizations=authorizations)
-    with conn.batch_writer(out) as writer:
-        for cell in scanner:
-            writer.put_cell(cell)
-    conn.flush(out)
-    return inst.total_stats().delta(before)
+    """Server-side value/key filter into a new table.  ``predicate``
+    takes a :class:`Cell`: the one place a Graphulo op builds any."""
+    return _scan_to_table(
+        conn, table, out,
+        Layer(select_stage(lambda batch: map(predicate, batch.cells()))),
+        authorizations)
 
 
 def table_bfs(conn: Connector, edge_table: str, seeds: Iterable[str],

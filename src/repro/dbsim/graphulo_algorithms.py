@@ -15,7 +15,12 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.dbsim.client import Connector
-from repro.dbsim.graphulo import _spec, create_combiner_table, table_mult
+from repro.dbsim.graphulo import (
+    _spec,
+    _write_scan,
+    create_combiner_table,
+    table_mult,
+)
 from repro.dbsim.key import decode_number
 from repro.dbsim.stats import OpStats
 
@@ -149,40 +154,43 @@ def table_pagerank(conn: Connector, edge_table: str, out: str,
     # out-degrees (one scan), then a normalised edge table A/deg(row)
     degrees: Dict[str, float] = {}
     vertices = set()
-    for cell in conn.scanner(edge_table):
-        degrees[cell.key.row] = degrees.get(cell.key.row, 0.0) \
-            + decode_number(cell.value)
-        vertices.add(cell.key.row)
-        vertices.add(cell.key.qualifier)
+    for batch in conn.scanner(edge_table).scan_columns():
+        for row, dst, value in zip(batch.rows, batch.qualifiers,
+                                   batch.values):
+            degrees[row] = degrees.get(row, 0.0) + decode_number(value)
+            vertices.add(row)
+            vertices.add(dst)
     n = len(vertices)
     if n == 0:
         raise ValueError(f"edge table {edge_table!r} is empty")
     norm_table = _fresh(conn, f"{tmp_prefix}_norm")
     conn.create_table(norm_table)
     with conn.batch_writer(norm_table) as w:
-        for cell in conn.scanner(edge_table):
-            w.put(cell.key.row, "", cell.key.qualifier,
-                  decode_number(cell.value) / degrees[cell.key.row])
+        for batch in conn.scanner(edge_table).scan_columns():
+            w.put_many(batch.rows, batch.qualifiers,
+                       [decode_number(value) / degrees[row]
+                        for row, value in zip(batch.rows, batch.values)])
 
     def read_vector(table: str) -> Dict[str, float]:
-        return {c.key.row: decode_number(c.value)
-                for c in conn.scanner(table)}
+        vec: Dict[str, float] = {}
+        for batch in conn.scanner(table).scan_columns():
+            vec.update(zip(batch.rows, map(decode_number, batch.values)))
+        return vec
 
-    def write_vector(table: str, vec: Dict[str, float]) -> None:
+    def write_vector(table: str, qualifier: str,
+                     vec: Dict[str, float]) -> None:
         _fresh(conn, table)
         conn.create_table(table)
         with conn.batch_writer(table) as w:
-            for vkey, val in vec.items():
-                w.put(vkey, "", "x", val)
+            w.put_many(list(vec), [qualifier] * len(vec), list(vec.values()))
 
     x = {v: 1.0 / n for v in vertices}
     xt = f"{tmp_prefix}_x"
     for _ in range(max_iter):
-        write_vector(xt, x)
+        write_vector(xt, "x", x)
         walk_t = _fresh(conn, f"{tmp_prefix}_walk")
         table_mult(conn, norm_table, xt, walk_t)   # (A_norm)ᵀ · x
-        walk = {c.key.row: decode_number(c.value)
-                for c in conn.scanner(walk_t)}
+        walk = read_vector(walk_t)
         dangling = sum(val for v, val in x.items() if v not in degrees)
         base = jump / n + (1.0 - jump) * dangling / n
         x_new = {v: base + (1.0 - jump) * walk.get(v, 0.0)
@@ -193,13 +201,8 @@ def table_pagerank(conn: Connector, edge_table: str, out: str,
         if change <= tol:
             break
     conn.delete_table(norm_table)
-    if conn.table_exists(xt):
-        conn.delete_table(xt)
-    _fresh(conn, out)
-    conn.create_table(out)
-    with conn.batch_writer(out) as w:
-        for vkey, val in x.items():
-            w.put(vkey, "", "rank", val)
+    _fresh(conn, xt)
+    write_vector(out, "rank", x)
     conn.flush(out)
     return inst.total_stats().delta(before)
 
@@ -261,12 +264,6 @@ def table_ktruss(conn: Connector, edge_table: str, out: str, k: int,
 
     _fresh(conn, out)
     conn.create_table(out)
-    with conn.batch_writer(out) as writer:
-        for batch in conn.scanner(current).scan_columns():
-            writer.put_many(batch.rows, batch.qualifiers, batch.values,
-                            family=batch.families,
-                            visibility=batch.visibilities,
-                            timestamps=batch.timestamps)
-    conn.flush(out)
+    _write_scan(conn, conn.scanner(current), out)
     conn.delete_table(current)
     return inst.total_stats().delta(before)

@@ -83,10 +83,6 @@ class MemTable(CellBuffer):
             self._sorted = True
         return self.keys, self.values
 
-    def snapshot(self) -> List[Cell]:
-        """The current contents as cells, in key order."""
-        return run_cells(*self.sorted_run())
-
     def clear(self) -> None:
         super().clear()
         self._sorted = True

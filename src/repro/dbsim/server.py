@@ -1,18 +1,34 @@
-"""Tablet servers and the Instance (the simulation's master + ZooKeeper).
+"""The database's decisions, once: TabletIndex, TabletServer, ControlPlane.
 
-An :class:`Instance` owns table configurations (iterator stacks, split
-points, versioning policy) and assigns tablets round-robin across a
-fleet of :class:`TabletServer`\\ s.  Splitting a table redistributes the
-new tablets, so scans and Graphulo ops exercise the same
-locate-tablet → per-server scan flow a real client library performs.
+Everything a tablet server and a manager *decide* lives here, and both
+backends run it — the in-process :class:`Instance` directly, the
+:mod:`repro.net` cluster behind sockets (a service decodes a frame,
+calls one of these methods, and encodes the answer):
+
+* :class:`TabletIndex` — one table's tablets in extent order: the one
+  bisect over tablet start keys, the one overlapping-tablets walk, a
+  split's ``replace``, the one per-tablet binning of a mutation buffer;
+* :class:`TabletServer` — hosts tablets by id and owns the hosting ops
+  (host, split in place, release / adopt — the two halves of a
+  migration — drop, flush, compact), metrics binding included;
+* :class:`ControlPlane` — what Accumulo's master + ZooKeeper own: table
+  configs, each table's index of tablet → server assignments, the
+  round-robin cursor, id minting; the only implementation of create /
+  delete / ``add_split`` / flush / compact.  Its ``servers`` are handles
+  with :class:`TabletServer`'s hosting ops: the servers themselves in
+  process, RPC stubs in a cluster;
+* :class:`Instance` — the plane over an in-process fleet plus the
+  in-process data path, so scans and Graphulo ops exercise the same
+  locate-tablet → per-server flow a real client library performs.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.dbsim.errors import NotHostedError
 from repro.dbsim.key import Range, RangeSet, clip_ranges, covering
 from repro.dbsim.stats import OpStats
 from repro.dbsim.tablet import IteratorFactory, Tablet
@@ -28,28 +44,192 @@ class TableConfig:
     flush_bytes: int = 1 << 20
 
 
-class TabletServer:
-    """Hosts tablets; all per-tablet I/O lands in this server's stats."""
+class TabletIndex:
+    """One table's tablets in extent order, and every question asked of
+    that order.
 
-    def __init__(self, name: str):
+    ``entries`` are anything with an ``extent`` — :class:`Tablet`\\ s'
+    assignments in a :class:`ControlPlane`, tablet proxies in a remote
+    client's locate cache.  ``starts`` (one sorted start key per entry,
+    ``""`` for the unbounded first) is built lazily and *replaced*,
+    never mutated, when a split invalidates it, so callers may use its
+    identity as a staleness token."""
+
+    def __init__(self, entries: Iterable, builds=None):
+        self.entries: list = list(entries)
+        self._starts: Optional[List[str]] = None
+        self._builds = builds  # counter ticked once per ``starts`` rebuild
+
+    @property
+    def starts(self) -> List[str]:
+        starts = self._starts
+        if starts is None:
+            starts = self._starts = [e.extent.start_row or ""
+                                     for e in self.entries]
+            if self._builds is not None:
+                self._builds.inc()
+        return starts
+
+    def at(self, row: str) -> int:
+        """Position of the entry whose extent contains ``row`` — a
+        bisect over the sorted start keys, not a tablet walk."""
+        return max(bisect.bisect_right(self.starts, row) - 1, 0)
+
+    def locate(self, row: str):
+        return self.entries[self.at(row)]
+
+    def overlapping(self, rng: Range) -> list:
+        """The entries whose extents intersect ``rng``, in order."""
+        # first candidate: the entry containing rng's start row
+        lo = 0 if rng.start_row is None else self.at(rng.start_row)
+        out = []
+        for entry in self.entries[lo:]:
+            start = entry.extent.start_row
+            if (rng.stop_row is not None and start is not None
+                    and start >= rng.stop_row):
+                break  # entries are in extent order; the rest are past rng
+            if entry.extent.clip(rng) is not None:
+                out.append(entry)
+        return out
+
+    def replace(self, i: int, left, right) -> None:
+        """A split: entry ``i`` becomes its two children."""
+        self.entries[i:i + 1] = [left, right]
+        self._starts = None  # the boundaries moved
+
+    def partition(self, mutations: Iterable[tuple]
+                  ) -> List[Tuple[object, List[tuple]]]:
+        """Bin raw mutation tuples (row first) per owning entry:
+        ``[(entry, mutations)]`` in order of first appearance.  Stable,
+        so each tablet sees its mutations in buffer order — per-tablet
+        logical clocks then assign the timestamps cell-at-a-time writes
+        would.  One bisect per tablet *change*, not per mutation."""
+        starts, entries = self.starts, self.entries
+        locate = bisect.bisect_right
+        group: Optional[List[tuple]] = None
+        lo = ""  # current group's extent bounds, cached for cheap re-use
+        hi: Optional[str] = ""
+        groups: List[Tuple[object, List[tuple]]] = []
+        by_entry: dict = {}
+        for mut in mutations:
+            row = mut[0]
+            if group is None or row < lo or (hi is not None and row >= hi):
+                idx = locate(starts, row) - 1
+                entry = entries[idx if idx > 0 else 0]
+                lo = entry.extent.start_row or ""
+                hi = entry.extent.stop_row
+                group = by_entry.get(id(entry))
+                if group is None:
+                    group = by_entry[id(entry)] = []
+                    groups.append((entry, group))
+            group.append(mut)
+        return groups
+
+
+class TabletServer:
+    """Hosts tablets by id; all per-tablet I/O lands in this server's
+    stats, and every hosted tablet counts into ``metrics`` under its
+    table's name."""
+
+    def __init__(self, name: str, metrics: MetricsRegistry):
         self.name = name
+        self.metrics = metrics
         self.stats = OpStats()
         #: True between :meth:`crash` and :meth:`recover`.  While set,
         #: every data op on a hosted tablet (write, scan, flush,
         #: compact) raises :class:`ServerCrashedError` — the typed
         #: signal a remote client's retry loop keys off.
         self.crashed = False
-        #: (table, tablet) pairs hosted here
-        self.tablets: List[Tuple[str, Tablet]] = []
+        #: tablet_id → (table, tablet): the one hosting registry
+        self.hosted: Dict[str, Tuple[str, Tablet]] = {}
+        #: table → TableConfig, as pushed with the last tablet hosted
+        self.configs: Dict[str, TableConfig] = {}
 
-    def host(self, table: str, tablet: Tablet) -> None:
+    @property
+    def tablets(self) -> List[Tuple[str, Tablet]]:
+        """(table, tablet) pairs hosted here."""
+        return list(self.hosted.values())
+
+    def tablet(self, table: Optional[str], tablet_id: str) -> Tablet:
+        """The hosted tablet ``tablet_id`` (of ``table``, when given)."""
+        entry = self.hosted.get(tablet_id)
+        if entry is None or table not in (None, entry[0]):
+            raise NotHostedError(
+                f"server {self.name} does not host tablet {tablet_id!r} "
+                f"of table {table!r} (split or migrated?)")
+        return entry[1]
+
+    def _host(self, table: str, tablet_id: str, tablet: Tablet) -> None:
         tablet.stats = self.stats
         tablet.server = self
-        self.tablets.append((table, tablet))
+        tablet.bind_metrics(self.metrics, table)
+        self.hosted[tablet_id] = (table, tablet)
+        self._count()
 
-    def unhost(self, table: str, tablet: Tablet) -> None:
-        self.tablets.remove((table, tablet))
+    def _unhost(self, tablet_id: str) -> Tablet:
+        _, tablet = self.hosted.pop(tablet_id)
+        tablet.unbind_metrics()
         tablet.server = None
+        self._count()
+        return tablet
+
+    def _count(self) -> None:
+        self.metrics.gauge(f"dbsim.server.{self.name}.tablets").set(
+            len(self.hosted))
+
+    def _of(self, table: str) -> List[Tuple[str, Tablet]]:
+        """``(tablet_id, tablet)`` of ``table``'s tablets here, by id."""
+        return [(tid, tablet)
+                for tid, (tab, tablet) in sorted(self.hosted.items())
+                if tab == table]
+
+    # -- hosting ops (what a ControlPlane drives) ---------------------------
+
+    def host_tablet(self, table: str, tablet_id: str, extent: Range,
+                    config: TableConfig) -> None:
+        """Start hosting a new, empty tablet."""
+        self.configs[table] = config
+        self._host(table, tablet_id,
+                   Tablet(extent, config.max_versions, config.flush_bytes))
+
+    def split_tablet(self, table: str, tablet_id: str, split_row: str,
+                     left_id: str, right_id: str) -> Tuple[Range, Range]:
+        """Split in place (both children stay here); their extents."""
+        left, right = self.tablet(table, tablet_id).split(split_row)
+        self._unhost(tablet_id)  # after the split: it flushes, and may raise
+        self._host(table, left_id, left)
+        self._host(table, right_id, right)
+        return left.extent, right.extent
+
+    def release_tablet(self, table: str, tablet_id: str) -> Tablet:
+        """First half of a migration: stop hosting the tablet and hand
+        its state to the caller."""
+        self.tablet(table, tablet_id)
+        return self._unhost(tablet_id)
+
+    def adopt_tablet(self, table: str, tablet_id: str, state: Tablet,
+                     config: TableConfig) -> None:
+        """Second half of a migration: host what another server's
+        :meth:`release_tablet` returned."""
+        self.configs[table] = config
+        self._host(table, tablet_id, state)
+
+    def drop_table(self, table: str) -> int:
+        doomed = self._of(table)
+        for tablet_id, _ in doomed:
+            self._unhost(tablet_id)
+        self.configs.pop(table, None)
+        return len(doomed)
+
+    def flush_table(self, table: str) -> None:
+        for _, tablet in self._of(table):
+            tablet.flush()
+
+    def compact_table(self, table: str) -> None:
+        for _, tablet in self._of(table):
+            tablet.compact(self.configs[table].table_iterators)
+
+    # -- failure simulation -------------------------------------------------
 
     def crash(self) -> None:
         """Simulated process failure: every hosted tablet loses its
@@ -57,7 +237,7 @@ class TabletServer:
         down (data ops raise :class:`ServerCrashedError`, including
         scans already open) until :meth:`recover`."""
         self.crashed = True
-        for _, tablet in self.tablets:
+        for _, tablet in self.hosted.values():
             tablet.crash()
 
     def recover(self, replay_wal: bool = True) -> None:
@@ -67,35 +247,68 @@ class TabletServer:
         are not (yet) replayed; the WALs themselves stay durable, so a
         later ``recover()`` can still replay them."""
         if replay_wal:
-            for _, tablet in self.tablets:
+            for _, tablet in self.hosted.values():
                 tablet.recover()
         self.crashed = False
 
     def __repr__(self) -> str:
-        return f"TabletServer({self.name}, tablets={len(self.tablets)})"
+        return f"TabletServer({self.name}, tablets={len(self.hosted)})"
 
 
-class Instance:
-    """The database: tables, their tablets, and the server fleet."""
+@dataclass(eq=False)
+class Assignment:
+    """One tablet's slot in a table's index: where it lives now."""
 
-    def __init__(self, n_servers: int = 3,
-                 metrics: Optional[MetricsRegistry] = None):
-        if n_servers < 1:
-            raise ValueError(f"need at least one tablet server, got {n_servers}")
-        self.servers = [TabletServer(f"tserver{i}") for i in range(n_servers)]
-        #: per-table work breakdown (``dbsim.table.<name>.*``); defaults
-        #: to the process-global registry so ad-hoc instances aggregate
-        self.metrics = metrics if metrics is not None else global_registry()
-        self._tables: Dict[str, TableConfig] = {}
-        #: per table: tablets sorted by extent start (None first)
-        self._tablets: Dict[str, List[Tablet]] = {}
-        #: per table: cached extent-start keys ("" for the unbounded
-        #: first tablet), parallel to ``_tablets[name]`` — the bisect
-        #: index ``locate`` uses; invalidated on split/create/delete
-        self._locate_index: Dict[str, List[str]] = {}
+    tablet_id: str
+    extent: Range
+    server: object  # a TabletServer, or a handle with its hosting ops
+
+
+@dataclass
+class TableMeta:
+    """What the control plane knows of one table — and, over the wire,
+    what a client caches of it: one ``LOCATE`` reply."""
+
+    config: TableConfig
+    index: TabletIndex
+    #: bumped whenever the index changes
+    version: int = 1
+
+
+class ControlPlane:
+    """The cluster's metadata owner: table configs, the tablet →
+    server assignment (round-robin), the locate index clients cache,
+    and split/migration orchestration.
+
+    ``servers`` are handles with :class:`TabletServer`'s ``name`` and
+    hosting ops.  What ``release_tablet`` returns goes to the
+    destination's ``adopt_tablet`` unopened: the tablet object itself
+    in process, its encoded state in a cluster."""
+
+    def __init__(self, servers: Sequence, metrics: MetricsRegistry):
+        if not servers:
+            raise ValueError("need at least one tablet server")
+        self.servers = list(servers)
+        self.metrics = metrics
+        self._tables: Dict[str, TableMeta] = {}
         self._rr = 0  # round-robin assignment cursor
+        self._next_id = 0
 
-    # -- table lifecycle -----------------------------------------------------
+    def _pick(self):
+        server = self.servers[self._rr % len(self.servers)]
+        self._rr += 1
+        return server
+
+    def _new_id(self, table: str) -> str:
+        self._next_id += 1
+        return f"{table}!{self._next_id:04d}"
+
+    def _hosting(self, name: str) -> list:
+        """The servers holding the table's tablets, in index order."""
+        return list(dict.fromkeys(
+            entry.server for entry in self.table(name).index.entries))
+
+    # -- table lifecycle ----------------------------------------------------
 
     def table_exists(self, name: str) -> bool:
         return name in self._tables
@@ -103,126 +316,126 @@ class Instance:
     def list_tables(self) -> List[str]:
         return sorted(self._tables)
 
+    def table(self, name: str) -> TableMeta:
+        meta = self._tables.get(name)
+        if meta is None:
+            raise KeyError(f"no such table: {name!r}")
+        return meta
+
+    def config(self, name: str) -> TableConfig:
+        return self.table(name).config
+
     def create_table(self, name: str, config: Optional[TableConfig] = None,
                      splits: Sequence[str] = ()) -> None:
         if name in self._tables:
             raise ValueError(f"table {name!r} already exists")
         config = config or TableConfig()
-        self._tables[name] = config
-        tablet = Tablet(Range(), config.max_versions, config.flush_bytes)
-        self._tablets[name] = [tablet]
-        self._locate_index.pop(name, None)
-        self._assign(name, tablet)
+        tablet_id, server = self._new_id(name), self._pick()
+        server.host_tablet(name, tablet_id, Range(), config)
+        # registered only now: a create whose host failed leaves the
+        # name free for a retry
+        self._tables[name] = TableMeta(config, TabletIndex(
+            [Assignment(tablet_id, Range(), server)],
+            self.metrics.counter("dbsim.locate.index_builds")))
         for split in splits:
             self.add_split(name, split)
 
     def delete_table(self, name: str) -> None:
-        self._require(name)
-        for tablet in self._tablets[name]:
-            tablet.unbind_metrics()
-            for server in self.servers:
-                if (name, tablet) in server.tablets:
-                    server.unhost(name, tablet)
-                    self.metrics.gauge(
-                        f"dbsim.server.{server.name}.tablets").set(
-                            len(server.tablets))
-        del self._tablets[name]
+        for server in self._hosting(name):
+            server.drop_table(name)
         del self._tables[name]
-        self._locate_index.pop(name, None)
 
-    def config(self, name: str) -> TableConfig:
-        self._require(name)
-        return self._tables[name]
-
-    def _require(self, name: str) -> None:
-        if name not in self._tables:
-            raise KeyError(f"no such table: {name!r}")
-
-    def _assign(self, table: str, tablet: Tablet) -> None:
-        server = self.servers[self._rr % len(self.servers)]
-        self._rr += 1
-        server.host(table, tablet)
-        tablet.bind_metrics(self.metrics, table)
-        self.metrics.gauge(f"dbsim.server.{server.name}.tablets").set(
-            len(server.tablets))
-
-    # -- tablet management ------------------------------------------------------
-
-    def tablets(self, name: str) -> List[Tablet]:
-        self._require(name)
-        return list(self._tablets[name])
+    # -- tablet management --------------------------------------------------
 
     def add_split(self, name: str, split_row: str) -> None:
         """Split the tablet containing ``split_row`` (no-op if it is
-        already a split point)."""
-        self._require(name)
-        tablet = self.locate(name, split_row)
-        if tablet.extent.start_row == split_row:
+        already a split point).  The owner splits in place; then both
+        children re-enter round-robin assignment — each may land on a
+        different server, the migration that makes a client's cached
+        routing go stale."""
+        meta = self.table(name)
+        index = meta.index
+        i = index.at(split_row)
+        parent = index.entries[i]
+        if parent.extent.start_row == split_row:
             return
-        left, right = tablet.split(split_row)
-        tablet.unbind_metrics()
-        tablets = self._tablets[name]
-        idx = tablets.index(tablet)
-        tablets[idx:idx + 1] = [left, right]
-        self._locate_index.pop(name, None)  # split moved the boundaries
-        for server in self.servers:
-            if (name, tablet) in server.tablets:
-                server.unhost(name, tablet)
-        self._assign(name, left)
-        self._assign(name, right)
+        left_id, right_id = self._new_id(name), self._new_id(name)
+        left, right = parent.server.split_tablet(
+            name, parent.tablet_id, split_row, left_id, right_id)
+        children = (Assignment(left_id, left, parent.server),
+                    Assignment(right_id, right, parent.server))
+        index.replace(i, *children)
+        for child in children:
+            dest = self._pick()
+            if dest is not child.server:
+                dest.adopt_tablet(
+                    name, child.tablet_id,
+                    child.server.release_tablet(name, child.tablet_id),
+                    meta.config)
+                child.server = dest
+        meta.version += 1
 
     def splits(self, name: str) -> List[str]:
-        self._require(name)
-        return [t.extent.start_row for t in self._tablets[name]
-                if t.extent.start_row is not None]
+        return [entry.extent.start_row
+                for entry in self.table(name).index.entries
+                if entry.extent.start_row is not None]
 
-    def _starts(self, name: str) -> List[str]:
-        """The cached bisect index: one sorted start key per tablet
-        (rebuilt lazily after a split invalidates it)."""
-        starts = self._locate_index.get(name)
-        if starts is None:
-            starts = [t.extent.start_row or "" for t in self._tablets[name]]
-            self._locate_index[name] = starts
-            self.metrics.counter("dbsim.locate.index_builds").inc()
-        return starts
+    # -- maintenance --------------------------------------------------------
+
+    def flush_table(self, name: str) -> None:
+        for server in self._hosting(name):
+            server.flush_table(name)
+
+    def compact_table(self, name: str) -> None:
+        for server in self._hosting(name):
+            server.compact_table(name)
+
+
+class Instance(ControlPlane):
+    """The database in one process: the control plane over a fleet of
+    :class:`TabletServer`\\ s, plus the data path that reaches their
+    tablets directly."""
+
+    def __init__(self, n_servers: int = 3,
+                 metrics: Optional[MetricsRegistry] = None):
+        #: per-table work breakdown (``dbsim.table.<name>.*``); defaults
+        #: to the process-global registry so ad-hoc instances aggregate
+        metrics = metrics if metrics is not None else global_registry()
+        super().__init__([TabletServer(f"tserver{i}", metrics)
+                          for i in range(n_servers)], metrics)
+
+    # -- tablet location ----------------------------------------------------
+
+    @staticmethod
+    def _tablet(entry: Assignment) -> Tablet:
+        return entry.server.hosted[entry.tablet_id][1]
+
+    def tablets(self, name: str) -> List[Tablet]:
+        return [self._tablet(e) for e in self.table(name).index.entries]
 
     def locate_index(self, name: str) -> Tuple[List[str], List[Tablet]]:
-        """The table's location index: parallel (start keys, tablets)
-        lists for client-side bisect routing (what a real client's
-        tablet-location cache holds).  The start-key list is replaced —
-        never mutated — when a split invalidates it, so callers may use
-        its identity as a staleness token."""
-        self._require(name)
-        return self._starts(name), self._tablets[name]
+        """The table's location index as parallel (start keys, tablets)
+        lists; the start-key list's identity is a staleness token (see
+        :class:`TabletIndex`)."""
+        return self.table(name).index.starts, self.tablets(name)
 
     def locate(self, name: str, row: str) -> Tablet:
-        """Find the tablet whose extent contains ``row`` — a bisect
-        over the table's sorted split points, not a tablet walk."""
-        self._require(name)
+        """Find the tablet whose extent contains ``row``."""
+        index = self.table(name).index
         self.metrics.counter("dbsim.locate.requests").inc()
-        starts = self._starts(name)
-        idx = bisect.bisect_right(starts, row) - 1
-        tablet = self._tablets[name][max(idx, 0)]
-        if not tablet.extent.contains_row(row):  # pragma: no cover
-            raise AssertionError(f"no tablet covers row {row!r}")
-        return tablet
+        return self._tablet(index.locate(row))
 
     def tablets_for_range(self, name: str, rng: Range) -> List[Tablet]:
-        self._require(name)
-        tablets = self._tablets[name]
-        starts = self._starts(name)
-        # first candidate: the tablet containing rng's start row
-        lo = 0 if rng.start_row is None else \
-            max(bisect.bisect_right(starts, rng.start_row) - 1, 0)
-        out: List[Tablet] = []
-        for tablet in tablets[lo:]:
-            if (rng.stop_row is not None
-                    and tablet.extent.start_row is not None
-                    and tablet.extent.start_row >= rng.stop_row):
-                break  # tablets are in extent order; the rest are past rng
-            if tablet.extent.clip(rng) is not None:
-                out.append(tablet)
-        return out
+        return [self._tablet(e)
+                for e in self.table(name).index.overlapping(rng)]
+
+    def partition(self, name: str, mutations: Iterable[tuple]
+                  ) -> List[Tuple[Tablet, List[tuple]]]:
+        """Route a mutation buffer: see :meth:`TabletIndex.partition`."""
+        return [(self._tablet(entry), group) for entry, group
+                in self.table(name).index.partition(mutations)]
+
+    # -- scans --------------------------------------------------------------
 
     def _tablet_batches(self, name: str, rng: RangeSet, columns,
                         scan_iterators: Sequence):
@@ -256,18 +469,7 @@ class Instance:
                 tablet._check_up()
                 yield cell
 
-    # -- maintenance ----------------------------------------------------------------
-
-    def flush_table(self, name: str) -> None:
-        for tablet in self.tablets(name):
-            tablet.flush()
-
-    def compact_table(self, name: str) -> None:
-        config = self.config(name)
-        for tablet in self.tablets(name):
-            tablet.compact(config.table_iterators)
-
-    # -- observability ------------------------------------------------------------------
+    # -- observability ------------------------------------------------------
 
     def total_stats(self) -> OpStats:
         out = OpStats()
@@ -275,14 +477,14 @@ class Instance:
             out = out.merge(server.stats)
         return out
 
+    def _stats_export(self) -> Dict[str, object]:
+        return {"servers": {s.name: s.stats.as_dict() for s in self.servers},
+                "total": self.total_stats().as_dict()}
+
     def observability_export(self) -> Dict[str, object]:
         """One JSON-ready report: the per-table/per-server metrics
         registry plus the merged OpStats cost model."""
-        return {
-            "metrics": self.metrics.export(),
-            "servers": {s.name: s.stats.as_dict() for s in self.servers},
-            "total": self.total_stats().as_dict(),
-        }
+        return {"metrics": self.metrics.export(), **self._stats_export()}
 
     def write_metrics_snapshot(self, path: str) -> Dict[str, object]:
         """Atomically write a timestamped snapshot of this instance's
@@ -291,11 +493,8 @@ class Instance:
         deltas while a workload runs.  Returns the record written."""
         from repro.obs.expose import write_snapshot
 
-        return write_snapshot(
-            self.metrics, path,
-            extra={"servers": {s.name: s.stats.as_dict()
-                               for s in self.servers},
-                   "total": self.total_stats().as_dict()})
+        return write_snapshot(self.metrics, path,
+                              extra=self._stats_export())
 
     def table_entry_estimate(self, name: str) -> int:
         return sum(t.entry_estimate() for t in self.tablets(name))

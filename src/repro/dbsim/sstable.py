@@ -115,9 +115,6 @@ class SSTable:
         """The run materialised as cells."""
         return run_cells(self.keys, self.values)
 
-    #: what the pre-(keys, values) tests compare runs by
-    _cells = property(cells)
-
     def split_at(self, split_row: str) -> Tuple["SSTable", "SSTable"]:
         """Partition into runs below / at-or-above ``split_row`` with one
         bisect and two slices (cells with row == split_row go right,

@@ -274,8 +274,11 @@ class ColumnBatch:
     def cells(self) -> List[Cell]:
         """Materialise per-cell objects — the lazy escape hatch.
 
-        Same pickle-style ``__new__`` + ``__dict__`` construction as
-        :func:`block_to_cells` (and bit-identical to it)."""
+        Builds the frozen dataclasses the way pickle does — ``__new__``
+        plus a ``__dict__`` fill — because the generated ``__init__``
+        of a frozen dataclass pays one guarded ``object.__setattr__``
+        per field, which at tens of thousands of cells per scan chunk
+        is the single hottest line of a per-cell consumer."""
         key_new, cell_new = Key.__new__, Cell.__new__
         out: List[Cell] = []
         append = out.append
@@ -348,28 +351,3 @@ def decode_columns(buf) -> Tuple[List[str], List[str], List[str],
     """
     rows, fams, quals, vis, ts, dels, vals = _parse(buf)
     return rows, fams, quals, vis, ts.tolist(), dels, vals
-
-
-def decode_mutations(buf) -> List[MutTuple]:
-    """Unpack a block into row-major 7-tuples, the inverse of
-    :func:`encode_block` (the write path itself stays columnar:
-    :func:`decode_batch`)."""
-    rows, fams, quals, vis, ts, dels, vals = _parse(buf)
-    return list(zip(rows, fams, quals, vis, ts, dels, vals))
-
-
-def cells_to_block(cells: Iterable[Cell]) -> bytes:
-    """Encode finished cells (timestamps already stamped)."""
-    return ColumnBatch.from_cells(cells).to_block()
-
-
-def block_to_cells(buf) -> List[Cell]:
-    """Decode a block back into :class:`~repro.dbsim.key.Cell`\\ s.
-
-    Builds the frozen dataclasses the way pickle does — ``__new__``
-    plus a ``__dict__`` fill — because the generated ``__init__`` of a
-    frozen dataclass pays one guarded ``object.__setattr__`` per field,
-    which at tens of thousands of cells per scan chunk is the single
-    hottest line of the client decode path.
-    """
-    return ColumnBatch(*_parse(buf)).cells()

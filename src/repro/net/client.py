@@ -67,7 +67,7 @@ from repro.dbsim.iterators import (
     drain,
 )
 from repro.dbsim.key import Cell, Range, RangeSet, clip_ranges, covering
-from repro.dbsim.server import TableConfig
+from repro.dbsim.server import TableConfig, TableMeta, TabletIndex
 from repro.dbsim.stats import OpStats
 from repro.net import cells as _cells
 from repro.net import iterspec as _iterspec
@@ -686,9 +686,8 @@ class _RemoteScanStream:
             # rows before the resume row are delivered: tablets that
             # hold only those must not be re-planned in
             remaining = clip_ranges(remaining, Range(self._resume[0], None))
-        _, proxies = self._inst.locate_index(self._table)
         self._plan([_Segment(p.addr, p.tablet_id, p.extent)
-                    for p in proxies], remaining)
+                    for p in self._inst.tablets(self._table)], remaining)
 
     @staticmethod
     def _close_segment(seg: _Segment) -> None:
@@ -830,18 +829,8 @@ class TabletProxy:
         mutation order per new owner (timestamps stay bit-identical —
         order within each owning tablet is what the clock stamps)."""
         self._inst.invalidate(self._table)
-        starts, tablets = self._inst.locate_index(self._table)
-        groups: List[Tuple[TabletProxy, List[tuple]]] = []
-        by_tablet: dict = {}
-        for mut in muts:
-            idx = bisect.bisect_right(starts, mut[0]) - 1
-            tablet = tablets[max(idx, 0)]
-            group = by_tablet.get(tablet.tablet_id)
-            if group is None:
-                group = by_tablet[tablet.tablet_id] = []
-                groups.append((tablet, group))
-            group.append(mut)
-        return sum(tablet.write_raw_batch(g) for tablet, g in groups)
+        return sum(tablet.write_raw_batch(group) for tablet, group
+                   in self._inst.partition(self._table, muts))
 
     # -- introspection ----------------------------------------------------
 
@@ -929,17 +918,6 @@ class _RunInfo:
         return f"_RunInfo(entries={self.entries})"
 
 
-class _TableCache:
-    __slots__ = ("version", "starts", "proxies", "config")
-
-    def __init__(self, version: int, starts: List[str],
-                 proxies: List[TabletProxy], config: TableConfig):
-        self.version = version
-        self.starts = starts
-        self.proxies = proxies
-        self.config = config
-
-
 class RemoteInstance:
     """The :class:`~repro.dbsim.backend.ConnectorBackend` that speaks
     the wire protocol: table ops go to the manager; the data path goes
@@ -957,7 +935,7 @@ class RemoteInstance:
         self.manager_addr = parse_addr(manager_addr)
         self.core = RpcCore(metrics=metrics, retry=retry, seed=seed)
         self.compress = compress
-        self._cache: Dict[str, _TableCache] = {}
+        self._cache: Dict[str, TableMeta] = {}
 
     # -- locate cache -----------------------------------------------------
 
@@ -967,20 +945,19 @@ class RemoteInstance:
         else:
             self._cache.pop(name, None)
 
-    def _table(self, name: str) -> _TableCache:
+    def _table(self, name: str) -> TableMeta:
         cached = self._cache.get(name)
         if cached is not None:
             return cached
         resp = self.core.call(self.manager_addr, wire.LOCATE,
                               {"table": name})
-        proxies = [
-            TabletProxy(self, name, t["tablet_id"],
-                        wire.wire_to_range(t["extent"]),
-                        parse_addr(t["addr"]))
-            for t in resp["tablets"]]
-        starts = [p.extent.start_row or "" for p in proxies]
-        cached = _TableCache(resp["version"], starts, proxies,
-                             wire.wire_to_config(resp["config"]))
+        cached = TableMeta(
+            wire.wire_to_config(resp["config"]),
+            TabletIndex(TabletProxy(self, name, t["tablet_id"],
+                                    wire.wire_to_range(t["extent"]),
+                                    parse_addr(t["addr"]))
+                        for t in resp["tablets"]),
+            resp["version"])
         self._cache[name] = cached
         return cached
 
@@ -1029,31 +1006,19 @@ class RemoteInstance:
                               {"table": name})["splits"]
 
     def tablets(self, name: str) -> List[TabletProxy]:
-        return list(self._table(name).proxies)
-
-    def locate_index(self, name: str) -> Tuple[List[str],
-                                               List[TabletProxy]]:
-        cached = self._table(name)
-        return cached.starts, cached.proxies
+        return list(self._table(name).index.entries)
 
     def locate(self, name: str, row: str) -> TabletProxy:
-        starts, proxies = self.locate_index(name)
-        idx = bisect.bisect_right(starts, row) - 1
-        return proxies[max(idx, 0)]
+        return self._table(name).index.locate(row)
 
     def tablets_for_range(self, name: str, rng: Range) -> List[TabletProxy]:
-        starts, proxies = self.locate_index(name)
-        lo = 0 if rng.start_row is None else \
-            max(bisect.bisect_right(starts, rng.start_row) - 1, 0)
-        out: List[TabletProxy] = []
-        for proxy in proxies[lo:]:
-            if (rng.stop_row is not None
-                    and proxy.extent.start_row is not None
-                    and proxy.extent.start_row >= rng.stop_row):
-                break
-            if proxy.extent.clip(rng) is not None:
-                out.append(proxy)
-        return out
+        return self._table(name).index.overlapping(rng)
+
+    def partition(self, name: str, mutations
+                  ) -> List[Tuple[TabletProxy, List[tuple]]]:
+        """Route a mutation buffer through the cached index: see
+        :meth:`~repro.dbsim.server.TabletIndex.partition`."""
+        return self._table(name).index.partition(mutations)
 
     def scan_columns(self, table: str, rng: RangeSet = Range(),
                      columns: Columns = None,
@@ -1146,7 +1111,7 @@ class RemoteInstance:
         return OpStats.from_dict(resp["total"])
 
     def table_entry_estimate(self, name: str) -> int:
-        return sum(p.entry_estimate() for p in self._table(name).proxies)
+        return sum(p.entry_estimate() for p in self.tablets(name))
 
     def close(self) -> None:
         self.core.close()

@@ -1,21 +1,24 @@
-"""Server side of the RPC fabric: tablet-server and manager services.
+"""Server side of the RPC fabric: what the wire adds to ``dbsim.server``.
 
-Two services, each a threaded TCP listener speaking
-:mod:`repro.net.wire` frames:
+Everything a tablet server and a manager *decide* is
+:mod:`repro.dbsim.server` — the ``TabletServer``, ``ControlPlane`` and
+``TabletIndex`` the in-process ``Instance`` runs.  This module puts
+them behind sockets: two services, each a threaded TCP listener
+speaking :mod:`repro.net.wire` frames, whose handlers decode a payload,
+call one method, and encode the answer.
 
-* :class:`TabletServerService` wraps one
-  :class:`~repro.dbsim.server.TabletServer` and its hosted
-  :class:`~repro.dbsim.tablet.Tablet`\\ s.  It owns the *data path*:
-  ``write_batch`` and streaming ``scan``, plus the hosting ops the
-  manager drives (host / split / migrate) and the failure-simulation
-  ops (crash / recover).
-* :class:`ManagerService` owns what Accumulo's master + ZooKeeper own:
-  table configurations, the tablet → server assignment (round-robin,
-  matching the in-process :class:`~repro.dbsim.server.Instance`), and
-  the locate index clients cache.  Splits run through the manager: the
-  owning server splits in place, then the manager migrates each child
-  to its round-robin home — which is what makes ``NotHostedError`` a
-  real event remote clients must handle.
+* :class:`TabletServerService` serves one ``TabletServer``.  It adds
+  the *data path* (``write_batch`` and streaming ``scan`` against the
+  hosted tablets) and the wire form of a migrating tablet's state; the
+  hosting and failure-simulation ops are the ``TabletServer``'s own.
+* :class:`ManagerService` serves one ``ControlPlane`` whose servers
+  are :class:`_ServerStub`\\ s — the hosting ops as RPCs — and adds the
+  cluster fan-outs (stats, metrics, telemetry, crash / recover,
+  status, shutdown).  A migrating tablet's state passes through it
+  unopened, from one server's ``MIGRATE_OUT`` reply into the other's
+  ``MIGRATE_IN`` request.  Splits — the owner splits in place, then
+  each child moves to its round-robin home — are what make
+  ``NotHostedError`` a real event remote clients must handle.
 
 Concurrency model (wire v3, multiplexed): each connection gets a
 *reader* thread that only parses frames and routes them — unary
@@ -69,7 +72,7 @@ from repro.dbsim.errors import BusyError, NotHostedError
 from repro.dbsim.iterators import Layer
 from repro.dbsim.key import (Key, Range, key_columns, sort_keys,
                              sorted_disjoint)
-from repro.dbsim.server import TableConfig, TabletServer
+from repro.dbsim.server import ControlPlane, TableConfig, TabletServer
 from repro.dbsim.sstable import SSTable
 from repro.dbsim.stats import OpStats
 from repro.dbsim.tablet import Tablet
@@ -397,7 +400,8 @@ class _BaseService:
                 if handler is None:
                     raise wire.ProtocolError(
                         f"unsupported op-code {code:#x}")
-                out_code, out_payload = wire.OK, handler(payload)
+                # an op with nothing to report acks with an empty object
+                out_code, out_payload = wire.OK, handler(payload) or {}
             except Exception as exc:  # noqa: BLE001 - wire boundary
                 self.metrics.counter("net.server.errors").inc()
                 out_code, out_payload = wire.ERROR, wire.error_payload(exc)
@@ -505,34 +509,69 @@ class _BaseService:
 # -- tablet server ----------------------------------------------------------
 
 
+def _tablet_state(tablet: Tablet) -> wire.CellsPayload:
+    """The wire form of a tablet: its whole state as one cell block —
+    memtable, WAL, then each run, their lengths in the meta's
+    ``sections``."""
+    sections = [tablet.memtable.sorted_run(),
+                (tablet.wal.keys, tablet.wal.values),
+                *((run.keys, run.values) for run in tablet.sstables)]
+    keys = list(chain.from_iterable(keys for keys, _ in sections))
+    values = list(chain.from_iterable(vals for _, vals in sections))
+    return wire.CellsPayload(
+        {"extent": wire.range_to_wire(tablet.extent),
+         "clock": tablet._clock,
+         "sections": [len(keys) for keys, _ in sections]},
+        cells.encode_columns(*key_columns(keys), values))
+
+
+def _state_tablet(state: wire.CellsPayload, config: TableConfig) -> Tablet:
+    """The tablet a :func:`_tablet_state` payload describes."""
+    meta = state.meta
+    tablet = Tablet(wire.wire_to_range(meta["extent"]),
+                    config.max_versions, config.flush_bytes)
+    tablet._clock = meta["clock"]
+    *key_cols, values = cells.decode_columns(state.block)
+    keys, values = iter(sort_keys(*key_cols)), iter(values)
+    memtable, wal, *runs = ((list(islice(keys, n)), list(islice(values, n)))
+                            for n in meta["sections"])
+    for run in runs:
+        tablet.sstables.append(SSTable.from_run(*run))
+    tablet.wal.extend(*wal)
+    tablet.memtable.extend(*memtable)
+    return tablet
+
+
 class TabletServerService(_BaseService):
     """One dbsim :class:`~repro.dbsim.server.TabletServer` behind a
-    socket: the data path (writes, streaming scans) plus hosting,
-    migration, and failure-simulation ops."""
+    socket: its hosting and failure-simulation ops as handlers, plus
+    the data path (writes, streaming scans)."""
 
     def __init__(self, name: str, faults: Optional[FaultPlan] = None,
                  metrics: Optional[MetricsRegistry] = None):
         super().__init__(name, faults, metrics)
-        self.tserver = TabletServer(name)
-        #: tablet_id → (table, Tablet)
-        self._hosted: Dict[str, Tuple[str, Tablet]] = {}
-        #: table → TableConfig (authoritative copy pushed at host time)
-        self._configs: Dict[str, TableConfig] = {}
+        self.tserver = TabletServer(name, self.metrics)
+        #: the server's own registry, not a copy: tablet_id → (table, Tablet)
+        self._hosted = self.tserver.hosted
 
     def _handlers(self):
+        tserver = self.tserver
         return {
             wire.PING: lambda p: {},
             wire.HOST_TABLET: self._host_tablet,
-            wire.DROP_TABLE: self._drop_table,
+            wire.DROP_TABLE: lambda p: {
+                "dropped": tserver.drop_table(p["table"])},
             wire.SPLIT_TABLET: self._split_tablet,
-            wire.MIGRATE_OUT: self._migrate_out,
+            wire.MIGRATE_OUT: lambda p: _tablet_state(
+                tserver.release_tablet(p.get("table"), p["tablet_id"])),
             wire.MIGRATE_IN: self._migrate_in,
             wire.WRITE_BATCH: self._write_batch,
-            wire.FLUSH: self._flush,
-            wire.COMPACT: self._compact,
-            wire.CRASH: self._crash,
-            wire.RECOVER: self._recover,
-            wire.STATS: lambda p: self.tserver.stats.as_dict(),
+            wire.FLUSH: lambda p: tserver.flush_table(p["table"]),
+            wire.COMPACT: lambda p: tserver.compact_table(p["table"]),
+            wire.CRASH: lambda p: tserver.crash(),
+            wire.RECOVER: lambda p: tserver.recover(
+                replay_wal=p.get("replay_wal", True)),
+            wire.STATS: lambda p: tserver.stats.as_dict(),
             wire.METRICS: lambda p: self.metrics.export(),
             wire.TABLET_INFO: self._tablet_info,
             wire.STATUS: self._status,
@@ -542,97 +581,36 @@ class TabletServerService(_BaseService):
     def _stream_handler(self, code: int):
         return self._scan_stream if code == wire.SCAN else None
 
-    # -- hosting ----------------------------------------------------------
+    # -- hosting: decode → TabletServer op → encode -------------------------
 
-    def _get(self, payload: dict) -> Tuple[str, Tablet]:
-        entry = self._hosted.get(payload["tablet_id"])
-        if entry is None or entry[0] != payload.get("table", entry[0]):
-            raise NotHostedError(
-                f"server {self.name} does not host tablet "
-                f"{payload['tablet_id']!r} of table "
-                f"{payload.get('table')!r} (split or migrated?)")
-        return entry
+    def _get(self, payload: dict) -> Tablet:
+        return self.tserver.tablet(payload.get("table"),
+                                   payload["tablet_id"])
 
-    def _host(self, table: str, tablet_id: str, tablet: Tablet) -> None:
-        self.tserver.host(table, tablet)
-        tablet.bind_metrics(self.metrics, table)
-        self._hosted[tablet_id] = (table, tablet)
-
-    def _unhost(self, tablet_id: str) -> Tuple[str, Tablet]:
-        table, tablet = self._hosted.pop(tablet_id)
-        tablet.unbind_metrics()
-        self.tserver.unhost(table, tablet)
-        return table, tablet
-
-    def _host_tablet(self, p: dict) -> dict:
-        config = wire.wire_to_config(p["config"]) or TableConfig()
-        self._configs[p["table"]] = config
-        tablet = Tablet(wire.wire_to_range(p["extent"]),
-                        config.max_versions, config.flush_bytes)
-        self._host(p["table"], p["tablet_id"], tablet)
-        return {}
-
-    def _drop_table(self, p: dict) -> dict:
-        doomed = [tid for tid, (table, _) in self._hosted.items()
-                  if table == p["table"]]
-        for tid in doomed:
-            self._unhost(tid)
-        self._configs.pop(p["table"], None)
-        return {"dropped": len(doomed)}
+    def _host_tablet(self, p: dict) -> None:
+        self.tserver.host_tablet(
+            p["table"], p["tablet_id"], wire.wire_to_range(p["extent"]),
+            wire.wire_to_config(p["config"]) or TableConfig())
 
     def _split_tablet(self, p: dict) -> dict:
-        table, tablet = self._get(p)
-        left, right = tablet.split(p["split_row"])  # flushes; may raise
-        self._unhost(p["tablet_id"])
-        self._host(table, p["left_id"], left)
-        self._host(table, p["right_id"], right)
-        return {"left": wire.range_to_wire(left.extent),
-                "right": wire.range_to_wire(right.extent)}
+        left, right = self.tserver.split_tablet(
+            p["table"], p["tablet_id"], p["split_row"],
+            p["left_id"], p["right_id"])
+        return {"left": wire.range_to_wire(left),
+                "right": wire.range_to_wire(right)}
 
-    # -- migration --------------------------------------------------------
-
-    def _migrate_out(self, p: dict) -> wire.CellsPayload:
-        """The tablet's whole state as one cell block: memtable, WAL,
-        then each run, their lengths in the meta's ``sections``."""
-        _, tablet = self._get(p)
-        sections = [tablet.memtable.sorted_run(),
-                    (tablet.wal.keys, tablet.wal.values),
-                    *((run.keys, run.values) for run in tablet.sstables)]
-        keys = list(chain.from_iterable(keys for keys, _ in sections))
-        values = list(chain.from_iterable(vals for _, vals in sections))
-        state = wire.CellsPayload(
-            {"extent": wire.range_to_wire(tablet.extent),
-             "clock": tablet._clock,
-             "sections": [len(keys) for keys, _ in sections]},
-            cells.encode_columns(*key_columns(keys), values))
-        self._unhost(p["tablet_id"])
-        return state
-
-    def _migrate_in(self, p) -> dict:
+    def _migrate_in(self, p) -> None:
         meta = _binary(p, "MIGRATE_IN").meta
         config = wire.wire_to_config(meta["config"]) or TableConfig()
-        self._configs[meta["table"]] = config
-        tablet = Tablet(wire.wire_to_range(meta["extent"]),
-                        config.max_versions, config.flush_bytes)
-        tablet._clock = meta["clock"]
-        *key_cols, values = cells.decode_columns(p.block)
-        keys, values = iter(sort_keys(*key_cols)), iter(values)
-        memtable, wal, *runs = ((list(islice(keys, n)),
-                                 list(islice(values, n)))
-                                for n in meta["sections"])
-        for run in runs:
-            tablet.sstables.append(SSTable.from_run(*run))
-        tablet.wal.extend(*wal)
-        tablet.memtable.extend(*memtable)
-        self._host(meta["table"], meta["tablet_id"], tablet)
-        return {}
+        self.tserver.adopt_tablet(meta["table"], meta["tablet_id"],
+                                  _state_tablet(p, config), config)
 
     # -- data path --------------------------------------------------------
 
     def _write_batch(self, p) -> dict:
         meta = _binary(p, "WRITE_BATCH").meta
         columns = cells.decode_columns(p.block)
-        table, tablet = self._get(meta)
+        tablet = self._get(meta)
         try:
             applied = tablet.write_columns(*columns)
         except ValueError as exc:
@@ -689,8 +667,8 @@ class TabletServerService(_BaseService):
             columns = ([tuple(c) for c in p["columns"]]
                        if p.get("columns") else None)
             with self._lock:
-                table, tablet = self._get(p)
-                config = self._configs.get(table, TableConfig())
+                tablet = self._get(p)
+                config = self.tserver.configs[tablet.table]
                 # the same call the in-process client makes: the runs
                 # are sliced here, under the lock; merging them, the
                 # storage pass and the layers' stages run as the
@@ -704,7 +682,8 @@ class TabletServerService(_BaseService):
                 counters("net.server.pushdown.ops").inc(len(spec))
             resume = p.get("resume")
             skip_past = Key(*resume).sort_tuple() if resume else None
-            scan_bytes = counters(f"net.server.table.{table}.scan_bytes")
+            scan_bytes = counters(
+                f"net.server.table.{tablet.table}.scan_bytes")
             scan_chunks = counters("net.server.scan_chunks")
 
             # one-batch lookahead so the final CHUNK can carry a "last"
@@ -777,33 +756,10 @@ class TabletServerService(_BaseService):
                 with self._lock:
                     tablet.absorb_scan_stats(scan_stats)
 
-    # -- maintenance / failure sim ----------------------------------------
-
-    def _tablets_of(self, table: str) -> List[Tablet]:
-        return [t for tid, (tab, t) in sorted(self._hosted.items())
-                if tab == table]
-
-    def _flush(self, p: dict) -> dict:
-        for tablet in self._tablets_of(p["table"]):
-            tablet.flush()
-        return {}
-
-    def _compact(self, p: dict) -> dict:
-        config = self._configs.get(p["table"], TableConfig())
-        for tablet in self._tablets_of(p["table"]):
-            tablet.compact(config.table_iterators)
-        return {}
-
-    def _crash(self, p: dict) -> dict:
-        self.tserver.crash()
-        return {}
-
-    def _recover(self, p: dict) -> dict:
-        self.tserver.recover(replay_wal=p.get("replay_wal", True))
-        return {}
+    # -- introspection ----------------------------------------------------
 
     def _tablet_info(self, p: dict) -> dict:
-        _, tablet = self._get(p)
+        tablet = self._get(p)
         return {
             "extent": wire.range_to_wire(tablet.extent),
             "entries": tablet.entry_estimate(),
@@ -818,29 +774,65 @@ class TabletServerService(_BaseService):
             "tablets": {
                 tid: {"table": table,
                       "extent": wire.range_to_wire(tablet.extent)}
-                for tid, (table, tablet) in sorted(self._hosted.items())},
+                for tid, (table, tablet) in self.tserver.hosted.items()},
         }
 
 
 # -- manager ----------------------------------------------------------------
 
 
-class _IndexEntry:
-    """One tablet's slot in a table's locate index."""
+class _ServerStub:
+    """A remote tablet server as a :class:`~repro.dbsim.server.
+    ControlPlane` sees it: :class:`~repro.dbsim.server.TabletServer`'s
+    hosting ops, each one RPC.  What ``release_tablet`` returns — the
+    ``MIGRATE_OUT`` reply, a tablet's state as one cell block — goes
+    into ``adopt_tablet``'s ``MIGRATE_IN`` as it came."""
 
-    __slots__ = ("tablet_id", "extent", "server", "addr")
-
-    def __init__(self, tablet_id: str, extent: Range, server: str,
-                 addr: Addr):
-        self.tablet_id = tablet_id
-        self.extent = extent
-        self.server = server
+    def __init__(self, core: RpcCore, name: str, addr: Addr):
+        self.core = core
+        self.name = name
         self.addr = addr
+
+    def _mutate(self, op: int, table: str, **fields):
+        return self.core.mutate(self.addr, op, {"table": table, **fields})
+
+    def host_tablet(self, table: str, tablet_id: str, extent: Range,
+                    config: TableConfig) -> None:
+        self._mutate(wire.HOST_TABLET, table, tablet_id=tablet_id,
+                     extent=wire.range_to_wire(extent),
+                     config=wire.config_to_wire(config))
+
+    def split_tablet(self, table: str, tablet_id: str, split_row: str,
+                     left_id: str, right_id: str) -> Tuple[Range, Range]:
+        resp = self._mutate(wire.SPLIT_TABLET, table, tablet_id=tablet_id,
+                            split_row=split_row, left_id=left_id,
+                            right_id=right_id)
+        return (wire.wire_to_range(resp["left"]),
+                wire.wire_to_range(resp["right"]))
+
+    def release_tablet(self, table: str, tablet_id: str) -> wire.CellsPayload:
+        return self._mutate(wire.MIGRATE_OUT, table, tablet_id=tablet_id)
+
+    def adopt_tablet(self, table: str, tablet_id: str,
+                     state: wire.CellsPayload, config: TableConfig) -> None:
+        self.core.mutate(self.addr, wire.MIGRATE_IN, wire.CellsPayload(
+            {**state.meta, "table": table, "tablet_id": tablet_id,
+             "config": wire.config_to_wire(config)}, state.block))
+
+    def drop_table(self, table: str) -> int:
+        return self._mutate(wire.DROP_TABLE, table)["dropped"]
+
+    def flush_table(self, table: str) -> None:
+        self.core.call(self.addr, wire.FLUSH, {"table": table})
+
+    def compact_table(self, table: str) -> None:
+        self.core.call(self.addr, wire.COMPACT, {"table": table})
 
 
 class ManagerService(_BaseService):
-    """Cluster metadata owner: table configs, round-robin tablet
-    assignment, the locate index, and split/migration orchestration."""
+    """One :class:`~repro.dbsim.server.ControlPlane` behind a socket —
+    its servers are :class:`_ServerStub`\\ s — plus the cluster
+    fan-outs no single server can answer."""
 
     def __init__(self, servers: Sequence[Tuple[str, Addr]],
                  faults: Optional[FaultPlan] = None,
@@ -848,20 +840,14 @@ class ManagerService(_BaseService):
                  name: str = "manager", telemetry_interval: float = 0.0,
                  telemetry_window: int = 120):
         super().__init__(name, faults, metrics)
-        if not servers:
-            raise ValueError("manager needs at least one tablet server")
-        self.servers: List[Tuple[str, Addr]] = [
-            (n, parse_addr(a)) for n, a in servers]
         # fan-out client: fewer, faster attempts than an end client —
         # a dead server should fail the management op, not hang it
         self.core = RpcCore(metrics=self.metrics,
                             retry=RetryPolicy(attempts=3, base=0.01,
                                               cap=0.1))
-        self._tables: Dict[str, Optional[dict]] = {}  # wire-form configs
-        self._index: Dict[str, List[_IndexEntry]] = {}
-        self._versions: Dict[str, int] = {}
-        self._rr = 0
-        self._next_id = 0
+        self.plane = ControlPlane(
+            [_ServerStub(self.core, n, parse_addr(a)) for n, a in servers],
+            self.metrics)
         #: ring-buffered per-server metric history; the TELEMETRY op
         #: serves it, and a background sampler feeds it when
         #: ``telemetry_interval`` > 0 (off by default: deterministic
@@ -871,17 +857,19 @@ class ManagerService(_BaseService):
         self.telemetry_interval = telemetry_interval
 
     def _handlers(self):
+        plane = self.plane
         return {
             wire.PING: lambda p: {},
             wire.CREATE_TABLE: self._create_table,
-            wire.DELETE_TABLE: self._delete_table,
-            wire.TABLE_EXISTS: self._table_exists,
-            wire.LIST_TABLES: lambda p: {"tables": sorted(self._tables)},
-            wire.ADD_SPLIT: self._add_split,
-            wire.SPLITS: self._splits,
+            wire.DELETE_TABLE: lambda p: plane.delete_table(p["name"]),
+            wire.TABLE_EXISTS: lambda p: {
+                "exists": plane.table_exists(p["name"])},
+            wire.LIST_TABLES: lambda p: {"tables": plane.list_tables()},
+            wire.ADD_SPLIT: lambda p: plane.add_split(p["table"], p["row"]),
+            wire.SPLITS: lambda p: {"splits": plane.splits(p["table"])},
             wire.LOCATE: self._locate,
-            wire.FLUSH: self._fan_flush,
-            wire.COMPACT: self._fan_compact,
+            wire.FLUSH: lambda p: plane.flush_table(p["table"]),
+            wire.COMPACT: lambda p: plane.compact_table(p["table"]),
             wire.STATS: self._fan_stats,
             wire.METRICS: self._fan_metrics,
             wire.CRASH: self._crash_server,
@@ -908,163 +896,51 @@ class ManagerService(_BaseService):
             except Exception:  # noqa: BLE001 - sampling is best-effort
                 pass
 
-    # -- assignment helpers -----------------------------------------------
+    # -- the plane's ops that need more than a field lookup ----------------
 
-    def _pick(self) -> Tuple[str, Addr]:
-        server = self.servers[self._rr % len(self.servers)]
-        self._rr += 1
-        return server
-
-    def _new_id(self, table: str) -> str:
-        self._next_id += 1
-        return f"{table}!{self._next_id:04d}"
-
-    def _require(self, name: str) -> None:
-        if name not in self._tables:
-            raise KeyError(f"no such table: {name!r}")
-
-    def _bump(self, table: str) -> None:
-        self._versions[table] = self._versions.get(table, 0) + 1
-
-    # -- table lifecycle --------------------------------------------------
-
-    def _create_table(self, p: dict) -> dict:
-        name = p["name"]
-        if name in self._tables:
-            raise ValueError(f"table {name!r} already exists")
-        config = p["config"]
-        if config is None:  # normalise: the index always serves a real config
-            config = wire.config_to_wire(TableConfig())
-        else:
-            wire.wire_to_config(config)  # validate early
-        self._tables[name] = config
-        tablet_id = self._new_id(name)
-        sname, addr = self._pick()
-        self.core.mutate(addr, wire.HOST_TABLET, {
-            "table": name, "tablet_id": tablet_id,
-            "extent": [None, None], "config": p["config"]})
-        self._index[name] = [_IndexEntry(tablet_id, Range(), sname, addr)]
-        self._bump(name)
-        for split in p.get("splits", ()):
-            self._do_add_split(name, split)
-        return {}
-
-    def _delete_table(self, p: dict) -> dict:
-        name = p["name"]
-        self._require(name)
-        for sname, addr in self._hosting_servers(name):
-            self.core.mutate(addr, wire.DROP_TABLE, {"table": name})
-        del self._tables[name]
-        del self._index[name]
-        self._versions.pop(name, None)
-        return {}
-
-    def _table_exists(self, p: dict) -> dict:
-        return {"exists": p["name"] in self._tables}
+    def _create_table(self, p: dict) -> None:
+        # decoding validates: a config naming an unknown table iterator
+        # is refused here, before the plane mints an id or picks a server
+        self.plane.create_table(p["name"], wire.wire_to_config(p["config"]),
+                                p.get("splits", ()))
 
     def _locate(self, p: dict) -> dict:
-        name = p["table"]
-        self._require(name)
+        meta = self.plane.table(p["table"])
         return {
-            "version": self._versions.get(name, 0),
-            "config": self._tables[name],
-            "tablets": [{"tablet_id": e.tablet_id,
-                         "extent": wire.range_to_wire(e.extent),
-                         "addr": format_addr(e.addr)}
-                        for e in self._index[name]],
+            "version": meta.version,
+            "config": wire.config_to_wire(meta.config),
+            "tablets": [{"tablet_id": a.tablet_id,
+                         "extent": wire.range_to_wire(a.extent),
+                         "addr": format_addr(a.server.addr)}
+                        for a in meta.index.entries],
         }
 
-    def _splits(self, p: dict) -> dict:
-        self._require(p["table"])
-        return {"splits": [e.extent.start_row
-                           for e in self._index[p["table"]]
-                           if e.extent.start_row is not None]}
-
-    # -- splits + migration -----------------------------------------------
-
-    def _add_split(self, p: dict) -> dict:
-        self._require(p["table"])
-        self._do_add_split(p["table"], p["row"])
-        return {}
-
-    def _do_add_split(self, table: str, row: str) -> None:
-        entries = self._index[table]
-        idx = next(i for i, e in enumerate(entries)
-                   if e.extent.contains_row(row))
-        entry = entries[idx]
-        if entry.extent.start_row == row:
-            return  # already a split point
-        left_id, right_id = self._new_id(table), self._new_id(table)
-        resp = self.core.mutate(entry.addr, wire.SPLIT_TABLET, {
-            "table": table, "tablet_id": entry.tablet_id,
-            "split_row": row, "left_id": left_id, "right_id": right_id})
-        left = _IndexEntry(left_id, wire.wire_to_range(resp["left"]),
-                           entry.server, entry.addr)
-        right = _IndexEntry(right_id, wire.wire_to_range(resp["right"]),
-                            entry.server, entry.addr)
-        entries[idx:idx + 1] = [left, right]
-        # both children re-enter round-robin assignment, mirroring the
-        # in-process Instance (each may land on a different server —
-        # the migration that makes a client's cached routing go stale)
-        for child in (left, right):
-            self._migrate(table, child, self._pick())
-        self._bump(table)
-
-    def _migrate(self, table: str, entry: _IndexEntry,
-                 dest: Tuple[str, Addr]) -> None:
-        dname, daddr = dest
-        if dname == entry.server:
-            return
-        state = self.core.mutate(entry.addr, wire.MIGRATE_OUT, {
-            "table": table, "tablet_id": entry.tablet_id})
-        self.core.mutate(daddr, wire.MIGRATE_IN, wire.CellsPayload(
-            {**state.meta, "table": table, "tablet_id": entry.tablet_id,
-             "config": self._tables[table]}, state.block))
-        entry.server, entry.addr = dname, daddr
-
     # -- fan-out ops ------------------------------------------------------
-
-    def _hosting_servers(self, table: str) -> List[Tuple[str, Addr]]:
-        seen: Dict[str, Addr] = {}
-        for e in self._index[table]:
-            seen.setdefault(e.server, e.addr)
-        return list(seen.items())
-
-    def _fan_flush(self, p: dict) -> dict:
-        self._require(p["table"])
-        for _, addr in self._hosting_servers(p["table"]):
-            self.core.call(addr, wire.FLUSH, {"table": p["table"]})
-        return {}
-
-    def _fan_compact(self, p: dict) -> dict:
-        self._require(p["table"])
-        for _, addr in self._hosting_servers(p["table"]):
-            self.core.call(addr, wire.COMPACT, {"table": p["table"]})
-        return {}
 
     def _fan_stats(self, p: dict) -> dict:
         total = OpStats()
         per_server = {}
-        for sname, addr in self.servers:
-            stats = self.core.call(addr, wire.STATS, {})
-            per_server[sname] = stats
+        for server in self.plane.servers:
+            stats = self.core.call(server.addr, wire.STATS, {})
+            per_server[server.name] = stats
             total = total.merge(OpStats.from_dict(stats))
         return {"total": total.as_dict(), "servers": per_server}
 
     def _fan_metrics(self, p: dict) -> dict:
         return {
             "manager": self.metrics.export(),
-            "servers": {sname: self.core.call(addr, wire.METRICS, {})
-                        for sname, addr in self.servers},
+            "servers": {s.name: self.core.call(s.addr, wire.METRICS, {})
+                        for s in self.plane.servers},
         }
 
     def _sample_cluster(self) -> Dict[str, dict]:
         """One telemetry tick: every reachable registry, by component
         name (a down server is skipped, not fatal)."""
         out: Dict[str, dict] = {"manager": self.metrics.export()}
-        for sname, addr in self.servers:
+        for server in self.plane.servers:
             try:
-                out[sname] = self.core.call(addr, wire.METRICS, {})
+                out[server.name] = self.core.call(server.addr,
+                                                  wire.METRICS, {})
             except Exception:  # noqa: BLE001 - down server: skip tick
                 continue
         return out
@@ -1081,9 +957,9 @@ class ManagerService(_BaseService):
         return out
 
     def _server_addr(self, name: str) -> Addr:
-        for sname, addr in self.servers:
-            if sname == name:
-                return addr
+        for server in self.plane.servers:
+            if server.name == name:
+                return server.addr
         raise KeyError(f"no such tablet server: {name!r}")
 
     def _crash_server(self, p: dict) -> dict:
@@ -1097,19 +973,20 @@ class ManagerService(_BaseService):
 
     def _status(self, p: dict) -> dict:
         statuses = {}
-        for sname, addr in self.servers:
+        for server in self.plane.servers:
             try:
-                statuses[sname] = self.core.call(addr, wire.STATUS, {})
+                status = self.core.call(server.addr, wire.STATUS, {})
             except Exception as exc:  # noqa: BLE001 - a down server
-                statuses[sname] = {"error": str(exc)}
-            statuses[sname]["addr"] = format_addr(addr)
-        return {"manager": self.name, "tables": sorted(self._tables),
+                status = {"error": str(exc)}
+            status["addr"] = format_addr(server.addr)
+            statuses[server.name] = status
+        return {"manager": self.name, "tables": self.plane.list_tables(),
                 "servers": statuses}
 
     def _shutdown_cluster(self, p: dict) -> dict:
-        for _, addr in self.servers:
+        for server in self.plane.servers:
             try:
-                self.core.call(addr, wire.SHUTDOWN, {})
+                self.core.call(server.addr, wire.SHUTDOWN, {})
             except Exception:  # noqa: BLE001 - best effort on teardown
                 pass
         return {}
@@ -1138,7 +1015,7 @@ def _run_service(service: _BaseService, queue, trace_path: Optional[str],
         _trace.disable(close=True)
 
 
-def _tablet_server_main(name: str, queue, fault_specs: Sequence[str],
+def _tablet_server_main(queue, name: str, fault_specs: Sequence[str],
                         fault_seed: int, trace_path: Optional[str],
                         host: str, port: int,
                         sample_rate: float = 1.0) -> None:
@@ -1162,11 +1039,26 @@ def _manager_main(queue, servers: List[Tuple[str, Tuple[str, int]]],
 
 
 class _ServiceProcess:
-    """Parent-side handle on a service child process (spawn context)."""
+    """Parent-side handle on a service child process (spawn context):
+    ``main(queue, *args)`` runs in the child and reports the bound
+    address back on the queue."""
 
-    def __init__(self):
+    def __init__(self, main: Callable, args: tuple, process_name: str):
+        self._main = main
+        self._args = args
+        self._process_name = process_name
         self.process: Optional[mp.process.BaseProcess] = None
         self.addr: Optional[Addr] = None
+
+    def start(self, start_timeout: float = 30.0) -> Addr:
+        ctx = mp.get_context("spawn")
+        queue = ctx.Queue()
+        self.process = ctx.Process(target=self._main,
+                                   args=(queue, *self._args),
+                                   name=self._process_name, daemon=True)
+        self.process.start()
+        self.addr = tuple(queue.get(timeout=start_timeout))
+        return self.addr
 
     def stop(self, timeout: float = 5.0) -> None:
         if self.process is None:
@@ -1189,24 +1081,11 @@ class TabletServerProcess(_ServiceProcess):
                  fault_seed: int = 0, trace_path: Optional[str] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  sample_rate: float = 1.0):
-        super().__init__()
+        super().__init__(
+            _tablet_server_main,
+            (name, list(fault_specs), fault_seed, trace_path, host, port,
+             sample_rate), f"repro-tserver-{name}")
         self.name = name
-        self._args = (name, list(fault_specs), fault_seed, trace_path,
-                      host, port, sample_rate)
-
-    def start(self, start_timeout: float = 30.0) -> Addr:
-        ctx = mp.get_context("spawn")
-        queue = ctx.Queue()
-        (name, fault_specs, fault_seed, trace_path, host, port,
-         sample_rate) = self._args
-        self.process = ctx.Process(
-            target=_tablet_server_main,
-            args=(name, queue, fault_specs, fault_seed, trace_path,
-                  host, port, sample_rate),
-            name=f"repro-tserver-{name}", daemon=True)
-        self.process.start()
-        self.addr = tuple(queue.get(timeout=start_timeout))
-        return self.addr
 
 
 class ManagerProcess(_ServiceProcess):
@@ -1218,21 +1097,8 @@ class ManagerProcess(_ServiceProcess):
                  host: str = "127.0.0.1", port: int = 0,
                  telemetry_interval: float = 0.0,
                  sample_rate: float = 1.0):
-        super().__init__()
-        self._args = ([(n, tuple(a)) for n, a in servers],
-                      list(fault_specs), fault_seed, trace_path, host, port,
-                      telemetry_interval, sample_rate)
-
-    def start(self, start_timeout: float = 30.0) -> Addr:
-        ctx = mp.get_context("spawn")
-        queue = ctx.Queue()
-        (servers, fault_specs, fault_seed, trace_path, host, port,
-         telemetry_interval, sample_rate) = self._args
-        self.process = ctx.Process(
-            target=_manager_main,
-            args=(queue, servers, fault_specs, fault_seed, trace_path,
-                  host, port, telemetry_interval, sample_rate),
-            name="repro-manager", daemon=True)
-        self.process.start()
-        self.addr = tuple(queue.get(timeout=start_timeout))
-        return self.addr
+        super().__init__(
+            _manager_main,
+            ([(n, tuple(a)) for n, a in servers], list(fault_specs),
+             fault_seed, trace_path, host, port, telemetry_interval,
+             sample_rate), "repro-manager")

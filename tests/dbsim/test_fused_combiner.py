@@ -147,7 +147,7 @@ class TestFusedCombinerScan:
             stats.append((delta.seeks, delta.entries_read,
                           delta.compactions))
         assert stats[0] == stats[1]
-        assert fused.sstables[0]._cells == stack.sstables[0]._cells
+        assert fused.sstables[0].cells() == stack.sstables[0].cells()
         assert len(fused.sstables) == 1 and len(fused.memtable) == 0
         assert _aux(f_reg)["index_seeks"] == _aux(s_reg)["index_seeks"]
         # compaction is not a scan
@@ -223,7 +223,7 @@ class TestFusedFallback:
         assert _aux(a_reg)["scans_stack"] == 1
         a.compact(a_its)
         b.compact(b_its)
-        assert a.sstables[0]._cells == b.sstables[0]._cells
+        assert a.sstables[0].cells() == b.sstables[0].cells()
 
     def test_scan_iterators_take_the_stack(self):
         tablet = Tablet(Range(), max_versions=2 ** 31)
@@ -249,7 +249,7 @@ class TestFusedFallback:
             delta = tablet.stats.delta(before)
             stats.append((delta.seeks, delta.entries_read))
         assert stats[0] == stats[1]
-        assert plain.sstables[0]._cells == reference.sstables[0]._cells
+        assert plain.sstables[0].cells() == reference.sstables[0].cells()
         assert all(id(key) in stored for key in plain.sstables[0].keys)
 
     def test_scan_path_counters_preregistered(self):

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.dbsim.client import Connector
-from repro.dbsim.key import Cell, Key, Range
+from repro.dbsim.key import Cell, Key, Range, run_cells
 from repro.dbsim.memtable import MemTable
 from repro.dbsim.server import Instance
 from repro.dbsim.sstable import RowBloomFilter, SSTable
@@ -484,7 +484,8 @@ class TestMemTableBulk:
             a.extend([key], [value])
         b.extend(keys, values)
         assert a.approximate_bytes == b.approximate_bytes
-        assert a.snapshot() == b.snapshot() == _cells(spec)
+        assert run_cells(*a.sorted_run()) == run_cells(*b.sorted_run()) \
+            == _cells(spec)
         # and the byte count a tablet sums from the batch's columns is
         # the one the memtable would have derived from the keys
         tablet = Tablet(Range(), flush_bytes=1 << 30)
@@ -497,7 +498,7 @@ class TestMemTableBulk:
         assert m._sorted
         m.extend(*_run([("a", "q", 1, "2")]))  # out of order vs last
         assert not m._sorted
-        assert [c.key.row for c in m.snapshot()] == ["a", "b"]
+        assert [c.key.row for c in run_cells(*m.sorted_run())] == ["a", "b"]
         assert m._sorted and [k[0] for k in m.sorted_run()[0]] == ["a", "b"]
         m.extend(*_run([("c", "q", 1, "3"), ("d", "q", 1, "4")]))
         assert m._sorted  # in order, batch after batch: never re-sorted

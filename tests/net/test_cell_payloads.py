@@ -14,6 +14,7 @@ import pytest
 
 from repro.dbsim.client import Connector
 from repro.dbsim.errors import NotHostedError
+from repro.dbsim.key import run_cells
 from repro.dbsim.server import Instance, TableConfig
 from repro.net import cells, wire
 from repro.net.client import RpcCore
@@ -82,7 +83,8 @@ class TestMigrateState:
                 tablet.write_raw_batch(muts)
                 if flush:
                     tablet.flush()
-            want = (_snap(tablet.memtable.snapshot()), _snap(tablet.wal),
+            want = (_snap(run_cells(*tablet.memtable.sorted_run())),
+                    _snap(tablet.wal),
                     [_snap(run.cells()) for run in tablet.sstables],
                     tablet._clock)
             assert want[0] and want[1] and len(want[2]) == 2
@@ -106,7 +108,8 @@ class TestMigrateState:
                  "config": {"max_versions": 2, "table_iterators": ["sum"],
                             "flush_bytes": 1 << 20}}, state.block))
             _, moved = b._hosted["t!0001"]
-            assert (_snap(moved.memtable.snapshot()), _snap(moved.wal),
+            assert (_snap(run_cells(*moved.memtable.sorted_run())),
+                    _snap(moved.wal),
                     [_snap(run.cells()) for run in moved.sstables],
                     moved._clock) == want
             assert (moved.extent.start_row, moved.extent.stop_row,

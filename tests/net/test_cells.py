@@ -8,6 +8,7 @@ import pytest
 
 from repro.dbsim.key import Cell, Key
 from repro.net import cells
+from tests.net import blocks
 
 
 def mut(row="r", fam="f", qual="q", vis="", ts=1, delete=False, val="v"):
@@ -31,21 +32,21 @@ class TestRoundTrip:
         muts = [mut(row="naïve", qual="漢字", val="🜁🜂🜃"),
                 mut(row="ascii", qual="q", val="plain"),
                 mut(row="Ωmega", vis="", val="é" * 50)]
-        assert cells.decode_mutations(cells.encode_block(muts)) == muts
+        assert blocks.decode_mutations(cells.encode_block(muts)) == muts
 
     def test_zero_cell_block(self):
         block = cells.encode_block([])
-        assert cells.decode_mutations(block) == []
+        assert blocks.decode_mutations(block) == []
         batch = cells.decode_batch(block)
         assert len(batch) == 0 and batch.cells() == []
-        assert cells.block_to_cells(block) == []
+        assert blocks.block_to_cells(block) == []
         # columnar encoder agrees on the empty shape
         assert cells.ColumnBatch.empty().to_block() == block
 
     def test_all_deletes_block(self):
         muts = [mut(row=f"r{i:03d}", ts=i, delete=True, val="")
                 for i in range(100)]  # > _SPLAT_CUTOFF: array pack path
-        out = cells.decode_mutations(cells.encode_block(muts))
+        out = blocks.decode_mutations(cells.encode_block(muts))
         assert out == muts
         assert all(d for (_, _, _, _, _, d, _) in out)
         batch = cells.decode_batch(cells.encode_block(muts))
@@ -82,7 +83,7 @@ class TestColumnBatch:
         for trial in range(20):
             muts = [random_mut(rng) for _ in range(rng.randint(0, 120))]
             block = cells.encode_block(muts)
-            eager = cells.block_to_cells(block)
+            eager = blocks.block_to_cells(block)
             lazy = cells.decode_batch(block).cells()
             assert lazy == eager
             assert [c.key.timestamp for c in lazy] == \
@@ -93,7 +94,7 @@ class TestColumnBatch:
               Cell(Key("r2", "f", "qé", "", -3, True), "")]
         batch = cells.ColumnBatch.from_cells(cs)
         assert batch.cells() == cs
-        assert cells.block_to_cells(batch.to_block()) == cs
+        assert blocks.block_to_cells(batch.to_block()) == cs
 
     def test_last_key_matches_final_cell(self):
         muts = [mut(row="a", ts=1), mut(row="b", ts=2, delete=True)]

@@ -216,3 +216,45 @@ class TestGraphuloColumnarBitIdentity:
         _ingest_graph(conn)
         table_mult(conn, "AT", "B", "C")
         assert len(calls) >= 3
+
+
+class TestUserStageLayers:
+    """A user's ``Layer`` carries a batch stage whether or not it has a
+    wire form, so a scan holding one runs as column batches on both
+    backends (client-side over a cluster) — and the library loops built
+    on that leave the same tables either side of the socket."""
+
+    @staticmethod
+    def _observe(conn):
+        from repro.dbsim.graphulo import apply_to_table, filter_table
+        from repro.dbsim.graphulo_algorithms import table_pagerank
+        from repro.dbsim.iterators import Layer, apply_stage
+        from repro.dbsim.key import decode_number
+
+        halve = Layer(apply_stage(lambda v: v // 2))  # drops the 1s
+        per_cell = list(conn.scanner("E", scan_iterators=(halve,)))
+        columnar = [cell for batch in conn.scanner(
+            "E", scan_iterators=(halve,)).scan_columns()
+            for cell in batch.cells()]
+        assert columnar == per_cell and 0 < len(per_cell) < 27
+
+        apply_to_table(conn, "E", "E2", lambda v: v * v - 1.0)
+        filter_table(conn, "E", "Ebig",
+                     lambda c: decode_number(c.value) >= 2
+                     and c.key.row < "v7")
+        table_pagerank(conn, "E", "PR", max_iter=4)
+        return [per_cell] + [list(conn.scanner(t))
+                             for t in ("E2", "Ebig", "PR")]
+
+    def test_thread_cluster_vs_in_process(self):
+        local = _local_conn(n_servers=3)
+        _ingest_graph(local)
+        want = self._observe(local)
+        assert all(want)
+        with LocalCluster(n_servers=3, processes=False) as c:
+            conn = c.connect()
+            try:
+                _ingest_graph(conn)
+                assert self._observe(conn) == want  # timestamps included
+            finally:
+                conn.close()

@@ -25,10 +25,11 @@ from repro.dbsim.client import Connector
 from repro.dbsim.key import Range
 from repro.dbsim.server import Instance
 from repro.net import aio as aio_mod
-from repro.net import cells, wire
+from repro.net import wire
 from repro.net.cluster import LocalCluster
 from repro.net.server import MAX_CONN_SCANS, SCAN_CHUNK_CELLS
 from repro.obs.metrics import MetricsRegistry
+from tests.net import blocks
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +171,7 @@ class TestAdmissionControl:
                     while True:
                         code, pay, _ = await core.aio.stream_get(s, 30.0)
                         if code == wire.CHUNK:
-                            ncells += len(cells.block_to_cells(pay.block))
+                            ncells += len(blocks.block_to_cells(pay.block))
                         elif code == wire.DONE:
                             assert ncells == 600
                             done += 1
@@ -376,7 +377,7 @@ class TestNativeAsyncClient:
                             break
                         assert code == wire.CHUNK
                         rows.extend(c_.key.row for c_ in
-                                    cells.block_to_cells(pay.block))
+                                    blocks.block_to_cells(pay.block))
                 return rows
 
             assert core.run(work()) == want

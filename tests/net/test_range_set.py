@@ -26,12 +26,13 @@ import pytest
 from repro.dbsim.client import Connector
 from repro.dbsim.key import Range
 from repro.dbsim.server import Instance
-from repro.net import cells, wire
+from repro.net import wire
 from repro.net.client import RemoteConnector, _RemoteScanStream
 from repro.net.cluster import LocalCluster
 from repro.net.iterspec import IterSpec
 from repro.net.server import SCAN_CHUNK_CELLS
 from repro.obs.metrics import MetricsRegistry
+from tests.net import blocks
 
 #: the last tablet's share of the range set alone is several CHUNKs
 N_CELLS = 8 * SCAN_CHUNK_CELLS + 77
@@ -191,7 +192,7 @@ class TestWireBoundary:
                 code, pay, _ = await core.aio.stream_get(stream, 30.0)
                 if code == wire.CHUNK:
                     rows.extend(c.key.row
-                                for c in cells.block_to_cells(pay.block))
+                                for c in blocks.block_to_cells(pay.block))
                 else:
                     return code, pay, rows
 

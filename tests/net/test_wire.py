@@ -16,6 +16,7 @@ from repro.dbsim.iterators import SummingCombiner
 from repro.dbsim.key import Cell, Key, Range
 from repro.dbsim.server import TableConfig
 from repro.net import cells, wire
+from tests.net import blocks
 
 
 class TestFrames:
@@ -176,7 +177,7 @@ class TestBinaryPayloads:
         assert (code, req) == (wire.WRITE_BATCH, 2)
         assert isinstance(got, wire.CellsPayload)
         assert got.meta == {"table": "t", "seq": 4}
-        assert cells.decode_mutations(got.block) == self.MUTS
+        assert blocks.decode_mutations(got.block) == self.MUTS
 
     def test_compressed_payload_roundtrip(self):
         muts = [(f"row{i:05d}", "fam", "qual", "", i, False, "v" * 40)
@@ -188,7 +189,7 @@ class TestBinaryPayloads:
         flags = frame[6]
         assert flags & wire.FLAG_ZLIB
         code, got, _, _ = wire.decode_body(frame[4:])
-        assert cells.decode_mutations(got.block) == muts
+        assert blocks.decode_mutations(got.block) == muts
 
     def test_small_payload_not_compressed(self):
         frame = wire.encode_frame(wire.OK, {"applied": 1}, compress=True)
@@ -203,7 +204,7 @@ class TestBinaryPayloads:
         payload = wire.CellsPayload({}, cells.encode_block(muts))
         frame = wire.encode_frame(wire.CHUNK, payload, compress=True)
         code, got, _, _ = wire.decode_body(frame[4:])
-        assert cells.decode_mutations(got.block) == muts
+        assert blocks.decode_mutations(got.block) == muts
 
     def test_corrupt_compressed_payload_is_typed(self):
         muts = [("r" * 600, "f", "q", "", 1, False, "v")]
@@ -217,7 +218,7 @@ class TestBinaryPayloads:
 
 class TestCellBlocks:
     def test_empty_block(self):
-        assert cells.decode_mutations(cells.encode_block([])) == []
+        assert blocks.decode_mutations(cells.encode_block([])) == []
 
     def test_columns_zero_copy_views(self):
         block = cells.encode_block([("r", "f", "q", "v1|v2", 9, False,
@@ -230,23 +231,23 @@ class TestCellBlocks:
     def test_cells_roundtrip(self):
         cs = [Cell(Key("r1", "f", "q", "", 4), "x"),
               Cell(Key("r2", "f", "q", "a", 5, delete=True), "")]
-        assert cells.block_to_cells(cells.cells_to_block(cs)) == cs
+        assert blocks.block_to_cells(blocks.cells_to_block(cs)) == cs
 
     def test_negative_and_large_timestamps(self):
         muts = [("r", "f", "q", "", -(1 << 62), False, "v"),
                 ("r", "f", "q", "", (1 << 62), False, "v")]
-        assert cells.decode_mutations(cells.encode_block(muts)) == muts
+        assert blocks.decode_mutations(cells.encode_block(muts)) == muts
 
     def test_truncated_block_is_typed(self):
         block = cells.encode_block([("r", "f", "q", "", 1, False, "v")])
         with pytest.raises(cells.BlockFormatError):
-            cells.decode_mutations(block[:-3])
+            blocks.decode_mutations(block[:-3])
 
     def test_bad_format_byte_is_typed(self):
         block = bytearray(cells.encode_block([]))
         block[0] = 99
         with pytest.raises(cells.BlockFormatError):
-            cells.decode_mutations(bytes(block))
+            blocks.decode_mutations(bytes(block))
 
 
 class TestErrorFrames:
