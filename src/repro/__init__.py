@@ -28,8 +28,7 @@ Quickstart::
     J = jaccard(fig1_graph())    # paper Algorithm 2
 """
 
-from repro import (algorithms, assoc, dbsim, generators, obs, schemas,
-                   semiring, sparse, util)
+import importlib
 
 __version__ = "1.0.0"
 
@@ -45,3 +44,17 @@ __all__ = [
     "util",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import a subpackage on first access (PEP 562).  A spawned tablet
+    server runs ``repro.net.server`` and nothing else: importing all
+    nine subpackages here cost every child ~0.2 s of numpy and kernels
+    it never calls, and a cluster waits for its slowest child."""
+    if name in __all__:  # __version__ is a global: never gets here
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,14 +9,14 @@ exactly like ``AssocArray.from_triples`` with the plus monoid.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
-
-from repro.assoc.array import AssocArray
 from repro.dbsim.client import Connector
 from repro.dbsim.graphulo import create_combiner_table
 from repro.dbsim.key import Range, decode_number
+
+if TYPE_CHECKING:  # numpy and repro.assoc load on first use, below
+    from repro.assoc.array import AssocArray
 
 
 def assoc_to_table(conn: Connector, a: AssocArray, table: str,
@@ -27,6 +27,8 @@ def assoc_to_table(conn: Connector, a: AssocArray, table: str,
     ``n_splits`` > 0 pre-splits the table at evenly-spaced row keys —
     the standard bulk-ingest practice for spreading load.
     """
+    import numpy as np
+
     if not conn.table_exists(table):
         splits: List[str] = []
         if n_splits > 0 and len(a.row_keys) > 1:
@@ -48,6 +50,10 @@ def table_to_assoc(conn: Connector, table: str,
     Non-numeric values raise — use a column filter or a server-side
     Apply to project first if the table mixes payload types.
     """
+    import numpy as np
+
+    from repro.assoc.array import AssocArray
+
     scanner = conn.scanner(table)
     if rng is not None:
         scanner.set_range(rng)

@@ -24,8 +24,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.dbsim.client import Connector
 from repro.dbsim.iterators import (
     COMBINERS,
@@ -135,6 +133,10 @@ def _whole_rows(scanner):
 def _block_operand(counts, quals, vals, dup):
     """One side of a block — cells per inner row, then every cell's
     qualifier and value — as ``(sorted keys, inner rows × keys CSR)``."""
+    # numpy and the kernels load with the first multiply, not with the
+    # module: a tablet server imports repro.dbsim and never gets here
+    import numpy as np
+
     from repro.sparse.construct import from_coo
 
     keys = sorted(set(quals))

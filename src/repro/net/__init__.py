@@ -11,9 +11,6 @@ partial failure, retries) a single process cannot model:
   with optional per-frame zlib on the hot ops, streaming scan chunks,
   and structured error frames that map server-side exceptions back to
   the same typed errors the in-process backend raises;
-* :mod:`repro.net.aio` — the asyncio multiplexed core: one persistent
-  connection per server carrying every in-flight RPC, responses
-  routed by request id;
 * :mod:`repro.net.faults` — seeded in-path fault injector (drop /
   delay / reset / corrupt-frame / slow-drip / reorder, per op-code)
   applied at response time so retries and write dedup are genuinely
@@ -26,10 +23,12 @@ partial failure, retries) a single process cannot model:
   metadata and the locate index;
 * :mod:`repro.net.client` — ``RemoteConnector``: the same API surface
   as :class:`~repro.dbsim.client.Connector` (Scanner / BatchScanner /
-  BatchWriter drop in unchanged) as a blocking facade over the async
-  core — per-RPC deadlines, exponential backoff with decorrelated
-  jitter, exactly-once write dedup, pipelined BatchWriter flushes,
-  and automatic re-locate on ``NotHostedError``;
+  BatchWriter drop in unchanged) over one persistent multiplexed
+  connection per server, carrying every in-flight RPC and read by
+  whichever caller is waiting (no I/O thread, no event loop) —
+  per-RPC deadlines, exponential backoff with decorrelated jitter,
+  exactly-once write dedup, pipelined BatchWriter flushes, and
+  automatic re-locate on ``NotHostedError``;
 * :mod:`repro.net.cluster` — spawn / stop / crash / recover N server
   processes over localhost (``repro serve`` / ``repro cluster``);
 * :mod:`repro.net.iterspec` — declarative, wire-serializable iterator
@@ -45,11 +44,11 @@ runs unchanged.  See ``docs/NET.md``.
 """
 
 from repro.dbsim.errors import BusyError
-from repro.net.aio import AsyncRpcCore, StreamOverrunError
 from repro.net.client import (
     RemoteConnector,
     RemoteInstance,
     RetryPolicy,
+    StreamOverrunError,
     WritePipeline,
 )
 from repro.net.cluster import LocalCluster
@@ -69,7 +68,6 @@ from repro.net.wire import (
 )
 
 __all__ = [
-    "AsyncRpcCore",
     "BusyError",
     "CellsPayload",
     "RemoteConnector",

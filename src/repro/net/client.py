@@ -9,12 +9,12 @@ they only ever touch ``conn.instance`` (the
 ``RemoteInstance`` hands them :class:`TabletProxy` objects wherever the
 local backend hands them :class:`~repro.dbsim.tablet.Tablet`\\ s.
 
-Transport: :class:`RpcCore` is a *blocking facade* over the
-:class:`~repro.net.aio.AsyncRpcCore` multiplexer — one persistent
-wire-v3 connection per server, every in-flight RPC interleaved on it
-by request id, driven by a private event-loop thread that starts
-lazily on first use.  Callers block exactly as before; under the hood
-a scan stream, a pipelined flush and a locate RPC share one socket.
+Transport: :class:`RpcCore` keeps one persistent wire-v3 connection
+(:class:`_Conn`) per server and every in-flight RPC interleaves on it
+by request id — a scan stream, a pipelined flush and a locate RPC
+share one socket.  There is no I/O thread and no event loop: whoever
+waits for a response reads the socket, so a round trip is a
+``sendall``, a ``select`` and two ``recv_into`` on the calling thread.
 
 Reliability model:
 
@@ -46,16 +46,17 @@ enabled) emits ``rpc.client.*`` spans.
 
 from __future__ import annotations
 
-import asyncio
 import bisect
-import concurrent.futures
 import os
 import random
+import select
 import socket
 import threading
 import time
-from itertools import takewhile
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from collections import deque
+from itertools import count, takewhile
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.dbsim.client import Connector
 from repro.dbsim.errors import BusyError, NotHostedError, ServerCrashedError
@@ -72,93 +73,398 @@ from repro.dbsim.stats import OpStats
 from repro.net import cells as _cells
 from repro.net import iterspec as _iterspec
 from repro.net import wire
-from repro.net.aio import (
-    Addr,
-    AsyncRpcCore,
-    RetryPolicy,
-    StreamOverrunError,
-    format_addr,
-    parse_addr,
-)
 from repro.obs import trace as _trace
 from repro.obs.metrics import MetricsRegistry, global_registry
 
 __all__ = [
     "Addr", "RetryPolicy", "RpcCore", "RemoteInstance", "RemoteConnector",
-    "TabletProxy", "WritePipeline", "format_addr", "parse_addr",
+    "StreamOverrunError", "TabletProxy", "WritePipeline", "format_addr",
+    "parse_addr",
 ]
 
+Addr = Tuple[str, int]
 
-class _LoopRunner:
-    """A private asyncio event loop on a daemon thread.
 
-    Started lazily on first use so constructing an ``RpcCore`` stays
-    free (the manager builds one inside every spawned child process);
-    ``run`` blocks the calling thread on a coroutine, ``submit``
-    returns a concurrent future (the write pipeline's overlap).
+def parse_addr(addr: Union[str, Addr]) -> Addr:
+    """``"host:port"`` → ``(host, port)`` (tuples pass through)."""
+    if isinstance(addr, tuple):
+        return addr
+    host, _, port = addr.rpartition(":")
+    if not host or not port.isdigit():
+        raise ValueError(f"bad address {addr!r}: want host:port")
+    return host, int(port)
+
+
+def format_addr(addr: Addr) -> str:
+    return f"{addr[0]}:{addr[1]}"
+
+
+class RetryPolicy:
+    """Deadline + backoff knobs for one client.
+
+    ``attempts`` bounds tries per RPC (and per scan-stream reopen);
+    ``deadline`` is the per-RPC response timeout in seconds.  Backoff
+    is decorrelated jitter: ``sleep = min(cap, uniform(base, 3·prev))``
+    — retries spread out instead of thundering in lockstep.
     """
 
-    def __init__(self, name: str):
-        self._name = name
-        self._lock = threading.Lock()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
+    def __init__(self, attempts: int = 8, base: float = 0.02,
+                 cap: float = 0.5, deadline: float = 5.0,
+                 connect_timeout: float = 5.0):
+        if attempts < 1:
+            raise ValueError(f"attempts must be >= 1, got {attempts}")
+        self.attempts = attempts
+        self.base = base
+        self.cap = cap
+        self.deadline = deadline
+        self.connect_timeout = connect_timeout
 
-    def loop(self) -> asyncio.AbstractEventLoop:
-        loop = self._loop
-        if loop is not None:
-            return loop
-        with self._lock:
-            if self._loop is None:
-                loop = asyncio.new_event_loop()
-                started = threading.Event()
+    def next_sleep(self, prev: Optional[float], rng: random.Random) -> float:
+        if prev is None:
+            return self.base
+        return min(self.cap, rng.uniform(self.base, prev * 3))
 
-                def _run() -> None:
-                    asyncio.set_event_loop(loop)
-                    loop.call_soon(started.set)
-                    loop.run_forever()
 
-                thread = threading.Thread(target=_run, name=self._name,
-                                          daemon=True)
-                thread.start()
-                started.wait()
-                self._thread = thread
-                self._loop = loop
-            return self._loop
+# -- the multiplexed connection ---------------------------------------------
 
-    def submit(self, coro) -> concurrent.futures.Future:
-        return asyncio.run_coroutine_threadsafe(coro, self.loop())
 
-    def run(self, coro):
-        return self.submit(coro).result()
+class StreamOverrunError(RuntimeError):
+    """A scan stream outran its consumer while another request's waiter
+    was reading the connection, and was locally killed so that reader
+    never blocks or buffers without bound.  Resume from the last
+    delivered key — nothing was lost, only not-yet-delivered chunks
+    dropped."""
 
-    def stop(self) -> None:
-        with self._lock:
-            loop, self._loop = self._loop, None
-            thread, self._thread = self._thread, None
-        if loop is None:
+
+#: chunks a scan stream may buffer ahead of its consumer before the
+#: connection's reader kills it (each chunk is SCAN_CHUNK_CELLS cells)
+STREAM_WINDOW_CHUNKS = 64
+
+#: a response frame as its waiter receives it: (op-code, payload, bytes)
+Frame = Tuple[int, Any, int]
+
+
+class _Stream:
+    """One request's response frames on a :class:`_Conn` — a unary
+    call's single answer or a scan's ``CHUNK`` run — filled by whichever
+    waiter is reading the connection."""
+
+    __slots__ = ("conn", "req", "opname", "unary", "frames", "exc", "ended",
+                 "t0")
+
+    def __init__(self, conn: "_Conn", req: int, opname: str, unary: bool):
+        self.conn = conn
+        self.req = req
+        self.opname = opname
+        self.unary = unary
+        self.frames: "deque[Frame]" = deque()
+        #: the failure that ended this request; raised once ``frames``
+        #: is drained (real progress is delivered first) and on every
+        #: read after that
+        self.exc: Optional[BaseException] = None
+        self.ended = False
+        self.t0 = time.perf_counter()
+
+    # -- reader side: called under the connection's condition --------------
+
+    def push(self, frame: Frame) -> bool:
+        """Take one routed frame.  False once the request wants no more
+        (answered, ended, or shed for overrunning its window): the
+        reader then forgets the request id."""
+        if self.ended:
+            return False
+        if not self.unary and len(self.frames) >= STREAM_WINDOW_CHUNKS:
+            self.fail(StreamOverrunError(
+                f"scan stream req={self.req} buffered "
+                f"{STREAM_WINDOW_CHUNKS} undelivered chunks"))
+            return False
+        self.frames.append(frame)
+        self.ended = self.unary or frame[0] in (wire.DONE, wire.ERROR)
+        return not self.ended
+
+    def fail(self, exc: BaseException) -> None:
+        if not self.ended:
+            self.ended = True
+            self.exc = exc
+
+    # -- consumer side ------------------------------------------------------
+
+    def get(self, timeout: float) -> Frame:
+        """The next frame; raises the request's failure (overrun,
+        corrupt, closed) or ``TimeoutError``."""
+        return self.conn.wait(self, timeout)
+
+    def get_many(self, timeout: float) -> List[Frame]:
+        """Wait for one frame, then take whatever else is already
+        buffered or already readable on the socket — one call delivers
+        every ``CHUNK`` that has arrived.  A failure queued behind
+        delivered frames is left for the next call."""
+        frames = [self.conn.wait(self, timeout)]
+        while frames[-1][0] not in (wire.DONE, wire.ERROR):
+            try:
+                frames.append(self.conn.wait(self, 0.0))
+            except Exception:  # noqa: BLE001 - nothing more yet, or
+                break          # terminal: raised by the next read
+        return frames
+
+    def mark_ended(self) -> None:
+        """The consumer learned out-of-band (a ``last``-marked CHUNK)
+        that no more data is coming: flag the stream terminal so close
+        skips the cancel and the reader drops the trailing DONE."""
+        self.ended = True
+
+    def abandon(self) -> None:
+        """Stop waiting for this request (a deadline passed): its late
+        frames count as ``net.client.stale_frames``; the connection and
+        every other request on it carry on."""
+        self.conn.pending.pop(self.req, None)
+
+    def cancel(self) -> None:
+        """Abandon a scan and tell the server (best-effort) to stop
+        producing for it.
+
+        Safe from ``__del__`` — any thread, at any allocation, maybe one
+        that holds this connection's locks: nothing here blocks.  The
+        CANCEL_SCAN goes out now if the write lock is free, else with
+        (right after) the send that holds it or the next one."""
+        conn = self.conn
+        self.abandon()
+        if conn.closed:
             return
-        loop.call_soon_threadsafe(loop.stop)
-        if thread is not None:
-            thread.join(timeout=5.0)
-        if not loop.is_running():
-            loop.close()
+        conn.cancels.append(self.req)
+        if conn.wlock.acquire(blocking=False):
+            try:
+                conn.flush_cancels()
+            except OSError:
+                pass
+            finally:
+                conn.wlock.release()
+
+
+class _Conn:
+    """One persistent multiplexed connection to one server: a blocking
+    socket with no thread of its own.
+
+    Writers serialise whole frames under ``wlock``.  Readers take
+    turns: :meth:`wait` makes the caller *the* reader when nobody else
+    is, and it reads and routes frames — its own and everybody else's —
+    until its own arrives or its deadline passes; other waiters sleep
+    on ``cond`` until their frame is routed or the role comes free.
+
+    * a **deadline** abandons only its own request — between frames or
+      inside one (:class:`~repro.net.wire.FrameReader` keeps the
+      partial frame for the next reader);
+    * a **corrupt frame** fails the whole connection: the request id
+      is inside the CRC-covered region, so nothing about the frame can
+      be trusted, and every pending request gets
+      :class:`~repro.net.wire.FrameCorruptError` and retries on a
+      fresh socket;
+    * a **closed/reset** connection likewise fails all pending
+      requests with :class:`~repro.net.wire.ConnectionClosedError`;
+    * nothing is read while nobody waits, so a scan whose consumer
+      **stalls** is held by TCP back-pressure, not buffered here.  Only
+      when another request's waiter reads past it can a stream exceed
+      :data:`STREAM_WINDOW_CHUNKS`; it is then shed with
+      :class:`StreamOverrunError` (the reader must get to its own
+      frame) and the scan resumes from its last delivered key.
+    """
+
+    def __init__(self, addr: Addr, sock: socket.socket,
+                 metrics: MetricsRegistry, on_close) -> None:
+        self.addr = addr
+        self.closed = False
+        self.sock = sock
+        self.wlock = threading.Lock()
+        self.cond = threading.Condition(threading.Lock())
+        #: req id → the request still owed frames
+        self.pending: Dict[int, _Stream] = {}
+        #: cancelled scans whose CANCEL_SCAN is yet to go out
+        self.cancels: List[int] = []
+        self._reader = wire.FrameReader(sock, socket.MSG_DONTWAIT)
+        self._reading = False
+        self._next_req = 0
+        self._metrics = metrics
+        self._on_close = on_close
+
+    # -- sending ------------------------------------------------------------
+
+    def open(self, opname: str, unary: bool) -> _Stream:
+        with self.cond:
+            self._next_req += 1
+            stream = _Stream(self, self._next_req, opname, unary)
+            self.pending[stream.req] = stream
+        return stream
+
+    def send(self, code: int, payload: Any, tc=None, req: int = 0,
+             compress: bool = False) -> int:
+        """Write one frame from the calling thread.  This cannot
+        deadlock against responses nobody is reading: the server's
+        connection reader never runs a handler, so it keeps draining
+        what we send however many answers are waiting in our socket."""
+        data = wire.encode_frame(code, payload, tc=tc, req=req,
+                                 compress=compress)
+        with self.wlock:
+            if self.closed:
+                raise wire.ConnectionClosedError(
+                    f"connection to {format_addr(self.addr)} is closed")
+            self.sock.sendall(data)
+            if self.cancels:
+                self.flush_cancels()
+        return len(data)
+
+    def flush_cancels(self) -> None:
+        """Send the queued CANCEL_SCANs (caller holds ``wlock``)."""
+        while self.cancels:
+            self.sock.sendall(wire.encode_frame(
+                wire.CANCEL_SCAN, {"req": self.cancels.pop()}))
+
+    # -- receiving ----------------------------------------------------------
+
+    def wait(self, stream: _Stream, timeout: float) -> Frame:
+        """The next frame of ``stream``: one already routed, else read
+        the socket for it (as the connection's one reader) or wait for
+        whoever is reading to route it."""
+        deadline = time.monotonic() + timeout
+        cond = self.cond
+        with cond:
+            while True:
+                frame = self._take(stream)
+                if frame is not None:
+                    return frame
+                if not self._reading:
+                    self._reading = True
+                    break
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError(
+                        f"no {stream.opname} response within {timeout}s")
+                cond.wait(remaining)
+        try:
+            while True:
+                read = self._read(deadline)
+                with cond:
+                    if read is not None:
+                        self._route(*read)
+                        cond.notify_all()
+                    frame = self._take(stream)
+                if frame is not None:
+                    return frame
+                if read is None:
+                    raise TimeoutError(
+                        f"no {stream.opname} response within {timeout}s")
+        finally:
+            # every exit — frame delivered, deadline, failure — frees
+            # the reader role, and someone asleep may need to take it
+            with cond:
+                self._reading = False
+                cond.notify_all()
+
+    def _take(self, stream: _Stream) -> Optional[Frame]:
+        """``stream``'s next routed frame, else its failure, else None
+        (caller holds ``cond``)."""
+        if stream.frames:
+            return stream.frames.popleft()
+        if stream.exc is not None:
+            raise stream.exc
+        if self.closed:
+            raise wire.ConnectionClosedError(
+                f"connection to {format_addr(self.addr)} is closed")
+        return None
+
+    def _read(self, deadline: float):
+        """One frame off the socket, or None when ``deadline`` passes
+        first — before the frame starts or part-way through it.  A
+        broken connection fails every pending request and reads as
+        None; the caller finds its failure on its stream."""
+        sock = self.sock
+        try:
+            while True:
+                remaining = max(deadline - time.monotonic(), 0.0)
+                if not select.select((sock,), (), (), remaining)[0]:
+                    return None
+                try:
+                    return self._reader.read()
+                except BlockingIOError:
+                    continue  # mid-frame: the reader kept what it has
+        except wire.ProtocolError as exc:
+            # corrupt (the req id is inside the damaged region) or
+            # garbage framing: nothing on this connection can be
+            # attributed any more
+            self.fail(exc)
+        except (wire.ConnectionClosedError, OSError, ValueError):
+            # ValueError: another thread's fail() closed the socket
+            # between two selects (its fileno is -1 by now)
+            self.fail(wire.ConnectionClosedError(
+                f"connection to {format_addr(self.addr)} lost"))
+        return None
+
+    def _route(self, code: int, payload: Any, nread: int, _tc,
+               req: int) -> None:
+        counters = self._metrics.counter
+        counters("net.client.bytes_received").inc(nread)
+        stream = self.pending.get(req)
+        if stream is None:
+            # an abandoned request's late response (timeout, cancelled
+            # scan, reorder fault past a retry)
+            counters("net.client.stale_frames").inc()
+            return
+        counters(f"net.client.op.{stream.opname}.bytes_received").inc(nread)
+        if not stream.push((code, payload, nread)):
+            self.pending.pop(req, None)
+
+    def fail(self, exc: BaseException) -> None:
+        """Close the connection and fail every pending request."""
+        with self.cond:
+            if self.closed:
+                return
+            self.closed = True
+            pending, self.pending = self.pending, {}
+            for stream in pending.values():
+                stream.fail(exc)
+            self.cond.notify_all()
+        try:
+            # wakes a reader blocked in select before the fd goes away
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.sock.close()
+        self._on_close(self)
+
+
+class _Call:
+    """A unary RPC already sent (:meth:`RpcCore.submit`): ``result()``
+    waits for its answer, retrying like :meth:`RpcCore.call` if the
+    first attempt was lost.  Resolve it once."""
+
+    __slots__ = ("_core", "_args", "_first", "_span")
+
+    def __init__(self, core: "RpcCore", args: tuple, first, span):
+        self._core = core
+        self._args = args
+        self._first = first
+        self._span = span
+
+    def result(self):
+        try:
+            return self._core._call(*self._args, first=self._first)
+        finally:
+            if self._span is not None:
+                self._span.finish()
 
 
 class RpcCore:
-    """Blocking facade over the async multiplexed core.
+    """The client's RPC core: connections, the retry loop, sessions.
 
     One core per :class:`RemoteInstance` (the manager process also owns
-    one for server fan-out).  ``mutate`` stamps mutating requests with
-    this core's session id and a monotonically increasing sequence
-    number; a retry re-sends the *same* sequence number, which is what
-    lets the server replay the cached ack instead of re-applying.
-    ``submit_mutate`` is the pipelined variant: the sequence number is
-    stamped at submission (not completion), so in-flight batches keep
-    their order identity.
-
-    Never call the blocking surface from the loop thread (it would
-    deadlock); native-async callers use :attr:`aio` directly.
+    one for server fan-out), safe to share between threads.  ``call``
+    is one RPC with the full retry taxonomy; ``submit`` sends now and
+    answers later (the write pipeline's overlap); ``open_stream`` opens
+    a scan.  ``mutate`` stamps mutating requests with this core's
+    session id and a monotonically increasing sequence number; a retry
+    re-sends the *same* sequence number, which is what lets the server
+    replay the cached ack instead of re-applying.  ``submit_mutate`` is
+    the pipelined variant: the sequence number is stamped at submission
+    (not completion), so in-flight batches keep their order identity.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None,
@@ -167,11 +473,10 @@ class RpcCore:
         self.retry = retry if retry is not None else RetryPolicy()
         self.session = os.urandom(8).hex()
         self._rng = random.Random(seed)
-        self._seq = 0
+        self._seq = count(1)
+        #: guards ``_conns``, and is held while dialing
         self._lock = threading.Lock()
-        self._addr_strs: Dict[Addr, str] = {}
-        self._runner = _LoopRunner("repro-net-loop")
-        self.aio = AsyncRpcCore(self.metrics, self.retry, seed=seed)
+        self._conns: Dict[Addr, _Conn] = {}
         # pre-register the health counters so a metrics export always
         # shows them (at 0), not only after the first retry/timeout
         for name in ("requests", "retries", "timeouts", "relocates",
@@ -184,29 +489,122 @@ class RpcCore:
     # -- plumbing ---------------------------------------------------------
 
     def next_seq(self) -> int:
+        return next(self._seq)  # atomic: never waits behind a dial
+
+    # -- connections ------------------------------------------------------
+
+    def _deregister(self, conn: _Conn) -> None:
         with self._lock:
-            self._seq += 1
-            return self._seq
+            if self._conns.get(conn.addr) is conn:
+                del self._conns[conn.addr]
+                self.metrics.counter("net.client.pool_evictions").inc()
 
-    def _addr_str(self, addr: Addr) -> str:
-        s = self._addr_strs.get(addr)
-        if s is None:
-            s = self._addr_strs[addr] = format_addr(addr)
-        return s
-
-    def run(self, coro):
-        """Run a coroutine on this core's loop thread and block."""
-        return self._runner.run(coro)
+    def _conn(self, addr: Addr) -> _Conn:
+        """The live connection to ``addr``, dialed under the core lock:
+        at most once per address however many callers race here."""
+        counters = self.metrics.counter
+        with self._lock:
+            conn = self._conns.get(addr)
+            if conn is not None and not conn.closed:
+                counters("net.client.pool_hits").inc()
+                return conn
+            counters("net.client.pool_misses").inc()
+            sock = socket.create_connection(
+                addr, timeout=self.retry.connect_timeout)
+            sock.settimeout(None)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = self._conns[addr] = _Conn(
+                addr, sock, self.metrics, on_close=self._deregister)
+            return conn
 
     def close(self) -> None:
-        if self._runner._loop is not None:
-            try:
-                self._runner.run(self.aio.aclose())
-            except Exception:  # noqa: BLE001 - teardown is best-effort
-                pass
-        self._runner.stop()
+        with self._lock:
+            conns, self._conns = list(self._conns.values()), {}
+        for conn in conns:
+            conn.fail(wire.ConnectionClosedError("connection closed"))
 
     # -- RPCs -------------------------------------------------------------
+
+    def _send(self, addr: Addr, op: int, payload, tc=None,
+              compress: bool = False, unary: bool = True) -> _Stream:
+        """Register a request on ``addr``'s connection and send it."""
+        counters = self.metrics.counter
+        opname = wire.OP_NAMES.get(op, hex(op))
+        counters("net.client.requests").inc()
+        stream = self._conn(addr).open(opname, unary)
+        try:
+            nsent = stream.conn.send(op, payload, tc=tc, req=stream.req,
+                                     compress=compress)
+        except BaseException:
+            stream.abandon()
+            raise
+        counters("net.client.bytes_sent").inc(nsent)
+        counters(f"net.client.op.{opname}.bytes_sent").inc(nsent)
+        return stream
+
+    def _call(self, addr: Addr, op: int, payload, tc=None,
+              compress: bool = False, first=None) -> Any:
+        """One RPC with the full retry taxonomy.  ``first`` is the
+        first attempt when :meth:`submit` already made it: the sent
+        request, or the transport error its send raised."""
+        counters = self.metrics.counter
+        hist = self.metrics.histogram("net.client.rpc_seconds")
+        sleep: Optional[float] = None
+        last_exc: Optional[BaseException] = None
+        for attempt in range(self.retry.attempts):
+            if attempt:
+                sleep = self.retry.next_sleep(sleep, self._rng)
+                time.sleep(sleep)
+                counters("net.client.retries").inc()
+            sent, first = first, None
+            stream: Optional[_Stream] = None
+            try:
+                if isinstance(sent, BaseException):
+                    raise sent
+                stream = sent or self._send(addr, op, payload, tc, compress)
+                code, resp, _nread = stream.get(self.retry.deadline)
+            except TimeoutError as exc:
+                counters("net.client.timeouts").inc()
+                if stream is not None:
+                    stream.abandon()
+                last_exc = exc
+                continue
+            except wire.FrameCorruptError as exc:
+                last_exc = exc  # connection already failed itself
+                continue
+            except wire.ProtocolError:
+                raise  # version skew / garbage framing: not transient
+            except (wire.ConnectionClosedError, OSError) as exc:
+                last_exc = exc
+                continue
+            hist.observe(time.perf_counter() - stream.t0)
+            if code == wire.OK:
+                return resp
+            if code == wire.ERROR:
+                try:
+                    wire.raise_error(resp)
+                except ServerCrashedError as exc:
+                    last_exc = exc  # server will come back: retry
+                    continue
+                except BusyError as exc:
+                    # admission shed: never ran server-side, so backing
+                    # off and re-sending is always safe
+                    counters("net.client.busy_retries").inc()
+                    last_exc = exc
+                    continue
+                except NotHostedError:
+                    counters("net.client.relocates").inc()
+                    raise  # caller re-locates and re-routes
+                except Exception:
+                    counters("net.client.errors").inc()
+                    raise
+            raise wire.ProtocolError(
+                f"unexpected response op-code {code:#x} to "
+                f"{stream.opname}")
+        counters("net.client.errors").inc()
+        raise wire.RpcError(
+            f"{wire.OP_NAMES.get(op, hex(op))} to {format_addr(addr)} "
+            f"failed after {self.retry.attempts} attempts") from last_exc
 
     def _stamp(self, payload):
         """Copy ``payload`` with this core's session + a fresh seq (the
@@ -230,87 +628,55 @@ class RpcCore:
     def call(self, addr: Addr, op: int, payload,
              compress: bool = False) -> dict:
         if not _trace.ENABLED:
-            return self._runner.run(
-                self.aio.call(addr, op, payload, compress=compress))
+            return self._call(addr, op, payload, compress=compress)
         with _trace.span("rpc.client.call", op=wire.OP_NAMES.get(op, op),
-                         server=self._addr_str(addr)) as sp:
+                         server=format_addr(addr)) as sp:
             # every attempt (retries included) carries this span's
             # identity, so even a server span reached on the Nth try
             # parents under the one client call; the context's sampled
             # bit tells the server whether to record its half
             if not sp.sampled:
                 self._sampled_out.inc()
-            result = self._runner.run(
-                self.aio.call(addr, op, payload, tc=sp.context,
-                              compress=compress))
+            result = self._call(addr, op, payload, tc=sp.context,
+                                compress=compress)
             sp.attrs["session"] = self.session
             return result
 
-    def submit_mutate(self, addr: Addr, op: int, payload,
-                      compress: bool = False) -> concurrent.futures.Future:
-        """Pipelined ``mutate``: stamp now, send now, ack later.  The
-        returned future resolves to the response dict; the caller owns
-        draining (and thereby per-tablet ordering)."""
-        stamped = self._stamp(payload)
+    def submit(self, addr: Addr, op: int, payload,
+               compress: bool = False) -> _Call:
+        """Pipelined ``call``: the request goes out now, on this thread;
+        the returned handle's ``result()`` waits for the answer (and
+        owns the retries, should this attempt be lost)."""
         sp = None
         tc = None
         if _trace.ENABLED:
-            # detached span: the ack lands on the loop thread, not in
-            # this thread's span stack
+            # detached: the span stays open until result(), which may
+            # run under a different span stack than this submit
             sp = _trace.start_span(
                 "rpc.client.call", op=wire.OP_NAMES.get(op, op),
-                server=self._addr_str(addr), session=self.session)
+                server=format_addr(addr), session=self.session)
             tc = sp.context
             if not sp.sampled:
                 self._sampled_out.inc()
-        fut = self._runner.submit(
-            self.aio.call(addr, op, stamped, tc=tc, compress=compress))
-        if sp is not None:
-            fut.add_done_callback(lambda _f: sp.finish())
-        return fut
+        try:
+            first = self._send(addr, op, payload, tc, compress)
+        except (wire.ConnectionClosedError, OSError) as exc:
+            first = exc  # result() retries from the second attempt
+        return _Call(self, (addr, op, payload, tc, compress), first, sp)
+
+    def submit_mutate(self, addr: Addr, op: int, payload,
+                      compress: bool = False) -> _Call:
+        """Pipelined ``mutate``: stamp now, send now, ack later.  The
+        caller owns draining (and thereby per-tablet ordering)."""
+        return self.submit(addr, op, self._stamp(payload), compress)
 
     # -- scan streams -----------------------------------------------------
 
-    def open_stream(self, addr: Addr, payload: dict, tc=None) -> "_SyncStream":
-        stream = self._runner.run(
-            self.aio.open_stream(addr, wire.SCAN, payload, tc=tc))
-        return _SyncStream(self, addr, stream)
-
-
-class _SyncStream:
-    """Blocking view of one multiplexed scan stream."""
-
-    __slots__ = ("_core", "_addr", "_stream")
-
-    def __init__(self, core: RpcCore, addr: Addr, stream):
-        self._core = core
-        self._addr = addr
-        self._stream = stream
-
-    def recv(self, timeout: float) -> Tuple[int, object, int]:
-        """Next ``(code, payload, nread)`` frame; raises the stream's
-        failure (overrun, corrupt, closed) or ``TimeoutError``."""
-        return self._core.run(self._core.aio.stream_get(
-            self._stream, timeout))
-
-    @property
-    def ended(self) -> bool:
-        return self._stream.ended
-
-    def mark_ended(self) -> None:
-        """The consumer learned out-of-band (a ``last``-marked CHUNK)
-        that no more data is coming: flag the stream terminal so close
-        skips the cancel round-trip and the reader drops the trailing
-        DONE frame as it arrives."""
-        self._stream.ended = True
-
-    def cancel(self) -> None:
-        """Abandon the stream; tells the server to stop producing."""
-        try:
-            self._core.run(self._core.aio.cancel_stream(
-                self._addr, self._stream))
-        except Exception:  # noqa: BLE001 - cancellation is best-effort
-            pass
+    def open_stream(self, addr: Addr, op: int, payload, tc=None) -> _Stream:
+        """Send a streaming request; its frames arrive on the returned
+        :class:`_Stream` (no retry here — the scan pump owns the
+        resume/retry policy because only it knows the resume key)."""
+        return self._send(addr, op, payload, tc, unary=False)
 
 
 # -- scan streaming ---------------------------------------------------------
@@ -367,7 +733,7 @@ class _Segment:
         self.tablet_id = tablet_id
         self.extent = extent
         self.ranges: List[Range] = []
-        self.stream: Optional[_SyncStream] = None
+        self.stream: Optional[_Stream] = None
         self.span = None
 
 
@@ -402,9 +768,9 @@ class _RemoteScanStream:
     Owns the whole stream lifecycle over a sequence of binary CHUNK
     frames: open/retry/backoff, mid-stream resume, split re-planning,
     spans and counters.  :meth:`next_batch` returns decoded
-    :class:`~repro.net.cells.ColumnBatch`\\ es — one per consumer
-    wakeup, coalescing every CHUNK the connection reader had already
-    buffered — and never materialises a ``Cell``.
+    :class:`~repro.net.cells.ColumnBatch`\\ es — one per pull,
+    coalescing every CHUNK that has already arrived — and never
+    materialises a ``Cell``.
 
     A pump scans one *range set* (sorted, disjoint ranges; a plain
     range scan is a set of one) and may span many segments, one per
@@ -412,8 +778,8 @@ class _RemoteScanStream:
     tablet's share of the set, found by bisecting the set against the
     tablet extents.  It fans out: the next :data:`_SCAN_FANOUT`
     segments' streams are opened ahead of consumption so their servers
-    scan in parallel, and one event-loop round delivers as many
-    consecutive completed segments as have arrived.  Delivery order is
+    scan in parallel, and one round delivers as many consecutive
+    completed segments as have arrived.  Delivery order is
     strictly segment order — fan-out changes when servers *produce*,
     never when the consumer *sees*.
 
@@ -481,8 +847,8 @@ class _RemoteScanStream:
 
     # -- streaming --------------------------------------------------------
 
-    async def _aopen(self, seg: _Segment, parent_ctx) -> None:
-        """Open ``seg``'s stream (loop side; no waiting for frames)."""
+    def _open(self, seg: _Segment) -> None:
+        """Open ``seg``'s stream (no waiting for frames)."""
         core = self._inst.core
         payload = {
             "table": self._table,
@@ -498,20 +864,16 @@ class _RemoteScanStream:
         tc = None
         if _trace.ENABLED:
             # detached: a scan stream stays open across iterator pulls,
-            # so its span cannot be lexically scoped.  ``parent_ctx``
-            # carries the consumer thread's span stack across into the
-            # loop thread.  Closed by _close_segment on completion,
-            # resume, or re-plan.
+            # so its span cannot be lexically scoped.  Closed by
+            # _close_segment on completion, resume, or re-plan.
             seg.span = _trace.start_span(
-                "rpc.client.scan", parent=parent_ctx, op="scan",
+                "rpc.client.scan", op="scan",
                 table=self._table, server=format_addr(seg.addr))
             tc = seg.span.context
-        stream = await core.aio.open_stream(seg.addr, wire.SCAN, payload,
-                                            tc=tc)
-        seg.stream = _SyncStream(core, seg.addr, stream)
+        seg.stream = core.open_stream(seg.addr, wire.SCAN, payload, tc=tc)
         self._opened = True
 
-    async def _fanout(self, base: int, parent_ctx) -> None:
+    def _fanout(self, base: int) -> None:
         """Open any unopened streams among segments ``base`` through
         ``base + _SCAN_FANOUT - 1``.  Only a head (``base == 0``) open
         failure propagates — an eager open that fails will fail again,
@@ -520,43 +882,40 @@ class _RemoteScanStream:
             if seg.stream is not None:
                 continue
             if base == 0 and i == 0:
-                await self._aopen(seg, parent_ctx)
+                self._open(seg)
             else:
                 try:
-                    await self._aopen(seg, parent_ctx)
+                    self._open(seg)
                 except Exception:  # noqa: BLE001 - surfaces once it is head
                     if seg.span is not None:
                         seg.span.finish()
                         seg.span = None
                     break
 
-    async def _round(self, parent_ctx) -> list:
-        """One event-loop submission: fan out opens for the next few
-        segments (their servers scan in parallel), await the head
-        segment's frame run, then — while each run *cleanly* completes
-        its segment — splice on the follow-on segments' runs, waiting
-        at most :data:`_SPLICE_WAIT` each since they have been
-        producing concurrently the whole time.  The consumer gets a
-        whole multi-segment run per cross-thread wakeup instead of
-        paying a GIL-contended loop round trip per tablet boundary.
+    def _round(self) -> list:
+        """One pull: fan out opens for the next few segments (their
+        servers scan in parallel), wait for the head segment's frame
+        run, then — while each run *cleanly* completes its segment —
+        splice on the follow-on segments' runs, waiting at most
+        :data:`_SPLICE_WAIT` each since they have been producing
+        concurrently the whole time.  The consumer gets a whole
+        multi-segment run per pull instead of one tablet's.
 
         A run ending in ERROR (or a splice-side failure) stops the
         splice: later segments' frames must never be delivered before
         an earlier segment has resumed and finished."""
         core = self._inst.core
-        await self._fanout(0, parent_ctx)
+        self._fanout(0)
         frames = _drop_folded_done(
-            await self._segments[0].stream._stream.get_many(
-                core.retry.deadline))
+            self._segments[0].stream.get_many(core.retry.deadline))
         run, k = frames, 1
         while k < len(self._segments) and _seg_run_complete(run):
-            await self._fanout(k, parent_ctx)  # slide the open-ahead window
+            self._fanout(k)  # slide the open-ahead window
             nxt = self._segments[k].stream
             if nxt is None:
                 break
             try:
-                run = _drop_folded_done(
-                    await nxt._stream.get_many(_SPLICE_WAIT))
+                run = _drop_folded_done(nxt.get_many(_SPLICE_WAIT))
             except Exception:  # noqa: BLE001 - requeued; raised once head
                 break
             frames.extend(run)
@@ -571,7 +930,6 @@ class _RemoteScanStream:
         sleep: Optional[float] = None
         attempts = 0
         while not self._finished:
-            parent_ctx = _trace.current_context() if _trace.ENABLED else None
             try:
                 if self._segments[0].stream is None:
                     if attempts:
@@ -583,7 +941,7 @@ class _RemoteScanStream:
                         # chunk progress reset the attempt budget
                         counters("net.client.scan_resumes").inc()
                     attempts += 1
-                frames = core.run(self._round(parent_ctx))
+                frames = self._round()
             except StreamOverrunError:
                 # the reader shed this stream rather than stall the
                 # connection; everything delivered so far is good —
@@ -594,7 +952,7 @@ class _RemoteScanStream:
             except wire.FrameCorruptError:
                 self._bail(counters, attempts)
                 continue
-            except (asyncio.TimeoutError, socket.timeout, TimeoutError):
+            except TimeoutError:
                 counters("net.client.timeouts").inc()
                 self._bail(counters, attempts)
                 continue
@@ -814,9 +1172,9 @@ class TabletProxy:
             return self._rebin(muts)
 
     def submit_raw_batch(self, muts: List[tuple]
-                         ) -> concurrent.futures.Future:
+                         ) -> _Call:
         """Pipelined ``write_raw_batch``: the batch is stamped and sent
-        now; the returned future resolves to the ack.  The caller must
+        now; the returned handle's ``result()`` is the ack.  The caller must
         drain it (``WritePipeline`` owns the ordering discipline) and
         keep ``muts`` unchanged until then — a re-bin resends them."""
         return self._inst.core.submit_mutate(
@@ -867,9 +1225,8 @@ class WritePipeline:
 
     def __init__(self, inst: "RemoteInstance"):
         self._inst = inst
-        #: (proxy, muts, future) triples of the flush in flight
-        self._inflight: List[Tuple[TabletProxy, List[tuple],
-                                   concurrent.futures.Future]] = []
+        #: (proxy, muts, sent call) triples of the flush in flight
+        self._inflight: List[Tuple[TabletProxy, List[tuple], _Call]] = []
 
     def submit(self, groups) -> None:
         self.drain()

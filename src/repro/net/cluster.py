@@ -1,8 +1,9 @@
 """Boot and drive a localhost dbsim cluster.
 
 :class:`LocalCluster` spawns N tablet-server processes plus one
-manager process (multiprocessing ``spawn``), wires them together, and
-hands out :class:`~repro.net.client.RemoteConnector`\\ s.  It also
+manager process (multiprocessing ``spawn``) — all launched together,
+so their start-up overlaps — tells the manager where its servers
+listen, and hands out :class:`~repro.net.client.RemoteConnector`\\ s.  It also
 exposes the failure-simulation controls tests build scenarios from:
 ``crash(i)`` / ``recover(i)`` flip one server's crash flag over RPC
 (memtables lost, WAL durable — exactly the in-process semantics), and
@@ -88,14 +89,23 @@ class LocalCluster:
     def start(self) -> "LocalCluster":
         if self._started:
             raise RuntimeError("cluster already started")
-        if self.processes:
-            self._start_processes()
-        else:
-            self._start_threads()
+        try:
+            if self.processes:
+                self._start_processes()
+            else:
+                self._start_threads()
+        except BaseException:
+            # a child that could not start (say, its port is taken)
+            # must not leave the ones that did running
+            self._teardown(timeout=0.0)
+            raise
         self._started = True
         return self
 
     def _start_processes(self) -> None:
+        # launch everything, then wait: a child's start-up is mostly
+        # its imports, and this way they overlap — the cluster is up as
+        # fast as its slowest child, not the sum of them
         for i, name in enumerate(self.server_names):
             proc = TabletServerProcess(
                 name, fault_specs=self.fault_specs,
@@ -104,15 +114,20 @@ class LocalCluster:
                 fault_seed=self.fault_seed + i,
                 trace_path=self._trace_path(name), host=self.host,
                 sample_rate=self.sample_rate)
-            self.server_addrs.append(proc.start())
             self._servers.append(proc)
+            proc.launch()
         self._manager = ManagerProcess(
-            list(zip(self.server_names, self.server_addrs)),
-            trace_path=self._trace_path("manager"),
+            (), trace_path=self._trace_path("manager"),
             host=self.host, port=self.manager_port,
             telemetry_interval=self.telemetry_interval,
             sample_rate=self.sample_rate)
-        self.manager_addr = self._manager.start()
+        self._manager.launch()
+        # in server_names order whichever child listened first: the
+        # manager places tablets by position in this list
+        self.server_addrs = [proc.wait_addr() for proc in self._servers]
+        self._manager.servers = list(zip(self.server_names,
+                                         self.server_addrs))
+        self.manager_addr = self._manager.wait_addr()
 
     def _start_threads(self) -> None:
         # thread-mode services share this process, so they share one
@@ -154,13 +169,22 @@ class LocalCluster:
                 conn.close()
         except Exception:  # noqa: BLE001 - teardown is best-effort
             pass
-        if self.processes:
-            self._manager.stop()
-            for proc in self._servers:
-                proc.stop()
-        else:
-            self._manager.stop()
-            for service in self._servers:
+        self._teardown()
+        self._started = False
+
+    def _teardown(self, timeout: float = 5.0) -> None:
+        """Stop the manager and every server launched so far, and undo
+        what a thread-mode start installed.  Child processes get
+        ``timeout`` seconds to exit by themselves first (0 when nobody
+        asked them to)."""
+        services = ([self._manager] if self._manager else []) + self._servers
+        self._manager = None
+        self._servers = []
+        self.server_addrs = []
+        for service in services:
+            if self.processes:
+                service.stop(timeout)
+            else:
                 service.stop()
         if self._owns_trace:
             _trace.disable(close=True)
@@ -168,7 +192,6 @@ class LocalCluster:
         if self._owns_sampling:
             _sampling.unconfigure()
             self._owns_sampling = False
-        self._started = False
 
     def __enter__(self) -> "LocalCluster":
         if not self._started:

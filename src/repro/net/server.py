@@ -51,9 +51,11 @@ table survives a simulated crash, as a real server's would via its
 write-ahead log.
 
 :class:`TabletServerProcess` / :class:`ManagerProcess` run a service in
-a child process via the multiprocessing ``spawn`` context (thread-safe,
-and the 3.13-forward default), reporting the bound address back on a
-queue.
+a child process via the multiprocessing ``spawn`` context (see
+:class:`_ServiceProcess` for why not ``forkserver``), reporting the
+bound address — or the exception that prevented one — back up a pipe.
+Nothing imported here loads numpy: a child's start-up is its imports,
+and a tablet server never multiplies.
 """
 
 from __future__ import annotations
@@ -183,8 +185,12 @@ class _BaseService:
     def start(self, host: str = "127.0.0.1", port: int = 0) -> Addr:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
-        listener.listen(64)
+        try:
+            listener.bind((host, port))
+            listener.listen(64)
+        except OSError:
+            listener.close()
+            raise
         listener.settimeout(0.2)  # so the accept loop notices stop()
         self._listener = listener
         self.addr = listener.getsockname()
@@ -542,6 +548,25 @@ def _state_tablet(state: wire.CellsPayload, config: TableConfig) -> Tablet:
     return tablet
 
 
+def _coalesce(batches):
+    """Pack the short batches a selective or folding stage leaves of
+    full ones into chunks of up to :data:`SCAN_CHUNK_CELLS`: a
+    pushed-down scan ships a CHUNK per chunkful of *surviving* cells,
+    not one per storage batch.  Same cells, same order; a batch is
+    never cut, so nothing is copied."""
+    held = None
+    for batch in batches:
+        if held is None:
+            held = batch
+        elif len(held) + len(batch) <= SCAN_CHUNK_CELLS:
+            held.extend(batch)
+        else:
+            yield held
+            held = batch
+    if held is not None:
+        yield held
+
+
 class TabletServerService(_BaseService):
     """One dbsim :class:`~repro.dbsim.server.TabletServer` behind a
     socket: its hosting and failure-simulation ops as handlers, plus
@@ -678,6 +703,7 @@ class TabletServerService(_BaseService):
                     ranges, columns, config.table_iterators, push,
                     batch_cells=SCAN_CHUNK_CELLS, sink=scan_stats)
             if spec:
+                batches = _coalesce(batches)
                 counters("net.server.pushdown.stacks").inc()
                 counters("net.server.pushdown.ops").inc(len(spec))
             resume = p.get("resume")
@@ -889,6 +915,10 @@ class ManagerService(_BaseService):
             self._threads.append(thread)
         return addr
 
+    def stop(self) -> None:
+        super().stop()
+        self.core.close()
+
     def _telemetry_loop(self) -> None:
         while not self._stopped.wait(self.telemetry_interval):
             try:
@@ -995,78 +1025,137 @@ class ManagerService(_BaseService):
 # -- process wrappers --------------------------------------------------------
 
 
-def _run_service(service: _BaseService, queue, trace_path: Optional[str],
-                 host: str, port: int, sample_rate: float = 1.0) -> None:
-    if sample_rate < 1.0:
-        # head sampling + tail retention for this server process; the
-        # counters land on the service registry so cluster metric
-        # fan-outs report per-server sampling activity
-        _sampling.configure(sample_rate, registry=service.metrics)
-    if trace_path:
-        # distinct per-process seeds (derived from the service name)
-        # keep seeded runs reproducible without id collisions between
-        # cooperating processes
-        _trace.seed_ids(zlib.crc32(service.name.encode("utf-8")))
-        _trace.enable(_trace.JSONLSink(trace_path, process=service.name))
-    addr = service.start(host=host, port=port)
-    queue.put(addr)
+def _serve(pipe, build: Callable[[], _BaseService],
+           trace_path: Optional[str], host: str, port: int,
+           sample_rate: float) -> None:
+    """A service child's whole life: build the service, listen, report
+    the bound address up ``pipe`` — or the exception that got in the
+    way, so the parent raises it typed instead of waiting out a
+    timeout — then serve until stopped."""
+    try:
+        service = build()
+        if sample_rate < 1.0:
+            # head sampling + tail retention for this server process; the
+            # counters land on the service registry so cluster metric
+            # fan-outs report per-server sampling activity
+            _sampling.configure(sample_rate, registry=service.metrics)
+        if trace_path:
+            # distinct per-process seeds (derived from the service name)
+            # keep seeded runs reproducible without id collisions between
+            # cooperating processes
+            _trace.seed_ids(zlib.crc32(service.name.encode("utf-8")))
+            _trace.enable(_trace.JSONLSink(trace_path, process=service.name))
+        addr = service.start(host=host, port=port)
+    except Exception as exc:
+        try:
+            pipe.send(exc)
+        except Exception:  # noqa: BLE001 - unpicklable: keep its text
+            pipe.send(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        raise
+    pipe.send(addr)
+    pipe.close()
     service.wait()
     if trace_path:
         _trace.disable(close=True)
 
 
-def _tablet_server_main(queue, name: str, fault_specs: Sequence[str],
+def _fault_plan(fault_specs: Sequence[str],
+                fault_seed: int) -> Optional[FaultPlan]:
+    return (FaultPlan.from_specs(fault_specs, seed=fault_seed)
+            if fault_specs else None)
+
+
+def _tablet_server_main(pipe, name: str, fault_specs: Sequence[str],
                         fault_seed: int, trace_path: Optional[str],
                         host: str, port: int,
                         sample_rate: float = 1.0) -> None:
-    faults = (FaultPlan.from_specs(fault_specs, seed=fault_seed)
-              if fault_specs else None)
-    _run_service(TabletServerService(name, faults=faults), queue,
-                 trace_path, host, port, sample_rate=sample_rate)
+    _serve(pipe, lambda: TabletServerService(
+        name, faults=_fault_plan(fault_specs, fault_seed)),
+        trace_path, host, port, sample_rate)
 
 
-def _manager_main(queue, servers: List[Tuple[str, Tuple[str, int]]],
-                  fault_specs: Sequence[str], fault_seed: int,
+def _manager_main(pipe, fault_specs: Sequence[str], fault_seed: int,
                   trace_path: Optional[str], host: str, port: int,
                   telemetry_interval: float = 0.0,
                   sample_rate: float = 1.0) -> None:
-    faults = (FaultPlan.from_specs(fault_specs, seed=fault_seed)
-              if fault_specs else None)
-    servers = [(n, (a[0], a[1])) for n, a in servers]
-    _run_service(ManagerService(servers, faults=faults,
-                                telemetry_interval=telemetry_interval),
-                 queue, trace_path, host, port, sample_rate=sample_rate)
+    # the parent's first message names the tablet servers: the manager
+    # is launched beside them, before any of them has an address
+    _serve(pipe, lambda: ManagerService(
+        [(n, tuple(a)) for n, a in pipe.recv()],
+        faults=_fault_plan(fault_specs, fault_seed),
+        telemetry_interval=telemetry_interval),
+        trace_path, host, port, sample_rate)
 
 
 class _ServiceProcess:
-    """Parent-side handle on a service child process (spawn context):
-    ``main(queue, *args)`` runs in the child and reports the bound
-    address back on the queue."""
+    """Parent-side handle on a service child process: ``main(pipe,
+    *args)`` runs in the child and reports the bound address — or why
+    there is none — back up the pipe.
+
+    The ``spawn`` context stays (3.14 made ``forkserver`` the POSIX
+    default): the parent may hold threads and sockets a fork would
+    copy, and a forkserver only pays when a bare interpreter can
+    import ``repro`` to preload it, which a plain checkout run cannot.
+    What a spawned child costs is its imports, so :meth:`launch` and
+    :meth:`wait_addr` are separate: a cluster launches every child and
+    then waits, and the imports overlap."""
 
     def __init__(self, main: Callable, args: tuple, process_name: str):
         self._main = main
         self._args = args
         self._process_name = process_name
+        self._pipe = None
         self.process: Optional[mp.process.BaseProcess] = None
         self.addr: Optional[Addr] = None
 
-    def start(self, start_timeout: float = 30.0) -> Addr:
+    def launch(self) -> None:
+        """Start the child; do not wait for it to listen."""
         ctx = mp.get_context("spawn")
-        queue = ctx.Queue()
+        self._pipe, child_end = ctx.Pipe()
         self.process = ctx.Process(target=self._main,
-                                   args=(queue, *self._args),
+                                   args=(child_end, *self._args),
                                    name=self._process_name, daemon=True)
         self.process.start()
-        self.addr = tuple(queue.get(timeout=start_timeout))
+        # ours was the last other copy: once the child exits, a read
+        # on the pipe sees EOF instead of blocking
+        child_end.close()
+
+    def wait_addr(self, start_timeout: float = 30.0) -> Addr:
+        """The launched child's bound address.  A child that could not
+        start raises here what it raised there; one that died without
+        a word is a ``RuntimeError`` with its exit code."""
+        pipe, self._pipe = self._pipe, None
+        try:
+            if not pipe.poll(start_timeout):
+                raise TimeoutError(
+                    f"{self._process_name} reported no address within "
+                    f"{start_timeout}s")
+            msg = pipe.recv()
+        except EOFError:
+            self.process.join(1.0)
+            raise RuntimeError(
+                f"{self._process_name} exited with code "
+                f"{self.process.exitcode} before listening") from None
+        finally:
+            pipe.close()
+        if isinstance(msg, BaseException):
+            raise msg
+        self.addr = tuple(msg)
         return self.addr
 
+    def start(self, start_timeout: float = 30.0) -> Addr:
+        self.launch()
+        return self.wait_addr(start_timeout)
+
     def stop(self, timeout: float = 5.0) -> None:
+        """Join the child, terminating it if it has not exited within
+        ``timeout`` (0: it was never told to stop — kill it now)."""
         if self.process is None:
             return
         self.process.join(timeout)
         if self.process.is_alive():
             self.process.terminate()
-            self.process.join(timeout)
+            self.process.join(5.0)
         self.process = None
 
     @property
@@ -1089,7 +1178,12 @@ class TabletServerProcess(_ServiceProcess):
 
 
 class ManagerProcess(_ServiceProcess):
-    """The manager running as a real OS process on localhost."""
+    """The manager running as a real OS process on localhost.
+
+    ``servers`` — ``(name, address)`` pairs — reach the child as the
+    first message down its pipe, sent by :meth:`wait_addr`: a cluster
+    launches the manager alongside its tablet servers and fills the
+    attribute in once they have reported their addresses."""
 
     def __init__(self, servers: Sequence[Tuple[str, Addr]],
                  fault_specs: Sequence[str] = (), fault_seed: int = 0,
@@ -1099,6 +1193,13 @@ class ManagerProcess(_ServiceProcess):
                  sample_rate: float = 1.0):
         super().__init__(
             _manager_main,
-            ([(n, tuple(a)) for n, a in servers], list(fault_specs),
-             fault_seed, trace_path, host, port, telemetry_interval,
-             sample_rate), "repro-manager")
+            (list(fault_specs), fault_seed, trace_path, host, port,
+             telemetry_interval, sample_rate), "repro-manager")
+        self.servers = list(servers)
+
+    def wait_addr(self, start_timeout: float = 30.0) -> Addr:
+        try:
+            self._pipe.send([(n, tuple(a)) for n, a in self.servers])
+        except OSError:
+            pass  # the child is gone: the read below says how
+        return super().wait_addr(start_timeout)

@@ -324,38 +324,53 @@ class FrameReader:
     a fresh ``bytearray`` sized exactly to the frame, because decoded
     payloads (cell-block memoryviews) may outlive the next read on a
     multiplexed connection.
+
+    ``flags`` go to every ``recv_into``.  A read the socket cuts short
+    — ``BlockingIOError`` under ``MSG_DONTWAIT``, a socket timeout —
+    keeps its partial frame, and the next :meth:`read` resumes it: a
+    caller that gives up waiting mid-frame loses its turn, not the
+    connection's framing.
     """
 
-    __slots__ = ("_sock", "_hdr", "_hdr_view")
+    __slots__ = ("_sock", "_flags", "_hdr", "_hdr_view", "_body", "_got")
 
-    def __init__(self, sock: socket.socket) -> None:
+    def __init__(self, sock: socket.socket, flags: int = 0) -> None:
         self._sock = sock
+        self._flags = flags
         self._hdr = bytearray(_LEN.size)
         self._hdr_view = memoryview(self._hdr)
+        #: the frame body being filled, once its header is complete
+        self._body: Optional[bytearray] = None
+        #: bytes of the current header / body already read
+        self._got = 0
 
     def _fill(self, view: memoryview, n: int) -> None:
-        got = 0
         recv_into = self._sock.recv_into
-        while got < n:
-            k = recv_into(view[got:n])
+        flags = self._flags
+        while self._got < n:
+            k = recv_into(view[self._got:n], 0, flags)
             if not k:
                 raise ConnectionClosedError(
-                    f"peer closed connection ({got}/{n} bytes read)")
-            got += k
+                    f"peer closed connection ({self._got}/{n} bytes read)")
+            self._got += k
+        self._got = 0
 
     def read(self) -> Tuple[int, Any, int,
                             Optional[Tuple[str, str, bool]], int]:
         """Read one frame; returns ``(op_code, payload, bytes_read,
         trace_context, request_id)``."""
-        self._fill(self._hdr_view, _LEN.size)
-        (length,) = _LEN.unpack(self._hdr)
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame length {length} exceeds "
-                                f"{MAX_FRAME_BYTES} byte cap")
-        body = bytearray(length)
-        self._fill(memoryview(body), length)
+        if self._body is None:
+            self._fill(self._hdr_view, _LEN.size)
+            (length,) = _LEN.unpack(self._hdr)
+            if length > MAX_FRAME_BYTES:
+                raise ProtocolError(f"frame length {length} exceeds "
+                                    f"{MAX_FRAME_BYTES} byte cap")
+            self._body = bytearray(length)
+        body = self._body
+        self._fill(memoryview(body), len(body))
+        self._body = None
         code, payload, tc, req = decode_body(body)
-        return code, payload, _LEN.size + length, tc, req
+        return code, payload, _LEN.size + len(body), tc, req
 
 
 def send_frame(sock: socket.socket, code: int, payload: Any,
@@ -419,8 +434,8 @@ def raise_error(payload: dict) -> None:
 
 
 def error_from_payload(payload: dict) -> BaseException:
-    """The exception an ``ERROR`` frame describes, unraised (the async
-    core attaches it to the waiting future instead of raising)."""
+    """The exception an ``ERROR`` frame describes, unraised (for a
+    caller that stores the failure instead of raising it)."""
     cls = _ERROR_TYPES.get(payload.get("type", ""), RpcError)
     return cls(payload.get("message", "remote error"))
 

@@ -6,10 +6,17 @@ same sockets, same wire protocol, no spawn cost.  One test boots real
 OS processes end to end.
 """
 
+import multiprocessing
+import os
+import socket
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
+import repro
 from repro.cli import main as cli_main
 from repro.dbsim.client import Connector
 from repro.dbsim.graphulo import create_combiner_table
@@ -297,6 +304,15 @@ class TestHealthCli:
         assert "unreachable" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def taken_port():
+    """A localhost port somebody else is already listening on."""
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        yield taken.getsockname()[1]
+
+
 class TestLifecycle:
     def test_connect_before_start_rejected(self):
         c = LocalCluster(n_servers=1, processes=False)
@@ -319,3 +335,60 @@ class TestLifecycle:
                 conn.table_exists("t")
         finally:
             conn.close()
+
+    def test_failed_start_raises_typed_and_leaves_no_child(self, taken_port):
+        # the manager's port is taken: its child dies in bind.  The
+        # parent must hear why (not sit out a 30 s timeout), and the
+        # tablet servers already launched must not outlive the attempt
+        cluster = LocalCluster(n_servers=2, manager_port=taken_port)
+        t0 = time.perf_counter()
+        with pytest.raises(OSError, match="in use"):
+            cluster.start()
+        assert time.perf_counter() - t0 < 5.0
+        assert not [p.name for p in multiprocessing.active_children()
+                    if p.name.startswith("repro-")]
+        cluster.stop()  # nothing left to stop, and says so quietly
+
+    def test_failed_thread_start_stops_what_it_started(self, taken_port):
+        before = {t for t in threading.enumerate()
+                  if t.name.endswith("-accept")}
+        with pytest.raises(OSError):
+            LocalCluster(n_servers=2, processes=False,
+                         manager_port=taken_port).start()
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            leaked = {t for t in threading.enumerate()
+                      if t.name.endswith("-accept")} - before
+            if not leaked:
+                break
+            time.sleep(0.05)
+        assert not leaked
+
+
+class TestImportCost:
+    """A spawned child's start-up is its imports (a cluster waits for
+    the slowest of three), so what a server imports is a budget."""
+
+    @staticmethod
+    def _run(code):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__))]
+            + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_a_server_imports_neither_numpy_nor_asyncio(self):
+        done = self._run(
+            "import repro.net.server, sys; "
+            "print(sorted({'numpy', 'asyncio'} & set(sys.modules)))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_subpackages_still_resolve_from_the_package(self):
+        done = self._run(
+            "import repro, sys; assert 'repro.sparse' not in sys.modules; "
+            "print(repro.sparse.mxm.__name__, sorted(repro.__all__) == "
+            "sorted(['algorithms', 'assoc', 'dbsim', 'generators', 'obs', "
+            "'schemas', 'semiring', 'sparse', 'util', '__version__']))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["mxm", "True"]

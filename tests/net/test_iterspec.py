@@ -285,17 +285,12 @@ class TestRemoteErrors:
                 proxy = inst.tablets("t")[0]
                 core = inst.core
 
-                async def evil():
-                    stream = await core.aio.open_stream(
-                        proxy.addr, wire.SCAN, {
-                            "table": "t", "tablet_id": proxy.tablet_id,
-                            "ranges": [[None, None]], "columns": None,
-                            "resume": None,
-                            "iterspec": [{"op": "__import__"}]})
-                    code, pay, _ = await core.aio.stream_get(stream, 30.0)
-                    return code, pay
-
-                code, pay = core.run(evil())
+                stream = core.open_stream(proxy.addr, wire.SCAN, {
+                    "table": "t", "tablet_id": proxy.tablet_id,
+                    "ranges": [[None, None]], "columns": None,
+                    "resume": None,
+                    "iterspec": [{"op": "__import__"}]})
+                code, pay, _ = stream.get(30.0)
                 assert code == wire.ERROR
                 with pytest.raises(IterSpecError):
                     wire.raise_error(pay)

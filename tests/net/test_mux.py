@@ -1,5 +1,5 @@
 """The multiplexed transport: request-id routing, admission control,
-pipelined writes, stream overrun/resume, and the native-async client.
+pipelined writes, stream overrun/resume, and the raw core surface.
 
 What wire v3 bought and what must therefore hold:
 
@@ -11,11 +11,12 @@ What wire v3 bought and what must therefore hold:
 * pipelined BatchWriter flushes stay exactly-once and bit-identical
   to an in-process fault-free run, timestamps included, in thread and
   process cluster modes;
-* a scan stream that outruns its consumer is killed locally and
-  resumes without duplicating or dropping cells.
+* a scan stream that outruns its consumer while another request's
+  waiter reads the connection is killed locally and resumes without
+  duplicating or dropping cells; with nobody else reading, TCP
+  back-pressure holds the server and nothing is shed.
 """
 
-import asyncio
 import threading
 import time
 
@@ -24,7 +25,7 @@ import pytest
 from repro.dbsim.client import Connector
 from repro.dbsim.key import Range
 from repro.dbsim.server import Instance
-from repro.net import aio as aio_mod
+from repro.net import client as client_mod
 from repro.net import wire
 from repro.net.cluster import LocalCluster
 from repro.net.server import MAX_CONN_SCANS, SCAN_CHUNK_CELLS
@@ -70,17 +71,12 @@ class TestRequestRouting:
                 left, right = conn.instance.tablets("t")
                 assert left.addr == right.addr  # one server, one conn
                 core = conn.instance.core
-
-                async def both():
-                    return await asyncio.gather(
-                        core.aio.call(left.addr, wire.TABLET_INFO,
-                                      {"table": "t",
-                                       "tablet_id": left.tablet_id}),
-                        core.aio.call(right.addr, wire.TABLET_INFO,
-                                      {"table": "t",
-                                       "tablet_id": right.tablet_id}))
-
-                got_left, got_right = core.run(both())
+                # both in flight on the one connection before either
+                # is resolved
+                calls = [core.submit(p.addr, wire.TABLET_INFO,
+                                     {"table": "t", "tablet_id": p.tablet_id})
+                         for p in (left, right)]
+                got_left, got_right = [call.result() for call in calls]
                 assert got_left["extent"] == [None, "m"]
                 assert got_right["extent"] == ["m", None]
                 metrics = conn.instance.cluster_metrics()
@@ -159,30 +155,23 @@ class TestAdmissionControl:
                        "ranges": [[None, None]], "columns": None,
                        "resume": None}
             flood = MAX_CONN_SCANS + 4
-
-            async def open_all():
-                streams = []
-                for _ in range(flood):
-                    streams.append(await core.aio.open_stream(
-                        proxy.addr, wire.SCAN, payload))
-                done = busy = 0
-                for s in streams:
-                    ncells = 0
-                    while True:
-                        code, pay, _ = await core.aio.stream_get(s, 30.0)
-                        if code == wire.CHUNK:
-                            ncells += len(blocks.block_to_cells(pay.block))
-                        elif code == wire.DONE:
-                            assert ncells == 600
-                            done += 1
-                            break
-                        else:
-                            assert pay["type"] == "BusyError"
-                            busy += 1
-                            break
-                return done, busy
-
-            done, busy = core.run(open_all())
+            streams = [core.open_stream(proxy.addr, wire.SCAN, payload)
+                       for _ in range(flood)]
+            done = busy = 0
+            for s in streams:
+                ncells = 0
+                while True:
+                    code, pay, _ = s.get(30.0)
+                    if code == wire.CHUNK:
+                        ncells += len(blocks.block_to_cells(pay.block))
+                    elif code == wire.DONE:
+                        assert ncells == 600
+                        done += 1
+                        break
+                    else:
+                        assert pay["type"] == "BusyError"
+                        busy += 1
+                        break
             # the exact split is timing-dependent (shed responses share
             # the faulted send path, so slots can free up mid-flood),
             # but the cap must bite and every admitted stream completes
@@ -288,12 +277,18 @@ class TestStreamFlowControl:
                           fault_seed=1) as c:
             yield c
 
+    @pytest.mark.parametrize("second_waiter", [True, False])
     def test_overrun_kills_stream_and_resume_is_exact(self, paced_cluster,
-                                                      monkeypatch):
-        # a 2-chunk window + a consumer that stalls at the start makes
-        # the reader shed the stream; the iterator must resume from its
-        # last delivered key with no gaps and no duplicates
-        monkeypatch.setattr(aio_mod, "STREAM_WINDOW_CHUNKS", 2)
+                                                      monkeypatch,
+                                                      second_waiter):
+        # a 2-chunk window + a consumer that stalls at the start.  While
+        # it stalls, a second thread's pings to the same server read
+        # the connection past the scan's chunks, so the reader sheds
+        # the stream; the iterator must resume from its last delivered
+        # key with no gaps and no duplicates.  With no second waiter
+        # nobody reads while the consumer stalls: TCP back-pressure
+        # holds the server, nothing is shed, and the scan is as exact.
+        monkeypatch.setattr(client_mod, "STREAM_WINDOW_CHUNKS", 2)
         registry = MetricsRegistry()
         conn = paced_cluster.connect(metrics=registry)
         try:
@@ -304,15 +299,34 @@ class TestStreamFlowControl:
             with conn.batch_writer("big") as w:
                 for i in range(n):
                     w.put(f"r{i:05d}", "", "c", i)
+            (proxy,) = conn.instance.tablets("big")
+            stalled = threading.Event()
+
+            def ping_while_stalled():
+                stalled.wait(10.0)
+                for _ in range(12):
+                    proxy.info()
+                    time.sleep(0.02)
+
+            pinger = threading.Thread(target=ping_while_stalled)
+            if second_waiter:
+                pinger.start()
             rows = []
             for i, cell in enumerate(conn.scanner("big")):
                 if i == 0:
+                    stalled.set()
                     time.sleep(0.3)  # let the server run far ahead
                 rows.append(cell.key.row)
+            if second_waiter:
+                pinger.join(10.0)
+                assert not pinger.is_alive()
             assert rows == [f"r{i:05d}" for i in range(n)]
             export = registry.export()
-            assert export["net.client.stream_overruns"] >= 1
-            assert export["net.client.scan_resumes"] >= 1
+            if second_waiter:
+                assert export["net.client.stream_overruns"] >= 1
+                assert export["net.client.scan_resumes"] >= 1
+            else:
+                assert export.get("net.client.stream_overruns", 0) == 0
         finally:
             conn.close()
 
@@ -345,8 +359,8 @@ class TestStreamFlowControl:
                 conn.close()
 
 
-class TestNativeAsyncClient:
-    def test_gathered_calls_and_stream_decode(self, cluster):
+class TestRawCore:
+    def test_submitted_calls_and_stream_decode(self, cluster):
         conn = _fresh(cluster)
         try:
             conn.create_table("t", splits=["m"])
@@ -357,30 +371,25 @@ class TestNativeAsyncClient:
             proxies = conn.instance.tablets("t")
             core = conn.instance.core
             manager = conn.instance.manager_addr
-
-            async def work():
-                # 25 concurrent pings multiplex on the manager conn
-                await asyncio.gather(*[
-                    core.aio.call(manager, wire.PING, {})
-                    for _ in range(25)])
-                rows = []
-                for p in proxies:  # extent order → global key order
-                    stream = await core.aio.open_stream(
-                        p.addr, wire.SCAN,
-                        {"table": "t", "tablet_id": p.tablet_id,
-                         "ranges": [[None, None]], "columns": None,
-                         "resume": None})
-                    while True:
-                        code, pay, _ = await core.aio.stream_get(
-                            stream, 10.0)
-                        if code == wire.DONE:
-                            break
-                        assert code == wire.CHUNK
-                        rows.extend(c_.key.row for c_ in
-                                    blocks.block_to_cells(pay.block))
-                return rows
-
-            assert core.run(work()) == want
+            # 25 pings in flight at once on the manager connection,
+            # resolved in the reverse of the order they were answered
+            pings = [core.submit(manager, wire.PING, {}) for _ in range(25)]
+            assert [p.result() for p in reversed(pings)] == [{}] * 25
+            rows = []
+            for p in proxies:  # extent order → global key order
+                stream = core.open_stream(
+                    p.addr, wire.SCAN,
+                    {"table": "t", "tablet_id": p.tablet_id,
+                     "ranges": [[None, None]], "columns": None,
+                     "resume": None})
+                while True:
+                    code, pay, _ = stream.get(10.0)
+                    if code == wire.DONE:
+                        break
+                    assert code == wire.CHUNK
+                    rows.extend(c_.key.row for c_ in
+                                blocks.block_to_cells(pay.block))
+            assert rows == want
         finally:
             conn.close()
 

@@ -182,21 +182,17 @@ class TestWireBoundary:
         core = conn.instance.core
         if ranges is not None:
             fields["ranges"] = ranges
-
-        async def run():
-            stream = await core.aio.open_stream(proxy.addr, wire.SCAN, {
-                "table": "w", "tablet_id": proxy.tablet_id,
-                "columns": None, "resume": None, **fields})
-            rows = []
-            while True:
-                code, pay, _ = await core.aio.stream_get(stream, 30.0)
-                if code == wire.CHUNK:
-                    rows.extend(c.key.row
-                                for c in blocks.block_to_cells(pay.block))
-                else:
-                    return code, pay, rows
-
-        return core.run(run())
+        stream = core.open_stream(proxy.addr, wire.SCAN, {
+            "table": "w", "tablet_id": proxy.tablet_id,
+            "columns": None, "resume": None, **fields})
+        rows = []
+        while True:
+            code, pay, _ = stream.get(30.0)
+            if code == wire.CHUNK:
+                rows.extend(c.key.row
+                            for c in blocks.block_to_cells(pay.block))
+            else:
+                return code, pay, rows
 
     def test_unsorted_or_overlapping_ranges_get_a_typed_error(self, conn):
         conn.create_table("w")

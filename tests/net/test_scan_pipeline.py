@@ -14,6 +14,8 @@ from repro.dbsim.backend import ConnectorBackend, TabletBackend
 from repro.dbsim.client import Connector
 from repro.dbsim.server import Instance
 from repro.net.cluster import LocalCluster
+from repro.net.iterspec import IterSpec
+from repro.net.server import SCAN_CHUNK_CELLS
 from repro.obs.metrics import MetricsRegistry
 
 from tests.net.test_iterspec import CATALOG, _ingest
@@ -81,3 +83,35 @@ def test_both_backends_conform_to_the_protocols():
     assert "scan_columns" in vars(ConnectorBackend)
     assert "scan_cells" in vars(ConnectorBackend)
     assert "scan_columns" in vars(TabletBackend)
+
+
+def test_a_folding_scan_ships_full_chunks():
+    """What a pushed-down ``reduce`` leaves of each storage batch is
+    packed into full CHUNKs before it is sent: the scan arrives in as
+    many chunks as its *result* needs, not as its source had batches."""
+    n_rows = 5000  # two cells a row: five storage batches' worth
+    spec = IterSpec().reduce("sum")
+    local = Connector(Instance(n_servers=1, metrics=MetricsRegistry()))
+    registry = MetricsRegistry()
+    with LocalCluster(n_servers=1, processes=False) as cluster:
+        remote = cluster.connect(metrics=registry)
+        try:
+            for conn in (local, remote):
+                conn.create_table("t")
+                with conn.batch_writer("t") as w:
+                    for i in range(n_rows):
+                        w.put(f"r{i:05d}", "", "a", 1)
+                        w.put(f"r{i:05d}", "", "b", 2)
+            assert 2 * n_rows > 4 * SCAN_CHUNK_CELLS
+            want = list(local.scanner("t", iterspec=spec))
+            before = registry.export().get("net.client.scan_chunks", 0)
+            got = list(remote.scanner("t", iterspec=spec))
+            chunks = registry.export()["net.client.scan_chunks"] - before
+            folded = sum(
+                m.get("net.server.pushdown.cells_folded", 0) for m in
+                remote.instance.cluster_metrics()["servers"].values())
+        finally:
+            remote.close()
+    assert len(want) == n_rows and got == want
+    assert chunks == -(-n_rows // SCAN_CHUNK_CELLS)
+    assert folded == n_rows
