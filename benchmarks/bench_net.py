@@ -382,7 +382,7 @@ class TestScanThroughput:
             "in_process_s": round(t_local, 4),
             "remote_cells_per_s": round(n / t_remote),
             "in_process_cells_per_s": round(n / t_local),
-            "in_process_columnar_s": round(t_columns, 4),
+            "in_process_columnar_s": round(t_columns, 5),
             "fabric_overhead_x": round(t_remote / t_local, 2),
             "remote_vs_columnar_x": round(t_remote / t_columns, 2),
             "bit_identical": True,
@@ -436,9 +436,10 @@ class TestScanThroughput:
 
     def test_bulk_scan_columnar(self, cluster, capsys):
         """Zero-materialization gate: ``scan_columns`` (ColumnBatches
-        end to end, no ``Cell`` objects) must move cells at >= 2x the
-        per-cell remote scan measured above, and its batches must still
-        materialise to the bit-identical cell stream."""
+        end to end, no ``Cell`` objects) must stay within the bound
+        below of the in-process columnar drain measured above, and its
+        batches must still materialise to the bit-identical cell
+        stream."""
         per_cell = _RESULTS["streamed_scan"]  # set by the test above
         remote = cluster.connect()
         try:
@@ -463,6 +464,7 @@ class TestScanThroughput:
         assert n == N_CELLS
         cps = n / t_cols
         ratio = cps / per_cell["remote_cells_per_s"]
+        vs_columnar = t_cols / per_cell["in_process_columnar_s"]
         _RESULTS["bulk_scan"] = {
             "cells": n,
             "batches": batches,
@@ -471,14 +473,23 @@ class TestScanThroughput:
             "per_cell_remote_cells_per_s":
                 per_cell["remote_cells_per_s"],
             "speedup_vs_per_cell_x": round(ratio, 2),
+            "bulk_vs_columnar_x": round(vs_columnar, 2),
             "bit_identical": True,
         }
         with capsys.disabled():
             print(f"\nbulk scan {n} cells in {batches} batches: "
                   f"{t_cols:.3f}s ({cps:,.0f}/s columnar vs "
                   f"{per_cell['remote_cells_per_s']:,}/s per-cell, "
-                  f"{ratio:.2f}x)")
-        assert ratio >= 2.0
+                  f"{ratio:.2f}x; {vs_columnar:.2f}x the in-process "
+                  f"columnar drain)")
+        # perf gate: the remote columnar scan against the in-process
+        # columnar drain of the same table.  It read ``ratio >= 2``, i.e.
+        # ``t_cols <= t_remote / 2``, while the remote per-cell scan built
+        # each cell in Python: 9.0x (8.8-9.5x over six runs) this drain.
+        # Cells are now tuples built in C, so the per-cell scan got faster
+        # and the same bound on the columnar time is stated against the
+        # one figure that change did not move: 9.0 / 2 = 4.5
+        assert vs_columnar < 4.5
 
 
 class TestPushdown:

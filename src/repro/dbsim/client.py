@@ -124,10 +124,15 @@ class _RangeSetScan:
 
     def _cells(self, ranges: Sequence[Range]) -> Iterator[Cell]:
         if self._staged:
-            # the per-cell view is a thin layer over the batches
-            yield from self._conn.instance.scan_cells(
+            # the per-cell view is a thin layer over the batches — the
+            # backend's own iterator, with no frame of ours per cell
+            return self._conn.instance.scan_cells(
                 self._table, ranges, self.columns, self._layers)
-            return
+        return self._stack_cells(ranges)
+
+    def _stack_cells(self, ranges: Sequence[Range]) -> Iterator[Cell]:
+        """The per-cell stack an opaque callable forces, tablet by
+        tablet."""
         inst = self._conn.instance
         config = inst.config(self._table)
         span = covering(ranges)
@@ -315,15 +320,18 @@ class BatchWriter:
             value="1", visibility: str = "", timestamp: int = 0) -> None:
         if self._closed:
             raise RuntimeError("writer is closed")
-        check_expression(visibility)  # reject bad labels at write time
+        if visibility:  # reject bad labels at write time
+            check_expression(visibility)
         if isinstance(value, (int, float)):
             value = encode_number(value)
-        self._buffer.append((row, family, qualifier, visibility, timestamp,
-                             False, value))
-        self._buffer_bytes += (len(row) + len(family) + len(qualifier)
-                               + len(value) + 24)
-        if (len(self._buffer) >= self._buffer_size
-                or self._buffer_bytes >= self._max_memory):
+        buffer = self._buffer
+        buffer.append((row, family, qualifier, visibility, timestamp,
+                       False, value))
+        nbytes = self._buffer_bytes = (self._buffer_bytes + len(row)
+                                       + len(family) + len(qualifier)
+                                       + len(value) + 24)
+        if (len(buffer) >= self._buffer_size
+                or nbytes >= self._max_memory):
             self._flush_pending()
 
     def put_many(self, rows: Sequence[str], qualifiers: Sequence[str],

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from operator import neg
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 
 def encode_number(x: float) -> str:
@@ -30,13 +30,17 @@ def decode_number(s: str) -> float:
     return float(s)
 
 
-@dataclass(frozen=True, order=False)
-class Key:
+class Key(NamedTuple):
     """An immutable Accumulo key.
 
     ``delete=True`` marks a tombstone: it suppresses every version of
     the same logical cell with an equal or older timestamp, and is
     dropped (along with what it hides) at major compaction.
+
+    A key is a tuple — built in C (see :data:`repro.net.cells.new_key`),
+    hashed and compared for equality field by field — so it equals a
+    plain 6-tuple with the same fields.  Ordering is *not* the tuple
+    order: all four comparisons go through :meth:`sort_tuple`.
     """
 
     row: str
@@ -52,11 +56,19 @@ class Key:
         return (self.row, self.family, self.qualifier, self.visibility,
                 -self.timestamp, 0 if self.delete else 1)
 
+    # every one of the four: a tuple's own would order timestamps
+    # ascending
     def __lt__(self, other: "Key") -> bool:
         return self.sort_tuple() < other.sort_tuple()
 
     def __le__(self, other: "Key") -> bool:
         return self.sort_tuple() <= other.sort_tuple()
+
+    def __gt__(self, other: "Key") -> bool:
+        return self.sort_tuple() > other.sort_tuple()
+
+    def __ge__(self, other: "Key") -> bool:
+        return self.sort_tuple() >= other.sort_tuple()
 
     def same_cell(self, other: "Key") -> bool:
         """True when the keys address the same logical cell (all
@@ -69,9 +81,8 @@ class Key:
         return (self.row, self.family, self.qualifier, self.visibility)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """A key-value pair."""
+class Cell(NamedTuple):
+    """A key-value pair (a 2-tuple: ``key, value = cell`` unpacks it)."""
 
     key: Key
     value: str
@@ -122,12 +133,14 @@ def sort_run(keys: List[SortKey],
             list(map(values.__getitem__, order)))
 
 
-def run_cells(keys: Iterable[SortKey], values: Iterable[str]) -> List[Cell]:
+def run_cells(keys: Sequence[SortKey], values: Sequence[str]) -> List[Cell]:
     """A stored ``(keys, values)`` run as :class:`Cell` objects — for
-    the callers that ask for cells; no scan or write path does."""
-    return [Cell(Key(row, fam, qual, vis, -neg_ts, not put), value)
-            for (row, fam, qual, vis, neg_ts, put), value
-            in zip(keys, values)]
+    the callers that ask for cells; no scan or write path does.  Built
+    by :meth:`~repro.net.cells.ColumnBatch.cells`, the one place cells
+    are made from columns."""
+    from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
+
+    return ColumnBatch(*key_columns(keys), values).cells()
 
 
 #: Sentinel strings bounding all real keys (rows are non-empty text).

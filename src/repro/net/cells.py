@@ -41,6 +41,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from functools import partial
 from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple
 
@@ -48,6 +49,14 @@ from repro.dbsim.key import Cell, Key
 
 #: bump when the block layout changes; verified on every decode
 BLOCK_FORMAT = 1
+
+#: ``new_key(fields)`` / ``new_cell((key, value))``: a :class:`Key` /
+#: :class:`Cell` from one tuple of its fields, built by ``tuple.__new__``
+#: in C — no ``__new__`` frame of the NamedTuple, no argument parsing.
+#: Every cell made from columns (:meth:`ColumnBatch.cells`, and through
+#: it :func:`~repro.dbsim.key.run_cells`) goes through these two.
+new_key = partial(tuple.__new__, Key)
+new_cell = partial(tuple.__new__, Cell)
 
 _HDR = struct.Struct("!BI")
 
@@ -214,8 +223,9 @@ class ColumnBatch:
     CHUNK block straight from it, the client decodes the block back
     into one, and the engine's bulk consumers (``from_triples``,
     ``degree_table``, BFS frontiers) read the columns directly.
-    ``Cell``/``Key`` dataclasses exist only if someone calls
-    :meth:`cells`.
+    ``Cell``/``Key`` tuples exist only if someone calls :meth:`cells`
+    (a remote ``for cell in scanner`` is ``chain.from_iterable`` of it
+    over the batches).
     """
 
     __slots__ = ("rows", "families", "qualifiers", "visibilities",
@@ -253,47 +263,25 @@ class ColumnBatch:
 
     @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "ColumnBatch":
-        rows: List[str] = []
-        fams: List[str] = []
-        quals: List[str] = []
-        viss: List[str] = []
-        ts: List[int] = []
-        dels: List[bool] = []
-        vals: List[str] = []
-        for c in cells:
-            k = c.key
-            rows.append(k.row)
-            fams.append(k.family)
-            quals.append(k.qualifier)
-            viss.append(k.visibility)
-            ts.append(k.timestamp)
-            dels.append(k.delete)
-            vals.append(c.value)
-        return cls(rows, fams, quals, viss, array("q", ts), dels, vals)
+        """The inverse of :meth:`cells`: a cell is ``(key, value)`` and
+        a key six fields, so two transposes give the seven columns."""
+        pairs = tuple(zip(*cells))
+        if not pairs:
+            return cls.empty()
+        keys, values = pairs
+        rows, fams, quals, viss, ts, dels = map(list, zip(*keys))
+        return cls(rows, fams, quals, viss, array("q", ts), dels,
+                   list(values))
 
     def cells(self) -> List[Cell]:
         """Materialise per-cell objects — the lazy escape hatch.
 
-        Builds the frozen dataclasses the way pickle does — ``__new__``
-        plus a ``__dict__`` fill — because the generated ``__init__``
-        of a frozen dataclass pays one guarded ``object.__setattr__``
-        per field, which at tens of thousands of cells per scan chunk
-        is the single hottest line of a per-cell consumer."""
-        key_new, cell_new = Key.__new__, Cell.__new__
-        out: List[Cell] = []
-        append = out.append
-        for r, f, q, v, t, d, val in zip(self.rows, self.families,
-                                         self.qualifiers,
-                                         self.visibilities,
-                                         self.timestamps, self.deletes,
-                                         self.values):
-            key = key_new(Key)
-            key.__dict__.update(row=r, family=f, qualifier=q,
-                                visibility=v, timestamp=t, delete=d)
-            cell = cell_new(Cell)
-            cell.__dict__.update(key=key, value=val)
-            append(cell)
-        return out
+        ``Key`` and ``Cell`` are tuples, so the factories build each one
+        straight from a ``zip`` row and the whole batch is two ``map``\\ s
+        run in C: no Python frame per cell."""
+        return list(map(new_cell, zip(map(new_key, zip(
+            self.rows, self.families, self.qualifiers, self.visibilities,
+            self.timestamps, self.deletes)), self.values)))
 
     def to_block(self) -> bytes:
         return encode_columns(self.rows, self.families, self.qualifiers,

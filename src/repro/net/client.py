@@ -54,7 +54,7 @@ import socket
 import threading
 import time
 from collections import deque
-from itertools import count, takewhile
+from itertools import chain, count, takewhile
 from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -1419,9 +1419,11 @@ class RemoteInstance:
     def scan_cells(self, table: str, rng: RangeSet = Range(),
                    columns: Columns = None,
                    scan_iterators: Sequence = ()):
-        """:meth:`scan_columns`, cell by cell."""
-        for batch in self.scan_columns(table, rng, columns, scan_iterators):
-            yield from batch.cells()
+        """:meth:`scan_columns`, cell by cell: a ``chain`` over the
+        batches' cells, so the per-cell loop runs no Python frame."""
+        return chain.from_iterable(map(_cells.ColumnBatch.cells,
+                                       self.scan_columns(table, rng, columns,
+                                                         scan_iterators)))
 
     # -- maintenance ------------------------------------------------------
 

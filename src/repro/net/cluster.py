@@ -105,7 +105,9 @@ class LocalCluster:
     def _start_processes(self) -> None:
         # launch everything, then wait: a child's start-up is mostly
         # its imports, and this way they overlap — the cluster is up as
-        # fast as its slowest child, not the sum of them
+        # fast as its slowest child, not the sum of them.  A handle is
+        # kept only once its child started, so a failed launch leaves
+        # _teardown the children that exist and nothing else
         for i, name in enumerate(self.server_names):
             proc = TabletServerProcess(
                 name, fault_specs=self.fault_specs,
@@ -114,14 +116,15 @@ class LocalCluster:
                 fault_seed=self.fault_seed + i,
                 trace_path=self._trace_path(name), host=self.host,
                 sample_rate=self.sample_rate)
-            self._servers.append(proc)
             proc.launch()
-        self._manager = ManagerProcess(
+            self._servers.append(proc)
+        manager = ManagerProcess(
             (), trace_path=self._trace_path("manager"),
             host=self.host, port=self.manager_port,
             telemetry_interval=self.telemetry_interval,
             sample_rate=self.sample_rate)
-        self._manager.launch()
+        manager.launch()
+        self._manager = manager
         # in server_names order whichever child listened first: the
         # manager places tablets by position in this list
         self.server_addrs = [proc.wait_addr() for proc in self._servers]

@@ -1109,16 +1109,25 @@ class _ServiceProcess:
         self.addr: Optional[Addr] = None
 
     def launch(self) -> None:
-        """Start the child; do not wait for it to listen."""
+        """Start the child; do not wait for it to listen.  The handle
+        records the process and keeps the pipe only once the child has
+        started: a failed start closes both ends and leaves nothing for
+        :meth:`stop` to join."""
         ctx = mp.get_context("spawn")
-        self._pipe, child_end = ctx.Pipe()
-        self.process = ctx.Process(target=self._main,
-                                   args=(child_end, *self._args),
-                                   name=self._process_name, daemon=True)
-        self.process.start()
-        # ours was the last other copy: once the child exits, a read
-        # on the pipe sees EOF instead of blocking
-        child_end.close()
+        pipe, child_end = ctx.Pipe()
+        try:
+            process = ctx.Process(target=self._main,
+                                  args=(child_end, *self._args),
+                                  name=self._process_name, daemon=True)
+            process.start()
+        except BaseException:
+            pipe.close()
+            raise
+        finally:
+            # ours was the last other copy: once the child exits, a read
+            # on the pipe sees EOF instead of blocking
+            child_end.close()
+        self.process, self._pipe = process, pipe
 
     def wait_addr(self, start_timeout: float = 30.0) -> Addr:
         """The launched child's bound address.  A child that could not
@@ -1149,7 +1158,11 @@ class _ServiceProcess:
 
     def stop(self, timeout: float = 5.0) -> None:
         """Join the child, terminating it if it has not exited within
-        ``timeout`` (0: it was never told to stop — kill it now)."""
+        ``timeout`` (0: it was never told to stop — kill it now).  A
+        child never started (or already stopped) is skipped."""
+        if self._pipe is not None:  # launched, never waited for
+            self._pipe.close()
+            self._pipe = None
         if self.process is None:
             return
         self.process.join(timeout)

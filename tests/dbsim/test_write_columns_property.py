@@ -342,17 +342,25 @@ def test_ingest_flush_scan_compact_scan_builds_no_cell(monkeypatch):
     conn = Connector(Instance(n_servers=2, metrics=MetricsRegistry()))
     conn.create_table("t", TableConfig(max_versions=2), splits=["r01250"])
 
+    # a Cell is a tuple: one built from columns comes out of the module
+    # factory (ColumnBatch.cells, run_cells), any other out of
+    # Cell.__new__; neither ever runs an __init__ worth counting
     built = []
-    real_init = Cell.__init__
+    real_new, real_factory = Cell.__new__, cells.new_cell
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        real_init(self, *args, **kwargs)
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def counting_factory(fields):
+        built.append(fields)
+        return real_factory(fields)
 
     def no_cells(self):
         raise AssertionError("ColumnBatch.cells() on the columnar path")
 
-    monkeypatch.setattr(Cell, "__init__", counting_init)
+    monkeypatch.setattr(Cell, "__new__", counting_new)
+    monkeypatch.setattr(cells, "new_cell", counting_factory)
     monkeypatch.setattr(cells.ColumnBatch, "cells", no_cells)
 
     def read():

@@ -349,6 +349,32 @@ class TestLifecycle:
                     if p.name.startswith("repro-")]
         cluster.stop()  # nothing left to stop, and says so quietly
 
+    def test_failed_launch_raises_its_own_error(self, monkeypatch):
+        # the second child cannot even be started (fd exhaustion, say):
+        # that error must surface — not an AssertionError from joining
+        # a process that never started — promptly, with the first
+        # child gone
+        real_start = multiprocessing.context.SpawnProcess.start
+        calls = []
+
+        def start(process):
+            calls.append(process.name)
+            if len(calls) == 2:
+                raise OSError("no more file descriptors")
+            real_start(process)
+
+        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start",
+                            start)
+        cluster = LocalCluster(n_servers=2)
+        t0 = time.perf_counter()
+        with pytest.raises(OSError, match="no more file descriptors"):
+            cluster.start()
+        assert time.perf_counter() - t0 < 1.0
+        assert len(calls) == 2
+        assert not [p.name for p in multiprocessing.active_children()
+                    if p.name.startswith("repro-")]
+        cluster.stop()
+
     def test_failed_thread_start_stops_what_it_started(self, taken_port):
         before = {t for t in threading.enumerate()
                   if t.name.endswith("-accept")}

@@ -7,6 +7,7 @@ on a faulted remote cluster alike, and the Graphulo kernels must emit
 bit-identical result tables when fed through the columnar path.
 """
 
+import inspect
 import time
 
 import pytest
@@ -122,6 +123,40 @@ class TestScanColumnsEquivalence:
             export = registry.export()
             assert export["net.client.scan_chunks"] > 0
             assert export["net.client.scan_resumes"] > 0  # faults hit
+
+    @pytest.mark.parametrize("fault", ["scan:reset:0.3", "scan:corrupt:0.3"])
+    def test_remote_per_cell_view_is_a_chain_and_survives_resumes(
+            self, fault):
+        """A remote ``for cell in scanner`` is the batches' cells chained
+        (no generator frame of the client per cell), and a stream that
+        dies mid-scan and resumes still yields exactly the columnar
+        read — every field, timestamps included."""
+        n = 3 * SCAN_CHUNK_CELLS + 57
+        with LocalCluster(n_servers=2, processes=False,
+                          fault_specs=[fault], fault_seed=SEED) as c:
+            registry = MetricsRegistry()
+            conn = c.connect(metrics=registry)
+            try:
+                conn.create_table("t", splits=["r3", "r6"])
+                with conn.batch_writer("t") as w:
+                    for i in range(n):
+                        w.put(f"r{i % 9}x{i:05d}", "f", f"q{i % 3}", i)
+                cells = iter(conn.scanner("t"))
+                assert not inspect.isgenerator(cells)
+                got = list(cells)
+                # the faults hit the per-cell read itself
+                assert registry.export()["net.client.scan_resumes"] > 0
+                columns = [tuple(zip(b.rows, b.families, b.qualifiers,
+                                     b.visibilities, b.timestamps,
+                                     b.deletes, b.values))
+                           for b in conn.scanner("t").scan_columns()]
+            finally:
+                conn.close()
+        want = [row for batch in columns for row in batch]
+        assert len(got) == len(want) == n
+        assert [(*cell.key, cell.value) for cell in got] == want
+        assert all(type(cell.key.timestamp) is int and cell.key.timestamp
+                   for cell in got)
 
 
 class TestEmptyTabletScan:
