@@ -23,8 +23,8 @@ Two protocols:
   writer asks the backend to route exactly as the scanner does; both
   backends answer from one :class:`~repro.dbsim.server.TabletIndex`
   per table), the scan of a range set across a table's tablets (in
-  column batches, or the same batches cell by cell), and the merged
-  OpStats cost model.
+  column batches, or the same batches cell by cell), TableMult run by
+  the servers, and the merged OpStats cost model.
 
 Both are :func:`typing.runtime_checkable`, so ``isinstance(obj,
 ConnectorBackend)`` verifies structural conformance (method presence,
@@ -155,6 +155,16 @@ class ConnectorBackend(Protocol):
     def flush_table(self, name: str) -> None: ...
 
     def compact_table(self, name: str) -> None: ...
+
+    # -- kernels ----------------------------------------------------------
+
+    def table_mult(self, table_at: str, spec) -> dict:
+        """Graphulo TableMult as one operation of the database:
+        :meth:`~repro.dbsim.server.ControlPlane.table_mult` in process,
+        one ``TABLE_MULT`` to the manager remotely.  ``spec`` is a
+        :class:`~repro.dbsim.server.MultSpec`; returns the work
+        counts."""
+        ...
 
     # -- observability ----------------------------------------------------
 

@@ -4,11 +4,13 @@ These are the database-resident forms of the GraphBLAS kernels — the
 paper's stated goal ("use Accumulo server components such as iterators
 to perform graph analytics"):
 
-* :func:`table_mult` — SpGEMM as Graphulo's TableMult: join the rows
-  of stored-transpose ``AT`` and of ``B`` two-table-iterator style,
-  multiply a bounded block of shared rows at a time, and let the result
-  table's *summing combiner* perform ⊕ across blocks — the multiply
-  never materialises a whole table client-side;
+* :func:`table_mult` — SpGEMM as Graphulo's TableMult, run by the
+  tablet servers: each one streams the rows of its own tablets of the
+  stored-transpose ``AT``, merge-joined with the matching rows of ``B``
+  (a local scan, or a peer server's), multiplies a bounded block of
+  shared rows at a time, and writes the summed cells straight into
+  ``out``, whose *summing combiner* performs ⊕ across blocks and
+  servers — neither operand nor the product passes through the client;
 * :func:`degree_table` — maintain the D4M schema's Tdeg (one Reduce);
 * :func:`apply_to_table` / :func:`filter_table` — server-side Apply /
   value filters as batch stages of the scan;
@@ -22,7 +24,7 @@ created on demand with the right combiner.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Set
 
 from repro.dbsim.client import Connector
 from repro.dbsim.iterators import (
@@ -31,8 +33,8 @@ from repro.dbsim.iterators import (
     apply_stage,
     select_stage,
 )
-from repro.dbsim.key import Cell, Range, decode_number
-from repro.dbsim.server import TableConfig
+from repro.dbsim.key import Cell, Range, decode_number, encode_number
+from repro.dbsim.server import Instance, MultSpec, TableConfig
 from repro.dbsim.stats import OpStats
 from repro.obs import trace as _trace
 
@@ -59,17 +61,18 @@ def _spec():
 
 def _default_mul(a: float, b: float) -> float:
     """Default ⊗ for TableMult (arithmetic multiply).  Kept as a named
-    module-level function so TableMult can recognise it and use the
-    vectorised TIMES operator instead of a promoted Python call."""
+    module-level function so TableMult can recognise it and send the
+    vectorised TIMES operator's name instead of a Python call."""
     return a * b
 
 
 #: TableMult multiplies a block of shared inner rows once the block's
 #: predicted partial products Σₜ nnz(AT[t,:])·nnz(B[t,:]) reach this
-#: many: client memory is O(this bound + one inner row), whatever the
-#: size of the tables.  Bigger blocks pre-sum more before the write
-#: (scale-9 R-MAT AᵀA: 163k cells written at 2**16, 88k at 2**18 and
-#: at no bound at all); 2**18 products are a few tens of MB in flight.
+#: many: a tablet server's multiply memory is O(this bound + one inner
+#: row), whatever the size of the tables.  Bigger blocks pre-sum more
+#: before the write (scale-9 R-MAT AᵀA: 163k cells written at 2**16,
+#: 88k at 2**18 and at no bound at all); 2**18 products are a few tens
+#: of MB.
 BLOCK_PARTIAL_PRODUCTS = 1 << 18
 
 
@@ -82,38 +85,135 @@ def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
     (Accumulo can only iterate rows, hence the stored transpose — the
     same reason the D4M schema keeps TedgeT).
 
-    Both tables' columnar scans are merge-joined on the inner row key.
+    One control-plane operation (:meth:`~repro.dbsim.server.
+    ControlPlane.table_mult`) on either backend, and the loop runs in
+    the tablet servers, not here: each server hosting ``AT`` tablets
+    streams them, in extent order, merge-joined with ``B``'s rows in the
+    same extents, multiplies, and writes the result into ``out``
+    (:meth:`~repro.dbsim.server.TabletServer.multiply_tablets`); the
+    servers take their turns one at a time, then ``out`` is compacted.
     Whole shared rows gather into a block until its predicted partial
-    products reach :data:`BLOCK_PARTIAL_PRODUCTS`; each block runs
-    through the adaptive SpGEMM engine (:func:`repro.sparse.spgemm.mxm`
-    — ``strategy`` and ``expansion_budget`` are forwarded) and its
-    already-summed cells are bulk-written to ``out``, whose combiner
-    applies ⊕ across blocks and across repeated calls.  Block
-    boundaries depend on the cell sequence alone, so every backend
-    writes the same cells in the same order.  Cells of one inner row
-    that share a qualifier (differing in family or visibility) are
-    ⊕-combined before the multiply.  Returns the instance-wide stats
-    delta for the whole operation (the cost model).
+    products reach :data:`BLOCK_PARTIAL_PRODUCTS`, and a block never
+    spans two servers.  Each block runs through the adaptive SpGEMM
+    engine (:func:`repro.sparse.spgemm.mxm` — ``strategy`` and
+    ``expansion_budget`` are forwarded) and its already-summed cells are
+    written to ``out``, whose combiner applies ⊕ across blocks, servers
+    and repeated calls.  Cells of one inner row that share a qualifier
+    (differing in family or visibility) are ⊕-combined before the
+    multiply.
+
+    ``mul`` is ⊗: the default multiply, a built-in
+    :class:`~repro.semiring.ops.BinaryOp` (it travels by name), or — in
+    process only — any Python callable; a cluster refuses one with
+    :class:`~repro.net.iterspec.NonSerializableIteratorError` before
+    any RPC.  ``combiner`` (⊕) is ``"sum"``, ``"min"`` or ``"max"``;
+    another raises ``ValueError``, also before any RPC.  Returns the
+    instance-wide stats delta for the whole operation (the cost model).
     """
+    spec = MultSpec(
+        table_b, out, BLOCK_PARTIAL_PRODUCTS,
+        mul=_mul_operand(mul, isinstance(conn.instance, Instance)),
+        combiner=combiner,
+        auths=sorted(authorizations.tokens) if authorizations else [],
+        strategy=strategy, expansion_budget=expansion_budget)
     if not _trace.ENABLED:
-        return _table_mult(conn, table_at, table_b, out, mul, combiner,
-                           authorizations, strategy, expansion_budget)[0]
+        return _table_mult(conn, table_at, spec)[0]
     with _trace.span("graphulo.table_mult", stats=conn.instance.total_stats,
                      table_at=table_at, table_b=table_b, out=out,
                      combiner=combiner) as sp:
-        stats, work = _table_mult(conn, table_at, table_b, out, mul,
-                                  combiner, authorizations, strategy,
-                                  expansion_budget)
+        stats, work = _table_mult(conn, table_at, spec)
         sp.set(**work)
         return stats
 
 
-def _whole_rows(scanner):
-    """``(row, qualifiers, values)`` for every row of a scanner's
-    columnar stream, in key order — a row comes out whole however the
-    batches (tablets, CHUNK frames) split it."""
+def _mul_operand(mul, in_process: bool):
+    """``mul`` as a backend takes it: the name of a built-in binary
+    operator when it is one (the default multiply is ``"times"``),
+    else — in process only — the callable itself."""
+    if mul is _default_mul:
+        return "times"
+    from repro.semiring.builtin import BINARY_OPS
+
+    name = getattr(mul, "name", None)
+    if BINARY_OPS.get(name) is mul:
+        return name
+    if in_process:
+        return mul
+    from repro.net.iterspec import NonSerializableIteratorError
+    raise NonSerializableIteratorError(
+        f"table_mult over a cluster takes mul as a built-in BinaryOp "
+        f"(one of {sorted(BINARY_OPS)}); the callable {mul!r} cannot "
+        f"cross the wire")
+
+
+def _table_mult(conn: Connector, table_at: str, spec: MultSpec):
+    inst = conn.instance
+    before = inst.total_stats().snapshot()
+    if not conn.table_exists(spec.out):
+        create_combiner_table(conn, spec.out, combiner=spec.combiner)
+    work = inst.table_mult(table_at, spec)
+    return inst.total_stats().delta(before), work
+
+
+def _semiring(mul, combiner: str):
+    """The ``(⊕, ⊗)`` of one TableMult: the out table's combiner, and
+    ``mul`` — a built-in operator's name, or a Python callable."""
+    from repro.semiring.builtin import (BINARY_OPS, MAX_MONOID, MIN_MONOID,
+                                        PLUS_MONOID)
+    from repro.semiring.ops import BinaryOp, Semiring
+
+    if isinstance(mul, str):
+        if mul not in BINARY_OPS:
+            raise ValueError(f"unknown mul operator {mul!r}; "
+                             f"known: {sorted(BINARY_OPS)}")
+        mulop = BINARY_OPS[mul]
+    else:
+        mulop = BinaryOp.from_python("table_mult_mul", mul)
+    add = {"sum": PLUS_MONOID, "min": MIN_MONOID, "max": MAX_MONOID}[combiner]
+    return Semiring(f"table_mult_{combiner}", add, mulop)
+
+
+def _block_operand(counts, quals, vals, dup):
+    """One side of a block — cells per inner row, then every cell's
+    qualifier and value — as ``(sorted keys, inner rows × keys CSR)``."""
+    # numpy and the kernels load with the first multiply, not with the
+    # module: a tablet server imports repro.dbsim and never gets here
+    # until it multiplies
+    import numpy as np
+
+    from repro.sparse.construct import from_coo
+
+    keys = sorted(set(quals))
+    index = {key: i for i, key in enumerate(keys)}
+    return keys, from_coo(
+        len(counts), len(keys), np.repeat(np.arange(len(counts)), counts),
+        np.fromiter(map(index.__getitem__, quals), np.intp, len(quals)),
+        np.fromiter(map(decode_number, vals), np.float64, len(vals)),
+        dup=dup)
+
+
+def _multiply_block(at, b, semiring, strategy: str, expansion_budget):
+    """``ATᵀ ⊕.⊗ B`` over one block of shared inner rows: the summed
+    result as ``(row keys, qualifier keys, encoded values)`` in key
+    order — the columns a tablet stores."""
+    from repro.sparse.spgemm import mxm
+
+    u_keys, mat_at = _block_operand(*at, dup=semiring.add)
+    v_keys, mat_b = _block_operand(*b, dup=semiring.add)
+    rows, cols, vals = mxm(mat_at.T, mat_b, semiring=semiring,
+                           strategy=strategy,
+                           expansion_budget=expansion_budget).to_coo()
+    return ([u_keys[i] for i in rows.tolist()],
+            [v_keys[j] for j in cols.tolist()],
+            list(map(encode_number, vals.tolist())))
+
+
+def _whole_rows(batches):
+    """``(row, qualifiers, values)`` for every row of a columnar stream,
+    in key order — a row comes out whole however the batches (tablets,
+    CHUNK frames) split it."""
     row, quals, vals = None, [], []
-    for batch in scanner.scan_columns():
+    for batch in batches:
         rows = batch.rows
         lo, n = 0, len(rows)
         while lo < n:
@@ -130,93 +230,67 @@ def _whole_rows(scanner):
         yield row, quals, vals
 
 
-def _block_operand(counts, quals, vals, dup):
-    """One side of a block — cells per inner row, then every cell's
-    qualifier and value — as ``(sorted keys, inner rows × keys CSR)``."""
-    # numpy and the kernels load with the first multiply, not with the
-    # module: a tablet server imports repro.dbsim and never gets here
-    import numpy as np
-
-    from repro.sparse.construct import from_coo
-
-    keys = sorted(set(quals))
-    index = {key: i for i, key in enumerate(keys)}
-    return keys, from_coo(
-        len(counts), len(keys), np.repeat(np.arange(len(counts)), counts),
-        np.fromiter(map(index.__getitem__, quals), np.intp, len(quals)),
-        np.fromiter(map(decode_number, vals), np.float64, len(vals)),
-        dup=dup)
-
-
-def _multiply_block(at, b, semiring, strategy: str, expansion_budget):
-    """``ATᵀ ⊕.⊗ B`` over one block of shared inner rows: the summed
-    result as ``(row keys, qualifier keys, values)`` in key order — the
-    unit a tablet server would run over its local rows."""
-    from repro.sparse.spgemm import mxm
-
-    u_keys, mat_at = _block_operand(*at, dup=semiring.add)
-    v_keys, mat_b = _block_operand(*b, dup=semiring.add)
-    rows, cols, vals = mxm(mat_at.T, mat_b, semiring=semiring,
-                           strategy=strategy,
-                           expansion_budget=expansion_budget).to_coo()
-    return ([u_keys[i] for i in rows.tolist()],
-            [v_keys[j] for j in cols.tolist()], vals.tolist())
+def _joined_rows(at_batches, b_batches):
+    """The whole inner rows ``AT`` and ``B`` share, as ``(AT row, B
+    row)`` pairs in key order: two sorted row streams advanced in
+    lockstep (Graphulo's TwoTableIterator).  ``b_batches`` of ``None``
+    means ``B`` is ``AT`` (``AᵀA``): each row is joined with itself."""
+    at_rows = _whole_rows(at_batches)
+    if b_batches is None:
+        for ra in at_rows:
+            yield ra, ra
+        return
+    b_rows = _whole_rows(b_batches)
+    ra, rb = next(at_rows, None), next(b_rows, None)
+    while ra is not None and rb is not None:
+        if ra[0] < rb[0]:
+            ra = next(at_rows, None)
+        elif rb[0] < ra[0]:
+            rb = next(b_rows, None)
+        else:
+            yield ra, rb
+            ra, rb = next(at_rows, None), next(b_rows, None)
 
 
-def _table_mult(conn: Connector, table_at: str, table_b: str, out: str,
-                mul, combiner: str, authorizations, strategy: str,
-                expansion_budget) -> Tuple[OpStats, Dict[str, int]]:
-    from repro.semiring.builtin import MAX_MONOID, MIN_MONOID, PLUS_MONOID, TIMES
-    from repro.semiring.ops import BinaryOp, Semiring
-
-    inst = conn.instance
-    before = inst.total_stats().snapshot()
-    if not conn.table_exists(out):
-        create_combiner_table(conn, out, combiner=combiner)
-    add = {"sum": PLUS_MONOID, "min": MIN_MONOID, "max": MAX_MONOID}[combiner]
-    mulop = TIMES if mul is _default_mul else \
-        BinaryOp.from_python("table_mult_mul", mul)
-    semiring = Semiring(f"table_mult_{combiner}", add, mulop)
+def multiply_rows(at_batches, b_batches, spec: MultSpec,
+                  write) -> Dict[str, int]:
+    """One server's share of TableMult, where its rows live:
+    ``at_batches`` streams its ``AT`` tablets' cells and ``b_batches``
+    ``B``'s cells in the same extents (``None`` when ``B`` is ``AT``),
+    both column batches in key order.  The two are merge-joined on the
+    inner row and multiplied a block at a time; ``write(rows,
+    qualifiers, values)`` takes each block's summed cells in key order,
+    values encoded.  Memory is O(:data:`BLOCK_PARTIAL_PRODUCTS` + one
+    inner row) whatever the tables' size.  Block boundaries follow the
+    cell sequence alone, so every backend writes the same cells in the
+    same order.  Returns the share's work counts."""
+    semiring = _semiring(spec.mul, spec.combiner)
     work = {"blocks": 0, "partial_products": 0, "cells_written": 0}
     # the block: per side, (cells per inner row, qualifiers, values)
     at, b, predicted = ([], [], []), ([], [], []), 0
 
     def write_block() -> None:
-        rows, quals, vals = _multiply_block(at, b, semiring, strategy,
-                                            expansion_budget)
-        writer.put_many(rows, quals, vals)
+        rows, quals, vals = _multiply_block(at, b, semiring, spec.strategy,
+                                            spec.expansion_budget)
+        write(rows, quals, vals)
         work["blocks"] += 1
         work["partial_products"] += predicted
         work["cells_written"] += len(rows)
         for column in at + b:
             column.clear()
 
-    # two sorted row streams advanced in lockstep (Graphulo's
-    # TwoTableIterator), joined on the inner row key
-    at_rows = _whole_rows(conn.scanner(table_at,
-                                       authorizations=authorizations))
-    b_rows = _whole_rows(conn.scanner(table_b, authorizations=authorizations))
-    ra, rb = next(at_rows, None), next(b_rows, None)
-    with conn.batch_writer(out) as writer:
-        while ra is not None and rb is not None:
-            if ra[0] < rb[0]:
-                ra = next(at_rows, None)
-            elif rb[0] < ra[0]:
-                rb = next(b_rows, None)
-            else:
-                for side, (_, quals, vals) in ((at, ra), (b, rb)):
-                    side[0].append(len(quals))
-                    side[1].extend(quals)
-                    side[2].extend(vals)
-                predicted += len(ra[1]) * len(rb[1])
-                if predicted >= BLOCK_PARTIAL_PRODUCTS:
-                    write_block()
-                    predicted = 0
-                ra, rb = next(at_rows, None), next(b_rows, None)
-        if predicted:
+    for ra, rb in _joined_rows(at_batches, b_batches):
+        for side, (_, quals, vals) in ((at, ra), (b, rb)):
+            side[0].append(len(quals))
+            side[1].extend(quals)
+            side[2].extend(vals)
+        predicted += len(ra[1]) * len(rb[1])
+        if predicted >= spec.block_products:
             write_block()
-    conn.compact(out)  # make the combined result durable/canonical
-    return inst.total_stats().delta(before), work
+            predicted = 0
+    if predicted:
+        write_block()
+    return work
 
 
 def degree_table(conn: Connector, table: str, out: str,

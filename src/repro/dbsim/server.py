@@ -10,13 +10,15 @@ calls one of these methods, and encodes the answer):
   split's ``replace``, the one per-tablet binning of a mutation buffer;
 * :class:`TabletServer` — hosts tablets by id and owns the hosting ops
   (host, split in place, release / adopt — the two halves of a
-  migration — drop, flush, compact), metrics binding included;
+  migration — drop, flush, compact), metrics binding included, and
+  TableMult's step over its own tablets with the two data calls a
+  peer's step makes of it;
 * :class:`ControlPlane` — what Accumulo's master + ZooKeeper own: table
   configs, each table's index of tablet → server assignments, the
   round-robin cursor, id minting; the only implementation of create /
-  delete / ``add_split`` / flush / compact.  Its ``servers`` are handles
-  with :class:`TabletServer`'s hosting ops: the servers themselves in
-  process, RPC stubs in a cluster;
+  delete / ``add_split`` / flush / compact / TableMult.  Its
+  ``servers`` are handles with :class:`TabletServer`'s hosting ops:
+  the servers themselves in process, RPC stubs in a cluster;
 * :class:`Instance` — the plane over an in-process fleet plus the
   in-process data path, so scans and Graphulo ops exercise the same
   locate-tablet → per-server flow a real client library performs.
@@ -26,13 +28,52 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.dbsim.errors import NotHostedError
+from repro.dbsim.iterators import COMBINERS
 from repro.dbsim.key import Range, RangeSet, clip_ranges, covering
 from repro.dbsim.stats import OpStats
 from repro.dbsim.tablet import IteratorFactory, Tablet
+from repro.dbsim.visibility import Authorizations
 from repro.obs.metrics import MetricsRegistry, global_registry
+
+#: cells per ``write_tablet`` call of a TableMult step: bounds one
+#: ``WRITE_BATCH`` frame however many cells a block sums to
+MULT_WRITE_CELLS = 1 << 16
+
+
+@dataclass(frozen=True)
+class MultSpec:
+    """What one TableMult computes, as every server's step receives it
+    — over the wire, as a JSON object of these fields, checked here on
+    arrival.  A block closes once its predicted partial products reach
+    ``block_products`` (≥ 1: the caller's
+    :data:`repro.dbsim.graphulo.BLOCK_PARTIAL_PRODUCTS`, so every
+    server cuts where the caller's library does); ``mul`` is a built-in
+    binary operator's name (in process, also any Python callable);
+    ``combiner`` names ``out``'s ⊕; ``auths`` are the scan's
+    authorization tokens."""
+
+    table_b: str
+    out: str
+    block_products: int
+    mul: Union[str, Callable[[float, float], float]] = "times"
+    combiner: str = "sum"
+    auths: Sequence[str] = ()
+    strategy: str = "auto"
+    expansion_budget: Optional[int] = None
+
+    def __post_init__(self):
+        if not isinstance(self.block_products, int) \
+                or self.block_products < 1:
+            raise ValueError(f"block_products must be an int >= 1, got "
+                             f"{self.block_products!r}")
+        if self.combiner not in COMBINERS:
+            raise ValueError(f"combiner must be one of {sorted(COMBINERS)}, "
+                             f"got {self.combiner!r}")
 
 
 @dataclass
@@ -229,6 +270,82 @@ class TabletServer:
         for _, tablet in self._of(table):
             tablet.compact(self.configs[table].table_iterators)
 
+    # -- TableMult ----------------------------------------------------------
+
+    def scan_tablet(self, table: str, tablet_id: str,
+                    ranges: Sequence[Range], auths: Sequence[str]):
+        """A hosted tablet's cells inside ``ranges`` under the table's
+        layers and the visibility filter for ``auths``, as a stream of
+        column batches: the read a TableMult step makes of an ``AT`` or
+        ``B`` tablet (a peer's, over the wire, is one range-set
+        ``SCAN``)."""
+        from repro.net.iterspec import scan_layers  # lazy: net imports dbsim
+
+        return self.tablet(table, tablet_id).scan_columns(
+            ranges, None, self.configs[table].table_iterators,
+            scan_layers(Authorizations(auths)))
+
+    def write_tablet(self, table: str, tablet_id: str, columns) -> int:
+        """:meth:`Tablet.write_columns` on a hosted tablet: the write a
+        TableMult step makes of an ``out`` tablet (a peer's, over the
+        wire, is one stamped ``WRITE_BATCH``)."""
+        return self.tablet(table, tablet_id).write_columns(*columns)
+
+    def multiply_tablets(self, table_at: str, tablet_ids: Sequence[str],
+                         spec: MultSpec, b: Sequence["Assignment"],
+                         out: Sequence["Assignment"]) -> Dict[str, int]:
+        """TableMult's step on this server: its ``AT`` tablets
+        ``tablet_ids`` (in extent order) streamed, merge-joined with
+        ``B``'s rows in the same extents and multiplied a block at a
+        time (:func:`repro.dbsim.graphulo.multiply_rows`), each block's
+        summed cells written into ``out``.  A block may span this
+        server's tablets, so a step pre-sums all of them before it
+        writes (block bound permitting): how many partial cells ``out``
+        receives grows with the servers, not the tablets.  Returns the
+        step's work counts.
+
+        ``b`` are the ``B`` tablets overlapping those extents and ``out``
+        every ``out`` tablet, as assignments whose ``server`` is this
+        server — a local scan, a local write — or a handle with
+        :meth:`scan_tablet` / :meth:`write_tablet`: in a cluster, a
+        peer's RPC stub.  A server never calls itself over the wire."""
+        # lazy: graphulo imports this module, and numpy loads with the
+        # first block multiplied, not with the server
+        from repro.dbsim import graphulo
+
+        extents = [self.tablet(table_at, tablet_id).extent
+                   for tablet_id in tablet_ids]
+        at = chain.from_iterable(
+            self.scan_tablet(table_at, tablet_id, [extent], spec.auths)
+            for tablet_id, extent in zip(tablet_ids, extents))
+        # AᵀA: B's rows are the AT stream itself (None); else each B
+        # tablet is read once, for its share of the extents
+        b_batches = None if spec.table_b == table_at else chain.from_iterable(
+            entry.server.scan_tablet(spec.table_b, entry.tablet_id,
+                                     clip_ranges(extents, entry.extent),
+                                     spec.auths)
+            for entry in b)
+        index = TabletIndex(out)
+
+        def write(rows: list, quals: list, values: list) -> None:
+            # rows are sorted: each out tablet takes one contiguous run
+            lo, n = 0, len(rows)
+            while lo < n:
+                entry = index.locate(rows[lo])
+                stop = entry.extent.stop_row
+                end = n if stop is None else bisect.bisect_left(rows, stop,
+                                                                lo)
+                for i in range(lo, end, MULT_WRITE_CELLS):
+                    j = min(i + MULT_WRITE_CELLS, end)
+                    k = j - i
+                    entry.server.write_tablet(
+                        spec.out, entry.tablet_id,
+                        (rows[i:j], [""] * k, quals[i:j], [""] * k,
+                         [0] * k, [False] * k, values[i:j]))
+                lo = end
+
+        return graphulo.multiply_rows(at, b_batches, spec, write)
+
     # -- failure simulation -------------------------------------------------
 
     def crash(self) -> None:
@@ -389,6 +506,35 @@ class ControlPlane:
     def compact_table(self, name: str) -> None:
         for server in self._hosting(name):
             server.compact_table(name)
+
+    # -- kernels ------------------------------------------------------------
+
+    def table_mult(self, table_at: str, spec: MultSpec) -> Dict[str, int]:
+        """TableMult ``out ⊕= ATᵀ ⊕.⊗ B`` where the rows live: every
+        server hosting ``AT`` tablets multiplies them, in extent order,
+        in one step (:meth:`TabletServer.multiply_tablets`), then
+        ``out`` is compacted.  The steps run one at a time, in the order
+        of each server's first ``AT`` tablet, so stamp order never
+        depends on arrival and no two servers ever wait on each other.
+        Returns the work counts summed over the steps."""
+        b_index = self.table(spec.table_b).index
+        out = self.table(spec.out).index.entries
+        shares: Dict[object, list] = {}  # server → its AT tablets, in order
+        for entry in self.table(table_at).index.entries:
+            shares.setdefault(entry.server, []).append(entry)
+        work: Dict[str, int] = {}
+        for server, entries in shares.items():
+            # AᵀA reads no B tablet: the step joins AT with itself
+            b = [] if spec.table_b == table_at else list(dict.fromkeys(
+                chain.from_iterable(b_index.overlapping(entry.extent)
+                                    for entry in entries)))
+            step = server.multiply_tablets(
+                table_at, [entry.tablet_id for entry in entries], spec, b,
+                out)
+            for name, count in step.items():
+                work[name] = work.get(name, 0) + count
+        self.compact_table(spec.out)
+        return work
 
 
 class Instance(ControlPlane):

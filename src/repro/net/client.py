@@ -18,7 +18,8 @@ waits for a response reads the socket, so a round trip is a
 
 Reliability model:
 
-* every RPC has a response deadline; transport failures (closed
+* every RPC but a kernel op (``TABLE_MULT``, which waits for its
+  answer) has a response deadline; transport failures (closed
   connection, timeout, CRC-corrupt frame),
   :class:`~repro.dbsim.errors.ServerCrashedError` and
   :class:`~repro.dbsim.errors.BusyError` (server admission control)
@@ -54,6 +55,7 @@ import socket
 import threading
 import time
 from collections import deque
+from dataclasses import asdict
 from itertools import chain, count, takewhile
 from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
                     Union)
@@ -189,9 +191,9 @@ class _Stream:
 
     # -- consumer side ------------------------------------------------------
 
-    def get(self, timeout: float) -> Frame:
+    def get(self, timeout: Optional[float]) -> Frame:
         """The next frame; raises the request's failure (overrun,
-        corrupt, closed) or ``TimeoutError``."""
+        corrupt, closed) or ``TimeoutError`` (never, for ``None``)."""
         return self.conn.wait(self, timeout)
 
     def get_many(self, timeout: float) -> List[Frame]:
@@ -320,11 +322,12 @@ class _Conn:
 
     # -- receiving ----------------------------------------------------------
 
-    def wait(self, stream: _Stream, timeout: float) -> Frame:
+    def wait(self, stream: _Stream, timeout: Optional[float]) -> Frame:
         """The next frame of ``stream``: one already routed, else read
         the socket for it (as the connection's one reader) or wait for
-        whoever is reading to route it."""
-        deadline = time.monotonic() + timeout
+        whoever is reading to route it.  A ``timeout`` of ``None``
+        waits until the frame comes or the connection fails."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         cond = self.cond
         with cond:
             while True:
@@ -334,6 +337,9 @@ class _Conn:
                 if not self._reading:
                     self._reading = True
                     break
+                if deadline is None:
+                    cond.wait()
+                    continue
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TimeoutError(
@@ -371,15 +377,16 @@ class _Conn:
                 f"connection to {format_addr(self.addr)} is closed")
         return None
 
-    def _read(self, deadline: float):
-        """One frame off the socket, or None when ``deadline`` passes
-        first — before the frame starts or part-way through it.  A
-        broken connection fails every pending request and reads as
-        None; the caller finds its failure on its stream."""
+    def _read(self, deadline: Optional[float]):
+        """One frame off the socket, or None when ``deadline`` (``None``:
+        never) passes first — before the frame starts or part-way
+        through it.  A broken connection fails every pending request
+        and reads as None; the caller finds its failure on its stream."""
         sock = self.sock
         try:
             while True:
-                remaining = max(deadline - time.monotonic(), 0.0)
+                remaining = (None if deadline is None
+                             else max(deadline - time.monotonic(), 0.0))
                 if not select.select((sock,), (), (), remaining)[0]:
                     return None
                 try:
@@ -543,12 +550,14 @@ class RpcCore:
         return stream
 
     def _call(self, addr: Addr, op: int, payload, tc=None,
-              compress: bool = False, first=None) -> Any:
+              compress: bool = False, first=None, wait: bool = False) -> Any:
         """One RPC with the full retry taxonomy.  ``first`` is the
         first attempt when :meth:`submit` already made it: the sent
-        request, or the transport error its send raised."""
+        request, or the transport error its send raised.  ``wait``
+        drops the response deadline (see :meth:`mutate`)."""
         counters = self.metrics.counter
         hist = self.metrics.histogram("net.client.rpc_seconds")
+        timeout = None if wait else self.retry.deadline
         sleep: Optional[float] = None
         last_exc: Optional[BaseException] = None
         for attempt in range(self.retry.attempts):
@@ -562,7 +571,7 @@ class RpcCore:
                 if isinstance(sent, BaseException):
                     raise sent
                 stream = sent or self._send(addr, op, payload, tc, compress)
-                code, resp, _nread = stream.get(self.retry.deadline)
+                code, resp, _nread = stream.get(timeout)
             except TimeoutError as exc:
                 counters("net.client.timeouts").inc()
                 if stream is not None:
@@ -620,15 +629,23 @@ class RpcCore:
         return stamped
 
     def mutate(self, addr: Addr, op: int, payload,
-               compress: bool = False) -> dict:
+               compress: bool = False, wait: bool = False) -> dict:
         """A mutating RPC: stamped for exactly-once dedup, then sent
-        through the same retry loop as ``call``."""
-        return self.call(addr, op, self._stamp(payload), compress=compress)
+        through the same retry loop as ``call``.
+
+        ``wait=True`` is for a request whose handler runs as long as
+        its work does (a kernel): no response deadline, so the call
+        waits for its answer however long that takes.  Only a failed
+        connection re-sends it — the same stamp, which the server's
+        dedup window answers with the first run's ack."""
+        return self.call(addr, op, self._stamp(payload), compress=compress,
+                         wait=wait)
 
     def call(self, addr: Addr, op: int, payload,
-             compress: bool = False) -> dict:
+             compress: bool = False, wait: bool = False) -> dict:
         if not _trace.ENABLED:
-            return self._call(addr, op, payload, compress=compress)
+            return self._call(addr, op, payload, compress=compress,
+                              wait=wait)
         with _trace.span("rpc.client.call", op=wire.OP_NAMES.get(op, op),
                          server=format_addr(addr)) as sp:
             # every attempt (retries included) carries this span's
@@ -638,7 +655,7 @@ class RpcCore:
             if not sp.sampled:
                 self._sampled_out.inc()
             result = self._call(addr, op, payload, tc=sp.context,
-                                compress=compress)
+                                compress=compress, wait=wait)
             sp.attrs["session"] = self.session
             return result
 
@@ -1432,6 +1449,17 @@ class RemoteInstance:
 
     def compact_table(self, name: str) -> None:
         self.core.call(self.manager_addr, wire.COMPACT, {"table": name})
+
+    # -- kernels ----------------------------------------------------------
+
+    def table_mult(self, table_at: str, spec) -> dict:
+        """The whole TableMult as one request to the manager, which
+        runs it on the tablet servers: neither operand nor the product
+        crosses this client's sockets.  Stamped, so an ack lost on the
+        way back replays instead of multiplying twice."""
+        return self.core.mutate(self.manager_addr, wire.TABLE_MULT,
+                                {"table": table_at, "spec": asdict(spec)},
+                                wait=True)
 
     # -- cluster control (no local-backend analogue) ----------------------
 

@@ -10,7 +10,10 @@ call one method, and encode the answer.
 * :class:`TabletServerService` serves one ``TabletServer``.  It adds
   the *data path* (``write_batch`` and streaming ``scan`` against the
   hosted tablets) and the wire form of a migrating tablet's state; the
-  hosting and failure-simulation ops are the ``TabletServer``'s own.
+  hosting, TableMult-step and failure-simulation ops are the
+  ``TabletServer``'s own.  A TableMult step reaches the tablets of
+  other servers through :class:`_PeerStub`\\ s — a ``SCAN`` and a
+  stamped ``WRITE_BATCH`` on the service's own :class:`RpcCore`.
 * :class:`ManagerService` serves one ``ControlPlane`` whose servers
   are :class:`_ServerStub`\\ s — the hosting ops as RPCs — and adds the
   cluster fan-outs (stats, metrics, telemetry, crash / recover,
@@ -55,7 +58,8 @@ a child process via the multiprocessing ``spawn`` context (see
 :class:`_ServiceProcess` for why not ``forkserver``), reporting the
 bound address — or the exception that prevented one — back up a pipe.
 Nothing imported here loads numpy: a child's start-up is its imports,
-and a tablet server never multiplies.
+and a tablet server loads the kernels with the first block it
+multiplies.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
+from dataclasses import asdict
 from itertools import chain, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -74,7 +79,8 @@ from repro.dbsim.errors import BusyError, NotHostedError
 from repro.dbsim.iterators import Layer
 from repro.dbsim.key import (Key, Range, key_columns, sort_keys,
                              sorted_disjoint)
-from repro.dbsim.server import ControlPlane, TableConfig, TabletServer
+from repro.dbsim.server import (Assignment, ControlPlane, MultSpec,
+                                TableConfig, TabletServer)
 from repro.dbsim.sstable import SSTable
 from repro.dbsim.stats import OpStats
 from repro.dbsim.tablet import Tablet
@@ -86,6 +92,8 @@ from repro.net.client import (
     Addr,
     RetryPolicy,
     RpcCore,
+    _RemoteScanStream,
+    _Segment,
     format_addr,
     parse_addr,
 )
@@ -567,10 +575,50 @@ def _coalesce(batches):
         yield held
 
 
+class _PeerStub:
+    """Another tablet server as a TableMult step here sees it:
+    :class:`~repro.dbsim.server.TabletServer`'s two data calls, each
+    one request of a client's — a range-set ``SCAN``, resumed
+    mid-stream like any client's, and a stamped ``WRITE_BATCH``, which
+    the peer's dedup window applies exactly once however often a lost
+    ack makes the step re-send it.
+
+    It is also the ``inst`` of the scan pump, which asks it for
+    nothing but its ``core`` and ``compress`` until a tablet moves:
+    the plane runs one step at a time under the manager's lock, so no
+    tablet can split or migrate under a step."""
+
+    compress = False
+
+    def __init__(self, core: RpcCore, addr: Addr):
+        self.core = core
+        self.addr = addr
+
+    def scan_tablet(self, table: str, tablet_id: str,
+                    ranges: Sequence[Range], auths: Sequence[str]):
+        pump = _RemoteScanStream(self, table, list(ranges),
+                                 [_Segment(self.addr, tablet_id, Range())],
+                                 {"auths": list(auths)})
+        pump.reset(Range())
+        return iter(pump.next_batch, None)
+
+    def write_tablet(self, table: str, tablet_id: str, columns) -> int:
+        return self.core.mutate(self.addr, wire.WRITE_BATCH, wire.CellsPayload(
+            {"table": table, "tablet_id": tablet_id},
+            cells.encode_columns(*columns)))["applied"]
+
+    def invalidate(self, table: str) -> None:
+        pass
+
+    def tablets(self, table: str):
+        raise NotHostedError(f"a tablet of {table!r} moved under a "
+                             f"TableMult step")
+
+
 class TabletServerService(_BaseService):
     """One dbsim :class:`~repro.dbsim.server.TabletServer` behind a
-    socket: its hosting and failure-simulation ops as handlers, plus
-    the data path (writes, streaming scans)."""
+    socket: its hosting, TableMult-step and failure-simulation ops as
+    handlers, plus the data path (writes, streaming scans)."""
 
     def __init__(self, name: str, faults: Optional[FaultPlan] = None,
                  metrics: Optional[MetricsRegistry] = None):
@@ -578,6 +626,9 @@ class TabletServerService(_BaseService):
         self.tserver = TabletServer(name, self.metrics)
         #: the server's own registry, not a copy: tablet_id → (table, Tablet)
         self._hosted = self.tserver.hosted
+        #: the client core of this server's peer calls, made with the
+        #: first TableMult step that needs another server
+        self._peer_core: Optional[RpcCore] = None
 
     def _handlers(self):
         tserver = self.tserver
@@ -591,6 +642,7 @@ class TabletServerService(_BaseService):
                 tserver.release_tablet(p.get("table"), p["tablet_id"])),
             wire.MIGRATE_IN: self._migrate_in,
             wire.WRITE_BATCH: self._write_batch,
+            wire.MULTIPLY_TABLETS: self._multiply_tablets,
             wire.FLUSH: lambda p: tserver.flush_table(p["table"]),
             wire.COMPACT: lambda p: tserver.compact_table(p["table"]),
             wire.CRASH: lambda p: tserver.crash(),
@@ -605,6 +657,11 @@ class TabletServerService(_BaseService):
 
     def _stream_handler(self, code: int):
         return self._scan_stream if code == wire.SCAN else None
+
+    def stop(self) -> None:
+        super().stop()
+        if self._peer_core is not None:
+            self._peer_core.close()
 
     # -- hosting: decode → TabletServer op → encode -------------------------
 
@@ -629,6 +686,30 @@ class TabletServerService(_BaseService):
         config = wire.wire_to_config(meta["config"]) or TableConfig()
         self.tserver.adopt_tablet(meta["table"], meta["tablet_id"],
                                   _state_tablet(p, config), config)
+
+    # -- TableMult: decode → TabletServer op → encode ----------------------
+
+    def _multiply_tablets(self, p: dict) -> dict:
+        return self.tserver.multiply_tablets(
+            p["table"], p["tablet_ids"], MultSpec(**p["spec"]),
+            self._assignments(p["b"]), self._assignments(p["out"]))
+
+    def _assignments(self, items: List[dict]) -> List[Assignment]:
+        """Wire assignments with each ``server`` resolved: this server's
+        own ``TabletServer`` — never a call over the wire to itself —
+        or a :class:`_PeerStub`."""
+        out = []
+        for item in items:
+            if item["server"] == self.name:
+                server = self.tserver
+            else:
+                if self._peer_core is None:
+                    self._peer_core = RpcCore(metrics=self.metrics)
+                server = _PeerStub(self._peer_core, parse_addr(item["addr"]))
+            out.append(Assignment(item["tablet_id"],
+                                  wire.wire_to_range(item["extent"]),
+                                  server))
+        return out
 
     # -- data path --------------------------------------------------------
 
@@ -671,13 +752,16 @@ class TabletServerService(_BaseService):
             # bad spec is a typed IterSpecError frame, never a scan
             spec = _iterspec.coerce(p.get("iterspec"))
             # the scan's authorizations ride the payload alongside the
-            # spec, and scan_layers puts the visibility filter *under*
-            # the spec's ops — the very tuple the in-process client
-            # hands its tablets, plus a pass-through below it that
+            # spec (or alone, on a peer's TableMult read), and
+            # scan_layers puts the visibility filter *under* the spec's
+            # ops — the very tuple the in-process client hands its
+            # tablets, plus, under a spec, a pass-through below it that
             # prices what the push-down kept off the wire
-            push = ((Layer(count_in),) + _iterspec.scan_layers(
+            push = (_iterspec.scan_layers(
                 Authorizations(p.get("auths") or ()), spec)
-                if spec else ())
+                if spec or "auths" in p else ())
+            if spec:
+                push = (Layer(count_in),) + push
             # the tablet's share of the scan's range set — required (a
             # missing key is a typed KeyError frame), and a payload
             # still carrying the single "range" it replaced is refused
@@ -854,6 +938,24 @@ class _ServerStub:
     def compact_table(self, table: str) -> None:
         self.core.call(self.addr, wire.COMPACT, {"table": table})
 
+    def multiply_tablets(self, table_at: str, tablet_ids: Sequence[str],
+                         spec: MultSpec, b: Sequence[Assignment],
+                         out: Sequence[Assignment]) -> dict:
+        # a step takes as long as its tablets take: it waits for its
+        # answer, and a re-send after a lost connection replays
+        return self.core.mutate(self.addr, wire.MULTIPLY_TABLETS, {
+            "table": table_at, "tablet_ids": list(tablet_ids),
+            "spec": asdict(spec), "b": [_assignment_to_wire(a) for a in b],
+            "out": [_assignment_to_wire(a) for a in out]}, wait=True)
+
+
+def _assignment_to_wire(entry: Assignment) -> dict:
+    """One tablet of a TableMult step's plan, with where it lives."""
+    return {"tablet_id": entry.tablet_id,
+            "extent": wire.range_to_wire(entry.extent),
+            "server": entry.server.name,
+            "addr": format_addr(entry.server.addr)}
+
 
 class ManagerService(_BaseService):
     """One :class:`~repro.dbsim.server.ControlPlane` behind a socket —
@@ -896,6 +998,8 @@ class ManagerService(_BaseService):
             wire.LOCATE: self._locate,
             wire.FLUSH: lambda p: plane.flush_table(p["table"]),
             wire.COMPACT: lambda p: plane.compact_table(p["table"]),
+            wire.TABLE_MULT: lambda p: plane.table_mult(
+                p["table"], MultSpec(**p["spec"])),
             wire.STATS: self._fan_stats,
             wire.METRICS: self._fan_metrics,
             wire.CRASH: self._crash_server,

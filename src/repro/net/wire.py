@@ -145,6 +145,8 @@ STATUS = 0x17
 SHUTDOWN = 0x18
 TELEMETRY = 0x19
 CANCEL_SCAN = 0x1A
+TABLE_MULT = 0x1B        # client → manager: one whole TableMult
+MULTIPLY_TABLETS = 0x1C  # manager → tablet server: its AT tablets' step
 
 # responses (server → client)
 OK = 0x40
@@ -163,6 +165,7 @@ OP_NAMES = {
     MIGRATE_IN: "migrate_in", CRASH: "crash", RECOVER: "recover",
     TABLET_INFO: "tablet_info", STATUS: "status", SHUTDOWN: "shutdown",
     TELEMETRY: "telemetry", CANCEL_SCAN: "cancel_scan",
+    TABLE_MULT: "table_mult", MULTIPLY_TABLETS: "multiply_tablets",
     OK: "ok", ERROR: "error", CHUNK: "chunk", DONE: "done",
 }
 

@@ -77,6 +77,12 @@ PAIR = BinaryOp("pair", _pair, commutative=True)
 #: refinement (deterministic and associative) for the structural uses here.
 ANY = BinaryOp("any", np.maximum, commutative=True, associative=True)
 
+#: every built-in binary operator by name — the fixed table a name
+#: that crossed the wire (TableMult's ⊗) is resolved against
+BINARY_OPS = {op.name: op for op in (PLUS, TIMES, MINUS, DIV, MIN, MAX,
+                                     LOR, LAND, LXOR, EQ, FIRST, SECOND,
+                                     PAIR, ANY)}
+
 
 # ---------------------------------------------------------------------------
 # Monoids

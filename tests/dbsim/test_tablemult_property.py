@@ -6,7 +6,9 @@ per partial product) and compares the result tables entry for entry —
 across ⊕ ∈ {sum, min, max}, the default and custom Python ⊗, a second
 call accumulating into the existing result, and a block bound patched
 small enough that the join splits into at least three engine calls.
-The block rule is checked against an independent model of it.
+The block rule — per step, one for each server hosting ``AT`` tablets,
+on one server and on two — is checked against an independent model of
+it.
 """
 
 from unittest import mock
@@ -64,17 +66,33 @@ def _result(conn, table):
             for c in conn.scanner(table)}
 
 
-def _model_blocks(at, b, bound):
-    """The block rule, restated: walk the shared inner rows in key
-    order, cut a block as soon as its partial products reach the bound."""
-    blocks, current = [], []
-    for row in sorted({r for r, _ in at} & {r for r, _ in b}):
-        current.append(sum(r == row for r, _ in at)
-                       * sum(r == row for r, _ in b))
-        if sum(current) >= bound:
-            blocks.append(current)
-            current = []
-    return blocks + ([current] if current else [])
+def _steps(conn, table):
+    """The table's tablet extents grouped by hosting server, in the
+    order of each server's first tablet: one TableMult step each."""
+    steps = {}
+    for entry in conn.instance.table(table).index.entries:
+        steps.setdefault(entry.server.name, []).append(entry.extent)
+    return list(steps.values())
+
+
+def _model_blocks(at, b, bound, steps):
+    """The block rule, restated: walk the shared inner rows of each
+    step's AT tablets in key order, cut a block as soon as its partial
+    products reach the bound, and at the step's end."""
+    blocks = []
+    shared = sorted({r for r, _ in at} & {r for r, _ in b})
+    for extents in steps:
+        current = []
+        for row in shared:
+            if not any(extent.contains_row(row) for extent in extents):
+                continue
+            current.append(sum(r == row for r, _ in at)
+                           * sum(r == row for r, _ in b))
+            if sum(current) >= bound:
+                blocks.append(current)
+                current = []
+        blocks += [current] if current else []
+    return blocks
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,19 +103,22 @@ def test_blocked_path_equals_stream_oracle(data, kind, combiner, mul,
                                            accumulate):
     at = data.draw(operand(VALUES[kind], "u"))
     b = data.draw(operand(VALUES[kind], "w"))
-    total = sum(sum(_model_blocks(at, b, float("inf")), []))
+    # one server: a step, and blocks, span AT's two tablets
+    n_servers = data.draw(st.sampled_from([1, 2]))
+    ours = Connector(Instance(n_servers=n_servers,
+                              metrics=MetricsRegistry()))
+    ref = Connector(Instance(n_servers=n_servers, metrics=MetricsRegistry()))
+    for conn in (ours, ref):
+        _load(conn, "AT", at)
+        _load(conn, "B", b)
+    steps = _steps(ours, "AT")
+    total = sum(sum(_model_blocks(at, b, float("inf"), steps), []))
     bound = data.draw(st.integers(1, max(1, total // 3)))
-    model = _model_blocks(at, b, bound)
+    model = _model_blocks(at, b, bound, steps)
     assume(len(model) >= 3)
     kwargs = {"combiner": combiner}
     if MULS[mul] is not None:
         kwargs["mul"] = MULS[mul]
-
-    ours = Connector(Instance(n_servers=2, metrics=MetricsRegistry()))
-    ref = Connector(Instance(n_servers=2, metrics=MetricsRegistry()))
-    for conn in (ours, ref):
-        _load(conn, "AT", at)
-        _load(conn, "B", b)
 
     seen = []
     multiply = graphulo._multiply_block

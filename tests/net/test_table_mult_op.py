@@ -1,0 +1,462 @@
+"""TableMult as one operation of the database, on a cluster.
+
+``table_mult`` over a ``RemoteConnector`` is one ``TABLE_MULT`` request
+to the manager; the manager's plane has each server hosting ``AT``
+tablets multiply them, and that server reads ``B`` from a peer and
+writes ``out`` to a peer where they live elsewhere.  These tests pin
+what that must keep true:
+
+* ``mul`` / ``combiner`` cross the wire by name or not at all, and a
+  spec is checked where it arrives;
+* exactly-once under a lost ``TABLE_MULT`` ack, a lost peer
+  ``WRITE_BATCH`` ack and a peer ``SCAN`` reset mid-stream — ``C``
+  equals a fault-free in-process run, timestamps included — and under
+  a response deadline shorter than the op;
+* the paper's kernels built on TableMult (both distributed triangle
+  counts, Jaccard, k-truss, PageRank) equal their in-process results on
+  thread and process clusters;
+* neither operand nor the product crosses the client's sockets.
+"""
+
+import itertools
+import random
+from contextlib import contextmanager
+
+import pytest
+
+from repro.dbsim.client import Connector
+from repro.dbsim.graphulo import (
+    BLOCK_PARTIAL_PRODUCTS,
+    create_combiner_table,
+    table_mult,
+)
+from repro.dbsim.graphulo_algorithms import (
+    table_intersect,
+    table_jaccard,
+    table_ktruss,
+    table_pagerank,
+)
+from repro.dbsim.key import decode_number
+from repro.dbsim.server import Instance, MultSpec
+from repro.net import wire
+from repro.net.client import RemoteConnector, RetryPolicy
+from repro.net.cluster import LocalCluster
+from repro.net.faults import FaultPlan, FaultRule
+from repro.net.iterspec import NonSerializableIteratorError
+from repro.net.server import (
+    ManagerProcess,
+    ManagerService,
+    SCAN_CHUNK_CELLS,
+    TabletServerProcess,
+    TabletServerService,
+)
+from repro.obs.metrics import MetricsRegistry
+from repro.semiring.builtin import PLUS
+
+MODES = pytest.mark.parametrize("processes", [False, True],
+                                ids=["threads", "processes"])
+SERVERS = ("tserver0", "tserver1", "tserver2")
+
+
+def _local(n_servers=len(SERVERS)):
+    return Connector(Instance(n_servers=n_servers, metrics=MetricsRegistry()))
+
+
+def _cells(conn, table):
+    return list(conn.scanner(table))
+
+
+def _client_bytes(conn):
+    export = conn.instance.core.metrics.export()
+    return {name: export.get(name, 0) for name in (
+        "net.client.requests", "net.client.bytes_sent",
+        "net.client.bytes_received", "net.client.op.scan.bytes_received",
+        "net.client.op.write_batch.bytes_sent")}
+
+
+# -- mul and combiner on the wire -------------------------------------------
+
+
+def _operands(conn, rows=4):
+    conn.create_table("A", splits=["k2"])
+    conn.create_table("B")
+    with conn.batch_writer("A") as w:
+        for i in range(rows):
+            w.put(f"k{i}", "", f"u{i % 2}", i + 1)
+    with conn.batch_writer("B") as w:
+        for i in range(rows):
+            w.put(f"k{i}", "", "w", 2 * i + 1)
+
+
+@pytest.fixture
+def remote():
+    with LocalCluster(n_servers=2, processes=False) as cluster:
+        conn = cluster.connect(metrics=MetricsRegistry())
+        try:
+            yield conn
+        finally:
+            conn.close()
+
+
+class TestMulAndCombinerOnTheWire:
+    def _sent_specs(self, conn, monkeypatch):
+        """The specs of every TABLE_MULT the client sends."""
+        core, specs = conn.instance.core, []
+        mutate = core.mutate
+
+        def spy(addr, op, payload, **kw):
+            if isinstance(payload, dict) and "spec" in payload:
+                specs.append(payload["spec"])
+            return mutate(addr, op, payload, **kw)
+
+        monkeypatch.setattr(core, "mutate", spy)
+        return specs
+
+    def test_default_mul_travels_as_times(self, remote, monkeypatch):
+        _operands(remote)
+        specs = self._sent_specs(remote, monkeypatch)
+        table_mult(remote, "A", "B", "C")
+        local = _local(2)
+        _operands(local)
+        table_mult(local, "A", "B", "C")
+        assert [spec["mul"] for spec in specs] == ["times"]
+        assert _cells(remote, "C") == _cells(local, "C")
+
+    def test_builtin_binaryop_travels_by_name(self, remote, monkeypatch):
+        """min-plus with the built-in PLUS on the cluster equals the
+        same product with a Python ⊗ in process."""
+        _operands(remote)
+        specs = self._sent_specs(remote, monkeypatch)
+        table_mult(remote, "A", "B", "C", mul=PLUS, combiner="min")
+        local = _local(2)
+        _operands(local)
+        table_mult(local, "A", "B", "C", mul=lambda x, y: x + y,
+                   combiner="min")
+        assert [spec["mul"] for spec in specs] == ["plus"]
+        got = _cells(remote, "C")
+        assert got == _cells(local, "C")
+        assert {(c.key.row, c.value) for c in got} == {("u0", "2"),
+                                                       ("u1", "5")}
+
+    def test_python_callable_refused_before_any_rpc(self, remote):
+        _operands(remote)
+        before = _client_bytes(remote)
+        with pytest.raises(NonSerializableIteratorError, match="mul"):
+            table_mult(remote, "A", "B", "C", mul=lambda x, y: x * y)
+        assert _client_bytes(remote) == before
+
+    def test_in_process_still_takes_any_callable(self):
+        local = _local(2)
+        _operands(local)
+        table_mult(local, "A", "B", "C", mul=lambda x, y: x * y + 1)
+        assert {(c.key.row, c.value) for c in _cells(local, "C")} == {
+            ("u0", "18"), ("u1", "36")}
+
+    def test_unknown_combiner_refused_before_any_rpc(self, remote):
+        _operands(remote)
+        before = _client_bytes(remote)
+        with pytest.raises(ValueError, match="combiner"):
+            table_mult(remote, "A", "B", "C", combiner="xor")
+        assert _client_bytes(remote) == before
+        local = _local(2)
+        _operands(local)
+        with pytest.raises(ValueError, match="combiner"):
+            table_mult(local, "A", "B", "C", combiner="xor")
+        assert not local.table_exists("C")
+
+    def test_server_resolves_names_from_a_fixed_table(self, remote):
+        _operands(remote)
+        table_mult(remote, "A", "B", "C")  # creates C
+        with pytest.raises(ValueError, match="unknown mul"):
+            remote.instance.table_mult(
+                "A", MultSpec("B", "C", 1 << 18, mul="os.system"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("block_products", 0), ("block_products", -3),
+        ("block_products", 2.5), ("combiner", "xor")])
+    def test_spec_checked_where_it_arrives(self, field, value):
+        """A spec no library call would send is refused by the manager
+        (``TABLE_MULT``) and by a tablet server (``MULTIPLY_TABLETS``)
+        before anything runs — a block bound below 1 would make every
+        inner row its own block."""
+        with LocalCluster(n_servers=2, processes=False) as cluster:
+            conn = cluster.connect(metrics=MetricsRegistry())
+            try:
+                _operands(conn)
+                table_mult(conn, "A", "B", "C")
+                before = _cells(conn, "C")
+                spec = {"table_b": "B", "out": "C", "block_products": 1 << 18,
+                        field: value}
+                with pytest.raises(ValueError, match=field):
+                    MultSpec(**spec)
+                core = conn.instance.core
+                with pytest.raises(ValueError, match=field):
+                    core.mutate(cluster.manager_addr, wire.TABLE_MULT,
+                                {"table": "A", "spec": spec})
+                with pytest.raises(ValueError, match=field):
+                    core.mutate(cluster.server_addrs[0],
+                                wire.MULTIPLY_TABLETS,
+                                {"table": "A", "tablet_ids": [], "spec": spec,
+                                 "b": [], "out": []})
+                assert _cells(conn, "C") == before
+            finally:
+                conn.close()
+
+
+# -- exactly-once under faults ----------------------------------------------
+
+
+def _seed(spec, fires):
+    """The first fault seed whose plan for ``spec`` fires on exactly the
+    draws ``fires`` marks — the one response of the op under test that
+    each case loses."""
+    rule = FaultRule.from_spec(spec)
+    for seed in itertools.count():
+        plan = FaultPlan([rule], seed=seed)
+        if [plan.draw(rule.op) is not None for _ in fires] == fires:
+            return seed
+
+
+@contextmanager
+def _cluster(processes, faults):
+    """Three tablet servers and a manager, each with its own fault plan:
+    ``faults`` maps a service name to ``(spec, seed)``."""
+    def plan(name):
+        spec, seed = faults.get(name, (None, 0))
+        return ([spec] if spec else []), seed
+
+    if processes:
+        servers = [TabletServerProcess(name, *plan(name)) for name in SERVERS]
+        manager = ManagerProcess((), *plan("manager"))
+        for proc in (*servers, manager):
+            proc.launch()
+        manager.servers = [(s.name, s.wait_addr()) for s in servers]
+        addr = manager.wait_addr()
+    else:
+        def faulted(name):
+            specs, seed = plan(name)
+            return FaultPlan.from_specs(specs, seed) if specs else None
+
+        servers = [TabletServerService(name, faults=faulted(name))
+                   for name in SERVERS]
+        manager = ManagerService(
+            [(s.name, s.start()) for s in servers], faults=faulted("manager"))
+        addr = manager.start()
+    conn = RemoteConnector(addr, metrics=MetricsRegistry())
+    try:
+        yield conn
+    finally:
+        if processes:
+            conn.instance.shutdown_cluster()
+        conn.close()
+        for service in (manager, *servers):
+            service.stop()
+
+
+#: B's one tablet holds more than one CHUNK, so a reset can land
+#: between two chunks of the peer read
+B_COLS = 30
+INNER = 2 * SCAN_CHUNK_CELLS // B_COLS
+
+
+def _load_placed(conn):
+    """AT on tserver0, B on tserver1, C (created by table_mult) on
+    tserver2: round-robin placement, the same on every backend — so
+    the step on tserver0 reads B from one peer and writes C to the
+    other."""
+    conn.create_table("AT")
+    conn.create_table("B")
+    with conn.batch_writer("AT") as w:
+        for t in range(INNER):
+            for u in range(3):
+                w.put(f"t{t:03d}", "", f"u{u}", 1 + (t + u) % 4)
+    with conn.batch_writer("B") as w:
+        for t in range(INNER):
+            for v in range(B_COLS):
+                w.put(f"t{t:03d}", "", f"w{v:02d}", 1 + (t * v) % 5)
+
+
+@pytest.fixture(scope="module")
+def fault_free():
+    local = _local()
+    _load_placed(local)
+    table_mult(local, "AT", "B", "C")
+    return _cells(local, "C")
+
+
+FAULTS = {
+    # the manager's TABLE_MULT ack is lost: the client's retry replays
+    "manager": ("manager", "table_mult:drop:0.5", [True, False],
+                "manager", "net.server.dedup_hits"),
+    # the peer write of C is lost on the way back: the step's retry
+    # replays out of tserver2's dedup window
+    "peer_write": ("tserver2", "write_batch:drop:0.5",
+                   [True, False, False], "tserver2",
+                   "net.server.dedup_hits"),
+    # the peer read of B dies after its first chunk: the step resumes
+    "peer_scan": ("tserver1", "scan:reset:0.5",
+                  [False, True, False, False], "tserver0",
+                  "net.client.scan_resumes"),
+}
+
+
+class TestExactlyOnceUnderFaults:
+    @MODES
+    @pytest.mark.parametrize("case", sorted(FAULTS))
+    def test_c_equals_fault_free_in_process_run(self, fault_free, processes,
+                                                case):
+        where, spec, fires, witness, counter = FAULTS[case]
+        with _cluster(processes, {where: (spec, _seed(spec, fires))}) as conn:
+            _load_placed(conn)
+            table_mult(conn, "AT", "B", "C")
+            got = _cells(conn, "C")
+            metrics = conn.instance.cluster_metrics()
+        assert got == fault_free  # values not doubled, timestamps equal
+        export = (metrics["manager"] if witness == "manager"
+                  else metrics["servers"][witness])
+        assert export.get(counter, 0) >= 1  # the fault hit the op
+
+    def test_kernel_calls_outwait_a_short_deadline(self, fault_free):
+        """Every step's answer and the TableMult's own reach their
+        callers 0.2 s late, past a 50 ms deadline on the client and on
+        the manager: both wait for the answer instead of failing or
+        re-sending, and ``C`` is written once."""
+        def late(op):
+            return FaultPlan.from_specs([f"{op}:delay:1.0:0.2"], 0)
+
+        servers = [TabletServerService(name, faults=late("multiply_tablets"))
+                   for name in SERVERS]
+        manager = ManagerService([(s.name, s.start()) for s in servers],
+                                 faults=late("table_mult"))
+        manager.core.retry = RetryPolicy(attempts=3, base=0.01, cap=0.1,
+                                         deadline=0.05)
+        conn = RemoteConnector(manager.start(), metrics=MetricsRegistry(),
+                               retry=RetryPolicy(deadline=0.05))
+        inst = conn.instance
+        try:
+            _load_placed(conn)
+            create_combiner_table(conn, "C")
+            before = inst.core.metrics.export()
+            inst.table_mult("AT", MultSpec("B", "C", BLOCK_PARTIAL_PRODUCTS))
+            after = inst.core.metrics.export()
+            got = _cells(conn, "C")
+            metrics = inst.cluster_metrics()
+        finally:
+            conn.close()
+            for service in (manager, *servers):
+                service.stop()
+        assert got == fault_free  # values not doubled, timestamps equal
+        for name in ("net.client.timeouts", "net.client.retries"):
+            assert after[name] == before[name], name
+        exports = [metrics["manager"], *metrics["servers"].values()]
+        assert metrics["manager"]["net.server.faults.delay"] == 1
+        assert metrics["servers"]["tserver0"]["net.server.faults.delay"] == 1
+        assert metrics["manager"].get("net.client.timeouts", 0) == 0
+        assert all(e.get("net.server.dedup_hits", 0) == 0 for e in exports)
+
+
+# -- the kernels built on TableMult -----------------------------------------
+
+
+N_VERTICES = 24
+
+
+def _edges():
+    """A seeded undirected simple graph, each edge once as (u, v), u < v."""
+    rng = random.Random(7)
+    return [(u, v) for u, v in itertools.combinations(range(N_VERTICES), 2)
+            if rng.random() < 0.25]
+
+
+def _vertex(i):
+    return f"v{i:02d}"
+
+
+def _load_graph(conn):
+    """A (symmetric adjacency), Lt (row v, qualifier u for each edge
+    u < v: the stored transpose of the strictly upper part U) and Et
+    (row v, qualifier e: the stored transpose of the edge × vertex
+    incidence), each split so their tablets spread over the servers."""
+    splits = [_vertex(8), _vertex(16)]
+    for table in ("A", "Lt", "Et"):
+        conn.create_table(table, splits=splits)
+    with conn.batch_writer("A") as a, conn.batch_writer("Lt") as lt, \
+            conn.batch_writer("Et") as et:
+        for k, (u, v) in enumerate(_edges()):
+            a.put(_vertex(u), "", _vertex(v), 1)
+            a.put(_vertex(v), "", _vertex(u), 1)
+            lt.put(_vertex(v), "", _vertex(u), 1)
+            et.put(_vertex(u), "", f"e{k:03d}", 1)
+            et.put(_vertex(v), "", f"e{k:03d}", 1)
+
+
+def _triangles_by_adjacency(conn):
+    """Σ ((A ⊕.⊗ A) ⊙ A) / 6: each triangle at 3 edges, both ways."""
+    table_mult(conn, "A", "A", "AA")
+    table_intersect(conn, "AA", "A", "AAmask")
+    total = sum(decode_number(c.value) for c in conn.scanner("AAmask"))
+    return int(total) // 6
+
+
+def _triangles_by_incidence(conn):
+    """(U ⊕.⊗ Eᵀ)[u, e] = 2 exactly when both ends of edge e are
+    higher neighbours of u: one cell per triangle."""
+    table_mult(conn, "Lt", "Et", "UE")
+    return sum(c.value == "2" for c in conn.scanner("UE"))
+
+
+def _run_kernels(conn):
+    _load_graph(conn)
+    counts = (_triangles_by_adjacency(conn), _triangles_by_incidence(conn))
+    table_jaccard(conn, "A", "J")
+    table_ktruss(conn, "A", "K", 3)
+    table_pagerank(conn, "A", "PR", max_iter=5)
+    return counts, [_cells(conn, t) for t in ("AA", "UE", "J", "K", "PR")]
+
+
+@pytest.fixture(scope="module")
+def kernels_in_process():
+    return _run_kernels(_local())
+
+
+class TestKernelsMatchInProcess:
+    def test_triangle_counts_are_right(self, kernels_in_process):
+        edges = set(_edges())
+        want = sum((u, v) in edges and (v, w) in edges and (u, w) in edges
+                   for u, v, w in itertools.combinations(range(N_VERTICES),
+                                                         3))
+        assert want > 0
+        assert kernels_in_process[0] == (want, want)
+
+    @MODES
+    def test_cluster_equals_in_process(self, kernels_in_process, processes):
+        with LocalCluster(n_servers=len(SERVERS),
+                          processes=processes) as cluster:
+            conn = cluster.connect()
+            try:
+                got = _run_kernels(conn)
+            finally:
+                conn.close()
+        assert got == kernels_in_process  # result cells, timestamps incl.
+
+
+# -- what the client's sockets carry ----------------------------------------
+
+
+class TestClientTraffic:
+    @pytest.mark.parametrize("rows", [20, 200], ids=["1x", "10x"])
+    def test_operands_and_product_stay_in_the_servers(self, remote, rows):
+        remote.create_table("AT", splits=[f"t{rows // 2:04d}"])
+        with remote.batch_writer("AT") as w:
+            for t in range(rows):
+                for u in range(8):
+                    w.put(f"t{t:04d}", "", f"u{u}", t + u)
+        before = _client_bytes(remote)
+        table_mult(remote, "AT", "AT", "C")
+        after = _client_bytes(remote)
+        moved = {name: after[name] - before[name] for name in before}
+        assert moved["net.client.op.scan.bytes_received"] == 0
+        assert moved["net.client.op.write_batch.bytes_sent"] == 0
+        assert (moved["net.client.bytes_sent"]
+                + moved["net.client.bytes_received"]) < 4096
+        assert len(_cells(remote, "C")) == 64  # 8 × 8, all in the servers
