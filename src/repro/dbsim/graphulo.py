@@ -24,6 +24,7 @@ created on demand with the right combiner.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 from typing import Callable, Dict, Iterable, Optional, Sequence, Set
 
 from repro.dbsim.client import Connector
@@ -45,11 +46,7 @@ def create_combiner_table(conn: Connector, name: str, combiner: str = "sum",
     if combiner not in COMBINERS:
         raise ValueError(f"combiner must be one of {sorted(COMBINERS)}, "
                          f"got {combiner!r}")
-    config = TableConfig(
-        max_versions=2 ** 31,  # combiner consumes all versions
-        table_iterators=(COMBINERS[combiner],),
-    )
-    conn.create_table(name, config, splits=splits)
+    conn.create_table(name, TableConfig.combining(combiner), splits=splits)
 
 
 def _spec():
@@ -149,10 +146,24 @@ def _mul_operand(mul, in_process: bool):
 def _table_mult(conn: Connector, table_at: str, spec: MultSpec):
     inst = conn.instance
     before = inst.total_stats().snapshot()
-    if not conn.table_exists(spec.out):
-        create_combiner_table(conn, spec.out, combiner=spec.combiner)
     work = inst.table_mult(table_at, spec)
     return inst.total_stats().delta(before), work
+
+
+def two_table(conn: Connector, table: str, out: str,
+              table_b: Optional[str] = None, join: Optional[str] = None,
+              post=None) -> Dict[str, int]:
+    """Graphulo's two-table op in its other two forms, run by the
+    tablet servers like :func:`table_mult`: ``table`` streamed — joined
+    with ``table_b`` on (row, family, qualifier), keeping the streamed
+    cell, when ``join`` is ``"ewise"``; alone when it is ``None`` —
+    through ``post`` (an :class:`~repro.net.iterspec.IterSpec`) into
+    ``out``, family, visibility and timestamp kept.  ``out`` is created
+    if missing (a missing operand raises ``KeyError`` first) and
+    flushed.  Returns the work counts: ``cells_written``."""
+    return conn.instance.table_mult(table, MultSpec(
+        table_b, out, BLOCK_PARTIAL_PRODUCTS, join=join,
+        post=post.to_wire() if post else None))
 
 
 def _semiring(mul, combiner: str):
@@ -252,16 +263,43 @@ def _joined_rows(at_batches, b_batches):
             ra, rb = next(at_rows, None), next(b_rows, None)
 
 
+def join_cells(at_batches, b_batches):
+    """The cells of ``at_batches`` whose (row, family, qualifier) is
+    also in ``b_batches``, as column batches in key order: two sorted
+    cell streams advanced in lockstep, one ``B`` cell consumed per kept
+    cell (Graphulo's TwoTableIterator in its EWISE mode).  The lockstep
+    never looks past a row, so joining a row range at a time — a tablet
+    at a time — is joining the tables."""
+    b_keys = chain.from_iterable(
+        zip(batch.rows, batch.families, batch.qualifiers)
+        for batch in b_batches)
+    kb = next(b_keys, None)
+    for batch in at_batches:
+        if kb is None:
+            return
+        keep = []
+        for i, ka in enumerate(zip(batch.rows, batch.families,
+                                   batch.qualifiers)):
+            while kb is not None and kb < ka:
+                kb = next(b_keys, None)
+            if kb == ka:
+                keep.append(i)
+                kb = next(b_keys, None)
+        if keep:
+            yield batch if len(keep) == len(batch) else batch.select(keep)
+
+
 def multiply_rows(at_batches, b_batches, spec: MultSpec,
                   write) -> Dict[str, int]:
     """One server's share of TableMult, where its rows live:
     ``at_batches`` streams its ``AT`` tablets' cells and ``b_batches``
     ``B``'s cells in the same extents (``None`` when ``B`` is ``AT``),
     both column batches in key order.  The two are merge-joined on the
-    inner row and multiplied a block at a time; ``write(rows,
-    qualifiers, values)`` takes each block's summed cells in key order,
-    values encoded.  Memory is O(:data:`BLOCK_PARTIAL_PRODUCTS` + one
-    inner row) whatever the tables' size.  Block boundaries follow the
+    inner row and multiplied a block at a time; ``write(columns)``
+    takes each block's summed cells in key order as the seven columns
+    a tablet stores (timestamps 0: ``out`` stamps them).  Memory is
+    O(:data:`BLOCK_PARTIAL_PRODUCTS` + one inner row) whatever the
+    tables' size.  Block boundaries follow the
     cell sequence alone, so every backend writes the same cells in the
     same order.  Returns the share's work counts."""
     semiring = _semiring(spec.mul, spec.combiner)
@@ -272,7 +310,8 @@ def multiply_rows(at_batches, b_batches, spec: MultSpec,
     def write_block() -> None:
         rows, quals, vals = _multiply_block(at, b, semiring, spec.strategy,
                                             spec.expansion_budget)
-        write(rows, quals, vals)
+        n = len(rows)
+        write((rows, [""] * n, quals, [""] * n, [0] * n, [False] * n, vals))
         work["blocks"] += 1
         work["partial_products"] += predicted
         work["cells_written"] += len(rows)

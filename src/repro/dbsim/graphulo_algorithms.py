@@ -4,84 +4,53 @@ The paper's §IV next step — "extend the sparse matrix implementations
 of the algorithms discussed in this article to associative arrays ...
 directly on Accumulo data structures" — realised for the two worked
 algorithms: Jaccard (Algorithm 2) and k-truss (Algorithm 1) running as
-sequences of TableMult / filter / intersect operations on database
-tables, never materialising a client-side matrix larger than a degree
-vector.  (The real Graphulo library shipped exactly these as its
-flagship ops in its follow-up papers.)
+sequences of Graphulo's two-table op on database tables — a TableMult
+(:func:`~repro.dbsim.graphulo.table_mult`), an element-wise join or a
+one-table scan (:func:`~repro.dbsim.graphulo.two_table`), each with a
+pushed-down stage before its write — in the tablet servers, never
+materialising a client-side matrix larger than a degree vector.  (The
+real Graphulo library shipped exactly these as its flagship ops in its
+follow-up papers.)
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterable
 
 from repro.dbsim.client import Connector
-from repro.dbsim.graphulo import (
-    _spec,
-    _write_scan,
-    create_combiner_table,
-    table_mult,
-)
+from repro.dbsim.graphulo import _spec, table_mult, two_table
 from repro.dbsim.key import decode_number
 from repro.dbsim.stats import OpStats
-
-
-#: cells a streaming kernel gathers before one ``put_many``
-_WRITE_CELLS = 2048
 
 
 def table_intersect(conn: Connector, left: str, right: str, out: str,
                     keep: str = "left") -> OpStats:
     """Structural intersection of two tables on (row, family, qualifier).
 
-    Streams both sorted cell streams in lockstep (the TwoTableIterator
-    pattern again) and writes, for each key present in *both*, the value
-    from ``keep`` ("left" or "right").  This is the masked-write
-    primitive that lets server-side k-truss keep only surviving edges.
+    One ``ewise`` two-table op: the ``keep`` table ("left" or "right")
+    is streamed in lockstep with the other (the TwoTableIterator
+    pattern again) and, for each key present in *both*, its cell is
+    written as is.  This is the masked-write primitive that lets
+    server-side k-truss keep only surviving edges.
     """
     if keep not in ("left", "right"):
         raise ValueError(f"keep must be 'left' or 'right', got {keep!r}")
     inst = conn.instance
     before = inst.total_stats().snapshot()
-    if not conn.table_exists(out):
-        conn.create_table(out)
-
-    def entries(table: str):
-        """The table's cells in key order, as ``((row, family,
-        qualifier), visibility, timestamp, value)``."""
-        for batch in conn.scanner(table).scan_columns():
-            yield from zip(zip(batch.rows, batch.families, batch.qualifiers),
-                           batch.visibilities, batch.timestamps, batch.values)
-
-    lefts, rights = entries(left), entries(right)
-    lcell, rcell = next(lefts, None), next(rights, None)
-    kept: list = []
-    with conn.batch_writer(out) as writer:
-        def write_kept() -> None:
-            if kept:
-                keys, viss, stamps, values = zip(*kept)
-                rows, fams, quals = zip(*keys)
-                writer.put_many(rows, quals, values, family=fams,
-                                visibility=viss, timestamps=stamps)
-                kept.clear()
-
-        while lcell is not None and rcell is not None:
-            if lcell[0] < rcell[0]:
-                lcell = next(lefts, None)
-            elif rcell[0] < lcell[0]:
-                rcell = next(rights, None)
-            else:
-                kept.append(lcell if keep == "left" else rcell)
-                if len(kept) == _WRITE_CELLS:
-                    write_kept()
-                lcell, rcell = next(lefts, None), next(rights, None)
-        write_kept()
-    conn.flush(out)
+    kept, other = (left, right) if keep == "left" else (right, left)
+    two_table(conn, kept, out, other, join="ewise")
     return inst.total_stats().delta(before)
 
 
-def _fresh(conn: Connector, name: str) -> str:
-    if conn.table_exists(name):
+def _drop(conn: Connector, names: Iterable[str]) -> None:
+    """Delete whichever of ``names`` exist: one listing, not a probe
+    each."""
+    for name in sorted(set(names).intersection(conn.instance.list_tables())):
         conn.delete_table(name)
+
+
+def _fresh(conn: Connector, name: str) -> str:
+    _drop(conn, [name])
     return name
 
 
@@ -93,42 +62,27 @@ def table_jaccard(conn: Connector, edge_table: str, out: str,
 
     1. ``CN = TableMult(A, A)`` — common-neighbour counts (A symmetric,
        pattern values), accumulated by the result table's sum combiner;
-    2. degree vector — one scan of A reduced per row (fits client
-       memory: O(n), not O(nnz));
-    3. stream CN once, emitting ``J(i,j) = cn / (dᵢ + dⱼ − cn)`` for
-       i < j into ``out`` (both triangle halves written for symmetry).
+    2. degree vector — one scan of A reduced per row inside the tablet
+       servers (fits client memory: O(n), not O(nnz));
+    3. one one-table op over CN whose ``jaccard`` stage emits
+       ``J(i,j) = cn / (dᵢ + dⱼ − cn)`` for i ≠ j into ``out`` — both
+       triangle halves, each from its own CN cell (CN is symmetric).
     """
     inst = conn.instance
     before = inst.total_stats().snapshot()
     cn_table = _fresh(conn, f"{tmp_prefix}_cn")
-    table_mult(conn, edge_table, edge_table, cn_table)
-
-    # weighted degrees, folded per row inside the tablet servers
-    degrees: Dict[str, float] = {}
-    for batch in conn.scanner(
-            edge_table,
-            iterspec=_spec().reduce("sum", qualifier="deg")).scan_columns():
-        degrees.update(zip(batch.rows, map(decode_number, batch.values)))
-
-    if not conn.table_exists(out):
-        conn.create_table(out)
-    with conn.batch_writer(out) as writer:
-        for batch in conn.scanner(cn_table).scan_columns():
-            rows, quals, vals = [], [], []
-            for i, j, value in zip(batch.rows, batch.qualifiers,
-                                   batch.values):
-                if i >= j:
-                    continue  # strictly-upper, then mirror (Algorithm 2)
-                cn = decode_number(value)
-                denom = degrees.get(i, 0.0) + degrees.get(j, 0.0) - cn
-                if denom <= 0:
-                    continue
-                rows += (i, j)
-                quals += (j, i)
-                vals += (cn / denom,) * 2
-            writer.put_many(rows, quals, vals)
-    conn.flush(out)
-    conn.delete_table(cn_table)
+    try:
+        table_mult(conn, edge_table, edge_table, cn_table)
+        # weighted degrees, folded per row inside the tablet servers
+        degrees: Dict[str, float] = {}
+        for batch in conn.scanner(
+                edge_table,
+                iterspec=_spec().reduce("sum", qualifier="deg")
+        ).scan_columns():
+            degrees.update(zip(batch.rows, map(decode_number, batch.values)))
+        two_table(conn, cn_table, out, post=_spec().jaccard(degrees))
+    finally:
+        _drop(conn, [cn_table])
     return inst.total_stats().delta(before)
 
 
@@ -213,57 +167,43 @@ def table_ktruss(conn: Connector, edge_table: str, out: str, k: int,
 
     Graphulo's adjacency-matrix formulation of Algorithm 1: each round
 
-    1. ``CN = TableMult(E, E)`` restricted by intersection to E's
-       pattern — per-edge triangle support,
-    2. keep edges with support ≥ k−2 (a value filter),
+    1. ``CN = TableMult(E, E)`` — per-edge triangle support, off E's
+       pattern too;
+    2. one ``ewise`` op: CN masked by E, kept where the support is
+       ≥ k−2 and written as 1 — the next E, and its size;
     3. stop when no edge was dropped.
 
-    ``out`` receives the surviving adjacency table (0/1 values).
+    ``out`` receives the surviving adjacency table (0/1 values).  E's
+    cells are in the default family, where TableMult writes CN's.
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     inst = conn.instance
     before = inst.total_stats().snapshot()
-
-    # working copy of the edge table
-    current = f"{tmp_prefix}_e"
-    _fresh(conn, current)
-    conn.create_table(current)
-    count = 0
-    with conn.batch_writer(current) as writer:
-        for batch in conn.scanner(edge_table).scan_columns():
-            writer.put_many(batch.rows, batch.qualifiers, ["1"] * len(batch))
-            count += len(batch)
-
-    for round_no in range(max_rounds):
-        cn = _fresh(conn, f"{tmp_prefix}_cn")
-        table_mult(conn, current, current, cn)
-        support = _fresh(conn, f"{tmp_prefix}_sup")
-        # support on the edge pattern only: intersect CN with E
-        table_intersect(conn, cn, current, support, keep="left")
-        nxt = _fresh(conn, f"{tmp_prefix}_next{round_no % 2}")
-        conn.create_table(nxt)
-        survivors = 0
-        with conn.batch_writer(nxt) as writer:
-            for batch in conn.scanner(support).scan_columns():
-                keep = [i for i, value in enumerate(batch.values)
-                        if decode_number(value) >= k - 2]
-                writer.put_many([batch.rows[i] for i in keep],
-                                [batch.qualifiers[i] for i in keep],
-                                ["1"] * len(keep))
-                survivors += len(keep)
-        conn.delete_table(cn)
-        conn.delete_table(support)
-        conn.delete_table(current)
-        current = nxt
-        if survivors == count:
-            break
-        count = survivors
-    else:
-        raise RuntimeError(f"k-truss did not converge in {max_rounds} rounds")
-
-    _fresh(conn, out)
-    conn.create_table(out)
-    _write_scan(conn, conn.scanner(current), out)
-    conn.delete_table(current)
+    cn, current = f"{tmp_prefix}_cn", f"{tmp_prefix}_e"
+    temps = [cn, current, f"{tmp_prefix}_next0", f"{tmp_prefix}_next1"]
+    _drop(conn, temps)
+    one = _spec().apply("clip", 1, 1)  # any edge value → 1
+    survive = _spec().value_ge(k - 2).apply("clip", 1, 1)
+    try:
+        # working copy of the edge table
+        count = two_table(conn, edge_table, current, post=one)["cells_written"]
+        for round_no in range(max_rounds):
+            table_mult(conn, current, current, cn)
+            nxt = temps[2 + round_no % 2]
+            survivors = two_table(conn, cn, nxt, current, join="ewise",
+                                  post=survive)["cells_written"]
+            conn.delete_table(cn)
+            conn.delete_table(current)
+            current = nxt
+            if survivors == count:
+                break
+            count = survivors
+        else:
+            raise RuntimeError(
+                f"k-truss did not converge in {max_rounds} rounds")
+        _fresh(conn, out)
+        two_table(conn, current, out)
+    finally:
+        _drop(conn, temps)
     return inst.total_stats().delta(before)

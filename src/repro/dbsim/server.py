@@ -43,21 +43,29 @@ from repro.obs.metrics import MetricsRegistry, global_registry
 #: cells per ``write_tablet`` call of a TableMult step: bounds one
 #: ``WRITE_BATCH`` frame however many cells a block sums to
 MULT_WRITE_CELLS = 1 << 16
+#: a two-table op's joins: on the row, multiplying (TableMult); on
+#: (row, family, qualifier), keeping the streamed cell; none (one table)
+JOINS = ("row", "ewise", None)
 
 
 @dataclass(frozen=True)
 class MultSpec:
-    """What one TableMult computes, as every server's step receives it
-    — over the wire, as a JSON object of these fields, checked here on
-    arrival.  A block closes once its predicted partial products reach
-    ``block_products`` (≥ 1: the caller's
-    :data:`repro.dbsim.graphulo.BLOCK_PARTIAL_PRODUCTS`, so every
-    server cuts where the caller's library does); ``mul`` is a built-in
-    binary operator's name (in process, also any Python callable);
-    ``combiner`` names ``out``'s ⊕; ``auths`` are the scan's
-    authorization tokens."""
+    """What one two-table op computes — Graphulo's TwoTable, a stack of
+    iterators, the write into ``out`` — as every server's step receives
+    it: over the wire, as a JSON object of these fields, checked here
+    on arrival.  ``join`` is one of :data:`JOINS` (``None`` exactly when
+    ``table_b`` is); ``post`` is an :class:`~repro.net.iterspec.
+    IterSpec` in wire form run before the write, after any join but a
+    ``"row"`` one, whose partial products only ``out``'s combiner
+    completes.  The rest is TableMult's: a block closes once its
+    predicted partial products reach ``block_products`` (≥ 1: the
+    caller's :data:`repro.dbsim.graphulo.BLOCK_PARTIAL_PRODUCTS`, so
+    every server cuts where the caller's library does); ``mul`` is a
+    built-in binary operator's name (in process, also any Python
+    callable); ``combiner`` names ``out``'s ⊕.  ``auths`` are the
+    scans' authorization tokens."""
 
-    table_b: str
+    table_b: Optional[str]
     out: str
     block_products: int
     mul: Union[str, Callable[[float, float], float]] = "times"
@@ -65,6 +73,8 @@ class MultSpec:
     auths: Sequence[str] = ()
     strategy: str = "auto"
     expansion_budget: Optional[int] = None
+    join: Optional[str] = "row"
+    post: Optional[list] = None
 
     def __post_init__(self):
         if not isinstance(self.block_products, int) \
@@ -74,6 +84,16 @@ class MultSpec:
         if self.combiner not in COMBINERS:
             raise ValueError(f"combiner must be one of {sorted(COMBINERS)}, "
                              f"got {self.combiner!r}")
+        if self.join not in JOINS or (self.join is None) != (
+                self.table_b is None):
+            raise ValueError(f"join must be one of {JOINS}, None exactly "
+                             f"when table_b is None; got {self.join!r}")
+        if self.post is not None:
+            if self.join == "row":
+                raise ValueError("post cannot follow a row join")
+            from repro.net.iterspec import IterSpec  # lazy: net imports dbsim
+
+            IterSpec.from_wire(self.post)
 
 
 @dataclass
@@ -83,6 +103,13 @@ class TableConfig:
     max_versions: int = 1
     table_iterators: Tuple[IteratorFactory, ...] = ()
     flush_bytes: int = 1 << 20
+
+    @classmethod
+    def combining(cls, combiner: str) -> "TableConfig":
+        """A table whose versions of a cell fold with the built-in
+        ``combiner`` — the Accumulo idiom for accumulating writes."""
+        return cls(max_versions=2 ** 31,  # the combiner consumes them all
+                   table_iterators=(COMBINERS[combiner],))
 
 
 class TabletIndex:
@@ -294,15 +321,17 @@ class TabletServer:
     def multiply_tablets(self, table_at: str, tablet_ids: Sequence[str],
                          spec: MultSpec, b: Sequence["Assignment"],
                          out: Sequence["Assignment"]) -> Dict[str, int]:
-        """TableMult's step on this server: its ``AT`` tablets
-        ``tablet_ids`` (in extent order) streamed, merge-joined with
-        ``B``'s rows in the same extents and multiplied a block at a
-        time (:func:`repro.dbsim.graphulo.multiply_rows`), each block's
-        summed cells written into ``out``.  A block may span this
-        server's tablets, so a step pre-sums all of them before it
+        """A two-table op's step on this server: its ``AT`` tablets
+        ``tablet_ids`` (in extent order) streamed, joined with ``B``'s
+        cells in the same extents as ``spec.join`` says, run through
+        ``spec.post`` and written into ``out``.  A ``"row"`` join
+        multiplies a block of shared rows at a time
+        (:func:`repro.dbsim.graphulo.multiply_rows`); a block may span
+        this server's tablets, so a step pre-sums all of them before it
         writes (block bound permitting): how many partial cells ``out``
-        receives grows with the servers, not the tablets.  Returns the
-        step's work counts.
+        receives grows with the servers, not the tablets.  The other
+        joins (:func:`repro.dbsim.graphulo.join_cells`) write cells as
+        they are, timestamps included.  Returns the step's work counts.
 
         ``b`` are the ``B`` tablets overlapping those extents and ``out``
         every ``out`` tablet, as assignments whose ``server`` is this
@@ -318,17 +347,20 @@ class TabletServer:
         at = chain.from_iterable(
             self.scan_tablet(table_at, tablet_id, [extent], spec.auths)
             for tablet_id, extent in zip(tablet_ids, extents))
-        # AᵀA: B's rows are the AT stream itself (None); else each B
-        # tablet is read once, for its share of the extents
-        b_batches = None if spec.table_b == table_at else chain.from_iterable(
-            entry.server.scan_tablet(spec.table_b, entry.tablet_id,
-                                     clip_ranges(extents, entry.extent),
-                                     spec.auths)
-            for entry in b)
+        # one table, or one joined with itself: B's cells are the AT
+        # stream (None); else each B tablet is read once, for its share
+        # of the extents
+        b_batches = None if spec.table_b in (None, table_at) \
+            else chain.from_iterable(
+                entry.server.scan_tablet(spec.table_b, entry.tablet_id,
+                                         clip_ranges(extents, entry.extent),
+                                         spec.auths)
+                for entry in b)
         index = TabletIndex(out)
 
-        def write(rows: list, quals: list, values: list) -> None:
+        def write(columns: Sequence) -> None:
             # rows are sorted: each out tablet takes one contiguous run
+            rows = columns[0]
             lo, n = 0, len(rows)
             while lo < n:
                 entry = index.locate(rows[lo])
@@ -337,14 +369,24 @@ class TabletServer:
                                                                 lo)
                 for i in range(lo, end, MULT_WRITE_CELLS):
                     j = min(i + MULT_WRITE_CELLS, end)
-                    k = j - i
                     entry.server.write_tablet(
                         spec.out, entry.tablet_id,
-                        (rows[i:j], [""] * k, quals[i:j], [""] * k,
-                         [0] * k, [False] * k, values[i:j]))
+                        [column[i:j] for column in columns])
                 lo = end
 
-        return graphulo.multiply_rows(at, b_batches, spec, write)
+        if spec.join == "row":
+            return graphulo.multiply_rows(at, b_batches, spec, write)
+        from repro.net.iterspec import IterSpec  # lazy: net imports dbsim
+
+        stream = at if b_batches is None else graphulo.join_cells(
+            at, b_batches)
+        for layer in IterSpec.from_wire(spec.post or ()).build_factories():
+            stream = layer.stage(stream)
+        written = 0
+        for batch in stream:
+            write([getattr(batch, column) for column in batch.__slots__])
+            written += len(batch)
+        return {"cells_written": written}
 
     # -- failure simulation -------------------------------------------------
 
@@ -443,11 +485,13 @@ class ControlPlane:
         return self.table(name).config
 
     def create_table(self, name: str, config: Optional[TableConfig] = None,
-                     splits: Sequence[str] = ()) -> None:
+                     splits: Sequence[str] = (), host=None) -> None:
+        """A new table; its first tablet goes to ``host`` when given,
+        else to the next server round-robin."""
         if name in self._tables:
             raise ValueError(f"table {name!r} already exists")
         config = config or TableConfig()
-        tablet_id, server = self._new_id(name), self._pick()
+        tablet_id, server = self._new_id(name), host or self._pick()
         server.host_tablet(name, tablet_id, Range(), config)
         # registered only now: a create whose host failed leaves the
         # name free for a retry
@@ -510,22 +554,34 @@ class ControlPlane:
     # -- kernels ------------------------------------------------------------
 
     def table_mult(self, table_at: str, spec: MultSpec) -> Dict[str, int]:
-        """TableMult ``out ⊕= ATᵀ ⊕.⊗ B`` where the rows live: every
-        server hosting ``AT`` tablets multiplies them, in extent order,
-        in one step (:meth:`TabletServer.multiply_tablets`), then
-        ``out`` is compacted.  The steps run one at a time, in the order
-        of each server's first ``AT`` tablet, so stamp order never
-        depends on arrival and no two servers ever wait on each other.
-        Returns the work counts summed over the steps."""
-        b_index = self.table(spec.table_b).index
+        """Graphulo's two-table op where the rows live — TableMult
+        ``out ⊕= ATᵀ ⊕.⊗ B`` for a ``"row"`` join: every server hosting
+        ``AT`` tablets runs them, in extent order, in one step
+        (:meth:`TabletServer.multiply_tablets`).  The steps run one at
+        a time, in the order of each server's first ``AT`` tablet, so
+        stamp order never depends on arrival and no two servers ever
+        wait on each other.  The operands must exist; a missing ``out``
+        is created — for a ``"row"`` join with ``spec.combiner``,
+        round-robin, and compacted afterwards; else plain, on the server
+        of ``AT``'s first tablet, and flushed afterwards.  Returns the
+        work counts summed over the steps."""
+        at_entries = self.table(table_at).index.entries
+        # a one-table op, and a table joined with itself, read no B tablet
+        b_index = (None if spec.table_b in (None, table_at)
+                   else self.table(spec.table_b).index)
+        if not self.table_exists(spec.out):
+            if spec.join == "row":
+                self.create_table(spec.out,
+                                  TableConfig.combining(spec.combiner))
+            else:  # it writes AT's own rows: where they start is local
+                self.create_table(spec.out, host=at_entries[0].server)
         out = self.table(spec.out).index.entries
         shares: Dict[object, list] = {}  # server → its AT tablets, in order
-        for entry in self.table(table_at).index.entries:
+        for entry in at_entries:
             shares.setdefault(entry.server, []).append(entry)
         work: Dict[str, int] = {}
         for server, entries in shares.items():
-            # AᵀA reads no B tablet: the step joins AT with itself
-            b = [] if spec.table_b == table_at else list(dict.fromkeys(
+            b = [] if b_index is None else list(dict.fromkeys(
                 chain.from_iterable(b_index.overlapping(entry.extent)
                                     for entry in entries)))
             step = server.multiply_tablets(
@@ -533,7 +589,8 @@ class ControlPlane:
                 out)
             for name, count in step.items():
                 work[name] = work.get(name, 0) + count
-        self.compact_table(spec.out)
+        (self.compact_table if spec.join == "row"
+         else self.flush_table)(spec.out)
         return work
 
 

@@ -1453,10 +1453,11 @@ class RemoteInstance:
     # -- kernels ----------------------------------------------------------
 
     def table_mult(self, table_at: str, spec) -> dict:
-        """The whole TableMult as one request to the manager, which
-        runs it on the tablet servers: neither operand nor the product
-        crosses this client's sockets.  Stamped, so an ack lost on the
-        way back replays instead of multiplying twice."""
+        """The whole two-table op — a TableMult, or its ``"ewise"`` or
+        one-table form — as one request to the manager, which runs it
+        on the tablet servers: neither operand nor the result crosses
+        this client's sockets.  Stamped, so an ack lost on the way back
+        replays instead of writing twice."""
         return self.core.mutate(self.manager_addr, wire.TABLE_MULT,
                                 {"table": table_at, "spec": asdict(spec)},
                                 wait=True)

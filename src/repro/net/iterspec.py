@@ -31,12 +31,16 @@ Spec grammar (wire form — ``IterSpec.to_wire()`` / ``from_wire()``)::
      {"op": "combiner",     "fn": "sum|min|max"},
      {"op": "apply",        "name": N, "args": [...], "drop_zero": b},
      {"op": "reduce",       "fn": "sum|min|max", "family": f,
-                            "qualifier": q, "count": b}]
+                            "qualifier": q, "count": b},
+     {"op": "jaccard",      "degrees": {row: d, ...}}]
 
 Ops apply top-to-bottom in list order; ``reduce`` (one output cell per
 row — Graphulo's fold terminal, ``fn`` naming the semiring ⊕) must be
 the last op.  Apply ops come from the :data:`APPLY_OPS` registry of
-named unary numeric functions.
+named unary numeric functions.  ``jaccard`` turns a common-neighbour
+count ``cn`` at (i, j) into ``cn / (dᵢ + dⱼ − cn)`` from the degree
+vector it carries (a missing vertex has degree 0): Jaccard's last step
+(the paper's Algorithm 2), O(n) on the wire for n vertices.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from repro.dbsim.iterators import (
     versions_stage,
     visibility_stage,
 )
+from repro.dbsim.key import decode_number, encode_number
 
 
 class IterSpecError(ValueError):
@@ -226,6 +231,15 @@ def _check_reduce(op: dict) -> dict:
             "qualifier": qualifier, "count": count}
 
 
+def _check_jaccard(op: dict) -> dict:
+    degrees = _want(op, "degrees", dict, "a {row: number} map")
+    for row, degree in degrees.items():
+        if not isinstance(row, str) or not _is_num(degree):
+            raise IterSpecError(f"jaccard degrees must map row strings to "
+                                f"numbers, got {row!r}: {degree!r}")
+    return {"op": "jaccard", "degrees": dict(degrees)}
+
+
 _CHECKS = {
     "column": _check_column,
     "regex": _check_regex,
@@ -235,6 +249,7 @@ _CHECKS = {
     "combiner": _check_combiner,
     "apply": _check_apply,
     "reduce": _check_reduce,
+    "jaccard": _check_jaccard,
 }
 
 
@@ -260,6 +275,28 @@ def _value_mask(cmp: str, threshold: float) -> Callable:
     return mask
 
 
+def _jaccard_stage(degrees: Dict[str, float]):
+    """J(i, j) = cn / (dᵢ + dⱼ − cn) for every cell (i, j), i ≠ j,
+    whose denominator is positive; the rest are dropped.  Row-local,
+    so the stream stays in key order."""
+    def stage(batches):
+        for batch in batches:
+            keep, values = [], []
+            for n, (i, j, cn) in enumerate(zip(batch.rows, batch.qualifiers,
+                                               map(decode_number,
+                                                   batch.values))):
+                denom = degrees.get(i, 0.0) + degrees.get(j, 0.0) - cn
+                if i != j and denom > 0:
+                    keep.append(n)
+                    values.append(encode_number(cn / denom))
+            if keep:
+                if len(keep) < len(batch):
+                    batch = batch.select(keep)
+                batch.values = values
+                yield batch
+    return stage
+
+
 def _build(op: dict) -> Layer:
     kind = op["op"]
     if kind == "combiner":
@@ -280,6 +317,8 @@ def _build(op: dict) -> Layer:
     elif kind == "reduce":
         stage = reduce_stage(op["fn"], op["family"], op["qualifier"],
                              op["count"])
+    elif kind == "jaccard":
+        stage = _jaccard_stage(op["degrees"])
     else:
         raise IterSpecError(f"unknown op {kind!r}")  # pragma: no cover
     return Layer(stage, op)
@@ -380,6 +419,9 @@ class IterSpec:
                qualifier: str = "deg", count: bool = False) -> "IterSpec":
         return self._with({"op": "reduce", "fn": fn, "family": family,
                            "qualifier": qualifier, "count": count})
+
+    def jaccard(self, degrees: Dict[str, float]) -> "IterSpec":
+        return self._with({"op": "jaccard", "degrees": degrees})
 
     # -- wire + execution ---------------------------------------------------
 

@@ -687,7 +687,7 @@ class TabletServerService(_BaseService):
         self.tserver.adopt_tablet(meta["table"], meta["tablet_id"],
                                   _state_tablet(p, config), config)
 
-    # -- TableMult: decode → TabletServer op → encode ----------------------
+    # -- the two-table op: decode → TabletServer op → encode --------------
 
     def _multiply_tablets(self, p: dict) -> dict:
         return self.tserver.multiply_tablets(

@@ -145,7 +145,7 @@ STATUS = 0x17
 SHUTDOWN = 0x18
 TELEMETRY = 0x19
 CANCEL_SCAN = 0x1A
-TABLE_MULT = 0x1B        # client → manager: one whole TableMult
+TABLE_MULT = 0x1B        # client → manager: one whole two-table op
 MULTIPLY_TABLETS = 0x1C  # manager → tablet server: its AT tablets' step
 
 # responses (server → client)

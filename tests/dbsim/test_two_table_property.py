@@ -1,0 +1,137 @@
+"""Jaccard, k-truss and intersect as two-table ops, against the client
+loops they replaced (``tests/dbsim/algorithms_oracle.py``), over random
+inputs.
+
+Every example runs the library in process on one server and on two,
+and on a thread cluster, and compares its result table with the
+oracle's, run in process: ``table_jaccard`` and ``table_ktruss`` on
+random undirected 0/1 graphs, value for value (their timestamps are
+stamped, so they differ); ``table_intersect`` on random tables with
+families, visibilities and explicit timestamps, cell for cell,
+timestamps included, keeping either side.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.dbsim import Connector
+from repro.dbsim.graphulo_algorithms import (
+    table_intersect,
+    table_jaccard,
+    table_ktruss,
+)
+from repro.dbsim.server import Instance
+from repro.net.cluster import LocalCluster
+from repro.obs.metrics import MetricsRegistry
+
+from tests.dbsim.algorithms_oracle import (
+    filter_ktruss,
+    merge_intersect,
+    mirror_jaccard,
+)
+
+BACKENDS = pytest.mark.parametrize("backend", ["1 server", "2 servers",
+                                               "thread cluster"])
+SETTINGS = settings(
+    max_examples=15, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.fixture(scope="module")
+def cluster():
+    with LocalCluster(n_servers=2, processes=False) as running:
+        conn = running.connect(metrics=MetricsRegistry())
+        try:
+            yield conn
+        finally:
+            conn.close()
+
+
+def _local(n_servers=1):
+    return Connector(Instance(n_servers=n_servers, metrics=MetricsRegistry()))
+
+
+def _backend(backend, cluster):
+    """A connection with no tables on the named backend."""
+    if backend != "thread cluster":
+        return _local(int(backend[0]))
+    for table in cluster.instance.list_tables():
+        cluster.delete_table(table)
+    return cluster
+
+
+def _vertex(i):
+    return f"v{i}"
+
+
+@st.composite
+def graphs(draw):
+    """An undirected simple graph as its edge set, each edge once."""
+    n = draw(st.integers(2, 9))
+    return n, draw(st.sets(st.sampled_from(
+        list(itertools.combinations(range(n), 2)))))
+
+
+def _load_graph(conn, graph):
+    n, edges = graph
+    conn.create_table("A", splits=[_vertex(3), _vertex(6)])
+    with conn.batch_writer("A") as writer:
+        for u, v in sorted(edges):
+            writer.put(_vertex(u), "", _vertex(v), 1)
+            writer.put(_vertex(v), "", _vertex(u), 1)
+
+
+def _values(conn, table):
+    return {(c.key.row, c.key.family, c.key.qualifier, c.key.visibility):
+            c.value for c in conn.scanner(table)}
+
+
+@BACKENDS
+@SETTINGS
+@given(graph=graphs(), k=st.integers(3, 5))
+def test_jaccard_and_ktruss_equal_the_client_loops(cluster, backend, graph,
+                                                   k):
+    ours, ref = _backend(backend, cluster), _local()
+    for conn in (ours, ref):
+        _load_graph(conn, graph)
+    table_jaccard(ours, "A", "J")
+    table_ktruss(ours, "A", "K", k)
+    mirror_jaccard(ref, "A", "J")
+    filter_ktruss(ref, "A", "K", k)
+    assert _values(ours, "J") == _values(ref, "J")
+    assert _values(ours, "K") == _values(ref, "K")
+    assert sorted(ours.instance.list_tables()) == ["A", "J", "K"]
+
+
+#: keys drawn from a small space, so the two tables overlap
+KEYS = st.tuples(st.sampled_from(["r0", "r1", "r2", "r3", "r4"]),
+                 st.sampled_from(["", "f"]),
+                 st.sampled_from(["q0", "q1", "q2"]),
+                 st.sampled_from(["", "", "hidden"]))
+TABLES = st.dictionaries(KEYS, st.tuples(st.integers(1, 50),
+                                         st.integers(-3, 9)), max_size=30)
+
+
+def _load_cells(conn, name, cells):
+    conn.create_table(name, splits=["r2"])
+    with conn.batch_writer(name) as writer:
+        for (row, family, qual, vis), (stamp, value) in sorted(cells.items()):
+            writer.put_many([row], [qual], [value], family=[family],
+                            visibility=[vis], timestamps=[stamp])
+
+
+@BACKENDS
+@SETTINGS
+@given(left=TABLES, right=TABLES, keep=st.sampled_from(["left", "right"]))
+def test_intersect_equals_the_client_merge(cluster, backend, left, right,
+                                           keep):
+    ours, ref = _backend(backend, cluster), _local()
+    for conn in (ours, ref):
+        _load_cells(conn, "L", left)
+        _load_cells(conn, "R", right)
+    table_intersect(ours, "L", "R", "I", keep=keep)
+    merge_intersect(ref, "L", "R", "I", keep=keep)
+    assert list(ours.scanner("I")) == list(ref.scanner("I"))

@@ -1,24 +1,29 @@
-"""TableMult as one operation of the database, on a cluster.
+"""Graphulo's two-table op as one operation of the database, on a
+cluster.
 
-``table_mult`` over a ``RemoteConnector`` is one ``TABLE_MULT`` request
-to the manager; the manager's plane has each server hosting ``AT``
-tablets multiply them, and that server reads ``B`` from a peer and
-writes ``out`` to a peer where they live elsewhere.  These tests pin
-what that must keep true:
+``table_mult`` (the ``"row"`` join) and ``two_table`` (the ``"ewise"``
+join and the one-table scan) over a ``RemoteConnector`` are one
+``TABLE_MULT`` request to the manager; the manager's plane has each
+server hosting ``AT`` tablets run them, and that server reads ``B``
+from a peer and writes ``out`` to a peer where they live elsewhere.
+These tests pin what that must keep true:
 
 * ``mul`` / ``combiner`` cross the wire by name or not at all, and a
-  spec is checked where it arrives;
+  spec — ``join`` and ``post`` included — is checked where it arrives;
 * exactly-once under a lost ``TABLE_MULT`` ack, a lost peer
-  ``WRITE_BATCH`` ack and a peer ``SCAN`` reset mid-stream — ``C``
-  equals a fault-free in-process run, timestamps included — and under
-  a response deadline shorter than the op;
-* the paper's kernels built on TableMult (both distributed triangle
+  ``WRITE_BATCH`` ack and a peer ``SCAN`` reset mid-stream, for every
+  join — ``C`` equals a fault-free in-process run, timestamps
+  included — and under a response deadline shorter than the op;
+* a failed op leaves no table behind;
+* the paper's kernels built on the op (both distributed triangle
   counts, Jaccard, k-truss, PageRank) equal their in-process results on
   thread and process clusters;
-* neither operand nor the product crosses the client's sockets.
+* neither operand nor the product crosses the client's sockets — for
+  Jaccard and k-truss, nothing but Jaccard's degree vector does.
 """
 
 import itertools
+import json
 import random
 from contextlib import contextmanager
 
@@ -29,6 +34,7 @@ from repro.dbsim.graphulo import (
     BLOCK_PARTIAL_PRODUCTS,
     create_combiner_table,
     table_mult,
+    two_table,
 )
 from repro.dbsim.graphulo_algorithms import (
     table_intersect,
@@ -42,7 +48,7 @@ from repro.net import wire
 from repro.net.client import RemoteConnector, RetryPolicy
 from repro.net.cluster import LocalCluster
 from repro.net.faults import FaultPlan, FaultRule
-from repro.net.iterspec import NonSerializableIteratorError
+from repro.net.iterspec import IterSpec, NonSerializableIteratorError
 from repro.net.server import (
     ManagerProcess,
     ManagerService,
@@ -203,6 +209,40 @@ class TestMulAndCombinerOnTheWire:
                 conn.close()
 
 
+    @pytest.mark.parametrize("fields, match", [
+        ({"join": "cols"}, "join"),
+        ({"join": None}, "join"),                  # B named, no join
+        ({"join": "ewise", "table_b": None}, "join"),
+        ({"post": []}, "post"),                    # after a row join
+        ({"join": "ewise", "post": {"op": "jaccard"}}, "list"),
+        ({"join": "ewise", "post": [{"op": "nope"}]}, "unknown"),
+        ({"join": "ewise", "post": [{"op": "jaccard", "degrees": [2]}]},
+         "degrees"),
+        ({"join": "ewise", "post": [{"op": "jaccard",
+                                     "degrees": {"k1": "2"}}]}, "degrees")])
+    def test_join_and_post_checked_where_they_arrive(self, remote, fields,
+                                                     match):
+        """A ``join`` / ``post`` no library call would send — a
+        ``jaccard`` degree vector that is not a ``{row: number}`` map
+        among them — is refused by the manager and by a tablet server
+        before anything runs, and creates no table."""
+        _operands(remote)
+        spec = {"table_b": "B", "out": "C", "block_products": 1 << 18,
+                **fields}
+        with pytest.raises(ValueError, match=match):
+            MultSpec(**spec)
+        core, inst = remote.instance.core, remote.instance
+        with pytest.raises(ValueError, match=match):
+            core.mutate(inst.manager_addr, wire.TABLE_MULT,
+                        {"table": "A", "spec": spec})
+        server = inst.locate("A", "k0").addr
+        with pytest.raises(ValueError, match=match):
+            core.mutate(server, wire.MULTIPLY_TABLETS,
+                        {"table": "A", "tablet_ids": [], "spec": spec,
+                         "b": [], "out": []})
+        assert sorted(inst.list_tables()) == ["A", "B"]
+
+
 # -- exactly-once under faults ----------------------------------------------
 
 
@@ -355,6 +395,59 @@ class TestExactlyOnceUnderFaults:
         assert all(e.get("net.server.dedup_hits", 0) == 0 for e in exports)
 
 
+#: the other two joins, as one library call each: ``AT``'s cells whose
+#: key ``B`` also has, or all of them, above a pushed-down value filter
+JOIN_OPS = {
+    "ewise": lambda conn: two_table(conn, "AT", "C", "B", join="ewise",
+                                    post=IterSpec().value_ge(2)),
+    "one_table": lambda conn: two_table(conn, "AT", "C",
+                                        post=IterSpec().value_ge(2)),
+}
+
+
+def _run_join(conn, join):
+    """``_load_placed``'s tables, ``AT`` given cells at keys ``B`` has
+    too, and ``C`` created on tserver2 before the op — so the step on
+    tserver0 reads ``B`` from one peer and writes ``C`` to the other —
+    then the op; returns ``C``'s cells."""
+    _load_placed(conn)
+    conn.create_table("C")
+    with conn.batch_writer("AT") as w:
+        for t in range(0, INNER, 3):
+            w.put(f"t{t:03d}", "", f"w{t % B_COLS:02d}", t % 5)
+    JOIN_OPS[join](conn)
+    return _cells(conn, "C")
+
+
+@pytest.fixture(scope="module")
+def joins_fault_free():
+    return {join: _run_join(_local(), join) for join in JOIN_OPS}
+
+
+#: (join, fault) pairs: a one-table op reads no peer, so it has no peer
+#: scan to reset
+JOIN_FAULTS = [(join, case) for join in sorted(JOIN_OPS)
+               for case in sorted(FAULTS)
+               if (join, case) != ("one_table", "peer_scan")]
+
+
+class TestJoinsExactlyOnceUnderFaults:
+    @MODES
+    @pytest.mark.parametrize("join, case", JOIN_FAULTS)
+    def test_c_equals_fault_free_in_process_run(self, joins_fault_free,
+                                                processes, join, case):
+        where, spec, fires, witness, counter = FAULTS[case]
+        with _cluster(processes, {where: (spec, _seed(spec, fires))}) as conn:
+            got = _run_join(conn, join)
+            metrics = conn.instance.cluster_metrics()
+        assert got == joins_fault_free[join]  # once each, timestamps equal
+        # the pushed-down filter ran, and kept some cells
+        assert got and all(decode_number(c.value) >= 2 for c in got)
+        export = (metrics["manager"] if witness == "manager"
+                  else metrics["servers"][witness])
+        assert export.get(counter, 0) >= 1  # the fault hit the op
+
+
 # -- the kernels built on TableMult -----------------------------------------
 
 
@@ -460,3 +553,118 @@ class TestClientTraffic:
         assert (moved["net.client.bytes_sent"]
                 + moved["net.client.bytes_received"]) < 4096
         assert len(_cells(remote, "C")) == 64  # 8 × 8, all in the servers
+
+
+# -- a failed op leaves no table behind -------------------------------------
+
+
+@pytest.fixture(params=["in_process", "thread_cluster"])
+def either(request):
+    """A connection holding a triangle with a pendant edge, ``A``."""
+    if request.param == "in_process":
+        conn = _local(2)
+        _load_pendant(conn)
+        yield conn
+        return
+    with LocalCluster(n_servers=2, processes=False) as cluster:
+        conn = cluster.connect(metrics=MetricsRegistry())
+        try:
+            _load_pendant(conn)
+            yield conn
+        finally:
+            conn.close()
+
+
+def _load_pendant(conn):
+    conn.create_table("A")
+    with conn.batch_writer("A") as w:
+        for u, v in (("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")):
+            w.put(u, "", v, 1)
+            w.put(v, "", u, 1)
+
+
+class TestFailedOpsLeaveNoTable:
+    @pytest.mark.parametrize("call", [
+        lambda c: table_mult(c, "A", "missing", "C"),
+        lambda c: table_mult(c, "missing", "A", "C"),
+        lambda c: table_intersect(c, "missing", "A", "I"),
+        lambda c: table_intersect(c, "A", "missing", "I"),
+        lambda c: table_jaccard(c, "missing", "J"),
+        lambda c: table_ktruss(c, "nope", "K", 3)],
+        ids=["mult_b", "mult_at", "intersect_left", "intersect_right",
+             "jaccard", "ktruss"])
+    def test_missing_operand(self, either, call):
+        with pytest.raises(KeyError):
+            call(either)
+        assert either.instance.list_tables() == ["A"]
+
+    def test_ktruss_that_does_not_converge(self, either):
+        """One round drops the pendant edge, and no round is left to
+        see the rest survive: the temp tables go all the same."""
+        with pytest.raises(RuntimeError, match="converge"):
+            table_ktruss(either, "A", "K", 3, max_rounds=1)
+        assert either.instance.list_tables() == ["A"]
+
+
+# -- Jaccard's and k-truss's client traffic ---------------------------------
+
+
+def _cliques(conn, n_cliques, size=5):
+    """``n_cliques`` disjoint ``size``-cliques as a symmetric 0/1
+    adjacency table: every edge is in a triangle, so a 3-truss keeps
+    them all and stops after one round at any scale."""
+    conn.create_table("A", splits=[f"c{n_cliques // 2:03d}"])
+    with conn.batch_writer("A") as w:
+        for c in range(n_cliques):
+            for u, v in itertools.permutations(range(size), 2):
+                w.put(f"c{c:03d}.{u}", "", f"c{c:03d}.{v}", 1)
+
+
+class TestAlgorithmTraffic:
+    def _moved(self, conn, run):
+        before = _client_bytes(conn)
+        run()
+        after = _client_bytes(conn)
+        return {name: after[name] - before[name] for name in before}
+
+    def _traffic(self, conn, n_cliques):
+        """Client bytes moved by one ``table_ktruss`` and one
+        ``table_jaccard``, and the size of Jaccard's degree vector: the
+        reduced cells a degree scan receives, and their JSON map."""
+        _cliques(conn, n_cliques)
+        ktruss = self._moved(conn, lambda: table_ktruss(conn, "A", "K", 3))
+        jaccard = self._moved(conn, lambda: table_jaccard(conn, "A", "J"))
+        reduce = IterSpec().reduce("sum", qualifier="deg")
+        degrees = {}
+        scan = self._moved(conn, lambda: degrees.update(
+            (c.key.row, decode_number(c.value))
+            for c in conn.scanner("A", iterspec=reduce)))
+        assert len(degrees) == 5 * n_cliques  # one cell per vertex
+        assert len(_cells(conn, "K")) == 20 * n_cliques
+        assert len(_cells(conn, "J")) == 20 * n_cliques
+        for name in ("A", "K", "J"):
+            conn.delete_table(name)
+        degree_bytes = (scan["net.client.op.scan.bytes_received"]
+                        + len(json.dumps(degrees)))
+        return ktruss, jaccard, scan, degree_bytes
+
+    def test_only_the_degree_vector_crosses(self, remote):
+        small = self._traffic(remote, 4)
+        large = self._traffic(remote, 40)
+        for ktruss, jaccard, scan, _ in (small, large):
+            for moved in (ktruss, jaccard):
+                assert moved["net.client.op.write_batch.bytes_sent"] == 0
+            assert ktruss["net.client.op.scan.bytes_received"] == 0
+            # Jaccard's one scan is the degree reduce, one cell per
+            # vertex (its frames' stats vary by a few bytes; A's cells
+            # would be 4x as many)
+            assert (jaccard["net.client.op.scan.bytes_received"]
+                    <= 1.25 * scan["net.client.op.scan.bytes_received"])
+
+        def total(traffic):
+            return sum(moved["net.client.bytes_sent"]
+                       + moved["net.client.bytes_received"]
+                       for moved in traffic[:2])
+
+        # 10x the cells: the same calls, plus a 10x degree vector
+        assert total(large) <= 1.2 * total(small) + large[3]
