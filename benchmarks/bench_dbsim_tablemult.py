@@ -101,6 +101,9 @@ def test_cost_model_shape(benchmark, workload, capsys):
     # blocks by the result table's iterator): at least the result size;
     # client-side must ship the whole input out of the DB first.
     assert stats_server.entries_written >= c.nnz
+    # ⊕ completes when C is read: the op flushes C and never compacts it
+    assert stats_server.compactions == 0
+    assert stats_server.flushes >= 1
     assert stats_client.entries_written >= c.nnz
     assert stats_client.entries_read >= workload.nnz
 

@@ -10,7 +10,8 @@ to perform graph analytics"):
   (a local scan, or a peer server's), multiplies a bounded block of
   shared rows at a time, and writes the summed cells straight into
   ``out``, whose *summing combiner* performs ⊕ across blocks and
-  servers — neither operand nor the product passes through the client;
+  servers when ``out`` is read — ``out`` is flushed, not compacted, and
+  neither operand nor the product passes through the client;
 * :func:`degree_table` — maintain the D4M schema's Tdeg (one Reduce);
 * :func:`apply_to_table` / :func:`filter_table` — server-side Apply /
   value filters as batch stages of the scan;
@@ -88,16 +89,20 @@ def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
     streams them, in extent order, merge-joined with ``B``'s rows in the
     same extents, multiplies, and writes the result into ``out``
     (:meth:`~repro.dbsim.server.TabletServer.multiply_tablets`); the
-    servers take their turns one at a time, then ``out`` is compacted.
+    servers take their turns one at a time, then ``out`` is flushed.
     Whole shared rows gather into a block until its predicted partial
     products reach :data:`BLOCK_PARTIAL_PRODUCTS`, and a block never
     spans two servers.  Each block runs through the adaptive SpGEMM
     engine (:func:`repro.sparse.spgemm.mxm` — ``strategy`` and
     ``expansion_budget`` are forwarded) and its already-summed cells are
     written to ``out``, whose combiner applies ⊕ across blocks, servers
-    and repeated calls.  Cells of one inner row that share a qualifier
-    (differing in family or visibility) are ⊕-combined before the
-    multiply.
+    and repeated calls whenever ``out`` is read (or compacted).  A
+    missing ``out`` is created beside ``AT``'s tablets; an existing one
+    must combine with ``combiner`` and keep every version
+    (:func:`create_combiner_table` makes one), or ``ValueError`` is
+    raised before anything runs.  Cells of one inner row that share a
+    qualifier (differing in family or visibility) are ⊕-combined before
+    the multiply.
 
     ``mul`` is ⊗: the default multiply, a built-in
     :class:`~repro.semiring.ops.BinaryOp` (it travels by name), or — in

@@ -46,6 +46,8 @@ MULT_WRITE_CELLS = 1 << 16
 #: a two-table op's joins: on the row, multiplying (TableMult); on
 #: (row, family, qualifier), keeping the streamed cell; none (one table)
 JOINS = ("row", "ewise", None)
+#: a combining table's ``max_versions``: its combiner consumes them all
+ALL_VERSIONS = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,16 @@ class TableConfig:
     def combining(cls, combiner: str) -> "TableConfig":
         """A table whose versions of a cell fold with the built-in
         ``combiner`` — the Accumulo idiom for accumulating writes."""
-        return cls(max_versions=2 ** 31,  # the combiner consumes them all
+        return cls(max_versions=ALL_VERSIONS,
                    table_iterators=(COMBINERS[combiner],))
+
+    def folds(self, combiner: str) -> bool:
+        """Whether every version of a cell reaches the built-in
+        ``combiner`` first, as in a :meth:`combining` table: what a
+        TableMult's partial products need of ``out``."""
+        return (bool(self.table_iterators)
+                and self.table_iterators[0] is COMBINERS[combiner]
+                and self.max_versions >= ALL_VERSIONS)
 
 
 class TabletIndex:
@@ -560,25 +570,37 @@ class ControlPlane:
         (:meth:`TabletServer.multiply_tablets`).  The steps run one at
         a time, in the order of each server's first ``AT`` tablet, so
         stamp order never depends on arrival and no two servers ever
-        wait on each other.  The operands must exist; a missing ``out``
-        is created — for a ``"row"`` join with ``spec.combiner``,
-        round-robin, and compacted afterwards; else plain, on the server
-        of ``AT``'s first tablet, and flushed afterwards.  Returns the
-        work counts summed over the steps."""
+        wait on each other.  The operands must exist.  A missing ``out``
+        is created on the server hosting the most ``AT`` tablets (ties:
+        the server of ``AT``'s first), so most steps write it locally —
+        combining with ``spec.combiner`` for a ``"row"`` join, else
+        plain.  An existing ``out`` of a ``"row"`` join must fold every
+        partial product with ``spec.combiner``
+        (:meth:`TableConfig.folds`), or ``ValueError`` is raised before
+        any step runs.  Every join flushes ``out`` afterwards, and none
+        compacts it: its combiner folds the partial products when they
+        are read.  Returns the work counts summed over the steps."""
         at_entries = self.table(table_at).index.entries
         # a one-table op, and a table joined with itself, read no B tablet
         b_index = (None if spec.table_b in (None, table_at)
                    else self.table(spec.table_b).index)
-        if not self.table_exists(spec.out):
-            if spec.join == "row":
-                self.create_table(spec.out,
-                                  TableConfig.combining(spec.combiner))
-            else:  # it writes AT's own rows: where they start is local
-                self.create_table(spec.out, host=at_entries[0].server)
-        out = self.table(spec.out).index.entries
         shares: Dict[object, list] = {}  # server → its AT tablets, in order
         for entry in at_entries:
             shares.setdefault(entry.server, []).append(entry)
+        if not self.table_exists(spec.out):
+            self.create_table(
+                spec.out, TableConfig.combining(spec.combiner)
+                if spec.join == "row" else None,
+                # max keeps the first of equals: AT's first tablet's server
+                host=max(shares, key=lambda server: len(shares[server])))
+        elif spec.join == "row" and not self.config(spec.out).folds(
+                spec.combiner):
+            raise ValueError(
+                f"out table {spec.out!r} does not fold every version with "
+                f"the {spec.combiner!r} combiner, so it would keep one "
+                f"server's partial products; write into a fresh table or "
+                f"one created with TableConfig.combining({spec.combiner!r})")
+        out = self.table(spec.out).index.entries
         work: Dict[str, int] = {}
         for server, entries in shares.items():
             b = [] if b_index is None else list(dict.fromkeys(
@@ -589,8 +611,7 @@ class ControlPlane:
                 out)
             for name, count in step.items():
                 work[name] = work.get(name, 0) + count
-        (self.compact_table if spec.join == "row"
-         else self.flush_table)(spec.out)
+        self.flush_table(spec.out)
         return work
 
 

@@ -1051,21 +1051,34 @@ class ManagerService(_BaseService):
 
     # -- fan-out ops ------------------------------------------------------
 
+    def _fan_out(self, op: int) -> Dict[str, dict]:
+        """Every server's answer to ``op``, by name: sent to all of them
+        before any answer is awaited, so the round trips overlap.  Each
+        call is resolved even past one that raised; the first error then
+        propagates."""
+        calls = [(server.name, self.core.submit(server.addr, op, {}))
+                 for server in self.plane.servers]
+        replies: Dict[str, dict] = {}
+        error: Optional[BaseException] = None
+        for name, call in calls:
+            try:
+                replies[name] = call.result()
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                error = error or exc
+        if error is not None:
+            raise error
+        return replies
+
     def _fan_stats(self, p: dict) -> dict:
+        per_server = self._fan_out(wire.STATS)
         total = OpStats()
-        per_server = {}
-        for server in self.plane.servers:
-            stats = self.core.call(server.addr, wire.STATS, {})
-            per_server[server.name] = stats
+        for stats in per_server.values():
             total = total.merge(OpStats.from_dict(stats))
         return {"total": total.as_dict(), "servers": per_server}
 
     def _fan_metrics(self, p: dict) -> dict:
-        return {
-            "manager": self.metrics.export(),
-            "servers": {s.name: self.core.call(s.addr, wire.METRICS, {})
-                        for s in self.plane.servers},
-        }
+        return {"manager": self.metrics.export(),
+                "servers": self._fan_out(wire.METRICS)}
 
     def _sample_cluster(self) -> Dict[str, dict]:
         """One telemetry tick: every reachable registry, by component

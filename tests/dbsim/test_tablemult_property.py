@@ -9,16 +9,26 @@ small enough that the join splits into at least three engine calls.
 The block rule — per step, one for each server hosting ``AT`` tablets,
 on one server and on two — is checked against an independent model of
 it.
+
+A second property holds on one and two in-process servers and on a
+thread cluster: no result table of TableMult, Jaccard or k-truss needs
+a compaction — none of them compacts, and compacting the result
+afterwards changes no cell, timestamps included, because its combiner
+already folds the partial products when they are read.
 """
 
+import itertools
 from unittest import mock
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.dbsim import Connector, graphulo, table_mult
+from repro.dbsim.graphulo_algorithms import table_jaccard, table_ktruss
 from repro.dbsim.key import decode_number
 from repro.dbsim.server import Instance
+from repro.net.cluster import LocalCluster
 from repro.obs.metrics import MetricsRegistry
 
 from tests.dbsim.tablemult_oracle import stream_table_mult
@@ -145,3 +155,54 @@ def test_blocked_path_equals_stream_oracle(data, kind, combiner, mul,
             assert got[key] == value, key
         else:
             assert abs(got[key] - value) <= 1e-12 * abs(value), key
+
+
+@pytest.fixture(scope="module")
+def cluster():
+    with LocalCluster(n_servers=2, processes=False) as running:
+        conn = running.connect(metrics=MetricsRegistry())
+        try:
+            yield conn
+        finally:
+            conn.close()
+
+
+def _backend(backend, cluster):
+    """A connection with no tables on the named backend."""
+    if backend != "thread cluster":
+        return Connector(Instance(n_servers=int(backend[0]),
+                                  metrics=MetricsRegistry()))
+    for table in cluster.instance.list_tables():
+        cluster.delete_table(table)
+    return cluster
+
+
+#: an undirected simple graph on v0..v5, each edge once
+GRAPHS = st.sets(st.sampled_from(list(itertools.combinations(range(6), 2))))
+
+
+@pytest.mark.parametrize("backend", ["1 server", "2 servers",
+                                     "thread cluster"])
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(at=operand(VALUES["int"], "u"), b=operand(VALUES["int"], "w"),
+       accumulate=st.booleans(), edges=GRAPHS)
+def test_results_need_no_compaction(cluster, backend, at, b, accumulate,
+                                    edges):
+    conn = _backend(backend, cluster)
+    _load(conn, "AT", at)
+    _load(conn, "B", b)
+    conn.create_table("A", splits=["v3"])
+    with conn.batch_writer("A") as writer:
+        for u, v in sorted(edges):
+            writer.put(f"v{u}", "", f"v{v}", 1)
+            writer.put(f"v{v}", "", f"v{u}", 1)
+    stats = [table_mult(conn, "AT", "B", "C")
+             for _ in range(2 if accumulate else 1)]
+    stats.append(table_jaccard(conn, "A", "J"))
+    stats.append(table_ktruss(conn, "A", "K", 3))
+    assert [s.compactions for s in stats] == [0] * len(stats)
+    for table in ("C", "J", "K"):
+        folded = list(conn.scanner(table))
+        conn.compact(table)
+        assert list(conn.scanner(table)) == folded, table

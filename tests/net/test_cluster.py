@@ -22,9 +22,11 @@ from repro.dbsim.client import Connector
 from repro.dbsim.graphulo import create_combiner_table
 from repro.dbsim.key import Range
 from repro.dbsim.server import Instance, TableConfig
+from repro.dbsim.stats import OpStats
 from repro.net.client import RemoteConnector, RetryPolicy
 from repro.net.cluster import LocalCluster
-from repro.net.server import SCAN_CHUNK_CELLS
+from repro.net.server import SCAN_CHUNK_CELLS, ManagerService
+from repro.net.wire import RpcError
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -106,6 +108,50 @@ class TestClusterBasics:
             assert list(conn.scanner("d")) == before
         finally:
             conn.close()
+
+
+class TestManagerFanOut:
+    """``STATS`` and ``METRICS`` reach every server before the manager
+    waits for any answer, and every call is resolved, even past one
+    that fails."""
+
+    def _manager(self, monkeypatch, fail=None):
+        manager = ManagerService([(f"tserver{i}", ("127.0.0.1", 1 + i))
+                                  for i in range(3)])
+        events = []
+
+        class Call:
+            def __init__(self, port):
+                self.port = port
+
+            def result(self):
+                events.append(("result", self.port))
+                if self.port == fail:
+                    raise RpcError(f"server on port {fail} is down")
+                return OpStats(seeks=self.port).as_dict()
+
+        def submit(addr, op, payload, compress=False):
+            events.append(("submit", addr[1]))
+            return Call(addr[1])
+
+        monkeypatch.setattr(manager.core, "submit", submit)
+        return manager, events
+
+    @pytest.mark.parametrize("handler", ["_fan_stats", "_fan_metrics"])
+    def test_sends_to_every_server_first(self, monkeypatch, handler):
+        manager, events = self._manager(monkeypatch)
+        reply = getattr(manager, handler)({})
+        assert events == [("submit", 1), ("submit", 2), ("submit", 3),
+                          ("result", 1), ("result", 2), ("result", 3)]
+        assert list(reply["servers"]) == ["tserver0", "tserver1", "tserver2"]
+        if handler == "_fan_stats":
+            assert reply["total"]["seeks"] == 6
+
+    def test_resolves_every_call_past_a_failure(self, monkeypatch):
+        manager, events = self._manager(monkeypatch, fail=2)
+        with pytest.raises(RpcError, match="port 2"):
+            manager._fan_stats({})
+        assert events[3:] == [("result", 1), ("result", 2), ("result", 3)]
 
 
 class TestFaultedCluster:

@@ -14,7 +14,10 @@ These tests pin what that must keep true:
   ``WRITE_BATCH`` ack and a peer ``SCAN`` reset mid-stream, for every
   join — ``C`` equals a fault-free in-process run, timestamps
   included — and under a response deadline shorter than the op;
-* a failed op leaves no table behind;
+* a fresh ``out`` lands beside a 1-tablet ``AT``, so its partial
+  products cross no wire;
+* a failed op leaves no table behind, and an existing ``out`` that
+  cannot fold a TableMult's partial products is refused;
 * the paper's kernels built on the op (both distributed triangle
   counts, Jaccard, k-truss, PageRank) equal their in-process results on
   thread and process clusters;
@@ -43,7 +46,7 @@ from repro.dbsim.graphulo_algorithms import (
     table_pagerank,
 )
 from repro.dbsim.key import decode_number
-from repro.dbsim.server import Instance, MultSpec
+from repro.dbsim.server import Instance, MultSpec, TableConfig
 from repro.net import wire
 from repro.net.client import RemoteConnector, RetryPolicy
 from repro.net.cluster import LocalCluster
@@ -300,12 +303,13 @@ INNER = 2 * SCAN_CHUNK_CELLS // B_COLS
 
 
 def _load_placed(conn):
-    """AT on tserver0, B on tserver1, C (created by table_mult) on
+    """AT on tserver0, B on tserver1, C (sum-combining, empty) on
     tserver2: round-robin placement, the same on every backend — so
     the step on tserver0 reads B from one peer and writes C to the
-    other."""
+    other.  A fresh C would land beside AT instead."""
     conn.create_table("AT")
     conn.create_table("B")
+    create_combiner_table(conn, "C")
     with conn.batch_writer("AT") as w:
         for t in range(INNER):
             for u in range(3):
@@ -368,14 +372,15 @@ class TestExactlyOnceUnderFaults:
                    for name in SERVERS]
         manager = ManagerService([(s.name, s.start()) for s in servers],
                                  faults=late("table_mult"))
-        manager.core.retry = RetryPolicy(attempts=3, base=0.01, cap=0.1,
-                                         deadline=0.05)
-        conn = RemoteConnector(manager.start(), metrics=MetricsRegistry(),
-                               retry=RetryPolicy(deadline=0.05))
+        conn = RemoteConnector(manager.start(), metrics=MetricsRegistry())
         inst = conn.instance
         try:
             _load_placed(conn)
-            create_combiner_table(conn, "C")
+            # only now: a set-up call slower than 50 ms on a busy host
+            # would be re-sent, and its dedup hit blamed on the op
+            manager.core.retry = RetryPolicy(attempts=3, base=0.01, cap=0.1,
+                                             deadline=0.05)
+            inst.core.retry = RetryPolicy(deadline=0.05)
             before = inst.core.metrics.export()
             inst.table_mult("AT", MultSpec("B", "C", BLOCK_PARTIAL_PRODUCTS))
             after = inst.core.metrics.export()
@@ -407,11 +412,9 @@ JOIN_OPS = {
 
 def _run_join(conn, join):
     """``_load_placed``'s tables, ``AT`` given cells at keys ``B`` has
-    too, and ``C`` created on tserver2 before the op — so the step on
-    tserver0 reads ``B`` from one peer and writes ``C`` to the other —
-    then the op; returns ``C``'s cells."""
+    too — so the step on tserver0 reads ``B`` from one peer and writes
+    ``C`` to the other — then the op; returns ``C``'s cells."""
     _load_placed(conn)
-    conn.create_table("C")
     with conn.batch_writer("AT") as w:
         for t in range(0, INNER, 3):
             w.put(f"t{t:03d}", "", f"w{t % B_COLS:02d}", t % 5)
@@ -446,6 +449,42 @@ class TestJoinsExactlyOnceUnderFaults:
         export = (metrics["manager"] if witness == "manager"
                   else metrics["servers"][witness])
         assert export.get(counter, 0) >= 1  # the fault hit the op
+
+
+# -- where a fresh out lands ------------------------------------------------
+
+
+class TestOutPlacement:
+    @MODES
+    def test_fresh_out_lands_beside_a_one_tablet_at(self, processes):
+        """``B`` on tserver0 and ``AT`` on tserver1, so round-robin
+        would put a fresh ``C`` on tserver2 and send it every partial
+        product.  ``C`` is created on ``AT``'s server instead: the step
+        reads ``B`` from its peer and writes ``C`` locally, and no
+        server receives a ``WRITE_BATCH`` during the op."""
+        def write_batch_bytes():
+            return {name: export.get(
+                "net.server.op.write_batch.bytes_received", 0)
+                for name, export
+                in inst.cluster_metrics()["servers"].items()}
+
+        with _cluster(processes, {}) as conn:
+            inst = conn.instance
+            conn.create_table("B")
+            conn.create_table("AT")
+            with conn.batch_writer("AT") as w:
+                for t in range(20):
+                    w.put(f"t{t:02d}", "", f"u{t % 3}", t + 1)
+            with conn.batch_writer("B") as w:
+                for t in range(20):
+                    w.put(f"t{t:02d}", "", f"w{t % 4}", 2 * t + 1)
+            before = write_batch_bytes()
+            table_mult(conn, "AT", "B", "C")
+            assert write_batch_bytes() == before
+            at_addr = inst.locate("AT", "t00").addr
+            assert inst.locate("B", "t00").addr != at_addr  # a peer read
+            assert inst.locate("C", "u0").addr == at_addr
+            assert len(_cells(conn, "C")) == 12  # 3 × 4, all in the servers
 
 
 # -- the kernels built on TableMult -----------------------------------------
@@ -597,6 +636,21 @@ class TestFailedOpsLeaveNoTable:
         with pytest.raises(KeyError):
             call(either)
         assert either.instance.list_tables() == ["A"]
+
+    @pytest.mark.parametrize("config", [
+        TableConfig(), TableConfig.combining("max")],
+        ids=["plain", "max_combiner"])
+    def test_out_that_cannot_fold_the_partials(self, either, config):
+        """A 2-tablet ``A`` on two servers writes up to two partial
+        cells per result entry.  A plain ``out`` would keep only the
+        newer one, and a max combiner under a sum the larger: the op
+        refuses either before any step runs."""
+        either.add_split("A", "c")
+        either.create_table("C", config)
+        with pytest.raises(ValueError, match="fold every version"):
+            table_mult(either, "A", "A", "C")
+        assert either.instance.list_tables() == ["A", "C"]
+        assert _cells(either, "C") == []
 
     def test_ktruss_that_does_not_converge(self, either):
         """One round drops the pendant edge, and no round is left to
