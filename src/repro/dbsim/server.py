@@ -446,8 +446,9 @@ class TableMeta:
 
 class ControlPlane:
     """The cluster's metadata owner: table configs, the tablet →
-    server assignment (round-robin), the locate index clients cache,
-    and split/migration orchestration.
+    server assignment (round-robin: a pre-split table's tablets dealt
+    once at create, a live split's children re-dealt), the locate index
+    clients cache, and split/migration orchestration.
 
     ``servers`` are handles with :class:`TabletServer`'s ``name`` and
     hosting ops.  What ``release_tablet`` returns goes to the
@@ -496,20 +497,32 @@ class ControlPlane:
 
     def create_table(self, name: str, config: Optional[TableConfig] = None,
                      splits: Sequence[str] = (), host=None) -> None:
-        """A new table; its first tablet goes to ``host`` when given,
-        else to the next server round-robin."""
+        """A new table, pre-split at ``splits`` (in any order; repeats
+        are one split).  Its tablets are dealt once, in extent order:
+        each is hosted empty on ``host`` when given, else on the next
+        server round-robin — with 4 tablets on 2 servers, 2 and 2.  No
+        tablet is split or migrated, and each starts at clock 0, as a
+        split of an empty tablet would.  If a host fails, the tablets
+        already hosted are dropped and the name stays free."""
         if name in self._tables:
             raise ValueError(f"table {name!r} already exists")
         config = config or TableConfig()
-        tablet_id, server = self._new_id(name), host or self._pick()
-        server.host_tablet(name, tablet_id, Range(), config)
+        edges = [None, *sorted(set(splits)), None]
+        entries: List[Assignment] = []
+        try:
+            for lo, hi in zip(edges, edges[1:]):
+                extent = Range(lo, hi)
+                tablet_id, server = self._new_id(name), host or self._pick()
+                server.host_tablet(name, tablet_id, extent, config)
+                entries.append(Assignment(tablet_id, extent, server))
+        except BaseException:
+            for server in dict.fromkeys(entry.server for entry in entries):
+                server.drop_table(name)
+            raise
         # registered only now: a create whose host failed leaves the
         # name free for a retry
         self._tables[name] = TableMeta(config, TabletIndex(
-            [Assignment(tablet_id, Range(), server)],
-            self.metrics.counter("dbsim.locate.index_builds")))
-        for split in splits:
-            self.add_split(name, split)
+            entries, self.metrics.counter("dbsim.locate.index_builds")))
 
     def delete_table(self, name: str) -> None:
         for server in self._hosting(name):
@@ -519,11 +532,12 @@ class ControlPlane:
     # -- tablet management --------------------------------------------------
 
     def add_split(self, name: str, split_row: str) -> None:
-        """Split the tablet containing ``split_row`` (no-op if it is
-        already a split point).  The owner splits in place; then both
-        children re-enter round-robin assignment — each may land on a
-        different server, the migration that makes a client's cached
-        routing go stale."""
+        """Split a live table's tablet containing ``split_row`` (no-op
+        if it is already a split point).  The owner splits in place;
+        then both children re-enter round-robin assignment — each may
+        land on a different server, the migration that makes a client's
+        cached routing go stale.  A create's ``splits`` do not come
+        through here: :meth:`create_table` deals those tablets once."""
         meta = self.table(name)
         index = meta.index
         i = index.at(split_row)

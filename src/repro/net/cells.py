@@ -4,21 +4,30 @@ The hot frames of the RPC fabric — scan ``CHUNK`` payloads and
 ``WRITE_BATCH`` mutation batches — carry thousands of cells per frame.
 Encoding each one as a JSON 7-list spends most of the frame on quoting
 and most of the decode on building throwaway Python lists.  This module
-packs the same 7-tuples columnar instead::
+packs the same 7-tuples columnar, each string column dictionary-coded::
 
-    !BI                 format version, cell count N
+    !BI                 format version, cell count N (N = 0: nothing else)
     5 × string column   (row, family, qualifier, visibility, value):
-        !{N}I           per-entry byte lengths
-        ...             the N UTF-8 entries, concatenated
+        !I              U, the number of distinct strings (1 ≤ U ≤ N)
+        !{U}I           their byte lengths
+        ...             the U distinct UTF-8 strings, in first-occurrence
+                        order, concatenated
+        index           only when 1 < U < N: each entry's position in
+                        that list, N big-endian unsigned ints of 1, 2 or
+                        4 bytes as U ≤ 256, ≤ 65 536 or larger
     !{N}q               timestamps (int64)
     {N}s                delete flags (one byte each, 0/1)
 
-Length-prefixed column arrays decode with two ``struct.unpack_from``
-calls per column plus one ``memoryview`` slice per string — no
-intermediate list-of-lists, no JSON tokenizer — and the decoder returns
-*columns*, which is exactly the shape the engine's bulk paths
-(``AssocArray.from_triples``, ``Tablet.write_columns``) want.  Encoding
-a 10k-cell chunk is one ``b"".join`` of precomputed parts.
+U = 1 is one string N times (an all-empty family or visibility column
+costs 8 bytes); U = N is a column of distinct strings, which is its own
+list.  A scan chunk repeats its rows and qualifiers, so a column costs
+its *distinct* strings: the decoder builds one ``str`` per distinct
+string and the column is one C-level ``map`` over the index — no
+``str`` per cell, and equal entries share one object and its cached
+hash.  The decoder returns *columns*, which is exactly the shape the
+engine's bulk paths (``AssocArray.from_triples``,
+``Tablet.write_columns``) want.  Encoding a chunk is one ``b"".join``
+of precomputed parts.
 
 The columnar shape now has a first-class carrier: :class:`ColumnBatch`
 holds the seven parallel columns (timestamps as ``array('q')``) and is
@@ -48,7 +57,7 @@ from typing import Iterable, List, Sequence, Tuple
 from repro.dbsim.key import Cell, Key
 
 #: bump when the block layout changes; verified on every decode
-BLOCK_FORMAT = 1
+BLOCK_FORMAT = 2
 
 #: ``new_key(fields)`` / ``new_cell((key, value))``: a :class:`Key` /
 #: :class:`Cell` from one tuple of its fields, built by ``tuple.__new__``
@@ -59,17 +68,16 @@ new_key = partial(tuple.__new__, Key)
 new_cell = partial(tuple.__new__, Cell)
 
 _HDR = struct.Struct("!BI")
+_U32 = struct.Struct("!I")
+_U32X2 = struct.Struct("!II")
 
 #: (row, family, qualifier, visibility, timestamp, delete, value)
 MutTuple = Tuple[str, str, str, str, int, bool, str]
 
-#: indexes of the five string components within a mutation tuple, in
-#: block order (timestamps and delete flags are packed separately)
-_STR_FIELDS = (0, 1, 2, 3, 6)
-
 _LITTLE = sys.byteorder == "little"
 #: array typecodes are only usable as wire codecs when their itemsize
-#: matches the block layout exactly (4-byte lengths, 8-byte timestamps)
+#: matches the block layout exactly (4-byte lengths and index entries,
+#: 8-byte timestamps)
 _ARR_I4 = array("I").itemsize == 4
 _ARR_Q8 = array("q").itemsize == 8
 #: below this count a ``struct.pack`` splat beats array+byteswap setup
@@ -103,6 +111,49 @@ def _pack_i64(values, n: int) -> bytes:
     return struct.pack("!%dq" % n, *values)
 
 
+def _index_width(u: int) -> int:
+    """Bytes per index entry of a column with ``u`` distinct strings."""
+    return 1 if u <= 1 << 8 else 2 if u <= 1 << 16 else 4
+
+
+def _encode_strings(col: Sequence[str], n: int, parts: List[bytes]) -> None:
+    """Append one string column of ``n`` entries to ``parts``: U, the
+    distinct strings' lengths and bytes, then the index when 1 < U < N."""
+    firsts = dict.fromkeys(col)  # insertion order: first occurrences
+    u = len(firsts)
+    if u == 1:
+        # one string N times (family and visibility usually are ""):
+        # U, its one length, its bytes
+        data = col[0].encode("utf-8")
+        parts += (_U32X2.pack(1, len(data)), data)
+        return
+    uniq = col if u == n else list(firsts)
+    parts.append(_U32.pack(u))
+    blob = "".join(uniq)
+    data = blob.encode("utf-8")
+    if len(data) == len(blob):
+        # pure ASCII: byte lengths == str lengths, so the strings
+        # encode with ONE join + ONE encode instead of U encodes
+        parts.append(_pack_u32(map(len, uniq), u))
+    else:
+        enc = [s.encode("utf-8") for s in uniq]
+        parts.append(_pack_u32(map(len, enc), u))
+        data = b"".join(enc)
+    parts.append(data)
+    if 1 < u < n:
+        index = map(dict(zip(uniq, range(u))).__getitem__, col)
+        width = _index_width(u)
+        if width == 1:
+            parts.append(bytes(index))
+        elif width == 4:
+            parts.append(_pack_u32(index, n))
+        else:
+            arr = array("H", index)
+            if _LITTLE:
+                arr.byteswap()
+            parts.append(arr.tobytes())
+
+
 def encode_block(muts: Sequence[MutTuple]) -> bytes:
     """Pack mutation/cell 7-tuples into one binary block: the
     transpose of ``muts``, through :func:`encode_columns`."""
@@ -126,22 +177,77 @@ def encode_columns(rows: Sequence[str], families: Sequence[str],
         return _HDR.pack(BLOCK_FORMAT, 0)
     parts: List[bytes] = [_HDR.pack(BLOCK_FORMAT, n)]
     for col in (rows, families, qualifiers, visibilities, values):
-        blob = "".join(col)
-        data = blob.encode("utf-8")
-        if len(data) == len(blob):
-            # pure ASCII: byte lengths == str lengths, so the column
-            # encodes with ONE join + ONE encode instead of n encodes
-            parts.append(_pack_u32(map(len, col), n))
-        else:
-            enc = [s.encode("utf-8") for s in col]
-            parts.append(_pack_u32(map(len, enc), n))
-            data = b"".join(enc)
-        parts.append(data)
+        _encode_strings(col, n, parts)
     parts.append(_pack_i64(timestamps, n))
     # scans carry no deletes and most write batches none: the all-zero
     # bitmap is one allocation
     parts.append(bytes(map(bool, deletes)) if any(deletes) else bytes(n))
     return b"".join(parts)
+
+
+def _take(view: memoryview, off: int, size: int, what: str) -> memoryview:
+    """``size`` bytes of ``view`` from ``off``: a slice would silently
+    come up short on a truncated block."""
+    if len(view) - off < size:
+        raise BlockFormatError(f"cell block truncated in its {what}")
+    return view[off:off + size]
+
+
+def _decode_strings(view: memoryview, off: int, n: int
+                    ) -> Tuple[List[str], int]:
+    """One string column of ``n`` entries at ``off``: the column, and
+    the offset past it."""
+    u = _U32.unpack_from(view, off)[0]
+    if u == 1:
+        # one string N times: no list of lengths to walk, no index
+        size = _U32.unpack_from(view, off + 4)[0]
+        off += 8
+        return [str(_take(view, off, size, "strings"), "utf-8")] * n, \
+            off + size
+    if not 0 < u <= n:
+        raise BlockFormatError(f"string column of {n} entries claims {u} "
+                               f"distinct strings")
+    off += 4
+    lens = struct.unpack_from(f"!{u}I", view, off)
+    off += 4 * u
+    total = sum(lens)
+    raw = _take(view, off, total, "strings")
+    off += total
+    blob = str(raw, "utf-8")
+    if len(blob) == total:
+        # pure ASCII: char offsets == byte offsets, so the strings
+        # decode with ONE utf-8 pass + str slices; map(getitem,
+        # map(slice, ...)) keeps the per-string work in C
+        if total == u and max(lens) == 1:
+            # every string is one char (family/qualifier columns
+            # usually are): list() splits in C
+            uniq = list(blob)
+        else:
+            bounds = list(accumulate(lens, initial=0))
+            uniq = list(map(blob.__getitem__, map(slice, bounds, bounds[1:])))
+    else:
+        uniq = []
+        append = uniq.append
+        pos = 0
+        for ln in lens:
+            append(str(raw[pos:pos + ln], "utf-8"))
+            pos += ln
+    if u == n:
+        return uniq, off
+    width = _index_width(u)
+    raw = _take(view, off, width * n, "index")
+    off += width * n
+    if width == 1:
+        index = raw  # a memoryview of bytes iterates as ints
+    elif width == 2 or _ARR_I4:
+        index = array("H" if width == 2 else "I")
+        index.frombytes(raw)
+        if _LITTLE:
+            index.byteswap()
+    else:  # pragma: no cover - exotic ABI
+        index = struct.unpack_from(f"!{n}I", raw)
+    # an entry past the list raises IndexError: a malformed block
+    return list(map(uniq.__getitem__, index)), off
 
 
 def _parse(buf) -> Tuple[List[str], List[str], List[str], List[str],
@@ -154,62 +260,36 @@ def _parse(buf) -> Tuple[List[str], List[str], List[str], List[str],
     if fmt != BLOCK_FORMAT:
         raise BlockFormatError(f"cell block format {fmt} != supported "
                                f"{BLOCK_FORMAT}")
+    if not n:
+        return [], [], [], [], array("q"), [], []
+    if len(view) < _HDR.size + 9 * n:
+        # every cell takes a timestamp and a delete flag: a count this
+        # block cannot hold is refused before a column is allocated
+        raise BlockFormatError(f"cell block of {len(view)} bytes cannot "
+                               f"hold {n} cells")
     off = _HDR.size
     str_cols: List[List[str]] = []
     try:
-        lens_fmt = f"!{n}I"
-        lens_size = 4 * n
-        for _ in _STR_FIELDS:
-            lens = struct.unpack_from(lens_fmt, view, off)
-            off += lens_size
-            total = sum(lens)
-            col: List[str]
-            if not total:
-                # empty column (family/visibility are usually all "")
-                col = [""] * n
-            else:
-                blob = str(view[off:off + total], "utf-8")
-                if len(blob) == total:
-                    # pure ASCII: char offsets == byte offsets, so the
-                    # column decodes with ONE utf-8 pass + str slices;
-                    # map(getitem, map(slice, ...)) keeps the per-entry
-                    # work in C instead of interpreter dispatch
-                    if total == n and max(lens) == 1:
-                        # every entry is one char (family/qualifier
-                        # columns usually are): list() splits in C
-                        col = list(blob)
-                    else:
-                        bounds = list(accumulate(lens, initial=0))
-                        col = list(map(blob.__getitem__,
-                                       map(slice, bounds, bounds[1:])))
-                else:
-                    raw = view[off:off + total]
-                    col = []
-                    append = col.append
-                    pos = 0
-                    for ln in lens:
-                        append(str(raw[pos:pos + ln], "utf-8"))
-                        pos += ln
-            off += total
+        for _ in range(5):
+            col, off = _decode_strings(view, off, n)
             str_cols.append(col)
-        if len(view) - off < 8 * n:
-            raise struct.error("truncated timestamps")
+        raw = _take(view, off, 8 * n, "timestamps")
+        off += 8 * n
         if _ARR_Q8:
             timestamps = array("q")
-            timestamps.frombytes(view[off:off + 8 * n])
+            timestamps.frombytes(raw)
             if _LITTLE:
                 timestamps.byteswap()
         else:  # pragma: no cover - exotic ABI
-            timestamps = array("q", struct.unpack_from(f"!{n}q", view,
-                                                       off))
-        off += 8 * n
-        flags = view[off:off + n]
-        if len(flags) != n:
-            raise struct.error("truncated delete flags")
+            timestamps = array("q", struct.unpack_from(f"!{n}q", raw))
+        flags = _take(view, off, n, "delete flags")
         # scans carry no deletes (versioning eats them server-side), so
         # the all-zero bitmap short-circuits in C via any()
         deletes = [b != 0 for b in flags] if any(flags) else [False] * n
-    except (struct.error, ValueError, UnicodeDecodeError) as exc:
+    except BlockFormatError:
+        raise
+    except (struct.error, ValueError, IndexError) as exc:
+        # ValueError covers UnicodeDecodeError
         raise BlockFormatError(f"undecodable cell block: {exc}") from exc
     rows, fams, quals, vis, vals = str_cols
     return rows, fams, quals, vis, timestamps, deletes, vals

@@ -72,6 +72,7 @@ import time
 import zlib
 from collections import OrderedDict
 from dataclasses import asdict
+from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -409,7 +410,7 @@ class _BaseService:
                     self._respond(state, cached[0], cached[1], code, req)
                     self._observe_times(arrived, dispatched)
                     return False
-            handler = self._handlers().get(code)
+            handler = self._ops.get(code)
             try:
                 if handler is None:
                     raise wire.ProtocolError(
@@ -513,6 +514,12 @@ class _BaseService:
 
     def _handlers(self) -> Dict[int, Callable[[dict], dict]]:
         raise NotImplementedError
+
+    @cached_property
+    def _ops(self) -> Dict[int, Callable[[dict], dict]]:
+        """:meth:`_handlers`' table, built once per service rather than
+        once per request."""
+        return self._handlers()
 
     def _stream_handler(self, code: int):
         """Streaming ops (many response frames) bypass the normal

@@ -4,10 +4,11 @@
 script and must agree on every tablet id, extent and placement — and
 on every step, what the index says is where the tablets really are.
 
-Also here: the literal op sequence a split drives on its handles, the
-create-wedge regression (a create whose ``host_tablet`` failed must
-leave the name free), and the ``TabletIndex`` properties against
-brute force.
+Also here: the literal op sequence a split drives on its handles, a
+pre-split create's (each tablet hosted once, no split or migration),
+the create-wedge regression (a create whose ``host_tablet`` failed must
+leave the name free and no tablet hosted), and the ``TabletIndex``
+properties against brute force.
 """
 
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dbsim.client import Connector
 from repro.dbsim.key import Range
 from repro.dbsim.server import ControlPlane, Instance, TabletIndex
 from repro.net.client import format_addr
@@ -149,10 +151,16 @@ def test_same_layout_in_process_on_fakes_and_over_the_wire():
         finally:
             conn.close()
     assert in_process == on_fakes == over_the_wire
+    # a pre-split create mints one id per tablet and deals them in
+    # extent order
+    assert in_process[0]["a"] == [("a!0001", (None, "g"), "tserver0"),
+                                  ("a!0002", ("g", "p"), "tserver1"),
+                                  ("a!0003", ("p", None), "tserver2")]
     final = in_process[-1]
-    assert final["b"] == [("b!0009", (None, "m"), "tserver2"),
-                          ("b!0010", ("m", None), "tserver0")]
-    assert [tid for tid, _, _ in final["a"]] == ["a!0012", "a!0013"]
+    assert final["b"] == [("b!0007", (None, "m"), "tserver0"),
+                          ("b!0008", ("m", None), "tserver1")]
+    assert final["a"] == [("a!0009", (None, "c"), "tserver2"),
+                          ("a!0010", ("c", None), "tserver0")]
 
 
 def test_a_split_is_split_at_the_owner_then_release_and_adopt():
@@ -177,6 +185,66 @@ def test_a_split_is_split_at_the_owner_then_release_and_adopt():
     assert plane.table("t").version == 3
 
 
+def test_a_pre_split_table_is_dealt_once_at_create():
+    plane, log = fake_plane(n=2)
+    plane.create_table("t", None, ["m", "g", "t", "m"])  # any order, repeats
+    # no split, no migration: each final tablet is hosted once, in
+    # extent order, on the next server round-robin
+    assert log == [("tserver0", "host_tablet", "t!0001"),
+                   ("tserver1", "host_tablet", "t!0002"),
+                   ("tserver0", "host_tablet", "t!0003"),
+                   ("tserver1", "host_tablet", "t!0004")]
+    assert plane.splits("t") == ["g", "m", "t"]
+    assert plane.table("t").version == 1
+
+
+def _placement(layout):
+    """``{table: [(extent, server)]}`` of a layout's index."""
+    return {table: [(extent, server) for _, extent, server in entries]
+            for table, entries in layout[0].items()}
+
+
+def test_four_tablets_land_two_and_two_on_both_backends():
+    want = {"t": [((None, "g"), "tserver0"), (("g", "m"), "tserver1"),
+                  (("m", "t"), "tserver0"), (("t", None), "tserver1")]}
+    inst = Instance(n_servers=2, metrics=MetricsRegistry())
+    inst.create_table("t", None, ["g", "m", "t"])
+    assert _placement(plane_layout(inst)) == want
+    with LocalCluster(n_servers=2, processes=False) as cluster:
+        conn = cluster.connect()
+        try:
+            conn.create_table("t", None, ["g", "m", "t"])
+            assert _placement(cluster_layout(conn.instance)) == want
+        finally:
+            conn.close()
+
+
+def test_a_pre_split_table_stamps_what_a_split_empty_one_does():
+    # a tablet's clock starts at 0 whether it was dealt at create or
+    # split off an empty tablet, so the same writes stamp the same
+    # timestamps either way
+    splits = ["d", "k", "r"]
+    rows = [f"{c}{i}" for i in range(3) for c in "abdkmrz"]
+
+    def scanned(pre_split):
+        conn = Connector(Instance(n_servers=2, metrics=MetricsRegistry()))
+        if pre_split:
+            conn.create_table("t", splits=splits)
+        else:
+            conn.create_table("t")
+            for split in splits:
+                conn.add_split("t", split)
+        with conn.batch_writer("t", buffer_size=5) as writer:
+            for i, row in enumerate(rows):
+                writer.put(row, "", f"q{i % 2}", i)
+        return [(c.key.row, c.key.qualifier, c.key.timestamp, c.value)
+                for c in conn.scanner("t")]
+
+    pre_split = scanned(True)
+    assert len(pre_split) == len(rows)
+    assert pre_split == scanned(False)
+
+
 def test_a_failed_create_leaves_the_name_free():
     plane, log = fake_plane()
     plane.servers[0].fail_next_host = True
@@ -190,6 +258,21 @@ def test_a_failed_create_leaves_the_name_free():
     assert plane.table_exists("t") and plane.splits("t") == []
     plane.delete_table("t")
     assert log[-1] == ("tserver1", "drop_table", "t")
+
+    # a host failing mid-create: the tablets already hosted are dropped
+    log.clear()
+    plane.servers[0].fail_next_host = True  # the second tablet's host
+    with pytest.raises(ConnectionError):
+        plane.create_table("t", None, ["g", "m"])
+    assert log == [("tserver2", "host_tablet", "t!0003"),
+                   ("tserver2", "drop_table", "t")]
+    assert all(not server.hosted for server in plane.servers)
+    assert not plane.table_exists("t") and plane.list_tables() == []
+    plane.create_table("t", None, ["g", "m"])  # the retry succeeds
+    assert plane.splits("t") == ["g", "m"]
+    assert plane_layout(plane)[1] == {"t!0005": "tserver1",
+                                      "t!0006": "tserver2",
+                                      "t!0007": "tserver0"}
 
 
 def test_a_create_that_hit_a_dead_server_can_be_retried_over_the_wire():
