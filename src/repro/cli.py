@@ -632,9 +632,10 @@ def cmd_analyze(args) -> int:
         rpc = ta.rpc_breakdown()
         if rpc:
             print(f"\nRPC time breakdown (client ms = network + "
-                  f"server queue + server service):")
+                  f"server queue + server service, or + unawaited):")
             print(f"{'op':<14} {'calls':>6} {'srv':>5} {'client_ms':>10} "
-                  f"{'network_ms':>11} {'queue_ms':>9} {'service_ms':>11}")
+                  f"{'network_ms':>11} {'queue_ms':>9} {'service_ms':>11} "
+                  f"{'unawaited_ms':>13}")
             for op in sorted(rpc):
                 r = rpc[op]
                 print(f"{r['op']:<14} {r['count']:>6} "
@@ -642,7 +643,8 @@ def cmd_analyze(args) -> int:
                       f"{_fmt_ms(r['client_s']):>10} "
                       f"{_fmt_ms(r['network_s']):>11} "
                       f"{_fmt_ms(r['server_queue_s']):>9} "
-                      f"{_fmt_ms(r['server_service_s']):>11}")
+                      f"{_fmt_ms(r['server_service_s']):>11} "
+                      f"{_fmt_ms(r['unawaited_s']):>13}")
     if args.flamegraph:
         lines = ta.folded_stacks()
         with open(args.flamegraph, "w", encoding="utf-8") as fh:

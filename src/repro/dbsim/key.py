@@ -12,8 +12,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
-from operator import neg
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from operator import itemgetter, neg
+from typing import (Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 
 def encode_number(x: float) -> str:
@@ -111,13 +112,27 @@ def sort_keys(rows: Sequence[str], families: Sequence[str],
                     map(neg, timestamps), puts))
 
 
+def field_columns(rows: Iterable[Sequence], width: int) -> List[list]:
+    """The transpose of ``rows``, each ``width`` fields long: one list
+    per field, each built by one C-level ``map(itemgetter(i), rows)``.
+    No rows give ``width`` empty lists.
+
+    The one bulk row → column transpose.  ``zip`` over the unpacked
+    rows builds the same columns but holds a GC-tracked tuple iterator
+    per row until it finishes, so a 10 000-row transpose wakes the
+    cycle collector many times and promotes thousands of objects into
+    its oldest generation, whose full collections walk the whole heap.
+    This allocates no tracked object per row."""
+    if not isinstance(rows, (list, tuple)):
+        rows = list(rows)
+    return [list(map(itemgetter(i), rows)) for i in range(width)]
+
+
 def key_columns(keys: Sequence[SortKey]) -> Tuple[
         List[str], List[str], List[str], List[str], List[int], List[bool]]:
     """Inverse of :func:`sort_keys`: ``(rows, families, qualifiers,
     visibilities, timestamps, deletes)``."""
-    if not keys:
-        return [], [], [], [], [], []
-    rows, fams, quals, viss, neg_ts, puts = map(list, zip(*keys))
+    rows, fams, quals, viss, neg_ts, puts = field_columns(keys, 6)
     return (rows, fams, quals, viss, list(map(neg, neg_ts)),
             [not put for put in puts])
 

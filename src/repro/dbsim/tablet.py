@@ -52,6 +52,7 @@ from repro.dbsim.key import (
     covering,
     decode_number,
     encode_number,
+    field_columns,
     key_columns,
     sort_keys,
     sort_run,
@@ -303,8 +304,7 @@ class Tablet:
         """:meth:`write_columns` over row-major ``(row, family,
         qualifier, visibility, timestamp, delete, value)`` tuples —
         what a BatchWriter buffers."""
-        # the transpose; of no mutations, seven empty columns
-        return self.write_columns(*(tuple(zip(*mutations)) or ((),) * 7))
+        return self.write_columns(*field_columns(mutations, 7))
 
     def write_batch(self, cells: Iterable[Cell]) -> int:
         """:meth:`write_columns` over :class:`Cell` objects."""

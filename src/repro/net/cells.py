@@ -54,7 +54,7 @@ from functools import partial
 from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.dbsim.key import Cell, Key
+from repro.dbsim.key import Cell, Key, field_columns
 
 #: bump when the block layout changes; verified on every decode
 BLOCK_FORMAT = 2
@@ -157,9 +157,7 @@ def _encode_strings(col: Sequence[str], n: int, parts: List[bytes]) -> None:
 def encode_block(muts: Sequence[MutTuple]) -> bytes:
     """Pack mutation/cell 7-tuples into one binary block: the
     transpose of ``muts``, through :func:`encode_columns`."""
-    if not muts:
-        return _HDR.pack(BLOCK_FORMAT, 0)
-    return encode_columns(*zip(*muts))
+    return encode_columns(*field_columns(muts, 7))
 
 
 def encode_columns(rows: Sequence[str], families: Sequence[str],
@@ -338,20 +336,12 @@ class ColumnBatch:
                 and self.values == other.values)
 
     @classmethod
-    def empty(cls) -> "ColumnBatch":
-        return cls([], [], [], [], array("q"), [], [])
-
-    @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "ColumnBatch":
         """The inverse of :meth:`cells`: a cell is ``(key, value)`` and
         a key six fields, so two transposes give the seven columns."""
-        pairs = tuple(zip(*cells))
-        if not pairs:
-            return cls.empty()
-        keys, values = pairs
-        rows, fams, quals, viss, ts, dels = map(list, zip(*keys))
-        return cls(rows, fams, quals, viss, array("q", ts), dels,
-                   list(values))
+        keys, values = field_columns(cells, 2)
+        rows, fams, quals, viss, ts, dels = field_columns(keys, 6)
+        return cls(rows, fams, quals, viss, array("q", ts), dels, values)
 
     def cells(self) -> List[Cell]:
         """Materialise per-cell objects — the lazy escape hatch.

@@ -441,17 +441,25 @@ class _Conn:
 class _Call:
     """A unary RPC already sent (:meth:`RpcCore.submit`): ``result()``
     waits for its answer, retrying like :meth:`RpcCore.call` if the
-    first attempt was lost.  Resolve it once."""
+    first attempt was lost.  Resolve it once.
 
-    __slots__ = ("_core", "_args", "_first", "_span")
+    A traced call's span runs from the send to the end of ``result()``;
+    its ``unawaited_s`` attribute is how long the call sat sent with
+    nobody waiting for it — time the caller spent on other work, which
+    the RPC breakdown keeps out of ``network_s``."""
+
+    __slots__ = ("_core", "_args", "_first", "_span", "_sent")
 
     def __init__(self, core: "RpcCore", args: tuple, first, span):
         self._core = core
         self._args = args
         self._first = first
         self._span = span
+        self._sent = time.perf_counter()
 
     def result(self):
+        if self._span is not None:
+            self._span.set(unawaited_s=time.perf_counter() - self._sent)
         try:
             return self._core._call(*self._args, first=self._first)
         finally:
@@ -1175,7 +1183,7 @@ class TabletProxy:
     def _batch_payload(self, muts: List[tuple]) -> wire.CellsPayload:
         return wire.CellsPayload(
             {"table": self._table, "tablet_id": self.tablet_id},
-            _cells.encode_columns(*zip(*muts)))
+            _cells.encode_block(muts))
 
     def write_raw_batch(self, muts: List[tuple]) -> int:
         if not muts:

@@ -301,14 +301,20 @@ def rpc_breakdown(roots: Iterable[SpanNode]) -> Dict[str, Dict[str, Any]]:
       and dispatch (from the handler span's ``queue_s`` attribute);
     * ``server_service_s`` — handler execution until the reply was
       written (``service_s``);
+    * ``unawaited_s`` — how long a pipelined call (``RpcCore.submit``)
+      sat sent with nobody waiting for it, while its caller did other
+      work (the span's ``unawaited_s`` attribute; 0 for a plain call);
     * ``network_s`` — whatever remains of the client span after its
-      server children: wire time, connect time, client retries/backoff;
+      server children, or after its unawaited time when that is longer
+      (both run from the send, so the larger covers the other): wire
+      time, connect time, client retries/backoff;
     * ``client_s`` — the full client-observed duration.
 
     Only a *stitched* trace has the server children attached; on a
-    client-only trace everything lands in ``network_s``.  Each row also
-    counts ``server_spans`` (one per attempt that reached a server —
-    more than ``count`` means retries/dedup replays)."""
+    client-only trace everything but the unawaited time lands in
+    ``network_s``.  Each row also counts ``server_spans`` (one per
+    attempt that reached a server — more than ``count`` means
+    retries/dedup replays)."""
     out: Dict[str, Dict[str, Any]] = {}
     for root in roots:
         for node in root.walk():
@@ -321,14 +327,16 @@ def rpc_breakdown(roots: Iterable[SpanNode]) -> Dict[str, Dict[str, Any]]:
             if row is None:
                 row = out[op] = {
                     "op": op, "count": 0, "server_spans": 0,
-                    "client_s": 0.0, "network_s": 0.0,
+                    "client_s": 0.0, "network_s": 0.0, "unawaited_s": 0.0,
                     "server_queue_s": 0.0, "server_service_s": 0.0,
                 }
+            unawaited = float(node.attrs.get("unawaited_s", 0.0))
             row["count"] += 1
             row["server_spans"] += len(servers)
             row["client_s"] += node.duration_s
-            row["network_s"] += max(
-                node.duration_s - sum(c.duration_s for c in servers), 0.0)
+            row["unawaited_s"] += unawaited
+            row["network_s"] += max(node.duration_s - max(
+                sum(c.duration_s for c in servers), unawaited), 0.0)
             row["server_queue_s"] += sum(
                 float(c.attrs.get("queue_s", 0.0)) for c in servers)
             row["server_service_s"] += sum(

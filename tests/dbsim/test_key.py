@@ -78,7 +78,8 @@ class TestCell:
                                                            field)
             assert cell.value == expected.value
         assert ColumnBatch.from_cells(got) == batch
-        assert ColumnBatch.from_cells(iter([])) == ColumnBatch.empty()
+        assert ColumnBatch.from_cells(iter([])) == ColumnBatch(
+            [], [], [], [], array("q"), [], [])
 
     def test_pickle_hash_and_immutability(self):
         cell = Cell(Key("r", "f", "q", "v", 3, True), "x")

@@ -46,7 +46,7 @@ class TestRoundTrip:
         assert len(batch) == 0 and batch.cells() == []
         assert blocks.block_to_cells(block) == []
         # columnar encoder agrees on the empty shape
-        assert cells.ColumnBatch.empty().to_block() == block
+        assert cells.ColumnBatch.from_cells([]).to_block() == block
 
     def test_all_deletes_block(self):
         muts = [mut(row=f"r{i:03d}", ts=i, delete=True, val="")

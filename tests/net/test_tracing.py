@@ -12,6 +12,8 @@ timings or ids, so it is stable across machines.  Regenerate with::
 
 import glob
 import os
+import select
+import time
 
 import pytest
 
@@ -19,11 +21,12 @@ from repro.assoc import AssocArray
 from repro.dbsim.graphulo import create_combiner_table, table_bfs
 from repro.dbsim import assoc_to_table
 from repro.generators import rmat_graph
+from repro.net import wire
 from repro.net.cluster import LocalCluster
 from repro.obs import sampling as _sampling
 from repro.obs import trace as _trace
 from repro.obs.stitch import stitch_files
-from repro.obs.trace import JSONLSink, NullSink
+from repro.obs.trace import InMemorySink, JSONLSink, NullSink
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data",
                       "golden_stitched_edges.txt")
@@ -141,6 +144,47 @@ class TestGoldenStitchedBFS:
             assert row["server_spans"] >= row["count"] > 0
             assert row["server_service_s"] > 0.0
             assert row["client_s"] > 0.0
+
+
+class TestPipelinedCallTiming:
+    """A ``submit``ted call's span ends in ``result()``.  The time it sat
+    sent with nobody waiting — the caller binning its next flush while
+    the ack waited in the socket — is the caller's, not the network's."""
+
+    def test_idle_ack_is_unawaited_not_network(self):
+        from repro.obs.analyze import TraceAnalysis
+
+        sink = InMemorySink()
+        with LocalCluster(n_servers=1, processes=False) as cluster:
+            conn = cluster.connect()
+            try:
+                conn.create_table("t")
+                (proxy,) = conn.instance.tablets("t")
+                core = conn.instance.core
+                core.call(proxy.addr, wire.PING, {})  # dial, untraced
+                (link,) = [c for c in core._conns.values()
+                           if c.addr == proxy.addr]
+                _trace.enable(sink)
+                call = proxy.submit_raw_batch(
+                    [("r", "", "q", "", 0, False, "1")])
+                # the ack has arrived; nobody reads it for 50 ms
+                assert select.select([link.sock], [], [], 5.0)[0]
+                time.sleep(0.05)
+                assert call.result()["applied"] == 1
+                _trace.disable()
+            finally:
+                conn.close()
+
+        (span,) = sink.spans("rpc.client.call")
+        assert span["attrs"]["unawaited_s"] >= 0.05
+        row = TraceAnalysis(sink.records).rpc_breakdown()["write_batch"]
+        assert row["server_spans"] == row["count"] == 1
+        assert row["unawaited_s"] == span["attrs"]["unawaited_s"]
+        assert row["client_s"] >= 0.05
+        # the 50 ms are not booked as network: what is left is reading
+        # and decoding the ack
+        assert row["network_s"] < 0.02
+        assert row["client_s"] - row["network_s"] >= 0.05
 
 
 def _edge_summary_for_trace(st, trace_id):
