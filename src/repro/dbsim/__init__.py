@@ -40,7 +40,6 @@ from repro.dbsim.iterators import (
     AgeOffIterator,
     ApplyIterator,
     ColumnFilterIterator,
-    DeleteFilterIterator,
     RegexFilterIterator,
     VisibilityFilterIterator,
     ListIterator,
@@ -94,7 +93,6 @@ __all__ = [
     "AgeOffIterator",
     "ApplyIterator",
     "ColumnFilterIterator",
-    "DeleteFilterIterator",
     "RegexFilterIterator",
     "VisibilityFilterIterator",
     "ListIterator",

@@ -12,9 +12,9 @@ whole suite over both implementations.
 Two protocols:
 
 * :class:`TabletBackend` — what a scan or write path needs from one
-  tablet: its row extent, a columnar scan, an unseeked per-cell
-  iterator stack (for scans that carry user callables), and a
-  raw-mutation batch write.  Locally this is a real
+  tablet: its row extent, a columnar scan (whatever its layers — a
+  user's opaque callable is one more layer over the same storage
+  pass), and a raw-mutation batch write.  Locally this is a real
   :class:`~repro.dbsim.tablet.Tablet`; remotely a ``TabletProxy``
   that turns the same calls into RPCs.
 * :class:`ConnectorBackend` — the instance-wide surface: table
@@ -42,7 +42,6 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.dbsim.iterators import SortedKVIterator
 from repro.dbsim.key import Range, RangeSet
 from repro.dbsim.stats import OpStats
 
@@ -54,28 +53,15 @@ class TabletBackend(Protocol):
     #: the row-range this tablet owns (half-open ``[start, stop)``)
     extent: Range
 
-    def scan_iterator(self, rng: RangeSet,
-                      table_iterators: Sequence = (),
-                      scan_iterators: Sequence = ()) -> SortedKVIterator:
-        """Build an *unseeked* iterator stack over ``extent ∩ rng``,
-        where ``rng`` is one range or a sorted, disjoint range set (the
-        tablet applies it where it slices its storage — nothing outside
-        the set is read).
-
-        Local tablets build the storage→versioning→iterator stack in
-        process; remote proxies stream cells over RPC and apply the
-        scan-time iterators client-side.  Either way the caller seeks
-        the returned stack and drains it.
-        """
-        ...
-
     def scan_columns(self, rng: RangeSet = Range(), columns=None,
                      table_iterators: Sequence = (),
                      scan_iterators: Sequence = ()):
         """``extent ∩ rng`` as an iterator of
         :class:`~repro.net.cells.ColumnBatch`\\ es in key order, under
-        the table's layers and the scan's.  Whatever the iterator
-        yields is the state as of this call."""
+        the table's layers and the scan's; ``rng`` is one range or a
+        sorted, disjoint range set (the tablet applies it where it
+        slices its storage — nothing outside the set is read).
+        Whatever the iterator yields is the state as of this call."""
         ...
 
     def write_raw_batch(self, mutations) -> int:
@@ -86,7 +72,7 @@ class TabletBackend(Protocol):
     def scan(self, rng: Range = Range(), columns=None,
              table_iterators: Sequence = (),
              scan_iterators: Sequence = ()) -> list:
-        """Convenience: seek + drain the stack into a cell list."""
+        """Convenience: :meth:`scan_columns` as a cell list."""
         ...
 
 
@@ -147,7 +133,7 @@ class ConnectorBackend(Protocol):
     def scan_cells(self, name: str, rng: RangeSet = Range(),
                    columns=None, scan_iterators: Sequence = ()):
         """:meth:`scan_columns`, cell by cell — what ``for cell in
-        scanner`` runs when the scan carries no user callables."""
+        scanner`` runs, opaque callables or not."""
         ...
 
     # -- maintenance ------------------------------------------------------

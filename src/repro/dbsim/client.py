@@ -20,7 +20,6 @@ from repro.dbsim.iterators import Columns
 from repro.dbsim.key import (
     Cell,
     Range,
-    covering,
     encode_number,
     sorted_disjoint,
 )
@@ -116,38 +115,18 @@ class _RangeSetScan:
         self._layers = scan_layers(
             PUBLIC if authorizations is None else authorizations,
             iterspec) + tuple(scan_iterators)
-        #: every layer carries a batch stage (a user's ``Layer`` does,
-        #: wire form or not); one opaque callable and the scan is per cell
-        self._staged = all(getattr(layer, "stage", None)
-                           for layer in self._layers)
         self.columns: Columns = None
 
     def _cells(self, ranges: Sequence[Range]) -> Iterator[Cell]:
-        if self._staged:
-            # the per-cell view is a thin layer over the batches — the
-            # backend's own iterator, with no frame of ours per cell
-            return self._conn.instance.scan_cells(
-                self._table, ranges, self.columns, self._layers)
-        return self._stack_cells(ranges)
-
-    def _stack_cells(self, ranges: Sequence[Range]) -> Iterator[Cell]:
-        """The per-cell stack an opaque callable forces, tablet by
-        tablet."""
-        inst = self._conn.instance
-        config = inst.config(self._table)
-        span = covering(ranges)
-        # tablets are kept in extent order, so concatenation preserves
-        # global key order
-        for tablet in inst.tablets_for_range(self._table, span):
-            it = tablet.scan_iterator(ranges, config.table_iterators,
-                                      self._layers)
-            it.seek(span, self.columns)
-            while it.has_top():
-                yield it.top()
-                it.advance()
+        # the per-cell view is a thin layer over the batches — the
+        # backend's own iterator, with no frame of ours per cell
+        return self._conn.instance.scan_cells(
+            self._table, ranges, self.columns, self._layers)
 
     def _batches(self, ranges: Sequence[Range]):
-        if not self._staged:
+        # a batch stage on every layer (a user's ``Layer`` has one, wire
+        # form or not): an opaque callable is per cell by contract
+        if not all(getattr(layer, "stage", None) for layer in self._layers):
             from repro.net.iterspec import NonSerializableIteratorError
             raise NonSerializableIteratorError(
                 "scan_columns cannot run per-cell (local-callable) scan "

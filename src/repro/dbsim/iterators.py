@@ -11,7 +11,8 @@ table and scan layers all carry one runs the scan as a chain of stages
 over its fused storage pass — no per-cell object is built.
 
 The classic per-cell contract is still here, for user-written
-iterators and as the reference the staged path is tested against:
+iterators (an opaque ``lambda src: ...`` layer) and for the public
+per-cell classes:
 
 * ``seek(range, columns)`` — position at the first cell inside the
   row range (and column family/qualifier filter);
@@ -21,9 +22,11 @@ iterators and as the reference the staged path is tested against:
 
 Each public per-cell class of the vocabulary (``CombinerIterator``,
 ``RegexFilterIterator``, ...) is a few lines over :class:`StageIterator`,
-the one adapter that shows a stage through this contract.  Stacks
-compose bottom-up: sliced storage → tombstones → versioning →
-table-configured layers (combiners, filters) → scan-time layers.
+the one adapter that shows a stage through this contract.  A tablet
+stacks a scan's layers bottom-up — table-configured layers (combiners,
+filters), then scan-time layers — over one storage leaf, the same
+fused pass (sliced runs → tombstones → versioning) the staged form
+runs, and :func:`open_batches` turns the stack's top back into batches.
 """
 
 from __future__ import annotations
@@ -207,43 +210,6 @@ class _WrappingIterator(SortedKVIterator):
         self._advance_to_top()
 
 
-class DeleteFilterIterator(_WrappingIterator):
-    """Apply tombstone semantics to a sorted merged stream.
-
-    A delete marker suppresses all versions of its logical cell with
-    timestamp ≤ the marker's, and is itself omitted from scan output.
-    Sits between the storage merge and the versioning iterator (the
-    merged stream is cell-grouped with timestamps descending and
-    delete-before-put tie-break, so one forward pass suffices).
-    """
-
-    def __init__(self, source: SortedKVIterator):
-        self._del_cell = None
-        self._del_ts = 0
-        super().__init__(source)
-
-    def seek(self, rng: Range, columns: Columns = None) -> None:
-        self._del_cell = None
-        super().seek(rng, columns)
-
-    def _advance_to_top(self) -> None:
-        src = self._source
-        while src.has_top():
-            cell = src.top()
-            src.advance()
-            key = cell.key
-            if key.delete:
-                self._del_cell = key.cell_id()
-                self._del_ts = key.timestamp
-                continue
-            if (self._del_cell == key.cell_id()
-                    and key.timestamp <= self._del_ts):
-                continue
-            self._top = cell
-            return
-        self._top = None
-
-
 class PredicateFilterIterator(_WrappingIterator):
     """Keep only cells satisfying a predicate (Accumulo Filter)."""
 
@@ -297,6 +263,18 @@ def batches(it: SortedKVIterator, batch_cells: int) -> Iterator:
         if not len(batch):
             return
         yield batch
+
+
+def open_batches(top: SortedKVIterator, rng: Range, columns: Columns,
+                 batch_cells: int) -> Iterator:
+    """Seek a stack's top and return its output as ColumnBatches.  A
+    :class:`BatchIterator` top hands on the batches it already has —
+    a stack of stage layers over a batch leaf builds no cell; any
+    other top is seeked and re-batched ``batch_cells`` at a time."""
+    if isinstance(top, BatchIterator):
+        return top._open(rng, columns)
+    top.seek(rng, columns)
+    return batches(top, batch_cells)
 
 
 def select_stage(mask) -> Stage:
@@ -559,11 +537,8 @@ class StageIterator(BatchIterator):
         super().__init__(source)
 
     def _open(self, rng: Range, columns: Columns) -> Iterator:
-        source = self._source
-        if isinstance(source, BatchIterator):
-            return self._stage(source._open(rng, columns))
-        source.seek(rng, columns)
-        return self._stage(batches(source, self._READ_AHEAD))
+        return self._stage(open_batches(self._source, rng, columns,
+                                        self._READ_AHEAD))
 
 
 class VisibilityFilterIterator(StageIterator):

@@ -7,18 +7,18 @@ sorted runs.  A scan runs the canonical Accumulo stack:
     merged → tombstones → versioning → table-configured layers
     (combiners/filters) → scan-time layers
 
-in one of two forms, chosen by what the layers are.  When every table
-and scan layer carries a batch stage (see
+over one storage leaf, the fused drain (:meth:`Tablet._drain_columns_fused`:
+everything up to versioning, plus the fold of a leading built-in
+combiner).  When every table and scan layer carries a batch stage (see
 :class:`~repro.dbsim.iterators.Layer`), :meth:`Tablet.scan_columns`
-feeds its fused storage pass through the stages and builds no per-cell
-object.  The first opaque callable — a user's ``lambda src: ...`` —
-sends the whole scan down the per-cell ``SortedKVIterator`` stack
-(:meth:`Tablet.scan_iterator`), which is also the reference the staged
-form is tested against.
+chains the stages straight onto the drain and builds no per-cell
+object.  An opaque callable — a user's ``lambda src: ...`` — is one
+more layer: the layers stack, per cell, over :class:`_DrainLeaf`, the
+same drain behind the ``SortedKVIterator`` contract.
 
 Minor compactions (flush) move the memtable into a new run when it
 exceeds ``flush_bytes``; full compactions merge all runs through the
-table's iterator stack, making combiner results durable.
+table's layers, making combiner results durable.
 """
 
 from __future__ import annotations
@@ -26,20 +26,17 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from itertools import chain as _chain, compress, count
+from itertools import chain as _chain, count
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dbsim.iterators import (
     BatchIterator,
     Columns,
-    DeleteFilterIterator,
     ListIterator,
     SortedKVIterator,
     StageIterator,
-    VersioningIterator,
     _in_columns,
-    batches,
-    drain,
+    open_batches,
 )
 from repro.dbsim.errors import ServerCrashedError
 from repro.dbsim.key import (
@@ -53,7 +50,6 @@ from repro.dbsim.key import (
     decode_number,
     encode_number,
     field_columns,
-    key_columns,
     sort_keys,
     sort_run,
 )
@@ -67,6 +63,11 @@ IteratorFactory = Callable[[SortedKVIterator], SortedKVIterator]
 
 #: One sorted run as storage holds it: sort-key tuples, aligned values.
 KVRun = Tuple[List[SortKey], List[str]]
+
+
+def _probes(ranges: Sequence[Range]) -> list:
+    """The bisect probes :func:`_slice_rows` takes for a range set."""
+    return [((r.effective_start(),), (r.effective_stop(),)) for r in ranges]
 
 
 def _slice_rows(keys: List[SortKey], values: List[str], probes) -> KVRun:
@@ -106,13 +107,13 @@ def _merge_runs(runs: List[KVRun]) -> KVRun:
                     list(_chain.from_iterable(vals for _, vals in runs)))
 
 
-def _fused_reduce(table_iterators: Sequence[IteratorFactory]):
-    """The ⊕ the storage pass folds by itself: the first table layer's,
-    when that layer is a built-in combiner (recognised by the
-    ``reduce_fn`` it carries); else ``None``."""
-    if not table_iterators:
+def _fused_reduce(layers: Sequence[IteratorFactory]):
+    """The ⊕ the storage pass folds by itself: the first layer's, when
+    that layer is a built-in combiner (recognised by the ``reduce_fn``
+    it carries); else ``None``."""
+    if not layers:
         return None
-    return getattr(table_iterators[0], "reduce_fn", None)
+    return getattr(layers[0], "reduce_fn", None)
 
 
 class Tablet:
@@ -200,7 +201,7 @@ class Tablet:
 
     def absorb_scan_stats(self, stats: OpStats) -> None:
         """Fold one finished scan's private OpStats (built with the
-        ``sink=`` argument of :meth:`scan_iterator`) into the tablet's
+        ``sink=`` argument of :meth:`scan_columns`) into the tablet's
         shared block and its metered tee.  The caller serializes calls
         (the net server holds its service lock)."""
         if stats.seeks:
@@ -371,72 +372,45 @@ class Tablet:
 
     # -- reads ---------------------------------------------------------------
 
-    def _stack(self, ranges: Sequence[Range],
-               table_iterators: Sequence[IteratorFactory],
-               scan_iterators: Sequence[IteratorFactory],
-               sink) -> SortedKVIterator:
-        """The canonical per-cell stack over a range set (unseeked).
-
-        Its storage leaf is the same sliced, merged run the fused
-        drain walks, so rows outside the set are never read here
-        either — sound because ``Range`` is row-granular and every
-        iterator above the leaf is row-local."""
-        if sink is None:
-            sink = self._sink
-        stack: SortedKVIterator = _SlicedLeaf(
-            *_merge_runs(self._sliced_runs(ranges, sink)), sink)
-        stack = DeleteFilterIterator(stack)
-        stack = VersioningIterator(stack, self.max_versions)
-        for factory in table_iterators:
-            stack = factory(stack)
-        for factory in scan_iterators:
-            stack = factory(stack)
-        return stack
+    def _layered(self, ranges: Sequence[Range],
+                 layers: Sequence[IteratorFactory], batch_cells: int,
+                 sink) -> SortedKVIterator:
+        """The layers (table's, then scan's) stacked, per cell, over a
+        :class:`_DrainLeaf` of a (clipped, non-empty) range set —
+        unseeked.  The leaf folds a leading built-in combiner itself,
+        as the staged form does."""
+        reduce_fn = _fused_reduce(layers)
+        top: SortedKVIterator = _DrainLeaf(self, ranges, reduce_fn,
+                                           batch_cells, sink)
+        for layer in layers[reduce_fn is not None:]:
+            top = layer(top)
+        return top
 
     def scan_iterator(self, rng: RangeSet,
                       table_iterators: Sequence[IteratorFactory] = (),
-                      scan_iterators: Sequence[IteratorFactory] = (),
-                      sink=None) -> SortedKVIterator:
-        """Build the full stack over ``rng`` — one range, or a sorted,
-        disjoint range set — clipped to this tablet's extent.
-
-        The storage runs are sliced, copied and sort-merged **here**,
-        for the whole clipped set, so the returned iterator sees the
-        data as of this call; it is *unseeked*, and a seek can only
-        narrow it further.  The per-run accounting (``seeks``,
-        index-seek ticks, the point-lookup bloom consult) is therefore
-        charged once per stack, at construction — not per ``seek()``.
-
-        The trade against a lazy k-way merge of per-run iterators: a
-        scan that drains its set (every caller in this package) pays
-        about half as much per cell, but one that stops after a few
-        cells of a large range has already paid O(cells in the set)
-        time and memory.  Ask for the range you will read.
-
-        ``sink`` redirects the stack's OpStats counting away from the
-        tablet's shared block: the shared sink's ``+=`` updates are not
-        atomic, so a server running scans concurrently hands each scan
-        a private :class:`OpStats` and folds it back with
-        :meth:`absorb_scan_stats` under its own serialization.
-        """
+                      scan_iterators: Sequence[IteratorFactory] = ()
+                      ) -> SortedKVIterator:
+        """The per-cell view of :meth:`scan_columns`, unseeked: every
+        layer stacked over a :class:`_DrainLeaf` of ``rng`` (one range,
+        or a sorted, disjoint range set) clipped to this tablet's
+        extent.  The runs are sliced **here**, so the iterator sees the
+        data as of this call, a seek can only narrow it, and the per-run
+        accounting is charged once, now — a scan that stops after a few
+        cells has still paid O(cells in the set): ask for the range you
+        will read.  Ticks neither scan-path counter."""
         ranges = clip_ranges(rng, self.extent)
         if not ranges:
             return ListIterator([])
-        self._bump_aux("scans_stack")
-        out = self._stack(ranges, table_iterators, scan_iterators, sink)
-        if self.server is not None:
-            # hosted tablet: an open scan dies with its server.  A
-            # crash between advances surfaces as ServerCrashedError
-            # instead of the scan silently reading a dead server.
-            out = _CrashGuardIterator(out, self.server)
-        return out
+        return self._layered(ranges, (*table_iterators, *scan_iterators),
+                             StageIterator._READ_AHEAD, self._sink)
 
     def scan(self, rng: Range = Range(), columns: Columns = None,
              table_iterators: Sequence[IteratorFactory] = (),
              scan_iterators: Sequence[IteratorFactory] = ()) -> List[Cell]:
-        """Convenience: run the stack to completion and return cells."""
-        it = self.scan_iterator(rng, table_iterators, scan_iterators)
-        return drain(it, rng, columns)
+        """Convenience: :meth:`scan_columns` as a list of cells."""
+        return [cell for batch in self.scan_columns(
+            rng, columns, table_iterators, scan_iterators)
+            for cell in batch.cells()]
 
     def scan_columns(self, rng: RangeSet = Range(), columns: Columns = None,
                      table_iterators: Sequence[IteratorFactory] = (),
@@ -445,37 +419,46 @@ class Tablet:
         """Bulk columnar read of one range or a sorted, disjoint range
         set: :class:`~repro.net.cells.ColumnBatch`\\ es in key order.
 
-        One rule, read off the layers: when every table and scan layer
-        carries a batch ``stage``, the fused storage pass (column skip
-        → tombstones → versioning → the fold of a leading built-in
-        combiner, see :func:`_fused_reduce`) feeds the remaining
-        layers' stages and no per-cell object is built; the first
-        opaque callable sends the whole scan down the per-cell stack
-        of :meth:`scan_iterator`, re-batched at the top.
+        One pipeline: the fused storage pass (column skip → tombstones
+        → versioning → the fold of a leading built-in combiner, see
+        :func:`_fused_reduce`) under the remaining layers.  When every
+        table and scan layer carries a batch ``stage``, the stages
+        chain straight onto the pass and no per-cell object is built.
+        An opaque callable is one more layer: the layers stack over a
+        :class:`_DrainLeaf` and :func:`~repro.dbsim.iterators.
+        open_batches` re-batches the top.
 
         The runs are **sliced eagerly**, before this returns (so a
         caller sees the data as of the call), then a generator yields
         the batches — of up to ``batch_cells`` entries, fewer where a
         stage dropped or folded some.  The crash flag is re-checked
         once per storage batch: a crash mid-scan surfaces as
-        :class:`ServerCrashedError` on the next one.
+        :class:`ServerCrashedError` by the next one.
+
+        ``sink`` redirects the scan's OpStats counting away from the
+        tablet's shared block: the shared sink's ``+=`` updates are not
+        atomic, so a server running scans concurrently hands each scan
+        a private :class:`OpStats` and folds it back with
+        :meth:`absorb_scan_stats` under its own serialization.
         """
         self._check_up()
         ranges = clip_ranges(rng, self.extent)
         if not ranges:
             return iter(())
-        stages = [getattr(layer, "stage", None)
-                  for layer in (*table_iterators, *scan_iterators)]
+        if sink is None:
+            sink = self._sink
+        layers = (*table_iterators, *scan_iterators)
+        stages = [getattr(layer, "stage", None) for layer in layers]
         if None in stages:
-            stack = self.scan_iterator(ranges, table_iterators,
-                                       scan_iterators, sink)
-            stack.seek(covering(ranges), columns)
-            return batches(stack, batch_cells)
+            self._bump_aux("scans_stack")
+            return open_batches(self._layered(ranges, layers, batch_cells,
+                                              sink),
+                                covering(ranges), columns, batch_cells)
         self._bump_aux("scans_fused")
-        reduce_fn = _fused_reduce(table_iterators)
+        reduce_fn = _fused_reduce(layers)
         out = self._drain_columns_fused(
             self._sliced_runs(ranges, sink), columns, reduce_fn, batch_cells,
-            sink if sink is not None else self._sink)
+            sink)
         for stage in stages[reduce_fn is not None:]:
             out = stage(out)
         return out
@@ -483,8 +466,7 @@ class Tablet:
     def _sliced_runs(self, ranges: Sequence[Range],
                      sink=None) -> List[KVRun]:
         """Slice every storage run down to a (clipped, non-empty)
-        range set — the one place a scan's rows are selected, for the
-        fused drain and the per-cell stack alike.
+        range set — the one place a scan's rows are selected.
 
         Accounting is per opened run, however many ranges the set
         holds: one ``seeks`` bump per run that overlaps the set's
@@ -498,8 +480,7 @@ class Tablet:
         if sink is None:
             sink = self._sink
         span = covering(ranges)
-        probes = [((r.effective_start(),), (r.effective_stop(),))
-                  for r in ranges]
+        probes = _probes(ranges)
         runs: List[KVRun] = []
         sink.seeks += 1
         sliced = _slice_rows(*self.memtable.sorted_run(), probes)
@@ -531,11 +512,10 @@ class Tablet:
         """One fused pass over pre-sliced sorted runs: column filter →
         tombstone suppression → versioning → combiner fold →
         column-list append, with no iterator stack, no per-cell object
-        and no per-cell wrapper calls.  With ``reduce_fn`` the versions
-        of a cell that survive versioning fold into one entry under the
-        newest key, exactly as :class:`CombinerIterator` above a
-        :class:`VersioningIterator` would.  Output and counters are
-        bit-identical to the stack path.
+        and no per-cell wrapper calls — the storage leaf of every scan
+        and compaction.  With ``reduce_fn`` the versions of a cell that
+        survive versioning fold into one entry under the newest key,
+        exactly as :class:`CombinerIterator` above them would.
 
         ``stored`` is compaction's second sink: it receives, entry for
         entry, the stored key tuple each output entry came from, so the
@@ -642,8 +622,13 @@ class Tablet:
                 for value in batch.values]
             run = SSTable.from_run(stored, values)
         else:
-            run = SSTable(drain(self._stack((self.extent,), table_iterators,
-                                            (), None), self.extent))
+            # any other layers: the scan pipeline, its output checked
+            # sorted (a user layer may reorder) as it becomes the run
+            top = self._layered((self.extent,), table_iterators,
+                                sys.maxsize, self._sink)
+            run = SSTable([cell for batch in open_batches(
+                top, self.extent, None, sys.maxsize)
+                for cell in batch.cells()])
         self.sstables = [run] if len(run) else []
         self.memtable.clear()
         self.wal.clear()
@@ -675,76 +660,31 @@ class Tablet:
         return len(self.memtable) + sum(len(t) for t in self.sstables)
 
 
-class _CrashGuardIterator(SortedKVIterator):
-    """Fail a scan stack the moment its hosting server is crashed.
+class _DrainLeaf(BatchIterator):
+    """The fused drain behind the ``SortedKVIterator`` contract: the
+    storage leaf under a scan's per-cell layers.  The runs are sliced
+    (and the per-run accounting charged) when the leaf is built; each
+    seek re-runs :meth:`Tablet._drain_columns_fused` over them,
+    re-slicing first only for a seek narrower than the set's span, so
+    tombstones, versioning, the fold, ``entries_read`` and the
+    per-batch crash check are the staged form's own."""
 
-    Every iterator call re-checks the server's ``crashed`` flag, so a
-    crash *during* an open scan raises :class:`ServerCrashedError` on
-    the next access — the signal a remote client resumes from — rather
-    than continuing to stream a dead server's tablets.
-    """
-
-    __slots__ = ("_source", "_server")
-
-    def __init__(self, source: SortedKVIterator, server):
-        self._source = source
-        self._server = server
-
-    def _check(self) -> None:
-        if self._server.crashed:
-            raise ServerCrashedError(
-                f"tablet server {self._server.name} crashed mid-scan")
-
-    def seek(self, rng: Range, columns: Columns = None) -> None:
-        self._check()
-        self._source.seek(rng, columns)
-
-    def has_top(self) -> bool:
-        self._check()
-        return self._source.has_top()
-
-    def top(self) -> Cell:
-        self._check()
-        return self._source.top()
-
-    def advance(self) -> None:
-        self._check()
-        self._source.advance()
-
-
-class _SlicedLeaf(BatchIterator):
-    """Storage leaf of the per-cell stack: the tablet's runs, already
-    sliced to the scan's range set and merged into one sorted
-    ``(keys, values)`` run.  This is where a scan's cells come to
-    exist, a read-ahead batch at a time, and only as far as the stack
-    above pulls.
-
-    ``_sliced_runs`` counted the seeks — one per opened run — when it
-    built the run, so a seek here only positions (and can only narrow
-    what construction selected).  ``entries_read`` counts a cell when
-    the batch holding it is read, after the column skip — the fused
-    drain's definition."""
-
-    def __init__(self, keys: List[SortKey], values: List[str], sink):
-        self._keys = keys
-        self._values = values
+    def __init__(self, tablet: Tablet, ranges: Sequence[Range], reduce_fn,
+                 batch_cells: int, sink):
+        self._tablet = tablet
+        self._ranges = ranges
+        self._runs = tablet._sliced_runs(ranges, sink)
+        self._reduce_fn = reduce_fn
+        self._batch_cells = batch_cells
         self._sink = sink
         super().__init__(None)  # the leaf: its batches come from storage
 
     def _open(self, rng: Range, columns: Columns):
-        from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
-
-        keys, values = self._keys, self._values
-        lo = bisect_left(keys, (rng.effective_start(),))
-        hi = bisect_left(keys, (rng.effective_stop(),), lo)
-        step = StageIterator._READ_AHEAD
-        for at in range(lo, hi, step):
-            upto = min(at + step, hi)
-            part, vals = keys[at:upto], values[at:upto]
-            if columns is not None:
-                flags = [_in_columns(key[1], key[2], columns) for key in part]
-                part = list(compress(part, flags))
-                vals = list(compress(vals, flags))
-            if part:
-                self._sink.entries_read += len(part)
-                yield ColumnBatch(*key_columns(part), vals)
+        runs = self._runs
+        span = covering(self._ranges)
+        if rng.clip(span) != span:
+            probes = _probes(clip_ranges(self._ranges, rng))
+            runs = [run for run in (_slice_rows(*run, probes)
+                                    for run in runs) if run[0]]
+        return self._tablet._drain_columns_fused(
+            runs, columns, self._reduce_fn, self._batch_cells, self._sink)

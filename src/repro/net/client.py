@@ -65,15 +65,14 @@ from repro.dbsim.errors import BusyError, NotHostedError, ServerCrashedError
 from repro.dbsim.iterators import (
     BatchIterator,
     Columns,
-    ListIterator,
     SortedKVIterator,
-    drain,
+    StageIterator,
+    open_batches,
 )
 from repro.dbsim.key import Cell, Range, RangeSet, clip_ranges, covering
 from repro.dbsim.server import TableConfig, TableMeta, TabletIndex
 from repro.dbsim.stats import OpStats
 from repro.net import cells as _cells
-from repro.net import iterspec as _iterspec
 from repro.net import wire
 from repro.obs import trace as _trace
 from repro.obs.metrics import MetricsRegistry, global_registry
@@ -305,13 +304,20 @@ class _Conn:
         what we send however many answers are waiting in our socket."""
         data = wire.encode_frame(code, payload, tc=tc, req=req,
                                  compress=compress)
-        with self.wlock:
-            if self.closed:
-                raise wire.ConnectionClosedError(
-                    f"connection to {format_addr(self.addr)} is closed")
-            self.sock.sendall(data)
-            if self.cancels:
-                self.flush_cancels()
+        try:
+            with self.wlock:
+                if self.closed:
+                    raise wire.ConnectionClosedError(
+                        f"connection to {format_addr(self.addr)} is closed")
+                self.sock.sendall(data)
+                if self.cancels:
+                    self.flush_cancels()
+        except OSError as exc:
+            # the peer is gone: fail the connection, so the next attempt
+            # dials afresh instead of writing to the dead socket again
+            # (nobody may be reading it to notice)
+            self.fail(exc)
+            raise
         return len(data)
 
     def flush_cancels(self) -> None:
@@ -1097,15 +1103,12 @@ class _RemoteScanStream:
 
 
 class _RemoteScanIterator(BatchIterator):
-    """Per-cell seek/has_top/top/advance view over the batch pump: the
-    pump moves ColumnBatches, and cells are built one batch at a time
-    only because this consumer asked for ``Cell`` objects.  Bulk
-    consumers skip this class via :meth:`TabletProxy.scan_columns`.
-
-    The layers left to run client-side (visibility filter, user
-    iterators) are stacked on top by :meth:`TabletProxy.scan_iterator`;
-    the batches seen here are the server's output.
-    """
+    """The batch pump as the leaf of a client-side layer stack: a seek
+    resets the pump, and the batches seen here are the servers'
+    output.  :meth:`RemoteInstance.scan_columns` stacks the layers
+    that did not ship (visibility filter, user layers) on top; stage
+    layers take these batches as they are, and cells are built only
+    under an opaque callable."""
 
     def _open(self, rng: Range, columns: Columns) -> Iterator:
         self._source.reset(rng, columns)
@@ -1137,37 +1140,13 @@ class TabletProxy:
 
     # -- reads ------------------------------------------------------------
 
-    def scan_iterator(self, rng: RangeSet,
-                      table_iterators: Sequence = (),
-                      scan_iterators: Sequence = ()) -> SortedKVIterator:
-        # table_iterators are deliberately ignored: the server applies
-        # the table's configured stack (it owns the authoritative
-        # config).  Of the scan layers, the leading ones with a wire
-        # form ship to the server (push-down, see _ship); the rest run
-        # client-side, per cell, over the stream.
-        ranges = clip_ranges(rng, self.extent)
-        if not ranges:
-            return ListIterator([])
-        pushdown, here = _ship(scan_iterators)
-        stack: SortedKVIterator = _RemoteScanIterator(_RemoteScanStream(
-            self._inst, self._table, ranges,
-            [_Segment(self.addr, self.tablet_id, self.extent)], pushdown))
-        for factory in here:
-            stack = factory(stack)
-        return stack
-
     def scan_columns(self, rng: RangeSet = Range(), columns: Columns = None,
                      table_iterators: Sequence = (),
                      scan_iterators: Sequence = ()):
-        """Bulk columnar read: an iterator of
-        :class:`~repro.net.cells.ColumnBatch` straight off the CHUNK
-        stream — no per-cell objects anywhere on the client.
-
-        ``table_iterators`` are ignored for the same reason as in
-        :meth:`scan_iterator`.  Scan layers ship or run here as batch
-        stages; an opaque callable is per-cell by contract and
-        therefore refused on the bulk path.
-        """
+        """:meth:`RemoteInstance.scan_columns` over this tablet's share
+        of ``rng``.  ``table_iterators`` are ignored: the server applies
+        the table's configured layers (it owns the authoritative
+        config)."""
         return self._inst.scan_columns(
             self._table, clip_ranges(rng, self.extent), columns,
             scan_iterators)
@@ -1175,8 +1154,9 @@ class TabletProxy:
     def scan(self, rng: Range = Range(), columns: Columns = None,
              table_iterators: Sequence = (),
              scan_iterators: Sequence = ()) -> List[Cell]:
-        it = self.scan_iterator(rng, table_iterators, scan_iterators)
-        return drain(it, rng, columns)
+        return [cell for batch in self.scan_columns(
+            rng, columns, table_iterators, scan_iterators)
+            for cell in batch.cells()]
 
     # -- writes -----------------------------------------------------------
 
@@ -1416,30 +1396,23 @@ class RemoteInstance:
         open-and-drain round per tablet.  The scan layers that can
         cross the wire (see :func:`_ship`) run inside every tablet
         server the pump touches — each filters and folds its own merged
-        stream before bytes hit the socket — and the rest run here, as
-        batch stages; an opaque callable is refused."""
+        stream before bytes hit the socket — and the rest run here,
+        stacked over the pump (:class:`_RemoteScanIterator`): stage
+        layers on its batches, an opaque callable per cell."""
         pushdown, here = _ship(scan_iterators)
-        stages = [getattr(layer, "stage", None) for layer in here]
-        if None in stages:
-            raise _iterspec.NonSerializableIteratorError(
-                "scan_columns cannot run client-side (local-callable) "
-                "scan iterators; pass a wire-serializable iterspec, or "
-                "use scan_iterator() for per-cell stacks")
         # no extent to clip to: this just makes a lone Range a set of
         # one and drops a range that can hold nothing
         ranges = clip_ranges(rng, Range())
         if not ranges:
             return iter(())
         span = covering(ranges)
-        pump = _RemoteScanStream(
+        top: SortedKVIterator = _RemoteScanIterator(_RemoteScanStream(
             self, table, ranges,
             [_Segment(p.addr, p.tablet_id, p.extent)
-             for p in self.tablets_for_range(table, span)], pushdown)
-        pump.reset(span, columns)
-        out = iter(pump.next_batch, None)
-        for stage in stages:  # what did not ship runs here, on batches
-            out = stage(out)
-        return out
+             for p in self.tablets_for_range(table, span)], pushdown))
+        for layer in here:
+            top = layer(top)
+        return open_batches(top, span, columns, StageIterator._READ_AHEAD)
 
     def scan_cells(self, table: str, rng: RangeSet = Range(),
                    columns: Columns = None,

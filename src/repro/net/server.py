@@ -148,8 +148,9 @@ class _ConnState:
     worker and scan threads interleave whole frames, never bytes), the
     admission bounds, and the reorder fault's held-frame slot."""
 
-    __slots__ = ("sock", "send_lock", "unary", "scans", "scan_workers",
-                 "scan_queue", "scan_lock", "cancelled", "held", "alive")
+    __slots__ = ("sock", "send_lock", "unary", "scans", "finishing",
+                 "scan_workers", "scan_queue", "scan_lock", "cancelled",
+                 "held", "alive")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
@@ -157,8 +158,10 @@ class _ConnState:
         #: bounded FIFO of unary requests → the connection's worker
         self.unary: "queue.Queue" = queue.Queue(maxsize=UNARY_QUEUE_DEPTH)
         #: admitted scan streams (queued or running) — the admission
-        #: bound — and the worker threads started so far to serve them
+        #: bound — the request ids of those already sending their final
+        #: frame, and the worker threads started so far to serve them
         self.scans = 0
+        self.finishing: set = set()
         self.scan_workers = 0
         #: admitted scans → the connection's scan workers
         self.scan_queue: "queue.SimpleQueue" = queue.SimpleQueue()
@@ -276,9 +279,12 @@ class _BaseService:
                     with state.scan_lock:
                         admitted = state.scans < MAX_CONN_SCANS
                         # every worker already has an admitted scan to
-                        # serve: grow the pool (with the admission
+                        # serve — not counting streams sending their
+                        # final frame, whose client may open its next
+                        # scan on it: grow the pool (with the admission
                         # bound, so never past MAX_CONN_SCANS threads)
-                        grow = admitted and state.scans >= state.scan_workers
+                        busy = state.scans - len(state.finishing)
+                        grow = admitted and busy >= state.scan_workers
                         if admitted:
                             state.scans += 1
                             state.scan_workers += grow
@@ -355,6 +361,7 @@ class _BaseService:
         finally:
             with state.scan_lock:
                 state.scans -= 1
+                state.finishing.discard(req)
             state.cancelled.discard(req)
             self.metrics.gauge("net.server.inflight").add(-1)
 
@@ -852,6 +859,8 @@ class TabletServerService(_BaseService):
                                 "net.server.scan_compress.skipped_trial"
                             ).inc()
                 meta = {"last": True} if last else {}
+                if last:
+                    state.finishing.add(req)
                 nsent = self._respond(state, wire.CHUNK,
                                       wire.CellsPayload(meta, block),
                                       wire.SCAN, req, compress=do_comp)
@@ -859,9 +868,11 @@ class TabletServerService(_BaseService):
                     return
                 scan_chunks.inc()
                 scan_bytes.inc(nsent - wire.FRAME_OVERHEAD)
+            state.finishing.add(req)
             self._respond(state, wire.DONE, None, wire.SCAN, req)
         except Exception as exc:  # noqa: BLE001 - wire boundary
             counters("net.server.errors").inc()
+            state.finishing.add(req)
             self._respond(state, wire.ERROR, wire.error_payload(exc),
                           wire.SCAN, req)
         finally:

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.dbsim import AgeOffIterator, Connector, RegexFilterIterator
-from repro.dbsim.iterators import (ApplyIterator, DeleteFilterIterator,
-                                   ListIterator, RowReduceIterator,
-                                   VersioningIterator, drain)
+from repro.dbsim.iterators import (ApplyIterator, ListIterator,
+                                   RowReduceIterator, VersioningIterator,
+                                   drain)
 from repro.dbsim.key import Cell, Key, Range
 from repro.dbsim.server import Instance
+from tests.dbsim.per_cell_oracle import DeleteFilterIterator
 
 
 def cells(*specs):

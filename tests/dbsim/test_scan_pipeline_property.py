@@ -12,9 +12,11 @@ requires three things to agree in cells **and timestamps**:
   backend and on a thread-mode cluster, with the storage pass's batch
   size forced to 1, 2, 3 and 2048 so that every cell group and row
   group straddles a batch boundary somewhere;
-* the per-cell adapter form of the same layers (``StageIterator``
-  stacks, what a scan with user callables runs), reading its source
-  1, 2, 3 and 2048 cells at a time;
+* the same layers each behind an opaque ``lambda src: layer(src)``
+  wrapper, on both backends — the per-cell path a user callable takes,
+  stacked over the tablet's storage leaf in process and over the scan
+  pump on the cluster — reading its source 1, 2, 3 and 2048 cells at
+  a time;
 * ``_model`` below — plain Python over sorted tuples (``groupby``,
   ``re``, ``float``), sharing no code with the library.
 
@@ -302,10 +304,13 @@ def _check(backends, written, max_versions, combiner, ranges, column, auths,
                         cell for batch in
                         scanner(iterspec=spec).scan_columns()
                         for cell in batch.cells()) == want, where
-                    if backend == "in-process":
-                        # the same layers as per-cell StageIterator stacks
-                        assert _snap(scanner(
-                            scan_iterators=spec.build_factories())) == want
+                    # the same layers, each behind an opaque wrapper:
+                    # the per-cell contract, over the storage leaf in
+                    # process and over the scan pump remotely
+                    opaque = tuple(lambda src, layer=layer: layer(src)
+                                   for layer in spec.build_factories())
+                    assert _snap(scanner(scan_iterators=opaque)) == want, \
+                        f"{where}, opaque layers"
         finally:
             conn.delete_table(table)
 

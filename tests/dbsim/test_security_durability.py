@@ -240,11 +240,31 @@ class TestCrashedServerErrors:
         with conn.batch_writer("t") as w:
             for i in range(10):
                 w.put(f"r{i}", "", "q", i)
-        scan = iter(conn.scanner("t"))
-        assert next(scan).key.row == "r0"
+        # staged, and behind an opaque layer: all 10 cells sit in one
+        # storage batch, so the per-cell re-check is what fires
+        for scan_iterators in ((), (lambda s: s,)):
+            scan = iter(conn.scanner("t", scan_iterators=scan_iterators))
+            assert next(scan).key.row == "r0"
+            self._crash_all(conn)
+            with pytest.raises(ServerCrashedError):
+                next(scan)
+            for server in conn.instance.servers:
+                server.recover()
+
+    def test_crash_mid_opaque_tablet_scan_raises(self, conn):
+        """A hosted tablet's scan through an opaque layer re-checks its
+        server at every storage batch: a crash after the scan opened
+        surfaces by the next one."""
+        with conn.batch_writer("t") as w:
+            for i in range(10):
+                w.put(f"r{i}", "", "q", i)
+        tablet = conn.instance.locate("t", "r0")
+        batches = tablet.scan_columns(Range(), None, (), (lambda s: s,),
+                                      batch_cells=4)
+        assert next(batches).rows == ["r0", "r1", "r2", "r3"]
         self._crash_all(conn)
         with pytest.raises(ServerCrashedError):
-            next(scan)
+            next(batches)
 
     def test_write_on_crashed_server_raises(self, conn):
         self._crash_all(conn)
