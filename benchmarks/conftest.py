@@ -6,12 +6,9 @@ generators at sizes that keep the full suite under a few minutes while
 still showing the scaling shape.
 
 Observability hooks: set ``REPRO_TRACE=out.jsonl`` to stream kernel /
-dbsim spans from the benchmark run to a JSONL trace file;
-``REPRO_METRICS_JSON=metrics.json`` writes an atomic snapshot of the
-global metrics registry after every test, so a concurrent
-``repro monitor --metrics-json metrics.json`` shows counters moving
-live.  The session always ends with a dump of the global metrics
-registry (per-table dbsim counters accumulated across all benchmarks).
+dbsim spans from the benchmark run to a JSONL trace file.  The session
+always ends with a dump of the global metrics registry (per-table dbsim
+counters accumulated across all benchmarks).
 """
 
 from __future__ import annotations
@@ -33,21 +30,9 @@ def pytest_configure(config):
         _trace.enable(JSONLSink(path))
 
 
-def pytest_runtest_logfinish(nodeid, location):
-    path = os.environ.get("REPRO_METRICS_JSON")
-    if path:
-        from repro.obs.expose import write_snapshot
-
-        write_snapshot(global_registry(), path)
-
-
 def pytest_sessionfinish(session, exitstatus):
     if os.environ.get("REPRO_TRACE"):
         _trace.disable(close=True)
-    if os.environ.get("REPRO_METRICS_JSON"):
-        from repro.obs.expose import write_snapshot
-
-        write_snapshot(global_registry(), os.environ["REPRO_METRICS_JSON"])
     export = global_registry().export()
     if export:
         print("\n-- repro metrics registry " + "-" * 40)

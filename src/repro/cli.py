@@ -16,26 +16,24 @@ Subcommands::
     python -m repro stats     graph.tsv [--json] [--prom] [--connect H:P]
     python -m repro analyze   trace.jsonl [--top N] [--trace-id HEX]
     python -m repro stitch    trace.*.jsonl --out stitched.jsonl
-    python -m repro monitor   --metrics-json snapshot.json
     python -m repro top       --connect H:P [--interval 2]
     python -m repro health    --connect H:P [--window 2] [--json]
     python -m repro serve     [--port 41100] [--fault SPEC ...]
-    python -m repro cluster   --servers 3 [--fault SPEC ...] [--smoke]
+    python -m repro cluster   --servers 3 [--fault SPEC ...]
 
 Every subcommand accepts ``--trace out.jsonl`` (spans with OpStats
-deltas plus convergence records, one JSON object per line),
-``--slowlog slow.jsonl`` (only the spans that blow a wall-clock
-threshold or OpStats budget — see docs/OBSERVABILITY.md), and
+deltas plus convergence records, one JSON object per line) and
 ``--sample-rate R`` (deterministic head sampling: record 1 in 1/R
 traces, retain the rest in a tail ring that promotes errored/slow
-traces — see docs/OBSERVABILITY.md).  The trace sink buffers a bounded
-batch of records but is flushed and closed on every exit path, so an
-interrupted run still leaves a readable trace.  ``analyze`` rolls a
-trace up into per-span-name percentiles, a critical path and an
-optional flamegraph; ``monitor`` tails a metrics snapshot file a
-workload writes and prints counter deltas as they move; ``health``
-evaluates the cluster's SLOs (p99 latency targets, error budgets) and
-exits nonzero on breach.
+traces — see docs/OBSERVABILITY.md; ``--sample-rate 0`` records only
+the traces that errored or blew a wall-clock threshold or OpStats
+budget).  The trace sink buffers a bounded batch of records but is
+flushed and closed on every exit path, so an interrupted run still
+leaves a readable trace.  ``analyze`` rolls a trace up into
+per-span-name percentiles, a critical path and an optional flamegraph;
+``top`` polls the cluster's metrics and prints per-server rates;
+``health`` evaluates the cluster's SLOs (p99 latency targets, error
+budgets) and exits nonzero on breach.
 Input-loading failures exit with status 2 and a one-line ``error:``
 message, never a traceback.
 """
@@ -259,8 +257,6 @@ def cmd_stats(args) -> int:
     degree_table(conn, "A", "Adeg")
     scanned = sum(1 for _ in conn.scanner("A"))
 
-    if args.metrics_json:
-        inst.write_metrics_snapshot(args.metrics_json)
     if args.prom:
         from repro.obs.expose import to_prometheus
 
@@ -320,10 +316,6 @@ def _stats_remote(args, a) -> int:
     finally:
         conn.close()
 
-    if args.metrics_json:
-        from repro.obs.expose import write_snapshot
-
-        write_snapshot(merged, args.metrics_json)
     if args.prom:
         from repro.obs.expose import to_prometheus
 
@@ -391,7 +383,6 @@ def cmd_serve(args) -> int:
         n_servers=args.servers, fault_specs=args.fault or (),
         fault_seed=args.fault_seed, trace_dir=args.trace_dir,
         processes=False, host=args.host, manager_port=args.port,
-        telemetry_interval=args.telemetry_interval,
         sample_rate=args.sample_rate).start()
     try:
         _cluster_banner(cluster, args)
@@ -405,176 +396,21 @@ def cmd_serve(args) -> int:
 
 def cmd_cluster(args) -> int:
     """Boot a multi-process cluster: N tablet-server processes plus a
-    manager process.  With ``--smoke``, run a BFS workload through the
-    RPC fabric, check it is bit-identical to the in-process backend,
-    print the client's retry counters, and exit (nonzero on any
-    mismatch) — the CI net-fabric gate."""
+    manager process, serving until Ctrl-C (or ``--duration``)."""
     from repro.net.cluster import LocalCluster
 
     cluster = LocalCluster(
         n_servers=args.servers, fault_specs=args.fault or (),
         fault_seed=args.fault_seed, trace_dir=args.trace_dir,
         processes=not args.threads, host=args.host,
-        manager_port=args.port,
-        telemetry_interval=args.telemetry_interval,
-        sample_rate=args.sample_rate).start()
+        manager_port=args.port, sample_rate=args.sample_rate).start()
     try:
         _cluster_banner(cluster, args)
-        if args.smoke:
-            return _net_smoke(cluster, scale=args.scale, hops=args.hops)
         print("cluster up until Ctrl-C")
         sys.stdout.flush()
         return _foreground(args.duration)
     finally:
         cluster.stop()
-
-
-def _net_smoke(cluster, scale: int = 6, hops: int = 3) -> int:
-    """Same graph ingested and BFS'd through the RPC fabric and through
-    the in-process backend; the two must agree bit for bit — BFS result
-    *and* full cell-level table snapshot — even with fault injection in
-    the response path."""
-    from repro.dbsim import (Connector, assoc_to_table, decode_number,
-                             degree_table, table_bfs)
-    from repro.dbsim.server import Instance
-    from repro.generators import rmat_graph
-    from repro.net.iterspec import IterSpec
-    from repro.obs.metrics import MetricsRegistry
-
-    g = rmat_graph(scale, edge_factor=4, seed=7)
-    rows, cols, vals = g.to_coo()
-    width = len(str(g.nrows - 1))
-    a = AssocArray.from_triples(
-        [f"v{u:0{width}d}" for u in rows],
-        [f"v{v:0{width}d}" for v in cols], vals)
-    source = str(min(a.row_keys))
-
-    local = Connector(Instance(n_servers=cluster.n_servers,
-                               metrics=MetricsRegistry()))
-    assoc_to_table(local, a, "A", n_splits=4)
-    want_bfs = table_bfs(local, "A", [source], hops)
-    want_cells = list(local.scanner("A"))
-
-    registry = MetricsRegistry()
-    conn = cluster.connect(metrics=registry)
-    try:
-        assoc_to_table(conn, a, "A", n_splits=4)
-        got_bfs = table_bfs(conn, "A", [source], hops)
-        got_cells = list(conn.scanner("A"))
-        # columnar canary: the bulk ColumnBatch path must materialise
-        # to the same cells (timestamps included) as the per-cell scan
-        got_columnar = [c for b in conn.scanner("A").scan_columns()
-                        for c in b.cells()]
-        # push-down leg: degree maintenance (a server-side Reduce) and
-        # a degree-filtered BFS through repro.net.iterspec must stay
-        # bit-identical to the in-process backend, and a filtered scan
-        # whose predicate runs inside the tablet servers must ship
-        # fewer scan bytes than the same scan filtered client-side
-        degree_table(local, "A", "Adeg", count_entries=True)
-        degree_table(conn, "A", "Adeg", count_entries=True)
-        want_deg = list(local.scanner("Adeg"))
-        got_deg = list(conn.scanner("Adeg"))
-        degs = sorted(decode_number(c.value) for c in want_deg)
-        min_deg = degs[len(degs) // 2]  # median keeps the BFS alive
-        want_fbfs = table_bfs(local, "A", [source], hops,
-                              min_degree=min_deg, degree_table_name="Adeg")
-        got_fbfs = table_bfs(conn, "A", [source], hops,
-                             min_degree=min_deg, degree_table_name="Adeg")
-        spec = IterSpec().value_ge(2.0)
-        want_filtered = [c for c in list(local.scanner("A"))
-                         if decode_number(c.value) >= 2.0]
-
-        def scan_rx() -> float:
-            return registry.export().get(
-                "net.client.op.scan.bytes_received", 0)
-
-        r0 = scan_rx()
-        client_filtered = [c for c in list(conn.scanner("A"))
-                           if decode_number(c.value) >= 2.0]
-        r1 = scan_rx()
-        got_filtered = list(conn.scanner("A", iterspec=spec))
-        r2 = scan_rx()
-        full_rx, pushed_rx = r1 - r0, r2 - r1
-        server_metrics = conn.instance.cluster_metrics()
-    finally:
-        conn.close()
-
-    export = registry.export()
-    counters = {k[len("net.client."):]: v
-                for k, v in sorted(export.items())
-                if k.startswith("net.client.")
-                and not isinstance(v, dict) and v}
-    print("client counters: "
-          + " ".join(f"{k}={v}" for k, v in counters.items()))
-
-    # wire accounting must have moved: the client counted bytes both
-    # ways, and every tablet server counted bytes it sent back
-    client_sent = sum(v for k, v in export.items()
-                      if k.startswith("net.client.op.")
-                      and k.endswith(".bytes_sent"))
-    client_received = sum(v for k, v in export.items()
-                          if k.startswith("net.client.op.")
-                          and k.endswith(".bytes_received"))
-    servers_sent = {
-        name: metrics.get("net.server.bytes_sent", 0)
-        for name, metrics in server_metrics.get("servers", {}).items()}
-    print(f"wire bytes: client sent {client_sent} / received "
-          f"{client_received}; server sent "
-          + " ".join(f"{n}={v}" for n, v in sorted(servers_sent.items())))
-
-    reduction = (full_rx / pushed_rx) if pushed_rx else float("inf")
-    print(f"push-down: filtered scan shipped {pushed_rx} bytes vs "
-          f"{full_rx} client-side ({reduction:.1f}x fewer); "
-          f"degree-filtered BFS (min_degree={min_deg:g}) reached "
-          f"{len(got_fbfs)} vertices")
-
-    ok_bfs = got_bfs == want_bfs
-    ok_cells = got_cells == want_cells
-    ok_columnar = got_columnar == want_cells
-    ok_bytes = (client_sent > 0 and client_received > 0
-                and servers_sent and all(v > 0
-                                         for v in servers_sent.values()))
-    ok_pushdown = (got_deg == want_deg and got_fbfs == want_fbfs
-                   and got_filtered == want_filtered
-                   and got_filtered == client_filtered
-                   and pushed_rx < full_rx)
-    if ok_bfs and ok_cells and ok_columnar and ok_bytes and ok_pushdown:
-        print(f"smoke OK: remote BFS from {source} "
-              f"({hops} hops over {g.nrows} vertices), the "
-              f"{len(want_cells)}-cell table snapshot — per-cell and "
-              f"columnar — and the server-side push-down leg (degree "
-              f"Reduce + filtered BFS) are bit-identical to the "
-              f"in-process backend")
-        return 0
-    problems = []
-    if not ok_bfs:
-        problems.append("BFS result mismatch")
-    if not ok_cells:
-        problems.append(f"table snapshot mismatch "
-                        f"({len(got_cells)} cells vs {len(want_cells)})")
-    if not ok_columnar:
-        problems.append(f"columnar scan snapshot mismatch "
-                        f"({len(got_columnar)} cells vs "
-                        f"{len(want_cells)})")
-    if not ok_bytes:
-        problems.append("wire byte accounting did not move "
-                        f"(client sent={client_sent} "
-                        f"received={client_received} "
-                        f"servers={servers_sent})")
-    if not ok_pushdown:
-        detail = []
-        if got_deg != want_deg:
-            detail.append("degree table mismatch")
-        if got_fbfs != want_fbfs:
-            detail.append("filtered BFS mismatch")
-        if got_filtered != want_filtered or got_filtered != client_filtered:
-            detail.append("filtered scan mismatch")
-        if pushed_rx >= full_rx:
-            detail.append(f"no wire saving (pushed={pushed_rx} "
-                          f"full={full_rx})")
-        problems.append("push-down leg failed: " + ", ".join(detail))
-    print(f"smoke FAILED: {'; '.join(problems)}", file=sys.stderr)
-    return 1
 
 
 def _fmt_ms(seconds: float) -> str:
@@ -712,29 +548,31 @@ def cmd_stitch(args) -> int:
 
 
 def cmd_top(args) -> int:
-    """Live per-server cluster view over RPC: poll the manager's
-    telemetry ring (``TELEMETRY`` op) and render QPS, bytes/s in and
-    out, in-flight requests, error rate, and the hottest tables per
-    tablet server."""
+    """Live per-server cluster view over RPC: poll the cluster's
+    ``METRICS`` fan-out, as ``repro health`` does, and render QPS,
+    bytes/s in and out, in-flight requests, error rate, SLO status and
+    the hottest tables per component between the last two polls."""
     import time as _time
 
     from repro.net.client import RemoteConnector
-    from repro.net.telemetry import ClusterTelemetry, render_top
+    from repro.net.telemetry import render_top, summary_rows
     from repro.net.wire import RpcError
 
     conn = RemoteConnector(args.connect)
+    before, before_t = None, 0.0
     shown = 0
     try:
         while True:
             try:
-                data = conn.instance.telemetry(sample=True)
+                after = conn.instance.cluster_metrics()
             except (RpcError, OSError) as exc:
                 raise CliError(f"cluster at {args.connect} "
                                f"unreachable: {exc}") from exc
-            tel = ClusterTelemetry.from_dict(data)
-            clock = _time.strftime("%H:%M:%S")
-            print(render_top(tel.summary(hot_tables=args.hot_tables),
-                             clock=clock))
+            after_t = _time.monotonic()
+            rows = summary_rows(before, after, after_t - before_t,
+                                hot_tables=args.hot_tables)
+            print(render_top(rows, clock=_time.strftime("%H:%M:%S")))
+            before, before_t = after, after_t
             shown += 1
             if args.iterations and shown >= args.iterations:
                 return 0
@@ -792,61 +630,16 @@ def cmd_health(args) -> int:
     return 0
 
 
-def cmd_monitor(args) -> int:
-    """Poll a metrics snapshot file (written by ``repro stats
-    --metrics-json``, ``Instance.write_metrics_snapshot`` or the
-    benchmark harness under ``REPRO_METRICS_JSON``) and print counter
-    deltas between refreshes — a live view of a workload running in
-    another process."""
-    import time as _time
-
-    from repro.obs.expose import SnapshotDelta, read_snapshot
-
-    prev = None
-    shown = 0
-    iterations = args.iterations
+def _sample_rate(text: str) -> float:
+    """``--sample-rate`` parser: a fraction in [0, 1], else exit 2."""
     try:
-        while True:
-            snap = read_snapshot(args.metrics_json)
-            if snap is None:
-                print(f"[monitor] waiting for {args.metrics_json} ...")
-            else:
-                ts = snap.get("ts")
-                stamp = (_time.strftime("%H:%M:%S", _time.localtime(ts))
-                         if isinstance(ts, (int, float)) else "?")
-                if prev is None:
-                    nonzero = {k: v for k, v in snap["metrics"].items()
-                               if not isinstance(v, dict) and v}
-                    print(f"[monitor {stamp}] baseline: "
-                          f"{len(snap['metrics'])} metrics, "
-                          f"{len(nonzero)} nonzero")
-                else:
-                    seconds = None
-                    if isinstance(ts, (int, float)) and \
-                            isinstance(prev.get("ts"), (int, float)):
-                        seconds = max(ts - prev["ts"], 0.0) or None
-                    delta = SnapshotDelta(prev["metrics"], snap["metrics"],
-                                          seconds=seconds)
-                    moved = delta.deltas()
-                    if moved:
-                        print(f"[monitor {stamp}] "
-                              f"{len(moved)} metric(s) moved:")
-                        rates = delta.rates() if seconds else {}
-                        for name, d in moved.items():
-                            rate = (f"  ({rates[name]:,.0f}/s)"
-                                    if name in rates else "")
-                            reset = (" (reset)" if name in delta.resets
-                                     else "")
-                            print(f"  {name:<52} {d:+}{rate}{reset}")
-                    else:
-                        print(f"[monitor {stamp}] idle")
-                prev = snap
-            shown += 1
-            if iterations and shown >= iterations:
-                return 0
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        return 0
+        rate = float(text)
+    except ValueError:
+        rate = float("nan")
+    if not 0.0 <= rate <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a rate in [0, 1]")
+    return rate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -859,15 +652,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", metavar="PATH", default=None,
         help="append spans + convergence records to PATH as JSON lines")
     common.add_argument(
-        "--slowlog", metavar="PATH", default=None,
-        help="append spans exceeding the default wall-clock thresholds "
-             "/ OpStats budgets to PATH as JSON lines")
-    common.add_argument(
-        "--sample-rate", type=float, default=1.0, metavar="R",
+        "--sample-rate", type=_sample_rate, default=1.0, metavar="R",
         dest="sample_rate",
         help="head-sample traces at rate R in [0,1] (deterministic per "
-             "trace id; errored/slow traces are always promoted from "
-             "the tail ring; default 1.0 = record everything)")
+             "trace id; errored traces and spans over a wall-clock "
+             "threshold or OpStats budget are always promoted from the "
+             "tail ring, so 0 records only those; default 1.0 = record "
+             "everything)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -937,9 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--prom", action="store_true",
                    help="emit the metrics registry in Prometheus text "
                         "exposition format instead")
-    s.add_argument("--metrics-json", metavar="PATH",
-                   help="also write a timestamped metrics snapshot file "
-                        "(the input `repro monitor` polls)")
     s.add_argument("--connect", metavar="HOST:PORT",
                    help="run the workload over the RPC fabric against a "
                         "live `repro serve`/`repro cluster` manager; the "
@@ -961,11 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--fault-seed", type=int, default=0)
         s.add_argument("--trace-dir", metavar="DIR",
                        help="write per-process rpc.* span traces under DIR")
-        s.add_argument("--telemetry-interval", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="manager samples cluster metrics into the "
-                            "telemetry ring every N seconds (default 0: "
-                            "sample only when `repro top` polls)")
         s.add_argument("--duration", type=float, default=0.0,
                        help="serve for N seconds then exit "
                             "(default: until ^C)")
@@ -983,13 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threads", action="store_true",
                    help="run the services on threads in this process "
                         "instead of spawning server processes")
-    s.add_argument("--smoke", action="store_true",
-                   help="run a BFS workload over RPC, verify bit-identical "
-                        "output against the in-process backend, and exit")
-    s.add_argument("--scale", type=int, default=6,
-                   help="R-MAT scale of the --smoke graph (default 6)")
-    s.add_argument("--hops", type=int, default=3,
-                   help="--smoke BFS hops (default 3)")
     s.set_defaults(fn=cmd_cluster)
 
     s = add_parser("analyze",
@@ -1023,8 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_stitch)
 
     s = add_parser("top",
-                   help="live per-server cluster telemetry over RPC "
-                        "(QPS, bytes/s, in-flight, hot tables)")
+                   help="live per-server cluster view over RPC "
+                        "(QPS, bytes/s, in-flight, health, hot tables)")
     s.add_argument("--connect", required=True, metavar="HOST:PORT",
                    help="manager address of a live `repro serve` / "
                         "`repro cluster`")
@@ -1055,43 +831,21 @@ def build_parser() -> argparse.ArgumentParser:
                         "(the CI health artifact)")
     s.set_defaults(fn=cmd_health)
 
-    s = add_parser("monitor",
-                   help="live counter deltas from a metrics snapshot file")
-    s.add_argument("--metrics-json", required=True, metavar="PATH",
-                   help="snapshot file the workload writes (repro stats "
-                        "--metrics-json / REPRO_METRICS_JSON)")
-    s.add_argument("--interval", type=float, default=2.0,
-                   help="seconds between refreshes (default 2)")
-    s.add_argument("--iterations", type=int, default=0,
-                   help="stop after N refreshes (default: run until ^C)")
-    s.set_defaults(fn=cmd_monitor)
     return p
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     trace_path = getattr(args, "trace", None)
-    slow_path = getattr(args, "slowlog", None)
-    slowlog = None
-    for path, what in ((trace_path, "trace"), (slow_path, "slow-op log")):
-        if path:
-            try:  # fail now, not from inside the first span's lazy open
-                open(path, "a", encoding="utf-8").close()
-            except OSError as exc:
-                print(f"error: cannot open {what} file: {exc}",
-                      file=sys.stderr)
-                return 2
     if trace_path:
+        try:  # fail now, not from inside the first span's lazy open
+            open(trace_path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"error: cannot open trace file: {exc}", file=sys.stderr)
+            return 2
         # the header names this process "client" so stitched traces
         # attribute our spans correctly
         _trace.enable(JSONLSink(trace_path, process="client"))
-    if slow_path:
-        from repro.obs.slowlog import SlowLog
-
-        if not _trace.is_enabled():
-            # no full trace requested: record only the slow spans
-            _trace.enable(_trace.NullSink())
-        slowlog = SlowLog(path=slow_path).attach()
     sample_rate = getattr(args, "sample_rate", 1.0)
     sampling_on = sample_rate < 1.0
     if sampling_on:
@@ -1111,11 +865,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             from repro.obs import sampling as _sampling
 
             _sampling.unconfigure()
-        if slowlog is not None:
-            slowlog.detach()
-            print(f"slow-op log: {slowlog.caught}/{slowlog.checked} "
-                  f"span(s) over limits -> {slow_path}", file=sys.stderr)
-        if trace_path or slow_path:
+        if trace_path:
             _trace.disable(close=True)
 
 

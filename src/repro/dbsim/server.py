@@ -724,15 +724,5 @@ class Instance(ControlPlane):
         registry plus the merged OpStats cost model."""
         return {"metrics": self.metrics.export(), **self._stats_export()}
 
-    def write_metrics_snapshot(self, path: str) -> Dict[str, object]:
-        """Atomically write a timestamped snapshot of this instance's
-        metrics (plus the per-server/total OpStats) to ``path`` — the
-        file a concurrent ``repro monitor`` polls for live counter
-        deltas while a workload runs.  Returns the record written."""
-        from repro.obs.expose import write_snapshot
-
-        return write_snapshot(self.metrics, path,
-                              extra=self._stats_export())
-
     def table_entry_estimate(self, name: str) -> int:
         return sum(t.entry_estimate() for t in self.tablets(name))

@@ -151,7 +151,7 @@ class _Stream:
     waiter is reading the connection."""
 
     __slots__ = ("conn", "req", "opname", "unary", "frames", "exc", "ended",
-                 "t0")
+                 "t0", "arrived")
 
     def __init__(self, conn: "_Conn", req: int, opname: str, unary: bool):
         self.conn = conn
@@ -165,6 +165,9 @@ class _Stream:
         self.exc: Optional[BaseException] = None
         self.ended = False
         self.t0 = time.perf_counter()
+        #: when a unary answer was read off the socket — the end of the
+        #: RPC, however much later its caller gets round to it
+        self.arrived: Optional[float] = None
 
     # -- reader side: called under the connection's condition --------------
 
@@ -180,6 +183,8 @@ class _Stream:
                 f"{STREAM_WINDOW_CHUNKS} undelivered chunks"))
             return False
         self.frames.append(frame)
+        if self.unary:
+            self.arrived = time.perf_counter()
         self.ended = self.unary or frame[0] in (wire.DONE, wire.ERROR)
         return not self.ended
 
@@ -600,7 +605,8 @@ class RpcCore:
             except (wire.ConnectionClosedError, OSError) as exc:
                 last_exc = exc
                 continue
-            hist.observe(time.perf_counter() - stream.t0)
+            hist.observe((stream.arrived or time.perf_counter())
+                         - stream.t0)
             if code == wire.OK:
                 return resp
             if code == wire.ERROR:
@@ -1461,14 +1467,6 @@ class RemoteInstance:
         """Per-process metric exports: ``{"manager": {...},
         "servers": {name: {...}}}``."""
         return self.core.call(self.manager_addr, wire.METRICS, {})
-
-    def telemetry(self, sample: bool = True) -> dict:
-        """The manager's ring-buffered telemetry history (wire form of
-        :class:`~repro.net.telemetry.ClusterTelemetry`).  ``sample=True``
-        asks the manager to take a fresh cluster sample first, so
-        polling works even with the background sampler off."""
-        return self.core.call(self.manager_addr, wire.TELEMETRY,
-                              {"sample": sample})
 
     def shutdown_cluster(self) -> None:
         self.core.call(self.manager_addr, wire.SHUTDOWN, {})

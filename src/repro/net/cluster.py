@@ -55,7 +55,6 @@ class LocalCluster:
                  trace_dir: Optional[str] = None,
                  processes: bool = True,
                  host: str = "127.0.0.1", manager_port: int = 0,
-                 telemetry_interval: float = 0.0,
                  sample_rate: float = 1.0):
         if n_servers < 1:
             raise ValueError(f"need at least one tablet server, "
@@ -67,7 +66,6 @@ class LocalCluster:
         self.fault_seed = fault_seed
         self.trace_dir = trace_dir
         self.processes = processes
-        self.telemetry_interval = telemetry_interval
         self.sample_rate = sample_rate
         self.server_names = [f"tserver{i}" for i in range(n_servers)]
         self._servers: List = []          # process handles or services
@@ -121,7 +119,6 @@ class LocalCluster:
         manager = ManagerProcess(
             (), trace_path=self._trace_path("manager"),
             host=self.host, port=self.manager_port,
-            telemetry_interval=self.telemetry_interval,
             sample_rate=self.sample_rate)
         manager.launch()
         self._manager = manager
@@ -153,8 +150,7 @@ class LocalCluster:
             self.server_addrs.append(service.start(host=self.host))
             self._servers.append(service)
         self._manager = ManagerService(
-            list(zip(self.server_names, self.server_addrs)),
-            telemetry_interval=self.telemetry_interval)
+            list(zip(self.server_names, self.server_addrs)))
         self.manager_addr = self._manager.start(host=self.host,
                                                 port=self.manager_port)
 

@@ -16,7 +16,7 @@ call one method, and encode the answer.
   stamped ``WRITE_BATCH`` on the service's own :class:`RpcCore`.
 * :class:`ManagerService` serves one ``ControlPlane`` whose servers
   are :class:`_ServerStub`\\ s — the hosting ops as RPCs — and adds the
-  cluster fan-outs (stats, metrics, telemetry, crash / recover,
+  cluster fan-outs (stats, metrics, crash / recover,
   status, shutdown).  A migrating tablet's state passes through it
   unopened, from one server's ``MIGRATE_OUT`` reply into the other's
   ``MIGRATE_IN`` request.  Splits — the owner splits in place, then
@@ -99,7 +99,6 @@ from repro.net.client import (
     parse_addr,
 )
 from repro.net.faults import FaultPlan, apply_fault
-from repro.net.telemetry import ClusterTelemetry
 from repro.obs import sampling as _sampling
 from repro.obs import trace as _trace
 from repro.obs.metrics import MetricsRegistry
@@ -983,8 +982,7 @@ class ManagerService(_BaseService):
     def __init__(self, servers: Sequence[Tuple[str, Addr]],
                  faults: Optional[FaultPlan] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 name: str = "manager", telemetry_interval: float = 0.0,
-                 telemetry_window: int = 120):
+                 name: str = "manager"):
         super().__init__(name, faults, metrics)
         # fan-out client: fewer, faster attempts than an end client —
         # a dead server should fail the management op, not hang it
@@ -994,13 +992,6 @@ class ManagerService(_BaseService):
         self.plane = ControlPlane(
             [_ServerStub(self.core, n, parse_addr(a)) for n, a in servers],
             self.metrics)
-        #: ring-buffered per-server metric history; the TELEMETRY op
-        #: serves it, and a background sampler feeds it when
-        #: ``telemetry_interval`` > 0 (off by default: deterministic
-        #: tests must not see surprise fan-out RPCs)
-        self.telemetry = ClusterTelemetry(self._sample_cluster,
-                                          window=telemetry_window)
-        self.telemetry_interval = telemetry_interval
 
     def _handlers(self):
         plane = self.plane
@@ -1023,30 +1014,12 @@ class ManagerService(_BaseService):
             wire.CRASH: self._crash_server,
             wire.RECOVER: self._recover_server,
             wire.STATUS: self._status,
-            wire.TELEMETRY: self._telemetry,
             wire.SHUTDOWN: self._shutdown_cluster,
         }
-
-    def start(self, host: str = "127.0.0.1", port: int = 0) -> Addr:
-        addr = super().start(host=host, port=port)
-        if self.telemetry_interval > 0:
-            thread = threading.Thread(target=self._telemetry_loop,
-                                      name=f"{self.name}-telemetry",
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        return addr
 
     def stop(self) -> None:
         super().stop()
         self.core.close()
-
-    def _telemetry_loop(self) -> None:
-        while not self._stopped.wait(self.telemetry_interval):
-            try:
-                self.telemetry.sample()
-            except Exception:  # noqa: BLE001 - sampling is best-effort
-                pass
 
     # -- the plane's ops that need more than a field lookup ----------------
 
@@ -1097,29 +1070,6 @@ class ManagerService(_BaseService):
     def _fan_metrics(self, p: dict) -> dict:
         return {"manager": self.metrics.export(),
                 "servers": self._fan_out(wire.METRICS)}
-
-    def _sample_cluster(self) -> Dict[str, dict]:
-        """One telemetry tick: every reachable registry, by component
-        name (a down server is skipped, not fatal)."""
-        out: Dict[str, dict] = {"manager": self.metrics.export()}
-        for server in self.plane.servers:
-            try:
-                out[server.name] = self.core.call(server.addr,
-                                                  wire.METRICS, {})
-            except Exception:  # noqa: BLE001 - down server: skip tick
-                continue
-        return out
-
-    def _telemetry(self, p: dict) -> dict:
-        # take a fresh sample on demand so `repro top` works (and tests
-        # are deterministic) even with the background sampler off
-        if p.get("sample", True):
-            self.telemetry.sample()
-        out = self.telemetry.as_dict()
-        # SLO evaluation over the freshest samples rides along so `repro
-        # top` and dashboards get per-server health without a second op
-        out["health"] = self.telemetry.health()
-        return out
 
     def _server_addr(self, name: str) -> Addr:
         for server in self.plane.servers:
@@ -1211,14 +1161,12 @@ def _tablet_server_main(pipe, name: str, fault_specs: Sequence[str],
 
 def _manager_main(pipe, fault_specs: Sequence[str], fault_seed: int,
                   trace_path: Optional[str], host: str, port: int,
-                  telemetry_interval: float = 0.0,
                   sample_rate: float = 1.0) -> None:
     # the parent's first message names the tablet servers: the manager
     # is launched beside them, before any of them has an address
     _serve(pipe, lambda: ManagerService(
         [(n, tuple(a)) for n, a in pipe.recv()],
-        faults=_fault_plan(fault_specs, fault_seed),
-        telemetry_interval=telemetry_interval),
+        faults=_fault_plan(fault_specs, fault_seed)),
         trace_path, host, port, sample_rate)
 
 
@@ -1337,12 +1285,11 @@ class ManagerProcess(_ServiceProcess):
                  fault_specs: Sequence[str] = (), fault_seed: int = 0,
                  trace_path: Optional[str] = None,
                  host: str = "127.0.0.1", port: int = 0,
-                 telemetry_interval: float = 0.0,
                  sample_rate: float = 1.0):
         super().__init__(
             _manager_main,
             (list(fault_specs), fault_seed, trace_path, host, port,
-             telemetry_interval, sample_rate), "repro-manager")
+             sample_rate), "repro-manager")
         self.servers = list(servers)
 
     def wait_addr(self, start_timeout: float = 30.0) -> Addr:

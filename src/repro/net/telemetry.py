@@ -1,24 +1,20 @@
-"""Cluster telemetry plane: ring-buffered per-server metric history.
+"""``repro top`` rows: per-component rates between two ``METRICS``
+samples.
 
-:class:`ClusterTelemetry` periodically samples a *fetch* callable that
-returns ``{component_name: registry_export_dict}`` — on the manager
-that is one ``METRICS`` fan-out over every tablet server plus the
-manager's own registry — and keeps the last ``window`` samples per
-component in a ring buffer.  The manager serves the whole ring over
-the ``TELEMETRY`` op, which is what ``repro top`` renders as a live
-per-server cluster view (QPS, bytes/s, queue depth, hot tables).
-
-Derived views are computed from :class:`~repro.obs.expose.
-SnapshotDelta` between consecutive samples, so counter resets from a
+:func:`summary_rows` turns two ``cluster_metrics()`` snapshots
+(``{"manager": export, "servers": {name: export}}``) taken ``seconds``
+apart into one row per component — QPS, bytes/s in and out, queue
+depth, error rate, SLO breaches and hot tables — from one
+:class:`~repro.obs.expose.SnapshotDelta` each, so counter resets from a
 crash/recover show up as flagged restarts, never negative rates.
+:func:`render_top` prints the rows as the fixed-width table ``repro
+top`` refreshes.  The client keeps the previous sample; nothing is
+stored server-side.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from repro.obs import health as _health
 from repro.obs.expose import SnapshotDelta
@@ -75,163 +71,52 @@ def format_bytes(n: float) -> str:
     return f"{n:.1f}P"
 
 
-class ClusterTelemetry:
-    """Ring-buffered time series of per-component metric exports.
-
-    ``fetch`` returns ``{component: export_dict}`` for one tick;
-    :meth:`sample` appends a timestamped entry to each component's ring
-    (capped at ``window`` samples).  The class is also the wire form:
-    :meth:`as_dict` / :meth:`from_dict` round-trip through JSON for the
-    ``TELEMETRY`` op.
-    """
-
-    def __init__(self, fetch: Optional[Callable[[], Dict[str, dict]]] = None,
-                 window: int = 120):
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window}")
-        self._fetch = fetch
-        self.window = window
-        self._series: Dict[str, deque] = {}
-        self._lock = threading.Lock()
-
-    # -- collection -------------------------------------------------------
-
-    def sample(self, now: Optional[float] = None) -> float:
-        """Take one sample via ``fetch``; returns its timestamp."""
-        if self._fetch is None:
-            raise RuntimeError("this ClusterTelemetry has no fetch "
-                               "callable (it was rebuilt from the wire)")
-        ts = time.time() if now is None else now
-        exports = self._fetch()
-        with self._lock:
-            for component, export in exports.items():
-                ring = self._series.get(component)
-                if ring is None:
-                    ring = self._series[component] = deque(
-                        maxlen=self.window)
-                ring.append((ts, export))
-        return ts
-
-    def ingest(self, component: str, export: dict,
-               now: Optional[float] = None) -> None:
-        """Append one sample directly (client-side fallback polling)."""
-        ts = time.time() if now is None else now
-        with self._lock:
-            ring = self._series.get(component)
-            if ring is None:
-                ring = self._series[component] = deque(maxlen=self.window)
-            ring.append((ts, export))
-
-    # -- access -----------------------------------------------------------
-
-    def components(self) -> List[str]:
-        with self._lock:
-            return sorted(self._series)
-
-    def series(self, component: str) -> List[Tuple[float, dict]]:
-        with self._lock:
-            return list(self._series.get(component, ()))
-
-    def latest(self, component: str) -> Optional[Tuple[float, dict]]:
-        with self._lock:
-            ring = self._series.get(component)
-            return ring[-1] if ring else None
-
-    def delta(self, component: str) -> Optional[SnapshotDelta]:
-        """Change over the most recent sampling interval (needs >= 2
-        samples)."""
-        with self._lock:
-            ring = self._series.get(component)
-            if not ring or len(ring) < 2:
-                return None
-            (t0, before), (t1, after) = ring[-2], ring[-1]
-        return SnapshotDelta(before, after, seconds=max(t1 - t0, 1e-9))
-
-    # -- derived views ----------------------------------------------------
-
-    def summary(self, hot_tables: int = 3) -> Dict[str, Dict[str, Any]]:
-        """One row per component for the ``repro top`` display.
-
-        With fewer than two samples for a component, rate fields come
-        back ``None`` (totals are still reported)."""
-        out: Dict[str, Dict[str, Any]] = {}
-        for component in self.components():
-            latest = self.latest(component)
-            if latest is None:
-                continue
-            _, export = latest
-            d = self.delta(component)
-            row: Dict[str, Any] = {
-                "requests": export.get(_REQUESTS, 0),
-                "bytes_sent": export.get(_BYTES_SENT, 0),
-                "bytes_received": export.get(_BYTES_RECEIVED, 0),
-                "inflight": export.get(_INFLIGHT, 0),
-                "qps": None,
-                "tx_bps": None,
-                "rx_bps": None,
-                "err_ps": None,
-                "reset": False,
-                "health": None,
-                "hot_tables": [],
-                "scan_compress": [export.get(name, 0)
-                                  for name in _SCAN_COMPRESS],
-                "pushdown": [export.get(name, 0) for name in _PUSHDOWN],
-            }
-            if d is not None:
-                rates = d.rates(nonzero=False)
-                row["qps"] = rates.get(_REQUESTS, 0.0)
-                row["tx_bps"] = rates.get(_BYTES_SENT, 0.0)
-                row["rx_bps"] = rates.get(_BYTES_RECEIVED, 0.0)
-                row["err_ps"] = rates.get(_ERRORS, 0.0)
-                row["reset"] = bool(d.resets)
-                row["health"] = _health.breaches_for(export, delta=d)
-                activity = _table_activity(d)
-                row["hot_tables"] = sorted(
-                    activity, key=lambda t: (-activity[t], t))[:hot_tables]
-            out[component] = row
-        return out
-
-    def health(self, slos=None) -> Dict[str, Any]:
-        """SLO evaluation of each component's latest sample (windowed
-        error burn rates when >= 2 samples exist), in the
-        :meth:`~repro.obs.health.HealthReport.as_dict` shape.  This is
-        the ``health`` block of the ``TELEMETRY`` op response."""
-        checks = []
-        for component in self.components():
-            latest = self.latest(component)
-            if latest is None:
-                continue
-            _, export = latest
-            checks.extend(_health.check_component(
-                component, export,
-                slos=_health.DEFAULT_SLOS if slos is None else slos,
-                delta=self.delta(component)))
-        return _health.HealthReport(checks).as_dict()
-
-    # -- wire form --------------------------------------------------------
-
-    def as_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "window": self.window,
-                "series": {component: [[ts, export]
-                                       for ts, export in ring]
-                           for component, ring in self._series.items()},
-            }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClusterTelemetry":
-        tel = cls(fetch=None, window=max(int(data.get("window", 120)), 2))
-        for component, samples in data.get("series", {}).items():
-            for ts, export in samples:
-                tel.ingest(component, export, now=ts)
-        return tel
+def summary_rows(before: Optional[Mapping[str, Any]],
+                 after: Mapping[str, Any], seconds: float,
+                 hot_tables: int = 3) -> Dict[str, Dict[str, Any]]:
+    """One row per component of ``after`` for the ``repro top``
+    display.  Without a ``before`` sample for a component, rate fields
+    come back ``None`` (totals are still reported)."""
+    previous = _health.flatten(before)
+    out: Dict[str, Dict[str, Any]] = {}
+    for component, export in _health.flatten(after).items():
+        row: Dict[str, Any] = {
+            "requests": export.get(_REQUESTS, 0),
+            "bytes_sent": export.get(_BYTES_SENT, 0),
+            "bytes_received": export.get(_BYTES_RECEIVED, 0),
+            "inflight": export.get(_INFLIGHT, 0),
+            "qps": None,
+            "tx_bps": None,
+            "rx_bps": None,
+            "err_ps": None,
+            "reset": False,
+            "health": None,
+            "hot_tables": [],
+            "scan_compress": [export.get(name, 0)
+                              for name in _SCAN_COMPRESS],
+            "pushdown": [export.get(name, 0) for name in _PUSHDOWN],
+        }
+        if component in previous:
+            d = SnapshotDelta(previous[component], export,
+                              seconds=max(seconds, 1e-9))
+            rates = d.rates(nonzero=False)
+            row["qps"] = rates.get(_REQUESTS, 0.0)
+            row["tx_bps"] = rates.get(_BYTES_SENT, 0.0)
+            row["rx_bps"] = rates.get(_BYTES_RECEIVED, 0.0)
+            row["err_ps"] = rates.get(_ERRORS, 0.0)
+            row["reset"] = bool(d.resets)
+            row["health"] = _health.breaches_for(export, delta=d)
+            activity = _table_activity(d)
+            row["hot_tables"] = sorted(
+                activity, key=lambda t: (-activity[t], t))[:hot_tables]
+        out[component] = row
+    return out
 
 
 def render_top(summary: Dict[str, Dict[str, Any]],
                clock: Optional[str] = None) -> str:
-    """Render a :meth:`ClusterTelemetry.summary` as the fixed-width
-    table ``repro top`` prints (one row per component)."""
+    """Render :func:`summary_rows` as the fixed-width table ``repro
+    top`` prints (one row per component)."""
     header = (f"{'SERVER':<12} {'QPS':>8} {'TX/s':>9} {'RX/s':>9} "
               f"{'INFLIGHT':>8} {'ERR/s':>7} {'REQS':>9} "
               f"{'SCAN-ZIP':>10} {'PUSHDOWN':>10} {'HEALTH':>7}  HOT TABLES")

@@ -143,7 +143,6 @@ RECOVER = 0x15
 TABLET_INFO = 0x16
 STATUS = 0x17
 SHUTDOWN = 0x18
-TELEMETRY = 0x19
 CANCEL_SCAN = 0x1A
 TABLE_MULT = 0x1B        # client → manager: one whole two-table op
 MULTIPLY_TABLETS = 0x1C  # manager → tablet server: its AT tablets' step
@@ -164,7 +163,7 @@ OP_NAMES = {
     SPLIT_TABLET: "split_tablet", MIGRATE_OUT: "migrate_out",
     MIGRATE_IN: "migrate_in", CRASH: "crash", RECOVER: "recover",
     TABLET_INFO: "tablet_info", STATUS: "status", SHUTDOWN: "shutdown",
-    TELEMETRY: "telemetry", CANCEL_SCAN: "cancel_scan",
+    CANCEL_SCAN: "cancel_scan",
     TABLE_MULT: "table_mult", MULTIPLY_TABLETS: "multiply_tablets",
     OK: "ok", ERROR: "error", CHUNK: "chunk", DONE: "done",
 }

@@ -17,17 +17,16 @@ And the *read* side, consuming what the above produce:
 * :mod:`repro.obs.analyze` — span-tree reconstruction, per-name
   rollups with percentiles, critical paths, folded-stack flamegraph
   export (``repro analyze``);
-* :mod:`repro.obs.slowlog` — threshold-based slow-operation log
-  attached to the active trace sink (wall-clock for kernels, OpStats
-  budgets for dbsim spans);
 * :mod:`repro.obs.expose` — Prometheus text exposition of any
-  registry, atomic snapshot files, and :class:`SnapshotDelta` rate
-  computation (``repro monitor``);
+  registry and :class:`SnapshotDelta` rate computation (``repro top``,
+  ``repro health``);
 * :mod:`repro.obs.stitch` — merge per-process JSONL traces into one
   cross-process span forest by trace/span identity (``repro stitch``);
 * :mod:`repro.obs.sampling` — deterministic head sampling with a tail
-  ring that promotes errored/slow traces to the sink, keeping tracing
-  always-on at low overhead (``--sample-rate``);
+  ring that promotes errored traces and spans over a wall-clock
+  threshold or OpStats budget to the sink, keeping tracing always-on at
+  low overhead; at rate 0 it is the slow-operation log
+  (``--sample-rate``);
 * :mod:`repro.obs.health` — declarative SLO specs evaluated against
   registry exports: p99 latency targets and error budgets with
   windowed burn rates (``repro health``).
@@ -49,9 +48,7 @@ from repro.obs.convergence import ConvergenceLog, ConvergenceRecord
 from repro.obs.expose import (
     SnapshotDelta,
     parse_prometheus_text,
-    read_snapshot,
     to_prometheus,
-    write_snapshot,
 )
 from repro.obs.metrics import (
     Counter,
@@ -60,7 +57,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     global_registry,
 )
-from repro.obs.slowlog import SlowLog
 from repro.obs.stitch import StitchedTrace, stitch_files, stitch_records
 from repro.obs.trace import (
     InMemorySink,
@@ -113,10 +109,7 @@ __all__ = [
     "StitchedTrace",
     "stitch_files",
     "stitch_records",
-    "SlowLog",
     "SnapshotDelta",
     "to_prometheus",
     "parse_prometheus_text",
-    "write_snapshot",
-    "read_snapshot",
 ]

@@ -1,4 +1,4 @@
-"""Metrics exposition: Prometheus text format, snapshots, and deltas.
+"""Metrics exposition: Prometheus text format and snapshot deltas.
 
 Bridges the in-process :class:`~repro.obs.metrics.MetricsRegistry` to
 the tooling the rest of the world already speaks:
@@ -16,20 +16,14 @@ the tooling the rest of the world already speaks:
 * :func:`parse_prometheus_text` parses that format back into samples —
   the round-trip validator the tests and ``SnapshotDelta`` users lean
   on.
-* :func:`write_snapshot` atomically writes a timestamped registry
-  snapshot to a JSON file (the handshake ``repro monitor`` polls while
-  a workload runs).
 * :class:`SnapshotDelta` diffs two registry exports into per-metric
-  deltas and per-second rates.
+  deltas and per-second rates (``repro top``, ``repro health``).
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import re
-import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
@@ -200,39 +194,7 @@ def parse_prometheus_text(text: str
     return samples
 
 
-# -- snapshots and deltas ----------------------------------------------------
-
-def write_snapshot(source: Union[MetricsRegistry, Mapping[str, Any]],
-                   path: str,
-                   extra: Optional[Mapping[str, Any]] = None
-                   ) -> Dict[str, Any]:
-    """Atomically write ``{"ts": ..., "metrics": ...}`` to ``path``
-    (tmp file + rename, so a concurrent ``repro monitor`` never reads
-    a torn snapshot).  Returns the record written."""
-    metrics = (source.export() if isinstance(source, MetricsRegistry)
-               else dict(source))
-    record: Dict[str, Any] = {"ts": time.time(), "metrics": metrics}
-    if extra:
-        record.update(extra)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-    os.replace(tmp, path)
-    return record
-
-
-def read_snapshot(path: str) -> Optional[Dict[str, Any]]:
-    """Read a snapshot written by :func:`write_snapshot`; returns
-    ``None`` when the file is missing or torn (a poller retries)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(record, dict) or "metrics" not in record:
-        return None
-    return record
-
+# -- snapshot deltas ----------------------------------------------------------
 
 class SnapshotDelta:
     """Difference between two registry exports.
@@ -243,7 +205,7 @@ class SnapshotDelta:
     :meth:`rates`.
 
     A crash/recover (or plain restart) resets a process's counters, so
-    a raw ``after - before`` can go negative mid-monitor.  By default
+    a raw ``after - before`` can go negative between two polls.  By default
     (``clamp_resets=True``) a negative delta is clamped to zero and the
     series name lands in :attr:`resets`, so pollers show a flagged
     restart instead of a nonsense negative rate.  Pass

@@ -23,8 +23,7 @@ Specs are declarative and serializable: :func:`load_slos` reads a JSON
 list of spec dicts, which is what ``repro health --slos specs.json``
 feeds in; :data:`DEFAULT_SLOS` covers the RPC plane out of the box.
 ``repro health`` exits nonzero when any check breaches — the CI gate —
-and the same evaluation backs the HEALTH column in ``repro top`` and
-the per-server health block in the ``TELEMETRY`` op.
+and the same evaluation backs the HEALTH column in ``repro top``.
 """
 
 from __future__ import annotations
@@ -192,7 +191,7 @@ def breaches_for(export: Mapping[str, Any],
                  slos: Sequence[SLOSpec] = DEFAULT_SLOS,
                  delta: Optional[SnapshotDelta] = None) -> List[str]:
     """Just the breached SLO names for one component export — the
-    cheap form the telemetry plane embeds per server."""
+    cheap form ``repro top`` shows per server."""
     return sorted({c.slo for c in check_component("", export, slos,
                                                   delta=delta)
                    if not c.ok})
@@ -255,7 +254,7 @@ class HealthReport:
         return "\n".join(lines)
 
 
-def _flatten(cluster: Optional[Mapping[str, Any]]) -> Dict[str, dict]:
+def flatten(cluster: Optional[Mapping[str, Any]]) -> Dict[str, dict]:
     """``cluster_metrics()`` shape → flat ``{component: export}``."""
     if not cluster:
         return {}
@@ -276,8 +275,8 @@ def evaluate(cluster: Mapping[str, Any],
     cluster metrics snapshot.  With ``before`` given, error budgets
     burn against the interval between the two snapshots."""
     slos = DEFAULT_SLOS if slos is None else list(slos)
-    components = _flatten(cluster)
-    previous = _flatten(before)
+    components = flatten(cluster)
+    previous = flatten(before)
     checks: List[HealthCheck] = []
     for component in sorted(components):
         export = components[component]

@@ -14,12 +14,31 @@ coordination and seeded runs are bit-reproducible) *and* a
 Sampled traces flow to the sink exactly as before — their records are
 byte-identical to the unsampled format.  Unsampled spans land in a
 bounded per-process ring buffer grouped by trace id; the moment any
-span of a buffered trace errors or breaches its wall-clock threshold
-(same longest-glob matching as :mod:`repro.obs.slowlog`), the whole
-local trace is *promoted*: every buffered span is emitted to the sink
+span of a buffered trace errors or breaches a limit, the whole local
+trace is *promoted*: every buffered span is emitted to the sink
 carrying ``"sampled": false``, and later spans of that trace flow
 straight through.  Slow and broken traces are therefore never lost to
 sampling, which is what makes a 10% rate safe to run in production.
+
+The limits are matched to the span name by longest ``fnmatch`` pattern
+(an exact name beats any glob), and come in two kinds:
+
+* **wall-clock thresholds** (seconds) — meaningful for the pure
+  in-process kernels and the RPC layer, where laptop time is real time;
+* **OpStats budgets** (seeks / entries read / …) — meaningful for the
+  dbsim spans, where the cost model, not wall-clock, stands in for
+  cluster time (see docs/OBSERVABILITY.md).
+
+A span that breaches one carries ``"reasons"`` in its promoted record
+(``["seeks 412 > budget 100"]``).  At rate 0 the trace file therefore
+holds exactly the traces that errored or breached a limit — the
+slow-operation log, cluster-wide, since every process of a
+``LocalCluster(sample_rate=0)`` runs its own tail::
+
+    repro stats graph.tsv --trace slow.jsonl --sample-rate 0
+
+The default limits are deliberately loose — they flag pathologies, not
+warm caches.
 
 Counters (pre-registered at zero on the target registry, per the PR-5
 convention, so ``repro stats --prom`` shows them before the first
@@ -38,17 +57,27 @@ stay exact.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Mapping, Optional
+from fnmatch import fnmatchcase
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import trace as _trace
 from repro.obs.metrics import MetricsRegistry, global_registry
-from repro.obs.slowlog import DEFAULT_WALL_THRESHOLDS, _match
 
-#: Wall-clock promotion thresholds (seconds) by span-name pattern.
-#: The slowlog defaults plus an RPC-layer threshold: any server/client
-#: RPC span slower than this promotes its whole buffered trace.
-DEFAULT_TAIL_THRESHOLDS: Dict[str, float] = dict(DEFAULT_WALL_THRESHOLDS)
-DEFAULT_TAIL_THRESHOLDS.setdefault("rpc.*", 0.25)
+#: Wall-clock promotion thresholds (seconds) by span-name pattern: a
+#: kernel span slower than a second, or a client/server RPC span slower
+#: than a quarter second, promotes its whole buffered trace.
+DEFAULT_TAIL_THRESHOLDS: Dict[str, float] = {
+    "kernel.*": 1.0,
+    "rpc.*": 0.25,
+}
+
+#: OpStats promotion budgets by span-name pattern.  Each value maps an
+#: OpStats counter to its per-span budget.
+DEFAULT_OPSTATS_BUDGETS: Dict[str, Dict[str, int]] = {
+    "dbsim.*": {"seeks": 10_000, "entries_read": 5_000_000},
+    "graphulo.*": {"seeks": 50_000, "entries_read": 20_000_000},
+    "tablet.*": {"entries_read": 5_000_000},
+}
 
 #: Counter names :func:`configure` pre-registers at zero.
 SAMPLING_COUNTERS = ("obs.sampled_traces", "obs.unsampled_traces",
@@ -56,24 +85,59 @@ SAMPLING_COUNTERS = ("obs.sampled_traces", "obs.unsampled_traces",
                      "obs.tail_evictions")
 
 
+def _match(table: Mapping[str, Any], name: str):
+    """Longest matching pattern wins; exact name beats any glob."""
+    if name in table:
+        return table[name]
+    best_key = None
+    for pattern in table:
+        if fnmatchcase(name, pattern):
+            if best_key is None or len(pattern) > len(best_key):
+                best_key = pattern
+    return table[best_key] if best_key is not None else None
+
+
+def _reasons(span: "_trace.Span", threshold: Optional[float],
+             budgets: Tuple[Tuple[str, int], ...]) -> List[str]:
+    """Why ``span`` is over its limits, one phrase per breach."""
+    out = []
+    if threshold is not None and span.duration_s > threshold:
+        out.append(f"wall {span.duration_s:.6f}s > threshold {threshold}s")
+    opstats = span.opstats or {}
+    for counter, limit in budgets:
+        value = int(opstats.get(counter, 0))
+        if value > limit:
+            out.append(f"{counter} {value} > budget {limit}")
+    return out
+
+
 class TailBuffer:
     """Bounded per-process ring of unsampled spans, grouped by trace.
 
     ``capacity`` bounds the total retained *span* count; when exceeded,
     the oldest buffered trace is evicted whole.  Promotion triggers are
-    a span error or a wall-clock threshold breach; threshold lookup is
-    cached per span name (the name set is small and static), keeping
-    :meth:`record` to an append plus two comparisons on the hot path.
+    a span error, a wall-clock threshold breach or an OpStats budget
+    breach; limit lookup is cached per span name (the name set is small
+    and static), keeping :meth:`record` to an append plus a few
+    comparisons on the hot path.
     """
 
     def __init__(self, capacity: int = 4096,
                  wall_thresholds: Optional[Mapping[str, float]] = None,
-                 registry: Optional[MetricsRegistry] = None):
+                 registry: Optional[MetricsRegistry] = None,
+                 opstats_budgets: Optional[
+                     Mapping[str, Mapping[str, int]]] = None):
         self.capacity = max(1, int(capacity))
         self.wall_thresholds = dict(DEFAULT_TAIL_THRESHOLDS
                                     if wall_thresholds is None
                                     else wall_thresholds)
-        self._threshold_cache: Dict[str, Optional[float]] = {}
+        self.opstats_budgets = {
+            k: dict(v) for k, v in (DEFAULT_OPSTATS_BUDGETS
+                                    if opstats_budgets is None
+                                    else opstats_budgets).items()}
+        #: span name → (wall threshold, sorted budget items)
+        self._limit_cache: Dict[str, Tuple[Optional[float],
+                                           Tuple[Tuple[str, int], ...]]] = {}
         # plain dicts (insertion-ordered) beat OrderedDict on the hot
         # path; FIFO eviction is next(iter(...)) instead of popitem
         self._traces: Dict[str, List[_trace.Span]] = {}
@@ -93,17 +157,23 @@ class TailBuffer:
         """Tail hook: called by the tracer for every finished unsampled
         span."""
         name = span.name
-        cache = self._threshold_cache
+        cache = self._limit_cache
         try:
-            threshold = cache[name]
+            threshold, budgets = cache[name]
         except KeyError:
-            threshold = cache[name] = _match(self.wall_thresholds, name)
-        trigger = span.error is not None or (
-            threshold is not None and span.duration_s > threshold)
+            threshold, budgets = cache[name] = (
+                _match(self.wall_thresholds, name),
+                tuple(sorted((_match(self.opstats_budgets, name)
+                              or {}).items())))
+        reasons = None
+        if budgets or (threshold is not None
+                       and span.duration_s > threshold):
+            reasons = _reasons(span, threshold, budgets)
+        trigger = span.error is not None or bool(reasons)
         tid = span.trace_id
         with self._lock:
             if tid in self._promoted:
-                _trace.emit(span.as_dict())
+                _trace.emit(_record(span, reasons))
                 return
             bucket = self._traces.get(tid)
             if bucket is None:
@@ -112,7 +182,7 @@ class TailBuffer:
             self._count += 1
             self._c_spans.inc()
             if trigger:
-                self._promote_locked(tid)
+                self._promote_locked(tid, span, reasons)
             elif self._count > self.capacity:
                 oldest = next(iter(self._traces))
                 spans = self._traces.pop(oldest)
@@ -121,7 +191,9 @@ class TailBuffer:
 
     # -- promotion ----------------------------------------------------------
 
-    def _promote_locked(self, trace_id: str) -> None:
+    def _promote_locked(self, trace_id: str,
+                        trigger: Optional["_trace.Span"] = None,
+                        reasons: Optional[List[str]] = None) -> None:
         spans = self._traces.pop(trace_id, None)
         if spans is None:
             return
@@ -133,7 +205,7 @@ class TailBuffer:
         # whole local trace to the sink, in finish order; records carry
         # "sampled": false so stitch/analyze can tell promotions apart
         for sp in spans:
-            _trace.emit(sp.as_dict())
+            _trace.emit(_record(sp, reasons if sp is trigger else None))
 
     def promote(self, trace_id: str) -> bool:
         """Force-promote one buffered trace (e.g. from an out-of-band
@@ -160,13 +232,23 @@ class TailBuffer:
             self._count = 0
 
 
+def _record(span: "_trace.Span",
+            reasons: Optional[List[str]]) -> Dict[str, Any]:
+    out = span.as_dict()
+    if reasons:
+        out["reasons"] = reasons
+    return out
+
+
 _active: Optional[TailBuffer] = None
 _config_lock = threading.Lock()
 
 
 def configure(rate: float, tail_capacity: int = 4096,
               wall_thresholds: Optional[Mapping[str, float]] = None,
-              registry: Optional[MetricsRegistry] = None) -> TailBuffer:
+              registry: Optional[MetricsRegistry] = None,
+              opstats_budgets: Optional[
+                  Mapping[str, Mapping[str, int]]] = None) -> TailBuffer:
     """Install head sampling at ``rate`` plus tail retention.
 
     Idempotent per process (reconfiguring replaces the previous tail
@@ -188,7 +270,8 @@ def configure(rate: float, tail_capacity: int = 4096,
     with _config_lock:
         tail = TailBuffer(capacity=tail_capacity,
                           wall_thresholds=wall_thresholds,
-                          registry=registry)
+                          registry=registry,
+                          opstats_budgets=opstats_budgets)
         _trace.set_sample_rate(rate)
         _trace.set_sample_hook(_count_decision)
         _trace.set_tail_hook(tail.record)

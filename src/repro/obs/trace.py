@@ -184,8 +184,8 @@ def set_sample_hook(hook: Optional[Callable[[bool], None]]) -> None:
 def set_tail_hook(hook: Optional[Callable[["Span"], None]]) -> None:
     """Receive every finished *unsampled* span.  With no hook installed
     unsampled spans are simply dropped; :class:`repro.obs.sampling.
-    TailBuffer` installs one to retain them for error/slowlog-triggered
-    promotion."""
+    TailBuffer` installs one to retain them for promotion on an error
+    or a breached limit."""
     global _tail_hook
     _tail_hook = hook
 
@@ -537,13 +537,12 @@ class Span:
         self._finished = True
         if not self.sampled:
             # unsampled spans never touch the sink; the tail hook (if
-            # any) keeps them for error/slowlog-triggered promotion
+            # any) keeps them for promotion on an error or a limit
             tail = _tail_hook
             if tail is not None:
                 tail(self)
             return False
         # a bare NullSink discards the record anyway — skip building it
-        # (slowlog wraps the sink, so its records still flow)
         if ENABLED and _sink.__class__ is not NullSink:
             _sink.emit(self.as_dict())
         return False  # never swallow exceptions

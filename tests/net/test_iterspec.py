@@ -6,7 +6,8 @@ names, bad arguments, misplaced reduce, raw callables — is rejected
 with a typed error before any stack is built; (3) a spec executed
 server-side is bit-identical (timestamps included) to the same spec
 executed client-side, on thread and process clusters, under seeded
-drop/delay/corrupt faults.
+drop/delay/corrupt faults — and ships fewer scan bytes than the same
+filter run client-side.
 """
 
 import json
@@ -14,7 +15,7 @@ import json
 import pytest
 
 from repro.dbsim.client import Connector
-from repro.dbsim.key import Range
+from repro.dbsim.key import Range, decode_number
 from repro.dbsim.server import Instance, TableConfig
 from repro.net.cluster import LocalCluster
 from repro.net.iterspec import (
@@ -207,6 +208,13 @@ class TestRemoteBitIdentity:
         folded = sum(m.get("net.server.pushdown.cells_folded", 0)
                      for m in servers.values())
         assert stacks > 0 and folded > 0
+        # wire accounting moved both ways, on the client and on every
+        # tablet server
+        export = registry.export()
+        assert export["net.client.bytes_sent"] > 0
+        assert export["net.client.bytes_received"] > 0
+        assert all(m["net.server.bytes_sent"] > 0
+                   for m in servers.values())
 
     def test_batch_scanner_spec_bit_identical(self, processes):
         spec = IterSpec().value_ge(2.0).reduce("sum", count=True)
@@ -239,6 +247,33 @@ class TestRemoteBitIdentity:
                     assert got == wants[coalesce]
             finally:
                 conn.close()
+
+
+class TestPushdownWire:
+    def test_filtered_scan_ships_fewer_bytes_than_client_filter(self):
+        """A predicate run inside the tablet servers returns the cells
+        the client-side filter keeps, in fewer scan bytes."""
+        spec = IterSpec().value_ge(2.0)
+        with LocalCluster(n_servers=3, processes=False) as c:
+            registry = MetricsRegistry()
+            conn = c.connect(metrics=registry)
+
+            def scan_rx():
+                return registry.export().get(
+                    "net.client.op.scan.bytes_received", 0)
+
+            try:
+                _ingest(conn)
+                r0 = scan_rx()
+                client_side = [cl for cl in conn.scanner("E")
+                               if decode_number(cl.value) >= 2.0]
+                r1 = scan_rx()
+                pushed = list(conn.scanner("E", iterspec=spec))
+                r2 = scan_rx()
+            finally:
+                conn.close()
+        assert pushed == client_side
+        assert 0 < r2 - r1 < r1 - r0
 
 
 class TestRemoteErrors:

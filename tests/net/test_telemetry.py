@@ -1,53 +1,13 @@
-"""Cluster telemetry plane: the ring buffer, summary rows, reset
-flagging, the TELEMETRY op, and the ``repro top`` rendering."""
+"""``repro top``: summary rows between two METRICS samples, reset
+flagging, the rendering, and the command against a live cluster."""
 
 import pytest
 
+from repro.cli import main
 from repro.net.cluster import LocalCluster
-from repro.net.telemetry import (ClusterTelemetry, _table_activity,
-                                 format_bytes, render_top)
+from repro.net.telemetry import (_table_activity, format_bytes,
+                                 render_top, summary_rows)
 from repro.obs.expose import SnapshotDelta
-
-
-def make_fetch(script):
-    """A fetch callable that replays a scripted sample per call."""
-    state = {"i": 0}
-
-    def fetch():
-        sample = script[min(state["i"], len(script) - 1)]
-        state["i"] += 1
-        return sample
-
-    return fetch
-
-
-class TestRing:
-    def test_window_caps_history(self):
-        tel = ClusterTelemetry(make_fetch([{"s": {"x": 1}}]), window=3)
-        for t in range(10):
-            tel.sample(now=float(t))
-        series = tel.series("s")
-        assert len(series) == 3
-        assert [ts for ts, _ in series] == [7.0, 8.0, 9.0]
-
-    def test_window_must_hold_two_samples(self):
-        with pytest.raises(ValueError, match="window"):
-            ClusterTelemetry(window=1)
-
-    def test_sample_without_fetch_rejected(self):
-        tel = ClusterTelemetry.from_dict({"window": 5, "series": {}})
-        with pytest.raises(RuntimeError, match="fetch"):
-            tel.sample()
-
-    def test_delta_needs_two_samples(self):
-        tel = ClusterTelemetry(make_fetch([{"s": {"x": 1}},
-                                           {"s": {"x": 5}}]))
-        tel.sample(now=0.0)
-        assert tel.delta("s") is None
-        tel.sample(now=2.0)
-        d = tel.delta("s")
-        assert d.delta("x") == 4
-        assert d.rates()["x"] == pytest.approx(2.0)
 
 
 class TestSummary:
@@ -66,25 +26,35 @@ class TestSummary:
     ]
 
     def test_rows_before_and_after_second_sample(self):
-        tel = ClusterTelemetry(make_fetch(self.SCRIPT))
-        tel.sample(now=0.0)
-        row = tel.summary()["tserver0"]
+        first, second = self.SCRIPT
+        row = summary_rows(None, first, 0.0)["tserver0"]
         assert row["requests"] == 100 and row["qps"] is None
-        tel.sample(now=2.0)
-        row = tel.summary()["tserver0"]
+        assert row["health"] is None
+        row = summary_rows(first, second, 2.0)["tserver0"]
         assert row["qps"] == pytest.approx(10.0)
         assert row["tx_bps"] == pytest.approx(1024.0)
         assert row["inflight"] == 2
         assert row["reset"] is False
+        assert row["health"] == []
         assert row["hot_tables"] == ["A", "B"]
 
+    def test_cluster_metrics_shape_is_flattened(self):
+        before = {"manager": {"net.server.requests": 1},
+                  "servers": {"tserver0": {"net.server.requests": 3}}}
+        after = {"manager": {"net.server.requests": 5},
+                 "servers": {"tserver0": {"net.server.requests": 9},
+                             "tserver1": {"net.server.requests": 2}}}
+        rows = summary_rows(before, after, 2.0)
+        assert sorted(rows) == ["manager", "tserver0", "tserver1"]
+        assert rows["manager"]["qps"] == pytest.approx(2.0)
+        assert rows["tserver0"]["qps"] == pytest.approx(3.0)
+        assert rows["tserver1"]["qps"] is None  # no earlier sample
+
     def test_restart_is_flagged_not_negative(self):
-        script = [{"s": {"net.server.requests": 500}},
-                  {"s": {"net.server.requests": 3}}]  # restarted
-        tel = ClusterTelemetry(make_fetch(script))
-        tel.sample(now=0.0)
-        tel.sample(now=1.0)
-        row = tel.summary()["s"]
+        rows = summary_rows({"s": {"net.server.requests": 500}},
+                            {"s": {"net.server.requests": 3}},  # restarted
+                            1.0)
+        row = rows["s"]
         assert row["reset"] is True
         assert row["qps"] == 0.0  # clamped, never negative
 
@@ -97,16 +67,6 @@ class TestSummary:
              "net.server.table.A.scan_bytes": 100,
              "dbsim.table.B.seeks": 5})
         assert _table_activity(d) == {"A": 107}
-
-
-class TestWireForm:
-    def test_round_trip(self):
-        tel = ClusterTelemetry(make_fetch(TestSummary.SCRIPT))
-        tel.sample(now=0.0)
-        tel.sample(now=2.0)
-        clone = ClusterTelemetry.from_dict(tel.as_dict())
-        assert clone.components() == ["tserver0"]
-        assert clone.summary() == tel.summary()
 
 
 class TestRenderTop:
@@ -132,53 +92,6 @@ class TestRenderTop:
         assert format_bytes(1536) == "1.5K"
         assert format_bytes(3 << 20) == "3.0M"
 
-
-class TestTelemetryOp:
-    def test_manager_serves_ring_over_rpc(self):
-        with LocalCluster(n_servers=2, processes=False) as c:
-            conn = c.connect()
-            try:
-                conn.create_table("t")
-                with conn.batch_writer("t") as w:
-                    for i in range(20):
-                        w.put(f"r{i:02d}", "", "c", i)
-                # each call takes a fresh sample server-side, so two
-                # polls give every component a rate window
-                conn.instance.telemetry(sample=True)
-                data = conn.instance.telemetry(sample=True)
-            finally:
-                conn.close()
-            tel = ClusterTelemetry.from_dict(data)
-            assert tel.components() == ["manager", "tserver0", "tserver1"]
-            summary = tel.summary()
-            assert all(row["qps"] is not None
-                       for row in summary.values())
-            assert summary["manager"]["requests"] > 0
-            # the rendering accepts the live summary end to end
-            assert "manager" in render_top(summary)
-
-    def test_telemetry_op_carries_health_block(self):
-        with LocalCluster(n_servers=1, processes=False) as c:
-            conn = c.connect()
-            try:
-                conn.create_table("t")
-                conn.instance.telemetry(sample=True)
-                data = conn.instance.telemetry(sample=True)
-            finally:
-                conn.close()
-        health = data["health"]
-        assert health["ok"] is True
-        assert set(health["components"]) == {"manager", "tserver0"}
-        slos = {c["slo"] for c in health["checks"]}
-        assert {"rpc.queue.p99", "rpc.service.p99", "rpc.errors"} <= slos
-        # from_dict tolerates (and drops) the extra key
-        tel = ClusterTelemetry.from_dict(data)
-        summary = tel.summary()
-        assert summary["tserver0"]["health"] == []  # no breaches
-        rendered = render_top(summary)
-        assert "HEALTH" in rendered.splitlines()[0]
-        assert " ok " in rendered
-
     def test_health_column_flags_breaches(self):
         summary = {
             "ok-server": {"requests": 10, "qps": 1.0, "tx_bps": 0.0,
@@ -201,22 +114,75 @@ class TestTelemetryOp:
         assert "SLO!2" in by_name["sick-server"]
         assert " ok " not in by_name["new-server"]  # unknown -> "-"
 
-    def test_background_sampler_fills_ring(self):
+
+class TestTopCommand:
+    def test_two_refreshes_render_every_component(self, capsys,
+                                                  monkeypatch):
         import time
 
-        with LocalCluster(n_servers=1, processes=False,
-                          telemetry_interval=0.05) as c:
-            deadline = time.time() + 5.0
+        with LocalCluster(n_servers=2, processes=False) as c:
             conn = c.connect()
             try:
-                while time.time() < deadline:
-                    data = conn.instance.telemetry(sample=False)
-                    tel = ClusterTelemetry.from_dict(data)
-                    if len(tel.series("tserver0")) >= 2:
-                        break
-                    time.sleep(0.05)
-                else:
-                    pytest.fail("background sampler never produced "
-                                "two samples")
+                conn.create_table("t")
+
+                def work(_seconds):  # the workload between the polls
+                    with conn.batch_writer("t") as w:
+                        for i in range(20):
+                            w.put(f"r{i:02d}", "", "c", i)
+                    assert len(list(conn.scanner("t"))) == 20
+
+                monkeypatch.setattr(time, "sleep", work)
+                capsys.readouterr()
+                assert main(["top", "--connect", c.manager_addr_str,
+                             "--iterations", "2"]) == 0
             finally:
+                monkeypatch.undo()
                 conn.close()
+        first, second = capsys.readouterr().out.split("\n\n")
+        rows = {line.split()[0]: line.split()
+                for line in second.splitlines()[2:]}
+        assert sorted(rows) == ["manager", "tserver0", "tserver1"]
+        assert "HEALTH" in second.splitlines()[1]
+        for name, cols in rows.items():
+            assert cols[1] != "-", f"{name} has no QPS"  # a rate window
+            assert cols[9] == "ok", f"{name} health {cols[9]}"
+        # the first refresh has no earlier sample: rates are unknown
+        assert all(line.split()[1] == "-"
+                   for line in first.splitlines()[2:])
+        # the writes and the scan name the hot table
+        assert "t" in {rows["tserver0"][-1], rows["tserver1"][-1]}
+
+    def test_reset_marker_after_crash_and_recover(self, capsys,
+                                                  monkeypatch):
+        import time
+
+        with LocalCluster(n_servers=1, processes=False) as c:
+            conn = c.connect()
+            try:
+                conn.create_table("t")
+                with conn.batch_writer("t") as w:
+                    w.put("r", "", "c", 1)
+
+                # between the two polls: the unflushed cell is lost,
+                # so the server's memtable gauges fall
+                def bounce(_seconds):
+                    conn.instance.crash_server("tserver0")
+                    conn.instance.recover_server("tserver0",
+                                                 replay_wal=False)
+
+                monkeypatch.setattr(time, "sleep", bounce)
+                capsys.readouterr()
+                assert main(["top", "--connect", c.manager_addr_str,
+                             "--iterations", "2"]) == 0
+            finally:
+                monkeypatch.undo()
+                conn.close()
+        out = capsys.readouterr().out
+        assert "tserver0*" in out
+        assert out.rstrip().endswith("(* counters reset since last sample)")
+
+    def test_unreachable_cluster_exits_2(self, capsys):
+        with LocalCluster(n_servers=1, processes=False) as c:
+            addr = c.manager_addr_str
+        assert main(["top", "--connect", addr, "--iterations", "1"]) == 2
+        assert "unreachable" in capsys.readouterr().err

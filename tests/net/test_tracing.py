@@ -25,6 +25,7 @@ from repro.net import wire
 from repro.net.cluster import LocalCluster
 from repro.obs import sampling as _sampling
 from repro.obs import trace as _trace
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.stitch import stitch_files
 from repro.obs.trace import InMemorySink, JSONLSink, NullSink
 
@@ -185,6 +186,35 @@ class TestPipelinedCallTiming:
         # and decoding the ack
         assert row["network_s"] < 0.02
         assert row["client_s"] - row["network_s"] >= 0.05
+
+    def test_rpc_seconds_stop_at_the_answer(self):
+        """``net.client.rpc_seconds`` times the round trip: an ack that
+        another call's read took off the socket, and that its own
+        caller reads 50 ms later, adds less than those 50 ms."""
+        registry = MetricsRegistry()
+        with LocalCluster(n_servers=1, processes=False) as cluster:
+            conn = cluster.connect(metrics=registry)
+            try:
+                conn.create_table("t")
+                (proxy,) = conn.instance.tablets("t")
+                core = conn.instance.core
+                core.call(proxy.addr, wire.PING, {})  # dial
+                (link,) = [c for c in core._conns.values()
+                           if c.addr == proxy.addr]
+                before = registry.export()["net.client.rpc_seconds"]
+                call = proxy.submit_raw_batch(
+                    [("r", "", "q", "", 0, False, "1")])
+                assert select.select([link.sock], [], [], 5.0)[0]
+                # the ping's answer is behind the ack on the socket, so
+                # waiting for it reads (and stamps) the ack first
+                core.call(proxy.addr, wire.PING, {})
+                time.sleep(0.05)
+                assert call.result()["applied"] == 1
+                after = registry.export()["net.client.rpc_seconds"]
+            finally:
+                conn.close()
+        assert after["count"] == before["count"] + 2
+        assert after["sum"] - before["sum"] < 0.05
 
 
 def _edge_summary_for_trace(st, trace_id):

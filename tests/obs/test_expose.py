@@ -1,4 +1,4 @@
-"""Exposition: Prometheus text format round-trip, snapshots, deltas."""
+"""Exposition: Prometheus text format round-trip, snapshot deltas."""
 
 import json
 import math
@@ -6,8 +6,7 @@ import math
 import pytest
 
 from repro.obs.expose import (SnapshotDelta, parse_prometheus_text,
-                              read_snapshot, sanitize_name, split_labels,
-                              to_prometheus, write_snapshot)
+                              sanitize_name, split_labels, to_prometheus)
 from repro.obs.metrics import BUCKET_BOUNDS, MetricsRegistry
 
 
@@ -123,41 +122,6 @@ class TestParser:
     def test_inf_values(self):
         samples = parse_prometheus_text('x_bucket{le="+Inf"} 4\n')
         assert samples[("x_bucket", (("le", "+Inf"),))] == 4
-
-
-class TestSnapshotFile:
-    def test_write_read_round_trip(self, tmp_path, registry):
-        path = str(tmp_path / "m.json")
-        record = write_snapshot(registry, path, extra={"note": "x"})
-        loaded = read_snapshot(path)
-        assert loaded["metrics"] == json.loads(
-            json.dumps(record["metrics"]))
-        assert loaded["note"] == "x"
-        assert isinstance(loaded["ts"], float)
-
-    def test_read_missing_or_torn_returns_none(self, tmp_path):
-        assert read_snapshot(str(tmp_path / "nope.json")) is None
-        torn = tmp_path / "torn.json"
-        torn.write_text('{"ts": 1.0, "metr')
-        assert read_snapshot(str(torn)) is None
-        notdict = tmp_path / "nd.json"
-        notdict.write_text("[1, 2]")
-        assert read_snapshot(str(notdict)) is None
-
-    def test_instance_snapshot_hook(self, tmp_path):
-        from repro.dbsim import Connector
-        from repro.dbsim.server import Instance
-
-        inst = Instance(n_servers=2, metrics=MetricsRegistry())
-        conn = Connector(inst)
-        conn.create_table("A")
-        with conn.batch_writer("A") as w:
-            w.put("r1", "", "q", "1")
-        path = str(tmp_path / "snap.json")
-        inst.write_metrics_snapshot(path)
-        snap = read_snapshot(path)
-        assert snap["metrics"]["dbsim.table.A.entries_written"] == 1
-        assert "total" in snap and "servers" in snap
 
 
 class TestSnapshotDelta:

@@ -7,7 +7,9 @@ import pytest
 
 from repro.obs import sampling, trace
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sampling import (DEFAULT_TAIL_THRESHOLDS,
+from repro.dbsim.stats import OpStats
+from repro.obs.sampling import (DEFAULT_OPSTATS_BUDGETS,
+                                DEFAULT_TAIL_THRESHOLDS,
                                 SAMPLING_COUNTERS, TailBuffer)
 from repro.obs.trace import InMemorySink, NullSink, TraceContext, span
 
@@ -203,6 +205,72 @@ class TestTailBuffer:
 
     def test_default_thresholds_cover_rpc(self):
         assert DEFAULT_TAIL_THRESHOLDS["rpc.*"] == 0.25
+
+    def test_slow_span_carries_its_reasons(self):
+        sink = InMemorySink()
+        trace.enable(sink)
+        tail = self.make(wall_thresholds={"kernel.*": 0.05})
+        tail.record(self.finished_span("kernel.spgemm", duration=0.04))
+        assert sink.spans() == []  # under the threshold: buffered
+        tail.record(self.finished_span("kernel.spgemm", duration=0.2))
+        (rec,) = sink.spans()
+        assert rec["reasons"] == ["wall 0.200000s > threshold 0.05s"]
+
+    def test_opstats_budget_breach_promotes_with_reasons(self):
+        """A live span whose OpStats delta blows its budget promotes
+        its trace; the record names every breached counter."""
+        sink = InMemorySink()
+        trace.enable(sink)
+        tail = sampling.configure(
+            0.0, wall_thresholds={}, registry=MetricsRegistry(),
+            opstats_budgets={"dbsim.*": {"seeks": 10,
+                                         "entries_read": 1000}})
+        stats = OpStats()
+        with span("dbsim.batch_scan", stats=stats, table="A"):
+            stats.seeks += 10          # at the budget is fine
+        assert sink.spans() == [] and len(tail) == 1
+        with span("dbsim.batch_scan", stats=stats, table="A"):
+            stats.seeks += 42          # injected budget overrun
+            stats.entries_read += 2000
+        (rec,) = sink.spans()
+        assert rec["reasons"] == ["entries_read 2000 > budget 1000",
+                                  "seeks 42 > budget 10"]
+        assert rec["opstats"]["seeks"] == 42
+        assert rec["attrs"]["table"] == "A"
+
+    def test_exact_name_beats_glob(self):
+        tail = self.make(wall_thresholds={"kernel.*": 10.0,
+                                          "kernel.spmv": 0.01},
+                         opstats_budgets={})
+        trace.enable(InMemorySink())
+        tail.record(self.finished_span("kernel.spgemm", duration=0.5))
+        assert len(tail) == 1
+        tail.record(self.finished_span("kernel.spmv", duration=0.5))
+        assert len(tail) == 1  # promoted, not buffered
+
+    def test_longest_glob_wins(self):
+        tail = self.make(wall_thresholds={"*": 10.0, "kernel.*": 0.01},
+                         opstats_budgets={})
+        trace.enable(InMemorySink())
+        tail.record(self.finished_span("other", duration=0.5))
+        assert len(tail) == 1
+        tail.record(self.finished_span("kernel.spmv", duration=0.5))
+        assert len(tail) == 1
+
+    def test_error_only_promotion_has_no_reasons(self):
+        sink = InMemorySink()
+        trace.enable(sink)
+        tail = self.make()
+        tail.record(self.finished_span(error=RuntimeError("boom")))
+        (rec,) = sink.spans()
+        assert rec["error"] == "RuntimeError: boom"
+        assert "reasons" not in rec
+
+    def test_default_budgets_cover_dbsim(self):
+        assert self.make().opstats_budgets == DEFAULT_OPSTATS_BUDGETS
+        assert DEFAULT_OPSTATS_BUDGETS["dbsim.*"]["seeks"] == 10_000
+        # an explicit empty table disables every budget
+        assert self.make(opstats_budgets={}).opstats_budgets == {}
 
 
 class TestConfigure:

@@ -253,31 +253,63 @@ class TestAnalyze:
         assert "kernel.vxm" in capsys.readouterr().out
 
 
-class TestSlowlog:
-    def test_summary_on_stderr(self, graph_tsv, tmp_path, capsys):
-        slow = tmp_path / "slow.jsonl"
-        assert main(["pagerank", graph_tsv, "--slowlog", str(slow)]) == 0
-        err = capsys.readouterr().err
-        assert "slow-op log:" in err and str(slow) in err
-        # the Fig 1 graph is far under every default budget
-        assert "0/" in err
+def trace_spans(path):
+    import json
 
-    def test_slowlog_composes_with_trace(self, graph_tsv, tmp_path,
-                                         capsys):
-        import json
+    return [r for r in map(json.loads, path.read_text().splitlines())
+            if r.get("kind") == "span"]
 
-        trace_file = tmp_path / "t.jsonl"
-        assert main(["pagerank", graph_tsv, "--trace", str(trace_file),
-                     "--slowlog", str(tmp_path / "s.jsonl")]) == 0
-        # the slowlog wrapper must not eat the full trace
-        records = [json.loads(line)
-                   for line in trace_file.read_text().splitlines()]
-        assert any(r["kind"] == "span" for r in records)
 
-    def test_unwritable_slowlog_path(self, graph_tsv, capsys):
-        assert main(["pagerank", graph_tsv, "--slowlog",
-                     "/no/such/dir/s.jsonl"]) == 2
-        assert "cannot open slow-op log file" in capsys.readouterr().err
+class TestSlowTraces:
+    """``--trace PATH --sample-rate 0``: only the traces that errored
+    or breached a wall-clock threshold / OpStats budget are recorded."""
+
+    def test_quiet_run_records_no_spans(self, graph_tsv, tmp_path,
+                                        capsys):
+        out = tmp_path / "slow.jsonl"
+        assert main(["pagerank", graph_tsv, "--trace", str(out),
+                     "--sample-rate", "0"]) == 0
+        # the Fig 1 graph is far under every default limit
+        assert trace_spans(out) == []
+
+    def test_wall_threshold_breach_is_recorded(self, graph_tsv, tmp_path,
+                                               capsys, monkeypatch):
+        from repro.obs import sampling
+
+        monkeypatch.setitem(sampling.DEFAULT_TAIL_THRESHOLDS,
+                            "kernel.*", 0.0)
+        out = tmp_path / "slow.jsonl"
+        assert main(["pagerank", graph_tsv, "--trace", str(out),
+                     "--sample-rate", "0"]) == 0
+        spans = trace_spans(out)
+        assert spans and all(r["sampled"] is False for r in spans)
+        slow = [r for r in spans if "reasons" in r]
+        assert slow and all(r["name"].startswith("kernel.") for r in slow)
+        assert "> threshold 0.0s" in slow[0]["reasons"][0]
+        assert slow[0]["reasons"][0].startswith("wall ")
+
+    def test_opstats_budget_breach_is_recorded(self, graph_tsv, tmp_path,
+                                               capsys, monkeypatch):
+        from repro.obs import sampling
+
+        monkeypatch.setitem(sampling.DEFAULT_OPSTATS_BUDGETS,
+                            "dbsim.*", {"entries_written": 11})
+        out = tmp_path / "slow.jsonl"
+        assert main(["stats", graph_tsv, "--trace", str(out),
+                     "--sample-rate", "0"]) == 0
+        slow = [r for r in trace_spans(out) if "reasons" in r]
+        assert slow
+        # the ingest writes the graph's 12 cells in one span
+        assert "entries_written 12 > budget 11" in slow[0]["reasons"]
+        assert slow[0]["opstats"]["entries_written"] == 12
+
+    @pytest.mark.parametrize("rate", ["-0.5", "5", "nan", "x"])
+    def test_rate_outside_unit_interval_exits_2(self, graph_tsv, rate,
+                                                capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pagerank", graph_tsv, "--sample-rate", rate])
+        assert exc.value.code == 2
+        assert "is not a rate in [0, 1]" in capsys.readouterr().err
 
 
 class TestStatsExposition:
@@ -288,49 +320,3 @@ class TestStatsExposition:
         samples = parse_prometheus_text(capsys.readouterr().out)
         assert samples[("repro_dbsim_table_entries_written",
                         (("table", "A"),))] == 12
-
-    def test_metrics_json_snapshot(self, graph_tsv, tmp_path, capsys):
-        from repro.obs.expose import read_snapshot
-
-        snap_file = tmp_path / "m.json"
-        assert main(["stats", graph_tsv, "--metrics-json",
-                     str(snap_file)]) == 0
-        snap = read_snapshot(str(snap_file))
-        assert snap["metrics"]["dbsim.table.A.entries_written"] == 12
-
-
-class TestMonitor:
-    def test_waits_for_missing_snapshot(self, tmp_path, capsys):
-        assert main(["monitor", "--metrics-json",
-                     str(tmp_path / "nope.json"), "--interval", "0",
-                     "--iterations", "1"]) == 0
-        assert "waiting for" in capsys.readouterr().out
-
-    def test_baseline_then_idle(self, graph_tsv, tmp_path, capsys):
-        snap_file = tmp_path / "m.json"
-        assert main(["stats", graph_tsv, "--metrics-json",
-                     str(snap_file)]) == 0
-        capsys.readouterr()
-        assert main(["monitor", "--metrics-json", str(snap_file),
-                     "--interval", "0", "--iterations", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "baseline" in out
-        assert "idle" in out
-
-    def test_reports_moving_counters(self, tmp_path, capsys, monkeypatch):
-        import time
-
-        from repro.obs.expose import write_snapshot
-
-        snap_file = str(tmp_path / "m.json")
-        write_snapshot({"dbsim.table.A.seeks": 10}, snap_file)
-
-        def bump(_seconds):  # the "workload" advances between polls
-            write_snapshot({"dbsim.table.A.seeks": 25}, snap_file)
-
-        monkeypatch.setattr(time, "sleep", bump)
-        assert main(["monitor", "--metrics-json", snap_file,
-                     "--interval", "0", "--iterations", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "1 metric(s) moved" in out
-        assert "dbsim.table.A.seeks" in out and "+15" in out
