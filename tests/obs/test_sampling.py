@@ -266,6 +266,30 @@ class TestTailBuffer:
         assert rec["error"] == "RuntimeError: boom"
         assert "reasons" not in rec
 
+    def test_slow_error_span_carries_error_and_reasons(self):
+        sink = InMemorySink()
+        trace.enable(sink)
+        tail = self.make(wall_thresholds={"*": 0.01}, opstats_budgets={})
+        tail.record(self.finished_span(error=ValueError("boom"),
+                                       duration=1.0))
+        (rec,) = sink.spans()
+        assert rec["error"] == "ValueError: boom"
+        assert rec["reasons"] == ["wall 1.000000s > threshold 0.01s"]
+
+    def test_unmatched_name_is_never_slow(self):
+        tail = self.make(wall_thresholds={"kernel.*": 0.01},
+                         opstats_budgets={"kernel.*": {"seeks": 0}})
+        trace.enable(InMemorySink())
+        tail.record(self.finished_span("dbsim.scan", duration=9.0))
+        assert len(tail) == 1  # no limit applies: buffered
+
+    def test_at_the_wall_threshold_is_not_a_breach(self):
+        sink = InMemorySink()
+        trace.enable(sink)
+        tail = self.make(wall_thresholds={"op": 0.5}, opstats_budgets={})
+        tail.record(self.finished_span(duration=0.5))
+        assert sink.spans() == [] and len(tail) == 1
+
     def test_default_budgets_cover_dbsim(self):
         assert self.make().opstats_budgets == DEFAULT_OPSTATS_BUDGETS
         assert DEFAULT_OPSTATS_BUDGETS["dbsim.*"]["seeks"] == 10_000
