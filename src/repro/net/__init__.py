@@ -8,9 +8,9 @@ partial failure, retries) a single process cannot model:
 * :mod:`repro.net.wire` — length-prefixed framed protocol (v3):
   versioned op-codes, CRC-checked payloads, an 8-byte request id for
   multiplexing, binary cell-block payloads (:mod:`repro.net.cells`)
-  with optional per-frame zlib on the hot ops, streaming scan chunks,
-  and structured error frames that map server-side exceptions back to
-  the same typed errors the in-process backend raises;
+  on the hot ops, streaming scan chunks, and structured error frames
+  that map server-side exceptions back to the same typed errors the
+  in-process backend raises;
 * :mod:`repro.net.faults` — seeded in-path fault injector (drop /
   delay / reset / corrupt-frame / slow-drip / reorder, per op-code)
   applied at response time so retries and write dedup are genuinely

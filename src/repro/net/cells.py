@@ -36,8 +36,7 @@ client decode, engine consumption — materialising ``Cell`` objects only
 when a caller actually iterates per cell (:meth:`ColumnBatch.cells`).
 
 The encoded block is a frame *payload*; :mod:`repro.net.wire` marks it
-with ``FLAG_CELLS`` (and optionally ``FLAG_ZLIB`` for per-chunk
-compression) so the receiving side never guesses at the format.
+with ``FLAG_CELLS`` so the receiving side never guesses at the format.
 
 Everything crossing this codec is the raw mutation shape ``(row,
 family, qualifier, visibility, timestamp, delete, value)`` — cells and

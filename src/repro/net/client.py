@@ -213,12 +213,6 @@ class _Stream:
                 break          # terminal: raised by the next read
         return frames
 
-    def mark_ended(self) -> None:
-        """The consumer learned out-of-band (a ``last``-marked CHUNK)
-        that no more data is coming: flag the stream terminal so close
-        skips the cancel and the reader drops the trailing DONE."""
-        self.ended = True
-
     def abandon(self) -> None:
         """Stop waiting for this request (a deadline passed): its late
         frames count as ``net.client.stale_frames``; the connection and
@@ -301,14 +295,12 @@ class _Conn:
             self.pending[stream.req] = stream
         return stream
 
-    def send(self, code: int, payload: Any, tc=None, req: int = 0,
-             compress: bool = False) -> int:
+    def send(self, code: int, payload: Any, tc=None, req: int = 0) -> int:
         """Write one frame from the calling thread.  This cannot
         deadlock against responses nobody is reading: the server's
         connection reader never runs a handler, so it keeps draining
         what we send however many answers are waiting in our socket."""
-        data = wire.encode_frame(code, payload, tc=tc, req=req,
-                                 compress=compress)
+        data = wire.encode_frame(code, payload, tc=tc, req=req)
         try:
             with self.wlock:
                 if self.closed:
@@ -552,15 +544,14 @@ class RpcCore:
     # -- RPCs -------------------------------------------------------------
 
     def _send(self, addr: Addr, op: int, payload, tc=None,
-              compress: bool = False, unary: bool = True) -> _Stream:
+              unary: bool = True) -> _Stream:
         """Register a request on ``addr``'s connection and send it."""
         counters = self.metrics.counter
         opname = wire.OP_NAMES.get(op, hex(op))
         counters("net.client.requests").inc()
         stream = self._conn(addr).open(opname, unary)
         try:
-            nsent = stream.conn.send(op, payload, tc=tc, req=stream.req,
-                                     compress=compress)
+            nsent = stream.conn.send(op, payload, tc=tc, req=stream.req)
         except BaseException:
             stream.abandon()
             raise
@@ -569,7 +560,7 @@ class RpcCore:
         return stream
 
     def _call(self, addr: Addr, op: int, payload, tc=None,
-              compress: bool = False, first=None, wait: bool = False) -> Any:
+              first=None, wait: bool = False) -> Any:
         """One RPC with the full retry taxonomy.  ``first`` is the
         first attempt when :meth:`submit` already made it: the sent
         request, or the transport error its send raised.  ``wait``
@@ -589,7 +580,7 @@ class RpcCore:
             try:
                 if isinstance(sent, BaseException):
                     raise sent
-                stream = sent or self._send(addr, op, payload, tc, compress)
+                stream = sent or self._send(addr, op, payload, tc)
                 code, resp, _nread = stream.get(timeout)
             except TimeoutError as exc:
                 counters("net.client.timeouts").inc()
@@ -649,7 +640,7 @@ class RpcCore:
         return stamped
 
     def mutate(self, addr: Addr, op: int, payload,
-               compress: bool = False, wait: bool = False) -> dict:
+               wait: bool = False) -> dict:
         """A mutating RPC: stamped for exactly-once dedup, then sent
         through the same retry loop as ``call``.
 
@@ -658,14 +649,12 @@ class RpcCore:
         waits for its answer however long that takes.  Only a failed
         connection re-sends it — the same stamp, which the server's
         dedup window answers with the first run's ack."""
-        return self.call(addr, op, self._stamp(payload), compress=compress,
-                         wait=wait)
+        return self.call(addr, op, self._stamp(payload), wait=wait)
 
     def call(self, addr: Addr, op: int, payload,
-             compress: bool = False, wait: bool = False) -> dict:
+             wait: bool = False) -> dict:
         if not _trace.ENABLED:
-            return self._call(addr, op, payload, compress=compress,
-                              wait=wait)
+            return self._call(addr, op, payload, wait=wait)
         with _trace.span("rpc.client.call", op=wire.OP_NAMES.get(op, op),
                          server=format_addr(addr)) as sp:
             # every attempt (retries included) carries this span's
@@ -674,13 +663,11 @@ class RpcCore:
             # bit tells the server whether to record its half
             if not sp.sampled:
                 self._sampled_out.inc()
-            result = self._call(addr, op, payload, tc=sp.context,
-                                compress=compress, wait=wait)
+            result = self._call(addr, op, payload, tc=sp.context, wait=wait)
             sp.attrs["session"] = self.session
             return result
 
-    def submit(self, addr: Addr, op: int, payload,
-               compress: bool = False) -> _Call:
+    def submit(self, addr: Addr, op: int, payload) -> _Call:
         """Pipelined ``call``: the request goes out now, on this thread;
         the returned handle's ``result()`` waits for the answer (and
         owns the retries, should this attempt be lost)."""
@@ -696,16 +683,15 @@ class RpcCore:
             if not sp.sampled:
                 self._sampled_out.inc()
         try:
-            first = self._send(addr, op, payload, tc, compress)
+            first = self._send(addr, op, payload, tc)
         except (wire.ConnectionClosedError, OSError) as exc:
             first = exc  # result() retries from the second attempt
-        return _Call(self, (addr, op, payload, tc, compress), first, sp)
+        return _Call(self, (addr, op, payload, tc), first, sp)
 
-    def submit_mutate(self, addr: Addr, op: int, payload,
-                      compress: bool = False) -> _Call:
+    def submit_mutate(self, addr: Addr, op: int, payload) -> _Call:
         """Pipelined ``mutate``: stamp now, send now, ack later.  The
         caller owns draining (and thereby per-tablet ordering)."""
-        return self.submit(addr, op, self._stamp(payload), compress)
+        return self.submit(addr, op, self._stamp(payload))
 
     # -- scan streams -----------------------------------------------------
 
@@ -723,12 +709,6 @@ class RpcCore:
 #: servers scan in parallel while the head segment's batches are being
 #: decoded, so crossing a tablet boundary rarely waits on the network
 _SCAN_FANOUT = 3
-
-#: how long a round waits for a follow-on segment's frames before
-#: handing back what it has — long enough to catch a segment that has
-#: been producing in parallel and is a hair behind the head, short
-#: enough that one slow server cannot stall delivery of ready batches
-_SPLICE_WAIT = 0.01
 
 
 def _ship(scan_iterators: Sequence) -> Tuple[dict, tuple]:
@@ -774,31 +754,6 @@ class _Segment:
         self.span = None
 
 
-def _is_last_chunk(frame) -> bool:
-    code, payload, _ = frame
-    return code == wire.CHUNK and bool(payload.meta.get("last"))
-
-
-def _seg_run_complete(frames: list) -> bool:
-    """Did this frame run *cleanly* finish its segment?  True on a
-    trailing DONE or ``last``-marked CHUNK.  An ERROR ends the stream
-    but not the segment (it will be resumed), so it is not complete —
-    and the round must not splice a later segment's frames after it."""
-    return bool(frames) and (frames[-1][0] == wire.DONE
-                             or _is_last_chunk(frames[-1]))
-
-
-def _drop_folded_done(run: list) -> list:
-    """Drop the DONE that trails a ``last``-marked CHUNK in one
-    segment's frame run.  The chunk already completes its segment, so
-    every DONE the consumer is handed completes a segment of its own —
-    an empty tablet's whole run is one bare DONE, and it must not be
-    mistaken for the previous segment's."""
-    if len(run) > 1 and run[-1][0] == wire.DONE and _is_last_chunk(run[-2]):
-        run.pop()
-    return run
-
-
 class _RemoteScanStream:
     """The resumable ColumnBatch pump behind every remote scan.
 
@@ -806,8 +761,8 @@ class _RemoteScanStream:
     frames: open/retry/backoff, mid-stream resume, split re-planning,
     spans and counters.  :meth:`next_batch` returns decoded
     :class:`~repro.net.cells.ColumnBatch`\\ es — one per pull,
-    coalescing every CHUNK that has already arrived — and never
-    materialises a ``Cell``.
+    merging every CHUNK of the head segment that has already arrived —
+    and never materialises a ``Cell``.
 
     A pump scans one *range set* (sorted, disjoint ranges; a plain
     range scan is a set of one) and may span many segments, one per
@@ -815,10 +770,10 @@ class _RemoteScanStream:
     tablet's share of the set, found by bisecting the set against the
     tablet extents.  It fans out: the next :data:`_SCAN_FANOUT`
     segments' streams are opened ahead of consumption so their servers
-    scan in parallel, and one round delivers as many consecutive
-    completed segments as have arrived.  Delivery order is
-    strictly segment order — fan-out changes when servers *produce*,
-    never when the consumer *sees*.
+    scan in parallel.  A segment ends on its DONE, and only then does
+    the next one become the head, so delivery order is strictly
+    segment order — fan-out changes when servers *produce*, never when
+    the consumer *sees*.
 
     The stream is resumable at batch granularity: the resume key
     advances to the last entry of each CHUNK as it is decoded, and any
@@ -895,7 +850,6 @@ class _RemoteScanStream:
             "columns": ([list(c) for c in self._columns]
                         if self._columns else None),
             "resume": self._resume,
-            "compress": self._inst.compress,
         }
         payload.update(self._pushdown)
         tc = None
@@ -910,15 +864,15 @@ class _RemoteScanStream:
         seg.stream = core.open_stream(seg.addr, wire.SCAN, payload, tc=tc)
         self._opened = True
 
-    def _fanout(self, base: int) -> None:
-        """Open any unopened streams among segments ``base`` through
-        ``base + _SCAN_FANOUT - 1``.  Only a head (``base == 0``) open
-        failure propagates — an eager open that fails will fail again,
-        visibly, once that segment becomes the head."""
-        for i, seg in enumerate(self._segments[base:base + _SCAN_FANOUT]):
+    def _fanout(self) -> None:
+        """Open any unopened streams among the first
+        :data:`_SCAN_FANOUT` segments.  Only the head's open failure
+        propagates — an eager open that fails will fail again, visibly,
+        once that segment becomes the head."""
+        for i, seg in enumerate(self._segments[:_SCAN_FANOUT]):
             if seg.stream is not None:
                 continue
-            if base == 0 and i == 0:
+            if i == 0:
                 self._open(seg)
             else:
                 try:
@@ -928,36 +882,6 @@ class _RemoteScanStream:
                         seg.span.finish()
                         seg.span = None
                     break
-
-    def _round(self) -> list:
-        """One pull: fan out opens for the next few segments (their
-        servers scan in parallel), wait for the head segment's frame
-        run, then — while each run *cleanly* completes its segment —
-        splice on the follow-on segments' runs, waiting at most
-        :data:`_SPLICE_WAIT` each since they have been producing
-        concurrently the whole time.  The consumer gets a whole
-        multi-segment run per pull instead of one tablet's.
-
-        A run ending in ERROR (or a splice-side failure) stops the
-        splice: later segments' frames must never be delivered before
-        an earlier segment has resumed and finished."""
-        core = self._inst.core
-        self._fanout(0)
-        frames = _drop_folded_done(
-            self._segments[0].stream.get_many(core.retry.deadline))
-        run, k = frames, 1
-        while k < len(self._segments) and _seg_run_complete(run):
-            self._fanout(k)  # slide the open-ahead window
-            nxt = self._segments[k].stream
-            if nxt is None:
-                break
-            try:
-                run = _drop_folded_done(nxt.get_many(_SPLICE_WAIT))
-            except Exception:  # noqa: BLE001 - requeued; raised once head
-                break
-            frames.extend(run)
-            k += 1
-        return frames
 
     def next_batch(self) -> Optional[_cells.ColumnBatch]:
         """The next non-empty batch (every buffered CHUNK merged), or
@@ -978,7 +902,12 @@ class _RemoteScanStream:
                         # chunk progress reset the attempt budget
                         counters("net.client.scan_resumes").inc()
                     attempts += 1
-                frames = self._round()
+                # one pull: open the next few segments (their servers
+                # scan in parallel), then take every frame the head
+                # segment has delivered — it ends on its DONE or ERROR
+                self._fanout()
+                frames = self._segments[0].stream.get_many(
+                    core.retry.deadline)
             except StreamOverrunError:
                 # the reader shed this stream rather than stall the
                 # connection; everything delivered so far is good —
@@ -1020,14 +949,6 @@ class _RemoteScanStream:
                         attrs = head.span.attrs
                         attrs["chunks"] = attrs.get("chunks", 0) + 1
                         attrs["bytes"] = attrs.get("bytes", 0) + nread
-                    if payload.meta.get("last"):
-                        # server marked its final chunk: complete the
-                        # segment now instead of paying another wakeup
-                        # for the DONE frame (which _round dropped, or
-                        # the ended stream drops on arrival)
-                        if head.stream is not None:
-                            head.stream.mark_ended()
-                        self._complete_segment()
                 elif code == wire.DONE:
                     self._complete_segment()
                     attempts = 0
@@ -1175,10 +1096,9 @@ class TabletProxy:
         if not muts:
             return 0
         try:
-            resp = self._inst.core.mutate(
-                self.addr, wire.WRITE_BATCH, self._batch_payload(muts),
-                compress=self._inst.compress)
-            return resp["applied"]
+            return self._inst.core.mutate(
+                self.addr, wire.WRITE_BATCH,
+                self._batch_payload(muts))["applied"]
         except NotHostedError:
             return self._rebin(muts)
 
@@ -1189,8 +1109,7 @@ class TabletProxy:
         drain it (``WritePipeline`` owns the ordering discipline) and
         keep ``muts`` unchanged until then — a re-bin resends them."""
         return self._inst.core.submit_mutate(
-            self.addr, wire.WRITE_BATCH, self._batch_payload(muts),
-            compress=self._inst.compress)
+            self.addr, wire.WRITE_BATCH, self._batch_payload(muts))
 
     def _rebin(self, muts: List[tuple]) -> int:
         """This tablet split (or migrated) under the writer: re-route
@@ -1290,19 +1209,13 @@ class RemoteInstance:
     """The :class:`~repro.dbsim.backend.ConnectorBackend` that speaks
     the wire protocol: table ops go to the manager; the data path goes
     straight to tablet servers through cached :class:`TabletProxy`
-    routing (one ``locate`` RPC per table until something moves).
-
-    ``compress=True`` turns on per-frame zlib for cell payloads (scan
-    chunks and write batches) — worth it over real networks, usually
-    not over loopback."""
+    routing (one ``locate`` RPC per table until something moves)."""
 
     def __init__(self, manager_addr: Union[str, Addr],
                  metrics: Optional[MetricsRegistry] = None,
-                 retry: Optional[RetryPolicy] = None, seed: int = 0,
-                 compress: bool = False):
+                 retry: Optional[RetryPolicy] = None, seed: int = 0):
         self.manager_addr = parse_addr(manager_addr)
         self.core = RpcCore(metrics=metrics, retry=retry, seed=seed)
-        self.compress = compress
         self._cache: Dict[str, TableMeta] = {}
 
     # -- locate cache -----------------------------------------------------
@@ -1495,13 +1408,12 @@ class RemoteConnector(Connector):
 
     def __init__(self, manager_addr: Union[str, Addr, RemoteInstance],
                  metrics: Optional[MetricsRegistry] = None,
-                 retry: Optional[RetryPolicy] = None, seed: int = 0,
-                 compress: bool = False):
+                 retry: Optional[RetryPolicy] = None, seed: int = 0):
         if isinstance(manager_addr, RemoteInstance):
             inst = manager_addr
         else:
             inst = RemoteInstance(manager_addr, metrics=metrics,
-                                  retry=retry, seed=seed, compress=compress)
+                                  retry=retry, seed=seed)
         super().__init__(inst)
 
     def close(self) -> None:

@@ -204,13 +204,12 @@ class LocalCluster:
 
     def connect(self, metrics: Optional[MetricsRegistry] = None,
                 retry: Optional[RetryPolicy] = None,
-                seed: int = 0, compress: bool = False) -> RemoteConnector:
-        """A fresh client.  ``compress=True`` turns on per-frame zlib
-        for cell payloads (scan chunks, write batches)."""
+                seed: int = 0) -> RemoteConnector:
+        """A fresh client."""
         if self.manager_addr is None:
             raise RuntimeError("cluster is not started")
         return RemoteConnector(self.manager_addr, metrics=metrics,
-                               retry=retry, seed=seed, compress=compress)
+                               retry=retry, seed=seed)
 
     @property
     def manager_addr_str(self) -> str:

@@ -107,15 +107,6 @@ from repro.obs.metrics import MetricsRegistry
 #: framing + syscalls now that chunks are packed binary, not JSON)
 SCAN_CHUNK_CELLS = 2048
 
-#: adaptive scan compression: CHUNK blocks below this size skip zlib
-#: outright (a compressed tiny frame saves no meaningful wire bytes but
-#: still costs a deflate pass on the scan hot path)
-SCAN_COMPRESS_MIN_BYTES = 1024
-
-#: ...and a stream only keeps compressing if a trial pass over its
-#: first eligible chunk shrinks it by at least this fraction
-SCAN_COMPRESS_MIN_SAVINGS = 0.10
-
 #: admission control: unary requests queued per connection before the
 #: server sheds with BusyError
 UNARY_QUEUE_DEPTH = 128
@@ -474,7 +465,7 @@ class _BaseService:
             f"net.server.op.{opname}.bytes_sent").inc(nbytes)
 
     def _respond(self, state: _ConnState, code: int, payload,
-                 request_op: int, req: int, compress: bool = False) -> int:
+                 request_op: int, req: int) -> int:
         """Send one response frame (tagged with its request id), with
         fault injection in the path.  Returns the frame's byte length,
         or 0 (falsy) when a fault destroyed the connection.
@@ -486,7 +477,7 @@ class _BaseService:
         request id.  Stream frames (CHUNK/DONE) are never held: order
         within a stream is contractual.
         """
-        frame = wire.encode_frame(code, payload, req=req, compress=compress)
+        frame = wire.encode_frame(code, payload, req=req)
         rule = self.faults.draw(request_op) if self.faults else None
         hold = (rule is not None and rule.kind == "reorder"
                 and code in (wire.OK, wire.ERROR) and state.held is None)
@@ -597,11 +588,9 @@ class _PeerStub:
     ack makes the step re-send it.
 
     It is also the ``inst`` of the scan pump, which asks it for
-    nothing but its ``core`` and ``compress`` until a tablet moves:
-    the plane runs one step at a time under the manager's lock, so no
-    tablet can split or migrate under a step."""
-
-    compress = False
+    nothing but its ``core`` until a tablet moves: the plane runs one
+    step at a time under the manager's lock, so no tablet can split or
+    migrate under a step."""
 
     def __init__(self, core: RpcCore, addr: Addr):
         self.core = core
@@ -743,10 +732,6 @@ class TabletServerService(_BaseService):
 
     def _scan_stream(self, state: _ConnState, p: dict, req: int) -> None:
         counters = self.metrics.counter
-        compress = bool(p.get("compress"))
-        #: trial verdict for this stream: None until the first chunk
-        #: big enough to be worth testing, then sticky True/False
-        trial: Optional[bool] = None
         # scans run concurrently, and the tablet's shared OpStats sink
         # updates with non-atomic += — each scan counts into a private
         # block folded back under the service lock when it finishes
@@ -809,16 +794,10 @@ class TabletServerService(_BaseService):
                 f"net.server.table.{tablet.table}.scan_bytes")
             scan_chunks = counters("net.server.scan_chunks")
 
-            # one-batch lookahead so the final CHUNK can carry a "last"
-            # marker: the client completes the segment on that chunk
-            # and never pays a wakeup for the DONE frame (still sent —
-            # it remains the protocol's source of truth)
-            batch_iter = iter(batches)  # crash check raises on next()
-            pending = next(batch_iter, None)
-            while pending is not None:
-                batch, pending = pending, next(batch_iter, None)
+            # one CHUNK per batch, then a bare DONE: the stream's only
+            # clean end
+            for batch in batches:  # crash check raises on the first
                 emitted += len(batch)
-                last = pending is None
                 if req in state.cancelled or not state.alive:
                     return  # client stopped listening: stop producing
                 if skip_past is not None:
@@ -838,31 +817,9 @@ class TabletServerService(_BaseService):
                     if i:
                         batch = batch.select(range(i, n))
                     skip_past = None
-                block = batch.to_block()
-                do_comp = False
-                if compress:
-                    if len(block) < SCAN_COMPRESS_MIN_BYTES:
-                        counters(
-                            "net.server.scan_compress.skipped_small").inc()
-                    else:
-                        if trial is None:
-                            trial = (len(zlib.compress(block, 1))
-                                     <= (1.0 - SCAN_COMPRESS_MIN_SAVINGS)
-                                     * len(block))
-                        if trial:
-                            do_comp = True
-                            counters(
-                                "net.server.scan_compress.compressed").inc()
-                        else:
-                            counters(
-                                "net.server.scan_compress.skipped_trial"
-                            ).inc()
-                meta = {"last": True} if last else {}
-                if last:
-                    state.finishing.add(req)
                 nsent = self._respond(state, wire.CHUNK,
-                                      wire.CellsPayload(meta, block),
-                                      wire.SCAN, req, compress=do_comp)
+                                      wire.CellsPayload({}, batch.to_block()),
+                                      wire.SCAN, req)
                 if not nsent:
                     return
                 scan_chunks.inc()

@@ -26,12 +26,6 @@ _BYTES_RECEIVED = "net.server.bytes_received"
 _INFLIGHT = "net.server.inflight"
 _ERRORS = "net.server.errors"
 
-#: adaptive scan-compression decision counters (``repro top`` SCAN-ZIP
-#: column: compressed / skipped-small / skipped-by-trial)
-_SCAN_COMPRESS = ("net.server.scan_compress.compressed",
-                  "net.server.scan_compress.skipped_small",
-                  "net.server.scan_compress.skipped_trial")
-
 #: iterator push-down counters (``repro top`` PUSHDOWN column:
 #: installed stacks / cells folded server-side)
 _PUSHDOWN = ("net.server.pushdown.stacks",
@@ -92,8 +86,6 @@ def summary_rows(before: Optional[Mapping[str, Any]],
             "reset": False,
             "health": None,
             "hot_tables": [],
-            "scan_compress": [export.get(name, 0)
-                              for name in _SCAN_COMPRESS],
             "pushdown": [export.get(name, 0) for name in _PUSHDOWN],
         }
         if component in previous:
@@ -119,7 +111,7 @@ def render_top(summary: Dict[str, Dict[str, Any]],
     top`` prints (one row per component)."""
     header = (f"{'SERVER':<12} {'QPS':>8} {'TX/s':>9} {'RX/s':>9} "
               f"{'INFLIGHT':>8} {'ERR/s':>7} {'REQS':>9} "
-              f"{'SCAN-ZIP':>10} {'PUSHDOWN':>10} {'HEALTH':>7}  HOT TABLES")
+              f"{'PUSHDOWN':>10} {'HEALTH':>7}  HOT TABLES")
     lines = []
     if clock:
         lines.append(f"-- repro top @ {clock} --")
@@ -134,9 +126,6 @@ def render_top(summary: Dict[str, Dict[str, Any]],
         rx = ("-" if row.get("rx_bps") is None
               else format_bytes(row["rx_bps"]))
         hot = ",".join(row.get("hot_tables") or []) or "-"
-        zc = row.get("scan_compress") or [0, 0, 0]
-        # compressed/skipped-small/skipped-by-trial scan chunks
-        zip_col = "/".join(str(v) for v in zc) if any(zc) else "-"
         pd = row.get("pushdown") or [0, 0]
         # installed stacks / cells folded server-side
         pd_col = "/".join(str(v) for v in pd) if any(pd) else "-"
@@ -149,7 +138,7 @@ def render_top(summary: Dict[str, Dict[str, Any]],
         lines.append(
             f"{name:<12} {rate('qps'):>8} {tx:>9} {rx:>9} "
             f"{row.get('inflight', 0):>8} {rate('err_ps'):>7} "
-            f"{row.get('requests', 0):>9} {zip_col:>10} {pd_col:>10} "
+            f"{row.get('requests', 0):>9} {pd_col:>10} "
             f"{health_col:>7}  {hot}")
     if any(row.get("reset") for row in summary.values()):
         lines.append("(* counters reset since last sample)")

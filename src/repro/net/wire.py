@@ -5,7 +5,7 @@ Every message is one *frame*::
     !I   body_length          (frame header, 4 bytes, network order)
     !B   wire version         (body starts here)
     !B   op-code
-    !B   flags                (payload encoding: bit0 cells, bit1 zlib)
+    !B   flags                (payload encoding: bit0 cells)
     !I   CRC-32 of trace context + request id + payload
     !16s trace id             (trace context block, 25 bytes;
     !8s  span id               all zeros = no context attached)
@@ -34,10 +34,8 @@ control-plane ops are strings-and-numbers and stay readable.
 ``FLAG_CELLS`` marks the packed binary cell-block payload of
 :mod:`repro.net.cells` (optionally prefixed by a JSON meta dict) used
 on the hot ops: scan ``CHUNK`` frames and ``WRITE_BATCH`` mutation
-batches, where JSON spends most of the frame on quoting.
-``FLAG_ZLIB`` means the payload bytes (after the meta split) are
-zlib-compressed; senders apply it per-frame when asked and the
-payload is big enough to win.
+batches, where JSON spends most of the frame on quoting.  Any other
+flag bit is refused as a :class:`ProtocolError`.
 
 The CRC covers trace context + request id + payload, and turns the
 fault injector's corrupt-frame fault (and any real transport
@@ -49,9 +47,9 @@ on a fresh socket.
 
 Request op-codes occupy 1..0x3F; response codes 0x40..0x4F.  A normal
 RPC is one request frame → one ``OK`` (or ``ERROR``) frame; a scan is
-one request frame → N ``CHUNK`` frames → one ``DONE`` frame, any of
-which may be replaced by ``ERROR`` mid-stream — all tagged with the
-request id of the frame that opened them.
+one request frame → N ``CHUNK`` frames → one bare ``DONE`` frame, the
+only clean end, any of which may be replaced by ``ERROR`` mid-stream —
+all tagged with the request id of the frame that opened them.
 
 Error frames carry ``{"type", "message"}`` and are decoded back into
 the *same* exception types the in-process backend raises
@@ -99,8 +97,7 @@ _REQ_NONE = _REQ.pack(0)
 
 # payload-encoding flags
 FLAG_CELLS = 0x01  #: payload is a binary cell block (+ optional JSON meta)
-FLAG_ZLIB = 0x02   #: payload bytes are zlib-compressed
-_KNOWN_FLAGS = FLAG_CELLS | FLAG_ZLIB
+_KNOWN_FLAGS = FLAG_CELLS
 
 #: bytes a frame spends on framing (length prefix + body header +
 #: trace-context block + request id); ``frame_len - FRAME_OVERHEAD``
@@ -109,9 +106,6 @@ FRAME_OVERHEAD = _LEN.size + _BODY.size + _TC.size + _REQ.size
 
 #: refuse to allocate for absurd lengths (garbage or version skew)
 MAX_FRAME_BYTES = 64 << 20
-
-#: only compress payloads big enough for zlib to plausibly win
-COMPRESS_MIN_BYTES = 512
 
 #: cell-block payloads prefix the block with a JSON meta dict
 _META_LEN = struct.Struct("!I")
@@ -214,7 +208,7 @@ class CellsPayload:
         return f"CellsPayload(meta={self.meta!r}, block={len(self.block)}B)"
 
 
-def _encode_payload(payload: Any, compress: bool) -> Tuple[bytes, int]:
+def _encode_payload(payload: Any) -> Tuple[bytes, int]:
     """Serialize ``payload`` → (bytes, flags)."""
     if isinstance(payload, CellsPayload):
         meta = json.dumps(payload.meta, separators=(",", ":")).encode("utf-8")
@@ -223,21 +217,12 @@ def _encode_payload(payload: Any, compress: bool) -> Tuple[bytes, int]:
     else:
         body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         flags = 0
-    if compress and len(body) >= COMPRESS_MIN_BYTES:
-        packed = zlib.compress(body, 1)
-        if len(packed) < len(body):
-            return packed, flags | FLAG_ZLIB
     return body, flags
 
 
 def _decode_payload(raw, flags: int) -> Any:
     if flags & ~_KNOWN_FLAGS:
         raise ProtocolError(f"unknown payload flags 0x{flags:02x}")
-    if flags & FLAG_ZLIB:
-        try:
-            raw = zlib.decompress(bytes(raw))
-        except zlib.error as exc:
-            raise ProtocolError(f"undecompressable payload: {exc}") from exc
     view = memoryview(raw)
     try:
         if flags & FLAG_CELLS:
@@ -262,7 +247,7 @@ def _decode_payload(raw, flags: int) -> Any:
 
 def encode_frame(code: int, payload: Any,
                  tc: Optional[Tuple[str, ...]] = None,
-                 req: int = 0, compress: bool = False) -> bytes:
+                 req: int = 0) -> bytes:
     """One wire frame for ``payload`` (any JSON-serializable value, or
     a :class:`CellsPayload` for the binary cell encoding).
 
@@ -270,10 +255,9 @@ def encode_frame(code: int, payload: Any,
     (e.g. a :class:`~repro.obs.trace.TraceContext`) packed into the
     frame's trace-context block — the sampled flag defaults to True
     for bare pairs; ``None`` sends the all-zero block.  ``req`` is the
-    multiplexing request id (0 = unmultiplexed).  ``compress`` permits
-    per-frame zlib when the payload is large enough to win.
+    multiplexing request id (0 = unmultiplexed).
     """
-    body, flags = _encode_payload(payload, compress)
+    body, flags = _encode_payload(payload)
     if tc is None:
         tcb = _TC_NONE
     else:
@@ -377,9 +361,9 @@ class FrameReader:
 
 def send_frame(sock: socket.socket, code: int, payload: Any,
                tc: Optional[Tuple[str, ...]] = None,
-               req: int = 0, compress: bool = False) -> int:
+               req: int = 0) -> int:
     """Write one frame; returns bytes put on the wire."""
-    data = encode_frame(code, payload, tc=tc, req=req, compress=compress)
+    data = encode_frame(code, payload, tc=tc, req=req)
     sock.sendall(data)
     return len(data)
 

@@ -130,7 +130,7 @@ class TestManagerFanOut:
                     raise RpcError(f"server on port {fail} is down")
                 return OpStats(seeks=self.port).as_dict()
 
-        def submit(addr, op, payload, compress=False):
+        def submit(addr, op, payload):
             events.append(("submit", addr[1]))
             return Call(addr[1])
 

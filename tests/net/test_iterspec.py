@@ -250,25 +250,6 @@ class TestRemoteBitIdentity:
                 conn.close()
 
 
-def _read_trailing_dones(conn):
-    """Route every finished scan's trailing DONE frame.
-
-    A scan completes on its ``last``-marked CHUNK; the DONE behind it
-    stays in the socket until the next read on that connection, so a
-    byte count taken right after the scan may or may not hold it.  A
-    PING's answer is read behind whatever precedes it, so pinging each
-    pooled connection until no scan request is pending settles the
-    count."""
-    core = conn.instance.core
-    for link in list(core._conns.values()):
-        for _ in range(100):
-            if not any(not s.unary for s in list(link.pending.values())):
-                break
-            core.call(link.addr, wire.PING, {})
-        else:
-            raise AssertionError(f"scan DONE never arrived on {link.addr}")
-
-
 class TestPushdownWire:
     def test_filtered_scan_ships_fewer_bytes_than_client_filter(self):
         """A predicate run inside the tablet servers returns the cells
@@ -279,7 +260,6 @@ class TestPushdownWire:
             conn = c.connect(metrics=registry)
 
             def scan_rx():
-                _read_trailing_dones(conn)
                 return registry.export().get(
                     "net.client.op.scan.bytes_received", 0)
 

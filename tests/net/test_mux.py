@@ -359,6 +359,63 @@ class TestStreamFlowControl:
                 conn.close()
 
 
+class TestScanStreamEnd:
+    def test_finished_scan_leaves_no_stream_pending(self):
+        # a scan stream ends on its DONE, and the pump reads it before
+        # it returns its last batch: once a scan is exhausted, no pooled
+        # connection still owes that scan a frame
+        with LocalCluster(n_servers=3, processes=False) as c:
+            conn = c.connect(metrics=MetricsRegistry())
+            try:
+                conn.create_table("T", splits=["r100", "r200", "r300"])
+                assert len(conn.instance.tablets("T")) == 4
+                want = [f"r{i:03d}" for i in range(400)]
+                with conn.batch_writer("T") as w:
+                    for row in want:
+                        w.put(row, "", "c", row)
+                links = conn.instance.core._conns
+                for i in range(30):
+                    assert [cl.key.row for cl in conn.scanner("T")] == want
+                    left = [(link.addr, s.req)
+                            for link in list(links.values())
+                            for s in list(link.pending.values())
+                            if not s.unary]
+                    assert left == [], f"scan {i} left {left} pending"
+            finally:
+                conn.close()
+
+    @pytest.mark.parametrize("n", [0, 2 * SCAN_CHUNK_CELLS + 5])
+    def test_stream_is_chunks_then_a_bare_done(self, cluster, n):
+        # the wire form of a scan, read raw: one CHUNK per batch, no
+        # CHUNK marked as the last, then a DONE with no payload — an
+        # empty tablet's whole stream is that DONE
+        conn = _fresh(cluster)
+        try:
+            conn.create_table("t")
+            with conn.batch_writer("t") as w:
+                for i in range(n):
+                    w.put(f"r{i:05d}", "", "c", i)
+            (proxy,) = conn.instance.tablets("t")
+            stream = conn.instance.core.open_stream(
+                proxy.addr, wire.SCAN,
+                {"table": "t", "tablet_id": proxy.tablet_id,
+                 "ranges": [[None, None]], "columns": None,
+                 "resume": None})
+            frames = [stream.get(10.0)]
+            while frames[-1][0] == wire.CHUNK:
+                frames.append(stream.get(10.0))
+            *chunks, (code, payload, _) = frames
+            assert (code, payload) == (wire.DONE, None)
+            assert [pay.meta for _, pay, _ in chunks] == [{}] * len(chunks)
+            assert len(chunks) == -(-n // SCAN_CHUNK_CELLS)  # ceil
+            rows = [c_.key.row for _, pay, _ in chunks
+                    for c_ in blocks.block_to_cells(pay.block)]
+            assert rows == [f"r{i:05d}" for i in range(n)]
+            assert stream.req not in stream.conn.pending
+        finally:
+            conn.close()
+
+
 class TestRawCore:
     def test_submitted_calls_and_stream_decode(self, cluster):
         conn = _fresh(cluster)
@@ -390,17 +447,5 @@ class TestRawCore:
                     rows.extend(c_.key.row for c_ in
                                 blocks.block_to_cells(pay.block))
             assert rows == want
-        finally:
-            conn.close()
-
-    def test_compressed_scan_chunks_roundtrip(self, cluster):
-        conn = _fresh(cluster, compress=True)
-        try:
-            conn.create_table("z")
-            with conn.batch_writer("z") as w:
-                for i in range(2000):
-                    w.put(f"r{i:05d}", "fam", "qual", "value" * 10)
-            got = [c_.key.row for c_ in conn.scanner("z")]
-            assert got == [f"r{i:05d}" for i in range(2000)]
         finally:
             conn.close()

@@ -179,41 +179,16 @@ class TestBinaryPayloads:
         assert got.meta == {"table": "t", "seq": 4}
         assert blocks.decode_mutations(got.block) == self.MUTS
 
-    def test_compressed_payload_roundtrip(self):
-        muts = [(f"row{i:05d}", "fam", "qual", "", i, False, "v" * 40)
-                for i in range(200)]
-        payload = wire.CellsPayload({}, cells.encode_block(muts))
-        frame = wire.encode_frame(wire.CHUNK, payload, compress=True)
-        # big repetitive payload: zlib must have won
-        assert len(frame) < len(cells.encode_block(muts))
-        flags = frame[6]
-        assert flags & wire.FLAG_ZLIB
-        code, got, _, _ = wire.decode_body(frame[4:])
-        assert blocks.decode_mutations(got.block) == muts
-
-    def test_small_payload_not_compressed(self):
-        frame = wire.encode_frame(wire.OK, {"applied": 1}, compress=True)
-        assert not frame[6] & wire.FLAG_ZLIB
-
-    def test_incompressible_payload_stays_raw(self):
-        import os
-        muts = [("r", "f", "q", "", 1, False,
-                 os.urandom(600).hex()[:600])]
-        # hex of urandom barely compresses; equality either way — the
-        # decoder must handle both flag states
-        payload = wire.CellsPayload({}, cells.encode_block(muts))
-        frame = wire.encode_frame(wire.CHUNK, payload, compress=True)
-        code, got, _, _ = wire.decode_body(frame[4:])
-        assert blocks.decode_mutations(got.block) == muts
-
-    def test_corrupt_compressed_payload_is_typed(self):
-        muts = [("r" * 600, "f", "q", "", 1, False, "v")]
-        payload = wire.CellsPayload({}, cells.encode_block(muts))
-        frame = bytearray(wire.encode_frame(wire.CHUNK, payload,
-                                            compress=True))
-        frame[-1] ^= 0xFF
-        with pytest.raises(wire.FrameCorruptError):
+    def test_unknown_payload_flag_is_refused(self):
+        # only FLAG_CELLS is a payload flag: any other bit is refused
+        # before a byte of the payload is interpreted
+        frame = bytearray(wire.encode_frame(wire.CHUNK, wire.CellsPayload(
+            {}, cells.encode_block(self.MUTS))))
+        frame[6] |= 0x02  # flags byte: outside the CRC-covered region
+        with pytest.raises(wire.ProtocolError,
+                           match="unknown payload flags 0x03") as err:
             wire.decode_body(bytes(frame[4:]))
+        assert not isinstance(err.value, wire.FrameCorruptError)
 
 
 class TestCellBlocks:

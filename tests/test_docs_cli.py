@@ -4,7 +4,9 @@ Every ``repro <subcommand> ... --flag`` quoted in README.md or
 docs/*.md (fenced blocks and inline code spans) must name a subcommand
 of :func:`repro.cli.build_parser` and a flag that subcommand accepts,
 and every subcommand must appear in README.md — so deleting or
-renaming a command or flag fails here until the docs follow.
+renaming a command or flag fails here until the docs follow.  The
+``repro top`` samples carry the header line ``render_top`` prints, so
+adding or dropping a column fails here too.
 """
 
 import argparse
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
+from repro.net.telemetry import render_top
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
@@ -74,3 +77,16 @@ def test_every_subcommand_is_in_the_readme():
                if f"`{name}`" not in readme
                and not re.search(rf"\brepro\s+{name}\b", readme)]
     assert not missing, f"README.md never mentions: {missing}"
+
+
+@pytest.mark.parametrize("name", ["NET.md", "OBSERVABILITY.md"])
+def test_top_samples_match_render_top(name):
+    text = (ROOT / "docs" / name).read_text(encoding="utf-8")
+    # a sample is a fence holding top's output, not just the command
+    samples = [m.group(0) for m in _FENCE.finditer(text)
+               if "-- repro top @" in m.group(0)]
+    assert samples, f"{name} has no repro top sample"
+    header = render_top({})
+    for sample in samples:
+        assert header in sample.splitlines(), (
+            f"{name}: a repro top sample's header is not {header!r}")
