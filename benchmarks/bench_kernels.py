@@ -5,9 +5,9 @@ semirings.
 These support every other benchmark: the paper's algorithms are kernel
 compositions, so kernel cost dominates.
 
-Headline numbers (per-strategy SpGEMM timings and peak expansions on
-the hub-skewed workload, plus the scipy reference point) are written
-to ``BENCH.kernels.json`` at module end.
+Headline numbers (SpGEMM timings and peak expansions at the default
+and a tiling budget on the hub-skewed workload, plus the scipy
+reference point) are written to ``BENCH.kernels.json`` at module end.
 """
 
 import time
@@ -21,6 +21,7 @@ from repro.generators import kronecker_graph
 from repro.obs import global_registry
 from repro.semiring import LOR_LAND, MIN_PLUS, PLUS_PAIR
 from repro.sparse import (
+    DEFAULT_EXPANSION_BUDGET,
     blocked_mxm,
     ewise_add,
     ewise_mult,
@@ -31,6 +32,7 @@ from repro.sparse import (
     set_expansion_probe,
     triu,
 )
+from tests.sparse.esc_oracle import esc_mxm
 
 
 _RESULTS = {}
@@ -59,7 +61,14 @@ def pair(rmat_medium):
     return a, sp.csr_matrix(a.to_dense())
 
 
-class TestSpGEMM:
+def assert_bit_identical(c, ref):
+    assert np.array_equal(c.indptr, ref.indptr)
+    assert np.array_equal(c.indices, ref.indices)
+    assert np.array_equal(c.values, ref.values)
+    assert c.values.dtype == ref.values.dtype
+
+
+class TestMxmVsScipy:
     def test_ours_plus_times(self, benchmark, pair):
         a, _ = pair
         c = benchmark(mxm, a, a)
@@ -94,69 +103,64 @@ def hub_pair():
     """Skewed-degree SpGEMM workload: Kronecker power of a star-ish seed.
 
     The star seed makes hub vertices whose degree grows as 3^k while
-    leaf degrees stay small, so A@A's per-row flops are wildly skewed —
-    exactly the regime the adaptive engine's tiling and hash dispatch
-    target (ESC's monolithic expansion is dominated by a few hub rows).
+    leaf degrees stay small, so A@A's per-row flops are wildly skewed:
+    a few hub rows hold most of the expansion, which is what the
+    budget's row tiles cap.  Returns A and the lexsort oracle's A@A.
     """
     seed = [[0.0, 1.0, 1.0, 1.0],
             [1.0, 0.0, 0.0, 0.0],
             [1.0, 0.0, 0.0, 0.0],
             [1.0, 0.0, 1.0, 0.0]]
     a = kronecker_graph(seed, k=5)  # 1024 vertices
-    return a, mxm(a, a, strategy="esc")
+    return a, esc_mxm(a, a)
 
 
-class TestSpGEMMStrategies:
-    """The adaptive engine on a hub-skewed square: every strategy must
-    be bit-identical to monolithic ESC while the registry records each
-    strategy's peak expansion (the memory the tiles actually touched)."""
+class TestSpGEMM:
+    """The one SpGEMM kernel on a hub-skewed square at the default
+    budget (one tile) and at 2^14 products (well below the hub rows'
+    total flops: forces tiling).  Both must be bit-identical to the
+    lexsort oracle; the registry records each budget's peak expansion
+    (the memory the tiles actually touched)."""
 
-    BUDGET = 1 << 14  # well below the hub rows' total flops: forces tiling
+    BUDGET = 1 << 14
+    BUDGETS = {"default": None, str(BUDGET): BUDGET}
 
-    def _run(self, a, strategy, budget=None):
+    def _run(self, a, label):
         gauge = global_registry().gauge(
-            f"spgemm.{strategy}.peak_expansion")
+            f"spgemm.budget_{label}.peak_expansion")
         prev = set_expansion_probe(gauge.set_max)
         try:
-            return mxm(a, a, strategy=strategy, expansion_budget=budget)
+            return mxm(a, a, expansion_budget=self.BUDGETS[label])
         finally:
             set_expansion_probe(prev)
 
-    @pytest.mark.parametrize("strategy", ["esc", "hash", "tiled", "auto"])
-    def test_strategy(self, benchmark, hub_pair, strategy):
+    @pytest.mark.parametrize("label", list(BUDGETS))
+    def test_budget(self, benchmark, hub_pair, label):
         a, ref = hub_pair
-        budget = self.BUDGET if strategy in ("tiled", "auto") else None
-        c = benchmark(self._run, a, strategy, budget)
-        assert np.array_equal(c.indptr, ref.indptr)
-        assert np.array_equal(c.indices, ref.indices)
-        assert np.array_equal(c.values, ref.values)
+        assert_bit_identical(benchmark(self._run, a, label), ref)
 
     def test_parallel_shared_memory(self, benchmark, hub_pair):
         a, ref = hub_pair
-        c = benchmark(blocked_mxm, a, a, 4, 2)
-        assert np.array_equal(c.indptr, ref.indptr)
-        assert np.array_equal(c.indices, ref.indices)
-        assert np.array_equal(c.values, ref.values)
+        assert_bit_identical(benchmark(blocked_mxm, a, a, 4, 2), ref)
 
-    def test_record_strategy_timings(self, hub_pair):
-        """Best-of-3 wall time per strategy on the hub workload plus
-        the peak-expansion gauges -> BENCH.kernels.json."""
+    def test_record_budget_timings(self, hub_pair):
+        """Best-of-3 wall time per budget on the hub workload plus the
+        peak-expansion gauges -> BENCH.kernels.json."""
         a, ref = hub_pair
-        strategies = {}
-        for strategy in ("esc", "hash", "tiled", "auto"):
-            budget = self.BUDGET if strategy in ("tiled", "auto") else None
-            t, c = best_of(lambda s=strategy, b=budget: self._run(a, s, b))
-            assert c.equal(ref)
+        budgets = {}
+        for label, budget in self.BUDGETS.items():
+            t, c = best_of(lambda l=label: self._run(a, l))
+            assert_bit_identical(c, ref)
             gauge = global_registry().gauge(
-                f"spgemm.{strategy}.peak_expansion")
-            strategies[strategy] = {"best_s": round(t, 5),
-                                    "peak_expansion": int(gauge.value)}
+                f"spgemm.budget_{label}.peak_expansion")
+            budgets[label] = {
+                "expansion_budget": budget or DEFAULT_EXPANSION_BUDGET,
+                "best_s": round(t, 5), "peak_expansion": int(gauge.value)}
         s = sp.csr_matrix(a.to_dense())
         t_scipy, _ = best_of(lambda: s @ s)
         _RESULTS["spgemm_hub"] = {
             "vertices": a.nrows, "nnz": a.nnz, "nnz_out": ref.nnz,
-            "expansion_budget": self.BUDGET,
-            "strategies": strategies,
+            "budgets": budgets,
             "scipy_reference_s": round(t_scipy, 5),
         }
 
@@ -169,14 +173,14 @@ class TestSpGEMMStrategies:
         prev = set_expansion_probe(lambda n: peak.__setitem__(
             0, max(peak[0], n)))
         try:
-            c = mxm(a, a, strategy="tiled", expansion_budget=self.BUDGET)
+            c = mxm(a, a, expansion_budget=self.BUDGET)
         finally:
             set_expansion_probe(prev)
-        assert c.equal(ref)
+        assert_bit_identical(c, ref)
         row_flops = predict_row_flops(a, a)
         assert peak[0] <= max(self.BUDGET, int(row_flops.max()))
         global_registry().gauge(
-            "spgemm.tiled.peak_expansion").set_max(peak[0])
+            f"spgemm.budget_{self.BUDGET}.peak_expansion").set_max(peak[0])
 
 
 class TestSpMV:

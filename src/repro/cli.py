@@ -18,7 +18,6 @@ Subcommands::
     python -m repro stitch    trace.*.jsonl --out stitched.jsonl
     python -m repro top       --connect H:P [--interval 2]
     python -m repro health    --connect H:P [--window 2] [--json]
-    python -m repro serve     [--port 41100] [--fault SPEC ...]
     python -m repro cluster   --servers 3 [--fault SPEC ...]
 
 Every subcommand accepts ``--trace out.jsonl`` (spans with OpStats
@@ -240,7 +239,7 @@ def cmd_stats(args) -> int:
     instrumentation surface: per-table metrics registry, per-server
     OpStats, and the merged cost-model counters.  With ``--connect``
     the same workload runs over the RPC fabric against a live ``repro
-    serve`` / ``repro cluster``, and the report adds the client's
+    cluster``, and the report adds the client's
     ``net.client.*`` retry/timeout counters plus every server-process
     registry (prefixed ``cluster.<name>.``)."""
     from repro.dbsim import Connector, assoc_to_table, degree_table
@@ -344,59 +343,11 @@ def _stats_remote(args, a) -> int:
     return 0
 
 
-def _cluster_banner(cluster, args) -> None:
-    for name, addr in zip(cluster.server_names, cluster.server_addrs):
-        print(f"tablet server {name} on {addr[0]}:{addr[1]}")
-    print(f"manager listening on {cluster.manager_addr_str}")
-    if args.fault:
-        print(f"fault plan: {', '.join(args.fault)} "
-              f"(seed {args.fault_seed})")
-    if args.trace_dir:
-        print(f"rpc traces under {args.trace_dir}/")
-    if getattr(args, "sample_rate", 1.0) < 1.0:
-        print(f"trace sampling: rate {args.sample_rate} with tail "
-              f"retention (errored/slow traces always promoted)")
-    sys.stdout.flush()
-
-
-def _foreground(duration: float) -> int:
-    """Block until Ctrl-C (or for ``duration`` seconds if positive)."""
-    import time as _time
-
-    deadline = _time.monotonic() + duration if duration > 0 else None
-    try:
-        while deadline is None or _time.monotonic() < deadline:
-            _time.sleep(0.2)
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        print("shutting down", file=sys.stderr)
-    return 0
-
-
-def cmd_serve(args) -> int:
-    """Run a dbsim server in the foreground: the calling process hosts
-    the tablet server(s) and the manager on localhost sockets until
-    Ctrl-C.  Clients connect with ``RemoteConnector("host:port")`` or
-    ``repro stats graph.tsv --connect host:port``."""
-    from repro.net.cluster import LocalCluster
-
-    cluster = LocalCluster(
-        n_servers=args.servers, fault_specs=args.fault or (),
-        fault_seed=args.fault_seed, trace_dir=args.trace_dir,
-        processes=False, host=args.host, manager_port=args.port,
-        sample_rate=args.sample_rate).start()
-    try:
-        _cluster_banner(cluster, args)
-        print(f"serving until Ctrl-C; try: repro stats graph.tsv "
-              f"--connect {cluster.manager_addr_str} --prom")
-        sys.stdout.flush()
-        return _foreground(args.duration)
-    finally:
-        cluster.stop()
-
-
 def cmd_cluster(args) -> int:
     """Boot a multi-process cluster: N tablet-server processes plus a
     manager process, serving until Ctrl-C (or ``--duration``)."""
+    import time as _time
+
     from repro.net.cluster import LocalCluster
 
     cluster = LocalCluster(
@@ -405,10 +356,27 @@ def cmd_cluster(args) -> int:
         processes=not args.threads, host=args.host,
         manager_port=args.port, sample_rate=args.sample_rate).start()
     try:
-        _cluster_banner(cluster, args)
+        for name, addr in zip(cluster.server_names, cluster.server_addrs):
+            print(f"tablet server {name} on {addr[0]}:{addr[1]}")
+        print(f"manager listening on {cluster.manager_addr_str}")
+        if args.fault:
+            print(f"fault plan: {', '.join(args.fault)} "
+                  f"(seed {args.fault_seed})")
+        if args.trace_dir:
+            print(f"rpc traces under {args.trace_dir}/")
+        if args.sample_rate < 1.0:
+            print(f"trace sampling: rate {args.sample_rate} with tail "
+                  f"retention (errored/slow traces always promoted)")
         print("cluster up until Ctrl-C")
         sys.stdout.flush()
-        return _foreground(args.duration)
+        deadline = (_time.monotonic() + args.duration
+                    if args.duration > 0 else None)
+        try:
+            while deadline is None or _time.monotonic() < deadline:
+                _time.sleep(0.2)
+        except KeyboardInterrupt:  # pragma: no cover - interactive exit
+            print("shutting down", file=sys.stderr)
+        return 0
     finally:
         cluster.stop()
 
@@ -730,39 +698,30 @@ def build_parser() -> argparse.ArgumentParser:
                         "exposition format instead")
     s.add_argument("--connect", metavar="HOST:PORT",
                    help="run the workload over the RPC fabric against a "
-                        "live `repro serve`/`repro cluster` manager; the "
-                        "report then includes net.client.* retry/timeout "
-                        "counters and each server's registry")
+                        "live `repro cluster` manager; the report then "
+                        "includes net.client.* retry/timeout counters "
+                        "and each server's registry")
     s.set_defaults(fn=cmd_stats)
-
-    def add_cluster_args(s, default_servers):
-        s.add_argument("--servers", type=int, default=default_servers,
-                       help=f"tablet servers (default {default_servers})")
-        s.add_argument("--host", default="127.0.0.1")
-        s.add_argument("--port", type=int, default=0,
-                       help="manager port (default: ephemeral, printed)")
-        s.add_argument("--fault", action="append", metavar="SPEC",
-                       help="fault-injection rule op:kind:rate[:param], "
-                            "e.g. scan:delay:0.05:0.02 or "
-                            "write_batch:drop:0.01 (repeatable; see "
-                            "docs/NET.md)")
-        s.add_argument("--fault-seed", type=int, default=0)
-        s.add_argument("--trace-dir", metavar="DIR",
-                       help="write per-process rpc.* span traces under DIR")
-        s.add_argument("--duration", type=float, default=0.0,
-                       help="serve for N seconds then exit "
-                            "(default: until ^C)")
-
-    s = add_parser("serve",
-                   help="run a dbsim server cluster in the foreground "
-                        "(this process hosts the sockets)")
-    add_cluster_args(s, default_servers=1)
-    s.set_defaults(fn=cmd_serve)
 
     s = add_parser("cluster",
                    help="boot a multi-process cluster: N tablet-server "
                         "processes + a manager process")
-    add_cluster_args(s, default_servers=3)
+    s.add_argument("--servers", type=int, default=3,
+                   help="tablet servers (default 3)")
+    s.add_argument("--host", default="127.0.0.1")
+    s.add_argument("--port", type=int, default=0,
+                   help="manager port (default: ephemeral, printed)")
+    s.add_argument("--fault", action="append", metavar="SPEC",
+                   help="fault-injection rule op:kind:rate[:param], "
+                        "e.g. scan:delay:0.05:0.02 or "
+                        "write_batch:drop:0.01 (repeatable; see "
+                        "docs/NET.md)")
+    s.add_argument("--fault-seed", type=int, default=0)
+    s.add_argument("--trace-dir", metavar="DIR",
+                   help="write per-process rpc.* span traces under DIR")
+    s.add_argument("--duration", type=float, default=0.0,
+                   help="serve for N seconds then exit "
+                        "(default: until ^C)")
     s.add_argument("--threads", action="store_true",
                    help="run the services on threads in this process "
                         "instead of spawning server processes")
@@ -802,8 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="live per-server cluster view over RPC "
                         "(QPS, bytes/s, in-flight, health, hot tables)")
     s.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="manager address of a live `repro serve` / "
-                        "`repro cluster`")
+                   help="manager address of a live `repro cluster`")
     s.add_argument("--interval", type=float, default=2.0,
                    help="seconds between refreshes (default 2)")
     s.add_argument("--iterations", type=int, default=0,
@@ -816,8 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate cluster SLOs (p99 targets, error "
                         "budgets) and exit nonzero on breach")
     s.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="manager address of a live `repro serve` / "
-                        "`repro cluster`")
+                   help="manager address of a live `repro cluster`")
     s.add_argument("--window", type=float, default=2.0,
                    help="seconds between the two metric snapshots the "
                         "error burn rates are computed over (default 2)")

@@ -76,9 +76,7 @@ BLOCK_PARTIAL_PRODUCTS = 1 << 18
 
 def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
                mul: Callable[[float, float], float] = _default_mul,
-               combiner: str = "sum", authorizations=None,
-               strategy: str = "auto",
-               expansion_budget: Optional[int] = None) -> OpStats:
+               combiner: str = "sum", authorizations=None) -> OpStats:
     """Graphulo TableMult: ``C = Aᵀ ⊕.⊗ B`` with ``AT`` stored row-wise
     (Accumulo can only iterate rows, hence the stored transpose — the
     same reason the D4M schema keeps TedgeT).
@@ -92,9 +90,8 @@ def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
     servers take their turns one at a time, then ``out`` is flushed.
     Whole shared rows gather into a block until its predicted partial
     products reach :data:`BLOCK_PARTIAL_PRODUCTS`, and a block never
-    spans two servers.  Each block runs through the adaptive SpGEMM
-    engine (:func:`repro.sparse.spgemm.mxm` — ``strategy`` and
-    ``expansion_budget`` are forwarded) and its already-summed cells are
+    spans two servers.  Each block runs through the SpGEMM kernel
+    (:func:`repro.sparse.spgemm.mxm`) and its already-summed cells are
     written to ``out``, whose combiner applies ⊕ across blocks, servers
     and repeated calls whenever ``out`` is read (or compacted).  A
     missing ``out`` is created beside ``AT``'s tablets; an existing one
@@ -116,8 +113,7 @@ def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
         table_b, out, BLOCK_PARTIAL_PRODUCTS,
         mul=_mul_operand(mul, isinstance(conn.instance, Instance)),
         combiner=combiner,
-        auths=sorted(authorizations.tokens) if authorizations else [],
-        strategy=strategy, expansion_budget=expansion_budget)
+        auths=sorted(authorizations.tokens) if authorizations else [])
     if not _trace.ENABLED:
         return _table_mult(conn, table_at, spec)[0]
     with _trace.span("graphulo.table_mult", stats=conn.instance.total_stats,
@@ -208,7 +204,7 @@ def _block_operand(counts, quals, vals, dup):
         dup=dup)
 
 
-def _multiply_block(at, b, semiring, strategy: str, expansion_budget):
+def _multiply_block(at, b, semiring):
     """``ATᵀ ⊕.⊗ B`` over one block of shared inner rows: the summed
     result as ``(row keys, qualifier keys, encoded values)`` in key
     order — the columns a tablet stores."""
@@ -216,9 +212,7 @@ def _multiply_block(at, b, semiring, strategy: str, expansion_budget):
 
     u_keys, mat_at = _block_operand(*at, dup=semiring.add)
     v_keys, mat_b = _block_operand(*b, dup=semiring.add)
-    rows, cols, vals = mxm(mat_at.T, mat_b, semiring=semiring,
-                           strategy=strategy,
-                           expansion_budget=expansion_budget).to_coo()
+    rows, cols, vals = mxm(mat_at.T, mat_b, semiring=semiring).to_coo()
     return ([u_keys[i] for i in rows.tolist()],
             [v_keys[j] for j in cols.tolist()],
             list(map(encode_number, vals.tolist())))
@@ -313,8 +307,7 @@ def multiply_rows(at_batches, b_batches, spec: MultSpec,
     at, b, predicted = ([], [], []), ([], [], []), 0
 
     def write_block() -> None:
-        rows, quals, vals = _multiply_block(at, b, semiring, spec.strategy,
-                                            spec.expansion_budget)
+        rows, quals, vals = _multiply_block(at, b, semiring)
         n = len(rows)
         write((rows, [""] * n, quals, [""] * n, [0] * n, [False] * n, vals))
         work["blocks"] += 1

@@ -73,8 +73,6 @@ class MultSpec:
     mul: Union[str, Callable[[float, float], float]] = "times"
     combiner: str = "sum"
     auths: Sequence[str] = ()
-    strategy: str = "auto"
-    expansion_budget: Optional[int] = None
     join: Optional[str] = "row"
     post: Optional[list] = None
 

@@ -30,7 +30,7 @@ partial failure, retries) a single process cannot model:
   exactly-once write dedup, pipelined BatchWriter flushes, and
   automatic re-locate on ``NotHostedError``;
 * :mod:`repro.net.cluster` — spawn / stop / crash / recover N server
-  processes over localhost (``repro serve`` / ``repro cluster``);
+  processes over localhost (``repro cluster``);
 * :mod:`repro.net.iterspec` — declarative, wire-serializable iterator
   stacks (``IterSpec``): filters, combiners, named Apply ops and row
   reduces validated against a whitelist and executed inside the

@@ -14,8 +14,7 @@ the calling process — same sockets, same wire protocol, none of the
 spawn cost; used by fine-grained unit tests, while integration tests
 and the CLI run real processes.
 
-Used by the ``repro serve`` / ``repro cluster`` CLI commands and by
-``tests/net``.
+Used by the ``repro cluster`` CLI command and by ``tests/net``.
 """
 
 from __future__ import annotations

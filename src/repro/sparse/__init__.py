@@ -34,7 +34,6 @@ from repro.sparse.construct import (
 )
 from repro.sparse.spgemm import (
     DEFAULT_EXPANSION_BUDGET,
-    STRATEGIES,
     mxm,
     plan_tiles,
     predict_row_flops,
@@ -74,7 +73,6 @@ __all__ = [
     "zeros",
     "mxm",
     "DEFAULT_EXPANSION_BUDGET",
-    "STRATEGIES",
     "plan_tiles",
     "predict_row_flops",
     "set_expansion_probe",

@@ -65,20 +65,17 @@ def vstack(blocks: List[Matrix]) -> Matrix:
                   _validate=False)
 
 
-def _mxm_block(block: Matrix, b: Matrix, semiring_name: Optional[str],
-               strategy: str = "auto",
-               expansion_budget: Optional[int] = None) -> Matrix:
+def _mxm_block(block: Matrix, b: Matrix,
+               semiring_name: Optional[str]) -> Matrix:
     """Pool worker: multiply one row block against a pickled B."""
     from repro.semiring import get_semiring
 
     sr = get_semiring(semiring_name) if semiring_name else None
-    return mxm(block, b, semiring=sr, strategy=strategy,
-               expansion_budget=expansion_budget)
+    return mxm(block, b, semiring=sr)
 
 
 def _mxm_block_shm(block: Matrix, b_shape, b_meta,
-                   semiring_name: Optional[str], strategy: str,
-                   expansion_budget: Optional[int]) -> Matrix:
+                   semiring_name: Optional[str]) -> Matrix:
     """Pool worker: multiply one row block against a shared-memory B.
 
     Attaches zero-copy views onto B's published CSR arrays; every array
@@ -93,17 +90,14 @@ def _mxm_block_shm(block: Matrix, b_shape, b_meta,
         b = Matrix(b_shape[0], b_shape[1], arrays["indptr"],
                    arrays["indices"], arrays["values"], _validate=False)
         sr = get_semiring(semiring_name) if semiring_name else None
-        return mxm(block, b, semiring=sr, strategy=strategy,
-                   expansion_budget=expansion_budget)
+        return mxm(block, b, semiring=sr)
     finally:
         for shm in handles:
             shm.close()
 
 
 def blocked_mxm(a: Matrix, b: Matrix, n_blocks: int = 4, workers: int = 1,
-                semiring: Optional[Semiring] = None, strategy: str = "auto",
-                expansion_budget: Optional[int] = None,
-                share_b: bool = True,
+                semiring: Optional[Semiring] = None, share_b: bool = True,
                 timer: Optional[Timer] = None) -> Matrix:
     """``C = A ⊕.⊗ B`` computed block-row-wise, optionally in parallel.
 
@@ -112,27 +106,22 @@ def blocked_mxm(a: Matrix, b: Matrix, n_blocks: int = 4, workers: int = 1,
     boundary); results equal :func:`repro.sparse.spgemm.mxm` exactly.
     By default B travels to the pool through shared memory (one publish,
     zero-copy attach per worker); ``share_b=False`` pickles B per task
-    instead.  ``strategy`` / ``expansion_budget`` are forwarded to the
-    per-block :func:`~repro.sparse.spgemm.mxm` engine, and ``timer``
-    aggregates per-worker chunk timings via
+    instead.  ``timer`` aggregates per-worker chunk timings via
     :func:`repro.parallel.pool.parallel_map`.
     """
     if _trace.ENABLED:
         with _trace.span("kernel.spgemm.blocked", rows=a.nrows,
                          cols=b.ncols, n_blocks=n_blocks, workers=workers,
-                         shared_memory=bool(share_b and workers > 1),
-                         strategy=strategy) as sp:
-            c = _blocked_mxm(a, b, n_blocks, workers, semiring, strategy,
-                             expansion_budget, share_b, timer)
+                         shared_memory=bool(share_b and workers > 1)) as sp:
+            c = _blocked_mxm(a, b, n_blocks, workers, semiring, share_b,
+                             timer)
             sp.set(nnz_out=c.nnz)
             return c
-    return _blocked_mxm(a, b, n_blocks, workers, semiring, strategy,
-                        expansion_budget, share_b, timer)
+    return _blocked_mxm(a, b, n_blocks, workers, semiring, share_b, timer)
 
 
 def _blocked_mxm(a: Matrix, b: Matrix, n_blocks: int, workers: int,
-                 semiring: Optional[Semiring], strategy: str,
-                 expansion_budget: Optional[int], share_b: bool,
+                 semiring: Optional[Semiring], share_b: bool,
                  timer: Optional[Timer]) -> Matrix:
     from repro.parallel.pool import parallel_map, share_arrays, unlink_arrays
 
@@ -145,8 +134,7 @@ def _blocked_mxm(a: Matrix, b: Matrix, n_blocks: int, workers: int,
     sr_name = semiring.name if semiring is not None else None
     blocks = row_blocks(a, n_blocks)
     if workers == 1 or len(blocks) <= 1:
-        results = [mxm(blk, b, semiring=semiring, strategy=strategy,
-                       expansion_budget=expansion_budget) for blk in blocks]
+        results = [mxm(blk, b, semiring=semiring) for blk in blocks]
     elif share_b:
         handles, meta = share_arrays({"indptr": b.indptr,
                                       "indices": b.indices,
@@ -154,16 +142,14 @@ def _blocked_mxm(a: Matrix, b: Matrix, n_blocks: int, workers: int,
         try:
             results = parallel_map(
                 _mxm_block_shm,
-                [(blk, b.shape, meta, sr_name, strategy, expansion_budget)
-                 for blk in blocks],
+                [(blk, b.shape, meta, sr_name) for blk in blocks],
                 workers=workers, timer=timer)
         finally:
             unlink_arrays(handles)
     else:
         results = parallel_map(
             _mxm_block,
-            [(blk, b, sr_name, strategy, expansion_budget)
-             for blk in blocks],
+            [(blk, b, sr_name) for blk in blocks],
             workers=workers, timer=timer)
     if not results:
         from repro.sparse.construct import zeros

@@ -21,21 +21,33 @@ def _coo_to_csr(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
                 vals: np.ndarray, dup: Monoid) -> Matrix:
     """Sort + deduplicate COO triples into canonical CSR.
 
-    This is shared by every kernel that produces COO output (SpGEMM,
-    eWiseAdd, assign), so it is written carefully: one lexsort, one
-    segmented reduce.
+    The one fold every kernel that produces COO output goes through
+    (SpGEMM, eWiseAdd, kron, extract/assign, ``from_coo``): one stable
+    ``argsort`` of the fused key ``row * ncols + col``, one segmented
+    ``dup.reduceat``.  A stable sort of the fused key is exactly
+    ``lexsort((cols, rows))``'s ``(row, col, position)`` order, so
+    duplicates fold in input order and every output bit is the lexsort
+    fold's.  Only when ``nrows * ncols - 1`` overflows ``intp`` — the
+    one shape the fused key cannot represent — does it lexsort instead.
     """
     if rows.size == 0:
         indptr = np.zeros(nrows + 1, dtype=np.intp)
         return Matrix(nrows, ncols, indptr, rows.astype(np.intp), vals,
                       _validate=False)
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    # new (row, col) key starts where either component changes
-    new_key = np.r_[True, (np.diff(rows) != 0) | (np.diff(cols) != 0)]
-    starts = np.flatnonzero(new_key)
-    out_rows = rows[starts]
-    out_cols = cols[starts]
+    if int(nrows) * int(ncols) - 1 > np.iinfo(np.intp).max:
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        # a new (row, col) key starts where either component changes
+        starts = np.flatnonzero(
+            np.r_[True, (np.diff(rows) != 0) | (np.diff(cols) != 0)])
+        out_rows, out_cols = rows[starts], cols[starts]
+    else:
+        key = rows.astype(np.intp, copy=False) * ncols + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.r_[True, np.diff(key) != 0])
+        out_rows, out_cols = np.divmod(key[starts], ncols)
+    vals = vals[order]
     if len(starts) == len(vals):
         out_vals = vals  # no duplicates: skip the reduce entirely
     else:
@@ -44,8 +56,8 @@ def _coo_to_csr(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
     # loop is ~10x slower and this runs on every kernel's output path.
     indptr = np.zeros(nrows + 1, dtype=np.intp)
     np.cumsum(np.bincount(out_rows, minlength=nrows), out=indptr[1:])
-    return Matrix(nrows, ncols, indptr, out_cols.astype(np.intp), out_vals,
-                  _validate=False)
+    return Matrix(nrows, ncols, indptr, out_cols.astype(np.intp, copy=False),
+                  out_vals, _validate=False)
 
 
 def from_coo(nrows: int, ncols: int, rows, cols, values=None,

@@ -71,9 +71,7 @@ def ewise_add(a: Matrix, b: Matrix, op: Optional[BinaryOp] = None) -> Matrix:
         both_vals = a.values[:0]
     keys = np.concatenate([common, ka[mask_a], kb[mask_b]])
     vals = np.concatenate([both_vals, a.values[mask_a], b.values[mask_b]])
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
     rows = (keys // a.ncols).astype(np.intp)
     cols = (keys % a.ncols).astype(np.intp)
-    # already unique + sorted; use shared builder for the indptr
+    # unique keys: the shared fold only sorts them
     return _coo_to_csr(a.nrows, a.ncols, rows, cols, vals, PLUS_MONOID)

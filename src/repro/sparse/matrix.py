@@ -213,16 +213,11 @@ class Matrix:
     # -- kernel delegation (reads like the paper's pseudocode) --------------
 
     def mxm(self, other: "Matrix", semiring: Optional[Semiring] = None,
-            mask: Optional["Matrix"] = None, strategy: str = "auto",
-            expansion_budget: Optional[int] = None) -> "Matrix":
-        """SpGEMM: ``self ⊕.⊗ other`` (defaults to plus-times).
-
-        ``strategy`` / ``expansion_budget`` select and bound the
-        adaptive engine (see :func:`repro.sparse.spgemm.mxm`)."""
+            mask: Optional["Matrix"] = None) -> "Matrix":
+        """SpGEMM: ``self ⊕.⊗ other`` (defaults to plus-times)."""
         from repro.sparse.spgemm import mxm as _mxm
 
-        return _mxm(self, other, semiring=semiring, mask=mask,
-                    strategy=strategy, expansion_budget=expansion_budget)
+        return _mxm(self, other, semiring=semiring, mask=mask)
 
     def mxv(self, x, semiring: Optional[Semiring] = None) -> np.ndarray:
         from repro.sparse.spmv import mxv as _mxv

@@ -1,46 +1,34 @@
-"""SpGEMM: adaptive, memory-bounded semiring sparse matrix–matrix multiply.
+"""SpGEMM: memory-bounded semiring sparse matrix–matrix multiply.
 
-Four execution strategies, one bit-identical result:
+One kernel, expand–fold per row tile:
 
-* ``"esc"`` — the original monolithic expand-sort-compress path: every
-  multiplication ``A(i,t) ⊗ B(t,j)`` that Gustavson's algorithm would
-  perform is materialised as one COO product entry (grouped-arange
-  gather, no Python loop), then lexsorted by ``(i, j)`` and folded with
-  the semiring's ⊕ monoid via ``ufunc.reduceat``.  Peak memory is
-  O(flops).
-* ``"tiled"`` — rows of A are split into contiguous tiles whose exact
-  predicted flop count (:func:`predict_row_flops`, O(nnz(A))) stays
-  under ``expansion_budget``; ESC runs per tile and the CSR blocks are
-  stitched.  Peak memory is O(budget) (single rows whose own flops
-  exceed the budget get a tile of their own — the hard floor).
-* ``"hash"`` — a fused-key Gustavson accumulation path for tiles whose
-  predicted flops rival the tile's dense output size (dense-ish rows
-  multiplying hub columns).  Products are binned by the flat key
-  ``row * ncols + col`` with NumPy's stable integer sort (LSB radix —
-  O(f) bucketing, no comparisons) and folded per key, replacing the
-  two-pass comparison lexsort that dominates ESC on duplicate-heavy
-  tiles.
-* ``"auto"`` — plans tiles under the budget and picks ESC or hash per
-  tile from the flops/density prediction.  This is the default.
+* rows of A are split into contiguous tiles whose exact predicted flop
+  count (:func:`predict_row_flops`, O(nnz(A))) stays under
+  ``expansion_budget`` (a single row whose own flops exceed the budget
+  gets a tile of its own — the hard floor row-wise SpGEMM admits);
+* per tile, every multiplication ``A(i,t) ⊗ B(t,j)`` Gustavson's
+  algorithm would perform is materialised as one COO product entry
+  (grouped-arange gather, no Python loop), an optional structural
+  ``mask`` drops products outside its stored pattern *before* the
+  reduction — which is how Graphulo fuses filtering into server-side
+  multiplies — and :func:`~repro.sparse.construct._coo_to_csr` folds
+  the stream with the semiring's ⊕ monoid: one stable argsort of the
+  fused key ``row * ncols + col``, one ``⊕.reduceat``;
+* the tiles' CSR blocks are stacked.
 
-All strategies produce byte-for-byte identical CSR (``indptr``,
-``indices``, ``values``): tiles preserve the per-``(i, j)`` product
-order (increasing inner index ``t``), every path folds duplicates with
-the same ``⊕.reduceat`` over identically-ordered segments, and a stable
-sort of the fused hash key reproduces ESC's lexsort stream exactly.
+Peak transient memory is O(budget).  The output does not depend on the
+budget: tiles keep each ``(i, j)``'s products in increasing inner index
+``t``, and a stable sort of the fused key folds them in that order, so
+every budget gives the bytes of a single lexsorted expand–sort–compress
+(the test suite's oracle).
 
-An optional structural ``mask`` restricts output to the mask's stored
-pattern *before* the reduction, which is how Graphulo fuses filtering
-into server-side multiplies.
-
-When tracing is enabled the ``kernel.spgemm`` span records the chosen
-strategy, tile count, per-strategy tile split and peak expansion size
-(see ``docs/PERFORMANCE.md``).
+When tracing is enabled the ``kernel.spgemm`` span records the tile
+count, the peak expansion and the budget (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,21 +38,11 @@ from repro.semiring.builtin import PLUS_TIMES
 from repro.sparse.construct import _coo_to_csr
 from repro.sparse.matrix import Matrix
 
-#: Strategy names accepted by :func:`mxm`.
-STRATEGIES = ("auto", "esc", "hash", "tiled")
-
-#: Default cap on materialised Gustavson products per tile (``auto`` /
-#: ``tiled``).  2^22 products ≈ 130 MB of transient expansion arrays at
-#: float64 — small enough to stay cache-friendly, large enough that
-#: every matrix in the test/benchmark zoo fits in one tile.
+#: Default cap on materialised Gustavson products per tile.  2^22
+#: products ≈ 130 MB of transient expansion arrays at float64 — small
+#: enough to stay cache-friendly, large enough that every matrix in the
+#: test/benchmark zoo fits in one tile.
 DEFAULT_EXPANSION_BUDGET = 1 << 22
-
-#: ``auto`` picks the hash path for a tile when
-#: ``predicted_flops >= hash_ratio * tile_rows * ncols`` — i.e. the
-#: dense accumulator is no larger than the expansion arrays we would
-#: materialise anyway, so the choice is memory-neutral and saves the
-#: O(f log f) sort.
-DEFAULT_HASH_RATIO = 1.0
 
 #: Test probe: a callable invoked with every tile's expansion size
 #: (number of materialised products).  Install via
@@ -132,7 +110,7 @@ def predict_row_flops(a: Matrix, b: Matrix) -> np.ndarray:
     """Exact Gustavson multiply count per row of ``A @ B`` in O(nnz(A)).
 
     ``flops[i] = Σ_{t ∈ row i of A} nnz(B[t, :])`` — this is the exact
-    size of the expansion the ESC path would materialise for row ``i``,
+    size of the expansion :func:`mxm` materialises for row ``i``,
     not an estimate, so tile planning gives a hard memory cap.
     """
     counts = np.diff(b.indptr)[a.indices]
@@ -177,9 +155,8 @@ def _slice_rows(a: Matrix, lo: int, hi: int) -> Matrix:
 # -- the public kernel --------------------------------------------------------
 
 def mxm(a: Matrix, b: Matrix, semiring: Optional[Semiring] = None,
-        mask: Optional[Matrix] = None, strategy: str = "auto",
-        expansion_budget: Optional[int] = None,
-        hash_ratio: Optional[float] = None) -> Matrix:
+        mask: Optional[Matrix] = None,
+        expansion_budget: Optional[int] = None) -> Matrix:
     """``C = A ⊕.⊗ B`` (GraphBLAS SpGEMM).
 
     Parameters
@@ -189,210 +166,75 @@ def mxm(a: Matrix, b: Matrix, semiring: Optional[Semiring] = None,
     mask:
         Optional structural mask; only positions stored in ``mask`` are
         kept in the output (applied pre-reduction).
-    strategy:
-        ``"auto"`` (default) plans row tiles under the expansion budget
-        and picks ESC or the hash accumulator per tile; ``"esc"``,
-        ``"hash"`` and ``"tiled"`` force a single path.  All strategies
-        return bit-identical CSR.
     expansion_budget:
-        Cap on materialised products per tile for ``auto``/``tiled``
-        (default :data:`DEFAULT_EXPANSION_BUDGET`).  Peak transient
-        memory is O(budget) instead of O(flops), up to single-row
-        granularity.
-    hash_ratio:
-        ``auto`` dispatch knob: hash when
-        ``flops >= ratio * tile_rows * ncols``
-        (default :data:`DEFAULT_HASH_RATIO`).
+        Cap on materialised products per row tile (default
+        :data:`DEFAULT_EXPANSION_BUDGET`).  Peak transient memory is
+        O(budget) instead of O(flops), up to single-row granularity;
+        the result is the same for every budget.
     """
     semiring = semiring or PLUS_TIMES
     if a.ncols != b.nrows:
         raise ValueError(
             f"dimension mismatch: A is {a.shape}, B is {b.shape}")
-    if mask is not None and mask.shape != (a.nrows, b.ncols):
-        raise ValueError(
-            f"mask shape {mask.shape} != output shape {(a.nrows, b.ncols)}")
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if mask is not None:
+        if mask.shape != (a.nrows, b.ncols):
+            raise ValueError(f"mask shape {mask.shape} != output shape "
+                             f"{(a.nrows, b.ncols)}")
+        _check_mask_key_range(mask)
     budget = DEFAULT_EXPANSION_BUDGET if expansion_budget is None \
         else int(expansion_budget)
-    ratio = DEFAULT_HASH_RATIO if hash_ratio is None else float(hash_ratio)
-    if _trace.ENABLED:
-        with _trace.span("kernel.spgemm", rows=a.nrows, inner=a.ncols,
-                         cols=b.ncols, nnz_a=a.nnz, nnz_b=b.nnz,
-                         semiring=semiring.name,
-                         masked=mask is not None) as sp:
-            c, info = _mxm_dispatch(a, b, semiring, mask, strategy, budget,
-                                    ratio)
-            sp.set(nnz_out=c.nnz, **info)
-            return c
-    c, _ = _mxm_dispatch(a, b, semiring, mask, strategy, budget, ratio)
-    return c
+    if not _trace.ENABLED:
+        return _mxm_tiles(a, b, semiring, mask, budget)[0]
+    with _trace.span("kernel.spgemm", rows=a.nrows, inner=a.ncols,
+                     cols=b.ncols, nnz_a=a.nnz, nnz_b=b.nnz,
+                     semiring=semiring.name, masked=mask is not None,
+                     expansion_budget=budget) as sp:
+        c, expansions = _mxm_tiles(a, b, semiring, mask, budget)
+        sp.set(nnz_out=c.nnz, n_tiles=len(expansions),
+               peak_expansion=max(expansions, default=0))
+        return c
 
 
-def _mxm_dispatch(a: Matrix, b: Matrix, semiring: Semiring,
-                  mask: Optional[Matrix], strategy: str, budget: int,
-                  ratio: float) -> Tuple[Matrix, Dict[str, object]]:
-    """Pick and run per-tile execution paths; returns (C, trace attrs)."""
-    if mask is not None:
-        _check_mask_key_range(mask)
-    if strategy == "esc":
-        flops = int(predict_row_flops(a, b).sum())
-        _probe(flops)
-        return _mxm_esc(a, b, semiring, mask), {
-            "strategy": "esc", "n_tiles": 1, "peak_expansion": flops}
-    if strategy == "hash":
-        c = _hash_tile(a, 0, a.nrows, b, semiring, mask)
-        return c, {"strategy": "hash", "n_tiles": 1,
-                   "peak_expansion": int(predict_row_flops(a, b).sum())}
-
+def _mxm_tiles(a: Matrix, b: Matrix, semiring: Semiring,
+               mask: Optional[Matrix],
+               budget: int) -> Tuple[Matrix, List[int]]:
+    """Plan row tiles under ``budget``, expand–mask–fold each, stack
+    the blocks; returns C and every tile's expansion size."""
     row_flops = predict_row_flops(a, b)
     tiles = plan_tiles(row_flops, budget)
-    if not tiles:
-        return _mxm_esc(a, b, semiring, mask), {
-            "strategy": strategy, "n_tiles": 0, "peak_expansion": 0,
-            "expansion_budget": budget}
-    prefix = np.concatenate((np.zeros(1, dtype=np.int64),
-                             np.cumsum(row_flops, dtype=np.int64)))
-    tile_flops = [int(prefix[hi] - prefix[lo]) for lo, hi in tiles]
-    peak = max(tile_flops)
-
-    if strategy == "tiled":
-        choices = ["esc"] * len(tiles)
-    else:  # auto: per-tile regime dispatch
-        choices = []
-        for (lo, hi), f in zip(tiles, tile_flops):
-            dense_size = (hi - lo) * b.ncols
-            hash_ok = (f > 0 and dense_size > 0
-                       and dense_size - 1 <= np.iinfo(np.intp).max
-                       and f >= ratio * dense_size)
-            choices.append("hash" if hash_ok else "esc")
-
-    if len(tiles) == 1 and choices[0] == "esc":
-        # single-tile fast path: identical to the monolithic kernel
-        _probe(tile_flops[0])
-        return _mxm_esc(a, b, semiring, mask), {
-            "strategy": strategy, "n_tiles": 1, "tiles_esc": 1,
-            "tiles_hash": 0, "peak_expansion": peak,
-            "expansion_budget": budget}
-
-    parts: List[Matrix] = []
-    for (lo, hi), choice in zip(tiles, choices):
-        if choice == "hash":
-            parts.append(_hash_tile(a, lo, hi, b, semiring, mask))
-        else:
-            parts.append(_esc_tile(a, lo, hi, b, semiring, mask))
-    c = _stack_tiles(a.nrows, b.ncols, a.dtype, b.dtype, tiles, parts)
-    return c, {"strategy": strategy, "n_tiles": len(tiles),
-               "tiles_esc": choices.count("esc"),
-               "tiles_hash": choices.count("hash"),
-               "peak_expansion": peak, "expansion_budget": budget}
+    parts = [_tile(a, lo, hi, b, semiring, mask) for lo, hi in tiles]
+    return (_stack_tiles(a.nrows, b.ncols, a.dtype, b.dtype, parts),
+            [int(row_flops[lo:hi].sum()) for lo, hi in tiles])
 
 
-# -- execution paths ----------------------------------------------------------
-
-def _mxm_esc(a: Matrix, b: Matrix, semiring: Semiring,
-             mask: Optional[Matrix]) -> Matrix:
-    """Monolithic expand-sort-compress (the original kernel)."""
-    out_rows, out_cols, av, bv = expand_products(a, b)
-    if out_rows.size == 0:
-        return _coo_to_csr(a.nrows, b.ncols, out_rows, out_cols,
-                           np.empty(0, dtype=np.result_type(a.dtype, b.dtype)),
-                           semiring.add)
-    products = np.asarray(semiring.mul(av, bv))
-
-    if mask is not None:
-        keep = _mask_filter(mask, out_rows, out_cols)
-        out_rows, out_cols, products = out_rows[keep], out_cols[keep], products[keep]
-
-    return _coo_to_csr(a.nrows, b.ncols, out_rows, out_cols, products,
-                       semiring.add)
-
-
-def _esc_tile(a: Matrix, lo: int, hi: int, b: Matrix, semiring: Semiring,
-              mask: Optional[Matrix]) -> Matrix:
-    """ESC on the row tile ``A[lo:hi]`` → tile-local CSR block."""
+def _tile(a: Matrix, lo: int, hi: int, b: Matrix, semiring: Semiring,
+          mask: Optional[Matrix]) -> Matrix:
+    """Expand, mask and fold the row tile ``A[lo:hi]`` → tile-local CSR."""
     tile = _slice_rows(a, lo, hi)
     out_rows, out_cols, av, bv = expand_products(tile, b)
     _probe(out_rows.size)
     if out_rows.size == 0:
-        return _coo_to_csr(tile.nrows, b.ncols, out_rows, out_cols,
-                           np.empty(0, dtype=np.result_type(a.dtype, b.dtype)),
-                           semiring.add)
-    products = np.asarray(semiring.mul(av, bv))
-    if mask is not None:
-        keep = _mask_filter(mask, out_rows + lo, out_cols)
-        out_rows, out_cols, products = out_rows[keep], out_cols[keep], products[keep]
+        products = np.empty(0, dtype=np.result_type(a.dtype, b.dtype))
+    else:
+        products = np.asarray(semiring.mul(av, bv))
+        if mask is not None:
+            keep = _mask_filter(mask, out_rows + lo, out_cols)
+            out_rows, out_cols = out_rows[keep], out_cols[keep]
+            products = products[keep]
     return _coo_to_csr(tile.nrows, b.ncols, out_rows, out_cols, products,
                        semiring.add)
 
 
-def _hash_tile(a: Matrix, lo: int, hi: int, b: Matrix, semiring: Semiring,
-               mask: Optional[Matrix]) -> Matrix:
-    """Fused-key Gustavson accumulation for the row tile ``A[lo:hi]``.
-
-    Products are binned by the flat key ``row * ncols + col`` with a
-    *stable integer argsort* — NumPy's LSB radix sort for integer keys,
-    O(f) bucket binning rather than the two-pass comparison lexsort of
-    ESC — then folded per key with the same ``⊕.reduceat``.  A stable
-    sort of the fused key yields exactly the ``(row, col, position)``
-    stream ESC's ``lexsort((cols, rows))`` produces, so segment
-    contents, fold order, and hence every output bit are identical;
-    sorted flat keys are already canonical CSR, so rows/cols/indptr
-    fall out with two integer divisions and a bincount.
-
-    Wins in the duplicate-heavy regime (predicted flops ≳ the tile's
-    dense output size: dense-ish rows of A hitting hub columns of B),
-    where the per-product constant of the sort dominates ESC.
-    """
-    tile = _slice_rows(a, lo, hi)
-    ncols = b.ncols
-    if tile.nrows and ncols and tile.nrows * ncols - 1 > np.iinfo(np.intp).max:
-        raise ValueError(
-            f"hash strategy cannot fuse keys for a {tile.nrows} x {ncols} "
-            "tile: the flat index space overflows; use strategy='tiled' "
-            "(or a smaller expansion budget) instead")
-    out_rows, out_cols, av, bv = expand_products(tile, b)
-    _probe(out_rows.size)
-    if out_rows.size == 0:
-        return _coo_to_csr(tile.nrows, ncols, out_rows, out_cols,
-                           np.empty(0, dtype=np.result_type(a.dtype, b.dtype)),
-                           semiring.add)
-    products = np.asarray(semiring.mul(av, bv))
-    if mask is not None:
-        keep = _mask_filter(mask, out_rows + lo, out_cols)
-        out_rows, out_cols, products = out_rows[keep], out_cols[keep], products[keep]
-        if out_rows.size == 0:
-            return _coo_to_csr(tile.nrows, ncols, out_rows, out_cols,
-                               products, semiring.add)
-
-    key = out_rows * ncols + out_cols
-    order = np.argsort(key, kind="stable")          # radix bin, not lexsort
-    key = key[order]
-    vals = products[order]
-    seg_start = np.r_[True, np.diff(key) != 0]
-    starts = np.flatnonzero(seg_start)
-    uniq = key[starts]
-    if len(starts) == len(vals):
-        out_vals = vals                 # no duplicates: skip the reduce
-    else:
-        out_vals = semiring.add.reduceat(vals, starts)
-
-    local_rows = uniq // ncols
-    indptr = np.zeros(tile.nrows + 1, dtype=np.intp)
-    np.cumsum(np.bincount(local_rows, minlength=tile.nrows), out=indptr[1:])
-    return Matrix(tile.nrows, ncols, indptr, uniq % ncols, out_vals,
-                  _validate=False)
-
-
 def _stack_tiles(nrows: int, ncols: int, a_dtype, b_dtype,
-                 tiles: List[Tuple[int, int]],
                  parts: List[Matrix]) -> Matrix:
     """Stitch contiguous tile CSR blocks into the full output matrix.
 
-    Zero-nnz tiles are skipped when concatenating values so an empty
-    tile's placeholder dtype never promotes the result dtype.
+    A lone tile is the output.  Otherwise zero-nnz tiles are skipped
+    when concatenating values so an empty tile's placeholder dtype never
+    promotes the result dtype.
     """
+    if len(parts) == 1:
+        return parts[0]
     indptr_parts = [np.zeros(1, dtype=np.intp)]
     offset = 0
     for part in parts:

@@ -8,8 +8,8 @@
 
 :func:`mxm_triu` is that contribution: an SpGEMM that discards
 lower-triangle products *before* the sort/compress step, so the
-dominant cost (lexsort + reduce of the expanded product stream) is paid
-only for the upper-triangular half.  For a symmetric statistic
+dominant cost (the fused-key sort + reduce of the expanded product
+stream) is paid only for the upper-triangular half.  For a symmetric statistic
 ``S = f(A·Aᵀ)`` this halves the compress work and the output memory;
 callers reconstruct the full matrix with ``C + Cᵀ`` when needed.
 """

@@ -1,6 +1,7 @@
 """Graphulo server-side ops: TableMult, degree tables, apply/filter, BFS."""
 
 import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.dbsim import (
 from repro.dbsim import graphulo
 from repro.dbsim.graphulo import create_combiner_table
 from repro.dbsim.key import Range, decode_number
-from repro.dbsim.server import Instance
+from repro.dbsim.server import Instance, MultSpec
 from repro.generators.classic import fig1_edges
 
 from tests.dbsim.tablemult_oracle import stream_table_mult
@@ -141,13 +142,6 @@ class TestTableMultEngine:
         assert len(blocks) >= 3
         assert table_to_assoc(conn, "C").equal(a.T @ a)
 
-    def test_strategy_kwargs(self, conn):
-        rng = np.random.default_rng(7)
-        a = random_assoc(rng, 8, 8)
-        assoc_to_table(conn, a, "A")
-        table_mult(conn, "A", "A", "C", strategy="tiled", expansion_budget=4)
-        assert table_to_assoc(conn, "C").equal(a.T @ a)
-
     def test_via_parameter_removed(self, conn):
         """There is one implementation and no knob selecting it."""
         assert "via" not in inspect.signature(table_mult).parameters
@@ -155,6 +149,18 @@ class TestTableMultEngine:
         assoc_to_table(conn, random_assoc(rng, 3, 3), "A")
         with pytest.raises(TypeError, match="via"):
             table_mult(conn, "A", "A", "C", via="engine")
+
+    def test_strategy_parameter_removed(self, conn):
+        """One SpGEMM kernel: no strategy or budget rides the op, its
+        spec or the spec's wire form."""
+        params = inspect.signature(table_mult).parameters
+        assert "strategy" not in params and "expansion_budget" not in params
+        names = {f.name for f in fields(MultSpec)}
+        assert not names & {"strategy", "expansion_budget"}
+        assoc_to_table(conn, random_assoc(np.random.default_rng(7), 3, 3),
+                       "A")
+        with pytest.raises(TypeError, match="strategy"):
+            table_mult(conn, "A", "A", "C", strategy="tiled")
 
 
 class TestDegreeTable:

@@ -90,15 +90,6 @@ class TestSharedMemoryPath:
             blocked_mxm(a, b, n_blocks=3, workers=2, share_b=False),
             mxm(a, b))
 
-    def test_strategy_forwarded(self, random_sparse):
-        a, _ = random_sparse(16, 10, seed=15)
-        b, _ = random_sparse(10, 7, seed=16)
-        ref = mxm(a, b)
-        for strategy in ("esc", "hash", "tiled", "auto"):
-            out = blocked_mxm(a, b, n_blocks=4, workers=2,
-                              strategy=strategy, expansion_budget=8)
-            self._bit_identical(out, ref)
-
     def test_timer_merges_worker_chunks(self, random_sparse):
         from repro.util import Timer
 
@@ -124,5 +115,4 @@ class TestSharedMemoryPath:
         attrs = span["attrs"]
         assert attrs["n_blocks"] == 2 and attrs["workers"] == 1
         assert attrs["shared_memory"] is False
-        assert attrs["strategy"] == "auto"
         assert attrs["nnz_out"] == mxm(a, b).nnz

@@ -1,11 +1,14 @@
-"""Adaptive SpGEMM engine: tile planning, strategy dispatch, bit-identity.
+"""SpGEMM kernel: tile planning, the fused-key fold, bit-identity.
 
-Every strategy (esc / hash / tiled / auto, at any budget) must produce
-byte-for-byte identical CSR arrays — the engine is a pure execution-plan
-choice, never a numerical one.  Property tests drive random matrices and
-random budgets through all paths against the monolithic ESC kernel and
-the dense reference.
+At every expansion budget ``mxm`` must produce byte-for-byte the CSR
+arrays of the monolithic lexsort expand–sort–compress oracle
+(``tests/sparse/esc_oracle.py``) — the budget bounds memory, never the
+numbers — and ``_coo_to_csr`` must fold any COO stream exactly as the
+oracle's lexsort fold does.  Property tests drive random matrices,
+budgets, masks, semirings and COO streams through both.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from hypothesis.extra.numpy import arrays
 
 from repro.obs import InMemorySink, trace
 from repro.semiring import MIN_PLUS, PLUS_PAIR
-from repro.sparse import from_dense, mxm, zeros
+from repro.semiring.builtin import MAX_MONOID, MIN_MONOID, PLUS_MONOID
+from repro.sparse import blocked_mxm, from_dense, mxm, zeros
+from repro.sparse.construct import _coo_to_csr
 from repro.sparse.matrix import Matrix
 from repro.sparse.spgemm import (
     mxm_dense_reference,
@@ -23,6 +28,7 @@ from repro.sparse.spgemm import (
     predict_row_flops,
     set_expansion_probe,
 )
+from tests.sparse.esc_oracle import esc_mxm, lexsort_coo_to_csr
 
 
 def assert_bit_identical(c, ref):
@@ -80,35 +86,37 @@ class TestPlanTiles:
             plan_tiles(np.array([1]), budget=0)
 
 
-class TestStrategyDispatch:
-    def test_invalid_strategy(self, random_sparse):
-        a, _ = random_sparse(4, 4, seed=3)
-        with pytest.raises(ValueError, match="strategy"):
-            mxm(a, a, strategy="quantum")
+class TestKernelSurface:
+    def test_signature(self):
+        """The budget is the kernel's only execution knob."""
+        assert list(inspect.signature(mxm).parameters) == [
+            "a", "b", "semiring", "mask", "expansion_budget"]
+        for fn in (Matrix.mxm, blocked_mxm):
+            params = inspect.signature(fn).parameters
+            assert "strategy" not in params
+            assert "expansion_budget" not in params
 
     def test_matrix_method_passthrough(self, random_sparse):
         a, _ = random_sparse(6, 6, seed=4)
-        ref = mxm(a, a, strategy="esc")
-        assert_bit_identical(a.mxm(a, strategy="tiled", expansion_budget=3),
-                             ref)
+        assert_bit_identical(a.mxm(a), esc_mxm(a, a))
 
-    @pytest.mark.parametrize("strategy", ["hash", "tiled", "auto"])
-    def test_empty_operands(self, strategy):
-        out = mxm(zeros(3, 4), zeros(4, 2), strategy=strategy)
+    @pytest.mark.parametrize("budget", [1, None])
+    def test_empty_operands(self, budget):
+        out = mxm(zeros(3, 4), zeros(4, 2), expansion_budget=budget)
         assert out.shape == (3, 2) and out.nnz == 0
+        assert_bit_identical(out, esc_mxm(zeros(3, 4), zeros(4, 2)))
 
-    @pytest.mark.parametrize("strategy", ["hash", "tiled", "auto"])
-    def test_empty_rows_and_empty_result(self, strategy):
+    @pytest.mark.parametrize("budget", [1, 2, None])
+    def test_empty_rows_and_empty_result(self, budget):
         # row 0 of A only hits implicit zeros of B; row 2 of A is empty
         a = from_dense([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
         b = from_dense([[0.0], [3.0]])
-        ref = mxm(a, b, strategy="esc")
-        assert_bit_identical(mxm(a, b, strategy=strategy,
-                                 expansion_budget=1), ref)
+        assert_bit_identical(mxm(a, b, expansion_budget=budget),
+                             esc_mxm(a, b))
 
 
 class TestBudgetProbe:
-    def test_tiled_peak_never_exceeds_budget(self, random_sparse):
+    def test_peak_never_exceeds_budget(self, random_sparse):
         a, _ = random_sparse(40, 30, seed=5, density=0.3)
         b, _ = random_sparse(30, 25, seed=6, density=0.3)
         row_flops = predict_row_flops(a, b)
@@ -116,13 +124,13 @@ class TestBudgetProbe:
             sizes = []
             prev = set_expansion_probe(sizes.append)
             try:
-                c = mxm(a, b, strategy="tiled", expansion_budget=budget)
+                c = mxm(a, b, expansion_budget=budget)
             finally:
                 set_expansion_probe(prev)
             assert sizes, "probe never fired"
             # the only legal over-budget tile is a single oversized row
             assert max(sizes) <= max(budget, int(row_flops.max()))
-            assert_bit_identical(c, mxm(a, b, strategy="esc"))
+            assert_bit_identical(c, esc_mxm(a, b))
 
     def test_probe_restores(self):
         marker = lambda n: None
@@ -130,7 +138,7 @@ class TestBudgetProbe:
         assert set_expansion_probe(prev) is marker
 
 
-class TestMaskOverflowGuard:
+class TestKeyOverflow:
     def test_huge_mask_rejected(self):
         # 4 * (2^61 + 1) - 1 > int64 max: flat keys would silently wrap
         wide = (1 << 61) + 1
@@ -144,44 +152,94 @@ class TestMaskOverflowGuard:
         with pytest.raises(ValueError, match="int64"):
             mxm(a, b, mask=mask)
 
-    def test_hash_flat_key_guard(self):
-        wide = (np.iinfo(np.intp).max // 2) + 1
-        empty = np.zeros(0, dtype=np.intp)
-        a = Matrix(4, 1, np.zeros(5, dtype=np.intp), empty,
-                   np.zeros(0), _validate=False)
-        b = Matrix(1, wide, np.zeros(2, dtype=np.intp), empty,
-                   np.zeros(0), _validate=False)
-        with pytest.raises(ValueError, match="tiled"):
-            mxm(a, b, strategy="hash")
+    @pytest.mark.parametrize("budget", [1, None])
+    def test_fused_key_overflow_multiplies(self, budget):
+        """4 x (intp max // 2 + 1): ``4 * ncols - 1`` overflows the
+        fused key, so a 4-row tile lexsorts and a 1-row tile does not;
+        both give the oracle's bytes, duplicates folded."""
+        wide = np.iinfo(np.intp).max // 2 + 1
+        a = Matrix(4, 2, np.arange(0, 9, 2, dtype=np.intp),
+                   np.tile(np.arange(2, dtype=np.intp), 4),
+                   np.arange(1.0, 9.0), _validate=False)
+        b = Matrix(2, wide, np.array([0, 3, 5], dtype=np.intp),
+                   np.array([0, 5, wide - 1, 5, wide - 1], dtype=np.intp),
+                   np.array([0.1, 0.2, 1e16, 0.3, -1e16]), _validate=False)
+        c = mxm(a, b, expansion_budget=budget)
+        assert c.shape == (4, wide) and c.nnz == 12
+        assert_bit_identical(c, esc_mxm(a, b))
 
 
 class TestTraceAttrs:
-    def test_span_records_dispatch(self, random_sparse):
+    def test_span_records_plan(self, random_sparse):
         a, _ = random_sparse(12, 12, seed=7, density=0.4)
         sink = InMemorySink()
         trace.enable(sink)
         try:
-            mxm(a, a, strategy="tiled", expansion_budget=5)
-            mxm(a, a, strategy="esc")
+            mxm(a, a, expansion_budget=5)
+            mxm(a, a)
         finally:
             trace.disable()
         spans = sink.spans("kernel.spgemm")
         assert len(spans) == 2
-        tiled, esc = spans[0]["attrs"], spans[1]["attrs"]
-        assert tiled["strategy"] == "tiled"
+        tiled, whole = spans[0]["attrs"], spans[1]["attrs"]
         assert tiled["n_tiles"] > 1
-        assert tiled["tiles_esc"] == tiled["n_tiles"]
-        assert tiled["tiles_hash"] == 0
         assert tiled["expansion_budget"] == 5
-        assert 0 < tiled["peak_expansion"]
-        assert tiled["nnz_out"] == esc["nnz_out"]
-        assert esc["strategy"] == "esc" and esc["n_tiles"] == 1
+        assert 0 < tiled["peak_expansion"] <= whole["peak_expansion"]
+        assert tiled["nnz_out"] == whole["nnz_out"]
+        assert whole["n_tiles"] == 1
+        assert whole["peak_expansion"] == int(predict_row_flops(a, a).sum())
 
 
-# -- property tests: all strategies, random budgets, bit-for-bit --------------
+# -- the fold: _coo_to_csr against the lexsort oracle -------------------------
+
+@st.composite
+def coo_streams(draw):
+    """(nrows, ncols, rows, cols, vals): duplicate-heavy COO in any order,
+    float / int / bool values, square-ish, 1 x N and N x 1 shapes."""
+    nrows, ncols = draw(st.one_of(
+        st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        st.tuples(st.just(1), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.just(1))))
+    n = draw(st.integers(0, 40))
+    rows = draw(arrays(np.intp, n, elements=st.integers(0, nrows - 1)))
+    cols = draw(arrays(np.intp, n, elements=st.integers(0, ncols - 1)))
+    elements = {
+        np.float64: st.sampled_from([0.0, 1.0, -2.5, 0.1, 0.2, 1e16, 3.0]),
+        np.int64: st.integers(-5, 5),
+        np.bool_: st.booleans(),
+    }
+    dtype = draw(st.sampled_from(sorted(elements, key=str)))
+    vals = draw(arrays(dtype, n, elements=elements[dtype]))
+    return nrows, ncols, rows, cols, vals
+
+
+@given(coo=coo_streams(),
+       dup=st.sampled_from([PLUS_MONOID, MIN_MONOID, MAX_MONOID]))
+@settings(max_examples=150, deadline=None)
+def test_coo_to_csr_matches_lexsort_fold(coo, dup):
+    out = _coo_to_csr(*coo, dup)
+    assert_bit_identical(out, lexsort_coo_to_csr(*coo, dup))
+    out._check_canonical()
+
+
+@pytest.mark.parametrize("nrows, ncols", [(3, 3), (1, 50), (50, 1)])
+def test_coo_to_csr_folds_duplicates_in_input_order(nrows, ncols):
+    """Hundreds of duplicates per key whose float sum depends on the
+    order: only a stable sort keeps the lexsort fold's bits."""
+    rng = np.random.default_rng(0)
+    n = 20000
+    rows = rng.integers(0, nrows, n).astype(np.intp)
+    cols = rng.integers(0, ncols, n).astype(np.intp)
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    assert_bit_identical(
+        _coo_to_csr(nrows, ncols, rows, cols, vals, PLUS_MONOID),
+        lexsort_coo_to_csr(nrows, ncols, rows, cols, vals, PLUS_MONOID))
+
+
+# -- property tests: random budgets, masks, semirings, bit-for-bit -----------
 
 def sparse_pair():
-    """Strategy: (dense A, dense B) with compatible shapes, many zeros."""
+    """(dense A, dense B) with compatible shapes, many zeros."""
     elements = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, -1.5, 0.25, 7.0])
     dims = st.tuples(st.integers(1, 10), st.integers(1, 8),
                      st.integers(1, 10))
@@ -190,54 +248,44 @@ def sparse_pair():
         arrays(np.float64, (mkn[1], mkn[2]), elements=elements)))
 
 
-@given(ab=sparse_pair(),
-       strategy=st.sampled_from(["hash", "tiled", "auto"]),
-       budget=st.integers(1, 200))
+@given(ab=sparse_pair(), budget=st.integers(1, 200))
 @settings(max_examples=120, deadline=None)
-def test_strategies_bit_identical_to_esc(ab, strategy, budget):
+def test_bit_identical_to_oracle(ab, budget):
     da, db = ab
     a, b = from_dense(da), from_dense(db)
-    ref = mxm(a, b, strategy="esc")
-    out = mxm(a, b, strategy=strategy, expansion_budget=budget)
-    assert_bit_identical(out, ref)
+    out = mxm(a, b, expansion_budget=budget)
+    assert_bit_identical(out, esc_mxm(a, b))
+    assert_bit_identical(mxm(a, b), esc_mxm(a, b))
     assert np.allclose(out.to_dense(), mxm_dense_reference(a, b))
 
 
-@given(ab=sparse_pair(),
-       strategy=st.sampled_from(["hash", "tiled", "auto"]),
-       budget=st.integers(1, 60))
+@given(ab=sparse_pair(), budget=st.integers(1, 200))
 @settings(max_examples=80, deadline=None)
-def test_masked_strategies_bit_identical(ab, strategy, budget):
+def test_masked_bit_identical(ab, budget):
     da, db = ab
     a, b = from_dense(da), from_dense(db)
     # mask with a deterministic-but-irregular stored pattern
     dm = np.zeros((da.shape[0], db.shape[1]))
     dm.flat[::2] = 1.0
     mask = from_dense(dm)
-    ref = mxm(a, b, mask=mask, strategy="esc")
-    out = mxm(a, b, mask=mask, strategy=strategy, expansion_budget=budget)
-    assert_bit_identical(out, ref)
+    out = mxm(a, b, mask=mask, expansion_budget=budget)
+    assert_bit_identical(out, esc_mxm(a, b, mask=mask))
 
 
-@given(ab=sparse_pair(), budget=st.integers(1, 40))
+@given(ab=sparse_pair(), budget=st.integers(1, 200))
 @settings(max_examples=60, deadline=None)
-def test_min_plus_tiled_bit_identical(ab, budget):
+def test_min_plus_bit_identical(ab, budget):
     da, db = ab
     a, b = from_dense(da), from_dense(db)
-    ref = mxm(a, b, semiring=MIN_PLUS, strategy="esc")
-    for strategy in ("tiled", "hash", "auto"):
-        out = mxm(a, b, semiring=MIN_PLUS, strategy=strategy,
-                  expansion_budget=budget)
-        assert_bit_identical(out, ref)
+    out = mxm(a, b, semiring=MIN_PLUS, expansion_budget=budget)
+    assert_bit_identical(out, esc_mxm(a, b, semiring=MIN_PLUS))
 
 
 @given(da=arrays(np.float64, (7, 7),
                  elements=st.sampled_from([0.0, 0.0, 1.0, 3.0])),
-       budget=st.integers(1, 30))
+       budget=st.integers(1, 200))
 @settings(max_examples=60, deadline=None)
 def test_plus_pair_square_bit_identical(da, budget):
     a = from_dense(da)
-    ref = mxm(a, a.T, semiring=PLUS_PAIR, strategy="esc")
-    out = mxm(a, a.T, semiring=PLUS_PAIR, strategy="auto",
-              expansion_budget=budget)
-    assert_bit_identical(out, ref)
+    out = mxm(a, a.T, semiring=PLUS_PAIR, expansion_budget=budget)
+    assert_bit_identical(out, esc_mxm(a, a.T, semiring=PLUS_PAIR))
