@@ -11,10 +11,10 @@ the same architecture:
   descend);
 * :mod:`repro.dbsim.memtable` / :mod:`repro.dbsim.sstable` — an
   in-memory write buffer flushed into immutable sorted runs;
-* :mod:`repro.dbsim.iterators` — the server-side
-  ``SortedKVIterator`` framework (seek/next/top contract): merging,
-  versioning, filtering, combining, transforming — the exact extension
-  point Graphulo uses;
+* :mod:`repro.dbsim.iterators` — the server-side iterator layers:
+  each a batch stage (``Layer(stage)``) over a tablet's sorted, merged
+  stream — versioning, visibility, filtering, combining, transforming,
+  the row reduce — the exact extension point Graphulo uses;
 * :mod:`repro.dbsim.tablet` / :mod:`repro.dbsim.server` — tablets with
   split points hosted across simulated tablet servers, plus an
   ``Instance`` with table configuration (combiners, splits);
@@ -37,20 +37,11 @@ from repro.dbsim.errors import (
 )
 from repro.dbsim.key import Cell, Key, Range, decode_number, encode_number
 from repro.dbsim.iterators import (
-    AgeOffIterator,
-    ApplyIterator,
-    ColumnFilterIterator,
-    RegexFilterIterator,
-    VisibilityFilterIterator,
-    ListIterator,
-    MergeIterator,
-    PredicateFilterIterator,
-    SortedKVIterator,
+    Layer,
     SummingCombiner,
     MinCombiner,
     MaxCombiner,
-    VersioningIterator,
-    drain,
+    select_stage,
 )
 from repro.dbsim.sstable import RowBloomFilter, SSTable
 from repro.dbsim.tablet import Tablet
@@ -90,20 +81,11 @@ __all__ = [
     "Range",
     "decode_number",
     "encode_number",
-    "AgeOffIterator",
-    "ApplyIterator",
-    "ColumnFilterIterator",
-    "RegexFilterIterator",
-    "VisibilityFilterIterator",
-    "ListIterator",
-    "MergeIterator",
-    "PredicateFilterIterator",
-    "SortedKVIterator",
+    "Layer",
     "SummingCombiner",
     "MinCombiner",
     "MaxCombiner",
-    "VersioningIterator",
-    "drain",
+    "select_stage",
     "RowBloomFilter",
     "SSTable",
     "Tablet",

@@ -12,9 +12,8 @@ whole suite over both implementations.
 Two protocols:
 
 * :class:`TabletBackend` — what a scan or write path needs from one
-  tablet: its row extent, a columnar scan (whatever its layers — a
-  user's opaque callable is one more layer over the same storage
-  pass), and a raw-mutation batch write.  Locally this is a real
+  tablet: its row extent, a columnar scan (its layers' stages chained
+  over one storage pass), and a raw-mutation batch write.  Locally this is a real
   :class:`~repro.dbsim.tablet.Tablet`; remotely a ``TabletProxy``
   that turns the same calls into RPCs.
 * :class:`ConnectorBackend` — the instance-wide surface: table
@@ -133,7 +132,7 @@ class ConnectorBackend(Protocol):
     def scan_cells(self, name: str, rng: RangeSet = Range(),
                    columns=None, scan_iterators: Sequence = ()):
         """:meth:`scan_columns`, cell by cell — what ``for cell in
-        scanner`` runs, opaque callables or not."""
+        scanner`` runs."""
         ...
 
     # -- maintenance ------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.dbsim.backend import ConnectorBackend
-from repro.dbsim.iterators import Columns
+from repro.dbsim.iterators import Columns, Layer, as_layers
 from repro.dbsim.key import (
     Cell,
     Range,
@@ -24,7 +24,6 @@ from repro.dbsim.key import (
     sorted_disjoint,
 )
 from repro.dbsim.server import TableConfig
-from repro.dbsim.tablet import IteratorFactory
 from repro.dbsim.visibility import PUBLIC, Authorizations, check_expression
 from repro.obs import trace as _trace
 
@@ -66,14 +65,14 @@ class Connector:
     # -- data-path factories ------------------------------------------------
 
     def scanner(self, table: str,
-                scan_iterators: Sequence[IteratorFactory] = (),
+                scan_iterators: Sequence[Layer] = (),
                 authorizations: Authorizations = None,
                 iterspec=None) -> "Scanner":
         return Scanner(self, table, scan_iterators,
                        authorizations=authorizations, iterspec=iterspec)
 
     def batch_scanner(self, table: str,
-                      scan_iterators: Sequence[IteratorFactory] = (),
+                      scan_iterators: Sequence[Layer] = (),
                       authorizations: Authorizations = None,
                       coalesce: Optional[bool] = None,
                       iterspec=None) -> "BatchScanner":
@@ -98,7 +97,7 @@ class _RangeSetScan:
     """
 
     def __init__(self, conn: Connector, table: str,
-                 scan_iterators: Sequence[IteratorFactory] = (),
+                 scan_iterators: Sequence[Layer] = (),
                  authorizations: Authorizations = None,
                  iterspec=None):
         # lazy: dbsim must not import repro.net at module scope (net
@@ -114,7 +113,7 @@ class _RangeSetScan:
         #: the ones that can cross the wire
         self._layers = scan_layers(
             PUBLIC if authorizations is None else authorizations,
-            iterspec) + tuple(scan_iterators)
+            iterspec) + as_layers(scan_iterators, "scan_iterators")
         self.columns: Columns = None
 
     def _cells(self, ranges: Sequence[Range]) -> Iterator[Cell]:
@@ -124,15 +123,6 @@ class _RangeSetScan:
             self._table, ranges, self.columns, self._layers)
 
     def _batches(self, ranges: Sequence[Range]):
-        # a batch stage on every layer (a user's ``Layer`` has one, wire
-        # form or not): an opaque callable is per cell by contract
-        if not all(getattr(layer, "stage", None) for layer in self._layers):
-            from repro.net.iterspec import NonSerializableIteratorError
-            raise NonSerializableIteratorError(
-                "scan_columns cannot run per-cell (local-callable) scan "
-                "iterators — they cannot cross the wire; pass iterspec= "
-                "to push the stack server-side, or iterate the scanner "
-                "instead")
         yield from self._conn.instance.scan_columns(
             self._table, ranges, self.columns, self._layers)
 
@@ -141,7 +131,7 @@ class Scanner(_RangeSetScan):
     """Single-range scan in key order across all overlapping tablets."""
 
     def __init__(self, conn: Connector, table: str,
-                 scan_iterators: Sequence[IteratorFactory] = (),
+                 scan_iterators: Sequence[Layer] = (),
                  authorizations: Authorizations = None,
                  iterspec=None):
         super().__init__(conn, table, scan_iterators, authorizations,
@@ -168,12 +158,6 @@ class Scanner(_RangeSetScan):
         ``TabletProxy`` both implement ``scan_columns``).  Entry
         sequence — timestamps included — is bit-identical to iterating
         the scanner per cell; no ``Cell`` objects are built.
-
-        A user scan iterator that carries a batch stage (a
-        :class:`~repro.dbsim.iterators.Layer`) runs here like any
-        built-in layer; an opaque per-cell callable cannot run over
-        batches, so a scanner constructed with one must use the regular
-        iteration path.
         """
         return self._batches((self.range,))
 
@@ -195,7 +179,7 @@ class BatchScanner(_RangeSetScan):
     """
 
     def __init__(self, conn: Connector, table: str,
-                 scan_iterators: Sequence[IteratorFactory] = (),
+                 scan_iterators: Sequence[Layer] = (),
                  authorizations: Authorizations = None,
                  coalesce: Optional[bool] = None,
                  iterspec=None):

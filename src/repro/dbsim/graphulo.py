@@ -350,7 +350,7 @@ def _degree_table(conn: Connector, table: str, out: str,
     if not conn.table_exists(out):
         create_combiner_table(conn, out, combiner="sum")
     # The Reduce runs inside the tablet server: a pushed-down
-    # RowReduceIterator folds each row's cells into one ("", "deg")
+    # reduce stage folds each row's cells into one ("", "deg")
     # cell, so exactly one cell per row crosses the wire and the out
     # table's SummingCombiner performs the final ⊕ across tablets.
     spec = _spec().reduce("sum", qualifier="deg", count=count_entries)

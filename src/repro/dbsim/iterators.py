@@ -1,232 +1,43 @@
-"""The server-side iterator framework: layers, stages, and the per-cell view.
+"""The server-side iterator framework: every layer is a batch stage.
 
 Accumulo's killer extension point — and the mechanism Graphulo rides —
-is a stack of iterators applied server-side to the sorted merged cell
-stream of each tablet.  Here every row-/cell-local layer of that stack
-(visibility, column / regex / age-off filters, versioning, combiners,
-Apply, the row Reduce) is defined **once**, as a *batch stage*: a
-generator function from :class:`~repro.net.cells.ColumnBatch` batches to
-ColumnBatch batches.  A :class:`Layer` carries its stage, and a tablet whose
-table and scan layers all carry one runs the scan as a chain of stages
-over its fused storage pass — no per-cell object is built.
+is a stack of iterators applied server-side to the sorted, merged cell
+stream of each tablet.  Here every layer of that stack (visibility,
+column / regex / age-off filters, versioning, combiners, Apply, the row
+Reduce, and any layer a user writes) is a *batch stage*: a generator
+function from :class:`~repro.net.cells.ColumnBatch` batches to
+ColumnBatch batches.  A :class:`Layer` carries its stage, and a tablet
+runs a scan as that chain of stages over its fused storage pass (sliced
+runs → tombstones → versioning), building no per-cell object.
 
-The classic per-cell contract is still here, for user-written
-iterators (an opaque ``lambda src: ...`` layer) and for the public
-per-cell classes:
+A per-cell Python predicate is a stage too::
 
-* ``seek(range, columns)`` — position at the first cell inside the
-  row range (and column family/qualifier filter);
-* ``has_top()`` / ``top()`` — whether a current cell exists, and what
-  it is;
-* ``advance()`` — move to the next cell.
-
-Each public per-cell class of the vocabulary (``CombinerIterator``,
-``RegexFilterIterator``, ...) is a few lines over :class:`StageIterator`,
-the one adapter that shows a stage through this contract.  A tablet
-stacks a scan's layers bottom-up — table-configured layers (combiners,
-filters), then scan-time layers — over one storage leaf, the same
-fused pass (sliced runs → tombstones → versioning) the staged form
-runs, and :func:`open_batches` turns the stack's top back into batches.
+    Layer(select_stage(lambda batch: map(pred, batch.cells())))
 """
 
 from __future__ import annotations
 
-import bisect
 import operator
 import re
 from array import array
 from functools import partial
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from repro.dbsim.key import Cell, Key, Range, decode_number, encode_number
-from repro.dbsim.stats import OpStats
+from repro.dbsim.key import decode_number, encode_number
 
 #: Column filter: None = all, else a set of (family, qualifier) pairs
 #: where qualifier None means "whole family".
 Columns = Optional[Sequence[Tuple[str, Optional[str]]]]
 
 
-class SortedKVIterator:
-    """Abstract base; concrete iterators override seek/has_top/top/advance."""
-
-    def seek(self, rng: Range, columns: Columns = None) -> None:
-        raise NotImplementedError
-
-    def has_top(self) -> bool:
-        raise NotImplementedError
-
-    def top(self) -> Cell:
-        raise NotImplementedError
-
-    def advance(self) -> None:
-        raise NotImplementedError
-
-
 def _in_columns(family: str, qualifier: str, columns) -> bool:
-    """The seek-time column filter (``columns`` not ``None``)."""
+    """The storage pass's column filter (``columns`` not ``None``)."""
     for fam, qual in columns:
         if family == fam and (qual is None or qualifier == qual):
             return True
     return False
-
-
-def _column_match(key: Key, columns: Columns) -> bool:
-    return columns is None or _in_columns(key.family, key.qualifier, columns)
-
-
-def drain(it: SortedKVIterator, rng: Optional[Range] = None,
-          columns: Columns = None, seek: bool = True) -> List[Cell]:
-    """Exhaust an iterator into a list (client-side collection)."""
-    if seek:
-        it.seek(rng or Range(), columns)
-    out: List[Cell] = []
-    while it.has_top():
-        out.append(it.top())
-        it.advance()
-    return out
-
-
-def _cell_row(cell: Cell) -> str:
-    return cell.key.row
-
-
-class ListIterator(SortedKVIterator):
-    """Iterator over an already-sorted list of cells (a memtable
-    snapshot, or a tablet's sliced and merged runs).  A seek is two
-    bisects on the row — no per-instance key array is built; counts
-    stats if given."""
-
-    def __init__(self, cells: Sequence[Cell], stats: Optional[OpStats] = None):
-        self._cells = cells
-        self._pos = self._end = 0
-        self._columns: Columns = None
-        self._stats = stats
-
-    def seek(self, rng: Range, columns: Columns = None) -> None:
-        if self._stats is not None:
-            self._stats.seeks += 1
-        self._position(rng, columns)
-
-    def _position(self, rng: Range, columns: Columns = None) -> None:
-        cells = self._cells
-        self._pos = bisect.bisect_left(cells, rng.effective_start(),
-                                       key=_cell_row)
-        self._end = bisect.bisect_left(cells, rng.effective_stop(),
-                                       self._pos, key=_cell_row)
-        self._columns = columns
-        self._skip_filtered()
-
-    def _skip_filtered(self) -> None:
-        if self._columns is not None:
-            cells, columns = self._cells, self._columns
-            while self._pos < self._end and not _column_match(
-                    cells[self._pos].key, columns):
-                self._pos += 1
-
-    def has_top(self) -> bool:
-        return self._pos < self._end
-
-    def top(self) -> Cell:
-        if self._pos >= self._end:
-            raise StopIteration("iterator exhausted")
-        return self._cells[self._pos]
-
-    def advance(self) -> None:
-        if self._pos < self._end:
-            if self._stats is not None:
-                self._stats.entries_read += 1
-            self._pos += 1
-            self._skip_filtered()
-
-
-class MergeIterator(SortedKVIterator):
-    """K-way merge of child iterators in key order (ties: earlier child
-    wins, matching Accumulo's memtable-over-sstable precedence).
-
-    Tablet scans do not stack this — they sort-merge their sliced runs
-    in one pass (``tablet._merge_runs``).  It stays as the lazy merge
-    for user-composed stacks and as the reference ``_merge_runs`` is
-    tested against."""
-
-    def __init__(self, children: Sequence[SortedKVIterator]):
-        self._children = list(children)
-        self._current: Optional[int] = None
-
-    def seek(self, rng: Range, columns: Columns = None) -> None:
-        for child in self._children:
-            child.seek(rng, columns)
-        self._select()
-
-    def _select(self) -> None:
-        best = None
-        best_key = None
-        for i, child in enumerate(self._children):
-            if child.has_top():
-                k = child.top().key.sort_tuple()
-                if best_key is None or k < best_key:
-                    best, best_key = i, k
-        self._current = best
-
-    def has_top(self) -> bool:
-        return self._current is not None
-
-    def top(self) -> Cell:
-        if self._current is None:
-            raise StopIteration("iterator exhausted")
-        return self._children[self._current].top()
-
-    def advance(self) -> None:
-        if self._current is None:
-            raise StopIteration("iterator exhausted")
-        self._children[self._current].advance()
-        self._select()
-
-
-class _WrappingIterator(SortedKVIterator):
-    """Base for stacked iterators that transform a source stream."""
-
-    def __init__(self, source: SortedKVIterator):
-        self._source = source
-        self._top: Optional[Cell] = None
-
-    def seek(self, rng: Range, columns: Columns = None) -> None:
-        self._source.seek(rng, columns)
-        self._advance_to_top()
-
-    def _advance_to_top(self) -> None:
-        raise NotImplementedError
-
-    def has_top(self) -> bool:
-        return self._top is not None
-
-    def top(self) -> Cell:
-        if self._top is None:
-            raise StopIteration("iterator exhausted")
-        return self._top
-
-    def advance(self) -> None:
-        self._advance_to_top()
-
-
-class PredicateFilterIterator(_WrappingIterator):
-    """Keep only cells satisfying a predicate (Accumulo Filter)."""
-
-    def __init__(self, source: SortedKVIterator,
-                 predicate: Callable[[Cell], bool]):
-        self._predicate = predicate
-        super().__init__(source)
-
-    def _advance_to_top(self) -> None:
-        src = self._source
-        while src.has_top():
-            cell = src.top()
-            src.advance()
-            if self._predicate(cell):
-                self._top = cell
-                return
-        self._top = None
 
 
 # -- batch stages ------------------------------------------------------------
@@ -242,39 +53,6 @@ class PredicateFilterIterator(_WrappingIterator):
 
 #: ``Iterable[ColumnBatch] → Iterator[ColumnBatch]``
 Stage = Callable[[Iterable], Iterator]
-
-
-def batches(it: SortedKVIterator, batch_cells: int) -> Iterator:
-    """A seeked iterator's remaining cells as ColumnBatches of up to
-    ``batch_cells`` entries — the bridge from the per-cell world into
-    the batch world.  Each cell is taken off ``it`` (``top`` then
-    ``advance``) only when the batch that holds it is being built."""
-    from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
-
-    def cells():
-        while it.has_top():
-            cell = it.top()
-            it.advance()
-            yield cell
-
-    source = cells()
-    while True:
-        batch = ColumnBatch.from_cells(islice(source, batch_cells))
-        if not len(batch):
-            return
-        yield batch
-
-
-def open_batches(top: SortedKVIterator, rng: Range, columns: Columns,
-                 batch_cells: int) -> Iterator:
-    """Seek a stack's top and return its output as ColumnBatches.  A
-    :class:`BatchIterator` top hands on the batches it already has —
-    a stack of stage layers over a batch leaf builds no cell; any
-    other top is seeked and re-batched ``batch_cells`` at a time."""
-    if isinstance(top, BatchIterator):
-        return top._open(rng, columns)
-    top.seek(rng, columns)
-    return batches(top, batch_cells)
 
 
 def select_stage(mask) -> Stage:
@@ -472,19 +250,16 @@ def apply_stage(fn: Callable[[float], float],
 
 
 class Layer:
-    """One iterator layer of the vocabulary, carrying its batch stage.
-
-    A layer is still an ``IteratorFactory``: calling it with a source
-    iterator gives the per-cell form (a :class:`StageIterator`), so it
-    goes wherever a ``lambda src: ...`` goes.  But a scan whose table
-    and scan layers *all* carry a ``stage`` never builds that form —
-    the tablet feeds its fused storage pass through the stages.
+    """One iterator layer: a batch stage, and what the tablet may know
+    about it.  The one thing ``table_iterators`` and ``scan_iterators``
+    hold — a user-written layer is ``Layer(stage)``.
 
     ``op`` is the layer's wire form (an iterspec op dict), what a
     remote tablet is sent instead of the code; ``None`` for a layer
-    that cannot cross the wire.  ``reduce_fn`` is set on the built-in
-    combiners only: the ⊕ the storage pass can fold by itself when
-    the combiner is the table's first layer.
+    that cannot cross the wire (it runs on the client, over the scan
+    pump).  ``reduce_fn`` is set on the built-in combiners only: the ⊕
+    the storage pass can fold by itself when the combiner is the
+    table's first layer.
     """
 
     __slots__ = ("stage", "op", "reduce_fn")
@@ -495,78 +270,20 @@ class Layer:
         self.op = op
         self.reduce_fn = reduce_fn
 
-    def __call__(self, source: SortedKVIterator) -> "StageIterator":
-        return StageIterator(source, self.stage)
 
-
-class BatchIterator(_WrappingIterator):
-    """The cells of a batch stream, seen through the seek/top/advance
-    contract.  A subclass says where the batches come from."""
-
-    def __init__(self, source):
-        self._cells: Iterator[Cell] = iter(())
-        super().__init__(source)
-
-    def _open(self, rng: Range, columns: Columns) -> Iterator:
-        """Position the source; the ColumnBatches from there on."""
-        raise NotImplementedError
-
-    def seek(self, rng: Range, columns: Columns = None) -> None:
-        self._cells = (cell for batch in self._open(rng, columns)
-                       for cell in batch.cells())
-        self._advance_to_top()
-
-    def _advance_to_top(self) -> None:
-        self._top = next(self._cells, None)
-
-
-class StageIterator(BatchIterator):
-    """A batch stage behind the per-cell contract — the one adapter
-    under every per-cell class below.
-
-    The source's cells enter the stage in batches of up to
-    ``_READ_AHEAD``, each batch taken off the source only when the
-    stage asks for it.  Over another :class:`BatchIterator` the stage
-    takes that one's *batches*, so a run of k stage layers costs one
-    cell→batch and one batch→cell conversion, not k."""
-
-    _READ_AHEAD = 256
-
-    def __init__(self, source: SortedKVIterator, stage: Stage):
-        self._stage = stage
-        super().__init__(source)
-
-    def _open(self, rng: Range, columns: Columns) -> Iterator:
-        return self._stage(open_batches(self._source, rng, columns,
-                                        self._READ_AHEAD))
-
-
-class VisibilityFilterIterator(StageIterator):
-    """Server-side cell-level security: drop cells whose visibility
-    expression the scan's authorizations cannot satisfy."""
-
-    def __init__(self, source: SortedKVIterator, auths):
-        super().__init__(source, visibility_stage(auths))
-
-
-class VersioningIterator(StageIterator):
-    """Keep the ``max_versions`` newest timestamps per logical cell
-    (Accumulo's default table iterator, max_versions=1)."""
-
-    def __init__(self, source: SortedKVIterator, max_versions: int = 1):
-        super().__init__(source, versions_stage(max_versions))
-
-
-class CombinerIterator(StageIterator):
-    """Fold all versions of a logical cell into one value with a binary
-    reduce on decoded numbers — Accumulo's Combiner family.  With a
-    ``plus`` reduce this is the SummingCombiner that gives Graphulo its
-    ⊕ accumulation on writes (duplicate inserts *combine*, they don't
-    overwrite)."""
-
-    def __init__(self, source: SortedKVIterator,
-                 reduce_fn: Callable[[float, float], float]):
-        super().__init__(source, combiner_stage(reduce_fn))
+def as_layers(items: Iterable, where: str) -> Tuple[Layer, ...]:
+    """``items`` as a tuple of :class:`Layer`\\ s — the one check
+    where layers enter (scanner construction, :class:`~repro.dbsim.
+    server.TableConfig`), so a bad one fails there, not mid-scan."""
+    items = tuple(items)
+    for item in items:
+        if not isinstance(item, Layer):
+            raise TypeError(
+                f"{where} must hold Layer(stage) objects, got {item!r}: "
+                f"wrap a batch stage as Layer(stage), a per-cell "
+                f"predicate as Layer(select_stage(lambda batch: "
+                f"map(pred, batch.cells())))")
+    return items
 
 
 #: the built-in combiners by name (⊕ = + | min | max): the ``combiner``
@@ -579,50 +296,3 @@ COMBINERS = {name: Layer(combiner_stage(fn), {"op": "combiner", "fn": name},
 SummingCombiner = COMBINERS["sum"]
 MinCombiner = COMBINERS["min"]
 MaxCombiner = COMBINERS["max"]
-
-
-class ColumnFilterIterator(StageIterator):
-    """Filter to an explicit qualifier set (server-side column
-    projection beyond the seek-time filter)."""
-
-    def __init__(self, source: SortedKVIterator, qualifiers: Iterable[str]):
-        super().__init__(source, column_stage(qualifiers))
-
-
-class RegexFilterIterator(StageIterator):
-    """Keep cells whose row / qualifier / value match the given regexes
-    (Accumulo's RegExFilter).  ``None`` fields match everything."""
-
-    def __init__(self, source: SortedKVIterator, row: str = None,
-                 qualifier: str = None, value: str = None):
-        super().__init__(source, regex_stage(row, qualifier, value))
-
-
-class AgeOffIterator(StageIterator):
-    """Drop cells whose timestamp is ≤ ``cutoff`` (Accumulo's AgeOff
-    filter against the tablet's logical clock) — retention policy as an
-    iterator, applied at scan *and* made permanent by compaction."""
-
-    def __init__(self, source: SortedKVIterator, cutoff: int):
-        super().__init__(source, age_off_stage(cutoff))
-
-
-class RowReduceIterator(StageIterator):
-    """Fold every cell of a row into ONE output cell — the Reduce/fold
-    terminal of an iterator stack (Graphulo's server-side aggregation,
-    e.g. degree computation: one ``deg`` cell per vertex row).  See
-    :func:`reduce_stage` for the arguments and the output key."""
-
-    def __init__(self, source: SortedKVIterator, op: str = "sum",
-                 family: str = "", qualifier: str = "deg",
-                 count: bool = False):
-        super().__init__(source, reduce_stage(op, family, qualifier, count))
-
-
-class ApplyIterator(StageIterator):
-    """Transform each cell's numeric value with a unary function — the
-    GraphBLAS Apply kernel executed server-side (Graphulo ApplyIterator)."""
-
-    def __init__(self, source: SortedKVIterator,
-                 fn: Callable[[float], float], drop_zero: bool = True):
-        super().__init__(source, apply_stage(fn, drop_zero))

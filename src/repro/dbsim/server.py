@@ -33,10 +33,10 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from repro.dbsim.errors import NotHostedError
-from repro.dbsim.iterators import COMBINERS
+from repro.dbsim.iterators import COMBINERS, Layer, as_layers
 from repro.dbsim.key import Range, RangeSet, clip_ranges, covering
 from repro.dbsim.stats import OpStats
-from repro.dbsim.tablet import IteratorFactory, Tablet
+from repro.dbsim.tablet import Tablet
 from repro.dbsim.visibility import Authorizations
 from repro.obs.metrics import MetricsRegistry, global_registry
 
@@ -101,8 +101,12 @@ class TableConfig:
     """Per-table configuration: versioning, iterator stack, flush policy."""
 
     max_versions: int = 1
-    table_iterators: Tuple[IteratorFactory, ...] = ()
+    table_iterators: Tuple[Layer, ...] = ()
     flush_bytes: int = 1 << 20
+
+    def __post_init__(self):
+        self.table_iterators = as_layers(self.table_iterators,
+                                         "table_iterators")
 
     @classmethod
     def combining(cls, combiner: str) -> "TableConfig":

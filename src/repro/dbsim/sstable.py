@@ -65,7 +65,7 @@ class SSTable:
     """Immutable sorted run with index + filter metadata."""
 
     def __init__(self, cells: Sequence[Cell] = ()):
-        """A run out of cells (the per-cell compaction path, tests):
+        """A run out of cells (compaction through user layers, tests):
         their keys are derived here and checked to be in order."""
         keys = [cell.key.sort_tuple() for cell in cells]
         if any(map(gt, keys, islice(keys, 1, None))):

@@ -7,14 +7,11 @@ sorted runs.  A scan runs the canonical Accumulo stack:
     merged → tombstones → versioning → table-configured layers
     (combiners/filters) → scan-time layers
 
-over one storage leaf, the fused drain (:meth:`Tablet._drain_columns_fused`:
+as one join: the fused drain (:meth:`Tablet._drain_columns_fused`:
 everything up to versioning, plus the fold of a leading built-in
-combiner).  When every table and scan layer carries a batch stage (see
-:class:`~repro.dbsim.iterators.Layer`), :meth:`Tablet.scan_columns`
-chains the stages straight onto the drain and builds no per-cell
-object.  An opaque callable — a user's ``lambda src: ...`` — is one
-more layer: the layers stack, per cell, over :class:`_DrainLeaf`, the
-same drain behind the ``SortedKVIterator`` contract.
+combiner) with the remaining layers' batch stages (see
+:class:`~repro.dbsim.iterators.Layer`) chained onto it.  No per-cell
+object is built.
 
 Minor compactions (flush) move the memtable into a new run when it
 exceeds ``flush_bytes``; full compactions merge all runs through the
@@ -27,17 +24,9 @@ import sys
 from array import array
 from bisect import bisect_left
 from itertools import chain as _chain, count
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.dbsim.iterators import (
-    BatchIterator,
-    Columns,
-    ListIterator,
-    SortedKVIterator,
-    StageIterator,
-    _in_columns,
-    open_batches,
-)
+from repro.dbsim.iterators import Columns, Layer, _in_columns
 from repro.dbsim.errors import ServerCrashedError
 from repro.dbsim.key import (
     Cell,
@@ -57,9 +46,6 @@ from repro.dbsim.memtable import CellBuffer, MemTable
 from repro.dbsim.sstable import SSTable
 from repro.dbsim.stats import MeteredStats, OpStats
 from repro.obs import trace as _trace
-
-#: A table-configured iterator layer: callable wrapping a source iterator.
-IteratorFactory = Callable[[SortedKVIterator], SortedKVIterator]
 
 #: One sorted run as storage holds it: sort-key tuples, aligned values.
 KVRun = Tuple[List[SortKey], List[str]]
@@ -99,21 +85,19 @@ def _slice_rows(keys: List[SortKey], values: List[str], probes) -> KVRun:
 def _merge_runs(runs: List[KVRun]) -> KVRun:
     """Sliced runs → one sorted run.  Timsort gallops over the
     presorted runs and, being stable, keeps concatenation order
-    (memtable first, then sstables) on ties — the memtable-over-sstable
-    precedence of :class:`~repro.dbsim.iterators.MergeIterator`."""
+    (memtable first, then sstables) on ties — memtable-over-sstable
+    precedence."""
     if len(runs) == 1:
         return runs[0]
     return sort_run(list(_chain.from_iterable(keys for keys, _ in runs)),
                     list(_chain.from_iterable(vals for _, vals in runs)))
 
 
-def _fused_reduce(layers: Sequence[IteratorFactory]):
+def _fused_reduce(layers: Sequence[Layer]):
     """The ⊕ the storage pass folds by itself: the first layer's, when
     that layer is a built-in combiner (recognised by the ``reduce_fn``
     it carries); else ``None``."""
-    if not layers:
-        return None
-    return getattr(layers[0], "reduce_fn", None)
+    return layers[0].reduce_fn if layers else None
 
 
 class Tablet:
@@ -168,8 +152,7 @@ class Tablet:
         prefix = f"dbsim.table.{table}"
         for name in ("seeks", "entries_read", "entries_written", "flushes",
                      "compactions", "bloom_hits", "bloom_misses",
-                     "index_seeks", "batched_mutations", "scans_fused",
-                     "scans_stack"):
+                     "index_seeks", "batched_mutations", "scans_fused"):
             registry.counter(f"{prefix}.{name}")
         for name in self._gauge_prev:
             registry.gauge(f"{prefix}.{name}")
@@ -372,61 +355,25 @@ class Tablet:
 
     # -- reads ---------------------------------------------------------------
 
-    def _layered(self, ranges: Sequence[Range],
-                 layers: Sequence[IteratorFactory], batch_cells: int,
-                 sink) -> SortedKVIterator:
-        """The layers (table's, then scan's) stacked, per cell, over a
-        :class:`_DrainLeaf` of a (clipped, non-empty) range set —
-        unseeked.  The leaf folds a leading built-in combiner itself,
-        as the staged form does."""
-        reduce_fn = _fused_reduce(layers)
-        top: SortedKVIterator = _DrainLeaf(self, ranges, reduce_fn,
-                                           batch_cells, sink)
-        for layer in layers[reduce_fn is not None:]:
-            top = layer(top)
-        return top
-
-    def scan_iterator(self, rng: RangeSet,
-                      table_iterators: Sequence[IteratorFactory] = (),
-                      scan_iterators: Sequence[IteratorFactory] = ()
-                      ) -> SortedKVIterator:
-        """The per-cell view of :meth:`scan_columns`, unseeked: every
-        layer stacked over a :class:`_DrainLeaf` of ``rng`` (one range,
-        or a sorted, disjoint range set) clipped to this tablet's
-        extent.  The runs are sliced **here**, so the iterator sees the
-        data as of this call, a seek can only narrow it, and the per-run
-        accounting is charged once, now — a scan that stops after a few
-        cells has still paid O(cells in the set): ask for the range you
-        will read.  Ticks neither scan-path counter."""
-        ranges = clip_ranges(rng, self.extent)
-        if not ranges:
-            return ListIterator([])
-        return self._layered(ranges, (*table_iterators, *scan_iterators),
-                             StageIterator._READ_AHEAD, self._sink)
-
     def scan(self, rng: Range = Range(), columns: Columns = None,
-             table_iterators: Sequence[IteratorFactory] = (),
-             scan_iterators: Sequence[IteratorFactory] = ()) -> List[Cell]:
+             table_iterators: Sequence[Layer] = (),
+             scan_iterators: Sequence[Layer] = ()) -> List[Cell]:
         """Convenience: :meth:`scan_columns` as a list of cells."""
         return [cell for batch in self.scan_columns(
             rng, columns, table_iterators, scan_iterators)
             for cell in batch.cells()]
 
     def scan_columns(self, rng: RangeSet = Range(), columns: Columns = None,
-                     table_iterators: Sequence[IteratorFactory] = (),
-                     scan_iterators: Sequence[IteratorFactory] = (),
+                     table_iterators: Sequence[Layer] = (),
+                     scan_iterators: Sequence[Layer] = (),
                      batch_cells: int = 2048, sink=None):
         """Bulk columnar read of one range or a sorted, disjoint range
         set: :class:`~repro.net.cells.ColumnBatch`\\ es in key order.
 
-        One pipeline: the fused storage pass (column skip → tombstones
-        → versioning → the fold of a leading built-in combiner, see
-        :func:`_fused_reduce`) under the remaining layers.  When every
-        table and scan layer carries a batch ``stage``, the stages
-        chain straight onto the pass and no per-cell object is built.
-        An opaque callable is one more layer: the layers stack over a
-        :class:`_DrainLeaf` and :func:`~repro.dbsim.iterators.
-        open_batches` re-batches the top.
+        One join: the fused storage pass (column skip → tombstones →
+        versioning → the fold of a leading built-in combiner, see
+        :func:`_fused_reduce`) with the remaining layers' stages
+        chained onto it; no per-cell object is built.
 
         The runs are **sliced eagerly**, before this returns (so a
         caller sees the data as of the call), then a generator yields
@@ -447,20 +394,21 @@ class Tablet:
             return iter(())
         if sink is None:
             sink = self._sink
-        layers = (*table_iterators, *scan_iterators)
-        stages = [getattr(layer, "stage", None) for layer in layers]
-        if None in stages:
-            self._bump_aux("scans_stack")
-            return open_batches(self._layered(ranges, layers, batch_cells,
-                                              sink),
-                                covering(ranges), columns, batch_cells)
         self._bump_aux("scans_fused")
+        return self._staged(self._sliced_runs(ranges, sink), columns,
+                            (*table_iterators, *scan_iterators), batch_cells,
+                            sink)
+
+    def _staged(self, runs: List[KVRun], columns: Columns,
+                layers: Sequence[Layer], batch_cells: int, sink):
+        """The fused drain of ``runs`` with every layer it does not fold
+        itself chained on as a stage: a scan's, and a compaction's
+        through layers other than a lone built-in combiner."""
         reduce_fn = _fused_reduce(layers)
-        out = self._drain_columns_fused(
-            self._sliced_runs(ranges, sink), columns, reduce_fn, batch_cells,
-            sink)
-        for stage in stages[reduce_fn is not None:]:
-            out = stage(out)
+        out = self._drain_columns_fused(runs, columns, reduce_fn,
+                                        batch_cells, sink)
+        for layer in layers[reduce_fn is not None:]:
+            out = layer.stage(out)
         return out
 
     def _sliced_runs(self, ranges: Sequence[Range],
@@ -515,7 +463,8 @@ class Tablet:
         and no per-cell wrapper calls — the storage leaf of every scan
         and compaction.  With ``reduce_fn`` the versions of a cell that
         survive versioning fold into one entry under the newest key,
-        exactly as :class:`CombinerIterator` above them would.
+        exactly as :func:`~repro.dbsim.iterators.combiner_stage` above
+        them would.
 
         ``stored`` is compaction's second sink: it receives, entry for
         entry, the stored key tuple each output entry came from, so the
@@ -594,7 +543,7 @@ class Tablet:
 
     # -- maintenance ------------------------------------------------------------
 
-    def compact(self, table_iterators: Sequence[IteratorFactory] = ()) -> None:
+    def compact(self, table_iterators: Sequence[Layer] = ()) -> None:
         """Major compaction: rewrite all data through the table stack
         (versioning + combiners become durable; single run remains)."""
         self._check_up()
@@ -607,7 +556,7 @@ class Tablet:
             self._compact(table_iterators)
             sp.set(entries_out=self.entry_estimate())
 
-    def _compact(self, table_iterators: Sequence[IteratorFactory]) -> None:
+    def _compact(self, table_iterators: Sequence[Layer]) -> None:
         self._replay_if_behind()
         reduce_fn = _fused_reduce(table_iterators)
         if len(table_iterators) == (reduce_fn is not None):
@@ -622,13 +571,11 @@ class Tablet:
                 for value in batch.values]
             run = SSTable.from_run(stored, values)
         else:
-            # any other layers: the scan pipeline, its output checked
+            # any other layers: the scan's join, its output checked
             # sorted (a user layer may reorder) as it becomes the run
-            top = self._layered((self.extent,), table_iterators,
-                                sys.maxsize, self._sink)
-            run = SSTable([cell for batch in open_batches(
-                top, self.extent, None, sys.maxsize)
-                for cell in batch.cells()])
+            run = SSTable([cell for batch in self._staged(
+                self._sliced_runs((self.extent,)), None, table_iterators,
+                sys.maxsize, self._sink) for cell in batch.cells()])
         self.sstables = [run] if len(run) else []
         self.memtable.clear()
         self.wal.clear()
@@ -659,32 +606,3 @@ class Tablet:
         """Stored-entry count across memtable and runs (pre-versioning)."""
         return len(self.memtable) + sum(len(t) for t in self.sstables)
 
-
-class _DrainLeaf(BatchIterator):
-    """The fused drain behind the ``SortedKVIterator`` contract: the
-    storage leaf under a scan's per-cell layers.  The runs are sliced
-    (and the per-run accounting charged) when the leaf is built; each
-    seek re-runs :meth:`Tablet._drain_columns_fused` over them,
-    re-slicing first only for a seek narrower than the set's span, so
-    tombstones, versioning, the fold, ``entries_read`` and the
-    per-batch crash check are the staged form's own."""
-
-    def __init__(self, tablet: Tablet, ranges: Sequence[Range], reduce_fn,
-                 batch_cells: int, sink):
-        self._tablet = tablet
-        self._ranges = ranges
-        self._runs = tablet._sliced_runs(ranges, sink)
-        self._reduce_fn = reduce_fn
-        self._batch_cells = batch_cells
-        self._sink = sink
-        super().__init__(None)  # the leaf: its batches come from storage
-
-    def _open(self, rng: Range, columns: Columns):
-        runs = self._runs
-        span = covering(self._ranges)
-        if rng.clip(span) != span:
-            probes = _probes(clip_ranges(self._ranges, rng))
-            runs = [run for run in (_slice_rows(*run, probes)
-                                    for run in runs) if run[0]]
-        return self._tablet._drain_columns_fused(
-            runs, columns, self._reduce_fn, self._batch_cells, self._sink)

@@ -57,18 +57,11 @@ import time
 from collections import deque
 from dataclasses import asdict
 from itertools import chain, count, takewhile
-from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dbsim.client import Connector
 from repro.dbsim.errors import BusyError, NotHostedError, ServerCrashedError
-from repro.dbsim.iterators import (
-    BatchIterator,
-    Columns,
-    SortedKVIterator,
-    StageIterator,
-    open_batches,
-)
+from repro.dbsim.iterators import Columns
 from repro.dbsim.key import Cell, Range, RangeSet, clip_ranges, covering
 from repro.dbsim.server import TableConfig, TableMeta, TabletIndex
 from repro.dbsim.stats import OpStats
@@ -722,7 +715,7 @@ def _ship(scan_iterators: Sequence) -> Tuple[dict, tuple]:
     at least one spec op.  A lone visibility filter ships nothing and
     runs here: a spec-less SCAN is the plain payload it always was."""
     ops = [layer.op for layer in takewhile(
-        lambda layer: getattr(layer, "op", None), scan_iterators)]
+        lambda layer: layer.op, scan_iterators)]
     spec = [op for op in ops if op["op"] != "visibility"]
     if not spec:
         return {}, tuple(scan_iterators)
@@ -791,29 +784,20 @@ class _RemoteScanStream:
 
     def __init__(self, inst: "RemoteInstance", table: str,
                  ranges: Sequence[Range], segments: Sequence[_Segment],
-                 pushdown: Optional[dict] = None):
+                 pushdown: Optional[dict] = None, columns: Columns = None):
         self._inst = inst
         self._table = table
-        #: construction range set (∩ proxy extent if per-tablet)
-        self._clip = ranges
+        #: the scan's range set, planned over ``segments`` here, once
+        self._ranges = ranges
         #: SCAN payload fields of the pushed-down layers, attached to
         #: every segment open (see :func:`_ship`)
         self._pushdown = pushdown or {}
-        self._home = list(segments)  # the layout the pump was planned on
+        self._columns = list(columns) if columns else None
         self._segments: List[_Segment] = []
-        self._ranges: Sequence[Range] = ()  # what the last reset asked for
-        self._columns: Columns = None
         self._resume: Optional[list] = None
         self._finished = True
         self._opened = False  # has this pump ever opened a stream?
-
-    def reset(self, rng: Range, columns: Columns = None) -> None:
-        self._close()
-        self._resume = None
-        self._opened = False  # a fresh seek is not a resume
-        self._columns = list(columns) if columns else None
-        self._ranges = clip_ranges(self._clip, rng)
-        self._plan(self._home, self._ranges)
+        self._plan(segments, ranges)
 
     def _plan(self, segments: Sequence[_Segment],
               ranges: Sequence[Range]) -> None:
@@ -1027,19 +1011,6 @@ class _RemoteScanStream:
             self._close()
         except Exception:
             pass
-
-
-class _RemoteScanIterator(BatchIterator):
-    """The batch pump as the leaf of a client-side layer stack: a seek
-    resets the pump, and the batches seen here are the servers'
-    output.  :meth:`RemoteInstance.scan_columns` stacks the layers
-    that did not ship (visibility filter, user layers) on top; stage
-    layers take these batches as they are, and cells are built only
-    under an opaque callable."""
-
-    def _open(self, rng: Range, columns: Columns) -> Iterator:
-        self._source.reset(rng, columns)
-        return iter(self._source.next_batch, None)
 
 
 # -- the backend ------------------------------------------------------------
@@ -1315,23 +1286,24 @@ class RemoteInstance:
         open-and-drain round per tablet.  The scan layers that can
         cross the wire (see :func:`_ship`) run inside every tablet
         server the pump touches — each filters and folds its own merged
-        stream before bytes hit the socket — and the rest run here,
-        stacked over the pump (:class:`_RemoteScanIterator`): stage
-        layers on its batches, an opaque callable per cell."""
+        stream before bytes hit the socket — and the stages of the rest
+        (visibility filter, user layers) are chained here, over the
+        pump's batches."""
         pushdown, here = _ship(scan_iterators)
         # no extent to clip to: this just makes a lone Range a set of
         # one and drops a range that can hold nothing
         ranges = clip_ranges(rng, Range())
         if not ranges:
             return iter(())
-        span = covering(ranges)
-        top: SortedKVIterator = _RemoteScanIterator(_RemoteScanStream(
+        pump = _RemoteScanStream(
             self, table, ranges,
             [_Segment(p.addr, p.tablet_id, p.extent)
-             for p in self.tablets_for_range(table, span)], pushdown))
+             for p in self.tablets_for_range(table, covering(ranges))],
+            pushdown, columns)
+        out = iter(pump.next_batch, None)
         for layer in here:
-            top = layer(top)
-        return open_batches(top, span, columns, StageIterator._READ_AHEAD)
+            out = layer.stage(out)
+        return out
 
     def scan_cells(self, table: str, rng: RangeSet = Range(),
                    columns: Columns = None,

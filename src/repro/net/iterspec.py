@@ -73,10 +73,10 @@ class IterSpecError(ValueError):
 
 
 class NonSerializableIteratorError(ValueError):
-    """A user-supplied scan iterator (arbitrary local callable) cannot
-    run server-side: only whitelisted iterspec op names cross the wire.
-    Run the callable client-side via ``Scanner`` iteration, or express
-    the stack as an :class:`IterSpec`."""
+    """A local callable was given where only wire data may go (an
+    ``iterspec``, or a cluster TableMult's ``mul``): only whitelisted
+    names cross the wire.  Express the stack as an :class:`IterSpec`,
+    or run the code client-side as a ``Layer(stage)`` scan iterator."""
 
 
 # -- named Apply ops --------------------------------------------------------

@@ -601,7 +601,6 @@ class _PeerStub:
         pump = _RemoteScanStream(self, table, list(ranges),
                                  [_Segment(self.addr, tablet_id, Range())],
                                  {"auths": list(auths)})
-        pump.reset(Range())
         return iter(pump.next_batch, None)
 
     def write_tablet(self, table: str, tablet_id: str, columns) -> int:

@@ -68,10 +68,10 @@ class TestScanner:
         assert [c.value for c in s] == ["1", "3"]
 
     def test_scan_iterators_applied(self, conn):
-        from repro.dbsim.iterators import ApplyIterator
+        from repro.dbsim.iterators import Layer, apply_stage
 
         s = conn.scanner("t", scan_iterators=(
-            lambda src: ApplyIterator(src, lambda v: v * 10),))
+            Layer(apply_stage(lambda v: v * 10)),))
         assert [c.value for c in s] == ["10", "20", "30", "40"]
 
 

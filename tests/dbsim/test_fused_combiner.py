@@ -1,27 +1,28 @@
 """Combiners fold inside the fused drain.
 
-A table whose only iterator is a built-in combiner keeps the fused
-columnar pass for ``Tablet.scan_columns`` and ``Tablet.compact``.  The
-contract is bit-identity with the per-cell iterator stack — cells,
-timestamps, and the ``OpStats`` cost model (``seeks``,
-``entries_read``) — so every case here builds two identical tablets and
-drives one through the built-in factory (fused) and one through an
-anonymous wrapper around it (which carries no ``reduce_fn`` and so
-takes the stack).
+A table whose first iterator is a built-in combiner has the fused
+columnar pass fold it, for ``Tablet.scan_columns`` and
+``Tablet.compact``.  The contract is bit-identity with the same
+combiner run as a stage over the drain — cells, timestamps, and the
+``OpStats`` cost model (``seeks``, ``entries_read``) — so every case
+here builds two identical tablets and drives one through the built-in
+layer (fused) and one through a user layer holding only its stage
+(which carries no ``reduce_fn``, so the stage does the folding).
 
-The same holds one level up: scan layers that carry a batch stage (a
-pushed-down ``IterSpec``) run over the fused drain, and must match —
-cells, timestamps and every counter — the same layers hidden behind
-opaque wrappers, which send the scan down the per-cell stack.
+The same holds one level up: a pushed-down ``IterSpec``'s layers,
+chained by the tablet onto its drain, must match — cells, timestamps
+and every counter — the same stages applied by hand to the tablet's
+output.
 """
 
 import pytest
 
 from repro.dbsim.iterators import (
-    AgeOffIterator,
+    Layer,
     MaxCombiner,
     MinCombiner,
     SummingCombiner,
+    age_off_stage,
 )
 from repro.dbsim.key import Range
 from repro.dbsim.tablet import Tablet
@@ -29,13 +30,12 @@ from repro.net.iterspec import IterSpec
 from repro.obs.metrics import MetricsRegistry
 
 COMBINERS = [SummingCombiner, MinCombiner, MaxCombiner]
-AUX = ("bloom_hits", "bloom_misses", "index_seeks", "scans_fused",
-       "scans_stack")
+AUX = ("bloom_hits", "bloom_misses", "index_seeks", "scans_fused")
 
 
-def _stacked(factory):
-    """The same combiner behind a wrapper the tablet cannot recognise."""
-    return lambda source: factory(source)
+def _stacked(layer):
+    """The same combiner as a user layer: its stage alone."""
+    return Layer(layer.stage)
 
 
 def _put(tablet, row, qual, value, family="f"):
@@ -70,7 +70,7 @@ def _history(tablet):
 
 
 def _pair(factory, max_versions=2 ** 31):
-    """(fused tablet + iterators, stack tablet + iterators), each bound
+    """(fused tablet + iterators, staged tablet + iterators), each bound
     to its own registry so the aux counters can be compared too."""
     out = []
     for its in ((factory,), (_stacked(factory),)):
@@ -106,9 +106,7 @@ class TestFusedCombinerScan:
         want, want_stats = _scan(stack, s_its)
         assert got == want and got          # cells + timestamps
         assert got_stats == want_stats      # seeks, entries_read
-        assert _aux(f_reg)["scans_fused"] == 1
-        assert _aux(f_reg)["scans_stack"] == 0
-        assert _aux(s_reg)["scans_stack"] == 1
+        assert _aux(f_reg)["scans_fused"] == _aux(s_reg)["scans_fused"] == 1
         # every cell is one folded entry under its newest timestamp
         assert len({(c.key.row, c.key.family, c.key.qualifier)
                     for c in got}) == len(got)
@@ -151,7 +149,7 @@ class TestFusedCombinerScan:
         assert len(fused.sstables) == 1 and len(fused.memtable) == 0
         assert _aux(f_reg)["index_seeks"] == _aux(s_reg)["index_seeks"]
         # compaction is not a scan
-        assert _aux(f_reg)["scans_fused"] == _aux(s_reg)["scans_stack"] == 0
+        assert _aux(f_reg)["scans_fused"] == _aux(s_reg)["scans_fused"] == 0
         # and the compacted run reads back the same on both paths
         assert _scan(fused, f_its) == _scan(stack, s_its)
         for row in ("r9", "r2", "r7"):
@@ -167,8 +165,9 @@ class TestFusedCombinerScan:
 @pytest.mark.parametrize("table_its", [(), (SummingCombiner,)],
                          ids=["plain", "sum-table"])
 class TestStagedSpecScan:
-    """A spec's layers as stages over the fused drain vs the very same
-    layers as per-cell iterators behind opaque wrappers."""
+    """A spec's layers chained onto the fused drain by the tablet vs
+    the very same stages applied by hand to the tablet's output, over
+    a table whose combiner (if any) runs as a stage."""
 
     def _pair(self, table_its):
         out = []
@@ -180,35 +179,42 @@ class TestStagedSpecScan:
             out.append((tablet, registry))
         return out
 
-    def test_cells_and_counters_identical_to_the_per_cell_path(
+    def test_cells_and_counters_identical_to_stages_by_hand(
             self, spec, table_its):
-        (staged, st_reg), (stack, sk_reg) = self._pair(table_its)
+        (staged, st_reg), (by_hand, bh_reg) = self._pair(table_its)
         layers = spec.build_factories()
-        opaque = tuple(_stacked(layer) for layer in layers)
+        by_hand_its = tuple(_stacked(layer) for layer in table_its)
+
+        def scan(rng, columns):
+            before = by_hand.stats.snapshot()
+            batches = by_hand.scan_columns(rng, columns, by_hand_its,
+                                           batch_cells=7)
+            for layer in layers:
+                batches = layer.stage(batches)
+            cells = [cell for batch in batches for cell in batch.cells()]
+            delta = by_hand.stats.delta(before)
+            return cells, (delta.seeks, delta.entries_read)
+
         for rng, columns in ((Range(), None),
                              (Range("r1", "r3"), [("f", "q1"), ("g", None)]),
                              (Range.exact_row("r2"), None),
                              (Range.exact_row("r9"), None),
                              (Range.exact_row("r7"), None)):
             got = _scan(staged, table_its, rng, columns, scan_its=layers)
-            want = _scan(stack, table_its, rng, columns, scan_its=opaque)
-            assert got == want, (rng, columns)  # cells, seeks, entries_read
-        st_aux, sk_aux = _aux(st_reg), _aux(sk_reg)
-        assert (st_aux["scans_fused"], st_aux["scans_stack"]) == (5, 0)
-        assert (sk_aux["scans_fused"], sk_aux["scans_stack"]) == (0, 5)
-        for name in ("bloom_hits", "bloom_misses", "index_seeks"):
-            assert st_aux[name] == sk_aux[name], name
+            assert got == scan(rng, columns), (rng, columns)
+        st_aux, bh_aux = _aux(st_reg), _aux(bh_reg)
+        assert st_aux == bh_aux
+        assert st_aux["scans_fused"] == 5
         assert st_aux["bloom_hits"] > 0 and st_aux["bloom_misses"] > 0
 
 
 class TestFusedFallback:
-    def test_second_table_iterator_takes_the_stack(self):
-        """Only *exactly one* built-in combiner fuses: with an age-off
-        filter stacked on it, scan and compaction use the per-cell
-        stack, and still agree with it."""
-        def age_off(source):
-            return AgeOffIterator(source, cutoff=20)
-
+    def test_second_table_iterator_runs_the_combiner_as_a_stage(self):
+        """A built-in combiner folds in the drain under any layers above
+        it; with an age-off filter stacked on it, the scan still agrees
+        with the combiner run as a stage, and compaction — through the
+        cell path, not the stored-key one — writes the same run."""
+        age_off = Layer(age_off_stage(20))
         tablets = []
         for its in ((SummingCombiner, age_off),
                     (_stacked(SummingCombiner), age_off)):
@@ -219,20 +225,27 @@ class TestFusedFallback:
             tablets.append((tablet, its, registry))
         (a, a_its, a_reg), (b, b_its, _) = tablets
         assert _scan(a, a_its) == _scan(b, b_its)
-        assert _aux(a_reg)["scans_fused"] == 0
-        assert _aux(a_reg)["scans_stack"] == 1
+        assert _aux(a_reg)["scans_fused"] == 1
         a.compact(a_its)
         b.compact(b_its)
         assert a.sstables[0].cells() == b.sstables[0].cells()
 
-    def test_scan_iterators_take_the_stack(self):
+    def test_scan_layers_keep_the_fold_in_the_drain(self, monkeypatch):
+        seen = []
+        real = Tablet._drain_columns_fused
+
+        def spy(self, runs, columns, reduce_fn, *args, **kwargs):
+            seen.append(reduce_fn)
+            return real(self, runs, columns, reduce_fn, *args, **kwargs)
+
+        monkeypatch.setattr(Tablet, "_drain_columns_fused", spy)
         tablet = Tablet(Range(), max_versions=2 ** 31)
-        registry = MetricsRegistry()
-        tablet.bind_metrics(registry, "t")
         _history(tablet)
         list(tablet.scan_columns(Range(), None, (SummingCombiner,),
-                                 (lambda source: source,)))
-        assert _aux(registry)["scans_stack"] == 1
+                                 (Layer(lambda batches: batches),)))
+        list(tablet.scan_columns(Range(), None,
+                                 (_stacked(SummingCombiner),)))
+        assert seen == [SummingCombiner.reduce_fn, None]
 
     def test_plain_table_compaction_keeps_stored_cells(self):
         """Plain tables' compact takes the fused route too, and reuses
@@ -243,7 +256,8 @@ class TestFusedFallback:
         stored = {id(key) for run in plain.sstables for key in run.keys}
         stored |= {id(key) for key in plain.memtable.keys}
         stats = []
-        for tablet, its in ((plain, ()), (reference, (lambda s: s,))):
+        for tablet, its in ((plain, ()),
+                            (reference, (Layer(lambda batches: batches),))):
             before = tablet.stats.snapshot()
             tablet.compact(its)
             delta = tablet.stats.delta(before)
@@ -257,4 +271,3 @@ class TestFusedFallback:
         Tablet(Range()).bind_metrics(registry, "fresh")
         export = registry.export()
         assert export["dbsim.table.fresh.scans_fused"] == 0
-        assert export["dbsim.table.fresh.scans_stack"] == 0

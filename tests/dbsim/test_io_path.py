@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.dbsim.client import Connector
+from repro.dbsim.iterators import Layer
 from repro.dbsim.key import Cell, Key, Range, run_cells
 from repro.dbsim.memtable import MemTable
 from repro.dbsim.server import Instance
@@ -263,19 +264,16 @@ class TestCrashRecovery:
         w.close()
 
 
-class TestClippedSeek:
-    def test_disjoint_seek_is_explicitly_empty(self):
+class TestClippedScan:
+    def test_disjoint_range_is_explicitly_empty(self):
         tablet = Tablet(Range("m", "q"))
         tablet.write(Key("n", "f", "q"), "1")
-        it = tablet.scan_iterator(Range())
-        it.seek(Range("a", "b"))  # disjoint from the extent: empty
-        assert not it.has_top()
-        with pytest.raises(StopIteration):
-            it.top()
-        it.advance()  # no-op, must not raise
-        it.seek(Range("m", "z"))  # reusable after an empty seek
-        assert it.has_top()
-        assert it.top().key.row == "n"
+        # disjoint from the extent: empty, and nothing is opened
+        before = tablet.stats.snapshot()
+        assert tablet.scan(Range("a", "b")) == []
+        assert tablet.stats.delta(before).seeks == 0
+        # the overlapping part of a wider range
+        assert [c.key.row for c in tablet.scan(Range("m", "z"))] == ["n"]
 
 
 class TestTabletSplit:
@@ -527,27 +525,22 @@ class TestMemTableScans:
         # a copy of the 20k-cell list alone is 160 kB of pointers
         assert peak < 16_000
 
-    @pytest.mark.parametrize("table_iterators", [(), (lambda src: src,)],
-                             ids=["fused", "stack"])
+    @pytest.mark.parametrize("table_iterators",
+                             [(), (Layer(lambda batches: batches),)],
+                             ids=["fused", "staged"])
     def test_scan_opened_before_a_write_does_not_see_it(self,
                                                         table_iterators):
         tablet = Tablet(Range())
         for row in ("a", "c", "e"):
             tablet.write(Key(row, "f", "q"), "old")
         batches = tablet.scan_columns(Range(), None, table_iterators)
-        cells = tablet.scan_iterator(Range(), table_iterators)
         tablet.write(Key("b", "f", "q"), "new")      # a new row
         tablet.write(Key("c", "f", "q"), "newer")    # a newer version
         assert [(r, v) for b in batches
                 for r, v in zip(b.rows, b.values)] == \
             [("a", "old"), ("c", "old"), ("e", "old")]
-        cells.seek(Range())
-        seen = []
-        while cells.has_top():
-            seen.append((cells.top().key.row, cells.top().value))
-            cells.advance()
-        assert seen == [("a", "old"), ("c", "old"), ("e", "old")]
-        assert [c.value for c in tablet.scan()] == \
+        assert [c.value for c in tablet.scan(Range(), None,
+                                             table_iterators)] == \
             ["old", "new", "newer", "old"]
 
     def test_iterator_keeps_snapshot_semantics(self):

@@ -12,11 +12,10 @@ requires three things to agree in cells **and timestamps**:
   backend and on a thread-mode cluster, with the storage pass's batch
   size forced to 1, 2, 3 and 2048 so that every cell group and row
   group straddles a batch boundary somewhere;
-* the same layers each behind an opaque ``lambda src: layer(src)``
-  wrapper, on both backends — the per-cell path a user callable takes,
-  stacked over the tablet's storage leaf in process and over the scan
-  pump on the cluster — reading its source 1, 2, 3 and 2048 cells at
-  a time;
+* the same stages as user layers with no wire form
+  (``Layer(stage)``), on both backends — chained onto the tablet's
+  storage pass in process, and run on the client over the scan pump's
+  batches on the cluster;
 * ``_model`` below — plain Python over sorted tuples (``groupby``,
   ``re``, ``float``), sharing no code with the library.
 
@@ -42,14 +41,7 @@ from repro.dbsim import (
     SummingCombiner,
     TableConfig,
 )
-from repro.dbsim.iterators import (
-    ColumnFilterIterator,
-    ListIterator,
-    StageIterator,
-    VersioningIterator,
-    drain,
-)
-from repro.dbsim.key import Cell, Key
+from repro.dbsim.iterators import Layer
 from repro.dbsim.server import Instance
 from repro.dbsim.tablet import Tablet
 from repro.net import iterspec as iterspec_module
@@ -237,10 +229,8 @@ def backends():
 @contextlib.contextmanager
 def _storage_batches_of(n):
     """Force every scan's storage pass (in this process — the thread
-    cluster's servers included) to emit batches of ``n`` entries, and
-    the per-cell adapter to read its source ``n`` cells at a time."""
+    cluster's servers included) to emit batches of ``n`` entries."""
     real = Tablet._drain_columns_fused
-    read_ahead = StageIterator._READ_AHEAD
 
     def forced(self, runs, columns, reduce_fn, batch_cells, sink,
                stored=None):
@@ -250,12 +240,10 @@ def _storage_batches_of(n):
                     stored)
 
     Tablet._drain_columns_fused = forced
-    StageIterator._READ_AHEAD = n
     try:
         yield
     finally:
         Tablet._drain_columns_fused = real
-        StageIterator._READ_AHEAD = read_ahead
 
 
 _names = (f"s{i}" for i in itertools.count())
@@ -304,13 +292,13 @@ def _check(backends, written, max_versions, combiner, ranges, column, auths,
                         cell for batch in
                         scanner(iterspec=spec).scan_columns()
                         for cell in batch.cells()) == want, where
-                    # the same layers, each behind an opaque wrapper:
-                    # the per-cell contract, over the storage leaf in
-                    # process and over the scan pump remotely
-                    opaque = tuple(lambda src, layer=layer: layer(src)
-                                   for layer in spec.build_factories())
-                    assert _snap(scanner(scan_iterators=opaque)) == want, \
-                        f"{where}, opaque layers"
+                    # the same stages as user layers with no wire form:
+                    # chained onto the storage pass in process, run on
+                    # the client over the scan pump remotely
+                    user = tuple(Layer(layer.stage)
+                                 for layer in spec.build_factories())
+                    assert _snap(scanner(scan_iterators=user)) == want, \
+                        f"{where}, user layers"
         finally:
             conn.delete_table(table)
 
@@ -320,9 +308,9 @@ def _check(backends, written, max_versions, combiner, ranges, column, auths,
        combiner=st.sampled_from([None, "sum", "min"]), ranges=range_sets(),
        column=st.sampled_from([None, ("", "q1"), ("f", "q0")]),
        auths=st.sampled_from(AUTHS), spec=specs)
-def test_staged_scan_equals_model_and_adapter(backends, written, max_versions,
-                                              combiner, ranges, column, auths,
-                                              spec):
+def test_staged_scan_equals_model_and_user_layers(
+        backends, written, max_versions, combiner, ranges, column, auths,
+        spec):
     _check(backends, written, max_versions, combiner, ranges, column, auths,
            spec)
 
@@ -399,39 +387,3 @@ def test_non_numeric_value_is_the_same_typed_error_everywhere(backends, spec):
                         table, scan_iterators=spec.build_factories()))
         finally:
             conn.delete_table(table)
-
-
-# -- the per-cell adapter ----------------------------------------------------
-
-
-def test_adapter_reads_ahead_in_bounded_batches_and_stacks_share_them():
-    """A StageIterator takes its source's cells one bounded batch at a
-    time, only when asked; adapters stacked on each other hand batches
-    on, so the stack converts cells to columns once, not per layer."""
-    cells = [Cell(Key(f"r{i:04d}", "", "q", "", i + 1), str(i))
-             for i in range(1000)]
-    taken = []
-
-    class Counting(ListIterator):
-        def advance(self):
-            taken.append(self.top().key.row)
-            super().advance()
-
-    sizes = []
-
-    def watching(batches):
-        for batch in batches:
-            sizes.append(len(batch))
-            yield batch
-
-    stack = ColumnFilterIterator(
-        StageIterator(VersioningIterator(Counting(cells), 1), watching),
-        ["q"])
-    stack.seek(Range())
-    assert stack.top() == cells[0]
-    assert len(taken) == StageIterator._READ_AHEAD  # one batch, no more
-    assert drain(stack, seek=False) == cells
-    assert set(sizes) <= {StageIterator._READ_AHEAD,
-                          1000 % StageIterator._READ_AHEAD}
-    # a second seek starts over, narrowed
-    assert drain(stack, Range("r0500", "r0502")) == cells[500:502]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.dbsim import (
     Authorizations,
     Connector,
+    Layer,
     PUBLIC,
     ServerCrashedError,
     VisibilityError,
@@ -240,9 +241,9 @@ class TestCrashedServerErrors:
         with conn.batch_writer("t") as w:
             for i in range(10):
                 w.put(f"r{i}", "", "q", i)
-        # staged, and behind an opaque layer: all 10 cells sit in one
+        # with and without a user layer: all 10 cells sit in one
         # storage batch, so the per-cell re-check is what fires
-        for scan_iterators in ((), (lambda s: s,)):
+        for scan_iterators in ((), (Layer(lambda batches: batches),)):
             scan = iter(conn.scanner("t", scan_iterators=scan_iterators))
             assert next(scan).key.row == "r0"
             self._crash_all(conn)
@@ -251,15 +252,16 @@ class TestCrashedServerErrors:
             for server in conn.instance.servers:
                 server.recover()
 
-    def test_crash_mid_opaque_tablet_scan_raises(self, conn):
-        """A hosted tablet's scan through an opaque layer re-checks its
+    def test_crash_mid_staged_tablet_scan_raises(self, conn):
+        """A hosted tablet's scan through a user layer re-checks its
         server at every storage batch: a crash after the scan opened
         surfaces by the next one."""
         with conn.batch_writer("t") as w:
             for i in range(10):
                 w.put(f"r{i}", "", "q", i)
         tablet = conn.instance.locate("t", "r0")
-        batches = tablet.scan_columns(Range(), None, (), (lambda s: s,),
+        batches = tablet.scan_columns(Range(), None, (),
+                                      (Layer(lambda batches: batches),),
                                       batch_cells=4)
         assert next(batches).rows == ["r0", "r1", "r2", "r3"]
         self._crash_all(conn)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dbsim import Authorizations, Connector, Range, TableConfig
+from repro.dbsim import Authorizations, Connector, Layer, Range, TableConfig
 from repro.dbsim.errors import NotHostedError
 from repro.dbsim.key import Cell, Key
 from repro.dbsim.server import Instance
@@ -104,12 +104,12 @@ def _drive(entry, batches, flush_bytes, max_versions):
     export = registry.export()
     final = {
         "scan": _scan(tablet),
-        "per-cell scan": _scan(tablet, (lambda source: source,)),
+        "staged scan": _scan(tablet, (Layer(lambda batches: batches),)),
         "clock": tablet._clock,
         **{name: export[f"dbsim.table.t.{name}"] for name in (
             "entries_written", "batched_mutations", "flushes")},
     }
-    assert final["scan"] == final["per-cell scan"]
+    assert final["scan"] == final["staged scan"]
     return after_each, final
 
 

@@ -20,6 +20,7 @@ import repro
 from repro.cli import main as cli_main
 from repro.dbsim.client import Connector
 from repro.dbsim.graphulo import create_combiner_table
+from repro.dbsim.iterators import Layer
 from repro.dbsim.key import Range
 from repro.dbsim.server import Instance, TableConfig
 from repro.dbsim.stats import OpStats
@@ -86,8 +87,8 @@ class TestClusterBasics:
         conn = _fresh(cluster)
         try:
             with pytest.raises(ValueError, match="not wire-serializable"):
-                conn.create_table(
-                    "bad", TableConfig(table_iterators=(lambda s: s,)))
+                conn.create_table("bad", TableConfig(
+                    table_iterators=(Layer(lambda batches: batches),)))
         finally:
             conn.close()
 

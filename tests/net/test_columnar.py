@@ -91,17 +91,14 @@ class TestScanColumnsEquivalence:
             got = [c for b in bs.scan_columns() for c in b.cells()]
             assert got == want
 
-    def test_per_cell_scan_iterators_rejected(self):
+    def test_bare_callable_layer_rejected_at_construction(self):
         conn = _local_conn()
         conn.create_table("t")
         noop = lambda src: src
-        with pytest.raises(ValueError, match="scan iterators"):
-            list(conn.scanner("t", scan_iterators=(noop,)).scan_columns())
-        bs = conn.batch_scanner("t", scan_iterators=(noop,))
-        from repro.dbsim.key import Range
-        bs.set_ranges([Range()])
-        with pytest.raises(ValueError, match="scan iterators"):
-            list(bs.scan_columns())
+        with pytest.raises(TypeError, match=r"Layer\(stage\)"):
+            conn.scanner("t", scan_iterators=(noop,))
+        with pytest.raises(TypeError, match=r"Layer\(stage\)"):
+            conn.batch_scanner("t", scan_iterators=(noop,))
 
     def test_remote_columnar_equals_per_cell_under_faults(self):
         n = 2 * SCAN_CHUNK_CELLS + 101  # several CHUNK frames per scan

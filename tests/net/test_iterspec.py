@@ -290,19 +290,19 @@ class TestRemoteErrors:
             finally:
                 conn.close()
 
-    def test_remote_batch_scanner_callables_typed_error(self):
+    def test_remote_batch_scanner_bare_callable_rejected_before_any_rpc(
+            self):
         with LocalCluster(n_servers=1, processes=False) as c:
-            conn = c.connect()
+            registry = MetricsRegistry()
+            conn = c.connect(metrics=registry)
             try:
                 conn.create_table("t")
-                with conn.batch_writer("t") as w:
-                    w.put("r", "", "q", 1.0)
-                bs = conn.batch_scanner(
-                    "t", scan_iterators=(lambda src: src,))
-                bs.set_ranges([Range()])
-                with pytest.raises(NonSerializableIteratorError,
-                                   match="scan iterators"):
-                    list(bs.scan_columns())
+                sent = registry.counter("net.client.bytes_sent").value
+                with pytest.raises(TypeError, match=r"Layer\(stage\)"):
+                    conn.batch_scanner("t",
+                                       scan_iterators=(lambda src: src,))
+                assert registry.counter("net.client.bytes_sent").value \
+                    == sent
             finally:
                 conn.close()
 

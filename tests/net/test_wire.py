@@ -12,7 +12,7 @@ from repro.dbsim.errors import (
     NotHostedError,
     ServerCrashedError,
 )
-from repro.dbsim.iterators import SummingCombiner
+from repro.dbsim.iterators import Layer, SummingCombiner
 from repro.dbsim.key import Cell, Key, Range
 from repro.dbsim.server import TableConfig
 from repro.net import cells, wire
@@ -282,7 +282,8 @@ class TestCodecs:
         assert wire.wire_to_config(None) is None
 
     def test_arbitrary_table_iterator_rejected_with_clear_error(self):
-        config = TableConfig(table_iterators=(lambda src: src,))
+        config = TableConfig(
+            table_iterators=(Layer(lambda batches: batches),))
         with pytest.raises(ValueError, match="not wire-serializable"):
             wire.config_to_wire(config)
 
