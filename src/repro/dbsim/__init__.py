@@ -59,6 +59,7 @@ from repro.dbsim.graphulo_algorithms import (
     table_jaccard,
     table_ktruss,
     table_pagerank,
+    table_triangles,
 )
 from repro.dbsim.d4m_bridge import assoc_to_table, table_to_assoc
 from repro.dbsim.stats import OpStats
@@ -105,6 +106,7 @@ __all__ = [
     "table_ktruss",
     "table_mult",
     "table_pagerank",
+    "table_triangles",
     "assoc_to_table",
     "table_to_assoc",
     "OpStats",

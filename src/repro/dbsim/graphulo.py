@@ -76,7 +76,9 @@ BLOCK_PARTIAL_PRODUCTS = 1 << 18
 
 def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
                mul: Callable[[float, float], float] = _default_mul,
-               combiner: str = "sum", authorizations=None) -> OpStats:
+               combiner: str = "sum", authorizations=None,
+               mask: Optional[str] = None,
+               triangle: Optional[str] = None) -> OpStats:
     """Graphulo TableMult: ``C = Aᵀ ⊕.⊗ B`` with ``AT`` stored row-wise
     (Accumulo can only iterate rows, hence the stored transpose — the
     same reason the D4M schema keeps TedgeT).
@@ -106,14 +108,23 @@ def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
     process only — any Python callable; a cluster refuses one with
     :class:`~repro.net.iterspec.NonSerializableIteratorError` before
     any RPC.  ``combiner`` (⊕) is ``"sum"``, ``"min"`` or ``"max"``;
-    another raises ``ValueError``, also before any RPC.  Returns the
+    another raises ``ValueError``, also before any RPC.
+
+    ``mask`` names a table whose stored (row, qualifier) pairs are the
+    only cells ``out`` receives, and ``triangle="upper"`` keeps only
+    the cells whose row key is below their qualifier (Algorithm 2's
+    strict upper triangle).  Both are applied before the fold, so the
+    rest are never summed, written or stamped; each block reads just
+    the mask rows it writes, where the mask's tablets live.  A missing
+    mask raises ``KeyError`` before ``out`` is created.  Returns the
     instance-wide stats delta for the whole operation (the cost model).
     """
     spec = MultSpec(
         table_b, out, BLOCK_PARTIAL_PRODUCTS,
         mul=_mul_operand(mul, isinstance(conn.instance, Instance)),
         combiner=combiner,
-        auths=sorted(authorizations.tokens) if authorizations else [])
+        auths=sorted(authorizations.tokens) if authorizations else [],
+        mask=mask, triangle=triangle)
     if not _trace.ENABLED:
         return _table_mult(conn, table_at, spec)[0]
     with _trace.span("graphulo.table_mult", stats=conn.instance.total_stats,
@@ -185,9 +196,10 @@ def _semiring(mul, combiner: str):
     return Semiring(f"table_mult_{combiner}", add, mulop)
 
 
-def _block_operand(counts, quals, vals, dup):
+def _block_operand(counts, quals, vals, index, dup):
     """One side of a block — cells per inner row, then every cell's
-    qualifier and value — as ``(sorted keys, inner rows × keys CSR)``."""
+    qualifier and value — as an inner rows × keys CSR, a qualifier's
+    column its position in ``index``."""
     # numpy and the kernels load with the first multiply, not with the
     # module: a tablet server imports repro.dbsim and never gets here
     # until it multiplies
@@ -195,26 +207,48 @@ def _block_operand(counts, quals, vals, dup):
 
     from repro.sparse.construct import from_coo
 
-    keys = sorted(set(quals))
-    index = {key: i for i, key in enumerate(keys)}
-    return keys, from_coo(
-        len(counts), len(keys), np.repeat(np.arange(len(counts)), counts),
+    return from_coo(
+        len(counts), len(index), np.repeat(np.arange(len(counts)), counts),
         np.fromiter(map(index.__getitem__, quals), np.intp, len(quals)),
         np.fromiter(map(decode_number, vals), np.float64, len(vals)),
         dup=dup)
 
 
-def _multiply_block(at, b, semiring):
+def _multiply_block(at, b, semiring, mask, triangle):
     """``ATᵀ ⊕.⊗ B`` over one block of shared inner rows: the summed
     result as ``(row keys, qualifier keys, encoded values)`` in key
-    order — the columns a tablet stores."""
+    order — the columns a tablet stores.  ``mask`` is ``None`` or the
+    ``(row, qualifier)`` pairs the result may hold; ``triangle``
+    ``"upper"`` keeps row key < qualifier.  Both drop products before
+    the fold.  Both sides index their qualifiers by one sorted key
+    list, so index order is key order: the kernel's upper triangle is
+    the keys'."""
+    from repro.sparse.construct import from_coo
+    from repro.sparse.select import triu
     from repro.sparse.spgemm import mxm
+    from repro.sparse.symmetric import mxm_triu
 
-    u_keys, mat_at = _block_operand(*at, dup=semiring.add)
-    v_keys, mat_b = _block_operand(*b, dup=semiring.add)
-    rows, cols, vals = mxm(mat_at.T, mat_b, semiring=semiring).to_coo()
-    return ([u_keys[i] for i in rows.tolist()],
-            [v_keys[j] for j in cols.tolist()],
+    keys = sorted(set(at[1]).union(b[1]))
+    index = {key: i for i, key in enumerate(keys)}
+    mat_at = _block_operand(*at, index, semiring.add).T
+    mat_b = _block_operand(*b, index, semiring.add)
+    if mask is not None:
+        # a mask row is an output row, so it is in index; its qualifier
+        # need not be
+        pairs = [(index[row], index[qual]) for row, qual in mask
+                 if qual in index]
+        mask = from_coo(len(keys), len(keys),
+                        [i for i, _ in pairs], [j for _, j in pairs])
+        if triangle:
+            mask = triu(mask, 1)
+        product = mxm(mat_at, mat_b, semiring=semiring, mask=mask)
+    elif triangle:
+        product = mxm_triu(mat_at, mat_b, semiring=semiring, k=1)
+    else:
+        product = mxm(mat_at, mat_b, semiring=semiring)
+    rows, cols, vals = product.to_coo()
+    return ([keys[i] for i in rows.tolist()],
+            [keys[j] for j in cols.tolist()],
             list(map(encode_number, vals.tolist())))
 
 
@@ -288,15 +322,17 @@ def join_cells(at_batches, b_batches):
             yield batch if len(keep) == len(batch) else batch.select(keep)
 
 
-def multiply_rows(at_batches, b_batches, spec: MultSpec,
-                  write) -> Dict[str, int]:
+def multiply_rows(at_batches, b_batches, spec: MultSpec, write,
+                  read_mask) -> Dict[str, int]:
     """One server's share of TableMult, where its rows live:
     ``at_batches`` streams its ``AT`` tablets' cells and ``b_batches``
     ``B``'s cells in the same extents (``None`` when ``B`` is ``AT``),
     both column batches in key order.  The two are merge-joined on the
     inner row and multiplied a block at a time; ``write(columns)``
     takes each block's summed cells in key order as the seven columns
-    a tablet stores (timestamps 0: ``out`` stamps them).  Memory is
+    a tablet stores (timestamps 0: ``out`` stamps them).  Under a
+    ``spec.mask``, ``read_mask(rows)`` streams the mask's cells in the
+    sorted output ``rows`` of a block (its ``AT`` qualifiers).  Memory is
     O(:data:`BLOCK_PARTIAL_PRODUCTS` + one inner row) whatever the
     tables' size.  Block boundaries follow the
     cell sequence alone, so every backend writes the same cells in the
@@ -307,7 +343,11 @@ def multiply_rows(at_batches, b_batches, spec: MultSpec,
     at, b, predicted = ([], [], []), ([], [], []), 0
 
     def write_block() -> None:
-        rows, quals, vals = _multiply_block(at, b, semiring)
+        mask = None if spec.mask is None else [
+            pair for batch in read_mask(sorted(set(at[1])))
+            for pair in zip(batch.rows, batch.qualifiers)]
+        rows, quals, vals = _multiply_block(at, b, semiring, mask,
+                                            spec.triangle)
         n = len(rows)
         write((rows, [""] * n, quals, [""] * n, [0] * n, [False] * n, vals))
         work["blocks"] += 1

@@ -3,14 +3,16 @@
 The paper's §IV next step — "extend the sparse matrix implementations
 of the algorithms discussed in this article to associative arrays ...
 directly on Accumulo data structures" — realised for the two worked
-algorithms: Jaccard (Algorithm 2) and k-truss (Algorithm 1) running as
-sequences of Graphulo's two-table op on database tables — a TableMult
-(:func:`~repro.dbsim.graphulo.table_mult`), an element-wise join or a
-one-table scan (:func:`~repro.dbsim.graphulo.two_table`), each with a
-pushed-down stage before its write — in the tablet servers, never
-materialising a client-side matrix larger than a degree vector.  (The
-real Graphulo library shipped exactly these as its flagship ops in its
-follow-up papers.)
+algorithms: Jaccard (Algorithm 2) and k-truss (Algorithm 1), and
+Graphulo's triangle count, running as sequences of Graphulo's
+two-table op on database tables — a TableMult
+(:func:`~repro.dbsim.graphulo.table_mult`, masked or upper-triangular
+where the algorithm needs only part of the product), an element-wise
+join or a one-table scan (:func:`~repro.dbsim.graphulo.two_table`),
+each with a pushed-down stage before its write — in the tablet
+servers, never materialising a client-side matrix larger than a degree
+vector.  (The real Graphulo library shipped exactly these as its
+flagship ops in its follow-up papers.)
 """
 
 from __future__ import annotations
@@ -60,19 +62,21 @@ def table_jaccard(conn: Connector, edge_table: str, out: str,
 
     Pipeline (every step a table op):
 
-    1. ``CN = TableMult(A, A)`` — common-neighbour counts (A symmetric,
-       pattern values), accumulated by the result table's sum combiner;
+    1. ``CN = triu(TableMult(A, A), 1)`` — common-neighbour counts (A
+       symmetric, pattern values) of the strict upper triangle only, as
+       Algorithm 2 computes them, accumulated by the result table's sum
+       combiner;
     2. degree vector — one scan of A reduced per row inside the tablet
        servers (fits client memory: O(n), not O(nnz));
     3. one one-table op over CN whose ``jaccard`` stage emits
-       ``J(i,j) = cn / (dᵢ + dⱼ − cn)`` for i ≠ j into ``out`` — both
-       triangle halves, each from its own CN cell (CN is symmetric).
+       ``J(i,j) = cn / (dᵢ + dⱼ − cn)`` into ``out`` for each CN cell,
+       and the same value at ``(j, i)``: both triangle halves.
     """
     inst = conn.instance
     before = inst.total_stats().snapshot()
     cn_table = _fresh(conn, f"{tmp_prefix}_cn")
     try:
-        table_mult(conn, edge_table, edge_table, cn_table)
+        table_mult(conn, edge_table, edge_table, cn_table, triangle="upper")
         # weighted degrees, folded per row inside the tablet servers
         degrees: Dict[str, float] = {}
         for batch in conn.scanner(
@@ -84,6 +88,31 @@ def table_jaccard(conn: Connector, edge_table: str, out: str,
     finally:
         _drop(conn, [cn_table])
     return inst.total_stats().delta(before)
+
+
+def table_triangles(conn: Connector, edge_table: str,
+                    tmp_prefix: str = "_tri") -> int:
+    """Triangle count of an undirected simple graph's adjacency table,
+    as Graphulo counts them (arXiv:1709.01054): one TableMult of E with
+    itself under ⊗ = ``pair``, masked by E and kept to the strict upper
+    triangle, leaves at each edge (i, j), i < j, the number of
+    triangles through it.  A triangle sits on three such edges, so the
+    count is that table's sum over 3.  The servers fold each row of it
+    to one cell, and the client sums those; the temporary table is
+    dropped however the call ends."""
+    from repro.semiring.builtin import PAIR
+
+    tmp = _fresh(conn, f"{tmp_prefix}_cn")
+    try:
+        table_mult(conn, edge_table, edge_table, tmp, mul=PAIR,
+                   mask=edge_table, triangle="upper")
+        total = sum(
+            sum(map(decode_number, batch.values))
+            for batch in conn.scanner(
+                tmp, iterspec=_spec().reduce("sum")).scan_columns())
+    finally:
+        _drop(conn, [tmp])
+    return int(total) // 3
 
 
 def table_pagerank(conn: Connector, edge_table: str, out: str,
@@ -167,14 +196,13 @@ def table_ktruss(conn: Connector, edge_table: str, out: str, k: int,
 
     Graphulo's adjacency-matrix formulation of Algorithm 1: each round
 
-    1. ``CN = TableMult(E, E)`` — per-edge triangle support, off E's
-       pattern too;
-    2. one ``ewise`` op: CN masked by E, kept where the support is
-       ≥ k−2 and written as 1 — the next E, and its size;
+    1. ``CN = TableMult(E, E)`` masked by E — per-edge triangle
+       support, computed on E's pattern only;
+    2. one one-table op over CN: kept where the support is ≥ k−2 and
+       written as 1 — the next E, and its size;
     3. stop when no edge was dropped.
 
-    ``out`` receives the surviving adjacency table (0/1 values).  E's
-    cells are in the default family, where TableMult writes CN's.
+    ``out`` receives the surviving adjacency table (0/1 values).
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
@@ -189,9 +217,9 @@ def table_ktruss(conn: Connector, edge_table: str, out: str, k: int,
         # working copy of the edge table
         count = two_table(conn, edge_table, current, post=one)["cells_written"]
         for round_no in range(max_rounds):
-            table_mult(conn, current, current, cn)
+            table_mult(conn, current, current, cn, mask=current)
             nxt = temps[2 + round_no % 2]
-            survivors = two_table(conn, cn, nxt, current, join="ewise",
+            survivors = two_table(conn, cn, nxt,
                                   post=survive)["cells_written"]
             conn.delete_table(cn)
             conn.delete_table(current)

@@ -46,6 +46,9 @@ MULT_WRITE_CELLS = 1 << 16
 #: a two-table op's joins: on the row, multiplying (TableMult); on
 #: (row, family, qualifier), keeping the streamed cell; none (one table)
 JOINS = ("row", "ewise", None)
+#: the triangles a ``"row"`` join may keep: all of the product, or its
+#: strict upper half (row key < qualifier)
+TRIANGLES = (None, "upper")
 #: a combining table's ``max_versions``: its combiner consumes them all
 ALL_VERSIONS = 2 ** 31
 
@@ -65,7 +68,11 @@ class MultSpec:
     every server cuts where the caller's library does); ``mul`` is a
     built-in binary operator's name (in process, also any Python
     callable); ``combiner`` names ``out``'s ⊕.  ``auths`` are the
-    scans' authorization tokens."""
+    scans' authorization tokens.  ``mask`` (a table name) and
+    ``triangle`` (one of :data:`TRIANGLES`) take a ``"row"`` join only:
+    they keep the products whose (row, qualifier) is stored in
+    ``mask``, and whose row key is below their qualifier, before the
+    fold, so ``out`` never receives the rest."""
 
     table_b: Optional[str]
     out: str
@@ -75,6 +82,8 @@ class MultSpec:
     auths: Sequence[str] = ()
     join: Optional[str] = "row"
     post: Optional[list] = None
+    mask: Optional[str] = None
+    triangle: Optional[str] = None
 
     def __post_init__(self):
         if not isinstance(self.block_products, int) \
@@ -88,6 +97,17 @@ class MultSpec:
                 self.table_b is None):
             raise ValueError(f"join must be one of {JOINS}, None exactly "
                              f"when table_b is None; got {self.join!r}")
+        if self.triangle not in TRIANGLES:
+            raise ValueError(f"triangle must be one of {TRIANGLES}, got "
+                             f"{self.triangle!r}")
+        if self.mask is not None and not isinstance(self.mask, str):
+            raise ValueError(f"mask must be a table name, got "
+                             f"{self.mask!r}")
+        if self.join != "row" and (self.mask, self.triangle) != (None,
+                                                                  None):
+            raise ValueError(f"mask and triangle take a row join only; "
+                             f"got mask={self.mask!r}, triangle="
+                             f"{self.triangle!r} on join {self.join!r}")
         if self.post is not None:
             if self.join == "row":
                 raise ValueError("post cannot follow a row join")
@@ -332,7 +352,8 @@ class TabletServer:
 
     def multiply_tablets(self, table_at: str, tablet_ids: Sequence[str],
                          spec: MultSpec, b: Sequence["Assignment"],
-                         out: Sequence["Assignment"]) -> Dict[str, int]:
+                         out: Sequence["Assignment"],
+                         mask: Sequence["Assignment"]) -> Dict[str, int]:
         """A two-table op's step on this server: its ``AT`` tablets
         ``tablet_ids`` (in extent order) streamed, joined with ``B``'s
         cells in the same extents as ``spec.join`` says, run through
@@ -345,11 +366,15 @@ class TabletServer:
         joins (:func:`repro.dbsim.graphulo.join_cells`) write cells as
         they are, timestamps included.  Returns the step's work counts.
 
-        ``b`` are the ``B`` tablets overlapping those extents and ``out``
-        every ``out`` tablet, as assignments whose ``server`` is this
-        server — a local scan, a local write — or a handle with
-        :meth:`scan_tablet` / :meth:`write_tablet`: in a cluster, a
-        peer's RPC stub.  A server never calls itself over the wire."""
+        ``b`` are the ``B`` tablets overlapping those extents, ``out``
+        every ``out`` tablet and ``mask`` every tablet of
+        ``spec.mask`` (none without one), as assignments whose
+        ``server`` is this server — a local scan, a local write — or a
+        handle with :meth:`scan_tablet` / :meth:`write_tablet`: in a
+        cluster, a peer's RPC stub.  A server never calls itself over
+        the wire.  A masked block reads the mask cells of its output
+        rows (``AT``'s qualifiers): one range-set scan per mask tablet
+        they reach."""
         # lazy: graphulo imports this module, and numpy loads with the
         # first block multiplied, not with the server
         from repro.dbsim import graphulo
@@ -386,8 +411,17 @@ class TabletServer:
                         [column[i:j] for column in columns])
                 lo = end
 
+        def read_mask(rows: Sequence[str]):
+            ranges = [Range.exact_row(row) for row in rows]
+            for entry in mask:
+                share = clip_ranges(ranges, entry.extent)
+                if share:
+                    yield from entry.server.scan_tablet(
+                        spec.mask, entry.tablet_id, share, spec.auths)
+
         if spec.join == "row":
-            return graphulo.multiply_rows(at, b_batches, spec, write)
+            return graphulo.multiply_rows(at, b_batches, spec, write,
+                                          read_mask)
         from repro.net.iterspec import IterSpec  # lazy: net imports dbsim
 
         stream = at if b_batches is None else graphulo.join_cells(
@@ -595,11 +629,15 @@ class ControlPlane:
         (:meth:`TableConfig.folds`), or ``ValueError`` is raised before
         any step runs.  Every join flushes ``out`` afterwards, and none
         compacts it: its combiner folds the partial products when they
-        are read.  Returns the work counts summed over the steps."""
+        are read.  A ``spec.mask`` table must exist too, and every step
+        reads the mask rows it needs from every mask tablet's server.
+        Returns the work counts summed over the steps."""
         at_entries = self.table(table_at).index.entries
         # a one-table op, and a table joined with itself, read no B tablet
         b_index = (None if spec.table_b in (None, table_at)
                    else self.table(spec.table_b).index)
+        mask = ([] if spec.mask is None
+                else self.table(spec.mask).index.entries)
         shares: Dict[object, list] = {}  # server → its AT tablets, in order
         for entry in at_entries:
             shares.setdefault(entry.server, []).append(entry)
@@ -624,7 +662,7 @@ class ControlPlane:
                                     for entry in entries)))
             step = server.multiply_tablets(
                 table_at, [entry.tablet_id for entry in entries], spec, b,
-                out)
+                out, mask)
             for name, count in step.items():
                 work[name] = work.get(name, 0) + count
         self.flush_table(spec.out)

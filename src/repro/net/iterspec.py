@@ -38,9 +38,11 @@ Ops apply top-to-bottom in list order; ``reduce`` (one output cell per
 row — Graphulo's fold terminal, ``fn`` naming the semiring ⊕) must be
 the last op.  Apply ops come from the :data:`APPLY_OPS` registry of
 named unary numeric functions.  ``jaccard`` turns a common-neighbour
-count ``cn`` at (i, j) into ``cn / (dᵢ + dⱼ − cn)`` from the degree
-vector it carries (a missing vertex has degree 0): Jaccard's last step
-(the paper's Algorithm 2), O(n) on the wire for n vertices.
+count ``cn`` at (i, j), i < j, into ``cn / (dᵢ + dⱼ − cn)`` at (i, j)
+and at (j, i), from the degree vector it carries (a missing vertex has
+degree 0): Jaccard's last step (the paper's Algorithm 2), O(n) on the
+wire for n vertices.  Its output is not in key order, so only a
+two-table op's ``post`` may hold it; a scan refuses it.
 """
 
 from __future__ import annotations
@@ -276,9 +278,13 @@ def _value_mask(cmp: str, threshold: float) -> Callable:
 
 
 def _jaccard_stage(degrees: Dict[str, float]):
-    """J(i, j) = cn / (dᵢ + dⱼ − cn) for every cell (i, j), i ≠ j,
-    whose denominator is positive; the rest are dropped.  Row-local,
-    so the stream stays in key order."""
+    """J(i, j) = cn / (dᵢ + dⱼ − cn) for every cell (i, j) of a
+    strict-upper common-neighbour table, i < j, whose denominator is
+    positive; the rest are dropped.  Each input batch yields its kept
+    cells, then the same cells transposed to (j, i) — the same value:
+    the sum in the denominator commutes exactly — as a second batch
+    sorted by key.  Each batch is in key order, the stream is not, so
+    the op runs as a two-table op's ``post`` and never in a scan."""
     def stage(batches):
         for batch in batches:
             keep, values = [], []
@@ -286,7 +292,7 @@ def _jaccard_stage(degrees: Dict[str, float]):
                                                map(decode_number,
                                                    batch.values))):
                 denom = degrees.get(i, 0.0) + degrees.get(j, 0.0) - cn
-                if i != j and denom > 0:
+                if i < j and denom > 0:
                     keep.append(n)
                     values.append(encode_number(cn / denom))
             if keep:
@@ -294,7 +300,18 @@ def _jaccard_stage(degrees: Dict[str, float]):
                     batch = batch.select(keep)
                 batch.values = values
                 yield batch
+                yield _transposed(batch)
     return stage
+
+
+def _transposed(batch):
+    """``batch`` with rows and qualifiers swapped, sorted by key."""
+    order = sorted(range(len(batch)), key=lambda n: (
+        batch.qualifiers[n], batch.families[n], batch.rows[n],
+        batch.visibilities[n], -batch.timestamps[n]))
+    swapped = batch.select(order)
+    swapped.rows, swapped.qualifiers = swapped.qualifiers, swapped.rows
+    return swapped
 
 
 def _build(op: dict) -> Layer:
@@ -484,8 +501,13 @@ def scan_layers(auths, spec: Optional[Any] = None) -> Tuple[Layer, ...]:
     the spec, the Accumulo ordering (system filter below user
     iterators), so a combiner or reduce never folds cells the scan may
     not see.  The local client and the tablet server both build their
-    ``scan_iterators`` here."""
+    ``scan_iterators`` here, so both refuse a spec holding the
+    ``jaccard`` op with :class:`IterSpecError`."""
     spec = coerce(spec)
+    if spec and any(op["op"] == "jaccard" for op in spec.ops):
+        raise IterSpecError("the jaccard op's output is not in key order: "
+                            "it runs as a two-table op's post, not in a "
+                            "scan")
     visibility = Layer(visibility_stage(auths),
                        {"op": "visibility", "auths": sorted(auths.tokens)})
     return (visibility,) + (spec.build_factories() if spec else ())

@@ -693,7 +693,8 @@ class TabletServerService(_BaseService):
     def _multiply_tablets(self, p: dict) -> dict:
         return self.tserver.multiply_tablets(
             p["table"], p["tablet_ids"], MultSpec(**p["spec"]),
-            self._assignments(p["b"]), self._assignments(p["out"]))
+            self._assignments(p["b"]), self._assignments(p["out"]),
+            self._assignments(p["mask"]))
 
     def _assignments(self, items: List[dict]) -> List[Assignment]:
         """Wire assignments with each ``server`` resolved: this server's
@@ -913,13 +914,15 @@ class _ServerStub:
 
     def multiply_tablets(self, table_at: str, tablet_ids: Sequence[str],
                          spec: MultSpec, b: Sequence[Assignment],
-                         out: Sequence[Assignment]) -> dict:
+                         out: Sequence[Assignment],
+                         mask: Sequence[Assignment]) -> dict:
         # a step takes as long as its tablets take: it waits for its
         # answer, and a re-send after a lost connection replays
         return self.core.mutate(self.addr, wire.MULTIPLY_TABLETS, {
             "table": table_at, "tablet_ids": list(tablet_ids),
             "spec": asdict(spec), "b": [_assignment_to_wire(a) for a in b],
-            "out": [_assignment_to_wire(a) for a in out]}, wait=True)
+            "out": [_assignment_to_wire(a) for a in out],
+            "mask": [_assignment_to_wire(a) for a in mask]}, wait=True)
 
 
 def _assignment_to_wire(entry: Assignment) -> dict:

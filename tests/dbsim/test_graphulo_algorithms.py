@@ -1,9 +1,11 @@
-"""Server-side Jaccard and k-truss vs the matrix implementations."""
+"""Server-side Jaccard, k-truss and triangle count vs the matrix
+implementations."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms.jaccard import jaccard
+from repro.algorithms.structure import triangle_count
 from repro.algorithms.truss import ktruss
 from repro.dbsim import (
     Connector,
@@ -11,6 +13,7 @@ from repro.dbsim import (
     table_jaccard,
     table_ktruss,
     table_to_assoc,
+    table_triangles,
 )
 from repro.dbsim.key import decode_number
 from repro.dbsim.server import Instance
@@ -152,6 +155,26 @@ class TestTableKtruss:
         load_adjacency(conn, fig1_graph(), "A")
         with pytest.raises(ValueError):
             table_ktruss(conn, "A", "T", 2)
+
+
+class TestTableTriangles:
+    @pytest.mark.parametrize("n, p, seed", [(5, 1.0, 0), (16, 0.3, 0),
+                                            (16, 0.3, 1), (30, 0.2, 2)])
+    def test_matches_triangle_count(self, conn, n, p, seed):
+        a = erdos_renyi(n, p, seed=seed)
+        load_adjacency(conn, a, "A")
+        conn.add_split("A", "v0008")
+        assert table_triangles(conn, "A") == triangle_count(a)[0]
+
+    def test_fig1(self, conn):
+        a = fig1_graph()
+        load_adjacency(conn, a, "A")
+        assert table_triangles(conn, "A") == triangle_count(a)[0] > 0
+
+    def test_temp_table_dropped(self, conn):
+        load_adjacency(conn, fig1_graph(), "A")
+        table_triangles(conn, "A")
+        assert conn.instance.list_tables() == ["A"]
 
 
 class TestTablePageRank:

@@ -178,6 +178,18 @@ class TestLocalExecution:
         with pytest.raises(NonSerializableIteratorError):
             conn.scanner("t", iterspec=lambda src: src)
 
+    def test_scan_refuses_the_jaccard_op(self):
+        """``jaccard`` emits each upper cell's transpose after it, so
+        its output is not in key order: only a two-table op's ``post``
+        may run it."""
+        conn = _local_conn()
+        _ingest(conn)
+        spec = IterSpec().jaccard({"v0": 1.0})
+        with pytest.raises(IterSpecError, match="key order"):
+            conn.scanner("E", iterspec=spec)
+        with pytest.raises(IterSpecError, match="key order"):
+            conn.batch_scanner("E", iterspec=spec)
+
 
 @pytest.mark.parametrize("processes", [False, True],
                          ids=["threads", "procs"])
@@ -285,6 +297,8 @@ class TestRemoteErrors:
                 conn.create_table("t")
                 with pytest.raises(IterSpecError):
                     list(conn.scanner("t", iterspec=[{"op": "nope"}]))
+                with pytest.raises(IterSpecError, match="key order"):
+                    conn.scanner("t", iterspec=IterSpec().jaccard({}))
                 with pytest.raises(NonSerializableIteratorError):
                     conn.scanner("t", iterspec=lambda src: src)
             finally:
@@ -308,7 +322,9 @@ class TestRemoteErrors:
 
     def test_server_rejects_unvalidated_wire_spec(self):
         """A malicious client that skips client-side validation gets a
-        typed IterSpecError frame back, not a server stack."""
+        typed IterSpecError frame back, not a server stack — for an
+        op outside the whitelist, and for ``jaccard``, whose output
+        a scan may not carry."""
         from repro.net import wire
 
         with LocalCluster(n_servers=1, processes=False) as c:
@@ -321,14 +337,16 @@ class TestRemoteErrors:
                 proxy = inst.tablets("t")[0]
                 core = inst.core
 
-                stream = core.open_stream(proxy.addr, wire.SCAN, {
-                    "table": "t", "tablet_id": proxy.tablet_id,
-                    "ranges": [[None, None]], "columns": None,
-                    "resume": None,
-                    "iterspec": [{"op": "__import__"}]})
-                code, pay, _ = stream.get(30.0)
-                assert code == wire.ERROR
-                with pytest.raises(IterSpecError):
-                    wire.raise_error(pay)
+                for iterspec in ([{"op": "__import__"}],
+                                 [{"op": "jaccard", "degrees": {}}]):
+                    stream = core.open_stream(proxy.addr, wire.SCAN, {
+                        "table": "t", "tablet_id": proxy.tablet_id,
+                        "ranges": [[None, None]], "columns": None,
+                        "resume": None,
+                        "iterspec": iterspec})
+                    code, pay, _ = stream.get(30.0)
+                    assert code == wire.ERROR
+                    with pytest.raises(IterSpecError):
+                        wire.raise_error(pay)
             finally:
                 conn.close()

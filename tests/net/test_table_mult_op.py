@@ -9,18 +9,21 @@ from a peer and writes ``out`` to a peer where they live elsewhere.
 These tests pin what that must keep true:
 
 * ``mul`` / ``combiner`` cross the wire by name or not at all, and a
-  spec — ``join`` and ``post`` included — is checked where it arrives;
+  spec — ``join``, ``post``, ``mask`` and ``triangle`` included — is
+  checked where it arrives;
 * exactly-once under a lost ``TABLE_MULT`` ack, a lost peer
   ``WRITE_BATCH`` ack and a peer ``SCAN`` reset mid-stream, for every
   join — ``C`` equals a fault-free in-process run, timestamps
   included — and under a response deadline shorter than the op;
 * a fresh ``out`` lands beside a 1-tablet ``AT``, so its partial
   products cross no wire;
-* a failed op leaves no table behind, and an existing ``out`` that
-  cannot fold a TableMult's partial products is refused;
-* the paper's kernels built on the op (both distributed triangle
-  counts, Jaccard, k-truss, PageRank) equal their in-process results on
-  thread and process clusters;
+* a failed op leaves no table behind — a missing mask included — and
+  an existing ``out`` that cannot fold a TableMult's partial products
+  is refused;
+* the paper's kernels built on the op (three distributed triangle
+  counts, the masked upper-triangle one among them, Jaccard, k-truss,
+  PageRank) equal their in-process results on thread and process
+  clusters;
 * neither operand nor the product crosses the client's sockets — for
   Jaccard and k-truss, nothing but Jaccard's degree vector does.
 """
@@ -32,6 +35,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.algorithms.structure import triangle_count
 from repro.dbsim.client import Connector
 from repro.dbsim.graphulo import (
     BLOCK_PARTIAL_PRODUCTS,
@@ -44,6 +48,7 @@ from repro.dbsim.graphulo_algorithms import (
     table_jaccard,
     table_ktruss,
     table_pagerank,
+    table_triangles,
 )
 from repro.dbsim.key import decode_number
 from repro.dbsim.server import Instance, MultSpec, TableConfig
@@ -61,6 +66,7 @@ from repro.net.server import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.semiring.builtin import PLUS
+from repro.sparse.construct import from_coo
 
 MODES = pytest.mark.parametrize("processes", [False, True],
                                 ids=["threads", "processes"])
@@ -222,13 +228,22 @@ class TestMulAndCombinerOnTheWire:
         ({"join": "ewise", "post": [{"op": "jaccard", "degrees": [2]}]},
          "degrees"),
         ({"join": "ewise", "post": [{"op": "jaccard",
-                                     "degrees": {"k1": "2"}}]}, "degrees")])
+                                     "degrees": {"k1": "2"}}]}, "degrees"),
+        ({"join": "ewise", "mask": "B"}, "mask"),
+        ({"join": "ewise", "triangle": "upper"}, "triangle"),
+        ({"join": None, "table_b": None, "mask": "A"}, "mask"),
+        ({"join": None, "table_b": None, "triangle": "upper"}, "triangle"),
+        ({"triangle": "lower"}, "triangle"),
+        ({"triangle": True}, "triangle"),
+        ({"mask": ["B"]}, "mask")])
     def test_join_and_post_checked_where_they_arrive(self, remote, fields,
                                                      match):
-        """A ``join`` / ``post`` no library call would send — a
-        ``jaccard`` degree vector that is not a ``{row: number}`` map
-        among them — is refused by the manager and by a tablet server
-        before anything runs, and creates no table."""
+        """A ``join`` / ``post`` / ``mask`` / ``triangle`` no library
+        call would send — a ``jaccard`` degree vector that is not a
+        ``{row: number}`` map, a mask or triangle on any join but a
+        row one, a triangle but the upper among them — is refused by
+        the manager and by a tablet server before anything runs, and
+        creates no table."""
         _operands(remote)
         spec = {"table_b": "B", "out": "C", "block_products": 1 << 18,
                 **fields}
@@ -539,7 +554,8 @@ def _triangles_by_incidence(conn):
 
 def _run_kernels(conn):
     _load_graph(conn)
-    counts = (_triangles_by_adjacency(conn), _triangles_by_incidence(conn))
+    counts = (_triangles_by_adjacency(conn), _triangles_by_incidence(conn),
+              table_triangles(conn, "A"))
     table_jaccard(conn, "A", "J")
     table_ktruss(conn, "A", "K", 3)
     table_pagerank(conn, "A", "PR", max_iter=5)
@@ -557,8 +573,10 @@ class TestKernelsMatchInProcess:
         want = sum((u, v) in edges and (v, w) in edges and (u, w) in edges
                    for u, v, w in itertools.combinations(range(N_VERTICES),
                                                          3))
-        assert want > 0
-        assert kernels_in_process[0] == (want, want)
+        u, v = zip(*edges)
+        adjacency = from_coo(N_VERTICES, N_VERTICES, u + v, v + u)
+        assert want > 0 and triangle_count(adjacency)[0] == want
+        assert kernels_in_process[0] == (want, want, want)
 
     @MODES
     def test_cluster_equals_in_process(self, kernels_in_process, processes):
@@ -626,12 +644,14 @@ class TestFailedOpsLeaveNoTable:
     @pytest.mark.parametrize("call", [
         lambda c: table_mult(c, "A", "missing", "C"),
         lambda c: table_mult(c, "missing", "A", "C"),
+        lambda c: table_mult(c, "A", "A", "C", mask="missing"),
         lambda c: table_intersect(c, "missing", "A", "I"),
         lambda c: table_intersect(c, "A", "missing", "I"),
         lambda c: table_jaccard(c, "missing", "J"),
-        lambda c: table_ktruss(c, "nope", "K", 3)],
-        ids=["mult_b", "mult_at", "intersect_left", "intersect_right",
-             "jaccard", "ktruss"])
+        lambda c: table_ktruss(c, "nope", "K", 3),
+        lambda c: table_triangles(c, "nope")],
+        ids=["mult_b", "mult_at", "mult_mask", "intersect_left",
+             "intersect_right", "jaccard", "ktruss", "triangles"])
     def test_missing_operand(self, either, call):
         with pytest.raises(KeyError):
             call(either)
