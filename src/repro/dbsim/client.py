@@ -172,7 +172,10 @@ class BatchScanner(_RangeSetScan):
     share of the set, and slices exactly those rows out of its runs —
     one seek per run per tablet instead of one per range, and no cell
     outside the ranges is read or shipped.  Output is bit-identical to
-    the per-range path.  ``coalesce`` forces the choice: ``None``
+    the per-range path, except under a ``distinct`` op: it keeps the
+    first cell of each qualifier per scan, so a coalesced scan dedups
+    across each tablet's share of the set, and the per-range path
+    within each range.  ``coalesce`` forces the choice: ``None``
     auto-detects, ``False`` always scans range by range (the only way
     to scan unsorted or overlapping ranges), ``True`` requires sorted
     disjoint ranges (raises otherwise).

@@ -16,7 +16,8 @@ to perform graph analytics"):
 * :func:`apply_to_table` / :func:`filter_table` — server-side Apply /
   value filters as batch stages of the scan;
 * :func:`table_bfs` — k-hop BFS by repeated BatchScanner row fetches of
-  the frontier (Graphulo's adjacency-table BFS).
+  the frontier (Graphulo's adjacency-table BFS), each tablet returning
+  only the distinct neighbours it holds.
 
 All take a :class:`~repro.dbsim.client.Connector`; result tables are
 created on demand with the right combiner.
@@ -456,11 +457,14 @@ def table_bfs(conn: Connector, edge_table: str, seeds: Iterable[str],
     """k-hop BFS over an adjacency table (row = source vertex, column
     qualifier = destination vertex).
 
-    Per hop: one BatchScanner fetch of the frontier's rows; neighbours
-    become the next frontier.  With ``min_degree`` and a degree table,
-    high-volume "supernode" rows below the threshold are skipped — the
-    Graphulo degree-filtered BFS.  Returns ``vertex → hop discovered``
-    (seeds at 0).
+    Per hop: one BatchScanner fetch of the frontier's rows with the
+    ``distinct`` op pushed down, so each tablet returns the first cell
+    of each neighbour it holds, not every edge of the frontier; the
+    neighbours not yet reached become the next frontier.  With
+    ``min_degree`` and a degree table, high-volume "supernode" rows
+    below the threshold are skipped — the Graphulo degree-filtered
+    BFS.  Both scans run under ``authorizations``.  Returns ``vertex →
+    hop discovered`` (seeds at 0).
     """
     if hops < 0:
         raise ValueError(f"hops must be >= 0, got {hops}")
@@ -497,6 +501,7 @@ def _table_bfs(conn: Connector, edge_table: str, seeds: Iterable[str],
         iterator stack — sub-threshold rows are dropped inside the
         tablet server and never cross the wire."""
         bs = conn.batch_scanner(degree_table_name,
+                                authorizations=authorizations,
                                 iterspec=_spec().value_ge(min_degree))
         bs.set_ranges([Range.exact_row(v) for v in sorted(vertices)])
         keep: Set[str] = set()
@@ -504,14 +509,17 @@ def _table_bfs(conn: Connector, edge_table: str, seeds: Iterable[str],
             keep.update(batch.rows)
         return keep & vertices
 
+    neighbours = _spec().distinct()
     for hop in range(1, hops + 1):
         if min_degree is not None:
             frontier = frontier_above(frontier)
         if not frontier:
             break
         # sorted disjoint exact-row ranges are one range set: each
-        # tablet is visited once this hop and slices out just these rows
-        bs = conn.batch_scanner(edge_table, authorizations=authorizations)
+        # tablet is visited once this hop, slices out just these rows
+        # and returns each neighbour among them once
+        bs = conn.batch_scanner(edge_table, authorizations=authorizations,
+                                iterspec=neighbours)
         bs.set_ranges([Range.exact_row(v) for v in sorted(frontier)])
         nxt: Set[str] = set()
         for batch in bs.scan_columns():

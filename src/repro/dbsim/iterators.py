@@ -118,6 +118,25 @@ def age_off_stage(cutoff: int) -> Stage:
                                           batch.timestamps))
 
 
+def distinct_stage(seen: Iterable[str] = ()) -> Stage:
+    """Keep the first entry of each qualifier the stream holds, in key
+    order — a BFS hop's new neighbours — and none of a qualifier in
+    ``seen``.  Unlike every stage above, its state (the qualifiers
+    seen) crosses rows: a stream resumed part-way is exact when ``seen``
+    holds what its first part delivered."""
+    seeded = frozenset(seen)
+
+    def stage(batches):
+        seen = set(seeded)
+        add = seen.add
+        for batch in batches:
+            keep = [i for i, qual in enumerate(batch.qualifiers)
+                    if qual not in seen and not add(qual)]
+            if keep:
+                yield batch if len(keep) == len(batch) else batch.select(keep)
+    return stage
+
+
 def _cell_ids(batch):
     return zip(batch.rows, batch.families, batch.qualifiers,
                batch.visibilities)

@@ -9,7 +9,10 @@ strings — with the read-side structures a real RFile carries:
   stand-in for the RFile index lookup;
 * **min/max row bounds** for `overlaps` range pruning;
 * a **row bloom filter** consulted by point lookups before the run is
-  opened at all (no false negatives, so skipping is always safe).
+  opened at all (no false negatives, so skipping is always safe);
+* whether the run is **clean** — no tombstone and one version per
+  logical cell — learnt on the first scan that can use it, which then
+  reads the run's columns by one transpose (``Tablet._drain_clean``).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import bisect
 import zlib
 from itertools import islice
-from operator import gt, itemgetter
+from operator import eq, gt, itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.dbsim.key import Cell, Range, SortKey, run_cells
@@ -89,6 +92,21 @@ class SSTable:
         self.last_row: Optional[str] = keys[-1][0] if keys else None
         self._bloom = RowBloomFilter(
             set(map(itemgetter(0), keys))) if keys else None
+        self._clean: Optional[bool] = None  # unknown until a scan asks
+
+    @property
+    def clean(self) -> bool:
+        """No tombstone and no two versions of one logical cell — a run
+        the storage pass would copy through unchanged.  Checked once,
+        in C, the first time a scan asks; flush, compaction and
+        combining scans never do."""
+        if self._clean is None:
+            keys = self.keys
+            cell = itemgetter(0, 1, 2, 3)  # the logical cell of a key
+            self._clean = (0 not in map(itemgetter(5), keys)
+                           and not any(map(eq, map(cell, keys), map(
+                               cell, islice(keys, 1, None)))))
+        return self._clean
 
     def __len__(self) -> int:
         return len(self.keys)

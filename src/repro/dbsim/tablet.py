@@ -11,7 +11,10 @@ as one join: the fused drain (:meth:`Tablet._drain_columns_fused`:
 everything up to versioning, plus the fold of a leading built-in
 combiner) with the remaining layers' batch stages (see
 :class:`~repro.dbsim.iterators.Layer`) chained onto it.  No per-cell
-object is built.
+object is built.  A scan that reads one clean run (no tombstone, one
+version per cell; see :attr:`SSTable.clean`) with nothing to filter or
+fold has nothing for that drain to do, and reads the run's columns by
+one transpose instead (:meth:`Tablet._drain_clean`).
 
 Minor compactions (flush) move the memtable into a new run when it
 exceeds ``flush_bytes``; full compactions merge all runs through the
@@ -24,6 +27,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from itertools import chain as _chain, count
+from operator import neg
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.dbsim.iterators import Columns, Layer, _in_columns
@@ -373,7 +377,11 @@ class Tablet:
         One join: the fused storage pass (column skip → tombstones →
         versioning → the fold of a leading built-in combiner, see
         :func:`_fused_reduce`) with the remaining layers' stages
-        chained onto it; no per-cell object is built.
+        chained onto it; no per-cell object is built.  When the scan
+        reads one sliced run of an sstable, is not a point lookup, and
+        has no column filter and no leading combiner,
+        :meth:`_drain_clean` takes that pass's place: if the sstable is
+        clean, the pass would copy the run through unchanged.
 
         The runs are **sliced eagerly**, before this returns (so a
         caller sees the data as of the call), then a generator yields
@@ -395,9 +403,22 @@ class Tablet:
         if sink is None:
             sink = self._sink
         self._bump_aux("scans_fused")
-        return self._staged(self._sliced_runs(ranges, sink), columns,
-                            (*table_iterators, *scan_iterators), batch_cells,
-                            sink)
+        layers = (*table_iterators, *scan_iterators)
+        reduce_fn = _fused_reduce(layers)
+        sources: List[Optional[SSTable]] = []
+        runs = self._sliced_runs(ranges, sink, sources)
+        # a one-row slice is too small for the transpose to repay the
+        # clean check, which reads the whole run
+        if (columns is None and reduce_fn is None and len(runs) == 1
+                and sources[0] is not None
+                and (len(ranges) > 1 or ranges[0].single_row() is None)):
+            out = self._drain_clean(sources[0], runs[0], batch_cells, sink)
+        else:
+            out = self._drain_columns_fused(runs, columns, reduce_fn,
+                                            batch_cells, sink)
+        for layer in layers[reduce_fn is not None:]:
+            out = layer.stage(out)
+        return out
 
     def _staged(self, runs: List[KVRun], columns: Columns,
                 layers: Sequence[Layer], batch_cells: int, sink):
@@ -411,8 +432,8 @@ class Tablet:
             out = layer.stage(out)
         return out
 
-    def _sliced_runs(self, ranges: Sequence[Range],
-                     sink=None) -> List[KVRun]:
+    def _sliced_runs(self, ranges: Sequence[Range], sink=None,
+                     sources: Optional[list] = None) -> List[KVRun]:
         """Slice every storage run down to a (clipped, non-empty)
         range set — the one place a scan's rows are selected.
 
@@ -423,10 +444,14 @@ class Tablet:
         bloom-filter consult (``bloom_hits`` / ``bloom_misses``) that
         can skip the run outright.  Run order is memtable first, then
         sstables in list order, so merge ties resolve with
-        memtable-over-sstable precedence.
+        memtable-over-sstable precedence.  ``sources``, when given,
+        receives run for run the :class:`SSTable` each was sliced from
+        (``None`` for the memtable).
         """
         if sink is None:
             sink = self._sink
+        if sources is None:
+            sources = []
         span = covering(ranges)
         probes = _probes(ranges)
         runs: List[KVRun] = []
@@ -434,6 +459,7 @@ class Tablet:
         sliced = _slice_rows(*self.memtable.sorted_run(), probes)
         if sliced[0]:
             runs.append(sliced)
+            sources.append(None)
         point_row = span.single_row() if len(ranges) == 1 else None
         for run in self.sstables:
             if not run.overlaps(span):
@@ -451,7 +477,36 @@ class Tablet:
             sliced = _slice_rows(run.keys, run.values, probes)
             if sliced[0]:
                 runs.append(sliced)
+                sources.append(run)
         return runs
+
+    def _drain_clean(self, source: SSTable, run: KVRun, batch_cells: int,
+                     sink):
+        """:meth:`_drain_columns_fused` over ``run``, sliced from
+        ``source``, with no column filter and no ⊕ to fold.  When
+        ``source`` is clean every entry survives, so the batches are the
+        run's own columns, each taken by one
+        :func:`~repro.dbsim.key.field_columns` transpose — the same
+        batch boundaries, the same ``entries_read`` and the same crash
+        checks, without the per-cell loop.  The clean fact is asked for
+        on the first pull, so a server learns it outside its lock."""
+        if not source.clean:
+            yield from self._drain_columns_fused([run], None, None,
+                                                 batch_cells, sink)
+            return
+        from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
+
+        keys, values = run
+        for lo in range(0, len(keys), batch_cells):
+            self._check_up()
+            hi = lo + batch_cells
+            rows, fams, quals, viss, neg_ts = field_columns(keys[lo:hi], 5)
+            n = len(rows)
+            sink.entries_read += n
+            yield ColumnBatch(rows, fams, quals, viss,
+                              array("q", list(map(neg, neg_ts))),
+                              [False] * n,
+                              values[lo:hi])
 
     def _drain_columns_fused(self, runs: List[KVRun],
                              columns: Columns, reduce_fn,

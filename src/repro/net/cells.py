@@ -51,6 +51,7 @@ import sys
 from array import array
 from functools import partial
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.dbsim.key import Cell, Key, field_columns
@@ -366,17 +367,18 @@ class ColumnBatch:
                 self.deletes[i]]
 
     def select(self, indices: Sequence[int]) -> "ColumnBatch":
-        """A new batch holding only the entries at ``indices``."""
-        rows, fams = self.rows, self.families
-        quals, viss = self.qualifiers, self.visibilities
-        ts, dels, vals = self.timestamps, self.deletes, self.values
-        return ColumnBatch([rows[i] for i in indices],
-                           [fams[i] for i in indices],
-                           [quals[i] for i in indices],
-                           [viss[i] for i in indices],
-                           array("q", (ts[i] for i in indices)),
-                           [dels[i] for i in indices],
-                           [vals[i] for i in indices])
+        """A new batch holding only the entries at ``indices``: one
+        C-level ``itemgetter`` call per column."""
+        if len(indices) > 1:
+            get = itemgetter(*indices)
+        else:  # an itemgetter of one index returns the item, not a tuple
+            def get(column):
+                return [column[i] for i in indices]
+        return ColumnBatch(list(get(self.rows)), list(get(self.families)),
+                           list(get(self.qualifiers)),
+                           list(get(self.visibilities)),
+                           array("q", get(self.timestamps)),
+                           list(get(self.deletes)), list(get(self.values)))
 
     def extend(self, other: "ColumnBatch") -> None:
         """Append ``other``'s entries in place (chunk coalescing)."""

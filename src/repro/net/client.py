@@ -57,7 +57,8 @@ import time
 from collections import deque
 from dataclasses import asdict
 from itertools import chain, count, takewhile
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from repro.dbsim.client import Connector
 from repro.dbsim.errors import BusyError, NotHostedError, ServerCrashedError
@@ -733,10 +734,12 @@ class _Segment:
     :meth:`_RemoteScanStream._plan`).  ``stream``/``span`` are the
     leg's live transport attachments: the pump fans out opens ahead of
     consumption, so a segment can hold an open (buffering) stream long
-    before it becomes the head.
+    before it becomes the head.  ``seen`` holds the qualifiers the leg
+    has delivered, kept only under a trailing ``distinct`` op.
     """
 
-    __slots__ = ("addr", "tablet_id", "extent", "ranges", "stream", "span")
+    __slots__ = ("addr", "tablet_id", "extent", "ranges", "stream", "span",
+                 "seen")
 
     def __init__(self, addr: Addr, tablet_id: str, extent: Range):
         self.addr = addr
@@ -745,6 +748,7 @@ class _Segment:
         self.ranges: List[Range] = []
         self.stream: Optional[_Stream] = None
         self.span = None
+        self.seen: Set[str] = set()
 
 
 class _RemoteScanStream:
@@ -776,10 +780,17 @@ class _RemoteScanStream:
     correct as the old per-cell resume because a reopen only ever
     happens while pulling the *next* batch — everything in already
     returned batches has been handed to the caller.  A reopen re-sends
-    only the ranges that end after the resume row.  A
-    ``NotHostedError`` instead re-locates through the manager and
-    re-plans those remaining ranges over the new tablet layout — which
-    is how a scan survives a split or migration that happens under it.
+    only the ranges that end after the resume row.  When the
+    pushed-down spec ends in ``distinct``, whose state (the qualifiers
+    seen) crosses rows, the reopen also carries that state: the
+    qualifiers the segment has delivered, as the op's ``seen`` list,
+    which the server applies above its skip past the resume key.  The
+    resumed stream is then exact even when the tablet took writes
+    between the two opens.  A ``NotHostedError`` instead re-locates
+    through the manager and re-plans those remaining ranges over the
+    new tablet layout — which is how a scan survives a split or
+    migration that happens under it; each tablet now holding the head
+    segment's rows starts from the qualifiers that segment delivered.
     """
 
     def __init__(self, inst: "RemoteInstance", table: str,
@@ -787,11 +798,11 @@ class _RemoteScanStream:
                  pushdown: Optional[dict] = None, columns: Columns = None):
         self._inst = inst
         self._table = table
-        #: the scan's range set, planned over ``segments`` here, once
-        self._ranges = ranges
         #: SCAN payload fields of the pushed-down layers, attached to
         #: every segment open (see :func:`_ship`)
         self._pushdown = pushdown or {}
+        spec = self._pushdown.get("iterspec")
+        self._distinct = bool(spec) and spec[-1]["op"] == "distinct"
         self._columns = list(columns) if columns else None
         self._segments: List[_Segment] = []
         self._resume: Optional[list] = None
@@ -836,6 +847,10 @@ class _RemoteScanStream:
             "resume": self._resume,
         }
         payload.update(self._pushdown)
+        if seg.seen:
+            *below, op = self._pushdown["iterspec"]
+            payload["iterspec"] = [*below, {"op": "distinct", "seen": sorted(
+                seg.seen.union(op.get("seen", ())))}]
         tc = None
         if _trace.ENABLED:
             # detached: a scan stream stays open across iterator pulls,
@@ -924,6 +939,9 @@ class _RemoteScanStream:
                         # an error later in this same frame run reopens
                         # past everything about to be returned
                         self._resume = decoded.last_key()
+                        if self._distinct:
+                            self._segments[0].seen.update(
+                                decoded.qualifiers)
                         if batch is None:
                             batch = decoded
                         else:
@@ -981,13 +999,21 @@ class _RemoteScanStream:
         segments from a fresh locate index."""
         self._close()  # fanned-out streams were planned on the old layout
         self._inst.invalidate(self._table)
-        remaining = self._pending(self._ranges)
+        head = self._segments[0]
+        # the legs not yet done: a finished leg's rows past the resume
+        # key are not owed (its delivered tail may end before them)
+        remaining = self._pending(list(chain.from_iterable(
+            seg.ranges for seg in self._segments)))
         if self._resume:
             # rows before the resume row are delivered: tablets that
             # hold only those must not be re-planned in
             remaining = clip_ranges(remaining, Range(self._resume[0], None))
         self._plan([_Segment(p.addr, p.tablet_id, p.extent)
                     for p in self._inst.tablets(self._table)], remaining)
+        if head.seen:
+            for seg in self._segments:
+                if seg.extent.clip(head.extent) is not None:
+                    seg.seen = set(head.seen)
 
     @staticmethod
     def _close_segment(seg: _Segment) -> None:

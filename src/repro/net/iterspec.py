@@ -32,12 +32,20 @@ Spec grammar (wire form — ``IterSpec.to_wire()`` / ``from_wire()``)::
      {"op": "apply",        "name": N, "args": [...], "drop_zero": b},
      {"op": "reduce",       "fn": "sum|min|max", "family": f,
                             "qualifier": q, "count": b},
+     {"op": "distinct",     "seen": [q, ...]},
      {"op": "jaccard",      "degrees": {row: d, ...}}]
 
 Ops apply top-to-bottom in list order; ``reduce`` (one output cell per
 row — Graphulo's fold terminal, ``fn`` naming the semiring ⊕) must be
-the last op.  Apply ops come from the :data:`APPLY_OPS` registry of
-named unary numeric functions.  ``jaccard`` turns a common-neighbour
+the last op.  So must ``distinct``, which keeps the first cell of each
+qualifier among the cells one tablet's scan returns — a BFS hop's new
+neighbours, deduplicated where they are stored — less any qualifier in
+its optional ``seen`` list.  Its output is a subset of its input in key
+order, but its state crosses rows: a remote scan holding it resumes
+with ``seen`` set to the qualifiers that tablet already delivered (see
+:class:`~repro.net.client._RemoteScanStream`).  Being last, its output
+is exactly what was delivered.  Apply ops come from the
+:data:`APPLY_OPS` registry of named unary numeric functions.  ``jaccard`` turns a common-neighbour
 count ``cn`` at (i, j), i < j, into ``cn / (dᵢ + dⱼ − cn)`` at (i, j)
 and at (j, i), from the degree vector it carries (a missing vertex has
 degree 0): Jaccard's last step (the paper's Algorithm 2), O(n) on the
@@ -58,6 +66,7 @@ from repro.dbsim.iterators import (
     age_off_stage,
     apply_stage,
     column_stage,
+    distinct_stage,
     reduce_stage,
     regex_stage,
     select_stage,
@@ -233,6 +242,16 @@ def _check_reduce(op: dict) -> dict:
             "qualifier": qualifier, "count": count}
 
 
+def _check_distinct(op: dict) -> dict:
+    if "seen" not in op:
+        return {"op": "distinct"}
+    seen = _want(op, "seen", (list, tuple), "a list of strings")
+    if not all(isinstance(q, str) for q in seen):
+        raise IterSpecError(f"distinct op's seen must hold strings, "
+                            f"got {seen!r}")
+    return {"op": "distinct", "seen": list(seen)}
+
+
 def _check_jaccard(op: dict) -> dict:
     degrees = _want(op, "degrees", dict, "a {row: number} map")
     for row, degree in degrees.items():
@@ -251,6 +270,7 @@ _CHECKS = {
     "combiner": _check_combiner,
     "apply": _check_apply,
     "reduce": _check_reduce,
+    "distinct": _check_distinct,
     "jaccard": _check_jaccard,
 }
 
@@ -334,6 +354,8 @@ def _build(op: dict) -> Layer:
     elif kind == "reduce":
         stage = reduce_stage(op["fn"], op["family"], op["qualifier"],
                              op["count"])
+    elif kind == "distinct":
+        stage = distinct_stage(op.get("seen", ()))
     elif kind == "jaccard":
         stage = _jaccard_stage(op["degrees"])
     else:
@@ -374,8 +396,8 @@ class IterSpec:
             if check is None:
                 raise IterSpecError(f"unknown iterspec op {kind!r}; "
                                     f"known: {sorted(_CHECKS)}")
-            if kind == "reduce" and i != n - 1:
-                raise IterSpecError("reduce must be the last op in a spec")
+            if kind in ("reduce", "distinct") and i != n - 1:
+                raise IterSpecError(f"{kind} must be the last op in a spec")
             normalized.append(check(op))
         object.__setattr__(self, "ops", tuple(normalized))
 
@@ -436,6 +458,9 @@ class IterSpec:
                qualifier: str = "deg", count: bool = False) -> "IterSpec":
         return self._with({"op": "reduce", "fn": fn, "family": family,
                            "qualifier": qualifier, "count": count})
+
+    def distinct(self) -> "IterSpec":
+        return self._with({"op": "distinct"})
 
     def jaccard(self, degrees: Dict[str, float]) -> "IterSpec":
         return self._with({"op": "jaccard", "degrees": degrees})

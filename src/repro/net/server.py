@@ -78,7 +78,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dbsim.errors import BusyError, NotHostedError
 from repro.dbsim.iterators import Layer
-from repro.dbsim.key import (Key, Range, key_columns, sort_keys,
+from repro.dbsim.key import (Key, Range, SortKey, key_columns, sort_keys,
                              sorted_disjoint)
 from repro.dbsim.server import (Assignment, ControlPlane, MultSpec,
                                 TableConfig, TabletServer)
@@ -560,6 +560,27 @@ def _state_tablet(state: wire.CellsPayload, config: TableConfig) -> Tablet:
     return tablet
 
 
+def _skip_past(key: SortKey):
+    """The stage that drops a sorted stream's entries at or before
+    ``key``: what a resumed scan already delivered."""
+    def stage(batches):
+        batches = iter(batches)
+        for batch in batches:
+            rows, fams = batch.rows, batch.families
+            quals, viss = batch.qualifiers, batch.visibilities
+            ts, dels = batch.timestamps, batch.deletes
+            n = len(rows)
+            i = 0
+            while i < n and (rows[i], fams[i], quals[i], viss[i], -ts[i],
+                             0 if dels[i] else 1) <= key:
+                i += 1
+            if i < n:
+                yield batch.select(range(i, n)) if i else batch
+                break
+        yield from batches
+    return stage
+
+
 def _coalesce(batches):
     """Pack the short batches a selective or folding stage leaves of
     full ones into chunks of up to :data:`SCAN_CHUNK_CELLS`: a
@@ -760,6 +781,18 @@ class TabletServerService(_BaseService):
                 if spec or "auths" in p else ())
             if spec:
                 push = (Layer(count_in),) + push
+            resume = p.get("resume")
+            if resume:
+                # a reopen: what was delivered is a prefix of the
+                # stream, skipped above every op but a trailing
+                # distinct — that one starts from the client's seen
+                # list, so the prefix must not reach it (a resumed
+                # scan's skipped prefix counts as folded)
+                at = len(push) - bool(spec
+                                      and spec.ops[-1]["op"] == "distinct")
+                push = (*push[:at],
+                        Layer(_skip_past(Key(*resume).sort_tuple())),
+                        *push[at:])
             # the tablet's share of the scan's range set — required (a
             # missing key is a typed KeyError frame), and a payload
             # still carrying the single "range" it replaced is refused
@@ -788,8 +821,6 @@ class TabletServerService(_BaseService):
                 batches = _coalesce(batches)
                 counters("net.server.pushdown.stacks").inc()
                 counters("net.server.pushdown.ops").inc(len(spec))
-            resume = p.get("resume")
-            skip_past = Key(*resume).sort_tuple() if resume else None
             scan_bytes = counters(
                 f"net.server.table.{tablet.table}.scan_bytes")
             scan_chunks = counters("net.server.scan_chunks")
@@ -800,23 +831,6 @@ class TabletServerService(_BaseService):
                 emitted += len(batch)
                 if req in state.cancelled or not state.alive:
                     return  # client stopped listening: stop producing
-                if skip_past is not None:
-                    # the stream is sorted, so everything already
-                    # delivered before the resume is a prefix
-                    rows, fams = batch.rows, batch.families
-                    quals, viss = batch.qualifiers, batch.visibilities
-                    ts, dels = batch.timestamps, batch.deletes
-                    n = len(rows)
-                    i = 0
-                    while i < n and (rows[i], fams[i], quals[i], viss[i],
-                                     -ts[i],
-                                     0 if dels[i] else 1) <= skip_past:
-                        i += 1
-                    if i == n:
-                        continue
-                    if i:
-                        batch = batch.select(range(i, n))
-                    skip_past = None
                 nsent = self._respond(state, wire.CHUNK,
                                       wire.CellsPayload({}, batch.to_block()),
                                       wire.SCAN, req)

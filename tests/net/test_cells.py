@@ -198,6 +198,42 @@ class TestColumnBatch:
         assert picked.rows[-1] == "z" and list(picked.timestamps)[-1] == 99
         assert len(picked) == 4
 
+    @staticmethod
+    def _select_by_comprehension(batch, indices):
+        """What ``select`` built before its columns were taken by
+        ``itemgetter``: one list comprehension per column."""
+        return cells.ColumnBatch(
+            [batch.rows[i] for i in indices],
+            [batch.families[i] for i in indices],
+            [batch.qualifiers[i] for i in indices],
+            [batch.visibilities[i] for i in indices],
+            array("q", (batch.timestamps[i] for i in indices)),
+            [batch.deletes[i] for i in indices],
+            [batch.values[i] for i in indices])
+
+    @pytest.mark.parametrize("kind", ["empty", "one", "all", "sparse",
+                                      "range"])
+    def test_select_equals_the_comprehensions(self, kind):
+        rng = random.Random(7)
+        for trial in range(30):
+            n = rng.randint(1, 60)
+            batch = cells.decode_batch(cells.encode_block(
+                [random_mut(rng) for _ in range(n)]))
+            indices = {"empty": [],
+                       "one": [rng.randrange(n)],
+                       "all": list(range(n)),
+                       "sparse": sorted(rng.sample(range(n),
+                                                   rng.randint(0, n))),
+                       "range": range(rng.randrange(n), n)}[kind]
+            got = batch.select(indices)
+            want = self._select_by_comprehension(batch, indices)
+            assert got == want
+            for name in cells.ColumnBatch.__slots__:
+                column = getattr(got, name)
+                assert type(column) is type(getattr(want, name))
+                assert column is not getattr(batch, name)
+            assert got.timestamps.typecode == "q"
+
     def test_equality_includes_timestamps(self):
         a = cells.decode_batch(cells.encode_block([mut(ts=1)]))
         b = cells.decode_batch(cells.encode_block([mut(ts=1)]))

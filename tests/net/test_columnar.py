@@ -16,7 +16,9 @@ from repro.dbsim.client import Connector
 from repro.dbsim import graphulo
 from repro.dbsim.graphulo import degree_table, table_bfs, table_mult
 from repro.dbsim.graphulo_algorithms import table_jaccard, table_ktruss
+from repro.dbsim.key import Range
 from repro.dbsim.server import Instance
+from repro.generators.kronecker import rmat_graph
 from repro.net.cluster import LocalCluster
 from repro.net.server import SCAN_CHUNK_CELLS
 from repro.obs.metrics import MetricsRegistry
@@ -248,6 +250,59 @@ class TestGraphuloColumnarBitIdentity:
         _ingest_graph(conn)
         table_mult(conn, "AT", "B", "C")
         assert len(calls) >= 3
+
+
+def _every_edge_bfs(conn, table, seeds, hops):
+    """The BFS as it was before ``distinct`` was pushed down: every
+    edge of the frontier's rows comes back to the client."""
+    dist = dict.fromkeys(seeds, 0)
+    frontier = set(seeds)
+    for hop in range(1, hops + 1):
+        bs = conn.batch_scanner(table)
+        bs.set_ranges([Range.exact_row(v) for v in sorted(frontier)])
+        frontier = set()
+        for batch in bs.scan_columns():
+            for dst in batch.qualifiers:
+                if dst not in dist:
+                    dist[dst] = hop
+                    frontier.add(dst)
+    return dist
+
+
+class TestBfsTraffic:
+    def test_a_hop_ships_each_tablets_new_neighbours(self):
+        """A 3-hop BFS over an undirected scale-10 R-MAT graph receives
+        at most 0.35x the scan bytes of the every-edge hop, and reaches
+        the same vertices at the same hops as the in-process BFS."""
+        src, dst, _ = rmat_graph(10, edge_factor=16, seed=1).to_coo()
+
+        def load(conn):
+            conn.create_table("T", splits=["v0256", "v0512", "v0768"])
+            with conn.batch_writer("T") as w:
+                for u, v in zip(src.tolist(), dst.tolist()):
+                    w.put(f"v{u:04d}", "", f"v{v:04d}", 1)
+            conn.compact("T")
+
+        seeds = ["v0001", "v0003", "v0017"]
+        local = _local_conn(n_servers=2)
+        load(local)
+        want = table_bfs(local, "T", seeds, 3)
+        assert len(want) > 300
+        name = "net.client.op.scan.bytes_received"
+        with LocalCluster(n_servers=2, processes=False) as c:
+            registry = MetricsRegistry()
+            conn = c.connect(metrics=registry)
+            try:
+                load(conn)
+                before = registry.export().get(name, 0)
+                got = table_bfs(conn, "T", seeds, 3)
+                mid = registry.export()[name]
+                every_edge = _every_edge_bfs(conn, "T", seeds, 3)
+                after = registry.export()[name]
+            finally:
+                conn.close()
+        assert got == want and every_edge == want
+        assert mid - before <= 0.35 * (after - mid)
 
 
 class TestUserStageLayers:

@@ -51,6 +51,9 @@ CATALOG = [
     IterSpec().reduce("sum", count=True),
     IterSpec().value_ge(2.0).apply("square").reduce("min"),
     IterSpec().column_filter(["v1", "v2", "v3"]).combiner("sum"),
+    IterSpec().distinct(),
+    IterSpec().value_ge(2.0).distinct(),
+    IterSpec([{"op": "distinct", "seen": ["v5", "v1"]}]),
 ]
 
 
@@ -135,6 +138,9 @@ class TestRejection:
         [{"op": "reduce", "fn": "prod"}],
         [{"op": "reduce", "fn": "sum", "qualifier": 7}],
         [{"op": "reduce", "fn": "sum"}, {"op": "combiner", "fn": "sum"}],
+        [{"op": "distinct"}, {"op": "combiner", "fn": "sum"}],
+        [{"op": "distinct", "seen": "v1"}],
+        [{"op": "distinct", "seen": [1]}],
     ], ids=lambda b: json.dumps(b)[:48])
     def test_bad_wire_forms_rejected(self, bad):
         with pytest.raises(IterSpecError):

@@ -11,6 +11,13 @@ of the list in the ``ranges`` field.  What must hold:
 * a resume or a split re-plan re-sends only the ranges that end after
   the resume row, and a re-planned scan still returns the per-range
   result;
+* a scan holding the ``distinct`` op, whose state crosses rows, reopens
+  with that state — the qualifiers its segment delivered, as the op's
+  ``seen`` list — and gives the fault-free result, which it does not
+  without them; a write that lands before the resume key between the
+  two opens drops no qualifier; re-planned over a split, a qualifier
+  repeats only across the two children; scanned range by range
+  (``coalesce=False``), each range keeps its own qualifiers;
 * a raw-wire SCAN whose ranges are unsorted or overlapping gets a typed
   ERROR frame, never a wrong answer;
 * SCANs are served by per-connection workers that are reused, not by a
@@ -27,7 +34,8 @@ from repro.dbsim.client import Connector
 from repro.dbsim.key import Range
 from repro.dbsim.server import Instance
 from repro.net import wire
-from repro.net.client import RemoteConnector, _RemoteScanStream
+from repro.net import client as net_client
+from repro.net.client import RemoteConnector, _RemoteScanStream, _Segment
 from repro.net.cluster import LocalCluster
 from repro.net.iterspec import IterSpec
 from repro.net.server import SCAN_CHUNK_CELLS
@@ -67,6 +75,28 @@ def _range_set(seed=3):
         if not out or out[-1].stop_row <= rng.start_row:
             out.append(rng)
     return out
+
+
+def _ingest_graph(conn, table="g"):
+    """One row per 10 of ``_ingest``'s, each with three qualifiers
+    drawn from 60: every qualifier recurs across rows and tablets, so
+    ``distinct`` keeps a few cells per tablet, mostly from early rows."""
+    rnd = random.Random(5)
+    conn.create_table(table, splits=SPLITS)
+    with conn.batch_writer(table) as w:
+        for i in range(0, N_CELLS, 10):
+            for q in rnd.sample(range(60), 3):
+                w.put(f"r{i:05d}", "f", f"q{q:02d}", i % 7)
+    conn.flush(table)
+    conn.compact(table)
+
+
+def _distinct(conn, ranges, table="g", seen=None):
+    spec = (IterSpec([{"op": "distinct", "seen": seen}]) if seen
+            else IterSpec().distinct())
+    return _snap(cell for b in conn.batch_scanner(
+        table, iterspec=spec).set_ranges(
+            ranges).scan_columns() for cell in b.cells())
 
 
 def _snap(cell_iter):
@@ -121,6 +151,78 @@ class TestFaultedRangeSetScan:
         assert registry.export()["net.client.scan_resumes"] > 0
 
 
+class TestSeededResume:
+    """Tiny CHUNKs and corrupt frames: many resumes inside a tablet."""
+
+    SPECS = ["scan:corrupt:0.3", "*:delay:0.05:0.002"]
+
+    def test_distinct_scan_resumes_exactly_and_not_without_seen(
+            self, monkeypatch):
+        ranges = _range_set()
+        local = Connector(Instance(n_servers=2, metrics=MetricsRegistry()))
+        _ingest_graph(local)
+        want = _distinct(local, ranges)
+        assert len(set(q for _, q, _, _ in want)) < len(want)
+        # a caller's own seen list survives the reopens' seen lists
+        seen = [f"q{q:02d}" for q in range(0, 60, 3)]
+        want_seeded = _distinct(local, ranges, seen=seen)
+        assert want_seeded == [c for c in want if c[1] not in seen]
+        monkeypatch.setattr("repro.net.server.SCAN_CHUNK_CELLS", 4)
+        registry = MetricsRegistry()
+        with LocalCluster(n_servers=2, processes=False,
+                          fault_specs=self.SPECS, fault_seed=42) as c:
+            conn = c.connect(metrics=registry)
+            try:
+                _ingest_graph(conn)
+                resumed = _distinct(conn, ranges)
+                seeded = _distinct(conn, ranges, seen=seen)
+                resumes = registry.export()["net.client.scan_resumes"]
+                # without the seen list a reopen's distinct starts over
+                # past the resume key, blind to what it already sent
+                init = _RemoteScanStream.__init__
+
+                def blind(pump, *args, **kwargs):
+                    init(pump, *args, **kwargs)
+                    pump._distinct = False
+                monkeypatch.setattr(_RemoteScanStream, "__init__", blind)
+                blinded = _distinct(conn, ranges)
+            finally:
+                conn.close()
+        assert resumes > 0
+        assert resumed == want  # timestamps included
+        assert seeded == want_seeded
+        assert blinded != want
+
+
+def _first_tablet_half(conn, ranges):
+    """The first tablet's ``distinct`` output over ``ranges``, cut in
+    two: (delivered, the rest), the delivered part spanning rows."""
+    first = [c for c in _distinct(conn, ranges) if c[0] < SPLITS[0]]
+    cut = len(first) // 2
+    assert first[0][0] < first[cut - 1][0]
+    return first[:cut], first[cut:]
+
+
+def _resumed_pump(conn, ranges, delivered):
+    """A ``distinct`` pump over ``ranges`` in the state a reopen after
+    ``delivered`` finds it in: resume key and the head's seen list."""
+    inst = conn.instance
+    pushdown, _ = net_client._ship(IterSpec().distinct().build_factories())
+    pump = _RemoteScanStream(
+        inst, "g", ranges,
+        [_Segment(p.addr, p.tablet_id, p.extent) for p in inst.tablets("g")],
+        pushdown)
+    row, qual, ts, _ = delivered[-1]
+    pump._resume = [row, "f", qual, "", ts, False]
+    pump._segments[0].seen = {q for _, q, _, _ in delivered}
+    return pump
+
+
+def _drain(pump):
+    return _snap(cell for b in iter(pump.next_batch, None)
+                 for cell in b.cells())
+
+
 @pytest.fixture(scope="module")
 def cluster():
     with LocalCluster(n_servers=2, processes=False) as c:
@@ -160,6 +262,95 @@ class TestReplan:
         # the stale segment answered NotHostedError after earlier
         # tablets had delivered: a re-plan past the resume row
         assert conn.registry.export()["net.client.relocates"] >= 1
+
+    def test_distinct_over_a_split_repeats_only_across_children(self, conn):
+        ranges = _range_set()
+        local = Connector(Instance(n_servers=2, metrics=MetricsRegistry()))
+        _ingest_graph(local)
+        want = _distinct(local, ranges)
+        _ingest_graph(conn)
+        batches = conn.instance.scan_columns(
+            "g", ranges, scan_iterators=IterSpec().distinct(
+            ).build_factories())
+        split = "r08005"
+        other = RemoteConnector(conn.instance.manager_addr)
+        try:
+            other.instance.add_split("g", split)
+        finally:
+            other.close()
+        got = _snap(cell for b in batches for cell in b.cells())
+        assert conn.registry.export()["net.client.relocates"] >= 1
+        assert {q for _, q, _, _ in got} == {q for _, q, _, _ in want}
+        # the tablets that did not split give exactly what they gave
+        last = SPLITS[-1]
+        assert [c for c in got if c[0] < last] == \
+            [c for c in want if c[0] < last]
+        # the split one: each child keeps one cell per qualifier, so a
+        # qualifier shows at most once on each side of the split row
+        for side in (lambda row: last <= row < split,
+                     lambda row: row >= split):
+            quals = [q for row, q, _, _ in got if side(row)]
+            assert len(quals) == len(set(quals))
+        tail = [q for row, q, _, _ in got if row >= last]
+        assert len(tail) > len(set(tail))  # some did repeat
+        # ... and the whole is the in-process scan of the split layout
+        local.instance.add_split("g", split)
+        assert got == _distinct(local, ranges)
+
+    def test_a_write_before_the_resume_key_drops_no_qualifier(self, conn):
+        """Between the first open and the reopen, a cell lands before the
+        resume key under a qualifier that was not yet delivered.  The
+        reopened stream still returns that qualifier's later cell: the
+        server skips the delivered prefix below the op, so the op never
+        sees the new cell."""
+        ranges = _range_set()
+        _ingest_graph(conn)
+        delivered, rest = _first_tablet_half(conn, ranges)
+        row, last = delivered[-1][:2]
+        qual = next(q for _, q, _, _ in rest if q < last)
+        with conn.batch_writer("g") as w:
+            w.put(row, "f", qual, 1)  # in the resume row, before the key
+        got = _drain(_resumed_pump(conn, ranges, delivered))
+        assert [c for c in got if c[0] < SPLITS[0]] == rest
+
+    def test_a_split_after_a_resume_seeds_both_children(self, conn):
+        ranges = _range_set()
+        _ingest_graph(conn)
+        delivered, rest = _first_tablet_half(conn, ranges)
+        pump = _resumed_pump(conn, ranges, delivered)
+        split = rest[len(rest) // 2][0]
+        other = RemoteConnector(conn.instance.manager_addr)
+        try:
+            other.instance.add_split("g", split)
+        finally:
+            other.close()
+        got = [c for c in _drain(pump) if c[0] < SPLITS[0]]
+        assert conn.registry.export()["net.client.relocates"] >= 1
+        # neither child repeats a delivered qualifier, and each keeps
+        # one cell per qualifier: a repeat only across the two
+        sent = {q for _, q, _, _ in delivered}
+        assert not sent & {q for _, q, _, _ in got}
+        for side in (lambda row: row < split, lambda row: row >= split):
+            quals = [q for row, q, _, _ in got if side(row)]
+            assert len(quals) == len(set(quals))
+        assert {q for _, q, _, _ in got} == {q for _, q, _, _ in rest}
+        assert [c for c in got if c[0] < split] == \
+            [c for c in rest if c[0] < split]
+
+    def test_an_uncoalesced_distinct_keeps_each_ranges_qualifiers(
+            self, conn):
+        """``distinct``'s output depends on the layout: scanned range by
+        range, each range is a scan of its own."""
+        ranges = _range_set()[:60]
+        local = Connector(Instance(n_servers=2, metrics=MetricsRegistry()))
+        for c in (local, conn):
+            _ingest_graph(c)
+            got = _snap(cell for b in c.batch_scanner(
+                "g", iterspec=IterSpec().distinct(), coalesce=False
+            ).set_ranges(ranges).scan_columns() for cell in b.cells())
+            per_range = [cell for r in ranges for cell in _distinct(c, [r])]
+            assert got == per_range
+            assert got != _distinct(c, ranges)
 
     def test_reopen_sends_only_ranges_past_the_resume_row(self):
         ranges = [Range.exact_row("a"), Range("c", "f"), Range("f", "k"),

@@ -61,6 +61,21 @@ class TestVisibilityScopedBFS:
         d = table_bfs(conn, "edges", ["v0"], hops=5, authorizations=BLUE)
         assert set(d) == {"v0", "v1", "v2", "v5"}
 
+    def test_filtered_bfs_reads_degrees_under_the_callers_auths(self, conn):
+        # v2's degree cell is labelled: only a caller holding "red" may
+        # see it, and so only such a caller may expand v2
+        conn.create_table("deg")
+        with conn.batch_writer("deg") as w:
+            for v in ("v0", "v1", "v3"):
+                w.put(v, "", "deg", 2)
+            w.put("v2", "", "deg", 2, visibility="red")
+        red = table_bfs(conn, "edges", ["v0"], hops=5, min_degree=2,
+                        degree_table_name="deg", authorizations=RED)
+        assert red == {"v0": 0, "v1": 1, "v2": 2, "v3": 3, "v4": 4}
+        public = table_bfs(conn, "edges", ["v0"], hops=5, min_degree=2,
+                           degree_table_name="deg")
+        assert public == {"v0": 0, "v1": 1, "v2": 2}
+
 
 class TestVisibilityScopedDegrees:
     def test_degree_tables_differ_per_analyst(self, conn):
