@@ -7,7 +7,7 @@ measurement is honest:
   cell-at-a-time (``buffer_size=1``: one locate + one single-mutation
   server write per cell, the pre-batching behaviour).
 * **BFS frontier fetch** — one coalesced `BatchScanner` stack seek per
-  tablet vs one seek per frontier row (``coalesce=False``).
+  tablet vs one seek per frontier row (one scanner per row).
 
 Both comparisons first assert bit-identical scan output (keys, values
 *and timestamps*), then record rates, speedups and seek counts to a
@@ -123,11 +123,12 @@ class TestBFSScan:
         conn.compact("A")
         return conn
 
-    def frontier_fetch(self, conn, frontier, coalesce):
-        bs = conn.batch_scanner("A", coalesce=coalesce)
-        bs.set_ranges([Range.exact_row(v) for v in frontier])
+    def frontier_fetch(self, conn, frontier, coalesced):
+        ranges = [Range.exact_row(v) for v in frontier]
+        sets = [ranges] if coalesced else [[r] for r in ranges]
         return [(c.key.row, c.key.qualifier, c.key.timestamp, c.value)
-                for c in bs]
+                for rngs in sets
+                for c in conn.batch_scanner("A").set_ranges(rngs)]
 
     def test_coalesced_frontier_fetch_identical_and_fewer_seeks(
             self, graph_conn, capsys):

@@ -22,7 +22,6 @@ from repro.obs import global_registry
 from repro.semiring import LOR_LAND, MIN_PLUS, PLUS_PAIR
 from repro.sparse import (
     DEFAULT_EXPANSION_BUDGET,
-    blocked_mxm,
     ewise_add,
     ewise_mult,
     from_dense,
@@ -138,10 +137,6 @@ class TestSpGEMM:
     def test_budget(self, benchmark, hub_pair, label):
         a, ref = hub_pair
         assert_bit_identical(benchmark(self._run, a, label), ref)
-
-    def test_parallel_shared_memory(self, benchmark, hub_pair):
-        a, ref = hub_pair
-        assert_bit_identical(benchmark(blocked_mxm, a, a, 4, 2), ref)
 
     def test_record_budget_timings(self, hub_pair):
         """Best-of-3 wall time per budget on the hub workload plus the

@@ -1,9 +1,8 @@
-"""Parallel-driver benchmarks: process-pool sweeps and blocked SpGEMM.
+"""Parallel-driver benchmarks: process-pool per-source sweeps.
 
 Shape of interest: per-source sweeps (betweenness / SSSP) parallelise
-near-linearly because each source is independent; blocked SpGEMM pays
-pickling overhead, so it only wins when blocks are large — both shapes
-are printed for the reader.
+near-linearly because each source is independent, against the serial
+betweenness sweep as the reference point.
 """
 
 import numpy as np
@@ -11,8 +10,6 @@ import pytest
 
 from repro.algorithms.centrality import betweenness_centrality
 from repro.parallel import parallel_betweenness, parallel_sssp_matrix
-from repro.sparse import mxm
-from repro.sparse.blocked import blocked_mxm
 
 
 class TestParallelBetweenness:
@@ -39,23 +36,3 @@ class TestParallelSSSP:
                                  kwargs={"workers": workers},
                                  rounds=1, iterations=1)
         assert out.shape == (a.nrows, a.nrows)
-
-
-class TestBlockedSpGEMM:
-    def test_monolithic(self, benchmark, rmat_medium):
-        a, _, _ = rmat_medium
-        c = benchmark(mxm, a, a)
-        assert c.nnz > 0
-
-    @pytest.mark.parametrize("n_blocks", [4, 16])
-    def test_blocked_serial(self, benchmark, rmat_medium, n_blocks):
-        a, _, _ = rmat_medium
-        c = benchmark(blocked_mxm, a, a, n_blocks)
-        assert c.equal(mxm(a, a))
-
-    def test_blocked_process_pool(self, benchmark, rmat_medium):
-        a, _, _ = rmat_medium
-        c = benchmark.pedantic(blocked_mxm, args=(a, a),
-                               kwargs={"n_blocks": 4, "workers": 4},
-                               rounds=1, iterations=1)
-        assert c.equal(mxm(a, a))

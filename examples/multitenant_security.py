@@ -21,9 +21,8 @@ from repro.dbsim import (
     table_bfs,
     table_to_assoc,
 )
-from repro.dbsim.key import decode_number
+from repro.dbsim.key import Range, decode_number
 from repro.dbsim.server import Instance
-from repro.dbsim.shell import Shell
 
 
 def put_edge(w, u, v, vis=""):
@@ -68,15 +67,16 @@ def main() -> None:
                 for c in conn.scanner(f"deg_{suffix}")}
         print(f"  deg_{suffix}: {degs}")
 
-    print("\nthe same table through the shell, two clearances:")
-    sh = Shell(conn)
-    sh.execute("table edges")
-    print("  scan (public):")
-    for line in sh.execute("scan -b v4 -e v6").splitlines() or ["  (nothing)"]:
-        print(f"    {line}")
-    print("  scan -s red,blue:")
-    for line in sh.execute("scan -b v4 -e v6 -s red,blue").splitlines():
-        print(f"    {line}")
+    print("\nthe same table through a scanner, two clearances:")
+    for name, auths in (("public", None),
+                        ("red,blue", analysts["red+blue "])):
+        print(f"  scan ({name}):")
+        scanner = conn.scanner("edges", authorizations=auths)
+        lines = [f"{c.key.row} {c.key.family}:{c.key.qualifier} "
+                 f"[{c.key.visibility}]\t{c.value}"
+                 for c in scanner.set_range(Range("v4", "v6"))]
+        for line in lines or ["  (nothing)"]:
+            print(f"    {line}")
 
 
 if __name__ == "__main__":

@@ -74,11 +74,9 @@ class Connector:
     def batch_scanner(self, table: str,
                       scan_iterators: Sequence[Layer] = (),
                       authorizations: Authorizations = None,
-                      coalesce: Optional[bool] = None,
                       iterspec=None) -> "BatchScanner":
         return BatchScanner(self, table, scan_iterators,
-                            authorizations=authorizations, coalesce=coalesce,
-                            iterspec=iterspec)
+                            authorizations=authorizations, iterspec=iterspec)
 
     def batch_writer(self, table: str, buffer_size: int = 10_000,
                      max_memory: int = 4 << 20) -> "BatchWriter":
@@ -175,20 +173,16 @@ class BatchScanner(_RangeSetScan):
     the per-range path, except under a ``distinct`` op: it keeps the
     first cell of each qualifier per scan, so a coalesced scan dedups
     across each tablet's share of the set, and the per-range path
-    within each range.  ``coalesce`` forces the choice: ``None``
-    auto-detects, ``False`` always scans range by range (the only way
-    to scan unsorted or overlapping ranges), ``True`` requires sorted
-    disjoint ranges (raises otherwise).
+    within each range.  Unsorted or overlapping ranges are scanned
+    range by range, each as a set of one.
     """
 
     def __init__(self, conn: Connector, table: str,
                  scan_iterators: Sequence[Layer] = (),
                  authorizations: Authorizations = None,
-                 coalesce: Optional[bool] = None,
                  iterspec=None):
         super().__init__(conn, table, scan_iterators, authorizations,
                          iterspec)
-        self._coalesce = coalesce
         self.ranges: List[Range] = []
 
     def set_ranges(self, ranges: Iterable[Range]) -> "BatchScanner":
@@ -197,19 +191,12 @@ class BatchScanner(_RangeSetScan):
             raise ValueError("BatchScanner needs at least one range")
         return self
 
-    def _use_coalesced(self) -> bool:
-        if self._coalesce is None:
-            return sorted_disjoint(self.ranges)
-        if self._coalesce and not sorted_disjoint(self.ranges):
-            raise ValueError(
-                "coalesce=True requires sorted, disjoint ranges")
-        return self._coalesce
-
     def _run(self, scan, size):
-        """``scan`` over the whole set when coalesced, else over each
-        range as a set of one, under the ``dbsim.batch_scan`` span
-        (``entries`` counts cells, ``size`` of each item yielded)."""
-        coalesced = self._use_coalesced()
+        """``scan`` over the whole set when the ranges are sorted and
+        disjoint, else over each range as a set of one, under the
+        ``dbsim.batch_scan`` span (``entries`` counts cells, ``size``
+        of each item yielded)."""
+        coalesced = sorted_disjoint(self.ranges)
         sets = [self.ranges] if coalesced else [(r,) for r in self.ranges]
         if not _trace.ENABLED:
             for ranges in sets:

@@ -1,24 +1,16 @@
-"""Process-pool sweep drivers and shared-memory array hand-off.
+"""Process-pool sweep drivers.
 
 All worker functions are module level (picklable); each takes one
 self-contained argument tuple, computes a chunk, and the driver
 combines chunk results.  ``workers=1`` short-circuits to serial
 execution — no pool, no pickling — which is also the safe default for
 small inputs where process startup would dominate.
-
-For fan-outs where every task reads the *same* large arrays (e.g. the
-B operand of a blocked SpGEMM), pickling the arrays once per task is
-the dominant cost.  :func:`share_arrays` publishes a dict of ndarrays
-into ``multiprocessing.shared_memory`` segments once; workers call
-:func:`attach_arrays` on the picklable metadata and get zero-copy
-views.  The owner releases the segments with :func:`unlink_arrays`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import shared_memory
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -78,93 +70,6 @@ def parallel_map(fn: Callable, args_list: Sequence, workers: int = 1,
             timer.merge(t)
             results.append(result)
         return results
-
-
-# -- shared-memory array hand-off --------------------------------------------
-
-#: picklable description of one shared segment: (shm name, shape, dtype str)
-ShmMeta = Dict[str, Tuple[str, Tuple[int, ...], str]]
-
-
-def share_arrays(arrays: Dict[str, np.ndarray]
-                 ) -> Tuple[List[shared_memory.SharedMemory], ShmMeta]:
-    """Copy each array into a named shared-memory segment.
-
-    Returns the live segment handles (keep them referenced until every
-    worker is done, then pass to :func:`unlink_arrays`) and the
-    picklable metadata workers feed to :func:`attach_arrays`.
-    """
-    handles: List[shared_memory.SharedMemory] = []
-    meta: ShmMeta = {}
-    try:
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            shm = shared_memory.SharedMemory(create=True,
-                                             size=max(arr.nbytes, 1))
-            handles.append(shm)
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-            view[...] = arr
-            meta[name] = (shm.name, arr.shape, arr.dtype.str)
-    except Exception:
-        unlink_arrays(handles)
-        raise
-    return handles, meta
-
-
-def attach_arrays(meta: ShmMeta
-                  ) -> Tuple[Dict[str, np.ndarray],
-                             List[shared_memory.SharedMemory]]:
-    """Zero-copy views onto segments published by :func:`share_arrays`.
-
-    The returned handles must stay referenced while the views are in
-    use, then be ``close()``d (never unlinked — the sharing process
-    owns the segments).
-    """
-    arrays: Dict[str, np.ndarray] = {}
-    handles: List[shared_memory.SharedMemory] = []
-    try:
-        for name, (shm_name, shape, dtype) in meta.items():
-            shm = _attach_untracked(shm_name)
-            handles.append(shm)
-            arrays[name] = np.ndarray(shape, dtype=np.dtype(dtype),
-                                      buffer=shm.buf)
-    except Exception:
-        for h in handles:
-            h.close()
-        raise
-    return arrays, handles
-
-
-def unlink_arrays(handles: Sequence[shared_memory.SharedMemory]) -> None:
-    """Close and destroy segments created by :func:`share_arrays`."""
-    for shm in handles:
-        try:
-            shm.close()
-            shm.unlink()
-        except FileNotFoundError:  # already gone — unlink is best-effort
-            pass
-
-
-def _attach_untracked(shm_name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker side effects.
-
-    Before Python 3.13 (bpo-38119) merely *attaching* registers the
-    segment for unlink-at-exit: a pool worker exiting would then tear
-    down (or warn about) memory the sharing process still owns.
-    Attached segments are owned elsewhere, so registration is
-    suppressed for the duration of the attach.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda name, rtype: None
-        try:
-            return shared_memory.SharedMemory(name=shm_name, create=False)
-        finally:
-            resource_tracker.register = original
-    except ImportError:  # pragma: no cover - tracker is CPython-standard
-        return shared_memory.SharedMemory(name=shm_name, create=False)
 
 
 # -- module-level chunk workers (must be picklable) --------------------------

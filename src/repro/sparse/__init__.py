@@ -54,7 +54,6 @@ from repro.sparse.apply import apply, prune, scale
 from repro.sparse.reduce import reduce_cols, reduce_rows, reduce_scalar
 from repro.sparse.kron import kron
 from repro.sparse.symmetric import mxm_triu, symmetric_square_upper
-from repro.sparse.blocked import blocked_mxm, row_blocks, vstack
 from repro.sparse.io import (
     read_matrix_market,
     read_tsv_matrix,
@@ -102,7 +101,4 @@ __all__ = [
     "read_tsv_matrix",
     "write_matrix_market",
     "write_tsv_matrix",
-    "blocked_mxm",
-    "row_blocks",
-    "vstack",
 ]

@@ -252,3 +252,123 @@ class TestTableOps:
         conn.compact("t")
         for t in conn.instance.tablets("t"):
             assert len(t.sstables) <= 1
+
+
+def _lines(cells):
+    """One ``row family:qualifier [visibility]\\tvalue`` line per cell —
+    the listing ``examples/multitenant_security.py`` prints."""
+    return [f"{c.key.row} {c.key.family}:{c.key.qualifier} "
+            f"[{c.key.visibility}]\t{c.value}" for c in cells]
+
+
+class TestTableLifecycle:
+    def test_list_tables_after_create_and_delete(self, conn):
+        conn.create_table("t2")
+        conn.create_table("t1")
+        assert conn.instance.list_tables() == ["t", "t1", "t2"]
+        conn.delete_table("t1")
+        assert conn.instance.list_tables() == ["t", "t2"]
+
+    def test_create_existing_table_rejected(self, conn):
+        with pytest.raises(ValueError, match="already exists"):
+            conn.create_table("t")
+        assert [c.value for c in conn.scanner("t")] == ["1", "2", "3", "4"]
+
+    def test_missing_table_raises_key_error(self, conn):
+        with pytest.raises(KeyError, match="no such table"):
+            list(conn.scanner("nope"))
+        with pytest.raises(KeyError, match="no such table"):
+            conn.delete_table("nope")
+
+    def test_recreated_table_starts_empty(self, conn):
+        conn.delete_table("t")
+        conn.create_table("t")
+        assert list(conn.scanner("t")) == []
+
+
+class TestDataPath:
+    def test_scan_lines_in_key_order(self, conn):
+        conn.create_table("d")
+        with conn.batch_writer("d") as w:
+            w.put("r2", "f", "q1", 7)
+            w.put("r1", "f", "q1", 5)
+        assert _lines(conn.scanner("d")) == ["r1 f:q1 []\t5",
+                                             "r2 f:q1 []\t7"]
+
+    def test_range_is_half_open(self, conn):
+        conn.create_table("d")
+        with conn.batch_writer("d") as w:
+            for r in ("a", "b", "c"):
+                w.put(r, "f", "q", 1)
+        scanner = conn.scanner("d").set_range(Range("b", "c"))
+        assert _lines(scanner) == ["b f:q []\t1"]
+
+    def test_delete_hides_cell_through_flush_and_compact(self, conn):
+        conn.create_table("d")
+        with conn.batch_writer("d") as w:
+            w.put("r", "f", "q", 5)
+            w.put("r", "f", "keep", 6)
+        with conn.batch_writer("d") as w:
+            w.delete("r", "f", "q")
+        assert _lines(conn.scanner("d")) == ["r f:keep []\t6"]
+        conn.flush("d")
+        conn.compact("d")
+        assert _lines(conn.scanner("d")) == ["r f:keep []\t6"]
+
+    def test_labelled_cell_needs_authorizations(self, conn):
+        conn.create_table("d")
+        with conn.batch_writer("d") as w:
+            w.put("r", "f", "q", "secretvalue", visibility="red")
+            w.put("r", "f", "q2", "open")
+        assert _lines(conn.scanner("d")) == ["r f:q2 []\topen"]
+        red = conn.scanner("d", authorizations=Authorizations(["red"]))
+        assert _lines(red) == ["r f:q [red]\tsecretvalue",
+                               "r f:q2 []\topen"]
+        blue = conn.scanner("d", authorizations=Authorizations(["blue"]))
+        assert _lines(blue) == ["r f:q2 []\topen"]
+
+    @pytest.mark.parametrize("auths, seen", [
+        ((), []),
+        (("red",), ["either"]),
+        (("blue",), ["either"]),
+        (("red", "blue"), ["both", "either"]),
+    ])
+    def test_visibility_expressions(self, conn, auths, seen):
+        conn.create_table("d")
+        with conn.batch_writer("d") as w:
+            w.put("r", "f", "q1", "both", visibility="red&blue")
+            w.put("r", "f", "q2", "either", visibility="red|blue")
+        scanner = conn.scanner("d", authorizations=Authorizations(auths))
+        assert [c.value for c in scanner] == seen
+
+    def test_delete_targets_one_visibility(self, conn):
+        conn.create_table("d")
+        with conn.batch_writer("d") as w:
+            w.put("r", "f", "q", "open")
+            w.put("r", "f", "q", "secret", visibility="red")
+        with conn.batch_writer("d") as w:
+            w.delete("r", "f", "q", visibility="red")
+        scanner = conn.scanner("d", authorizations=Authorizations(["red"]))
+        assert _lines(scanner) == ["r f:q []\topen"]
+
+
+class TestMaintenance:
+    def test_entry_estimate_after_flush_and_compact(self, conn):
+        conn.create_table("d")
+        with conn.batch_writer("d") as w:
+            w.put("r", "f", "q", 1)
+        conn.flush("d")
+        conn.compact("d")
+        assert conn.instance.table_entry_estimate("d") == 1
+
+    def test_repeated_split_is_one_split(self, conn):
+        conn.create_table("d")
+        with conn.batch_writer("d") as w:
+            for r in ("a", "m", "z"):
+                w.put(r, "f", "q", r)
+        conn.add_split("d", "m")
+        conn.add_split("d", "m")
+        assert len(conn.instance.tablets("d")) == 2
+        conn.add_split("d", "t")
+        assert len(conn.instance.tablets("d")) == 3
+        assert [c.value for c in conn.scanner("d")] == ["a", "m", "z"]

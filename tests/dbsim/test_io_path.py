@@ -332,10 +332,11 @@ class TestBatchScannerCoalescing:
     def test_coalesced_output_identical_to_per_range(self):
         conn = self.setup_graph()
         ranges = [Range.exact_row(f"v{i:02d}") for i in range(0, 40, 3)]
-        fast = conn.batch_scanner("t", coalesce=True).set_ranges(ranges)
-        slow = conn.batch_scanner("t", coalesce=False).set_ranges(ranges)
-        snap = lambda bs: [(c.key.row, c.key.qualifier, c.key.timestamp,
-                            c.value) for c in bs]
+        fast = conn.batch_scanner("t").set_ranges(ranges)
+        slow = [c for r in ranges
+                for c in conn.batch_scanner("t").set_ranges([r])]
+        snap = lambda cells: [(c.key.row, c.key.qualifier, c.key.timestamp,
+                               c.value) for c in cells]
         assert snap(fast) == snap(slow)
 
     def test_one_stack_seek_per_tablet(self):
@@ -344,36 +345,60 @@ class TestBatchScannerCoalescing:
         # 14 sorted point ranges across all 4 tablets
         ranges = [Range.exact_row(f"v{i:02d}") for i in range(0, 40, 3)]
         before = inst.total_stats().snapshot()
-        list(conn.batch_scanner("t", coalesce=True).set_ranges(ranges))
+        list(conn.batch_scanner("t").set_ranges(ranges))
         delta = inst.total_stats().delta(before)
         # compacted: each tablet stack = memtable + 1 run = 2 seeks;
         # 4 tablets -> 8 seeks total, NOT 2 per range (28)
         assert delta.seeks == 2 * 4
 
     def test_per_range_path_seeks_per_range(self):
+        # unsorted ranges select the per-range path
         conn = self.setup_graph()
         inst = conn.instance
-        ranges = [Range.exact_row(f"v{i:02d}") for i in range(0, 40, 3)]
+        ranges = [Range.exact_row(f"v{i:02d}") for i in range(39, -1, -3)]
         before = inst.total_stats().snapshot()
-        list(conn.batch_scanner("t", coalesce=False).set_ranges(ranges))
+        list(conn.batch_scanner("t").set_ranges(ranges))
         delta = inst.total_stats().delta(before)
         assert delta.seeks == 2 * len(ranges)
 
     def test_auto_detection(self):
         conn = self.setup_graph()
         sorted_rngs = [Range.exact_row("v01"), Range.exact_row("v05")]
-        unsorted_rngs = [Range.exact_row("v05"), Range.exact_row("v01")]
-        assert conn.batch_scanner("t").set_ranges(sorted_rngs) \
-            ._use_coalesced()
-        assert not conn.batch_scanner("t").set_ranges(unsorted_rngs) \
-            ._use_coalesced()
+        sink = trace.InMemorySink()
+        trace.enable(sink)
+        try:
+            for rngs in (sorted_rngs, sorted_rngs[::-1]):
+                list(conn.batch_scanner("t").set_ranges(rngs))
+        finally:
+            trace.disable()
+            trace.set_sink(trace.NullSink())
+        assert [s["attrs"]["coalesced"]
+                for s in sink.spans("dbsim.batch_scan")] == [True, False]
 
-    def test_coalesce_true_requires_sorted_disjoint(self):
+    @pytest.mark.parametrize("ranges, coalesced", [
+        ([Range("v00", "v05"), Range("v05", "v12")], True),
+        ([Range(None, "v03"), Range("v31", None)], True),
+        ([Range("v12", "v25")], True),
+        ([Range("v00", "v12"), Range("v08", "v15")], False),
+        ([Range("v21", "v24"), Range("v02", "v04")], False),
+        ([Range("v02", "v04"), Range(None, "v01")], False),
+    ], ids=["touching", "open-ends", "single", "overlapping", "reversed",
+            "open-start-later"])
+    def test_path_follows_the_input(self, ranges, coalesced):
+        # the input alone picks the path; both keep the caller's
+        # per-range order, an overlap returning its rows twice
         conn = self.setup_graph()
-        bs = conn.batch_scanner("t", coalesce=True).set_ranges(
-            [Range.exact_row("v05"), Range.exact_row("v01")])
-        with pytest.raises(ValueError):
-            list(bs)
+        sink = trace.InMemorySink()
+        trace.enable(sink)
+        try:
+            out = list(conn.batch_scanner("t").set_ranges(ranges))
+        finally:
+            trace.disable()
+            trace.set_sink(trace.NullSink())
+        (span,) = sink.spans("dbsim.batch_scan")
+        assert span["attrs"]["coalesced"] is coalesced
+        per_range = [c for r in ranges for c in conn.scanner("t").set_range(r)]
+        assert out == per_range
 
     def test_bfs_seeks_bounded_per_tablet_per_hop(self):
         from repro.dbsim.graphulo import table_bfs
@@ -421,12 +446,16 @@ class TestBatchScannerCoalescing:
         ranges = [Range.exact_row(f"v{i:02d}") for i in range(0, 40, 3)]
         reads = {}
         for name, scan in [
-                ("coalesced", lambda bs: list(bs)),
-                ("columnar", lambda bs: list(bs.scan_columns())),
-                ("per-range", lambda bs: list(bs))]:
+                ("coalesced", lambda: list(
+                    conn.batch_scanner("t").set_ranges(ranges))),
+                ("columnar", lambda: list(
+                    conn.batch_scanner("t").set_ranges(ranges)
+                    .scan_columns())),
+                ("per-range", lambda: [
+                    c for r in ranges
+                    for c in conn.batch_scanner("t").set_ranges([r])])]:
             before = inst.total_stats().snapshot()
-            scan(conn.batch_scanner(
-                "t", coalesce=name != "per-range").set_ranges(ranges))
+            scan()
             reads[name] = inst.total_stats().delta(before).entries_read
         assert reads == {"coalesced": 14, "columnar": 14, "per-range": 14}
 

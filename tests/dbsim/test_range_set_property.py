@@ -2,7 +2,7 @@
 
 A coalesced ``BatchScanner`` hands every tablet its share of the sorted,
 disjoint range list and the tablet slices exactly those rows out of its
-runs; ``coalesce=False`` scans the same ranges one at a time.  Every
+runs; one scanner per range scans the same ranges one at a time.  Every
 example builds a random table — a memtable over at least three flushed
 runs, tombstones between versions, an empty tablet in the middle — and a
 random range set (exact rows, prefixes, spans that straddle split
@@ -121,17 +121,17 @@ def test_range_set_scan_equals_per_range_scans(backends, written, ranges,
         table = next(_names)
         _load(conn, table, CONFIGS[config](), written)
         try:
-            def scanner(coalesce):
-                bs = conn.batch_scanner(table, coalesce=coalesce,
-                                        iterspec=SPECS[spec])
+            def scanner(rngs):
+                bs = conn.batch_scanner(table, iterspec=SPECS[spec])
                 bs.columns = [("", column)] if column else None
-                return bs.set_ranges(ranges)
+                return bs.set_ranges(rngs)
 
-            want = _snap(scanner(False))
-            assert _snap(scanner(True)) == want
-            assert _snap(cell for batch in scanner(True).scan_columns()
+            want = _snap(cell for r in ranges for cell in scanner([r]))
+            assert _snap(scanner(ranges)) == want
+            assert _snap(cell for batch in scanner(ranges).scan_columns()
                          for cell in batch.cells()) == want
-            assert _snap(cell for batch in scanner(False).scan_columns()
+            assert _snap(cell for r in ranges
+                         for batch in scanner([r]).scan_columns()
                          for cell in batch.cells()) == want
             results[backend] = want
         finally:

@@ -84,13 +84,11 @@ class TestScanColumnsEquivalence:
         conn = _local_conn()
         _ingest_graph(conn)
         ranges = [Range.exact_row(f"v{i}") for i in range(0, 9, 2)]
-        for coalesce in (True, False):
-            bs = conn.batch_scanner("E", coalesce=coalesce)
-            bs.set_ranges(ranges)
-            want = list(bs)
-            bs = conn.batch_scanner("E", coalesce=coalesce)
-            bs.set_ranges(ranges)
-            got = [c for b in bs.scan_columns() for c in b.cells()]
+        # sorted: one range set; reversed: range by range
+        for rngs in (ranges, ranges[::-1]):
+            want = list(conn.batch_scanner("E").set_ranges(rngs))
+            got = [c for b in conn.batch_scanner("E").set_ranges(rngs)
+                   .scan_columns() for c in b.cells()]
             assert got == want
 
     def test_bare_callable_layer_rejected_at_construction(self):

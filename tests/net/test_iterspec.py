@@ -239,31 +239,28 @@ class TestRemoteBitIdentity:
         spec = IterSpec().value_ge(2.0).reduce("sum", count=True)
         ranges = [Range.exact_row(f"v{i}") for i in range(0, 9, 2)]
 
+        # one range set, and one scanner per range
+        layouts = ([ranges], [[r] for r in ranges])
+
+        def scan(conn, sets, drain=list):
+            return [cl for rngs in sets for cl in drain(
+                conn.batch_scanner("E", iterspec=spec).set_ranges(rngs))]
+
         local = _local_conn()
         _ingest(local)
-        wants = {}
-        for coalesce in (True, False):
-            bs = local.batch_scanner("E", coalesce=coalesce, iterspec=spec)
-            bs.set_ranges(ranges)
-            wants[coalesce] = list(bs)
-        assert wants[True] == wants[False]
+        want = scan(local, layouts[0])
+        assert scan(local, layouts[1]) == want
 
         with LocalCluster(n_servers=3, processes=processes,
                           fault_specs=SPECS, fault_seed=SEED) as c:
             conn = c.connect()
             try:
                 _ingest(conn)
-                for coalesce in (True, False):
-                    bs = conn.batch_scanner("E", coalesce=coalesce,
-                                            iterspec=spec)
-                    bs.set_ranges(ranges)
-                    assert list(bs) == wants[coalesce]
-                    bs = conn.batch_scanner("E", coalesce=coalesce,
-                                            iterspec=spec)
-                    bs.set_ranges(ranges)
-                    got = [cl for b in bs.scan_columns()
-                           for cl in b.cells()]
-                    assert got == wants[coalesce]
+                for sets in layouts:
+                    assert scan(conn, sets) == want
+                    got = scan(conn, sets, lambda bs: [
+                        cl for b in bs.scan_columns() for cl in b.cells()])
+                    assert got == want
             finally:
                 conn.close()
 

@@ -17,7 +17,7 @@ of the list in the ``ranges`` field.  What must hold:
   without them; a write that lands before the resume key between the
   two opens drops no qualifier; re-planned over a split, a qualifier
   repeats only across the two children; scanned range by range
-  (``coalesce=False``), each range keeps its own qualifiers;
+  (unsorted ranges), each range keeps its own qualifiers;
 * a raw-wire SCAN whose ranges are unsorted or overlapping gets a typed
   ERROR frame, never a wrong answer;
 * SCANs are served by per-connection workers that are reused, not by a
@@ -91,6 +91,12 @@ def _ingest_graph(conn, table="g"):
     conn.compact(table)
 
 
+def _per_range(conn, table, ranges, **kw):
+    """The per-range oracle: one scanner per range, in the order given."""
+    return [cell for r in ranges
+            for cell in conn.batch_scanner(table, **kw).set_ranges([r])]
+
+
 def _distinct(conn, ranges, table="g", seen=None):
     spec = (IterSpec([{"op": "distinct", "seen": seen}]) if seen
             else IterSpec().distinct())
@@ -122,12 +128,12 @@ class TestFaultedRangeSetScan:
     def test_resumes_without_duplicates_or_gaps(self, reference, processes):
         ranges = _range_set()
 
-        def scan(conn, coalesce, **kw):
-            return conn.batch_scanner("t", coalesce=coalesce,
-                                      **kw).set_ranges(ranges)
+        def scan(conn, **kw):
+            return conn.batch_scanner("t", **kw).set_ranges(ranges)
 
-        want = _snap(scan(reference, False))
-        want_spec = _snap(scan(reference, False, iterspec=self.SPEC))
+        want = _snap(_per_range(reference, "t", ranges))
+        want_spec = _snap(_per_range(reference, "t", ranges,
+                                     iterspec=self.SPEC))
         assert len(want) > 4 * SCAN_CHUNK_CELLS
         registry = MetricsRegistry()
         with LocalCluster(n_servers=2, processes=processes,
@@ -135,12 +141,12 @@ class TestFaultedRangeSetScan:
             conn = c.connect(metrics=registry)
             try:
                 _ingest(conn)
-                per_cell = _snap(scan(conn, True))
+                per_cell = _snap(scan(conn))
                 columnar = _snap(
-                    cell for b in scan(conn, True).scan_columns()
+                    cell for b in scan(conn).scan_columns()
                     for cell in b.cells())
                 pushed = _snap(
-                    cell for b in scan(conn, True,
+                    cell for b in scan(conn,
                                        iterspec=self.SPEC).scan_columns()
                     for cell in b.cells())
             finally:
@@ -243,8 +249,7 @@ def conn(cluster):
 class TestReplan:
     def test_split_inside_a_requested_range_mid_scan(self, conn, reference):
         ranges = _range_set()
-        want = _snap(reference.batch_scanner(
-            "t", coalesce=False).set_ranges(ranges))
+        want = _snap(_per_range(reference, "t", ranges))
         _ingest(conn)
         # planned on four tablets, nothing opened yet ...
         batches = conn.instance.scan_columns("t", ranges)
@@ -340,17 +345,19 @@ class TestReplan:
     def test_an_uncoalesced_distinct_keeps_each_ranges_qualifiers(
             self, conn):
         """``distinct``'s output depends on the layout: scanned range by
-        range, each range is a scan of its own."""
+        range (the unsorted ranges' path), each range is a scan of its
+        own."""
         ranges = _range_set()[:60]
         local = Connector(Instance(n_servers=2, metrics=MetricsRegistry()))
         for c in (local, conn):
             _ingest_graph(c)
             got = _snap(cell for b in c.batch_scanner(
-                "g", iterspec=IterSpec().distinct(), coalesce=False
-            ).set_ranges(ranges).scan_columns() for cell in b.cells())
-            per_range = [cell for r in ranges for cell in _distinct(c, [r])]
+                "g", iterspec=IterSpec().distinct()
+            ).set_ranges(ranges[::-1]).scan_columns() for cell in b.cells())
+            per_range = [cell for r in ranges[::-1]
+                         for cell in _distinct(c, [r])]
             assert got == per_range
-            assert got != _distinct(c, ranges)
+            assert sorted(got) != sorted(_distinct(c, ranges))
 
     def test_reopen_sends_only_ranges_past_the_resume_row(self):
         ranges = [Range.exact_row("a"), Range("c", "f"), Range("f", "k"),

@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 from repro.obs import InMemorySink, trace
 from repro.semiring import MIN_PLUS, PLUS_PAIR
 from repro.semiring.builtin import MAX_MONOID, MIN_MONOID, PLUS_MONOID
-from repro.sparse import blocked_mxm, from_dense, mxm, zeros
+from repro.sparse import from_dense, mxm, zeros
 from repro.sparse.construct import _coo_to_csr
 from repro.sparse.matrix import Matrix
 from repro.sparse.spgemm import (
@@ -91,10 +91,9 @@ class TestKernelSurface:
         """The budget is the kernel's only execution knob."""
         assert list(inspect.signature(mxm).parameters) == [
             "a", "b", "semiring", "mask", "expansion_budget"]
-        for fn in (Matrix.mxm, blocked_mxm):
-            params = inspect.signature(fn).parameters
-            assert "strategy" not in params
-            assert "expansion_budget" not in params
+        params = inspect.signature(Matrix.mxm).parameters
+        assert "strategy" not in params
+        assert "expansion_budget" not in params
 
     def test_matrix_method_passthrough(self, random_sparse):
         a, _ = random_sparse(6, 6, seed=4)
@@ -113,6 +112,61 @@ class TestKernelSurface:
         b = from_dense([[0.0], [3.0]])
         assert_bit_identical(mxm(a, b, expansion_budget=budget),
                              esc_mxm(a, b))
+
+
+class TestRowIndependence:
+    """A row block of ``A`` times ``B`` is that row block of ``A·B``,
+    bit for bit — what lets each tablet of ``AT`` multiply its own
+    rows on its own server."""
+
+    @staticmethod
+    def _blocks(nrows, n_blocks):
+        return [blk for blk in np.array_split(np.arange(nrows), n_blocks)
+                if len(blk)]
+
+    @pytest.mark.parametrize("n_blocks", [1, 3, 8, 20])
+    def test_tablet_rows_of_product(self, random_sparse, n_blocks):
+        a, _ = random_sparse(12, 9, seed=4)
+        b, _ = random_sparse(9, 7, seed=5)
+        c = mxm(a, b)
+        for blk in self._blocks(a.nrows, n_blocks):
+            assert_bit_identical(mxm(a.extract(rows=blk), b),
+                                 c.extract(rows=blk))
+
+    def test_tablet_rows_min_plus(self, random_sparse):
+        a, _ = random_sparse(8, 8, seed=6)
+        c = mxm(a, a, semiring=MIN_PLUS)
+        for blk in self._blocks(a.nrows, 3):
+            assert_bit_identical(
+                mxm(a.extract(rows=blk), a, semiring=MIN_PLUS),
+                c.extract(rows=blk))
+
+    def test_tablet_rows_masked(self, random_sparse):
+        a, _ = random_sparse(10, 10, seed=9)
+        m, _ = random_sparse(10, 10, density=0.5, seed=10)
+        c = mxm(a, a, mask=m)
+        assert 0 < c.nnz < mxm(a, a).nnz
+        for blk in self._blocks(a.nrows, 4):
+            assert_bit_identical(
+                mxm(a.extract(rows=blk), a, mask=m.extract(rows=blk)),
+                c.extract(rows=blk))
+
+    @pytest.mark.parametrize("budget", [1, 7, None])
+    def test_tablet_rows_under_budget(self, random_sparse, budget):
+        a, _ = random_sparse(16, 10, seed=7)
+        b, _ = random_sparse(10, 5, seed=8)
+        c = mxm(a, b)
+        for blk in self._blocks(a.nrows, 4):
+            assert_bit_identical(
+                mxm(a.extract(rows=blk), b, expansion_budget=budget),
+                c.extract(rows=blk))
+
+    def test_empty_tablet_rows(self):
+        a = from_dense([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        b = from_dense([[2.0], [3.0]])
+        out = mxm(a.extract(rows=[1, 2]), b)
+        assert out.shape == (2, 1) and out.nnz == 0
+        assert_bit_identical(out, mxm(a, b).extract(rows=[1, 2]))
 
 
 class TestBudgetProbe:

@@ -5,7 +5,8 @@ For each span name below, the "Extra attrs" cell of its row in the
 instrumented-call-sites table (``a/b/c`` groups expanded, comma
 separated) must equal the attribute keys a traced call records — so
 adding, renaming or dropping a span attribute fails here until the doc
-follows.
+follows.  And every `` `kernel.*` `` row in that table names a span
+called here, so a deleted span's row cannot outlive it.
 """
 
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.obs import InMemorySink, trace
-from repro.sparse import blocked_mxm, from_dense, mxm
+from repro.sparse import Vector, from_dense, mxm, mxv, mxv_sparse, vxm
 
 DOC = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
 
@@ -35,8 +36,17 @@ def _square():
 
 CALLS = {
     "kernel.spgemm": lambda a: mxm(a, a, mask=a, expansion_budget=8),
-    "kernel.spgemm.blocked": lambda a: blocked_mxm(a, a, n_blocks=3),
+    "kernel.spmv": lambda a: mxv(a, np.ones(a.ncols)),
+    "kernel.vxm": lambda a: vxm(np.ones(a.nrows), a),
+    "kernel.spmspv": lambda a: mxv_sparse(
+        a, Vector.sparse_ones(a.ncols, [0, 5])),
 }
+
+
+def test_every_documented_kernel_span_is_called():
+    rows = [line for line in DOC.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `kernel.")]
+    assert {row.split("`")[1] for row in rows} == set(CALLS)
 
 
 @pytest.mark.parametrize("span_name", sorted(CALLS))

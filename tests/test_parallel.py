@@ -80,63 +80,6 @@ class TestParallelMap:
         assert t.counts["_betweenness_chunk"] == 2
 
 
-class TestSharedArrays:
-    def test_roundtrip(self):
-        from repro.parallel.pool import (
-            attach_arrays,
-            share_arrays,
-            unlink_arrays,
-        )
-
-        src = {"x": np.arange(10, dtype=np.float64),
-               "y": np.array([[1, 2], [3, 4]], dtype=np.intp),
-               "empty": np.zeros(0, dtype=np.float32)}
-        handles, meta = share_arrays(src)
-        try:
-            views, view_handles = attach_arrays(meta)
-            try:
-                for name, arr in src.items():
-                    assert views[name].dtype == arr.dtype
-                    assert views[name].shape == arr.shape
-                    assert np.array_equal(views[name], arr)
-            finally:
-                for h in view_handles:
-                    h.close()
-        finally:
-            unlink_arrays(handles)
-
-    def test_shared_not_copied(self):
-        from repro.parallel.pool import (
-            attach_arrays,
-            share_arrays,
-            unlink_arrays,
-        )
-
-        handles, meta = share_arrays({"x": np.zeros(4)})
-        try:
-            views, view_handles = attach_arrays(meta)
-            views["x"][0] = 42.0
-            views2, view_handles2 = attach_arrays(meta)
-            assert views2["x"][0] == 42.0  # same segment, not a copy
-            for h in view_handles + view_handles2:
-                h.close()
-        finally:
-            unlink_arrays(handles)
-
-    def test_unlink_idempotent(self):
-        from repro.parallel.pool import share_arrays, unlink_arrays
-
-        handles, _ = share_arrays({"x": np.ones(3)})
-        unlink_arrays(handles)
-        unlink_arrays(handles)  # second unlink is a no-op, not an error
-
-    def test_attach_missing_segment_raises(self):
-        from repro.parallel.pool import attach_arrays
-
-        with pytest.raises(FileNotFoundError):
-            attach_arrays({"x": ("repro_no_such_segment", (3,), "<f8")})
-
-
 class TestParallelCentrality:
     @pytest.fixture(scope="class")
     def graph(self):
