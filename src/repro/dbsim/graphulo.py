@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import chain
-from typing import Callable, Dict, Iterable, Optional, Sequence, Set
+from typing import (Callable, Dict, Iterable, Iterator, Optional, Sequence,
+                    Set)
 
 from repro.dbsim.client import Connector
 from repro.dbsim.iterators import (
@@ -89,15 +90,18 @@ def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
     the tablet servers, not here: each server hosting ``AT`` tablets
     streams them, in extent order, merge-joined with ``B``'s rows in the
     same extents, multiplies, and writes the result into ``out``
-    (:meth:`~repro.dbsim.server.TabletServer.multiply_tablets`); the
-    servers take their turns one at a time, then ``out`` is flushed.
+    (:meth:`~repro.dbsim.server.TabletServer.multiply_tablets`); on a
+    cluster the servers' steps run at the same time (in process, one
+    after another in the same order), then ``out`` is flushed.
     Whole shared rows gather into a block until its predicted partial
     products reach :data:`BLOCK_PARTIAL_PRODUCTS`, and a block never
     spans two servers.  Each block runs through the SpGEMM kernel
     (:func:`repro.sparse.spgemm.mxm`) and its already-summed cells are
-    written to ``out``, whose combiner applies ⊕ across blocks, servers
-    and repeated calls whenever ``out`` is read (or compacted).  A
-    missing ``out`` is created beside ``AT``'s tablets; an existing one
+    written to ``out`` at a timestamp the plan gives the block, so
+    ``out``'s combiner applies ⊕ across blocks, servers and repeated
+    calls in one order whenever ``out`` is read (or compacted),
+    whichever step finished first.  A missing ``out`` is split like
+    ``AT``, each tablet beside its ``AT`` twin; an existing one
     must combine with ``combiner`` and keep every version
     (:func:`create_combiner_table` makes one), or ``ValueError`` is
     raised before anything runs.  Cells of one inner row that share a
@@ -218,12 +222,13 @@ def _block_operand(counts, quals, vals, index, dup):
 def _multiply_block(at, b, semiring, mask, triangle):
     """``ATᵀ ⊕.⊗ B`` over one block of shared inner rows: the summed
     result as ``(row keys, qualifier keys, encoded values)`` in key
-    order — the columns a tablet stores.  ``mask`` is ``None`` or the
-    ``(row, qualifier)`` pairs the result may hold; ``triangle``
-    ``"upper"`` keeps row key < qualifier.  Both drop products before
-    the fold.  Both sides index their qualifiers by one sorted key
-    list, so index order is key order: the kernel's upper triangle is
-    the keys'."""
+    order — the columns a tablet stores.  ``mask`` is ``None`` or a
+    stream of column batches whose (row, qualifier) pairs the result
+    may hold, drained once both operands are built (a read it waits on
+    overlaps that work); ``triangle`` ``"upper"`` keeps row key <
+    qualifier.  Both drop products before the fold.  Both sides index
+    their qualifiers by one sorted key list, so index order is key
+    order: the kernel's upper triangle is the keys'."""
     from repro.sparse.construct import from_coo
     from repro.sparse.select import triu
     from repro.sparse.spgemm import mxm
@@ -236,7 +241,8 @@ def _multiply_block(at, b, semiring, mask, triangle):
     if mask is not None:
         # a mask row is an output row, so it is in index; its qualifier
         # need not be
-        pairs = [(index[row], index[qual]) for row, qual in mask
+        pairs = [(index[row], index[qual]) for batch in mask
+                 for row, qual in zip(batch.rows, batch.qualifiers)
                  if qual in index]
         mask = from_coo(len(keys), len(keys),
                         [i for i, _ in pairs], [j for _, j in pairs])
@@ -324,33 +330,36 @@ def join_cells(at_batches, b_batches):
 
 
 def multiply_rows(at_batches, b_batches, spec: MultSpec, write,
-                  read_mask) -> Dict[str, int]:
+                  read_mask, stamps: Iterator[int]) -> Dict[str, int]:
     """One server's share of TableMult, where its rows live:
     ``at_batches`` streams its ``AT`` tablets' cells and ``b_batches``
     ``B``'s cells in the same extents (``None`` when ``B`` is ``AT``),
     both column batches in key order.  The two are merge-joined on the
     inner row and multiplied a block at a time; ``write(columns)``
     takes each block's summed cells in key order as the seven columns
-    a tablet stores (timestamps 0: ``out`` stamps them).  Under a
-    ``spec.mask``, ``read_mask(rows)`` streams the mask's cells in the
-    sorted output ``rows`` of a block (its ``AT`` qualifiers).  Memory is
+    a tablet stores, every cell of a block at the block's timestamp,
+    the next of ``stamps`` — the plan's, not ``out``'s clock, so no
+    two partial cells of a key tie and ``out``'s combiner folds them
+    in one order whichever step's write lands first.  Under a
+    ``spec.mask``, ``read_mask(rows)`` opens the reads of the mask's
+    cells in the sorted output ``rows`` of a block (its ``AT``
+    qualifiers) and returns their stream of column batches.  Memory is
     O(:data:`BLOCK_PARTIAL_PRODUCTS` + one inner row) whatever the
     tables' size.  Block boundaries follow the
-    cell sequence alone, so every backend writes the same cells in the
-    same order.  Returns the share's work counts."""
+    cell sequence alone, so every backend writes the same cells at the
+    same stamps.  Returns the share's work counts."""
     semiring = _semiring(spec.mul, spec.combiner)
     work = {"blocks": 0, "partial_products": 0, "cells_written": 0}
     # the block: per side, (cells per inner row, qualifiers, values)
     at, b, predicted = ([], [], []), ([], [], []), 0
 
     def write_block() -> None:
-        mask = None if spec.mask is None else [
-            pair for batch in read_mask(sorted(set(at[1])))
-            for pair in zip(batch.rows, batch.qualifiers)]
+        mask = None if spec.mask is None else read_mask(sorted(set(at[1])))
         rows, quals, vals = _multiply_block(at, b, semiring, mask,
                                             spec.triangle)
         n = len(rows)
-        write((rows, [""] * n, quals, [""] * n, [0] * n, [False] * n, vals))
+        write((rows, [""] * n, quals, [""] * n, [next(stamps)] * n,
+               [False] * n, vals))
         work["blocks"] += 1
         work["partial_products"] += predicted
         work["cells_written"] += len(rows)

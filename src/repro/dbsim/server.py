@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import chain
+from contextlib import nullcontext
+from itertools import chain, count
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -51,6 +52,22 @@ JOINS = ("row", "ewise", None)
 TRIANGLES = (None, "upper")
 #: a combining table's ``max_versions``: its combiner consumes them all
 ALL_VERSIONS = 2 ** 31
+
+
+def answers(calls: Iterable[Callable[[], object]]) -> list:
+    """Every call's answer, in order: what a fan-out of ``submit`` calls
+    returns.  Each call is made even past one that raised; the first
+    error then propagates."""
+    out: list = []
+    error: Optional[BaseException] = None
+    for call in calls:
+        try:
+            out.append(call())
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            error = error or exc
+    if error is not None:
+        raise error
+    return out
 
 
 @dataclass(frozen=True)
@@ -231,9 +248,14 @@ class TabletServer:
     stats, and every hosted tablet counts into ``metrics`` under its
     table's name."""
 
-    def __init__(self, name: str, metrics: MetricsRegistry):
+    def __init__(self, name: str, metrics: MetricsRegistry, lock=None):
         self.name = name
         self.metrics = metrics
+        #: what a TableMult step holds to resolve a tablet and slice its
+        #: runs, and to apply a write — never across a peer's call: in a
+        #: cluster the service's lock, which its other requests take
+        #: while the step runs; in process, nothing
+        self.lock = lock if lock is not None else nullcontext()
         self.stats = OpStats()
         #: True between :meth:`crash` and :meth:`recover`.  While set,
         #: every data op on a hosted tablet (write, scan, flush,
@@ -331,29 +353,59 @@ class TabletServer:
 
     # -- TableMult ----------------------------------------------------------
 
+    def tablet_clock(self, table: str, tablet_id: str) -> int:
+        """A hosted tablet's logical clock: no stamp it holds is newer."""
+        with self.lock:
+            return self.tablet(table, tablet_id)._clock
+
     def scan_tablet(self, table: str, tablet_id: str,
                     ranges: Sequence[Range], auths: Sequence[str]):
         """A hosted tablet's cells inside ``ranges`` under the table's
         layers and the visibility filter for ``auths``, as a stream of
         column batches: the read a TableMult step makes of an ``AT`` or
         ``B`` tablet (a peer's, over the wire, is one range-set
-        ``SCAN``)."""
+        ``SCAN``).  The runs are sliced now, under :attr:`lock`; the
+        stream counts into its own stats, folded into the tablet's
+        under the lock when it ends, as a served scan's are."""
         from repro.net.iterspec import scan_layers  # lazy: net imports dbsim
 
-        return self.tablet(table, tablet_id).scan_columns(
-            ranges, None, self.configs[table].table_iterators,
-            scan_layers(Authorizations(auths)))
+        with self.lock:
+            tablet = self.tablet(table, tablet_id)
+            sink = OpStats()
+            batches = tablet.scan_columns(
+                ranges, None, self.configs[table].table_iterators,
+                scan_layers(Authorizations(auths)), sink=sink)
+        return self._absorbing(tablet, sink, batches)
+
+    def _absorbing(self, tablet: Tablet, sink: OpStats, batches):
+        try:
+            yield from batches
+        finally:
+            with self.lock:
+                tablet.absorb_scan_stats(sink)
 
     def write_tablet(self, table: str, tablet_id: str, columns) -> int:
-        """:meth:`Tablet.write_columns` on a hosted tablet: the write a
-        TableMult step makes of an ``out`` tablet (a peer's, over the
-        wire, is one stamped ``WRITE_BATCH``)."""
-        return self.tablet(table, tablet_id).write_columns(*columns)
+        """:meth:`Tablet.write_columns` on a hosted tablet, under
+        :attr:`lock`: the write a TableMult step makes of an ``out``
+        tablet (a peer's, over the wire, is one stamped
+        ``WRITE_BATCH``)."""
+        with self.lock:
+            return self.tablet(table, tablet_id).write_columns(*columns)
+
+    def submit(self, op: str, *args) -> Callable[[], object]:
+        """The op ``op(*args)`` as a caller sends it to several servers
+        before it waits on any (the plane's fan-outs, a step's writes):
+        run now — so in process they run one after another, in the
+        order sent — and answered by the returned call.  A remote
+        handle sends the request now and waits in the call."""
+        answer = getattr(self, op)(*args)
+        return lambda: answer
 
     def multiply_tablets(self, table_at: str, tablet_ids: Sequence[str],
                          spec: MultSpec, b: Sequence["Assignment"],
                          out: Sequence["Assignment"],
-                         mask: Sequence["Assignment"]) -> Dict[str, int]:
+                         mask: Sequence["Assignment"], base: int = 0,
+                         step: int = 0, steps: int = 1) -> Dict[str, int]:
         """A two-table op's step on this server: its ``AT`` tablets
         ``tablet_ids`` (in extent order) streamed, joined with ``B``'s
         cells in the same extents as ``spec.join`` says, run through
@@ -366,21 +418,30 @@ class TabletServer:
         joins (:func:`repro.dbsim.graphulo.join_cells`) write cells as
         they are, timestamps included.  Returns the step's work counts.
 
+        This is step ``step`` of the op's ``steps``, and ``base`` is at
+        least every stamp ``out`` held before the op: a ``"row"`` join
+        writes its block ``k`` at timestamp ``base + k·steps + step +
+        1``, a stamp no other block of the op uses.
+
         ``b`` are the ``B`` tablets overlapping those extents, ``out``
         every ``out`` tablet and ``mask`` every tablet of
         ``spec.mask`` (none without one), as assignments whose
         ``server`` is this server — a local scan, a local write — or a
-        handle with :meth:`scan_tablet` / :meth:`write_tablet`: in a
-        cluster, a peer's RPC stub.  A server never calls itself over
-        the wire.  A masked block reads the mask cells of its output
-        rows (``AT``'s qualifiers): one range-set scan per mask tablet
-        they reach."""
-        # lazy: graphulo imports this module, and numpy loads with the
-        # first block multiplied, not with the server
+        handle with :meth:`scan_tablet` and :meth:`submit` of
+        ``"write_tablet"``: in a cluster, a peer's RPC stub.  A server
+        never calls itself over the wire.  A block's writes are all
+        sent before the previous block's are waited for.  A masked
+        block reads the mask cells of its output rows (``AT``'s
+        qualifiers): one range-set scan per mask tablet they reach,
+        every one opened before any is read."""
+        # lazy: graphulo and net import this module, and numpy loads
+        # with the first block multiplied, not with the server
         from repro.dbsim import graphulo
+        from repro.net.iterspec import IterSpec
 
-        extents = [self.tablet(table_at, tablet_id).extent
-                   for tablet_id in tablet_ids]
+        with self.lock:
+            extents = [self.tablet(table_at, tablet_id).extent
+                       for tablet_id in tablet_ids]
         at = chain.from_iterable(
             self.scan_tablet(table_at, tablet_id, [extent], spec.auths)
             for tablet_id, extent in zip(tablet_ids, extents))
@@ -394,11 +455,16 @@ class TabletServer:
                                          spec.auths)
                 for entry in b)
         index = TabletIndex(out)
+        # the last write's acks, waited for once the next write is sent:
+        # a block's writes to several tablets overlap, and a peer's ack
+        # overlaps the next block.  Stamps, not arrival, order them
+        unacked: list = []
 
         def write(columns: Sequence) -> None:
             # rows are sorted: each out tablet takes one contiguous run
             rows = columns[0]
             lo, n = 0, len(rows)
+            sent = []
             while lo < n:
                 entry = index.locate(rows[lo])
                 stop = entry.extent.stop_row
@@ -406,33 +472,39 @@ class TabletServer:
                                                                 lo)
                 for i in range(lo, end, MULT_WRITE_CELLS):
                     j = min(i + MULT_WRITE_CELLS, end)
-                    entry.server.write_tablet(
-                        spec.out, entry.tablet_id,
-                        [column[i:j] for column in columns])
+                    sent.append(entry.server.submit(
+                        "write_tablet", spec.out, entry.tablet_id,
+                        [column[i:j] for column in columns]))
                 lo = end
+            answers(unacked)
+            unacked[:] = sent
 
         def read_mask(rows: Sequence[str]):
             ranges = [Range.exact_row(row) for row in rows]
-            for entry in mask:
-                share = clip_ranges(ranges, entry.extent)
-                if share:
-                    yield from entry.server.scan_tablet(
-                        spec.mask, entry.tablet_id, share, spec.auths)
+            # every read opened before any is drained: a peer's overlap
+            return chain.from_iterable([
+                entry.server.scan_tablet(spec.mask, entry.tablet_id, share,
+                                         spec.auths)
+                for entry in mask
+                for share in [clip_ranges(ranges, entry.extent)] if share])
 
         if spec.join == "row":
-            return graphulo.multiply_rows(at, b_batches, spec, write,
-                                          read_mask)
-        from repro.net.iterspec import IterSpec  # lazy: net imports dbsim
-
-        stream = at if b_batches is None else graphulo.join_cells(
-            at, b_batches)
-        for layer in IterSpec.from_wire(spec.post or ()).build_factories():
-            stream = layer.stage(stream)
-        written = 0
-        for batch in stream:
-            write([getattr(batch, column) for column in batch.__slots__])
-            written += len(batch)
-        return {"cells_written": written}
+            work = graphulo.multiply_rows(at, b_batches, spec, write,
+                                          read_mask,
+                                          count(base + step + 1, steps))
+        else:
+            stream = at if b_batches is None else graphulo.join_cells(
+                at, b_batches)
+            for layer in IterSpec.from_wire(
+                    spec.post or ()).build_factories():
+                stream = layer.stage(stream)
+            written = 0
+            for batch in stream:
+                write([getattr(batch, column) for column in batch.__slots__])
+                written += len(batch)
+            work = {"cells_written": written}
+        answers(unacked)
+        return work
 
     # -- failure simulation -------------------------------------------------
 
@@ -487,9 +559,13 @@ class ControlPlane:
     clients cache, and split/migration orchestration.
 
     ``servers`` are handles with :class:`TabletServer`'s ``name`` and
-    hosting ops.  What ``release_tablet`` returns goes to the
-    destination's ``adopt_tablet`` unopened: the tablet object itself
-    in process, its encoded state in a cluster."""
+    hosting ops.  An op that reaches several servers — hosting a new
+    table's tablets, dropping, flushing or compacting a table, the
+    steps of a two-table op — is sent to every one (``submit``) before
+    any answer is awaited (:func:`answers`).  What ``release_tablet``
+    returns goes to the destination's ``adopt_tablet`` unopened: the
+    tablet object itself in process, its encoded state in a
+    cluster."""
 
     def __init__(self, servers: Sequence, metrics: MetricsRegistry):
         if not servers:
@@ -514,6 +590,11 @@ class ControlPlane:
         return list(dict.fromkeys(
             entry.server for entry in self.table(name).index.entries))
 
+    def _each(self, name: str, op: str) -> None:
+        """The hosting op ``op(name)`` on every server holding the
+        table's tablets, sent to all before any answer is awaited."""
+        answers([server.submit(op, name) for server in self._hosting(name)])
+
     # -- table lifecycle ----------------------------------------------------
 
     def table_exists(self, name: str) -> bool:
@@ -532,37 +613,55 @@ class ControlPlane:
         return self.table(name).config
 
     def create_table(self, name: str, config: Optional[TableConfig] = None,
-                     splits: Sequence[str] = (), host=None) -> None:
+                     splits: Sequence[str] = (), hosts=None) -> None:
         """A new table, pre-split at ``splits`` (in any order; repeats
         are one split).  Its tablets are dealt once, in extent order:
-        each is hosted empty on ``host`` when given, else on the next
-        server round-robin — with 4 tablets on 2 servers, 2 and 2.  No
-        tablet is split or migrated, and each starts at clock 0, as a
-        split of an empty tablet would.  If a host fails, the tablets
-        already hosted are dropped and the name stays free."""
+        each is hosted empty on its server in ``hosts`` (one per
+        tablet) when given, else on the next server round-robin — with
+        4 tablets on 2 servers, 2 and 2 — every host sent before any is
+        awaited.  No tablet is split or migrated, and each starts at
+        clock 0, as a split of an empty tablet would.  If a host fails,
+        the tablets already hosted are dropped and the name stays
+        free."""
         if name in self._tables:
             raise ValueError(f"table {name!r} already exists")
         config = config or TableConfig()
         edges = [None, *sorted(set(splits)), None]
+        if hosts is not None and len(hosts) != len(edges) - 1:
+            raise ValueError(f"{len(edges) - 1} tablets, {len(hosts)} hosts")
         entries: List[Assignment] = []
-        try:
-            for lo, hi in zip(edges, edges[1:]):
-                extent = Range(lo, hi)
-                tablet_id, server = self._new_id(name), host or self._pick()
-                server.host_tablet(name, tablet_id, extent, config)
-                entries.append(Assignment(tablet_id, extent, server))
-        except BaseException:
-            for server in dict.fromkeys(entry.server for entry in entries):
-                server.drop_table(name)
-            raise
+        calls = []
+        error: Optional[Exception] = None
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            extent = Range(lo, hi)
+            tablet_id = self._new_id(name)
+            server = self._pick() if hosts is None else hosts[i]
+            try:
+                calls.append(server.submit("host_tablet", name, tablet_id,
+                                           extent, config))
+            except Exception as exc:  # in process, the host failed here
+                error = exc
+                break
+            entries.append(Assignment(tablet_id, extent, server))
+        hosted = []
+        for entry, call in zip(entries, calls):
+            try:
+                call()
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                error = error or exc
+            else:
+                hosted.append(entry)
+        if error is not None:
+            answers([server.submit("drop_table", name) for server in
+                     dict.fromkeys(entry.server for entry in hosted)])
+            raise error
         # registered only now: a create whose host failed leaves the
         # name free for a retry
         self._tables[name] = TableMeta(config, TabletIndex(
             entries, self.metrics.counter("dbsim.locate.index_builds")))
 
     def delete_table(self, name: str) -> None:
-        for server in self._hosting(name):
-            server.drop_table(name)
+        self._each(name, "drop_table")
         del self._tables[name]
 
     # -- tablet management --------------------------------------------------
@@ -604,12 +703,10 @@ class ControlPlane:
     # -- maintenance --------------------------------------------------------
 
     def flush_table(self, name: str) -> None:
-        for server in self._hosting(name):
-            server.flush_table(name)
+        self._each(name, "flush_table")
 
     def compact_table(self, name: str) -> None:
-        for server in self._hosting(name):
-            server.compact_table(name)
+        self._each(name, "compact_table")
 
     # -- kernels ------------------------------------------------------------
 
@@ -617,15 +714,23 @@ class ControlPlane:
         """Graphulo's two-table op where the rows live — TableMult
         ``out ⊕= ATᵀ ⊕.⊗ B`` for a ``"row"`` join: every server hosting
         ``AT`` tablets runs them, in extent order, in one step
-        (:meth:`TabletServer.multiply_tablets`).  The steps run one at
-        a time, in the order of each server's first ``AT`` tablet, so
-        stamp order never depends on arrival and no two servers ever
-        wait on each other.  The operands must exist.  A missing ``out``
-        is created on the server hosting the most ``AT`` tablets (ties:
-        the server of ``AT``'s first), so most steps write it locally —
-        combining with ``spec.combiner`` for a ``"row"`` join, else
-        plain.  An existing ``out`` of a ``"row"`` join must fold every
-        partial product with ``spec.combiner``
+        (:meth:`TabletServer.multiply_tablets`).  The plan numbers the
+        steps in the order of each server's first ``AT`` tablet and
+        submits every one before it waits on any (``submit``): in a
+        cluster they run at the same time, in process one after another
+        in plan order.  What a step writes does not depend on that
+        order: a ``"row"`` join stamps its blocks from a base above
+        every stamp ``out`` held — 0 for an ``out`` created here — by
+        the step's number, so ``out``'s combiner folds the same partial
+        cells in the same order on every backend.  A failed step is
+        raised once every step sent has answered.
+
+        The operands must exist.  A missing ``out`` is split like
+        ``AT``, each tablet on the server of the ``AT`` tablet with its
+        extent — combining with ``spec.combiner`` for a ``"row"`` join,
+        else plain — so an ``"ewise"`` or one-table op writes its own
+        tablets.  An existing ``out`` of a ``"row"`` join must fold
+        every partial product with ``spec.combiner``
         (:meth:`TableConfig.folds`), or ``ValueError`` is raised before
         any step runs.  Every join flushes ``out`` afterwards, and none
         compacts it: its combiner folds the partial products when they
@@ -641,30 +746,38 @@ class ControlPlane:
         shares: Dict[object, list] = {}  # server → its AT tablets, in order
         for entry in at_entries:
             shares.setdefault(entry.server, []).append(entry)
+        base = 0
         if not self.table_exists(spec.out):
             self.create_table(
                 spec.out, TableConfig.combining(spec.combiner)
                 if spec.join == "row" else None,
-                # max keeps the first of equals: AT's first tablet's server
-                host=max(shares, key=lambda server: len(shares[server])))
-        elif spec.join == "row" and not self.config(spec.out).folds(
-                spec.combiner):
-            raise ValueError(
-                f"out table {spec.out!r} does not fold every version with "
-                f"the {spec.combiner!r} combiner, so it would keep one "
-                f"server's partial products; write into a fresh table or "
-                f"one created with TableConfig.combining({spec.combiner!r})")
+                splits=self.splits(table_at),
+                hosts=[entry.server for entry in at_entries])
+        elif spec.join == "row":
+            if not self.config(spec.out).folds(spec.combiner):
+                raise ValueError(
+                    f"out table {spec.out!r} does not fold every version "
+                    f"with the {spec.combiner!r} combiner, so it would "
+                    f"keep one server's partial products; write into a "
+                    f"fresh table or one created with "
+                    f"TableConfig.combining({spec.combiner!r})")
+            base = max(answers([
+                entry.server.submit("tablet_clock", spec.out, entry.tablet_id)
+                for entry in self.table(spec.out).index.entries]))
         out = self.table(spec.out).index.entries
-        work: Dict[str, int] = {}
-        for server, entries in shares.items():
+        steps = []
+        for step, (server, entries) in enumerate(shares.items()):
             b = [] if b_index is None else list(dict.fromkeys(
                 chain.from_iterable(b_index.overlapping(entry.extent)
                                     for entry in entries)))
-            step = server.multiply_tablets(
-                table_at, [entry.tablet_id for entry in entries], spec, b,
-                out, mask)
-            for name, count in step.items():
-                work[name] = work.get(name, 0) + count
+            steps.append(server.submit(
+                "multiply_tablets", table_at,
+                [entry.tablet_id for entry in entries], spec, b, out, mask,
+                base, step, len(shares)))
+        work: Dict[str, int] = {}
+        for step_work in answers(steps):
+            for name, n in step_work.items():
+                work[name] = work.get(name, 0) + n
         self.flush_table(spec.out)
         return work
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from itertools import chain as _chain, count
+from itertools import chain as _chain
 from operator import neg
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -248,9 +248,11 @@ class Tablet:
 
         A row outside the extent rejects the whole batch (``ValueError``)
         before anything is applied.  A timestamp of 0 is replaced by a
-        fresh tick of the tablet's logical clock, in batch order, so
-        later writes version-sort first and a batch stamps exactly as
-        its cells written one at a time would.  The WAL append precedes
+        fresh tick of the tablet's logical clock, in batch order, and an
+        explicit one moves the clock up to it (a Lamport clock): a later
+        stamped write version-sorts before every cell the tablet holds,
+        and a batch stamps exactly as its cells written one at a time
+        would.  The WAL append precedes
         the memtable's — the durability contract crash recovery
         replays.  Counters, gauges and the auto-flush check run once
         per batch, not per cell."""
@@ -268,10 +270,18 @@ class Tablet:
         if not any(timestamps):
             timestamps = range(clock + 1, clock + n + 1)
             clock += n
-        elif not all(timestamps):
-            ticks = count(clock + 1)
-            timestamps = [ts or next(ticks) for ts in timestamps]
-            clock = next(ticks) - 1
+        elif all(timestamps):
+            clock = max(clock, max(timestamps))
+        else:
+            stamped = []
+            for ts in timestamps:
+                if not ts:
+                    clock += 1
+                    ts = clock
+                elif ts > clock:
+                    clock = ts
+                stamped.append(ts)
+            timestamps = stamped
         keys = sort_keys(rows, families, qualifiers, visibilities,
                          timestamps, deletes)
         # a column's characters, counted by one join instead of n len()s

@@ -445,20 +445,23 @@ class _Call:
     nobody waiting for it — time the caller spent on other work, which
     the RPC breakdown keeps out of ``network_s``."""
 
-    __slots__ = ("_core", "_args", "_first", "_span", "_sent")
+    __slots__ = ("_core", "_args", "_first", "_span", "_sent", "_wait")
 
-    def __init__(self, core: "RpcCore", args: tuple, first, span):
+    def __init__(self, core: "RpcCore", args: tuple, first, span,
+                 wait: bool = False):
         self._core = core
         self._args = args
         self._first = first
         self._span = span
         self._sent = time.perf_counter()
+        self._wait = wait
 
     def result(self):
         if self._span is not None:
             self._span.set(unawaited_s=time.perf_counter() - self._sent)
         try:
-            return self._core._call(*self._args, first=self._first)
+            return self._core._call(*self._args, first=self._first,
+                                    wait=self._wait)
         finally:
             if self._span is not None:
                 self._span.finish()
@@ -661,10 +664,12 @@ class RpcCore:
             sp.attrs["session"] = self.session
             return result
 
-    def submit(self, addr: Addr, op: int, payload) -> _Call:
+    def submit(self, addr: Addr, op: int, payload,
+               wait: bool = False) -> _Call:
         """Pipelined ``call``: the request goes out now, on this thread;
         the returned handle's ``result()`` waits for the answer (and
-        owns the retries, should this attempt be lost)."""
+        owns the retries, should this attempt be lost) — with no
+        response deadline under ``wait``, as :meth:`mutate`'s."""
         sp = None
         tc = None
         if _trace.ENABLED:
@@ -680,12 +685,13 @@ class RpcCore:
             first = self._send(addr, op, payload, tc)
         except (wire.ConnectionClosedError, OSError) as exc:
             first = exc  # result() retries from the second attempt
-        return _Call(self, (addr, op, payload, tc), first, sp)
+        return _Call(self, (addr, op, payload, tc), first, sp, wait)
 
-    def submit_mutate(self, addr: Addr, op: int, payload) -> _Call:
+    def submit_mutate(self, addr: Addr, op: int, payload,
+                      wait: bool = False) -> _Call:
         """Pipelined ``mutate``: stamp now, send now, ack later.  The
         caller owns draining (and thereby per-tablet ordering)."""
-        return self.submit(addr, op, self._stamp(payload))
+        return self.submit(addr, op, self._stamp(payload), wait)
 
     # -- scan streams -----------------------------------------------------
 

@@ -36,13 +36,14 @@ the client retries after backoff.  Every response carries the request
 id of the frame that opened it, so unary acks and several scans'
 ``CHUNK`` streams interleave freely on one socket.
 
-Every non-scan handler still runs under one per-service lock (a crash
-can never interleave halfway through a write batch).  A scan takes it
-only to find its tablet and slice the storage runs (private copies);
-merging them, the storage pass, a pushed-down spec's stages and the
-*streaming* all happen outside the lock — a concurrent crash surfaces
-mid-stream as a typed error frame via the tablet's per-batch crash
-check.
+Every other handler runs under one per-service lock (a crash can
+never interleave halfway through a write batch), but for two.  A scan
+takes it only to find its tablet and slice the storage runs (private
+copies); merging them, the storage pass, a pushed-down spec's stages
+and the *streaming* all happen outside the lock — a concurrent crash
+surfaces mid-stream as a typed error frame via the tablet's per-batch
+crash check.  A TableMult step (``MULTIPLY_TABLETS``) takes it the same
+way for each of its local reads, and for each local write.
 
 Exactly-once writes: mutating requests carry ``(session, seq)``; the
 service keeps a bounded per-session window of sequence number →
@@ -67,6 +68,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue
 import socket
+import sys
 import threading
 import time
 import zlib
@@ -81,7 +83,7 @@ from repro.dbsim.iterators import Layer
 from repro.dbsim.key import (Key, Range, SortKey, key_columns, sort_keys,
                              sorted_disjoint)
 from repro.dbsim.server import (Assignment, ControlPlane, MultSpec,
-                                TableConfig, TabletServer)
+                                TableConfig, TabletServer, answers)
 from repro.dbsim.sstable import SSTable
 from repro.dbsim.stats import OpStats
 from repro.dbsim.tablet import Tablet
@@ -117,6 +119,13 @@ MAX_CONN_SCANS = 16
 #: (seq → cached ack) entries kept per client session for exactly-once
 #: replay; must exceed any client's in-flight mutation count
 DEDUP_WINDOW = 256
+
+#: the longest a tablet server process's thread runs while another
+#: waits for the interpreter (CPython's default is 5 ms): a TableMult
+#: step computes on one thread while others answer its peers' reads and
+#: writes, and every such answer waits up to this long, once per
+#: hand-off, behind the step
+SWITCH_INTERVAL_S = 0.0005
 
 #: handler span names, precomputed per op-code (per-request f-strings
 #: are measurable on the traced RPC hot path)
@@ -163,10 +172,24 @@ class _ConnState:
         self.alive = True
 
 
+class _Running:
+    """A stamped request whose unlocked handler is still running: what
+    a copy of it arriving meanwhile waits on, then answers with."""
+
+    __slots__ = ("done", "answer")
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.answer: Optional[Tuple[int, object]] = None
+
+
 class _BaseService:
     """Framed-RPC listener: accept loop, per-connection multiplexed
     dispatch, admission control, response-time fault injection, and
     windowed session/seq write dedup."""
+
+    #: op-codes whose handlers run outside the service lock
+    _UNLOCKED_OPS: frozenset = frozenset()
 
     def __init__(self, name: str, faults: Optional[FaultPlan] = None,
                  metrics: Optional[MetricsRegistry] = None):
@@ -180,6 +203,8 @@ class _BaseService:
         #: session → OrderedDict of seq → (response code, payload),
         #: FIFO-evicted past DEDUP_WINDOW entries
         self._dedup: Dict[str, "OrderedDict"] = {}
+        #: (session, seq) → the unlocked request of that stamp running now
+        self._running: Dict[tuple, _Running] = {}
         self.addr: Optional[Addr] = None
 
     # -- lifecycle --------------------------------------------------------
@@ -388,48 +413,82 @@ class _BaseService:
     def _serve_inner(self, state: _ConnState, code: int, payload,
                      req: int, arrived: float) -> bool:
         """Run the handler and reply; True when the acknowledged request
-        was a SHUTDOWN and the service must now stop."""
+        was a SHUTDOWN and the service must now stop.
+
+        A handler runs under the service lock, but one of
+        :attr:`_UNLOCKED_OPS` — which takes the lock itself where it
+        must — runs outside it, and a stamped copy of it arriving while
+        the original still runs (a re-send after a lost connection) is
+        answered with the original's answer once that is ready."""
         meta = payload.meta if isinstance(payload, wire.CellsPayload) \
             else payload
         session = meta.get("session") if isinstance(meta, dict) else None
         seq = meta.get("seq") if isinstance(meta, dict) else None
+        unlocked = code in self._UNLOCKED_OPS
+        answer = running = mine = None
         with self._lock:
             # dispatch = the service lock is ours; everything before
             # this was queueing behind other requests
             dispatched = time.perf_counter()
             if session is not None:
                 window = self._dedup.get(session)
-                cached = window.get(seq) if window is not None else None
-                if cached is not None:
-                    # a retry of an already-processed mutation: replay
-                    # the recorded ack, do not re-apply
+                answer = window.get(seq) if window is not None else None
+                if answer is None:
+                    running = self._running.get((session, seq))
+                if answer is not None or running is not None:
+                    # a retry of an already-processed (or still running)
+                    # mutation: replay the recorded ack, do not re-apply
                     self.metrics.counter("net.server.dedup_hits").inc()
-                    self._respond(state, cached[0], cached[1], code, req)
-                    self._observe_times(arrived, dispatched)
-                    return False
-            handler = self._ops.get(code)
+            if answer is None and running is None:
+                if not unlocked:
+                    answer = self._handle(code, payload)
+                    self._remember(session, seq, answer)
+                elif session is not None:
+                    mine = self._running[(session, seq)] = _Running()
+        if running is not None:
+            running.done.wait()
+            answer = running.answer
+        elif answer is None:  # an unlocked op, run here
             try:
-                if handler is None:
-                    raise wire.ProtocolError(
-                        f"unsupported op-code {code:#x}")
-                # an op with nothing to report acks with an empty object
-                out_code, out_payload = wire.OK, handler(payload) or {}
-            except Exception as exc:  # noqa: BLE001 - wire boundary
-                self.metrics.counter("net.server.errors").inc()
-                out_code, out_payload = wire.ERROR, wire.error_payload(exc)
-            if session is not None and out_code == wire.OK:
-                # only *applied* mutations are replay-worthy: a failed
-                # handler applied nothing (write_batch prechecks the
-                # whole batch), and caching a transient error (e.g.
-                # ServerCrashedError before a recover) would replay the
-                # failure at the client forever
-                window = self._dedup.setdefault(session, OrderedDict())
-                window[seq] = (out_code, out_payload)
-                while len(window) > DEDUP_WINDOW:
-                    window.popitem(last=False)
-        self._respond(state, out_code, out_payload, code, req)
+                answer = self._handle(code, payload)
+            finally:
+                if session is not None:
+                    with self._lock:
+                        self._remember(session, seq, answer)
+                        del self._running[(session, seq)]
+                    mine.answer = answer
+                    mine.done.set()
+        self._respond(state, *answer, code, req)
         self._observe_times(arrived, dispatched)
-        return code == wire.SHUTDOWN and out_code == wire.OK
+        return code == wire.SHUTDOWN and answer[0] == wire.OK
+
+    def _handle(self, code: int, payload) -> Tuple[int, object]:
+        """The handler's answer as ``(response code, payload)``: its
+        return value (an op with nothing to report acks with an empty
+        object), or the error it raised."""
+        handler = self._ops.get(code)
+        try:
+            if handler is None:
+                raise wire.ProtocolError(f"unsupported op-code {code:#x}")
+            return wire.OK, handler(payload) or {}
+        except Exception as exc:  # noqa: BLE001 - wire boundary
+            self.metrics.counter("net.server.errors").inc()
+            return wire.ERROR, wire.error_payload(exc)
+
+    def _remember(self, session: Optional[str], seq,
+                  answer: Optional[Tuple[int, object]]) -> None:
+        """Record an applied mutation's ack for replay (caller holds
+        the service lock).  Only *applied* mutations are replay-worthy:
+        a failed handler applied nothing (write_batch prechecks the
+        whole batch), and caching a transient error (e.g.
+        ServerCrashedError before a recover) would replay the failure
+        at the client forever."""
+        if session is None or answer is None or answer[0] != wire.OK:
+            return
+        window = self._dedup.setdefault(session, OrderedDict())
+        window[seq] = answer
+        while len(window) > DEDUP_WINDOW:
+            window.popitem(last=False)
 
     def _observe_times(self, arrived: float, dispatched: float) -> None:
         """Record queue (arrival → dispatch) and service (dispatch →
@@ -603,15 +662,17 @@ def _coalesce(batches):
 class _PeerStub:
     """Another tablet server as a TableMult step here sees it:
     :class:`~repro.dbsim.server.TabletServer`'s two data calls, each
-    one request of a client's — a range-set ``SCAN``, resumed
-    mid-stream like any client's, and a stamped ``WRITE_BATCH``, which
-    the peer's dedup window applies exactly once however often a lost
-    ack makes the step re-send it.
+    one request of a client's — a range-set ``SCAN``, opened at once
+    and resumed mid-stream like any client's, and a stamped
+    ``WRITE_BATCH``, sent at once and acknowledged later, which the
+    peer's dedup window applies exactly once however often a lost ack
+    makes the step re-send it.
 
     It is also the ``inst`` of the scan pump, which asks it for
-    nothing but its ``core`` until a tablet moves: the plane runs one
-    step at a time under the manager's lock, so no tablet can split or
-    migrate under a step."""
+    nothing but its ``core`` until a tablet moves: the plane's steps
+    all run while the manager handles their op, so no tablet can split
+    or migrate under a step.  The peer may be stepping too, and serves
+    these calls between its own step's slices and writes."""
 
     def __init__(self, core: RpcCore, addr: Addr):
         self.core = core
@@ -622,12 +683,20 @@ class _PeerStub:
         pump = _RemoteScanStream(self, table, list(ranges),
                                  [_Segment(self.addr, tablet_id, Range())],
                                  {"auths": list(auths)})
+        pump._fanout()  # the SCAN goes out now, as a local scan slices now
         return iter(pump.next_batch, None)
 
-    def write_tablet(self, table: str, tablet_id: str, columns) -> int:
-        return self.core.mutate(self.addr, wire.WRITE_BATCH, wire.CellsPayload(
-            {"table": table, "tablet_id": tablet_id},
-            cells.encode_columns(*columns)))["applied"]
+    def submit(self, op: str, table: str, tablet_id: str, columns):
+        """``write_tablet``, the op a step sends a peer without waiting:
+        one ``WRITE_BATCH`` now, its ack awaited in the returned call."""
+        if op != "write_tablet":
+            raise ValueError(f"a step sends a peer no {op!r}")
+        call = self.core.submit_mutate(self.addr, wire.WRITE_BATCH,
+                                       wire.CellsPayload(
+                                           {"table": table,
+                                            "tablet_id": tablet_id},
+                                           cells.encode_columns(*columns)))
+        return lambda: call.result()["applied"]
 
     def invalidate(self, table: str) -> None:
         pass
@@ -640,12 +709,22 @@ class _PeerStub:
 class TabletServerService(_BaseService):
     """One dbsim :class:`~repro.dbsim.server.TabletServer` behind a
     socket: its hosting, TableMult-step and failure-simulation ops as
-    handlers, plus the data path (writes, streaming scans)."""
+    handlers, plus the data path (writes, streaming scans).
+
+    A ``MULTIPLY_TABLETS`` step runs outside the service lock: the
+    ``TabletServer`` takes it (its :attr:`~repro.dbsim.server.
+    TabletServer.lock`) only to resolve a tablet and slice its runs
+    and to apply a local write, never across a peer call — so two
+    steps that write into and read from each other's tablets both go
+    on, and a ``SCAN`` or ``WRITE_BATCH`` sent here mid-step is served
+    before the step ends."""
+
+    _UNLOCKED_OPS = frozenset({wire.MULTIPLY_TABLETS})
 
     def __init__(self, name: str, faults: Optional[FaultPlan] = None,
                  metrics: Optional[MetricsRegistry] = None):
         super().__init__(name, faults, metrics)
-        self.tserver = TabletServer(name, self.metrics)
+        self.tserver = TabletServer(name, self.metrics, lock=self._lock)
         #: the server's own registry, not a copy: tablet_id → (table, Tablet)
         self._hosted = self.tserver.hosted
         #: the client core of this server's peer calls, made with the
@@ -715,7 +794,7 @@ class TabletServerService(_BaseService):
         return self.tserver.multiply_tablets(
             p["table"], p["tablet_ids"], MultSpec(**p["spec"]),
             self._assignments(p["b"]), self._assignments(p["out"]),
-            self._assignments(p["mask"]))
+            self._assignments(p["mask"]), p["base"], p["step"], p["steps"])
 
     def _assignments(self, items: List[dict]) -> List[Assignment]:
         """Wire assignments with each ``server`` resolved: this server's
@@ -726,8 +805,9 @@ class TabletServerService(_BaseService):
             if item["server"] == self.name:
                 server = self.tserver
             else:
-                if self._peer_core is None:
-                    self._peer_core = RpcCore(metrics=self.metrics)
+                with self._lock:
+                    if self._peer_core is None:
+                        self._peer_core = RpcCore(metrics=self.metrics)
                 server = _PeerStub(self._peer_core, parse_addr(item["addr"]))
             out.append(Assignment(item["tablet_id"],
                                   wire.wire_to_range(item["extent"]),
@@ -863,6 +943,7 @@ class TabletServerService(_BaseService):
             "entries": tablet.entry_estimate(),
             "memtable_entries": len(tablet.memtable),
             "sstables": [len(run) for run in tablet.sstables],
+            "clock": tablet._clock,
         }
 
     def _status(self, p: dict) -> dict:
@@ -884,59 +965,80 @@ class _ServerStub:
     ControlPlane` sees it: :class:`~repro.dbsim.server.TabletServer`'s
     hosting ops, each one RPC.  What ``release_tablet`` returns — the
     ``MIGRATE_OUT`` reply, a tablet's state as one cell block — goes
-    into ``adopt_tablet``'s ``MIGRATE_IN`` as it came."""
+    into ``adopt_tablet``'s ``MIGRATE_IN`` as it came.  An op the plane
+    fans out (``submit``) is sent at once and waited for in the call it
+    returns, so the plane's requests to several servers overlap."""
 
     def __init__(self, core: RpcCore, name: str, addr: Addr):
         self.core = core
         self.name = name
         self.addr = addr
 
-    def _mutate(self, op: int, table: str, **fields):
-        return self.core.mutate(self.addr, op, {"table": table, **fields})
+    def _send(self, op: int, table: str, mutate: bool = True,
+              wait: bool = False, **fields) -> Callable[[], dict]:
+        """Send ``op`` now — stamped for exactly-once when ``mutate``;
+        with no response deadline under ``wait`` — and return the call
+        that waits for its answer."""
+        submit = self.core.submit_mutate if mutate else self.core.submit
+        return submit(self.addr, op, {"table": table, **fields},
+                      wait=wait).result
 
-    def host_tablet(self, table: str, tablet_id: str, extent: Range,
-                    config: TableConfig) -> None:
-        self._mutate(wire.HOST_TABLET, table, tablet_id=tablet_id,
-                     extent=wire.range_to_wire(extent),
-                     config=wire.config_to_wire(config))
+    def submit(self, op: str, *args) -> Callable[[], object]:
+        return getattr(self, f"_{op}")(*args)
+
+    def _host_tablet(self, table: str, tablet_id: str, extent: Range,
+                     config: TableConfig):
+        return self._send(wire.HOST_TABLET, table, tablet_id=tablet_id,
+                          extent=wire.range_to_wire(extent),
+                          config=wire.config_to_wire(config))
+
+    def _drop_table(self, table: str):
+        answer = self._send(wire.DROP_TABLE, table)
+        return lambda: answer()["dropped"]
+
+    def _flush_table(self, table: str):
+        return self._send(wire.FLUSH, table, mutate=False)
+
+    def _compact_table(self, table: str):
+        return self._send(wire.COMPACT, table, mutate=False)
+
+    def _tablet_clock(self, table: str, tablet_id: str):
+        answer = self._send(wire.TABLET_INFO, table, mutate=False,
+                            tablet_id=tablet_id)
+        return lambda: answer()["clock"]
+
+    def _multiply_tablets(self, table_at: str, tablet_ids: Sequence[str],
+                          spec: MultSpec, b: Sequence[Assignment],
+                          out: Sequence[Assignment],
+                          mask: Sequence[Assignment], base: int, step: int,
+                          steps: int):
+        # a step takes as long as its tablets take, so its answer is
+        # waited for however long; a re-send after a lost connection is
+        # answered by the first run, running or done
+        return self._send(
+            wire.MULTIPLY_TABLETS, table_at, wait=True,
+            tablet_ids=list(tablet_ids), spec=asdict(spec),
+            b=[_assignment_to_wire(a) for a in b],
+            out=[_assignment_to_wire(a) for a in out],
+            mask=[_assignment_to_wire(a) for a in mask],
+            base=base, step=step, steps=steps)
 
     def split_tablet(self, table: str, tablet_id: str, split_row: str,
                      left_id: str, right_id: str) -> Tuple[Range, Range]:
-        resp = self._mutate(wire.SPLIT_TABLET, table, tablet_id=tablet_id,
-                            split_row=split_row, left_id=left_id,
-                            right_id=right_id)
+        resp = self._send(wire.SPLIT_TABLET, table, tablet_id=tablet_id,
+                          split_row=split_row, left_id=left_id,
+                          right_id=right_id)()
         return (wire.wire_to_range(resp["left"]),
                 wire.wire_to_range(resp["right"]))
 
     def release_tablet(self, table: str, tablet_id: str) -> wire.CellsPayload:
-        return self._mutate(wire.MIGRATE_OUT, table, tablet_id=tablet_id)
+        return self._send(wire.MIGRATE_OUT, table, tablet_id=tablet_id)()
 
     def adopt_tablet(self, table: str, tablet_id: str,
                      state: wire.CellsPayload, config: TableConfig) -> None:
         self.core.mutate(self.addr, wire.MIGRATE_IN, wire.CellsPayload(
             {**state.meta, "table": table, "tablet_id": tablet_id,
              "config": wire.config_to_wire(config)}, state.block))
-
-    def drop_table(self, table: str) -> int:
-        return self._mutate(wire.DROP_TABLE, table)["dropped"]
-
-    def flush_table(self, table: str) -> None:
-        self.core.call(self.addr, wire.FLUSH, {"table": table})
-
-    def compact_table(self, table: str) -> None:
-        self.core.call(self.addr, wire.COMPACT, {"table": table})
-
-    def multiply_tablets(self, table_at: str, tablet_ids: Sequence[str],
-                         spec: MultSpec, b: Sequence[Assignment],
-                         out: Sequence[Assignment],
-                         mask: Sequence[Assignment]) -> dict:
-        # a step takes as long as its tablets take: it waits for its
-        # answer, and a re-send after a lost connection replays
-        return self.core.mutate(self.addr, wire.MULTIPLY_TABLETS, {
-            "table": table_at, "tablet_ids": list(tablet_ids),
-            "spec": asdict(spec), "b": [_assignment_to_wire(a) for a in b],
-            "out": [_assignment_to_wire(a) for a in out],
-            "mask": [_assignment_to_wire(a) for a in mask]}, wait=True)
 
 
 def _assignment_to_wire(entry: Assignment) -> dict:
@@ -1017,21 +1119,12 @@ class ManagerService(_BaseService):
 
     def _fan_out(self, op: int) -> Dict[str, dict]:
         """Every server's answer to ``op``, by name: sent to all of them
-        before any answer is awaited, so the round trips overlap.  Each
-        call is resolved even past one that raised; the first error then
-        propagates."""
-        calls = [(server.name, self.core.submit(server.addr, op, {}))
-                 for server in self.plane.servers]
-        replies: Dict[str, dict] = {}
-        error: Optional[BaseException] = None
-        for name, call in calls:
-            try:
-                replies[name] = call.result()
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                error = error or exc
-        if error is not None:
-            raise error
-        return replies
+        before any answer is awaited, so the round trips overlap
+        (:func:`~repro.dbsim.server.answers`)."""
+        servers = self.plane.servers
+        return dict(zip((server.name for server in servers), answers(
+            [self.core.submit(server.addr, op, {}).result
+             for server in servers])))
 
     def _fan_stats(self, p: dict) -> dict:
         per_server = self._fan_out(wire.STATS)
@@ -1127,6 +1220,7 @@ def _tablet_server_main(pipe, name: str, fault_specs: Sequence[str],
                         fault_seed: int, trace_path: Optional[str],
                         host: str, port: int,
                         sample_rate: float = 1.0) -> None:
+    sys.setswitchinterval(SWITCH_INTERVAL_S)
     _serve(pipe, lambda: TabletServerService(
         name, faults=_fault_plan(fault_specs, fault_seed)),
         trace_path, host, port, sample_rate)

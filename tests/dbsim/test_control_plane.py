@@ -77,6 +77,12 @@ class FakeServer:
     def compact_table(self, table):
         self.log.append((self.name, "compact_table", table))
 
+    def submit(self, op, *args):
+        """An op the plane fans out, run now as an in-process server
+        runs it."""
+        answer = getattr(self, op)(*args)
+        return lambda: answer
+
 
 def fake_plane(n=N_SERVERS):
     log = []

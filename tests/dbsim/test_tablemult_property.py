@@ -26,6 +26,7 @@ strict upper triangle of A·A.
 """
 
 import itertools
+import threading
 from unittest import mock
 
 import numpy as np
@@ -189,7 +190,8 @@ def test_blocked_path_equals_stream_oracle(cluster, data, kind, combiner,
     multiply = graphulo._multiply_block
 
     def spy(at_side, b_side, *args):
-        seen.append([x * y for x, y in zip(at_side[0], b_side[0])])
+        seen.append((threading.current_thread().name,
+                     [x * y for x, y in zip(at_side[0], b_side[0])]))
         return multiply(at_side, b_side, *args)
 
     with mock.patch.object(graphulo, "BLOCK_PARTIAL_PRODUCTS", bound), \
@@ -199,9 +201,22 @@ def test_blocked_path_equals_stream_oracle(cluster, data, kind, combiner,
             stream_table_mult(ref, "AT", "B", "C", **kwargs)
 
     # the block rule: boundaries follow the cell sequence alone, and a
-    # block overshoots the bound by less than its last inner row
-    assert seen == model * (2 if accumulate else 1)
-    assert all(sum(block) - block[-1] < bound for block in seen)
+    # block overshoots the bound by less than its last inner row.  A
+    # cluster's steps run at once, each on a thread of its server's, so
+    # there the sequence is one per step; in process one thread runs
+    # the steps in plan order
+    reps = 2 if accumulate else 1
+    by_thread = {}
+    for thread, block in seen:
+        by_thread.setdefault(thread, []).append(block)
+    if backend == "in process":
+        assert list(by_thread.values()) == [model * reps]
+    else:
+        per_step = (_model_blocks(at, b, bound, [extents])
+                    for extents in steps)
+        assert sorted(by_thread.values()) == sorted(
+            blocks * reps for blocks in per_step if blocks)
+    assert all(sum(block) - block[-1] < bound for _, block in seen)
 
     # masking before the fold only drops whole cells of the product
     got, want = _result(ours, "C"), {

@@ -115,12 +115,14 @@ def _drive(entry, batches, flush_bytes, max_versions):
 
 def _stamped(batches):
     """The model: sort keys of every mutation in arrival order, a zero
-    timestamp replaced by the next tick of one logical clock."""
+    timestamp replaced by the next tick of one logical clock, which an
+    explicit timestamp moves up to itself."""
     clock, keys = 0, []
     for row, fam, qual, vis, ts, delete, _ in itertools.chain(*batches):
         if ts == 0:
             clock += 1
             ts = clock
+        clock = max(clock, ts)
         keys.append((row, fam, qual, vis, -ts, 0 if delete else 1))
     return keys
 
