@@ -11,7 +11,10 @@ to perform graph analytics"):
   shared rows at a time, and writes the summed cells straight into
   ``out``, whose *summing combiner* performs ⊕ across blocks and
   servers when ``out`` is read — ``out`` is flushed, not compacted, and
-  neither operand nor the product passes through the client;
+  neither operand nor the product passes through the client.  Given
+  ``table_a`` (``A = ATᵀ`` stored by rows) each server instead owns
+  whole output rows (:func:`multiply_owned`): it gathers the ``B`` rows
+  its ``A`` rows reach, folds each output row, and writes it once;
 * :func:`degree_table` — maintain the D4M schema's Tdeg (one Reduce);
 * :func:`apply_to_table` / :func:`filter_table` — server-side Apply /
   value filters as batch stages of the scan;
@@ -26,7 +29,7 @@ created on demand with the right combiner.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain
+from itertools import chain, groupby
 from typing import (Callable, Dict, Iterable, Iterator, Optional, Sequence,
                     Set)
 
@@ -80,7 +83,8 @@ def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
                mul: Callable[[float, float], float] = _default_mul,
                combiner: str = "sum", authorizations=None,
                mask: Optional[str] = None,
-               triangle: Optional[str] = None) -> OpStats:
+               triangle: Optional[str] = None,
+               table_a: Optional[str] = None) -> OpStats:
     """Graphulo TableMult: ``C = Aᵀ ⊕.⊗ B`` with ``AT`` stored row-wise
     (Accumulo can only iterate rows, hence the stored transpose — the
     same reason the D4M schema keeps TedgeT).
@@ -121,23 +125,53 @@ def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
     strict upper triangle).  Both are applied before the fold, so the
     rest are never summed, written or stamped; each block reads just
     the mask rows it writes, where the mask's tablets live.  A missing
-    mask raises ``KeyError`` before ``out`` is created.  Returns the
-    instance-wide stats delta for the whole operation (the cost model).
+    mask raises ``KeyError`` before ``out`` is created.
+
+    ``table_a`` names the table that stores ``A = ATᵀ`` by rows — for
+    an undirected adjacency table, ``AT`` itself — and makes every
+    step own whole output rows: the servers hosting ``table_a``'s
+    tablets each stream their ``A`` rows a block at a time, read the
+    ``B`` rows the block reaches (a local scan, or one range-set scan
+    per peer tablet), fold each output row whole and write each cell
+    once (:func:`multiply_owned`).  ``AT`` is then only checked to
+    exist: the steps read ``table_a``.  A missing ``out`` is split like
+    ``table_a`` and created plain — no combiner completes a cell
+    written once — and a mask that is ``table_a`` is read where the
+    rows are.  A missing ``table_a`` raises ``KeyError`` before ``out``
+    is created.  Without ``table_a`` a step writes partial products
+    that ``out``'s combiner folds, which is why a stage after a
+    TableMult (the ``post`` of :class:`~repro.dbsim.server.MultSpec`,
+    which the algorithms of :mod:`repro.dbsim.graphulo_algorithms`
+    use) needs ``table_a``: ``MultSpec`` refuses one without it with
+    ``ValueError``, before any RPC.  Returns the instance-wide stats
+    delta for the whole operation (the cost model).
     """
     spec = MultSpec(
         table_b, out, BLOCK_PARTIAL_PRODUCTS,
         mul=_mul_operand(mul, isinstance(conn.instance, Instance)),
         combiner=combiner,
         auths=sorted(authorizations.tokens) if authorizations else [],
-        mask=mask, triangle=triangle)
+        mask=mask, triangle=triangle, table_a=table_a)
+    inst = conn.instance
+    before = inst.total_stats().snapshot()
+    _multiply(conn, table_at, spec)
+    return inst.total_stats().delta(before)
+
+
+def _multiply(conn: Connector, table_at: str, spec: MultSpec
+              ) -> Dict[str, int]:
+    """One TableMult, ``spec`` over ``table_at``, as :func:`table_mult`
+    runs it — under a ``graphulo.table_mult`` span that carries its
+    work counts — and those counts; the algorithms' entry, whose specs
+    may carry a ``post``."""
     if not _trace.ENABLED:
-        return _table_mult(conn, table_at, spec)[0]
+        return conn.instance.table_mult(table_at, spec)
     with _trace.span("graphulo.table_mult", stats=conn.instance.total_stats,
-                     table_at=table_at, table_b=table_b, out=out,
-                     combiner=combiner) as sp:
-        stats, work = _table_mult(conn, table_at, spec)
+                     table_at=table_at, table_b=spec.table_b, out=spec.out,
+                     combiner=spec.combiner) as sp:
+        work = conn.instance.table_mult(table_at, spec)
         sp.set(**work)
-        return stats
+        return work
 
 
 def _mul_operand(mul, in_process: bool):
@@ -158,13 +192,6 @@ def _mul_operand(mul, in_process: bool):
         f"table_mult over a cluster takes mul as a built-in BinaryOp "
         f"(one of {sorted(BINARY_OPS)}); the callable {mul!r} cannot "
         f"cross the wire")
-
-
-def _table_mult(conn: Connector, table_at: str, spec: MultSpec):
-    inst = conn.instance
-    before = inst.total_stats().snapshot()
-    work = inst.table_mult(table_at, spec)
-    return inst.total_stats().delta(before), work
 
 
 def two_table(conn: Connector, table: str, out: str,
@@ -222,13 +249,13 @@ def _block_operand(counts, quals, vals, index, dup):
 def _multiply_block(at, b, semiring, mask, triangle):
     """``ATᵀ ⊕.⊗ B`` over one block of shared inner rows: the summed
     result as ``(row keys, qualifier keys, encoded values)`` in key
-    order — the columns a tablet stores.  ``mask`` is ``None`` or a
-    stream of column batches whose (row, qualifier) pairs the result
-    may hold, drained once both operands are built (a read it waits on
-    overlaps that work); ``triangle`` ``"upper"`` keeps row key <
-    qualifier.  Both drop products before the fold.  Both sides index
-    their qualifiers by one sorted key list, so index order is key
-    order: the kernel's upper triangle is the keys'."""
+    order — the columns a tablet stores.  ``mask`` is ``None`` or an
+    iterable of the (row, qualifier) pairs the result may hold, drained
+    once both operands are built (a read it waits on overlaps that
+    work); ``triangle`` ``"upper"`` keeps row key < qualifier.  Both
+    drop products before the fold.  Both sides index their qualifiers
+    by one sorted key list, so index order is key order: the kernel's
+    upper triangle is the keys'."""
     from repro.sparse.construct import from_coo
     from repro.sparse.select import triu
     from repro.sparse.spgemm import mxm
@@ -239,11 +266,8 @@ def _multiply_block(at, b, semiring, mask, triangle):
     mat_at = _block_operand(*at, index, semiring.add).T
     mat_b = _block_operand(*b, index, semiring.add)
     if mask is not None:
-        # a mask row is an output row, so it is in index; its qualifier
-        # need not be
-        pairs = [(index[row], index[qual]) for batch in mask
-                 for row, qual in zip(batch.rows, batch.qualifiers)
-                 if qual in index]
+        pairs = [(index[row], index[qual]) for row, qual in mask
+                 if row in index and qual in index]
         mask = from_coo(len(keys), len(keys),
                         [i for i, _ in pairs], [j for _, j in pairs])
         if triangle:
@@ -281,17 +305,16 @@ def _whole_rows(batches):
         yield row, quals, vals
 
 
-def _joined_rows(at_batches, b_batches):
+def _joined_rows(at_rows, b_rows):
     """The whole inner rows ``AT`` and ``B`` share, as ``(AT row, B
-    row)`` pairs in key order: two sorted row streams advanced in
-    lockstep (Graphulo's TwoTableIterator).  ``b_batches`` of ``None``
-    means ``B`` is ``AT`` (``AᵀA``): each row is joined with itself."""
-    at_rows = _whole_rows(at_batches)
-    if b_batches is None:
+    row)`` pairs in key order: two sorted row streams (as
+    :func:`_whole_rows` yields them) advanced in lockstep (Graphulo's
+    TwoTableIterator).  ``b_rows`` of ``None`` means ``B`` is ``AT``
+    (``AᵀA``): each row is joined with itself."""
+    if b_rows is None:
         for ra in at_rows:
             yield ra, ra
         return
-    b_rows = _whole_rows(b_batches)
     ra, rb = next(at_rows, None), next(b_rows, None)
     while ra is not None and rb is not None:
         if ra[0] < rb[0]:
@@ -301,6 +324,27 @@ def _joined_rows(at_batches, b_batches):
         else:
             yield ra, rb
             ra, rb = next(at_rows, None), next(b_rows, None)
+
+
+def _joined_blocks(at_rows, b_rows, bound: int):
+    """:func:`_joined_rows` gathered into blocks: per side, (cells per
+    inner row, qualifiers, values), and the block's predicted partial
+    products Σₜ nnz(AT[t,:])·nnz(B[t,:]).  A block closes once that
+    reaches ``bound``, so it holds fewer than ``bound`` cells of either
+    side plus one inner row — every row it holds has a partial product
+    per cell — and its boundaries follow the row sequence alone."""
+    at, b, predicted = ([], [], []), ([], [], []), 0
+    for ra, rb in _joined_rows(at_rows, b_rows):
+        for side, (_, quals, vals) in ((at, ra), (b, rb)):
+            side[0].append(len(quals))
+            side[1].extend(quals)
+            side[2].extend(vals)
+        predicted += len(ra[1]) * len(rb[1])
+        if predicted >= bound:
+            yield at, b, predicted
+            at, b, predicted = ([], [], []), ([], [], []), 0
+    if predicted:
+        yield at, b, predicted
 
 
 def join_cells(at_batches, b_batches):
@@ -350,11 +394,12 @@ def multiply_rows(at_batches, b_batches, spec: MultSpec, write,
     same stamps.  Returns the share's work counts."""
     semiring = _semiring(spec.mul, spec.combiner)
     work = {"blocks": 0, "partial_products": 0, "cells_written": 0}
-    # the block: per side, (cells per inner row, qualifiers, values)
-    at, b, predicted = ([], [], []), ([], [], []), 0
-
-    def write_block() -> None:
-        mask = None if spec.mask is None else read_mask(sorted(set(at[1])))
+    for at, b, predicted in _joined_blocks(
+            _whole_rows(at_batches),
+            None if b_batches is None else _whole_rows(b_batches),
+            spec.block_products):
+        mask = None if spec.mask is None else _pairs(
+            read_mask(sorted(set(at[1]))))
         rows, quals, vals = _multiply_block(at, b, semiring, mask,
                                             spec.triangle)
         n = len(rows)
@@ -363,20 +408,135 @@ def multiply_rows(at_batches, b_batches, spec: MultSpec, write,
         work["blocks"] += 1
         work["partial_products"] += predicted
         work["cells_written"] += len(rows)
-        for column in at + b:
-            column.clear()
+    return work
 
-    for ra, rb in _joined_rows(at_batches, b_batches):
-        for side, (_, quals, vals) in ((at, ra), (b, rb)):
-            side[0].append(len(quals))
-            side[1].extend(quals)
-            side[2].extend(vals)
-        predicted += len(ra[1]) * len(rb[1])
-        if predicted >= spec.block_products:
-            write_block()
-            predicted = 0
-    if predicted:
-        write_block()
+
+def _pairs(batches):
+    """The (row, qualifier) pairs of a stream of column batches."""
+    return chain.from_iterable(zip(batch.rows, batch.qualifiers)
+                               for batch in batches)
+
+
+def _row_blocks(batches, bound: int):
+    """A columnar stream's cells as blocks of whole rows, ``(rows,
+    qualifiers, values)`` per cell in key order: a block closes once
+    it holds ``bound`` cells, so it holds fewer than ``bound`` plus one
+    row."""
+    rows: list = []
+    quals: list = []
+    vals: list = []
+    for row, row_quals, row_vals in _whole_rows(batches):
+        rows += [row] * len(row_quals)
+        quals += row_quals
+        vals += row_vals
+        if len(rows) >= bound:
+            yield rows, quals, vals
+            rows, quals, vals = [], [], []
+    if rows:
+        yield rows, quals, vals
+
+
+def _by_qualifier(rows, quals, vals):
+    """A block of ``A`` cells as the rows of ``AT``: ``(qualifier, the
+    rows holding it, their values)`` in qualifier order, rows in key
+    order within one."""
+    order = sorted(range(len(quals)), key=quals.__getitem__)  # stable
+    for qual, group in groupby(order, quals.__getitem__):
+        group = list(group)
+        yield (qual, [rows[i] for i in group], [vals[i] for i in group])
+
+
+def _fold_parts(parts, add):
+    """Several blocks' ``(rows, qualifiers, encoded values)`` — the
+    same output rows, disjoint inner rows — folded with ⊕ into one, in
+    key order; a cell's values fold in the order of ``parts``."""
+    import numpy as np
+
+    from repro.sparse.construct import from_coo
+
+    rows, quals, vals = (list(chain.from_iterable(part[i] for part in parts))
+                         for i in range(3))
+    keys = sorted(set(rows).union(quals))
+    index = {key: i for i, key in enumerate(keys)}
+    folded = from_coo(len(keys), len(keys), [index[r] for r in rows],
+                      [index[q] for q in quals],
+                      np.fromiter(map(decode_number, vals), np.float64,
+                                  len(vals)), dup=add)
+    out_rows, out_cols, out_vals = folded.to_coo()
+    return ([keys[i] for i in out_rows.tolist()],
+            [keys[j] for j in out_cols.tolist()],
+            list(map(encode_number, out_vals.tolist())))
+
+
+def multiply_owned(a_batches, spec: MultSpec, read_b, read_mask, write,
+                   stamps: Iterator[int]) -> Dict[str, int]:
+    """One server's share of a row-owned TableMult (``spec.table_a``
+    given): ``a_batches`` streams its ``A`` tablets' cells in key
+    order, ``A`` stored by rows, and the step owns every output row of
+    them.  It takes ``A`` in blocks of whole rows (closing at
+    ``spec.block_products`` cells) and, per block:
+
+    * ``read_b(qualifiers)`` opens the reads of the ``B`` rows the
+      block's sorted qualifiers name and returns their column batches,
+      in key order; they are gathered in blocks of whole rows as
+      :func:`multiply_rows` gathers, so no more than the block bound
+      plus one row of ``B`` cells is held at once (the ``peak_gathered``
+      work count is the most held);
+    * ``spec.mask``'s cells in the block's rows are read once for all
+      of them — they are the block's own cells when the mask is ``A``
+      itself, else ``read_mask(rows)``'s, opened after the ``B`` reads;
+    * each gathered block is multiplied (:func:`_multiply_block`) under
+      that mask or ``spec.triangle`` and its product folded with ⊕ into
+      the block's output as it comes, so every output row ends whole
+      and summed, and no more than the block's output plus one gathered
+      block's product is held at once (``peak_held``, in cells);
+    * ``spec.post`` runs on those rows, and ``write(columns)`` takes
+      each batch it yields, every cell at the block's stamp, the next
+      of ``stamps``.  A cell is written once: no ``out`` combiner
+      completes it.
+
+    Returns the share's work counts, ``cells_read`` being ``A``'s."""
+    from array import array
+
+    from repro.net.cells import ColumnBatch
+    from repro.net.iterspec import IterSpec
+
+    semiring = _semiring(spec.mul, spec.combiner)
+    post = IterSpec.from_wire(spec.post or ()).build_factories()
+    work = {"blocks": 0, "partial_products": 0, "cells_written": 0,
+            "cells_read": 0, "peak_gathered": 0, "peak_held": 0}
+    for rows, quals, vals in _row_blocks(a_batches, spec.block_products):
+        work["cells_read"] += len(rows)
+        b_rows = _whole_rows(read_b(sorted(set(quals))))
+        mask = (None if spec.mask is None
+                else list(zip(rows, quals)) if spec.mask == spec.table_a
+                else list(_pairs(read_mask(list(dict.fromkeys(rows))))))
+        held = ((), (), ())
+        for at, b, predicted in _joined_blocks(
+                _by_qualifier(rows, quals, vals), b_rows,
+                spec.block_products):
+            part = _multiply_block(at, b, semiring, mask, spec.triangle)
+            work["peak_held"] = max(work["peak_held"],
+                                    len(held[0]) + len(part[0]))
+            if part[0]:
+                held = (_fold_parts([held, part], semiring.add)
+                        if held[0] else part)
+            work["blocks"] += 1
+            work["partial_products"] += predicted
+            work["peak_gathered"] = max(work["peak_gathered"], len(b[1]))
+        stamp = next(stamps)
+        out_rows, out_quals, out_vals = held
+        n = len(out_rows)
+        if not n:
+            continue
+        stream = [ColumnBatch(out_rows, [""] * n, out_quals, [""] * n,
+                              array("q", [stamp]) * n, [False] * n,
+                              out_vals)]
+        for layer in post:
+            stream = layer.stage(stream)
+        for batch in stream:
+            write([getattr(batch, column) for column in batch.__slots__])
+            work["cells_written"] += len(batch)
     return work
 
 

@@ -2,17 +2,16 @@
 
 The paper's §IV next step — "extend the sparse matrix implementations
 of the algorithms discussed in this article to associative arrays ...
-directly on Accumulo data structures" — realised for the two worked
-algorithms: Jaccard (Algorithm 2) and k-truss (Algorithm 1), and
-Graphulo's triangle count, running as sequences of Graphulo's
-two-table op on database tables — a TableMult
-(:func:`~repro.dbsim.graphulo.table_mult`, masked or upper-triangular
-where the algorithm needs only part of the product), an element-wise
-join or a one-table scan (:func:`~repro.dbsim.graphulo.two_table`),
-each with a pushed-down stage before its write — in the tablet
-servers, never materialising a client-side matrix larger than a degree
-vector.  (The real Graphulo library shipped exactly these as its
-flagship ops in its follow-up papers.)
+directly on Accumulo data structures" — realised for Jaccard
+(Algorithm 2), k-truss (Algorithm 1) and Graphulo's triangle count as
+Graphulo's two-table op in the tablet servers, never materialising a
+client-side matrix larger than a degree vector.  An undirected
+adjacency table ``E`` is its own transpose, so each is a *row-owned*
+TableMult of ``E`` with itself (``table_a=E``): every step folds whole
+output rows of its own tablets, masked by ``E`` or kept to the strict
+upper triangle, and runs the algorithm's stage — the k-truss
+threshold, the Jaccard coefficient — on them before it writes.  A
+Jaccard call and a k-truss round are one op each.
 """
 
 from __future__ import annotations
@@ -20,8 +19,10 @@ from __future__ import annotations
 from typing import Dict, Iterable
 
 from repro.dbsim.client import Connector
-from repro.dbsim.graphulo import _spec, table_mult, two_table
+from repro.dbsim.graphulo import (BLOCK_PARTIAL_PRODUCTS, _multiply, _spec,
+                                  table_mult, two_table)
 from repro.dbsim.key import decode_number
+from repro.dbsim.server import MultSpec
 from repro.dbsim.stats import OpStats
 
 
@@ -32,8 +33,7 @@ def table_intersect(conn: Connector, left: str, right: str, out: str,
     One ``ewise`` two-table op: the ``keep`` table ("left" or "right")
     is streamed in lockstep with the other (the TwoTableIterator
     pattern again) and, for each key present in *both*, its cell is
-    written as is.  This is the masked-write primitive that lets
-    server-side k-truss keep only surviving edges.
+    written as is.
     """
     if keep not in ("left", "right"):
         raise ValueError(f"keep must be 'left' or 'right', got {keep!r}")
@@ -56,37 +56,30 @@ def _fresh(conn: Connector, name: str) -> str:
     return name
 
 
-def table_jaccard(conn: Connector, edge_table: str, out: str,
-                  tmp_prefix: str = "_jac") -> OpStats:
-    """Server-side Jaccard on an undirected 0/1 adjacency table.
-
-    Pipeline (every step a table op):
-
-    1. ``CN = triu(TableMult(A, A), 1)`` — common-neighbour counts (A
-       symmetric, pattern values) of the strict upper triangle only, as
-       Algorithm 2 computes them, accumulated by the result table's sum
-       combiner;
-    2. degree vector — one scan of A reduced per row inside the tablet
-       servers (fits client memory: O(n), not O(nnz));
-    3. one one-table op over CN whose ``jaccard`` stage emits
-       ``J(i,j) = cn / (dᵢ + dⱼ − cn)`` into ``out`` for each CN cell,
-       and the same value at ``(j, i)``: both triangle halves.
+def table_jaccard(conn: Connector, edge_table: str, out: str) -> OpStats:
+    """Server-side Jaccard on an undirected 0/1 adjacency table ``A``:
+    the degree vector (one scan of A reduced per row inside the tablet
+    servers: O(n) to the client, not O(nnz)), then one row-owned
+    TableMult of A with itself into the strict upper triangle, as
+    Algorithm 2 computes it.  Each step folds the common-neighbour
+    counts ``cn`` of its own rows, and its ``jaccard`` stage writes
+    ``J(i,j) = cn / (dᵢ + dⱼ − cn)`` into a fresh ``out`` at (i, j) and
+    at (j, i), the mirror to whichever server holds row j.
     """
+    if out == edge_table:
+        raise ValueError(f"out must not be the edge table {edge_table!r}")
     inst = conn.instance
     before = inst.total_stats().snapshot()
-    cn_table = _fresh(conn, f"{tmp_prefix}_cn")
-    try:
-        table_mult(conn, edge_table, edge_table, cn_table, triangle="upper")
-        # weighted degrees, folded per row inside the tablet servers
-        degrees: Dict[str, float] = {}
-        for batch in conn.scanner(
-                edge_table,
-                iterspec=_spec().reduce("sum", qualifier="deg")
-        ).scan_columns():
-            degrees.update(zip(batch.rows, map(decode_number, batch.values)))
-        two_table(conn, cn_table, out, post=_spec().jaccard(degrees))
-    finally:
-        _drop(conn, [cn_table])
+    # weighted degrees, folded per row inside the tablet servers
+    degrees: Dict[str, float] = {}
+    for batch in conn.scanner(
+            edge_table, iterspec=_spec().reduce("sum", qualifier="deg")
+    ).scan_columns():
+        degrees.update(zip(batch.rows, map(decode_number, batch.values)))
+    _multiply(conn, edge_table, MultSpec(
+        edge_table, _fresh(conn, out), BLOCK_PARTIAL_PRODUCTS,
+        triangle="upper", table_a=edge_table,
+        post=_spec().jaccard(degrees).to_wire()))
     return inst.total_stats().delta(before)
 
 
@@ -105,7 +98,7 @@ def table_triangles(conn: Connector, edge_table: str,
     tmp = _fresh(conn, f"{tmp_prefix}_cn")
     try:
         table_mult(conn, edge_table, edge_table, tmp, mul=PAIR,
-                   mask=edge_table, triangle="upper")
+                   mask=edge_table, triangle="upper", table_a=edge_table)
         total = sum(
             sum(map(decode_number, batch.values))
             for batch in conn.scanner(
@@ -192,46 +185,41 @@ def table_pagerank(conn: Connector, edge_table: str, out: str,
 
 def table_ktruss(conn: Connector, edge_table: str, out: str, k: int,
                  tmp_prefix: str = "_truss", max_rounds: int = 100) -> OpStats:
-    """Server-side k-truss of an undirected 0/1 adjacency table.
+    """Server-side k-truss of an undirected adjacency table.
 
     Graphulo's adjacency-matrix formulation of Algorithm 1: each round
-
-    1. ``CN = TableMult(E, E)`` masked by E — per-edge triangle
-       support, computed on E's pattern only;
-    2. one one-table op over CN: kept where the support is ≥ k−2 and
-       written as 1 — the next E, and its size;
-    3. stop when no edge was dropped.
-
-    ``out`` receives the surviving adjacency table (0/1 values).
+    is one row-owned TableMult of E with itself under ⊗ = ``pair``
+    (edge values ignored), masked by E — per-edge triangle support on
+    E's pattern — whose steps write the edges with support ≥ k−2 as 1:
+    the next E.  Rounds write into ``out`` and one temporary table in
+    turn, and stop when one kept every edge it read; ``out`` then
+    holds the surviving adjacency table.
     """
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+    if k < 3 or out == edge_table:
+        raise ValueError(f"need k >= 3 and out other than the edge table; "
+                         f"got k={k}, out={out!r}")
     inst = conn.instance
     before = inst.total_stats().snapshot()
-    cn, current = f"{tmp_prefix}_cn", f"{tmp_prefix}_e"
-    temps = [cn, current, f"{tmp_prefix}_next0", f"{tmp_prefix}_next1"]
-    _drop(conn, temps)
-    one = _spec().apply("clip", 1, 1)  # any edge value → 1
-    survive = _spec().value_ge(k - 2).apply("clip", 1, 1)
+    tables = (out, f"{tmp_prefix}_e")
+    _drop(conn, tables)
+    survive = _spec().value_ge(k - 2).apply("clip", 1, 1).to_wire()
+    current = edge_table
     try:
-        # working copy of the edge table
-        count = two_table(conn, edge_table, current, post=one)["cells_written"]
         for round_no in range(max_rounds):
-            table_mult(conn, current, current, cn, mask=current)
-            nxt = temps[2 + round_no % 2]
-            survivors = two_table(conn, cn, nxt,
-                                  post=survive)["cells_written"]
-            conn.delete_table(cn)
-            conn.delete_table(current)
+            nxt = tables[round_no % 2]
+            if round_no >= 2:
+                conn.delete_table(nxt)  # the round before last's edges
+            work = _multiply(conn, current, MultSpec(
+                current, nxt, BLOCK_PARTIAL_PRODUCTS, mul="pair",
+                post=survive, mask=current, table_a=current))
             current = nxt
-            if survivors == count:
+            if work["cells_written"] == work["cells_read"]:
                 break
-            count = survivors
         else:
             raise RuntimeError(
                 f"k-truss did not converge in {max_rounds} rounds")
-        _fresh(conn, out)
-        two_table(conn, current, out)
-    finally:
-        _drop(conn, temps)
+    except BaseException:
+        _drop(conn, tables)
+        raise
+    _drop(conn, tables[1:])
     return inst.total_stats().delta(before)

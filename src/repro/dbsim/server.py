@@ -27,6 +27,7 @@ calls one of these methods, and encodes the answer):
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from contextlib import nullcontext
 from itertools import chain, count
@@ -77,19 +78,30 @@ class MultSpec:
     it: over the wire, as a JSON object of these fields, checked here
     on arrival.  ``join`` is one of :data:`JOINS` (``None`` exactly when
     ``table_b`` is); ``post`` is an :class:`~repro.net.iterspec.
-    IterSpec` in wire form run before the write, after any join but a
-    ``"row"`` one, whose partial products only ``out``'s combiner
-    completes.  The rest is TableMult's: a block closes once its
-    predicted partial products reach ``block_products`` (≥ 1: the
-    caller's :data:`repro.dbsim.graphulo.BLOCK_PARTIAL_PRODUCTS`, so
-    every server cuts where the caller's library does); ``mul`` is a
+    IterSpec` in wire form run before the write.  The rest is
+    TableMult's: a block closes once its predicted partial products
+    reach ``block_products`` (≥ 1: the caller's
+    :data:`repro.dbsim.graphulo.BLOCK_PARTIAL_PRODUCTS`, so every
+    server cuts where the caller's library does); ``mul`` is a
     built-in binary operator's name (in process, also any Python
     callable); ``combiner`` names ``out``'s ⊕.  ``auths`` are the
     scans' authorization tokens.  ``mask`` (a table name) and
     ``triangle`` (one of :data:`TRIANGLES`) take a ``"row"`` join only:
     they keep the products whose (row, qualifier) is stored in
     ``mask``, and whose row key is below their qualifier, before the
-    fold, so ``out`` never receives the rest."""
+    fold, so ``out`` never receives the rest.
+
+    ``table_a`` (a table name, ``"row"`` join only) names the table
+    that stores ``A = ATᵀ`` by rows — for an undirected adjacency
+    table, ``AT`` itself.  With it a step owns whole output rows
+    (:func:`repro.dbsim.graphulo.multiply_owned`): each ``out`` cell is
+    folded inside one step and written once, so ``post`` may follow a
+    ``"row"`` join exactly when ``table_a`` is given — it runs on the
+    folded rows; without it a ``"row"`` join writes partial products
+    that only ``out``'s combiner completes, and a ``post`` raises
+    ``ValueError`` here, before the spec is sent.  A ``table_a`` that
+    does not exist raises ``KeyError`` where the op is planned
+    (:meth:`ControlPlane.table_mult`), before ``out`` is created."""
 
     table_b: Optional[str]
     out: str
@@ -101,6 +113,7 @@ class MultSpec:
     post: Optional[list] = None
     mask: Optional[str] = None
     triangle: Optional[str] = None
+    table_a: Optional[str] = None
 
     def __post_init__(self):
         if not isinstance(self.block_products, int) \
@@ -117,17 +130,22 @@ class MultSpec:
         if self.triangle not in TRIANGLES:
             raise ValueError(f"triangle must be one of {TRIANGLES}, got "
                              f"{self.triangle!r}")
-        if self.mask is not None and not isinstance(self.mask, str):
-            raise ValueError(f"mask must be a table name, got "
-                             f"{self.mask!r}")
-        if self.join != "row" and (self.mask, self.triangle) != (None,
-                                                                  None):
-            raise ValueError(f"mask and triangle take a row join only; "
-                             f"got mask={self.mask!r}, triangle="
-                             f"{self.triangle!r} on join {self.join!r}")
+        for field in ("mask", "table_a"):
+            name = getattr(self, field)
+            if name is not None and not isinstance(name, str):
+                raise ValueError(f"{field} must be a table name, got "
+                                 f"{name!r}")
+        if self.join != "row" and (self.mask, self.triangle,
+                                   self.table_a) != (None, None, None):
+            raise ValueError(f"mask, triangle and table_a take a row join "
+                             f"only; got mask={self.mask!r}, triangle="
+                             f"{self.triangle!r}, table_a={self.table_a!r} "
+                             f"on join {self.join!r}")
         if self.post is not None:
-            if self.join == "row":
-                raise ValueError("post cannot follow a row join")
+            if self.join == "row" and self.table_a is None:
+                raise ValueError("post follows a row join only when table_a "
+                                 "is given: without it a step writes "
+                                 "partial products, not folded rows")
             from repro.net.iterspec import IterSpec  # lazy: net imports dbsim
 
             IterSpec.from_wire(self.post)
@@ -418,22 +436,30 @@ class TabletServer:
         joins (:func:`repro.dbsim.graphulo.join_cells`) write cells as
         they are, timestamps included.  Returns the step's work counts.
 
+        Under ``spec.table_a`` the step is row-owned: ``table_at`` is
+        ``table_a`` and ``tablet_ids`` are its tablets here.  The step
+        streams their ``A`` rows in blocks of whole rows and, per
+        block, reads the ``B`` rows the block's qualifiers name — one
+        range-set scan per ``B`` tablet they reach, local or a peer's,
+        every one opened before any is read — then multiplies, folds,
+        runs ``spec.post`` on the folded rows and writes each cell once
+        (:func:`repro.dbsim.graphulo.multiply_owned`).
+
         This is step ``step`` of the op's ``steps``, and ``base`` is at
         least every stamp ``out`` held before the op: a ``"row"`` join
         writes its block ``k`` at timestamp ``base + k·steps + step +
         1``, a stamp no other block of the op uses.
 
-        ``b`` are the ``B`` tablets overlapping those extents, ``out``
-        every ``out`` tablet and ``mask`` every tablet of
-        ``spec.mask`` (none without one), as assignments whose
-        ``server`` is this server — a local scan, a local write — or a
-        handle with :meth:`scan_tablet` and :meth:`submit` of
-        ``"write_tablet"``: in a cluster, a peer's RPC stub.  A server
-        never calls itself over the wire.  A block's writes are all
-        sent before the previous block's are waited for.  A masked
-        block reads the mask cells of its output rows (``AT``'s
-        qualifiers): one range-set scan per mask tablet they reach,
-        every one opened before any is read."""
+        ``b`` are the ``B`` tablets overlapping those extents (every
+        ``B`` tablet under ``table_a``), ``out`` every ``out`` tablet
+        and ``mask`` every tablet of ``spec.mask`` (none without one),
+        as assignments whose ``server`` is this server — a local scan,
+        a local write — or a handle with :meth:`scan_tablet` and
+        :meth:`submit` of ``"write_tablet"``: in a cluster, a peer's
+        RPC stub.  A server never calls itself over the wire.  A
+        block's writes are all sent before the previous block's are
+        waited for.  A masked block reads the mask cells of its output
+        rows the same way it reads ``B`` rows."""
         # lazy: graphulo and net import this module, and numpy loads
         # with the first block multiplied, not with the server
         from repro.dbsim import graphulo
@@ -479,19 +505,27 @@ class TabletServer:
             answers(unacked)
             unacked[:] = sent
 
-        def read_mask(rows: Sequence[str]):
-            ranges = [Range.exact_row(row) for row in rows]
-            # every read opened before any is drained: a peer's overlap
-            return chain.from_iterable([
-                entry.server.scan_tablet(spec.mask, entry.tablet_id, share,
-                                         spec.auths)
-                for entry in mask
-                for share in [clip_ranges(ranges, entry.extent)] if share])
+        def reader(table: Optional[str], entries: Sequence["Assignment"]):
+            def read(rows: Sequence[str]):
+                ranges = [Range.exact_row(row) for row in rows]
+                # every read opened before any is drained: a peer's
+                # overlap
+                return chain.from_iterable([
+                    entry.server.scan_tablet(table, entry.tablet_id, share,
+                                             spec.auths)
+                    for entry in entries
+                    for share in [clip_ranges(ranges, entry.extent)]
+                    if share])
+            return read
 
-        if spec.join == "row":
+        stamps = count(base + step + 1, steps)
+        if spec.table_a is not None:
+            work = graphulo.multiply_owned(at, spec, reader(spec.table_b, b),
+                                           reader(spec.mask, mask), write,
+                                           stamps)
+        elif spec.join == "row":
             work = graphulo.multiply_rows(at, b_batches, spec, write,
-                                          read_mask,
-                                          count(base + step + 1, steps))
+                                          reader(spec.mask, mask), stamps)
         else:
             stream = at if b_batches is None else graphulo.join_cells(
                 at, b_batches)
@@ -727,8 +761,8 @@ class ControlPlane:
 
         The operands must exist.  A missing ``out`` is split like
         ``AT``, each tablet on the server of the ``AT`` tablet with its
-        extent — combining with ``spec.combiner`` for a ``"row"`` join,
-        else plain — so an ``"ewise"`` or one-table op writes its own
+        extent — combining with ``spec.combiner`` for a ``"row"`` join
+        without ``table_a``, else plain — so an ``"ewise"`` or one-table op writes its own
         tablets.  An existing ``out`` of a ``"row"`` join must fold
         every partial product with ``spec.combiner``
         (:meth:`TableConfig.folds`), or ``ValueError`` is raised before
@@ -736,10 +770,22 @@ class ControlPlane:
         compacts it: its combiner folds the partial products when they
         are read.  A ``spec.mask`` table must exist too, and every step
         reads the mask rows it needs from every mask tablet's server.
-        Returns the work counts summed over the steps."""
+        Under ``spec.table_a`` (which must exist too, or ``KeyError``
+        is raised before ``out`` is created) the op is row-owned: the
+        steps are those of the servers hosting ``table_a`` tablets —
+        ``table_at`` is only checked to exist — a missing ``out`` is
+        split like ``table_a`` and created plain, since each of its
+        cells is folded inside one step and written once, and every
+        step may read every ``B`` tablet.  Returns the work counts
+        summed over the steps, and a ``peak_*`` count's maximum."""
         at_entries = self.table(table_at).index.entries
+        owned = spec.table_a is not None
+        if owned:
+            table_at = spec.table_a
+            at_entries = self.table(table_at).index.entries
         # a one-table op, and a table joined with itself, read no B tablet
-        b_index = (None if spec.table_b in (None, table_at)
+        # unless a step owns its rows, which may reach any B row
+        b_index = (None if spec.table_b in (None, table_at) and not owned
                    else self.table(spec.table_b).index)
         mask = ([] if spec.mask is None
                 else self.table(spec.mask).index.entries)
@@ -750,7 +796,7 @@ class ControlPlane:
         if not self.table_exists(spec.out):
             self.create_table(
                 spec.out, TableConfig.combining(spec.combiner)
-                if spec.join == "row" else None,
+                if spec.join == "row" and not owned else None,
                 splits=self.splits(table_at),
                 hosts=[entry.server for entry in at_entries])
         elif spec.join == "row":
@@ -767,9 +813,10 @@ class ControlPlane:
         out = self.table(spec.out).index.entries
         steps = []
         for step, (server, entries) in enumerate(shares.items()):
-            b = [] if b_index is None else list(dict.fromkeys(
-                chain.from_iterable(b_index.overlapping(entry.extent)
-                                    for entry in entries)))
+            b = ([] if b_index is None else b_index.entries if owned
+                 else list(dict.fromkeys(chain.from_iterable(
+                     b_index.overlapping(entry.extent)
+                     for entry in entries))))
             steps.append(server.submit(
                 "multiply_tablets", table_at,
                 [entry.tablet_id for entry in entries], spec, b, out, mask,
@@ -777,7 +824,8 @@ class ControlPlane:
         work: Dict[str, int] = {}
         for step_work in answers(steps):
             for name, n in step_work.items():
-                work[name] = work.get(name, 0) + n
+                work[name] = (max if name.startswith("peak_")
+                              else operator.add)(work.get(name, 0), n)
         self.flush_table(spec.out)
         return work
 

@@ -108,7 +108,20 @@ class TestTableJaccard:
     def test_temp_tables_cleaned(self, conn):
         load_adjacency(conn, fig1_graph(), "A")
         table_jaccard(conn, "A", "J")
-        assert all(not t.startswith("_jac") for t in conn.instance.list_tables())
+        assert conn.instance.list_tables() == ["A", "J"]
+
+    @pytest.mark.parametrize("call", [
+        lambda conn: table_jaccard(conn, "A", "A"),
+        lambda conn: table_ktruss(conn, "A", "A", 3)],
+        ids=["jaccard", "ktruss"])
+    def test_out_that_is_the_input_refused(self, conn, call):
+        """``out`` is dropped before the op that reads the edge table,
+        so naming the edge table as ``out`` is refused first."""
+        load_adjacency(conn, fig1_graph(), "A")
+        cells = list(conn.scanner("A"))
+        with pytest.raises(ValueError, match="edge table"):
+            call(conn)
+        assert list(conn.scanner("A")) == cells
 
 
 class TestTableKtruss:

@@ -14,15 +14,24 @@ some mask rows are a peer's.  The block rule — per step, one for each
 server hosting ``AT`` tablets — is checked against an independent
 model of it.
 
+Another runs the row-owned form (``table_a`` = the stored ``A =
+ATᵀ``) against the partial-product one on the same random tables,
+masks and triangles, under a block bound small enough to split both
+``A`` and the gathered ``B`` rows: integer results are equal, float
+ones within 1e-12, and no gathered block holds more ``B`` cells than
+the bound plus one row — which a hub vertex pins on both backends —
+and, on a complete graph, no step holds more output cells than one
+``A`` block's output plus one gathered block's product.
+
 A second property holds on one and two in-process servers and on a
 thread cluster: no result table of TableMult, Jaccard or k-truss needs
 a compaction — none of them compacts, and compacting the result
 afterwards changes no cell, timestamps included, because its combiner
 already folds the partial products when they are read.
 
-A third pins what Jaccard's and k-truss's TableMults write: k-truss's
-common-neighbour table holds only edges of E, and Jaccard's only the
-strict upper triangle of A·A.
+A third pins what Jaccard's and k-truss's row-owned ops write: a
+k-truss round only edges of E, and Jaccard only the strict upper
+triangle of A·A and its mirror.
 """
 
 import itertools
@@ -37,7 +46,8 @@ from hypothesis import strategies as st
 from repro.dbsim import Connector, graphulo, table_mult
 from repro.dbsim.graphulo_algorithms import table_jaccard, table_ktruss
 from repro.dbsim.key import decode_number
-from repro.dbsim.server import Instance
+from repro.dbsim.server import Instance, TabletServer
+from repro.obs import InMemorySink, trace
 from repro.net.cluster import LocalCluster
 from repro.obs.metrics import MetricsRegistry
 
@@ -231,6 +241,144 @@ def test_blocked_path_equals_stream_oracle(cluster, data, kind, combiner,
             assert abs(got[key] - value) <= 1e-12 * abs(value), key
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(VALUES)),
+       combiner=st.sampled_from(["sum", "min", "max"]),
+       backend=st.sampled_from(["1 server", "2 servers", "thread cluster"]),
+       mask=st.none() | st.sets(st.tuples(st.sampled_from(QUALS),
+                                          st.sampled_from(QUALS))),
+       triangle=st.sampled_from([None, "upper"]),
+       bound=st.integers(1, 6))
+def test_row_owned_equals_partial_products(cluster, data, kind, combiner,
+                                           backend, mask, triangle, bound):
+    at = data.draw(operand(VALUES[kind], "q"))
+    b = data.draw(operand(VALUES[kind], "q"))
+    ours, ref = _backend(backend, cluster), _backend("1 server", cluster)
+    for conn in (ours, ref):
+        _load(conn, "AT", at)
+        _load(conn, "B", b)
+        conn.create_table("A", splits=["q2"])  # A = ATᵀ, by rows
+        with conn.batch_writer("A") as writer:
+            for (row, qual), value in at.items():
+                writer.put(qual, "", row, value)
+        if mask is not None:
+            conn.create_table("M", splits=["q3"])
+            with conn.batch_writer("M") as writer:
+                for row, qual in sorted(mask):
+                    writer.put(row, "", qual, 1)
+    masks = {"mask": None if mask is None else "M", "triangle": triangle}
+
+    gathered = []
+    multiply = graphulo._multiply_block
+
+    def spy(at_side, b_side, *args):
+        gathered.append(len(b_side[1]))
+        return multiply(at_side, b_side, *args)
+
+    with mock.patch.object(graphulo, "BLOCK_PARTIAL_PRODUCTS", bound), \
+            mock.patch.object(graphulo, "_multiply_block", spy):
+        table_mult(ours, "AT", "B", "C", combiner=combiner, table_a="A",
+                   **masks)
+    table_mult(ref, "AT", "B", "C", combiner=combiner, **masks)
+    longest = max(sum(r == row for r, _ in b) for row, _ in b)
+    assert all(n < bound + longest for n in gathered)
+    got, want = _result(ours, "C"), _result(ref, "C")
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if kind == "int":
+            assert got[key] == value, key
+        else:
+            assert abs(got[key] - value) <= 1e-12 * abs(value), key
+
+
+#: a star's hub and its leaves, the leaves joined in a ring: every leaf
+#: row names the hub, whose row is the longest
+LEAVES = 40
+
+
+@pytest.mark.parametrize("backend", ["1 server", "thread cluster"])
+def test_row_owned_gather_stays_within_the_block_bound(cluster, backend):
+    """Under a block bound of 8, no block a row-owned step multiplies
+    holds more gathered ``B`` cells than the bound plus one row — the
+    hub's, 40 cells — though a block of leaves reaches the hub and every
+    leaf: the steps report that peak, and the ``graphulo.table_mult``
+    span carries it."""
+    bound = 8
+    conn = _backend(backend, cluster)
+    conn.create_table("E", splits=["l20"])
+    with conn.batch_writer("E") as writer:
+        for i in range(LEAVES):
+            leaf, nxt = f"l{i:02d}", f"l{(i + 1) % LEAVES:02d}"
+            for u, v in (("hub", leaf), (leaf, nxt)):
+                writer.put(u, "", v, 1)
+                writer.put(v, "", u, 1)
+    sink = trace.enable(InMemorySink())
+    try:
+        with mock.patch.object(graphulo, "BLOCK_PARTIAL_PRODUCTS", bound):
+            table_mult(conn, "E", "E", "C", table_a="E")
+    finally:
+        trace.disable()
+    [span] = sink.spans("graphulo.table_mult")
+    attrs = span["attrs"]
+    assert bound <= attrs["peak_gathered"] < bound + LEAVES
+    assert attrs["cells_read"] == 4 * LEAVES
+    assert attrs["blocks"] > 4 * LEAVES // bound
+    table_mult(conn, "E", "E", "P")  # the partial-product form
+    assert _result(conn, "C") == _result(conn, "P")
+
+
+#: a complete graph's order: every inner row of an ``A`` block reaches
+#: nearly all of the block's output
+CLIQUE = 12
+
+
+@pytest.mark.parametrize("backend", ["1 server", "thread cluster"])
+def test_row_owned_holds_one_block_of_output(cluster, backend):
+    """On K₁₂ under a block bound of 22, an ``A`` block is two whole
+    rows and nearly every inner row is a gathered block of its own,
+    whose product covers 22 of the block's 24 output cells.  A step
+    folds each product into the block's output as it comes, so it
+    holds at most the output plus one product — 46 cells, where
+    keeping the products until the block ends would hold ~240: the
+    steps report that peak, and the span carries it.  A mask other
+    than ``A`` is read once per ``A`` block, not once per gathered
+    block."""
+    bound = 2 * (CLIQUE - 1)
+    conn = _backend(backend, cluster)
+    for table in ("E", "M"):
+        conn.create_table(table, splits=["v06"])
+        with conn.batch_writer(table) as writer:
+            for u, v in itertools.permutations(range(CLIQUE), 2):
+                writer.put(f"v{u:02d}", "", f"v{v:02d}", 1)
+    sink = trace.enable(InMemorySink())
+    try:
+        with mock.patch.object(graphulo, "BLOCK_PARTIAL_PRODUCTS", bound):
+            table_mult(conn, "E", "E", "C", table_a="E")
+    finally:
+        trace.disable()
+    [span] = sink.spans("graphulo.table_mult")
+    attrs = span["attrs"]
+    assert attrs["blocks"] >= CLIQUE // 2 * (CLIQUE - 2)
+    assert 2 * CLIQUE + bound - 2 <= attrs["peak_held"] <= 2 * CLIQUE + bound
+    table_mult(conn, "E", "E", "P")  # the partial-product form
+    assert _result(conn, "C") == _result(conn, "P")
+
+    reads = []
+    scan = TabletServer.scan_tablet
+
+    def spy(self, table, *args):
+        reads.append(table)
+        return scan(self, table, *args)
+
+    with mock.patch.object(graphulo, "BLOCK_PARTIAL_PRODUCTS", bound), \
+            mock.patch.object(TabletServer, "scan_tablet", spy):
+        table_mult(conn, "E", "E", "CM", table_a="E", mask="M")
+    if backend != "thread cluster":  # a peer's reads are its SCANs
+        assert reads.count("M") == CLIQUE // 2  # blocks of two rows
+    table_mult(conn, "E", "E", "PM", mask="M")
+    assert _result(conn, "CM") == _result(conn, "PM")
+
+
 #: an undirected simple graph on v0..v5, each edge once
 GRAPHS = st.sets(st.sampled_from(list(itertools.combinations(range(6), 2))))
 
@@ -265,10 +413,12 @@ def test_results_need_no_compaction(cluster, backend, at, b, accumulate,
 @settings(max_examples=25, deadline=None)
 @given(edges=GRAPHS)
 def test_common_neighbour_tables_hold_only_what_is_read(edges):
-    """k-truss's first-round CN holds only E's edges, and Jaccard's
-    only the strict upper nonzeros of A·A.  One server and one tablet
-    make each TableMult one step of one block, so its
-    ``cells_written`` is the size of its CN."""
+    """Jaccard and a k-truss round are one row-owned op each, whose
+    product never leaves the mask or the upper triangle: Jaccard's op
+    writes the strict upper nonzeros of A·A and their mirrors, and
+    k-truss's first round only E's edges that close a triangle (k =
+    3).  One server and one tablet make each op one step of one
+    block."""
     conn = Connector(Instance(n_servers=1, metrics=MetricsRegistry()))
     conn.create_table("A")
     adjacency = np.zeros((6, 6))
@@ -290,5 +440,5 @@ def test_common_neighbour_tables_hold_only_what_is_read(edges):
     with mock.patch.object(inst, "table_mult", spy):
         table_jaccard(conn, "A", "J")
         table_ktruss(conn, "A", "K", 3)
-    assert written[0] == np.count_nonzero(np.triu(square, 1))
+    assert written[0] == 2 * np.count_nonzero(np.triu(square, 1))
     assert written[1] == np.count_nonzero(square * adjacency)

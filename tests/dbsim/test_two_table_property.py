@@ -6,7 +6,8 @@ Every example runs the library in process on one server and on two,
 and on a thread cluster, and compares its result table with the
 oracle's, run in process: ``table_jaccard`` and ``table_ktruss`` on
 random undirected 0/1 graphs, value for value (their timestamps are
-stamped, so they differ); ``table_intersect`` on random tables with
+stamped, so they differ), and ``table_ktruss`` on weighted edge tables,
+a 0-valued edge among them; ``table_intersect`` on random tables with
 families, visibilities and explicit timestamps, cell for cell,
 timestamps included, keeping either side.
 """
@@ -104,6 +105,37 @@ def test_jaccard_and_ktruss_equal_the_client_loops(cluster, backend, graph,
     assert _values(ours, "J") == _values(ref, "J")
     assert _values(ours, "K") == _values(ref, "K")
     assert sorted(ours.instance.list_tables()) == ["A", "J", "K"]
+
+
+#: edge values k-truss must ignore: weights, and a weight of 0
+EDGE_VALUES = {"weighted": lambda u, v: 0.25 * (1 + (u * 3 + v) % 4),
+               "zero edge": lambda u, v: 0 if (u, v) == (0, 1) else 1}
+
+
+@BACKENDS
+@pytest.mark.parametrize("values", sorted(EDGE_VALUES))
+def test_ktruss_ignores_edge_values(cluster, backend, values):
+    """k-truss's first round reads the edge table itself under ⊗ =
+    ``pair``: ``K`` is the one the client loop's 0/1 copy of it gives,
+    a 0-valued edge counted like any other.  Under ⊗ = times, weights
+    below 1 and the 0 would each drop edges of this 4-truss."""
+    weight = EDGE_VALUES[values]
+    # a K4, whose edges have support exactly k − 2, and a triangle and
+    # a pendant edge hanging off it that a 4-truss peels away
+    edges = [*itertools.combinations(range(4), 2),
+             (3, 4), (3, 5), (4, 5), (5, 6)]
+    ours, ref = _backend(backend, cluster), _local()
+    for conn in (ours, ref):
+        conn.create_table("A", splits=[_vertex(3)])
+        with conn.batch_writer("A") as writer:
+            for u, v in edges:
+                writer.put(_vertex(u), "", _vertex(v), weight(u, v))
+                writer.put(_vertex(v), "", _vertex(u), weight(u, v))
+    table_ktruss(ours, "A", "K", 4)
+    filter_ktruss(ref, "A", "K", 4)
+    got = _values(ours, "K")
+    assert got == _values(ref, "K")
+    assert len(got) == 12 and (_vertex(0), "", _vertex(1), "") in got
 
 
 #: keys drawn from a small space, so the two tables overlap

@@ -12,10 +12,13 @@ must keep true, on thread and process clusters of two servers:
   ends;
 * whichever step finishes first, ``C`` — float sums whose value depends
   on the order they are folded in — equals the in-process run bit for
-  bit, timestamps included, and so does Jaccard, whose one-table op
-  writes rows outside its own step's extents;
+  bit, timestamps included, and so do the row-owned ops: Jaccard, whose
+  step writes mirror cells into its peer's rows, and a k-truss of
+  several rounds;
 * a step re-sent while the original still runs (the connection reset
-  under it), or after its ack was lost, is applied once;
+  under it), or after its ack was lost, is applied once — a
+  partial-product step and a row-owned one, which reads its ``B`` rows
+  from its peer;
 * a fresh ``out`` is split like ``AT``, each tablet beside its ``AT``
   twin, so an ewise or one-table op sends no ``WRITE_BATCH`` at all.
 """
@@ -31,7 +34,7 @@ import pytest
 
 from repro.dbsim.client import Connector
 from repro.dbsim.graphulo import create_combiner_table, table_mult, two_table
-from repro.dbsim.graphulo_algorithms import table_jaccard
+from repro.dbsim.graphulo_algorithms import table_jaccard, table_ktruss
 from repro.dbsim.key import decode_number
 from repro.dbsim.server import Instance, MultSpec
 from repro.net import wire
@@ -304,6 +307,14 @@ def jaccard_in_process():
     return _cells(local, "J")
 
 
+@pytest.fixture(scope="module")
+def ktruss_in_process():
+    local = _local()
+    _load_graph(local)
+    table_ktruss(local, "A", "K", 3)
+    return _cells(local, "K")
+
+
 def _load_graph(conn):
     """An undirected graph over 12 vertices, split so both servers
     hold rows of it."""
@@ -366,17 +377,49 @@ class TestFinishOrder:
         # both servers' J tablets hold cells
         assert {c.key.row < "v06" for c in got} == {True, False}
 
+    @MODES
+    @ORDERS
+    def test_ktruss_equals_in_process(self, ktruss_in_process, processes,
+                                      slow, how):
+        """Every round is one row-owned op whose steps finish in either
+        order; the rounds and ``K`` are the same, stamps included."""
+        with _cluster(processes, _slow(slow, how)) as (conn, _):
+            _load_graph(conn)
+            table_ktruss(conn, "A", "K", 3)
+            got = _cells(conn, "K")
+            tables = conn.instance.list_tables()
+        assert got == ktruss_in_process  # timestamps included
+        assert {c.key.row < "v06" for c in got} == {True, False}
+        assert sorted(tables) == ["A", "K"]
+
 
 # -- a step re-sent while it runs --------------------------------------------
 
 
-#: tserver0's share of ``AᵀA`` over ``_load_crossed``'s tables, alone
-ONE_STEP_SPEC = MultSpec("AT", "C", 1)
+#: tserver0's step over ``_load_crossed``'s tables, alone: its share
+#: of ``AᵀA`` (partial products, every block writing into tserver1),
+#: or, row-owned, ``AT``'s rows on tserver0 times ``M`` (every block
+#: reading its ``M`` rows from tserver1)
+ONE_STEP_SPECS = {
+    "partial": MultSpec("AT", "C", 1),
+    "row_owned": MultSpec("M", "C", 1, table_a="AT"),
+}
+#: the fault that slows each step's peer calls down: a step that runs
+#: for over a second
+SLOW_PEER = {"partial": "write_batch:delay:1.0:0.1",
+             "row_owned": "scan:delay:1.0:0.1"}
+FORMS = pytest.mark.parametrize("form", sorted(ONE_STEP_SPECS))
 
 
-def _step_payload(conn, addrs):
-    """tserver0's step of :data:`ONE_STEP_SPEC`, as the manager sends
-    it: step 0 of 1."""
+def _step_b(spec, tables):
+    """The ``B`` tablets a step of ``spec`` is sent: every ``M`` tablet
+    to a row-owned step, none to ``AᵀA``'s."""
+    return tables(spec.table_b) if spec.table_a else []
+
+
+def _step_payload(conn, addrs, spec):
+    """tserver0's step of ``spec``, as the manager sends it: step 0 of
+    1."""
     inst = conn.instance
     names = {addr: name for name, addr in addrs.items()}
 
@@ -389,23 +432,27 @@ def _step_payload(conn, addrs):
     return {"table": "AT",
             "tablet_ids": [p.tablet_id for p in inst.tablets("AT")
                            if p.addr == addrs["tserver0"]],
-            "spec": asdict(ONE_STEP_SPEC), "b": [], "out": assignments("C"),
-            "mask": [],
+            "spec": asdict(spec), "b": _step_b(spec, assignments),
+            "out": assignments("C"), "mask": [],
             "base": 0, "step": 0, "steps": 1}
 
 
 @pytest.fixture(scope="module")
 def one_step_in_process():
-    """tserver0's step alone, in process."""
-    local = _local()
-    _load_crossed(local)
-    inst = local.instance
-    server = inst.servers[0]
-    work = server.multiply_tablets(
-        "AT", [tid for tid, _ in server._of("AT")],
-        ONE_STEP_SPEC, [], inst.table("C").index.entries, [])
-    inst.flush_table("C")
-    return work, _cells(local, "C")
+    """tserver0's step alone, in process, per form."""
+    done = {}
+    for form, spec in ONE_STEP_SPECS.items():
+        local = _local()
+        _load_crossed(local)
+        inst = local.instance
+        server = inst.servers[0]
+        work = server.multiply_tablets(
+            "AT", [tid for tid, _ in server._of("AT")], spec,
+            _step_b(spec, lambda table: inst.table(table).index.entries),
+            inst.table("C").index.entries, [])
+        inst.flush_table("C")
+        done[form] = work, _cells(local, "C")
+    return done
 
 
 def _first_draw_fires(spec):
@@ -421,14 +468,16 @@ def _first_draw_fires(spec):
 
 class TestRunningStepExactlyOnce:
     @MODES
-    def test_resent_while_running(self, one_step_in_process, processes):
+    @FORMS
+    def test_resent_while_running(self, one_step_in_process, processes,
+                                  form):
         """The connection the step came on is reset while the step
         runs; the caller's retry re-sends it, stamp and all, and is
         answered by the original when it finishes."""
-        faults = {"tserver1": ["write_batch:delay:1.0:0.1"]}
-        with _cluster(processes, faults) as (conn, addrs):
+        with _cluster(processes, {"tserver1": [SLOW_PEER[form]]}) as (
+                conn, addrs):
             _load_crossed(conn)
-            payload = _step_payload(conn, addrs)
+            payload = _step_payload(conn, addrs, ONE_STEP_SPECS[form])
             core = RpcCore(metrics=MetricsRegistry())
             try:
                 delayed = _delays(addrs["tserver1"])
@@ -436,7 +485,7 @@ class TestRunningStepExactlyOnce:
                                           wire.MULTIPLY_TABLETS, payload,
                                           wait=True)
                 _wait_for(lambda: _delays(addrs["tserver1"]) > delayed,
-                          "the step's first write")
+                          "the step's first peer call")
                 for link in list(core._conns.values()):
                     link.sock.shutdown(socket.SHUT_RDWR)
                 work = _finish(call.result)
@@ -448,11 +497,12 @@ class TestRunningStepExactlyOnce:
             hits = _server_metrics(addrs["tserver0"]).get(
                 "net.server.dedup_hits", 0)
         assert retries >= 1 and hits == 1
-        assert (work, got) == one_step_in_process  # applied once
+        assert (work, got) == one_step_in_process[form]  # applied once
 
     @MODES
+    @FORMS
     def test_resent_after_a_dropped_ack(self, one_step_in_process,
-                                        processes):
+                                        processes, form):
         """The step's answer is lost after it ran: the retry is
         answered from the dedup window."""
         spec = "multiply_tablets:drop:0.5"
@@ -461,8 +511,10 @@ class TestRunningStepExactlyOnce:
             _load_crossed(conn)
             core = RpcCore(metrics=MetricsRegistry())
             try:
-                work = core.mutate(addrs["tserver0"], wire.MULTIPLY_TABLETS,
-                                   _step_payload(conn, addrs), wait=True)
+                work = core.mutate(
+                    addrs["tserver0"], wire.MULTIPLY_TABLETS,
+                    _step_payload(conn, addrs, ONE_STEP_SPECS[form]),
+                    wait=True)
             finally:
                 core.close()
             conn.flush("C")
@@ -470,7 +522,7 @@ class TestRunningStepExactlyOnce:
             metrics = _server_metrics(addrs["tserver0"])
         assert metrics["net.server.faults.drop"] == 1
         assert metrics["net.server.dedup_hits"] == 1
-        assert (work, got) == one_step_in_process  # applied once
+        assert (work, got) == one_step_in_process[form]  # applied once
 
 
 # -- where a fresh out lands -------------------------------------------------

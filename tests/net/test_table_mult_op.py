@@ -11,10 +11,13 @@ These tests pin what that must keep true:
 * ``mul`` / ``combiner`` cross the wire by name or not at all, and a
   spec — ``join``, ``post``, ``mask`` and ``triangle`` included — is
   checked where it arrives;
+* ``post`` after a row join without ``table_a`` is refused before any
+  RPC, and a missing ``table_a`` before ``out`` is created;
 * exactly-once under a lost ``TABLE_MULT`` ack, a lost peer
   ``WRITE_BATCH`` ack and a peer ``SCAN`` reset mid-stream, for every
-  join — ``C`` equals a fault-free in-process run, timestamps
-  included — and under a response deadline shorter than the op;
+  join and for a row-owned TableMult — ``C`` equals a fault-free
+  in-process run, timestamps included — and under a response deadline
+  shorter than the op;
 * a fresh ``out`` lands beside a 1-tablet ``AT``, so its partial
   products cross no wire;
 * a failed op leaves no table behind — a missing mask included — and
@@ -23,7 +26,7 @@ These tests pin what that must keep true:
 * the paper's kernels built on the op (three distributed triangle
   counts, the masked upper-triangle one among them, Jaccard, k-truss,
   PageRank) equal their in-process results on thread and process
-  clusters;
+  clusters, and a k-truss of six rounds equals the client loop;
 * neither operand nor the product crosses the client's sockets — for
   Jaccard and k-truss, nothing but Jaccard's degree vector does.
 """
@@ -67,6 +70,8 @@ from repro.net.server import (
 from repro.obs.metrics import MetricsRegistry
 from repro.semiring.builtin import PLUS
 from repro.sparse.construct import from_coo
+
+from tests.dbsim.algorithms_oracle import filter_ktruss
 
 MODES = pytest.mark.parametrize("processes", [False, True],
                                 ids=["threads", "processes"])
@@ -179,6 +184,17 @@ class TestMulAndCombinerOnTheWire:
             table_mult(local, "A", "B", "C", combiner="xor")
         assert not local.table_exists("C")
 
+    def test_post_without_table_a_refused_before_any_rpc(self):
+        """A row join's steps hold partial products unless they own
+        their rows, so a ``post`` needs ``table_a``: the spec refuses
+        one without it before it can be sent, and the manager and a
+        tablet server refuse one that arrives
+        (``test_join_and_post_checked_where_they_arrive``)."""
+        post = IterSpec().value_ge(2).to_wire()
+        with pytest.raises(ValueError, match="table_a"):
+            MultSpec("A", "C", 1 << 18, post=post)
+        MultSpec("A", "C", 1 << 18, post=post, table_a="A")
+
     def test_server_resolves_names_from_a_fixed_table(self, remote):
         _operands(remote)
         table_mult(remote, "A", "B", "C")  # creates C
@@ -223,6 +239,8 @@ class TestMulAndCombinerOnTheWire:
         ({"join": None}, "join"),                  # B named, no join
         ({"join": "ewise", "table_b": None}, "join"),
         ({"post": []}, "post"),                    # after a row join
+        ({"post": [{"op": "value_filter", "cmp": "ge", "threshold": 2}]},
+         "table_a"),
         ({"join": "ewise", "post": {"op": "jaccard"}}, "list"),
         ({"join": "ewise", "post": [{"op": "nope"}]}, "unknown"),
         ({"join": "ewise", "post": [{"op": "jaccard", "degrees": [2]}]},
@@ -235,7 +253,9 @@ class TestMulAndCombinerOnTheWire:
         ({"join": None, "table_b": None, "triangle": "upper"}, "triangle"),
         ({"triangle": "lower"}, "triangle"),
         ({"triangle": True}, "triangle"),
-        ({"mask": ["B"]}, "mask")])
+        ({"mask": ["B"]}, "mask"),
+        ({"table_a": ["A"]}, "table_a"),
+        ({"join": "ewise", "table_a": "A"}, "table_a")])
     def test_join_and_post_checked_where_they_arrive(self, remote, fields,
                                                      match):
         """A ``join`` / ``post`` / ``mask`` / ``triangle`` no library
@@ -335,12 +355,37 @@ def _load_placed(conn):
                 w.put(f"t{t:03d}", "", f"w{v:02d}", 1 + (t * v) % 5)
 
 
+def _load_owned(conn):
+    """:func:`_load_placed`, then ``A = ATᵀ`` stored by rows on
+    tserver0, for a row-owned op: its step reads ``B``'s rows from one
+    peer and writes ``C`` to the other."""
+    _load_placed(conn)
+    conn.create_table("A")
+    with conn.batch_writer("A") as w:
+        for c in _cells(conn, "AT"):
+            w.put(c.key.qualifier, "", c.key.row, c.value)
+
+
+#: the TableMult of ``AT`` and ``B`` into ``C``, each form on its tables
+FORMS = {
+    "partial": (_load_placed,
+                lambda conn: table_mult(conn, "AT", "B", "C")),
+    "row_owned": (_load_owned,
+                  lambda conn: table_mult(conn, "AT", "B", "C",
+                                          table_a="A")),
+}
+
+
+def _run_form(conn, form):
+    load, run = FORMS[form]
+    load(conn)
+    run(conn)
+    return _cells(conn, "C")
+
+
 @pytest.fixture(scope="module")
 def fault_free():
-    local = _local()
-    _load_placed(local)
-    table_mult(local, "AT", "B", "C")
-    return _cells(local, "C")
+    return {form: _run_form(_local(), form) for form in FORMS}
 
 
 FAULTS = {
@@ -361,16 +406,15 @@ FAULTS = {
 
 class TestExactlyOnceUnderFaults:
     @MODES
+    @pytest.mark.parametrize("form", sorted(FORMS))
     @pytest.mark.parametrize("case", sorted(FAULTS))
     def test_c_equals_fault_free_in_process_run(self, fault_free, processes,
-                                                case):
+                                                case, form):
         where, spec, fires, witness, counter = FAULTS[case]
         with _cluster(processes, {where: (spec, _seed(spec, fires))}) as conn:
-            _load_placed(conn)
-            table_mult(conn, "AT", "B", "C")
-            got = _cells(conn, "C")
+            got = _run_form(conn, form)
             metrics = conn.instance.cluster_metrics()
-        assert got == fault_free  # values not doubled, timestamps equal
+        assert got == fault_free[form]  # not doubled, timestamps equal
         export = (metrics["manager"] if witness == "manager"
                   else metrics["servers"][witness])
         assert export.get(counter, 0) >= 1  # the fault hit the op
@@ -405,7 +449,7 @@ class TestExactlyOnceUnderFaults:
             conn.close()
             for service in (manager, *servers):
                 service.stop()
-        assert got == fault_free  # values not doubled, timestamps equal
+        assert got == fault_free["partial"]  # not doubled, stamps equal
         for name in ("net.client.timeouts", "net.client.retries"):
             assert after[name] == before[name], name
         exports = [metrics["manager"], *metrics["servers"].values()]
@@ -589,6 +633,49 @@ class TestKernelsMatchInProcess:
                 conn.close()
         assert got == kernels_in_process  # result cells, timestamps incl.
 
+    @MODES
+    def test_ktruss_of_six_rounds_equals_the_client_loop(self, processes):
+        """k = 4 on a graph whose truss takes six rounds, each one
+        row-owned op, against the client loop in process."""
+        rng = random.Random(7)
+        edges = [(u, v) for u, v in itertools.combinations(range(14), 2)
+                 if rng.random() < 0.4]
+
+        def load(conn):
+            conn.create_table("A", splits=[_vertex(5), _vertex(10)])
+            with conn.batch_writer("A") as w:
+                for u, v in edges:
+                    w.put(_vertex(u), "", _vertex(v), 1)
+                    w.put(_vertex(v), "", _vertex(u), 1)
+
+        def values(conn):
+            return {(c.key.row, c.key.qualifier): c.value
+                    for c in conn.scanner("K")}
+
+        ref = _local()
+        load(ref)
+        filter_ktruss(ref, "A", "K", 4)
+        with LocalCluster(n_servers=len(SERVERS),
+                          processes=processes) as cluster:
+            conn = cluster.connect()
+            try:
+                load(conn)
+                inst, ops = conn.instance, []
+                run = inst.table_mult
+
+                def spy(*args):
+                    ops.append(run(*args))
+                    return ops[-1]
+
+                inst.table_mult = spy
+                table_ktruss(conn, "A", "K", 4)
+                got = values(conn)
+            finally:
+                conn.close()
+        assert len(ops) == 6
+        assert [op["cells_written"] for op in ops][-2:] == [30, 30]
+        assert got == values(ref) and len(got) == 30
+
 
 # -- what the client's sockets carry ----------------------------------------
 
@@ -640,17 +727,39 @@ def _load_pendant(conn):
             w.put(v, "", u, 1)
 
 
+class TestRowOwnedOut:
+    def test_fresh_out_is_plain(self, either):
+        """A row-owned step folds each ``out`` cell itself and writes it
+        once, so a fresh ``out`` gets no combiner: ``J`` and ``K`` are
+        plain tables, as when a one-table op wrote them, and a cell
+        written again replaces the old one.  A partial-product ``out``
+        still combines."""
+        table_jaccard(either, "A", "J")
+        table_ktruss(either, "A", "K", 3)
+        table_mult(either, "A", "A", "C", table_a="A")
+        table_mult(either, "A", "A", "P")
+        inst = either.instance
+        assert [inst.config(t) for t in ("J", "K", "C", "P")] == [
+            TableConfig()] * 3 + [TableConfig.combining("sum")]
+        with either.batch_writer("K") as w:
+            w.put("a", "", "b", 5)
+        assert {(c.key.row, c.key.qualifier): c.value
+                for c in either.scanner("K")}[("a", "b")] == "5"
+
+
 class TestFailedOpsLeaveNoTable:
     @pytest.mark.parametrize("call", [
         lambda c: table_mult(c, "A", "missing", "C"),
         lambda c: table_mult(c, "missing", "A", "C"),
         lambda c: table_mult(c, "A", "A", "C", mask="missing"),
+        lambda c: table_mult(c, "A", "A", "C", table_a="missing"),
         lambda c: table_intersect(c, "missing", "A", "I"),
         lambda c: table_intersect(c, "A", "missing", "I"),
         lambda c: table_jaccard(c, "missing", "J"),
         lambda c: table_ktruss(c, "nope", "K", 3),
         lambda c: table_triangles(c, "nope")],
-        ids=["mult_b", "mult_at", "mult_mask", "intersect_left",
+        ids=["mult_b", "mult_at", "mult_mask", "mult_table_a",
+             "intersect_left",
              "intersect_right", "jaccard", "ktruss", "triangles"])
     def test_missing_operand(self, either, call):
         with pytest.raises(KeyError):
