@@ -160,9 +160,10 @@ def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
 
 def _multiply(conn: Connector, table_at: str, spec: MultSpec
               ) -> Dict[str, int]:
-    """One TableMult, ``spec`` over ``table_at``, as :func:`table_mult`
-    runs it — under a ``graphulo.table_mult`` span that carries its
-    work counts — and those counts; the algorithms' entry, whose specs
+    """One two-table op, ``spec`` over ``table_at`` — a TableMult as
+    :func:`table_mult` runs it, or a one-table op when ``spec.table_b``
+    is ``None`` — under a ``graphulo.table_mult`` span that carries its
+    work counts, and those counts; the algorithms' entry, whose specs
     may carry a ``post``."""
     if not _trace.ENABLED:
         return conn.instance.table_mult(table_at, spec)
@@ -192,22 +193,6 @@ def _mul_operand(mul, in_process: bool):
         f"table_mult over a cluster takes mul as a built-in BinaryOp "
         f"(one of {sorted(BINARY_OPS)}); the callable {mul!r} cannot "
         f"cross the wire")
-
-
-def two_table(conn: Connector, table: str, out: str,
-              table_b: Optional[str] = None, join: Optional[str] = None,
-              post=None) -> Dict[str, int]:
-    """Graphulo's two-table op in its other two forms, run by the
-    tablet servers like :func:`table_mult`: ``table`` streamed — joined
-    with ``table_b`` on (row, family, qualifier), keeping the streamed
-    cell, when ``join`` is ``"ewise"``; alone when it is ``None`` —
-    through ``post`` (an :class:`~repro.net.iterspec.IterSpec`) into
-    ``out``, family, visibility and timestamp kept.  ``out`` is created
-    if missing (a missing operand raises ``KeyError`` first) and
-    flushed.  Returns the work counts: ``cells_written``."""
-    return conn.instance.table_mult(table, MultSpec(
-        table_b, out, BLOCK_PARTIAL_PRODUCTS, join=join,
-        post=post.to_wire() if post else None))
 
 
 def _semiring(mul, combiner: str):
@@ -347,32 +332,6 @@ def _joined_blocks(at_rows, b_rows, bound: int):
         yield at, b, predicted
 
 
-def join_cells(at_batches, b_batches):
-    """The cells of ``at_batches`` whose (row, family, qualifier) is
-    also in ``b_batches``, as column batches in key order: two sorted
-    cell streams advanced in lockstep, one ``B`` cell consumed per kept
-    cell (Graphulo's TwoTableIterator in its EWISE mode).  The lockstep
-    never looks past a row, so joining a row range at a time — a tablet
-    at a time — is joining the tables."""
-    b_keys = chain.from_iterable(
-        zip(batch.rows, batch.families, batch.qualifiers)
-        for batch in b_batches)
-    kb = next(b_keys, None)
-    for batch in at_batches:
-        if kb is None:
-            return
-        keep = []
-        for i, ka in enumerate(zip(batch.rows, batch.families,
-                                   batch.qualifiers)):
-            while kb is not None and kb < ka:
-                kb = next(b_keys, None)
-            if kb == ka:
-                keep.append(i)
-                kb = next(b_keys, None)
-        if keep:
-            yield batch if len(keep) == len(batch) else batch.select(keep)
-
-
 def multiply_rows(at_batches, b_batches, spec: MultSpec, write,
                   read_mask, stamps: Iterator[int]) -> Dict[str, int]:
     """One server's share of TableMult, where its rows live:
@@ -415,6 +374,20 @@ def _pairs(batches):
     """The (row, qualifier) pairs of a stream of column batches."""
     return chain.from_iterable(zip(batch.rows, batch.qualifiers)
                                for batch in batches)
+
+
+def mask_cells(batches, read_mask):
+    """The cells of a columnar stream whose (row, qualifier) a mask
+    stores, as column batches in key order, family, visibility and
+    timestamp kept: a masked one-table op's step.  ``read_mask(rows)``
+    opens the reads of the mask's cells in a batch's sorted rows, as
+    for a masked :func:`multiply_rows` block."""
+    for batch in batches:
+        pairs = set(_pairs(read_mask(list(dict.fromkeys(batch.rows)))))
+        keep = [i for i, pair in enumerate(zip(batch.rows, batch.qualifiers))
+                if pair in pairs]
+        if keep:
+            yield batch if len(keep) == len(batch) else batch.select(keep)
 
 
 def _row_blocks(batches, bound: int):

@@ -20,7 +20,7 @@ from typing import Dict, Iterable
 
 from repro.dbsim.client import Connector
 from repro.dbsim.graphulo import (BLOCK_PARTIAL_PRODUCTS, _multiply, _spec,
-                                  table_mult, two_table)
+                                  table_mult)
 from repro.dbsim.key import decode_number
 from repro.dbsim.server import MultSpec
 from repro.dbsim.stats import OpStats
@@ -28,19 +28,23 @@ from repro.dbsim.stats import OpStats
 
 def table_intersect(conn: Connector, left: str, right: str, out: str,
                     keep: str = "left") -> OpStats:
-    """Structural intersection of two tables on (row, family, qualifier).
+    """Structural intersection of two tables on (row, qualifier).
 
-    One ``ewise`` two-table op: the ``keep`` table ("left" or "right")
-    is streamed in lockstep with the other (the TwoTableIterator
-    pattern again) and, for each key present in *both*, its cell is
-    written as is.
+    One masked one-table op: the ``keep`` table ("left" or "right") is
+    streamed and each of its cells whose (row, qualifier) the other
+    table stores is written as is, family, visibility and timestamp
+    kept.  Families are not compared — the pair is what every mask and
+    TableMult match on — so a kept cell needs no cell of its own family
+    on the other side, and every kept-side cell of a matched pair is
+    written.  ``out`` is created split like the kept table if missing.
     """
     if keep not in ("left", "right"):
         raise ValueError(f"keep must be 'left' or 'right', got {keep!r}")
     inst = conn.instance
     before = inst.total_stats().snapshot()
     kept, other = (left, right) if keep == "left" else (right, left)
-    two_table(conn, kept, out, other, join="ewise")
+    _multiply(conn, kept, MultSpec(None, out, BLOCK_PARTIAL_PRODUCTS,
+                                   mask=other))
     return inst.total_stats().delta(before)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import bisect
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from contextlib import nullcontext
 from itertools import chain, count
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
@@ -45,10 +45,7 @@ from repro.obs.metrics import MetricsRegistry, global_registry
 #: cells per ``write_tablet`` call of a TableMult step: bounds one
 #: ``WRITE_BATCH`` frame however many cells a block sums to
 MULT_WRITE_CELLS = 1 << 16
-#: a two-table op's joins: on the row, multiplying (TableMult); on
-#: (row, family, qualifier), keeping the streamed cell; none (one table)
-JOINS = ("row", "ewise", None)
-#: the triangles a ``"row"`` join may keep: all of the product, or its
+#: the triangles a TableMult may keep: all of the product, or its
 #: strict upper half (row key < qualifier)
 TRIANGLES = (None, "upper")
 #: a combining table's ``max_versions``: its combiner consumes them all
@@ -75,32 +72,34 @@ def answers(calls: Iterable[Callable[[], object]]) -> list:
 class MultSpec:
     """What one two-table op computes — Graphulo's TwoTable, a stack of
     iterators, the write into ``out`` — as every server's step receives
-    it: over the wire, as a JSON object of these fields, checked here
-    on arrival.  ``join`` is one of :data:`JOINS` (``None`` exactly when
-    ``table_b`` is); ``post`` is an :class:`~repro.net.iterspec.
-    IterSpec` in wire form run before the write.  The rest is
-    TableMult's: a block closes once its predicted partial products
-    reach ``block_products`` (≥ 1: the caller's
-    :data:`repro.dbsim.graphulo.BLOCK_PARTIAL_PRODUCTS`, so every
-    server cuts where the caller's library does); ``mul`` is a
+    it: over the wire, as a JSON object of these fields
+    (:meth:`from_wire`), checked here on arrival.  ``table_b`` selects
+    the form: a table name makes the op a TableMult, ``None`` a
+    one-table op, which streams the source's cells as they are.
+    ``post`` is an :class:`~repro.net.iterspec.IterSpec` in wire form
+    run before the write.  The rest is TableMult's: a block closes once
+    its predicted partial products reach ``block_products`` (≥ 1: the
+    caller's :data:`repro.dbsim.graphulo.BLOCK_PARTIAL_PRODUCTS`, so
+    every server cuts where the caller's library does); ``mul`` is a
     built-in binary operator's name (in process, also any Python
     callable); ``combiner`` names ``out``'s ⊕.  ``auths`` are the
-    scans' authorization tokens.  ``mask`` (a table name) and
-    ``triangle`` (one of :data:`TRIANGLES`) take a ``"row"`` join only:
-    they keep the products whose (row, qualifier) is stored in
-    ``mask``, and whose row key is below their qualifier, before the
-    fold, so ``out`` never receives the rest.
+    scans' authorization tokens.  ``mask`` (a table name) keeps the
+    cells whose (row, qualifier) is stored in ``mask``: a TableMult's
+    products before the fold, so ``out`` never receives the rest, and
+    a one-table op's streamed cells.  ``triangle`` (one of
+    :data:`TRIANGLES`, TableMult only) keeps the products whose row key
+    is below their qualifier, also before the fold.
 
-    ``table_a`` (a table name, ``"row"`` join only) names the table
-    that stores ``A = ATᵀ`` by rows — for an undirected adjacency
-    table, ``AT`` itself.  With it a step owns whole output rows
+    ``table_a`` (a table name, TableMult only) names the table that
+    stores ``A = ATᵀ`` by rows — for an undirected adjacency table,
+    ``AT`` itself.  With it a step owns whole output rows
     (:func:`repro.dbsim.graphulo.multiply_owned`): each ``out`` cell is
     folded inside one step and written once, so ``post`` may follow a
-    ``"row"`` join exactly when ``table_a`` is given — it runs on the
-    folded rows; without it a ``"row"`` join writes partial products
-    that only ``out``'s combiner completes, and a ``post`` raises
-    ``ValueError`` here, before the spec is sent.  A ``table_a`` that
-    does not exist raises ``KeyError`` where the op is planned
+    TableMult exactly when ``table_a`` is given — it runs on the folded
+    rows; without it a TableMult writes partial products that only
+    ``out``'s combiner completes, and a ``post`` raises ``ValueError``
+    here, before the spec is sent.  A ``table_a`` that does not exist
+    raises ``KeyError`` where the op is planned
     (:meth:`ControlPlane.table_mult`), before ``out`` is created."""
 
     table_b: Optional[str]
@@ -109,11 +108,26 @@ class MultSpec:
     mul: Union[str, Callable[[float, float], float]] = "times"
     combiner: str = "sum"
     auths: Sequence[str] = ()
-    join: Optional[str] = "row"
     post: Optional[list] = None
     mask: Optional[str] = None
     triangle: Optional[str] = None
     table_a: Optional[str] = None
+
+    @classmethod
+    def from_wire(cls, payload) -> "MultSpec":
+        """The spec a ``TABLE_MULT`` or ``MULTIPLY_TABLETS`` payload
+        carries.  An unknown or missing field raises ``ValueError``
+        naming it, as a bad value does, before anything runs."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"spec must be an object, got {payload!r}")
+        known = {field.name: field.default for field in fields(cls)}
+        for name in payload:
+            if name not in known:
+                raise ValueError(f"unknown spec field {name!r}")
+        for name, default in known.items():
+            if default is MISSING and name not in payload:
+                raise ValueError(f"spec field {name!r} is missing")
+        return cls(**payload)
 
     def __post_init__(self):
         if not isinstance(self.block_products, int) \
@@ -123,29 +137,24 @@ class MultSpec:
         if self.combiner not in COMBINERS:
             raise ValueError(f"combiner must be one of {sorted(COMBINERS)}, "
                              f"got {self.combiner!r}")
-        if self.join not in JOINS or (self.join is None) != (
-                self.table_b is None):
-            raise ValueError(f"join must be one of {JOINS}, None exactly "
-                             f"when table_b is None; got {self.join!r}")
         if self.triangle not in TRIANGLES:
             raise ValueError(f"triangle must be one of {TRIANGLES}, got "
                              f"{self.triangle!r}")
-        for field in ("mask", "table_a"):
+        for field in ("table_b", "mask", "table_a"):
             name = getattr(self, field)
             if name is not None and not isinstance(name, str):
                 raise ValueError(f"{field} must be a table name, got "
                                  f"{name!r}")
-        if self.join != "row" and (self.mask, self.triangle,
-                                   self.table_a) != (None, None, None):
-            raise ValueError(f"mask, triangle and table_a take a row join "
-                             f"only; got mask={self.mask!r}, triangle="
-                             f"{self.triangle!r}, table_a={self.table_a!r} "
-                             f"on join {self.join!r}")
+        if self.table_b is None and (self.triangle, self.table_a) != (
+                None, None):
+            raise ValueError(f"triangle and table_a take a TableMult only; "
+                             f"got triangle={self.triangle!r}, table_a="
+                             f"{self.table_a!r} on a one-table op")
         if self.post is not None:
-            if self.join == "row" and self.table_a is None:
-                raise ValueError("post follows a row join only when table_a "
-                                 "is given: without it a step writes "
-                                 "partial products, not folded rows")
+            if self.table_b is not None and self.table_a is None:
+                raise ValueError("post follows a TableMult only when "
+                                 "table_a is given: without it a step "
+                                 "writes partial products, not folded rows")
             from repro.net.iterspec import IterSpec  # lazy: net imports dbsim
 
             IterSpec.from_wire(self.post)
@@ -425,16 +434,18 @@ class TabletServer:
                          mask: Sequence["Assignment"], base: int = 0,
                          step: int = 0, steps: int = 1) -> Dict[str, int]:
         """A two-table op's step on this server: its ``AT`` tablets
-        ``tablet_ids`` (in extent order) streamed, joined with ``B``'s
-        cells in the same extents as ``spec.join`` says, run through
-        ``spec.post`` and written into ``out``.  A ``"row"`` join
-        multiplies a block of shared rows at a time
+        ``tablet_ids`` (in extent order) streamed and written into
+        ``out``.  A TableMult merge-joins them with ``B``'s rows in the
+        same extents and multiplies a block of shared rows at a time
         (:func:`repro.dbsim.graphulo.multiply_rows`); a block may span
         this server's tablets, so a step pre-sums all of them before it
         writes (block bound permitting): how many partial cells ``out``
-        receives grows with the servers, not the tablets.  The other
-        joins (:func:`repro.dbsim.graphulo.join_cells`) write cells as
-        they are, timestamps included.  Returns the step's work counts.
+        receives grows with the servers, not the tablets.  A one-table
+        op writes the streamed cells as they are, timestamps included,
+        through ``spec.post``; under ``spec.mask`` it keeps those whose
+        (row, qualifier) the mask stores, reading the mask rows of each
+        streamed batch (:func:`repro.dbsim.graphulo.mask_cells`).
+        Returns the step's work counts.
 
         Under ``spec.table_a`` the step is row-owned: ``table_at`` is
         ``table_a`` and ``tablet_ids`` are its tablets here.  The step
@@ -446,7 +457,7 @@ class TabletServer:
         (:func:`repro.dbsim.graphulo.multiply_owned`).
 
         This is step ``step`` of the op's ``steps``, and ``base`` is at
-        least every stamp ``out`` held before the op: a ``"row"`` join
+        least every stamp ``out`` held before the op: a TableMult
         writes its block ``k`` at timestamp ``base + k·steps + step +
         1``, a stamp no other block of the op uses.
 
@@ -458,8 +469,8 @@ class TabletServer:
         :meth:`submit` of ``"write_tablet"``: in a cluster, a peer's
         RPC stub.  A server never calls itself over the wire.  A
         block's writes are all sent before the previous block's are
-        waited for.  A masked block reads the mask cells of its output
-        rows the same way it reads ``B`` rows."""
+        waited for.  A masked block or batch reads the mask cells of its
+        output rows the same way a block reads ``B`` rows."""
         # lazy: graphulo and net import this module, and numpy loads
         # with the first block multiplied, not with the server
         from repro.dbsim import graphulo
@@ -471,7 +482,7 @@ class TabletServer:
         at = chain.from_iterable(
             self.scan_tablet(table_at, tablet_id, [extent], spec.auths)
             for tablet_id, extent in zip(tablet_ids, extents))
-        # one table, or one joined with itself: B's cells are the AT
+        # one table, or one multiplied by itself: B's cells are the AT
         # stream (None); else each B tablet is read once, for its share
         # of the extents
         b_batches = None if spec.table_b in (None, table_at) \
@@ -523,12 +534,12 @@ class TabletServer:
             work = graphulo.multiply_owned(at, spec, reader(spec.table_b, b),
                                            reader(spec.mask, mask), write,
                                            stamps)
-        elif spec.join == "row":
+        elif spec.table_b is not None:
             work = graphulo.multiply_rows(at, b_batches, spec, write,
                                           reader(spec.mask, mask), stamps)
         else:
-            stream = at if b_batches is None else graphulo.join_cells(
-                at, b_batches)
+            stream = at if spec.mask is None else graphulo.mask_cells(
+                at, reader(spec.mask, mask))
             for layer in IterSpec.from_wire(
                     spec.post or ()).build_factories():
                 stream = layer.stage(stream)
@@ -746,14 +757,15 @@ class ControlPlane:
 
     def table_mult(self, table_at: str, spec: MultSpec) -> Dict[str, int]:
         """Graphulo's two-table op where the rows live — TableMult
-        ``out ⊕= ATᵀ ⊕.⊗ B`` for a ``"row"`` join: every server hosting
+        ``out ⊕= ATᵀ ⊕.⊗ B`` when ``spec.table_b`` names ``B``, else a
+        one-table op over ``AT``: every server hosting
         ``AT`` tablets runs them, in extent order, in one step
         (:meth:`TabletServer.multiply_tablets`).  The plan numbers the
         steps in the order of each server's first ``AT`` tablet and
         submits every one before it waits on any (``submit``): in a
         cluster they run at the same time, in process one after another
         in plan order.  What a step writes does not depend on that
-        order: a ``"row"`` join stamps its blocks from a base above
+        order: a TableMult stamps its blocks from a base above
         every stamp ``out`` held — 0 for an ``out`` created here — by
         the step's number, so ``out``'s combiner folds the same partial
         cells in the same order on every backend.  A failed step is
@@ -761,15 +773,16 @@ class ControlPlane:
 
         The operands must exist.  A missing ``out`` is split like
         ``AT``, each tablet on the server of the ``AT`` tablet with its
-        extent — combining with ``spec.combiner`` for a ``"row"`` join
-        without ``table_a``, else plain — so an ``"ewise"`` or one-table op writes its own
-        tablets.  An existing ``out`` of a ``"row"`` join must fold
+        extent — combining with ``spec.combiner`` for a TableMult
+        without ``table_a``, else plain — so a one-table op writes its
+        own tablets.  An existing ``out`` of a TableMult must fold
         every partial product with ``spec.combiner``
         (:meth:`TableConfig.folds`), or ``ValueError`` is raised before
-        any step runs.  Every join flushes ``out`` afterwards, and none
+        any step runs.  Every op flushes ``out`` afterwards, and none
         compacts it: its combiner folds the partial products when they
         are read.  A ``spec.mask`` table must exist too, and every step
-        reads the mask rows it needs from every mask tablet's server.
+        reads the mask rows it needs from every mask tablet's server:
+        its own, when the mask is split and placed like ``AT``.
         Under ``spec.table_a`` (which must exist too, or ``KeyError``
         is raised before ``out`` is created) the op is row-owned: the
         steps are those of the servers hosting ``table_a`` tablets —
@@ -783,7 +796,7 @@ class ControlPlane:
         if owned:
             table_at = spec.table_a
             at_entries = self.table(table_at).index.entries
-        # a one-table op, and a table joined with itself, read no B tablet
+        # a one-table op, and a table multiplied by itself, read no B tablet
         # unless a step owns its rows, which may reach any B row
         b_index = (None if spec.table_b in (None, table_at) and not owned
                    else self.table(spec.table_b).index)
@@ -796,10 +809,10 @@ class ControlPlane:
         if not self.table_exists(spec.out):
             self.create_table(
                 spec.out, TableConfig.combining(spec.combiner)
-                if spec.join == "row" and not owned else None,
+                if spec.table_b is not None and not owned else None,
                 splits=self.splits(table_at),
                 hosts=[entry.server for entry in at_entries])
-        elif spec.join == "row":
+        elif spec.table_b is not None:
             if not self.config(spec.out).folds(spec.combiner):
                 raise ValueError(
                     f"out table {spec.out!r} does not fold every version "

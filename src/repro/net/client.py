@@ -1357,8 +1357,8 @@ class RemoteInstance:
     # -- kernels ----------------------------------------------------------
 
     def table_mult(self, table_at: str, spec) -> dict:
-        """The whole two-table op — a TableMult, or its ``"ewise"`` or
-        one-table form — as one request to the manager, which runs it
+        """The whole two-table op — a TableMult, or its one-table
+        form — as one request to the manager, which runs it
         on the tablet servers: neither operand nor the result crosses
         this client's sockets.  Stamped, so an ack lost on the way back
         replays instead of writing twice."""

@@ -792,7 +792,7 @@ class TabletServerService(_BaseService):
 
     def _multiply_tablets(self, p: dict) -> dict:
         return self.tserver.multiply_tablets(
-            p["table"], p["tablet_ids"], MultSpec(**p["spec"]),
+            p["table"], p["tablet_ids"], MultSpec.from_wire(p["spec"]),
             self._assignments(p["b"]), self._assignments(p["out"]),
             self._assignments(p["mask"]), p["base"], p["step"], p["steps"])
 
@@ -1083,7 +1083,7 @@ class ManagerService(_BaseService):
             wire.FLUSH: lambda p: plane.flush_table(p["table"]),
             wire.COMPACT: lambda p: plane.compact_table(p["table"]),
             wire.TABLE_MULT: lambda p: plane.table_mult(
-                p["table"], MultSpec(**p["spec"])),
+                p["table"], MultSpec.from_wire(p["spec"])),
             wire.STATS: self._fan_stats,
             wire.METRICS: self._fan_metrics,
             wire.CRASH: self._crash_server,

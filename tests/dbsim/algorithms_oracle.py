@@ -18,30 +18,20 @@ from repro.net.iterspec import IterSpec
 
 def merge_intersect(conn: Connector, left: str, right: str, out: str,
                     keep: str = "left") -> None:
-    """Both sorted cell streams in lockstep; for each (row, family,
-    qualifier) in both, the ``keep`` side's cell is written as is."""
+    """Every cell of the ``keep`` side whose (row, qualifier) the other
+    side also holds, written as is: a set of the other side's pairs,
+    then one filtered pass."""
     if not conn.table_exists(out):
         conn.create_table(out)
-
-    def entries(table: str):
-        for batch in conn.scanner(table).scan_columns():
-            yield from zip(zip(batch.rows, batch.families, batch.qualifiers),
-                           batch.visibilities, batch.timestamps, batch.values)
-
-    lefts, rights = entries(left), entries(right)
-    lcell, rcell = next(lefts, None), next(rights, None)
+    kept, other = (left, right) if keep == "left" else (right, left)
+    pairs = {(c.key.row, c.key.qualifier) for c in conn.scanner(other)}
     with conn.batch_writer(out) as writer:
-        while lcell is not None and rcell is not None:
-            if lcell[0] < rcell[0]:
-                lcell = next(lefts, None)
-            elif rcell[0] < lcell[0]:
-                rcell = next(rights, None)
-            else:
-                (row, family, qual), vis, stamp, value = (
-                    lcell if keep == "left" else rcell)
-                writer.put_many([row], [qual], [value], family=[family],
-                                visibility=[vis], timestamps=[stamp])
-                lcell, rcell = next(lefts, None), next(rights, None)
+        for c in conn.scanner(kept):
+            if (c.key.row, c.key.qualifier) in pairs:
+                writer.put_many([c.key.row], [c.key.qualifier], [c.value],
+                                family=[c.key.family],
+                                visibility=[c.key.visibility],
+                                timestamps=[c.key.timestamp])
     conn.flush(out)
 
 

@@ -72,6 +72,22 @@ class TestTableIntersect:
         table_intersect(conn, "L", "R", "out")
         assert list(conn.scanner("out")) == []
 
+    def test_matches_row_and_qualifier_whatever_the_family(self, conn):
+        """The mask is the other table's (row, qualifier) pairs: every
+        kept-side cell of a stored pair is written, in its own family,
+        and the other side's family need not match."""
+        conn.create_table("L")
+        conn.create_table("R")
+        with conn.batch_writer("L") as w:
+            w.put("a", "", "x", 1)
+            w.put("a", "f", "x", 2)
+            w.put("b", "f", "y", 3)
+        with conn.batch_writer("R") as w:
+            w.put("a", "g", "x", 9)
+        table_intersect(conn, "L", "R", "out")
+        assert [(c.key.family, c.value) for c in conn.scanner("out")] == [
+            ("", "1"), ("f", "2")]
+
     def test_keep_validated(self, conn):
         conn.create_table("L")
         conn.create_table("R")

@@ -433,7 +433,7 @@ def test_common_neighbour_tables_hold_only_what_is_read(edges):
 
     def spy(table, spec):
         work = run(table, spec)
-        if spec.join == "row":
+        if spec.table_b is not None:
             written.append(work["cells_written"])
         return work
 

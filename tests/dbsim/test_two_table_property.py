@@ -7,9 +7,11 @@ and on a thread cluster, and compares its result table with the
 oracle's, run in process: ``table_jaccard`` and ``table_ktruss`` on
 random undirected 0/1 graphs, value for value (their timestamps are
 stamped, so they differ), and ``table_ktruss`` on weighted edge tables,
-a 0-valued edge among them; ``table_intersect`` on random tables with
-families, visibilities and explicit timestamps, cell for cell,
-timestamps included, keeping either side.
+a 0-valued edge among them; ``table_intersect`` — a masked one-table
+op, matching on (row, qualifier) whatever the families — on random
+tables with two families, visibilities and explicit timestamps, cell
+for cell, timestamps included, keeping either side, on a process
+cluster too.
 """
 
 import itertools
@@ -41,9 +43,8 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-@pytest.fixture(scope="module")
-def cluster():
-    with LocalCluster(n_servers=2, processes=False) as running:
+def _running(processes):
+    with LocalCluster(n_servers=2, processes=processes) as running:
         conn = running.connect(metrics=MetricsRegistry())
         try:
             yield conn
@@ -51,13 +52,24 @@ def cluster():
             conn.close()
 
 
+@pytest.fixture(scope="module")
+def cluster():
+    yield from _running(processes=False)
+
+
+@pytest.fixture(scope="module")
+def process_cluster():
+    yield from _running(processes=True)
+
+
 def _local(n_servers=1):
     return Connector(Instance(n_servers=n_servers, metrics=MetricsRegistry()))
 
 
 def _backend(backend, cluster):
-    """A connection with no tables on the named backend."""
-    if backend != "thread cluster":
+    """A connection with no tables on the named backend: ``cluster``
+    for either kind of cluster."""
+    if not backend.endswith("cluster"):
         return _local(int(backend[0]))
     for table in cluster.instance.list_tables():
         cluster.delete_table(table)
@@ -155,12 +167,17 @@ def _load_cells(conn, name, cells):
                             visibility=[vis], timestamps=[stamp])
 
 
-@BACKENDS
+@pytest.mark.parametrize("backend", ["1 server", "2 servers",
+                                     "thread cluster", "process cluster"])
 @SETTINGS
 @given(left=TABLES, right=TABLES, keep=st.sampled_from(["left", "right"]))
-def test_intersect_equals_the_client_merge(cluster, backend, left, right,
+def test_intersect_equals_the_client_merge(request, backend, left, right,
                                            keep):
-    ours, ref = _backend(backend, cluster), _local()
+    clusters = {"thread cluster": "cluster",
+                "process cluster": "process_cluster"}
+    ours = _backend(backend, request.getfixturevalue(
+        clusters[backend]) if backend in clusters else None)
+    ref = _local()
     for conn in (ours, ref):
         _load_cells(conn, "L", left)
         _load_cells(conn, "R", right)

@@ -20,7 +20,9 @@ must keep true, on thread and process clusters of two servers:
   partial-product step and a row-owned one, which reads its ``B`` rows
   from its peer;
 * a fresh ``out`` is split like ``AT``, each tablet beside its ``AT``
-  twin, so an ewise or one-table op sends no ``WRITE_BATCH`` at all.
+  twin, so a one-table op sends no ``WRITE_BATCH`` at all, and one
+  masked by a table split and placed like its source no peer ``SCAN``
+  either.
 """
 
 import itertools
@@ -33,7 +35,8 @@ from dataclasses import asdict
 import pytest
 
 from repro.dbsim.client import Connector
-from repro.dbsim.graphulo import create_combiner_table, table_mult, two_table
+from repro.dbsim.graphulo import (BLOCK_PARTIAL_PRODUCTS, _multiply,
+                                  create_combiner_table, table_mult)
 from repro.dbsim.graphulo_algorithms import table_jaccard, table_ktruss
 from repro.dbsim.key import decode_number
 from repro.dbsim.server import Instance, MultSpec
@@ -543,13 +546,28 @@ def _load_four(conn):
                     b.put(f"t{t}", "", f"u{q}", 2)
 
 
-#: the two joins that write cells as they are: ``AT``'s cells whose key
-#: ``B`` also has, or all of them, above a pushed-down value filter
-WRITE_AS_IS = {
-    "ewise": lambda conn: two_table(conn, "AT", "C", "B", join="ewise",
-                                    post=IterSpec().value_ge(2)),
-    "one_table": lambda conn: two_table(conn, "AT", "C",
-                                        post=IterSpec().value_ge(2)),
+def _load_masked(conn):
+    """:func:`_load_four`, then ``M`` split like ``AT`` — one more table
+    first moves the round-robin cursor back to ``AT``'s first server, so
+    each ``M`` tablet lands beside its ``AT`` twin — holding some of
+    ``AT``'s (row, qualifier) pairs under another family, and pairs
+    ``AT`` lacks."""
+    _load_four(conn)
+    conn.create_table("Y")
+    conn.create_table("M", splits=["t2", "t4", "t6"])
+    with conn.batch_writer("M") as w:
+        for t in range(8):
+            w.put(f"t{t}", "f", f"u{t % 3}", 1)
+            w.put(f"t{t}", "", "x", 1)
+
+
+#: the one-table op, unmasked and masked by ``M``, as the library's one
+#: entry runs it: ``AT``'s cells above a pushed-down value filter
+ONE_TABLE_OPS = {
+    "unmasked": MultSpec(None, "C", BLOCK_PARTIAL_PRODUCTS,
+                         post=IterSpec().value_ge(2).to_wire()),
+    "masked": MultSpec(None, "C", BLOCK_PARTIAL_PRODUCTS, mask="M",
+                       post=IterSpec().value_ge(2).to_wire()),
 }
 
 
@@ -570,22 +588,28 @@ class TestFreshOutPlacement:
         assert _homes(local, "C") == _homes(local, "AT") == at
 
     @MODES
-    @pytest.mark.parametrize("join", sorted(WRITE_AS_IS))
-    def test_ewise_and_one_table_ops_write_locally(self, processes, join):
+    @pytest.mark.parametrize("op", sorted(ONE_TABLE_OPS))
+    def test_one_table_ops_read_and_write_locally(self, processes, op):
+        """A fresh ``out`` lands beside its source's tablets, and so
+        does ``M``: no server receives a ``WRITE_BATCH`` or a ``SCAN``
+        during the op, and ``C`` equals the in-process run, timestamps
+        included."""
         with _cluster(processes) as (conn, addrs):
-            _load_four(conn)
+            _load_masked(conn)
+            assert _homes(conn, "M", addrs) == _homes(conn, "AT", addrs)
 
             def received():
-                return {name: _server_metrics(addr).get(
-                    "net.server.op.write_batch.bytes_received", 0)
-                    for name, addr in addrs.items()}
+                return {(name, kind): _server_metrics(addr).get(
+                    f"net.server.op.{kind}.bytes_received", 0)
+                    for name, addr in addrs.items()
+                    for kind in ("write_batch", "scan")}
 
             before = received()
-            WRITE_AS_IS[join](conn)
+            _multiply(conn, "AT", ONE_TABLE_OPS[op])
             after = received()
             got = _cells(conn, "C")
         assert after == before
         local = _local()
-        _load_four(local)
-        WRITE_AS_IS[join](local)
+        _load_masked(local)
+        _multiply(local, "AT", ONE_TABLE_OPS[op])
         assert got and got == _cells(local, "C")

@@ -1,23 +1,23 @@
 """Graphulo's two-table op as one operation of the database, on a
 cluster.
 
-``table_mult`` (the ``"row"`` join) and ``two_table`` (the ``"ewise"``
-join and the one-table scan) over a ``RemoteConnector`` are one
+``table_mult`` and the one-table op (a ``MultSpec`` with no
+``table_b``, masked or not) over a ``RemoteConnector`` are one
 ``TABLE_MULT`` request to the manager; the manager's plane has each
-server hosting ``AT`` tablets run them, and that server reads ``B``
-from a peer and writes ``out`` to a peer where they live elsewhere.
-These tests pin what that must keep true:
+server hosting ``AT`` tablets run them, and that server reads ``B`` or
+the mask from a peer and writes ``out`` to a peer where they live
+elsewhere.  These tests pin what that must keep true:
 
 * ``mul`` / ``combiner`` cross the wire by name or not at all, and a
-  spec — ``join``, ``post``, ``mask`` and ``triangle`` included — is
-  checked where it arrives;
-* ``post`` after a row join without ``table_a`` is refused before any
+  spec — its field names, ``post``, ``mask``, ``triangle`` and
+  ``table_a`` included — is checked where it arrives;
+* ``post`` after a TableMult without ``table_a`` is refused before any
   RPC, and a missing ``table_a`` before ``out`` is created;
 * exactly-once under a lost ``TABLE_MULT`` ack, a lost peer
-  ``WRITE_BATCH`` ack and a peer ``SCAN`` reset mid-stream, for every
-  join and for a row-owned TableMult — ``C`` equals a fault-free
-  in-process run, timestamps included — and under a response deadline
-  shorter than the op;
+  ``WRITE_BATCH`` ack and a peer ``SCAN`` reset mid-stream, for both
+  TableMult forms and the masked and unmasked one-table op — ``C``
+  equals a fault-free in-process run, timestamps included — and under
+  a response deadline shorter than the op;
 * a fresh ``out`` lands beside a 1-tablet ``AT``, so its partial
   products cross no wire;
 * a failed op leaves no table behind — a missing mask included — and
@@ -42,9 +42,9 @@ from repro.algorithms.structure import triangle_count
 from repro.dbsim.client import Connector
 from repro.dbsim.graphulo import (
     BLOCK_PARTIAL_PRODUCTS,
+    _multiply,
     create_combiner_table,
     table_mult,
-    two_table,
 )
 from repro.dbsim.graphulo_algorithms import (
     table_intersect,
@@ -75,6 +75,8 @@ from tests.dbsim.algorithms_oracle import filter_ktruss
 
 MODES = pytest.mark.parametrize("processes", [False, True],
                                 ids=["threads", "processes"])
+#: a field a spec case leaves out
+MISSING = object()
 SERVERS = ("tserver0", "tserver1", "tserver2")
 
 
@@ -185,7 +187,7 @@ class TestMulAndCombinerOnTheWire:
         assert not local.table_exists("C")
 
     def test_post_without_table_a_refused_before_any_rpc(self):
-        """A row join's steps hold partial products unless they own
+        """A TableMult's steps hold partial products unless they own
         their rows, so a ``post`` needs ``table_a``: the spec refuses
         one without it before it can be sent, and the manager and a
         tablet server refuse one that arrives
@@ -235,40 +237,44 @@ class TestMulAndCombinerOnTheWire:
 
 
     @pytest.mark.parametrize("fields, match", [
-        ({"join": "cols"}, "join"),
-        ({"join": None}, "join"),                  # B named, no join
-        ({"join": "ewise", "table_b": None}, "join"),
-        ({"post": []}, "post"),                    # after a row join
+        ({"join": "row"}, "join"),                 # a field no spec has
+        ({"table_b": MISSING}, "table_b"),         # fields every spec has
+        ({"out": MISSING}, "out"),
+        ({"block_products": MISSING}, "block_products"),
+        ({"post": []}, "post"),                    # after a TableMult
         ({"post": [{"op": "value_filter", "cmp": "ge", "threshold": 2}]},
          "table_a"),
-        ({"join": "ewise", "post": {"op": "jaccard"}}, "list"),
-        ({"join": "ewise", "post": [{"op": "nope"}]}, "unknown"),
-        ({"join": "ewise", "post": [{"op": "jaccard", "degrees": [2]}]},
+        ({"table_b": None, "post": {"op": "jaccard"}}, "list"),
+        ({"table_b": None, "post": [{"op": "nope"}]}, "unknown"),
+        ({"table_b": None, "post": [{"op": "jaccard", "degrees": [2]}]},
          "degrees"),
-        ({"join": "ewise", "post": [{"op": "jaccard",
+        ({"table_b": None, "post": [{"op": "jaccard",
                                      "degrees": {"k1": "2"}}]}, "degrees"),
-        ({"join": "ewise", "mask": "B"}, "mask"),
-        ({"join": "ewise", "triangle": "upper"}, "triangle"),
-        ({"join": None, "table_b": None, "mask": "A"}, "mask"),
-        ({"join": None, "table_b": None, "triangle": "upper"}, "triangle"),
+        ({"table_b": None, "triangle": "upper"}, "triangle"),
+        ({"table_b": None, "table_a": "A"}, "table_a"),
+        ({"table_b": None, "mask": ["B"]}, "mask"),
+        ({"table_b": ["B"]}, "table_b"),
         ({"triangle": "lower"}, "triangle"),
         ({"triangle": True}, "triangle"),
         ({"mask": ["B"]}, "mask"),
-        ({"table_a": ["A"]}, "table_a"),
-        ({"join": "ewise", "table_a": "A"}, "table_a")])
+        ({"table_a": ["A"]}, "table_a")])
     def test_join_and_post_checked_where_they_arrive(self, remote, fields,
                                                      match):
-        """A ``join`` / ``post`` / ``mask`` / ``triangle`` no library
-        call would send — a ``jaccard`` degree vector that is not a
-        ``{row: number}`` map, a mask or triangle on any join but a
-        row one, a triangle but the upper among them — is refused by
-        the manager and by a tablet server before anything runs, and
+        """A spec no library call would send — a field no spec has (a
+        stale ``join``) or one it lacks, a ``post`` after a TableMult
+        without ``table_a``, a ``jaccard`` degree vector that is not a
+        ``{row: number}`` map, a triangle or ``table_a`` on a one-table
+        op, a table name that is not a string, a triangle but the upper
+        — is refused with ``ValueError`` naming the field by the
+        manager and by a tablet server before anything runs, and
         creates no table."""
         _operands(remote)
         spec = {"table_b": "B", "out": "C", "block_products": 1 << 18,
                 **fields}
+        spec = {name: value for name, value in spec.items()
+                if value is not MISSING}
         with pytest.raises(ValueError, match=match):
-            MultSpec(**spec)
+            MultSpec.from_wire(spec)
         core, inst = remote.instance.core, remote.instance
         with pytest.raises(ValueError, match=match):
             core.mutate(inst.manager_addr, wire.TABLE_MULT,
@@ -459,50 +465,54 @@ class TestExactlyOnceUnderFaults:
         assert all(e.get("net.server.dedup_hits", 0) == 0 for e in exports)
 
 
-#: the other two joins, as one library call each: ``AT``'s cells whose
-#: key ``B`` also has, or all of them, above a pushed-down value filter
-JOIN_OPS = {
-    "ewise": lambda conn: two_table(conn, "AT", "C", "B", join="ewise",
-                                    post=IterSpec().value_ge(2)),
-    "one_table": lambda conn: two_table(conn, "AT", "C",
-                                        post=IterSpec().value_ge(2)),
+#: the one-table op, as the library's one entry runs it: ``AT``'s
+#: cells above a pushed-down value filter — those whose (row,
+#: qualifier) ``B`` also stores, or all of them
+ONE_TABLE_OPS = {
+    "masked": lambda conn: _multiply(conn, "AT", MultSpec(
+        None, "C", BLOCK_PARTIAL_PRODUCTS, mask="B",
+        post=IterSpec().value_ge(2).to_wire())),
+    "one_table": lambda conn: _multiply(conn, "AT", MultSpec(
+        None, "C", BLOCK_PARTIAL_PRODUCTS,
+        post=IterSpec().value_ge(2).to_wire())),
 }
 
 
-def _run_join(conn, join):
+def _run_one_table(conn, op):
     """``_load_placed``'s tables, ``AT`` given cells at keys ``B`` has
-    too — so the step on tserver0 reads ``B`` from one peer and writes
-    ``C`` to the other — then the op; returns ``C``'s cells."""
+    too — so the step on tserver0 reads the mask ``B`` from one peer
+    and writes ``C`` to the other — then the op; returns ``C``'s
+    cells."""
     _load_placed(conn)
     with conn.batch_writer("AT") as w:
         for t in range(0, INNER, 3):
             w.put(f"t{t:03d}", "", f"w{t % B_COLS:02d}", t % 5)
-    JOIN_OPS[join](conn)
+    ONE_TABLE_OPS[op](conn)
     return _cells(conn, "C")
 
 
 @pytest.fixture(scope="module")
-def joins_fault_free():
-    return {join: _run_join(_local(), join) for join in JOIN_OPS}
+def one_table_fault_free():
+    return {op: _run_one_table(_local(), op) for op in ONE_TABLE_OPS}
 
 
-#: (join, fault) pairs: a one-table op reads no peer, so it has no peer
-#: scan to reset
-JOIN_FAULTS = [(join, case) for join in sorted(JOIN_OPS)
-               for case in sorted(FAULTS)
-               if (join, case) != ("one_table", "peer_scan")]
+#: (op, fault) pairs: an unmasked one-table op reads no peer, so it has
+#: no peer scan to reset
+ONE_TABLE_FAULTS = [(op, case) for op in sorted(ONE_TABLE_OPS)
+                    for case in sorted(FAULTS)
+                    if (op, case) != ("one_table", "peer_scan")]
 
 
 class TestJoinsExactlyOnceUnderFaults:
     @MODES
-    @pytest.mark.parametrize("join, case", JOIN_FAULTS)
-    def test_c_equals_fault_free_in_process_run(self, joins_fault_free,
-                                                processes, join, case):
+    @pytest.mark.parametrize("op, case", ONE_TABLE_FAULTS)
+    def test_c_equals_fault_free_in_process_run(self, one_table_fault_free,
+                                                processes, op, case):
         where, spec, fires, witness, counter = FAULTS[case]
         with _cluster(processes, {where: (spec, _seed(spec, fires))}) as conn:
-            got = _run_join(conn, join)
+            got = _run_one_table(conn, op)
             metrics = conn.instance.cluster_metrics()
-        assert got == joins_fault_free[join]  # once each, timestamps equal
+        assert got == one_table_fault_free[op]  # once each, timestamps equal
         # the pushed-down filter ran, and kept some cells
         assert got and all(decode_number(c.value) >= 2 for c in got)
         export = (metrics["manager"] if witness == "manager"
