@@ -17,10 +17,10 @@ partial failure, retries) a single process cannot model:
   exercised;
 * :mod:`repro.net.server` — ``TabletServerProcess`` wrapping the
   existing :class:`~repro.dbsim.server.TabletServer` machinery behind
-  a socket listener (per-connection reader + FIFO unary worker +
-  capped scan threads, bounded-queue admission control with typed
-  ``BusyError`` shedding), plus a manager process owning table
-  metadata and the locate index;
+  a socket listener (a per-connection pool of threads, the one that
+  reads a request serving it; a unary FIFO and a scan cap for
+  admission control with typed ``BusyError`` shedding), plus a
+  manager process owning table metadata and the locate index;
 * :mod:`repro.net.client` — ``RemoteConnector``: the same API surface
   as :class:`~repro.dbsim.client.Connector` (Scanner / BatchScanner /
   BatchWriter drop in unchanged) over one persistent multiplexed

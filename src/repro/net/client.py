@@ -292,7 +292,7 @@ class _Conn:
     def send(self, code: int, payload: Any, tc=None, req: int = 0) -> int:
         """Write one frame from the calling thread.  This cannot
         deadlock against responses nobody is reading: the server's
-        connection reader never runs a handler, so it keeps draining
+        reader never blocks on a send to us, so it keeps draining
         what we send however many answers are waiting in our socket."""
         data = wire.encode_frame(code, payload, tc=tc, req=req)
         try:

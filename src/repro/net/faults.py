@@ -153,7 +153,9 @@ def apply_fault(rule: FaultRule, sock, frame: bytes,
 
     Returns True if the response was delivered (possibly corrupted or
     dripped) and the connection may continue; False if the connection
-    must be torn down (drop / reset).
+    must be torn down (drop / reset).  A ``delay`` is the caller's to
+    sleep out first, before it takes the lock that orders its
+    connection's frames: the delayed answer holds up no other.
     """
     if metrics is not None:
         metrics.counter(f"net.server.faults.{rule.kind}").inc()
@@ -167,10 +169,6 @@ def apply_fault(rule: FaultRule, sock, frame: bytes,
         except OSError:
             pass
         return False
-    if rule.kind == "delay":
-        time.sleep(rule.param)
-        sock.sendall(frame)
-        return True
     if rule.kind == "corrupt":
         sock.sendall(corrupt_frame(frame))
         return True
@@ -180,8 +178,8 @@ def apply_fault(rule: FaultRule, sock, frame: bytes,
             sock.sendall(frame[i:i + step])
             time.sleep(0.001)
         return True
-    if rule.kind == "reorder":
-        # the swap itself lives in the server's per-connection sender
+    if rule.kind in ("delay", "reorder"):
+        # a reorder's swap lives in the server's per-connection sender
         # (it needs a second frame to swap with); standalone delivery
         # degrades to a normal send
         sock.sendall(frame)

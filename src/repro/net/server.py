@@ -23,14 +23,16 @@ call one method, and encode the answer.
   each child moves to its round-robin home — are what make
   ``NotHostedError`` a real event remote clients must handle.
 
-Concurrency model (wire v3, multiplexed): each connection gets a
-*reader* thread that only parses frames and routes them — unary
-requests onto a bounded FIFO queue drained by one worker thread
-(arrival order preserved, which is what keeps per-tablet logical-clock
-timestamps deterministic under pipelined writes), streaming scans onto
-a per-connection pool of scan workers that grows lazily, one thread
-per concurrently open stream, up to the per-connection scan cap.  Admission
-control is the bound itself: a full unary queue or the scan cap
+Concurrency model (wire v3, multiplexed): whoever reads a request
+serves it.  Of a connection's lazily grown pool of threads, the one in
+the *reader* role reads a request and answers it itself, passing the
+role on only before it could block on the peer or hold the connection
+long (:meth:`_BaseService._handoff`): a round trip wakes no thread
+between socket and handler.  A unary request read while another of the
+connection runs waits in a bounded FIFO for that one's thread (arrival
+order preserved, which is what keeps per-tablet logical-clock
+timestamps deterministic under pipelined writes).  Admission control
+is the bound itself: a full FIFO or the per-connection scan cap
 rejects the request *before it runs* with a typed ``BusyError`` frame
 the client retries after backoff.  Every response carries the request
 id of the frame that opened it, so unary acks and several scans'
@@ -66,13 +68,12 @@ multiplies.
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue
 import socket
 import sys
 import threading
 import time
 import zlib
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import asdict
 from functools import cached_property
 from itertools import chain, islice
@@ -143,28 +144,30 @@ def _binary(payload, op: str) -> wire.CellsPayload:
 
 
 class _ConnState:
-    """Shared per-connection state: the socket, its send lock (unary
-    worker and scan threads interleave whole frames, never bytes), the
-    admission bounds, and the reorder fault's held-frame slot."""
+    """Shared per-connection state: the socket and its frame reader,
+    the send lock (threads interleave whole frames, never bytes), the
+    reader role, the unary FIFO, the admission bounds, and the reorder
+    fault's held-frame slot."""
 
-    __slots__ = ("sock", "send_lock", "unary", "scans", "finishing",
-                 "scan_workers", "scan_queue", "scan_lock", "cancelled",
+    __slots__ = ("sock", "frames", "send_lock", "cond", "reader", "idle",
+                 "threads", "unary", "unary_busy", "scans", "cancelled",
                  "held", "alive")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
+        self.frames = wire.FrameReader(sock)
         self.send_lock = threading.Lock()
-        #: bounded FIFO of unary requests → the connection's worker
-        self.unary: "queue.Queue" = queue.Queue(maxsize=UNARY_QUEUE_DEPTH)
-        #: admitted scan streams (queued or running) — the admission
-        #: bound — the request ids of those already sending their final
-        #: frame, and the worker threads started so far to serve them
+        #: guards the fields from here to ``scans``
+        self.cond = threading.Condition(threading.Lock())
+        #: the ident of the reader role's holder; None: up for grabs
+        self.reader: Optional[int] = None
+        #: the connection's threads, and how many wait for the role
+        self.threads, self.idle = 1, 0
+        #: unary requests queued behind a running one; whether one runs
+        self.unary: deque = deque()
+        self.unary_busy = False
+        #: admitted scan streams — the admission bound
         self.scans = 0
-        self.finishing: set = set()
-        self.scan_workers = 0
-        #: admitted scans → the connection's scan workers
-        self.scan_queue: "queue.SimpleQueue" = queue.SimpleQueue()
-        self.scan_lock = threading.Lock()
         #: request ids whose scans the client cancelled (CANCEL_SCAN)
         self.cancelled: set = set()
         #: reorder fault: one (frame, op) response awaiting the swap
@@ -199,7 +202,6 @@ class _BaseService:
         self._lock = threading.RLock()
         self._listener: Optional[socket.socket] = None
         self._stopped = threading.Event()
-        self._threads: List[threading.Thread] = []
         #: session → OrderedDict of seq → (response code, payload),
         #: FIFO-evicted past DEDUP_WINDOW entries
         self._dedup: Dict[str, "OrderedDict"] = {}
@@ -221,10 +223,8 @@ class _BaseService:
         listener.settimeout(0.2)  # so the accept loop notices stop()
         self._listener = listener
         self.addr = listener.getsockname()
-        thread = threading.Thread(target=self._accept_loop,
-                                  name=f"{self.name}-accept", daemon=True)
-        thread.start()
-        self._threads.append(thread)
+        threading.Thread(target=self._accept_loop,
+                         name=f"{self.name}-accept", daemon=True).start()
         return self.addr
 
     def stop(self) -> None:
@@ -250,147 +250,134 @@ class _BaseService:
             except OSError:
                 return  # listener closed
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread = threading.Thread(target=self._conn_loop, args=(conn,),
-                                      name=f"{self.name}-conn", daemon=True)
-            thread.start()
+            self._spawn(_ConnState(conn))
 
-    def _conn_loop(self, conn: socket.socket) -> None:
-        """The connection's reader: parse frames, admit or shed, route.
-        Never runs a handler itself — a slow request must not stop the
-        reader from seeing the requests multiplexed behind it."""
+    def _spawn(self, state: _ConnState) -> None:
+        threading.Thread(target=self._conn_loop, args=(state,),
+                         name=f"{self.name}-conn", daemon=True).start()
+
+    def _conn_loop(self, state: _ConnState) -> None:
+        """One of the connection's threads: take the reader role when
+        it is free, then read a request and serve it right here."""
+        me = threading.get_ident()
+        cond = state.cond
+        try:
+            while True:
+                with cond:
+                    while state.reader not in (None, me) and state.alive:
+                        state.idle += 1
+                        cond.wait()
+                        state.idle -= 1
+                    if not state.alive or self._stopped.is_set():
+                        return
+                    state.reader = me
+                self._read_one(state)
+        finally:
+            with cond:  # one thread leaving ends the connection
+                state.alive = False
+                state.threads -= 1
+                last = not state.threads
+                cond.notify_all()
+            if last:
+                state.sock.close()
+
+    def _handoff(self, state: _ConnState) -> None:
+        """Pass the reader role on, if this thread holds it, to an idle
+        thread of the connection, else a new one — before a send that
+        would block, a fired fault, an unlocked handler or a scan's
+        second batch.  At the thread bound (a reader, a unary request
+        and :data:`MAX_CONN_SCANS` streams) this thread keeps it."""
+        with state.cond:
+            if state.reader != threading.get_ident():
+                return
+            if state.idle:
+                state.reader = None
+                state.cond.notify()
+                return
+            if state.threads >= MAX_CONN_SCANS + 2:
+                return
+            state.reader = None
+            state.threads += 1
+        self._spawn(state)
+
+    def _read_one(self, state: _ConnState) -> None:
+        """Read one frame as the connection's reader, then admit or
+        shed it and serve it on this thread — or, behind a running
+        unary request, queue it for that request's thread."""
         counters = self.metrics.counter
-        inflight = self.metrics.gauge("net.server.inflight")
-        state = _ConnState(conn)
-        worker = threading.Thread(
-            target=self._worker_loop,
-            args=(state, state.unary, self._unary_entry),
-            name=f"{self.name}-unary", daemon=True)
-        worker.start()
-        reader = wire.FrameReader(conn)
         try:
-            while not self._stopped.is_set() and state.alive:
-                try:
-                    code, payload, nread, tc, req = reader.read()
-                except (wire.ConnectionClosedError, OSError):
-                    return
-                except wire.ProtocolError as exc:
-                    # garbage in: answer with a typed error, then drop
-                    # the connection (framing state is unrecoverable)
-                    self._respond(state, wire.ERROR,
-                                  wire.error_payload(exc), 0, 0)
-                    return
-                arrived = time.perf_counter()
-                opname = wire.OP_NAMES.get(code, hex(code))
-                counters("net.server.requests").inc()
-                counters("net.server.bytes_received").inc(nread)
-                counters(f"net.server.op.{opname}.bytes_received").inc(nread)
-                if code == wire.CANCEL_SCAN:
-                    # fire-and-forget: no response frame; the stream's
-                    # thread notices at its next chunk boundary
-                    if isinstance(payload, dict) and payload.get("req"):
-                        state.cancelled.add(payload["req"])
-                    continue
-                if self._stream_handler(code) is not None:
-                    with state.scan_lock:
-                        admitted = state.scans < MAX_CONN_SCANS
-                        # every worker already has an admitted scan to
-                        # serve — not counting streams sending their
-                        # final frame, whose client may open its next
-                        # scan on it: grow the pool (with the admission
-                        # bound, so never past MAX_CONN_SCANS threads)
-                        busy = state.scans - len(state.finishing)
-                        grow = admitted and busy >= state.scan_workers
-                        if admitted:
-                            state.scans += 1
-                            state.scan_workers += grow
-                    if not admitted:
-                        counters("net.server.busy_rejects").inc()
-                        self._respond(state, wire.ERROR, wire.error_payload(
-                            BusyError(
-                                f"scan admission: {MAX_CONN_SCANS} streams "
-                                f"already active on this connection")),
-                            code, req)
-                        continue
-                    inflight.add(1)
-                    state.scan_queue.put((code, payload, tc, req, arrived))
-                    if grow:
-                        threading.Thread(
-                            target=self._worker_loop,
-                            args=(state, state.scan_queue, self._scan_entry),
-                            name=f"{self.name}-scan", daemon=True).start()
-                    continue
-                try:
-                    state.unary.put_nowait((code, payload, tc, req, arrived))
-                except queue.Full:
-                    counters("net.server.busy_rejects").inc()
-                    self._respond(state, wire.ERROR, wire.error_payload(
-                        BusyError(
-                            f"admission queue of {UNARY_QUEUE_DEPTH} "
-                            f"requests is full")), code, req)
-                else:
-                    inflight.add(1)
-        finally:
+            code, payload, nread, tc, req = state.frames.read()
+        except (wire.ConnectionClosedError, OSError):
             state.alive = False
-            worker.join(timeout=5.0)
+            return
+        except wire.ProtocolError as exc:
+            # garbage in: answer with a typed error, then drop the
+            # connection (framing state is unrecoverable)
+            state.alive = False
+            self._respond(state, wire.ERROR, wire.error_payload(exc), 0, 0)
+            return
+        arrived = time.perf_counter()
+        opname = wire.OP_NAMES.get(code, hex(code))
+        counters("net.server.requests").inc()
+        counters("net.server.bytes_received").inc(nread)
+        counters(f"net.server.op.{opname}.bytes_received").inc(nread)
+        if code == wire.CANCEL_SCAN:
+            # fire-and-forget: no response frame; the stream's thread
+            # notices at its next chunk boundary
+            if isinstance(payload, dict) and payload.get("req"):
+                state.cancelled.add(payload["req"])
+            return
+        item = (code, payload, tc, req, arrived)
+        inflight = self.metrics.gauge("net.server.inflight")
+        if self._stream_handler(code) is not None:
+            with state.cond:
+                admitted = state.scans < MAX_CONN_SCANS
+                state.scans += admitted
+            if not admitted:
+                return self._shed(state, code, req, f"scan admission: "
+                                  f"{MAX_CONN_SCANS} streams already "
+                                  f"active on this connection")
+            inflight.add(1)
             try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _worker_loop(self, state: _ConnState, requests, serve) -> None:
-        """Serve one of the connection's request queues, one request at
-        a time, for as long as the connection lives.
-
-        The unary queue has exactly one such worker, so admitted
-        requests execute in the order they arrived — which pipelined
-        writers rely on for deterministic timestamp stamping.  The scan
-        queue has one per concurrently open stream (grown lazily by
-        the reader, up to the admission bound), so a SCAN costs a
-        queue hand-off, not a thread start."""
-        while True:
+                self._serve(state, *item)
+            finally:
+                with state.cond:
+                    state.scans -= 1
+                state.cancelled.discard(req)
+                inflight.add(-1)
+            return
+        with state.cond:
+            queued = state.unary_busy
+            full = queued and len(state.unary) >= UNARY_QUEUE_DEPTH
+            if queued and not full:
+                state.unary.append(item)
+            state.unary_busy = True
+        if full:
+            return self._shed(state, code, req, f"admission queue of "
+                              f"{UNARY_QUEUE_DEPTH} requests is full")
+        inflight.add(1)
+        while not queued and item is not None:
+            # one at a time, in arrival order: whoever finishes a unary
+            # request serves the FIFO's head next
             try:
-                item = requests.get(timeout=0.2)
-            except queue.Empty:
-                if not state.alive or self._stopped.is_set():
-                    return
-                continue
-            serve(state, *item)
+                self._serve(state, *item)
+            finally:
+                inflight.add(-1)
+            with state.cond:
+                item = state.unary.popleft() if state.unary else None
+                state.unary_busy = item is not None
 
-    def _unary_entry(self, state: _ConnState, *item) -> None:
-        try:
-            self._serve_one(state, *item)
-        finally:
-            self.metrics.gauge("net.server.inflight").add(-1)
+    def _shed(self, state: _ConnState, code: int, req: int,
+              why: str) -> None:
+        self.metrics.counter("net.server.busy_rejects").inc()
+        self._respond(state, wire.ERROR, wire.error_payload(BusyError(why)),
+                      code, req)
 
-    def _scan_entry(self, state: _ConnState, code: int, payload, tc,
-                    req: int, arrived: float) -> None:
-        try:
-            if not _trace.ENABLED:
-                self._run_stream(state, code, payload, req, arrived)
-            else:
-                ctx = _trace.TraceContext(*tc) if tc else None
-                name = _SERVER_SPAN_NAMES.get(code) or \
-                    f"rpc.server.{wire.OP_NAMES.get(code, hex(code))}"
-                with _trace.span(name, parent_ctx=ctx, server=self.name):
-                    self._run_stream(state, code, payload, req, arrived)
-        finally:
-            with state.scan_lock:
-                state.scans -= 1
-                state.finishing.discard(req)
-            state.cancelled.discard(req)
-            self.metrics.gauge("net.server.inflight").add(-1)
-
-    def _run_stream(self, state: _ConnState, code: int, payload,
-                    req: int, arrived: float) -> None:
-        dispatched = time.perf_counter()
-        self._stream_handler(code)(state, payload, req)
-        self._observe_times(arrived, dispatched)
-
-    def _serve_one(self, state: _ConnState, code: int, payload, tc,
-                   req: int, arrived: float) -> None:
-        """Handle one unary request.  ``tc`` is the frame's trace
-        context: activating it makes the handler span a child of the
-        originating client span, even across processes."""
+    def _serve(self, state: _ConnState, code: int, payload, tc,
+               req: int, arrived: float) -> None:
+        """Serve one request on this thread.  ``tc`` is the frame's
+        trace context: activating it makes the handler span a child of
+        the originating client span, even across processes."""
         if not _trace.ENABLED:
             shutdown = self._serve_inner(state, code, payload, req, arrived)
         else:
@@ -413,13 +400,20 @@ class _BaseService:
     def _serve_inner(self, state: _ConnState, code: int, payload,
                      req: int, arrived: float) -> bool:
         """Run the handler and reply; True when the acknowledged request
-        was a SHUTDOWN and the service must now stop.
+        was a SHUTDOWN and the service must now stop.  A streaming op's
+        handler sends its own frames.
 
         A handler runs under the service lock, but one of
         :attr:`_UNLOCKED_OPS` — which takes the lock itself where it
         must — runs outside it, and a stamped copy of it arriving while
         the original still runs (a re-send after a lost connection) is
         answered with the original's answer once that is ready."""
+        stream = self._stream_handler(code)
+        if stream is not None:
+            dispatched = time.perf_counter()
+            stream(state, payload, req)
+            self._observe_times(arrived, dispatched)
+            return False
         meta = payload.meta if isinstance(payload, wire.CellsPayload) \
             else payload
         session = meta.get("session") if isinstance(meta, dict) else None
@@ -445,6 +439,10 @@ class _BaseService:
                     self._remember(session, seq, answer)
                 elif session is not None:
                     mine = self._running[(session, seq)] = _Running()
+        if running is not None or answer is None:
+            # an unlocked op runs, or is waited for, as long as it
+            # takes: the connection's reading goes on on another thread
+            self._handoff(state)
         if running is not None:
             running.done.wait()
             answer = running.answer
@@ -525,9 +523,19 @@ class _BaseService:
 
     def _respond(self, state: _ConnState, code: int, payload,
                  request_op: int, req: int) -> int:
-        """Send one response frame (tagged with its request id), with
-        fault injection in the path.  Returns the frame's byte length,
-        or 0 (falsy) when a fault destroyed the connection.
+        """Send one response frame, tagged with its request id (see
+        :meth:`_send`)."""
+        return self._send(state, request_op,
+                          (code, wire.encode_frame(code, payload, req=req)))
+
+    def _send(self, state: _ConnState, request_op: int,
+              *frames: Tuple[int, bytes]) -> int:
+        """Send one request's ``(code, frame)`` response frames, in one
+        write when no fault fires on any.  Returns their byte length, or
+        0 (falsy) when a fault destroyed the connection.  The reader role
+        passes on before anything here could block, so a client writing
+        into a full window of unread answers cannot deadlock on them; a
+        delay sleeps before the send lock, holding up no other answer.
 
         The reorder fault lives here: a fired reorder *holds* a unary
         response in the connection's one-frame slot; whatever response
@@ -536,35 +544,58 @@ class _BaseService:
         request id.  Stream frames (CHUNK/DONE) are never held: order
         within a stream is contractual.
         """
-        frame = wire.encode_frame(code, payload, req=req)
-        rule = self.faults.draw(request_op) if self.faults else None
-        hold = (rule is not None and rule.kind == "reorder"
-                and code in (wire.OK, wire.ERROR) and state.held is None)
+        rules = ([self.faults.draw(request_op) for _ in frames]
+                 if self.faults else ())
+        hold = (len(rules) == 1 and rules[0] is not None
+                and rules[0].kind == "reorder"
+                and frames[0][0] in (wire.OK, wire.ERROR)
+                and state.held is None)
+        if any(rules) and not hold:
+            self._handoff(state)
+            for rule in rules:
+                if rule is not None and rule.kind == "delay":
+                    time.sleep(rule.param)
+        if not state.send_lock.acquire(blocking=False):
+            self._handoff(state)
+            state.send_lock.acquire()
         try:
-            with state.send_lock:
-                if hold:
-                    self.metrics.counter(
-                        "net.server.faults.reorder").inc()
-                    state.held = (frame, request_op)
-                else:
-                    if rule is not None:
-                        if not apply_fault(rule, state.sock, frame,
-                                           self.metrics):
-                            self._kill(state)
-                            return 0
-                    else:
+            if hold:
+                self.metrics.counter("net.server.faults.reorder").inc()
+                state.held = (frames[0][1], request_op)
+                return len(frames[0][1])
+            if not any(rules):
+                self._write(state, b"".join(frame for _, frame in frames))
+            else:
+                for (_, frame), rule in zip(frames, rules):
+                    if rule is None:
                         state.sock.sendall(frame)
-                    if state.held is not None:
-                        hframe, hop = state.held
-                        state.held = None
-                        state.sock.sendall(hframe)
-                        self._count_sent(hop, len(hframe))
+                    elif not apply_fault(rule, state.sock, frame,
+                                         self.metrics):
+                        self._kill(state)
+                        return 0
+            if state.held is not None:
+                (hframe, hop), state.held = state.held, None
+                self._write(state, hframe)
+                self._count_sent(hop, len(hframe))
         except OSError:
             self._kill(state)
             return 0
-        if not hold:
-            self._count_sent(request_op, len(frame))
-        return len(frame)
+        finally:
+            state.send_lock.release()
+        nbytes = sum(len(frame) for _, frame in frames)
+        self._count_sent(request_op, nbytes)
+        return nbytes
+
+    def _write(self, state: _ConnState, data: bytes) -> None:
+        """Put ``data`` on the socket (caller holds the send lock): the
+        part it does not take at once only after the reader role moved."""
+        try:
+            sent = state.sock.send(data, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            sent = 0
+        if sent < len(data):
+            self._handoff(state)
+            state.sock.sendall(memoryview(data)[sent:])
 
     # -- subclass hooks ---------------------------------------------------
 
@@ -839,6 +870,21 @@ class TabletServerService(_BaseService):
         scan_stats = OpStats()
         tablet = None
         entered = emitted = 0  # cells into / out of the pushed-down layers
+        held = ()  # the newest CHUNK, until the next batch is known
+
+        def send(*answer) -> int:
+            """Send the held CHUNK, if any, then the ``(code,
+            payload)`` frame ``answer`` names, if any."""
+            nonlocal held
+            last = ((answer[0], wire.encode_frame(*answer, req=req)),) \
+                if answer else ()
+            nsent = self._send(state, wire.SCAN, *held, *last)
+            if nsent and held:
+                counters("net.server.scan_chunks").inc()
+                counters(f"net.server.table.{tablet.table}.scan_bytes").inc(
+                    len(held[0][1]) - wire.FRAME_OVERHEAD)
+            held = ()
+            return nsent
 
         def count_in(batches):
             nonlocal entered
@@ -901,30 +947,26 @@ class TabletServerService(_BaseService):
                 batches = _coalesce(batches)
                 counters("net.server.pushdown.stacks").inc()
                 counters("net.server.pushdown.ops").inc(len(spec))
-            scan_bytes = counters(
-                f"net.server.table.{tablet.table}.scan_bytes")
-            scan_chunks = counters("net.server.scan_chunks")
-
             # one CHUNK per batch, then a bare DONE: the stream's only
-            # clean end
+            # clean end.  The newest CHUNK waits for the next batch to
+            # show whether the stream goes on: a one-batch scan answers
+            # in one write from the thread that read it, and a longer
+            # one passes the reader role on before it streams
             for batch in batches:  # crash check raises on the first
                 emitted += len(batch)
                 if req in state.cancelled or not state.alive:
                     return  # client stopped listening: stop producing
-                nsent = self._respond(state, wire.CHUNK,
-                                      wire.CellsPayload({}, batch.to_block()),
-                                      wire.SCAN, req)
-                if not nsent:
-                    return
-                scan_chunks.inc()
-                scan_bytes.inc(nsent - wire.FRAME_OVERHEAD)
-            state.finishing.add(req)
-            self._respond(state, wire.DONE, None, wire.SCAN, req)
+                if held:
+                    self._handoff(state)
+                    if not send():
+                        return
+                held = ((wire.CHUNK, wire.encode_frame(
+                    wire.CHUNK, wire.CellsPayload({}, batch.to_block()),
+                    req=req)),)
+            send(wire.DONE, None)
         except Exception as exc:  # noqa: BLE001 - wire boundary
             counters("net.server.errors").inc()
-            state.finishing.add(req)
-            self._respond(state, wire.ERROR, wire.error_payload(exc),
-                          wire.SCAN, req)
+            send(wire.ERROR, wire.error_payload(exc))
         finally:
             if entered > emitted:
                 counters("net.server.pushdown.cells_folded").inc(

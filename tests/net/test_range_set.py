@@ -20,8 +20,9 @@ of the list in the ``ranges`` field.  What must hold:
   (unsorted ranges), each range keeps its own qualifiers;
 * a raw-wire SCAN whose ranges are unsorted or overlapping gets a typed
   ERROR frame, never a wrong answer;
-* SCANs are served by per-connection workers that are reused, not by a
-  thread per request.
+* a one-batch SCAN is answered by the thread that read it: sequential
+  lookups on one connection start no thread beyond the connection's
+  first, and every thread of a connection exits once it closes.
 """
 
 import random
@@ -434,13 +435,15 @@ class TestWireBoundary:
         assert (code, rows) == (wire.DONE, list("abcdefgh"))
 
 
-def _scan_workers():
-    return {t for t in threading.enumerate() if t.name.endswith("-scan")}
+def _conn_threads():
+    """The tablet server's threads, but for the one that accepts."""
+    return {t for t in threading.enumerate()
+            if t.name.startswith("tserver0-") and t.name != "tserver0-accept"}
 
 
 class TestScanWorkers:
-    def test_sequential_scans_reuse_one_worker(self):
-        before = _scan_workers()
+    def test_sequential_lookups_start_no_thread(self):
+        before = _conn_threads()
         with LocalCluster(n_servers=1, processes=False) as c:
             conn = c.connect()
             try:
@@ -448,27 +451,22 @@ class TestScanWorkers:
                 with conn.batch_writer("t") as w:
                     for i in range(50):
                         w.put(f"r{i:02d}", "", "q", i)
-                def lookups(rows):
-                    for i in rows:
-                        (cell,) = conn.scanner("t").set_range(
-                            Range.exact_row(f"r{i:02d}"))
-                        assert cell.value == str(i)
-
-                lookups(range(5))
-                early = _scan_workers() - before
-                lookups(range(5, 50))
-                started = _scan_workers() - before
-                # one client connection, one stream open at a time: the
-                # worker that served the first lookups serves the rest
-                # (a second may start if a SCAN arrives while the first
-                # is still between its DONE and its return to the pool)
-                assert early and early <= started and len(started) <= 2
-                assert all(t.is_alive() for t in started)
+                # the manager's connection and this client's, each with
+                # the thread that accepted it
+                first = _conn_threads() - before
+                for i in range(50):
+                    (cell,) = conn.scanner("t").set_range(
+                        Range.exact_row(f"r{i:02d}"))
+                    assert cell.value == str(i)
+                # one stream open at a time, each one batch: the thread
+                # that reads a SCAN answers it in one write and reads on
+                assert first and _conn_threads() - before == first
+                assert all(t.is_alive() for t in first)
             finally:
                 conn.close()
         deadline = time.monotonic() + 5.0
-        while (any(t.is_alive() for t in started)
+        while (any(t.is_alive() for t in first)
                and time.monotonic() < deadline):
             time.sleep(0.05)
-        # workers die with their connection
-        assert not any(t.is_alive() for t in started)
+        # threads die with their connection
+        assert not any(t.is_alive() for t in first)
