@@ -40,7 +40,7 @@ from repro.dbsim.iterators import (
     apply_stage,
     select_stage,
 )
-from repro.dbsim.key import Cell, Range, decode_number, encode_number
+from repro.dbsim.key import Cell, Range, decode_number, encode_numbers
 from repro.dbsim.server import Instance, MultSpec, TableConfig
 from repro.dbsim.stats import OpStats
 from repro.obs import trace as _trace
@@ -232,15 +232,15 @@ def _block_operand(counts, quals, vals, index, dup):
 
 
 def _multiply_block(at, b, semiring, mask, triangle):
-    """``ATᵀ ⊕.⊗ B`` over one block of shared inner rows: the summed
-    result as ``(row keys, qualifier keys, encoded values)`` in key
-    order — the columns a tablet stores.  ``mask`` is ``None`` or an
-    iterable of the (row, qualifier) pairs the result may hold, drained
-    once both operands are built (a read it waits on overlaps that
-    work); ``triangle`` ``"upper"`` keeps row key < qualifier.  Both
-    drop products before the fold.  Both sides index their qualifiers
-    by one sorted key list, so index order is key order: the kernel's
-    upper triangle is the keys'."""
+    """``ATᵀ ⊕.⊗ B`` over one block of shared inner rows (one operand
+    when ``b`` is ``at``): the summed result as ``(keys, row ids,
+    qualifier ids, float64 values)`` in key order, ids into the sorted
+    ``keys`` both sides index their qualifiers by — so the kernel's
+    upper triangle is the keys'.  ``mask`` is ``None`` or an iterable
+    of the (row, qualifier) pairs the result may hold, drained once
+    both operands are built (a read it waits on overlaps that work);
+    ``triangle`` ``"upper"`` keeps row key < qualifier.  Both drop
+    products before the fold."""
     from repro.sparse.construct import from_coo
     from repro.sparse.select import triu
     from repro.sparse.spgemm import mxm
@@ -248,8 +248,9 @@ def _multiply_block(at, b, semiring, mask, triangle):
 
     keys = sorted(set(at[1]).union(b[1]))
     index = {key: i for i, key in enumerate(keys)}
-    mat_at = _block_operand(*at, index, semiring.add).T
     mat_b = _block_operand(*b, index, semiring.add)
+    mat_at = (mat_b if b is at else _block_operand(*at, index,
+                                                     semiring.add)).T
     if mask is not None:
         pairs = [(index[row], index[qual]) for row, qual in mask
                  if row in index and qual in index]
@@ -262,10 +263,12 @@ def _multiply_block(at, b, semiring, mask, triangle):
         product = mxm_triu(mat_at, mat_b, semiring=semiring, k=1)
     else:
         product = mxm(mat_at, mat_b, semiring=semiring)
-    rows, cols, vals = product.to_coo()
-    return ([keys[i] for i in rows.tolist()],
-            [keys[j] for j in cols.tolist()],
-            list(map(encode_number, vals.tolist())))
+    return (keys, *product.to_coo())
+
+
+def _named(keys, ids):
+    """The keys at ``ids``, a block's ids into its key list."""
+    return list(map(keys.__getitem__, ids.tolist()))
 
 
 def _whole_rows(batches):
@@ -317,7 +320,8 @@ def _joined_blocks(at_rows, b_rows, bound: int):
     products Σₜ nnz(AT[t,:])·nnz(B[t,:]).  A block closes once that
     reaches ``bound``, so it holds fewer than ``bound`` cells of either
     side plus one inner row — every row it holds has a partial product
-    per cell — and its boundaries follow the row sequence alone."""
+    per cell — and its boundaries follow the row sequence alone.  When
+    ``B`` is ``AT`` (``b_rows`` of ``None``) its ``b`` is its ``at``."""
     at, b, predicted = ([], [], []), ([], [], []), 0
     for ra, rb in _joined_rows(at_rows, b_rows):
         for side, (_, quals, vals) in ((at, ra), (b, rb)):
@@ -326,10 +330,10 @@ def _joined_blocks(at_rows, b_rows, bound: int):
             side[2].extend(vals)
         predicted += len(ra[1]) * len(rb[1])
         if predicted >= bound:
-            yield at, b, predicted
+            yield at, at if b_rows is None else b, predicted
             at, b, predicted = ([], [], []), ([], [], []), 0
     if predicted:
-        yield at, b, predicted
+        yield at, at if b_rows is None else b, predicted
 
 
 def multiply_rows(at_batches, b_batches, spec: MultSpec, write,
@@ -359,11 +363,11 @@ def multiply_rows(at_batches, b_batches, spec: MultSpec, write,
             spec.block_products):
         mask = None if spec.mask is None else _pairs(
             read_mask(sorted(set(at[1]))))
-        rows, quals, vals = _multiply_block(at, b, semiring, mask,
-                                            spec.triangle)
+        keys, rows, quals, vals = _multiply_block(at, b, semiring, mask,
+                                                  spec.triangle)
         n = len(rows)
-        write((rows, [""] * n, quals, [""] * n, [next(stamps)] * n,
-               [False] * n, vals))
+        write((_named(keys, rows), [""] * n, _named(keys, quals), [""] * n,
+               [next(stamps)] * n, [False] * n, encode_numbers(vals)))
         work["blocks"] += 1
         work["partial_products"] += predicted
         work["cells_written"] += len(rows)
@@ -395,9 +399,7 @@ def _row_blocks(batches, bound: int):
     qualifiers, values)`` per cell in key order: a block closes once
     it holds ``bound`` cells, so it holds fewer than ``bound`` plus one
     row."""
-    rows: list = []
-    quals: list = []
-    vals: list = []
+    rows, quals, vals = [], [], []
     for row, row_quals, row_vals in _whole_rows(batches):
         rows += [row] * len(row_quals)
         quals += row_quals
@@ -420,25 +422,23 @@ def _by_qualifier(rows, quals, vals):
 
 
 def _fold_parts(parts, add):
-    """Several blocks' ``(rows, qualifiers, encoded values)`` — the
-    same output rows, disjoint inner rows — folded with ⊕ into one, in
-    key order; a cell's values fold in the order of ``parts``."""
+    """Several blocks' products (:func:`_multiply_block`'s) — the same
+    output rows, disjoint inner rows — folded with ⊕ into one over the
+    union of their keys, ids remapped as arrays; a cell's values fold
+    in the order of ``parts``."""
     import numpy as np
 
     from repro.sparse.construct import from_coo
 
-    rows, quals, vals = (list(chain.from_iterable(part[i] for part in parts))
-                         for i in range(3))
-    keys = sorted(set(rows).union(quals))
+    keys = sorted(set().union(*(part[0] for part in parts)))
     index = {key: i for i, key in enumerate(keys)}
-    folded = from_coo(len(keys), len(keys), [index[r] for r in rows],
-                      [index[q] for q in quals],
-                      np.fromiter(map(decode_number, vals), np.float64,
-                                  len(vals)), dup=add)
-    out_rows, out_cols, out_vals = folded.to_coo()
-    return ([keys[i] for i in out_rows.tolist()],
-            [keys[j] for j in out_cols.tolist()],
-            list(map(encode_number, out_vals.tolist())))
+    moves = [np.fromiter(map(index.__getitem__, part[0]), np.intp,
+                         len(part[0])) for part in parts]
+    rows, cols = (np.concatenate([move[part[i]] for move, part
+                                  in zip(moves, parts)]) for i in (1, 2))
+    folded = from_coo(len(keys), len(keys), rows, cols,
+                      np.concatenate([part[3] for part in parts]), dup=add)
+    return (keys, *folded.to_coo())
 
 
 def multiply_owned(a_batches, spec: MultSpec, read_b, read_mask, write,
@@ -463,10 +463,10 @@ def multiply_owned(a_batches, spec: MultSpec, read_b, read_mask, write,
       the block's output as it comes, so every output row ends whole
       and summed, and no more than the block's output plus one gathered
       block's product is held at once (``peak_held``, in cells);
-    * ``spec.post`` runs on those rows, and ``write(columns)`` takes
-      each batch it yields, every cell at the block's stamp, the next
-      of ``stamps``.  A cell is written once: no ``out`` combiner
-      completes it.
+    * ``spec.post`` runs on those rows, their values still float64,
+      and ``write(columns)`` takes each batch it yields, values encoded,
+      every cell at the block's stamp, the next of ``stamps``.  A cell
+      is written once: no ``out`` combiner completes it.
 
     Returns the share's work counts, ``cells_read`` being ``A``'s."""
     from array import array
@@ -484,31 +484,32 @@ def multiply_owned(a_batches, spec: MultSpec, read_b, read_mask, write,
         mask = (None if spec.mask is None
                 else list(zip(rows, quals)) if spec.mask == spec.table_a
                 else list(_pairs(read_mask(list(dict.fromkeys(rows))))))
-        held = ((), (), ())
+        held = ((), (), (), ())
         for at, b, predicted in _joined_blocks(
                 _by_qualifier(rows, quals, vals), b_rows,
                 spec.block_products):
             part = _multiply_block(at, b, semiring, mask, spec.triangle)
             work["peak_held"] = max(work["peak_held"],
-                                    len(held[0]) + len(part[0]))
-            if part[0]:
+                                    len(held[1]) + len(part[1]))
+            if len(part[1]):
                 held = (_fold_parts([held, part], semiring.add)
-                        if held[0] else part)
+                        if len(held[1]) else part)
             work["blocks"] += 1
             work["partial_products"] += predicted
             work["peak_gathered"] = max(work["peak_gathered"], len(b[1]))
         stamp = next(stamps)
-        out_rows, out_quals, out_vals = held
+        keys, out_rows, out_quals, out_vals = held
         n = len(out_rows)
         if not n:
             continue
-        stream = [ColumnBatch(out_rows, [""] * n, out_quals, [""] * n,
+        stream = [ColumnBatch(_named(keys, out_rows), [""] * n,
+                              _named(keys, out_quals), [""] * n,
                               array("q", [stamp]) * n, [False] * n,
                               out_vals)]
         for layer in post:
             stream = layer.stage(stream)
         for batch in stream:
-            write([getattr(batch, column) for column in batch.__slots__])
+            write(batch.columns())
             work["cells_written"] += len(batch)
     return work
 
@@ -629,11 +630,8 @@ def _table_bfs(conn: Connector, edge_table: str, seeds: Iterable[str],
                hops: int, min_degree: Optional[float],
                degree_table_name: Optional[str],
                authorizations) -> Dict[str, int]:
-    dist: Dict[str, int] = {}
-    frontier: Set[str] = set()
-    for s in seeds:
-        dist[s] = 0
-        frontier.add(s)
+    dist: Dict[str, int] = dict.fromkeys(seeds, 0)
+    frontier = set(dist)
     if not frontier:
         raise ValueError("need at least one seed vertex")
 

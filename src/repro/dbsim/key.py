@@ -9,6 +9,7 @@ builds on (numbers are encoded with :func:`encode_number`).
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
@@ -25,10 +26,65 @@ def encode_number(x: float) -> str:
     return repr(f)
 
 
-def decode_number(s: str) -> float:
-    """Parse a value string back to a float (raises ValueError if not
-    numeric)."""
-    return float(s)
+#: :func:`encode_numbers` formats fewer values than this one by one:
+#: below it numpy's per-call set-up costs more than the calls it saves
+#: (64 Jaccard coefficients: 65 µs one by one, 48 µs vectorised; 32:
+#: 20 µs against 60 µs)
+VECTOR_MIN = 64
+
+
+def encode_numbers(values) -> List[str]:
+    """``list(map(encode_number, values))``, bit for bit, for a value
+    column — a float64 array or any sequence of numbers — as a step
+    writes one: integral values with ``|x| < 1e15`` become ``str(int)``,
+    the rest ``repr(float)``.
+
+    From :data:`VECTOR_MIN` values up, when the process holds numpy
+    already, each *distinct* value is formatted once (``np.unique``) —
+    a product's counts and a Jaccard table's small-integer ratios
+    repeat: 4 096 coefficients take 0.35 ms, not 2.5 ms — and a column
+    of mostly distinct values is formatted whole, by
+    :func:`_formatted`.  A server that has never multiplied reads its
+    combiner tables without loading numpy."""
+    np = sys.modules.get("numpy") if len(values) >= VECTOR_MIN else None
+    if np is None:
+        if hasattr(values, "tolist"):  # an array: its floats, not scalars
+            values = values.tolist()
+        return list(map(encode_number, values))
+    arr = np.asarray(values, dtype=np.float64)
+    # ±0 fall together, as do NaNs: each pair's texts are equal
+    distinct, where = np.unique(arr, return_inverse=True)
+    if 2 * len(distinct) > len(arr):
+        return _formatted(np, arr)
+    return list(map(_formatted(np, distinct).__getitem__, where.tolist()))
+
+
+def as_text(values) -> List[str]:
+    """A value column as a tablet stores it: text as it is, a step's
+    float64 values encoded."""
+    return values if isinstance(values, list) else encode_numbers(values)
+
+
+def _formatted(np, arr) -> List[str]:
+    """:func:`encode_number` of every value of a float64 array: one
+    numpy pass picks the integral values, and each kind is formatted by
+    one C-level ``map``."""
+    whole = np.abs(arr) < 1e15
+    whole &= arr == np.trunc(arr)
+    if whole.all():
+        return list(map(str, arr.astype(np.int64).tolist()))
+    out = list(map(repr, arr.tolist()))
+    at = np.flatnonzero(whole)
+    for i, text in zip(at.tolist(),
+                       map(str, arr[at].astype(np.int64).tolist())):
+        out[i] = text
+    return out
+
+
+#: Parse a value string back to a float (raises ValueError if not
+#: numeric): ``float`` itself, so ``map(decode_number, values)`` decodes
+#: a column with no Python frame per value.
+decode_number = float
 
 
 class Key(NamedTuple):

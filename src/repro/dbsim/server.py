@@ -545,7 +545,7 @@ class TabletServer:
                 stream = layer.stage(stream)
             written = 0
             for batch in stream:
-                write([getattr(batch, column) for column in batch.__slots__])
+                write(batch.columns())
                 written += len(batch)
             work = {"cells_written": written}
         answers(unacked)

@@ -41,7 +41,7 @@ from repro.dbsim.key import (
     clip_ranges,
     covering,
     decode_number,
-    encode_number,
+    encode_numbers,
     field_columns,
     sort_keys,
     sort_run,
@@ -529,7 +529,8 @@ class Tablet:
         and compaction.  With ``reduce_fn`` the versions of a cell that
         survive versioning fold into one entry under the newest key,
         exactly as :func:`~repro.dbsim.iterators.combiner_stage` above
-        them would.
+        them would; the folded numbers are encoded once per batch
+        (:func:`~repro.dbsim.key.encode_numbers`).
 
         ``stored`` is compaction's second sink: it receives, entry for
         entry, the stored key tuple each output entry came from, so the
@@ -544,7 +545,7 @@ class Tablet:
         quals: List[str] = []
         viss: List[str] = []
         ts: List[int] = []
-        vals: List[str] = []
+        vals: list = []  # with reduce_fn, each closed entry's folded number
         n = 0
         entries = 0
         del_cid = None  # logical cell of the last tombstone seen
@@ -580,13 +581,15 @@ class Tablet:
                 seen = 1
             if reduce_fn is not None:
                 if n:  # the previous entry has seen its last version
-                    vals[-1] = encode_number(acc)
+                    vals[-1] = acc
                 acc = decode_number(value)
             if n == batch_cells:
                 sink.entries_read += entries
                 entries = 0
                 yield ColumnBatch(rows, fams, quals, viss,
-                                  array("q", ts), [False] * n, vals)
+                                  array("q", ts), [False] * n,
+                                  vals if reduce_fn is None
+                                  else encode_numbers(vals))
                 check_up()
                 rows, fams, quals, viss, ts, vals = [], [], [], [], [], []
                 n = 0
@@ -602,7 +605,8 @@ class Tablet:
         sink.entries_read += entries
         if n:
             if reduce_fn is not None:
-                vals[-1] = encode_number(acc)
+                vals[-1] = acc
+                vals = encode_numbers(vals)
             yield ColumnBatch(rows, fams, quals, viss, array("q", ts),
                               [False] * n, vals)
 

@@ -54,7 +54,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.dbsim.key import Cell, Key, field_columns
+from repro.dbsim.key import Cell, Key, as_text, field_columns
 
 #: bump when the block layout changes; verified on every decode
 BLOCK_FORMAT = 2
@@ -304,6 +304,10 @@ class ColumnBatch:
     ``Cell``/``Key`` tuples exist only if someone calls :meth:`cells`
     (a remote ``for cell in scanner`` is ``chain.from_iterable`` of it
     over the batches).
+
+    ``values`` are strings, except inside a two-table op's step: there
+    they are the step's float64 array until the step writes them
+    (:func:`~repro.dbsim.key.encode_numbers`).
     """
 
     __slots__ = ("rows", "families", "qualifiers", "visibilities",
@@ -353,10 +357,15 @@ class ColumnBatch:
             self.rows, self.families, self.qualifiers, self.visibilities,
             self.timestamps, self.deletes)), self.values)))
 
+    def columns(self) -> list:
+        """The seven columns, as a tablet stores them (values as
+        text: :func:`~repro.dbsim.key.as_text`)."""
+        return [self.rows, self.families, self.qualifiers,
+                self.visibilities, self.timestamps, self.deletes,
+                as_text(self.values)]
+
     def to_block(self) -> bytes:
-        return encode_columns(self.rows, self.families, self.qualifiers,
-                              self.visibilities, self.timestamps,
-                              self.deletes, self.values)
+        return encode_columns(*self.columns())
 
     def last_key(self) -> List:
         """Resume token ``[row, family, qualifier, visibility,
@@ -368,17 +377,21 @@ class ColumnBatch:
 
     def select(self, indices: Sequence[int]) -> "ColumnBatch":
         """A new batch holding only the entries at ``indices``: one
-        C-level ``itemgetter`` call per column."""
+        C-level ``itemgetter`` call per column, or one fancy index of a
+        step's float64 values."""
         if len(indices) > 1:
             get = itemgetter(*indices)
         else:  # an itemgetter of one index returns the item, not a tuple
             def get(column):
                 return [column[i] for i in indices]
+        values = self.values
         return ColumnBatch(list(get(self.rows)), list(get(self.families)),
                            list(get(self.qualifiers)),
                            list(get(self.visibilities)),
                            array("q", get(self.timestamps)),
-                           list(get(self.deletes)), list(get(self.values)))
+                           list(get(self.deletes)),
+                           list(get(values)) if isinstance(values, list)
+                           else values[list(indices)])
 
     def extend(self, other: "ColumnBatch") -> None:
         """Append ``other``'s entries in place (chunk coalescing)."""

@@ -36,10 +36,14 @@ configs)::
     write_batch:drop:0.01     # 1% of write acks swallowed
     *:reset:0.005             # 0.5% of everything reset
 
-Determinism: the plan owns one ``random.Random(seed)``; with a fixed
-seed, a fixed request sequence sees a fixed fault sequence.  Each
-fired fault bumps ``net.server.faults.<kind>`` on the server's
-metrics registry.
+Determinism: whether a rule fires on a response frame is a pure
+function of the seed, the rule, the op, the request's number among its
+connection's requests of that op, the frame's place in the response,
+and how many times that (op, number, frame) was decided before.  So a
+fixed sequence of requests per connection sees a fixed fault sequence
+however the connection's threads interleave their answers.  Each fired
+fault bumps ``net.server.faults.<kind>`` on the server's metrics
+registry.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net import wire
 
@@ -100,14 +104,13 @@ class FaultRule:
 
 
 class FaultPlan:
-    """The rules plus the seeded RNG that decides when they fire."""
+    """The rules plus the seed that decides when they fire."""
 
     def __init__(self, rules: Sequence[FaultRule] = (), seed: int = 0):
         self.rules: Tuple[FaultRule, ...] = tuple(rules)
         self.seed = seed
-        self._rng = random.Random(seed)
-        # concurrent responder threads share one plan; serialize draws
-        # so the RNG stream stays a function of the draw *sequence*
+        #: (op, number, frame) → how many times it was decided
+        self._decided: Dict[Tuple[int, int, int], int] = {}
         self._lock = threading.Lock()
 
     @classmethod
@@ -117,22 +120,34 @@ class FaultPlan:
     def specs(self) -> List[str]:
         return [r.spec() for r in self.rules]
 
-    def draw(self, op: int) -> Optional[FaultRule]:
-        """The first matching rule that fires for this request, if any.
+    def draw(self, op: int, number: int,
+             frame: int = 0) -> Optional[FaultRule]:
+        """The first matching rule that fires on frame ``frame`` (from
+        0) of the response to the ``number``-th request (from 0) of
+        ``op`` on its connection, if any.
 
-        Every matching rule consumes exactly one RNG draw whether or
-        not it fires, so the fault sequence depends only on the request
-        sequence — not on which earlier faults happened to fire.
+        Each rule decides by its own hash of the seed, its place in the
+        plan, ``(op, number, frame)`` and how many times that triple was
+        decided before: a retry on a fresh connection is numbered from
+        0 again, and must not meet the fault its first attempt met.
+        No decision depends on which other rules fire, or on the order
+        in which a connection's threads answer its requests.
         """
-        hit: Optional[FaultRule] = None
+        key = (op, number, frame)
         with self._lock:
-            for rule in self.rules:
-                if rule.op is not None and rule.op != op:
-                    continue
-                fired = self._rng.random() < rule.rate
-                if fired and hit is None:
-                    hit = rule
-        return hit
+            seen = self._decided.get(key, 0)
+            self._decided[key] = seen + 1
+        for index, rule in enumerate(self.rules):
+            if ((rule.op is None or rule.op == op)
+                    and _uniform(self.seed, index, key, seen) < rule.rate):
+                return rule
+        return None
+
+
+def _uniform(*key) -> float:
+    """A number in [0, 1) fixed by ``key``, the same in every process
+    and run: a string seed is hashed by SHA-512, not by ``hash``."""
+    return random.Random(repr(key)).random()
 
 
 def corrupt_frame(frame: bytes) -> bytes:

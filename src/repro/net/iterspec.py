@@ -58,6 +58,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import partial
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dbsim.iterators import (
@@ -67,13 +68,13 @@ from repro.dbsim.iterators import (
     apply_stage,
     column_stage,
     distinct_stage,
+    numbers,
     reduce_stage,
     regex_stage,
     select_stage,
     versions_stage,
     visibility_stage,
 )
-from repro.dbsim.key import decode_number, encode_number
 
 
 class IterSpecError(ValueError):
@@ -279,8 +280,8 @@ _CHECKS = {
 
 
 def _value_mask(cmp: str, threshold: float) -> Callable:
-    """The ``value_filter`` mask: ``float(value) <cmp> threshold``;
-    non-numeric values never satisfy a value cmp."""
+    """The ``value_filter`` mask: ``value <cmp> threshold``, text
+    decoded; non-numeric text never satisfies a value cmp."""
     test = partial(_CMPS[cmp], threshold)
 
     def one(value: str) -> bool:
@@ -291,7 +292,7 @@ def _value_mask(cmp: str, threshold: float) -> Callable:
 
     def mask(batch):
         try:  # the whole column at C speed when it is all numbers
-            return map(test, list(map(float, batch.values)))
+            return map(test, numbers(batch.values))
         except ValueError:
             return map(one, batch.values)
     return mask
@@ -304,21 +305,22 @@ def _jaccard_stage(degrees: Dict[str, float]):
     cells, then the same cells transposed to (j, i) — the same value:
     the sum in the denominator commutes exactly — as a second batch
     sorted by key.  Each batch is in key order, the stream is not, so
-    the op runs as a two-table op's ``post`` and never in a scan."""
+    the op runs as a two-table op's ``post`` and never in a scan.  Its
+    values are float64 (text is decoded): the step's write encodes them."""
     def stage(batches):
+        import numpy as np  # a post runs in a step: the multiply loaded it
+
+        def degree(keys):
+            return np.fromiter(map(degrees.get, keys, repeat(0.0)), float)
         for batch in batches:
-            keep, values = [], []
-            for n, (i, j, cn) in enumerate(zip(batch.rows, batch.qualifiers,
-                                               map(decode_number,
-                                                   batch.values))):
-                denom = degrees.get(i, 0.0) + degrees.get(j, 0.0) - cn
-                if i < j and denom > 0:
-                    keep.append(n)
-                    values.append(encode_number(cn / denom))
-            if keep:
+            cn = np.array(numbers(batch.values))
+            denom = degree(batch.rows) + degree(batch.qualifiers) - cn
+            keep = np.flatnonzero((denom > 0) & np.fromiter(
+                map(operator.lt, batch.rows, batch.qualifiers), bool))
+            if len(keep):
                 if len(keep) < len(batch):
-                    batch = batch.select(keep)
-                batch.values = values
+                    batch = batch.select(keep.tolist())
+                batch.values = cn[keep] / denom[keep]
                 yield batch
                 yield _transposed(batch)
     return stage
@@ -326,10 +328,9 @@ def _jaccard_stage(degrees: Dict[str, float]):
 
 def _transposed(batch):
     """``batch`` with rows and qualifiers swapped, sorted by key."""
-    order = sorted(range(len(batch)), key=lambda n: (
-        batch.qualifiers[n], batch.families[n], batch.rows[n],
-        batch.visibilities[n], -batch.timestamps[n]))
-    swapped = batch.select(order)
+    keys = list(zip(batch.qualifiers, batch.families, batch.rows,
+                    batch.visibilities, map(operator.neg, batch.timestamps)))
+    swapped = batch.select(sorted(range(len(keys)), key=keys.__getitem__))
     swapped.rows, swapped.qualifiers = swapped.qualifiers, swapped.rows
     return swapped
 

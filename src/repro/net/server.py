@@ -146,12 +146,13 @@ def _binary(payload, op: str) -> wire.CellsPayload:
 class _ConnState:
     """Shared per-connection state: the socket and its frame reader,
     the send lock (threads interleave whole frames, never bytes), the
-    reader role, the unary FIFO, the admission bounds, and the reorder
-    fault's held-frame slot."""
+    reader role, the unary FIFO, the admission bounds, the reorder
+    fault's held-frame slot, and what a faulted server's draws name a
+    request by."""
 
     __slots__ = ("sock", "frames", "send_lock", "cond", "reader", "idle",
                  "threads", "unary", "unary_busy", "scans", "cancelled",
-                 "held", "alive")
+                 "held", "alive", "ops_read", "numbers")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
@@ -173,6 +174,10 @@ class _ConnState:
         #: reorder fault: one (frame, op) response awaiting the swap
         self.held: Optional[Tuple[bytes, int]] = None
         self.alive = True
+        #: under a fault plan: requests read per op, and each request
+        #: id still owed frames → its number among its op's requests
+        self.ops_read: Dict[int, int] = {}
+        self.numbers: Dict[int, int] = {}
 
 
 class _Running:
@@ -317,6 +322,10 @@ class _BaseService:
             self._respond(state, wire.ERROR, wire.error_payload(exc), 0, 0)
             return
         arrived = time.perf_counter()
+        if self.faults:  # the reader reads in order: numbers replay
+            number = state.ops_read.get(code, 0)
+            state.ops_read[code] = number + 1
+            state.numbers[req] = number
         opname = wire.OP_NAMES.get(code, hex(code))
         counters("net.server.requests").inc()
         counters("net.server.bytes_received").inc(nread)
@@ -525,12 +534,13 @@ class _BaseService:
                  request_op: int, req: int) -> int:
         """Send one response frame, tagged with its request id (see
         :meth:`_send`)."""
-        return self._send(state, request_op,
+        return self._send(state, request_op, req, 0,
                           (code, wire.encode_frame(code, payload, req=req)))
 
-    def _send(self, state: _ConnState, request_op: int,
-              *frames: Tuple[int, bytes]) -> int:
-        """Send one request's ``(code, frame)`` response frames, in one
+    def _send(self, state: _ConnState, request_op: int, req: int,
+              first: int, *frames: Tuple[int, bytes]) -> int:
+        """Send request ``req``'s ``(code, frame)`` response frames,
+        ``first`` being the place of the first in its response, in one
         write when no fault fires on any.  Returns their byte length, or
         0 (falsy) when a fault destroyed the connection.  The reader role
         passes on before anything here could block, so a client writing
@@ -544,8 +554,13 @@ class _BaseService:
         request id.  Stream frames (CHUNK/DONE) are never held: order
         within a stream is contractual.
         """
-        rules = ([self.faults.draw(request_op) for _ in frames]
-                 if self.faults else ())
+        rules = ()
+        if self.faults:
+            # a response's last frame is not a CHUNK: its id is done
+            number = (state.numbers.get if frames[-1][0] == wire.CHUNK
+                      else state.numbers.pop)(req, 0)
+            rules = [self.faults.draw(request_op, number, first + i)
+                     for i in range(len(frames))]
         hold = (len(rules) == 1 and rules[0] is not None
                 and rules[0].kind == "reorder"
                 and frames[0][0] in (wire.OK, wire.ERROR)
@@ -871,14 +886,16 @@ class TabletServerService(_BaseService):
         tablet = None
         entered = emitted = 0  # cells into / out of the pushed-down layers
         held = ()  # the newest CHUNK, until the next batch is known
+        frames = 0  # sent so far
 
         def send(*answer) -> int:
             """Send the held CHUNK, if any, then the ``(code,
             payload)`` frame ``answer`` names, if any."""
-            nonlocal held
+            nonlocal held, frames
             last = ((answer[0], wire.encode_frame(*answer, req=req)),) \
                 if answer else ()
-            nsent = self._send(state, wire.SCAN, *held, *last)
+            nsent = self._send(state, wire.SCAN, req, frames, *held, *last)
+            frames += len(held) + len(last)
             if nsent and held:
                 counters("net.server.scan_chunks").inc()
                 counters(f"net.server.table.{tablet.table}.scan_bytes").inc(

@@ -19,7 +19,6 @@ Thread-mode clusters with seeded fault plans; the faults fire on the
 server's send path, after the handler ran.
 """
 
-import random
 import sys
 import threading
 import time
@@ -30,17 +29,21 @@ from repro.dbsim.key import Range
 from repro.net import client as client_mod
 from repro.net import wire
 from repro.net.cluster import LocalCluster
+from repro.net.faults import FaultPlan, FaultRule
 from repro.net.iterspec import IterSpec
 from repro.obs.metrics import MetricsRegistry
 
 
-def _seed_firing(rate, pattern):
-    """A FaultPlan seed under which a lone rule of ``rate`` fires on
-    its matching requests exactly as ``pattern`` says (the plan draws
-    one ``random()`` per matching request)."""
+def _seed_firing(spec, numbers, pattern):
+    """A FaultPlan seed under which the lone rule ``spec`` fires on the
+    answers to its op's requests ``numbers`` (each request's number
+    among its connection's requests of the op, in the order they are
+    decided) exactly as ``pattern`` says."""
+    rule = FaultRule.from_spec(spec)
     for seed in range(10_000):
-        rng = random.Random(seed)
-        if [rng.random() < rate for _ in pattern] == list(pattern):
+        plan = FaultPlan([rule], seed=seed)
+        if [plan.draw(rule.op, number) is not None
+                for number in numbers] == list(pattern):
             return seed
     raise AssertionError("no seed fires that pattern")
 
@@ -145,7 +148,11 @@ def test_a_corrupt_frame_fails_all_pending_and_they_share_a_fresh_socket():
     with LocalCluster(
             n_servers=1, processes=False,
             fault_specs=["tablet_info:corrupt:0.5"],
-            fault_seed=_seed_firing(0.5, [True, False, False, False])
+            # the connection's first tablet_info answer is damaged, its
+            # second is not, and neither is on the fresh socket
+            fault_seed=_seed_firing("tablet_info:corrupt:0.5",
+                                    [0, 1, 0, 1],
+                                    [True, False, False, False])
     ) as cluster:
         conn, proxy, info = _one_tablet(cluster, registry, base=0.001)
         try:

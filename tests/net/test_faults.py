@@ -1,5 +1,6 @@
 """Fault-rule parsing, seeded determinism, and frame corruption."""
 
+import random
 import socket
 
 import pytest
@@ -47,30 +48,69 @@ class TestSpecs:
         assert FaultPlan.from_specs(specs, seed=9).specs() == specs
 
 
+def _numbered(ops):
+    """``(op, number)`` per request of ``ops``, as one connection's
+    reader numbers them: each op's requests count from 0."""
+    counts = {}
+    for op in ops:
+        counts[op] = counts.get(op, -1) + 1
+        yield op, counts[op]
+
+
+def _kinds(plan, draws):
+    return [getattr(plan.draw(*draw), "kind", None) for draw in draws]
+
+
 class TestDeterminism:
     def test_same_seed_same_fault_sequence(self):
         specs = ["scan:drop:0.3", "*:delay:0.2:0"]
-        seq = [wire.SCAN, wire.PING, wire.SCAN, wire.WRITE_BATCH] * 50
+        seq = list(_numbered(
+            [wire.SCAN, wire.PING, wire.SCAN, wire.WRITE_BATCH] * 50))
 
         def run():
-            plan = FaultPlan.from_specs(specs, seed=7)
-            return [getattr(plan.draw(op), "kind", None) for op in seq]
+            return _kinds(FaultPlan.from_specs(specs, seed=7), seq)
 
         first, second = run(), run()
         assert first == second
         assert any(first)  # the rates above must actually fire sometimes
 
+    def test_decisions_do_not_depend_on_answer_order(self):
+        # a connection's threads answer its requests in any order (and
+        # a stream's frames interleave with other answers): each frame's
+        # fault is the same whatever order the draws come in
+        specs = ["scan:corrupt:0.3", "*:delay:0.2:0"]
+        draws = [(op, number, frame) for op, number in _numbered(
+            [wire.SCAN, wire.PING, wire.SCAN, wire.WRITE_BATCH] * 25)
+            for frame in range(3 if op == wire.SCAN else 1)]
+        shuffled = random.Random(5).sample(range(len(draws)), len(draws))
+        in_order = _kinds(FaultPlan.from_specs(specs, seed=7), draws)
+        plan = FaultPlan.from_specs(specs, seed=7)
+        by_draw = dict(zip(shuffled, _kinds(plan, map(draws.__getitem__,
+                                                       shuffled))))
+        assert [by_draw[i] for i in range(len(draws))] == in_order
+        assert {"corrupt", "delay", None} <= set(in_order)
+
+    def test_a_repeated_request_decides_anew(self):
+        # a retry on a fresh connection is numbered from 0 again: its
+        # draws are not its first attempt's, so no fault repeats forever
+        plan = FaultPlan.from_specs(["scan:drop:0.5"], seed=11)
+        firsts = _kinds(plan, [(wire.SCAN, n) for n in range(200)])
+        again = _kinds(plan, [(wire.SCAN, n) for n in range(200)])
+        assert firsts != again
+        replay = FaultPlan.from_specs(["scan:drop:0.5"], seed=11)
+        assert _kinds(replay, [(wire.SCAN, n) for n in range(200)] * 2) \
+            == firsts + again
+
     def test_draws_consumed_even_when_not_firing(self):
-        # rule matching only SCAN must not shift the RNG stream seen by
-        # later requests of other ops — each *matching* rule consumes
-        # exactly one draw
+        # a rule matching only SCAN must not shift the decisions seen
+        # by other ops' requests: each rule decides on its own
         plan_a = FaultPlan.from_specs(["scan:drop:0.0", "*:delay:0.5:0"],
                                       seed=3)
         plan_b = FaultPlan.from_specs(["scan:drop:1.0", "*:delay:0.5:0"],
                                       seed=3)
-        seq = [wire.SCAN, wire.PING] * 40
-        kinds_a = [getattr(plan_a.draw(op), "kind", None) for op in seq]
-        kinds_b = [getattr(plan_b.draw(op), "kind", None) for op in seq]
+        seq = list(_numbered([wire.SCAN, wire.PING] * 40))
+        kinds_a = _kinds(plan_a, seq)
+        kinds_b = _kinds(plan_b, seq)
         # where a drop fired in b the first matching rule wins, but the
         # delay decisions (second rule) line up one for one
         delays_a = [k == "delay" for k in kinds_a]
@@ -80,12 +120,12 @@ class TestDeterminism:
 
     def test_zero_rate_never_fires(self):
         plan = FaultPlan.from_specs(["*:drop:0.0"], seed=1)
-        assert all(plan.draw(wire.SCAN) is None for _ in range(200))
+        assert all(plan.draw(wire.SCAN, n % 7) is None for n in range(200))
 
     def test_unit_rate_always_fires(self):
         plan = FaultPlan.from_specs(["*:drop:1.0"], seed=1)
-        assert all(plan.draw(wire.SCAN).kind == "drop"
-                   for _ in range(50))
+        assert all(plan.draw(wire.SCAN, n % 7).kind == "drop"
+                   for n in range(50))
 
 
 class TestApplication:

@@ -28,7 +28,8 @@ from repro.dbsim.server import Instance
 from repro.net import client as client_mod
 from repro.net import wire
 from repro.net.cluster import LocalCluster
-from repro.net.server import MAX_CONN_SCANS, SCAN_CHUNK_CELLS
+from repro.net.server import (MAX_CONN_SCANS, SCAN_CHUNK_CELLS,
+                              TabletServerService)
 from repro.obs.metrics import MetricsRegistry
 from tests.net import blocks
 
@@ -132,6 +133,28 @@ class TestRequestRouting:
             conn.close()
 
 
+def _hold_until_shed(monkeypatch):
+    """Make the flood's overlap certain, not hoped for: every admitted
+    scan stream holds (the reader role passed on, as before a delayed
+    frame) until the server has shed a scan, so the per-connection cap
+    binds however the requests' arrivals spread out."""
+    shed = threading.Event()
+    real_shed, real_stream = (TabletServerService._shed,
+                              TabletServerService._scan_stream)
+
+    def shedding(self, *args):
+        real_shed(self, *args)
+        shed.set()
+
+    def held(self, state, payload, req):
+        self._handoff(state)
+        shed.wait(30.0)
+        return real_stream(self, state, payload, req)
+
+    monkeypatch.setattr(TabletServerService, "_shed", shedding)
+    monkeypatch.setattr(TabletServerService, "_scan_stream", held)
+
+
 class TestAdmissionControl:
     @pytest.fixture()
     def slow_cluster(self):
@@ -142,13 +165,15 @@ class TestAdmissionControl:
                           fault_seed=1) as c:
             yield c
 
-    def test_scan_flood_sheds_busy_then_recovers(self, slow_cluster):
+    def test_scan_flood_sheds_busy_then_recovers(self, slow_cluster,
+                                                 monkeypatch):
         conn = slow_cluster.connect(metrics=MetricsRegistry())
         try:
             conn.create_table("t")
             with conn.batch_writer("t") as w:
                 for i in range(600):
                     w.put(f"r{i:04d}", "", "c", i)
+            _hold_until_shed(monkeypatch)
             proxy = conn.instance.tablets("t")[0]
             core = conn.instance.core
             payload = {"table": "t", "tablet_id": proxy.tablet_id,
@@ -183,7 +208,8 @@ class TestAdmissionControl:
         finally:
             conn.close()
 
-    def test_facade_scans_retry_through_busy(self, slow_cluster):
+    def test_facade_scans_retry_through_busy(self, slow_cluster,
+                                             monkeypatch):
         registry = MetricsRegistry()
         conn = slow_cluster.connect(metrics=registry)
         try:
@@ -191,6 +217,7 @@ class TestAdmissionControl:
             with conn.batch_writer("t") as w:
                 for i in range(600):
                     w.put(f"r{i:04d}", "", "c", i)
+            _hold_until_shed(monkeypatch)
             counts, errors = [], []
 
             def one_scan():

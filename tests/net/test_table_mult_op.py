@@ -290,14 +290,18 @@ class TestMulAndCombinerOnTheWire:
 # -- exactly-once under faults ----------------------------------------------
 
 
-def _seed(spec, fires):
+def _seed(spec, draws, fires):
     """The first fault seed whose plan for ``spec`` fires on exactly the
-    draws ``fires`` marks — the one response of the op under test that
-    each case loses."""
+    ``draws`` that ``fires`` marks — the one response of the op under
+    test that each case loses.  A draw is ``(number, frame)``: the
+    request's number among its connection's requests of the op, and
+    the frame's place in the answer, in the order they are decided; a
+    retry on a fresh connection numbers its requests from 0 again."""
     rule = FaultRule.from_spec(spec)
     for seed in itertools.count():
         plan = FaultPlan([rule], seed=seed)
-        if [plan.draw(rule.op) is not None for _ in fires] == fires:
+        if [plan.draw(rule.op, *draw) is not None
+                for draw in draws] == fires:
             return seed
 
 
@@ -396,16 +400,19 @@ def fault_free():
 
 FAULTS = {
     # the manager's TABLE_MULT ack is lost: the client's retry replays
-    "manager": ("manager", "table_mult:drop:0.5", [True, False],
+    "manager": ("manager", "table_mult:drop:0.5",
+                [(0, 0), (0, 0)], [True, False],
                 "manager", "net.server.dedup_hits"),
     # the peer write of C is lost on the way back: the step's retry
     # replays out of tserver2's dedup window
     "peer_write": ("tserver2", "write_batch:drop:0.5",
-                   [True, False, False], "tserver2",
-                   "net.server.dedup_hits"),
-    # the peer read of B dies after its first chunk: the step resumes
+                   [(0, 0), (0, 0), (0, 0)], [True, False, False],
+                   "tserver2", "net.server.dedup_hits"),
+    # the peer read of B dies after its first chunk (the second and the
+    # DONE are decided together): the step resumes on a fresh socket
     "peer_scan": ("tserver1", "scan:reset:0.5",
-                  [False, True, False, False], "tserver0",
+                  [(0, 0), (0, 1), (0, 2), (0, 0), (0, 1)],
+                  [False, True, False, False, False], "tserver0",
                   "net.client.scan_resumes"),
 }
 
@@ -416,8 +423,9 @@ class TestExactlyOnceUnderFaults:
     @pytest.mark.parametrize("case", sorted(FAULTS))
     def test_c_equals_fault_free_in_process_run(self, fault_free, processes,
                                                 case, form):
-        where, spec, fires, witness, counter = FAULTS[case]
-        with _cluster(processes, {where: (spec, _seed(spec, fires))}) as conn:
+        where, spec, draws, fires, witness, counter = FAULTS[case]
+        with _cluster(processes,
+                      {where: (spec, _seed(spec, draws, fires))}) as conn:
             got = _run_form(conn, form)
             metrics = conn.instance.cluster_metrics()
         assert got == fault_free[form]  # not doubled, timestamps equal
@@ -508,8 +516,9 @@ class TestJoinsExactlyOnceUnderFaults:
     @pytest.mark.parametrize("op, case", ONE_TABLE_FAULTS)
     def test_c_equals_fault_free_in_process_run(self, one_table_fault_free,
                                                 processes, op, case):
-        where, spec, fires, witness, counter = FAULTS[case]
-        with _cluster(processes, {where: (spec, _seed(spec, fires))}) as conn:
+        where, spec, draws, fires, witness, counter = FAULTS[case]
+        with _cluster(processes,
+                      {where: (spec, _seed(spec, draws, fires))}) as conn:
             got = _run_one_table(conn, op)
             metrics = conn.instance.cluster_metrics()
         assert got == one_table_fault_free[op]  # once each, timestamps equal
