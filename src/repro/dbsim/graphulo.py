@@ -298,10 +298,9 @@ def _joined_rows(at_rows, b_rows):
     row)`` pairs in key order: two sorted row streams (as
     :func:`_whole_rows` yields them) advanced in lockstep (Graphulo's
     TwoTableIterator).  ``b_rows`` of ``None`` means ``B`` is ``AT``
-    (``AᵀA``): each row is joined with itself."""
+    (``AᵀA``): each row comes alone, as ``(AT row,)``."""
     if b_rows is None:
-        for ra in at_rows:
-            yield ra, ra
+        yield from zip(at_rows)
         return
     ra, rb = next(at_rows, None), next(b_rows, None)
     while ra is not None and rb is not None:
@@ -323,12 +322,12 @@ def _joined_blocks(at_rows, b_rows, bound: int):
     per cell — and its boundaries follow the row sequence alone.  When
     ``B`` is ``AT`` (``b_rows`` of ``None``) its ``b`` is its ``at``."""
     at, b, predicted = ([], [], []), ([], [], []), 0
-    for ra, rb in _joined_rows(at_rows, b_rows):
-        for side, (_, quals, vals) in ((at, ra), (b, rb)):
+    for joined in _joined_rows(at_rows, b_rows):
+        for side, (_, quals, vals) in zip((at, b), joined):
             side[0].append(len(quals))
             side[1].extend(quals)
             side[2].extend(vals)
-        predicted += len(ra[1]) * len(rb[1])
+        predicted += len(joined[0][1]) * len(joined[-1][1])
         if predicted >= bound:
             yield at, at if b_rows is None else b, predicted
             at, b, predicted = ([], [], []), ([], [], []), 0
@@ -399,7 +398,9 @@ def _row_blocks(batches, bound: int):
     qualifiers, values)`` per cell in key order: a block closes once
     it holds ``bound`` cells, so it holds fewer than ``bound`` plus one
     row."""
-    rows, quals, vals = [], [], []
+    rows: list = []
+    quals: list = []
+    vals: list = []
     for row, row_quals, row_vals in _whole_rows(batches):
         rows += [row] * len(row_quals)
         quals += row_quals
@@ -630,8 +631,11 @@ def _table_bfs(conn: Connector, edge_table: str, seeds: Iterable[str],
                hops: int, min_degree: Optional[float],
                degree_table_name: Optional[str],
                authorizations) -> Dict[str, int]:
-    dist: Dict[str, int] = dict.fromkeys(seeds, 0)
-    frontier = set(dist)
+    dist: Dict[str, int] = {}
+    frontier: Set[str] = set()
+    for s in seeds:
+        dist[s] = 0
+        frontier.add(s)
     if not frontier:
         raise ValueError("need at least one seed vertex")
 

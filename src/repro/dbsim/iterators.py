@@ -25,8 +25,7 @@ from itertools import compress, repeat
 from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from repro.dbsim.key import (as_text, decode_number, encode_number,
-                             encode_numbers)
+from repro.dbsim.key import decode_number, encode_number
 
 #: Column filter: None = all, else a set of (family, qualifier) pairs
 #: where qualifier None means "whole family".
@@ -100,13 +99,13 @@ def regex_stage(row: str = None, qualifier: str = None,
     """Keep entries whose row / qualifier / value match the given
     regexes (``re.search``); ``None`` fields match everything."""
     searches = [(column, re.compile(pattern).search)
-                for column, pattern in (("rows", row),
-                                        ("qualifiers", qualifier),
-                                        ("values", value)) if pattern]
+                for column, pattern in (
+                    (operator.attrgetter("rows"), row),
+                    (operator.attrgetter("qualifiers"), qualifier),
+                    (operator.methodcaller("text"), value)) if pattern]
 
     def mask(batch):
-        hits = [map(search, as_text(getattr(batch, column)))
-                for column, search in searches]
+        hits = [map(search, column(batch)) for column, search in searches]
         if len(hits) < 2:
             return hits[0] if hits else None
         return map(all, zip(*hits))
@@ -171,12 +170,10 @@ def combiner_stage(reduce_fn: Callable[[float, float], float]) -> Stage:
         held = None  # the open group's first entry, as a 1-entry batch
         last, acc = None, 0.0
         for batch in batches:
-            batch.values = as_text(batch.values)  # held extends it
             firsts: List[int] = []  # where this batch's groups begin
             closed: List[str] = []  # folded value per group that ended
             for i, (cid, value) in enumerate(zip(_cell_ids(batch),
-                                                 batch.values)):
-                value = decode_number(value)
+                                                 batch.numbers())):
                 if cid == last:
                     acc = reduce_fn(acc, value)
                     continue
@@ -252,38 +249,19 @@ def reduce_stage(op: str = "sum", family: str = "", qualifier: str = "deg",
 def apply_stage(fn: Callable[[float], float],
                 drop_zero: bool = True) -> Stage:
     """Map each entry's numeric value through ``fn`` — the GraphBLAS
-    Apply kernel; with ``drop_zero`` results equal to 0 are dropped.
-    Text values are decoded on entry and the results encoded once per
-    batch; a step's float64 values stay numbers."""
+    Apply kernel; with ``drop_zero`` results equal to 0 are dropped."""
     def stage(batches):
         for batch in batches:
-            text = isinstance(batch.values, list)
-            outs = list(map(fn, numbers(batch.values)))
+            outs = list(map(fn, batch.numbers()))
             if drop_zero:
                 keep = [i for i, out in enumerate(outs) if not out == 0]
                 if len(keep) < len(outs):
                     batch = batch.select(keep)
                     outs = [outs[i] for i in keep]
             if outs:
-                batch.values = (encode_numbers(outs) if text
-                                else _floats(outs))
+                batch.set_numbers(outs)
                 yield batch
     return stage
-
-
-def numbers(values) -> list:
-    """A value column as Python floats: text decoded on entry
-    (``ValueError`` if not numeric), a step's float64 array listed."""
-    return (list(map(decode_number, values)) if isinstance(values, list)
-            else values.tolist())
-
-
-def _floats(values):
-    """``values`` as a float64 array — for a stage that was handed one,
-    so numpy is loaded."""
-    import numpy as np
-
-    return np.array(values, dtype=np.float64)
 
 
 # -- layers: what iterator tuples hold ----------------------------------------

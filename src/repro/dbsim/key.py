@@ -42,10 +42,9 @@ def encode_numbers(values) -> List[str]:
     From :data:`VECTOR_MIN` values up, when the process holds numpy
     already, each *distinct* value is formatted once (``np.unique``) —
     a product's counts and a Jaccard table's small-integer ratios
-    repeat: 4 096 coefficients take 0.35 ms, not 2.5 ms — and a column
-    of mostly distinct values is formatted whole, by
-    :func:`_formatted`.  A server that has never multiplied reads its
-    combiner tables without loading numpy."""
+    repeat: 4 096 coefficients take 0.35 ms, not 2.5 ms.  A server that
+    has never multiplied reads its combiner tables without loading
+    numpy."""
     np = sys.modules.get("numpy") if len(values) >= VECTOR_MIN else None
     if np is None:
         if hasattr(values, "tolist"):  # an array: its floats, not scalars
@@ -54,15 +53,7 @@ def encode_numbers(values) -> List[str]:
     arr = np.asarray(values, dtype=np.float64)
     # ±0 fall together, as do NaNs: each pair's texts are equal
     distinct, where = np.unique(arr, return_inverse=True)
-    if 2 * len(distinct) > len(arr):
-        return _formatted(np, arr)
     return list(map(_formatted(np, distinct).__getitem__, where.tolist()))
-
-
-def as_text(values) -> List[str]:
-    """A value column as a tablet stores it: text as it is, a step's
-    float64 values encoded."""
-    return values if isinstance(values, list) else encode_numbers(values)
 
 
 def _formatted(np, arr) -> List[str]:

@@ -54,7 +54,8 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.dbsim.key import Cell, Key, as_text, field_columns
+from repro.dbsim.key import (Cell, Key, decode_number, encode_numbers,
+                             field_columns)
 
 #: bump when the block layout changes; verified on every decode
 BLOCK_FORMAT = 2
@@ -306,8 +307,11 @@ class ColumnBatch:
     over the batches).
 
     ``values`` are strings, except inside a two-table op's step: there
-    they are the step's float64 array until the step writes them
-    (:func:`~repro.dbsim.key.encode_numbers`).
+    they are the step's float64 array until someone reads them as text.
+    Only this class tells the two apart.  A stage reads the values as
+    :meth:`numbers` or :meth:`text` and replaces them by
+    :meth:`set_numbers`; everything else here reads text, so each
+    number is encoded once (:func:`~repro.dbsim.key.encode_numbers`).
     """
 
     __slots__ = ("rows", "families", "qualifiers", "visibilities",
@@ -337,7 +341,7 @@ class ColumnBatch:
                 and self.visibilities == other.visibilities
                 and list(self.timestamps) == list(other.timestamps)
                 and self.deletes == other.deletes
-                and self.values == other.values)
+                and self.text() == other.text())
 
     @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "ColumnBatch":
@@ -355,14 +359,37 @@ class ColumnBatch:
         run in C: no Python frame per cell."""
         return list(map(new_cell, zip(map(new_key, zip(
             self.rows, self.families, self.qualifiers, self.visibilities,
-            self.timestamps, self.deletes)), self.values)))
+            self.timestamps, self.deletes)), self.text())))
+
+    def text(self) -> List[str]:
+        """The values as a tablet stores them: a step's numbers are
+        encoded, once — the batch keeps the text."""
+        if not isinstance(self.values, list):
+            self.values = encode_numbers(self.values)
+        return self.values
+
+    def numbers(self) -> List[float]:
+        """The values as floats: text decoded (``ValueError`` if one is
+        not numeric), a step's numbers as they are."""
+        if isinstance(self.values, list):
+            return list(map(decode_number, self.values))
+        return self.values.tolist()
+
+    def set_numbers(self, numbers: Sequence[float]) -> None:
+        """Replace the values by ``numbers``, held as the values were:
+        encoded in place of text, a float64 array in a step."""
+        if isinstance(self.values, list):
+            self.values = encode_numbers(numbers)
+        else:
+            import numpy as np  # a step's batch: numpy is loaded
+
+            self.values = np.asarray(numbers, dtype=np.float64)
 
     def columns(self) -> list:
-        """The seven columns, as a tablet stores them (values as
-        text: :func:`~repro.dbsim.key.as_text`)."""
+        """The seven columns, as a tablet stores them."""
         return [self.rows, self.families, self.qualifiers,
                 self.visibilities, self.timestamps, self.deletes,
-                as_text(self.values)]
+                self.text()]
 
     def to_block(self) -> bytes:
         return encode_columns(*self.columns())
@@ -401,7 +428,7 @@ class ColumnBatch:
         self.visibilities.extend(other.visibilities)
         self.timestamps.extend(other.timestamps)
         self.deletes.extend(other.deletes)
-        self.values.extend(other.values)
+        self.text().extend(other.text())
 
 
 def decode_batch(buf) -> ColumnBatch:

@@ -37,12 +37,14 @@ configs)::
     *:reset:0.005             # 0.5% of everything reset
 
 Determinism: whether a rule fires on a response frame is a pure
-function of the seed, the rule, the op, the request's number among its
-connection's requests of that op, the frame's place in the response,
-and how many times that (op, number, frame) was decided before.  So a
-fixed sequence of requests per connection sees a fixed fault sequence
-however the connection's threads interleave their answers.  Each fired
-fault bumps ``net.server.faults.<kind>`` on the server's metrics
+function of the seed, the rule, the op, the connection's place among
+the server's connections that sent that op, the request's number among
+its connection's requests of the op, and the frame's place in the
+response.  So a fixed sequence of requests sees a fixed fault sequence
+however a connection's threads interleave their answers — as long as
+each op is sent by one connection at a time: connections that first
+send an op concurrently may take their places in either order.  Each
+fired fault bumps ``net.server.faults.<kind>`` on the server's metrics
 registry.
 """
 
@@ -109,8 +111,8 @@ class FaultPlan:
     def __init__(self, rules: Sequence[FaultRule] = (), seed: int = 0):
         self.rules: Tuple[FaultRule, ...] = tuple(rules)
         self.seed = seed
-        #: (op, number, frame) → how many times it was decided
-        self._decided: Dict[Tuple[int, int, int], int] = {}
+        #: op → how many connections have sent it
+        self._senders: Dict[int, int] = {}
         self._lock = threading.Lock()
 
     @classmethod
@@ -120,26 +122,34 @@ class FaultPlan:
     def specs(self) -> List[str]:
         return [r.spec() for r in self.rules]
 
-    def draw(self, op: int, number: int,
+    def sender(self, op: int) -> int:
+        """The place (from 0) of a connection among those that sent
+        ``op`` to this server, asked once per connection when it sends
+        its first ``op`` request.  A retry on a fresh connection takes
+        the next place, so it does not meet the fault its first attempt
+        met."""
+        with self._lock:
+            place = self._senders.get(op, 0)
+            self._senders[op] = place + 1
+        return place
+
+    def draw(self, op: int, sender: int, number: int,
              frame: int = 0) -> Optional[FaultRule]:
         """The first matching rule that fires on frame ``frame`` (from
         0) of the response to the ``number``-th request (from 0) of
-        ``op`` on its connection, if any.
+        ``op`` on the connection that was ``sender``-th to send ``op``
+        (:meth:`sender`), if any.
 
         Each rule decides by its own hash of the seed, its place in the
-        plan, ``(op, number, frame)`` and how many times that triple was
-        decided before: a retry on a fresh connection is numbered from
-        0 again, and must not meet the fault its first attempt met.
-        No decision depends on which other rules fire, or on the order
-        in which a connection's threads answer its requests.
+        plan, ``(op, number, frame)`` and ``sender``: no decision
+        depends on which other rules fire, on the order in which a
+        connection's threads answer its requests, or on any earlier
+        decision.
         """
         key = (op, number, frame)
-        with self._lock:
-            seen = self._decided.get(key, 0)
-            self._decided[key] = seen + 1
         for index, rule in enumerate(self.rules):
             if ((rule.op is None or rule.op == op)
-                    and _uniform(self.seed, index, key, seen) < rule.rate):
+                    and _uniform(self.seed, index, key, sender) < rule.rate):
                 return rule
         return None
 

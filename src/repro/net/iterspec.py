@@ -68,7 +68,6 @@ from repro.dbsim.iterators import (
     apply_stage,
     column_stage,
     distinct_stage,
-    numbers,
     reduce_stage,
     regex_stage,
     select_stage,
@@ -292,9 +291,9 @@ def _value_mask(cmp: str, threshold: float) -> Callable:
 
     def mask(batch):
         try:  # the whole column at C speed when it is all numbers
-            return map(test, numbers(batch.values))
+            return map(test, batch.numbers())
         except ValueError:
-            return map(one, batch.values)
+            return map(one, batch.text())
     return mask
 
 
@@ -305,22 +304,22 @@ def _jaccard_stage(degrees: Dict[str, float]):
     cells, then the same cells transposed to (j, i) — the same value:
     the sum in the denominator commutes exactly — as a second batch
     sorted by key.  Each batch is in key order, the stream is not, so
-    the op runs as a two-table op's ``post`` and never in a scan.  Its
-    values are float64 (text is decoded): the step's write encodes them."""
+    the op runs as a two-table op's ``post`` and never in a scan."""
     def stage(batches):
         import numpy as np  # a post runs in a step: the multiply loaded it
 
         def degree(keys):
             return np.fromiter(map(degrees.get, keys, repeat(0.0)), float)
         for batch in batches:
-            cn = np.array(numbers(batch.values))
+            cn = np.array(batch.numbers())
             denom = degree(batch.rows) + degree(batch.qualifiers) - cn
             keep = np.flatnonzero((denom > 0) & np.fromiter(
                 map(operator.lt, batch.rows, batch.qualifiers), bool))
             if len(keep):
                 if len(keep) < len(batch):
                     batch = batch.select(keep.tolist())
-                batch.values = cn[keep] / denom[keep]
+                batch.set_numbers(cn[keep] / denom[keep])
+                batch.text()  # encoded once: the mirror selects the text
                 yield batch
                 yield _transposed(batch)
     return stage

@@ -174,10 +174,11 @@ class _ConnState:
         #: reorder fault: one (frame, op) response awaiting the swap
         self.held: Optional[Tuple[bytes, int]] = None
         self.alive = True
-        #: under a fault plan: requests read per op, and each request
-        #: id still owed frames → its number among its op's requests
-        self.ops_read: Dict[int, int] = {}
-        self.numbers: Dict[int, int] = {}
+        #: under a fault plan: per op, this connection's place among
+        #: the op's senders and its requests read; and each request id
+        #: still owed frames → (that place, its number among them)
+        self.ops_read: Dict[int, List[int]] = {}
+        self.numbers: Dict[int, Tuple[int, int]] = {}
 
 
 class _Running:
@@ -322,10 +323,13 @@ class _BaseService:
             self._respond(state, wire.ERROR, wire.error_payload(exc), 0, 0)
             return
         arrived = time.perf_counter()
-        if self.faults:  # the reader reads in order: numbers replay
-            number = state.ops_read.get(code, 0)
-            state.ops_read[code] = number + 1
-            state.numbers[req] = number
+        if self.faults and code != wire.CANCEL_SCAN:  # it has no answer
+            # the reader reads in order: numbers replay
+            read = state.ops_read.get(code)
+            if read is None:
+                read = state.ops_read[code] = [self.faults.sender(code), 0]
+            state.numbers[req] = tuple(read)
+            read[1] += 1
         opname = wire.OP_NAMES.get(code, hex(code))
         counters("net.server.requests").inc()
         counters("net.server.bytes_received").inc(nread)
@@ -557,9 +561,10 @@ class _BaseService:
         rules = ()
         if self.faults:
             # a response's last frame is not a CHUNK: its id is done
-            number = (state.numbers.get if frames[-1][0] == wire.CHUNK
-                      else state.numbers.pop)(req, 0)
-            rules = [self.faults.draw(request_op, number, first + i)
+            owed = (state.numbers.get if frames[-1][0] == wire.CHUNK
+                    else state.numbers.pop)
+            sender, number = owed(req, (0, 0))
+            rules = [self.faults.draw(request_op, sender, number, first + i)
                      for i in range(len(frames))]
         hold = (len(rules) == 1 and rules[0] is not None
                 and rules[0].kind == "reorder"

@@ -5,7 +5,8 @@ many values a two-table op's step decodes and encodes.
 bit, on both sides of :data:`~repro.dbsim.key.VECTOR_MIN` and whether
 or not the process holds numpy.  A step — partial products, row-owned,
 row-owned with a ``post`` — parses each stored value it reads once and
-formats each value it writes once: the counts are pinned against the
+formats each value it writes once (a Jaccard cell and its mirror share
+one formatted value): the counts are pinned against the
 op's own ``entries_read`` / ``entries_written``, on the in-process
 backend and on a thread cluster, under the default block bound and
 under one small enough to fold many blocks per output row.
@@ -14,6 +15,7 @@ under one small enough to fold many blocks per output row.
 import random
 import sys
 import threading
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -21,13 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dbsim import graphulo, graphulo_algorithms, iterators, key, tablet
+from repro.dbsim import graphulo, graphulo_algorithms, iterators, tablet
 from repro.dbsim.client import Connector
 from repro.dbsim.graphulo import _multiply, _spec, table_mult
 from repro.dbsim.graphulo_algorithms import table_ktruss
 from repro.dbsim.key import VECTOR_MIN, encode_number, encode_numbers
 from repro.dbsim.server import Instance, MultSpec
-from repro.net import iterspec
+from repro.net import cells, iterspec
+from repro.net.cells import ColumnBatch
 from repro.net.cluster import LocalCluster
 from repro.obs.metrics import MetricsRegistry
 
@@ -66,6 +69,33 @@ def test_edges_on_both_sides_of_the_crossover(n, repeats):
         assert encode_numbers(values) == want
 
 
+def _batch(values):
+    n = len(values)
+    return ColumnBatch([f"r{i}" for i in range(n)], [""] * n, ["q"] * n,
+                       [""] * n, array("q", [1] * n), [False] * n, values)
+
+
+def test_a_batch_of_a_steps_numbers_reads_as_its_text():
+    def step():
+        return _batch(np.array([1.0, 0.5, 3.0]))
+
+    def text():
+        return _batch(["1", "0.5", "3"])
+
+    assert step() == text() and text() == step()
+    assert step().cells() == text().cells()
+    assert step().select([2, 0]) == text().select([2, 0])
+    for head, tail in ((step(), text()), (text(), step()), (step(), step())):
+        head.extend(tail)
+        assert head.text() == ["1", "0.5", "3"] * 2
+    # set_numbers keeps a batch's kind: a step's stay numbers
+    for batch, kind in ((step(), np.ndarray), (text(), list)):
+        batch.set_numbers([2.0, 0.25, 3.0])
+        assert isinstance(batch.values, kind)
+        assert batch.numbers() == [2.0, 0.25, 3.0]
+        assert batch.columns()[-1] == ["2", "0.25", "3"]
+
+
 class _Codec:
     """Counts the values parsed and formatted through every codec name
     a step's modules hold."""
@@ -93,12 +123,9 @@ class _Codec:
 
         fakes = {"decode_number": decode, "encode_number": encode,
                  "encode_numbers": encode_all}
-        # key.as_text, which formats a written batch, calls its own
-        # module's encode_numbers; key's scalar helpers are the fakes'
         return [mock.patch.object(module, name, fakes[name])
-                for module in (graphulo, iterators, iterspec, tablet)
-                for name in fakes if hasattr(module, name)] + [
-            mock.patch.object(key, "encode_numbers", encode_all)]
+                for module in (cells, graphulo, iterators, iterspec, tablet)
+                for name in fakes if hasattr(module, name)]
 
 
 @pytest.fixture(scope="module")
@@ -135,13 +162,16 @@ def _jaccard_step(conn):
         post=_spec().jaccard(degrees).to_wire()))
 
 
+#: op → (run it, cells written per value formatted)
 OPS = {
     # B is AT: one operand, each stored value parsed once, not twice
-    "partial A'A": lambda conn: table_mult(conn, "E", "E", "P"),
-    "row-owned": lambda conn: table_mult(conn, "E", "E", "C", table_a="E"),
-    "row-owned, jaccard post": _jaccard_step,
-    "row-owned, masked, k-truss post": lambda conn: table_ktruss(
-        conn, "E", "K", 3),
+    "partial A'A": (lambda conn: table_mult(conn, "E", "E", "P"), 1),
+    "row-owned": (lambda conn: table_mult(conn, "E", "E", "C", table_a="E"),
+                  1),
+    # a coefficient is formatted once for its cell (i, j) and (j, i)
+    "row-owned, jaccard post": (_jaccard_step, 2),
+    "row-owned, masked, k-truss post": (lambda conn: table_ktruss(
+        conn, "E", "K", 3), 1),
 }
 
 
@@ -162,12 +192,13 @@ def test_a_step_parses_each_read_value_once_and_formats_each_written_once(
     before = inst.total_stats().snapshot()
     for patch in patches:
         patch.start()
+    run, written_per_encoded = OPS[op]
     try:
-        OPS[op](conn)
+        run(conn)
     finally:
         for patch in patches:
             patch.stop()
     stats = inst.total_stats().delta(before)
     assert stats.entries_read >= nnz and stats.entries_written > 0
     assert codec.decoded == stats.entries_read
-    assert codec.encoded == stats.entries_written
+    assert codec.encoded * written_per_encoded == stats.entries_written

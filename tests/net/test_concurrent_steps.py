@@ -460,14 +460,14 @@ def one_step_in_process():
 
 def _first_draw_fires(spec):
     """The first fault seed whose plan fires on the answer to its op's
-    first request on a connection, and on none of the next three
-    answers to a first request — the retries, each on a fresh
+    first request on the op's first connection, and on none of the
+    first requests of the next three — the retries, each on a fresh
     connection."""
     rule = FaultRule.from_spec(spec)
     for seed in itertools.count():
         plan = FaultPlan([rule], seed=seed)
-        if [plan.draw(rule.op, 0) is not None for _ in range(4)] == [
-                True, False, False, False]:
+        if [plan.draw(rule.op, sender, 0) is not None
+                for sender in range(4)] == [True, False, False, False]:
             return seed
 
 

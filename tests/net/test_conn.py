@@ -34,16 +34,17 @@ from repro.net.iterspec import IterSpec
 from repro.obs.metrics import MetricsRegistry
 
 
-def _seed_firing(spec, numbers, pattern):
+def _seed_firing(spec, requests, pattern):
     """A FaultPlan seed under which the lone rule ``spec`` fires on the
-    answers to its op's requests ``numbers`` (each request's number
-    among its connection's requests of the op, in the order they are
-    decided) exactly as ``pattern`` says."""
+    answers to its op's ``requests`` exactly as ``pattern`` says.  A
+    request is ``(sender, number)``: its connection's place among the
+    op's senders, and its number among that connection's requests of
+    the op."""
     rule = FaultRule.from_spec(spec)
     for seed in range(10_000):
         plan = FaultPlan([rule], seed=seed)
-        if [plan.draw(rule.op, number) is not None
-                for number in numbers] == list(pattern):
+        if [plan.draw(rule.op, *request) is not None
+                for request in requests] == list(pattern):
             return seed
     raise AssertionError("no seed fires that pattern")
 
@@ -151,7 +152,7 @@ def test_a_corrupt_frame_fails_all_pending_and_they_share_a_fresh_socket():
             # the connection's first tablet_info answer is damaged, its
             # second is not, and neither is on the fresh socket
             fault_seed=_seed_firing("tablet_info:corrupt:0.5",
-                                    [0, 1, 0, 1],
+                                    [(0, 0), (0, 1), (1, 0), (1, 1)],
                                     [True, False, False, False])
     ) as cluster:
         conn, proxy, info = _one_tablet(cluster, registry, base=0.001)

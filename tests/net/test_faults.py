@@ -48,13 +48,14 @@ class TestSpecs:
         assert FaultPlan.from_specs(specs, seed=9).specs() == specs
 
 
-def _numbered(ops):
-    """``(op, number)`` per request of ``ops``, as one connection's
-    reader numbers them: each op's requests count from 0."""
+def _numbered(ops, sender=0):
+    """``(op, sender, number)`` per request of ``ops``, as the reader of
+    the connection that was ``sender``-th to send each op numbers them:
+    each op's requests count from 0."""
     counts = {}
     for op in ops:
         counts[op] = counts.get(op, -1) + 1
-        yield op, counts[op]
+        yield op, sender, counts[op]
 
 
 def _kinds(plan, draws):
@@ -79,9 +80,9 @@ class TestDeterminism:
         # a stream's frames interleave with other answers): each frame's
         # fault is the same whatever order the draws come in
         specs = ["scan:corrupt:0.3", "*:delay:0.2:0"]
-        draws = [(op, number, frame) for op, number in _numbered(
+        draws = [(*request, frame) for request in _numbered(
             [wire.SCAN, wire.PING, wire.SCAN, wire.WRITE_BATCH] * 25)
-            for frame in range(3 if op == wire.SCAN else 1)]
+            for frame in range(3 if request[0] == wire.SCAN else 1)]
         shuffled = random.Random(5).sample(range(len(draws)), len(draws))
         in_order = _kinds(FaultPlan.from_specs(specs, seed=7), draws)
         plan = FaultPlan.from_specs(specs, seed=7)
@@ -90,16 +91,27 @@ class TestDeterminism:
         assert [by_draw[i] for i in range(len(draws))] == in_order
         assert {"corrupt", "delay", None} <= set(in_order)
 
-    def test_a_repeated_request_decides_anew(self):
-        # a retry on a fresh connection is numbered from 0 again: its
-        # draws are not its first attempt's, so no fault repeats forever
+    def test_a_fresh_connection_decides_anew(self):
+        # a retry on a fresh connection is numbered from 0 again, but
+        # the connection takes the op's next sender place: its draws
+        # are not its first attempt's, so no fault repeats forever
         plan = FaultPlan.from_specs(["scan:drop:0.5"], seed=11)
-        firsts = _kinds(plan, [(wire.SCAN, n) for n in range(200)])
-        again = _kinds(plan, [(wire.SCAN, n) for n in range(200)])
-        assert firsts != again
+        requests = [wire.SCAN] * 200
+        first = _kinds(plan, _numbered(requests))
+        again = _kinds(plan, _numbered(requests, sender=1))
+        assert first != again
+        # and nothing was remembered: the draws replay, on this plan
+        # and on a fresh one of the same seed
         replay = FaultPlan.from_specs(["scan:drop:0.5"], seed=11)
-        assert _kinds(replay, [(wire.SCAN, n) for n in range(200)] * 2) \
-            == firsts + again
+        for each in (plan, replay):
+            assert _kinds(each, _numbered(requests)) == first
+            assert _kinds(each, _numbered(requests, sender=1)) == again
+
+    def test_senders_take_places_per_op(self):
+        plan = FaultPlan.from_specs(["scan:drop:0.5"], seed=11)
+        assert [plan.sender(op) for op in
+                (wire.SCAN, wire.SCAN, wire.PING, wire.SCAN, wire.PING)] \
+            == [0, 1, 0, 2, 1]
 
     def test_draws_consumed_even_when_not_firing(self):
         # a rule matching only SCAN must not shift the decisions seen
@@ -115,16 +127,19 @@ class TestDeterminism:
         # delay decisions (second rule) line up one for one
         delays_a = [k == "delay" for k in kinds_a]
         delays_b = [k in ("delay", "drop") for k in kinds_b]
-        assert [d for op, d in zip(seq, delays_a) if op == wire.PING] == \
-            [d for op, d in zip(seq, delays_b) if op == wire.PING]
+        pings_a = [d for (op, *_), d in zip(seq, delays_a) if op == wire.PING]
+        pings_b = [d for (op, *_), d in zip(seq, delays_b) if op == wire.PING]
+        assert len(pings_a) == 40 and any(pings_a)
+        assert pings_a == pings_b
 
     def test_zero_rate_never_fires(self):
         plan = FaultPlan.from_specs(["*:drop:0.0"], seed=1)
-        assert all(plan.draw(wire.SCAN, n % 7) is None for n in range(200))
+        assert all(plan.draw(wire.SCAN, n % 3, n % 7) is None
+                   for n in range(200))
 
     def test_unit_rate_always_fires(self):
         plan = FaultPlan.from_specs(["*:drop:1.0"], seed=1)
-        assert all(plan.draw(wire.SCAN, n % 7).kind == "drop"
+        assert all(plan.draw(wire.SCAN, n % 3, n % 7).kind == "drop"
                    for n in range(50))
 
 

@@ -293,10 +293,11 @@ class TestMulAndCombinerOnTheWire:
 def _seed(spec, draws, fires):
     """The first fault seed whose plan for ``spec`` fires on exactly the
     ``draws`` that ``fires`` marks — the one response of the op under
-    test that each case loses.  A draw is ``(number, frame)``: the
-    request's number among its connection's requests of the op, and
-    the frame's place in the answer, in the order they are decided; a
-    retry on a fresh connection numbers its requests from 0 again."""
+    test that each case loses.  A draw is ``(sender, number, frame)``:
+    the connection's place among the op's senders, the request's number
+    among that connection's requests of the op, and the frame's place
+    in the answer; a retry on a fresh connection takes the next sender
+    place and numbers its requests from 0 again."""
     rule = FaultRule.from_spec(spec)
     for seed in itertools.count():
         plan = FaultPlan([rule], seed=seed)
@@ -401,17 +402,19 @@ def fault_free():
 FAULTS = {
     # the manager's TABLE_MULT ack is lost: the client's retry replays
     "manager": ("manager", "table_mult:drop:0.5",
-                [(0, 0), (0, 0)], [True, False],
+                [(0, 0, 0), (1, 0, 0)], [True, False],
                 "manager", "net.server.dedup_hits"),
     # the peer write of C is lost on the way back: the step's retry
     # replays out of tserver2's dedup window
     "peer_write": ("tserver2", "write_batch:drop:0.5",
-                   [(0, 0), (0, 0), (0, 0)], [True, False, False],
+                   [(0, 0, 0), (1, 0, 0), (2, 0, 0)],
+                   [True, False, False],
                    "tserver2", "net.server.dedup_hits"),
     # the peer read of B dies after its first chunk (the second and the
     # DONE are decided together): the step resumes on a fresh socket
     "peer_scan": ("tserver1", "scan:reset:0.5",
-                  [(0, 0), (0, 1), (0, 2), (0, 0), (0, 1)],
+                  [(0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 0, 0),
+                   (1, 0, 1)],
                   [False, True, False, False, False], "tserver0",
                   "net.client.scan_resumes"),
 }
