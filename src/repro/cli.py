@@ -15,8 +15,7 @@ Subcommands::
     python -m repro topics    --docs 2000 --k 5
     python -m repro stats     graph.tsv [--json] [--prom] [--connect H:P]
     python -m repro analyze   trace.jsonl [--top N] [--trace-id HEX]
-    python -m repro stitch    trace.*.jsonl --out stitched.jsonl
-    python -m repro top       --connect H:P [--interval 2]
+    python -m repro analyze   trace.*.jsonl --out stitched.jsonl
     python -m repro health    --connect H:P [--window 2] [--json]
     python -m repro cluster   --servers 3 [--fault SPEC ...]
 
@@ -29,12 +28,12 @@ the traces that errored or blew a wall-clock threshold or OpStats
 budget).  The trace sink buffers a bounded batch of records but is
 flushed and closed on every exit path, so an interrupted run still
 leaves a readable trace.  ``analyze`` rolls a trace up into
-per-span-name percentiles, a critical path and an optional flamegraph;
-``top`` polls the cluster's metrics and prints per-server rates;
-``health`` evaluates the cluster's SLOs (p99 latency targets, error
-budgets) and exits nonzero on breach.
-Input-loading failures exit with status 2 and a one-line ``error:``
-message, never a traceback.
+per-span-name percentiles, a critical path and an optional flamegraph,
+stitching several per-process traces into one first; ``health`` prints
+per-server rates between two polls of the cluster's metrics, evaluates
+its SLOs (p99 latency targets, error budgets) over the same polls and
+exits nonzero on breach.  Input failures exit with status 2 and a
+one-line ``error:`` message, never a traceback.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ def cmd_bfs(args) -> int:
     m, keys = _square(a)
     matches = np.flatnonzero(keys == args.source)
     if len(matches) == 0:
-        raise SystemExit(f"error: source vertex {args.source!r} not in graph")
+        raise CliError(f"source vertex {args.source!r} not in graph")
     dist = bfs(m, int(matches[0]))
     reached = int((dist >= 0).sum())
     print(f"reached {reached}/{len(keys)} vertices from {args.source}")
@@ -238,62 +237,25 @@ def cmd_stats(args) -> int:
     """Ingest the graph into a simulated Accumulo and report the full
     instrumentation surface: per-table metrics registry, per-server
     OpStats, and the merged cost-model counters.  With ``--connect``
-    the same workload runs over the RPC fabric against a live ``repro
-    cluster``, and the report adds the client's
+    the same workload runs through the same code against a live
+    ``repro cluster``, and the report adds the client's
     ``net.client.*`` retry/timeout counters plus every server-process
     registry (prefixed ``cluster.<name>.``)."""
     from repro.dbsim import Connector, assoc_to_table, degree_table
     from repro.dbsim.server import Instance
+    from repro.net.client import RemoteConnector
+    from repro.net.wire import RpcError
+    from repro.obs.expose import to_prometheus
+    from repro.obs.health import flatten
     from repro.obs.metrics import MetricsRegistry
 
     a = _load(args.path)
-    if args.connect:
-        return _stats_remote(args, a)
-    inst = Instance(n_servers=args.servers, metrics=MetricsRegistry())
-    conn = Connector(inst)
-    assoc_to_table(conn, a, "A", n_splits=args.splits)
-    conn.compact("A")
-    degree_table(conn, "A", "Adeg")
-    scanned = sum(1 for _ in conn.scanner("A"))
-
-    if args.prom:
-        from repro.obs.expose import to_prometheus
-
-        print(to_prometheus(inst.metrics), end="")
-        return 0
-    report = inst.observability_export()
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    print(f"{args.path}: ingested {a.nnz} triples into table 'A' "
-          f"({args.servers} servers, {args.splits} splits); "
-          f"scan returned {scanned} entries")
-    print("\nper-table / per-server metrics:")
-    for name, value in report["metrics"].items():
-        print(f"  {name:<44} {value}")
-    print("\nper-server cost counters:")
-    for server, counters in report["servers"].items():
-        print(f"  {server:<10} "
-              + " ".join(f"{k}={v}" for k, v in counters.items()))
-    print(f"\ntotal: {' '.join(f'{k}={v}' for k, v in report['total'].items())}")
-    return 0
-
-
-def _stats_remote(args, a) -> int:
-    """The ``stats --connect`` path: same ingest/compact/degree/scan
-    workload, but through :class:`~repro.net.client.RemoteConnector`
-    against a live cluster.  The metrics report merges the client's own
-    registry (``net.client.*``) with the registries fetched from the
-    manager and every tablet-server process."""
-    from repro.dbsim import assoc_to_table, degree_table
-    from repro.net.client import RemoteConnector
-    from repro.net.wire import RpcError
-    from repro.obs.metrics import MetricsRegistry
-
     registry = MetricsRegistry()
-    conn = RemoteConnector(args.connect, metrics=registry)
+    conn = (RemoteConnector(args.connect, metrics=registry) if args.connect
+            else Connector(Instance(n_servers=args.servers,
+                                    metrics=registry)))
+    inst = conn.instance
     try:
-        inst = conn.instance
         for table in ("A", "Adeg"):  # rerunnable against a live cluster
             if inst.table_exists(table):
                 inst.delete_table(table)
@@ -301,45 +263,59 @@ def _stats_remote(args, a) -> int:
         conn.compact("A")
         degree_table(conn, "A", "Adeg")
         scanned = sum(1 for _ in conn.scanner("A"))
-        merged = dict(registry.export())
-        cluster = inst.cluster_metrics()
-        for k, v in cluster.get("manager", {}).items():
-            merged[f"cluster.manager.{k}"] = v
-        for sname in sorted(cluster.get("servers", {})):
-            for k, v in cluster["servers"][sname].items():
-                merged[f"cluster.{sname}.{k}"] = v
-        total = inst.total_stats()
+        if args.connect:
+            metrics = dict(registry.export())
+            for name, export in sorted(
+                    flatten(inst.cluster_metrics()).items()):
+                metrics.update((f"cluster.{name}.{k}", v)
+                               for k, v in export.items())
+            report = {"connect": args.connect, "metrics": metrics,
+                      "total": inst.total_stats().as_dict()}
+        else:
+            report = inst.observability_export()
     except (RpcError, OSError) as exc:
+        if not args.connect:
+            raise
         raise CliError(
             f"cluster at {args.connect} unreachable: {exc}") from exc
     finally:
-        conn.close()
+        if args.connect:
+            conn.close()
 
     if args.prom:
-        from repro.obs.expose import to_prometheus
-
-        print(to_prometheus(merged), end="")
+        # a registry renders typed; the merged remote export untyped
+        print(to_prometheus(report["metrics"] if args.connect
+                            else registry), end="")
         return 0
     if args.json:
-        print(json.dumps({"connect": args.connect, "metrics": merged,
-                          "total": total.as_dict()},
-                         indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
         return 0
-    print(f"{args.path}: ingested {a.nnz} triples into table 'A' over "
-          f"RPC at {args.connect} ({args.splits} splits); "
-          f"scan returned {scanned} entries")
-    print("\nclient RPC counters:")
-    for name in sorted(merged):
-        if name.startswith("net.client.") \
-                and not isinstance(merged[name], dict):
-            print(f"  {name:<44} {merged[name]}")
-    print("\ncluster metrics (nonzero):")
-    for name in sorted(merged):
-        if name.startswith("cluster.") \
-                and not isinstance(merged[name], dict) and merged[name]:
-            print(f"  {name:<52} {merged[name]}")
-    print(f"\ntotal: "
-          f"{' '.join(f'{k}={v}' for k, v in total.as_dict().items())}")
+    where = (f"over RPC at {args.connect} ({args.splits} splits)"
+             if args.connect
+             else f"({args.servers} servers, {args.splits} splits)")
+    print(f"{args.path}: ingested {a.nnz} triples into table 'A' "
+          f"{where}; scan returned {scanned} entries")
+    metrics = report["metrics"]
+    if args.connect:
+        print("\nclient RPC counters:")
+        for name in sorted(metrics):
+            if name.startswith("net.client.") \
+                    and not isinstance(metrics[name], dict):
+                print(f"  {name:<44} {metrics[name]}")
+        print("\ncluster metrics (nonzero):")
+        for name in sorted(metrics):
+            if name.startswith("cluster.") \
+                    and not isinstance(metrics[name], dict) and metrics[name]:
+                print(f"  {name:<52} {metrics[name]}")
+    else:
+        print("\nper-table / per-server metrics:")
+        for name, value in metrics.items():
+            print(f"  {name:<44} {value}")
+        print("\nper-server cost counters:")
+        for server, counters in report["servers"].items():
+            print(f"  {server:<10} "
+                  + " ".join(f"{k}={v}" for k, v in counters.items()))
+    print(f"\ntotal: {' '.join(f'{k}={v}' for k, v in report['total'].items())}")
     return 0
 
 
@@ -385,34 +361,81 @@ def _fmt_ms(seconds: float) -> str:
     return f"{1e3 * seconds:.2f}"
 
 
+def _report_stitch(args, st) -> list:
+    """Print the summary of a stitched trace (on stderr under
+    ``--json``), write it to ``--out``, and return what fails
+    ``--check-cross-process``, the CI tracing gate: no cross-process
+    parent→child edge, or orphaned spans."""
+    if not st.records:
+        raise CliError("no spans found in "
+                       + ", ".join(map(str, args.paths)))
+    out = sys.stderr if args.json else sys.stdout
+    if args.out:
+        st.write(args.out)
+    summary = st.as_dict()
+    print(f"stitched {len(args.paths)} file(s): {summary['spans']} spans, "
+          f"{summary['traces']} trace(s), processes: "
+          f"{', '.join(summary['processes'])}", file=out)
+    edges = st.edge_summary()
+    print(f"{summary['cross_process_edges']} cross-process edge(s):"
+          if edges else "no cross-process edges (single-process trace, "
+          "or the server trace files are missing)", file=out)
+    for line in edges:
+        print(f"  {line}", file=out)
+    sampled_out = st.sampled_out_parents()
+    if sampled_out:
+        # tail-promoted spans whose parent was head-sampled away in
+        # another process: expected under --sample-rate < 1, not a loss
+        print(f"{len(sampled_out)} tail-promoted span(s) with "
+              f"sampled-out parents (expected under partial sampling)",
+              file=out)
+    orphans = st.orphan_spans()
+    if orphans:
+        names = sorted({r.get("name", "?") for r in orphans})
+        print(f"warning: {len(orphans)} orphaned span(s) "
+              f"(parent not in any input file): {', '.join(names)}",
+              file=sys.stderr)
+    if args.out:
+        print(f"wrote stitched trace to {args.out}", file=out)
+    return ((["no cross-process edges"] if not edges else [])
+            + ([f"{len(orphans)} orphaned spans"] if orphans else []))
+
+
 def cmd_analyze(args) -> int:
     """Roll a JSONL trace up into per-span-name statistics, print the
     critical path of the longest root span, the per-RPC client/network/
     queue/service breakdown (when the trace has rpc.client spans), and
-    optionally export a folded-stack flamegraph."""
+    optionally export a folded-stack flamegraph.  Several per-process
+    traces are first stitched into one cross-process trace, whose
+    summary prints above the analysis (see :func:`_report_stitch`)."""
     from repro.obs.analyze import (TraceAnalysis, filter_by_trace,
                                    read_records)
+    from repro.obs.stitch import stitch_files
 
+    stitch = len(args.paths) > 1 or args.out or args.check_cross_process
+    label = "stitched trace" if stitch else args.paths[0]
     try:
-        records = read_records(args.path)
-    except FileNotFoundError:
-        raise CliError(f"no such file: {args.path}") from None
+        st = stitch_files(args.paths) if stitch else None
+        records = st.records if stitch else read_records(label)
+    except FileNotFoundError as exc:
+        raise CliError(f"no such file: {exc.filename}") from None
     except (OSError, UnicodeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
+    problems = _report_stitch(args, st) if stitch else []
     if args.trace_id:
         records = filter_by_trace(records, args.trace_id)
         if not records:
-            raise CliError(f"{args.path} has no spans with trace_id "
+            raise CliError(f"{label} has no spans with trace_id "
                            f"{args.trace_id}")
     ta = TraceAnalysis(records)
     if ta.n_spans == 0:
-        raise CliError(f"{args.path} holds no spans "
+        raise CliError(f"{label} holds no spans "
                        f"({ta.n_records} records)")
 
     if args.json:
         print(json.dumps(ta.as_dict(), indent=2, sort_keys=True))
     else:
-        print(f"{args.path}: {ta.n_records} records, {ta.n_spans} spans, "
+        print(f"{label}: {ta.n_records} records, {ta.n_spans} spans, "
               f"{len(ta.roots)} root span(s)")
         print(f"\n{'name':<28} {'count':>5} {'total_ms':>9} {'self_ms':>9} "
               f"{'p50_ms':>8} {'p95_ms':>8} {'p99_ms':>8} "
@@ -455,110 +478,22 @@ def cmd_analyze(args) -> int:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {len(lines)} folded stacks to {args.flamegraph}",
               file=sys.stderr if args.json else sys.stdout)
-    return 0
-
-
-def cmd_stitch(args) -> int:
-    """Merge per-process JSONL traces (client + manager + each tablet
-    server) into one cross-process trace file whose parent/child links
-    resolve across process boundaries.  With ``--check-cross-process``
-    the command exits 1 unless at least one cross-process parent→child
-    edge was stitched and no span is orphaned — the CI tracing gate."""
-    from repro.obs.stitch import stitch_files
-
-    try:
-        st = stitch_files(args.paths)
-    except FileNotFoundError as exc:
-        raise CliError(f"no such file: {exc.filename}") from None
-    except (OSError, UnicodeError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
-    if not st.records:
-        raise CliError("no spans found in "
-                       + ", ".join(map(str, args.paths)))
-    if args.out:
-        st.write(args.out)
-    summary = st.as_dict()
-    print(f"stitched {len(args.paths)} file(s): {summary['spans']} spans, "
-          f"{summary['traces']} trace(s), processes: "
-          f"{', '.join(summary['processes'])}")
-    edges = st.edge_summary()
-    if edges:
-        print(f"{summary['cross_process_edges']} cross-process edge(s):")
-        for line in edges:
-            print(f"  {line}")
-    else:
-        print("no cross-process edges (single-process trace, or the "
-              "server trace files are missing)")
-    sampled_out = st.sampled_out_parents()
-    if sampled_out:
-        # tail-promoted spans whose parent was head-sampled away in
-        # another process: expected under --sample-rate < 1, not a loss
-        print(f"{len(sampled_out)} tail-promoted span(s) with "
-              f"sampled-out parents (expected under partial sampling)")
-    orphans = st.orphan_spans()
-    if orphans:
-        names = sorted({r.get("name", "?") for r in orphans})
-        print(f"warning: {len(orphans)} orphaned span(s) "
-              f"(parent not in any input file): {', '.join(names)}",
-              file=sys.stderr)
-    if args.out:
-        print(f"wrote stitched trace to {args.out}")
-    if args.check_cross_process and (not edges or orphans):
-        problems = []
-        if not edges:
-            problems.append("no cross-process edges")
-        if orphans:
-            problems.append(f"{len(orphans)} orphaned spans")
+    if args.check_cross_process and problems:
         print(f"stitch check FAILED: {'; '.join(problems)}",
               file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_top(args) -> int:
-    """Live per-server cluster view over RPC: poll the cluster's
-    ``METRICS`` fan-out, as ``repro health`` does, and render QPS,
-    bytes/s in and out, in-flight requests, error rate, SLO status and
-    the hottest tables per component between the last two polls."""
-    import time as _time
-
-    from repro.net.client import RemoteConnector
-    from repro.net.telemetry import render_top, summary_rows
-    from repro.net.wire import RpcError
-
-    conn = RemoteConnector(args.connect)
-    before, before_t = None, 0.0
-    shown = 0
-    try:
-        while True:
-            try:
-                after = conn.instance.cluster_metrics()
-            except (RpcError, OSError) as exc:
-                raise CliError(f"cluster at {args.connect} "
-                               f"unreachable: {exc}") from exc
-            after_t = _time.monotonic()
-            rows = summary_rows(before, after, after_t - before_t,
-                                hot_tables=args.hot_tables)
-            print(render_top(rows, clock=_time.strftime("%H:%M:%S")))
-            before, before_t = after, after_t
-            shown += 1
-            if args.iterations and shown >= args.iterations:
-                return 0
-            print()
-            sys.stdout.flush()
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        return 0
-    finally:
-        conn.close()
-
-
 def cmd_health(args) -> int:
-    """Evaluate the cluster's SLOs from two metric snapshots taken
-    ``--window`` seconds apart: p99 latency targets straight from the
-    server histograms, error budgets as windowed burn rates over the
-    interval.  Exits 1 when any objective is breached — the CI health
-    gate.  ``--out`` writes the full report JSON (the CI artifact)."""
+    """The live cluster view, from two metric snapshots taken
+    ``--window`` seconds apart: each component's rates over the
+    interval (QPS, bytes/s in and out, in-flight requests, error rate,
+    push-down, hot tables, restarts), then its SLOs — p99 latency
+    targets straight from the server histograms, error budgets as
+    windowed burn rates over the same interval.  Exits 1 when any
+    objective is breached — the CI health gate.  ``--out`` writes the
+    full report JSON (the CI artifact)."""
     import time as _time
 
     from repro.net.client import RemoteConnector
@@ -583,14 +518,11 @@ def cmd_health(args) -> int:
         conn.close()
     report = _health.evaluate(after, slos=slos, before=before,
                               seconds=max(args.window, 1e-9))
+    as_json = json.dumps(report.as_dict(), indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
+            fh.write(as_json + "\n")
+    print(as_json if args.json else report.render())
     if not report.ok:
         print(f"health check FAILED: {len(report.breaches())} "
               f"SLO breach(es)", file=sys.stderr)
@@ -728,10 +660,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_cluster)
 
     s = add_parser("analyze",
-                   help="roll up a JSONL trace: per-span-name stats, "
-                        "critical path, flamegraph export")
-    s.add_argument("path", help="JSONL trace written via --trace / "
-                                "REPRO_TRACE")
+                   help="roll up JSONL traces: per-span-name stats, "
+                        "critical path, flamegraph export; several "
+                        "per-process traces are stitched first")
+    s.add_argument("paths", nargs="+", metavar="path",
+                   help="JSONL trace written via --trace / REPRO_TRACE, "
+                        "or per-process traces (client + manager + "
+                        "tablet servers, e.g. traces/trace.*.jsonl)")
     s.add_argument("--top", type=int, default=20,
                    help="show the N heaviest span names (default 20)")
     s.add_argument("--flamegraph", metavar="PATH",
@@ -740,14 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only analyze spans of one distributed trace")
     s.add_argument("--json", action="store_true",
                    help="emit the full analysis as JSON")
-    s.set_defaults(fn=cmd_analyze)
-
-    s = add_parser("stitch",
-                   help="merge per-process JSONL traces into one "
-                        "cross-process trace (by trace/span identity)")
-    s.add_argument("paths", nargs="+",
-                   help="per-process trace files (client + manager + "
-                        "tablet servers, e.g. traces/trace.*.jsonl)")
     s.add_argument("--out", metavar="PATH",
                    help="write the stitched trace (JSONL, analyzable "
                         "with `repro analyze`)")
@@ -755,29 +682,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 unless the stitched trace has "
                         "cross-process parent->child edges and no "
                         "orphaned spans (CI gate)")
-    s.set_defaults(fn=cmd_stitch)
-
-    s = add_parser("top",
-                   help="live per-server cluster view over RPC "
-                        "(QPS, bytes/s, in-flight, health, hot tables)")
-    s.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="manager address of a live `repro cluster`")
-    s.add_argument("--interval", type=float, default=2.0,
-                   help="seconds between refreshes (default 2)")
-    s.add_argument("--iterations", type=int, default=0,
-                   help="stop after N refreshes (default: run until ^C)")
-    s.add_argument("--hot-tables", type=int, default=3,
-                   help="hottest tables shown per server (default 3)")
-    s.set_defaults(fn=cmd_top)
+    s.set_defaults(fn=cmd_analyze)
 
     s = add_parser("health",
-                   help="evaluate cluster SLOs (p99 targets, error "
-                        "budgets) and exit nonzero on breach")
+                   help="live cluster view: per-server rates (QPS, "
+                        "bytes/s, in-flight, hot tables) and SLOs (p99 "
+                        "targets, error budgets); exit nonzero on breach")
     s.add_argument("--connect", required=True, metavar="HOST:PORT",
                    help="manager address of a live `repro cluster`")
     s.add_argument("--window", type=float, default=2.0,
                    help="seconds between the two metric snapshots the "
-                        "error burn rates are computed over (default 2)")
+                        "rates and error burn rates are computed over "
+                        "(default 2)")
     s.add_argument("--slos", metavar="PATH",
                    help="JSON file with a list of SLO spec objects "
                         "(default: the built-in RPC-plane SLOs)")

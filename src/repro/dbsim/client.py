@@ -304,6 +304,11 @@ class BatchWriter:
         if self._closed:
             raise RuntimeError("writer is closed")
         n = len(rows)
+        columns = [qualifiers, values] + [
+            column for column in (family, visibility, timestamps)
+            if column is not None and not isinstance(column, str)]
+        if any(len(column) != n for column in columns):
+            raise ValueError("put_many columns must align with rows")
         for label in {visibility} if isinstance(visibility, str) \
                 else set(visibility):
             check_expression(label)
@@ -315,8 +320,6 @@ class BatchWriter:
             repeat(visibility) if isinstance(visibility, str) else visibility,
             repeat(0) if timestamps is None else timestamps,
             repeat(False), values))
-        if not len(muts) == n == len(qualifiers) == len(values):
-            raise ValueError("put_many columns must align with rows")
         lo = 0
         while lo < n:
             hi = min(n, lo + self._buffer_size - len(self._buffer))
@@ -337,19 +340,6 @@ class BatchWriter:
         check_expression(visibility)
         self._buffer.append((row, family, qualifier, visibility, 0, True, ""))
         self._buffer_bytes += len(row) + len(family) + len(qualifier) + 24
-        if (len(self._buffer) >= self._buffer_size
-                or self._buffer_bytes >= self._max_memory):
-            self._flush_pending()
-
-    def put_cell(self, cell: Cell) -> None:
-        if self._closed:
-            raise RuntimeError("writer is closed")
-        key = cell.key
-        self._buffer.append((key.row, key.family, key.qualifier,
-                             key.visibility, key.timestamp, key.delete,
-                             cell.value))
-        self._buffer_bytes += (len(key.row) + len(key.family)
-                               + len(key.qualifier) + len(cell.value) + 24)
         if (len(self._buffer) >= self._buffer_size
                 or self._buffer_bytes >= self._max_memory):
             self._flush_pending()

@@ -39,8 +39,8 @@ partial failure, retries) a single process cannot model:
 
 Everything emits ``rpc.*`` spans and ``net.client.*`` /
 ``net.server.*`` counters through :mod:`repro.obs`, so ``repro
-analyze``, slow traces (``--sample-rate 0``), Prometheus exposition,
-``repro top`` and ``repro health`` work on distributed runs unchanged.
+analyze``, slow traces (``--sample-rate 0``), Prometheus exposition
+and ``repro health`` work on distributed runs unchanged.
 See ``docs/NET.md``.
 """
 

@@ -18,10 +18,9 @@ And the *read* side, consuming what the above produce:
   rollups with percentiles, critical paths, folded-stack flamegraph
   export (``repro analyze``);
 * :mod:`repro.obs.expose` — Prometheus text exposition of any
-  registry and :class:`SnapshotDelta` rate computation (``repro top``,
-  ``repro health``);
+  registry and :class:`SnapshotDelta` rate computation (``repro health``);
 * :mod:`repro.obs.stitch` — merge per-process JSONL traces into one
-  cross-process span forest by trace/span identity (``repro stitch``);
+  cross-process span forest by trace/span identity (``repro analyze``);
 * :mod:`repro.obs.sampling` — deterministic head sampling with a tail
   ring that promotes errored traces and spans over a wall-clock
   threshold or OpStats budget to the sink, keeping tracing always-on at

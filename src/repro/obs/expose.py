@@ -17,7 +17,7 @@ the tooling the rest of the world already speaks:
   the round-trip validator the tests and ``SnapshotDelta`` users lean
   on.
 * :class:`SnapshotDelta` diffs two registry exports into per-metric
-  deltas and per-second rates (``repro top``, ``repro health``).
+  deltas and per-second rates (``repro health``).
 """
 
 from __future__ import annotations

@@ -22,8 +22,10 @@ out loud.
 Specs are declarative and serializable: :func:`load_slos` reads a JSON
 list of spec dicts, which is what ``repro health --slos specs.json``
 feeds in; :data:`DEFAULT_SLOS` covers the RPC plane out of the box.
-``repro health`` exits nonzero when any check breaches — the CI gate —
-and the same evaluation backs the HEALTH column in ``repro top``.
+``repro health`` exits nonzero when any check breaches — the CI gate.
+The same delta per component feeds its :func:`rate_row` (QPS, bytes/s,
+errors/s, hot tables), where a crash/recover's counter reset shows as
+a flagged restart, never a negative rate.
 """
 
 from __future__ import annotations
@@ -187,23 +189,109 @@ def check_component(component: str, export: Mapping[str, Any],
     return checks
 
 
-def breaches_for(export: Mapping[str, Any],
-                 slos: Sequence[SLOSpec] = DEFAULT_SLOS,
-                 delta: Optional[SnapshotDelta] = None) -> List[str]:
-    """Just the breached SLO names for one component export — the
-    cheap form ``repro top`` shows per server."""
-    return sorted({c.slo for c in check_component("", export, slos,
-                                                  delta=delta)
-                   if not c.ok})
+#: (row field, counter) pairs a component's rate row turns into
+#: per-second rates
+_RATES = (("qps", "net.server.requests"),
+          ("tx_bps", "net.server.bytes_sent"),
+          ("rx_bps", "net.server.bytes_received"),
+          ("err_ps", "net.server.errors"))
+
+#: iterator push-down counters (the PUSHDOWN column: installed stacks /
+#: cells folded server-side)
+_PUSHDOWN = ("net.server.pushdown.stacks",
+             "net.server.pushdown.cells_folded")
+
+#: per-table activity sources mined for the "hot tables" column:
+#: (prefix, suffixes) — names look like ``<prefix><table>.<suffix>``
+_TABLE_SOURCES = (
+    ("dbsim.table.", ("entries_read", "entries_written", "seeks")),
+    ("net.server.table.", ("scan_bytes",)),
+)
+
+#: hottest tables listed per component
+_HOT_TABLES = 3
+
+
+def _table_activity(delta: SnapshotDelta) -> Dict[str, float]:
+    """Per-table activity score over one interval (sum of counter
+    deltas from every per-table source)."""
+    scores: Dict[str, float] = {}
+    for name in set(delta.before) | set(delta.after):
+        for prefix, suffixes in _TABLE_SOURCES:
+            table, _, metric = name[len(prefix):].rpartition(".")
+            if name.startswith(prefix) and table and metric in suffixes:
+                scores[table] = scores.get(table, 0) + delta.delta(name)
+    return {t: s for t, s in scores.items() if s > 0}
+
+
+def rate_row(export: Mapping[str, Any],
+             delta: Optional[SnapshotDelta] = None) -> Dict[str, Any]:
+    """One component's rate row.  Totals come from ``export``; the
+    rates, the restart flag and the hot tables need a ``delta`` with
+    ``seconds`` and are ``None`` / ``False`` / ``[]`` without one."""
+    rates = (delta.rates(nonzero=False)
+             if delta is not None and delta.seconds else None)
+    activity = _table_activity(delta) if rates is not None else {}
+    return {
+        "requests": export.get("net.server.requests", 0),
+        "inflight": export.get("net.server.inflight", 0),
+        "pushdown": [export.get(name, 0) for name in _PUSHDOWN],
+        **{field: None if rates is None else rates.get(name, 0.0)
+           for field, name in _RATES},
+        "reset": rates is not None and bool(delta.resets),
+        "hot_tables": sorted(activity, key=lambda t: (-activity[t], t)
+                             )[:_HOT_TABLES],
+    }
+
+
+def format_bytes(n: float) -> str:
+    """``1536`` → ``'1.5K'`` (single-letter suffixes, fits a column)."""
+    for suffix in ("", "K", "M", "G", "T"):
+        if abs(n) < 1024:
+            return f"{n:.0f}{suffix}" if suffix == "" else f"{n:.1f}{suffix}"
+        n /= 1024
+    return f"{n:.1f}P"
+
+
+def render_rates(rows: Mapping[str, Mapping[str, Any]],
+                 seconds: Optional[float] = None) -> str:
+    """Render :func:`rate_row` rows as a fixed-width table, one line
+    per component, titled with the window when ``seconds`` is given."""
+    header = (f"{'SERVER':<12} {'QPS':>8} {'TX/s':>9} {'RX/s':>9} "
+              f"{'INFLIGHT':>8} {'ERR/s':>7} {'REQS':>9} "
+              f"{'PUSHDOWN':>10}  HOT TABLES")
+    lines = []
+    if seconds:
+        lines.append(f"-- rates over the last {seconds:g}s --")
+    lines.append(header)
+    for component, row in sorted(rows.items()):
+        def rate(key: str, fmt=lambda v: f"{v:.1f}") -> str:
+            return "-" if row[key] is None else fmt(row[key])
+
+        name = component + ("*" if row["reset"] else "")
+        # installed stacks / cells folded server-side
+        pd = "/".join(map(str, row["pushdown"])) if any(row["pushdown"]) \
+            else "-"
+        lines.append(
+            f"{name:<12} {rate('qps'):>8} {rate('tx_bps', format_bytes):>9} "
+            f"{rate('rx_bps', format_bytes):>9} {row['inflight']:>8} "
+            f"{rate('err_ps'):>7} {row['requests']:>9} {pd:>10}  "
+            f"{','.join(row['hot_tables']) or '-'}")
+    if any(row["reset"] for row in rows.values()):
+        lines.append("(* counters reset since last sample)")
+    return "\n".join(lines)
 
 
 class HealthReport:
-    """Every check from one :func:`evaluate` pass."""
+    """Every check from one :func:`evaluate` pass, and the rate row of
+    every component it evaluated."""
 
     def __init__(self, checks: Iterable[HealthCheck],
-                 seconds: Optional[float] = None):
+                 seconds: Optional[float] = None,
+                 rows: Optional[Dict[str, Dict[str, Any]]] = None):
         self.checks = list(checks)
         self.seconds = seconds
+        self.rows = rows or {}
 
     @property
     def ok(self) -> bool:
@@ -230,10 +318,12 @@ class HealthReport:
             "components": self.component_status(),
             "breaches": [c.as_dict() for c in self.breaches()],
             "checks": [c.as_dict() for c in self.checks],
+            "rates": self.rows,
         }
 
     def render(self) -> str:
-        lines = [f"{'COMPONENT':<12} {'SLO':<18} {'KIND':<10} "
+        lines = [render_rates(self.rows, self.seconds), "",
+                 f"{'COMPONENT':<12} {'SLO':<18} {'KIND':<10} "
                  f"{'VALUE':>10} {'LIMIT':>10} {'STATUS':<7} DETAIL"]
         for c in self.checks:
             if c.value is None:
@@ -272,12 +362,15 @@ def evaluate(cluster: Mapping[str, Any],
              before: Optional[Mapping[str, Any]] = None,
              seconds: Optional[float] = None) -> HealthReport:
     """Evaluate ``slos`` (default :data:`DEFAULT_SLOS`) against a
-    cluster metrics snapshot.  With ``before`` given, error budgets
-    burn against the interval between the two snapshots."""
+    cluster metrics snapshot and build each component's rate row.
+    With ``before`` given, error budgets burn against the interval
+    between the two snapshots, and with ``seconds`` as well the rows
+    carry that interval's rates."""
     slos = DEFAULT_SLOS if slos is None else list(slos)
     components = flatten(cluster)
     previous = flatten(before)
     checks: List[HealthCheck] = []
+    rows: Dict[str, Dict[str, Any]] = {}
     for component in sorted(components):
         export = components[component]
         delta = None
@@ -286,4 +379,5 @@ def evaluate(cluster: Mapping[str, Any],
                                   seconds=seconds)
         checks.extend(check_component(component, export, slos,
                                       delta=delta))
-    return HealthReport(checks, seconds=seconds)
+        rows[component] = rate_row(export, delta)
+    return HealthReport(checks, seconds=seconds, rows=rows)

@@ -14,7 +14,7 @@ build_tree` on the stitched records yields the cross-process forest,
 and :class:`~repro.obs.analyze.TraceAnalysis` gives the per-RPC
 client/network/queue/service breakdown.
 
-Typical use (also behind ``repro stitch``)::
+Typical use (also behind ``repro analyze`` given several files)::
 
     from repro.obs.stitch import stitch_files
 
@@ -125,7 +125,7 @@ class StitchedTrace:
     def sampled_out_parents(self) -> List[Record]:
         """Tail-promoted spans whose parent was head-sampled away in
         another process — expected under partial sampling, and distinct
-        from :meth:`orphan_spans` so ``repro stitch
+        from :meth:`orphan_spans` so ``repro analyze
         --check-cross-process`` doesn't misread sampling as data loss."""
         return [r for r in self.records
                 if r.get("parent_id") and r["parent_id"] not in self._by_id

@@ -226,6 +226,12 @@ class TestBatchWriter:
         with conn.batch_writer("t") as w:
             with pytest.raises(ValueError, match="align"):
                 w.put_many(["a", "b"], ["q"], [1, 2])
+            # a column longer than rows is refused, not truncated
+            for column in ({"family": ["f", "f", "f"]},
+                           {"visibility": ["", "", ""]},
+                           {"timestamps": [1, 2, 3]}):
+                with pytest.raises(ValueError, match="align"):
+                    w.put_many(["a", "b"], ["q", "q"], [1, 2], **column)
             with pytest.raises(ValueError):
                 w.put_many(["a"], ["q"], [1], visibility="a&|b")
             with pytest.raises(ValueError):

@@ -350,6 +350,67 @@ class TestHealthCli:
         assert rc == 2
         assert "unreachable" in capsys.readouterr().err
 
+    def test_rate_row_for_every_component(self, capsys, monkeypatch):
+        with LocalCluster(n_servers=2, processes=False) as c:
+            conn = c.connect()
+            try:
+                conn.create_table("t")
+
+                def work(_seconds):  # the workload between the polls
+                    with conn.batch_writer("t") as w:
+                        for i in range(20):
+                            w.put(f"r{i:02d}", "", "c", i)
+                    assert len(list(conn.scanner("t"))) == 20
+
+                monkeypatch.setattr(time, "sleep", work)
+                capsys.readouterr()
+                assert cli_main(["health", "--connect",
+                                 c.manager_addr_str]) == 0
+            finally:
+                monkeypatch.undo()
+                conn.close()
+        rates, slos = capsys.readouterr().out.split("\n\n")
+        assert rates.splitlines()[0] == "-- rates over the last 2s --"
+        rows = {line.split()[0]: line.split()
+                for line in rates.splitlines()[2:]}
+        assert sorted(rows) == ["manager", "tserver0", "tserver1"]
+        for name, cols in rows.items():
+            assert cols[1] != "-", f"{name} has no QPS"  # a rate window
+        # the writes and the scan name the hot table
+        assert "t" in {rows["tserver0"][-1], rows["tserver1"][-1]}
+        # every component's SLOs hold
+        assert {line.split()[0] for line in slos.splitlines()[1:-1]} == \
+            set(rows)
+        assert "BREACH" not in slos
+        assert slos.rstrip().endswith("all SLOs met")
+
+    def test_reset_marker_after_crash_and_recover(self, capsys,
+                                                  monkeypatch):
+        with LocalCluster(n_servers=1, processes=False) as c:
+            conn = c.connect()
+            try:
+                conn.create_table("t")
+                with conn.batch_writer("t") as w:
+                    w.put("r", "", "c", 1)
+
+                # between the two polls: the unflushed cell is lost,
+                # so the server's memtable gauges fall
+                def bounce(_seconds):
+                    conn.instance.crash_server("tserver0")
+                    conn.instance.recover_server("tserver0",
+                                                 replay_wal=False)
+
+                monkeypatch.setattr(time, "sleep", bounce)
+                capsys.readouterr()
+                assert cli_main(["health", "--connect",
+                                 c.manager_addr_str]) == 0
+            finally:
+                monkeypatch.undo()
+                conn.close()
+        rates = capsys.readouterr().out.split("\n\n")[0]
+        assert "\ntserver0* " in rates
+        assert rates.endswith("(* counters reset since last sample)")
+
 
 @pytest.fixture()
 def taken_port():

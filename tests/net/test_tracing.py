@@ -146,6 +146,35 @@ class TestGoldenStitchedBFS:
             assert row["server_service_s"] > 0.0
             assert row["client_s"] > 0.0
 
+    def test_analyze_stitches_per_process_files(self, tmp_path, capsys):
+        """``repro analyze`` on the per-process files prints the stitch
+        summary, then the analysis of the stitched trace, and writes
+        the trace ``stitch_files`` builds."""
+        from repro.cli import main
+
+        trace_dir = str(tmp_path / "traces")
+        _run_traced_bfs(trace_dir, processes=True, n_servers=2)
+        paths = sorted(glob.glob(os.path.join(trace_dir, "trace.*.jsonl")))
+        assert len(paths) == 4  # client, manager, two servers
+        out, want = tmp_path / "stitched.jsonl", tmp_path / "want.jsonl"
+        capsys.readouterr()
+        assert main(["analyze", *paths, "--out", str(out),
+                     "--check-cross-process"]) == 0
+        text = capsys.readouterr().out
+        st = stitch_files(paths)
+        st.write(str(want))
+        assert out.read_bytes() == want.read_bytes()
+        summary, analysis = text.split("\nstitched trace: ", 1)
+        assert summary.splitlines()[0] == (
+            f"stitched 4 file(s): {len(st.records)} spans, "
+            f"{len(st.traces())} trace(s), processes: client, manager, "
+            f"tserver0, tserver1")
+        assert summary.splitlines()[-1] == f"wrote stitched trace to {out}"
+        for edge in st.edge_summary():
+            assert f"  {edge}" in summary
+        assert analysis.startswith(f"{len(st.records)} records")
+        assert "RPC time breakdown" in analysis
+
 
 class TestPipelinedCallTiming:
     """A ``submit``ted call's span ends in ``result()``.  The time it sat

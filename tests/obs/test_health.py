@@ -1,5 +1,6 @@
 """SLO health plane: spec validation, p99/error-budget evaluation,
-windowed burn rates, report rendering, and spec-file loading."""
+windowed burn rates, per-component rate rows, report rendering, and
+spec-file loading."""
 
 import json
 
@@ -7,8 +8,8 @@ import pytest
 
 from repro.obs.expose import SnapshotDelta
 from repro.obs.health import (DEFAULT_SLOS, HealthReport, SLOSpec,
-                              breaches_for, check_component, evaluate,
-                              load_slos)
+                              _table_activity, check_component, evaluate,
+                              format_bytes, load_slos, render_rates)
 
 
 def export(p99_queue=0.01, p99_service=0.02, requests=100, errors=0):
@@ -96,14 +97,131 @@ class TestEvaluate:
             ("net.server.op.ping_seconds", True),
             ("net.server.op.scan_seconds", False)]
 
-    def test_breaches_for_names_only(self):
-        assert breaches_for(export(p99_queue=5.0, errors=50)) == \
+    def test_breached_slo_names_per_component(self):
+        def breached(after, before=None):
+            report = evaluate({"s": after}, before=before and {"s": before},
+                              seconds=2.0)
+            return sorted({c.slo for c in report.breaches()})
+
+        assert breached(export(p99_queue=5.0, errors=50)) == \
             ["rpc.errors", "rpc.queue.p99"]
-        assert breaches_for(export()) == []
-        delta = SnapshotDelta(export(requests=100, errors=50),
-                              export(requests=200, errors=50))
-        assert breaches_for(export(requests=200, errors=50),
-                            delta=delta) == []
+        assert breached(export()) == []
+        assert breached(export(requests=200, errors=50),
+                        before=export(requests=100, errors=50)) == []
+
+
+class TestRates:
+    """Each component's rate row, from the delta its burn rates use."""
+
+    SCRIPT = [
+        {"tserver0": {"net.server.requests": 100,
+                      "net.server.bytes_sent": 1000,
+                      "net.server.bytes_received": 500,
+                      "net.server.inflight": 1,
+                      "dbsim.table.A.entries_read": 10}},
+        {"tserver0": {"net.server.requests": 120,
+                      "net.server.bytes_sent": 3048,
+                      "net.server.bytes_received": 700,
+                      "net.server.inflight": 2,
+                      "dbsim.table.A.entries_read": 90,
+                      "dbsim.table.B.entries_read": 15}},
+    ]
+
+    def test_rows_before_and_after_second_sample(self):
+        first, second = self.SCRIPT
+        row = evaluate(first).rows["tserver0"]
+        assert row["requests"] == 100 and row["qps"] is None
+        assert row["hot_tables"] == []
+        row = evaluate(second, before=first, seconds=2.0).rows["tserver0"]
+        assert row["qps"] == pytest.approx(10.0)
+        assert row["tx_bps"] == pytest.approx(1024.0)
+        assert row["inflight"] == 2
+        assert row["reset"] is False
+        assert row["hot_tables"] == ["A", "B"]
+
+    def test_cluster_metrics_shape_is_flattened(self):
+        before = {"manager": {"net.server.requests": 1},
+                  "servers": {"tserver0": {"net.server.requests": 3}}}
+        after = {"manager": {"net.server.requests": 5},
+                 "servers": {"tserver0": {"net.server.requests": 9},
+                             "tserver1": {"net.server.requests": 2}}}
+        rows = evaluate(after, before=before, seconds=2.0).rows
+        assert sorted(rows) == ["manager", "tserver0", "tserver1"]
+        assert rows["manager"]["qps"] == pytest.approx(2.0)
+        assert rows["tserver0"]["qps"] == pytest.approx(3.0)
+        assert rows["tserver1"]["qps"] is None  # no earlier sample
+
+    def test_restart_is_flagged_not_negative(self):
+        rows = evaluate({"s": {"net.server.requests": 3}},  # restarted
+                        before={"s": {"net.server.requests": 500}},
+                        seconds=1.0).rows
+        row = rows["s"]
+        assert row["reset"] is True
+        assert row["qps"] == 0.0  # clamped, never negative
+
+    def test_table_activity_merges_sources(self):
+        d = SnapshotDelta(
+            {"dbsim.table.A.entries_read": 0,
+             "net.server.table.A.scan_bytes": 0,
+             "dbsim.table.B.seeks": 5},
+            {"dbsim.table.A.entries_read": 7,
+             "net.server.table.A.scan_bytes": 100,
+             "dbsim.table.B.seeks": 5})
+        assert _table_activity(d) == {"A": 107}
+
+    def test_rows_join_the_json_report(self):
+        first, second = self.SCRIPT
+        d = evaluate(second, before=first, seconds=2.0).as_dict()
+        assert d["rates"]["tserver0"]["qps"] == pytest.approx(10.0)
+        json.dumps(d)
+
+
+class TestRenderRates:
+    def test_table_shape_and_reset_marker(self):
+        rows = {
+            "tserver0": {"requests": 120, "qps": 10.0, "tx_bps": 1024.0,
+                         "rx_bps": 100.0, "err_ps": 0.0, "inflight": 2,
+                         "pushdown": [0, 0], "reset": False,
+                         "hot_tables": ["A", "B"]},
+            "tserver1": {"requests": 5, "qps": 0.0, "tx_bps": 0.0,
+                         "rx_bps": 0.0, "err_ps": 0.0, "inflight": 0,
+                         "pushdown": [2, 40], "reset": True,
+                         "hot_tables": []},
+        }
+        out = render_rates(rows, seconds=2.0)
+        lines = out.splitlines()
+        assert lines[0] == "-- rates over the last 2s --"
+        assert "SERVER" in lines[1] and "HOT TABLES" in lines[1]
+        assert "tserver0" in lines[2] and "A,B" in lines[2]
+        assert lines[3].startswith("tserver1*") and "2/40" in lines[3]
+        assert lines[-1] == "(* counters reset since last sample)"
+
+    def test_format_bytes(self):
+        assert format_bytes(512) == "512"
+        assert format_bytes(1536) == "1.5K"
+        assert format_bytes(3 << 20) == "3.0M"
+
+    def test_report_shows_breaches_per_component(self):
+        report = evaluate({"ok-server": export(),
+                           "sick-server": export(p99_queue=5.0, errors=50),
+                           "new-server": export(errors=50)},
+                          before={"ok-server": export(requests=0),
+                                  "sick-server": export(requests=0)},
+                          seconds=2.0)
+        rates, slos = report.render().split("\n\n")
+        by_name = {line.split()[0]: line.split()
+                   for line in rates.splitlines()[2:]}
+        assert by_name["sick-server"][5] == "25.0"  # ERR/s
+        assert by_name["new-server"][1] == "-"  # no earlier sample
+        breached = {}
+        for line in slos.splitlines()[1:-1]:
+            component, slo, *_ = line.split()
+            breached.setdefault(component, set())
+            if " BREACH " in line:
+                breached[component].add(slo)
+        assert breached == {"ok-server": set(), "new-server": {"rpc.errors"},
+                            "sick-server": {"rpc.errors", "rpc.queue.p99"}}
+        assert slos.endswith("3 breach(es) across 3 component(s)")
 
 
 class TestReport:

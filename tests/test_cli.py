@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from tests.obs.test_stitch import span, two_process_sources
 
 
 @pytest.fixture
@@ -66,9 +67,10 @@ class TestBfs:
         assert "reached 5/5" in out
         assert "hop 2: v5" in out
 
-    def test_unknown_source(self, graph_tsv):
-        with pytest.raises(SystemExit):
-            main(["bfs", graph_tsv, "--source", "nope"])
+    def test_unknown_source(self, graph_tsv, capsys):
+        assert main(["bfs", graph_tsv, "--source", "nope"]) == 2
+        assert capsys.readouterr().err == \
+            "error: source vertex 'nope' not in graph\n"
 
 
 class TestPagerank:
@@ -242,6 +244,77 @@ class TestAnalyze:
         p.write_text("not json\n")
         assert main(["analyze", str(p)]) == 2
         assert "invalid trace line" in capsys.readouterr().err
+
+    @staticmethod
+    def _per_process_files(tmp_path, sources):
+        import json
+
+        paths = []
+        for name, records in sources.items():
+            path = tmp_path / f"trace.{name}.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in records))
+            paths.append(str(path))
+        return paths
+
+    def test_several_files_are_stitched_first(self, tmp_path, capsys):
+        paths = self._per_process_files(tmp_path, two_process_sources())
+        out = tmp_path / "stitched.jsonl"
+        assert main(["analyze", *paths, "--out", str(out),
+                     "--check-cross-process"]) == 0
+        text = capsys.readouterr().out
+        stitch, analysis = text.split("\nstitched trace: ", 1)
+        assert stitch.splitlines() == [
+            "stitched 2 file(s): 3 spans, 1 trace(s), processes: "
+            "client, tserver0",
+            "1 cross-process edge(s):",
+            "  client/rpc.client.call -> tserver0/rpc.server.scan x1",
+            f"wrote stitched trace to {out}"]
+        assert analysis.startswith("3 records, 3 spans, 1 root span(s)")
+        assert "RPC time breakdown" in analysis
+        # the written trace is itself analyzable
+        assert main(["analyze", str(out)]) == 0
+        assert f"{out}: 4 records, 3 spans" in capsys.readouterr().out
+
+    def test_stitch_summary_goes_to_stderr_under_json(self, tmp_path,
+                                                       capsys):
+        import json
+
+        paths = self._per_process_files(tmp_path, two_process_sources())
+        assert main(["analyze", *paths, "--json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["spans"] == 3
+        assert captured.err.startswith("stitched 2 file(s)")
+
+    def test_check_fails_without_cross_process_edges(self, tmp_path,
+                                                     capsys):
+        client = two_process_sources()["client"]
+        paths = self._per_process_files(tmp_path, {"client": client})
+        assert main(["analyze", *paths, "--check-cross-process"]) == 1
+        captured = capsys.readouterr()
+        assert "no cross-process edges (single-process trace" in \
+            captured.out
+        assert captured.err.endswith(
+            "stitch check FAILED: no cross-process edges\n")
+        # without the gate the same stitch is just reported
+        assert main(["analyze", *paths, "--out",
+                     str(tmp_path / "s.jsonl")]) == 0
+
+    def test_check_fails_on_orphaned_spans(self, tmp_path, capsys):
+        sources = two_process_sources()
+        # a server span whose caller's file is missing
+        sources["tserver1"] = [span("rpc.server.scan", "d" * 16, "e" * 16)]
+        paths = self._per_process_files(tmp_path, sources)
+        assert main(["analyze", *paths, "--check-cross-process"]) == 1
+        err = capsys.readouterr().err
+        assert "warning: 1 orphaned span(s)" in err
+        assert err.endswith("stitch check FAILED: 1 orphaned spans\n")
+
+    def test_stitch_of_spanless_files_fails(self, tmp_path, capsys):
+        paths = self._per_process_files(
+            tmp_path, {"a": [{"kind": "convergence", "name": "x"}],
+                       "b": [{"kind": "header", "process": "b"}]})
+        assert main(["analyze", *paths]) == 2
+        assert capsys.readouterr().err.startswith("error: no spans found")
 
     def test_traced_run_round_trips_through_analyze(self, graph_tsv,
                                                     tmp_path, capsys):

@@ -5,8 +5,8 @@ docs/*.md (fenced blocks and inline code spans) must name a subcommand
 of :func:`repro.cli.build_parser` and a flag that subcommand accepts,
 and every subcommand must appear in README.md — so deleting or
 renaming a command or flag fails here until the docs follow.  The
-``repro top`` samples carry the header line ``render_top`` prints, so
-adding or dropping a column fails here too.
+``repro health`` samples carry the rate header line ``render_rates``
+prints, so adding or dropping a column fails here too.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
-from repro.net.telemetry import render_top
+from repro.obs.health import render_rates
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
@@ -68,7 +68,7 @@ def test_quoted_commands_and_flags_exist(path):
 def test_quoted_commands_are_found():
     """The scan itself works: README quotes several subcommands."""
     names = {name for name, _ in _quoted_commands(ROOT / "README.md")}
-    assert {"pagerank", "stats", "cluster", "top", "health"} <= names
+    assert {"pagerank", "stats", "cluster", "health"} <= names
 
 
 def test_every_subcommand_is_in_the_readme():
@@ -80,13 +80,13 @@ def test_every_subcommand_is_in_the_readme():
 
 
 @pytest.mark.parametrize("name", ["NET.md", "OBSERVABILITY.md"])
-def test_top_samples_match_render_top(name):
+def test_health_samples_match_render_rates(name):
     text = (ROOT / "docs" / name).read_text(encoding="utf-8")
-    # a sample is a fence holding top's output, not just the command
+    # a sample is a fence holding health's output, not just the command
     samples = [m.group(0) for m in _FENCE.finditer(text)
-               if "-- repro top @" in m.group(0)]
-    assert samples, f"{name} has no repro top sample"
-    header = render_top({})
+               if "$ python -m repro health" in m.group(0)]
+    assert samples, f"{name} has no repro health sample"
+    header = render_rates({})
     for sample in samples:
         assert header in sample.splitlines(), (
-            f"{name}: a repro top sample's header is not {header!r}")
+            f"{name}: a repro health sample's header is not {header!r}")

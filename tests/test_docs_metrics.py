@@ -1,11 +1,12 @@
-"""The per-table metrics docs/OBSERVABILITY.md lists are the ones a tablet
+"""The metrics docs/OBSERVABILITY.md lists are the ones the code
 registers.
 
 The ``dbsim.table.<table>.*`` entries of the doc's dbsim naming block
 (``a | b | c`` alternatives, continued on indented ``| d`` lines) must
-equal the names a freshly bound tablet pre-registers — so adding,
-renaming or dropping a per-table counter or gauge fails here until the
-doc follows.
+equal the names a freshly bound tablet pre-registers, and every
+``net.client.*`` counter an ``RpcCore`` pre-registers must appear among
+the doc's ``net.client.*`` entries — so adding, renaming or dropping
+one fails here until the doc follows.
 """
 
 import re
@@ -13,18 +14,18 @@ from pathlib import Path
 
 from repro.dbsim.key import Range
 from repro.dbsim.tablet import Tablet
+from repro.net.client import RpcCore
 from repro.obs.metrics import MetricsRegistry
 
 DOC = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
-PREFIX = "dbsim.table.<table>."
 
 
-def documented_table_metrics():
-    """Short names of the doc's ``dbsim.table.<table>.*`` entries."""
+def documented_metrics(prefix):
+    """Short names of the doc's ``<prefix>*`` entries."""
     names, inside = set(), False
     for line in DOC.read_text(encoding="utf-8").splitlines():
-        if line.startswith(PREFIX):
-            inside, listed = True, line[len(PREFIX):]
+        if line.startswith(prefix):
+            inside, listed = True, line[len(prefix):]
         elif inside and re.match(r"\s+\|", line):
             listed = line  # a continuation: more alternatives
         else:
@@ -35,9 +36,22 @@ def documented_table_metrics():
     return names
 
 
+def registered(registry, prefix):
+    return {name[len(prefix):] for name in registry.export()
+            if name.startswith(prefix)}
+
+
 def test_documented_table_metrics_are_preregistered():
     registry = MetricsRegistry()
     Tablet(Range()).bind_metrics(registry, "t")
-    registered = {name[len("dbsim.table.t."):] for name in registry.export()
-                  if name.startswith("dbsim.table.t.")}
-    assert registered == documented_table_metrics()
+    assert registered(registry, "dbsim.table.t.") == \
+        documented_metrics("dbsim.table.<table>.")
+
+
+def test_preregistered_client_counters_are_documented():
+    registry = MetricsRegistry()
+    RpcCore(metrics=registry).close()
+    client = registered(registry, "net.client.")
+    assert client  # the scan found the pre-registered block
+    missing = client - documented_metrics("net.client.")
+    assert not missing, f"undocumented net.client counters: {missing}"
