@@ -33,13 +33,16 @@ stitching several per-process traces into one first; ``health`` prints
 per-server rates between two polls of the cluster's metrics, evaluates
 its SLOs (p99 latency targets, error budgets) over the same polls and
 exits nonzero on breach.  Input failures exit with status 2 and a
-one-line ``error:`` message, never a traceback.
+one-line ``error:`` message, never a traceback; a reader that closes
+stdout early (``repro stats … | head -3``) ends the run with status 1
+and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -729,10 +732,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         _sampling.configure(sample_rate)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so the
+        # interpreter's exit flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     finally:
         if sampling_on:
             from repro.obs import sampling as _sampling

@@ -13,7 +13,8 @@ Two protocols:
 
 * :class:`TabletBackend` — what a scan or write path needs from one
   tablet: its row extent, a columnar scan (its layers' stages chained
-  over one storage pass), and a raw-mutation batch write.  Locally this is a real
+  over one storage pass), and a raw-mutation batch sent now and
+  answered later (``submit_raw_batch``).  Locally this is a real
   :class:`~repro.dbsim.tablet.Tablet`; remotely a ``TabletProxy``
   that turns the same calls into RPCs.
 * :class:`ConnectorBackend` — the instance-wide surface: table
@@ -33,6 +34,7 @@ not signatures) in tests.
 from __future__ import annotations
 
 from typing import (
+    Callable,
     List,
     Optional,
     Protocol,
@@ -63,9 +65,10 @@ class TabletBackend(Protocol):
         Whatever the iterator yields is the state as of this call."""
         ...
 
-    def write_raw_batch(self, mutations) -> int:
-        """Apply raw ``(row, family, qualifier, visibility, timestamp,
-        delete, value)`` tuples in order; returns cells applied."""
+    def submit_raw_batch(self, mutations) -> Callable[[], int]:
+        """Send raw ``(row, family, qualifier, visibility, timestamp,
+        delete, value)`` tuples to be applied in order; the returned
+        call answers the cells applied (or raises the batch's error)."""
         ...
 
     def scan(self, rng: Range = Range(), columns=None,
@@ -115,7 +118,7 @@ class ConnectorBackend(Protocol):
                   ) -> List[Tuple[TabletBackend, list]]:
         """Raw mutation tuples binned per owning tablet, each tablet's
         in input order: ``[(tablet, mutations)]``, what ``BatchWriter``
-        hands to ``write_raw_batch`` one tablet at a time."""
+        hands to ``submit_raw_batch`` one tablet at a time."""
         ...
 
     # -- scans ------------------------------------------------------------

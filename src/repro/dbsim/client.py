@@ -6,14 +6,16 @@ Scanner streams one range in key order, a BatchScanner handles many
 ranges (sorted disjoint row-ranges travel as one set to each tablet,
 which slices just those rows out of its runs — the way a real
 BatchScanner amortises RPCs), and a BatchWriter
-buffers mutations and applies them per owning tablet in bulk
-(``Tablet.write_raw_batch``) on flush.
+buffers mutations and sends them per owning tablet in bulk
+(``submit_raw_batch``) on flush, the answers of one flush awaited
+(:func:`~repro.dbsim.server.answers`) before the next is sent.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Union)
 
 from repro.dbsim.backend import ConnectorBackend
 from repro.dbsim.iterators import Columns, Layer, as_layers
@@ -23,7 +25,7 @@ from repro.dbsim.key import (
     encode_number,
     sorted_disjoint,
 )
-from repro.dbsim.server import TableConfig
+from repro.dbsim.server import TableConfig, answers
 from repro.dbsim.visibility import PUBLIC, Authorizations, check_expression
 from repro.obs import trace as _trace
 
@@ -236,20 +238,16 @@ class BatchWriter:
     ``buffer_size`` mutations or ``max_memory`` approximate bytes are
     buffered (or ``flush`` / ``close`` is called), the buffer is binned
     per owning tablet — one bisect of the cached location index per
-    tablet change, one ``Tablet.write_raw_batch`` per tablet — instead
-    of locating and writing cell by cell.  Buffer order is preserved,
-    so assigned timestamps (and therefore scan results) are
-    bit-identical to cell-at-a-time writes.  Usable as a context
-    manager; ``close()``/``__exit__`` flushes.  Values may be numbers
-    (encoded) or strings.
-
-    When the backend offers a ``write_pipeline`` factory (the remote
-    backend does), flushes are *pipelined*: this flush's batches are
-    serialized and sent while the previous flush's acks are still in
-    flight, overlapping client CPU with server apply time.  The
-    pipeline drains the previous flush before submitting the next, so
-    per-tablet apply order — and therefore every stamped timestamp —
-    stays bit-identical to unpipelined writes.
+    tablet change — and each tablet's share is sent as one batch
+    (``submit_raw_batch``), whose answer is awaited
+    (:func:`~repro.dbsim.server.answers`) just before the next flush
+    is sent, and in ``flush()`` / ``close()``: a remote writer fills the
+    next buffer while the servers apply the last.  A server stamps a
+    tablet's cells in arrival order, and buffer order is preserved, so
+    assigned timestamps (and therefore scan results) are bit-identical
+    to cell-at-a-time writes.  Usable as a context manager;
+    ``close()``/``__exit__`` flushes.  Values may be numbers (encoded)
+    or strings.
     """
 
     def __init__(self, conn: Connector, table: str, buffer_size: int = 10_000,
@@ -266,8 +264,8 @@ class BatchWriter:
         self._max_memory = max_memory
         self._buffer_bytes = 0
         self._closed = False
-        factory = getattr(conn.instance, "write_pipeline", None)
-        self._pipeline = factory() if factory is not None else None
+        #: the answers of the last flush's batches, not yet awaited
+        self._unanswered: List[Callable[[], int]] = []
 
     def put(self, row: str, family: str = "", qualifier: str = "",
             value="1", visibility: str = "", timestamp: int = 0) -> None:
@@ -345,13 +343,14 @@ class BatchWriter:
             self._flush_pending()
 
     def flush(self) -> None:
-        """Push buffered mutations and block until everything
-        previously written is applied (a pipelined backend drains its
-        in-flight batches — ``flush`` keeps its durability contract;
-        only the automatic threshold flushes overlap)."""
+        """Send buffered mutations and wait until everything written so
+        far is applied."""
         self._flush_pending()
-        if self._pipeline is not None:
-            self._pipeline.drain()
+        self._await()
+
+    def _await(self) -> None:
+        unanswered, self._unanswered = self._unanswered, []
+        answers(unanswered)
 
     def _flush_pending(self) -> None:
         if not self._buffer:
@@ -369,15 +368,11 @@ class BatchWriter:
         # the backend bins the buffer per owning tablet (stable, so each
         # tablet sees its mutations in buffer order) against its
         # location index — the client-side analogue of Accumulo's
-        # tablet-location cache; then one write_raw_batch per tablet
+        # tablet-location cache
         groups = self._conn.instance.partition(self._table, self._buffer)
-        if self._pipeline is not None:
-            # drains the previous flush, then sends these batches
-            # without waiting for their acks
-            self._pipeline.submit(groups)
-        else:
-            for tablet, muts in groups:
-                tablet.write_raw_batch(muts)
+        self._await()
+        self._unanswered = [tablet.submit_raw_batch(muts)
+                            for tablet, muts in groups]
         self._buffer.clear()
         self._buffer_bytes = 0
 

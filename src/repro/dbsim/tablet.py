@@ -28,7 +28,7 @@ from array import array
 from bisect import bisect_left
 from itertools import chain as _chain
 from operator import neg
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dbsim.iterators import Columns, Layer, _in_columns
 from repro.dbsim.errors import ServerCrashedError
@@ -303,6 +303,12 @@ class Tablet:
         qualifier, visibility, timestamp, delete, value)`` tuples —
         what a BatchWriter buffers."""
         return self.write_columns(*field_columns(mutations, 7))
+
+    def submit_raw_batch(self, mutations: Iterable[tuple]
+                         ) -> Callable[[], int]:
+        """:meth:`write_raw_batch`, applied now and answered later."""
+        applied = self.write_raw_batch(mutations)
+        return lambda: applied
 
     def write_batch(self, cells: Iterable[Cell]) -> int:
         """:meth:`write_columns` over :class:`Cell` objects."""

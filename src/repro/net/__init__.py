@@ -50,7 +50,6 @@ from repro.net.client import (
     RemoteInstance,
     RetryPolicy,
     StreamOverrunError,
-    WritePipeline,
 )
 from repro.net.cluster import LocalCluster
 from repro.net.faults import FaultPlan, FaultRule
@@ -75,7 +74,6 @@ __all__ = [
     "RemoteInstance",
     "RetryPolicy",
     "StreamOverrunError",
-    "WritePipeline",
     "LocalCluster",
     "FaultPlan",
     "FaultRule",

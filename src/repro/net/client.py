@@ -11,9 +11,9 @@ local backend hands them :class:`~repro.dbsim.tablet.Tablet`\\ s.
 
 Transport: :class:`RpcCore` keeps one persistent wire-v3 connection
 (:class:`_Conn`) per server and every in-flight RPC interleaves on it
-by request id — a scan stream, a pipelined flush and a locate RPC
-share one socket.  There is no I/O thread and no event loop: whoever
-waits for a response reads the socket, so a round trip is a
+by request id — a scan stream, a flush's write batches and a locate
+RPC share one socket.  There is no I/O thread and no event loop:
+whoever waits for a response reads the socket, so a round trip is a
 ``sendall``, a ``select`` and two ``recv_into`` on the calling thread.
 
 Reliability model:
@@ -23,23 +23,22 @@ Reliability model:
   connection, timeout, CRC-corrupt frame),
   :class:`~repro.dbsim.errors.ServerCrashedError` and
   :class:`~repro.dbsim.errors.BusyError` (server admission control)
-  retry with exponential backoff + decorrelated jitter (seeded);
+  retry with exponential backoff + decorrelated jitter (seeded) — one
+  judgement (:meth:`RpcCore.judge`) for a unary call's attempt and a
+  scan stream's;
 * mutating RPCs carry a ``(session, seq)`` pair the server dedups on
-  over a bounded per-session window, so retried *and pipelined*
-  ``write_batch`` frames whose acks were lost are applied exactly
-  once;
+  over a bounded per-session window, so retried ``write_batch``
+  frames whose acks were lost are applied exactly once;
 * :class:`~repro.dbsim.errors.NotHostedError` (a split migrated the
   tablet, or the location cache is stale) triggers a re-``locate``
-  through the manager and re-routing — mid-batch for writes, mid-stream
-  (with a resume key) for scans;
+  through the manager and re-routing — in a write batch's answer for
+  writes, mid-stream (with a resume key) for scans;
 * write batches and scan chunks travel as packed binary cell blocks
   (:mod:`repro.net.cells`), not JSON.
 
-:class:`WritePipeline` overlaps BatchWriter flushes: flush N+1 is
-serialized and sent while flush N's acks are still in flight, one
-flush deep — draining the previous flush before submitting the next
-preserves per-tablet apply order, which is what keeps server-stamped
-timestamps bit-identical to unpipelined writes.
+A BatchWriter flush sends each tablet's batch by
+:meth:`TabletProxy.submit_raw_batch` and awaits the answers before
+it sends the next flush, as it does in process.
 
 Everything counts into ``net.client.*`` metrics and (when tracing is
 enabled) emits ``rpc.client.*`` spans.
@@ -57,14 +56,14 @@ import time
 from collections import deque
 from dataclasses import asdict
 from itertools import chain, count, takewhile
-from typing import (Any, Dict, List, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from repro.dbsim.client import Connector
 from repro.dbsim.errors import BusyError, NotHostedError, ServerCrashedError
 from repro.dbsim.iterators import Columns
 from repro.dbsim.key import Cell, Range, RangeSet, clip_ranges, covering
-from repro.dbsim.server import TableConfig, TableMeta, TabletIndex
+from repro.dbsim.server import TableConfig, TableMeta, TabletIndex, answers
 from repro.dbsim.stats import OpStats
 from repro.net import cells as _cells
 from repro.net import wire
@@ -73,8 +72,8 @@ from repro.obs.metrics import MetricsRegistry, global_registry
 
 __all__ = [
     "Addr", "RetryPolicy", "RpcCore", "RemoteInstance", "RemoteConnector",
-    "StreamOverrunError", "TabletProxy", "WritePipeline", "format_addr",
-    "parse_addr",
+    "StreamOverrunError", "TabletProxy", "format_addr", "parse_addr",
+    "submit_write",
 ]
 
 Addr = Tuple[str, int]
@@ -437,8 +436,8 @@ class _Conn:
 
 class _Call:
     """A unary RPC already sent (:meth:`RpcCore.submit`): ``result()``
-    waits for its answer, retrying like :meth:`RpcCore.call` if the
-    first attempt was lost.  Resolve it once.
+    waits for its answer, retrying if the first attempt was lost.
+    Resolve it once.
 
     A traced call's span runs from the send to the end of ``result()``;
     its ``unawaited_s`` attribute is how long the call sat sent with
@@ -457,29 +456,47 @@ class _Call:
         self._wait = wait
 
     def result(self):
-        if self._span is not None:
-            self._span.set(unawaited_s=time.perf_counter() - self._sent)
+        span = self._span
+        if span is None:
+            return self._core._call(*self._args, first=self._first,
+                                    wait=self._wait)
+        span.set(unawaited_s=time.perf_counter() - self._sent)
+        error = None
         try:
             return self._core._call(*self._args, first=self._first,
                                     wait=self._wait)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            raise
         finally:
-            if self._span is not None:
-                self._span.finish()
+            span.finish(error)
+
+
+#: what one failed attempt calls for (:meth:`RpcCore.judge`)
+RETRY, RELOCATE = "retry", "relocate"
+#: the failures a retry after backoff can mend, most specific first,
+#: each with the counter it bumps: a late answer, a stream the reader
+#: shed, an admission shed (it never ran, so a re-send is always safe),
+#: a corrupt frame (its connection failed itself), a closed connection,
+#: a crashed server that will come back
+_RETRYABLE = ((TimeoutError, "timeouts"),
+              (StreamOverrunError, "stream_overruns"),
+              (BusyError, "busy_retries"), (wire.FrameCorruptError, None),
+              (OSError, None), (ServerCrashedError, None))
 
 
 class RpcCore:
     """The client's RPC core: connections, the retry loop, sessions.
 
     One core per :class:`RemoteInstance` (the manager process also owns
-    one for server fan-out), safe to share between threads.  ``call``
-    is one RPC with the full retry taxonomy; ``submit`` sends now and
-    answers later (the write pipeline's overlap); ``open_stream`` opens
-    a scan.  ``mutate`` stamps mutating requests with this core's
-    session id and a monotonically increasing sequence number; a retry
-    re-sends the *same* sequence number, which is what lets the server
-    replay the cached ack instead of re-applying.  ``submit_mutate`` is
-    the pipelined variant: the sequence number is stamped at submission
-    (not completion), so in-flight batches keep their order identity.
+    one for server fan-out), safe to share between threads.  ``submit``
+    sends a request now and answers it later (``result()``), with the
+    full retry taxonomy; ``call`` is the two at once.  ``open_stream``
+    opens a scan.  ``submit_mutate`` stamps a mutating request with
+    this core's session id and a monotonically increasing sequence
+    number, at submission; a retry re-sends the *same* sequence number,
+    which is what lets the server replay the cached ack instead of
+    re-applying.  ``mutate`` is the two at once.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None,
@@ -500,11 +517,6 @@ class RpcCore:
             self.metrics.counter(f"net.client.{name}")
         # cached: bumped per unsampled call span on the hot path
         self._sampled_out = self.metrics.counter("net.client.sampled_out")
-
-    # -- plumbing ---------------------------------------------------------
-
-    def next_seq(self) -> int:
-        return next(self._seq)  # atomic: never waits behind a dial
 
     # -- connections ------------------------------------------------------
 
@@ -538,6 +550,38 @@ class RpcCore:
         for conn in conns:
             conn.fail(wire.ConnectionClosedError("connection closed"))
 
+    # -- the retry taxonomy -----------------------------------------------
+
+    def judge(self, exc: Exception) -> str:
+        """What one failed attempt of a call or a scan calls for, counted
+        as such: :data:`RETRY` it after backoff, :data:`RELOCATE`
+        (``NotHostedError``: the tablet moved), or — returning nothing —
+        raise ``exc``: a protocol error (version skew, garbage framing),
+        or any other typed error, which counts in ``net.client.errors``."""
+        for kind, counter in _RETRYABLE:
+            if isinstance(exc, kind):
+                if counter:
+                    self.metrics.counter(f"net.client.{counter}").inc()
+                return RETRY
+        if isinstance(exc, NotHostedError):
+            self.metrics.counter("net.client.relocates").inc()
+            return RELOCATE
+        if not isinstance(exc, wire.ProtocolError):
+            self.metrics.counter("net.client.errors").inc()
+        raise exc
+
+    def backoff(self, prev: Optional[float]) -> float:
+        """Sleep before a retry; returns the sleep, ``prev`` of the next."""
+        sleep = self.retry.next_sleep(prev, self._rng)
+        time.sleep(sleep)
+        self.metrics.counter("net.client.retries").inc()
+        return sleep
+
+    def exhausted(self, what: str, attempts: int) -> wire.RpcError:
+        """The error that ends ``what`` after ``attempts`` failed tries."""
+        self.metrics.counter("net.client.errors").inc()
+        return wire.RpcError(f"{what} failed after {attempts} attempts")
+
     # -- RPCs -------------------------------------------------------------
 
     def _send(self, addr: Addr, op: int, payload, tc=None,
@@ -558,20 +602,17 @@ class RpcCore:
 
     def _call(self, addr: Addr, op: int, payload, tc=None,
               first=None, wait: bool = False) -> Any:
-        """One RPC with the full retry taxonomy.  ``first`` is the
-        first attempt when :meth:`submit` already made it: the sent
-        request, or the transport error its send raised.  ``wait``
-        drops the response deadline (see :meth:`mutate`)."""
-        counters = self.metrics.counter
+        """One RPC's attempts, judged by :meth:`judge`.  ``first`` is
+        the first attempt, which :meth:`submit` made: the sent request,
+        or the error its send raised.  ``wait`` drops the response
+        deadline (see :meth:`mutate`)."""
         hist = self.metrics.histogram("net.client.rpc_seconds")
         timeout = None if wait else self.retry.deadline
         sleep: Optional[float] = None
         last_exc: Optional[BaseException] = None
         for attempt in range(self.retry.attempts):
             if attempt:
-                sleep = self.retry.next_sleep(sleep, self._rng)
-                time.sleep(sleep)
-                counters("net.client.retries").inc()
+                sleep = self.backoff(sleep)
             sent, first = first, None
             stream: Optional[_Stream] = None
             try:
@@ -579,102 +620,63 @@ class RpcCore:
                     raise sent
                 stream = sent or self._send(addr, op, payload, tc)
                 code, resp, _nread = stream.get(timeout)
-            except TimeoutError as exc:
-                counters("net.client.timeouts").inc()
+                hist.observe((stream.arrived or time.perf_counter())
+                             - stream.t0)
+                if code == wire.OK:
+                    return resp
+                if code != wire.ERROR:
+                    raise wire.ProtocolError(
+                        f"unexpected response op-code {code:#x} to "
+                        f"{stream.opname}")
+                wire.raise_error(resp)
+            except Exception as exc:
                 if stream is not None:
                     stream.abandon()
+                if self.judge(exc) is RELOCATE:
+                    raise  # the caller re-locates and re-routes
                 last_exc = exc
-                continue
-            except wire.FrameCorruptError as exc:
-                last_exc = exc  # connection already failed itself
-                continue
-            except wire.ProtocolError:
-                raise  # version skew / garbage framing: not transient
-            except (wire.ConnectionClosedError, OSError) as exc:
-                last_exc = exc
-                continue
-            hist.observe((stream.arrived or time.perf_counter())
-                         - stream.t0)
-            if code == wire.OK:
-                return resp
-            if code == wire.ERROR:
-                try:
-                    wire.raise_error(resp)
-                except ServerCrashedError as exc:
-                    last_exc = exc  # server will come back: retry
-                    continue
-                except BusyError as exc:
-                    # admission shed: never ran server-side, so backing
-                    # off and re-sending is always safe
-                    counters("net.client.busy_retries").inc()
-                    last_exc = exc
-                    continue
-                except NotHostedError:
-                    counters("net.client.relocates").inc()
-                    raise  # caller re-locates and re-routes
-                except Exception:
-                    counters("net.client.errors").inc()
-                    raise
-            raise wire.ProtocolError(
-                f"unexpected response op-code {code:#x} to "
-                f"{stream.opname}")
-        counters("net.client.errors").inc()
-        raise wire.RpcError(
-            f"{wire.OP_NAMES.get(op, hex(op))} to {format_addr(addr)} "
-            f"failed after {self.retry.attempts} attempts") from last_exc
+        raise self.exhausted(
+            f"{wire.OP_NAMES.get(op, hex(op))} to {format_addr(addr)}",
+            self.retry.attempts) from last_exc
 
     def _stamp(self, payload):
         """Copy ``payload`` with this core's session + a fresh seq (the
         dedup identity), for dict and binary-cell payloads alike."""
+        # next() on the counter is atomic: it never waits behind a dial
+        stamp = {"session": self.session, "seq": next(self._seq)}
         if isinstance(payload, wire.CellsPayload):
-            meta = dict(payload.meta)
-            meta["session"] = self.session
-            meta["seq"] = self.next_seq()
-            return wire.CellsPayload(meta, payload.block)
-        stamped = dict(payload)
-        stamped["session"] = self.session
-        stamped["seq"] = self.next_seq()
-        return stamped
+            return wire.CellsPayload({**payload.meta, **stamp}, payload.block)
+        return {**payload, **stamp}
+
+    def call(self, addr: Addr, op: int, payload,
+             wait: bool = False) -> dict:
+        """One RPC, answered: :meth:`submit` and its ``result()``."""
+        return self.submit(addr, op, payload, wait).result()
 
     def mutate(self, addr: Addr, op: int, payload,
                wait: bool = False) -> dict:
-        """A mutating RPC: stamped for exactly-once dedup, then sent
-        through the same retry loop as ``call``.
+        """One mutating RPC, answered: :meth:`submit_mutate` and its
+        ``result()``.
 
         ``wait=True`` is for a request whose handler runs as long as
         its work does (a kernel): no response deadline, so the call
         waits for its answer however long that takes.  Only a failed
         connection re-sends it — the same stamp, which the server's
         dedup window answers with the first run's ack."""
-        return self.call(addr, op, self._stamp(payload), wait=wait)
-
-    def call(self, addr: Addr, op: int, payload,
-             wait: bool = False) -> dict:
-        if not _trace.ENABLED:
-            return self._call(addr, op, payload, wait=wait)
-        with _trace.span("rpc.client.call", op=wire.OP_NAMES.get(op, op),
-                         server=format_addr(addr)) as sp:
-            # every attempt (retries included) carries this span's
-            # identity, so even a server span reached on the Nth try
-            # parents under the one client call; the context's sampled
-            # bit tells the server whether to record its half
-            if not sp.sampled:
-                self._sampled_out.inc()
-            result = self._call(addr, op, payload, tc=sp.context, wait=wait)
-            sp.attrs["session"] = self.session
-            return result
+        return self.submit_mutate(addr, op, payload, wait).result()
 
     def submit(self, addr: Addr, op: int, payload,
                wait: bool = False) -> _Call:
-        """Pipelined ``call``: the request goes out now, on this thread;
-        the returned handle's ``result()`` waits for the answer (and
-        owns the retries, should this attempt be lost) — with no
-        response deadline under ``wait``, as :meth:`mutate`'s."""
+        """The request goes out now, on this thread; the returned
+        handle's ``result()`` waits for the answer (and owns the
+        retries, should this attempt be lost) — with no response
+        deadline under ``wait``, as :meth:`mutate`'s."""
         sp = None
         tc = None
         if _trace.ENABLED:
-            # detached: the span stays open until result(), which may
-            # run under a different span stack than this submit
+            # detached: it ends in result(), maybe under another span
+            # stack.  Every attempt carries its identity, so a server
+            # span reached on the Nth try parents under the one call
             sp = _trace.start_span(
                 "rpc.client.call", op=wire.OP_NAMES.get(op, op),
                 server=format_addr(addr), session=self.session)
@@ -683,14 +685,15 @@ class RpcCore:
                 self._sampled_out.inc()
         try:
             first = self._send(addr, op, payload, tc)
-        except (wire.ConnectionClosedError, OSError) as exc:
-            first = exc  # result() retries from the second attempt
+        except Exception as exc:  # noqa: BLE001 - result() judges it
+            first = exc
         return _Call(self, (addr, op, payload, tc), first, sp, wait)
 
     def submit_mutate(self, addr: Addr, op: int, payload,
                       wait: bool = False) -> _Call:
-        """Pipelined ``mutate``: stamp now, send now, ack later.  The
-        caller owns draining (and thereby per-tablet ordering)."""
+        """:meth:`submit` of a mutating request: stamped now, sent now,
+        answered later.  The caller owns the order in which it waits
+        (and thereby per-tablet ordering)."""
         return self.submit(addr, op, self._stamp(payload), wait)
 
     # -- scan streams -----------------------------------------------------
@@ -780,13 +783,11 @@ class _RemoteScanStream:
 
     The stream is resumable at batch granularity: the resume key
     advances to the last entry of each CHUNK as it is decoded, and any
-    mid-stream failure (timeout, reset, corrupt frame, server crash,
-    local queue overrun) reopens the stream asking the server to skip
-    everything at or before that key.  Batch granularity is exactly as
-    correct as the old per-cell resume because a reopen only ever
-    happens while pulling the *next* batch — everything in already
-    returned batches has been handed to the caller.  A reopen re-sends
-    only the ranges that end after the resume row.  When the
+    mid-stream failure :meth:`RpcCore.judge` retries reopens the stream
+    asking the server to skip everything at or before that key — a
+    reopen only happens while pulling the *next* batch, so everything
+    before it is the caller's.  A reopen re-sends only the ranges that
+    end after the resume row.  When the
     pushed-down spec ends in ``distinct``, whose state (the qualifiers
     seen) crosses rows, the reopen also carries that state: the
     qualifiers the segment has delivered, as the op's ``seen`` list,
@@ -877,16 +878,13 @@ class _RemoteScanStream:
         for i, seg in enumerate(self._segments[:_SCAN_FANOUT]):
             if seg.stream is not None:
                 continue
-            if i == 0:
+            try:
                 self._open(seg)
-            else:
-                try:
-                    self._open(seg)
-                except Exception:  # noqa: BLE001 - surfaces once it is head
-                    if seg.span is not None:
-                        seg.span.finish()
-                        seg.span = None
-                    break
+            except Exception:  # noqa: BLE001 - surfaces once it is head
+                if i == 0:
+                    raise
+                self._close_segment(seg)
+                break
 
     def next_batch(self) -> Optional[_cells.ColumnBatch]:
         """The next non-empty batch (every buffered CHUNK merged), or
@@ -899,9 +897,7 @@ class _RemoteScanStream:
             try:
                 if self._segments[0].stream is None:
                     if attempts:
-                        sleep = core.retry.next_sleep(sleep, core._rng)
-                        time.sleep(sleep)
-                        counters("net.client.retries").inc()
+                        sleep = core.backoff(sleep)
                     if self._opened:
                         # any reopen mid-scan is a resume, even when
                         # chunk progress reset the attempt budget
@@ -913,26 +909,11 @@ class _RemoteScanStream:
                 self._fanout()
                 frames = self._segments[0].stream.get_many(
                     core.retry.deadline)
-            except StreamOverrunError:
-                # the reader shed this stream rather than stall the
-                # connection; everything delivered so far is good —
-                # resume just past it
-                counters("net.client.stream_overruns").inc()
-                self._bail(counters, attempts)
-                continue
-            except wire.FrameCorruptError:
-                self._bail(counters, attempts)
-                continue
-            except TimeoutError:
-                counters("net.client.timeouts").inc()
-                self._bail(counters, attempts)
-                continue
-            except (wire.ProtocolError, OSError) as exc:
-                if isinstance(exc, wire.ProtocolError):
-                    self._close()
-                    raise
-                self._close_head()
-                self._check_budget(counters, attempts, exc)
+            except Exception as exc:
+                # a lost, late, corrupt or overrun stream: everything
+                # delivered so far is good, and a reopen resumes past it
+                if self._failed(exc, attempts):
+                    attempts = 0
                 continue
             batch: Optional[_cells.ColumnBatch] = None
             for code, payload, nread in frames:
@@ -958,21 +939,16 @@ class _RemoteScanStream:
                         attrs["chunks"] = attrs.get("chunks", 0) + 1
                         attrs["bytes"] = attrs.get("bytes", 0) + nread
                 elif code == wire.DONE:
-                    self._complete_segment()
+                    self._close_head()
+                    self._segments.pop(0)
+                    self._finished = not self._segments
                     attempts = 0
                 elif code == wire.ERROR:
-                    self._close_head()
                     try:
                         wire.raise_error(payload)
-                    except ServerCrashedError as exc:
-                        self._check_budget(counters, attempts, exc)
-                    except BusyError as exc:
-                        counters("net.client.busy_retries").inc()
-                        self._check_budget(counters, attempts, exc)
-                    except NotHostedError:
-                        counters("net.client.relocates").inc()
-                        self._replan()
-                        attempts = 0
+                    except Exception as exc:
+                        if self._failed(exc, attempts):
+                            attempts = 0
                 else:
                     self._close()
                     raise wire.ProtocolError(
@@ -981,24 +957,26 @@ class _RemoteScanStream:
                 return batch
         return None
 
-    def _complete_segment(self) -> None:
+    def _failed(self, exc: Exception, attempts: int) -> bool:
+        """The head segment's attempt failed with ``exc``: drop its
+        stream, then, by :meth:`RpcCore.judge`, reopen it later (within
+        the retry budget), or re-plan the scan over a fresh locate
+        index (True: the budget starts again), or close and raise."""
+        core = self._inst.core
         self._close_head()
-        self._segments.pop(0)
-        if not self._segments:
-            self._finished = True
-
-    def _bail(self, counters, attempts: int) -> None:
-        self._close_head()
-        self._check_budget(counters, attempts,
-                           wire.RpcError("scan stream interrupted"))
-
-    def _check_budget(self, counters, attempts: int,
-                      exc: BaseException) -> None:
-        if attempts >= self._inst.core.retry.attempts:
-            counters("net.client.errors").inc()
-            raise wire.RpcError(
-                f"scan of {self._table!r} failed after {attempts} "
-                f"attempts") from exc
+        try:
+            verdict = core.judge(exc)
+        except Exception:
+            self._close()
+            raise
+        if verdict is RELOCATE:
+            self._replan()
+            return True
+        if attempts >= core.retry.attempts:
+            self._close()
+            raise core.exhausted(f"scan of {self._table!r}",
+                                 attempts) from exc
+        return False
 
     def _replan(self) -> None:
         """The tablet moved (split/migration): rebuild the remaining
@@ -1048,6 +1026,18 @@ class _RemoteScanStream:
 # -- the backend ------------------------------------------------------------
 
 
+def submit_write(core: RpcCore, addr: Addr, table: str, tablet_id: str,
+                 block: bytes) -> Callable[[], int]:
+    """One stamped ``WRITE_BATCH`` of an encoded cell block, sent now —
+    a client's flush and a TableMult step's write to a peer alike; the
+    returned call waits for its answer, the cells applied, which the
+    server's dedup window makes exactly-once however often a lost ack
+    re-sends it."""
+    call = core.submit_mutate(addr, wire.WRITE_BATCH, wire.CellsPayload(
+        {"table": table, "tablet_id": tablet_id}, block))
+    return lambda: call.result()["applied"]
+
+
 class TabletProxy:
     """Client-side stand-in for one remote tablet.
 
@@ -1090,38 +1080,23 @@ class TabletProxy:
 
     # -- writes -----------------------------------------------------------
 
-    def _batch_payload(self, muts: List[tuple]) -> wire.CellsPayload:
-        return wire.CellsPayload(
-            {"table": self._table, "tablet_id": self.tablet_id},
-            _cells.encode_block(muts))
+    def submit_raw_batch(self, muts: List[tuple]) -> Callable[[], int]:
+        """Stamp and send ``muts`` now; the returned call answers the
+        cells applied.  Should the tablet have split or moved, it
+        re-routes ``muts`` through a fresh locate index, each new
+        owner's share in order (what its clock stamps)."""
+        sent = submit_write(self._inst.core, self.addr, self._table,
+                            self.tablet_id, _cells.encode_block(muts))
 
-    def write_raw_batch(self, muts: List[tuple]) -> int:
-        if not muts:
-            return 0
-        try:
-            return self._inst.core.mutate(
-                self.addr, wire.WRITE_BATCH,
-                self._batch_payload(muts))["applied"]
-        except NotHostedError:
-            return self._rebin(muts)
-
-    def submit_raw_batch(self, muts: List[tuple]
-                         ) -> _Call:
-        """Pipelined ``write_raw_batch``: the batch is stamped and sent
-        now; the returned handle's ``result()`` is the ack.  The caller must
-        drain it (``WritePipeline`` owns the ordering discipline) and
-        keep ``muts`` unchanged until then — a re-bin resends them."""
-        return self._inst.core.submit_mutate(
-            self.addr, wire.WRITE_BATCH, self._batch_payload(muts))
-
-    def _rebin(self, muts: List[tuple]) -> int:
-        """This tablet split (or migrated) under the writer: re-route
-        its share of the batch through a fresh locate index, preserving
-        mutation order per new owner (timestamps stay bit-identical —
-        order within each owning tablet is what the clock stamps)."""
-        self._inst.invalidate(self._table)
-        return sum(tablet.write_raw_batch(group) for tablet, group
-                   in self._inst.partition(self._table, muts))
+        def answer() -> int:
+            try:
+                return sent()
+            except NotHostedError:
+                self._inst.invalidate(self._table)
+                return sum(answers([
+                    tablet.submit_raw_batch(group) for tablet, group
+                    in self._inst.partition(self._table, muts)]))
+        return answer
 
     # -- introspection ----------------------------------------------------
 
@@ -1136,61 +1111,6 @@ class TabletProxy:
 
     def entry_estimate(self) -> int:
         return self.info()["entries"]
-
-
-class WritePipeline:
-    """One-flush-deep pipelined writes for a BatchWriter.
-
-    ``submit(groups)`` first drains the *previous* flush's in-flight
-    acks, then fires the new flush's per-tablet batches concurrently.
-    The one-deep discipline is the correctness lever: a tablet's batch
-    from flush N is acked before its batch from flush N+1 is sent, so
-    the server's per-tablet logical clock stamps timestamps in exactly
-    the order an unpipelined writer would (bit-identical scans).
-    Within one flush, batches go to *distinct* tablets, whose clocks
-    are independent — those overlap freely.
-
-    A batch that lands on a split tablet surfaces ``NotHostedError``
-    at drain time and is re-binned synchronously through a fresh
-    locate index, preserving exactly-once (the failed batch applied
-    nothing server-side).
-    """
-
-    def __init__(self, inst: "RemoteInstance"):
-        self._inst = inst
-        #: (proxy, muts, sent call) triples of the flush in flight
-        self._inflight: List[Tuple[TabletProxy, List[tuple], _Call]] = []
-
-    def submit(self, groups) -> None:
-        self.drain()
-        inflight = self._inflight
-        for proxy, muts in groups:
-            inflight.append((proxy, muts, proxy.submit_raw_batch(muts)))
-
-    def drain(self) -> int:
-        """Block until every in-flight batch is acked (re-binning
-        relocated ones); raises the first hard failure."""
-        inflight, self._inflight = self._inflight, []
-        applied = 0
-        first_exc: Optional[BaseException] = None
-        for proxy, muts, fut in inflight:
-            try:
-                applied += fut.result()["applied"]
-            except NotHostedError:
-                try:
-                    applied += proxy._rebin(muts)
-                except Exception as exc:  # noqa: BLE001 - keep draining
-                    if first_exc is None:
-                        first_exc = exc
-            except Exception as exc:  # noqa: BLE001 - keep draining
-                if first_exc is None:
-                    first_exc = exc
-        if first_exc is not None:
-            raise first_exc
-        return applied
-
-    def close(self) -> None:
-        self.drain()
 
 
 class _RunInfo:
@@ -1269,14 +1189,6 @@ class RemoteInstance:
 
     def config(self, name: str) -> TableConfig:
         return self._table(name).config
-
-    # -- writes -----------------------------------------------------------
-
-    def write_pipeline(self) -> WritePipeline:
-        """A fresh pipelined-flush handle (BatchWriter plugs in here
-        via duck typing — the local backend has no such method, so
-        local writers stay sequential)."""
-        return WritePipeline(self)
 
     # -- tablet location --------------------------------------------------
 

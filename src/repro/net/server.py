@@ -100,6 +100,7 @@ from repro.net.client import (
     _Segment,
     format_addr,
     parse_addr,
+    submit_write,
 )
 from repro.net.faults import FaultPlan, apply_fault
 from repro.obs import sampling as _sampling
@@ -714,10 +715,9 @@ class _PeerStub:
     """Another tablet server as a TableMult step here sees it:
     :class:`~repro.dbsim.server.TabletServer`'s two data calls, each
     one request of a client's — a range-set ``SCAN``, opened at once
-    and resumed mid-stream like any client's, and a stamped
-    ``WRITE_BATCH``, sent at once and acknowledged later, which the
-    peer's dedup window applies exactly once however often a lost ack
-    makes the step re-send it.
+    and resumed mid-stream like any client's, and a ``WRITE_BATCH``
+    sent as a client's flush sends it (:func:`~repro.net.client.
+    submit_write`).
 
     It is also the ``inst`` of the scan pump, which asks it for
     nothing but its ``core`` until a tablet moves: the plane's steps
@@ -738,16 +738,11 @@ class _PeerStub:
         return iter(pump.next_batch, None)
 
     def submit(self, op: str, table: str, tablet_id: str, columns):
-        """``write_tablet``, the op a step sends a peer without waiting:
-        one ``WRITE_BATCH`` now, its ack awaited in the returned call."""
+        """``write_tablet``, the op a step sends a peer without waiting."""
         if op != "write_tablet":
             raise ValueError(f"a step sends a peer no {op!r}")
-        call = self.core.submit_mutate(self.addr, wire.WRITE_BATCH,
-                                       wire.CellsPayload(
-                                           {"table": table,
-                                            "tablet_id": tablet_id},
-                                           cells.encode_columns(*columns)))
-        return lambda: call.result()["applied"]
+        return submit_write(self.core, self.addr, table, tablet_id,
+                            cells.encode_columns(*columns))
 
     def invalidate(self, table: str) -> None:
         pass

@@ -359,24 +359,6 @@ class FrameReader:
         return code, payload, _LEN.size + len(body), tc, req
 
 
-def send_frame(sock: socket.socket, code: int, payload: Any,
-               tc: Optional[Tuple[str, ...]] = None,
-               req: int = 0) -> int:
-    """Write one frame; returns bytes put on the wire."""
-    data = encode_frame(code, payload, tc=tc, req=req)
-    sock.sendall(data)
-    return len(data)
-
-
-def recv_frame(sock: socket.socket
-               ) -> Tuple[int, Any, int,
-                          Optional[Tuple[str, str, bool]], int]:
-    """Read one frame; returns ``(op_code, payload, bytes_read,
-    trace_context, request_id)``.  One-shot convenience over
-    :class:`FrameReader` — connection loops hold a reader instead."""
-    return FrameReader(sock).read()
-
-
 # -- error frames -----------------------------------------------------------
 
 #: exception type ↔ wire name, in both directions.  Anything not here

@@ -205,22 +205,18 @@ class SnapshotDelta:
     :meth:`rates`.
 
     A crash/recover (or plain restart) resets a process's counters, so
-    a raw ``after - before`` can go negative between two polls.  By default
-    (``clamp_resets=True``) a negative delta is clamped to zero and the
-    series name lands in :attr:`resets`, so pollers show a flagged
-    restart instead of a nonsense negative rate.  Pass
-    ``clamp_resets=False`` for raw arithmetic — note gauges can
-    legitimately decrease, which is why clamped series are *flagged*
-    rather than dropped."""
+    a raw ``after - before`` can go negative between two polls.  A
+    negative delta is clamped to zero and the series name lands in
+    :attr:`resets`, so pollers show a flagged restart instead of a
+    nonsense negative rate — gauges can legitimately decrease, which is
+    why clamped series are *flagged* rather than dropped."""
 
     def __init__(self, before: Mapping[str, Any],
                  after: Mapping[str, Any],
-                 seconds: Optional[float] = None,
-                 clamp_resets: bool = True):
+                 seconds: Optional[float] = None):
         self.before = dict(before)
         self.after = dict(after)
         self.seconds = seconds
-        self.clamp_resets = clamp_resets
         #: series whose raw delta went negative (counter reset / series
         #: vanished between snapshots)
         self.resets = {name for name in set(self.before) | set(self.after)
@@ -234,10 +230,7 @@ class SnapshotDelta:
         return a - b
 
     def delta(self, name: str) -> Number:
-        d = self._raw_delta(name)
-        if d < 0 and self.clamp_resets:
-            return 0
-        return d
+        return max(self._raw_delta(name), 0)
 
     def deltas(self, nonzero: bool = True) -> Dict[str, Number]:
         """Per-metric change across every name in either export.
@@ -256,12 +249,3 @@ class SnapshotDelta:
             raise ValueError("rates() needs a positive seconds interval")
         return {name: d / self.seconds
                 for name, d in self.deltas(nonzero).items()}
-
-    def as_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"deltas": self.deltas()}
-        if self.seconds:
-            out["seconds"] = self.seconds
-            out["rates"] = self.rates()
-        if self.resets and self.clamp_resets:
-            out["resets"] = sorted(self.resets)
-        return out

@@ -121,19 +121,8 @@ def _next_chunk() -> int:
     return first
 
 
-def _new_id(nbytes: int) -> str:
-    if nbytes == 16:
-        value = (_next_chunk() << 64) | _next_chunk()
-        return "%032x" % (value or 1)  # all-zero ids mean "absent"
-    return "%016x" % (_next_chunk() or 1)
-
-
-def new_trace_id() -> str:
-    return _new_id(16)
-
-
 def new_span_id() -> str:
-    return _new_id(8)
+    return "%016x" % (_next_chunk() or 1)  # all-zero ids mean "absent"
 
 
 def _new_root_ids() -> Tuple[str, str]:
@@ -422,11 +411,6 @@ def _zero_opstats() -> Dict[str, int]:
 #: re-serialize distinct objects.  Bounded by the number of distinct
 #: span names, which is small and static in practice.
 _NAME_INTERN: Dict[str, str] = {}
-
-
-def intern_name(name: str) -> str:
-    """Canonical shared instance of a span name."""
-    return _NAME_INTERN.setdefault(name, name)
 
 
 class Span:

@@ -1,4 +1,4 @@
-"""Shared utilities: validation, deterministic RNG, timing, formatting."""
+"""Shared utilities: validation and deterministic RNG."""
 
 from repro.util.rng import default_rng, spawn_rngs
 from repro.util.validation import (
@@ -9,7 +9,6 @@ from repro.util.validation import (
     check_square,
     check_type,
 )
-from repro.util.timing import Timer, timed
 
 __all__ = [
     "default_rng",
@@ -20,6 +19,4 @@ __all__ = [
     "check_same_shape",
     "check_square",
     "check_type",
-    "Timer",
-    "timed",
 ]

@@ -244,6 +244,81 @@ class TestBatchWriter:
             w.put_many(["x"], ["c"], [1])
 
 
+class TestFlushDiscipline:
+    """BatchWriter's one flush path, spied on at the tablet: a flush
+    sends every batch (``submit_raw_batch``) and awaits none; the next
+    flush awaits every answer of the last before it sends its first
+    batch; ``flush()`` awaits all; a failing batch is raised once the
+    rest of its flush is answered.  A batch is named by its first
+    row."""
+
+    @staticmethod
+    def _spy(conn, monkeypatch, failing=None):
+        events = []
+        cls = type(conn.instance.tablets("t")[0])
+        real = cls.submit_raw_batch
+
+        def submit_raw_batch(tablet, muts):
+            name = muts[0][0]
+            answer = real(tablet, muts)
+            events.append(("send", name))
+
+            def spied():
+                applied = answer()
+                events.append(("answer", name))
+                if name == failing:
+                    raise RuntimeError(f"batch {name} failed")
+                return applied
+            return spied
+
+        monkeypatch.setattr(cls, "submit_raw_batch", submit_raw_batch)
+        return events
+
+    @staticmethod
+    def _flush(w, k):
+        # one flush: two rows for each side of the split at "m"
+        for row in (f"a{k}0", f"n{k}0", f"a{k}1", f"n{k}1"):
+            w.put(row, "", "c", k)
+
+    def test_the_next_flush_waits_for_the_last(self, conn, monkeypatch):
+        events = self._spy(conn, monkeypatch)
+        w = conn.batch_writer("t", buffer_size=4)
+        self._flush(w, 0)
+        # sent, and nobody waits for the answers yet
+        assert events == [("send", "a00"), ("send", "n00")]
+        self._flush(w, 1)
+        self._flush(w, 2)
+        assert events[-2:] == [("send", "a20"), ("send", "n20")]
+        sent, answered = [], set()
+        for kind, name in events:
+            if kind == "send":
+                # every batch of an earlier flush is answered first
+                assert {b for b in sent if b[1] < name[1]} <= answered
+                sent.append(name)
+            else:
+                answered.add(name)
+        assert len(sent) == 6 and answered == {"a00", "n00", "a10", "n10"}
+        w.flush()
+        # flush() returns with nothing left unanswered
+        assert {name for kind, name in events if kind == "answer"} \
+            == set(sent)
+        w.close()
+        assert len(events) == 12  # close() after flush() sends nothing
+        assert len(list(conn.scanner("t"))) == 4 + 12
+
+    def test_a_failing_batch_waits_for_its_flush(self, conn, monkeypatch):
+        events = self._spy(conn, monkeypatch, failing="a10")
+        w = conn.batch_writer("t", buffer_size=4)
+        self._flush(w, 0)
+        self._flush(w, 1)
+        with pytest.raises(RuntimeError, match="a10 failed"):
+            w.flush()
+        assert events[-2:] == [("answer", "a10"), ("answer", "n10")]
+        w.close()
+        # the failure was the answer's, after the batch applied
+        assert len(list(conn.scanner("t"))) == 4 + 8
+
+
 class TestTableOps:
     def test_create_delete_exists(self, conn):
         conn.create_table("x")

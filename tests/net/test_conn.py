@@ -191,9 +191,7 @@ def test_the_client_starts_no_thread():
         conn = cluster.connect(metrics=MetricsRegistry())
         try:
             conn.create_table("t", splits=["m"])
-            writer = conn.batch_writer("t", buffer_size=64)
-            assert writer._pipeline is not None  # flushes are pipelined
-            with writer:
+            with conn.batch_writer("t", buffer_size=64) as writer:
                 for i in range(1000):
                     writer.put(f"{'az'[i % 2]}{i:04d}", "", "q", i)
             assert sum(1 for _ in conn.scanner("t")) == 1000

@@ -26,7 +26,7 @@ import pytest
 
 from repro.dbsim.client import Connector
 from repro.dbsim.server import Instance
-from repro.net import wire
+from repro.net import cells, wire
 from repro.net.cluster import LocalCluster
 from repro.net.server import SCAN_CHUNK_CELLS
 from tests.net import blocks
@@ -70,8 +70,10 @@ class _Raw:
                                    "ranges": [[None, None]],
                                    "columns": None})
 
-    def write(self, req, proxy, muts):
-        self.send(req, wire.WRITE_BATCH, proxy._batch_payload(muts))
+    def write(self, req, table, proxy, muts):
+        self.send(req, wire.WRITE_BATCH, wire.CellsPayload(
+            {"table": table, "tablet_id": proxy.tablet_id},
+            cells.encode_block(muts)))
 
     def answers(self, reqs):
         """Each request's frames, read until every one of ``reqs`` has
@@ -129,7 +131,7 @@ class TestReaderNeverBlocks:
             raw.scan(1, "big", big)
             # ~4.5 MB: the server must read all of it while the scan's
             # answer fills the client's socket
-            raw.write(2, target, muts)
+            raw.write(2, "bulk", target, muts)
             got, _ = raw.answers([1, 2])
         finally:
             raw.close()
@@ -149,7 +151,7 @@ class TestReaderNeverBlocks:
             raw.scan(1, "big", big)
             time.sleep(0.2)  # the scan's thread now waits on the client
             for k, muts in enumerate(batches):
-                raw.write(2 + k, target, muts)
+                raw.write(2 + k, "ordered", target, muts)
             got, _ = raw.answers(range(1, 2 + len(batches)))
         finally:
             raw.close()

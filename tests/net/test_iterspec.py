@@ -353,3 +353,30 @@ class TestRemoteErrors:
                         wire.raise_error(pay)
             finally:
                 conn.close()
+
+    def test_pushed_down_spec_error_counts_once(self):
+        """A scan that the server refuses with a typed error is raised
+        to the caller and counted in ``net.client.errors`` once, as a
+        unary call's error is — not retried, not re-opened."""
+        from repro.dbsim.iterators import Layer
+
+        registry = MetricsRegistry()
+        with LocalCluster(n_servers=1, processes=False) as c:
+            conn = c.connect(metrics=registry)
+            try:
+                conn.create_table("t")
+                with conn.batch_writer("t") as w:
+                    w.put("r", "", "q", 1.0)
+                before = registry.export()
+                bad = Layer(lambda batches: batches, {"op": "__import__"})
+                with pytest.raises(IterSpecError):
+                    list(conn.instance.scan_columns("t", Range(), None,
+                                                    (bad,)))
+                after = registry.export()
+            finally:
+                conn.close()
+        assert after["net.client.errors"] == before["net.client.errors"] + 1
+        for name in ("retries", "scan_resumes", "requests"):
+            assert after.get(f"net.client.{name}", 0) \
+                - before.get(f"net.client.{name}", 0) \
+                == (1 if name == "requests" else 0)

@@ -258,10 +258,7 @@ class TestPipelinedWrites:
             conn = c.connect(metrics=registry)
             try:
                 conn.create_table("T", splits=splits)
-                w = conn.batch_writer("T", buffer_size=32)
-                # the remote backend pipelines automatic flushes
-                assert w._pipeline is not None
-                with w:
+                with conn.batch_writer("T", buffer_size=32) as w:
                     for r, v in rows:
                         w.put(r, "", "c", v)
                 dedup_hits = sum(

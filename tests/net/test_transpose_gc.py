@@ -14,12 +14,13 @@ and give exactly what the old transpose gave.
 import gc
 from array import array
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 
 from repro.dbsim.key import Range, key_columns, sort_keys
 from repro.dbsim.tablet import Tablet
-from repro.net import cells
+from repro.net import cells, wire
 from repro.net.client import TabletProxy
 
 N = 10_000
@@ -65,12 +66,23 @@ def test_the_zip_transpose_wakes_the_collector():
     assert len(runs) > 50
 
 
+class _SentCore:
+    """A client core that keeps what a TabletProxy sends."""
+
+    def submit_mutate(self, addr, op, payload):
+        self.sent = (op, payload)
+
+
 def test_write_batch_payload():
-    proxy = TabletProxy(None, "t", "t!0001", Range(), ("127.0.0.1", 0))
+    core = _SentCore()
+    proxy = TabletProxy(SimpleNamespace(core=core), "t", "t!0001", Range(),
+                        ("127.0.0.1", 0))
     muts = _muts()
     with _collections() as runs:
-        payload = proxy._batch_payload(muts)
+        proxy.submit_raw_batch(muts)
     assert len(runs) <= MAX_COLLECTIONS, runs
+    op, payload = core.sent
+    assert op == wire.WRITE_BATCH
     assert payload.meta == {"table": "t", "tablet_id": "t!0001"}
     assert payload.block == cells.encode_columns(*zip(*muts))
 

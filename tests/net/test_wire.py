@@ -108,7 +108,7 @@ class TestFrames:
         try:
             a.sendall(struct.pack("!I", wire.MAX_FRAME_BYTES + 1))
             with pytest.raises(wire.ProtocolError):
-                wire.recv_frame(b)
+                wire.FrameReader(b).read()
         finally:
             a.close()
             b.close()
@@ -116,10 +116,11 @@ class TestFrames:
     def test_send_recv_over_socketpair(self):
         a, b = socket.socketpair()
         try:
-            sent = wire.send_frame(a, wire.PING, {"hello": True}, req=3)
-            code, payload, nbytes, _, req = wire.recv_frame(b)
+            frame = wire.encode_frame(wire.PING, {"hello": True}, req=3)
+            a.sendall(frame)
+            code, payload, nbytes, _, req = wire.FrameReader(b).read()
             assert (code, payload, req) == (wire.PING, {"hello": True}, 3)
-            assert nbytes == sent
+            assert nbytes == len(frame)
         finally:
             a.close()
             b.close()
@@ -131,7 +132,7 @@ class TestFrames:
             a.sendall(frame[: len(frame) // 2])
             a.close()
             with pytest.raises(wire.ConnectionClosedError):
-                wire.recv_frame(b)
+                wire.FrameReader(b).read()
         finally:
             b.close()
 
@@ -142,8 +143,8 @@ class TestFrames:
         try:
             def writer():
                 for i in range(20):
-                    wire.send_frame(a, wire.CHUNK, {"i": i}, req=5)
-                wire.send_frame(a, wire.DONE, None, req=5)
+                    a.sendall(wire.encode_frame(wire.CHUNK, {"i": i}, req=5))
+                a.sendall(wire.encode_frame(wire.DONE, None, req=5))
 
             t = threading.Thread(target=writer)
             t.start()

@@ -134,14 +134,6 @@ class TestSnapshotDelta:
         assert d.resets == {"gone"}
         assert d.deltas(nonzero=False)["b"] == 0
         assert d.rates()["a"] == pytest.approx(10.0)
-        assert d.as_dict()["seconds"] == 2.0
-        assert d.as_dict()["resets"] == ["gone"]
-
-    def test_clamping_can_be_disabled(self):
-        d = SnapshotDelta({"gone": 5}, {}, clamp_resets=False)
-        assert d.delta("gone") == -5
-        assert d.resets == {"gone"}  # still detected, just not clamped
-        assert "resets" not in d.as_dict()
 
     def test_counter_reset_mid_monitor(self):
         # a monitored process restarts between polls: counters drop back

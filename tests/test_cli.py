@@ -1,5 +1,10 @@
 """CLI subcommands, driven through main() with captured stdout."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,6 +48,23 @@ class TestInfo:
         p.write_text("")
         assert main(["info", str(p)]) == 2
         assert "no triples" in capsys.readouterr().err
+
+    def test_closed_stdout_is_no_traceback(self, graph_tsv):
+        """``repro stats … | head -3`` without the race: the pipe's
+        read end is closed before the run starts, so every write to
+        stdout fails.  Status 1, and nothing on stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(__file__).resolve().parents[1] / "src"
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "stats", graph_tsv],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src)})
+        finally:
+            os.close(write_end)
+        assert done.stderr.decode() == ""
+        assert done.returncode == 1
 
 
 class TestGenerate:

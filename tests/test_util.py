@@ -1,10 +1,9 @@
-"""Utility modules: rng, validation, timing."""
+"""Utility modules: rng and validation."""
 
 import numpy as np
 import pytest
 
 from repro.util import (
-    Timer,
     check_index,
     check_nonnegative,
     check_positive,
@@ -13,7 +12,6 @@ from repro.util import (
     check_type,
     default_rng,
     spawn_rngs,
-    timed,
 )
 
 
@@ -86,62 +84,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_square(np.zeros((2, 3)))
 
-
-class TestTiming:
-    def test_timer_accumulates(self):
-        t = Timer()
-        with t.section("a"):
-            pass
-        with t.section("a"):
-            pass
-        assert t.counts["a"] == 2 and t.totals["a"] >= 0
-
-    def test_report_format(self):
-        t = Timer()
-        with t.section("work"):
-            pass
-        assert "work" in t.report()
-
-    def test_report_orders_by_total_then_name(self):
-        t = Timer()
-        # identical totals -> alphabetical; larger totals first
-        t.totals = {"bbb": 1.0, "aaa": 1.0, "big": 5.0}
-        t.counts = {"bbb": 1, "aaa": 1, "big": 1}
-        lines = t.report().splitlines()[1:]
-        names = [line.split()[0] for line in lines]
-        assert names == ["big", "aaa", "bbb"]
-
-    def test_as_dict(self):
-        t = Timer()
-        with t.section("a"):
-            pass
-        with t.section("a"):
-            pass
-        d = t.as_dict()
-        assert d["a"]["calls"] == 2
-        assert d["a"]["total_s"] == pytest.approx(t.totals["a"])
-
-    def test_merge_accumulates_and_chains(self):
-        a, b = Timer(), Timer()
-        a.totals = {"x": 1.0}
-        a.counts = {"x": 2}
-        b.totals = {"x": 0.5, "y": 3.0}
-        b.counts = {"x": 1, "y": 4}
-        assert a.merge(b) is a
-        assert a.totals == {"x": 1.5, "y": 3.0}
-        assert a.counts == {"x": 3, "y": 4}
-        # the source timer is untouched
-        assert b.totals == {"x": 0.5, "y": 3.0}
-
-    def test_merge_empty(self):
-        a = Timer()
-        a.merge(Timer())
-        assert a.totals == {} and a.counts == {}
-
-    def test_timed(self):
-        result, best = timed(lambda x: x + 1, 41, repeat=3)
-        assert result == 42 and best >= 0
-
-    def test_timed_validates_repeat(self):
-        with pytest.raises(ValueError):
-            timed(lambda: None, repeat=0)
