@@ -66,6 +66,27 @@ class TestInfo:
         assert done.stderr.decode() == ""
         assert done.returncode == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["info"], ["pagerank", "--top", "3"], ["ktruss", "--k", "3"],
+        ["stats", "--json"]], ids=lambda argv: argv[0])
+    def test_closed_stdout_in_every_printing_command(self, graph_tsv, argv):
+        """The same promise for each subcommand that prints a result:
+        status 1 and an empty stderr, whichever ``print`` meets the
+        closed pipe first."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(__file__).resolve().parents[1] / "src"
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", argv[0], graph_tsv,
+                 *argv[1:]],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src)})
+        finally:
+            os.close(write_end)
+        assert done.stderr.decode() == ""
+        assert done.returncode == 1
+
 
 class TestGenerate:
     def test_rmat_roundtrip(self, tmp_path, capsys):
