@@ -10,15 +10,17 @@ calls one of these methods, and encodes the answer):
   split's ``replace``, the one per-tablet binning of a mutation buffer;
 * :class:`TabletServer` — hosts tablets by id and owns the hosting ops
   (host, split in place, release / adopt — the two halves of a
-  migration — drop, flush, compact), metrics binding included, and
-  TableMult's step over its own tablets with the two data calls a
-  peer's step makes of it;
+  migration — drop, flush, compact), metrics binding included, the
+  data ops (``tablet_info``, ``scan_tablet``, ``write_tablet``) that
+  a served ``TABLET_INFO`` / ``SCAN`` / ``WRITE_BATCH`` and a peer's
+  TableMult step make of it, and TableMult's step over its own
+  tablets;
 * :class:`ControlPlane` — what Accumulo's master + ZooKeeper own: table
   configs, each table's index of tablet → server assignments, the
   round-robin cursor, id minting; the only implementation of create /
   delete / ``add_split`` / flush / compact / TableMult.  Its
   ``servers`` are handles with :class:`TabletServer`'s hosting ops:
-  the servers themselves in process, RPC stubs in a cluster;
+  the servers themselves in process, remote handles in a cluster;
 * :class:`Instance` — the plane over an in-process fleet plus the
   in-process data path, so scans and Graphulo ops exercise the same
   locate-tablet → per-server flow a real client library performs.
@@ -38,7 +40,7 @@ from repro.dbsim.errors import NotHostedError
 from repro.dbsim.iterators import COMBINERS, Layer, as_layers
 from repro.dbsim.key import Range, RangeSet, clip_ranges, covering
 from repro.dbsim.stats import OpStats
-from repro.dbsim.tablet import Tablet
+from repro.dbsim.tablet import Tablet, run_now
 from repro.dbsim.visibility import Authorizations
 from repro.obs.metrics import MetricsRegistry, global_registry
 
@@ -378,30 +380,39 @@ class TabletServer:
         for _, tablet in self._of(table):
             tablet.compact(self.configs[table].table_iterators)
 
-    # -- TableMult ----------------------------------------------------------
+    # -- data ops (a served request's, a TableMult step's) and TableMult ---
 
-    def tablet_clock(self, table: str, tablet_id: str) -> int:
-        """A hosted tablet's logical clock: no stamp it holds is newer."""
+    def tablet_info(self, table: Optional[str], tablet_id: str) -> dict:
+        """A hosted tablet's shape, JSON-ready: its extent as ``[start,
+        stop]``, entry estimate, memtable and run sizes, and logical
+        clock — no stamp it holds is newer."""
         with self.lock:
-            return self.tablet(table, tablet_id)._clock
+            tablet = self.tablet(table, tablet_id)
+            return {"extent": [tablet.extent.start_row,
+                               tablet.extent.stop_row],
+                    "entries": tablet.entry_estimate(),
+                    "memtable_entries": len(tablet.memtable),
+                    "sstables": [len(run) for run in tablet.sstables],
+                    "clock": tablet._clock}
 
-    def scan_tablet(self, table: str, tablet_id: str,
-                    ranges: Sequence[Range], auths: Sequence[str]):
-        """A hosted tablet's cells inside ``ranges`` under the table's
-        layers and the visibility filter for ``auths``, as a stream of
-        column batches: the read a TableMult step makes of an ``AT`` or
-        ``B`` tablet (a peer's, over the wire, is one range-set
-        ``SCAN``).  The runs are sliced now, under :attr:`lock`; the
+    def scan_tablet(self, table: Optional[str], tablet_id: str,
+                    ranges: Sequence[Range], layers: Sequence[Layer] = (),
+                    columns=None, batch_cells: int = 2048):
+        """A hosted tablet's cells inside ``ranges`` (sorted, disjoint),
+        of ``columns`` when given, under the table's layers and then
+        ``layers`` — a scan's visibility filter and pushed-down ops —,
+        as a stream of column batches of up to ``batch_cells`` cells:
+        the read a TableMult step makes of its own tablets and of a
+        peer's (there, one range-set ``SCAN``), and what a ``SCAN``
+        streams.  The runs are sliced now, under :attr:`lock`; the
         stream counts into its own stats, folded into the tablet's
-        under the lock when it ends, as a served scan's are."""
-        from repro.net.iterspec import scan_layers  # lazy: net imports dbsim
-
+        under the lock once, when it ends or is closed."""
         with self.lock:
             tablet = self.tablet(table, tablet_id)
             sink = OpStats()
             batches = tablet.scan_columns(
-                ranges, None, self.configs[table].table_iterators,
-                scan_layers(Authorizations(auths)), sink=sink)
+                ranges, columns, self.configs[tablet.table].table_iterators,
+                layers, batch_cells=batch_cells, sink=sink)
         return self._absorbing(tablet, sink, batches)
 
     def _absorbing(self, tablet: Tablet, sink: OpStats, batches):
@@ -411,22 +422,29 @@ class TabletServer:
             with self.lock:
                 tablet.absorb_scan_stats(sink)
 
-    def write_tablet(self, table: str, tablet_id: str, columns) -> int:
+    def write_tablet(self, table: Optional[str], tablet_id: str,
+                     columns) -> int:
         """:meth:`Tablet.write_columns` on a hosted tablet, under
         :attr:`lock`: the write a TableMult step makes of an ``out``
         tablet (a peer's, over the wire, is one stamped
-        ``WRITE_BATCH``)."""
+        ``WRITE_BATCH``), and a client's batch.  A row outside the
+        extent means the caller routed by a stale index (a split landed
+        since): :class:`NotHostedError`, and nothing is applied, so the
+        re-routed retry is exactly-once."""
         with self.lock:
-            return self.tablet(table, tablet_id).write_columns(*columns)
+            try:
+                return self.tablet(table, tablet_id).write_columns(*columns)
+            except ValueError as exc:
+                raise NotHostedError(f"tablet {tablet_id!r}: {exc}") from None
 
     def submit(self, op: str, *args) -> Callable[[], object]:
         """The op ``op(*args)`` as a caller sends it to several servers
         before it waits on any (the plane's fan-outs, a step's writes):
         run now — so in process they run one after another, in the
-        order sent — and answered by the returned call.  A remote
-        handle sends the request now and waits in the call."""
-        answer = getattr(self, op)(*args)
-        return lambda: answer
+        order sent — and answered by the returned call, which raises
+        the op's error if it failed.  A remote handle sends the request
+        now and waits in the call."""
+        return run_now(getattr(self, op), *args)
 
     def multiply_tablets(self, table_at: str, tablet_ids: Sequence[str],
                          spec: MultSpec, b: Sequence["Assignment"],
@@ -467,20 +485,22 @@ class TabletServer:
         as assignments whose ``server`` is this server — a local scan,
         a local write — or a handle with :meth:`scan_tablet` and
         :meth:`submit` of ``"write_tablet"``: in a cluster, a peer's
-        RPC stub.  A server never calls itself over the wire.  A
+        remote handle.  A server never calls itself over the wire.  A
         block's writes are all sent before the previous block's are
         waited for.  A masked block or batch reads the mask cells of its
         output rows the same way a block reads ``B`` rows."""
         # lazy: graphulo and net import this module, and numpy loads
         # with the first block multiplied, not with the server
         from repro.dbsim import graphulo
-        from repro.net.iterspec import IterSpec
+        from repro.net.iterspec import IterSpec, scan_layers
 
         with self.lock:
             extents = [self.tablet(table_at, tablet_id).extent
                        for tablet_id in tablet_ids]
+        # every read's layers: the visibility filter for the spec's auths
+        layers = scan_layers(Authorizations(spec.auths))
         at = chain.from_iterable(
-            self.scan_tablet(table_at, tablet_id, [extent], spec.auths)
+            self.scan_tablet(table_at, tablet_id, [extent], layers)
             for tablet_id, extent in zip(tablet_ids, extents))
         # one table, or one multiplied by itself: B's cells are the AT
         # stream (None); else each B tablet is read once, for its share
@@ -489,7 +509,7 @@ class TabletServer:
             else chain.from_iterable(
                 entry.server.scan_tablet(spec.table_b, entry.tablet_id,
                                          clip_ranges(extents, entry.extent),
-                                         spec.auths)
+                                         layers)
                 for entry in b)
         index = TabletIndex(out)
         # the last write's acks, waited for once the next write is sent:
@@ -523,7 +543,7 @@ class TabletServer:
                 # overlap
                 return chain.from_iterable([
                     entry.server.scan_tablet(table, entry.tablet_id, share,
-                                             spec.auths)
+                                             layers)
                     for entry in entries
                     for share in [clip_ranges(ranges, entry.extent)]
                     if share])
@@ -550,6 +570,15 @@ class TabletServer:
             work = {"cells_written": written}
         answers(unacked)
         return work
+
+    def status(self) -> dict:
+        """JSON-ready: this server's name, whether it is down, and each
+        hosted tablet's table and extent (``[start, stop]``) by id."""
+        return {"name": self.name, "crashed": self.crashed,
+                "tablets": {tid: {"table": table,
+                                  "extent": [tablet.extent.start_row,
+                                             tablet.extent.stop_row]}
+                            for tid, (table, tablet) in self.hosted.items()}}
 
     # -- failure simulation -------------------------------------------------
 
@@ -674,21 +703,14 @@ class ControlPlane:
         edges = [None, *sorted(set(splits)), None]
         if hosts is not None and len(hosts) != len(edges) - 1:
             raise ValueError(f"{len(edges) - 1} tablets, {len(hosts)} hosts")
-        entries: List[Assignment] = []
-        calls = []
-        error: Optional[Exception] = None
-        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            extent = Range(lo, hi)
-            tablet_id = self._new_id(name)
-            server = self._pick() if hosts is None else hosts[i]
-            try:
-                calls.append(server.submit("host_tablet", name, tablet_id,
-                                           extent, config))
-            except Exception as exc:  # in process, the host failed here
-                error = exc
-                break
-            entries.append(Assignment(tablet_id, extent, server))
+        entries = [Assignment(self._new_id(name), Range(lo, hi),
+                              self._pick() if hosts is None else hosts[i])
+                   for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+        calls = [entry.server.submit("host_tablet", name, entry.tablet_id,
+                                     entry.extent, config)
+                 for entry in entries]
         hosted = []
+        error: Optional[Exception] = None
         for entry, call in zip(entries, calls):
             try:
                 call()
@@ -820,8 +842,8 @@ class ControlPlane:
                     f"keep one server's partial products; write into a "
                     f"fresh table or one created with "
                     f"TableConfig.combining({spec.combiner!r})")
-            base = max(answers([
-                entry.server.submit("tablet_clock", spec.out, entry.tablet_id)
+            base = max(info["clock"] for info in answers([
+                entry.server.submit("tablet_info", spec.out, entry.tablet_id)
                 for entry in self.table(spec.out).index.entries]))
         out = self.table(spec.out).index.entries
         steps = []
@@ -864,12 +886,6 @@ class Instance(ControlPlane):
 
     def tablets(self, name: str) -> List[Tablet]:
         return [self._tablet(e) for e in self.table(name).index.entries]
-
-    def locate_index(self, name: str) -> Tuple[List[str], List[Tablet]]:
-        """The table's location index as parallel (start keys, tablets)
-        lists; the start-key list's identity is a staleness token (see
-        :class:`TabletIndex`)."""
-        return self.table(name).index.starts, self.tablets(name)
 
     def locate(self, name: str, row: str) -> Tablet:
         """Find the tablet whose extent contains ``row``."""

@@ -55,6 +55,21 @@ from repro.obs import trace as _trace
 KVRun = Tuple[List[SortKey], List[str]]
 
 
+def run_now(op: Callable, *args) -> Callable[[], object]:
+    """``op(*args)`` run now and answered later, as a remote request
+    is: the returned call returns what it returned, or raises what it
+    raised — never the submission itself."""
+    try:
+        answer = op(*args)
+    except Exception as exc:  # noqa: BLE001 - the answer raises it
+        error = exc
+
+        def fail():
+            raise error
+        return fail
+    return lambda: answer
+
+
 def _probes(ranges: Sequence[Range]) -> list:
     """The bisect probes :func:`_slice_rows` takes for a range set."""
     return [((r.effective_start(),), (r.effective_stop(),)) for r in ranges]
@@ -190,7 +205,7 @@ class Tablet:
         """Fold one finished scan's private OpStats (built with the
         ``sink=`` argument of :meth:`scan_columns`) into the tablet's
         shared block and its metered tee.  The caller serializes calls
-        (the net server holds its service lock)."""
+        (``TabletServer.scan_tablet`` holds the server's lock)."""
         if stats.seeks:
             self._sink.seeks += stats.seeks
         if stats.entries_read:
@@ -306,9 +321,10 @@ class Tablet:
 
     def submit_raw_batch(self, mutations: Iterable[tuple]
                          ) -> Callable[[], int]:
-        """:meth:`write_raw_batch`, applied now and answered later."""
-        applied = self.write_raw_batch(mutations)
-        return lambda: applied
+        """:meth:`write_raw_batch`, applied now and answered later: a
+        failed write (a crashed server, a row outside the extent) is
+        raised by the answer, as a remote tablet's is."""
+        return run_now(self.write_raw_batch, mutations)
 
     def write_batch(self, cells: Iterable[Cell]) -> int:
         """:meth:`write_columns` over :class:`Cell` objects."""

@@ -72,8 +72,8 @@ from repro.obs.metrics import MetricsRegistry, global_registry
 
 __all__ = [
     "Addr", "RetryPolicy", "RpcCore", "RemoteInstance", "RemoteConnector",
-    "StreamOverrunError", "TabletProxy", "format_addr", "parse_addr",
-    "submit_write",
+    "RemoteTabletServer", "StreamOverrunError", "TabletProxy", "format_addr",
+    "parse_addr", "submit_write",
 ]
 
 Addr = Tuple[str, int]
@@ -726,14 +726,21 @@ def _ship(scan_iterators: Sequence) -> Tuple[dict, tuple]:
     runs here: a spec-less SCAN is the plain payload it always was."""
     ops = [layer.op for layer in takewhile(
         lambda layer: layer.op, scan_iterators)]
-    spec = [op for op in ops if op["op"] != "visibility"]
-    if not spec:
+    if all(op["op"] == "visibility" for op in ops):
         return {}, tuple(scan_iterators)
-    pushdown = {"iterspec": spec}
+    return _pushdown(ops), tuple(scan_iterators[len(ops):])
+
+
+def _pushdown(ops: Sequence[dict]) -> dict:
+    """The SCAN payload fields of layers' wire forms ``ops``: the spec
+    ops as ``"iterspec"`` (when there are any), the visibility filter's
+    tokens as ``"auths"``."""
+    spec = [op for op in ops if op["op"] != "visibility"]
+    pushdown = {"iterspec": spec} if spec else {}
     for op in ops:
         if op["op"] == "visibility":
             pushdown["auths"] = op["auths"]
-    return pushdown, tuple(scan_iterators[len(ops):])
+    return pushdown
 
 
 class _Segment:
@@ -1126,6 +1133,127 @@ class _RunInfo:
 
     def __repr__(self) -> str:
         return f"_RunInfo(entries={self.entries})"
+
+
+#: the ops a :class:`RemoteTabletServer` sends unstamped: each one's
+#: op-code and the payload fields its arguments fill, in order
+_PLAIN_OPS = {"flush_table": (wire.FLUSH, ("table",)),
+              "compact_table": (wire.COMPACT, ("table",)),
+              "tablet_info": (wire.TABLET_INFO, ("table", "tablet_id")),
+              "crash": (wire.CRASH, ()),
+              "recover": (wire.RECOVER, ("replay_wal",)),
+              "stats": (wire.STATS, ()), "metrics": (wire.METRICS, ()),
+              "status": (wire.STATUS, ()), "shutdown": (wire.SHUTDOWN, ())}
+
+
+class RemoteTabletServer:
+    """A tablet server on the other side of a socket, as the manager's
+    :class:`~repro.dbsim.server.ControlPlane` and another server's
+    TableMult step see it: :class:`~repro.dbsim.server.TabletServer`'s
+    method names, each one request on ``core``.  ``submit(op, *args)``
+    sends ``op`` — one of those, or a service's ``stats``, ``metrics``,
+    ``status`` or ``shutdown`` — now and waits in the call it returns,
+    so requests to several servers overlap.  ``release_tablet`` returns
+    the ``MIGRATE_OUT`` reply, which ``adopt_tablet`` sends on as it
+    came.
+
+    It is also the ``inst`` of :meth:`scan_tablet`'s scan pump, which
+    asks it for nothing but its ``core`` until a tablet moves: the
+    plane's steps all run while the manager handles their op, so no
+    tablet can split or migrate under a step."""
+
+    def __init__(self, core: RpcCore, name: str, addr: Addr):
+        self.core = core
+        self.name = name
+        self.addr = addr
+
+    def _send(self, op: int, fields, mutate: bool = False
+              ) -> Callable[[], dict]:
+        """Send ``op`` now — stamped for exactly-once when ``mutate`` —
+        and return the call that waits for its answer."""
+        submit = self.core.submit_mutate if mutate else self.core.submit
+        return submit(self.addr, op, fields).result
+
+    def submit(self, op: str, *args) -> Callable[[], object]:
+        if op in _PLAIN_OPS:
+            code, fields = _PLAIN_OPS[op]
+            return self._send(code, dict(zip(fields, args)))
+        return getattr(self, f"_{op}")(*args)
+
+    def _host_tablet(self, table: str, tablet_id: str, extent: Range,
+                     config: TableConfig):
+        return self._send(wire.HOST_TABLET, {
+            "table": table, "tablet_id": tablet_id,
+            "extent": wire.range_to_wire(extent),
+            "config": wire.config_to_wire(config)}, mutate=True)
+
+    def _drop_table(self, table: str):
+        answer = self._send(wire.DROP_TABLE, {"table": table}, mutate=True)
+        return lambda: answer()["dropped"]
+
+    def _write_tablet(self, table: str, tablet_id: str, columns):
+        return submit_write(self.core, self.addr, table, tablet_id,
+                            _cells.encode_columns(*columns))
+
+    def _multiply_tablets(self, table_at: str, tablet_ids: Sequence[str],
+                          spec, b: Sequence, out: Sequence, mask: Sequence,
+                          base: int, step: int, steps: int):
+        # a step takes as long as its tablets take, so its answer is
+        # waited for however long; a re-send after a lost connection is
+        # answered by the first run, running or done
+        return self.core.submit_mutate(self.addr, wire.MULTIPLY_TABLETS, {
+            "table": table_at, "tablet_ids": list(tablet_ids),
+            "spec": asdict(spec), "b": [_assignment_to_wire(a) for a in b],
+            "out": [_assignment_to_wire(a) for a in out],
+            "mask": [_assignment_to_wire(a) for a in mask],
+            "base": base, "step": step, "steps": steps}, wait=True).result
+
+    def split_tablet(self, table: str, tablet_id: str, split_row: str,
+                     left_id: str, right_id: str) -> Tuple[Range, Range]:
+        resp = self._send(wire.SPLIT_TABLET, {
+            "table": table, "tablet_id": tablet_id, "split_row": split_row,
+            "left_id": left_id, "right_id": right_id}, mutate=True)()
+        return (wire.wire_to_range(resp["left"]),
+                wire.wire_to_range(resp["right"]))
+
+    def release_tablet(self, table: str, tablet_id: str) -> wire.CellsPayload:
+        return self._send(wire.MIGRATE_OUT, {
+            "table": table, "tablet_id": tablet_id}, mutate=True)()
+
+    def adopt_tablet(self, table: str, tablet_id: str,
+                     state: wire.CellsPayload, config: TableConfig) -> None:
+        self._send(wire.MIGRATE_IN, wire.CellsPayload(
+            {**state.meta, "table": table, "tablet_id": tablet_id,
+             "config": wire.config_to_wire(config)}, state.block),
+            mutate=True)()
+
+    def scan_tablet(self, table: str, tablet_id: str,
+                    ranges: Sequence[Range], layers: Sequence = ()):
+        """One range-set ``SCAN``, opened now (as a local scan slices
+        now) and resumed mid-stream like any client's; ``layers`` —
+        each with a wire form — run in the server, which also sizes
+        the batches."""
+        pump = _RemoteScanStream(
+            self, table, list(ranges), [_Segment(self.addr, tablet_id,
+                                                 Range())],
+            _pushdown([layer.op for layer in layers]))
+        pump._fanout()
+        return iter(pump.next_batch, None)
+
+    def invalidate(self, table: str) -> None:
+        pass
+
+    def tablets(self, table: str):
+        raise NotHostedError(f"a tablet of {table!r} moved under a "
+                             f"TableMult step")
+
+
+def _assignment_to_wire(entry) -> dict:
+    """One tablet of a TableMult step's plan, with where it lives."""
+    return {"tablet_id": entry.tablet_id,
+            "extent": wire.range_to_wire(entry.extent),
+            "server": entry.server.name,
+            "addr": format_addr(entry.server.addr)}
 
 
 class RemoteInstance:

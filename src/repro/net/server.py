@@ -7,16 +7,18 @@ them behind sockets: two services, each a threaded TCP listener
 speaking :mod:`repro.net.wire` frames, whose handlers decode a payload,
 call one method, and encode the answer.
 
-* :class:`TabletServerService` serves one ``TabletServer``.  It adds
-  the *data path* (``write_batch`` and streaming ``scan`` against the
-  hosted tablets) and the wire form of a migrating tablet's state; the
-  hosting, TableMult-step and failure-simulation ops are the
-  ``TabletServer``'s own.  A TableMult step reaches the tablets of
-  other servers through :class:`_PeerStub`\\ s — a ``SCAN`` and a
-  stamped ``WRITE_BATCH`` on the service's own :class:`RpcCore`.
+* :class:`TabletServerService` serves one ``TabletServer``: every
+  op-code is one of its methods — ``SCAN`` its ``scan_tablet``,
+  streamed as ``CHUNK`` frames, ``WRITE_BATCH`` its ``write_tablet``,
+  ``TABLET_INFO`` its ``tablet_info`` — and the service adds only the
+  wire: payload checks, the streamed scan's framing, and the wire form
+  of a migrating tablet's state.  A TableMult step reaches the tablets
+  of other servers through one
+  :class:`~repro.net.client.RemoteTabletServer` per peer — a ``SCAN``
+  and a stamped ``WRITE_BATCH`` on the service's own peer ``RpcCore``.
 * :class:`ManagerService` serves one ``ControlPlane`` whose servers
-  are :class:`_ServerStub`\\ s — the hosting ops as RPCs — and adds the
-  cluster fan-outs (stats, metrics, crash / recover,
+  are ``RemoteTabletServer``\\ s — the same handle — and adds the
+  cluster fan-outs through them (stats, metrics, crash / recover,
   status, shutdown).  A migrating tablet's state passes through it
   unopened, from one server's ``MIGRATE_OUT`` reply into the other's
   ``MIGRATE_IN`` request.  Splits — the owner splits in place, then
@@ -74,14 +76,13 @@ import threading
 import time
 import zlib
 from collections import OrderedDict, deque
-from dataclasses import asdict
 from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dbsim.errors import BusyError, NotHostedError
+from repro.dbsim.errors import BusyError
 from repro.dbsim.iterators import Layer
-from repro.dbsim.key import (Key, Range, SortKey, key_columns, sort_keys,
+from repro.dbsim.key import (Key, SortKey, key_columns, sort_keys,
                              sorted_disjoint)
 from repro.dbsim.server import (Assignment, ControlPlane, MultSpec,
                                 TableConfig, TabletServer, answers)
@@ -94,13 +95,11 @@ from repro.net import iterspec as _iterspec
 from repro.net import wire
 from repro.net.client import (
     Addr,
+    RemoteTabletServer,
     RetryPolicy,
     RpcCore,
-    _RemoteScanStream,
-    _Segment,
     format_addr,
     parse_addr,
-    submit_write,
 )
 from repro.net.faults import FaultPlan, apply_fault
 from repro.obs import sampling as _sampling
@@ -620,14 +619,9 @@ class _BaseService:
 
     # -- subclass hooks ---------------------------------------------------
 
-    def _handlers(self) -> Dict[int, Callable[[dict], dict]]:
-        raise NotImplementedError
-
-    @cached_property
-    def _ops(self) -> Dict[int, Callable[[dict], dict]]:
-        """:meth:`_handlers`' table, built once per service rather than
-        once per request."""
-        return self._handlers()
+    #: op-code → handler: a subclass's cached property, so the table is
+    #: built once per service rather than once per request
+    _ops: Dict[int, Callable[[dict], dict]]
 
     def _stream_handler(self, code: int):
         """Streaming ops (many response frames) bypass the normal
@@ -711,47 +705,6 @@ def _coalesce(batches):
         yield held
 
 
-class _PeerStub:
-    """Another tablet server as a TableMult step here sees it:
-    :class:`~repro.dbsim.server.TabletServer`'s two data calls, each
-    one request of a client's — a range-set ``SCAN``, opened at once
-    and resumed mid-stream like any client's, and a ``WRITE_BATCH``
-    sent as a client's flush sends it (:func:`~repro.net.client.
-    submit_write`).
-
-    It is also the ``inst`` of the scan pump, which asks it for
-    nothing but its ``core`` until a tablet moves: the plane's steps
-    all run while the manager handles their op, so no tablet can split
-    or migrate under a step.  The peer may be stepping too, and serves
-    these calls between its own step's slices and writes."""
-
-    def __init__(self, core: RpcCore, addr: Addr):
-        self.core = core
-        self.addr = addr
-
-    def scan_tablet(self, table: str, tablet_id: str,
-                    ranges: Sequence[Range], auths: Sequence[str]):
-        pump = _RemoteScanStream(self, table, list(ranges),
-                                 [_Segment(self.addr, tablet_id, Range())],
-                                 {"auths": list(auths)})
-        pump._fanout()  # the SCAN goes out now, as a local scan slices now
-        return iter(pump.next_batch, None)
-
-    def submit(self, op: str, table: str, tablet_id: str, columns):
-        """``write_tablet``, the op a step sends a peer without waiting."""
-        if op != "write_tablet":
-            raise ValueError(f"a step sends a peer no {op!r}")
-        return submit_write(self.core, self.addr, table, tablet_id,
-                            cells.encode_columns(*columns))
-
-    def invalidate(self, table: str) -> None:
-        pass
-
-    def tablets(self, table: str):
-        raise NotHostedError(f"a tablet of {table!r} moved under a "
-                             f"TableMult step")
-
-
 class TabletServerService(_BaseService):
     """One dbsim :class:`~repro.dbsim.server.TabletServer` behind a
     socket: its hosting, TableMult-step and failure-simulation ops as
@@ -771,13 +724,14 @@ class TabletServerService(_BaseService):
                  metrics: Optional[MetricsRegistry] = None):
         super().__init__(name, faults, metrics)
         self.tserver = TabletServer(name, self.metrics, lock=self._lock)
-        #: the server's own registry, not a copy: tablet_id → (table, Tablet)
-        self._hosted = self.tserver.hosted
         #: the client core of this server's peer calls, made with the
-        #: first TableMult step that needs another server
+        #: first TableMult step that needs another server, and one
+        #: handle on it per peer, by name
         self._peer_core: Optional[RpcCore] = None
+        self._peers: Dict[str, RemoteTabletServer] = {}
 
-    def _handlers(self):
+    @cached_property
+    def _ops(self):
         tserver = self.tserver
         return {
             wire.PING: lambda p: {},
@@ -797,8 +751,9 @@ class TabletServerService(_BaseService):
                 replay_wal=p.get("replay_wal", True)),
             wire.STATS: lambda p: tserver.stats.as_dict(),
             wire.METRICS: lambda p: self.metrics.export(),
-            wire.TABLET_INFO: self._tablet_info,
-            wire.STATUS: self._status,
+            wire.TABLET_INFO: lambda p: tserver.tablet_info(
+                p.get("table"), p["tablet_id"]),
+            wire.STATUS: lambda p: tserver.status(),
             wire.SHUTDOWN: lambda p: {},
         }
 
@@ -810,11 +765,7 @@ class TabletServerService(_BaseService):
         if self._peer_core is not None:
             self._peer_core.close()
 
-    # -- hosting: decode → TabletServer op → encode -------------------------
-
-    def _get(self, payload: dict) -> Tablet:
-        return self.tserver.tablet(payload.get("table"),
-                                   payload["tablet_id"])
+    # -- decode → TabletServer op → encode --------------------------------
 
     def _host_tablet(self, p: dict) -> None:
         self.tserver.host_tablet(
@@ -845,45 +796,34 @@ class TabletServerService(_BaseService):
     def _assignments(self, items: List[dict]) -> List[Assignment]:
         """Wire assignments with each ``server`` resolved: this server's
         own ``TabletServer`` — never a call over the wire to itself —
-        or a :class:`_PeerStub`."""
-        out = []
-        for item in items:
-            if item["server"] == self.name:
-                server = self.tserver
-            else:
-                with self._lock:
-                    if self._peer_core is None:
-                        self._peer_core = RpcCore(metrics=self.metrics)
-                server = _PeerStub(self._peer_core, parse_addr(item["addr"]))
-            out.append(Assignment(item["tablet_id"],
-                                  wire.wire_to_range(item["extent"]),
-                                  server))
-        return out
+        or the peer's :class:`~repro.net.client.RemoteTabletServer`."""
+        return [Assignment(item["tablet_id"],
+                           wire.wire_to_range(item["extent"]),
+                           self.tserver if item["server"] == self.name
+                           else self._peer(item["server"], item["addr"]))
+                for item in items]
 
-    # -- data path --------------------------------------------------------
+    def _peer(self, name: str, addr: str) -> RemoteTabletServer:
+        with self._lock:
+            peer = self._peers.get(name)
+            if peer is None:
+                if self._peer_core is None:
+                    self._peer_core = RpcCore(metrics=self.metrics)
+                peer = self._peers[name] = RemoteTabletServer(
+                    self._peer_core, name, parse_addr(addr))
+            return peer
 
     def _write_batch(self, p) -> dict:
         meta = _binary(p, "WRITE_BATCH").meta
-        columns = cells.decode_columns(p.block)
-        tablet = self._get(meta)
-        try:
-            applied = tablet.write_columns(*columns)
-        except ValueError as exc:
-            # stale client routing (split landed between the client's
-            # bisect and this request): the tablet rejected the WHOLE
-            # batch before applying anything, so the re-binned retry is
-            # exactly-once
-            raise NotHostedError(
-                f"tablet {meta['tablet_id']!r}: {exc}") from None
-        return {"applied": applied}
+        return {"applied": self.tserver.write_tablet(
+            meta.get("table"), meta["tablet_id"],
+            cells.decode_columns(p.block))}
+
+    # -- the streamed scan ------------------------------------------------
 
     def _scan_stream(self, state: _ConnState, p: dict, req: int) -> None:
         counters = self.metrics.counter
-        # scans run concurrently, and the tablet's shared OpStats sink
-        # updates with non-atomic += — each scan counts into a private
-        # block folded back under the service lock when it finishes
-        scan_stats = OpStats()
-        tablet = None
+        batches = None  # the tablet's stream, closed (its stats folded) here
         entered = emitted = 0  # cells into / out of the pushed-down layers
         held = ()  # the newest CHUNK, until the next batch is known
         frames = 0  # sent so far
@@ -898,7 +838,7 @@ class TabletServerService(_BaseService):
             frames += len(held) + len(last)
             if nsent and held:
                 counters("net.server.scan_chunks").inc()
-                counters(f"net.server.table.{tablet.table}.scan_bytes").inc(
+                counters(f"net.server.table.{p.get('table')}.scan_bytes").inc(
                     len(held[0][1]) - wire.FRAME_OVERHEAD)
             held = ()
             return nsent
@@ -949,19 +889,15 @@ class TabletServerService(_BaseService):
                 raise ValueError("SCAN ranges must be sorted and disjoint")
             columns = ([tuple(c) for c in p["columns"]]
                        if p.get("columns") else None)
-            with self._lock:
-                tablet = self._get(p)
-                config = self.tserver.configs[tablet.table]
-                # the same call the in-process client makes: the runs
-                # are sliced here, under the lock; merging them, the
-                # storage pass and the layers' stages run as the
-                # batches are pulled, outside it.  The CHUNK block is
-                # encoded from each batch's columns — no Cell is built
-                batches = tablet.scan_columns(
-                    ranges, columns, config.table_iterators, push,
-                    batch_cells=SCAN_CHUNK_CELLS, sink=scan_stats)
+            # the runs are sliced now, under the lock; merging them, the
+            # storage pass and the layers' stages run as the batches
+            # are pulled, outside it.  The CHUNK block is encoded from
+            # each batch's columns — no Cell is built
+            out = batches = self.tserver.scan_tablet(
+                p.get("table"), p["tablet_id"], ranges, push, columns,
+                SCAN_CHUNK_CELLS)
             if spec:
-                batches = _coalesce(batches)
+                out = _coalesce(batches)
                 counters("net.server.pushdown.stacks").inc()
                 counters("net.server.pushdown.ops").inc(len(spec))
             # one CHUNK per batch, then a bare DONE: the stream's only
@@ -969,7 +905,7 @@ class TabletServerService(_BaseService):
             # show whether the stream goes on: a one-batch scan answers
             # in one write from the thread that read it, and a longer
             # one passes the reader role on before it streams
-            for batch in batches:  # crash check raises on the first
+            for batch in out:  # crash check raises on the first
                 emitted += len(batch)
                 if req in state.cancelled or not state.alive:
                     return  # client stopped listening: stop producing
@@ -985,133 +921,21 @@ class TabletServerService(_BaseService):
             counters("net.server.errors").inc()
             send(wire.ERROR, wire.error_payload(exc))
         finally:
+            if batches is not None:
+                batches.close()
             if entered > emitted:
                 counters("net.server.pushdown.cells_folded").inc(
                     entered - emitted)
-            if tablet is not None and (scan_stats.seeks
-                                       or scan_stats.entries_read):
-                with self._lock:
-                    tablet.absorb_scan_stats(scan_stats)
-
-    # -- introspection ----------------------------------------------------
-
-    def _tablet_info(self, p: dict) -> dict:
-        tablet = self._get(p)
-        return {
-            "extent": wire.range_to_wire(tablet.extent),
-            "entries": tablet.entry_estimate(),
-            "memtable_entries": len(tablet.memtable),
-            "sstables": [len(run) for run in tablet.sstables],
-            "clock": tablet._clock,
-        }
-
-    def _status(self, p: dict) -> dict:
-        return {
-            "name": self.name,
-            "crashed": self.tserver.crashed,
-            "tablets": {
-                tid: {"table": table,
-                      "extent": wire.range_to_wire(tablet.extent)}
-                for tid, (table, tablet) in self.tserver.hosted.items()},
-        }
 
 
 # -- manager ----------------------------------------------------------------
 
 
-class _ServerStub:
-    """A remote tablet server as a :class:`~repro.dbsim.server.
-    ControlPlane` sees it: :class:`~repro.dbsim.server.TabletServer`'s
-    hosting ops, each one RPC.  What ``release_tablet`` returns — the
-    ``MIGRATE_OUT`` reply, a tablet's state as one cell block — goes
-    into ``adopt_tablet``'s ``MIGRATE_IN`` as it came.  An op the plane
-    fans out (``submit``) is sent at once and waited for in the call it
-    returns, so the plane's requests to several servers overlap."""
-
-    def __init__(self, core: RpcCore, name: str, addr: Addr):
-        self.core = core
-        self.name = name
-        self.addr = addr
-
-    def _send(self, op: int, table: str, mutate: bool = True,
-              wait: bool = False, **fields) -> Callable[[], dict]:
-        """Send ``op`` now — stamped for exactly-once when ``mutate``;
-        with no response deadline under ``wait`` — and return the call
-        that waits for its answer."""
-        submit = self.core.submit_mutate if mutate else self.core.submit
-        return submit(self.addr, op, {"table": table, **fields},
-                      wait=wait).result
-
-    def submit(self, op: str, *args) -> Callable[[], object]:
-        return getattr(self, f"_{op}")(*args)
-
-    def _host_tablet(self, table: str, tablet_id: str, extent: Range,
-                     config: TableConfig):
-        return self._send(wire.HOST_TABLET, table, tablet_id=tablet_id,
-                          extent=wire.range_to_wire(extent),
-                          config=wire.config_to_wire(config))
-
-    def _drop_table(self, table: str):
-        answer = self._send(wire.DROP_TABLE, table)
-        return lambda: answer()["dropped"]
-
-    def _flush_table(self, table: str):
-        return self._send(wire.FLUSH, table, mutate=False)
-
-    def _compact_table(self, table: str):
-        return self._send(wire.COMPACT, table, mutate=False)
-
-    def _tablet_clock(self, table: str, tablet_id: str):
-        answer = self._send(wire.TABLET_INFO, table, mutate=False,
-                            tablet_id=tablet_id)
-        return lambda: answer()["clock"]
-
-    def _multiply_tablets(self, table_at: str, tablet_ids: Sequence[str],
-                          spec: MultSpec, b: Sequence[Assignment],
-                          out: Sequence[Assignment],
-                          mask: Sequence[Assignment], base: int, step: int,
-                          steps: int):
-        # a step takes as long as its tablets take, so its answer is
-        # waited for however long; a re-send after a lost connection is
-        # answered by the first run, running or done
-        return self._send(
-            wire.MULTIPLY_TABLETS, table_at, wait=True,
-            tablet_ids=list(tablet_ids), spec=asdict(spec),
-            b=[_assignment_to_wire(a) for a in b],
-            out=[_assignment_to_wire(a) for a in out],
-            mask=[_assignment_to_wire(a) for a in mask],
-            base=base, step=step, steps=steps)
-
-    def split_tablet(self, table: str, tablet_id: str, split_row: str,
-                     left_id: str, right_id: str) -> Tuple[Range, Range]:
-        resp = self._send(wire.SPLIT_TABLET, table, tablet_id=tablet_id,
-                          split_row=split_row, left_id=left_id,
-                          right_id=right_id)()
-        return (wire.wire_to_range(resp["left"]),
-                wire.wire_to_range(resp["right"]))
-
-    def release_tablet(self, table: str, tablet_id: str) -> wire.CellsPayload:
-        return self._send(wire.MIGRATE_OUT, table, tablet_id=tablet_id)()
-
-    def adopt_tablet(self, table: str, tablet_id: str,
-                     state: wire.CellsPayload, config: TableConfig) -> None:
-        self.core.mutate(self.addr, wire.MIGRATE_IN, wire.CellsPayload(
-            {**state.meta, "table": table, "tablet_id": tablet_id,
-             "config": wire.config_to_wire(config)}, state.block))
-
-
-def _assignment_to_wire(entry: Assignment) -> dict:
-    """One tablet of a TableMult step's plan, with where it lives."""
-    return {"tablet_id": entry.tablet_id,
-            "extent": wire.range_to_wire(entry.extent),
-            "server": entry.server.name,
-            "addr": format_addr(entry.server.addr)}
-
-
 class ManagerService(_BaseService):
-    """One :class:`~repro.dbsim.server.ControlPlane` behind a socket —
-    its servers are :class:`_ServerStub`\\ s — plus the cluster
-    fan-outs no single server can answer."""
+    """One :class:`~repro.dbsim.server.ControlPlane` behind a socket,
+    plus the cluster fan-outs no single server can answer.  The plane's
+    servers are :class:`~repro.net.client.RemoteTabletServer`\\ s, and
+    every fan-out goes through them too."""
 
     def __init__(self, servers: Sequence[Tuple[str, Addr]],
                  faults: Optional[FaultPlan] = None,
@@ -1124,10 +948,11 @@ class ManagerService(_BaseService):
                             retry=RetryPolicy(attempts=3, base=0.01,
                                               cap=0.1))
         self.plane = ControlPlane(
-            [_ServerStub(self.core, n, parse_addr(a)) for n, a in servers],
-            self.metrics)
+            [RemoteTabletServer(self.core, n, parse_addr(a))
+             for n, a in servers], self.metrics)
 
-    def _handlers(self):
+    @cached_property
+    def _ops(self):
         plane = self.plane
         return {
             wire.PING: lambda p: {},
@@ -1145,8 +970,9 @@ class ManagerService(_BaseService):
                 p["table"], MultSpec.from_wire(p["spec"])),
             wire.STATS: self._fan_stats,
             wire.METRICS: self._fan_metrics,
-            wire.CRASH: self._crash_server,
-            wire.RECOVER: self._recover_server,
+            wire.CRASH: lambda p: self._server(p["server"]).submit("crash")(),
+            wire.RECOVER: lambda p: self._server(p["server"]).submit(
+                "recover", p.get("replay_wal", True))(),
             wire.STATUS: self._status,
             wire.SHUTDOWN: self._shutdown_cluster,
         }
@@ -1176,17 +1002,16 @@ class ManagerService(_BaseService):
 
     # -- fan-out ops ------------------------------------------------------
 
-    def _fan_out(self, op: int) -> Dict[str, dict]:
+    def _fan_out(self, op: str) -> Dict[str, dict]:
         """Every server's answer to ``op``, by name: sent to all of them
         before any answer is awaited, so the round trips overlap
         (:func:`~repro.dbsim.server.answers`)."""
         servers = self.plane.servers
-        return dict(zip((server.name for server in servers), answers(
-            [self.core.submit(server.addr, op, {}).result
-             for server in servers])))
+        return dict(zip((server.name for server in servers),
+                        answers([server.submit(op) for server in servers])))
 
     def _fan_stats(self, p: dict) -> dict:
-        per_server = self._fan_out(wire.STATS)
+        per_server = self._fan_out("stats")
         total = OpStats()
         for stats in per_server.values():
             total = total.merge(OpStats.from_dict(stats))
@@ -1194,28 +1019,19 @@ class ManagerService(_BaseService):
 
     def _fan_metrics(self, p: dict) -> dict:
         return {"manager": self.metrics.export(),
-                "servers": self._fan_out(wire.METRICS)}
+                "servers": self._fan_out("metrics")}
 
-    def _server_addr(self, name: str) -> Addr:
+    def _server(self, name: str) -> RemoteTabletServer:
         for server in self.plane.servers:
             if server.name == name:
-                return server.addr
+                return server
         raise KeyError(f"no such tablet server: {name!r}")
-
-    def _crash_server(self, p: dict) -> dict:
-        self.core.call(self._server_addr(p["server"]), wire.CRASH, {})
-        return {}
-
-    def _recover_server(self, p: dict) -> dict:
-        self.core.call(self._server_addr(p["server"]), wire.RECOVER,
-                       {"replay_wal": p.get("replay_wal", True)})
-        return {}
 
     def _status(self, p: dict) -> dict:
         statuses = {}
         for server in self.plane.servers:
             try:
-                status = self.core.call(server.addr, wire.STATUS, {})
+                status = server.submit("status")()
             except Exception as exc:  # noqa: BLE001 - a down server
                 status = {"error": str(exc)}
             status["addr"] = format_addr(server.addr)
@@ -1226,7 +1042,7 @@ class ManagerService(_BaseService):
     def _shutdown_cluster(self, p: dict) -> dict:
         for server in self.plane.servers:
             try:
-                self.core.call(server.addr, wire.SHUTDOWN, {})
+                server.submit("shutdown")()
             except Exception:  # noqa: BLE001 - best effort on teardown
                 pass
         return {}

@@ -401,13 +401,6 @@ def raise_error(payload: dict) -> None:
     raise cls(payload.get("message", "remote error"))
 
 
-def error_from_payload(payload: dict) -> BaseException:
-    """The exception an ``ERROR`` frame describes, unraised (for a
-    caller that stores the failure instead of raising it)."""
-    cls = _ERROR_TYPES.get(payload.get("type", ""), RpcError)
-    return cls(payload.get("message", "remote error"))
-
-
 # -- value codecs -----------------------------------------------------------
 
 

@@ -12,11 +12,13 @@ tablets live on.
 import pytest
 
 from repro.dbsim.client import Connector
+from repro.dbsim.errors import ServerCrashedError
 from repro.dbsim.key import Range
-from repro.dbsim.server import Instance
+from repro.dbsim.server import Instance, TableConfig
 from repro.dbsim.visibility import Authorizations
-from repro.net.client import RemoteConnector, RemoteInstance
+from repro.net.client import RemoteConnector, RemoteInstance, format_addr
 from repro.net.cluster import LocalCluster
+from repro.net.wire import RpcError
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +319,37 @@ class TestFlushDiscipline:
         w.close()
         # the failure was the answer's, after the batch applied
         assert len(list(conn.scanner("t"))) == 4 + 8
+
+    @staticmethod
+    def _crash_owner(conn, table, row):
+        """Crash the server hosting ``row`` of ``table``; the call that
+        recovers it."""
+        inst = conn.instance
+        if not isinstance(inst, RemoteInstance):
+            server = inst.locate(table, row).server
+            server.crash()
+            return server.recover
+        addr = format_addr(inst.locate(table, row).addr)
+        name, = [name for name, status in inst.status()["servers"].items()
+                 if status["addr"] == addr]
+        inst.crash_server(name)
+        return lambda: inst.recover_server(name)
+
+    def test_a_batch_a_crashed_server_refused_is_not_sent_again(self, conn):
+        # the refusal is the batch's answer on both backends: flush()
+        # raises it, the rest of the flush stays applied once, and
+        # close() has nothing left to send
+        conn.create_table("s", TableConfig.combining("sum"), splits=["m"])
+        w = conn.batch_writer("s")
+        w.put("a", "", "c", 1)
+        w.put("z", "", "c", 1)
+        recover = self._crash_owner(conn, "s", "z")
+        with pytest.raises((ServerCrashedError, RpcError)):
+            w.flush()
+        recover()
+        w.close()
+        assert [(c.key.row, c.value) for c in conn.scanner("s")] \
+            == [("a", "1")]
 
 
 class TestTableOps:

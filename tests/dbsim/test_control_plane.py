@@ -1,6 +1,6 @@
 """One control plane, checked: the in-process ``Instance``, a bare
 ``ControlPlane`` over recording fake handles, and a thread cluster
-(the plane behind a socket, ``_ServerStub`` handles) run the same
+(the plane behind a socket, ``RemoteTabletServer`` handles) run the same
 script and must agree on every tablet id, extent and placement — and
 on every step, what the index says is where the tablets really are.
 
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.dbsim.client import Connector
 from repro.dbsim.key import Range
 from repro.dbsim.server import ControlPlane, Instance, TabletIndex
+from repro.dbsim.tablet import run_now
 from repro.net.client import format_addr
 from repro.net.cluster import LocalCluster
 from repro.obs.metrics import MetricsRegistry
@@ -79,9 +80,8 @@ class FakeServer:
 
     def submit(self, op, *args):
         """An op the plane fans out, run now as an in-process server
-        runs it."""
-        answer = getattr(self, op)(*args)
-        return lambda: answer
+        runs it: a failure is raised by the returned call."""
+        return run_now(getattr(self, op), *args)
 
 
 def fake_plane(n=N_SERVERS):
@@ -260,25 +260,31 @@ def test_a_failed_create_leaves_the_name_free():
     with pytest.raises(KeyError, match="no such table"):
         plane.table("t")
     plane.create_table("t")  # the retry: next id, next server
-    assert log == [("tserver1", "host_tablet", "t!0002")]
+    # every host was sent before any answer was awaited: the tablet
+    # hosted beside the failed one is dropped again
+    assert log == [("tserver1", "host_tablet", "t!0002"),
+                   ("tserver1", "drop_table", "t"),
+                   ("tserver2", "host_tablet", "t!0003")]
     assert plane.table_exists("t") and plane.splits("t") == []
     plane.delete_table("t")
-    assert log[-1] == ("tserver1", "drop_table", "t")
+    assert log[-1] == ("tserver2", "drop_table", "t")
 
-    # a host failing mid-create: the tablets already hosted are dropped
+    # a host failing mid-create: the tablets hosted are dropped
     log.clear()
-    plane.servers[0].fail_next_host = True  # the second tablet's host
+    plane.servers[1].fail_next_host = True  # the second tablet's host
     with pytest.raises(ConnectionError):
         plane.create_table("t", None, ["g", "m"])
-    assert log == [("tserver2", "host_tablet", "t!0003"),
+    assert log == [("tserver0", "host_tablet", "t!0004"),
+                   ("tserver2", "host_tablet", "t!0006"),
+                   ("tserver0", "drop_table", "t"),
                    ("tserver2", "drop_table", "t")]
     assert all(not server.hosted for server in plane.servers)
     assert not plane.table_exists("t") and plane.list_tables() == []
     plane.create_table("t", None, ["g", "m"])  # the retry succeeds
     assert plane.splits("t") == ["g", "m"]
-    assert plane_layout(plane)[1] == {"t!0005": "tserver1",
-                                      "t!0006": "tserver2",
-                                      "t!0007": "tserver0"}
+    assert plane_layout(plane)[1] == {"t!0007": "tserver0",
+                                      "t!0008": "tserver1",
+                                      "t!0009": "tserver2"}
 
 
 def test_a_create_that_hit_a_dead_server_can_be_retried_over_the_wire():

@@ -302,9 +302,9 @@ class TestLocateCache:
     def test_split_invalidates_the_index(self):
         conn = fresh_conn(splits=("g",))
         inst = conn.instance
-        starts, _ = inst.locate_index("t")
+        starts = inst.table("t").index.starts
         conn.add_split("t", "p")
-        starts2, _ = inst.locate_index("t")
+        starts2 = inst.table("t").index.starts
         assert starts2 is not starts  # replaced, not mutated: staleness token
         assert starts2 == ["", "g", "p"]
         assert inst.locate("t", "q").extent.start_row == "p"

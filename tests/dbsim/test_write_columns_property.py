@@ -280,7 +280,7 @@ def test_remote_batch_with_a_stray_row_is_not_hosted_and_applies_nothing():
     core = RpcCore(metrics=MetricsRegistry())
     try:
         core.mutate(service.addr, wire.HOST_TABLET, HOST)
-        _, tablet = service._hosted["t!0001"]
+        _, tablet = service.tserver.hosted["t!0001"]
         ident = {"table": "t", "tablet_id": "t!0001"}
         good = [("r03", "", "q", "", 0, False, "1"),
                 ("r08", "", "q", "", 0, False, "2")]
@@ -401,7 +401,7 @@ def test_migrate_round_trips_memtable_wal_and_runs():
     core = RpcCore(metrics=MetricsRegistry())
     try:
         core.mutate(a.addr, wire.HOST_TABLET, HOST)
-        _, tablet = a._hosted["t!0001"]
+        _, tablet = a.tserver.hosted["t!0001"]
         for each in (tablet, twin):
             for flush, muts in history:
                 each.write_raw_batch(muts)
@@ -421,7 +421,7 @@ def test_migrate_round_trips_memtable_wal_and_runs():
         assert state.meta["sections"] == [3, 3, 2, 2]
         core.mutate(b.addr, wire.MIGRATE_IN, wire.CellsPayload(
             {**state.meta, **ident, "config": HOST["config"]}, state.block))
-        _, moved = b._hosted["t!0001"]
+        _, moved = b.tserver.hosted["t!0001"]
         assert moved is not tablet and sections(moved) == want
         assert sections(moved) == sections(twin)
         more = [("r03", "", "q", "", 0, False, "5"),

@@ -72,7 +72,7 @@ class TestMigrateState:
                 **ident, "extent": ["m", None],
                 "config": {"max_versions": 2, "table_iterators": ["sum"],
                            "flush_bytes": 1 << 20}})
-            _, tablet = a._hosted["t!0001"]
+            _, tablet = a.tserver.hosted["t!0001"]
             for flush, muts in (
                     (True, [("n", "", "q", "", 0, False, "1"),
                             ("o", "f", "q", "a&b", 0, False, "2")]),
@@ -107,7 +107,7 @@ class TestMigrateState:
                 {**state.meta, **ident,
                  "config": {"max_versions": 2, "table_iterators": ["sum"],
                             "flush_bytes": 1 << 20}}, state.block))
-            _, moved = b._hosted["t!0001"]
+            _, moved = b.tserver.hosted["t!0001"]
             assert (_snap(run_cells(*moved.memtable.sorted_run())),
                     _snap(moved.wal),
                     [_snap(run.cells()) for run in moved.sstables],

@@ -240,12 +240,6 @@ class TestErrorFrames:
             wire.raise_error(payload)
         assert str(exc.args[0]) in str(ei.value)
 
-    def test_error_from_payload_unraised(self):
-        exc = wire.error_from_payload(
-            wire.error_payload(BusyError("shed")))
-        assert isinstance(exc, BusyError)
-        assert "shed" in str(exc)
-
     def test_unknown_type_degrades_to_rpcerror(self):
         class Weird(Exception):
             pass
