@@ -29,8 +29,9 @@ the same architecture:
   cluster wall-clock numbers.
 """
 
-from repro.dbsim.backend import ConnectorBackend, TabletBackend
+from repro.dbsim.backend import ConnectorBackend
 from repro.dbsim.errors import (
+    MutationsRejectedError,
     NotHostedError,
     ServerCrashedError,
     TabletServerError,
@@ -73,10 +74,10 @@ from repro.dbsim.visibility import (
 
 __all__ = [
     "ConnectorBackend",
-    "TabletBackend",
     "TabletServerError",
     "ServerCrashedError",
     "NotHostedError",
+    "MutationsRejectedError",
     "Cell",
     "Key",
     "Range",

@@ -6,23 +6,26 @@ Scanner streams one range in key order, a BatchScanner handles many
 ranges (sorted disjoint row-ranges travel as one set to each tablet,
 which slices just those rows out of its runs — the way a real
 BatchScanner amortises RPCs), and a BatchWriter
-buffers mutations and sends them per owning tablet in bulk
-(``submit_raw_batch``) on flush, the answers of one flush awaited
+buffers mutations and sends them per owning tablet in bulk on flush —
+a ``write_tablet`` to the tablet's server handle, the same on both
+backends —, the answers of one flush awaited
 (:func:`~repro.dbsim.server.answers`) before the next is sent.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
-                    Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Union)
 
 from repro.dbsim.backend import ConnectorBackend
+from repro.dbsim.errors import MutationsRejectedError, NotHostedError
 from repro.dbsim.iterators import Columns, Layer, as_layers
 from repro.dbsim.key import (
     Cell,
     Range,
     encode_number,
+    field_columns,
     sorted_disjoint,
 )
 from repro.dbsim.server import TableConfig, answers
@@ -90,10 +93,11 @@ class _RangeSetScan:
     of one *range set* — a sorted, disjoint list of row ranges — of
     one table, per cell or in column batches.
 
-    The set travels whole to every overlapping tablet (``Tablet`` or
-    ``TabletProxy``), which clips it to its extent and applies it where
-    the storage runs are sliced; nothing outside the set is read,
-    shipped or filtered here.  A single range is a set of one.
+    The set travels whole to every overlapping tablet — a local
+    ``Tablet``, or one ``SCAN`` to its remote server —, which clips it
+    to its extent and applies it where the storage runs are sliced;
+    nothing outside the set is read, shipped or filtered here.  A
+    single range is a set of one.
     """
 
     def __init__(self, conn: Connector, table: str,
@@ -109,7 +113,7 @@ class _RangeSetScan:
         #: the scan's layers, bottom-up and the same for either
         #: backend: the visibility filter, then the pushed-down spec's
         #: ops (so a combiner/reduce never folds unauthorized cells),
-        #: then the user's.  A tablet runs them; a tablet proxy ships
+        #: then the user's.  A tablet runs them; a remote scan ships
         #: the ones that can cross the wire
         self._layers = scan_layers(
             PUBLIC if authorizations is None else authorizations,
@@ -154,10 +158,10 @@ class Scanner(_RangeSetScan):
     def scan_columns(self):
         """Bulk columnar read: yields
         :class:`~repro.net.cells.ColumnBatch`\\ es over the scanner's
-        range, backend-agnostic (a local ``Tablet`` and a remote
-        ``TabletProxy`` both implement ``scan_columns``).  Entry
-        sequence — timestamps included — is bit-identical to iterating
-        the scanner per cell; no ``Cell`` objects are built.
+        range, backend-agnostic (both backends implement
+        ``scan_columns``).  Entry sequence — timestamps included — is
+        bit-identical to iterating the scanner per cell; no ``Cell``
+        objects are built.
         """
         return self._batches((self.range,))
 
@@ -238,16 +242,22 @@ class BatchWriter:
     ``buffer_size`` mutations or ``max_memory`` approximate bytes are
     buffered (or ``flush`` / ``close`` is called), the buffer is binned
     per owning tablet — one bisect of the cached location index per
-    tablet change — and each tablet's share is sent as one batch
-    (``submit_raw_batch``), whose answer is awaited
-    (:func:`~repro.dbsim.server.answers`) just before the next flush
-    is sent, and in ``flush()`` / ``close()``: a remote writer fills the
-    next buffer while the servers apply the last.  A server stamps a
-    tablet's cells in arrival order, and buffer order is preserved, so
-    assigned timestamps (and therefore scan results) are bit-identical
-    to cell-at-a-time writes.  Usable as a context manager;
-    ``close()``/``__exit__`` flushes.  Values may be numbers (encoded)
-    or strings.
+    tablet change — and each tablet's share is sent as one batch, a
+    ``write_tablet`` to its server handle (:meth:`_send`), whose answer
+    is awaited (:func:`~repro.dbsim.server.answers`) just before the
+    next flush is sent, and in ``flush()`` / ``close()``: a remote
+    writer fills the next buffer while the servers apply the last.  A
+    server stamps a tablet's cells in arrival order, and buffer order
+    is preserved, so assigned timestamps (and therefore scan results)
+    are bit-identical to cell-at-a-time writes.  Usable as a context
+    manager; ``close()``/``__exit__`` flushes.  Values may be numbers
+    (encoded) or strings.
+
+    A batch refused for any reason but a stale route is raised by the
+    call that awaits it, and the writer stays failed: every later
+    ``put``, ``flush`` and ``close`` raises
+    :class:`~repro.dbsim.errors.MutationsRejectedError`, naming the
+    refused tablets and their cells.  Applied batches stay applied.
     """
 
     def __init__(self, conn: Connector, table: str, buffer_size: int = 10_000,
@@ -266,11 +276,27 @@ class BatchWriter:
         self._closed = False
         #: the answers of the last flush's batches, not yet awaited
         self._unanswered: List[Callable[[], int]] = []
+        #: tablet id → cells it refused; the writer is failed once set
+        self._refused: Dict[str, int] = {}
+        self._cause: Optional[BaseException] = None  # the first refusal
+
+    def _rejected(self) -> None:
+        """Raise :class:`MutationsRejectedError` if a batch was refused."""
+        if self._refused:
+            raise MutationsRejectedError(self._table,
+                                         self._refused) from self._cause
+
+    def _unwritable(self) -> None:
+        """Raise why no mutation may be queued: a refused batch, else a
+        closed writer (callers test ``_closed or _refused`` first — a
+        put's one check)."""
+        self._rejected()
+        raise RuntimeError("writer is closed")
 
     def put(self, row: str, family: str = "", qualifier: str = "",
             value="1", visibility: str = "", timestamp: int = 0) -> None:
-        if self._closed:
-            raise RuntimeError("writer is closed")
+        if self._closed or self._refused:
+            self._unwritable()
         if visibility:  # reject bad labels at write time
             check_expression(visibility)
         if isinstance(value, (int, float)):
@@ -299,8 +325,8 @@ class BatchWriter:
         ``put`` loop — and input that overfills the buffer is queued a
         buffer at a time, so no flush carries more than
         ``buffer_size`` mutations."""
-        if self._closed:
-            raise RuntimeError("writer is closed")
+        if self._closed or self._refused:
+            self._unwritable()
         n = len(rows)
         columns = [qualifiers, values] + [
             column for column in (family, visibility, timestamps)
@@ -333,8 +359,8 @@ class BatchWriter:
     def delete(self, row: str, family: str = "", qualifier: str = "",
                visibility: str = "") -> None:
         """Queue a tombstone for the addressed cell (all versions)."""
-        if self._closed:
-            raise RuntimeError("writer is closed")
+        if self._closed or self._refused:
+            self._unwritable()
         check_expression(visibility)
         self._buffer.append((row, family, qualifier, visibility, 0, True, ""))
         self._buffer_bytes += len(row) + len(family) + len(qualifier) + 24
@@ -345,6 +371,7 @@ class BatchWriter:
     def flush(self) -> None:
         """Send buffered mutations and wait until everything written so
         far is applied."""
+        self._rejected()
         self._flush_pending()
         self._await()
 
@@ -371,13 +398,40 @@ class BatchWriter:
         # tablet-location cache
         groups = self._conn.instance.partition(self._table, self._buffer)
         self._await()
-        self._unanswered = [tablet.submit_raw_batch(muts)
-                            for tablet, muts in groups]
+        self._unanswered = [self._send(entry, muts) for entry, muts in groups]
         self._buffer.clear()
         self._buffer_bytes = 0
 
+    def _send(self, entry, muts: List[tuple]) -> Callable[[], int]:
+        """One tablet's share of a flush, in buffer order, sent now to
+        ``entry``'s server — one transpose into the seven columns of a
+        ``write_tablet``; the returned call answers the cells applied.
+        Should the tablet have split or moved since the route was
+        cached (``NotHostedError``: nothing was applied), the answer
+        re-routes ``muts`` through a fresh index, each new owner's share
+        in order (what its clock stamps).  Any other failure is a
+        refusal, kept (:meth:`_rejected`) and raised."""
+        table = self._table
+        sent = entry.server.submit("write_tablet", table, entry.tablet_id,
+                                   field_columns(muts, 7))
+
+        def answer() -> int:
+            try:
+                return sent()
+            except NotHostedError:
+                inst = self._conn.instance
+                inst.invalidate(table)
+                return sum(answers([self._send(owner, share) for owner, share
+                                    in inst.partition(table, muts)]))
+            except Exception as exc:
+                self._refused[entry.tablet_id] = \
+                    self._refused.get(entry.tablet_id, 0) + len(muts)
+                self._cause = self._cause or exc
+                raise
+        return answer
+
     def close(self) -> None:
-        if not self._closed:
+        if self._refused or not self._closed:
             self.flush()
             self._closed = True
 

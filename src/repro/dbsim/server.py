@@ -36,6 +36,7 @@ from itertools import chain, count
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
+from repro.dbsim.backend import ConnectorBackend
 from repro.dbsim.errors import NotHostedError
 from repro.dbsim.iterators import COMBINERS, Layer, as_layers
 from repro.dbsim.key import Range, RangeSet, clip_ranges, covering
@@ -194,8 +195,8 @@ class TabletIndex:
     """One table's tablets in extent order, and every question asked of
     that order.
 
-    ``entries`` are anything with an ``extent`` — :class:`Tablet`\\ s'
-    assignments in a :class:`ControlPlane`, tablet proxies in a remote
+    ``entries`` are anything with an ``extent`` — the
+    :class:`Assignment`\\ s of a :class:`ControlPlane` and of a remote
     client's locate cache.  ``starts`` (one sorted start key per entry,
     ``""`` for the unbounded first) is built lazily and *replaced*,
     never mutated, when a split invalidates it, so callers may use its
@@ -865,10 +866,11 @@ class ControlPlane:
         return work
 
 
-class Instance(ControlPlane):
+class Instance(ControlPlane, ConnectorBackend):
     """The database in one process: the control plane over a fleet of
     :class:`TabletServer`\\ s, plus the data path that reaches their
-    tablets directly."""
+    tablets directly.  Its routing is :class:`~repro.dbsim.backend.
+    ConnectorBackend`'s, over the plane's own index."""
 
     def __init__(self, n_servers: int = 3,
                  metrics: Optional[MetricsRegistry] = None):
@@ -877,31 +879,6 @@ class Instance(ControlPlane):
         metrics = metrics if metrics is not None else global_registry()
         super().__init__([TabletServer(f"tserver{i}", metrics)
                           for i in range(n_servers)], metrics)
-
-    # -- tablet location ----------------------------------------------------
-
-    @staticmethod
-    def _tablet(entry: Assignment) -> Tablet:
-        return entry.server.hosted[entry.tablet_id][1]
-
-    def tablets(self, name: str) -> List[Tablet]:
-        return [self._tablet(e) for e in self.table(name).index.entries]
-
-    def locate(self, name: str, row: str) -> Tablet:
-        """Find the tablet whose extent contains ``row``."""
-        index = self.table(name).index
-        self.metrics.counter("dbsim.locate.requests").inc()
-        return self._tablet(index.locate(row))
-
-    def tablets_for_range(self, name: str, rng: Range) -> List[Tablet]:
-        return [self._tablet(e)
-                for e in self.table(name).index.overlapping(rng)]
-
-    def partition(self, name: str, mutations: Iterable[tuple]
-                  ) -> List[Tuple[Tablet, List[tuple]]]:
-        """Route a mutation buffer: see :meth:`TabletIndex.partition`."""
-        return [(self._tablet(entry), group) for entry, group
-                in self.table(name).index.partition(mutations)]
 
     # -- scans --------------------------------------------------------------
 
@@ -915,7 +892,8 @@ class Instance(ControlPlane):
         if not ranges:
             return
         table_iterators = self.config(name).table_iterators
-        for tablet in self.tablets_for_range(name, covering(ranges)):
+        for entry in self.tablets_for_range(name, covering(ranges)):
+            tablet = entry.server.tablet(name, entry.tablet_id)
             for batch in tablet.scan_columns(ranges, columns,
                                              table_iterators, scan_iterators):
                 yield tablet, batch
@@ -953,6 +931,3 @@ class Instance(ControlPlane):
         """One JSON-ready report: the per-table/per-server metrics
         registry plus the merged OpStats cost model."""
         return {"metrics": self.metrics.export(), **self._stats_export()}
-
-    def table_entry_estimate(self, name: str) -> int:
-        return sum(t.entry_estimate() for t in self.tablets(name))

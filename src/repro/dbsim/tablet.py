@@ -319,13 +319,6 @@ class Tablet:
         what a BatchWriter buffers."""
         return self.write_columns(*field_columns(mutations, 7))
 
-    def submit_raw_batch(self, mutations: Iterable[tuple]
-                         ) -> Callable[[], int]:
-        """:meth:`write_raw_batch`, applied now and answered later: a
-        failed write (a crashed server, a row outside the extent) is
-        raised by the answer, as a remote tablet's is."""
-        return run_now(self.write_raw_batch, mutations)
-
     def write_batch(self, cells: Iterable[Cell]) -> int:
         """:meth:`write_columns` over :class:`Cell` objects."""
         return self.write_raw_batch(

@@ -4,10 +4,13 @@
 Connector` and swaps its backend for a :class:`RemoteInstance` that
 speaks the :mod:`repro.net.wire` protocol to a manager + tablet-server
 fleet.  Scanner, BatchScanner and BatchWriter are reused *unchanged*:
-they only ever touch ``conn.instance`` (the
-:class:`~repro.dbsim.backend.ConnectorBackend` contract), and
-``RemoteInstance`` hands them :class:`TabletProxy` objects wherever the
-local backend hands them :class:`~repro.dbsim.tablet.Tablet`\\ s.
+they only ever touch ``conn.instance`` (a
+:class:`~repro.dbsim.backend.ConnectorBackend`, whose routing both
+backends share).  Its locate cache holds what the manager's index
+holds, :class:`~repro.dbsim.server.Assignment`\\ s, each ``server``
+one :class:`RemoteTabletServer` per tablet server — the handle the
+manager's plane and a TableMult step use too — where the local backend
+holds the :class:`~repro.dbsim.server.TabletServer` itself.
 
 Transport: :class:`RpcCore` keeps one persistent wire-v3 connection
 (:class:`_Conn`) per server and every in-flight RPC interleaves on it
@@ -36,9 +39,9 @@ Reliability model:
 * write batches and scan chunks travel as packed binary cell blocks
   (:mod:`repro.net.cells`), not JSON.
 
-A BatchWriter flush sends each tablet's batch by
-:meth:`TabletProxy.submit_raw_batch` and awaits the answers before
-it sends the next flush, as it does in process.
+A BatchWriter flush sends each tablet's batch as a ``write_tablet`` to
+its server handle — one stamped ``WRITE_BATCH`` — and awaits the
+answers before it sends the next flush, as it does in process.
 
 Everything counts into ``net.client.*`` metrics and (when tracing is
 enabled) emits ``rpc.client.*`` spans.
@@ -59,11 +62,12 @@ from itertools import chain, count, takewhile
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple, Union)
 
+from repro.dbsim.backend import ConnectorBackend
 from repro.dbsim.client import Connector
 from repro.dbsim.errors import BusyError, NotHostedError, ServerCrashedError
 from repro.dbsim.iterators import Columns
-from repro.dbsim.key import Cell, Range, RangeSet, clip_ranges, covering
-from repro.dbsim.server import TableConfig, TableMeta, TabletIndex, answers
+from repro.dbsim.key import Range, RangeSet, clip_ranges, covering
+from repro.dbsim.server import Assignment, TableConfig, TableMeta, TabletIndex
 from repro.dbsim.stats import OpStats
 from repro.net import cells as _cells
 from repro.net import wire
@@ -72,8 +76,7 @@ from repro.obs.metrics import MetricsRegistry, global_registry
 
 __all__ = [
     "Addr", "RetryPolicy", "RpcCore", "RemoteInstance", "RemoteConnector",
-    "RemoteTabletServer", "StreamOverrunError", "TabletProxy", "format_addr",
-    "parse_addr", "submit_write",
+    "RemoteTabletServer", "StreamOverrunError", "format_addr", "parse_addr",
 ]
 
 Addr = Tuple[str, int]
@@ -999,8 +1002,8 @@ class _RemoteScanStream:
             # rows before the resume row are delivered: tablets that
             # hold only those must not be re-planned in
             remaining = clip_ranges(remaining, Range(self._resume[0], None))
-        self._plan([_Segment(p.addr, p.tablet_id, p.extent)
-                    for p in self._inst.tablets(self._table)], remaining)
+        self._plan([_Segment(e.server.addr, e.tablet_id, e.extent)
+                    for e in self._inst.tablets(self._table)], remaining)
         if head.seen:
             for seg in self._segments:
                 if seg.extent.clip(head.extent) is not None:
@@ -1033,108 +1036,6 @@ class _RemoteScanStream:
 # -- the backend ------------------------------------------------------------
 
 
-def submit_write(core: RpcCore, addr: Addr, table: str, tablet_id: str,
-                 block: bytes) -> Callable[[], int]:
-    """One stamped ``WRITE_BATCH`` of an encoded cell block, sent now —
-    a client's flush and a TableMult step's write to a peer alike; the
-    returned call waits for its answer, the cells applied, which the
-    server's dedup window makes exactly-once however often a lost ack
-    re-sends it."""
-    call = core.submit_mutate(addr, wire.WRITE_BATCH, wire.CellsPayload(
-        {"table": table, "tablet_id": tablet_id}, block))
-    return lambda: call.result()["applied"]
-
-
-class TabletProxy:
-    """Client-side stand-in for one remote tablet.
-
-    Implements the :class:`~repro.dbsim.backend.TabletBackend` contract
-    Scanner/BatchScanner/BatchWriter program against, turning each call
-    into RPCs against the hosting server.
-    """
-
-    def __init__(self, inst: "RemoteInstance", table: str, tablet_id: str,
-                 extent: Range, addr: Addr):
-        self._inst = inst
-        self._table = table
-        self.tablet_id = tablet_id
-        self.extent = extent
-        self.addr = addr
-
-    def __repr__(self) -> str:
-        return (f"TabletProxy({self._table}/{self.tablet_id} "
-                f"@ {format_addr(self.addr)})")
-
-    # -- reads ------------------------------------------------------------
-
-    def scan_columns(self, rng: RangeSet = Range(), columns: Columns = None,
-                     table_iterators: Sequence = (),
-                     scan_iterators: Sequence = ()):
-        """:meth:`RemoteInstance.scan_columns` over this tablet's share
-        of ``rng``.  ``table_iterators`` are ignored: the server applies
-        the table's configured layers (it owns the authoritative
-        config)."""
-        return self._inst.scan_columns(
-            self._table, clip_ranges(rng, self.extent), columns,
-            scan_iterators)
-
-    def scan(self, rng: Range = Range(), columns: Columns = None,
-             table_iterators: Sequence = (),
-             scan_iterators: Sequence = ()) -> List[Cell]:
-        return [cell for batch in self.scan_columns(
-            rng, columns, table_iterators, scan_iterators)
-            for cell in batch.cells()]
-
-    # -- writes -----------------------------------------------------------
-
-    def submit_raw_batch(self, muts: List[tuple]) -> Callable[[], int]:
-        """Stamp and send ``muts`` now; the returned call answers the
-        cells applied.  Should the tablet have split or moved, it
-        re-routes ``muts`` through a fresh locate index, each new
-        owner's share in order (what its clock stamps)."""
-        sent = submit_write(self._inst.core, self.addr, self._table,
-                            self.tablet_id, _cells.encode_block(muts))
-
-        def answer() -> int:
-            try:
-                return sent()
-            except NotHostedError:
-                self._inst.invalidate(self._table)
-                return sum(answers([
-                    tablet.submit_raw_batch(group) for tablet, group
-                    in self._inst.partition(self._table, muts)]))
-        return answer
-
-    # -- introspection ----------------------------------------------------
-
-    def info(self) -> dict:
-        return self._inst.core.call(self.addr, wire.TABLET_INFO, {
-            "table": self._table, "tablet_id": self.tablet_id})
-
-    @property
-    def sstables(self) -> Tuple["_RunInfo", ...]:
-        """Snapshot of the remote tablet's sorted runs (sizes only)."""
-        return tuple(_RunInfo(n) for n in self.info()["sstables"])
-
-    def entry_estimate(self) -> int:
-        return self.info()["entries"]
-
-
-class _RunInfo:
-    """Shape of one remote sorted run (length only)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: int):
-        self.entries = entries
-
-    def __len__(self) -> int:
-        return self.entries
-
-    def __repr__(self) -> str:
-        return f"_RunInfo(entries={self.entries})"
-
-
 #: the ops a :class:`RemoteTabletServer` sends unstamped: each one's
 #: op-code and the payload fields its arguments fill, in order
 _PLAIN_OPS = {"flush_table": (wire.FLUSH, ("table",)),
@@ -1148,8 +1049,9 @@ _PLAIN_OPS = {"flush_table": (wire.FLUSH, ("table",)),
 
 class RemoteTabletServer:
     """A tablet server on the other side of a socket, as the manager's
-    :class:`~repro.dbsim.server.ControlPlane` and another server's
-    TableMult step see it: :class:`~repro.dbsim.server.TabletServer`'s
+    :class:`~repro.dbsim.server.ControlPlane`, another server's
+    TableMult step and a client's locate cache see it:
+    :class:`~repro.dbsim.server.TabletServer`'s
     method names, each one request on ``core``.  ``submit(op, *args)``
     sends ``op`` — one of those, or a service's ``stats``, ``metrics``,
     ``status`` or ``shutdown`` — now and waits in the call it returns,
@@ -1192,8 +1094,13 @@ class RemoteTabletServer:
         return lambda: answer()["dropped"]
 
     def _write_tablet(self, table: str, tablet_id: str, columns):
-        return submit_write(self.core, self.addr, table, tablet_id,
-                            _cells.encode_columns(*columns))
+        # one stamped WRITE_BATCH of one encoded block: the server's
+        # dedup window applies it exactly once however often a lost ack
+        # re-sends it
+        answer = self._send(wire.WRITE_BATCH, wire.CellsPayload(
+            {"table": table, "tablet_id": tablet_id},
+            _cells.encode_columns(*columns)), mutate=True)
+        return lambda: answer()["applied"]
 
     def _multiply_tablets(self, table_at: str, tablet_ids: Sequence[str],
                           spec, b: Sequence, out: Sequence, mask: Sequence,
@@ -1203,9 +1110,9 @@ class RemoteTabletServer:
         # answered by the first run, running or done
         return self.core.submit_mutate(self.addr, wire.MULTIPLY_TABLETS, {
             "table": table_at, "tablet_ids": list(tablet_ids),
-            "spec": asdict(spec), "b": [_assignment_to_wire(a) for a in b],
-            "out": [_assignment_to_wire(a) for a in out],
-            "mask": [_assignment_to_wire(a) for a in mask],
+            "spec": asdict(spec), "b": [assignment_to_wire(a) for a in b],
+            "out": [assignment_to_wire(a) for a in out],
+            "mask": [assignment_to_wire(a) for a in mask],
             "base": base, "step": step, "steps": steps}, wait=True).result
 
     def split_tablet(self, table: str, tablet_id: str, split_row: str,
@@ -1248,26 +1155,43 @@ class RemoteTabletServer:
                              f"TableMult step")
 
 
-def _assignment_to_wire(entry) -> dict:
-    """One tablet of a TableMult step's plan, with where it lives."""
+def assignment_to_wire(entry: Assignment) -> dict:
+    """One tablet with where it lives: an entry of a ``LOCATE`` reply
+    and of a TableMult step's plan."""
     return {"tablet_id": entry.tablet_id,
             "extent": wire.range_to_wire(entry.extent),
             "server": entry.server.name,
             "addr": format_addr(entry.server.addr)}
 
 
-class RemoteInstance:
+def wire_to_assignments(items: Sequence[dict],
+                        server: Callable[[str, str], object]
+                        ) -> List[Assignment]:
+    """Wire assignments, each ``server`` resolved from its name and
+    address by ``server(name, addr)`` to a handle: a client's or a
+    peer's :class:`RemoteTabletServer`, or a service's own
+    :class:`~repro.dbsim.server.TabletServer`."""
+    return [Assignment(item["tablet_id"], wire.wire_to_range(item["extent"]),
+                       server(item["server"], item["addr"]))
+            for item in items]
+
+
+class RemoteInstance(ConnectorBackend):
     """The :class:`~repro.dbsim.backend.ConnectorBackend` that speaks
     the wire protocol: table ops go to the manager; the data path goes
-    straight to tablet servers through cached :class:`TabletProxy`
-    routing (one ``locate`` RPC per table until something moves)."""
+    straight to tablet servers, routed by a cached ``LOCATE`` reply
+    (one per table until something moves) through one
+    :class:`RemoteTabletServer` per server, on this client's core."""
 
     def __init__(self, manager_addr: Union[str, Addr],
                  metrics: Optional[MetricsRegistry] = None,
                  retry: Optional[RetryPolicy] = None, seed: int = 0):
         self.manager_addr = parse_addr(manager_addr)
         self.core = RpcCore(metrics=metrics, retry=retry, seed=seed)
+        self.metrics = self.core.metrics
         self._cache: Dict[str, TableMeta] = {}
+        #: server name → its handle, made with the first route to it
+        self._servers: Dict[str, RemoteTabletServer] = {}
 
     # -- locate cache -----------------------------------------------------
 
@@ -1277,7 +1201,7 @@ class RemoteInstance:
         else:
             self._cache.pop(name, None)
 
-    def _table(self, name: str) -> TableMeta:
+    def table(self, name: str) -> TableMeta:
         cached = self._cache.get(name)
         if cached is not None:
             return cached
@@ -1285,13 +1209,17 @@ class RemoteInstance:
                               {"table": name})
         cached = TableMeta(
             wire.wire_to_config(resp["config"]),
-            TabletIndex(TabletProxy(self, name, t["tablet_id"],
-                                    wire.wire_to_range(t["extent"]),
-                                    parse_addr(t["addr"]))
-                        for t in resp["tablets"]),
+            TabletIndex(wire_to_assignments(resp["tablets"], self._server)),
             resp["version"])
         self._cache[name] = cached
         return cached
+
+    def _server(self, name: str, addr: str) -> RemoteTabletServer:
+        server = self._servers.get(name)
+        if server is None:
+            server = self._servers.setdefault(name, RemoteTabletServer(
+                self.core, name, parse_addr(addr)))
+        return server
 
     # -- table lifecycle --------------------------------------------------
 
@@ -1316,7 +1244,7 @@ class RemoteInstance:
                               {})["tables"]
 
     def config(self, name: str) -> TableConfig:
-        return self._table(name).config
+        return self.table(name).config
 
     # -- tablet location --------------------------------------------------
 
@@ -1329,21 +1257,6 @@ class RemoteInstance:
         return self.core.call(self.manager_addr, wire.SPLITS,
                               {"table": name})["splits"]
 
-    def tablets(self, name: str) -> List[TabletProxy]:
-        return list(self._table(name).index.entries)
-
-    def locate(self, name: str, row: str) -> TabletProxy:
-        return self._table(name).index.locate(row)
-
-    def tablets_for_range(self, name: str, rng: Range) -> List[TabletProxy]:
-        return self._table(name).index.overlapping(rng)
-
-    def partition(self, name: str, mutations
-                  ) -> List[Tuple[TabletProxy, List[tuple]]]:
-        """Route a mutation buffer through the cached index: see
-        :meth:`~repro.dbsim.server.TabletIndex.partition`."""
-        return self._table(name).index.partition(mutations)
-
     def scan_columns(self, table: str, rng: RangeSet = Range(),
                      columns: Columns = None,
                      scan_iterators: Sequence = ()):
@@ -1353,9 +1266,8 @@ class RemoteInstance:
         global key order.
 
         The pump fans out stream opens across the tablets' servers so
-        they scan in parallel, where the per-tablet
-        ``TabletProxy.scan_columns`` necessarily pays a serial
-        open-and-drain round per tablet.  The scan layers that can
+        they scan in parallel, where a scan per tablet would pay a
+        serial open-and-drain round each.  The scan layers that can
         cross the wire (see :func:`_ship`) run inside every tablet
         server the pump touches — each filters and folds its own merged
         stream before bytes hit the socket — and the stages of the rest
@@ -1369,8 +1281,8 @@ class RemoteInstance:
             return iter(())
         pump = _RemoteScanStream(
             self, table, ranges,
-            [_Segment(p.addr, p.tablet_id, p.extent)
-             for p in self.tablets_for_range(table, covering(ranges))],
+            [_Segment(e.server.addr, e.tablet_id, e.extent)
+             for e in self.tablets_for_range(table, covering(ranges))],
             pushdown, columns)
         out = iter(pump.next_batch, None)
         for layer in here:
@@ -1433,9 +1345,6 @@ class RemoteInstance:
     def total_stats(self) -> OpStats:
         resp = self.core.call(self.manager_addr, wire.STATS, {})
         return OpStats.from_dict(resp["total"])
-
-    def table_entry_estimate(self, name: str) -> int:
-        return sum(p.entry_estimate() for p in self.tablets(name))
 
     def close(self) -> None:
         self.core.close()

@@ -84,8 +84,8 @@ from repro.dbsim.errors import BusyError
 from repro.dbsim.iterators import Layer
 from repro.dbsim.key import (Key, SortKey, key_columns, sort_keys,
                              sorted_disjoint)
-from repro.dbsim.server import (Assignment, ControlPlane, MultSpec,
-                                TableConfig, TabletServer, answers)
+from repro.dbsim.server import (ControlPlane, MultSpec, TableConfig,
+                                TabletServer, answers)
 from repro.dbsim.sstable import SSTable
 from repro.dbsim.stats import OpStats
 from repro.dbsim.tablet import Tablet
@@ -98,8 +98,10 @@ from repro.net.client import (
     RemoteTabletServer,
     RetryPolicy,
     RpcCore,
+    assignment_to_wire,
     format_addr,
     parse_addr,
+    wire_to_assignments,
 )
 from repro.net.faults import FaultPlan, apply_fault
 from repro.obs import sampling as _sampling
@@ -790,20 +792,16 @@ class TabletServerService(_BaseService):
     def _multiply_tablets(self, p: dict) -> dict:
         return self.tserver.multiply_tablets(
             p["table"], p["tablet_ids"], MultSpec.from_wire(p["spec"]),
-            self._assignments(p["b"]), self._assignments(p["out"]),
-            self._assignments(p["mask"]), p["base"], p["step"], p["steps"])
+            *(wire_to_assignments(p[key], self._peer)
+              for key in ("b", "out", "mask")),
+            p["base"], p["step"], p["steps"])
 
-    def _assignments(self, items: List[dict]) -> List[Assignment]:
-        """Wire assignments with each ``server`` resolved: this server's
-        own ``TabletServer`` — never a call over the wire to itself —
-        or the peer's :class:`~repro.net.client.RemoteTabletServer`."""
-        return [Assignment(item["tablet_id"],
-                           wire.wire_to_range(item["extent"]),
-                           self.tserver if item["server"] == self.name
-                           else self._peer(item["server"], item["addr"]))
-                for item in items]
-
-    def _peer(self, name: str, addr: str) -> RemoteTabletServer:
+    def _peer(self, name: str, addr: str):
+        """The server a wire assignment names: this server's own
+        ``TabletServer`` — never a call over the wire to itself — or
+        the peer's :class:`~repro.net.client.RemoteTabletServer`."""
+        if name == self.name:
+            return self.tserver
         with self._lock:
             peer = self._peers.get(name)
             if peer is None:
@@ -994,10 +992,7 @@ class ManagerService(_BaseService):
         return {
             "version": meta.version,
             "config": wire.config_to_wire(meta.config),
-            "tablets": [{"tablet_id": a.tablet_id,
-                         "extent": wire.range_to_wire(a.extent),
-                         "addr": format_addr(a.server.addr)}
-                        for a in meta.index.entries],
+            "tablets": [assignment_to_wire(a) for a in meta.index.entries],
         }
 
     # -- fan-out ops ------------------------------------------------------

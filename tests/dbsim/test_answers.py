@@ -1,20 +1,34 @@
 """``submit`` + ``answers``: the one way a request is sent and awaited.
 
-A ``submit_raw_batch`` returns the batch's answer as a callable;
-``dbsim.server.answers`` awaits a fan-out of them.  In process a tablet
-applies the batch at submission, so the answer is already known — the
-idiom is the same one a remote tablet's proxy follows.
+A server handle's ``submit("write_tablet", …)`` returns the batch's
+answer as a callable; ``dbsim.server.answers`` awaits a fan-out of
+them.  In process a server applies the batch at submission, so the
+answer is already known — the idiom is the same one a remote server's
+handle follows.
 """
 
 import pytest
 
-from repro.dbsim.key import Range
-from repro.dbsim.server import answers
+from repro.dbsim.key import Range, field_columns
+from repro.dbsim.server import TableConfig, TabletServer, answers
 from repro.dbsim.tablet import Tablet
+from repro.obs.metrics import MetricsRegistry
 
 
 def _muts(*rows):
     return [(row, "", "q", "", 0, False, "1") for row in rows]
+
+
+def _hosting():
+    """A server hosting tablet ``t!0001`` of ``t``, and that tablet."""
+    server = TabletServer("tserver0", MetricsRegistry())
+    server.host_tablet("t", "t!0001", Range(), TableConfig())
+    return server, server.tablet("t", "t!0001")
+
+
+def _submit(server, muts):
+    return server.submit("write_tablet", "t", "t!0001",
+                         field_columns(muts, 7))
 
 
 class TestAnswers:
@@ -44,19 +58,19 @@ class TestAnswers:
         assert made == [0, 1, 2, 3, 4]
 
 
-class TestTabletSubmit:
+class TestServerSubmit:
     def test_applied_before_the_answer_is_asked(self):
-        tablet = Tablet(Range())
-        answer = tablet.submit_raw_batch(_muts("a", "b", "c"))
+        server, tablet = _hosting()
+        answer = _submit(server, _muts("a", "b", "c"))
         assert [cell.key.row for cell in tablet.scan()] == ["a", "b", "c"]
         assert answer() == 3
         assert answer() == 3  # asking again re-applies nothing
         assert len(tablet.scan()) == 3
 
     def test_same_cells_as_a_blocking_write(self):
-        submitted, written = Tablet(Range()), Tablet(Range())
+        (server, submitted), written = _hosting(), Tablet(Range())
         batches = [_muts("b", "a"), _muts("c"), _muts("a", "d")]
-        calls = [submitted.submit_raw_batch(b) for b in batches]
+        calls = [_submit(server, b) for b in batches]
         assert answers(calls) == [2, 1, 2]
         for b in batches:
             written.write_raw_batch(b)

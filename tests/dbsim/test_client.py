@@ -12,11 +12,11 @@ tablets live on.
 import pytest
 
 from repro.dbsim.client import Connector
-from repro.dbsim.errors import ServerCrashedError
+from repro.dbsim.errors import MutationsRejectedError, ServerCrashedError
 from repro.dbsim.key import Range
 from repro.dbsim.server import Instance, TableConfig
 from repro.dbsim.visibility import Authorizations
-from repro.net.client import RemoteConnector, RemoteInstance, format_addr
+from repro.net.client import RemoteConnector, RemoteInstance
 from repro.net.cluster import LocalCluster
 from repro.net.wire import RpcError
 
@@ -30,6 +30,17 @@ def remote_cluster():
 def _wipe(conn):
     for table in list(conn.instance.list_tables()):
         conn.instance.delete_table(table)
+
+
+def _tablet_cells(table, entry):
+    """One tablet's cells, read through its server handle: the same
+    ``scan_tablet`` on both backends."""
+    return [cell for batch in entry.server.scan_tablet(
+        table, entry.tablet_id, [Range()]) for cell in batch.cells()]
+
+
+def _tablet_info(table, entry):
+    return entry.server.submit("tablet_info", table, entry.tablet_id)()
 
 
 @pytest.fixture(params=["local", "remote"])
@@ -172,8 +183,8 @@ class TestBatchWriter:
         inst = conn.instance
         left = inst.locate("t", "a")
         right = inst.locate("t", "z")
-        assert len(left.scan()) == 2
-        assert len(right.scan()) == 2
+        assert len(_tablet_cells("t", left)) == 2
+        assert len(_tablet_cells("t", right)) == 2
 
     def test_buffer_flush_threshold(self, conn):
         w = conn.batch_writer("t", buffer_size=2)
@@ -247,22 +258,24 @@ class TestBatchWriter:
 
 
 class TestFlushDiscipline:
-    """BatchWriter's one flush path, spied on at the tablet: a flush
-    sends every batch (``submit_raw_batch``) and awaits none; the next
-    flush awaits every answer of the last before it sends its first
-    batch; ``flush()`` awaits all; a failing batch is raised once the
-    rest of its flush is answered.  A batch is named by its first
-    row."""
+    """BatchWriter's one flush path, spied on at the server handle: a
+    flush sends every batch (``submit("write_tablet", …)``) and awaits
+    none; the next flush awaits every answer of the last before it
+    sends its first batch; ``flush()`` awaits all; a failing batch is
+    raised once the rest of its flush is answered, and the writer stays
+    failed.  A batch is named by its first row."""
 
     @staticmethod
     def _spy(conn, monkeypatch, failing=None):
         events = []
-        cls = type(conn.instance.tablets("t")[0])
-        real = cls.submit_raw_batch
+        cls = type(conn.instance.tablets("t")[0].server)
+        real = cls.submit
 
-        def submit_raw_batch(tablet, muts):
-            name = muts[0][0]
-            answer = real(tablet, muts)
+        def submit(server, op, *args):
+            answer = real(server, op, *args)
+            if op != "write_tablet":
+                return answer
+            name = args[2][0][0]  # the batch's row column, first row
             events.append(("send", name))
 
             def spied():
@@ -273,7 +286,7 @@ class TestFlushDiscipline:
                 return applied
             return spied
 
-        monkeypatch.setattr(cls, "submit_raw_batch", submit_raw_batch)
+        monkeypatch.setattr(cls, "submit", submit)
         return events
 
     @staticmethod
@@ -316,38 +329,39 @@ class TestFlushDiscipline:
         with pytest.raises(RuntimeError, match="a10 failed"):
             w.flush()
         assert events[-2:] == [("answer", "a10"), ("answer", "n10")]
-        w.close()
+        with pytest.raises(MutationsRejectedError):
+            w.close()
         # the failure was the answer's, after the batch applied
         assert len(list(conn.scanner("t"))) == 4 + 8
 
     @staticmethod
     def _crash_owner(conn, table, row):
-        """Crash the server hosting ``row`` of ``table``; the call that
-        recovers it."""
-        inst = conn.instance
-        if not isinstance(inst, RemoteInstance):
-            server = inst.locate(table, row).server
-            server.crash()
-            return server.recover
-        addr = format_addr(inst.locate(table, row).addr)
-        name, = [name for name, status in inst.status()["servers"].items()
-                 if status["addr"] == addr]
-        inst.crash_server(name)
-        return lambda: inst.recover_server(name)
+        """Crash the server hosting ``row`` of ``table`` through its
+        handle; the call that recovers it."""
+        server = conn.instance.locate(table, row).server
+        server.submit("crash")()
+        return lambda: server.submit("recover", True)()
 
     def test_a_batch_a_crashed_server_refused_is_not_sent_again(self, conn):
         # the refusal is the batch's answer on both backends: flush()
-        # raises it, the rest of the flush stays applied once, and
-        # close() has nothing left to send
+        # raises it, the rest of the flush stays applied once, and the
+        # writer stays failed — every later put, flush and close raises
+        # the one typed error naming the refused tablet and its cells
         conn.create_table("s", TableConfig.combining("sum"), splits=["m"])
         w = conn.batch_writer("s")
         w.put("a", "", "c", 1)
         w.put("z", "", "c", 1)
+        refusing = conn.instance.locate("s", "z").tablet_id
         recover = self._crash_owner(conn, "s", "z")
         with pytest.raises((ServerCrashedError, RpcError)):
             w.flush()
         recover()
-        w.close()
+        for later in (lambda: w.put("b", "", "c", 1), w.flush, w.close):
+            with pytest.raises(MutationsRejectedError) as info:
+                later()
+            assert info.value.refused == {refusing: 1}
+            assert isinstance(info.value.__cause__,
+                              (ServerCrashedError, RpcError))
         assert [(c.key.row, c.value) for c in conn.scanner("s")] \
             == [("a", "1")]
 
@@ -361,11 +375,12 @@ class TestTableOps:
 
     def test_flush_compact(self, conn):
         conn.flush("t")
-        total_runs = sum(len(t.sstables) for t in conn.instance.tablets("t"))
+        total_runs = sum(len(_tablet_info("t", e)["sstables"])
+                         for e in conn.instance.tablets("t"))
         assert total_runs >= 1
         conn.compact("t")
-        for t in conn.instance.tablets("t"):
-            assert len(t.sstables) <= 1
+        for e in conn.instance.tablets("t"):
+            assert len(_tablet_info("t", e)["sstables"]) <= 1
 
 
 def _lines(cells):

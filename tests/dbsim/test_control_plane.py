@@ -111,7 +111,7 @@ def cluster_layout(inst):
     name_of = {s["addr"]: name for name, s in status["servers"].items()}
     inst.invalidate()
     index = {table: [(p.tablet_id, _bounds(p.extent),
-                      name_of[format_addr(p.addr)])
+                      name_of[format_addr(p.server.addr)])
                      for p in inst.tablets(table)]
              for table in inst.list_tables()}
     hosted = {tid: name for name, s in status["servers"].items()

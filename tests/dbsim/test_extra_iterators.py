@@ -67,7 +67,8 @@ class TestAgeOff:
     def test_compaction_makes_ageoff_permanent(self):
         conn = Connector(Instance())
         conn.create_table("t")
-        tablet = conn.instance.locate("t", "a")
+        entry = conn.instance.locate("t", "a")
+        tablet = entry.server.tablet("t", entry.tablet_id)
         tablet.write(Key("a", "", "q", "", 1), "old")
         tablet.write(Key("b", "", "q", "", 9), "new")
         tablet.compact(table_iterators=(Layer(age_off_stage(5)),))

@@ -181,8 +181,9 @@ class TestWriteBatch:
             for i, r in enumerate(rows):
                 w.put(r, "f", f"q{i % 5}", str(i))
         for i, r in enumerate(rows):  # direct per-cell server writes
-            conn_b.instance.locate("t", r).write(Key(r, "f", f"q{i % 5}"),
-                                                 str(i))
+            e = conn_b.instance.locate("t", r)
+            e.server.tablet("t", e.tablet_id).write(Key(r, "f", f"q{i % 5}"),
+                                                    str(i))
         assert _snap(conn_a, "t") == _snap(conn_b, "t")
 
     def test_batch_spanning_flush_bytes_flushes_once(self, registry):
@@ -190,7 +191,8 @@ class TestWriteBatch:
 
         conn = Connector(Instance(metrics=registry))
         conn.create_table("t", TableConfig(flush_bytes=1000))
-        (tablet,) = conn.instance.tablets("t")
+        (e,) = conn.instance.tablets("t")
+        tablet = e.server.tablet("t", e.tablet_id)
         # one batch whose total size crosses flush_bytes several times
         # over must still trigger exactly one flush, at batch end
         cells = [Cell(Key(f"r{i:04d}", "f", "q"), "v" * 50)

@@ -66,11 +66,13 @@ class TestDeletes:
             w.put("r", "", "q", 1)
             w.delete("r", "", "q")
         conn.compact("t")
-        tablet = conn.instance.locate("t", "r")
+        entry = conn.instance.locate("t", "r")
+        tablet = entry.server.tablet("t", entry.tablet_id)
         assert tablet.entry_estimate() == 0  # marker and victim both gone
 
     def test_delete_does_not_hide_newer_write(self, conn):
-        tablet = conn.instance.locate("t", "r")
+        entry = conn.instance.locate("t", "r")
+        tablet = entry.server.tablet("t", entry.tablet_id)
         tablet.write(Key("r", "", "q", "", 5), "old")
         tablet.write(Key("r", "", "q", "", 7), "new")
         tablet.delete(Key("r", "", "q", "", 6))
@@ -213,7 +215,8 @@ class TestWALRecovery:
     def test_recovery_idempotent(self, conn):
         with conn.batch_writer("t") as w:
             w.put("r", "", "q", 1)
-        tablet = conn.instance.locate("t", "r")
+        entry = conn.instance.locate("t", "r")
+        tablet = entry.server.tablet("t", entry.tablet_id)
         tablet.crash()
         tablet.recover()
         tablet.recover()  # double replay must not duplicate visible data
@@ -259,7 +262,8 @@ class TestCrashedServerErrors:
         with conn.batch_writer("t") as w:
             for i in range(10):
                 w.put(f"r{i}", "", "q", i)
-        tablet = conn.instance.locate("t", "r0")
+        entry = conn.instance.locate("t", "r0")
+        tablet = entry.server.tablet("t", entry.tablet_id)
         batches = tablet.scan_columns(Range(), None, (),
                                       (Layer(lambda batches: batches),),
                                       batch_cells=4)

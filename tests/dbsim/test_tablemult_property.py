@@ -100,11 +100,8 @@ def _steps(conn, table):
     """The table's tablet extents grouped by hosting server, in the
     order of each server's first tablet: one TableMult step each."""
     inst, steps = conn.instance, {}
-    hosts = ([(entry.server.name, entry.extent)
-              for entry in inst.table(table).index.entries]
-             if isinstance(inst, Instance) else
-             [(tablet.addr, tablet.extent) for tablet in inst.tablets(table)])
-    for host, extent in hosts:
+    for host, extent in [(entry.server.name, entry.extent)
+                         for entry in inst.tablets(table)]:
         steps.setdefault(host, []).append(extent)
     return list(steps.values())
 

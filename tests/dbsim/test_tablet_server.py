@@ -169,12 +169,14 @@ class TestInstance:
     def test_split_preserves_data(self):
         inst = Instance()
         inst.create_table("t")
-        tablet = inst.locate("t", "a")
+        entry = inst.locate("t", "a")
+        tablet = entry.server.tablet("t", entry.tablet_id)
         for r in ["a", "k", "z"]:
             tablet.write(Key(r, "", "q"), "1")
         inst.add_split("t", "k")
         rows = []
-        for tb in inst.tablets("t"):
+        for e in inst.tablets("t"):
+            tb = e.server.tablet("t", e.tablet_id)
             rows.extend(c.key.row for c in tb.scan())
         assert sorted(rows) == ["a", "k", "z"]
 
@@ -185,11 +187,13 @@ class TestInstance:
     def test_total_stats_aggregates(self):
         inst = Instance(n_servers=2)
         inst.create_table("t", splits=["m"])
-        inst.locate("t", "a").write(Key("a", "", "q"), "1")
-        inst.locate("t", "z").write(Key("z", "", "q"), "1")
+        for row in ("a", "z"):
+            e = inst.locate("t", row)
+            e.server.tablet("t", e.tablet_id).write(Key(row, "", "q"), "1")
         assert inst.total_stats().entries_written == 2
 
     def test_table_config_used(self):
         inst = Instance()
         inst.create_table("t", TableConfig(max_versions=3))
-        assert inst.locate("t", "x").max_versions == 3
+        e = inst.locate("t", "x")
+        assert e.server.tablet("t", e.tablet_id).max_versions == 3

@@ -205,15 +205,15 @@ def _table_counters(conn, table):
 
 
 def _observe(conn, table):
+    infos = [e.server.submit("tablet_info", table, e.tablet_id)()
+             for e in conn.instance.tablets(table)]
     return {
         "scan": [(c.key.row, c.key.family, c.key.qualifier,
                   c.key.visibility, c.key.timestamp, c.value)
                  for c in conn.scanner(
                      table, authorizations=Authorizations(["a", "b"]))],
-        "runs": [[len(run) for run in tablet.sstables]
-                 for tablet in conn.instance.tablets(table)],
-        "entries": [tablet.entry_estimate()
-                    for tablet in conn.instance.tablets(table)],
+        "runs": [info["sstables"] for info in infos],
+        "entries": [info["entries"] for info in infos],
         **_table_counters(conn, table),
     }
 

@@ -151,7 +151,7 @@ def test_split_and_migrate_under_faults_is_bit_identical(processes):
             assert _snap(conn.scanner("t")) == before
             for row in ("r08", "r16"):
                 conn.add_split("t", row)
-            homes = {p.addr for p in conn.instance.tablets("t")}
+            homes = {p.server.addr for p in conn.instance.tablets("t")}
             assert len(homes) > 1  # children really moved
             assert _snap(conn.scanner("t")) == before
             # the logical clocks travelled too: new writes are stamped
@@ -174,11 +174,11 @@ def test_json_write_batch_is_a_typed_error():
         conn = c.connect()
         try:
             conn.create_table("t")
-            (proxy,) = conn.instance.tablets("t")
+            (entry,) = conn.instance.tablets("t")
             with pytest.raises(ValueError,
                                match="WRITE_BATCH takes a binary"):
-                conn.instance.core.mutate(proxy.addr, wire.WRITE_BATCH, {
-                    "table": "t", "tablet_id": proxy.tablet_id,
+                conn.instance.core.mutate(entry.server.addr, wire.WRITE_BATCH, {
+                    "table": "t", "tablet_id": entry.tablet_id,
                     "mutations": [["r", "", "q", "", 0, False, "1"]]})
             assert list(conn.scanner("t")) == []  # nothing was applied
             with conn.batch_writer("t") as w:   # the binary form works

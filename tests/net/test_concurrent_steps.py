@@ -117,7 +117,7 @@ def _homes(conn, table, addrs=None):
         return [(e.extent.start_row, e.server.name)
                 for e in inst.table(table).index.entries]
     names = {addr: name for name, addr in addrs.items()}
-    return [(p.extent.start_row, names[p.addr]) for p in inst.tablets(table)]
+    return [(p.extent.start_row, names[p.server.addr]) for p in inst.tablets(table)]
 
 
 def _delays(addr):
@@ -236,7 +236,7 @@ class TestStepsWaitOnEachOther:
         with _cluster(processes, faults) as (conn, addrs):
             _load_crossed(conn)
             conn.create_table("X")  # round-robin: tserver0
-            assert conn.instance.locate("X", "x").addr == addrs["tserver0"]
+            assert conn.instance.locate("X", "x").server.addr == addrs["tserver0"]
             delayed = _delays(addrs["tserver1"])
             with _in_background(lambda: conn.instance.table_mult(
                     "AT", CROSS_SPEC)) as op:
@@ -429,12 +429,12 @@ def _step_payload(conn, addrs, spec):
     def assignments(table):
         return [{"tablet_id": p.tablet_id,
                  "extent": wire.range_to_wire(p.extent),
-                 "server": names[p.addr], "addr": format_addr(p.addr)}
+                 "server": names[p.server.addr], "addr": format_addr(p.server.addr)}
                 for p in inst.tablets(table)]
 
     return {"table": "AT",
             "tablet_ids": [p.tablet_id for p in inst.tablets("AT")
-                           if p.addr == addrs["tserver0"]],
+                           if p.server.addr == addrs["tserver0"]],
             "spec": asdict(spec), "b": _step_b(spec, assignments),
             "out": assignments("C"), "mask": [],
             "base": 0, "step": 0, "steps": 1}

@@ -50,13 +50,13 @@ def _seed_firing(spec, requests, pattern):
 
 
 def _one_tablet(cluster, registry=None, **policy):
-    """A client, its table "t" of one tablet, that tablet's proxy and
+    """A client, its table "t" of one tablet, that tablet's entry and
     the TABLET_INFO payload naming it."""
     conn = cluster.connect(metrics=registry,
                            retry=client_mod.RetryPolicy(**policy))
     conn.create_table("t")
-    (proxy,) = conn.instance.tablets("t")
-    return conn, proxy, {"table": "t", "tablet_id": proxy.tablet_id}
+    (entry,) = conn.instance.tablets("t")
+    return conn, entry, {"table": "t", "tablet_id": entry.tablet_id}
 
 
 def test_the_waiting_reader_routes_other_requests_frames(monkeypatch):
@@ -74,17 +74,17 @@ def test_the_waiting_reader_routes_other_requests_frames(monkeypatch):
 
     with LocalCluster(n_servers=1, processes=False,
                       fault_specs=["tablet_info:reorder:1"]) as cluster:
-        conn, proxy, info = _one_tablet(cluster)
+        conn, entry, info = _one_tablet(cluster)
         try:
             core = conn.instance.core
-            core.call(proxy.addr, wire.PING, {})  # dial before spying
+            core.call(entry.server.addr, wire.PING, {})  # dial before spying
             (link,) = [c for c in core._conns.values()
-                       if c.addr == proxy.addr]
+                       if c.addr == entry.server.addr]
             monkeypatch.setattr(client_mod._Conn, "_read", spy)
             got = {}
 
             def slow():
-                got["a"] = core.call(proxy.addr, wire.TABLET_INFO, info)
+                got["a"] = core.call(entry.server.addr, wire.TABLET_INFO, info)
 
             a = threading.Thread(target=slow, name="waiter-a")
             a.start()
@@ -92,7 +92,7 @@ def test_the_waiting_reader_routes_other_requests_frames(monkeypatch):
             while not link._reading and time.monotonic() < deadline:
                 time.sleep(0.001)
             assert link._reading  # A holds the reader role, blocked
-            got["b"] = core.call(proxy.addr, wire.PING, {})
+            got["b"] = core.call(entry.server.addr, wire.PING, {})
             a.join(5.0)
             assert not a.is_alive()
         finally:
@@ -113,13 +113,13 @@ def test_a_deadline_abandons_one_request_not_the_connection(spec, op,
     registry = MetricsRegistry()
     with LocalCluster(n_servers=1, processes=False,
                       fault_specs=[spec]) as cluster:
-        conn, proxy, info = _one_tablet(cluster, registry)
+        conn, entry, info = _one_tablet(cluster, registry)
         try:
             conn.create_table("pad", splits=[f"s{i}" for i in range(10)])
             core = conn.instance.core
-            core.call(proxy.addr, wire.PING, {})
+            core.call(entry.server.addr, wire.PING, {})
             before = registry.export()
-            slow = core._send(proxy.addr, op, info)
+            slow = core._send(entry.server.addr, op, info)
             with pytest.raises(TimeoutError):
                 slow.get(0.1)
             slow.abandon()
@@ -130,7 +130,7 @@ def test_a_deadline_abandons_one_request_not_the_connection(spec, op,
             # deadline fell mid-frame) to its own
             got = []
             other = threading.Thread(target=lambda: got.append(
-                core.call(proxy.addr, wire.PING, {})))
+                core.call(entry.server.addr, wire.PING, {})))
             other.start()
             other.join(5.0)
             assert not other.is_alive() and got == [{}]
@@ -155,15 +155,15 @@ def test_a_corrupt_frame_fails_all_pending_and_they_share_a_fresh_socket():
                                     [(0, 0), (0, 1), (1, 0), (1, 1)],
                                     [True, False, False, False])
     ) as cluster:
-        conn, proxy, info = _one_tablet(cluster, registry, base=0.001)
+        conn, entry, info = _one_tablet(cluster, registry, base=0.001)
         try:
             core = conn.instance.core
-            core.call(proxy.addr, wire.PING, {})
+            core.call(entry.server.addr, wire.PING, {})
             before = registry.export()
             # both pending on the one connection when the first answer
             # arrives damaged: its request id cannot be trusted, so
             # both fail, and both retry
-            calls = [core.submit(proxy.addr, wire.TABLET_INFO, info)
+            calls = [core.submit(entry.server.addr, wire.TABLET_INFO, info)
                      for _ in range(2)]
             answers = [call.result() for call in calls]
             after = registry.export()
@@ -219,16 +219,16 @@ def test_contended_connection_never_misroutes():
                 for i in range(n_threads):
                     for j in range(30):
                         w.put(f"k{i}-{j:02d}", "", "q", i)
-            proxies = conn.instance.tablets("t")
+            entries = conn.instance.tablets("t")
             errors = []
 
             def work(i):
-                proxy = proxies[i]
+                entry = entries[i]
                 want_rows = [f"k{i}-{j:02d}" for j in range(30)]
                 try:
                     for _ in range(rounds):
-                        assert proxy.info()["extent"] == \
-                            wire.range_to_wire(proxy.extent)
+                        assert entry.server.submit("tablet_info", "t", entry.tablet_id)()["extent"] == \
+                            wire.range_to_wire(entry.extent)
                         cells = list(conn.scanner("t").set_range(
                             Range(f"k{i}-", f"k{i}-~")))
                         assert [c.key.row for c in cells] == want_rows

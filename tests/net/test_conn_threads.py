@@ -64,15 +64,15 @@ class _Raw:
     def send(self, req, code, payload):
         self.sock.sendall(wire.encode_frame(code, payload, req=req))
 
-    def scan(self, req, table, proxy):
+    def scan(self, req, table, entry):
         self.send(req, wire.SCAN, {"table": table,
-                                   "tablet_id": proxy.tablet_id,
+                                   "tablet_id": entry.tablet_id,
                                    "ranges": [[None, None]],
                                    "columns": None})
 
-    def write(self, req, table, proxy, muts):
+    def write(self, req, table, entry, muts):
         self.send(req, wire.WRITE_BATCH, wire.CellsPayload(
-            {"table": table, "tablet_id": proxy.tablet_id},
+            {"table": table, "tablet_id": entry.tablet_id},
             cells.encode_block(muts)))
 
     def answers(self, reqs):
@@ -110,8 +110,8 @@ def cluster(request):
 
 def _table(conn, name):
     conn.create_table(name)
-    (proxy,) = conn.instance.tablets(name)
-    return proxy
+    (entry,) = conn.instance.tablets(name)
+    return entry
 
 
 def _scanned(frames):
@@ -126,7 +126,7 @@ class TestReaderNeverBlocks:
         (big,) = conn.instance.tablets("big")
         target = _table(conn, "bulk")
         muts = _muts([f"w{i:05d}" for i in range(20_000)], "v" * 200)
-        raw = _Raw(big.addr)
+        raw = _Raw(big.server.addr)
         try:
             raw.scan(1, "big", big)
             # ~4.5 MB: the server must read all of it while the scan's
@@ -146,7 +146,7 @@ class TestReaderNeverBlocks:
         rows = [f"o{i:02d}" for i in range(50)]
         batches = [_muts(rows, f"v{k}") + _muts([f"p{k}"], "x")
                    for k in range(8)]
-        raw = _Raw(big.addr)
+        raw = _Raw(big.server.addr)
         try:
             raw.scan(1, "big", big)
             time.sleep(0.2)  # the scan's thread now waits on the client
@@ -160,7 +160,8 @@ class TestReaderNeverBlocks:
             assert got[2 + k] == [(wire.OK, {"applied": len(muts)})]
         local = Instance(n_servers=1)
         local.create_table("ordered")
-        (tablet,) = local.tablets("ordered")
+        (e,) = local.tablets("ordered")
+        tablet = e.server.tablet("ordered", e.tablet_id)
         for muts in batches:
             tablet.write_raw_batch(muts)
         assert (list(conn.scanner("ordered"))
@@ -174,14 +175,14 @@ def test_a_delayed_scan_answer_does_not_hold_up_a_ping(processes):
                       fault_specs=[f"scan:delay:1:{delay}"]) as c:
         conn = c.connect()
         try:
-            proxy = _table(conn, "small")
+            entry = _table(conn, "small")
             with conn.batch_writer("small") as w:
                 for i in range(10):
                     w.put(f"r{i}", "", "q", i)
-            raw = _Raw(proxy.addr)
+            raw = _Raw(entry.server.addr)
             try:
                 t0 = time.perf_counter()
-                raw.scan(1, "small", proxy)
+                raw.scan(1, "small", entry)
                 raw.send(2, wire.PING, {})
                 got, order = raw.answers([1, 2])
                 elapsed = time.perf_counter() - t0

@@ -337,13 +337,13 @@ class TestRemoteErrors:
                 with conn.batch_writer("t") as w:
                     w.put("r", "", "q", 1.0)
                 inst = conn.instance
-                proxy = inst.tablets("t")[0]
+                entry = inst.tablets("t")[0]
                 core = inst.core
 
                 for iterspec in ([{"op": "__import__"}],
                                  [{"op": "jaccard", "degrees": {}}]):
-                    stream = core.open_stream(proxy.addr, wire.SCAN, {
-                        "table": "t", "tablet_id": proxy.tablet_id,
+                    stream = core.open_stream(entry.server.addr, wire.SCAN, {
+                        "table": "t", "tablet_id": entry.tablet_id,
                         "ranges": [[None, None]], "columns": None,
                         "resume": None,
                         "iterspec": iterspec})

@@ -70,11 +70,11 @@ class TestRequestRouting:
             try:
                 conn.create_table("t", splits=["m"])
                 left, right = conn.instance.tablets("t")
-                assert left.addr == right.addr  # one server, one conn
+                assert left.server.addr == right.server.addr  # one server, one conn
                 core = conn.instance.core
                 # both in flight on the one connection before either
                 # is resolved
-                calls = [core.submit(p.addr, wire.TABLET_INFO,
+                calls = [core.submit(p.server.addr, wire.TABLET_INFO,
                                      {"table": "t", "tablet_id": p.tablet_id})
                          for p in (left, right)]
                 got_left, got_right = [call.result() for call in calls]
@@ -174,13 +174,13 @@ class TestAdmissionControl:
                 for i in range(600):
                     w.put(f"r{i:04d}", "", "c", i)
             _hold_until_shed(monkeypatch)
-            proxy = conn.instance.tablets("t")[0]
+            entry = conn.instance.tablets("t")[0]
             core = conn.instance.core
-            payload = {"table": "t", "tablet_id": proxy.tablet_id,
+            payload = {"table": "t", "tablet_id": entry.tablet_id,
                        "ranges": [[None, None]], "columns": None,
                        "resume": None}
             flood = MAX_CONN_SCANS + 4
-            streams = [core.open_stream(proxy.addr, wire.SCAN, payload)
+            streams = [core.open_stream(entry.server.addr, wire.SCAN, payload)
                        for _ in range(flood)]
             done = busy = 0
             for s in streams:
@@ -323,13 +323,13 @@ class TestStreamFlowControl:
             with conn.batch_writer("big") as w:
                 for i in range(n):
                     w.put(f"r{i:05d}", "", "c", i)
-            (proxy,) = conn.instance.tablets("big")
+            (entry,) = conn.instance.tablets("big")
             stalled = threading.Event()
 
             def ping_while_stalled():
                 stalled.wait(10.0)
                 for _ in range(12):
-                    proxy.info()
+                    entry.server.submit("tablet_info", "big", entry.tablet_id)()
                     time.sleep(0.02)
 
             pinger = threading.Thread(target=ping_while_stalled)
@@ -419,10 +419,10 @@ class TestScanStreamEnd:
             with conn.batch_writer("t") as w:
                 for i in range(n):
                     w.put(f"r{i:05d}", "", "c", i)
-            (proxy,) = conn.instance.tablets("t")
+            (entry,) = conn.instance.tablets("t")
             stream = conn.instance.core.open_stream(
-                proxy.addr, wire.SCAN,
-                {"table": "t", "tablet_id": proxy.tablet_id,
+                entry.server.addr, wire.SCAN,
+                {"table": "t", "tablet_id": entry.tablet_id,
                  "ranges": [[None, None]], "columns": None,
                  "resume": None})
             frames = [stream.get(10.0)]
@@ -449,7 +449,7 @@ class TestRawCore:
                 for i in range(700):
                     w.put(f"r{i:04d}", "", "c", i)
             want = [c_.key.row for c_ in conn.scanner("t")]
-            proxies = conn.instance.tablets("t")
+            entries = conn.instance.tablets("t")
             core = conn.instance.core
             manager = conn.instance.manager_addr
             # 25 pings in flight at once on the manager connection,
@@ -457,9 +457,9 @@ class TestRawCore:
             pings = [core.submit(manager, wire.PING, {}) for _ in range(25)]
             assert [p.result() for p in reversed(pings)] == [{}] * 25
             rows = []
-            for p in proxies:  # extent order → global key order
+            for p in entries:  # extent order → global key order
                 stream = core.open_stream(
-                    p.addr, wire.SCAN,
+                    p.server.addr, wire.SCAN,
                     {"table": "t", "tablet_id": p.tablet_id,
                      "ranges": [[None, None]], "columns": None,
                      "resume": None})

@@ -217,7 +217,7 @@ def _resumed_pump(conn, ranges, delivered):
     pushdown, _ = net_client._ship(IterSpec().distinct().build_factories())
     pump = _RemoteScanStream(
         inst, "g", ranges,
-        [_Segment(p.addr, p.tablet_id, p.extent) for p in inst.tablets("g")],
+        [_Segment(p.server.addr, p.tablet_id, p.extent) for p in inst.tablets("g")],
         pushdown)
     row, qual, ts, _ = delivered[-1]
     pump._resume = [row, "f", qual, "", ts, False]
@@ -377,12 +377,12 @@ class TestReplan:
 
 class TestWireBoundary:
     @staticmethod
-    def _raw_scan(conn, proxy, ranges=None, **fields):
+    def _raw_scan(conn, entry, ranges=None, **fields):
         core = conn.instance.core
         if ranges is not None:
             fields["ranges"] = ranges
-        stream = core.open_stream(proxy.addr, wire.SCAN, {
-            "table": "w", "tablet_id": proxy.tablet_id,
+        stream = core.open_stream(entry.server.addr, wire.SCAN, {
+            "table": "w", "tablet_id": entry.tablet_id,
             "columns": None, "resume": None, **fields})
         rows = []
         while True:
@@ -398,18 +398,18 @@ class TestWireBoundary:
         with conn.batch_writer("w") as w:
             for row in "abcdefgh":
                 w.put(row, "", "q", 1)
-        (proxy,) = conn.instance.tablets("w")
+        (entry,) = conn.instance.tablets("w")
         code, _, rows = self._raw_scan(
-            conn, proxy, [["a", "c"], ["e", "e\0"], ["g", None]])
+            conn, entry, [["a", "c"], ["e", "e\0"], ["g", None]])
         assert (code, rows) == (wire.DONE, ["a", "b", "e", "g", "h"])
-        code, _, rows = self._raw_scan(conn, proxy, [])
+        code, _, rows = self._raw_scan(conn, entry, [])
         assert (code, rows) == (wire.DONE, [])
         for bad in ([["e", "g"], ["a", "c"]],        # unsorted
                     [["a", "e"], ["c", "g"]],        # overlapping
                     [["a", None], ["c", "d"]],       # open stop mid-list
                     [["a", "c"], [None, "g"]],       # open start mid-list
                     [["a", "c"], ["g", "e"]]):       # inverted
-            code, pay, rows = self._raw_scan(conn, proxy, bad)
+            code, pay, rows = self._raw_scan(conn, entry, bad)
             assert (code, rows) == (wire.ERROR, [])
             with pytest.raises(ValueError, match="sorted and disjoint"):
                 wire.raise_error(pay)
@@ -419,7 +419,7 @@ class TestWireBoundary:
         with conn.batch_writer("w") as w:
             for row in "abcdefgh":
                 w.put(row, "", "q", 1)
-        (proxy,) = conn.instance.tablets("w")
+        (entry,) = conn.instance.tablets("w")
         # a stale client still sending the single "range" this field
         # replaced must not be answered with the whole tablet
         for fields, exc in (({}, KeyError),
@@ -427,11 +427,11 @@ class TestWireBoundary:
                             ({"range": ["a", "c"],
                               "ranges": [["a", "c"]]}, ValueError),
                             ({"range": [None, None]}, ValueError)):
-            code, pay, rows = self._raw_scan(conn, proxy, **fields)
+            code, pay, rows = self._raw_scan(conn, entry, **fields)
             assert (code, rows) == (wire.ERROR, []), fields
             with pytest.raises(exc):
                 wire.raise_error(pay)
-        code, _, rows = self._raw_scan(conn, proxy, [[None, None]])
+        code, _, rows = self._raw_scan(conn, entry, [[None, None]])
         assert (code, rows) == (wire.DONE, list("abcdefgh"))
 
 

@@ -175,7 +175,7 @@ def test_a_peer_read_counts_as_a_local_read():
         conn = cluster.connect(metrics=MetricsRegistry())
         try:
             mult = _mult(conn)
-            homes = {conn.instance.tablets(table)[0].addr
+            homes = {conn.instance.tablets(table)[0].server.addr
                      for table in tables}
             _, counts = _counted(_servers(cluster), mult, tables,
                                  cluster=cluster)

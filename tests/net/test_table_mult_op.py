@@ -279,7 +279,7 @@ class TestMulAndCombinerOnTheWire:
         with pytest.raises(ValueError, match=match):
             core.mutate(inst.manager_addr, wire.TABLE_MULT,
                         {"table": "A", "spec": spec})
-        server = inst.locate("A", "k0").addr
+        server = inst.locate("A", "k0").server.addr
         with pytest.raises(ValueError, match=match):
             core.mutate(server, wire.MULTIPLY_TABLETS,
                         {"table": "A", "tablet_ids": [], "spec": spec,
@@ -562,9 +562,9 @@ class TestOutPlacement:
             before = write_batch_bytes()
             table_mult(conn, "AT", "B", "C")
             assert write_batch_bytes() == before
-            at_addr = inst.locate("AT", "t00").addr
-            assert inst.locate("B", "t00").addr != at_addr  # a peer read
-            assert inst.locate("C", "u0").addr == at_addr
+            at_addr = inst.locate("AT", "t00").server.addr
+            assert inst.locate("B", "t00").server.addr != at_addr  # a peer read
+            assert inst.locate("C", "u0").server.addr == at_addr
             assert len(_cells(conn, "C")) == 12  # 3 × 4, all in the servers
 
 

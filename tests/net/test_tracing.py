@@ -189,14 +189,15 @@ class TestPipelinedCallTiming:
             conn = cluster.connect()
             try:
                 conn.create_table("t")
-                (proxy,) = conn.instance.tablets("t")
+                (entry,) = conn.instance.tablets("t")
                 core = conn.instance.core
-                core.call(proxy.addr, wire.PING, {})  # dial, untraced
+                core.call(entry.server.addr, wire.PING, {})  # dial, untraced
                 (link,) = [c for c in core._conns.values()
-                           if c.addr == proxy.addr]
+                           if c.addr == entry.server.addr]
                 _trace.enable(sink)
-                answer = proxy.submit_raw_batch(
-                    [("r", "", "q", "", 0, False, "1")])
+                answer = entry.server.submit(
+                    "write_tablet", "t", entry.tablet_id,
+                    [["r"], [""], ["q"], [""], [0], [False], ["1"]])
                 # the ack has arrived; nobody reads it for 50 ms
                 assert select.select([link.sock], [], [], 5.0)[0]
                 time.sleep(0.05)
@@ -225,18 +226,19 @@ class TestPipelinedCallTiming:
             conn = cluster.connect(metrics=registry)
             try:
                 conn.create_table("t")
-                (proxy,) = conn.instance.tablets("t")
+                (entry,) = conn.instance.tablets("t")
                 core = conn.instance.core
-                core.call(proxy.addr, wire.PING, {})  # dial
+                core.call(entry.server.addr, wire.PING, {})  # dial
                 (link,) = [c for c in core._conns.values()
-                           if c.addr == proxy.addr]
+                           if c.addr == entry.server.addr]
                 before = registry.export()["net.client.rpc_seconds"]
-                answer = proxy.submit_raw_batch(
-                    [("r", "", "q", "", 0, False, "1")])
+                answer = entry.server.submit(
+                    "write_tablet", "t", entry.tablet_id,
+                    [["r"], [""], ["q"], [""], [0], [False], ["1"]])
                 assert select.select([link.sock], [], [], 5.0)[0]
                 # the ping's answer is behind the ack on the socket, so
                 # waiting for it reads (and stamps) the ack first
-                core.call(proxy.addr, wire.PING, {})
+                core.call(entry.server.addr, wire.PING, {})
                 time.sleep(0.05)
                 assert answer() == 1
                 after = registry.export()["net.client.rpc_seconds"]

@@ -18,10 +18,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.dbsim.client import BatchWriter, Connector
 from repro.dbsim.key import Range, key_columns, sort_keys
+from repro.dbsim.server import Assignment, TabletIndex
 from repro.dbsim.tablet import Tablet
 from repro.net import cells, wire
-from repro.net.client import TabletProxy
+from repro.net.client import RemoteTabletServer
 
 N = 10_000
 MAX_COLLECTIONS = 2
@@ -67,19 +69,27 @@ def test_the_zip_transpose_wakes_the_collector():
 
 
 class _SentCore:
-    """A client core that keeps what a TabletProxy sends."""
+    """A client core that keeps what a RemoteTabletServer sends, and
+    answers it as applied."""
 
     def submit_mutate(self, addr, op, payload):
         self.sent = (op, payload)
+        return SimpleNamespace(result=lambda: {"applied": N})
 
 
 def test_write_batch_payload():
+    # a writer's flush, through the one remote handle: one transpose,
+    # one encode
     core = _SentCore()
-    proxy = TabletProxy(SimpleNamespace(core=core), "t", "t!0001", Range(),
-                        ("127.0.0.1", 0))
+    index = TabletIndex([Assignment("t!0001", Range(), RemoteTabletServer(
+        core, "tserver0", ("127.0.0.1", 0)))])
+    writer = BatchWriter(Connector(SimpleNamespace(
+        partition=lambda table, muts: index.partition(muts))), "t",
+        buffer_size=N + 1)
     muts = _muts()
+    writer._buffer.extend(muts)
     with _collections() as runs:
-        proxy.submit_raw_batch(muts)
+        writer.flush()
     assert len(runs) <= MAX_COLLECTIONS, runs
     op, payload = core.sent
     assert op == wire.WRITE_BATCH
