@@ -11,13 +11,15 @@ its whole suite over both.
 
 A backend provides table lifecycle, ``table(name)`` — the table's
 config and its index of :class:`~repro.dbsim.server.Assignment`\\ s,
-``(tablet_id, extent, server)`` —, the scan of a range set across a
-table's tablets (in column batches, or the same batches cell by cell),
-TableMult run by the servers, and the merged OpStats cost model.  The
-routing is written here, once, over that index: ``locate`` a row, the
-tablets a range reaches, and ``partition`` — a mutation buffer binned
-per owning tablet, so the writer routes exactly as the scanner does.
-Each assignment's ``server`` is the one handle on its tablet server: a
+``(tablet_id, extent, server)`` —, TableMult run by the servers, and
+the merged OpStats cost model.  The data path is written here, once,
+over that index: ``locate`` a row, the tablets a range reaches,
+``partition`` — a mutation buffer binned per owning tablet, so the
+writer routes exactly as the scanner does — and the client scan
+(:meth:`ConnectorBackend.scan_columns`), which reads each tablet
+through its server's ``scan_tablet``, a few tablets ahead, and
+re-plans over a fresh index when one moves under it.  Each
+assignment's ``server`` is the one handle on its tablet server: a
 :class:`~repro.dbsim.server.TabletServer` in process, a
 :class:`~repro.net.client.RemoteTabletServer` in a cluster, with the
 same method names and ``submit(op, *args)``.
@@ -26,13 +28,60 @@ same method names and ``submit(op, *args)``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import chain, takewhile
+from operator import methodcaller
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.dbsim.key import Range, RangeSet
+from repro.dbsim.errors import NotHostedError
+from repro.dbsim.iterators import Layer, distinct_stage
+from repro.dbsim.key import Range, RangeSet, clip_ranges, covering
 from repro.dbsim.stats import OpStats
 
 if TYPE_CHECKING:
     from repro.dbsim.server import Assignment, TableMeta
+
+#: tablet scans a client scan keeps open ahead of its consumer: their
+#: servers scan in parallel while the head tablet's batches are
+#: consumed, so crossing a tablet boundary rarely waits on the network
+_SCAN_FANOUT = 3
+
+
+def _ship(scan_iterators: Sequence[Layer]
+          ) -> Tuple[Tuple[Layer, ...], Tuple[Layer, ...]]:
+    """Split a scan's layers at the wire: ``(layers each tablet's
+    server runs, layers chained here over the whole stream)``.
+
+    The leading layers that carry a wire form (``op``, see
+    :class:`~repro.dbsim.iterators.Layer`) can run inside the tablet
+    server, and ship when they hold at least one spec op.  A lone
+    visibility filter ships nothing and runs here: a spec-less ``SCAN``
+    is the plain payload it always was."""
+    shipped = tuple(takewhile(lambda layer: layer.op, scan_iterators))
+    if all(layer.op["op"] == "visibility" for layer in shipped):
+        return (), tuple(scan_iterators)
+    return shipped, tuple(scan_iterators[len(shipped):])
+
+
+def _pushdown(ops: Sequence[dict]) -> dict:
+    """The ``SCAN`` payload fields of shipped layers' wire forms
+    ``ops``: the spec ops as ``"iterspec"`` (when there are any), the
+    visibility filter's tokens as ``"auths"``."""
+    spec = [op for op in ops if op["op"] != "visibility"]
+    pushdown = {"iterspec": spec} if spec else {}
+    for op in ops:
+        if op["op"] == "visibility":
+            pushdown["auths"] = op["auths"]
+    return pushdown
+
+
+def _seeded(layers: Tuple[Layer, ...], seen: set) -> Tuple[Layer, ...]:
+    """``layers`` with their trailing ``distinct`` also dropping the
+    qualifiers ``seen``: a re-planned tablet's share of what the moved
+    one delivered."""
+    *below, last = layers
+    seen = sorted(seen.union(last.op.get("seen", ())))
+    return (*below, Layer(distinct_stage(seen),
+                          {"op": "distinct", "seen": seen}))
 
 
 class ConnectorBackend(ABC):
@@ -100,20 +149,120 @@ class ConnectorBackend(ABC):
 
     # -- scans ------------------------------------------------------------
 
-    @abstractmethod
     def scan_columns(self, name: str, rng: RangeSet = Range(),
-                     columns=None, scan_iterators: Sequence = ()):
+                     columns=None, scan_iterators: Sequence[Layer] = ()):
         """The table's cells inside ``rng`` (one range, or a sorted,
         disjoint range set) as
         :class:`~repro.net.cells.ColumnBatch`\\ es in global key order:
         every overlapping tablet's cells, under the table's configured
-        layers and the given scan layers."""
+        layers and the given scan layers.
 
-    @abstractmethod
+        The scan is planned now, over this backend's index: each
+        tablet the set reaches gets its share of it.  Each tablet is
+        read through its server's ``scan_tablet``, which runs the
+        layers :func:`_ship` splits off at the wire; the rest (a lone
+        visibility filter, user layers) are chained here, over the
+        whole stream.  Up to :data:`_SCAN_FANOUT` tablet scans are open
+        ahead of the consumer, and each is drained before the next is
+        read, so the batches come in tablet order.
+
+        When a tablet scan raises ``NotHostedError`` (the tablet split
+        or migrated: at its open, or mid-stream remotely), the scan
+        re-plans: it forgets the table's index, plans the ranges past
+        the last key delivered over a fresh one, and opens the first of
+        them with that key as ``resume``.  Under a trailing ``distinct``
+        each re-planned tablet starts from the qualifiers the moved one
+        delivered, and keeps what seeded the tablet it replaces."""
+        shipped, here = _ship(scan_iterators)
+        # no extent to clip to: this makes a lone Range a set of one
+        # and drops a range that can hold nothing
+        ranges = clip_ranges(rng, Range())
+        out = self._scan(name, self._plan(name, ranges, shipped)
+                         if ranges else [], columns)
+        for layer in here:
+            out = layer.stage(out)
+        return out
+
     def scan_cells(self, name: str, rng: RangeSet = Range(),
-                   columns=None, scan_iterators: Sequence = ()):
+                   columns=None, scan_iterators: Sequence[Layer] = ()):
         """:meth:`scan_columns`, cell by cell — what ``for cell in
-        scanner`` runs."""
+        scanner`` runs: a ``chain`` over the batches' cells, so the
+        per-cell loop runs no Python frame."""
+        return chain.from_iterable(map(methodcaller("cells"),
+                                       self.scan_columns(name, rng, columns,
+                                                         scan_iterators)))
+
+    def _plan(self, name: str, ranges: List[Range], layers) -> list:
+        """``[entry, share, layers, resume]`` for each tablet whose extent
+        ``ranges`` reach into, in extent order, with its share of the
+        set."""
+        return [[entry, share, layers, None]
+                for entry in self.tablets_for_range(name, covering(ranges))
+                for share in [clip_ranges(ranges, entry.extent)] if share]
+
+    def _replan(self, name: str, legs: list, resume, seen: set) -> list:
+        """The ``legs`` left when the head's tablet moved, planned again
+        over a fresh index: the ranges past ``resume``, the first leg
+        opened past it.  Each new tablet takes the layers of the leg it
+        overlaps, the head's seeded with the qualifiers it delivered
+        (``seen``, under a trailing ``distinct``)."""
+        if seen:
+            legs[0][2] = _seeded(legs[0][2], seen)
+        self.invalidate(name)
+        ranges = list(chain.from_iterable(leg[1] for leg in legs))
+        if resume:
+            ranges = clip_ranges(ranges, Range(resume[0], None))
+        if not ranges:
+            return []
+        replanned = self._plan(name, ranges, ())
+        for leg in replanned:
+            leg[2] = next(old[2] for old in legs
+                          if old[0].extent.clip(leg[0].extent))
+        replanned[0][3] = resume
+        return replanned
+
+    def _scan(self, name: str, legs: list, columns):
+        """The batches of the planned ``legs``, in order (see
+        :meth:`scan_columns`)."""
+        scans: list = []  # the open scans of legs[:len(scans)]
+        # the last key delivered: a re-planned head's resume key, at first
+        resume = legs[0][3] if legs else None
+        seen: set = set()  # the head's qualifiers, under a trailing distinct
+        try:
+            while legs:
+                distinct = [layer.op["op"] for layer in legs[0][2][-1:]] \
+                    == ["distinct"]
+                try:
+                    while len(scans) < min(len(legs), _SCAN_FANOUT):
+                        entry, share, layers, start = legs[len(scans)]
+                        try:
+                            scans.append(entry.server.scan_tablet(
+                                name, entry.tablet_id, share, layers,
+                                columns, start))
+                        except Exception:
+                            if scans:
+                                break  # it fails again, visibly, as the head
+                            raise
+                    for batch in scans[0]:
+                        if len(batch):
+                            resume = batch.last_key()
+                            if distinct:
+                                seen.update(batch.qualifiers)
+                            yield batch
+                except NotHostedError:
+                    # the head's tablet moved: the scans opened on the
+                    # old layout close, and the rest is planned again
+                    for scan in scans:
+                        scan.close()
+                    scans = []
+                    legs = self._replan(name, legs, resume, seen)
+                else:
+                    scans.pop(0)
+                    legs.pop(0)
+                seen = set()
+        finally:
+            for scan in scans:
+                scan.close()
 
     # -- maintenance ------------------------------------------------------
 

@@ -93,11 +93,13 @@ class _RangeSetScan:
     of one *range set* — a sorted, disjoint list of row ranges — of
     one table, per cell or in column batches.
 
-    The set travels whole to every overlapping tablet — a local
-    ``Tablet``, or one ``SCAN`` to its remote server —, which clips it
-    to its extent and applies it where the storage runs are sliced;
-    nothing outside the set is read, shipped or filtered here.  A
-    single range is a set of one.
+    The backend's one client scan
+    (:meth:`~repro.dbsim.backend.ConnectorBackend.scan_columns`) gives
+    each overlapping tablet its share of the set, through the tablet
+    server's ``scan_tablet`` — in process the ``TabletServer`` itself,
+    in a cluster one ``SCAN`` to it —, and the tablet applies it where
+    the storage runs are sliced; nothing outside the set is read,
+    shipped or filtered here.  A single range is a set of one.
     """
 
     def __init__(self, conn: Connector, table: str,
@@ -113,8 +115,8 @@ class _RangeSetScan:
         #: the scan's layers, bottom-up and the same for either
         #: backend: the visibility filter, then the pushed-down spec's
         #: ops (so a combiner/reduce never folds unauthorized cells),
-        #: then the user's.  A tablet runs them; a remote scan ships
-        #: the ones that can cross the wire
+        #: then the user's.  Each tablet's server runs the leading
+        #: ones that can cross the wire; the rest run over the stream
         self._layers = scan_layers(
             PUBLIC if authorizations is None else authorizations,
             iterspec) + as_layers(scan_iterators, "scan_iterators")
@@ -158,7 +160,7 @@ class Scanner(_RangeSetScan):
     def scan_columns(self):
         """Bulk columnar read: yields
         :class:`~repro.net.cells.ColumnBatch`\\ es over the scanner's
-        range, backend-agnostic (both backends implement
+        range, backend-agnostic (both backends run one
         ``scan_columns``).  Entry sequence — timestamps included — is
         bit-identical to iterating the scanner per cell; no ``Cell``
         objects are built.

@@ -274,10 +274,10 @@ class Layer:
 
     ``op`` is the layer's wire form (an iterspec op dict), what a
     remote tablet is sent instead of the code; ``None`` for a layer
-    that cannot cross the wire (it runs on the client, over the scan
-    pump).  ``reduce_fn`` is set on the built-in combiners only: the ⊕
-    the storage pass can fold by itself when the combiner is the
-    table's first layer.
+    that cannot cross the wire (it runs on the client, over the whole
+    scan's batches).  ``reduce_fn`` is set on the built-in combiners
+    only: the ⊕ the storage pass can fold by itself when the combiner
+    is the table's first layer.
     """
 
     __slots__ = ("stage", "op", "reduce_fn")

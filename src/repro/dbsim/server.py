@@ -21,9 +21,11 @@ calls one of these methods, and encodes the answer):
   delete / ``add_split`` / flush / compact / TableMult.  Its
   ``servers`` are handles with :class:`TabletServer`'s hosting ops:
   the servers themselves in process, remote handles in a cluster;
-* :class:`Instance` — the plane over an in-process fleet plus the
-  in-process data path, so scans and Graphulo ops exercise the same
-  locate-tablet → per-server flow a real client library performs.
+* :class:`Instance` — the plane over an in-process fleet, with
+  :class:`~repro.dbsim.backend.ConnectorBackend`'s data path over the
+  plane's own index: scans and writes take the same locate-tablet →
+  per-server flow, through the same ``scan_tablet`` / ``write_tablet``,
+  as a remote client's.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from repro.dbsim.backend import ConnectorBackend
-from repro.dbsim.errors import NotHostedError
+from repro.dbsim.errors import NotHostedError, ServerCrashedError
 from repro.dbsim.iterators import COMBINERS, Layer, as_layers
-from repro.dbsim.key import Range, RangeSet, clip_ranges, covering
+from repro.dbsim.key import Key, Range, RangeSet, clip_ranges, covering
 from repro.dbsim.stats import OpStats
 from repro.dbsim.tablet import Tablet, run_now
 from repro.dbsim.visibility import Authorizations
@@ -273,6 +275,27 @@ class TabletIndex:
         return groups
 
 
+def _skip_past(key: tuple):
+    """The stage that drops a sorted stream's entries at or before the
+    sort key ``key``: what a resumed scan already delivered."""
+    def stage(batches):
+        batches = iter(batches)
+        for batch in batches:
+            rows, fams = batch.rows, batch.families
+            quals, viss = batch.qualifiers, batch.visibilities
+            ts, dels = batch.timestamps, batch.deletes
+            n = len(rows)
+            i = 0
+            while i < n and (rows[i], fams[i], quals[i], viss[i], -ts[i],
+                             0 if dels[i] else 1) <= key:
+                i += 1
+            if i < n:
+                yield batch.select(range(i, n)) if i else batch
+                break
+        yield from batches
+    return stage
+
+
 class TabletServer:
     """Hosts tablets by id; all per-tablet I/O lands in this server's
     stats, and every hosted tablet counts into ``metrics`` under its
@@ -398,16 +421,28 @@ class TabletServer:
 
     def scan_tablet(self, table: Optional[str], tablet_id: str,
                     ranges: Sequence[Range], layers: Sequence[Layer] = (),
-                    columns=None, batch_cells: int = 2048):
+                    columns=None, resume: Optional[Sequence] = None,
+                    batch_cells: int = 2048):
         """A hosted tablet's cells inside ``ranges`` (sorted, disjoint),
         of ``columns`` when given, under the table's layers and then
         ``layers`` — a scan's visibility filter and pushed-down ops —,
         as a stream of column batches of up to ``batch_cells`` cells:
-        the read a TableMult step makes of its own tablets and of a
-        peer's (there, one range-set ``SCAN``), and what a ``SCAN``
+        a client scan's read of each tablet, the read a TableMult step
+        makes of its own tablets and of a peer's, and what a ``SCAN``
         streams.  The runs are sliced now, under :attr:`lock`; the
         stream counts into its own stats, folded into the tablet's
-        under the lock once, when it ends or is closed."""
+        under the lock once, when it ends or is closed.
+
+        ``resume`` (a key, ``[row, family, qualifier, visibility,
+        timestamp, delete]``) reopens a scan past what it delivered: the
+        entries at or before it are skipped above every layer but a
+        trailing ``distinct``, which starts from its ``seen`` list
+        instead, so the skipped prefix never reaches it."""
+        if resume:
+            at = len(layers) - bool(layers and layers[-1].op
+                                    and layers[-1].op["op"] == "distinct")
+            layers = (*layers[:at], Layer(_skip_past(
+                Key(*resume).sort_tuple())), *layers[at:])
         with self.lock:
             tablet = self.tablet(table, tablet_id)
             sink = OpStats()
@@ -791,8 +826,11 @@ class ControlPlane:
         order: a TableMult stamps its blocks from a base above
         every stamp ``out`` held — 0 for an ``out`` created here — by
         the step's number, so ``out``'s combiner folds the same partial
-        cells in the same order on every backend.  A failed step is
-        raised once every step sent has answered.
+        cells in the same order on every backend.  A failed step's
+        error is raised once every step sent has answered, its message
+        saying how many steps applied: an ``out`` the op created is
+        dropped first, as ``table_ktruss`` drops its round tables, and
+        an existing ``out`` keeps what the other steps wrote.
 
         The operands must exist.  A missing ``out`` is split like
         ``AT``, each tablet on the server of the ``AT`` tablet with its
@@ -829,7 +867,8 @@ class ControlPlane:
         for entry in at_entries:
             shares.setdefault(entry.server, []).append(entry)
         base = 0
-        if not self.table_exists(spec.out):
+        created = not self.table_exists(spec.out)
+        if created:
             self.create_table(
                 spec.out, TableConfig.combining(spec.combiner)
                 if spec.table_b is not None and not owned else None,
@@ -858,19 +897,37 @@ class ControlPlane:
                 [entry.tablet_id for entry in entries], spec, b, out, mask,
                 base, step, len(shares)))
         work: Dict[str, int] = {}
-        for step_work in answers(steps):
+        applied = 0
+        error: Optional[Exception] = None
+        for call in steps:
+            try:
+                step_work = call()
+            except Exception as exc:  # noqa: BLE001 - raised below
+                error = error or exc
+                continue
+            applied += 1
             for name, n in step_work.items():
                 work[name] = (max if name.startswith("peak_")
                               else operator.add)(work.get(name, 0), n)
+        if error is not None:
+            if created:
+                self.delete_table(spec.out)
+            kept = (f"{spec.out!r}, which it created, is dropped" if created
+                    else f"{spec.out!r} keeps what they wrote")
+            message = error.args[0] if error.args else error
+            # the step's own type: a caller's except clause, and a
+            # client's retry verdict on it, stay what they were
+            raise type(error)(f"{message} ({applied} of {len(steps)} steps "
+                              f"of the op applied; {kept})") from error
         self.flush_table(spec.out)
         return work
 
 
 class Instance(ControlPlane, ConnectorBackend):
     """The database in one process: the control plane over a fleet of
-    :class:`TabletServer`\\ s, plus the data path that reaches their
-    tablets directly.  Its routing is :class:`~repro.dbsim.backend.
-    ConnectorBackend`'s, over the plane's own index."""
+    :class:`TabletServer`\\ s.  Its data path — routing, writes, scans
+    — is :class:`~repro.dbsim.backend.ConnectorBackend`'s, over the
+    plane's own index, reaching each tablet through its server."""
 
     def __init__(self, n_servers: int = 3,
                  metrics: Optional[MetricsRegistry] = None):
@@ -882,38 +939,23 @@ class Instance(ControlPlane, ConnectorBackend):
 
     # -- scans --------------------------------------------------------------
 
-    def _tablet_batches(self, name: str, rng: RangeSet, columns,
-                        scan_iterators: Sequence):
-        """``(tablet, batch)`` for each ColumnBatch of a scan of ``rng``
-        — a range, or a sorted, disjoint range set — across the table's
-        tablets, in global key order: each overlapping tablet's
-        ``scan_columns`` under the table's configured layers, chained."""
-        ranges = clip_ranges(rng, Range())  # a lone Range → a set of one
-        if not ranges:
-            return
-        table_iterators = self.config(name).table_iterators
-        for entry in self.tablets_for_range(name, covering(ranges)):
-            tablet = entry.server.tablet(name, entry.tablet_id)
-            for batch in tablet.scan_columns(ranges, columns,
-                                             table_iterators, scan_iterators):
-                yield tablet, batch
-
-    def scan_columns(self, name: str, rng: RangeSet = Range(),
-                     columns=None, scan_iterators: Sequence = ()):
-        """Bulk columnar scan: see :meth:`_tablet_batches`."""
-        return (batch for _, batch in self._tablet_batches(
-            name, rng, columns, scan_iterators))
-
     def scan_cells(self, name: str, rng: RangeSet = Range(),
                    columns=None, scan_iterators: Sequence = ()):
-        """:meth:`scan_columns`, cell by cell.  The hosting server's
-        crash flag is re-checked between cells: an open scan dies with
-        its server instead of finishing from a buffered batch."""
-        for tablet, batch in self._tablet_batches(name, rng, columns,
-                                                  scan_iterators):
-            for cell in batch.cells():
-                tablet._check_up()
-                yield cell
+        """:meth:`~repro.dbsim.backend.ConnectorBackend.scan_cells`, with
+        the crash flag of every server hosting a tablet the scan
+        reaches re-checked between cells: an open scan dies with its
+        server instead of finishing from a buffered batch."""
+        ranges = clip_ranges(rng, Range())
+        servers = {entry.server for entry in self.tablets_for_range(
+            name, covering(ranges))} if ranges else ()
+        for cell in super().scan_cells(name, ranges, columns,
+                                       scan_iterators):
+            for server in servers:
+                if server.crashed:
+                    raise ServerCrashedError(
+                        f"tablet server {server.name} is down "
+                        f"(crashed, not yet recovered)")
+            yield cell
 
     # -- observability ------------------------------------------------------
 

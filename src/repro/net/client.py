@@ -35,7 +35,9 @@ Reliability model:
 * :class:`~repro.dbsim.errors.NotHostedError` (a split migrated the
   tablet, or the location cache is stale) triggers a re-``locate``
   through the manager and re-routing — in a write batch's answer for
-  writes, mid-stream (with a resume key) for scans;
+  writes, in the client scan's re-plan (with a resume key) for scans,
+  which :class:`~repro.dbsim.backend.ConnectorBackend` writes once for
+  both backends;
 * write batches and scan chunks travel as packed binary cell blocks
   (:mod:`repro.net.cells`), not JSON.
 
@@ -58,15 +60,15 @@ import threading
 import time
 from collections import deque
 from dataclasses import asdict
-from itertools import chain, count, takewhile
+from itertools import count
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple, Union)
 
-from repro.dbsim.backend import ConnectorBackend
+from repro.dbsim.backend import ConnectorBackend, _pushdown
 from repro.dbsim.client import Connector
 from repro.dbsim.errors import BusyError, NotHostedError, ServerCrashedError
 from repro.dbsim.iterators import Columns
-from repro.dbsim.key import Range, RangeSet, clip_ranges, covering
+from repro.dbsim.key import Range
 from repro.dbsim.server import Assignment, TableConfig, TableMeta, TabletIndex
 from repro.dbsim.stats import OpStats
 from repro.net import cells as _cells
@@ -703,7 +705,7 @@ class RpcCore:
 
     def open_stream(self, addr: Addr, op: int, payload, tc=None) -> _Stream:
         """Send a streaming request; its frames arrive on the returned
-        :class:`_Stream` (no retry here — the scan pump owns the
+        :class:`_Stream` (no retry here — a tablet scan owns the
         resume/retry policy because only it knows the resume key)."""
         return self._send(addr, op, payload, tc, unary=False)
 
@@ -711,219 +713,115 @@ class RpcCore:
 # -- scan streaming ---------------------------------------------------------
 
 
-#: how many segments the pump keeps open ahead of the consumer — their
-#: servers scan in parallel while the head segment's batches are being
-#: decoded, so crossing a tablet boundary rarely waits on the network
-_SCAN_FANOUT = 3
+def _pending(ranges: Sequence[Range], resume: Optional[list]
+             ) -> Sequence[Range]:
+    """``ranges`` without those a resume has fully delivered (they end
+    at or before the resume row).  The range holding the resume row
+    stays whole: the server skips to the resume key."""
+    if not resume:
+        return ranges
+    return ranges[bisect.bisect_right(ranges, resume[0],
+                                      key=Range.effective_stop):]
 
 
-def _ship(scan_iterators: Sequence) -> Tuple[dict, tuple]:
-    """Split a scan's layers at the wire: ``(SCAN payload fields,
-    layers left to run on this side)``.
+class _TabletScan:
+    """One tablet's range-set ``SCAN``, resumable inside the tablet:
+    what :meth:`RemoteTabletServer.scan_tablet` returns.  Iterating it
+    yields decoded :class:`~repro.net.cells.ColumnBatch`\\ es — one
+    per pull, merging every CHUNK that has already arrived — and never
+    materialises a ``Cell``.
 
-    The leading layers that carry a wire form (``op``, see
-    :class:`~repro.dbsim.iterators.Layer`) can run inside the tablet
-    server.  They ship — the spec ops as the payload's ``"iterspec"``,
-    the visibility filter's tokens as its ``"auths"`` — when they hold
-    at least one spec op.  A lone visibility filter ships nothing and
-    runs here: a spec-less SCAN is the plain payload it always was."""
-    ops = [layer.op for layer in takewhile(
-        lambda layer: layer.op, scan_iterators)]
-    if all(op["op"] == "visibility" for op in ops):
-        return {}, tuple(scan_iterators)
-    return _pushdown(ops), tuple(scan_iterators[len(ops):])
+    The request is sent when the scan is made, as a local scan slices
+    its runs then; a send that fails is retried by the first pull.  The
+    stream is resumable at batch granularity: the resume key advances
+    to the last entry of each CHUNK as it is decoded, and any failure
+    :meth:`RpcCore.judge` retries reopens the stream after backoff,
+    asking the server to skip everything at or before that key, with
+    only the ranges that end after the resume row (:func:`_pending`) —
+    a reopen only happens while pulling the *next* batch, so
+    everything before it is the caller's.  When the shipped spec ends
+    in ``distinct``, whose state (the qualifiers seen) crosses rows,
+    the reopen also carries that state: the qualifiers this scan has
+    delivered, as the op's ``seen`` list, which the server applies
+    above its skip past the resume key.  The resumed stream is then
+    exact even when the tablet took writes between the two opens.  A
+    :data:`RELOCATE` verdict (``NotHostedError``: the tablet split or
+    migrated) is raised to the caller once the batches before it are
+    delivered: the client scan re-plans over a fresh index."""
 
+    def __init__(self, server: "RemoteTabletServer", payload: dict,
+                 ranges: Sequence[Range], resume: Optional[list]):
+        self._server = server
+        #: the SCAN payload but its ranges and resume key
+        self._payload = payload
+        self._ranges = ranges
+        self._resume = resume
+        spec = payload.get("iterspec")
+        #: the qualifiers delivered, kept under a trailing distinct only
+        self._seen: Optional[Set[str]] = (
+            set() if spec and spec[-1]["op"] == "distinct" else None)
+        self._stream: Optional[_Stream] = None
+        self._span = None
+        self._opened = False  # has this scan ever opened a stream?
+        self._done = False
+        self._moved: Optional[NotHostedError] = None
+        try:
+            self._open()
+        except Exception:  # noqa: BLE001 - the first pull retries it
+            self.close()
 
-def _pushdown(ops: Sequence[dict]) -> dict:
-    """The SCAN payload fields of layers' wire forms ``ops``: the spec
-    ops as ``"iterspec"`` (when there are any), the visibility filter's
-    tokens as ``"auths"``."""
-    spec = [op for op in ops if op["op"] != "visibility"]
-    pushdown = {"iterspec": spec} if spec else {}
-    for op in ops:
-        if op["op"] == "visibility":
-            pushdown["auths"] = op["auths"]
-    return pushdown
-
-
-class _Segment:
-    """One (server, tablet) leg of a possibly re-planned scan.
-
-    ``ranges`` is the leg's share of the scan's range set (planned by
-    :meth:`_RemoteScanStream._plan`).  ``stream``/``span`` are the
-    leg's live transport attachments: the pump fans out opens ahead of
-    consumption, so a segment can hold an open (buffering) stream long
-    before it becomes the head.  ``seen`` holds the qualifiers the leg
-    has delivered, kept only under a trailing ``distinct`` op.
-    """
-
-    __slots__ = ("addr", "tablet_id", "extent", "ranges", "stream", "span",
-                 "seen")
-
-    def __init__(self, addr: Addr, tablet_id: str, extent: Range):
-        self.addr = addr
-        self.tablet_id = tablet_id
-        self.extent = extent
-        self.ranges: List[Range] = []
-        self.stream: Optional[_Stream] = None
-        self.span = None
-        self.seen: Set[str] = set()
-
-
-class _RemoteScanStream:
-    """The resumable ColumnBatch pump behind every remote scan.
-
-    Owns the whole stream lifecycle over a sequence of binary CHUNK
-    frames: open/retry/backoff, mid-stream resume, split re-planning,
-    spans and counters.  :meth:`next_batch` returns decoded
-    :class:`~repro.net.cells.ColumnBatch`\\ es — one per pull,
-    merging every CHUNK of the head segment that has already arrived —
-    and never materialises a ``Cell``.
-
-    A pump scans one *range set* (sorted, disjoint ranges; a plain
-    range scan is a set of one) and may span many segments, one per
-    tablet the set reaches into; each segment's SCAN carries just that
-    tablet's share of the set, found by bisecting the set against the
-    tablet extents.  It fans out: the next :data:`_SCAN_FANOUT`
-    segments' streams are opened ahead of consumption so their servers
-    scan in parallel.  A segment ends on its DONE, and only then does
-    the next one become the head, so delivery order is strictly
-    segment order — fan-out changes when servers *produce*, never when
-    the consumer *sees*.
-
-    The stream is resumable at batch granularity: the resume key
-    advances to the last entry of each CHUNK as it is decoded, and any
-    mid-stream failure :meth:`RpcCore.judge` retries reopens the stream
-    asking the server to skip everything at or before that key — a
-    reopen only happens while pulling the *next* batch, so everything
-    before it is the caller's.  A reopen re-sends only the ranges that
-    end after the resume row.  When the
-    pushed-down spec ends in ``distinct``, whose state (the qualifiers
-    seen) crosses rows, the reopen also carries that state: the
-    qualifiers the segment has delivered, as the op's ``seen`` list,
-    which the server applies above its skip past the resume key.  The
-    resumed stream is then exact even when the tablet took writes
-    between the two opens.  A ``NotHostedError`` instead re-locates
-    through the manager and re-plans those remaining ranges over the
-    new tablet layout — which is how a scan survives a split or
-    migration that happens under it; each tablet now holding the head
-    segment's rows starts from the qualifiers that segment delivered.
-    """
-
-    def __init__(self, inst: "RemoteInstance", table: str,
-                 ranges: Sequence[Range], segments: Sequence[_Segment],
-                 pushdown: Optional[dict] = None, columns: Columns = None):
-        self._inst = inst
-        self._table = table
-        #: SCAN payload fields of the pushed-down layers, attached to
-        #: every segment open (see :func:`_ship`)
-        self._pushdown = pushdown or {}
-        spec = self._pushdown.get("iterspec")
-        self._distinct = bool(spec) and spec[-1]["op"] == "distinct"
-        self._columns = list(columns) if columns else None
-        self._segments: List[_Segment] = []
-        self._resume: Optional[list] = None
-        self._finished = True
-        self._opened = False  # has this pump ever opened a stream?
-        self._plan(segments, ranges)
-
-    def _plan(self, segments: Sequence[_Segment],
-              ranges: Sequence[Range]) -> None:
-        """Give each segment its share of ``ranges`` (two bisects of
-        the sorted set per tablet extent) and keep those that get any."""
-        self._segments = []
-        for seg in segments:
-            seg.ranges = clip_ranges(ranges, seg.extent)
-            if seg.ranges:
-                seg.stream = None
-                seg.span = None
-                self._segments.append(seg)
-        self._finished = not self._segments
-
-    def _pending(self, ranges: Sequence[Range]) -> Sequence[Range]:
-        """``ranges`` without those a resume has fully delivered (they
-        end at or before the resume row).  The range holding the
-        resume row stays whole: the server skips to the resume key."""
-        if not self._resume:
-            return ranges
-        return ranges[bisect.bisect_right(
-            ranges, self._resume[0], key=Range.effective_stop):]
-
-    # -- streaming --------------------------------------------------------
-
-    def _open(self, seg: _Segment) -> None:
-        """Open ``seg``'s stream (no waiting for frames)."""
-        core = self._inst.core
-        payload = {
-            "table": self._table,
-            "tablet_id": seg.tablet_id,
-            "ranges": [wire.range_to_wire(r)
-                       for r in self._pending(seg.ranges)],
-            "columns": ([list(c) for c in self._columns]
-                        if self._columns else None),
-            "resume": self._resume,
-        }
-        payload.update(self._pushdown)
-        if seg.seen:
-            *below, op = self._pushdown["iterspec"]
+    def _open(self) -> None:
+        """Send the SCAN (no waiting for frames)."""
+        if self._opened or self._resume:
+            # any reopen mid-scan is a resume, even when chunk progress
+            # reset the attempt budget; so is a re-planned tablet's
+            # open past the key the moved one delivered last
+            self._server.core.metrics.counter(
+                "net.client.scan_resumes").inc()
+        payload = {**self._payload,
+                   "ranges": [wire.range_to_wire(r)
+                              for r in _pending(self._ranges, self._resume)],
+                   "resume": self._resume}
+        if self._seen:
+            *below, op = payload["iterspec"]
             payload["iterspec"] = [*below, {"op": "distinct", "seen": sorted(
-                seg.seen.union(op.get("seen", ())))}]
+                self._seen.union(op.get("seen", ())))}]
         tc = None
         if _trace.ENABLED:
             # detached: a scan stream stays open across iterator pulls,
             # so its span cannot be lexically scoped.  Closed by
-            # _close_segment on completion, resume, or re-plan.
-            seg.span = _trace.start_span(
-                "rpc.client.scan", op="scan",
-                table=self._table, server=format_addr(seg.addr))
-            tc = seg.span.context
-        seg.stream = core.open_stream(seg.addr, wire.SCAN, payload, tc=tc)
+            # close() on completion, resume, or relocation
+            self._span = _trace.start_span(
+                "rpc.client.scan", op="scan", table=payload["table"],
+                server=format_addr(self._server.addr))
+            tc = self._span.context
+        self._stream = self._server.core.open_stream(
+            self._server.addr, wire.SCAN, payload, tc=tc)
         self._opened = True
 
-    def _fanout(self) -> None:
-        """Open any unopened streams among the first
-        :data:`_SCAN_FANOUT` segments.  Only the head's open failure
-        propagates — an eager open that fails will fail again, visibly,
-        once that segment becomes the head."""
-        for i, seg in enumerate(self._segments[:_SCAN_FANOUT]):
-            if seg.stream is not None:
-                continue
-            try:
-                self._open(seg)
-            except Exception:  # noqa: BLE001 - surfaces once it is head
-                if i == 0:
-                    raise
-                self._close_segment(seg)
-                break
+    def __iter__(self) -> "_TabletScan":
+        return self
 
-    def next_batch(self) -> Optional[_cells.ColumnBatch]:
-        """The next non-empty batch (every buffered CHUNK merged), or
-        ``None`` once the scan is exhausted."""
-        core = self._inst.core
+    def __next__(self) -> _cells.ColumnBatch:
+        """The next non-empty batch (every buffered CHUNK merged)."""
+        core = self._server.core
         counters = core.metrics.counter
         sleep: Optional[float] = None
         attempts = 0
-        while not self._finished:
+        while not self._done:
             try:
-                if self._segments[0].stream is None:
+                if self._stream is None:
                     if attempts:
                         sleep = core.backoff(sleep)
-                    if self._opened:
-                        # any reopen mid-scan is a resume, even when
-                        # chunk progress reset the attempt budget
-                        counters("net.client.scan_resumes").inc()
                     attempts += 1
-                # one pull: open the next few segments (their servers
-                # scan in parallel), then take every frame the head
-                # segment has delivered — it ends on its DONE or ERROR
-                self._fanout()
-                frames = self._segments[0].stream.get_many(
-                    core.retry.deadline)
+                    self._open()
+                # one pull: every frame the stream has delivered — it
+                # ends on its DONE or ERROR
+                frames = self._stream.get_many(core.retry.deadline)
             except Exception as exc:
                 # a lost, late, corrupt or overrun stream: everything
                 # delivered so far is good, and a reopen resumes past it
-                if self._failed(exc, attempts):
-                    attempts = 0
+                self._failed(exc, attempts)
                 continue
             batch: Optional[_cells.ColumnBatch] = None
             for code, payload, nread in frames:
@@ -936,99 +834,60 @@ class _RemoteScanStream:
                         # an error later in this same frame run reopens
                         # past everything about to be returned
                         self._resume = decoded.last_key()
-                        if self._distinct:
-                            self._segments[0].seen.update(
-                                decoded.qualifiers)
+                        if self._seen is not None:
+                            self._seen.update(decoded.qualifiers)
                         if batch is None:
                             batch = decoded
                         else:
                             batch.extend(decoded)
-                    head = self._segments[0]
-                    if head.span is not None:
-                        attrs = head.span.attrs
+                    if self._span is not None:
+                        attrs = self._span.attrs
                         attrs["chunks"] = attrs.get("chunks", 0) + 1
                         attrs["bytes"] = attrs.get("bytes", 0) + nread
                 elif code == wire.DONE:
-                    self._close_head()
-                    self._segments.pop(0)
-                    self._finished = not self._segments
-                    attempts = 0
+                    self.close()
+                    self._done = True
                 elif code == wire.ERROR:
                     try:
                         wire.raise_error(payload)
                     except Exception as exc:
-                        if self._failed(exc, attempts):
-                            attempts = 0
+                        self._failed(exc, attempts)
                 else:
-                    self._close()
+                    self.close()
                     raise wire.ProtocolError(
                         f"unexpected frame {code:#x} in scan stream")
             if batch is not None:
                 return batch
-        return None
+        if self._moved is not None:
+            raise self._moved
+        raise StopIteration
 
-    def _failed(self, exc: Exception, attempts: int) -> bool:
-        """The head segment's attempt failed with ``exc``: drop its
-        stream, then, by :meth:`RpcCore.judge`, reopen it later (within
-        the retry budget), or re-plan the scan over a fresh locate
-        index (True: the budget starts again), or close and raise."""
-        core = self._inst.core
-        self._close_head()
-        try:
-            verdict = core.judge(exc)
-        except Exception:
-            self._close()
-            raise
-        if verdict is RELOCATE:
-            self._replan()
-            return True
-        if attempts >= core.retry.attempts:
-            self._close()
-            raise core.exhausted(f"scan of {self._table!r}",
-                                 attempts) from exc
-        return False
+    def _failed(self, exc: Exception, attempts: int) -> None:
+        """An attempt failed with ``exc``: drop the stream, then, by
+        :meth:`RpcCore.judge`, reopen it later (within the retry
+        budget), or end the scan with the ``NotHostedError`` the next
+        pull raises, or raise."""
+        core = self._server.core
+        self.close()
+        if core.judge(exc) is RELOCATE:
+            self._moved = exc
+            self._done = True
+        elif attempts >= core.retry.attempts:
+            raise core.exhausted(
+                f"scan of {self._payload['table']!r}", attempts) from exc
 
-    def _replan(self) -> None:
-        """The tablet moved (split/migration): rebuild the remaining
-        segments from a fresh locate index."""
-        self._close()  # fanned-out streams were planned on the old layout
-        self._inst.invalidate(self._table)
-        head = self._segments[0]
-        # the legs not yet done: a finished leg's rows past the resume
-        # key are not owed (its delivered tail may end before them)
-        remaining = self._pending(list(chain.from_iterable(
-            seg.ranges for seg in self._segments)))
-        if self._resume:
-            # rows before the resume row are delivered: tablets that
-            # hold only those must not be re-planned in
-            remaining = clip_ranges(remaining, Range(self._resume[0], None))
-        self._plan([_Segment(e.server.addr, e.tablet_id, e.extent)
-                    for e in self._inst.tablets(self._table)], remaining)
-        if head.seen:
-            for seg in self._segments:
-                if seg.extent.clip(head.extent) is not None:
-                    seg.seen = set(head.seen)
-
-    @staticmethod
-    def _close_segment(seg: _Segment) -> None:
-        span, seg.span = seg.span, None
+    def close(self) -> None:
+        """Stop the stream, if open: the server stops producing."""
+        span, self._span = self._span, None
         if span is not None:
             span.finish()
-        stream, seg.stream = seg.stream, None
+        stream, self._stream = self._stream, None
         if stream is not None and not stream.ended:
             stream.cancel()
 
-    def _close_head(self) -> None:
-        if self._segments:
-            self._close_segment(self._segments[0])
-
-    def _close(self) -> None:
-        for seg in self._segments:
-            self._close_segment(seg)
-
     def __del__(self):  # abandoned mid-stream: stop the server's work
         try:
-            self._close()
+            self.close()
         except Exception:
             pass
 
@@ -1057,12 +916,10 @@ class RemoteTabletServer:
     ``status`` or ``shutdown`` — now and waits in the call it returns,
     so requests to several servers overlap.  ``release_tablet`` returns
     the ``MIGRATE_OUT`` reply, which ``adopt_tablet`` sends on as it
-    came.
-
-    It is also the ``inst`` of :meth:`scan_tablet`'s scan pump, which
-    asks it for nothing but its ``core`` until a tablet moves: the
-    plane's steps all run while the manager handles their op, so no
-    tablet can split or migrate under a step."""
+    came.  :meth:`scan_tablet` is the one read of a remote tablet: a
+    client scan's of each tablet, and a TableMult step's of a peer's
+    (the plane's steps all run while the manager handles their op, so
+    no tablet splits or migrates under a step)."""
 
     def __init__(self, core: RpcCore, name: str, addr: Addr):
         self.core = core
@@ -1135,24 +992,19 @@ class RemoteTabletServer:
             mutate=True)()
 
     def scan_tablet(self, table: str, tablet_id: str,
-                    ranges: Sequence[Range], layers: Sequence = ()):
-        """One range-set ``SCAN``, opened now (as a local scan slices
-        now) and resumed mid-stream like any client's; ``layers`` —
-        each with a wire form — run in the server, which also sizes
-        the batches."""
-        pump = _RemoteScanStream(
-            self, table, list(ranges), [_Segment(self.addr, tablet_id,
-                                                 Range())],
-            _pushdown([layer.op for layer in layers]))
-        pump._fanout()
-        return iter(pump.next_batch, None)
-
-    def invalidate(self, table: str) -> None:
-        pass
-
-    def tablets(self, table: str):
-        raise NotHostedError(f"a tablet of {table!r} moved under a "
-                             f"TableMult step")
+                    ranges: Sequence[Range], layers: Sequence = (),
+                    columns: Columns = None, resume: Optional[list] = None
+                    ) -> _TabletScan:
+        """One range-set ``SCAN`` of one tablet, sent now (as a local
+        scan slices now), resumed mid-stream inside the tablet
+        (:class:`_TabletScan`); ``layers`` — each with a wire form — run
+        in the server, which also sizes the batches.  A tablet that
+        moved raises ``NotHostedError`` from the stream."""
+        return _TabletScan(self, {
+            "table": table, "tablet_id": tablet_id,
+            "columns": [list(c) for c in columns] if columns else None,
+            **_pushdown([layer.op for layer in layers])}, list(ranges),
+            resume)
 
 
 def assignment_to_wire(entry: Assignment) -> dict:
@@ -1256,47 +1108,6 @@ class RemoteInstance(ConnectorBackend):
     def splits(self, name: str) -> List[str]:
         return self.core.call(self.manager_addr, wire.SPLITS,
                               {"table": name})["splits"]
-
-    def scan_columns(self, table: str, rng: RangeSet = Range(),
-                     columns: Columns = None,
-                     scan_iterators: Sequence = ()):
-        """Bulk columnar scan: ONE pump spanning every tablet that
-        ``rng`` — a range, or a sorted, disjoint range set — reaches
-        into, yielding :class:`~repro.net.cells.ColumnBatch`\\ es in
-        global key order.
-
-        The pump fans out stream opens across the tablets' servers so
-        they scan in parallel, where a scan per tablet would pay a
-        serial open-and-drain round each.  The scan layers that can
-        cross the wire (see :func:`_ship`) run inside every tablet
-        server the pump touches — each filters and folds its own merged
-        stream before bytes hit the socket — and the stages of the rest
-        (visibility filter, user layers) are chained here, over the
-        pump's batches."""
-        pushdown, here = _ship(scan_iterators)
-        # no extent to clip to: this just makes a lone Range a set of
-        # one and drops a range that can hold nothing
-        ranges = clip_ranges(rng, Range())
-        if not ranges:
-            return iter(())
-        pump = _RemoteScanStream(
-            self, table, ranges,
-            [_Segment(e.server.addr, e.tablet_id, e.extent)
-             for e in self.tablets_for_range(table, covering(ranges))],
-            pushdown, columns)
-        out = iter(pump.next_batch, None)
-        for layer in here:
-            out = layer.stage(out)
-        return out
-
-    def scan_cells(self, table: str, rng: RangeSet = Range(),
-                   columns: Columns = None,
-                   scan_iterators: Sequence = ()):
-        """:meth:`scan_columns`, cell by cell: a ``chain`` over the
-        batches' cells, so the per-cell loop runs no Python frame."""
-        return chain.from_iterable(map(_cells.ColumnBatch.cells,
-                                       self.scan_columns(table, rng, columns,
-                                                         scan_iterators)))
 
     # -- maintenance ------------------------------------------------------
 

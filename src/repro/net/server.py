@@ -82,8 +82,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dbsim.errors import BusyError
 from repro.dbsim.iterators import Layer
-from repro.dbsim.key import (Key, SortKey, key_columns, sort_keys,
-                             sorted_disjoint)
+from repro.dbsim.key import key_columns, sort_keys, sorted_disjoint
 from repro.dbsim.server import (ControlPlane, MultSpec, TableConfig,
                                 TabletServer, answers)
 from repro.dbsim.sstable import SSTable
@@ -667,27 +666,6 @@ def _state_tablet(state: wire.CellsPayload, config: TableConfig) -> Tablet:
     return tablet
 
 
-def _skip_past(key: SortKey):
-    """The stage that drops a sorted stream's entries at or before
-    ``key``: what a resumed scan already delivered."""
-    def stage(batches):
-        batches = iter(batches)
-        for batch in batches:
-            rows, fams = batch.rows, batch.families
-            quals, viss = batch.qualifiers, batch.visibilities
-            ts, dels = batch.timestamps, batch.deletes
-            n = len(rows)
-            i = 0
-            while i < n and (rows[i], fams[i], quals[i], viss[i], -ts[i],
-                             0 if dels[i] else 1) <= key:
-                i += 1
-            if i < n:
-                yield batch.select(range(i, n)) if i else batch
-                break
-        yield from batches
-    return stage
-
-
 def _coalesce(batches):
     """Pack the short batches a selective or folding stage leaves of
     full ones into chunks of up to :data:`SCAN_CHUNK_CELLS`: a
@@ -861,19 +839,8 @@ class TabletServerService(_BaseService):
                 Authorizations(p.get("auths") or ()), spec)
                 if spec or "auths" in p else ())
             if spec:
+                # a reopen's skipped prefix passes it: counted as folded
                 push = (Layer(count_in),) + push
-            resume = p.get("resume")
-            if resume:
-                # a reopen: what was delivered is a prefix of the
-                # stream, skipped above every op but a trailing
-                # distinct — that one starts from the client's seen
-                # list, so the prefix must not reach it (a resumed
-                # scan's skipped prefix counts as folded)
-                at = len(push) - bool(spec
-                                      and spec.ops[-1]["op"] == "distinct")
-                push = (*push[:at],
-                        Layer(_skip_past(Key(*resume).sort_tuple())),
-                        *push[at:])
             # the tablet's share of the scan's range set — required (a
             # missing key is a typed KeyError frame), and a payload
             # still carrying the single "range" it replaced is refused
@@ -893,7 +860,7 @@ class TabletServerService(_BaseService):
             # each batch's columns — no Cell is built
             out = batches = self.tserver.scan_tablet(
                 p.get("table"), p["tablet_id"], ranges, push, columns,
-                SCAN_CHUNK_CELLS)
+                p.get("resume"), SCAN_CHUNK_CELLS)
             if spec:
                 out = _coalesce(batches)
                 counters("net.server.pushdown.stacks").inc()

@@ -9,10 +9,13 @@ both — the client surface must not care which side of a socket the
 tablets live on.
 """
 
+from itertools import islice
+
 import pytest
 
 from repro.dbsim.client import Connector
 from repro.dbsim.errors import MutationsRejectedError, ServerCrashedError
+from repro.dbsim.iterators import Layer
 from repro.dbsim.key import Range
 from repro.dbsim.server import Instance, TableConfig
 from repro.dbsim.visibility import Authorizations
@@ -143,18 +146,18 @@ class TestBatchScannerAcrossSplits:
                                               *range(220, 260))]
 
     @staticmethod
-    def _split_behind(conn, row):
+    def _split_behind(conn, row, table="s"):
         """Split through a *different* client, so this one's routing
         goes stale without it noticing."""
         inst = conn.instance
         if isinstance(inst, RemoteInstance):
             other = RemoteConnector(inst.manager_addr)
             try:
-                other.instance.add_split("s", row)
+                other.instance.add_split(table, row)
             finally:
                 other.close()
         else:
-            inst.add_split("s", row)
+            inst.add_split(table, row)
 
     def test_stale_route_after_split_self_heals(self, conn):
         self._fill(conn)
@@ -176,6 +179,42 @@ class TestBatchScannerAcrossSplits:
         assert [c.key.row for c in got] == \
             [f"r{i:03d}" for i in (*range(10, 120), 130, *range(140, 260),
                                    *range(290, 300))]
+
+
+class TestOneScanPath:
+    """A client scan is one loop on both backends: each tablet read
+    through its server handle's ``scan_tablet`` with the layers that
+    ship, the rest run once over the whole stream, a few tablets
+    opened ahead, a moved tablet re-planned."""
+
+    def test_a_user_layer_runs_once_over_the_whole_scan(self, conn):
+        # a stateful layer sees one stream, not one per tablet: its
+        # first batch is the first tablet's
+        first = Layer(lambda batches: islice(batches, 1))
+        assert [(c.key.row, c.value) for c in conn.scanner(
+            "t", scan_iterators=(first,))] == [("a", "1"), ("a", "2")]
+
+    def test_tablets_opened_ahead_miss_a_later_write(self, conn):
+        # both tablets are open once the first cell is out: a write
+        # made after it is not in this scan, as of its open
+        scan = iter(conn.scanner("t"))
+        assert next(scan).key.row == "a"
+        with conn.batch_writer("t") as w:
+            w.put("zz", "", "c9", 5)
+        assert [c.key.row for c in scan] == ["a", "m", "z"]
+        assert [c.key.row for c in conn.scanner("t")][-1] == "zz"
+
+    def test_a_split_under_an_open_scan_equals_a_fresh_scan(self, conn):
+        # five tablets: the last is not open yet when it splits
+        conn.create_table("s", splits=["b", "d", "f", "h"])
+        with conn.batch_writer("s") as w:
+            for row in "abcdefghij":
+                w.put(row, "", "c", row)
+        scan = iter(conn.scanner("s"))
+        head = [next(scan)]
+        TestBatchScannerAcrossSplits._split_behind(conn, "i", "s")
+        assert head + list(scan) == list(conn.scanner("s"))
+        assert len(conn.instance.tablets("s")) == 6
 
 
 class TestBatchWriter:

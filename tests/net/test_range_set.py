@@ -1,18 +1,19 @@
 """Range-set scans over the fabric: faults, re-plans, the wire boundary
 and the server's scan workers.
 
-A coalesced ``BatchScanner`` is one pump over every tablet its sorted,
-disjoint range list reaches into; each SCAN carries that tablet's share
-of the list in the ``ranges`` field.  What must hold:
+A coalesced ``BatchScanner`` is one client scan over every tablet its
+sorted, disjoint range list reaches into; each tablet's SCAN carries
+that tablet's share of the list in the ``ranges`` field.  What must
+hold:
 
 * under the seeded drop / delay / corrupt / reset plan a multi-tablet
   range-set scan resumes past the last delivered key — no duplicate, no
   missing cell, timestamps included — on thread and process clusters;
 * a resume or a split re-plan re-sends only the ranges that end after
   the resume row, and a re-planned scan still returns the per-range
-  result;
+  result — in process too, where the same client scan re-plans;
 * a scan holding the ``distinct`` op, whose state crosses rows, reopens
-  with that state — the qualifiers its segment delivered, as the op's
+  with that state — the qualifiers its tablet delivered, as the op's
   ``seen`` list — and gives the fault-free result, which it does not
   without them; a write that lands before the resume key between the
   two opens drops no qualifier; re-planned over a split, a qualifier
@@ -31,12 +32,13 @@ import time
 
 import pytest
 
+from repro.dbsim.backend import _seeded, _ship
 from repro.dbsim.client import Connector
 from repro.dbsim.key import Range
-from repro.dbsim.server import Instance
+from repro.dbsim.errors import NotHostedError
+from repro.dbsim.server import Instance, TabletServer
 from repro.net import wire
-from repro.net import client as net_client
-from repro.net.client import RemoteConnector, _RemoteScanStream, _Segment
+from repro.net.client import RemoteConnector, _TabletScan, _pending
 from repro.net.cluster import LocalCluster
 from repro.net.iterspec import IterSpec
 from repro.net.server import SCAN_CHUNK_CELLS
@@ -186,12 +188,12 @@ class TestSeededResume:
                 resumes = registry.export()["net.client.scan_resumes"]
                 # without the seen list a reopen's distinct starts over
                 # past the resume key, blind to what it already sent
-                init = _RemoteScanStream.__init__
+                init = _TabletScan.__init__
 
-                def blind(pump, *args, **kwargs):
-                    init(pump, *args, **kwargs)
-                    pump._distinct = False
-                monkeypatch.setattr(_RemoteScanStream, "__init__", blind)
+                def blind(scan, *args, **kwargs):
+                    init(scan, *args, **kwargs)
+                    scan._seen = None
+                monkeypatch.setattr(_TabletScan, "__init__", blind)
                 blinded = _distinct(conn, ranges)
             finally:
                 conn.close()
@@ -210,24 +212,22 @@ def _first_tablet_half(conn, ranges):
     return first[:cut], first[cut:]
 
 
-def _resumed_pump(conn, ranges, delivered):
-    """A ``distinct`` pump over ``ranges`` in the state a reopen after
-    ``delivered`` finds it in: resume key and the head's seen list."""
+def _resumed_scan(conn, ranges, delivered):
+    """A ``distinct`` client scan over ``ranges``, planned now and not
+    yet opened, in the state a re-plan after ``delivered`` leaves it
+    in: the head tablet opens past the resume key, its ``distinct``
+    seeded with the qualifiers delivered."""
     inst = conn.instance
-    pushdown, _ = net_client._ship(IterSpec().distinct().build_factories())
-    pump = _RemoteScanStream(
-        inst, "g", ranges,
-        [_Segment(p.server.addr, p.tablet_id, p.extent) for p in inst.tablets("g")],
-        pushdown)
+    shipped, _ = _ship(IterSpec().distinct().build_factories())
+    legs = inst._plan("g", ranges, shipped)
     row, qual, ts, _ = delivered[-1]
-    pump._resume = [row, "f", qual, "", ts, False]
-    pump._segments[0].seen = {q for _, q, _, _ in delivered}
-    return pump
+    legs[0][2] = _seeded(shipped, {q for _, q, _, _ in delivered})
+    legs[0][3] = [row, "f", qual, "", ts, False]
+    return inst._scan("g", legs, None)
 
 
-def _drain(pump):
-    return _snap(cell for b in iter(pump.next_batch, None)
-                 for cell in b.cells())
+def _drain(scan):
+    return _snap(cell for b in scan for cell in b.cells())
 
 
 @pytest.fixture(scope="module")
@@ -243,65 +243,159 @@ def conn(cluster):
     for table in list(conn.instance.list_tables()):
         conn.instance.delete_table(table)
     conn.registry = registry
+    conn.replans = lambda: registry.export()["net.client.relocates"]
     yield conn
     conn.close()
 
 
-class TestReplan:
-    def test_split_inside_a_requested_range_mid_scan(self, conn, reference):
-        ranges = _range_set()
-        want = _snap(_per_range(reference, "t", ranges))
-        _ingest(conn)
-        # planned on four tablets, nothing opened yet ...
-        batches = conn.instance.scan_columns("t", ranges)
-        # ... then the last tablet splits inside a requested range,
-        # through another client: this one's plan is stale
-        inside = next(r for r in ranges if r.start_row > "r08000"
-                      and r.stop_row > r.start_row + "\0")
-        other = RemoteConnector(conn.instance.manager_addr)
-        try:
-            other.instance.add_split("t", inside.start_row[:-1] + "5")
-        finally:
-            other.close()
-        got = _snap(cell for b in batches for cell in b.cells())
-        assert got == want
-        # the stale segment answered NotHostedError after earlier
-        # tablets had delivered: a re-plan past the resume row
-        assert conn.registry.export()["net.client.relocates"] >= 1
+def _split_behind(conn, table, row):
+    """Split ``table`` at ``row`` behind ``conn``'s open scans: in a
+    cluster through another client, so this one's plan is stale; in
+    process through the plane, whose index the plan was taken from."""
+    if isinstance(conn.instance, Instance):
+        conn.instance.add_split(table, row)
+        return
+    other = RemoteConnector(conn.instance.manager_addr)
+    try:
+        other.instance.add_split(table, row)
+    finally:
+        other.close()
 
-    def test_distinct_over_a_split_repeats_only_across_children(self, conn):
+
+def _split_inside_a_requested_range_mid_scan(conn, reference):
+    ranges = _range_set()
+    want = _snap(_per_range(reference, "t", ranges))
+    _ingest(conn)
+    # planned on four tablets, nothing opened yet ...
+    batches = conn.instance.scan_columns("t", ranges)
+    # ... then the last tablet splits inside a requested range: this
+    # scan's plan is stale
+    inside = next(r for r in ranges if r.start_row > "r08000"
+                  and r.stop_row > r.start_row + "\0")
+    _split_behind(conn, "t", inside.start_row[:-1] + "5")
+    got = _snap(cell for b in batches for cell in b.cells())
+    assert got == want
+    # the stale tablet answered NotHostedError after earlier tablets
+    # had delivered: a re-plan past the resume row
+    assert conn.replans() >= 1
+
+
+def _distinct_over_a_split_repeats_only_across_children(conn):
+    ranges = _range_set()
+    local = Connector(Instance(n_servers=2, metrics=MetricsRegistry()))
+    _ingest_graph(local)
+    want = _distinct(local, ranges)
+    _ingest_graph(conn)
+    batches = conn.instance.scan_columns(
+        "g", ranges, scan_iterators=IterSpec().distinct().build_factories())
+    split = "r08005"
+    _split_behind(conn, "g", split)
+    got = _snap(cell for b in batches for cell in b.cells())
+    assert conn.replans() >= 1
+    assert {q for _, q, _, _ in got} == {q for _, q, _, _ in want}
+    # the tablets that did not split give exactly what they gave
+    last = SPLITS[-1]
+    assert [c for c in got if c[0] < last] == \
+        [c for c in want if c[0] < last]
+    # the split one: each child keeps one cell per qualifier, so a
+    # qualifier shows at most once on each side of the split row
+    for side in (lambda row: last <= row < split,
+                 lambda row: row >= split):
+        quals = [q for row, q, _, _ in got if side(row)]
+        assert len(quals) == len(set(quals))
+    tail = [q for row, q, _, _ in got if row >= last]
+    assert len(tail) > len(set(tail))  # some did repeat
+    # ... and the whole is the in-process scan of the split layout
+    local.instance.add_split("g", split)
+    assert got == _distinct(local, ranges)
+
+
+class TestReplanInProcess:
+    """:class:`TestReplan`'s splits under a planned scan, in process:
+    the client scan is the same loop there, and re-plans the same way."""
+
+    @pytest.fixture
+    def local(self):
+        conn = Connector(Instance(n_servers=2, metrics=MetricsRegistry()))
+        invalidated = []
+        invalidate = conn.instance.invalidate
+
+        def spy(name=None):
+            invalidated.append(name)
+            invalidate(name)
+        conn.instance.invalidate = spy
+        conn.replans = lambda: len(invalidated)
+        return conn
+
+    def test_split_inside_a_requested_range_mid_scan(self, local, reference):
+        _split_inside_a_requested_range_mid_scan(local, reference)
+
+    def test_distinct_over_a_split_repeats_only_across_children(self, local):
+        _distinct_over_a_split_repeats_only_across_children(local)
+
+    @staticmethod
+    def _move_mid_stream(local, monkeypatch, delivered, split):
+        """Make the next scan's head tablet deliver ``delivered`` (its
+        first cells), split at ``split``, and answer ``NotHostedError``."""
+        scan_tablet = TabletServer.scan_tablet
+        moved = []
+
+        def moving(server, *args):
+            batches = scan_tablet(server, *args)
+            if moved:
+                return batches
+            moved.append(args[1])
+
+            def head():
+                yield next(batches).select(range(len(delivered)))
+                batches.close()
+                local.instance.add_split("g", split)
+                raise NotHostedError(f"{args[1]} split")
+            return head()
+        monkeypatch.setattr(TabletServer, "scan_tablet", moving)
+
+    def test_a_move_mid_stream_resumes_past_the_last_key(
+            self, local, monkeypatch):
         ranges = _range_set()
-        local = Connector(Instance(n_servers=2, metrics=MetricsRegistry()))
         _ingest_graph(local)
-        want = _distinct(local, ranges)
-        _ingest_graph(conn)
-        batches = conn.instance.scan_columns(
-            "g", ranges, scan_iterators=IterSpec().distinct(
-            ).build_factories())
-        split = "r08005"
-        other = RemoteConnector(conn.instance.manager_addr)
-        try:
-            other.instance.add_split("g", split)
-        finally:
-            other.close()
-        got = _snap(cell for b in batches for cell in b.cells())
-        assert conn.registry.export()["net.client.relocates"] >= 1
-        assert {q for _, q, _, _ in got} == {q for _, q, _, _ in want}
-        # the tablets that did not split give exactly what they gave
-        last = SPLITS[-1]
-        assert [c for c in got if c[0] < last] == \
-            [c for c in want if c[0] < last]
-        # the split one: each child keeps one cell per qualifier, so a
-        # qualifier shows at most once on each side of the split row
-        for side in (lambda row: last <= row < split,
-                     lambda row: row >= split):
+        want = _snap(_per_range(local, "g", ranges))
+        first = [c for c in want if c[0] < SPLITS[0]]
+        self._move_mid_stream(local, monkeypatch, first[:len(first) // 2],
+                              first[len(first) * 3 // 4][0])
+        got = _snap(local.batch_scanner("g").set_ranges(ranges))
+        assert local.replans() == 1
+        assert got == want
+
+    def test_a_move_mid_stream_seeds_the_tablets_it_became(
+            self, local, monkeypatch):
+        """Under ``distinct``, each child re-planned in the moved head's
+        place skips every qualifier the head delivered and keeps one
+        cell per qualifier of its own."""
+        ranges = _range_set()
+        _ingest_graph(local)
+        delivered, rest = _first_tablet_half(local, ranges)
+        split = rest[len(rest) // 2][0]
+        self._move_mid_stream(local, monkeypatch, delivered, split)
+        got = [c for c in _distinct(local, ranges) if c[0] < SPLITS[0]]
+        assert got[:len(delivered)] == delivered
+        got = got[len(delivered):]
+        assert local.replans() == 1
+        sent = {q for _, q, _, _ in delivered}
+        assert not sent & {q for _, q, _, _ in got}
+        for side in (lambda row: row < split, lambda row: row >= split):
             quals = [q for row, q, _, _ in got if side(row)]
             assert len(quals) == len(set(quals))
-        tail = [q for row, q, _, _ in got if row >= last]
-        assert len(tail) > len(set(tail))  # some did repeat
-        # ... and the whole is the in-process scan of the split layout
-        local.instance.add_split("g", split)
-        assert got == _distinct(local, ranges)
+        assert {q for _, q, _, _ in got} == {q for _, q, _, _ in rest}
+        assert [c for c in got if c[0] < split] == \
+            [c for c in rest if c[0] < split]
+
+
+class TestReplan:
+    def test_split_inside_a_requested_range_mid_scan(self, conn, reference):
+        _split_inside_a_requested_range_mid_scan(conn, reference)
+
+    def test_distinct_over_a_split_repeats_only_across_children(self, conn):
+        _distinct_over_a_split_repeats_only_across_children(conn)
 
     def test_a_write_before_the_resume_key_drops_no_qualifier(self, conn):
         """Between the first open and the reopen, a cell lands before the
@@ -316,22 +410,18 @@ class TestReplan:
         qual = next(q for _, q, _, _ in rest if q < last)
         with conn.batch_writer("g") as w:
             w.put(row, "f", qual, 1)  # in the resume row, before the key
-        got = _drain(_resumed_pump(conn, ranges, delivered))
+        got = _drain(_resumed_scan(conn, ranges, delivered))
         assert [c for c in got if c[0] < SPLITS[0]] == rest
 
     def test_a_split_after_a_resume_seeds_both_children(self, conn):
         ranges = _range_set()
         _ingest_graph(conn)
         delivered, rest = _first_tablet_half(conn, ranges)
-        pump = _resumed_pump(conn, ranges, delivered)
+        scan = _resumed_scan(conn, ranges, delivered)
         split = rest[len(rest) // 2][0]
-        other = RemoteConnector(conn.instance.manager_addr)
-        try:
-            other.instance.add_split("g", split)
-        finally:
-            other.close()
-        got = [c for c in _drain(pump) if c[0] < SPLITS[0]]
-        assert conn.registry.export()["net.client.relocates"] >= 1
+        _split_behind(conn, "g", split)
+        got = [c for c in _drain(scan) if c[0] < SPLITS[0]]
+        assert conn.replans() >= 1
         # neither child repeats a delivered qualifier, and each keeps
         # one cell per qualifier: a repeat only across the two
         sent = {q for _, q, _, _ in delivered}
@@ -363,16 +453,15 @@ class TestReplan:
     def test_reopen_sends_only_ranges_past_the_resume_row(self):
         ranges = [Range.exact_row("a"), Range("c", "f"), Range("f", "k"),
                   Range.exact_row("m")]
-        pump = _RemoteScanStream(None, "t", ranges, [])
-        assert pump._pending(ranges) == ranges
-        pump._resume = ["d", "", "q", "", 7, False]
+        assert _pending(ranges, None) == ranges
+        resume = ["d", "", "q", "", 7, False]
         # [c, f) holds the resume row and stays whole: the server
         # skips to the resume key inside it
-        assert pump._pending(ranges) == ranges[1:]
-        pump._resume = ["f", "", "q", "", 7, False]
-        assert pump._pending(ranges) == ranges[2:]
-        pump._resume = ["z", "", "q", "", 7, False]
-        assert pump._pending(ranges) == []
+        assert _pending(ranges, resume) == ranges[1:]
+        resume = ["f", "", "q", "", 7, False]
+        assert _pending(ranges, resume) == ranges[2:]
+        resume = ["z", "", "q", "", 7, False]
+        assert _pending(ranges, resume) == []
 
 
 class TestWireBoundary:

@@ -20,9 +20,10 @@ elsewhere.  These tests pin what that must keep true:
   a response deadline shorter than the op;
 * a fresh ``out`` lands beside a 1-tablet ``AT``, so its partial
   products cross no wire;
-* a failed op leaves no table behind — a missing mask included — and
-  an existing ``out`` that cannot fold a TableMult's partial products
-  is refused;
+* a failed op leaves no table behind — a missing mask included, and a
+  step failed on a crashed server, which leaves an existing ``out`` —
+  and an existing ``out`` that cannot fold a TableMult's partial
+  products is refused;
 * the paper's kernels built on the op (three distributed triangle
   counts, the masked upper-triangle one among them, Jaccard, k-truss,
   PageRank) equal their in-process results on thread and process
@@ -769,7 +770,44 @@ class TestRowOwnedOut:
                 for c in either.scanner("K")}[("a", "b")] == "5"
 
 
+@pytest.fixture(params=["in_process", "threads", "processes"])
+def crashed(request):
+    """A connection holding ``A`` split at ``c`` over two servers, the
+    one hosting ``[c, ∞)`` crashed."""
+    if request.param == "in_process":
+        conn = _local(2)
+        _load_pendant(conn)
+        conn.add_split("A", "c")
+        conn.instance.locate("A", "c").server.submit("crash")()
+        yield conn
+        return
+    with LocalCluster(n_servers=2,
+                      processes=request.param == "processes") as cluster:
+        conn = cluster.connect(metrics=MetricsRegistry())
+        try:
+            _load_pendant(conn)
+            conn.add_split("A", "c")
+            conn.instance.locate("A", "c").server.submit("crash")()
+            yield conn
+        finally:
+            conn.close()
+
+
 class TestFailedOpsLeaveNoTable:
+    def test_a_failed_step_drops_the_out_it_created(self, crashed):
+        """A one-table op whose step on the crashed server fails while
+        the other's applies (each reads and writes its own tablets):
+        the ``out`` the op created is dropped, an existing one is kept,
+        and the error says how many steps applied."""
+        with pytest.raises(RuntimeError, match="1 of 2 steps"):
+            table_intersect(crashed, "A", "A", "I")
+        assert crashed.instance.list_tables() == ["A"]
+        crashed.create_table("I", splits=["c"])
+        with pytest.raises(RuntimeError, match=r"[01] of 2 steps of the op "
+                                               r"applied; 'I' keeps what"):
+            table_intersect(crashed, "A", "A", "I")
+        assert crashed.instance.list_tables() == ["A", "I"]
+
     @pytest.mark.parametrize("call", [
         lambda c: table_mult(c, "A", "missing", "C"),
         lambda c: table_mult(c, "missing", "A", "C"),
