@@ -42,7 +42,7 @@ from repro.dbsim.backend import ConnectorBackend
 from repro.dbsim.errors import NotHostedError, ServerCrashedError
 from repro.dbsim.iterators import COMBINERS, Layer, as_layers
 from repro.dbsim.key import Key, Range, RangeSet, clip_ranges, covering
-from repro.dbsim.stats import OpStats
+from repro.dbsim.stats import OpStats, cost_counters, counted
 from repro.dbsim.tablet import Tablet, run_now
 from repro.dbsim.visibility import Authorizations
 from repro.obs.metrics import MetricsRegistry, global_registry
@@ -297,9 +297,9 @@ def _skip_past(key: tuple):
 
 
 class TabletServer:
-    """Hosts tablets by id; all per-tablet I/O lands in this server's
-    stats, and every hosted tablet counts into ``metrics`` under its
-    table's name."""
+    """Hosts tablets by id; every hosted tablet counts its cost-model
+    work into this server's :attr:`counters` and all of its work into
+    ``metrics`` under its table's name."""
 
     def __init__(self, name: str, metrics: MetricsRegistry, lock=None):
         self.name = name
@@ -309,7 +309,9 @@ class TabletServer:
         #: cluster the service's lock, which its other requests take
         #: while the step runs; in process, nothing
         self.lock = lock if lock is not None else nullcontext()
-        self.stats = OpStats()
+        #: the cost model's counters (:func:`~repro.dbsim.stats.cost_counters`,
+        #: unregistered) every hosted tablet counts into
+        self.counters = cost_counters()
         #: True between :meth:`crash` and :meth:`recover`.  While set,
         #: every data op on a hosted tablet (write, scan, flush,
         #: compact) raises :class:`ServerCrashedError` — the typed
@@ -319,6 +321,11 @@ class TabletServer:
         self.hosted: Dict[str, Tuple[str, Tablet]] = {}
         #: table → TableConfig, as pushed with the last tablet hosted
         self.configs: Dict[str, TableConfig] = {}
+
+    @property
+    def stats(self) -> OpStats:
+        """The hosted tablets' cost-model counts so far, as a value."""
+        return counted(self.counters)
 
     @property
     def tablets(self) -> List[Tuple[str, Tablet]]:
@@ -335,7 +342,6 @@ class TabletServer:
         return entry[1]
 
     def _host(self, table: str, tablet_id: str, tablet: Tablet) -> None:
-        tablet.stats = self.stats
         tablet.server = self
         tablet.bind_metrics(self.metrics, table)
         self.hosted[tablet_id] = (table, tablet)
@@ -343,8 +349,8 @@ class TabletServer:
 
     def _unhost(self, tablet_id: str) -> Tablet:
         _, tablet = self.hosted.pop(tablet_id)
-        tablet.unbind_metrics()
         tablet.server = None
+        tablet.unbind_metrics()
         self._count()
         return tablet
 
@@ -430,8 +436,9 @@ class TabletServer:
         a client scan's read of each tablet, the read a TableMult step
         makes of its own tablets and of a peer's, and what a ``SCAN``
         streams.  The runs are sliced now, under :attr:`lock`; the
-        stream counts into its own stats, folded into the tablet's
-        under the lock once, when it ends or is closed.
+        stream is drained outside it and counts as it goes, into the
+        tablet's counters (:meth:`Tablet.scan_columns`), so scans
+        drained at once on several threads count exactly.
 
         ``resume`` (a key, ``[row, family, qualifier, visibility,
         timestamp, delete]``) reopens a scan past what it delivered: the
@@ -445,18 +452,9 @@ class TabletServer:
                 Key(*resume).sort_tuple())), *layers[at:])
         with self.lock:
             tablet = self.tablet(table, tablet_id)
-            sink = OpStats()
-            batches = tablet.scan_columns(
+            return tablet.scan_columns(
                 ranges, columns, self.configs[tablet.table].table_iterators,
-                layers, batch_cells=batch_cells, sink=sink)
-        return self._absorbing(tablet, sink, batches)
-
-    def _absorbing(self, tablet: Tablet, sink: OpStats, batches):
-        try:
-            yield from batches
-        finally:
-            with self.lock:
-                tablet.absorb_scan_stats(sink)
+                layers, batch_cells=batch_cells)
 
     def write_tablet(self, table: Optional[str], tablet_id: str,
                      columns) -> int:

@@ -9,12 +9,17 @@ These scale the same way the real system's I/O does.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Sequence, Tuple
+
+from repro.obs.metrics import Counter
 
 
 @dataclass
 class OpStats:
-    """Mutable counter block shared down an iterator stack / server."""
+    """The cost model's five counts, as a value: what a tablet server's
+    (or an unhosted tablet's) :func:`cost_counters` read at one moment
+    (:func:`counted`), a delta between two such readings, or their sum
+    over servers."""
 
     seeks: int = 0
     entries_read: int = 0
@@ -75,52 +80,17 @@ class OpStats:
         return " ".join(f"{k}={v}" for k, v in self.as_dict().items())
 
 
-def _forwarding_counter(name: str) -> property:
-    def get(self: "MeteredStats") -> int:
-        return getattr(self._base, name)
-
-    def set(self: "MeteredStats", value: int) -> None:
-        delta = value - getattr(self._base, name)
-        setattr(self._base, name, value)
-        if delta:
-            self._registry.counter(f"{self._prefix}.{name}").inc(delta)
-
-    return property(get, set)
+#: the cost model's counters, in :class:`OpStats` field order
+COST = tuple(f.name for f in fields(OpStats))
 
 
-class MeteredStats:
-    """OpStats-compatible counter target that *tees* every increment
-    into a metrics registry under ``<prefix>.<counter>``.
-
-    Tablets hand this to their iterator stacks so the one merged
-    per-server :class:`OpStats` keeps working unchanged while the
-    registry accumulates the per-table breakdown.
-    """
-
-    __slots__ = ("_base", "_registry", "_prefix")
-
-    def __init__(self, base: OpStats, registry, prefix: str):
-        self._base = base
-        self._registry = registry
-        self._prefix = prefix
-
-    def snapshot(self) -> OpStats:
-        return self._base.snapshot()
-
-    def delta(self, before: OpStats) -> OpStats:
-        return self._base.delta(before)
-
-    def as_dict(self) -> Dict[str, int]:
-        return self._base.as_dict()
-
-    def __bool__(self) -> bool:
-        return True
-
-    def __str__(self) -> str:
-        return str(self._base)
+def cost_counters() -> Tuple[Counter, ...]:
+    """One unregistered :class:`~repro.obs.metrics.Counter` per
+    :data:`COST` name, in that order: what a tablet server counts its
+    tablets' work into (an unhosted tablet, its own)."""
+    return tuple(Counter(name) for name in COST)
 
 
-for _name in ("seeks", "entries_read", "entries_written", "flushes",
-              "compactions"):
-    setattr(MeteredStats, _name, _forwarding_counter(_name))
-del _name
+def counted(counters: Sequence[Counter]) -> OpStats:
+    """What :func:`cost_counters`' counters hold now, as a value."""
+    return OpStats(*(counter.value for counter in counters))

@@ -48,11 +48,18 @@ from repro.dbsim.key import (
 )
 from repro.dbsim.memtable import CellBuffer, MemTable
 from repro.dbsim.sstable import SSTable
-from repro.dbsim.stats import MeteredStats, OpStats
+from repro.dbsim.stats import COST, OpStats, cost_counters, counted
 from repro.obs import trace as _trace
 
 #: One sorted run as storage holds it: sort-key tuples, aligned values.
 KVRun = Tuple[List[SortKey], List[str]]
+
+#: what a tablet counts: the cost model's counters (:data:`COST`, also
+#: counted into the hosting server's), then those only the registry keeps
+EVENTS = (*COST, "bloom_hits", "bloom_misses", "index_seeks",
+          "batched_mutations", "scans_fused")
+#: the per-table gauges, summed over the table's tablets
+GAUGES = ("memtable_bytes", "memtable_entries", "sstables")
 
 
 def run_now(op: Callable, *args) -> Callable[[], object]:
@@ -123,21 +130,18 @@ class Tablet:
     """One tablet of one table: extent + memtable + sorted runs."""
 
     def __init__(self, extent: Range, max_versions: int = 1,
-                 flush_bytes: int = 1 << 20,
-                 stats: Optional[OpStats] = None):
+                 flush_bytes: int = 1 << 20):
         self.extent = extent
         self.max_versions = max_versions
         self.flush_bytes = flush_bytes
-        self._stats = stats if stats is not None else OpStats()
         self._registry = None     # metrics registry (bound by the Instance)
         #: hosting TabletServer (set by host/unhost); data ops consult
         #: its ``crashed`` flag so a downed server fails typed instead
         #: of silently serving reads
         self.server = None
         self.table: Optional[str] = None
-        self._sink = self._stats  # counter target: stats, or a metered tee
-        self._on_index_seek = None  # registry hook for sstable index seeks
-        self._aux: dict = {}  # cached registry-only counters (_bump_aux)
+        self._own = cost_counters()  # what an unhosted tablet counts into
+        self._resolve()
         self.memtable = MemTable()
         self.sstables: List[SSTable] = []
         self._clock = 0  # per-tablet logical timestamps: last write wins
@@ -150,76 +154,56 @@ class Tablet:
 
     @property
     def stats(self) -> OpStats:
-        return self._stats
-
-    @stats.setter
-    def stats(self, value: OpStats) -> None:
-        # servers re-point hosted tablets at their own counter block;
-        # keep the metered tee (if bound) aimed at the new base
-        self._stats = value
-        self._rebuild_sink()
+        """The cost-model counts this tablet counts into, as a value:
+        its hosting server's, or an unhosted tablet's own."""
+        return counted(self._cost)
 
     def bind_metrics(self, registry, table: str) -> None:
         """Attach a metrics registry: from here on this tablet's work is
-        also counted under ``dbsim.table.<table>.*``."""
+        also counted under ``dbsim.table.<table>.*``, and into the
+        :attr:`server` hosting it (set before this is called)."""
         self._registry = registry
         self.table = table
-        self._gauge_prev = {"memtable_bytes": 0, "memtable_entries": 0,
-                            "sstables": 0}
-        # pre-register every instrument so an export taken before any
-        # activity still shows the table's full schema (at zero)
-        prefix = f"dbsim.table.{table}"
-        for name in ("seeks", "entries_read", "entries_written", "flushes",
-                     "compactions", "bloom_hits", "bloom_misses",
-                     "index_seeks", "batched_mutations", "scans_fused"):
-            registry.counter(f"{prefix}.{name}")
-        for name in self._gauge_prev:
-            registry.gauge(f"{prefix}.{name}")
-        self._rebuild_sink()
+        self._gauge_prev = dict.fromkeys(GAUGES, 0)
+        self._resolve()
         self._update_gauges()
 
     def unbind_metrics(self) -> None:
         """Detach from the registry, withdrawing this tablet's gauge
-        contributions (used when a tablet is retired by split/delete)."""
-        if self._registry is None:
-            return
-        prefix = f"dbsim.table.{self.table}"
-        for name, prev in self._gauge_prev.items():
-            if prev:
-                self._registry.gauge(f"{prefix}.{name}").add(-prev)
-        self._registry = None
-        self._rebuild_sink()
-
-    def _rebuild_sink(self) -> None:
-        self._aux = {}  # registry-only counters, by short name
-        if self._registry is not None and self.table is not None:
-            prefix = f"dbsim.table.{self.table}"
-            self._sink = MeteredStats(self._stats, self._registry, prefix)
-            self._on_index_seek = self._registry.counter(
-                f"{prefix}.index_seeks").inc
-        else:
-            self._sink = self._stats
-            self._on_index_seek = None
-
-    def absorb_scan_stats(self, stats: OpStats) -> None:
-        """Fold one finished scan's private OpStats (built with the
-        ``sink=`` argument of :meth:`scan_columns`) into the tablet's
-        shared block and its metered tee.  The caller serializes calls
-        (``TabletServer.scan_tablet`` holds the server's lock)."""
-        if stats.seeks:
-            self._sink.seeks += stats.seeks
-        if stats.entries_read:
-            self._sink.entries_read += stats.entries_read
-
-    def _bump_aux(self, name: str, amount: int = 1) -> None:
-        """Count an I/O-path event that exists only in the registry
-        (bloom/batching counters are not part of the OpStats cost
-        model, whose field set is pinned by serialization tests)."""
+        contributions (used when a tablet is retired by split/delete or
+        released by its server, whose :attr:`server` is unset first)."""
         if self._registry is not None:
-            counter = self._aux.get(name)
-            if counter is None:  # resolved once per binding, not per scan
-                counter = self._aux[name] = self._registry.counter(
-                    f"dbsim.table.{self.table}.{name}")
+            for name, prev in self._gauge_prev.items():
+                if prev:
+                    self._gauges[name].add(-prev)
+            self._registry = None
+        self._resolve()
+
+    def _resolve(self) -> None:
+        """Look up, once per hosting or binding, what each event counts
+        into: a cost-model event into the hosting server's counter (an
+        unhosted tablet's own) and, while bound, every event and gauge
+        into its table's registry instrument — registered here, so an
+        export taken before any activity shows the table's schema."""
+        self._cost = self._own if self.server is None \
+            else self.server.counters
+        targets = {name: [] for name in EVENTS}
+        for name, counter in zip(COST, self._cost):
+            targets[name].append(counter)
+        self._gauges = {}
+        if self._registry is not None:
+            prefix = f"dbsim.table.{self.table}"
+            for name in EVENTS:
+                targets[name].append(
+                    self._registry.counter(f"{prefix}.{name}"))
+            self._gauges = {name: self._registry.gauge(f"{prefix}.{name}")
+                            for name in GAUGES}
+        self._counts = {name: tuple(each) for name, each in targets.items()}
+
+    def _tick(self, event: str, amount: int = 1) -> None:
+        """Count ``amount`` of ``event`` (an :data:`EVENTS` name) into
+        each of its resolved counters: one locked increment each."""
+        for counter in self._counts[event]:
             counter.inc(amount)
 
     def _update_gauges(self, memtable_bytes: Optional[int] = None) -> None:
@@ -227,7 +211,6 @@ class Tablet:
         # each tablet adds the *change* in its own contribution
         if self._registry is None:
             return
-        prefix = f"dbsim.table.{self.table}"
         if memtable_bytes is None:
             memtable_bytes = self.memtable.approximate_bytes
         now = {"memtable_bytes": memtable_bytes,
@@ -236,7 +219,7 @@ class Tablet:
         for name, value in now.items():
             delta = value - self._gauge_prev[name]
             if delta:
-                self._registry.gauge(f"{prefix}.{name}").add(delta)
+                self._gauges[name].add(delta)
         self._gauge_prev = now
 
     def _check_up(self) -> None:
@@ -305,8 +288,8 @@ class Tablet:
         self._clock = clock
         self.wal.extend(keys, values)
         self.memtable.extend(keys, values, nbytes)
-        self._sink.entries_written += n
-        self._bump_aux("batched_mutations", n)
+        self._tick("entries_written", n)
+        self._tick("batched_mutations", n)
         size = self.memtable.approximate_bytes
         self._update_gauges(memtable_bytes=size)
         if size >= self.flush_bytes:
@@ -346,7 +329,7 @@ class Tablet:
         if not _trace.ENABLED:
             self._flush()
             return
-        with _trace.span("tablet.flush", stats=self._stats,
+        with _trace.span("tablet.flush", stats=lambda: self.stats,
                          table=self.table, entries=len(self.wal)):
             self._flush()
 
@@ -355,7 +338,7 @@ class Tablet:
         self.sstables.append(SSTable.from_run(*self.memtable.sorted_run()))
         self.memtable.clear()
         self.wal.clear()
-        self._sink.flushes += 1
+        self._tick("flushes")
         self._update_gauges(memtable_bytes=0)
 
     # -- failure simulation ----------------------------------------------------
@@ -395,7 +378,7 @@ class Tablet:
     def scan_columns(self, rng: RangeSet = Range(), columns: Columns = None,
                      table_iterators: Sequence[Layer] = (),
                      scan_iterators: Sequence[Layer] = (),
-                     batch_cells: int = 2048, sink=None):
+                     batch_cells: int = 2048):
         """Bulk columnar read of one range or a sorted, disjoint range
         set: :class:`~repro.net.cells.ColumnBatch`\\ es in key order.
 
@@ -415,49 +398,45 @@ class Tablet:
         once per storage batch: a crash mid-scan surfaces as
         :class:`ServerCrashedError` by the next one.
 
-        ``sink`` redirects the scan's OpStats counting away from the
-        tablet's shared block: the shared sink's ``+=`` updates are not
-        atomic, so a server running scans concurrently hands each scan
-        a private :class:`OpStats` and folds it back with
-        :meth:`absorb_scan_stats` under its own serialization.
+        The scan counts as it goes (:meth:`_tick`): the runs it slices
+        now, the entries it reads as each batch is drained — so scans
+        drained at once, on any threads, count exactly.
         """
         self._check_up()
         ranges = clip_ranges(rng, self.extent)
         if not ranges:
             return iter(())
-        if sink is None:
-            sink = self._sink
-        self._bump_aux("scans_fused")
+        self._tick("scans_fused")
         layers = (*table_iterators, *scan_iterators)
         reduce_fn = _fused_reduce(layers)
         sources: List[Optional[SSTable]] = []
-        runs = self._sliced_runs(ranges, sink, sources)
+        runs = self._sliced_runs(ranges, sources)
         # a one-row slice is too small for the transpose to repay the
         # clean check, which reads the whole run
         if (columns is None and reduce_fn is None and len(runs) == 1
                 and sources[0] is not None
                 and (len(ranges) > 1 or ranges[0].single_row() is None)):
-            out = self._drain_clean(sources[0], runs[0], batch_cells, sink)
+            out = self._drain_clean(sources[0], runs[0], batch_cells)
         else:
             out = self._drain_columns_fused(runs, columns, reduce_fn,
-                                            batch_cells, sink)
+                                            batch_cells)
         for layer in layers[reduce_fn is not None:]:
             out = layer.stage(out)
         return out
 
     def _staged(self, runs: List[KVRun], columns: Columns,
-                layers: Sequence[Layer], batch_cells: int, sink):
+                layers: Sequence[Layer], batch_cells: int):
         """The fused drain of ``runs`` with every layer it does not fold
         itself chained on as a stage: a scan's, and a compaction's
         through layers other than a lone built-in combiner."""
         reduce_fn = _fused_reduce(layers)
         out = self._drain_columns_fused(runs, columns, reduce_fn,
-                                        batch_cells, sink)
+                                        batch_cells)
         for layer in layers[reduce_fn is not None:]:
             out = layer.stage(out)
         return out
 
-    def _sliced_runs(self, ranges: Sequence[Range], sink=None,
+    def _sliced_runs(self, ranges: Sequence[Range],
                      sources: Optional[list] = None) -> List[KVRun]:
         """Slice every storage run down to a (clipped, non-empty)
         range set — the one place a scan's rows are selected.
@@ -473,40 +452,38 @@ class Tablet:
         receives run for run the :class:`SSTable` each was sliced from
         (``None`` for the memtable).
         """
-        if sink is None:
-            sink = self._sink
         if sources is None:
             sources = []
         span = covering(ranges)
         probes = _probes(ranges)
         runs: List[KVRun] = []
-        sink.seeks += 1
         sliced = _slice_rows(*self.memtable.sorted_run(), probes)
         if sliced[0]:
             runs.append(sliced)
             sources.append(None)
         point_row = span.single_row() if len(ranges) == 1 else None
+        opened = hits = 0
         for run in self.sstables:
             if not run.overlaps(span):
                 continue
-            if point_row is not None:
-                # point lookup: a "hit" is a run proven absent and
-                # skipped; a "miss" means the run must be read
-                if not run.may_contain_row(point_row):
-                    self._bump_aux("bloom_hits")
-                    continue
-                self._bump_aux("bloom_misses")
-            sink.seeks += 1
-            if self._on_index_seek is not None:
-                self._on_index_seek()
+            # point lookup: a "hit" is a run proven absent and skipped;
+            # a "miss" means the run must be read
+            if point_row is not None and not run.may_contain_row(point_row):
+                hits += 1
+                continue
+            opened += 1
             sliced = _slice_rows(run.keys, run.values, probes)
             if sliced[0]:
                 runs.append(sliced)
                 sources.append(run)
+        self._tick("seeks", 1 + opened)
+        self._tick("index_seeks", opened)
+        if point_row is not None:
+            self._tick("bloom_hits", hits)
+            self._tick("bloom_misses", opened)
         return runs
 
-    def _drain_clean(self, source: SSTable, run: KVRun, batch_cells: int,
-                     sink):
+    def _drain_clean(self, source: SSTable, run: KVRun, batch_cells: int):
         """:meth:`_drain_columns_fused` over ``run``, sliced from
         ``source``, with no column filter and no ⊕ to fold.  When
         ``source`` is clean every entry survives, so the batches are the
@@ -517,7 +494,7 @@ class Tablet:
         on the first pull, so a server learns it outside its lock."""
         if not source.clean:
             yield from self._drain_columns_fused([run], None, None,
-                                                 batch_cells, sink)
+                                                 batch_cells)
             return
         from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
 
@@ -527,7 +504,7 @@ class Tablet:
             hi = lo + batch_cells
             rows, fams, quals, viss, neg_ts = field_columns(keys[lo:hi], 5)
             n = len(rows)
-            sink.entries_read += n
+            self._tick("entries_read", n)
             yield ColumnBatch(rows, fams, quals, viss,
                               array("q", list(map(neg, neg_ts))),
                               [False] * n,
@@ -535,7 +512,7 @@ class Tablet:
 
     def _drain_columns_fused(self, runs: List[KVRun],
                              columns: Columns, reduce_fn,
-                             batch_cells: int, sink,
+                             batch_cells: int,
                              stored: Optional[List[SortKey]] = None):
         """One fused pass over pre-sliced sorted runs: column filter →
         tombstone suppression → versioning → combiner fold →
@@ -547,9 +524,9 @@ class Tablet:
         them would; the folded numbers are encoded once per batch
         (:func:`~repro.dbsim.key.encode_numbers`).
 
-        ``stored`` is compaction's second sink: it receives, entry for
-        entry, the stored key tuple each output entry came from, so the
-        new run can reuse those objects."""
+        ``stored``, a compaction's, receives, entry for entry, the
+        stored key tuple each output entry came from, so the new run can
+        reuse those objects."""
         from repro.net.cells import ColumnBatch  # lazy: dbsim ← net cycle
 
         keys, values = _merge_runs(runs)
@@ -599,7 +576,7 @@ class Tablet:
                     vals[-1] = acc
                 acc = decode_number(value)
             if n == batch_cells:
-                sink.entries_read += entries
+                self._tick("entries_read", entries)
                 entries = 0
                 yield ColumnBatch(rows, fams, quals, viss,
                                   array("q", ts), [False] * n,
@@ -617,7 +594,7 @@ class Tablet:
             n += 1
             if stored is not None:
                 stored.append(key)
-        sink.entries_read += entries
+        self._tick("entries_read", entries)
         if n:
             if reduce_fn is not None:
                 vals[-1] = acc
@@ -634,7 +611,7 @@ class Tablet:
         if not _trace.ENABLED:
             self._compact(table_iterators)
             return
-        with _trace.span("tablet.compact", stats=self._stats,
+        with _trace.span("tablet.compact", stats=lambda: self.stats,
                          table=self.table,
                          runs=len(self.sstables)) as sp:
             self._compact(table_iterators)
@@ -645,13 +622,13 @@ class Tablet:
         reduce_fn = _fused_reduce(table_iterators)
         if len(table_iterators) == (reduce_fn is not None):
             # a plain table, or one whose only layer is a built-in
-            # combiner: the same fused drain a scan takes, run with
-            # both sinks; the new run (sorted by construction) is the
+            # combiner: the same fused drain a scan takes, keeping the
+            # stored keys; the new run (sorted by construction) is the
             # stored key tuples that survived, beside the folded values
             stored: List[SortKey] = []
             values = [value for batch in self._drain_columns_fused(
                 self._sliced_runs((self.extent,)), None, reduce_fn,
-                sys.maxsize, self._sink, stored=stored)
+                sys.maxsize, stored=stored)
                 for value in batch.values]
             run = SSTable.from_run(stored, values)
         else:
@@ -659,11 +636,11 @@ class Tablet:
             # sorted (a user layer may reorder) as it becomes the run
             run = SSTable([cell for batch in self._staged(
                 self._sliced_runs((self.extent,)), None, table_iterators,
-                sys.maxsize, self._sink) for cell in batch.cells()])
+                sys.maxsize) for cell in batch.cells()])
         self.sstables = [run] if len(run) else []
         self.memtable.clear()
         self.wal.clear()
-        self._sink.compactions += 1
+        self._tick("compactions")
         self._update_gauges(memtable_bytes=0)
 
     def split(self, split_row: str) -> Tuple["Tablet", "Tablet"]:
@@ -673,9 +650,9 @@ class Tablet:
             raise ValueError(f"split row {split_row!r} outside extent")
         self.flush()
         left = Tablet(Range(self.extent.start_row, split_row),
-                      self.max_versions, self.flush_bytes, self.stats)
+                      self.max_versions, self.flush_bytes)
         right = Tablet(Range(split_row, self.extent.stop_row),
-                       self.max_versions, self.flush_bytes, self.stats)
+                       self.max_versions, self.flush_bytes)
         left._clock = right._clock = self._clock
         for run in self.sstables:
             # one bisect + two slices per run (runs are sorted by key)

@@ -799,7 +799,6 @@ class TabletServerService(_BaseService):
 
     def _scan_stream(self, state: _ConnState, p: dict, req: int) -> None:
         counters = self.metrics.counter
-        batches = None  # the tablet's stream, closed (its stats folded) here
         entered = emitted = 0  # cells into / out of the pushed-down layers
         held = ()  # the newest CHUNK, until the next batch is known
         frames = 0  # sent so far
@@ -858,11 +857,11 @@ class TabletServerService(_BaseService):
             # storage pass and the layers' stages run as the batches
             # are pulled, outside it.  The CHUNK block is encoded from
             # each batch's columns — no Cell is built
-            out = batches = self.tserver.scan_tablet(
+            out = self.tserver.scan_tablet(
                 p.get("table"), p["tablet_id"], ranges, push, columns,
                 p.get("resume"), SCAN_CHUNK_CELLS)
             if spec:
-                out = _coalesce(batches)
+                out = _coalesce(out)
                 counters("net.server.pushdown.stacks").inc()
                 counters("net.server.pushdown.ops").inc(len(spec))
             # one CHUNK per batch, then a bare DONE: the stream's only
@@ -886,8 +885,6 @@ class TabletServerService(_BaseService):
             counters("net.server.errors").inc()
             send(wire.ERROR, wire.error_payload(exc))
         finally:
-            if batches is not None:
-                batches.close()
             if entered > emitted:
                 counters("net.server.pushdown.cells_folded").inc(
                     entered - emitted)

@@ -2,17 +2,10 @@
 
 The registry is the aggregation point the simulated database wires in:
 every :class:`~repro.dbsim.server.Instance` owns (or shares) one, and
-tablets report per-table work into it under a dotted naming scheme::
-
-    dbsim.table.<table>.seeks             counter
-    dbsim.table.<table>.entries_read      counter
-    dbsim.table.<table>.entries_written   counter
-    dbsim.table.<table>.flushes           counter
-    dbsim.table.<table>.compactions       counter
-    dbsim.table.<table>.memtable_bytes    gauge
-    dbsim.table.<table>.memtable_entries  gauge
-    dbsim.table.<table>.sstables          gauge
-    dbsim.server.<name>.tablets           gauge
+tablets report per-table work into it under the dotted ``dbsim.*``
+names that docs/OBSERVABILITY.md lists, in its "Metrics registry"
+section (``tests/test_docs_metrics.py`` holds them to the registered
+ones).
 
 ``registry.export()`` renders everything into one plain dict (counters
 and gauges as numbers, histograms as ``{count, sum, min, max, mean}``),

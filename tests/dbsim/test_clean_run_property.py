@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.dbsim import Range, SummingCombiner
 from repro.dbsim.key import Key, clip_ranges, sort_run, sorted_disjoint
 from repro.dbsim.sstable import SSTable
-from repro.dbsim.stats import OpStats
 from repro.dbsim.tablet import Tablet
 from repro.obs.metrics import MetricsRegistry
 
@@ -104,17 +103,19 @@ def test_scan_equals_the_per_cell_pass(run, memtable, ranges, max_versions,
                                        batch_cells, columns, combine):
     layers = (SummingCombiner,) if combine else ()
     scanned = _tablet(run, memtable, max_versions)
-    stats = OpStats()
+    before = scanned.stats
     got = list(scanned.scan_columns(ranges, columns, layers,
-                                    batch_cells=batch_cells, sink=stats))
+                                    batch_cells=batch_cells))
+    stats = scanned.stats.delta(before)
 
     looped = _tablet(run, memtable, max_versions)
-    want_stats = OpStats()
+    before = looped.stats
     clipped = clip_ranges(ranges, looped.extent)
     want = list(looped._drain_columns_fused(
-        looped._sliced_runs(clipped, want_stats), columns,
-        operator.add if combine else None, batch_cells,
-        want_stats)) if clipped else []
+        looped._sliced_runs(clipped), columns,
+        operator.add if combine else None,
+        batch_cells)) if clipped else []
+    want_stats = looped.stats.delta(before)
 
     assert got == want  # ColumnBatch equality includes timestamps
     assert [len(b) for b in got] == [len(b) for b in want]

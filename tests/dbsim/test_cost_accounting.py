@@ -20,7 +20,7 @@ import pytest
 
 from repro.dbsim import Connector
 from repro.dbsim.server import Instance
-from repro.dbsim.stats import MeteredStats, OpStats
+from repro.dbsim.stats import OpStats
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -48,26 +48,6 @@ class TestOpStatsSerialization:
         assert str(s) == ("seeks=1 entries_read=2 entries_written=3 "
                           "flushes=4 compactions=5")
         assert OpStats.from_str(str(s)) == s
-
-
-class TestMeteredStats:
-    def test_tees_increments_into_registry(self):
-        reg = MetricsRegistry()
-        base = OpStats()
-        m = MeteredStats(base, reg, "p")
-        m.seeks += 3
-        m.entries_read += 10
-        assert base.seeks == 3 and base.entries_read == 10
-        assert m.seeks == 3  # reads come from the base
-        assert reg.export() == {"p.seeks": 3, "p.entries_read": 10}
-
-    def test_snapshot_delta_pass_through(self):
-        reg = MetricsRegistry()
-        m = MeteredStats(OpStats(), reg, "p")
-        before = m.snapshot()
-        m.flushes += 1
-        assert m.delta(before) == OpStats(flushes=1)
-        assert m.as_dict()["flushes"] == 1
 
 
 @pytest.fixture

@@ -232,12 +232,10 @@ def _storage_batches_of(n):
     cluster's servers included) to emit batches of ``n`` entries."""
     real = Tablet._drain_columns_fused
 
-    def forced(self, runs, columns, reduce_fn, batch_cells, sink,
-               stored=None):
+    def forced(self, runs, columns, reduce_fn, batch_cells, stored=None):
         if stored is None:  # leave compactions alone
             batch_cells = n
-        return real(self, runs, columns, reduce_fn, batch_cells, sink,
-                    stored)
+        return real(self, runs, columns, reduce_fn, batch_cells, stored)
 
     Tablet._drain_columns_fused = forced
     try:

@@ -3,8 +3,9 @@
 A ``SCAN`` reaches its tablet through ``TabletServer.scan_tablet`` —
 the call a TableMult step makes of its own tablets, and, over the
 wire, of a peer's.  The runs are sliced under the server's lock; the
-stream's ``seeks`` and ``entries_read`` are folded into the tablet's
-stats once, when the stream ends or is closed.  Checked through the
+stream counts its ``seeks`` and ``entries_read`` as it goes, straight
+into the counters its tablet resolved when it was hosted, so what it
+read is counted once however it ends.  Checked through the
 ``dbsim.table.<table>.seeks`` / ``entries_read`` counters against an
 in-process ``Instance`` holding the same cells in the same layout: a
 drained scan, a scan cancelled after its first ``CHUNK``, a scan

@@ -3,16 +3,19 @@ registers.
 
 The ``dbsim.table.<table>.*`` entries of the doc's dbsim naming block
 (``a | b | c`` alternatives, continued on indented ``| d`` lines) must
-equal the names a freshly bound tablet pre-registers, and every
-``net.client.*`` counter an ``RpcCore`` pre-registers must appear among
-the doc's ``net.client.*`` entries — so adding, renaming or dropping
-one fails here until the doc follows.
+equal the names a freshly bound tablet pre-registers, its
+``dbsim.server.<name>.*`` and ``dbsim.locate.*`` entries the names an
+``Instance`` registers once it has hosted a table and located a row,
+and every ``net.client.*`` counter an ``RpcCore`` pre-registers must
+appear among the doc's ``net.client.*`` entries — so adding, renaming
+or dropping one fails here until the doc follows.
 """
 
 import re
 from pathlib import Path
 
 from repro.dbsim.key import Range
+from repro.dbsim.server import Instance
 from repro.dbsim.tablet import Tablet
 from repro.net.client import RpcCore
 from repro.obs.metrics import MetricsRegistry
@@ -46,6 +49,20 @@ def test_documented_table_metrics_are_preregistered():
     Tablet(Range()).bind_metrics(registry, "t")
     assert registered(registry, "dbsim.table.t.") == \
         documented_metrics("dbsim.table.<table>.")
+
+
+def test_documented_server_and_locate_metrics_are_registered():
+    registry = MetricsRegistry()
+    inst = Instance(n_servers=1, metrics=registry)
+    inst.create_table("t")
+    inst.locate("t", "a")
+    assert registered(registry, "dbsim.server.tserver0.") == \
+        documented_metrics("dbsim.server.<name>.")
+    assert registered(registry, "dbsim.locate.") == \
+        documented_metrics("dbsim.locate.")
+    # nothing else under dbsim.* outside the doc's three blocks
+    assert {name.split(".")[1] for name in registry.export()
+            if name.startswith("dbsim.")} == {"table", "server", "locate"}
 
 
 def test_preregistered_client_counters_are_documented():
