@@ -173,15 +173,23 @@ class ConnectorBackend(ABC):
         them with that key as ``resume``.  Under a trailing ``distinct``
         each re-planned tablet starts from the qualifiers the moved one
         delivered, and keeps what seeded the tablet it replaces."""
+        return self._planned_scan(name, rng, columns, scan_iterators)[1]
+
+    def _planned_scan(self, name: str, rng: RangeSet, columns,
+                      scan_iterators: Sequence[Layer]):
+        """:meth:`scan_columns` as ``(legs, batches)``: the plan, one
+        ``[entry, share, layers, resume]`` leg per tablet the set
+        reaches (the scan consumes the list as it goes), and the
+        stream."""
         shipped, here = _ship(scan_iterators)
         # no extent to clip to: this makes a lone Range a set of one
         # and drops a range that can hold nothing
         ranges = clip_ranges(rng, Range())
-        out = self._scan(name, self._plan(name, ranges, shipped)
-                         if ranges else [], columns)
+        legs = self._plan(name, ranges, shipped) if ranges else []
+        out = self._scan(name, legs, columns)
         for layer in here:
             out = layer.stage(out)
-        return out
+        return legs, out
 
     def scan_cells(self, name: str, rng: RangeSet = Range(),
                    columns=None, scan_iterators: Sequence[Layer] = ()):

@@ -206,10 +206,6 @@ class BatchScanner(_RangeSetScan):
         of each item yielded)."""
         coalesced = sorted_disjoint(self.ranges)
         sets = [self.ranges] if coalesced else [(r,) for r in self.ranges]
-        if not _trace.ENABLED:
-            for ranges in sets:
-                yield from scan(ranges)
-            return
         with _trace.span("dbsim.batch_scan",
                          stats=self._conn.instance.total_stats,
                          table=self._table, ranges=len(self.ranges),
@@ -384,25 +380,23 @@ class BatchWriter:
     def _flush_pending(self) -> None:
         if not self._buffer:
             return
-        if not _trace.ENABLED:
-            self._flush_buffer()
-            return
+        # a callable, so the backend's stats are reached only when
+        # traced: an untraced flush uses nothing of it but routing
         with _trace.span("dbsim.batch_write",
-                         stats=self._conn.instance.total_stats,
+                         stats=lambda: self._conn.instance.total_stats(),
                          table=self._table,
                          mutations=len(self._buffer)):
-            self._flush_buffer()
-
-    def _flush_buffer(self) -> None:
-        # the backend bins the buffer per owning tablet (stable, so each
-        # tablet sees its mutations in buffer order) against its
-        # location index — the client-side analogue of Accumulo's
-        # tablet-location cache
-        groups = self._conn.instance.partition(self._table, self._buffer)
-        self._await()
-        self._unanswered = [self._send(entry, muts) for entry, muts in groups]
-        self._buffer.clear()
-        self._buffer_bytes = 0
+            # the backend bins the buffer per owning tablet (stable, so
+            # each tablet sees its mutations in buffer order) against
+            # its location index — the client-side analogue of
+            # Accumulo's tablet-location cache
+            groups = self._conn.instance.partition(self._table,
+                                                   self._buffer)
+            self._await()
+            self._unanswered = [self._send(entry, muts)
+                                for entry, muts in groups]
+            self._buffer.clear()
+            self._buffer_bytes = 0
 
     def _send(self, entry, muts: List[tuple]) -> Callable[[], int]:
         """One tablet's share of a flush, in buffer order, sent now to

@@ -165,8 +165,6 @@ def _multiply(conn: Connector, table_at: str, spec: MultSpec
     is ``None`` — under a ``graphulo.table_mult`` span that carries its
     work counts, and those counts; the algorithms' entry, whose specs
     may carry a ``post``."""
-    if not _trace.ENABLED:
-        return conn.instance.table_mult(table_at, spec)
     with _trace.span("graphulo.table_mult", stats=conn.instance.total_stats,
                      table_at=table_at, table_b=spec.table_b, out=spec.out,
                      combiner=spec.combiner) as sp:
@@ -520,33 +518,26 @@ def degree_table(conn: Connector, table: str, out: str,
     """Build/refresh a degree table: ``out[row, "", "deg"] = Σ_cols v``
     (or the entry count with ``count_entries=True``) — the D4M Tdeg."""
     inst = conn.instance
-    if _trace.ENABLED:
-        with _trace.span("graphulo.degree_table", stats=inst.total_stats,
-                         table=table, out=out):
-            return _degree_table(conn, table, out, count_entries,
-                                 authorizations)
-    return _degree_table(conn, table, out, count_entries, authorizations)
-
-
-def _degree_table(conn: Connector, table: str, out: str,
-                  count_entries: bool, authorizations) -> OpStats:
-    inst = conn.instance
-    before = inst.total_stats().snapshot()
-    if not conn.table_exists(out):
-        create_combiner_table(conn, out, combiner="sum")
-    # The Reduce runs inside the tablet server: a pushed-down
-    # reduce stage folds each row's cells into one ("", "deg")
-    # cell, so exactly one cell per row crosses the wire and the out
-    # table's SummingCombiner performs the final ⊕ across tablets.
-    spec = _spec().reduce("sum", qualifier="deg", count=count_entries)
-    scanner = conn.scanner(table, authorizations=authorizations,
-                           iterspec=spec)
-    with conn.batch_writer(out) as writer:
-        for batch in scanner.scan_columns():
-            # the reduce's values are already canonically encoded
-            writer.put_many(batch.rows, ["deg"] * len(batch), batch.values)
-    conn.compact(out)
-    return inst.total_stats().delta(before)
+    with _trace.span("graphulo.degree_table", stats=inst.total_stats,
+                     table=table, out=out):
+        before = inst.total_stats().snapshot()
+        if not conn.table_exists(out):
+            create_combiner_table(conn, out, combiner="sum")
+        # The Reduce runs inside the tablet server: a pushed-down
+        # reduce stage folds each row's cells into one ("", "deg")
+        # cell, so exactly one cell per row crosses the wire and the
+        # out table's SummingCombiner performs the final ⊕ across
+        # tablets.
+        spec = _spec().reduce("sum", qualifier="deg", count=count_entries)
+        scanner = conn.scanner(table, authorizations=authorizations,
+                               iterspec=spec)
+        with conn.batch_writer(out) as writer:
+            for batch in scanner.scan_columns():
+                # the reduce's values are already canonically encoded
+                writer.put_many(batch.rows, ["deg"] * len(batch),
+                                batch.values)
+        conn.compact(out)
+        return inst.total_stats().delta(before)
 
 
 def _write_scan(conn: Connector, scanner, out: str) -> None:
@@ -614,62 +605,49 @@ def table_bfs(conn: Connector, edge_table: str, seeds: Iterable[str],
         raise ValueError(f"hops must be >= 0, got {hops}")
     if min_degree is not None and degree_table_name is None:
         raise ValueError("min_degree filtering requires degree_table_name")
-    if _trace.ENABLED:
-        with _trace.span("graphulo.table_bfs",
-                         stats=conn.instance.total_stats,
-                         table=edge_table, hops=hops,
-                         degree_filtered=min_degree is not None) as sp:
-            dist = _table_bfs(conn, edge_table, seeds, hops, min_degree,
-                              degree_table_name, authorizations)
-            sp.set(reached=len(dist))
-            return dist
-    return _table_bfs(conn, edge_table, seeds, hops, min_degree,
-                      degree_table_name, authorizations)
-
-
-def _table_bfs(conn: Connector, edge_table: str, seeds: Iterable[str],
-               hops: int, min_degree: Optional[float],
-               degree_table_name: Optional[str],
-               authorizations) -> Dict[str, int]:
-    dist: Dict[str, int] = {}
-    frontier: Set[str] = set()
-    for s in seeds:
-        dist[s] = 0
-        frontier.add(s)
-    if not frontier:
-        raise ValueError("need at least one seed vertex")
-
-    def frontier_above(vertices: Set[str]) -> Set[str]:
-        """One coalesced BatchScanner fetch of the frontier's degree
-        rows with a ``value >= min_degree`` filter pushed down the
-        iterator stack — sub-threshold rows are dropped inside the
-        tablet server and never cross the wire."""
-        bs = conn.batch_scanner(degree_table_name,
-                                authorizations=authorizations,
-                                iterspec=_spec().value_ge(min_degree))
-        bs.set_ranges([Range.exact_row(v) for v in sorted(vertices)])
-        keep: Set[str] = set()
-        for batch in bs.scan_columns():
-            keep.update(batch.rows)
-        return keep & vertices
-
-    neighbours = _spec().distinct()
-    for hop in range(1, hops + 1):
-        if min_degree is not None:
-            frontier = frontier_above(frontier)
+    with _trace.span("graphulo.table_bfs", stats=conn.instance.total_stats,
+                     table=edge_table, hops=hops,
+                     degree_filtered=min_degree is not None) as sp:
+        dist: Dict[str, int] = {}
+        frontier: Set[str] = set()
+        for s in seeds:
+            dist[s] = 0
+            frontier.add(s)
         if not frontier:
-            break
-        # sorted disjoint exact-row ranges are one range set: each
-        # tablet is visited once this hop, slices out just these rows
-        # and returns each neighbour among them once
-        bs = conn.batch_scanner(edge_table, authorizations=authorizations,
-                                iterspec=neighbours)
-        bs.set_ranges([Range.exact_row(v) for v in sorted(frontier)])
-        nxt: Set[str] = set()
-        for batch in bs.scan_columns():
-            for dst in batch.qualifiers:
-                if dst not in dist:
-                    dist[dst] = hop
-                    nxt.add(dst)
-        frontier = nxt
-    return dist
+            raise ValueError("need at least one seed vertex")
+
+        def frontier_above(vertices: Set[str]) -> Set[str]:
+            """One coalesced BatchScanner fetch of the frontier's degree
+            rows with a ``value >= min_degree`` filter pushed down the
+            iterator stack — sub-threshold rows are dropped inside the
+            tablet server and never cross the wire."""
+            bs = conn.batch_scanner(degree_table_name,
+                                    authorizations=authorizations,
+                                    iterspec=_spec().value_ge(min_degree))
+            bs.set_ranges([Range.exact_row(v) for v in sorted(vertices)])
+            keep: Set[str] = set()
+            for batch in bs.scan_columns():
+                keep.update(batch.rows)
+            return keep & vertices
+
+        neighbours = _spec().distinct()
+        for hop in range(1, hops + 1):
+            if min_degree is not None:
+                frontier = frontier_above(frontier)
+            if not frontier:
+                break
+            # sorted disjoint exact-row ranges are one range set: each
+            # tablet is visited once this hop, slices out just these rows
+            # and returns each neighbour among them once
+            bs = conn.batch_scanner(edge_table, authorizations=authorizations,
+                                    iterspec=neighbours)
+            bs.set_ranges([Range.exact_row(v) for v in sorted(frontier)])
+            nxt: Set[str] = set()
+            for batch in bs.scan_columns():
+                for dst in batch.qualifiers:
+                    if dst not in dist:
+                        dist[dst] = hop
+                        nxt.add(dst)
+            frontier = nxt
+        sp.set(reached=len(dist))
+        return dist

@@ -41,7 +41,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 from repro.dbsim.backend import ConnectorBackend
 from repro.dbsim.errors import NotHostedError, ServerCrashedError
 from repro.dbsim.iterators import COMBINERS, Layer, as_layers
-from repro.dbsim.key import Key, Range, RangeSet, clip_ranges, covering
+from repro.dbsim.key import Key, Range, RangeSet, clip_ranges
 from repro.dbsim.stats import OpStats, cost_counters, counted
 from repro.dbsim.tablet import Tablet, run_now
 from repro.dbsim.visibility import Authorizations
@@ -940,20 +940,20 @@ class Instance(ControlPlane, ConnectorBackend):
     def scan_cells(self, name: str, rng: RangeSet = Range(),
                    columns=None, scan_iterators: Sequence = ()):
         """:meth:`~repro.dbsim.backend.ConnectorBackend.scan_cells`, with
-        the crash flag of every server hosting a tablet the scan
+        the crash flag of every server hosting a tablet the scan's plan
         reaches re-checked between cells: an open scan dies with its
         server instead of finishing from a buffered batch."""
-        ranges = clip_ranges(rng, Range())
-        servers = {entry.server for entry in self.tablets_for_range(
-            name, covering(ranges))} if ranges else ()
-        for cell in super().scan_cells(name, ranges, columns,
-                                       scan_iterators):
-            for server in servers:
-                if server.crashed:
-                    raise ServerCrashedError(
-                        f"tablet server {server.name} is down "
-                        f"(crashed, not yet recovered)")
-            yield cell
+        legs, batches = self._planned_scan(name, rng, columns,
+                                           scan_iterators)
+        servers = {leg[0].server for leg in legs}
+        for batch in batches:
+            for cell in batch.cells():
+                for server in servers:
+                    if server.crashed:
+                        raise ServerCrashedError(
+                            f"tablet server {server.name} is down "
+                            f"(crashed, not yet recovered)")
+                yield cell
 
     # -- observability ------------------------------------------------------
 

@@ -326,20 +326,15 @@ class Tablet:
         self._check_up()
         if len(self.wal) == 0:
             return
-        if not _trace.ENABLED:
-            self._flush()
-            return
         with _trace.span("tablet.flush", stats=lambda: self.stats,
                          table=self.table, entries=len(self.wal)):
-            self._flush()
-
-    def _flush(self) -> None:
-        self._replay_if_behind()
-        self.sstables.append(SSTable.from_run(*self.memtable.sorted_run()))
-        self.memtable.clear()
-        self.wal.clear()
-        self._tick("flushes")
-        self._update_gauges(memtable_bytes=0)
+            self._replay_if_behind()
+            self.sstables.append(
+                SSTable.from_run(*self.memtable.sorted_run()))
+            self.memtable.clear()
+            self.wal.clear()
+            self._tick("flushes")
+            self._update_gauges(memtable_bytes=0)
 
     # -- failure simulation ----------------------------------------------------
 
@@ -608,40 +603,36 @@ class Tablet:
         """Major compaction: rewrite all data through the table stack
         (versioning + combiners become durable; single run remains)."""
         self._check_up()
-        if not _trace.ENABLED:
-            self._compact(table_iterators)
-            return
         with _trace.span("tablet.compact", stats=lambda: self.stats,
                          table=self.table,
                          runs=len(self.sstables)) as sp:
-            self._compact(table_iterators)
-            sp.set(entries_out=self.entry_estimate())
-
-    def _compact(self, table_iterators: Sequence[Layer]) -> None:
-        self._replay_if_behind()
-        reduce_fn = _fused_reduce(table_iterators)
-        if len(table_iterators) == (reduce_fn is not None):
-            # a plain table, or one whose only layer is a built-in
-            # combiner: the same fused drain a scan takes, keeping the
-            # stored keys; the new run (sorted by construction) is the
-            # stored key tuples that survived, beside the folded values
-            stored: List[SortKey] = []
-            values = [value for batch in self._drain_columns_fused(
-                self._sliced_runs((self.extent,)), None, reduce_fn,
-                sys.maxsize, stored=stored)
-                for value in batch.values]
-            run = SSTable.from_run(stored, values)
-        else:
-            # any other layers: the scan's join, its output checked
-            # sorted (a user layer may reorder) as it becomes the run
-            run = SSTable([cell for batch in self._staged(
-                self._sliced_runs((self.extent,)), None, table_iterators,
-                sys.maxsize) for cell in batch.cells()])
-        self.sstables = [run] if len(run) else []
-        self.memtable.clear()
-        self.wal.clear()
-        self._tick("compactions")
-        self._update_gauges(memtable_bytes=0)
+            self._replay_if_behind()
+            reduce_fn = _fused_reduce(table_iterators)
+            if len(table_iterators) == (reduce_fn is not None):
+                # a plain table, or one whose only layer is a built-in
+                # combiner: the same fused drain a scan takes, keeping
+                # the stored keys; the new run (sorted by construction)
+                # is the stored key tuples that survived, beside the
+                # folded values
+                stored: List[SortKey] = []
+                values = [value for batch in self._drain_columns_fused(
+                    self._sliced_runs((self.extent,)), None, reduce_fn,
+                    sys.maxsize, stored=stored)
+                    for value in batch.values]
+                run = SSTable.from_run(stored, values)
+            else:
+                # any other layers: the scan's join, its output
+                # checked sorted (a user layer may reorder) as it
+                # becomes the run
+                run = SSTable([cell for batch in self._staged(
+                    self._sliced_runs((self.extent,)), None,
+                    table_iterators, sys.maxsize) for cell in batch.cells()])
+            self.sstables = [run] if len(run) else []
+            self.memtable.clear()
+            self.wal.clear()
+            self._tick("compactions")
+            self._update_gauges(memtable_bytes=0)
+            sp.set(entries_out=len(run))
 
     def split(self, split_row: str) -> Tuple["Tablet", "Tablet"]:
         """Split into two tablets at ``split_row`` (goes to the right

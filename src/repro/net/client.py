@@ -462,9 +462,6 @@ class _Call:
 
     def result(self):
         span = self._span
-        if span is None:
-            return self._core._call(*self._args, first=self._first,
-                                    wait=self._wait)
         span.set(unawaited_s=time.perf_counter() - self._sent)
         error = None
         try:
@@ -676,18 +673,15 @@ class RpcCore:
         handle's ``result()`` waits for the answer (and owns the
         retries, should this attempt be lost) — with no response
         deadline under ``wait``, as :meth:`mutate`'s."""
-        sp = None
-        tc = None
-        if _trace.ENABLED:
-            # detached: it ends in result(), maybe under another span
-            # stack.  Every attempt carries its identity, so a server
-            # span reached on the Nth try parents under the one call
-            sp = _trace.start_span(
-                "rpc.client.call", op=wire.OP_NAMES.get(op, op),
-                server=format_addr(addr), session=self.session)
-            tc = sp.context
-            if not sp.sampled:
-                self._sampled_out.inc()
+        # detached: it ends in result(), maybe under another span
+        # stack.  Every attempt carries its identity, so a server span
+        # reached on the Nth try parents under the one call
+        sp = _trace.start_span(
+            "rpc.client.call", op=wire.OP_NAMES.get(op, op),
+            server=format_addr(addr), session=self.session)
+        tc = sp.context
+        if not sp.sampled:
+            self._sampled_out.inc()
         try:
             first = self._send(addr, op, payload, tc)
         except Exception as exc:  # noqa: BLE001 - result() judges it
@@ -786,17 +780,15 @@ class _TabletScan:
             *below, op = payload["iterspec"]
             payload["iterspec"] = [*below, {"op": "distinct", "seen": sorted(
                 self._seen.union(op.get("seen", ())))}]
-        tc = None
-        if _trace.ENABLED:
-            # detached: a scan stream stays open across iterator pulls,
-            # so its span cannot be lexically scoped.  Closed by
-            # close() on completion, resume, or relocation
-            self._span = _trace.start_span(
-                "rpc.client.scan", op="scan", table=payload["table"],
-                server=format_addr(self._server.addr))
-            tc = self._span.context
+        # detached: a scan stream stays open across iterator pulls, so
+        # its span cannot be lexically scoped.  Closed by close() on
+        # completion, resume, or relocation
+        self._span = _trace.start_span(
+            "rpc.client.scan", op="scan", table=payload["table"],
+            server=format_addr(self._server.addr))
+        self._chunks = self._bytes = 0
         self._stream = self._server.core.open_stream(
-            self._server.addr, wire.SCAN, payload, tc=tc)
+            self._server.addr, wire.SCAN, payload, tc=self._span.context)
         self._opened = True
 
     def __iter__(self) -> "_TabletScan":
@@ -840,10 +832,8 @@ class _TabletScan:
                             batch = decoded
                         else:
                             batch.extend(decoded)
-                    if self._span is not None:
-                        attrs = self._span.attrs
-                        attrs["chunks"] = attrs.get("chunks", 0) + 1
-                        attrs["bytes"] = attrs.get("bytes", 0) + nread
+                    self._chunks += 1
+                    self._bytes += nread
                 elif code == wire.DONE:
                     self.close()
                     self._done = True
@@ -880,6 +870,8 @@ class _TabletScan:
         """Stop the stream, if open: the server stops producing."""
         span, self._span = self._span, None
         if span is not None:
+            if self._chunks:
+                span.set(chunks=self._chunks, bytes=self._bytes)
             span.finish()
         stream, self._stream = self._stream, None
         if stream is not None and not stream.ended:

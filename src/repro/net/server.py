@@ -389,19 +389,73 @@ class _BaseService:
 
     def _serve(self, state: _ConnState, code: int, payload, tc,
                req: int, arrived: float) -> None:
-        """Serve one request on this thread.  ``tc`` is the frame's
-        trace context: activating it makes the handler span a child of
-        the originating client span, even across processes."""
-        if not _trace.ENABLED:
-            shutdown = self._serve_inner(state, code, payload, req, arrived)
-        else:
-            ctx = _trace.TraceContext(*tc) if tc else None
-            name = _SERVER_SPAN_NAMES.get(code) or \
-                f"rpc.server.{wire.OP_NAMES.get(code, hex(code))}"
-            with _trace.span(name, parent_ctx=ctx, server=self.name):
-                shutdown = self._serve_inner(state, code, payload, req,
-                                             arrived)
-        if shutdown:
+        """Serve one request on this thread: run the handler and reply
+        under the op's ``rpc.server.<op>`` span.  ``tc`` is the frame's
+        trace context: the span parents under the originating client
+        span, even across processes.  A streaming op's handler sends
+        its own frames.
+
+        A handler runs under the service lock, but one of
+        :attr:`_UNLOCKED_OPS` — which takes the lock itself where it
+        must — runs outside it, and a stamped copy of it arriving while
+        the original still runs (a re-send after a lost connection) is
+        answered with the original's answer once that is ready."""
+        name = _SERVER_SPAN_NAMES.get(code) or f"rpc.server.{hex(code)}"
+        with _trace.span(name, parent_ctx=_trace.TraceContext(*tc)
+                         if tc else None, server=self.name) as sp:
+            stream = self._stream_handler(code)
+            if stream is not None:
+                dispatched = time.perf_counter()
+                stream(state, payload, req)
+                self._observe_times(arrived, dispatched, sp)
+                return
+            meta = payload.meta if isinstance(payload, wire.CellsPayload) \
+                else payload
+            session = meta.get("session") if isinstance(meta, dict) else None
+            seq = meta.get("seq") if isinstance(meta, dict) else None
+            unlocked = code in self._UNLOCKED_OPS
+            answer = running = mine = None
+            with self._lock:
+                # dispatch = the service lock is ours; everything before
+                # this was queueing behind other requests
+                dispatched = time.perf_counter()
+                if session is not None:
+                    window = self._dedup.get(session)
+                    answer = window.get(seq) if window is not None else None
+                    if answer is None:
+                        running = self._running.get((session, seq))
+                    if answer is not None or running is not None:
+                        # a retry of an already-processed (or still
+                        # running) mutation: replay the recorded ack, do
+                        # not re-apply
+                        self.metrics.counter("net.server.dedup_hits").inc()
+                if answer is None and running is None:
+                    if not unlocked:
+                        answer = self._handle(code, payload)
+                        self._remember(session, seq, answer)
+                    elif session is not None:
+                        mine = self._running[(session, seq)] = _Running()
+            if running is not None or answer is None:
+                # an unlocked op runs, or is waited for, as long as it
+                # takes: the connection's reading goes on on another
+                # thread
+                self._handoff(state)
+            if running is not None:
+                running.done.wait()
+                answer = running.answer
+            elif answer is None:  # an unlocked op, run here
+                try:
+                    answer = self._handle(code, payload)
+                finally:
+                    if session is not None:
+                        with self._lock:
+                            self._remember(session, seq, answer)
+                            del self._running[(session, seq)]
+                        mine.answer = answer
+                        mine.done.set()
+            self._respond(state, *answer, code, req)
+            self._observe_times(arrived, dispatched, sp)
+        if code == wire.SHUTDOWN and answer[0] == wire.OK:
             # only now, with the handler span recorded: stop() releases
             # the process main, which closes the trace sink
             self.stop()
@@ -410,69 +464,6 @@ class _BaseService:
                 state.sock.shutdown(socket.SHUT_RD)
             except OSError:
                 pass
-
-    def _serve_inner(self, state: _ConnState, code: int, payload,
-                     req: int, arrived: float) -> bool:
-        """Run the handler and reply; True when the acknowledged request
-        was a SHUTDOWN and the service must now stop.  A streaming op's
-        handler sends its own frames.
-
-        A handler runs under the service lock, but one of
-        :attr:`_UNLOCKED_OPS` — which takes the lock itself where it
-        must — runs outside it, and a stamped copy of it arriving while
-        the original still runs (a re-send after a lost connection) is
-        answered with the original's answer once that is ready."""
-        stream = self._stream_handler(code)
-        if stream is not None:
-            dispatched = time.perf_counter()
-            stream(state, payload, req)
-            self._observe_times(arrived, dispatched)
-            return False
-        meta = payload.meta if isinstance(payload, wire.CellsPayload) \
-            else payload
-        session = meta.get("session") if isinstance(meta, dict) else None
-        seq = meta.get("seq") if isinstance(meta, dict) else None
-        unlocked = code in self._UNLOCKED_OPS
-        answer = running = mine = None
-        with self._lock:
-            # dispatch = the service lock is ours; everything before
-            # this was queueing behind other requests
-            dispatched = time.perf_counter()
-            if session is not None:
-                window = self._dedup.get(session)
-                answer = window.get(seq) if window is not None else None
-                if answer is None:
-                    running = self._running.get((session, seq))
-                if answer is not None or running is not None:
-                    # a retry of an already-processed (or still running)
-                    # mutation: replay the recorded ack, do not re-apply
-                    self.metrics.counter("net.server.dedup_hits").inc()
-            if answer is None and running is None:
-                if not unlocked:
-                    answer = self._handle(code, payload)
-                    self._remember(session, seq, answer)
-                elif session is not None:
-                    mine = self._running[(session, seq)] = _Running()
-        if running is not None or answer is None:
-            # an unlocked op runs, or is waited for, as long as it
-            # takes: the connection's reading goes on on another thread
-            self._handoff(state)
-        if running is not None:
-            running.done.wait()
-            answer = running.answer
-        elif answer is None:  # an unlocked op, run here
-            try:
-                answer = self._handle(code, payload)
-            finally:
-                if session is not None:
-                    with self._lock:
-                        self._remember(session, seq, answer)
-                        del self._running[(session, seq)]
-                    mine.answer = answer
-                    mine.done.set()
-        self._respond(state, *answer, code, req)
-        self._observe_times(arrived, dispatched)
-        return code == wire.SHUTDOWN and answer[0] == wire.OK
 
     def _handle(self, code: int, payload) -> Tuple[int, object]:
         """The handler's answer as ``(response code, payload)``: its
@@ -502,9 +493,10 @@ class _BaseService:
         while len(window) > DEDUP_WINDOW:
             window.popitem(last=False)
 
-    def _observe_times(self, arrived: float, dispatched: float) -> None:
+    def _observe_times(self, arrived: float, dispatched: float,
+                       sp) -> None:
         """Record queue (arrival → dispatch) and service (dispatch →
-        reply) time, and mirror them onto the open handler span so the
+        reply) time, and mirror them onto the handler span ``sp`` so the
         stitched-trace breakdown can separate wait from work."""
         done = time.perf_counter()
         queue_s = max(dispatched - arrived, 0.0)
@@ -512,10 +504,7 @@ class _BaseService:
         self.metrics.histogram("net.server.queue_seconds").observe(queue_s)
         self.metrics.histogram("net.server.service_seconds").observe(
             service_s)
-        sp = _trace.current_span()
-        if sp is not None:
-            sp.attrs["queue_s"] = queue_s
-            sp.attrs["service_s"] = service_s
+        sp.set(queue_s=queue_s, service_s=service_s)
 
     @staticmethod
     def _kill(state: _ConnState) -> None:

@@ -183,28 +183,21 @@ def mxm(a: Matrix, b: Matrix, semiring: Optional[Semiring] = None,
         _check_mask_key_range(mask)
     budget = DEFAULT_EXPANSION_BUDGET if expansion_budget is None \
         else int(expansion_budget)
-    if not _trace.ENABLED:
-        return _mxm_tiles(a, b, semiring, mask, budget)[0]
     with _trace.span("kernel.spgemm", rows=a.nrows, inner=a.ncols,
                      cols=b.ncols, nnz_a=a.nnz, nnz_b=b.nnz,
                      semiring=semiring.name, masked=mask is not None,
                      expansion_budget=budget) as sp:
-        c, expansions = _mxm_tiles(a, b, semiring, mask, budget)
-        sp.set(nnz_out=c.nnz, n_tiles=len(expansions),
-               peak_expansion=max(expansions, default=0))
+        # plan row tiles under the budget, expand–mask–fold each, stack
+        # the blocks
+        row_flops = predict_row_flops(a, b)
+        tiles = plan_tiles(row_flops, budget)
+        c = _stack_tiles(a.nrows, b.ncols, a.dtype, b.dtype,
+                         [_tile(a, lo, hi, b, semiring, mask)
+                          for lo, hi in tiles])
+        sp.set(nnz_out=c.nnz, n_tiles=len(tiles),
+               peak_expansion=max((int(row_flops[lo:hi].sum())
+                                   for lo, hi in tiles), default=0))
         return c
-
-
-def _mxm_tiles(a: Matrix, b: Matrix, semiring: Semiring,
-               mask: Optional[Matrix],
-               budget: int) -> Tuple[Matrix, List[int]]:
-    """Plan row tiles under ``budget``, expand–mask–fold each, stack
-    the blocks; returns C and every tile's expansion size."""
-    row_flops = predict_row_flops(a, b)
-    tiles = plan_tiles(row_flops, budget)
-    parts = [_tile(a, lo, hi, b, semiring, mask) for lo, hi in tiles]
-    return (_stack_tiles(a.nrows, b.ncols, a.dtype, b.dtype, parts),
-            [int(row_flops[lo:hi].sum()) for lo, hi in tiles])
 
 
 def _tile(a: Matrix, lo: int, hi: int, b: Matrix, semiring: Semiring,

@@ -31,25 +31,18 @@ def mxv(a: Matrix, x, semiring: Optional[Semiring] = None) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (a.ncols,):
         raise ValueError(f"x has shape {x.shape}, expected ({a.ncols},)")
-    if _trace.ENABLED:
-        with _trace.span("kernel.spmv", rows=a.nrows, cols=a.ncols,
-                         nnz=a.nnz, semiring=semiring.name):
-            return _mxv(a, x, semiring)
-    return _mxv(a, x, semiring)
-
-
-def _mxv(a: Matrix, x: np.ndarray, semiring: Semiring) -> np.ndarray:
-    products = np.asarray(semiring.mul(a.values, x[a.indices]))
-    out_dtype = products.dtype if products.size else np.result_type(a.dtype, x.dtype)
-    y = np.full(a.nrows, semiring.zero, dtype=np.result_type(out_dtype,
-                                                             type(semiring.zero)))
-    if products.size == 0:
+    with _trace.span("kernel.spmv", rows=a.nrows, cols=a.ncols, nnz=a.nnz,
+                     semiring=semiring.name):
+        products = np.asarray(semiring.mul(a.values, x[a.indices]))
+        out_dtype = products.dtype if products.size \
+            else np.result_type(a.dtype, x.dtype)
+        y = np.full(a.nrows, semiring.zero, dtype=np.result_type(
+            out_dtype, type(semiring.zero)))
+        if products.size:
+            nonempty = np.flatnonzero(a.row_lengths)
+            y[nonempty] = semiring.add.reduceat(products,
+                                                a.indptr[nonempty])
         return y
-    lens = a.row_lengths
-    nonempty = np.flatnonzero(lens)
-    starts = a.indptr[nonempty]
-    y[nonempty] = semiring.add.reduceat(products, starts)
-    return y
 
 
 def vxm(x, a: Matrix, semiring: Optional[Semiring] = None) -> np.ndarray:
@@ -63,24 +56,19 @@ def vxm(x, a: Matrix, semiring: Optional[Semiring] = None) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (a.nrows,):
         raise ValueError(f"x has shape {x.shape}, expected ({a.nrows},)")
-    if _trace.ENABLED:
-        with _trace.span("kernel.vxm", rows=a.nrows, cols=a.ncols,
-                         nnz=a.nnz, semiring=semiring.name):
-            return _vxm(x, a, semiring)
-    return _vxm(x, a, semiring)
-
-
-def _vxm(x: np.ndarray, a: Matrix, semiring: Semiring) -> np.ndarray:
-    products = np.asarray(semiring.mul(x[a.row_ids()], a.values))
-    out_dtype = products.dtype if products.size else np.result_type(a.dtype, x.dtype)
-    y = np.full(a.ncols, semiring.zero, dtype=np.result_type(out_dtype,
-                                                             type(semiring.zero)))
-    if products.size == 0:
+    with _trace.span("kernel.vxm", rows=a.nrows, cols=a.ncols, nnz=a.nnz,
+                     semiring=semiring.name):
+        products = np.asarray(semiring.mul(x[a.row_ids()], a.values))
+        out_dtype = products.dtype if products.size \
+            else np.result_type(a.dtype, x.dtype)
+        y = np.full(a.ncols, semiring.zero, dtype=np.result_type(
+            out_dtype, type(semiring.zero)))
+        if products.size:
+            if semiring.add.ufunc is None:
+                raise TypeError(
+                    f"monoid {semiring.add.name} has no ufunc for scatter")
+            semiring.add.ufunc.at(y, a.indices, products)
         return y
-    if semiring.add.ufunc is None:
-        raise TypeError(f"monoid {semiring.add.name} has no ufunc for scatter")
-    semiring.add.ufunc.at(y, a.indices, products)
-    return y
 
 
 def mxd(a: Matrix, d: np.ndarray) -> np.ndarray:
@@ -117,31 +105,24 @@ def mxv_sparse(a: Matrix, x: Vector, semiring: Optional[Semiring] = None) -> Vec
         raise TypeError(f"x must be a Vector, got {type(x).__name__}")
     if x.n != a.ncols:
         raise ValueError(f"x has length {x.n}, expected {a.ncols}")
-    if _trace.ENABLED:
-        with _trace.span("kernel.spmspv", rows=a.nrows, cols=a.ncols,
-                         nnz=a.nnz, frontier=x.nnz,
-                         semiring=semiring.name) as sp:
-            y = _mxv_sparse(a, x, semiring)
-            sp.set(nnz_out=y.nnz)
-            return y
-    return _mxv_sparse(a, x, semiring)
-
-
-def _mxv_sparse(a: Matrix, x: Vector, semiring: Semiring) -> Vector:
-    if x.nnz == 0 or a.nnz == 0:
-        return Vector(a.nrows, np.empty(0, dtype=np.intp),
-                      np.empty(0, dtype=a.dtype), _validate=False)
-    # membership of each stored column index in the frontier support
-    pos = np.searchsorted(x.indices, a.indices)
-    pos_c = np.minimum(pos, x.nnz - 1)
-    hit = x.indices[pos_c] == a.indices
-    if not hit.any():
-        return Vector(a.nrows, np.empty(0, dtype=np.intp),
-                      np.empty(0, dtype=a.dtype), _validate=False)
-    rows = a.row_ids()[hit]
-    products = np.asarray(semiring.mul(a.values[hit], x.values[pos_c[hit]]))
-    # rows are already sorted (CSR row-major order is preserved by masking)
-    starts = np.flatnonzero(np.r_[True, np.diff(rows) != 0])
-    out_idx = rows[starts]
-    out_val = semiring.add.reduceat(products, starts)
-    return Vector(a.nrows, out_idx, out_val, _validate=False)
+    with _trace.span("kernel.spmspv", rows=a.nrows, cols=a.ncols,
+                     nnz=a.nnz, frontier=x.nnz,
+                     semiring=semiring.name) as sp:
+        out_idx = np.empty(0, dtype=np.intp)
+        out_val = np.empty(0, dtype=a.dtype)
+        if x.nnz and a.nnz:
+            # membership of each stored column index in the frontier
+            pos = np.searchsorted(x.indices, a.indices)
+            pos_c = np.minimum(pos, x.nnz - 1)
+            hit = x.indices[pos_c] == a.indices
+            if hit.any():
+                rows = a.row_ids()[hit]
+                products = np.asarray(semiring.mul(a.values[hit],
+                                                   x.values[pos_c[hit]]))
+                # rows are already sorted (CSR row-major order is
+                # preserved by masking)
+                starts = np.flatnonzero(np.r_[True, np.diff(rows) != 0])
+                out_idx = rows[starts]
+                out_val = semiring.add.reduceat(products, starts)
+        sp.set(nnz_out=len(out_idx))
+        return Vector(a.nrows, out_idx, out_val, _validate=False)
