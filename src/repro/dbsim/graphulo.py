@@ -15,9 +15,10 @@ to perform graph analytics"):
   ``table_a`` (``A = ATᵀ`` stored by rows) each server instead owns
   whole output rows (:func:`multiply_owned`): it gathers the ``B`` rows
   its ``A`` rows reach, folds each output row, and writes it once;
-* :func:`degree_table` — maintain the D4M schema's Tdeg (one Reduce);
-* :func:`apply_to_table` / :func:`filter_table` — server-side Apply /
-  value filters as batch stages of the scan;
+* :func:`degree_table` (the D4M schema's Tdeg, one Reduce),
+  :func:`apply_to_table` and :func:`filter_table` — Graphulo's
+  one-table op: each server streams its tablets through the stage
+  into ``out``'s, and no cell passes through the client;
 * :func:`table_bfs` — k-hop BFS by repeated BatchScanner row fetches of
   the frontier (Graphulo's adjacency-table BFS), each tablet returning
   only the distinct neighbours it holds.
@@ -148,13 +149,29 @@ def table_mult(conn: Connector, table_at: str, table_b: str, out: str,
     """
     spec = MultSpec(
         table_b, out, BLOCK_PARTIAL_PRODUCTS,
-        mul=_mul_operand(mul, isinstance(conn.instance, Instance)),
+        mul=_operand(conn, _mul_name(mul), mul,
+                     "table_mult takes mul as a built-in BinaryOp"),
         combiner=combiner,
         auths=sorted(authorizations.tokens) if authorizations else [],
         mask=mask, triangle=triangle, table_a=table_a)
     inst = conn.instance
     before = inst.total_stats().snapshot()
     _multiply(conn, table_at, spec)
+    return inst.total_stats().delta(before)
+
+
+def _one_table(conn: Connector, table: str, out: str, post=None,
+               mask: Optional[str] = None, authorizations=None) -> OpStats:
+    """Graphulo's one-table op: each server streams its tablets of
+    ``table`` through ``post`` (and ``mask``) into the ``out`` tablets
+    beside them — a missing ``out`` is created plain, split like
+    ``table`` — and the op's instance-wide stats delta."""
+    inst = conn.instance
+    before = inst.total_stats().snapshot()
+    _multiply(conn, table, MultSpec(
+        None, out, BLOCK_PARTIAL_PRODUCTS,
+        auths=sorted(authorizations.tokens) if authorizations else [],
+        post=post, mask=mask))
     return inst.total_stats().delta(before)
 
 
@@ -173,24 +190,28 @@ def _multiply(conn: Connector, table_at: str, spec: MultSpec
         return work
 
 
-def _mul_operand(mul, in_process: bool):
-    """``mul`` as a backend takes it: the name of a built-in binary
-    operator when it is one (the default multiply is ``"times"``),
-    else — in process only — the callable itself."""
+def _operand(conn: Connector, wire, local, what: str):
+    """A caller's operand as a spec carries it: ``wire``, its wire
+    form, if any, else — in process only — ``local``, its Python form;
+    a cluster refuses that with ``NonSerializableIteratorError``, before
+    any RPC, ``what`` naming what it takes instead."""
+    if wire is None and not isinstance(conn.instance, Instance):
+        from repro.net.iterspec import NonSerializableIteratorError
+        raise NonSerializableIteratorError(
+            f"{what} over a cluster; the Python callable cannot cross "
+            f"the wire")
+    return local if wire is None else wire
+
+
+def _mul_name(mul) -> Optional[str]:
+    """The name ``mul`` travels by, when it is a built-in binary
+    operator (the default multiply is ``"times"``)."""
     if mul is _default_mul:
         return "times"
     from repro.semiring.builtin import BINARY_OPS
 
     name = getattr(mul, "name", None)
-    if BINARY_OPS.get(name) is mul:
-        return name
-    if in_process:
-        return mul
-    from repro.net.iterspec import NonSerializableIteratorError
-    raise NonSerializableIteratorError(
-        f"table_mult over a cluster takes mul as a built-in BinaryOp "
-        f"(one of {sorted(BINARY_OPS)}); the callable {mul!r} cannot "
-        f"cross the wire")
+    return name if BINARY_OPS.get(name) is mul else None
 
 
 def _semiring(mul, combiner: str):
@@ -471,10 +492,10 @@ def multiply_owned(a_batches, spec: MultSpec, read_b, read_mask, write,
     from array import array
 
     from repro.net.cells import ColumnBatch
-    from repro.net.iterspec import IterSpec
+    from repro.net.iterspec import post_layers
 
     semiring = _semiring(spec.mul, spec.combiner)
-    post = IterSpec.from_wire(spec.post or ()).build_factories()
+    post = post_layers(spec.post)
     work = {"blocks": 0, "partial_products": 0, "cells_written": 0,
             "cells_read": 0, "peak_gathered": 0, "peak_held": 0}
     for rows, quals, vals in _row_blocks(a_batches, spec.block_products):
@@ -516,73 +537,45 @@ def multiply_owned(a_batches, spec: MultSpec, read_b, read_mask, write,
 def degree_table(conn: Connector, table: str, out: str,
                  count_entries: bool = False, authorizations=None) -> OpStats:
     """Build/refresh a degree table: ``out[row, "", "deg"] = Σ_cols v``
-    (or the entry count with ``count_entries=True``) — the D4M Tdeg."""
-    inst = conn.instance
-    with _trace.span("graphulo.degree_table", stats=inst.total_stats,
+    (or the entry count with ``count_entries=True``) — the D4M Tdeg,
+    as a one-table op whose ``reduce`` writes each row's cell at the
+    row's newest timestamp: a refresh over an unchanged source rewrites
+    the same cells.  It misses deletes (a row that lost cells may keep
+    its degree), and an ``out`` that combines adds each refresh."""
+    reduce = _spec().reduce("sum", qualifier="deg", count=count_entries)
+    with _trace.span("graphulo.degree_table", stats=conn.instance.total_stats,
                      table=table, out=out):
-        before = inst.total_stats().snapshot()
-        if not conn.table_exists(out):
-            create_combiner_table(conn, out, combiner="sum")
-        # The Reduce runs inside the tablet server: a pushed-down
-        # reduce stage folds each row's cells into one ("", "deg")
-        # cell, so exactly one cell per row crosses the wire and the
-        # out table's SummingCombiner performs the final ⊕ across
-        # tablets.
-        spec = _spec().reduce("sum", qualifier="deg", count=count_entries)
-        scanner = conn.scanner(table, authorizations=authorizations,
-                               iterspec=spec)
-        with conn.batch_writer(out) as writer:
-            for batch in scanner.scan_columns():
-                # the reduce's values are already canonically encoded
-                writer.put_many(batch.rows, ["deg"] * len(batch),
-                                batch.values)
-        conn.compact(out)
-        return inst.total_stats().delta(before)
-
-
-def _write_scan(conn: Connector, scanner, out: str) -> None:
-    """Every cell of ``scanner``'s columnar stream into ``out``, as
-    scanned — family, visibility and timestamp kept — then a flush."""
-    with conn.batch_writer(out) as writer:
-        for batch in scanner.scan_columns():
-            writer.put_many(batch.rows, batch.qualifiers, batch.values,
-                            family=batch.families,
-                            visibility=batch.visibilities,
-                            timestamps=batch.timestamps)
-    conn.flush(out)
-
-
-def _scan_to_table(conn: Connector, table: str, out: str, layer: Layer,
-                   authorizations) -> OpStats:
-    """``table`` scanned through ``layer`` (a batch stage with no wire
-    form: over a cluster it runs client-side) into ``out``."""
-    inst = conn.instance
-    before = inst.total_stats().snapshot()
-    if not conn.table_exists(out):
-        conn.create_table(out)
-    _write_scan(conn, conn.scanner(table, scan_iterators=(layer,),
-                                   authorizations=authorizations), out)
-    return inst.total_stats().delta(before)
+        return _one_table(conn, table, out, reduce.to_wire(),
+                          authorizations=authorizations)
 
 
 def apply_to_table(conn: Connector, table: str, out: str,
                    fn: Callable[[float], float],
                    drop_zero: bool = True, authorizations=None) -> OpStats:
-    """Server-side Apply: scan ``table`` through an Apply stage and
-    write the transformed cells to ``out``."""
-    return _scan_to_table(conn, table, out,
-                          Layer(apply_stage(fn, drop_zero)), authorizations)
+    """Server-side Apply into ``out`` as a one-table op, family,
+    visibility and timestamp kept.  ``fn`` is an ``IterSpec`` of
+    ``apply`` ops, or — in process only; a cluster raises
+    ``NonSerializableIteratorError`` before any RPC — a Python
+    callable, whose zero results ``drop_zero`` drops."""
+    post = _operand(conn, None if callable(fn) else fn.to_wire(),
+                    [Layer(apply_stage(fn, drop_zero))],
+                    "apply_to_table takes fn as an IterSpec")
+    return _one_table(conn, table, out, post, authorizations=authorizations)
 
 
 def filter_table(conn: Connector, table: str, out: str,
                  predicate: Callable[[Cell], bool],
                  authorizations=None) -> OpStats:
-    """Server-side value/key filter into a new table.  ``predicate``
-    takes a :class:`Cell`: the one place a Graphulo op builds any."""
-    return _scan_to_table(
-        conn, table, out,
-        Layer(select_stage(lambda batch: map(predicate, batch.cells()))),
-        authorizations)
+    """Server-side value/key filter into ``out`` as a one-table op,
+    kept cells as they are.  ``predicate`` is an ``IterSpec``
+    (``where_value``, ``regex``, ``column`` ops), or — in process only,
+    as for :func:`apply_to_table` — a Python callable taking a
+    :class:`Cell`: the one place a Graphulo op builds any."""
+    post = _operand(
+        conn, None if callable(predicate) else predicate.to_wire(),
+        [Layer(select_stage(lambda batch: map(predicate, batch.cells())))],
+        "filter_table takes predicate as an IterSpec")
+    return _one_table(conn, table, out, post, authorizations=authorizations)
 
 
 def table_bfs(conn: Connector, edge_table: str, seeds: Iterable[str],

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Dict, Iterable
 
 from repro.dbsim.client import Connector
-from repro.dbsim.graphulo import (BLOCK_PARTIAL_PRODUCTS, _multiply, _spec,
-                                  table_mult)
+from repro.dbsim.graphulo import (BLOCK_PARTIAL_PRODUCTS, _multiply,
+                                  _one_table, _spec, table_mult)
 from repro.dbsim.key import decode_number
 from repro.dbsim.server import MultSpec
 from repro.dbsim.stats import OpStats
@@ -40,12 +40,8 @@ def table_intersect(conn: Connector, left: str, right: str, out: str,
     """
     if keep not in ("left", "right"):
         raise ValueError(f"keep must be 'left' or 'right', got {keep!r}")
-    inst = conn.instance
-    before = inst.total_stats().snapshot()
     kept, other = (left, right) if keep == "left" else (right, left)
-    _multiply(conn, kept, MultSpec(None, out, BLOCK_PARTIAL_PRODUCTS,
-                                   mask=other))
-    return inst.total_stats().delta(before)
+    return _one_table(conn, kept, out, mask=other)
 
 
 def _drop(conn: Connector, names: Iterable[str]) -> None:

@@ -82,7 +82,8 @@ class MultSpec:
     the form: a table name makes the op a TableMult, ``None`` a
     one-table op, which streams the source's cells as they are.
     ``post`` is an :class:`~repro.net.iterspec.IterSpec` in wire form
-    run before the write.  The rest is TableMult's: a block closes once
+    (in process, also a list of ``Layer``\\ s: Python stages) run
+    before the write.  The rest is TableMult's: a block closes once
     its predicted partial products reach ``block_products`` (≥ 1: the
     caller's :data:`repro.dbsim.graphulo.BLOCK_PARTIAL_PRODUCTS`, so
     every server cuts where the caller's library does); ``mul`` is a
@@ -160,9 +161,9 @@ class MultSpec:
                 raise ValueError("post follows a TableMult only when "
                                  "table_a is given: without it a step "
                                  "writes partial products, not folded rows")
-            from repro.net.iterspec import IterSpec  # lazy: net imports dbsim
+            from repro.net.iterspec import post_layers  # lazy: net imports dbsim
 
-            IterSpec.from_wire(self.post)
+            post_layers(self.post)
 
 
 @dataclass
@@ -526,7 +527,7 @@ class TabletServer:
         # lazy: graphulo and net import this module, and numpy loads
         # with the first block multiplied, not with the server
         from repro.dbsim import graphulo
-        from repro.net.iterspec import IterSpec, scan_layers
+        from repro.net.iterspec import post_layers, scan_layers
 
         with self.lock:
             extents = [self.tablet(table_at, tablet_id).extent
@@ -594,8 +595,7 @@ class TabletServer:
         else:
             stream = at if spec.mask is None else graphulo.mask_cells(
                 at, reader(spec.mask, mask))
-            for layer in IterSpec.from_wire(
-                    spec.post or ()).build_factories():
+            for layer in post_layers(spec.post):
                 stream = layer.stage(stream)
             written = 0
             for batch in stream:

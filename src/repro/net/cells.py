@@ -300,8 +300,8 @@ class ColumnBatch:
     This is the unit the zero-materialization scan path moves: the
     tablet drains its merge iterator into one, the server encodes the
     CHUNK block straight from it, the client decodes the block back
-    into one, and the engine's bulk consumers (``from_triples``,
-    ``degree_table``, BFS frontiers) read the columns directly.
+    into one, and the engine's bulk consumers (``from_triples``, a
+    two-table op's steps, BFS frontiers) read the columns directly.
     ``Cell``/``Key`` tuples exist only if someone calls :meth:`cells`
     (a remote ``for cell in scanner`` is ``chain.from_iterable`` of it
     over the batches).

@@ -86,8 +86,8 @@ class IterSpecError(ValueError):
 
 class NonSerializableIteratorError(ValueError):
     """A local callable was given where only wire data may go (an
-    ``iterspec``, or a cluster TableMult's ``mul``): only whitelisted
-    names cross the wire.  Express the stack as an :class:`IterSpec`,
+    ``iterspec``, or a cluster TableMult's ``mul`` or one-table op's
+    stage): only whitelisted names cross the wire.  Express the stack as an :class:`IterSpec`,
     or run the code client-side as a ``Layer(stage)`` scan iterator."""
 
 
@@ -518,6 +518,14 @@ def coerce(spec: Optional[Any]) -> Optional[IterSpec]:
             f"remote backend; got a local callable {spec!r} which cannot "
             f"cross the wire")
     return IterSpec.from_wire(spec)
+
+
+def post_layers(post: Optional[Sequence]) -> Tuple[Layer, ...]:
+    """A two-table op's ``post`` as layers: its wire ops built, or the
+    :class:`Layer`\\ s an in-process post may hold, as they are."""
+    if post and all(isinstance(layer, Layer) for layer in post):
+        return tuple(post)
+    return IterSpec.from_wire(post or ()).build_factories()
 
 
 def scan_layers(auths, spec: Optional[Any] = None) -> Tuple[Layer, ...]:

@@ -177,6 +177,34 @@ class TestDegreeTable:
                   for c in conn.scanner("Tcount")}
         assert counts == {"r1": 2.0, "r2": 1.0}
 
+    def test_refresh_rewrites_each_degree(self, conn):
+        """Each row's degree cell is written at the row's newest
+        timestamp, so a refresh over an unchanged source leaves every
+        degree as it was (an ``out`` that summed doubled them), and a
+        row that gained a cell reads its new degree."""
+        a = AssocArray.from_triples(["a", "a", "z"], ["x", "y", "x"],
+                                    [2.0, 3.0, 4.0])
+        assoc_to_table(conn, a, "T")
+
+        def degrees():
+            return {c.key.row: (decode_number(c.value), c.key.timestamp)
+                    for c in conn.scanner("Tdeg")}
+
+        newest = {}
+        for c in conn.scanner("T"):
+            newest[c.key.row] = max(newest.get(c.key.row, 0),
+                                    c.key.timestamp)
+        want = {"a": (5.0, newest["a"]), "z": (4.0, newest["z"])}
+        degree_table(conn, "T", "Tdeg")
+        assert degrees() == want
+        degree_table(conn, "T", "Tdeg")
+        assert degrees() == want
+        with conn.batch_writer("T") as w:
+            w.put("z", "", "y", 1.0)
+        degree_table(conn, "T", "Tdeg")
+        assert {row: deg for row, (deg, _) in degrees().items()} == {
+            "a": 5.0, "z": 5.0}
+
 
 class TestApplyFilter:
     def test_apply(self, conn):

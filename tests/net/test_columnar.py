@@ -306,15 +306,16 @@ class TestBfsTraffic:
 class TestUserStageLayers:
     """A user's ``Layer`` carries a batch stage whether or not it has a
     wire form, so a scan holding one runs as column batches on both
-    backends (client-side over a cluster) — and the library loops built
-    on that leave the same tables either side of the socket."""
+    backends (client-side over a cluster) — and the library ops built
+    on the one-table op, given their stages' wire forms, leave the same
+    tables either side of the socket."""
 
     @staticmethod
     def _observe(conn):
         from repro.dbsim.graphulo import apply_to_table, filter_table
         from repro.dbsim.graphulo_algorithms import table_pagerank
         from repro.dbsim.iterators import Layer, apply_stage
-        from repro.dbsim.key import decode_number
+        from repro.net.iterspec import IterSpec
 
         halve = Layer(apply_stage(lambda v: v // 2))  # drops the 1s
         per_cell = list(conn.scanner("E", scan_iterators=(halve,)))
@@ -323,10 +324,11 @@ class TestUserStageLayers:
             for cell in batch.cells()]
         assert columnar == per_cell and 0 < len(per_cell) < 27
 
-        apply_to_table(conn, "E", "E2", lambda v: v * v - 1.0)
+        # v * v - 1, the 1s dropped; value >= 2 in the rows below "v7"
+        apply_to_table(conn, "E", "E2",
+                       IterSpec().apply("square").apply("add", -1.0))
         filter_table(conn, "E", "Ebig",
-                     lambda c: decode_number(c.value) >= 2
-                     and c.key.row < "v7")
+                     IterSpec().value_ge(2).regex(row="^v[0-6]$"))
         table_pagerank(conn, "E", "PR", max_iter=4)
         return [per_cell] + [list(conn.scanner(t))
                              for t in ("E2", "Ebig", "PR")]

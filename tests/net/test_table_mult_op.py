@@ -44,7 +44,10 @@ from repro.dbsim.client import Connector
 from repro.dbsim.graphulo import (
     BLOCK_PARTIAL_PRODUCTS,
     _multiply,
+    apply_to_table,
     create_combiner_table,
+    degree_table,
+    filter_table,
     table_mult,
 )
 from repro.dbsim.graphulo_algorithms import (
@@ -167,6 +170,22 @@ class TestMulAndCombinerOnTheWire:
         with pytest.raises(NonSerializableIteratorError, match="mul"):
             table_mult(remote, "A", "B", "C", mul=lambda x, y: x * y)
         assert _client_bytes(remote) == before
+
+    @pytest.mark.parametrize("op", [
+        lambda conn: apply_to_table(conn, "A", "C", lambda v: v * v),
+        lambda conn: filter_table(conn, "A", "C", lambda cell: True)],
+        ids=["apply_to_table", "filter_table"])
+    def test_python_stage_refused_before_any_rpc(self, remote, op):
+        """A one-table op's stage crosses the wire as an ``IterSpec``:
+        a Python callable is refused where ``mul`` is, before any
+        request, and leaves no table behind."""
+        _operands(remote)
+        tables = remote.instance.list_tables()
+        before = _client_bytes(remote)
+        with pytest.raises(NonSerializableIteratorError, match="IterSpec"):
+            op(remote)
+        assert _client_bytes(remote) == before
+        assert remote.instance.list_tables() == tables
 
     def test_in_process_still_takes_any_callable(self):
         local = _local(2)
@@ -705,21 +724,28 @@ class TestKernelsMatchInProcess:
 
 class TestClientTraffic:
     @pytest.mark.parametrize("rows", [20, 200], ids=["1x", "10x"])
-    def test_operands_and_product_stay_in_the_servers(self, remote, rows):
+    @pytest.mark.parametrize("op, cells", [
+        (lambda conn: table_mult(conn, "AT", "AT", "C"),
+         lambda rows: 64),  # 8 × 8
+        (lambda conn: degree_table(conn, "AT", "C"),
+         lambda rows: rows)],  # one per row
+        ids=["table_mult", "degree_table"])
+    def test_operands_and_product_stay_in_the_servers(self, remote, rows,
+                                                      op, cells):
         remote.create_table("AT", splits=[f"t{rows // 2:04d}"])
         with remote.batch_writer("AT") as w:
             for t in range(rows):
                 for u in range(8):
                     w.put(f"t{t:04d}", "", f"u{u}", t + u)
         before = _client_bytes(remote)
-        table_mult(remote, "AT", "AT", "C")
+        op(remote)
         after = _client_bytes(remote)
         moved = {name: after[name] - before[name] for name in before}
         assert moved["net.client.op.scan.bytes_received"] == 0
         assert moved["net.client.op.write_batch.bytes_sent"] == 0
         assert (moved["net.client.bytes_sent"]
                 + moved["net.client.bytes_received"]) < 4096
-        assert len(_cells(remote, "C")) == 64  # 8 × 8, all in the servers
+        assert len(_cells(remote, "C")) == cells(rows)  # all in the servers
 
 
 # -- a failed op leaves no table behind -------------------------------------
