@@ -16,9 +16,10 @@ the merged OpStats cost model.  The data path is written here, once,
 over that index: ``locate`` a row, the tablets a range reaches,
 ``partition`` — a mutation buffer binned per owning tablet, so the
 writer routes exactly as the scanner does — and the client scan
-(:meth:`ConnectorBackend.scan_columns`), which reads each tablet
-through its server's ``scan_tablet``, a few tablets ahead, and
-re-plans over a fresh index when one moves under it.  Each
+(:meth:`ConnectorBackend.scan_columns`), which reads each tablet by a
+:class:`TabletRead` — the one resumable read of a tablet, a TableMult
+step's too — a few tablets ahead, and re-plans over a fresh index
+when one moves under it.  Each
 assignment's ``server`` is the one handle on its tablet server: a
 :class:`~repro.dbsim.server.TabletServer` in process, a
 :class:`~repro.net.client.RemoteTabletServer` in a cluster, with the
@@ -76,12 +77,88 @@ def _pushdown(ops: Sequence[dict]) -> dict:
 
 def _seeded(layers: Tuple[Layer, ...], seen: set) -> Tuple[Layer, ...]:
     """``layers`` with their trailing ``distinct`` also dropping the
-    qualifiers ``seen``: a re-planned tablet's share of what the moved
-    one delivered."""
+    qualifiers ``seen``: what a tablet read delivered, carried into
+    its reopen or into the tablets a re-plan puts in its place."""
     *below, last = layers
     seen = sorted(seen.union(last.op.get("seen", ())))
     return (*below, Layer(distinct_stage(seen),
                           {"op": "distinct", "seen": seen}))
+
+
+def _past(ranges: List[Range], resume: Optional[list]) -> List[Range]:
+    """``ranges`` from the row of ``resume`` on: what a reopen past it
+    asks for (the server skips the entries at or before the key)."""
+    return clip_ranges(ranges, Range(resume[0], None)) if resume else ranges
+
+
+class TabletRead:
+    """One tablet's read through its server handle, resumable past
+    what it delivered: a client scan's read of each tablet, and a
+    TableMult step's of its ``B`` and mask tablets.  Iterating it
+    yields the non-empty batches of ``server.scan_tablet(table,
+    tablet_id, ranges, layers, columns, resume)``, whose stream opens
+    now; a failure to open is raised by the first pull.
+
+    The read keeps :attr:`resume`, the last key delivered, and — under
+    a trailing ``distinct``, whose state crosses rows — :attr:`seen`,
+    the qualifiers delivered.  It puts a failed stream to the handle's
+    ``retry_scan``, which raises (a ``NotHostedError`` too: a client
+    scan re-plans from :attr:`resume` and :attr:`seen`) or backs off;
+    the read then reopens the tablet in place, from the resume row
+    (:func:`_past`), the ``distinct`` seeded with :attr:`seen`.  A
+    reopen carries a resume key, ``[]`` while nothing was delivered:
+    it counts as a resume."""
+
+    def __init__(self, server, table: Optional[str], tablet_id: str,
+                 ranges: List[Range], layers: Tuple[Layer, ...] = (),
+                 columns=None, resume: Optional[list] = None):
+        self.server, self.table = server, table
+        self._where = (tablet_id, ranges, layers, columns)
+        #: the last key delivered (a re-planned tablet's: the moved one's)
+        self.resume = resume
+        #: the qualifiers delivered, kept under a trailing ``distinct``
+        self.seen: Optional[set] = set() if layers and layers[-1].op \
+            and layers[-1].op["op"] == "distinct" else None
+        self._stream = self._failure = None
+        self._open(resume)
+
+    def _open(self, resume: Optional[list]) -> None:
+        tablet_id, ranges, layers, columns = self._where
+        try:
+            self._stream = self.server.scan_tablet(
+                self.table, tablet_id, _past(ranges, resume),
+                _seeded(layers, self.seen) if self.seen else layers,
+                columns, resume)
+        except Exception as exc:  # noqa: BLE001 - the first pull judges it
+            self._failure = exc
+
+    def __iter__(self):
+        attempts, sleep = 0, None  # reopens since the last batch
+        while True:
+            try:
+                failure, self._failure = self._failure, None
+                if failure is not None:
+                    raise failure
+                for batch in self._stream:
+                    if len(batch):
+                        attempts, sleep = 0, None
+                        self.resume = batch.last_key()
+                        if self.seen is not None:
+                            self.seen.update(batch.qualifiers)
+                        yield batch
+                return
+            except Exception as exc:
+                self.close()
+                sleep = self.server.retry_scan(exc, self.table, attempts,
+                                               sleep)
+                attempts += 1
+                self._open(self.resume or [])
+
+    def close(self) -> None:
+        """Stop the open stream, if any: the server stops producing."""
+        stream, self._stream = self._stream, None
+        if stream is not None:
+            stream.close()
 
 
 class ConnectorBackend(ABC):
@@ -158,21 +235,19 @@ class ConnectorBackend(ABC):
         layers and the given scan layers.
 
         The scan is planned now, over this backend's index: each
-        tablet the set reaches gets its share of it.  Each tablet is
-        read through its server's ``scan_tablet``, which runs the
-        layers :func:`_ship` splits off at the wire; the rest (a lone
-        visibility filter, user layers) are chained here, over the
-        whole stream.  Up to :data:`_SCAN_FANOUT` tablet scans are open
-        ahead of the consumer, and each is drained before the next is
-        read, so the batches come in tablet order.
+        tablet the set reaches gets its share of it, read by a
+        :class:`TabletRead` through its server's ``scan_tablet``, which
+        runs the layers :func:`_ship` splits off at the wire; the rest
+        (a lone visibility filter, user layers) are chained here, over
+        the whole stream.  Up to :data:`_SCAN_FANOUT` reads are open
+        ahead of the consumer, each drained before the next is read.
 
-        When a tablet scan raises ``NotHostedError`` (the tablet split
-        or migrated: at its open, or mid-stream remotely), the scan
-        re-plans: it forgets the table's index, plans the ranges past
-        the last key delivered over a fresh one, and opens the first of
-        them with that key as ``resume``.  Under a trailing ``distinct``
-        each re-planned tablet starts from the qualifiers the moved one
-        delivered, and keeps what seeded the tablet it replaces."""
+        When a read raises ``NotHostedError`` (its tablet split or
+        migrated), the scan re-plans: it forgets the table's index and
+        plans the ranges past the read's last key over a fresh one, the
+        first opened past that key; under a trailing ``distinct`` each
+        re-planned tablet also starts from the read's qualifiers, and
+        keeps what seeded the tablet it replaces."""
         return self._planned_scan(name, rng, columns, scan_iterators)[1]
 
     def _planned_scan(self, name: str, rng: RangeSet, columns,
@@ -208,69 +283,53 @@ class ConnectorBackend(ABC):
                 for entry in self.tablets_for_range(name, covering(ranges))
                 for share in [clip_ranges(ranges, entry.extent)] if share]
 
-    def _replan(self, name: str, legs: list, resume, seen: set) -> list:
-        """The ``legs`` left when the head's tablet moved, planned again
-        over a fresh index: the ranges past ``resume``, the first leg
-        opened past it.  Each new tablet takes the layers of the leg it
-        overlaps, the head's seeded with the qualifiers it delivered
-        (``seen``, under a trailing ``distinct``)."""
-        if seen:
-            legs[0][2] = _seeded(legs[0][2], seen)
+    def _replan(self, name: str, legs: list, head: TabletRead) -> list:
+        """The ``legs`` left when the ``head`` read's tablet moved,
+        planned again over a fresh index: the ranges past its resume
+        key, the first leg opened past it.  Each new tablet takes the
+        layers of the leg it overlaps, the head's seeded with the
+        qualifiers it delivered (:attr:`TabletRead.seen`)."""
+        if head.seen:
+            legs[0][2] = _seeded(legs[0][2], head.seen)
         self.invalidate(name)
-        ranges = list(chain.from_iterable(leg[1] for leg in legs))
-        if resume:
-            ranges = clip_ranges(ranges, Range(resume[0], None))
+        ranges = _past(list(chain.from_iterable(leg[1] for leg in legs)),
+                       head.resume)
         if not ranges:
             return []
         replanned = self._plan(name, ranges, ())
         for leg in replanned:
             leg[2] = next(old[2] for old in legs
                           if old[0].extent.clip(leg[0].extent))
-        replanned[0][3] = resume
+        replanned[0][3] = head.resume
         return replanned
 
     def _scan(self, name: str, legs: list, columns):
         """The batches of the planned ``legs``, in order (see
         :meth:`scan_columns`)."""
-        scans: list = []  # the open scans of legs[:len(scans)]
-        # the last key delivered: a re-planned head's resume key, at first
-        resume = legs[0][3] if legs else None
-        seen: set = set()  # the head's qualifiers, under a trailing distinct
+        reads: List[TabletRead] = []  # the open reads of legs[:len(reads)]
         try:
             while legs:
-                distinct = [layer.op["op"] for layer in legs[0][2][-1:]] \
-                    == ["distinct"]
+                while len(reads) < min(len(legs), _SCAN_FANOUT):
+                    entry, share, layers, resume = legs[len(reads)]
+                    reads.append(TabletRead(entry.server, name,
+                                            entry.tablet_id, share, layers,
+                                            columns, resume))
+                head = reads[0]
                 try:
-                    while len(scans) < min(len(legs), _SCAN_FANOUT):
-                        entry, share, layers, start = legs[len(scans)]
-                        try:
-                            scans.append(entry.server.scan_tablet(
-                                name, entry.tablet_id, share, layers,
-                                columns, start))
-                        except Exception:
-                            if scans:
-                                break  # it fails again, visibly, as the head
-                            raise
-                    for batch in scans[0]:
-                        if len(batch):
-                            resume = batch.last_key()
-                            if distinct:
-                                seen.update(batch.qualifiers)
-                            yield batch
+                    yield from head
                 except NotHostedError:
-                    # the head's tablet moved: the scans opened on the
+                    # the head's tablet moved: the reads opened on the
                     # old layout close, and the rest is planned again
-                    for scan in scans:
-                        scan.close()
-                    scans = []
-                    legs = self._replan(name, legs, resume, seen)
+                    for read in reads:
+                        read.close()
+                    reads = []
+                    legs = self._replan(name, legs, head)
                 else:
-                    scans.pop(0)
+                    reads.pop(0)
                     legs.pop(0)
-                seen = set()
         finally:
-            for scan in scans:
-                scan.close()
+            for read in reads:
+                read.close()
 
     # -- maintenance ------------------------------------------------------
 

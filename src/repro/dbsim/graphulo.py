@@ -539,12 +539,17 @@ def degree_table(conn: Connector, table: str, out: str,
     """Build/refresh a degree table: ``out[row, "", "deg"] = Σ_cols v``
     (or the entry count with ``count_entries=True``) — the D4M Tdeg,
     as a one-table op whose ``reduce`` writes each row's cell at the
-    row's newest timestamp: a refresh over an unchanged source rewrites
-    the same cells.  It misses deletes (a row that lost cells may keep
-    its degree), and an ``out`` that combines adds each refresh."""
+    row's newest timestamp.  A refresh rebuilds an ``out`` that does
+    not combine: it drops it, and the op creates it again split like
+    ``table``, so a row that lost cells reads its new degree and a row
+    that lost them all has none.  An ``out`` that combines adds each
+    refresh to what it holds."""
     reduce = _spec().reduce("sum", qualifier="deg", count=count_entries)
     with _trace.span("graphulo.degree_table", stats=conn.instance.total_stats,
                      table=table, out=out):
+        if conn.table_exists(out) and not any(
+                conn.instance.config(out).folds(name) for name in COMBINERS):
+            conn.delete_table(out)
         return _one_table(conn, table, out, reduce.to_wire(),
                           authorizations=authorizations)
 

@@ -38,7 +38,7 @@ from itertools import chain, count
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
-from repro.dbsim.backend import ConnectorBackend
+from repro.dbsim.backend import ConnectorBackend, TabletRead
 from repro.dbsim.errors import NotHostedError, ServerCrashedError
 from repro.dbsim.iterators import COMBINERS, Layer, as_layers
 from repro.dbsim.key import Key, Range, RangeSet, clip_ranges
@@ -457,6 +457,13 @@ class TabletServer:
                 ranges, columns, self.configs[tablet.table].table_iterators,
                 layers, batch_cells=batch_cells)
 
+    def retry_scan(self, exc: Exception, table: Optional[str],
+                   attempts: int, sleep: Optional[float]) -> None:
+        """Rule on a failed read of one of this server's tablets
+        (:class:`~repro.dbsim.backend.TabletRead`): in process nothing
+        is retried — a client scan re-plans on ``NotHostedError``."""
+        raise exc
+
     def write_tablet(self, table: Optional[str], tablet_id: str,
                      columns) -> int:
         """:meth:`Tablet.write_columns` on a hosted tablet, under
@@ -518,12 +525,13 @@ class TabletServer:
         ``B`` tablet under ``table_a``), ``out`` every ``out`` tablet
         and ``mask`` every tablet of ``spec.mask`` (none without one),
         as assignments whose ``server`` is this server — a local scan,
-        a local write — or a handle with :meth:`scan_tablet` and
-        :meth:`submit` of ``"write_tablet"``: in a cluster, a peer's
-        remote handle.  A server never calls itself over the wire.  A
-        block's writes are all sent before the previous block's are
-        waited for.  A masked block or batch reads the mask cells of its
-        output rows the same way a block reads ``B`` rows."""
+        a local write — or a handle with :meth:`scan_tablet`,
+        :meth:`retry_scan` and :meth:`submit` of ``"write_tablet"``: in
+        a cluster, a peer's remote handle, whose streams a
+        :class:`~repro.dbsim.backend.TabletRead` reopens.  A server
+        never calls itself over the wire.  A block's writes are all sent
+        before the previous block's are waited for.  A masked block or
+        batch reads its output rows' mask cells as a block reads ``B``."""
         # lazy: graphulo and net import this module, and numpy loads
         # with the first block multiplied, not with the server
         from repro.dbsim import graphulo
@@ -542,9 +550,8 @@ class TabletServer:
         # of the extents
         b_batches = None if spec.table_b in (None, table_at) \
             else chain.from_iterable(
-                entry.server.scan_tablet(spec.table_b, entry.tablet_id,
-                                         clip_ranges(extents, entry.extent),
-                                         layers)
+                TabletRead(entry.server, spec.table_b, entry.tablet_id,
+                           clip_ranges(extents, entry.extent), layers)
                 for entry in b)
         index = TabletIndex(out)
         # the last write's acks, waited for once the next write is sent:
@@ -577,8 +584,8 @@ class TabletServer:
                 # every read opened before any is drained: a peer's
                 # overlap
                 return chain.from_iterable([
-                    entry.server.scan_tablet(table, entry.tablet_id, share,
-                                             layers)
+                    TabletRead(entry.server, table, entry.tablet_id, share,
+                               layers)
                     for entry in entries
                     for share in [clip_ranges(ranges, entry.extent)]
                     if share])

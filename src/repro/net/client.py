@@ -35,9 +35,9 @@ Reliability model:
 * :class:`~repro.dbsim.errors.NotHostedError` (a split migrated the
   tablet, or the location cache is stale) triggers a re-``locate``
   through the manager and re-routing — in a write batch's answer for
-  writes, in the client scan's re-plan (with a resume key) for scans,
-  which :class:`~repro.dbsim.backend.ConnectorBackend` writes once for
-  both backends;
+  writes, in the client scan's re-plan (with a resume key) for scans;
+  a scan's reopens and re-plans are written once, for both backends,
+  in :mod:`repro.dbsim.backend` (``TabletRead``, ``ConnectorBackend``);
 * write batches and scan chunks travel as packed binary cell blocks
   (:mod:`repro.net.cells`), not JSON.
 
@@ -51,7 +51,6 @@ enabled) emits ``rpc.client.*`` spans.
 
 from __future__ import annotations
 
-import bisect
 import os
 import random
 import select
@@ -61,8 +60,8 @@ import time
 from collections import deque
 from dataclasses import asdict
 from itertools import count
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.dbsim.backend import ConnectorBackend, _pushdown
 from repro.dbsim.client import Connector
@@ -699,172 +698,81 @@ class RpcCore:
 
     def open_stream(self, addr: Addr, op: int, payload, tc=None) -> _Stream:
         """Send a streaming request; its frames arrive on the returned
-        :class:`_Stream` (no retry here — a tablet scan owns the
-        resume/retry policy because only it knows the resume key)."""
+        :class:`_Stream` (no retry here: a tablet's read reopens it,
+        :class:`~repro.dbsim.backend.TabletRead`, knowing the key)."""
         return self._send(addr, op, payload, tc, unary=False)
 
 
 # -- scan streaming ---------------------------------------------------------
 
 
-def _pending(ranges: Sequence[Range], resume: Optional[list]
-             ) -> Sequence[Range]:
-    """``ranges`` without those a resume has fully delivered (they end
-    at or before the resume row).  The range holding the resume row
-    stays whole: the server skips to the resume key."""
-    if not resume:
-        return ranges
-    return ranges[bisect.bisect_right(ranges, resume[0],
-                                      key=Range.effective_stop):]
-
-
 class _TabletScan:
-    """One tablet's range-set ``SCAN``, resumable inside the tablet:
-    what :meth:`RemoteTabletServer.scan_tablet` returns.  Iterating it
-    yields decoded :class:`~repro.net.cells.ColumnBatch`\\ es — one
-    per pull, merging every CHUNK that has already arrived — and never
-    materialises a ``Cell``.
+    """One tablet's range-set ``SCAN``, one stream: what
+    :meth:`RemoteTabletServer.scan_tablet` returns.  Iterating it
+    yields decoded :class:`~repro.net.cells.ColumnBatch`\\ es — one per
+    pull, merging every CHUNK that has already arrived — and never
+    materialises a ``Cell``.  The request is sent when the scan is
+    made.  A failure (a lost, late, corrupt or overrun stream, an
+    ``ERROR`` frame) is raised once the batches before it are
+    delivered; resuming past them is the reader's
+    (:class:`~repro.dbsim.backend.TabletRead`)."""
 
-    The request is sent when the scan is made, as a local scan slices
-    its runs then; a send that fails is retried by the first pull.  The
-    stream is resumable at batch granularity: the resume key advances
-    to the last entry of each CHUNK as it is decoded, and any failure
-    :meth:`RpcCore.judge` retries reopens the stream after backoff,
-    asking the server to skip everything at or before that key, with
-    only the ranges that end after the resume row (:func:`_pending`) —
-    a reopen only happens while pulling the *next* batch, so
-    everything before it is the caller's.  When the shipped spec ends
-    in ``distinct``, whose state (the qualifiers seen) crosses rows,
-    the reopen also carries that state: the qualifiers this scan has
-    delivered, as the op's ``seen`` list, which the server applies
-    above its skip past the resume key.  The resumed stream is then
-    exact even when the tablet took writes between the two opens.  A
-    :data:`RELOCATE` verdict (``NotHostedError``: the tablet split or
-    migrated) is raised to the caller once the batches before it are
-    delivered: the client scan re-plans over a fresh index."""
-
-    def __init__(self, server: "RemoteTabletServer", payload: dict,
-                 ranges: Sequence[Range], resume: Optional[list]):
-        self._server = server
-        #: the SCAN payload but its ranges and resume key
-        self._payload = payload
-        self._ranges = ranges
-        self._resume = resume
-        spec = payload.get("iterspec")
-        #: the qualifiers delivered, kept under a trailing distinct only
-        self._seen: Optional[Set[str]] = (
-            set() if spec and spec[-1]["op"] == "distinct" else None)
+    def __init__(self, server: "RemoteTabletServer", payload: dict):
         self._stream: Optional[_Stream] = None
-        self._span = None
-        self._opened = False  # has this scan ever opened a stream?
-        self._done = False
-        self._moved: Optional[NotHostedError] = None
-        try:
-            self._open()
-        except Exception:  # noqa: BLE001 - the first pull retries it
-            self.close()
-
-    def _open(self) -> None:
-        """Send the SCAN (no waiting for frames)."""
-        if self._opened or self._resume:
-            # any reopen mid-scan is a resume, even when chunk progress
-            # reset the attempt budget; so is a re-planned tablet's
-            # open past the key the moved one delivered last
-            self._server.core.metrics.counter(
-                "net.client.scan_resumes").inc()
-        payload = {**self._payload,
-                   "ranges": [wire.range_to_wire(r)
-                              for r in _pending(self._ranges, self._resume)],
-                   "resume": self._resume}
-        if self._seen:
-            *below, op = payload["iterspec"]
-            payload["iterspec"] = [*below, {"op": "distinct", "seen": sorted(
-                self._seen.union(op.get("seen", ())))}]
+        self._error: Optional[dict] = None  # an ERROR frame's payload
         # detached: a scan stream stays open across iterator pulls, so
-        # its span cannot be lexically scoped.  Closed by close() on
-        # completion, resume, or relocation
+        # its span cannot be lexically scoped.  Closed by close()
         self._span = _trace.start_span(
             "rpc.client.scan", op="scan", table=payload["table"],
-            server=format_addr(self._server.addr))
+            server=format_addr(server.addr))
         self._chunks = self._bytes = 0
-        self._stream = self._server.core.open_stream(
-            self._server.addr, wire.SCAN, payload, tc=self._span.context)
-        self._opened = True
+        self._core = server.core
+        try:
+            self._stream = server.core.open_stream(
+                server.addr, wire.SCAN, payload, tc=self._span.context)
+        except BaseException:
+            self.close()
+            raise
 
     def __iter__(self) -> "_TabletScan":
         return self
 
     def __next__(self) -> _cells.ColumnBatch:
         """The next non-empty batch (every buffered CHUNK merged)."""
-        core = self._server.core
-        counters = core.metrics.counter
-        sleep: Optional[float] = None
-        attempts = 0
-        while not self._done:
+        counters = self._core.metrics.counter
+        batch: Optional[_cells.ColumnBatch] = None
+        while batch is None:
+            if self._error is not None:
+                wire.raise_error(self._error)
+            if self._stream is None:
+                raise StopIteration
             try:
-                if self._stream is None:
-                    if attempts:
-                        sleep = core.backoff(sleep)
-                    attempts += 1
-                    self._open()
                 # one pull: every frame the stream has delivered — it
                 # ends on its DONE or ERROR
-                frames = self._stream.get_many(core.retry.deadline)
-            except Exception as exc:
-                # a lost, late, corrupt or overrun stream: everything
-                # delivered so far is good, and a reopen resumes past it
-                self._failed(exc, attempts)
-                continue
-            batch: Optional[_cells.ColumnBatch] = None
+                frames = self._stream.get_many(self._core.retry.deadline)
+            except Exception:
+                self.close()
+                raise
             for code, payload, nread in frames:
                 if code == wire.CHUNK:
-                    attempts = 0  # progress: reset the retry budget
                     decoded = _cells.decode_batch(payload.block)
                     counters("net.client.scan_chunks").inc()
                     if len(decoded):
-                        # the resume key advances per decoded chunk so
-                        # an error later in this same frame run reopens
-                        # past everything about to be returned
-                        self._resume = decoded.last_key()
-                        if self._seen is not None:
-                            self._seen.update(decoded.qualifiers)
                         if batch is None:
                             batch = decoded
                         else:
                             batch.extend(decoded)
                     self._chunks += 1
                     self._bytes += nread
-                elif code == wire.DONE:
+                elif code in (wire.DONE, wire.ERROR):
                     self.close()
-                    self._done = True
-                elif code == wire.ERROR:
-                    try:
-                        wire.raise_error(payload)
-                    except Exception as exc:
-                        self._failed(exc, attempts)
+                    # an ERROR is raised by the next pull, after ``batch``
+                    self._error = payload if code == wire.ERROR else None
                 else:
                     self.close()
                     raise wire.ProtocolError(
                         f"unexpected frame {code:#x} in scan stream")
-            if batch is not None:
-                return batch
-        if self._moved is not None:
-            raise self._moved
-        raise StopIteration
-
-    def _failed(self, exc: Exception, attempts: int) -> None:
-        """An attempt failed with ``exc``: drop the stream, then, by
-        :meth:`RpcCore.judge`, reopen it later (within the retry
-        budget), or end the scan with the ``NotHostedError`` the next
-        pull raises, or raise."""
-        core = self._server.core
-        self.close()
-        if core.judge(exc) is RELOCATE:
-            self._moved = exc
-            self._done = True
-        elif attempts >= core.retry.attempts:
-            raise core.exhausted(
-                f"scan of {self._payload['table']!r}", attempts) from exc
+        return batch
 
     def close(self) -> None:
         """Stop the stream, if open: the server stops producing."""
@@ -987,16 +895,32 @@ class RemoteTabletServer:
                     ranges: Sequence[Range], layers: Sequence = (),
                     columns: Columns = None, resume: Optional[list] = None
                     ) -> _TabletScan:
-        """One range-set ``SCAN`` of one tablet, sent now (as a local
-        scan slices now), resumed mid-stream inside the tablet
+        """One range-set ``SCAN`` of one tablet, sent now, as one stream
         (:class:`_TabletScan`); ``layers`` — each with a wire form — run
-        in the server, which also sizes the batches.  A tablet that
-        moved raises ``NotHostedError`` from the stream."""
+        in the server, which sizes the batches and skips to ``resume``
+        (an open with one counts in ``net.client.scan_resumes``)."""
+        if resume is not None:
+            self.core.metrics.counter("net.client.scan_resumes").inc()
         return _TabletScan(self, {
             "table": table, "tablet_id": tablet_id,
             "columns": [list(c) for c in columns] if columns else None,
-            **_pushdown([layer.op for layer in layers])}, list(ranges),
-            resume)
+            **_pushdown([layer.op for layer in layers]),
+            "ranges": [wire.range_to_wire(r) for r in ranges],
+            "resume": resume or None})
+
+    def retry_scan(self, exc: Exception, table: str, attempts: int,
+                   sleep: Optional[float]) -> Optional[float]:
+        """Rule by :meth:`RpcCore.judge` on a failed stream of one of
+        this server's tablets, reopened ``attempts`` times since its
+        last batch: raise ``exc`` (``NotHostedError`` too), or the
+        exhausted error once the budget is spent, or return the sleep
+        of the backoff past the first reopen, the next ruling's ``sleep``."""
+        core = self.core
+        if core.judge(exc) is RELOCATE:
+            raise exc
+        if attempts >= core.retry.attempts:
+            raise core.exhausted(f"scan of {table!r}", attempts) from exc
+        return core.backoff(sleep) if attempts else sleep
 
 
 def assignment_to_wire(entry: Assignment) -> dict:

@@ -43,8 +43,8 @@ neighbours, deduplicated where they are stored — less any qualifier in
 its optional ``seen`` list.  Its output is a subset of its input in key
 order, but its state crosses rows: a tablet scan holding it resumes
 with ``seen`` set to the qualifiers that tablet already delivered (see
-:class:`~repro.net.client._TabletScan`), and a tablet re-planned in its
-place starts from them (``ConnectorBackend.scan_columns``).  Being
+:class:`~repro.dbsim.backend.TabletRead`), and a tablet re-planned in
+its place starts from them (``ConnectorBackend.scan_columns``).  Being
 last, its output is exactly what was delivered.  Apply ops come from the
 :data:`APPLY_OPS` registry of named unary numeric functions.  ``jaccard`` turns a common-neighbour
 count ``cn`` at (i, j), i < j, into ``cn / (dᵢ + dⱼ − cn)`` at (i, j)

@@ -22,6 +22,7 @@ from repro.dbsim.graphulo import create_combiner_table
 from repro.dbsim.key import Range, decode_number
 from repro.dbsim.server import Instance, MultSpec
 from repro.generators.classic import fig1_edges
+from repro.net.cluster import LocalCluster
 
 from tests.dbsim.tablemult_oracle import stream_table_mult
 
@@ -29,6 +30,20 @@ from tests.dbsim.tablemult_oracle import stream_table_mult
 @pytest.fixture
 def conn():
     return Connector(Instance(n_servers=2))
+
+
+@pytest.fixture(params=["local", "remote"])
+def both(request):
+    """A connector to the in-process backend, or to a thread cluster."""
+    if request.param == "local":
+        yield Connector(Instance(n_servers=2))
+        return
+    with LocalCluster(n_servers=2, processes=False) as cluster:
+        remote = cluster.connect()
+        try:
+            yield remote
+        finally:
+            remote.close()
 
 
 def random_assoc(rng, rows, cols, density=0.4):
@@ -204,6 +219,34 @@ class TestDegreeTable:
         degree_table(conn, "T", "Tdeg")
         assert {row: deg for row, (deg, _) in degrees().items()} == {
             "a": 5.0, "z": 5.0}
+
+
+    def test_a_refresh_sees_deletes(self, both):
+        """A refresh rebuilds a plain ``out``: a row that lost a cell
+        reads its new degree, and a row that lost them all has none;
+        an ``out`` that combines adds each refresh to what it holds."""
+        a = AssocArray.from_triples(["a", "a", "z"], ["x", "y", "x"],
+                                    [2.0, 3.0, 4.0])
+        assoc_to_table(both, a, "T")
+        create_combiner_table(both, "Tsum", "sum")
+
+        def degrees(table="Tdeg"):
+            return {c.key.row: decode_number(c.value)
+                    for c in both.scanner(table)}
+
+        degree_table(both, "T", "Tdeg")
+        degree_table(both, "T", "Tsum")
+        assert degrees() == degrees("Tsum") == {"a": 5.0, "z": 4.0}
+        for qualifier, want in (("x", {"a": 3.0, "z": 4.0}),
+                                ("y", {"z": 4.0})):
+            with both.batch_writer("T") as w:
+                w.delete("a", "", qualifier)
+            degree_table(both, "T", "Tdeg")
+            assert degrees() == want
+        assert len(both.instance.tablets("Tdeg")) == \
+            len(both.instance.tablets("T"))
+        degree_table(both, "T", "Tsum")
+        assert degrees("Tsum") == {"a": 5.0, "z": 8.0}
 
 
 class TestApplyFilter:

@@ -9,9 +9,11 @@ hold:
 * under the seeded drop / delay / corrupt / reset plan a multi-tablet
   range-set scan resumes past the last delivered key — no duplicate, no
   missing cell, timestamps included — on thread and process clusters;
-* a resume or a split re-plan re-sends only the ranges that end after
-  the resume row, and a re-planned scan still returns the per-range
-  result — in process too, where the same client scan re-plans;
+* a resume or a split re-plan re-sends only the ranges from the resume
+  row on (the one holding it clipped at it, which gives the cells the
+  whole range gives past the key), and a re-planned scan still returns
+  the per-range result — in process too, where the same client scan
+  re-plans;
 * a scan holding the ``distinct`` op, whose state crosses rows, reopens
   with that state — the qualifiers its tablet delivered, as the op's
   ``seen`` list — and gives the fault-free result, which it does not
@@ -19,6 +21,10 @@ hold:
   two opens drops no qualifier; re-planned over a split, a qualifier
   repeats only across the two children; scanned range by range
   (unsorted ranges), each range keeps its own qualifiers;
+* one ``distinct`` scan reopened in place after two resets in a row
+  and a shed stream, then re-planned when its tablet split and
+  migrated, delivers each cell once and equals, timestamps included,
+  the in-process scan re-planned at the same key;
 * a raw-wire SCAN whose ranges are unsorted or overlapping gets a typed
   ERROR frame, never a wrong answer;
 * a one-batch SCAN is answered by the thread that read it: sequential
@@ -26,20 +32,22 @@ hold:
   first, and every thread of a connection exits once it closes.
 """
 
+import itertools
 import random
 import threading
 import time
 
 import pytest
 
-from repro.dbsim.backend import _seeded, _ship
+from repro.dbsim.backend import TabletRead, _past, _seeded, _ship
 from repro.dbsim.client import Connector
 from repro.dbsim.key import Range
 from repro.dbsim.errors import NotHostedError
 from repro.dbsim.server import Instance, TabletServer
 from repro.net import wire
-from repro.net.client import RemoteConnector, _TabletScan, _pending
+from repro.net.client import RemoteConnector
 from repro.net.cluster import LocalCluster
+from repro.net.faults import FaultPlan
 from repro.net.iterspec import IterSpec
 from repro.net.server import SCAN_CHUNK_CELLS
 from repro.obs.metrics import MetricsRegistry
@@ -80,12 +88,12 @@ def _range_set(seed=3):
     return out
 
 
-def _ingest_graph(conn, table="g"):
+def _ingest_graph(conn, table="g", splits=SPLITS):
     """One row per 10 of ``_ingest``'s, each with three qualifiers
     drawn from 60: every qualifier recurs across rows and tablets, so
     ``distinct`` keeps a few cells per tablet, mostly from early rows."""
     rnd = random.Random(5)
-    conn.create_table(table, splits=SPLITS)
+    conn.create_table(table, splits=splits)
     with conn.batch_writer(table) as w:
         for i in range(0, N_CELLS, 10):
             for q in rnd.sample(range(60), 3):
@@ -188,12 +196,12 @@ class TestSeededResume:
                 resumes = registry.export()["net.client.scan_resumes"]
                 # without the seen list a reopen's distinct starts over
                 # past the resume key, blind to what it already sent
-                init = _TabletScan.__init__
+                init = TabletRead.__init__
 
-                def blind(scan, *args, **kwargs):
-                    init(scan, *args, **kwargs)
-                    scan._seen = None
-                monkeypatch.setattr(_TabletScan, "__init__", blind)
+                def blind(read, *args, **kwargs):
+                    init(read, *args, **kwargs)
+                    read.seen = None
+                monkeypatch.setattr(TabletRead, "__init__", blind)
                 blinded = _distinct(conn, ranges)
             finally:
                 conn.close()
@@ -450,18 +458,114 @@ class TestReplan:
             assert got == per_range
             assert sorted(got) != sorted(_distinct(c, ranges))
 
-    def test_reopen_sends_only_ranges_past_the_resume_row(self):
+    def test_reopen_sends_only_ranges_past_the_resume_row(self, reference):
         ranges = [Range.exact_row("a"), Range("c", "f"), Range("f", "k"),
                   Range.exact_row("m")]
-        assert _pending(ranges, None) == ranges
+        assert _past(ranges, None) == ranges
         resume = ["d", "", "q", "", 7, False]
-        # [c, f) holds the resume row and stays whole: the server
-        # skips to the resume key inside it
-        assert _pending(ranges, resume) == ranges[1:]
+        # [c, f) holds the resume row: it is clipped at the row, and
+        # the server skips to the resume key inside it
+        assert _past(ranges, resume) == [Range("d", "f"), *ranges[2:]]
         resume = ["f", "", "q", "", 7, False]
-        assert _pending(ranges, resume) == ranges[2:]
+        assert _past(ranges, resume) == ranges[2:]
         resume = ["z", "", "q", "", 7, False]
-        assert _pending(ranges, resume) == []
+        assert _past(ranges, resume) == []
+        # clipped or whole, the range holding the resume row gives the
+        # same cells past the key
+        (entry,) = reference.instance.tablets_for_range("t", Range(
+            "r00100", "r00900"))
+        ranges = [Range("r00100", "r00400"), Range("r00500", "r00900")]
+        (cell,) = reference.scanner("t").set_range(Range.exact_row("r00250"))
+        key = [*cell.key]
+
+        def scan(rngs):
+            return _snap(c for b in entry.server.scan_tablet(
+                "t", entry.tablet_id, rngs, resume=key) for c in b.cells())
+        assert scan(_past(ranges, key)) == scan(ranges)
+        assert scan(ranges)[0][0] == "r00251"
+
+
+#: every frame of a SCAN answered 10 ms late, unless a reset cuts it
+MOVE_SPECS = ["scan:reset:0.1", "scan:delay:1:0.01"]
+
+
+def _move_seed():
+    """The first seed whose plan resets the head tablet's first SCAN
+    and its reopen at their first frame (two failures in a row: a
+    backoff), then lets the second reopen's whole answer through (its
+    16 CHUNKs and DONE, with room to spare): the scan's first batch and
+    the frames its stream is shed for while it stalls."""
+    draws = [(0, 0, 0), (1, 0, 0)] + [(2, 0, frame) for frame in range(24)]
+    fires = [True, True] + [False] * 24
+    for seed in itertools.count():
+        plan = FaultPlan.from_specs(MOVE_SPECS, seed)
+        if [getattr(plan.draw(wire.SCAN, *draw), "kind", None) == "reset"
+                for draw in draws] == fires:
+            return seed
+
+
+def faulted_moving_scan(monkeypatch):
+    """One ``distinct`` client scan of a one-tablet table on a thread
+    cluster, through every failure a tablet read meets: its first two
+    opens reset, its stream shed while it stalls (another request's
+    waiter reads past two CHUNKs of four cells), and its tablet split
+    and migrated before that reopen, which re-plans.  Returns the cells
+    (row, qualifier, timestamp, value), the cells delivered before the
+    re-plan, the split row and the client's metrics export."""
+    monkeypatch.setattr("repro.net.server.SCAN_CHUNK_CELLS", 4)
+    monkeypatch.setattr("repro.net.client.STREAM_WINDOW_CHUNKS", 2)
+    local = Connector(Instance(n_servers=2, metrics=MetricsRegistry()))
+    _ingest_graph(local, splits=())
+    want = _distinct(local, [Range()])
+    split = want[len(want) * 2 // 3][0]
+    registry, replans = MetricsRegistry(), []
+    with LocalCluster(n_servers=2, processes=False, fault_specs=MOVE_SPECS,
+                      fault_seed=_move_seed()) as c:
+        conn = c.connect(metrics=registry)
+        try:
+            _ingest_graph(conn, splits=())
+            (entry,) = conn.instance.tablets("g")
+            replan = conn.instance._replan
+
+            def spy(name, legs, head):
+                replans.append(head.resume)
+                return replan(name, legs, head)
+            conn.instance._replan = spy
+            batches = conn.instance.scan_columns(
+                "g", scan_iterators=IterSpec().distinct().build_factories())
+            got = _snap(next(batches).cells())
+            time.sleep(0.3)  # the server sends the rest meanwhile
+            entry.server.submit("tablet_info", "g", entry.tablet_id)()
+            _split_behind(conn, "g", split)
+            got += _snap(cell for b in batches for cell in b.cells())
+            export = registry.export()
+        finally:
+            conn.close()
+    (resume,) = replans
+    at = [c[:3] for c in got].index((resume[0], resume[2], resume[4]))
+    return got, got[:at + 1], split, export
+
+
+class TestOneRemoteScanSurvivesBothFailures:
+    def test_equals_the_in_process_scan_bit_for_bit(self, monkeypatch):
+        got, delivered, split, export = faulted_moving_scan(monkeypatch)
+        # reopened in place (after a backoff, and after a shed stream),
+        # then re-planned once over the split
+        assert export["net.client.retries"] >= 1
+        assert export["net.client.stream_overruns"] >= 1
+        assert export["net.client.relocates"] >= 1
+        assert export["net.client.scan_resumes"] >= 4
+        assert delivered[-1][0] < split
+        assert len({c[:3] for c in got}) == len(got)  # each cell once
+        # the in-process client scan, its head tablet moved after the
+        # same cells: the same re-plan, seeded with the same qualifiers
+        local = Connector(Instance(n_servers=2, metrics=MetricsRegistry()))
+        _ingest_graph(local, splits=())
+        with monkeypatch.context() as patch:
+            TestReplanInProcess._move_mid_stream(local, patch, delivered,
+                                                 split)
+            want = _distinct(local, [Range()])
+        assert got == want  # timestamps included
 
 
 class TestWireBoundary:
